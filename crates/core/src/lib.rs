@@ -47,17 +47,30 @@
 //! grant mask — so nothing about the topology is mirrored out of band,
 //! and nothing can be silently misconfigured. Mismatches fail fast as
 //! typed [`HandshakeError`]s (`Version`, `Topology`, `ArenaMissing`,
-//! `Mode`), never as hangs. The legacy `TensorProducer` /
-//! `TensorConsumer` / `ShardedProducerGroup` entry points remain as
-//! `#[deprecated]` shims over the same engine (see the migration table
-//! in `examples/quickstart.rs`).
+//! `Mode`), never as hangs.
+//!
+//! ## Wire contract
+//!
+//! Everything on the sockets — handshake, scrapes, every message —
+//! shares one version, [`WIRE_VERSION`], and one compatibility rule:
+//! bytes after a frame's last known field are ignored; a frame with an
+//! unknown tag decodes to `Unknown` and is counted and ignored
+//! (`producer.ctrl_unknown`, `consumer.data_unknown`), as are unknown
+//! HELLO capability bits (`producer.hello_unknown_caps`); any other
+//! change bumps the version. The producer always answers in its own
+//! version, and the *client* of an exchange compares the version at the
+//! fixed head of the reply with its own before reading further — a
+//! mismatch is a prompt [`HandshakeError::Version`] on every transport,
+//! never a hang or a misparse. A message is its type definition, its tag
+//! and one line in a field list ([`protocol::messages`]); adding one
+//! touches nothing else.
 //!
 //! ## Control plane vs. data plane, and payload-mode negotiation
 //!
 //! TensorSocket splits each shard into a **control plane** (PUSH/PULL:
 //! joins, acks, heartbeats, hellos, stats scrapes) and a **data plane**
 //! (PUB/SUB: batch announcements). On the data plane, *what an
-//! announcement carries* is negotiated per consumer at attach (v2):
+//! announcement carries* is negotiated per consumer at attach:
 //!
 //! * [`PayloadMode::Shm`] — the announce carries **pointers**
 //!   ([`ts_tensor::TensorPayload`]) into shared memory; consumers on the
@@ -77,9 +90,7 @@
 //! sequence space, window and ack accounting, so a mixed fleet — some
 //! consumers on pointers, some on bytes — sees **bit-identical**
 //! `(epoch, shard, seq)` batch streams, and either side can detach
-//! without disturbing the other. v1 peers interoperate: a v1 consumer
-//! attaching to a v2 producer gets a byte-identical v1 WELCOME and the
-//! implied shm mode.
+//! without disturbing the other.
 //!
 //! ## Endpoint URIs and cross-process sharing
 //!
@@ -149,11 +160,9 @@
 //! of the rotation once exhausted. Because the shard partition, each
 //! shard's batch order, and the merge rule are all deterministic
 //! functions of `(seed, epoch, shard count)`, training sees the same
-//! batch sequence on every run and on every consumer — and with
-//! `shards == 1` the group degenerates byte-for-byte to a plain
-//! [`TensorProducer`]. Shard endpoints derive from the group base
-//! endpoint (`ts_socket::shard_endpoint`): shard 0 *is* the base, so a
-//! one-shard group is wire-compatible with an unsharded deployment.
+//! batch sequence on every run and on every consumer. Shard endpoints
+//! derive from the group base endpoint (`ts_socket::shard_endpoint`):
+//! shard 0 *is* the base, which is where consumers hello.
 //!
 //! ## The producer pipeline and its tuning knobs
 //!
@@ -196,8 +205,8 @@
 //! histograms ([`ts_metrics::Histogram`]) in the context's shared
 //! [`ts_metrics::Registry`] — a `record` is a handful of relaxed atomic
 //! adds, so instrumentation never touches a lock on the hot path. A
-//! running producer answers a versioned, stateless
-//! [`CtrlMsg::StatsRequest`] from *any* of its wait loops (mid-epoch, at
+//! running producer answers a stateless [`CtrlMsg::StatsRequest`] from
+//! *any* of its wait loops (mid-epoch, at
 //! an epoch barrier, draining final acks) with a [`DataMsg::Stats`]
 //! snapshot of the whole registry — counters, gauges and full histogram
 //! buckets, deterministically name-sorted. [`scrape_stats`] is the
@@ -233,7 +242,7 @@
 //! | `producer.bytes_staged` | counter | bytes | payload bytes placed on the staging device |
 //! | `producer.replays` | counter | batches | rubberband replays sent to late joiners |
 //! | `producer.detached` | counter | consumers | consumers detached on heartbeat expiry |
-//! | `producer.ctrl_unknown` | counter | frames | unknown (future-version) control frames ignored |
+//! | `producer.ctrl_unknown` | counter | frames | control frames with an unknown tag, ignored |
 //! | `producer.hello_unknown_caps` | counter | hellos | HELLOs carrying capability bits this producer does not know |
 //! | `producer.stats_dup` | counter | replies | stats replies dropped for carrying a stale request stamp |
 //! | `stage.[s<N>.]stream_tx_bytes` | counter | bytes | payload bytes sent over the streamed (non-shm) path |
@@ -241,7 +250,7 @@
 //! | `stage.[s<N>.]cursor_coalesced` | counter | positions | stale cursor positions displaced (latest-wins) before a flush window |
 //! | `consumer.batches` / `consumer.samples` | counter | batches / samples | consumed by this context's consumers |
 //! | `consumer.acks` | counter | acks | batch acknowledgements sent back |
-//! | `consumer.data_unknown` | counter | frames | unknown (future-version) data frames ignored on the consumer path |
+//! | `consumer.data_unknown` | counter | frames | data frames with an unknown tag, ignored on the consumer path |
 //! | `consumer.dangling_skipped` | counter | batches | stale announces skipped because the producer (aborting) released the payload first |
 //! | `staging.h2d_bytes` | counter | bytes | bytes through the H2D copy stage |
 //! | `trace.dropped` | gauge | records | flight-recorder records evicted before completing (refreshed at scrape time) |
@@ -305,7 +314,7 @@
 //! pin depth stays bounded and `stage.publish_copy_bytes` stays 0, yet
 //! replay reach extends to everything the log retains.
 //!
-//! The replay contract, over the same v3 handshake:
+//! The replay contract, over the same handshake:
 //!
 //! * the WELCOME advertises the log ([`WelcomeInfo::log`], a
 //!   [`LogAd`] with the retained `[min, max]` offset range; the
@@ -365,9 +374,8 @@
 //!
 //! The log is per-run: sequence numbers restart at 0 each spawn, so the
 //! producer refuses a directory that already holds records. Without a
-//! log (or on a v1/v2 producer) a `group` name is inert and the
-//! consumer attaches live-only. See `examples/replay_smoke.rs` for the
-//! crash-and-resume loop end to end.
+//! log a `group` name is inert and the consumer attaches live-only. See
+//! `examples/replay_smoke.rs` for the crash-and-resume loop end to end.
 //!
 //! ## Crate layout
 //!
@@ -382,9 +390,8 @@
 //! * [`runtime`] — the threaded runtime behind the [`Producer`] /
 //!   [`Consumer`] facades: the producer pipelines over `ts-socket`
 //!   PUB/SUB + PUSH/PULL with real payload sharing through the
-//!   [`ts_tensor::SharedRegistry`], the sharded-group layer
-//!   ([`EpochCoordinator`]), and the deprecated legacy entry points
-//!   ([`TensorProducer`], [`TensorConsumer`], [`ShardedProducerGroup`]).
+//!   [`ts_tensor::SharedRegistry`], and the sharded-group layer
+//!   ([`EpochCoordinator`]).
 
 pub mod protocol;
 pub mod runtime;
@@ -395,16 +402,15 @@ pub use protocol::flex::{plan_flex, FlexPlan, Segment};
 pub use protocol::heartbeat::HeartbeatMonitor;
 pub use protocol::messages::{
     caps, AnnounceContent, ArenaAd, BatchAnnounce, CtrlMsg, DataMsg, JoinDecision, LogAd,
-    PayloadMode, ReplayFrom, StatsPayload, StreamedTensor, TracePayload, WelcomeInfo,
-    HANDSHAKE_VERSION, STATS_VERSION, TRACE_VERSION,
+    PayloadMode, ReplayFrom, StatsPayload, StreamedTensor, TracePayload, WelcomeInfo, WIRE_VERSION,
 };
 pub use protocol::order::ShardInterleave;
 pub use protocol::rubberband::RubberbandPolicy;
 pub use runtime::builder::{Consumer, ConsumerBuilder, Producer, ProducerBuilder};
-pub use runtime::consumer::{ConsumerBatch, TensorConsumer};
+pub use runtime::consumer::ConsumerBatch;
 pub use runtime::context::TsContext;
-pub use runtime::coordinator::{EpochCoordinator, GroupJoin, ShardedProducerGroup};
-pub use runtime::producer::{EpochSource, ProducerStats, SampleGeometry, TensorProducer};
+pub use runtime::coordinator::{EpochCoordinator, GroupJoin};
+pub use runtime::producer::{EpochSource, ProducerStats, SampleGeometry};
 pub use runtime::scrape::{scrape_stats, scrape_trace};
 pub use runtime::{ConsumerConfig, FlexibleConfig, ProducerConfig, StagingConfig, StagingMode};
 pub use ts_metrics::{SpanKind, TraceRecordSnap, TraceRing};
@@ -416,9 +422,10 @@ pub use ts_socket::{Endpoint, EndpointError, Scheme};
 /// producer advertises in its WELCOME.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HandshakeError {
-    /// Handshake protocol version skew between consumer and producer.
+    /// [`WIRE_VERSION`] skew between this side (a consumer, or a stats /
+    /// trace scraper) and the producer.
     Version {
-        /// The consumer's version.
+        /// This side's version.
         ours: u32,
         /// The producer's advertised version.
         theirs: u32,
@@ -454,7 +461,7 @@ impl std::fmt::Display for HandshakeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             HandshakeError::Version { ours, theirs } => {
-                write!(f, "handshake version skew: ours {ours}, producer {theirs}")
+                write!(f, "wire version skew: ours {ours}, producer {theirs}")
             }
             HandshakeError::Topology {
                 requested,

@@ -8,13 +8,22 @@
 //! * **control** (PUSH → PULL): [`CtrlMsg`] — joins, readiness, acks,
 //!   heartbeats and leaves from consumers.
 //!
-//! The codec is a hand-rolled little-endian format: fixed header tag byte,
-//! length-prefixed repeated sections. No serde — messages are small and the
-//! layout is part of the reproduction (payload size must not scale with
-//! batch size).
+//! A message is its type definition, its tag and one field list (the
+//! "wire layouts" section below); the crate-private `wire` module turns
+//! the list into the little-endian codec. No serde — messages are small
+//! and the layout is part of the reproduction (payload size must not scale
+//! with batch size).
+//!
+//! One version, [`WIRE_VERSION`], and one compatibility rule — trailing
+//! bytes, unknown tags and unknown capability bits are ignored, anything
+//! else bumps the version — stated in full in the crate docs' *Wire
+//! contract* section. To add a message: define the variant, pick the next
+//! free tag, and add one line to the enum's field list (new fields of an
+//! existing message go at the end of its list).
 
+use super::wire::{get_len, put_len, take, wire_enum, wire_struct, Wire};
 use crate::{Result, TsError};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use ts_tensor::TensorPayload;
 
 /// Topic names used on the data socket.
@@ -56,38 +65,15 @@ pub mod topics {
     }
 }
 
-/// Version of the HELLO/WELCOME attach handshake. A consumer sends it in
-/// [`CtrlMsg::Hello`]; the producer always answers with its own version in
-/// [`WelcomeInfo::version`], and the *consumer* decides compatibility —
-/// an old producer talking to a new consumer (or vice versa) surfaces as
-/// a typed version error on the consumer, never a silent misparse.
-///
-/// **v2** extends v1 with a `Hello` capability bitfield ([`caps`]),
-/// per-shard endpoint overrides and a granted payload-mode mask in the
-/// WELCOME, and a per-consumer [`PayloadMode`] in the `Join`. Every
-/// extension rides in *trailing* bytes that a v1 decoder never reads,
-/// so the two versions interoperate: a v2 producer answers a v1 `Hello`
-/// with a byte-identical v1 WELCOME, and a v1 consumer's `Join` decodes
-/// on a v2 producer with the v1 defaults (shm pointer-passing).
-///
-/// **v3** (this build) adds the durable-log advertisement: the WELCOME
-/// grows a trailing [`LogAd`] section (presence flag + retained range),
-/// and two new messages appear — [`CtrlMsg::Replay`] (tag 8), by which
-/// a consumer group asks for a log-backed catch-up stream, and
-/// [`DataMsg::LogInfo`] (tag 9), the producer's reply fixing the replay
-/// start and live-splice cutover. The same trailing-bytes discipline
-/// holds: the WELCOME tail is gated on the *encoded* version (a v3
-/// producer answers a v2 `Hello` with a byte-identical v2 WELCOME), and
-/// the new tags land in the ranges both sides already decode as
-/// `Unknown`, so a v2 producer log-ignores a `Replay` and a v2 consumer
-/// log-ignores a `LogInfo` instead of wedging.
-pub const HANDSHAKE_VERSION: u32 = 3;
+/// The one version of everything on the wire — the attach handshake, the
+/// stats and trace scrapes and every message layout (see the module
+/// docs' *Wire contract*). Carried at the head of each token-exchange
+/// request and reply; the client side decides compatibility.
+pub const WIRE_VERSION: u32 = 4;
 
-/// `Hello` capability bits (handshake v2): what the consumer can do,
-/// declared before it knows anything about the producer. Unknown bits
-/// are ignored and counted (`producer.hello_unknown_caps`), never an
-/// error — a v3 consumer must be able to attach to a v2 producer on the
-/// v2 subset.
+/// `Hello` capability bits: what the consumer can do, declared before it
+/// knows anything about the producer. Unknown bits are ignored and
+/// counted (`producer.hello_unknown_caps`), never an error.
 pub mod caps {
     /// The consumer can map a shared-memory arena on this host.
     pub const SHM: u32 = 1 << 0;
@@ -99,7 +85,7 @@ pub mod caps {
 }
 
 /// How batch payload bytes reach one consumer — negotiated **per
-/// consumer** at attach time (handshake v2), not fixed at build time.
+/// consumer** at attach time, not fixed at build time.
 /// A consumer that proves it can open the advertised arena gets
 /// pointer-passing; one that cannot (a remote host) gets its batches
 /// streamed as length-prefixed bytes on its private topic, behind the
@@ -114,23 +100,6 @@ pub enum PayloadMode {
 }
 
 impl PayloadMode {
-    /// The one-byte encoding used in the v2 `Join`.
-    pub fn wire_code(self) -> u8 {
-        match self {
-            PayloadMode::Shm => 0,
-            PayloadMode::Stream => 1,
-        }
-    }
-
-    /// Decodes a payload-mode byte (unknown codes map to `None`).
-    pub fn from_wire_code(code: u8) -> Option<Self> {
-        match code {
-            0 => Some(PayloadMode::Shm),
-            1 => Some(PayloadMode::Stream),
-            _ => None,
-        }
-    }
-
     /// The [`caps`] bit (and WELCOME grant bit) for this mode.
     pub fn cap_bit(self) -> u32 {
         match self {
@@ -139,30 +108,6 @@ impl PayloadMode {
         }
     }
 }
-
-/// Version of the stats-scrape exchange ([`CtrlMsg::StatsRequest`] /
-/// [`DataMsg::Stats`]). The scraper sends its version and the producer
-/// echoes its own in [`StatsPayload::version`]; like the attach
-/// handshake, the *client* decides compatibility.
-///
-/// **v2** adds a trailing per-attempt sequence number to both sides:
-/// the scraper stamps every (re-)send of a request, the producer echoes
-/// the stamp on its reply, and the scraper drops replies whose stamp is
-/// not the one currently in flight — a duplicate answer to a resent
-/// round can no longer masquerade as the *next* round's snapshot. v1
-/// frames (no stamp) decode with `seq == 0`.
-///
-/// **v3** appends producer uptime, a monotonic snapshot timestamp and the
-/// stall watchdog's last verdict after the histogram sections — again as
-/// trailing bytes gated on the encoded version, so v2 frames decode on a
-/// v3 build with zeroed extras and a v3 reply to a v2 scraper would stay
-/// parseable (older builds ignore trailing bytes they never read).
-pub const STATS_VERSION: u32 = 3;
-
-/// Version of the flight-recorder scrape exchange
-/// ([`CtrlMsg::TraceRequest`] / [`DataMsg::Trace`]). Same client-decides
-/// pattern as [`STATS_VERSION`].
-pub const TRACE_VERSION: u32 = 1;
 
 /// The shared-memory arena advertisement inside a [`WelcomeInfo`]: the
 /// backing file path plus slot geometry, so a consumer process maps the
@@ -177,8 +122,8 @@ pub struct ArenaAd {
     pub slot_size: u64,
 }
 
-/// The durable batch log advertisement inside a [`WelcomeInfo`]
-/// (handshake v3): the producer keeps an on-disk log of published
+/// The durable batch log advertisement inside a [`WelcomeInfo`]: the
+/// producer keeps an on-disk log of published
 /// batches and can serve [`CtrlMsg::Replay`] requests over the retained
 /// sequence range. The range is a snapshot taken when the WELCOME was
 /// built — retention and appends move it — so consumers treat it as a
@@ -214,7 +159,7 @@ pub enum ReplayFrom {
 /// `ts_socket::EndpointMap`), the arena placement, and the batch schema.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WelcomeInfo {
-    /// The producer's handshake version ([`HANDSHAKE_VERSION`]).
+    /// The producer's [`WIRE_VERSION`].
     pub version: u32,
     /// Shard pipelines in the topology (1 for a plain producer).
     pub shards: u32,
@@ -227,16 +172,15 @@ pub struct WelcomeInfo {
     pub staging: u8,
     /// The shared-memory arena, when one backs the payload path.
     pub arena: Option<ArenaAd>,
-    /// Sparse `(shard, base URI)` endpoint overrides (v2): shards whose
-    /// base endpoint is *not* derived from the base URI by scheme rules —
-    /// e.g. a shard pipeline on another host. Empty from v1 producers.
+    /// Sparse `(shard, base URI)` endpoint overrides: shards whose base
+    /// endpoint is *not* derived from the base URI by scheme rules —
+    /// e.g. a shard pipeline on another host.
     pub endpoint_overrides: Vec<(u32, String)>,
     /// Bitmask ([`caps`] bits) of payload modes the producer can serve
-    /// this consumer. A v1 producer implies [`caps::SHM`] only.
+    /// this consumer.
     pub payload_modes: u32,
-    /// The durable batch log, when the producer keeps one (v3). `None`
-    /// from v1/v2 producers and from v3 producers running without a
-    /// (healthy) log. A logging producer that has not retained anything
+    /// The durable batch log, when the producer keeps a healthy one. A
+    /// logging producer that has not retained anything
     /// yet advertises the *inverted* range `retained_min > retained_max`
     /// (canonically `{1, 0}`) — "log enabled, nothing stored" — so group
     /// consumers still send [`CtrlMsg::Replay`] and register their
@@ -253,8 +197,7 @@ pub enum CtrlMsg {
         consumer_id: u64,
         /// Desired batch size (only meaningful under flexible sizing).
         batch_size: u32,
-        /// The payload mode this consumer selected after the handshake
-        /// (v2; a v1 `Join` implies [`PayloadMode::Shm`]).
+        /// The payload mode this consumer selected after the handshake.
         mode: PayloadMode,
     },
     /// The consumer subscribed to the batch topic and is ready to receive.
@@ -289,10 +232,9 @@ pub enum CtrlMsg {
         /// One-shot reply-routing token chosen by the caller (not a
         /// consumer id; the real join happens afterwards).
         token: u64,
-        /// The caller's [`HANDSHAKE_VERSION`].
+        /// The caller's [`WIRE_VERSION`].
         version: u32,
-        /// Capability bitfield ([`caps`]; v2 — a v1 `Hello` carries no
-        /// capability bytes and decodes as `0`, i.e. "v1 semantics").
+        /// Capability bitfield ([`caps`]).
         caps: u32,
     },
     /// Observability scrape: "report your metrics". Stateless like
@@ -302,11 +244,11 @@ pub enum CtrlMsg {
     StatsRequest {
         /// One-shot reply-routing token chosen by the scraper.
         token: u64,
-        /// The scraper's [`STATS_VERSION`].
+        /// The scraper's [`WIRE_VERSION`].
         version: u32,
-        /// Per-attempt stamp (v2): incremented on every resend of the
-        /// same token, echoed in [`DataMsg::Stats::seq`] so stale
-        /// duplicate replies are identifiable. `0` from a v1 scraper.
+        /// Per-attempt stamp: incremented on every resend of the same
+        /// token, echoed in [`DataMsg::Stats::seq`] so stale duplicate
+        /// replies are identifiable.
         seq: u32,
     },
     /// Flight-recorder scrape: "report your last completed batch
@@ -316,7 +258,7 @@ pub enum CtrlMsg {
     TraceRequest {
         /// One-shot reply-routing token chosen by the scraper.
         token: u64,
-        /// The scraper's [`TRACE_VERSION`].
+        /// The scraper's [`WIRE_VERSION`].
         version: u32,
         /// Per-attempt stamp, echoed in [`DataMsg::Trace::seq`] exactly
         /// like the stats exchange's.
@@ -325,7 +267,7 @@ pub enum CtrlMsg {
         /// cap it further).
         max: u32,
     },
-    /// Ask for a log-backed replay stream (handshake v3; tag 8). Sent
+    /// Ask for a log-backed replay stream. Sent
     /// after the Join/Ready exchange by a consumer whose WELCOME carried
     /// a [`LogAd`]. The producer registers `group`, resolves the actual
     /// start (cursor/oldest/explicit, clamped to the retained range and
@@ -334,8 +276,7 @@ pub enum CtrlMsg {
     /// the log range as ordinary streamed-payload batch announcements.
     /// Stateless against duplicates: a re-sent `Replay` for a consumer
     /// whose stream is already running or done only re-sends the
-    /// `LogInfo`. A v2 producer decodes this as `Unknown` and ignores it
-    /// — the consumer falls back to pure rubberband semantics.
+    /// `LogInfo`.
     Replay {
         /// Consumer id (already joined).
         consumer_id: u64,
@@ -348,8 +289,7 @@ pub enum CtrlMsg {
     /// A control frame whose tag this build does not know. Produced only
     /// by [`CtrlMsg::decode`] for forward compatibility: a producer
     /// receiving a message from a newer peer logs-and-ignores it instead
-    /// of failing with a wire error. (Truncated frames are still
-    /// rejected.)
+    /// of failing with a wire error.
     Unknown {
         /// The unrecognized tag byte.
         tag: u8,
@@ -441,11 +381,11 @@ pub enum AnnounceContent {
         /// The consumer batches, in visit order.
         batches: Vec<FlexBatchPayload>,
     },
-    /// Streamed mode (v2): the batch's bytes themselves, length-prefixed,
-    /// for consumers that cannot map the arena (remote hosts). Sent on
-    /// the consumer's private topic; rides the same [`DataMsg::Batch`]
+    /// Streamed mode: the batch's bytes themselves, length-prefixed, for
+    /// consumers that cannot map the arena (remote hosts). Sent on the
+    /// consumer's private topic; rides the same [`DataMsg::Batch`]
     /// contract as the other kinds, so a future RDMA/ucx bulk transport
-    /// can replace the byte transport without a handshake bump.
+    /// can replace the byte transport without a version bump.
     Streamed {
         /// Collated tensor fields, as raw bytes.
         fields: Vec<StreamedTensor>,
@@ -510,14 +450,13 @@ pub enum DataMsg {
     Stats {
         /// The stats token being answered.
         token: u64,
-        /// Echo of the request's per-attempt stamp
-        /// ([`CtrlMsg::StatsRequest::seq`]); `0` when answering a v1
-        /// scraper. The scraper only accepts the stamp it currently has
-        /// in flight, so a duplicate answer to a resent round cannot be
-        /// mistaken for a fresh snapshot.
-        seq: u32,
         /// The metrics snapshot.
         payload: StatsPayload,
+        /// Echo of the request's per-attempt stamp
+        /// ([`CtrlMsg::StatsRequest::seq`]). The scraper only accepts the
+        /// stamp it currently has in flight, so a duplicate answer to a
+        /// resent round cannot be mistaken for a fresh snapshot.
+        seq: u32,
     },
     /// Coalesced publish-cursor announcement on [`topics::CURSOR`]:
     /// where shard `shard`'s stream currently stands. This is *state*,
@@ -542,13 +481,13 @@ pub enum DataMsg {
     Trace {
         /// The trace token being answered.
         token: u64,
+        /// The trace records.
+        payload: TracePayload,
         /// Echo of the request's per-attempt stamp (same duplicate
         /// protection as [`DataMsg::Stats::seq`]).
         seq: u32,
-        /// The trace records.
-        payload: TracePayload,
     },
-    /// Reply to a [`CtrlMsg::Replay`] (handshake v3; tag 9), published
+    /// Reply to a [`CtrlMsg::Replay`], published
     /// on the consumer's private topic: the producer's binding decision
     /// on where the log-backed stream starts and where it hands over to
     /// the live stream. `start_seq` is the first replayed sequence
@@ -557,8 +496,7 @@ pub enum DataMsg {
     /// live subscription covers `live_seq..`, so the spliced stream is
     /// gapless and duplicate-free by construction. When
     /// `start_seq == live_seq` there is nothing to replay (fresh group
-    /// at the stream head). A v2 consumer decodes this as `Unknown` and
-    /// log-ignores it.
+    /// at the stream head).
     LogInfo {
         /// The consumer being answered.
         consumer_id: u64,
@@ -580,7 +518,7 @@ pub enum DataMsg {
     /// [`DataMsg::decode`] for forward compatibility: a consumer
     /// receiving a frame from a newer producer logs-and-ignores it
     /// (counted as `consumer.data_unknown`) instead of wedging the
-    /// stream. (Truncated frames are still rejected.)
+    /// stream.
     Unknown {
         /// The unrecognized tag byte.
         tag: u8,
@@ -596,7 +534,7 @@ pub enum DataMsg {
 /// any quantile (or merge shards) without the producer pre-aggregating.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StatsPayload {
-    /// The producer's [`STATS_VERSION`].
+    /// The producer's [`WIRE_VERSION`].
     pub version: u32,
     /// Counter values, sorted by name.
     pub counters: Vec<(String, u64)>,
@@ -604,27 +542,27 @@ pub struct StatsPayload {
     pub gauge_bits: Vec<(String, u64)>,
     /// Histogram snapshots, sorted by name.
     pub histograms: Vec<(String, ts_metrics::HistogramSnapshot)>,
-    /// Producer wall-clock uptime in nanoseconds at snapshot time (v3;
-    /// `0` from older producers). Lets `ts-top` show "up 4m12s" and
-    /// distinguishes a freshly restarted producer from a long-lived one.
+    /// Producer wall-clock uptime in nanoseconds at snapshot time. Lets
+    /// `ts-top` show "up 4m12s" and distinguishes a freshly restarted
+    /// producer from a long-lived one.
     pub uptime_ns: u64,
     /// Monotonic snapshot timestamp in nanoseconds, on the producer's
-    /// flight-recorder clock (v3; `0` from older producers). Two
-    /// snapshots' counter deltas divided by their `snapshot_ns` delta
-    /// give exact rates regardless of scrape jitter.
+    /// flight-recorder clock. Two snapshots' counter deltas divided by
+    /// their `snapshot_ns` delta give exact rates regardless of scrape
+    /// jitter.
     pub snapshot_ns: u64,
-    /// The stall watchdog's last verdict (v3; empty when no stall has
-    /// been detected, and from older producers).
+    /// The stall watchdog's last verdict (empty when no stall has been
+    /// detected).
     pub verdict: String,
 }
 
 impl StatsPayload {
     /// Captures `metrics` into a wire-portable payload stamped with this
-    /// build's [`STATS_VERSION`].
+    /// build's [`WIRE_VERSION`].
     pub fn from_registry(metrics: &ts_metrics::Registry) -> Self {
         let snap = metrics.snapshot();
         Self {
-            version: STATS_VERSION,
+            version: WIRE_VERSION,
             counters: snap.counters,
             gauge_bits: snap
                 .gauges
@@ -632,8 +570,8 @@ impl StatsPayload {
                 .map(|(k, v)| (k, v.to_bits()))
                 .collect(),
             histograms: snap.histograms,
-            // The v3 extras are runtime state, not registry state: the
-            // producer's reply path fills them in before encoding.
+            // Runtime state, not registry state: the producer's reply
+            // path fills these in before encoding.
             uptime_ns: 0,
             snapshot_ns: 0,
             verdict: String::new(),
@@ -671,7 +609,7 @@ impl StatsPayload {
 /// scraper can place them relative to "now".
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TracePayload {
-    /// The producer's [`TRACE_VERSION`].
+    /// The producer's [`WIRE_VERSION`].
     pub version: u32,
     /// The producer's flight-recorder clock ([`ts_metrics::TraceRing::now_ns`])
     /// at reply time; every span offset in `records` is on this clock.
@@ -681,98 +619,164 @@ pub struct TracePayload {
 }
 
 // ---------------------------------------------------------------------------
-// codec helpers
+// wire layouts: one field list per type
 // ---------------------------------------------------------------------------
 
-fn put_bytes(buf: &mut BytesMut, b: &[u8]) {
-    buf.put_u32_le(b.len() as u32);
-    buf.put_slice(b);
-}
+impl Wire for ts_tensor::DType {
+    const MIN_LEN: usize = 1;
 
-fn get_bytes(buf: &mut &[u8]) -> Result<Vec<u8>> {
-    if buf.len() < 4 {
-        return Err(TsError::Wire("truncated length".into()));
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u8(self.tag());
     }
-    let len = buf.get_u32_le() as usize;
-    if buf.len() < len {
-        return Err(TsError::Wire("truncated bytes".into()));
-    }
-    let out = buf[..len].to_vec();
-    buf.advance(len);
-    Ok(out)
-}
 
-fn put_payload(buf: &mut BytesMut, p: &TensorPayload) {
-    put_bytes(buf, &p.encode());
-}
-
-fn get_payload(buf: &mut &[u8]) -> Result<TensorPayload> {
-    let raw = get_bytes(buf)?;
-    TensorPayload::decode(&raw).map_err(|e| TsError::Wire(format!("payload: {e}")))
-}
-
-fn put_payload_vec(buf: &mut BytesMut, v: &[TensorPayload]) {
-    buf.put_u32_le(v.len() as u32);
-    for p in v {
-        put_payload(buf, p);
+    fn get(buf: &mut &[u8]) -> Result<Self> {
+        let tag = u8::get(buf)?;
+        Self::from_tag(tag).ok_or_else(|| TsError::Wire(format!("bad dtype tag {tag}")))
     }
 }
 
-fn get_payload_vec(buf: &mut &[u8]) -> Result<Vec<TensorPayload>> {
-    if buf.len() < 4 {
-        return Err(TsError::Wire("truncated vec length".into()));
+/// A [`TensorPayload`] travels as a length-prefixed blob in `ts-tensor`'s
+/// own encoding, so that layout can grow without moving the fields
+/// around it.
+impl Wire for TensorPayload {
+    const MIN_LEN: usize = 4;
+
+    fn put(&self, buf: &mut BytesMut) {
+        let raw = self.encode();
+        put_len(buf, raw.len());
+        buf.put_slice(&raw);
     }
-    let n = buf.get_u32_le() as usize;
-    if n > 1 << 20 {
-        return Err(TsError::Wire("implausible vec length".into()));
+
+    fn get(buf: &mut &[u8]) -> Result<Self> {
+        let n = get_len(buf, 1)?;
+        TensorPayload::decode(take(buf, n)?).map_err(|e| TsError::Wire(format!("payload: {e}")))
     }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get_payload(buf)?);
-    }
-    Ok(out)
 }
 
-fn need(buf: &[u8], n: usize) -> Result<()> {
-    if buf.len() < n {
-        return Err(TsError::Wire(format!("need {n} bytes, have {}", buf.len())));
-    }
-    Ok(())
+wire_struct!(ArenaAd {
+    path: String,
+    nslots: u64,
+    slot_size: u64
+});
+wire_struct!(LogAd {
+    retained_min: u64,
+    retained_max: u64
+});
+wire_struct!(WelcomeInfo {
+    version: u32,
+    shards: u32,
+    batch_size: u32,
+    flex_producer_batch: u32,
+    staging: u8,
+    arena: Option<ArenaAd>,
+    endpoint_overrides: Vec<(u32, String)>,
+    payload_modes: u32,
+    log: Option<LogAd>,
+});
+wire_struct!(FlexBatchPayload {
+    fields: Vec<Vec<TensorPayload>>,
+    labels: Vec<TensorPayload>,
+});
+wire_struct!(StreamedTensor { dtype: ts_tensor::DType, shape: Vec<u64>, bytes: Bytes });
+wire_struct!(BatchAnnounce {
+    seq: u64,
+    epoch: u64,
+    index_in_epoch: u64,
+    last_in_epoch: bool,
+    content: AnnounceContent,
+});
+wire_struct!(ts_metrics::HistogramSnapshot {
+    count: u64,
+    sum: u64,
+    max: u64,
+    buckets: Vec<(u32, u64)>,
+});
+wire_struct!(StatsPayload {
+    version: u32,
+    counters: Vec<(String, u64)>,
+    gauge_bits: Vec<(String, u64)>,
+    histograms: Vec<(String, ts_metrics::HistogramSnapshot)>,
+    uptime_ns: u64,
+    snapshot_ns: u64,
+    verdict: String,
+});
+wire_struct!(ts_metrics::TraceRecordSnap {
+    epoch: u64,
+    shard: u32,
+    seq: u64,
+    complete: bool,
+    spans: Vec<(u8, u64, u64)>,
+});
+wire_struct!(TracePayload {
+    version: u32,
+    now_ns: u64,
+    records: Vec<ts_metrics::TraceRecordSnap>,
+});
+
+wire_enum!(PayloadMode { 0 => Shm, 1 => Stream });
+wire_enum!(ReplayFrom {
+    0 => Cursor,
+    1 => Oldest,
+    2 => Seq(seq: u64),
+});
+wire_enum!(JoinDecision {
+    0 => AdmitReplay { epoch: u64, replay_from: u64, num_batches: u64, start_seq: u64 },
+    1 => WaitEpoch { epoch: u64 },
+    2 => Reject { reason: String },
+});
+wire_enum!(AnnounceContent {
+    0 => Shared { fields: Vec<TensorPayload>, labels: TensorPayload },
+    1 => Flex { batches: Vec<FlexBatchPayload> },
+    2 => Streamed { fields: Vec<StreamedTensor>, labels: StreamedTensor },
+});
+wire_enum!(CtrlMsg {
+    0 => Join { consumer_id: u64, batch_size: u32, mode: PayloadMode },
+    1 => Ready { consumer_id: u64 },
+    2 => Ack { consumer_id: u64, seq: u64 },
+    3 => Heartbeat { consumer_id: u64 },
+    4 => Leave { consumer_id: u64 },
+    5 => Hello { token: u64, version: u32, caps: u32 },
+    6 => StatsRequest { token: u64, version: u32, seq: u32 },
+    7 => TraceRequest { token: u64, version: u32, seq: u32, max: u32 },
+    8 => Replay { consumer_id: u64, group: String, from: ReplayFrom },
+} else Unknown);
+wire_enum!(DataMsg {
+    0 => EpochStart { epoch: u64, num_batches: u64 },
+    1 => Batch(announce: BatchAnnounce),
+    2 => JoinReply { consumer_id: u64, decision: JoinDecision },
+    3 => Detached { consumer_id: u64 },
+    4 => End,
+    5 => Welcome { token: u64, info: WelcomeInfo },
+    6 => Stats { token: u64, payload: StatsPayload, seq: u32 },
+    7 => Cursor { shard: u32, epoch: u64, seq: u64, index_in_epoch: u64 },
+    8 => Trace { token: u64, payload: TracePayload, seq: u32 },
+    9 => LogInfo {
+        consumer_id: u64,
+        start_seq: u64,
+        start_epoch: u64,
+        start_index: u64,
+        live_seq: u64,
+        retained_min: u64,
+        retained_max: u64,
+    },
+} else Unknown);
+
+/// The `(token, version)` head of a token-exchange frame — a
+/// [`CtrlMsg::Hello`] / [`CtrlMsg::StatsRequest`] /
+/// [`CtrlMsg::TraceRequest`] or its [`DataMsg::Welcome`] /
+/// [`DataMsg::Stats`] / [`DataMsg::Trace`] reply. All six start
+/// `tag, token, version`, in every version, so a peer reads the other
+/// side's version without trusting the rest of the frame's layout.
+pub(crate) fn exchange_head(mut frame: &[u8]) -> Result<(u64, u32)> {
+    let (_tag, token, version) = <(u8, u64, u32)>::get(&mut frame)?;
+    Ok((token, version))
 }
 
-fn put_streamed(buf: &mut BytesMut, t: &StreamedTensor) {
-    buf.put_u8(t.dtype.tag());
-    buf.put_u32_le(t.shape.len() as u32);
-    for &d in &t.shape {
-        buf.put_u64_le(d);
-    }
-    put_bytes(buf, &t.bytes);
+fn encode<T: Wire>(msg: &T, capacity: usize) -> Bytes {
+    let mut buf = BytesMut::with_capacity(capacity);
+    msg.put(&mut buf);
+    buf.freeze()
 }
-
-fn get_streamed(buf: &mut &[u8]) -> Result<StreamedTensor> {
-    need(buf, 5)?;
-    let dtype = ts_tensor::DType::from_tag(buf.get_u8())
-        .ok_or_else(|| TsError::Wire("bad streamed dtype tag".into()))?;
-    let ndim = buf.get_u32_le() as usize;
-    if ndim > 64 {
-        return Err(TsError::Wire("implausible streamed rank".into()));
-    }
-    need(buf, ndim * 8)?;
-    let mut shape = Vec::with_capacity(ndim);
-    for _ in 0..ndim {
-        shape.push(buf.get_u64_le());
-    }
-    let bytes = Bytes::from(get_bytes(buf)?);
-    Ok(StreamedTensor {
-        dtype,
-        shape,
-        bytes,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// CtrlMsg codec
-// ---------------------------------------------------------------------------
 
 impl CtrlMsg {
     /// The consumer id carried by any control message (the one-shot reply
@@ -794,778 +798,24 @@ impl CtrlMsg {
 
     /// Encodes to a single frame.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(24);
-        match self {
-            CtrlMsg::Join {
-                consumer_id,
-                batch_size,
-                mode,
-            } => {
-                buf.put_u8(0);
-                buf.put_u64_le(*consumer_id);
-                buf.put_u32_le(*batch_size);
-                // v2 trailing byte; a v1 producer stops reading before it.
-                buf.put_u8(mode.wire_code());
-            }
-            CtrlMsg::Ready { consumer_id } => {
-                buf.put_u8(1);
-                buf.put_u64_le(*consumer_id);
-            }
-            CtrlMsg::Ack { consumer_id, seq } => {
-                buf.put_u8(2);
-                buf.put_u64_le(*consumer_id);
-                buf.put_u64_le(*seq);
-            }
-            CtrlMsg::Heartbeat { consumer_id } => {
-                buf.put_u8(3);
-                buf.put_u64_le(*consumer_id);
-            }
-            CtrlMsg::Leave { consumer_id } => {
-                buf.put_u8(4);
-                buf.put_u64_le(*consumer_id);
-            }
-            CtrlMsg::Hello {
-                token,
-                version,
-                caps,
-            } => {
-                buf.put_u8(5);
-                buf.put_u64_le(*token);
-                buf.put_u32_le(*version);
-                // v2 trailing field; a v1 producer stops reading before it.
-                buf.put_u32_le(*caps);
-            }
-            CtrlMsg::StatsRequest {
-                token,
-                version,
-                seq,
-            } => {
-                buf.put_u8(6);
-                buf.put_u64_le(*token);
-                buf.put_u32_le(*version);
-                // v2 trailing stamp; a v1 producer stops reading before it.
-                buf.put_u32_le(*seq);
-            }
-            CtrlMsg::TraceRequest {
-                token,
-                version,
-                seq,
-                max,
-            } => {
-                buf.put_u8(7);
-                buf.put_u64_le(*token);
-                buf.put_u32_le(*version);
-                buf.put_u32_le(*seq);
-                buf.put_u32_le(*max);
-            }
-            CtrlMsg::Replay {
-                consumer_id,
-                group,
-                from,
-            } => {
-                buf.put_u8(8);
-                buf.put_u64_le(*consumer_id);
-                put_bytes(&mut buf, group.as_bytes());
-                match from {
-                    ReplayFrom::Cursor => buf.put_u8(0),
-                    ReplayFrom::Oldest => buf.put_u8(1),
-                    ReplayFrom::Seq(seq) => {
-                        buf.put_u8(2);
-                        buf.put_u64_le(*seq);
-                    }
-                }
-            }
-            CtrlMsg::Unknown { tag } => {
-                // Only decode produces this variant; re-encoding keeps the
-                // minimal well-formed shape (tag + zeroed u64).
-                buf.put_u8(*tag);
-                buf.put_u64_le(0);
-            }
-        }
-        buf.freeze()
+        encode(self, 24)
     }
 
-    /// Decodes a frame.
+    /// Decodes a frame; bytes after the last known field are ignored.
     pub fn decode(mut buf: &[u8]) -> Result<Self> {
-        need(buf, 9)?;
-        let tag = buf.get_u8();
-        let consumer_id = buf.get_u64_le();
-        Ok(match tag {
-            0 => {
-                need(buf, 4)?;
-                let batch_size = buf.get_u32_le();
-                // v2 appends a payload-mode byte; a v1 Join ends here and
-                // implies the v1 behaviour (shm pointer-passing).
-                let mode = if buf.is_empty() {
-                    PayloadMode::Shm
-                } else {
-                    let code = buf.get_u8();
-                    PayloadMode::from_wire_code(code)
-                        .ok_or_else(|| TsError::Wire(format!("bad payload mode {code}")))?
-                };
-                CtrlMsg::Join {
-                    consumer_id,
-                    batch_size,
-                    mode,
-                }
-            }
-            1 => CtrlMsg::Ready { consumer_id },
-            2 => {
-                need(buf, 8)?;
-                CtrlMsg::Ack {
-                    consumer_id,
-                    seq: buf.get_u64_le(),
-                }
-            }
-            3 => CtrlMsg::Heartbeat { consumer_id },
-            4 => CtrlMsg::Leave { consumer_id },
-            5 => {
-                need(buf, 4)?;
-                let version = buf.get_u32_le();
-                // v2 appends a capability bitfield; a v1 Hello ends here
-                // and declares nothing (v1 semantics).
-                let caps = if buf.len() >= 4 { buf.get_u32_le() } else { 0 };
-                CtrlMsg::Hello {
-                    token: consumer_id,
-                    version,
-                    caps,
-                }
-            }
-            6 => {
-                need(buf, 4)?;
-                let version = buf.get_u32_le();
-                // v2 appends the per-attempt stamp; a v1 request ends here.
-                let seq = if buf.len() >= 4 { buf.get_u32_le() } else { 0 };
-                CtrlMsg::StatsRequest {
-                    token: consumer_id,
-                    version,
-                    seq,
-                }
-            }
-            7 => {
-                need(buf, 12)?;
-                CtrlMsg::TraceRequest {
-                    token: consumer_id,
-                    version: buf.get_u32_le(),
-                    seq: buf.get_u32_le(),
-                    max: buf.get_u32_le(),
-                }
-            }
-            8 => {
-                let group = String::from_utf8_lossy(&get_bytes(&mut buf)?).into_owned();
-                need(buf, 1)?;
-                let from = match buf.get_u8() {
-                    0 => ReplayFrom::Cursor,
-                    1 => ReplayFrom::Oldest,
-                    2 => {
-                        need(buf, 8)?;
-                        ReplayFrom::Seq(buf.get_u64_le())
-                    }
-                    t => return Err(TsError::Wire(format!("bad replay-from tag {t}"))),
-                };
-                CtrlMsg::Replay {
-                    consumer_id,
-                    group,
-                    from,
-                }
-            }
-            // Forward compatibility: a well-formed frame (tag + at least
-            // the u64 id every ctrl message starts with) whose tag we do
-            // not know is surfaced as `Unknown`, never a hard error —
-            // older producers must survive newer clients. Truncated
-            // frames were already rejected by the `need(buf, 9)` above.
-            t => CtrlMsg::Unknown { tag: t },
-        })
+        Self::get(&mut buf)
     }
 }
-
-// ---------------------------------------------------------------------------
-// DataMsg codec
-// ---------------------------------------------------------------------------
 
 impl DataMsg {
     /// Encodes to a single frame.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64);
-        match self {
-            DataMsg::EpochStart { epoch, num_batches } => {
-                buf.put_u8(0);
-                buf.put_u64_le(*epoch);
-                buf.put_u64_le(*num_batches);
-            }
-            DataMsg::Batch(b) => {
-                buf.put_u8(1);
-                buf.put_u64_le(b.seq);
-                buf.put_u64_le(b.epoch);
-                buf.put_u64_le(b.index_in_epoch);
-                buf.put_u8(b.last_in_epoch as u8);
-                match &b.content {
-                    AnnounceContent::Shared { fields, labels } => {
-                        buf.put_u8(0);
-                        put_payload_vec(&mut buf, fields);
-                        put_payload(&mut buf, labels);
-                    }
-                    AnnounceContent::Flex { batches } => {
-                        buf.put_u8(1);
-                        buf.put_u32_le(batches.len() as u32);
-                        for fb in batches {
-                            buf.put_u32_le(fb.fields.len() as u32);
-                            for segs in &fb.fields {
-                                put_payload_vec(&mut buf, segs);
-                            }
-                            put_payload_vec(&mut buf, &fb.labels);
-                        }
-                    }
-                    AnnounceContent::Streamed { fields, labels } => {
-                        buf.put_u8(2);
-                        buf.put_u32_le(fields.len() as u32);
-                        for t in fields {
-                            put_streamed(&mut buf, t);
-                        }
-                        put_streamed(&mut buf, labels);
-                    }
-                }
-            }
-            DataMsg::JoinReply {
-                consumer_id,
-                decision,
-            } => {
-                buf.put_u8(2);
-                buf.put_u64_le(*consumer_id);
-                match decision {
-                    JoinDecision::AdmitReplay {
-                        epoch,
-                        replay_from,
-                        num_batches,
-                        start_seq,
-                    } => {
-                        buf.put_u8(0);
-                        buf.put_u64_le(*epoch);
-                        buf.put_u64_le(*replay_from);
-                        buf.put_u64_le(*num_batches);
-                        buf.put_u64_le(*start_seq);
-                    }
-                    JoinDecision::WaitEpoch { epoch } => {
-                        buf.put_u8(1);
-                        buf.put_u64_le(*epoch);
-                    }
-                    JoinDecision::Reject { reason } => {
-                        buf.put_u8(2);
-                        put_bytes(&mut buf, reason.as_bytes());
-                    }
-                }
-            }
-            DataMsg::Detached { consumer_id } => {
-                buf.put_u8(3);
-                buf.put_u64_le(*consumer_id);
-            }
-            DataMsg::End => {
-                buf.put_u8(4);
-            }
-            DataMsg::Welcome { token, info } => {
-                buf.put_u8(5);
-                buf.put_u64_le(*token);
-                buf.put_u32_le(info.version);
-                buf.put_u32_le(info.shards);
-                buf.put_u32_le(info.batch_size);
-                buf.put_u32_le(info.flex_producer_batch);
-                buf.put_u8(info.staging);
-                match &info.arena {
-                    None => buf.put_u8(0),
-                    Some(ad) => {
-                        buf.put_u8(1);
-                        put_bytes(&mut buf, ad.path.as_bytes());
-                        buf.put_u64_le(ad.nslots);
-                        buf.put_u64_le(ad.slot_size);
-                    }
-                }
-                // v2 tail, gated on the *encoded* version so a v2
-                // producer answering a v1 Hello emits a byte-identical
-                // v1 WELCOME.
-                if info.version >= 2 {
-                    buf.put_u32_le(info.endpoint_overrides.len() as u32);
-                    for (shard, uri) in &info.endpoint_overrides {
-                        buf.put_u32_le(*shard);
-                        put_bytes(&mut buf, uri.as_bytes());
-                    }
-                    buf.put_u32_le(info.payload_modes);
-                }
-                // v3 tail (durable-log advertisement), same gating: a v3
-                // producer answering a v2 Hello emits a byte-identical
-                // v2 WELCOME.
-                if info.version >= 3 {
-                    match &info.log {
-                        None => buf.put_u8(0),
-                        Some(ad) => {
-                            buf.put_u8(1);
-                            buf.put_u64_le(ad.retained_min);
-                            buf.put_u64_le(ad.retained_max);
-                        }
-                    }
-                }
-            }
-            DataMsg::Stats {
-                token,
-                seq,
-                payload,
-            } => {
-                buf.put_u8(6);
-                buf.put_u64_le(*token);
-                buf.put_u32_le(payload.version);
-                // v2 stamp echo, gated on the *encoded* version so a reply
-                // to a v1 scraper stays byte-identical to a v1 reply.
-                if payload.version >= 2 {
-                    buf.put_u32_le(*seq);
-                }
-                buf.put_u32_le(payload.counters.len() as u32);
-                for (name, v) in &payload.counters {
-                    put_bytes(&mut buf, name.as_bytes());
-                    buf.put_u64_le(*v);
-                }
-                buf.put_u32_le(payload.gauge_bits.len() as u32);
-                for (name, bits) in &payload.gauge_bits {
-                    put_bytes(&mut buf, name.as_bytes());
-                    buf.put_u64_le(*bits);
-                }
-                buf.put_u32_le(payload.histograms.len() as u32);
-                for (name, h) in &payload.histograms {
-                    put_bytes(&mut buf, name.as_bytes());
-                    buf.put_u64_le(h.count);
-                    buf.put_u64_le(h.sum);
-                    buf.put_u64_le(h.max);
-                    buf.put_u32_le(h.buckets.len() as u32);
-                    for &(idx, c) in &h.buckets {
-                        buf.put_u32_le(idx);
-                        buf.put_u64_le(c);
-                    }
-                }
-                // v3 tail (uptime + snapshot stamp + watchdog verdict),
-                // gated on the *encoded* version so a v2 payload stays
-                // byte-identical to a v2 build's encoding.
-                if payload.version >= 3 {
-                    buf.put_u64_le(payload.uptime_ns);
-                    buf.put_u64_le(payload.snapshot_ns);
-                    put_bytes(&mut buf, payload.verdict.as_bytes());
-                }
-            }
-            DataMsg::Cursor {
-                shard,
-                epoch,
-                seq,
-                index_in_epoch,
-            } => {
-                buf.put_u8(7);
-                buf.put_u32_le(*shard);
-                buf.put_u64_le(*epoch);
-                buf.put_u64_le(*seq);
-                buf.put_u64_le(*index_in_epoch);
-            }
-            DataMsg::Trace {
-                token,
-                seq,
-                payload,
-            } => {
-                buf.put_u8(8);
-                buf.put_u64_le(*token);
-                buf.put_u32_le(payload.version);
-                buf.put_u32_le(*seq);
-                buf.put_u64_le(payload.now_ns);
-                buf.put_u32_le(payload.records.len() as u32);
-                for r in &payload.records {
-                    buf.put_u64_le(r.epoch);
-                    buf.put_u32_le(r.shard);
-                    buf.put_u64_le(r.seq);
-                    buf.put_u8(r.complete as u8);
-                    buf.put_u8(r.spans.len() as u8);
-                    for &(kind, start, end) in &r.spans {
-                        buf.put_u8(kind);
-                        buf.put_u64_le(start);
-                        buf.put_u64_le(end);
-                    }
-                }
-            }
-            DataMsg::LogInfo {
-                consumer_id,
-                start_seq,
-                start_epoch,
-                start_index,
-                live_seq,
-                retained_min,
-                retained_max,
-            } => {
-                buf.put_u8(9);
-                buf.put_u64_le(*consumer_id);
-                buf.put_u64_le(*start_seq);
-                buf.put_u64_le(*start_epoch);
-                buf.put_u64_le(*start_index);
-                buf.put_u64_le(*live_seq);
-                buf.put_u64_le(*retained_min);
-                buf.put_u64_le(*retained_max);
-            }
-            DataMsg::Unknown { tag } => {
-                // Only decode produces this variant; re-encoding keeps the
-                // minimal well-formed shape (tag + zeroed u64).
-                buf.put_u8(*tag);
-                buf.put_u64_le(0);
-            }
-        }
-        buf.freeze()
+        encode(self, 64)
     }
 
-    /// Decodes a frame.
+    /// Decodes a frame; bytes after the last known field are ignored.
     pub fn decode(mut buf: &[u8]) -> Result<Self> {
-        need(buf, 1)?;
-        let tag = buf.get_u8();
-        Ok(match tag {
-            0 => {
-                need(buf, 16)?;
-                DataMsg::EpochStart {
-                    epoch: buf.get_u64_le(),
-                    num_batches: buf.get_u64_le(),
-                }
-            }
-            1 => {
-                need(buf, 26)?;
-                let seq = buf.get_u64_le();
-                let epoch = buf.get_u64_le();
-                let index_in_epoch = buf.get_u64_le();
-                let last_in_epoch = buf.get_u8() != 0;
-                let kind = buf.get_u8();
-                let content = match kind {
-                    0 => {
-                        let fields = get_payload_vec(&mut buf)?;
-                        let labels = get_payload(&mut buf)?;
-                        AnnounceContent::Shared { fields, labels }
-                    }
-                    1 => {
-                        need(buf, 4)?;
-                        let n = buf.get_u32_le() as usize;
-                        if n > 1 << 20 {
-                            return Err(TsError::Wire("implausible flex batch count".into()));
-                        }
-                        let mut batches = Vec::with_capacity(n);
-                        for _ in 0..n {
-                            need(buf, 4)?;
-                            let nf = buf.get_u32_le() as usize;
-                            if nf > 1 << 16 {
-                                return Err(TsError::Wire("implausible field count".into()));
-                            }
-                            let mut fields = Vec::with_capacity(nf);
-                            for _ in 0..nf {
-                                fields.push(get_payload_vec(&mut buf)?);
-                            }
-                            let labels = get_payload_vec(&mut buf)?;
-                            batches.push(FlexBatchPayload { fields, labels });
-                        }
-                        AnnounceContent::Flex { batches }
-                    }
-                    2 => {
-                        need(buf, 4)?;
-                        let nf = buf.get_u32_le() as usize;
-                        if nf > 1 << 16 {
-                            return Err(TsError::Wire("implausible streamed field count".into()));
-                        }
-                        let mut fields = Vec::with_capacity(nf);
-                        for _ in 0..nf {
-                            fields.push(get_streamed(&mut buf)?);
-                        }
-                        let labels = get_streamed(&mut buf)?;
-                        AnnounceContent::Streamed { fields, labels }
-                    }
-                    k => return Err(TsError::Wire(format!("bad content kind {k}"))),
-                };
-                DataMsg::Batch(BatchAnnounce {
-                    seq,
-                    epoch,
-                    index_in_epoch,
-                    last_in_epoch,
-                    content,
-                })
-            }
-            2 => {
-                need(buf, 9)?;
-                let consumer_id = buf.get_u64_le();
-                let dtag = buf.get_u8();
-                let decision = match dtag {
-                    0 => {
-                        need(buf, 32)?;
-                        JoinDecision::AdmitReplay {
-                            epoch: buf.get_u64_le(),
-                            replay_from: buf.get_u64_le(),
-                            num_batches: buf.get_u64_le(),
-                            start_seq: buf.get_u64_le(),
-                        }
-                    }
-                    1 => {
-                        need(buf, 8)?;
-                        JoinDecision::WaitEpoch {
-                            epoch: buf.get_u64_le(),
-                        }
-                    }
-                    2 => JoinDecision::Reject {
-                        reason: String::from_utf8_lossy(&get_bytes(&mut buf)?).into_owned(),
-                    },
-                    t => return Err(TsError::Wire(format!("bad decision tag {t}"))),
-                };
-                DataMsg::JoinReply {
-                    consumer_id,
-                    decision,
-                }
-            }
-            3 => {
-                need(buf, 8)?;
-                DataMsg::Detached {
-                    consumer_id: buf.get_u64_le(),
-                }
-            }
-            4 => DataMsg::End,
-            5 => {
-                // Fixed prefix: token (8) + four u32s (16) + staging (1)
-                // + arena flag (1).
-                need(buf, 26)?;
-                let token = buf.get_u64_le();
-                let version = buf.get_u32_le();
-                let shards = buf.get_u32_le();
-                let batch_size = buf.get_u32_le();
-                let flex_producer_batch = buf.get_u32_le();
-                let staging = buf.get_u8();
-                let arena = match buf.get_u8() {
-                    0 => None,
-                    1 => {
-                        let path = String::from_utf8_lossy(&get_bytes(&mut buf)?).into_owned();
-                        need(buf, 16)?;
-                        Some(ArenaAd {
-                            path,
-                            nslots: buf.get_u64_le(),
-                            slot_size: buf.get_u64_le(),
-                        })
-                    }
-                    f => return Err(TsError::Wire(format!("bad arena flag {f}"))),
-                };
-                // The v2 tail is *required* when the version field says 2+
-                // (truncation anywhere stays an error); a v1 WELCOME ends
-                // at the arena section and implies shm-only semantics.
-                let (endpoint_overrides, payload_modes) = if version >= 2 {
-                    need(buf, 4)?;
-                    let n = buf.get_u32_le() as usize;
-                    if n > 1 << 16 {
-                        return Err(TsError::Wire("implausible override count".into()));
-                    }
-                    let mut overrides = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        need(buf, 4)?;
-                        let shard = buf.get_u32_le();
-                        let uri = String::from_utf8_lossy(&get_bytes(&mut buf)?).into_owned();
-                        overrides.push((shard, uri));
-                    }
-                    need(buf, 4)?;
-                    (overrides, buf.get_u32_le())
-                } else {
-                    (Vec::new(), caps::SHM)
-                };
-                // The v3 tail is likewise *required* when the version
-                // field says 3+; v1/v2 WELCOMEs end above and imply "no
-                // durable log".
-                let log = if version >= 3 {
-                    need(buf, 1)?;
-                    match buf.get_u8() {
-                        0 => None,
-                        1 => {
-                            need(buf, 16)?;
-                            Some(LogAd {
-                                retained_min: buf.get_u64_le(),
-                                retained_max: buf.get_u64_le(),
-                            })
-                        }
-                        f => return Err(TsError::Wire(format!("bad log flag {f}"))),
-                    }
-                } else {
-                    None
-                };
-                DataMsg::Welcome {
-                    token,
-                    info: WelcomeInfo {
-                        version,
-                        shards,
-                        batch_size,
-                        flex_producer_batch,
-                        staging,
-                        arena,
-                        endpoint_overrides,
-                        payload_modes,
-                        log,
-                    },
-                }
-            }
-            6 => {
-                // Fixed prefix: token (8) + version (4).
-                need(buf, 12)?;
-                let token = buf.get_u64_le();
-                let version = buf.get_u32_le();
-                // The v2 stamp is *required* when the version field says
-                // 2+ (truncation anywhere stays an error); a v1 reply ends
-                // its prefix here and carries stamp 0.
-                let seq = if version >= 2 {
-                    need(buf, 4)?;
-                    buf.get_u32_le()
-                } else {
-                    0
-                };
-                let get_len = |buf: &mut &[u8]| -> Result<usize> {
-                    need(buf, 4)?;
-                    let n = buf.get_u32_le() as usize;
-                    if n > 1 << 20 {
-                        return Err(TsError::Wire("implausible stats section length".into()));
-                    }
-                    Ok(n)
-                };
-                let get_name = |buf: &mut &[u8]| -> Result<String> {
-                    Ok(String::from_utf8_lossy(&get_bytes(buf)?).into_owned())
-                };
-                let n = get_len(&mut buf)?;
-                let mut counters = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let name = get_name(&mut buf)?;
-                    need(buf, 8)?;
-                    counters.push((name, buf.get_u64_le()));
-                }
-                let n = get_len(&mut buf)?;
-                let mut gauge_bits = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let name = get_name(&mut buf)?;
-                    need(buf, 8)?;
-                    gauge_bits.push((name, buf.get_u64_le()));
-                }
-                let n = get_len(&mut buf)?;
-                let mut histograms = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let name = get_name(&mut buf)?;
-                    need(buf, 24)?;
-                    let count = buf.get_u64_le();
-                    let sum = buf.get_u64_le();
-                    let max = buf.get_u64_le();
-                    let nb = get_len(&mut buf)?;
-                    let mut buckets = Vec::with_capacity(nb);
-                    for _ in 0..nb {
-                        need(buf, 12)?;
-                        let idx = buf.get_u32_le();
-                        buckets.push((idx, buf.get_u64_le()));
-                    }
-                    histograms.push((
-                        name,
-                        ts_metrics::HistogramSnapshot {
-                            count,
-                            sum,
-                            max,
-                            buckets,
-                        },
-                    ));
-                }
-                // The v3 tail is *required* when the version field says
-                // 3+ (truncation anywhere stays an error); older frames
-                // end at the histogram section and carry zeroed extras.
-                let (uptime_ns, snapshot_ns, verdict) = if version >= 3 {
-                    need(buf, 16)?;
-                    let uptime = buf.get_u64_le();
-                    let stamp = buf.get_u64_le();
-                    let verdict = String::from_utf8_lossy(&get_bytes(&mut buf)?).into_owned();
-                    (uptime, stamp, verdict)
-                } else {
-                    (0, 0, String::new())
-                };
-                DataMsg::Stats {
-                    token,
-                    seq,
-                    payload: StatsPayload {
-                        version,
-                        counters,
-                        gauge_bits,
-                        histograms,
-                        uptime_ns,
-                        snapshot_ns,
-                        verdict,
-                    },
-                }
-            }
-            7 => {
-                need(buf, 28)?;
-                DataMsg::Cursor {
-                    shard: buf.get_u32_le(),
-                    epoch: buf.get_u64_le(),
-                    seq: buf.get_u64_le(),
-                    index_in_epoch: buf.get_u64_le(),
-                }
-            }
-            8 => {
-                // Fixed prefix: token (8) + version (4) + seq (4) +
-                // now_ns (8) + record count (4).
-                need(buf, 28)?;
-                let token = buf.get_u64_le();
-                let version = buf.get_u32_le();
-                let seq = buf.get_u32_le();
-                let now_ns = buf.get_u64_le();
-                let n = buf.get_u32_le() as usize;
-                if n > 1 << 16 {
-                    return Err(TsError::Wire("implausible trace record count".into()));
-                }
-                let mut records = Vec::with_capacity(n);
-                for _ in 0..n {
-                    need(buf, 22)?;
-                    let epoch = buf.get_u64_le();
-                    let shard = buf.get_u32_le();
-                    let rec_seq = buf.get_u64_le();
-                    let complete = buf.get_u8() != 0;
-                    let nspans = buf.get_u8() as usize;
-                    if nspans > 64 {
-                        return Err(TsError::Wire("implausible trace span count".into()));
-                    }
-                    need(buf, nspans * 17)?;
-                    let mut spans = Vec::with_capacity(nspans);
-                    for _ in 0..nspans {
-                        let kind = buf.get_u8();
-                        let start = buf.get_u64_le();
-                        spans.push((kind, start, buf.get_u64_le()));
-                    }
-                    records.push(ts_metrics::TraceRecordSnap {
-                        epoch,
-                        shard,
-                        seq: rec_seq,
-                        complete,
-                        spans,
-                    });
-                }
-                DataMsg::Trace {
-                    token,
-                    seq,
-                    payload: TracePayload {
-                        version,
-                        now_ns,
-                        records,
-                    },
-                }
-            }
-            9 => {
-                need(buf, 56)?;
-                DataMsg::LogInfo {
-                    consumer_id: buf.get_u64_le(),
-                    start_seq: buf.get_u64_le(),
-                    start_epoch: buf.get_u64_le(),
-                    start_index: buf.get_u64_le(),
-                    live_seq: buf.get_u64_le(),
-                    retained_min: buf.get_u64_le(),
-                    retained_max: buf.get_u64_le(),
-                }
-            }
-            // Forward compatibility: a well-formed frame (tag + at least
-            // 8 more bytes, the minimum any real data message carries)
-            // whose tag we do not know is surfaced as `Unknown`, never a
-            // hard error — an older consumer must survive a newer
-            // producer adding topics. Truncated frames are still rejected.
-            t => {
-                need(buf, 8)?;
-                DataMsg::Unknown { tag: t }
-            }
-        })
+        Self::get(&mut buf)
     }
 }
 
@@ -1579,337 +829,151 @@ mod tests {
         TensorPayload::pack(&Tensor::zeros(shape, DType::U8, DeviceId::Gpu(0)))
     }
 
-    #[test]
-    fn ctrl_round_trips() {
-        let msgs = [
-            CtrlMsg::Join {
-                consumer_id: 7,
-                batch_size: 128,
-                mode: PayloadMode::Shm,
-            },
-            CtrlMsg::Join {
-                consumer_id: 7,
-                batch_size: 128,
-                mode: PayloadMode::Stream,
-            },
-            CtrlMsg::Ready { consumer_id: 7 },
-            CtrlMsg::Ack {
-                consumer_id: 7,
-                seq: 42,
-            },
-            CtrlMsg::Heartbeat { consumer_id: 7 },
-            CtrlMsg::Leave { consumer_id: 7 },
-            CtrlMsg::Hello {
-                token: 7,
-                version: HANDSHAKE_VERSION,
-                caps: caps::KNOWN,
-            },
-            CtrlMsg::StatsRequest {
-                token: 7,
-                version: STATS_VERSION,
-                seq: 3,
-            },
-            CtrlMsg::TraceRequest {
-                token: 7,
-                version: TRACE_VERSION,
-                seq: 5,
-                max: 64,
-            },
-            CtrlMsg::Replay {
-                consumer_id: 7,
-                group: "hp-trial-3".to_string(),
-                from: ReplayFrom::Cursor,
-            },
-            CtrlMsg::Replay {
-                consumer_id: 7,
-                group: String::new(),
-                from: ReplayFrom::Oldest,
-            },
-            CtrlMsg::Replay {
-                consumer_id: 7,
-                group: "trial/юникод".to_string(),
-                from: ReplayFrom::Seq(123_456),
-            },
-        ];
-        for m in msgs {
-            assert_eq!(CtrlMsg::decode(&m.encode()).unwrap(), m);
-            assert_eq!(m.consumer_id(), 7);
-        }
-    }
-
-    #[test]
-    fn replay_rejects_truncation_and_bad_from_tags() {
-        let m = CtrlMsg::Replay {
-            consumer_id: 9,
-            group: "grp".to_string(),
-            from: ReplayFrom::Seq(77),
-        };
-        let good = m.encode();
-        for cut in 1..good.len() {
-            assert!(
-                CtrlMsg::decode(&good[..good.len() - cut]).is_err(),
-                "replay truncated by {cut} must be rejected"
-            );
-        }
-        // An unknown replay-from tag is rejected, not misread.
-        let mut bad = good[..good.len() - 9].to_vec();
-        bad.push(9);
-        assert!(CtrlMsg::decode(&bad).is_err());
-    }
-
-    #[test]
-    fn v1_ctrl_frames_decode_with_v1_defaults_on_a_v2_build() {
-        // Hand-encoded v1 frames: no capability field, no mode byte.
-        let mut hello = vec![5u8];
-        hello.extend_from_slice(&7u64.to_le_bytes());
-        hello.extend_from_slice(&1u32.to_le_bytes());
-        assert_eq!(
-            CtrlMsg::decode(&hello).unwrap(),
-            CtrlMsg::Hello {
-                token: 7,
-                version: 1,
-                caps: 0,
-            },
-            "a v1 Hello declares no capabilities"
-        );
-        let mut join = vec![0u8];
-        join.extend_from_slice(&9u64.to_le_bytes());
-        join.extend_from_slice(&128u32.to_le_bytes());
-        assert_eq!(
-            CtrlMsg::decode(&join).unwrap(),
-            CtrlMsg::Join {
-                consumer_id: 9,
-                batch_size: 128,
-                mode: PayloadMode::Shm,
-            },
-            "a v1 Join implies shm pointer-passing"
-        );
-        // An unknown payload-mode byte is rejected, not misread.
-        join.push(9);
-        assert!(CtrlMsg::decode(&join).is_err());
-    }
-
-    #[test]
-    fn v2_ctrl_extensions_ride_in_trailing_bytes_a_v1_decoder_never_reads() {
-        // The v1 decoder read exactly 13 bytes of a Hello/Join; the v2
-        // encoding must be byte-identical up to there so a v1 producer
-        // parses a v2 frame as its v1 projection.
-        let hello = CtrlMsg::Hello {
-            token: 7,
-            version: HANDSHAKE_VERSION,
-            caps: caps::KNOWN,
-        }
-        .encode();
-        let mut v1_prefix = vec![5u8];
-        v1_prefix.extend_from_slice(&7u64.to_le_bytes());
-        v1_prefix.extend_from_slice(&HANDSHAKE_VERSION.to_le_bytes());
-        assert_eq!(&hello[..13], &v1_prefix[..]);
-        let join = CtrlMsg::Join {
-            consumer_id: 9,
-            batch_size: 64,
-            mode: PayloadMode::Stream,
-        }
-        .encode();
-        let mut v1_prefix = vec![0u8];
-        v1_prefix.extend_from_slice(&9u64.to_le_bytes());
-        v1_prefix.extend_from_slice(&64u32.to_le_bytes());
-        assert_eq!(&join[..13], &v1_prefix[..]);
-    }
-
-    #[test]
-    fn unknown_ctrl_tags_decode_as_unknown_not_error() {
-        // Forward compatibility: any well-formed frame with a tag from
-        // the future decodes as `Unknown` so an older producer can
-        // log-and-ignore it instead of failing.
-        for tag in [9u8, 99, 250, 255] {
-            let mut frame = vec![tag];
-            frame.extend_from_slice(&1234u64.to_le_bytes());
-            frame.extend_from_slice(&[0xAB; 7]); // trailing future payload
-            let m = CtrlMsg::decode(&frame).unwrap();
-            assert_eq!(m, CtrlMsg::Unknown { tag });
-            assert_eq!(m.consumer_id(), 0);
-            // Re-encoding keeps a decodable well-formed shape.
-            assert_eq!(CtrlMsg::decode(&m.encode()).unwrap(), m);
-        }
-        // Truncated unknown-tag frames are still rejected.
-        assert!(CtrlMsg::decode(&[99, 0, 0, 0]).is_err());
-    }
-
-    #[test]
-    fn welcome_round_trips_with_and_without_arena() {
-        let bare = DataMsg::Welcome {
-            token: 99,
-            info: WelcomeInfo {
-                version: HANDSHAKE_VERSION,
-                shards: 1,
-                batch_size: 32,
-                flex_producer_batch: 0,
-                staging: 2,
-                arena: None,
-                endpoint_overrides: Vec::new(),
-                payload_modes: caps::SHM | caps::STREAM,
-                log: None,
-            },
-        };
-        let with_arena = DataMsg::Welcome {
-            token: 1,
-            info: WelcomeInfo {
-                version: HANDSHAKE_VERSION,
-                shards: 4,
-                batch_size: 128,
-                flex_producer_batch: 256,
-                staging: 0,
-                arena: Some(ArenaAd {
-                    path: "/dev/shm/ts.arena".into(),
-                    nslots: 64,
-                    slot_size: 1 << 20,
-                }),
-                endpoint_overrides: vec![
-                    (1, "tcp://10.0.0.2:9000".to_string()),
-                    (3, "tcp://10.0.0.3:9000".to_string()),
-                ],
-                payload_modes: caps::SHM,
-                log: Some(LogAd {
-                    retained_min: 128,
-                    retained_max: 511,
-                }),
-            },
-        };
-        // A welcome truncated at ANY byte is rejected with a wire error,
-        // never misparsed and never a panic — both shapes, every length
-        // (the v2 tail included: a version-2 welcome without its
-        // override table or mode mask is truncated, not "a v1 welcome").
-        for m in [bare, with_arena] {
-            let good = m.encode();
-            assert_eq!(DataMsg::decode(&good).unwrap(), m, "{m:?}");
-            for cut in 1..good.len() {
-                assert!(
-                    DataMsg::decode(&good[..good.len() - cut]).is_err(),
-                    "{m:?} truncated by {cut} must be rejected"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn v2_producer_answers_v1_hello_with_a_byte_identical_v1_welcome() {
-        // Encoding a WelcomeInfo whose version field says 1 must produce
-        // exactly the v1 byte stream — no v2 tail — so a v1 consumer's
-        // decoder parses it to the last byte.
-        let v1_reply = DataMsg::Welcome {
-            token: 42,
-            info: WelcomeInfo {
-                version: 1,
-                shards: 2,
-                batch_size: 32,
-                flex_producer_batch: 0,
-                staging: 2,
-                arena: None,
-                endpoint_overrides: Vec::new(),
-                payload_modes: caps::SHM,
-                log: None,
-            },
-        };
-        let wire = v1_reply.encode();
-        let mut expected = vec![5u8];
-        expected.extend_from_slice(&42u64.to_le_bytes());
-        expected.extend_from_slice(&1u32.to_le_bytes());
-        expected.extend_from_slice(&2u32.to_le_bytes());
-        expected.extend_from_slice(&32u32.to_le_bytes());
-        expected.extend_from_slice(&0u32.to_le_bytes());
-        expected.push(2); // staging
-        expected.push(0); // no arena
-        assert_eq!(&wire[..], &expected[..], "v1 WELCOME must be bit-exact");
-        // And the v2 build decodes a v1 WELCOME back with the v1-implied
-        // semantics: no overrides, shm-only payload modes.
-        let decoded = DataMsg::decode(&wire).unwrap();
-        assert_eq!(decoded, v1_reply);
-    }
-
-    #[test]
-    fn v3_producer_answers_v2_hello_with_a_byte_identical_v2_welcome() {
-        // Encoding a WelcomeInfo whose version field says 2 must stop at
-        // the v2 tail — no log section — so a v2 consumer's decoder
-        // parses it to the last byte. (The log ad is dropped with the
-        // tail: a v2 consumer could not use it anyway.)
-        let v2_reply = DataMsg::Welcome {
-            token: 42,
-            info: WelcomeInfo {
-                version: 2,
-                shards: 2,
-                batch_size: 32,
-                flex_producer_batch: 0,
-                staging: 2,
-                arena: None,
-                endpoint_overrides: vec![(1, "tcp://10.0.0.2:9000".to_string())],
-                payload_modes: caps::SHM | caps::STREAM,
-                log: None,
-            },
-        };
-        let wire = v2_reply.encode();
-        let mut expected = vec![5u8];
-        expected.extend_from_slice(&42u64.to_le_bytes());
-        expected.extend_from_slice(&2u32.to_le_bytes());
-        expected.extend_from_slice(&2u32.to_le_bytes());
-        expected.extend_from_slice(&32u32.to_le_bytes());
-        expected.extend_from_slice(&0u32.to_le_bytes());
-        expected.push(2); // staging
-        expected.push(0); // no arena
-        expected.extend_from_slice(&1u32.to_le_bytes()); // one override
-        expected.extend_from_slice(&1u32.to_le_bytes());
-        let uri = b"tcp://10.0.0.2:9000";
-        expected.extend_from_slice(&(uri.len() as u32).to_le_bytes());
-        expected.extend_from_slice(uri);
-        expected.extend_from_slice(&(caps::SHM | caps::STREAM).to_le_bytes());
-        assert_eq!(&wire[..], &expected[..], "v2 WELCOME must be bit-exact");
-        // The v3 build decodes a v2 WELCOME back with "no durable log".
-        assert_eq!(DataMsg::decode(&wire).unwrap(), v2_reply);
-        // And a frame *claiming* v3 without the log section is truncated,
-        // not "a v2 welcome".
-        let mut claims_v3 = wire.to_vec();
-        claims_v3[9..13].copy_from_slice(&3u32.to_le_bytes());
-        assert!(DataMsg::decode(&claims_v3).is_err());
-    }
-
-    #[test]
-    fn log_info_round_trips_and_rejects_any_truncation() {
-        let m = DataMsg::LogInfo {
-            consumer_id: 7,
-            start_seq: 100,
-            start_epoch: 2,
-            start_index: 10,
-            live_seq: 145,
-            retained_min: 64,
-            retained_max: 144,
-        };
-        let good = m.encode();
-        assert_eq!(DataMsg::decode(&good).unwrap(), m);
-        for cut in 1..good.len() {
-            assert!(
-                DataMsg::decode(&good[..good.len() - cut]).is_err(),
-                "log info truncated by {cut} must be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn streamed_announce_round_trips_and_rebuilds_the_tensor() {
-        let batch = Tensor::rand_u8(&[4, 3, 8, 8], DeviceId::Cpu, 11);
-        let labels = Tensor::zeros(&[4], DType::I64, DeviceId::Cpu);
-        let m = DataMsg::Batch(BatchAnnounce {
+    fn announce(content: AnnounceContent) -> DataMsg {
+        DataMsg::Batch(BatchAnnounce {
             seq: 7,
             epoch: 1,
             index_in_epoch: 7,
             last_in_epoch: false,
-            content: AnnounceContent::Streamed {
-                fields: vec![StreamedTensor::from_tensor(&batch)],
-                labels: StreamedTensor::from_tensor(&labels),
+            content,
+        })
+    }
+
+    #[test]
+    fn tags_and_flags_outside_their_range_are_rejected() {
+        let mut join = CtrlMsg::Join {
+            consumer_id: 9,
+            batch_size: 4,
+            mode: PayloadMode::Shm,
+        }
+        .encode()
+        .to_vec();
+        *join.last_mut().unwrap() = 9; // payload mode
+        assert!(CtrlMsg::decode(&join).is_err());
+        let mut replay = CtrlMsg::Replay {
+            consumer_id: 9,
+            group: "g".to_string(),
+            from: ReplayFrom::Oldest,
+        }
+        .encode()
+        .to_vec();
+        *replay.last_mut().unwrap() = 9; // replay-from tag
+        assert!(CtrlMsg::decode(&replay).is_err());
+        let mut reply = DataMsg::JoinReply {
+            consumer_id: 5,
+            decision: JoinDecision::WaitEpoch { epoch: 1 },
+        }
+        .encode()
+        .to_vec();
+        reply[9] = 9; // decision tag
+        assert!(DataMsg::decode(&reply).is_err());
+        let mut batch = announce(AnnounceContent::Flex { batches: vec![] })
+            .encode()
+            .to_vec();
+        batch[26] = 9; // content kind
+        assert!(DataMsg::decode(&batch).is_err());
+    }
+
+    #[test]
+    fn unknown_tags_decode_as_unknown_on_both_channels() {
+        // Any frame whose tag this build does not know decodes as
+        // `Unknown`, whatever follows, so the receiver counts and
+        // ignores it instead of failing.
+        for tag in [10u8, 99, 250, 255] {
+            let mut frame = vec![tag];
+            frame.extend_from_slice(&1234u64.to_le_bytes());
+            frame.extend_from_slice(&[0xAB; 7]);
+            let c = CtrlMsg::decode(&frame).unwrap();
+            assert_eq!(c, CtrlMsg::Unknown { tag });
+            assert_eq!(c.consumer_id(), 0);
+            assert_eq!(CtrlMsg::decode(&c.encode()).unwrap(), c);
+            let d = DataMsg::decode(&frame).unwrap();
+            assert_eq!(d, DataMsg::Unknown { tag });
+            assert_eq!(DataMsg::decode(&d.encode()).unwrap(), d);
+        }
+        // Only a frame with no tag at all is malformed.
+        assert!(CtrlMsg::decode(&[]).is_err());
+        assert!(DataMsg::decode(&[]).is_err());
+    }
+
+    #[test]
+    fn exchange_head_reads_token_and_version_of_all_six_frames() {
+        let (token, version) = (77, 9);
+        let requests = [
+            CtrlMsg::Hello {
+                token,
+                version,
+                caps: 0,
             },
+            CtrlMsg::StatsRequest {
+                token,
+                version,
+                seq: 1,
+            },
+            CtrlMsg::TraceRequest {
+                token,
+                version,
+                seq: 1,
+                max: 8,
+            },
+        ];
+        let replies = [
+            DataMsg::Welcome {
+                token,
+                info: WelcomeInfo {
+                    version,
+                    shards: 1,
+                    batch_size: 4,
+                    flex_producer_batch: 0,
+                    staging: 0,
+                    arena: None,
+                    endpoint_overrides: Vec::new(),
+                    payload_modes: caps::SHM,
+                    log: None,
+                },
+            },
+            DataMsg::Stats {
+                token,
+                payload: StatsPayload {
+                    version,
+                    ..Default::default()
+                },
+                seq: 1,
+            },
+            DataMsg::Trace {
+                token,
+                payload: TracePayload {
+                    version,
+                    ..Default::default()
+                },
+                seq: 1,
+            },
+        ];
+        // A request routes by its token, like any ctrl frame by its id.
+        assert!(requests.iter().all(|m| m.consumer_id() == token));
+        let frames = requests
+            .iter()
+            .map(CtrlMsg::encode)
+            .chain(replies.iter().map(DataMsg::encode));
+        for frame in frames {
+            assert_eq!(exchange_head(&frame).unwrap(), (token, version));
+            // ...from the head alone: the rest of the layout may differ.
+            assert_eq!(exchange_head(&frame[..13]).unwrap(), (token, version));
+            assert!(exchange_head(&frame[..12]).is_err());
+        }
+    }
+
+    #[test]
+    fn streamed_announce_rebuilds_the_tensor() {
+        let batch = Tensor::rand_u8(&[4, 3, 8, 8], DeviceId::Cpu, 11);
+        let labels = Tensor::zeros(&[4], DType::I64, DeviceId::Cpu);
+        let m = announce(AnnounceContent::Streamed {
+            fields: vec![StreamedTensor::from_tensor(&batch)],
+            labels: StreamedTensor::from_tensor(&labels),
         });
         let wire = m.encode();
         let decoded = DataMsg::decode(&wire).unwrap();
         assert_eq!(decoded, m);
-        // The rebuilt tensor is byte-identical to the source.
         let DataMsg::Batch(BatchAnnounce {
             content: AnnounceContent::Streamed { fields, .. },
             ..
@@ -1920,407 +984,48 @@ mod tests {
         let rebuilt = fields[0].to_tensor(DeviceId::Cpu).unwrap();
         assert_eq!(rebuilt.shape(), batch.shape());
         assert!(rebuilt.data_eq(&batch));
-        // Truncation at ANY byte is rejected.
-        for cut in 1..wire.len() {
-            assert!(DataMsg::decode(&wire[..wire.len() - cut]).is_err());
-        }
         // Unlike the shm announce, the streamed frame scales with the
         // batch — that is the negotiated trade for crossing hosts.
         assert!(wire.len() > batch.view_bytes());
     }
 
     #[test]
-    fn data_msgs_round_trip() {
-        let msgs = [
-            DataMsg::EpochStart {
-                epoch: 3,
-                num_batches: 1000,
-            },
-            DataMsg::Batch(BatchAnnounce {
-                seq: 99,
-                epoch: 3,
-                index_in_epoch: 9,
-                last_in_epoch: true,
-                content: AnnounceContent::Shared {
-                    fields: vec![payload(&[128, 3, 224, 224]), payload(&[128, 77])],
-                    labels: payload(&[128]),
-                },
-            }),
-            DataMsg::JoinReply {
-                consumer_id: 5,
-                decision: JoinDecision::AdmitReplay {
-                    epoch: 0,
-                    replay_from: 0,
-                    num_batches: 100,
-                    start_seq: 300,
-                },
-            },
-            DataMsg::JoinReply {
-                consumer_id: 5,
-                decision: JoinDecision::WaitEpoch { epoch: 1 },
-            },
-            DataMsg::JoinReply {
-                consumer_id: 5,
-                decision: JoinDecision::Reject {
-                    reason: "batch size mismatch".to_string(),
-                },
-            },
-            DataMsg::Detached { consumer_id: 5 },
-            DataMsg::End,
-        ];
-        for m in msgs {
-            assert_eq!(DataMsg::decode(&m.encode()).unwrap(), m, "{m:?}");
-        }
-    }
-
-    #[test]
-    fn flex_announce_round_trips() {
-        let m = DataMsg::Batch(BatchAnnounce {
-            seq: 1,
-            epoch: 0,
-            index_in_epoch: 1,
-            last_in_epoch: false,
-            content: AnnounceContent::Flex {
-                batches: vec![
-                    FlexBatchPayload {
-                        fields: vec![vec![payload(&[7, 3, 8, 8])], vec![payload(&[7, 77])]],
-                        labels: vec![payload(&[7])],
-                    },
-                    FlexBatchPayload {
-                        fields: vec![
-                            vec![payload(&[2, 3, 8, 8]), payload(&[5, 3, 8, 8])],
-                            vec![payload(&[2, 77]), payload(&[5, 77])],
-                        ],
-                        labels: vec![payload(&[2]), payload(&[5])],
-                    },
-                ],
-            },
-        });
-        assert_eq!(DataMsg::decode(&m.encode()).unwrap(), m);
-    }
-
-    #[test]
     fn announce_size_is_independent_of_batch_size() {
-        let small = DataMsg::Batch(BatchAnnounce {
-            seq: 0,
-            epoch: 0,
-            index_in_epoch: 0,
-            last_in_epoch: false,
-            content: AnnounceContent::Shared {
-                fields: vec![payload(&[2, 3, 8, 8])],
-                labels: payload(&[2]),
-            },
-        });
-        let huge = DataMsg::Batch(BatchAnnounce {
-            seq: 0,
-            epoch: 0,
-            index_in_epoch: 0,
-            last_in_epoch: false,
-            content: AnnounceContent::Shared {
-                fields: vec![payload(&[512, 3, 224, 224])],
-                labels: payload(&[512]),
-            },
-        });
-        assert_eq!(small.encode().len(), huge.encode().len());
-        assert!(huge.encode().len() < 256);
-    }
-
-    #[test]
-    fn truncated_and_garbage_frames_rejected() {
-        assert!(CtrlMsg::decode(&[]).is_err());
-        assert!(CtrlMsg::decode(&[0, 1, 2]).is_err());
-        // A well-formed frame with an unknown tag is NOT an error on
-        // either channel (see the two `unknown_*` tests) — but truncated
-        // frames always are, whatever the tag.
-        assert!(DataMsg::decode(&[]).is_err());
-        assert!(DataMsg::decode(&[77]).is_err());
-        assert!(DataMsg::decode(&[99, 0, 0, 0]).is_err());
-        let good = DataMsg::EpochStart {
-            epoch: 0,
-            num_batches: 1,
-        }
-        .encode();
-        assert!(DataMsg::decode(&good[..good.len() - 1]).is_err());
-    }
-
-    #[test]
-    fn unknown_data_tags_decode_as_unknown_not_error() {
-        // Forward compatibility on the data path, the mirror of the ctrl
-        // side: a v3 producer adding topics must not wedge a v2 consumer.
-        for tag in [99u8, 250, 255] {
-            let mut frame = vec![tag];
-            frame.extend_from_slice(&1234u64.to_le_bytes());
-            frame.extend_from_slice(&[0xAB; 5]); // trailing future payload
-            let m = DataMsg::decode(&frame).unwrap();
-            assert_eq!(m, DataMsg::Unknown { tag });
-            // Re-encoding keeps a decodable well-formed shape.
-            assert_eq!(DataMsg::decode(&m.encode()).unwrap(), m);
-        }
-        // Truncated unknown-tag frames are still rejected.
-        assert!(DataMsg::decode(&[99, 0, 0, 0, 0, 0]).is_err());
+        let shared = |n: usize| {
+            announce(AnnounceContent::Shared {
+                fields: vec![payload(&[n, 3, 224, 224])],
+                labels: payload(&[n]),
+            })
+            .encode()
+        };
+        assert_eq!(shared(2).len(), shared(512).len());
+        assert!(shared(512).len() < 256);
     }
 
     #[test]
     fn topics_are_prefix_disjoint() {
-        assert!(!topics::consumer(1).starts_with(topics::BATCH));
-        assert!(!topics::BATCH.starts_with(b"cons"));
+        let topics: [(&str, Vec<u8>); 7] = [
+            ("batch", topics::BATCH.to_vec()),
+            ("ctrl", topics::CTRL.to_vec()),
+            ("cursor", topics::CURSOR.to_vec()),
+            ("consumer", topics::consumer(1)),
+            ("hello", topics::hello(1)),
+            ("stats", topics::stats(1)),
+            ("trace", topics::trace(1)),
+        ];
+        // No topic may capture (or be captured by) another's subscribers.
+        for (a_name, a) in &topics {
+            for (b_name, b) in &topics {
+                assert!(
+                    a_name == b_name || !a.starts_with(b),
+                    "{a_name} is captured by a {b_name} subscription"
+                );
+            }
+        }
         assert_eq!(topics::consumer(42), b"cons/42".to_vec());
         assert_eq!(topics::hello(42), b"hs/42".to_vec());
-        assert!(!topics::hello(1).starts_with(topics::BATCH));
-        assert!(!topics::hello(1).starts_with(topics::CTRL));
-        assert!(!topics::hello(1).starts_with(b"cons"));
         assert_eq!(topics::stats(42), b"st/42".to_vec());
-        assert!(!topics::stats(1).starts_with(topics::BATCH));
-        assert!(!topics::stats(1).starts_with(topics::CTRL));
-        assert!(!topics::stats(1).starts_with(b"cons"));
-        assert!(!topics::stats(1).starts_with(b"hs"));
-        assert!(!topics::hello(1).starts_with(b"st"));
-        // The cursor topic must not capture (or be captured by) anything.
-        assert!(!topics::CURSOR.starts_with(topics::BATCH));
-        assert!(!topics::CURSOR.starts_with(topics::CTRL));
-        assert!(!topics::consumer(1).starts_with(topics::CURSOR));
-        assert!(!topics::CTRL.starts_with(topics::CURSOR));
-        assert!(!topics::hello(1).starts_with(topics::CURSOR));
-        assert!(!topics::stats(1).starts_with(topics::CURSOR));
-        // The trace topic is its own prefix island too.
         assert_eq!(topics::trace(42), b"tr/42".to_vec());
-        assert!(!topics::trace(1).starts_with(topics::BATCH));
-        assert!(!topics::trace(1).starts_with(topics::CTRL));
-        assert!(!topics::trace(1).starts_with(topics::CURSOR));
-        assert!(!topics::trace(1).starts_with(b"cons"));
-        assert!(!topics::trace(1).starts_with(b"hs"));
-        assert!(!topics::trace(1).starts_with(b"st"));
-        assert!(!topics::stats(1).starts_with(b"tr"));
-        assert!(!topics::hello(1).starts_with(b"tr"));
-    }
-
-    #[test]
-    fn stats_round_trips_and_rejects_any_truncation() {
-        use ts_metrics::Registry;
-
-        let empty = DataMsg::Stats {
-            token: 3,
-            seq: 0,
-            payload: StatsPayload {
-                version: STATS_VERSION,
-                counters: vec![],
-                gauge_bits: vec![],
-                histograms: vec![],
-                uptime_ns: 0,
-                snapshot_ns: 0,
-                verdict: String::new(),
-            },
-        };
-
-        // A populated payload captured from a real registry, including
-        // negative/fractional gauges and multi-bucket histograms.
-        let r = Registry::new();
-        r.counter("producer.batches").add(128);
-        r.counter("consumer.acks").add(127);
-        r.gauge("staging.s0.copy_queue_depth").set(2.5);
-        r.gauge("stage.pin_depth").set(-1.0);
-        for v in [100u64, 5_000, 5_100, 2_000_000, u64::MAX / 2] {
-            r.histogram("stage.s0.feeder_fetch_ns").record(v);
-        }
-        r.histogram("consumer.wait_ns").record(42);
-        let mut payload = StatsPayload::from_registry(&r);
-        // Exercise the v3 tail with every field populated.
-        payload.uptime_ns = 90_000_000_000;
-        payload.snapshot_ns = 1_234_567;
-        payload.verdict = "consumer-straggler consumer=3".to_string();
-        let full = DataMsg::Stats {
-            token: u64::MAX,
-            seq: u32::MAX,
-            payload,
-        };
-
-        for m in [empty, full] {
-            let good = m.encode();
-            assert_eq!(DataMsg::decode(&good).unwrap(), m, "{m:?}");
-            // Truncation at ANY byte is a wire error, never a misparse.
-            for cut in 1..good.len() {
-                assert!(
-                    DataMsg::decode(&good[..good.len() - cut]).is_err(),
-                    "{m:?} truncated by {cut} must be rejected"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn v1_stats_frames_decode_with_stamp_zero_on_a_v2_build() {
-        // A v1 scraper's request: tag + token + version 1, no stamp.
-        let mut req = vec![6u8];
-        req.extend_from_slice(&7u64.to_le_bytes());
-        req.extend_from_slice(&1u32.to_le_bytes());
-        assert_eq!(
-            CtrlMsg::decode(&req).unwrap(),
-            CtrlMsg::StatsRequest {
-                token: 7,
-                version: 1,
-                seq: 0,
-            },
-            "a v1 StatsRequest carries stamp 0"
-        );
-        // A v1 producer's reply: version 1 in the payload, no stamp byte
-        // anywhere — the empty sections follow the version directly.
-        let mut reply = vec![6u8];
-        reply.extend_from_slice(&9u64.to_le_bytes());
-        reply.extend_from_slice(&1u32.to_le_bytes());
-        for _ in 0..3 {
-            reply.extend_from_slice(&0u32.to_le_bytes());
-        }
-        assert_eq!(
-            DataMsg::decode(&reply).unwrap(),
-            DataMsg::Stats {
-                token: 9,
-                seq: 0,
-                payload: StatsPayload {
-                    version: 1,
-                    counters: vec![],
-                    gauge_bits: vec![],
-                    histograms: vec![],
-                    uptime_ns: 0,
-                    snapshot_ns: 0,
-                    verdict: String::new(),
-                },
-            },
-            "a v1 Stats reply carries stamp 0"
-        );
-    }
-
-    #[test]
-    fn v2_stats_frames_decode_with_zeroed_extras_on_a_v3_build() {
-        // A v2 producer's reply ends at the (empty) histogram section:
-        // no uptime/stamp/verdict tail. A v3 decoder must zero-fill.
-        let mut reply = vec![6u8];
-        reply.extend_from_slice(&9u64.to_le_bytes());
-        reply.extend_from_slice(&2u32.to_le_bytes()); // payload version 2
-        reply.extend_from_slice(&11u32.to_le_bytes()); // request seq stamp
-        for _ in 0..3 {
-            reply.extend_from_slice(&0u32.to_le_bytes());
-        }
-        let m = DataMsg::decode(&reply).unwrap();
-        match m {
-            DataMsg::Stats {
-                token,
-                seq,
-                payload,
-            } => {
-                assert_eq!((token, seq), (9, 11));
-                assert_eq!(payload.version, 2);
-                assert_eq!(payload.uptime_ns, 0);
-                assert_eq!(payload.snapshot_ns, 0);
-                assert!(payload.verdict.is_empty());
-            }
-            other => panic!("expected Stats, got {other:?}"),
-        }
-        // Conversely a frame *claiming* v3 without the tail is truncated.
-        assert!(
-            DataMsg::decode(
-                &{
-                    let mut r = vec![6u8];
-                    r.extend_from_slice(&9u64.to_le_bytes());
-                    r.extend_from_slice(&3u32.to_le_bytes());
-                    r.extend_from_slice(&11u32.to_le_bytes());
-                    for _ in 0..3 {
-                        r.extend_from_slice(&0u32.to_le_bytes());
-                    }
-                    r
-                }[..]
-            )
-            .is_err(),
-            "a v3 payload without the tail must be rejected"
-        );
-    }
-
-    #[test]
-    fn trace_round_trips_and_rejects_any_truncation() {
-        let empty = DataMsg::Trace {
-            token: 5,
-            seq: 1,
-            payload: TracePayload {
-                version: TRACE_VERSION,
-                now_ns: 0,
-                records: vec![],
-            },
-        };
-        let full = DataMsg::Trace {
-            token: u64::MAX,
-            seq: u32::MAX,
-            payload: TracePayload {
-                version: TRACE_VERSION,
-                now_ns: 123_456_789,
-                records: vec![
-                    ts_metrics::TraceRecordSnap {
-                        epoch: 2,
-                        shard: 1,
-                        seq: 40,
-                        complete: true,
-                        spans: vec![(0, 100, 200), (3, 250, 300), (5, 300, 900)],
-                    },
-                    ts_metrics::TraceRecordSnap {
-                        epoch: 2,
-                        shard: 0,
-                        seq: 41,
-                        complete: false,
-                        spans: vec![],
-                    },
-                ],
-            },
-        };
-        for m in [empty, full] {
-            let good = m.encode();
-            assert_eq!(DataMsg::decode(&good).unwrap(), m, "{m:?}");
-            for cut in 1..good.len() {
-                assert!(
-                    DataMsg::decode(&good[..good.len() - cut]).is_err(),
-                    "{m:?} truncated by {cut} must be rejected"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn v1_trace_requests_decode_with_defaults_on_newer_builds() {
-        // TraceRequest is born at v1, but keep the lenient-suffix habit:
-        // extra trailing bytes from a future version must not break us.
-        let mut req = CtrlMsg::TraceRequest {
-            token: 7,
-            version: TRACE_VERSION,
-            seq: 2,
-            max: 32,
-        }
-        .encode()
-        .to_vec();
-        req.extend_from_slice(&[0xFF; 8]);
-        assert_eq!(
-            CtrlMsg::decode(&req).unwrap(),
-            CtrlMsg::TraceRequest {
-                token: 7,
-                version: TRACE_VERSION,
-                seq: 2,
-                max: 32,
-            }
-        );
-    }
-
-    #[test]
-    fn cursor_round_trips_and_rejects_any_truncation() {
-        let m = DataMsg::Cursor {
-            shard: 3,
-            epoch: 7,
-            seq: 1_000_001,
-            index_in_epoch: 41,
-        };
-        let good = m.encode();
-        assert_eq!(DataMsg::decode(&good).unwrap(), m);
-        for cut in 1..good.len() {
-            assert!(
-                DataMsg::decode(&good[..good.len() - cut]).is_err(),
-                "cursor truncated by {cut} must be rejected"
-            );
-        }
     }
 
     #[test]
@@ -2332,7 +1037,7 @@ mod tests {
         r.gauge("stage.pin_depth").set(1.5);
         r.histogram("consumer.wait_ns").record(1000);
         let p = StatsPayload::from_registry(&r);
-        assert_eq!(p.version, STATS_VERSION);
+        assert_eq!(p.version, WIRE_VERSION);
         assert_eq!(p.counter("producer.batches"), Some(7));
         assert_eq!(p.counter("missing"), None);
         assert_eq!(p.gauges(), vec![("stage.pin_depth".to_string(), 1.5)]);

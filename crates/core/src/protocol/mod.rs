@@ -12,3 +12,4 @@ pub mod heartbeat;
 pub mod messages;
 pub mod order;
 pub mod rubberband;
+pub(crate) mod wire;

@@ -2,15 +2,13 @@
 //! endpoint-only attach.
 //!
 //! The paper's pitch is that a training script adopts TensorSocket by
-//! swapping one line. The legacy surface grew away from that: producers
-//! picked between two divergent entry points (`TensorProducer::spawn` vs
-//! `ShardedProducerGroup::spawn`) and a consumer had to out-of-band
-//! mirror the producer's shard count, arena path and batch schema —
-//! exactly the silent-misconfiguration trap the data-loading literature
-//! warns about. This module folds all of it under two facades:
+//! swapping one line, and that a consumer which must mirror the
+//! producer's shard count, arena path and batch schema out of band is
+//! the silent-misconfiguration trap the data-loading literature warns
+//! about. Two facades are the whole entry surface:
 //!
-//! * [`Producer::builder()`] — one handle subsuming the plain and the
-//!   sharded producer (one source = the degenerate one-shard case). It
+//! * [`Producer::builder()`] — one handle over one pipeline or a
+//!   coordinated sharded group (one source = the one-shard case). It
 //!   auto-creates and auto-sizes the shared-memory arena and its
 //!   recycling slot pool from the loader's own geometry and pipeline
 //!   hints ([`crate::runtime::producer::SampleGeometry`]), instead of
@@ -23,30 +21,25 @@
 //!   batch schema and the staging mode. Mismatches surface as typed
 //!   [`HandshakeError`]s — never as hangs or silently wrong training
 //!   streams.
-//!
-//! The wire protocol and delivery engine are unchanged: a [`Consumer`]'s
-//! batch stream is byte-identical to the legacy `TensorConsumer`'s (the
-//! runtime test-suite asserts it across sharded/arena/staging
-//! topologies), and the legacy types remain as thin `#[deprecated]`
-//! shims over the same internals.
 
 use crate::protocol::messages::{
-    caps, topics, CtrlMsg, DataMsg, PayloadMode, WelcomeInfo, HANDSHAKE_VERSION,
+    caps, topics, CtrlMsg, DataMsg, PayloadMode, WelcomeInfo, WIRE_VERSION,
 };
 use crate::protocol::rubberband::RubberbandPolicy;
 use crate::runtime::config::{ConsumerConfig, FlexibleConfig, ProducerConfig, ProducerMap};
-use crate::runtime::consumer::{rand_id, ConsumerBatch, StopReason, TensorConsumer};
+use crate::runtime::consumer::{ConsumerBatch, StopReason, TensorConsumer};
 use crate::runtime::context::TsContext;
-use crate::runtime::coordinator::{EpochCoordinator, ShardedProducerGroup};
+use crate::runtime::coordinator::EpochCoordinator;
 use crate::runtime::producer::{EpochSource, ProducerStats, TensorProducer};
+use crate::runtime::scrape::token_exchange;
 use crate::runtime::staging::{StagingConfig, StagingMode};
 use crate::{HandshakeError, Result, TsError};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use ts_device::DeviceId;
 use ts_shm::ShmArena;
-use ts_socket::{Endpoint, EndpointMap, Multipart, PushSocket, RecvError, SubSocket};
+use ts_socket::{Endpoint, EndpointMap};
 
 // ---------------------------------------------------------------------------
 // Producer
@@ -103,8 +96,10 @@ impl ProducerBuilder {
     /// Overrides shard `shard`'s base endpoint — the multi-host escape
     /// hatch: that shard binds (and is advertised at) the given URI
     /// instead of the one derived from the base endpoint by scheme rules.
-    /// Advertised verbatim in the v2 WELCOME, so consumers follow the
-    /// override with no out-of-band configuration.
+    /// Advertised verbatim in the WELCOME, so consumers follow the
+    /// override with no out-of-band configuration. Shard 0 *is* the base
+    /// endpoint consumers hello at and cannot be overridden in a
+    /// multi-shard topology.
     pub fn shard_endpoint<E>(mut self, shard: u32, endpoint: E) -> Self
     where
         E: TryInto<Endpoint>,
@@ -186,7 +181,7 @@ impl ProducerBuilder {
 
     /// Keeps a durable batch log under `dir` (one subdirectory per
     /// shard): every published batch is teed to disk by a background
-    /// spiller, the v3 WELCOME advertises the retained range, and
+    /// spiller, the WELCOME advertises the retained range, and
     /// consumers attaching with [`ConsumerBuilder::group`] replay the
     /// logged tail before splicing onto the live stream. The directory
     /// must be empty (or fresh) — sequence numbers restart per run, so
@@ -321,15 +316,49 @@ impl ProducerBuilder {
             None => None,
             Some(spec) => Some(Self::provision_arena(&ctx, &cfg, &sources, spec)?),
         };
+        // Shard 0's endpoint is the base endpoint consumers hello at.
+        if shards > 1 && cfg.shard_endpoints.iter().any(|(s, _)| *s == 0) {
+            return Err(TsError::Config(
+                "shard 0 is the handshake endpoint consumers hello at; set it via the \
+                 base endpoint, not a shard_endpoint(0, ..) override"
+                    .into(),
+            ));
+        }
         let endpoint = cfg.endpoint.clone();
-        let engine = if shards == 1 {
-            let source = sources.into_iter().next().expect("one source");
-            Engine::Single(TensorProducer::spawn_impl(source, &ctx, cfg)?)
-        } else {
-            Engine::Group(ShardedProducerGroup::spawn_impl(sources, &ctx, cfg)?)
-        };
+        // One source is a plain pipeline with no coordination overhead;
+        // several run in lockstep under one epoch coordinator.
+        let coordinator =
+            (shards > 1).then(|| Arc::new(EpochCoordinator::new(shards, cfg.heartbeat_timeout)));
+        // Every shard's base comes from one override-aware map; the full
+        // override table stays only on shard 0, whose WELCOME advertises
+        // it (a non-zero shard's own single-shard endpoint layout must
+        // root at its resolved base, not re-apply group overrides).
+        let group_map = EndpointMap::with_overrides(&endpoint, shards, cfg.shard_endpoints.clone());
+        let mut pipelines: Vec<TensorProducer> = Vec::with_capacity(shards);
+        for (shard, source) in sources.into_iter().enumerate() {
+            let mut shard_cfg = cfg.clone();
+            shard_cfg.endpoint = group_map.shard_base(shard);
+            if shard != 0 {
+                shard_cfg.shard_endpoints = Vec::new();
+            }
+            match TensorProducer::spawn(source, &ctx, shard_cfg, coordinator.clone(), shard as u32)
+            {
+                Ok(p) => pipelines.push(p),
+                Err(e) => {
+                    // Unwind the shards already running.
+                    if let Some(c) = &coordinator {
+                        c.stop();
+                    }
+                    for p in &pipelines {
+                        p.abort();
+                    }
+                    return Err(e);
+                }
+            }
+        }
         Ok(Producer {
-            engine,
+            pipelines,
+            coordinator,
             endpoint,
             ctx,
             arena,
@@ -421,12 +450,6 @@ impl ProducerBuilder {
     }
 }
 
-/// The two engine shapes a [`Producer`] subsumes.
-enum Engine {
-    Single(TensorProducer),
-    Group(ShardedProducerGroup),
-}
-
 /// The producing end of a TensorSocket: one handle over the data-loading
 /// pipeline(s), whether one shard or many.
 ///
@@ -455,7 +478,11 @@ enum Engine {
 /// producer.join().unwrap();
 /// ```
 pub struct Producer {
-    engine: Engine,
+    /// One feeder+publish pipeline per shard (index = shard).
+    pipelines: Vec<TensorProducer>,
+    /// The epoch coordinator keeping the shards in lockstep; `None` for a
+    /// single pipeline.
+    coordinator: Option<Arc<EpochCoordinator>>,
     endpoint: String,
     ctx: TsContext,
     arena: Option<Arc<ShmArena>>,
@@ -479,10 +506,7 @@ impl Producer {
 
     /// Number of shard pipelines (1 for a plain producer).
     pub fn num_shards(&self) -> usize {
-        match &self.engine {
-            Engine::Single(_) => 1,
-            Engine::Group(g) => g.num_shards(),
-        }
+        self.pipelines.len()
     }
 
     /// The base endpoint URI consumers attach to.
@@ -503,24 +527,23 @@ impl Producer {
 
     /// The epoch coordinator, when sharded (inspection and tests).
     pub fn coordinator(&self) -> Option<&Arc<EpochCoordinator>> {
-        match &self.engine {
-            Engine::Single(_) => None,
-            Engine::Group(g) => Some(g.coordinator()),
-        }
+        self.coordinator.as_ref()
     }
 
     /// Requests every pipeline to stop after the batch in flight.
     pub fn abort(&self) {
-        match &self.engine {
-            Engine::Single(p) => p.abort(),
-            Engine::Group(g) => g.abort(),
+        if let Some(c) = &self.coordinator {
+            c.stop();
+        }
+        for p in &self.pipelines {
+            p.abort();
         }
     }
 
     /// Waits for every pipeline to finish; returns the stats aggregated
     /// across shards (see [`Producer::join_shards`] for per-shard
-    /// numbers). Like the legacy join, an aborted producer returns its
-    /// partial stats rather than an error.
+    /// numbers). An aborted producer returns its partial stats rather than
+    /// an error.
     pub fn join(self) -> Result<ProducerStats> {
         let per_shard = self.join_shards()?;
         let mut total = ProducerStats::default();
@@ -545,10 +568,11 @@ impl Producer {
     /// (index = shard).
     pub fn join_shards(self) -> Result<Vec<ProducerStats>> {
         let shards = self.num_shards();
-        let stats = match self.engine {
-            Engine::Single(p) => vec![p.join()?],
-            Engine::Group(g) => g.join()?,
-        };
+        let stats = self
+            .pipelines
+            .into_iter()
+            .map(TensorProducer::join)
+            .collect::<Result<Vec<_>>>()?;
         // The builder provisioned the recycling pools, so it also drains
         // them: idle recycled slots hold a producer reference each, and
         // without this the arena would report them in use forever.
@@ -576,7 +600,6 @@ pub struct ConsumerBuilder {
     ctx: Option<TsContext>,
     shards_override: Option<usize>,
     handshake_timeout: Duration,
-    hello_version: u32,
     payload_mode: Option<PayloadMode>,
 }
 
@@ -587,7 +610,6 @@ impl ConsumerBuilder {
             ctx: None,
             shards_override: None,
             handshake_timeout: Duration::from_secs(10),
-            hello_version: HANDSHAKE_VERSION,
             payload_mode: None,
         }
     }
@@ -641,7 +663,7 @@ impl ConsumerBuilder {
     }
 
     /// Names this consumer's **group**: when the producer keeps a durable
-    /// log (v3 WELCOME advertises it), connect sends `Replay` per shard
+    /// log (its WELCOME advertises it), connect sends `Replay` per shard
     /// and resumes from the group's persisted cursor — a consumer
     /// restarted after a crash (`kill -9` included) replays the logged
     /// range it never acked, then splices onto the live stream
@@ -650,8 +672,7 @@ impl ConsumerBuilder {
     /// current epoch from its start (epoch-coherent — the rubberband
     /// admission point caps the replay cursor; already-acked batches are
     /// re-delivered identically and leave the cursor untouched). Without
-    /// a log (or on older producers) the name is inert and the consumer
-    /// joins live-only.
+    /// a log the name is inert and the consumer joins live-only.
     pub fn group(mut self, name: impl Into<String>) -> Self {
         self.cfg.group = Some(name.into());
         self
@@ -664,13 +685,6 @@ impl ConsumerBuilder {
     /// topology.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards_override = Some(shards);
-        self
-    }
-
-    /// Overrides the HELLO version (handshake-evolution tests).
-    #[doc(hidden)]
-    pub fn hello_version(mut self, version: u32) -> Self {
-        self.hello_version = version;
         self
     }
 
@@ -715,20 +729,24 @@ impl ConsumerBuilder {
             Some(mode) => mode.cap_bit(),
             None => caps::KNOWN,
         };
-        let welcome = handshake(
+        // Stateless and idempotent: the HELLO is re-sent every poll round
+        // and any WELCOME on our one-shot topic answers it.
+        let welcome = token_exchange(
             &ctx,
             &endpoint,
             self.handshake_timeout,
-            self.hello_version,
-            our_caps,
+            "handshake WELCOME",
+            topics::hello,
+            |token, _| CtrlMsg::Hello {
+                token,
+                version: WIRE_VERSION,
+                caps: our_caps,
+            },
+            |reply, _| match reply {
+                DataMsg::Welcome { info, .. } => Some(info),
+                _ => None,
+            },
         )?;
-        if welcome.version != self.hello_version {
-            return Err(HandshakeError::Version {
-                ours: self.hello_version,
-                theirs: welcome.version,
-            }
-            .into());
-        }
         let advertised = welcome.shards.max(1) as usize;
         if let Some(requested) = self.shards_override {
             if requested != advertised {
@@ -739,13 +757,7 @@ impl ConsumerBuilder {
                 .into());
             }
         }
-        // What the producer will serve us. A v1 WELCOME has no grant mask
-        // and means shm-only.
-        let granted = if welcome.version >= 2 {
-            welcome.payload_modes
-        } else {
-            caps::SHM
-        };
+        let granted = welcome.payload_modes;
         let mut mode = forced.unwrap_or(PayloadMode::Shm);
         if granted & mode.cap_bit() == 0 {
             return Err(HandshakeError::Mode {
@@ -784,7 +796,7 @@ impl ConsumerBuilder {
             log_available: welcome.log.is_some(),
             ..self.cfg
         };
-        let inner = TensorConsumer::connect_impl(&ctx, cfg)?;
+        let inner = TensorConsumer::connect(&ctx, cfg)?;
         Ok(Consumer {
             inner,
             welcome,
@@ -793,67 +805,16 @@ impl ConsumerBuilder {
     }
 }
 
-/// Performs the HELLO/WELCOME exchange on the base endpoint's channels.
-/// Stateless and retrying: the HELLO is re-sent every poll round, so a
-/// WELCOME published while this consumer's subscription was still
-/// propagating (remote transports) is simply answered again.
-fn handshake(
-    ctx: &TsContext,
-    endpoint: &str,
-    timeout: Duration,
-    version: u32,
-    caps: u32,
-) -> Result<WelcomeInfo> {
-    let map = EndpointMap::new(endpoint, 1);
-    let token = rand_id();
-    let sub = SubSocket::connect(&ctx.sockets, &map.data(0));
-    sub.subscribe(&topics::hello(token));
-    let push = PushSocket::connect(&ctx.sockets, &map.ctrl(0));
-    let hello = CtrlMsg::Hello {
-        token,
-        version,
-        caps,
-    }
-    .encode();
-    let deadline = Instant::now() + timeout;
-    loop {
-        // A send failure just means the producer is not reachable *yet*
-        // (bind/connect order is free on every transport): keep retrying
-        // until the deadline.
-        let _ = push.send(Multipart::single(hello.clone()));
-        match sub.recv_timeout(Duration::from_millis(50)) {
-            Ok((_, msg)) => {
-                if let Some(frame) = msg.frames().first() {
-                    if let Ok(DataMsg::Welcome { token: t, info }) = DataMsg::decode(frame) {
-                        if t == token {
-                            return Ok(info);
-                        }
-                    }
-                }
-            }
-            Err(RecvError::Timeout) => {}
-            Err(RecvError::Closed) => {
-                return Err(TsError::Socket(
-                    "producer disconnected during handshake".into(),
-                ))
-            }
-        }
-        if Instant::now() > deadline {
-            return Err(TsError::Timeout("handshake WELCOME"));
-        }
-    }
-}
-
 /// The consuming end of a TensorSocket, attached with nothing but an
 /// endpoint URI (see [`Consumer::builder`]).
 ///
-/// Iterate it like a data loader. Unlike the legacy `TensorConsumer`,
-/// items are `Result`s: a clean end of stream (the producer published
-/// `End` on every shard) terminates iteration with `None`, while
-/// detachment, timeouts and protocol violations surface **once** as an
-/// `Err` item before the stream ends — no sentinel-checking after the
-/// loop. Dropping the consumer detaches it cleanly (acks the batch in
-/// flight, notifies every shard, stops the heartbeat).
+/// Iterate it like a data loader. Items are `Result`s: a clean end of
+/// stream (the producer published `End` on every shard) terminates
+/// iteration with `None`, while detachment, timeouts and protocol
+/// violations surface **once** as an `Err` item before the stream ends —
+/// no sentinel-checking after the loop. Dropping the consumer detaches it
+/// cleanly (acks the batch in flight, notifies every shard, stops the
+/// heartbeat).
 pub struct Consumer {
     inner: TensorConsumer,
     welcome: WelcomeInfo,

@@ -81,7 +81,7 @@ pub struct ProducerConfig {
     /// advertised at) the given base URI instead of the one derived from
     /// [`ProducerConfig::endpoint`] by scheme rules — the multi-host
     /// escape hatch, where each shard pipeline runs as its own process or
-    /// on its own host. Sorted by shard; advertised verbatim in the v2
+    /// on its own host. Sorted by shard; advertised verbatim in the
     /// WELCOME so consumers follow without out-of-band configuration.
     pub shard_endpoints: Vec<(u32, String)>,
     /// Stall-watchdog sensitivity: a batch stuck in one stage longer than
@@ -177,8 +177,8 @@ pub struct ConsumerConfig {
     /// Endpoint base name; must match the producer's (the *group* base
     /// endpoint when consuming from a sharded producer group).
     pub endpoint: String,
-    /// Number of producer shards to subscribe to (a
-    /// [`crate::ShardedProducerGroup`]'s shard count). The consumer joins
+    /// Number of producer shards to subscribe to (learned from the
+    /// WELCOME). The consumer joins
     /// every shard and interleaves their streams deterministically by
     /// `(epoch, shard, seq)`. The default `1` consumes a plain single
     /// producer, byte-identically to the unsharded code path.
@@ -200,16 +200,15 @@ pub struct ConsumerConfig {
     /// still see the original bytes.
     pub local_pipeline: Option<std::sync::Arc<ts_data::Pipeline>>,
     /// How batch payload bytes reach this consumer: shm pointer-passing
-    /// (the default) or length-prefixed byte streaming. Normally resolved
-    /// by [`crate::Consumer`]'s attach negotiation rather than set by
-    /// hand; the legacy connect path keeps the v1 behavior (`Shm`).
+    /// (the default) or length-prefixed byte streaming. Resolved by
+    /// [`crate::Consumer`]'s attach negotiation.
     pub mode: PayloadMode,
     /// Sparse `(shard, base URI)` endpoint overrides, learned from the
-    /// producer's v2 WELCOME: shards listed here are attached at the given
+    /// producer's WELCOME: shards listed here are attached at the given
     /// URI instead of the one derived from the base endpoint.
     pub endpoint_overrides: Vec<(u32, String)>,
     /// Consumer-group name for durable-log replay. When set (and the
-    /// producer's v3 WELCOME advertises a log), connect sends
+    /// producer's WELCOME advertises a log), connect sends
     /// `CtrlMsg::Replay { group, from: Cursor }` per shard after
     /// admission: the producer registers the group's persisted cursor,
     /// streams retained records from its log and the consumer splices
@@ -217,8 +216,8 @@ pub struct ConsumerConfig {
     /// log-less join behavior.
     pub group: Option<String>,
     /// Whether the producer advertised a durable log in its WELCOME
-    /// (filled by [`crate::Consumer`]'s attach negotiation; the legacy
-    /// connect path leaves it `false` and never requests replay).
+    /// (filled by [`crate::Consumer`]'s attach negotiation; replay is
+    /// only requested when it did).
     pub log_available: bool,
 }
 

@@ -1,5 +1,6 @@
-//! The [`TensorConsumer`]: the lightweight iterator a training script swaps
-//! in for its data loader (§3.2.2, Figure 3c).
+//! The delivery engine behind [`crate::Consumer`]: the lightweight
+//! iterator a training script swaps in for its data loader (§3.2.2,
+//! Figure 3c).
 //!
 //! `connect` performs the join handshake (rubberband admission or
 //! wait-for-epoch), spawns a heartbeat thread, and subscribes to the data
@@ -11,7 +12,7 @@
 //! ## Sharded producer groups and the `(epoch, shard, seq)` contract
 //!
 //! With [`ConsumerConfig::shards`] `> 1` the consumer joins every shard of
-//! a [`crate::ShardedProducerGroup`] and merges their streams through a
+//! a sharded [`crate::Producer`] and merges their streams through a
 //! [`ShardInterleave`]: announcements are delivered sorted by
 //! `(epoch, index_in_epoch, shard)` — round-robin across shards aligned
 //! at an epoch boundary, with exhausted shards dropping out of the
@@ -98,13 +99,14 @@ struct ShardLink {
     reorder: BTreeMap<u64, BatchAnnounce>,
 }
 
-/// The consuming end of a TensorSocket.
+/// The consuming end of a TensorSocket, already told the topology (the
+/// [`crate::Consumer`] facade learns it over the attach handshake).
 ///
 /// Iterate it like a data loader; it ends when the producer publishes
 /// `End` (every shard of a sharded group). Check
 /// [`TensorConsumer::stop_reason`] to distinguish clean completion from
 /// detachment or timeouts.
-pub struct TensorConsumer {
+pub(crate) struct TensorConsumer {
     ctx: TsContext,
     cfg: ConsumerConfig,
     id: u64,
@@ -180,20 +182,7 @@ impl TensorConsumer {
     /// Blocks until admitted everywhere — which may span an epoch boundary
     /// when the join arrives too late for rubberbanding — or until
     /// `recv_timeout` passes without any producer activity.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `tensorsocket::Consumer::builder().connect(endpoint)` — the attach \
-                handshake learns shard count, arena and schema from the producer, so \
-                only the endpoint is needed"
-    )]
-    pub fn connect(ctx: &TsContext, cfg: ConsumerConfig) -> Result<TensorConsumer> {
-        Self::connect_impl(ctx, cfg)
-    }
-
-    /// The non-deprecated connect path shared by the legacy shim and the
-    /// [`crate::Consumer`] builder (which fills `cfg` from the producer's
-    /// WELCOME instead of asking the caller).
-    pub(crate) fn connect_impl(ctx: &TsContext, cfg: ConsumerConfig) -> Result<TensorConsumer> {
+    pub(crate) fn connect(ctx: &TsContext, cfg: ConsumerConfig) -> Result<TensorConsumer> {
         let shards = cfg.shards.max(1);
         let id = cfg.consumer_id.unwrap_or_else(rand_id);
         let mut links = Vec::with_capacity(shards);
@@ -399,9 +388,9 @@ impl TensorConsumer {
     /// can overtake the answer (the producer streams them right after
     /// it): they are stashed in the shard's reorder buffer, where normal
     /// pumping picks them up once `next_expected` rewinds to the replay
-    /// start. A producer that never answers within `recv_timeout` (an
-    /// older build behind a proxy advertising v3, or a log that failed
-    /// after WELCOME) degrades to live-only attach, not an error.
+    /// start. A producer that never answers within `recv_timeout` (a log
+    /// that failed after WELCOME) degrades to live-only attach, not an
+    /// error.
     fn log_replay_handshake(
         link: &mut ShardLink,
         cfg: &ConsumerConfig,

@@ -18,10 +18,12 @@ use ts_tensor::{DeviceCtx, SharedRegistry};
 /// builds its own context, the endpoints use `ipc://` (or `tcp://`)
 /// URIs, and batch bytes travel through a shared-memory arena:
 ///
-/// * the producer process calls [`TsContext::create_arena`] before
-///   spawning its [`crate::TensorProducer`];
-/// * each consumer process calls [`TsContext::open_arena`] on the same
-///   path before [`crate::TensorConsumer::connect`].
+/// * the producer process passes `.arena(path)` to its
+///   [`crate::Producer`] builder (or calls [`TsContext::create_arena`]
+///   itself before spawning);
+/// * each consumer process learns the arena from the attach handshake
+///   and maps it ([`TsContext::open_arena`]) inside
+///   [`crate::ConsumerBuilder::connect`].
 ///
 /// Only announce/ack metadata then crosses the sockets; payload bytes are
 /// written once into the arena and mapped zero-copy by every consumer.
@@ -130,7 +132,7 @@ impl TsContext {
         Ok(pool)
     }
 
-    /// Per-shard slot recycling for a [`crate::ShardedProducerGroup`]:
+    /// Per-shard slot recycling for a sharded [`crate::Producer`]:
     /// binds one recycling pool of `depth` idle slots for shard `shard`,
     /// over the same arena. Each shard's publish pipeline then recycles
     /// its own slots — no cross-shard contention on one free list, and

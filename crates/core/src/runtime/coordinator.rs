@@ -2,8 +2,9 @@
 //!
 //! One feeder+publisher pair per node is the paper's shape; on many-GPU
 //! nodes a single producer saturates one NUMA domain, so the dataset is
-//! sharded across `N` producer pipelines — one [`crate::TensorProducer`]
-//! per shard, each owning a disjoint partition of the epoch (see
+//! sharded across `N` producer pipelines (what
+//! [`crate::ProducerBuilder::spawn_sharded`] spawns) — one per shard,
+//! each owning a disjoint partition of the epoch (see
 //! `ts_data::ShardedSampler`). Sharding only pays off if epoch and shard
 //! boundaries stay consistent under worker skew; the
 //! [`EpochCoordinator`] is the in-process authority that keeps them so:
@@ -36,7 +37,7 @@
 //!
 //! The coordinator state machine has two homes. [`EpochCoordinator::new`]
 //! keeps it behind an in-process mutex — the right shape when every shard
-//! pipeline lives in one process (what [`ShardedProducerGroup`] spawns).
+//! pipeline lives in one process (what `spawn_sharded` builds).
 //! [`EpochCoordinator::create_shared`] /
 //! [`EpochCoordinator::attach_shared`] put the *same* state machine in a
 //! `MAP_SHARED` file (a [`ts_shm::ShmCoordCell`], sibling of the payload
@@ -44,14 +45,10 @@
 //! one node still share lockstep barriers, memoized join decisions and
 //! the group pin set. Every method below is backing-agnostic.
 
-use crate::runtime::config::ProducerConfig;
-use crate::runtime::context::TsContext;
-use crate::runtime::producer::{EpochSource, ProducerStats, TensorProducer};
 use crate::{Result, TsError};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ts_shm::{CoordDecision, ShmCoordCell};
 
@@ -411,153 +408,6 @@ impl EpochCoordinator {
             CoordBacking::Local(mutex) => mutex.lock().stopped,
             CoordBacking::Shared(cell) => cell.is_stopped(),
         }
-    }
-}
-
-/// A sharded producer group: `N` feeder+publish pipelines, one per
-/// disjoint dataset shard, in lockstep under one [`EpochCoordinator`].
-///
-/// Shard `i` publishes on the base of [`ts_socket::EndpointMap`] shard
-/// `i` — the scheme-derived default, or the pinned
-/// [`ProducerConfig::shard_endpoints`] override (shard 0 *is* the base
-/// endpoint and cannot be overridden: it answers the handshake). A
-/// [`crate::TensorConsumer`] with
-/// [`crate::ConsumerConfig::shards`] set subscribes to all of them and
-/// interleaves the streams deterministically by `(epoch, shard, seq)`,
-/// so training sees one bit-stable stream regardless of shard count —
-/// and with one shard, a byte-identical stream to a plain
-/// [`TensorProducer`].
-///
-/// ```no_run
-/// # use std::sync::Arc;
-/// # use tensorsocket::{ProducerConfig, ConsumerConfig, ShardedProducerGroup, TensorConsumer, TsContext};
-/// # use ts_data::{DataLoader, DataLoaderConfig, SyntheticImageDataset};
-/// let ctx = TsContext::host_only();
-/// let dataset = Arc::new(SyntheticImageDataset::imagenet_like(1024, 0));
-/// let loaders = DataLoader::sharded(dataset, DataLoaderConfig::default(), 2);
-/// let group = ShardedProducerGroup::spawn(loaders, &ctx, ProducerConfig::default()).unwrap();
-/// let consumer = TensorConsumer::connect(
-///     &ctx,
-///     ConsumerConfig { shards: 2, ..Default::default() },
-/// )
-/// .unwrap();
-/// for batch in consumer { /* one interleaved, bit-stable stream */ }
-/// group.join().unwrap();
-/// ```
-pub struct ShardedProducerGroup {
-    producers: Vec<TensorProducer>,
-    coordinator: Arc<EpochCoordinator>,
-}
-
-impl std::fmt::Debug for ShardedProducerGroup {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedProducerGroup")
-            .field("shards", &self.producers.len())
-            .finish()
-    }
-}
-
-impl ShardedProducerGroup {
-    /// Spawns one producer pipeline per source (source `i` must own shard
-    /// `i`'s partition — e.g. `DataLoader::sharded(dataset, cfg, n)`),
-    /// publishing on per-shard endpoints derived from `cfg.endpoint`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `tensorsocket::Producer::builder()…spawn_sharded(sources)` — one \
-                facade for plain and sharded producers, with arena/pool/staging \
-                auto-sizing"
-    )]
-    pub fn spawn<S: EpochSource>(
-        sources: Vec<S>,
-        ctx: &TsContext,
-        cfg: ProducerConfig,
-    ) -> Result<ShardedProducerGroup> {
-        Self::spawn_impl(sources, ctx, cfg)
-    }
-
-    /// The non-deprecated spawn path shared by the legacy shim and the
-    /// [`crate::Producer`] builder.
-    pub(crate) fn spawn_impl<S: EpochSource>(
-        sources: Vec<S>,
-        ctx: &TsContext,
-        cfg: ProducerConfig,
-    ) -> Result<ShardedProducerGroup> {
-        if sources.is_empty() {
-            return Err(TsError::Config(
-                "sharded group needs at least one source".into(),
-            ));
-        }
-        if sources.len() > 1 && cfg.shard_endpoints.iter().any(|(s, _)| *s == 0) {
-            return Err(TsError::Config(
-                "shard 0 is the handshake endpoint consumers hello at; set it via the \
-                 base endpoint, not a shard_endpoint(0, ..) override"
-                    .into(),
-            ));
-        }
-        // Every shard's base comes from one override-aware map; the full
-        // override table stays only on shard 0, whose WELCOME advertises
-        // it (a non-zero shard's own single-shard endpoint layout must
-        // root at its resolved base, not re-apply group overrides).
-        let group_map = ts_socket::EndpointMap::with_overrides(
-            &cfg.endpoint,
-            sources.len(),
-            cfg.shard_endpoints.clone(),
-        );
-        let coordinator = Arc::new(EpochCoordinator::new(sources.len(), cfg.heartbeat_timeout));
-        let mut producers = Vec::with_capacity(sources.len());
-        for (shard, source) in sources.into_iter().enumerate() {
-            let mut shard_cfg = cfg.clone();
-            shard_cfg.endpoint = group_map.shard_base(shard);
-            if shard != 0 {
-                shard_cfg.shard_endpoints = Vec::new();
-            }
-            match TensorProducer::spawn_sharded(
-                source,
-                ctx,
-                shard_cfg,
-                coordinator.clone(),
-                shard as u32,
-            ) {
-                Ok(p) => producers.push(p),
-                Err(e) => {
-                    // Unwind the shards already running.
-                    coordinator.stop();
-                    for p in &producers {
-                        p.abort();
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(ShardedProducerGroup {
-            producers,
-            coordinator,
-        })
-    }
-
-    /// Number of shard pipelines in the group.
-    pub fn num_shards(&self) -> usize {
-        self.producers.len()
-    }
-
-    /// The group's coordinator (inspection and tests).
-    pub fn coordinator(&self) -> &Arc<EpochCoordinator> {
-        &self.coordinator
-    }
-
-    /// Requests every shard to stop after the batch in flight.
-    pub fn abort(&self) {
-        self.coordinator.stop();
-        for p in &self.producers {
-            p.abort();
-        }
-    }
-
-    /// Waits for every shard to finish; returns per-shard stats (index =
-    /// shard). Like [`TensorProducer::join`], an aborted group still
-    /// returns the partial stats of each shard.
-    pub fn join(self) -> Result<Vec<ProducerStats>> {
-        self.producers.into_iter().map(|p| p.join()).collect()
     }
 }
 

@@ -11,7 +11,7 @@ pub mod staging;
 
 pub use builder::{Consumer, ConsumerBuilder, Producer, ProducerBuilder};
 pub use config::{ConsumerConfig, FlexibleConfig, ProducerConfig};
-pub use coordinator::{EpochCoordinator, GroupJoin, ShardedProducerGroup};
+pub use coordinator::{EpochCoordinator, GroupJoin};
 pub use scrape::{scrape_stats, scrape_trace};
 pub use staging::{StagingConfig, StagingMode};
 

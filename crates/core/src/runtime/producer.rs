@@ -1,5 +1,6 @@
-//! The [`TensorProducer`]: a server owning the data-loading pipeline and
-//! multicasting batch payloads to consumers (§3.2.1).
+//! The producer pipeline behind [`crate::Producer`]: a server owning the
+//! data-loading pipeline and multicasting batch payloads to consumers
+//! (§3.2.1).
 //!
 //! The producer is a two-stage pipeline:
 //!
@@ -34,7 +35,7 @@ use crate::protocol::heartbeat::HeartbeatMonitor;
 use crate::protocol::messages::{
     caps, topics, AnnounceContent, ArenaAd, BatchAnnounce, CtrlMsg, DataMsg, FlexBatchPayload,
     JoinDecision, LogAd, PayloadMode, ReplayFrom, StatsPayload, StreamedTensor, TracePayload,
-    WelcomeInfo, HANDSHAKE_VERSION, TRACE_VERSION,
+    WelcomeInfo, WIRE_VERSION,
 };
 use crate::protocol::rubberband::{JoinOutcome, RubberbandPolicy};
 use crate::runtime::config::{ProducerConfig, ProducerMap};
@@ -584,7 +585,7 @@ fn feeder_main(
     }
 }
 
-/// Counters reported by [`TensorProducer::join`].
+/// Counters reported by [`crate::Producer::join`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProducerStats {
     /// Epochs fully published.
@@ -604,12 +605,13 @@ pub struct ProducerStats {
     pub joins_rejected: u64,
 }
 
-/// Handle to a running producer.
+/// Handle to one running producer pipeline (one shard of a
+/// [`crate::Producer`]).
 ///
 /// Mirrors the paper's `producer.join()` clean-up call (Figure 3b): the
 /// producer thread runs every epoch, then waits for outstanding acks and
 /// publishes `End`.
-pub struct TensorProducer {
+pub(crate) struct TensorProducer {
     handle: Option<std::thread::JoinHandle<ProducerStats>>,
     stop: Arc<AtomicBool>,
 }
@@ -623,44 +625,10 @@ impl std::fmt::Debug for TensorProducer {
 }
 
 impl TensorProducer {
-    /// Spawns the producer thread over `source`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `tensorsocket::Producer::builder()…spawn(source)` — one facade for \
-                plain and sharded producers, with arena/pool/staging auto-sizing"
-    )]
-    pub fn spawn(
-        source: impl EpochSource,
-        ctx: &TsContext,
-        cfg: ProducerConfig,
-    ) -> Result<TensorProducer> {
-        Self::spawn_impl(source, ctx, cfg)
-    }
-
-    /// The non-deprecated spawn path shared by the legacy shim and the
-    /// [`crate::Producer`] builder.
-    pub(crate) fn spawn_impl(
-        source: impl EpochSource,
-        ctx: &TsContext,
-        cfg: ProducerConfig,
-    ) -> Result<TensorProducer> {
-        Self::spawn_inner(source, ctx, cfg, None, 0)
-    }
-
-    /// Spawns one shard of a coordinated group (see
-    /// [`crate::ShardedProducerGroup`]): epoch boundaries, join admission
-    /// and pin release go through the coordinator.
-    pub(crate) fn spawn_sharded(
-        source: impl EpochSource,
-        ctx: &TsContext,
-        cfg: ProducerConfig,
-        coordinator: Arc<EpochCoordinator>,
-        shard: u32,
-    ) -> Result<TensorProducer> {
-        Self::spawn_inner(source, ctx, cfg, Some(coordinator), shard)
-    }
-
-    fn spawn_inner(
+    /// Spawns the producer thread over `source` — standalone, or as shard
+    /// `shard` of a group when `coord` is given: epoch boundaries, join
+    /// admission and pin release then go through the coordinator.
+    pub(crate) fn spawn(
         source: impl EpochSource,
         ctx: &TsContext,
         cfg: ProducerConfig,
@@ -833,18 +801,18 @@ impl TensorProducer {
     }
 
     /// Requests the producer to stop after the batch in flight.
-    pub fn abort(&self) {
+    pub(crate) fn abort(&self) {
         self.stop.store(true, Ordering::Relaxed);
     }
 
     /// Waits for the producer to finish all epochs and shut down cleanly.
     ///
-    /// Joining an [`TensorProducer::abort`]ed producer is not an error: the
-    /// partial [`ProducerStats`] accumulated up to the abort are returned
-    /// (with `epochs_completed` short of the configured count), and the
+    /// Joining an aborted producer is not an error: the partial
+    /// [`ProducerStats`] accumulated up to the abort are returned (with
+    /// `epochs_completed` short of the configured count), and the
     /// producer skips the outstanding-ack drain so the join returns
     /// promptly. `Err` is reserved for a panicked producer thread.
-    pub fn join(mut self) -> Result<ProducerStats> {
+    pub(crate) fn join(mut self) -> Result<ProducerStats> {
         let handle = self.handle.take().expect("join called once");
         handle
             .join()
@@ -892,8 +860,8 @@ struct LiveBatch {
 struct ProducerLoop {
     ctx: TsContext,
     cfg: ProducerConfig,
-    /// Group coordinator when this loop is one shard of a
-    /// [`crate::ShardedProducerGroup`].
+    /// Group coordinator when this loop is one shard of a sharded
+    /// [`crate::Producer`].
     coord: Option<Arc<EpochCoordinator>>,
     /// Shard index within the group (0 when uncoordinated).
     shard: u32,
@@ -996,7 +964,7 @@ impl ProducerLoop {
         self.loader_batches = source.batches_per_epoch() as u64;
         self.loader_batch_size = source.batch_size() as u64;
         self.welcome = Some(WelcomeInfo {
-            version: HANDSHAKE_VERSION,
+            version: WIRE_VERSION,
             shards: self
                 .coord
                 .as_ref()
@@ -2019,8 +1987,8 @@ impl ProducerLoop {
         // monitor, where it would register a phantom consumer.
         if let CtrlMsg::Hello {
             token,
-            version,
             caps: hello_caps,
+            ..
         } = ctrl
         {
             // Capability bits we do not know yet are ignored (the peer
@@ -2032,20 +2000,13 @@ impl ProducerLoop {
                     .counter("producer.hello_unknown_caps")
                     .inc();
             }
+            // Whatever version the HELLO declares, the answer is this
+            // build's WELCOME: the caller compares versions and fails
+            // typed on a mismatch.
             if let Some(mut info) = self.welcome.clone() {
-                // An older caller cannot decode the newer trailing
-                // sections: answer in its own dialect (the encoder drops
-                // the trailing bytes beyond the encoded version, producing
-                // the exact older frame).
-                if version < HANDSHAKE_VERSION {
-                    info.version = version.clamp(1, HANDSHAKE_VERSION);
-                }
-                // Stamp the durable-log ad per HELLO — the retained range
-                // moves with appends and retention. Encoded only into v3+
-                // frames.
-                if info.version >= 3 {
-                    info.log = self.log_ad();
-                }
+                // Stamped per HELLO — the retained range moves with
+                // appends and retention.
+                info.log = self.log_ad();
                 let reply = DataMsg::Welcome { token, info };
                 let _ = self
                     .publisher
@@ -2078,8 +2039,8 @@ impl ProducerLoop {
             payload.verdict = self.trace.verdict();
             let reply = DataMsg::Stats {
                 token,
-                seq,
                 payload,
+                seq,
             };
             let _ = self
                 .publisher
@@ -2096,12 +2057,12 @@ impl ProducerLoop {
             let max = (max as usize).clamp(1, 256);
             let reply = DataMsg::Trace {
                 token,
-                seq,
                 payload: TracePayload {
-                    version: TRACE_VERSION,
+                    version: WIRE_VERSION,
                     now_ns: self.trace.now_ns(),
                     records: self.trace.last_n(max),
                 },
+                seq,
             };
             let _ = self
                 .publisher

@@ -23,7 +23,7 @@
 //! [`SimBackend`] routes allocation and traffic through the context's
 //! `ts-device` books, so Tables 3–4 accounting is unchanged to the byte.
 //! Each producer pipeline owns its own engine and pool — one per shard in
-//! a [`crate::ShardedProducerGroup`], mirroring the per-shard host slot
+//! a sharded [`crate::Producer`], mirroring the per-shard host slot
 //! pool binding.
 //!
 //! Exported staging metrics (via the context's [`ts_metrics::Registry`]):
@@ -35,7 +35,7 @@
 //! per batch) and `staging.copy_wait_ns` (how long a staged batch waited
 //! in the overlapped hand-off queue for the publish loop). Gauges and
 //! histograms are per-engine: a shard of a
-//! [`crate::ShardedProducerGroup`] reports them as `staging.s<shard>.
+//! sharded [`crate::Producer`] reports them as `staging.s<shard>.
 //! <name>` so concurrent shards never clobber each other.
 
 use crate::runtime::config::ProducerConfig;

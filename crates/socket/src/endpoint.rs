@@ -166,7 +166,7 @@ pub fn channel_endpoint(base: &str, channel: &str) -> String {
 /// `(base, shards)` plus an optional sparse **override table**: a
 /// multi-host producer pins shard `i`'s base to an explicit URI (a
 /// different host, say) instead of the scheme-derived default, and the
-/// v2 WELCOME carries the table so consumers rebuild the identical map.
+/// WELCOME carries the table so consumers rebuild the identical map.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EndpointMap {
     base: String,
@@ -210,7 +210,7 @@ impl EndpointMap {
         }
     }
 
-    /// The sparse override table, sorted by shard (what the v2 WELCOME
+    /// The sparse override table, sorted by shard (what the WELCOME
     /// advertises).
     pub fn overrides(&self) -> &[(u32, String)] {
         &self.overrides

@@ -33,26 +33,9 @@
 //! pool from the loader's own geometry (`.arena(path)`), instead of
 //! asking you to compute slot counts.
 //!
-//! # Migrating from the legacy API
-//!
-//! The pre-builder types still compile behind `#[deprecated]` shims that
-//! delegate to the same engine; move off them mechanically:
-//!
-//! | legacy                                                        | builder |
-//! |---------------------------------------------------------------|---------|
-//! | `TensorProducer::spawn(loader, &ctx, cfg)`                    | `Producer::builder().context(&ctx).config(cfg).spawn(loader)` |
-//! | `ShardedProducerGroup::spawn(loaders, &ctx, cfg)`             | `Producer::builder().context(&ctx).config(cfg).spawn_sharded(loaders)` |
-//! | `ctx.create_arena(path, nslots, slot_size)` + `ctx.enable_slot_recycling(depth)` | `.arena(path)` (auto-sized) or `.arena_sized(path, nslots, slot_size)` |
-//! | `TensorConsumer::connect(&ctx, ConsumerConfig { endpoint, .. })` | `Consumer::builder().context(&ctx).connect(endpoint)` |
-//! | `ConsumerConfig { shards: N, .. }`                            | nothing — the handshake learns `N` (assert with `.shards(N)`) |
-//! | `ctx.open_arena(path)` before connecting                      | nothing — the handshake advertises the arena |
-//! | `for batch in consumer { .. }` then check `stop_reason()`     | `for batch in consumer { let batch = batch?; .. }` |
-//!
-//! Config structs (`ProducerConfig`, `ConsumerConfig`) are still public —
-//! `.config(cfg)` seeds a builder from one — and each knob also has a
-//! dedicated builder method. A `Producer` spawned from one source is a
-//! plain pipeline; from `N` sources it is the coordinated sharded group
-//! (`shards = 1` is just the degenerate case of the same facade).
+//! Every knob has a builder method; `.config(cfg)` seeds a builder from a
+//! whole `ProducerConfig`. A `Producer` spawned from one source is a
+//! plain pipeline; from `N` sources it is the coordinated sharded group.
 //!
 //! # Endpoint URIs
 //!
@@ -75,24 +58,26 @@
 //! endpoint plus `.arena(path)` on the producer — and *only* the
 //! endpoint on the consumers.
 //!
-//! # Migrating from handshake v1 to v2 (multi-host)
+//! # Multi-host topologies and the wire contract
 //!
-//! Handshake v2 keeps every v1 deployment working unchanged — a v1
-//! consumer attaches to a v2 producer and vice versa (the v2 extensions
-//! ride in trailing bytes a v1 decoder never reads). What v2 *adds* is
-//! the multi-host data plane; migrate per deployment, not per codebase:
+//! Shards need not share a host: `.shard_endpoint(i, "tcp://other:port")`
+//! pins shard `i` elsewhere and the WELCOME advertises the full map, so
+//! consumers need no change (shard 0 is the handshake endpoint and comes
+//! from the *base* endpoint — overriding it on a multi-shard group is a
+//! config error). How payload bytes travel is negotiated per consumer: one
+//! that cannot open the advertised arena falls back to length-prefixed
+//! byte **streaming** on the same data socket, bit-identical to the shm
+//! stream; `.payload_mode(PayloadMode::Stream)` or
+//! `TS_FORCE_PAYLOAD_MODE=stream` forces that shape over any transport,
+//! and a pinned `.payload_mode(Shm)` turns an unopenable arena into the
+//! typed `HandshakeError::ArenaMissing` at attach.
 //!
-//! | v1 deployment                                    | v2 |
-//! |--------------------------------------------------|----|
-//! | all shards derived from one base endpoint        | unchanged — `tcp://host:port` still derives `port + 2·shard` |
-//! | shards must share one host/NIC                   | `.shard_endpoint(i, "tcp://other-host:port")` per shard; the WELCOME advertises the full map, consumers need **no** change |
-//! | consumers must map the producer's shm arena      | negotiated per consumer: a consumer that cannot open the arena falls back to length-prefixed byte **streaming** on the same data socket, bit-identical to the shm stream |
-//! | `ctx.open_arena(..)` failures at first batch     | typed at attach: `HandshakeError::ArenaMissing` (pinned `.payload_mode(Shm)`) or a clean streamed attach (unpinned) |
-//! | no way to test the remote shape locally          | `.payload_mode(PayloadMode::Stream)` or `TS_FORCE_PAYLOAD_MODE=stream` forces streaming over any transport |
-//!
-//! Note one topology rule: shard 0's endpoint is the handshake endpoint
-//! consumers hello at, so it comes from the *base* endpoint —
-//! `.shard_endpoint(0, ..)` on a multi-shard group is a config error.
+//! Everything on the sockets shares one version
+//! (`tensorsocket::WIRE_VERSION`) and one rule: trailing bytes and unknown
+//! tags or capability bits are counted and ignored; anything else bumps
+//! the version, the producer answers in its own, and the client side
+//! fails promptly with `HandshakeError::Version` (see the crate docs'
+//! *Wire contract*).
 //!
 //! # Pipeline tuning
 //!
@@ -124,8 +109,7 @@
 //! `(epoch, shard, seq)` — round-robin across shards aligned at an epoch
 //! boundary, exhausted shards dropping out on uneven tails — so every
 //! consumer sees one bit-stable stream for a given `(seed, shard count)`
-//! no matter how the shards race each other. With one shard the stream
-//! is byte-identical to a plain producer's. The second act of `main`
+//! no matter how the shards race each other. The second act of `main`
 //! below runs the same dataset through a 2-shard group.
 //!
 //! # Device staging

@@ -252,7 +252,7 @@ fn trace_to_chrome(payload: &TracePayload) -> String {
 
 /// Per-interval rate of a counter between two frames, as a rendered
 /// cell. Uses the producer's own monotonic snapshot stamps when both
-/// frames carry them (stats v3), so the rate is immune to scrape
+/// frames carry them, so the rate is immune to scrape
 /// latency jitter; frames without stamps fall back to the wall
 /// interval. First frame (no previous) renders a dash.
 fn rate_cell(name: &str, now: u64, prev: Option<&StatsPayload>, stats: &StatsPayload) -> String {

@@ -2,16 +2,11 @@
 //! synthetic dataset → codec decode → augmentation → multi-worker loader →
 //! producer → payload sharing → consumers, with GPU staging and traffic
 //! accounting.
-//!
-//! Deliberately exercises the deprecated `TensorProducer::spawn` /
-//! `TensorConsumer::connect` shims end to end: they must keep delegating
-//! to the same engine the `Producer`/`Consumer` builders drive.
-#![allow(deprecated)]
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
-use tensorsocket::{ConsumerConfig, ProducerConfig, TensorConsumer, TensorProducer, TsContext};
+use tensorsocket::{Consumer, ConsumerBuilder, PayloadMode, Producer, ProducerConfig, TsContext};
 use ts_data::{DataLoader, DataLoaderConfig, Pipeline, RandomCrop, SyntheticImageDataset};
 use ts_device::traffic::Channel;
 use ts_device::DeviceId;
@@ -46,30 +41,36 @@ fn producer_cfg(endpoint: &str) -> ProducerConfig {
     }
 }
 
-fn consumer_cfg(endpoint: &str) -> ConsumerConfig {
-    ConsumerConfig {
-        endpoint: endpoint.to_string(),
-        heartbeat_interval: Duration::from_millis(50),
-        recv_timeout: Duration::from_secs(10),
-        ..Default::default()
-    }
+fn spawn(loader: DataLoader, ctx: &TsContext, cfg: ProducerConfig) -> Producer {
+    Producer::builder()
+        .context(ctx)
+        .config(cfg)
+        .spawn(loader)
+        .unwrap()
+}
+
+fn consumer(ctx: &TsContext) -> ConsumerBuilder {
+    Consumer::builder()
+        .context(ctx)
+        .heartbeat_interval(Duration::from_millis(50))
+        .recv_timeout(Duration::from_secs(10))
 }
 
 #[test]
 fn three_consumers_train_on_identical_augmented_batches() {
     let ctx = TsContext::host_only();
     let ep = "inproc://e2e-1";
-    let producer = TensorProducer::spawn(image_loader(96, 8, 3), &ctx, producer_cfg(ep)).unwrap();
+    let producer = spawn(image_loader(96, 8, 3), &ctx, producer_cfg(ep));
     // connect all three before any consumption so nobody misses epoch 0
-    let consumers: Vec<TensorConsumer> = (0..3)
-        .map(|_| TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap())
+    let consumers: Vec<Consumer> = (0..3)
+        .map(|_| consumer(&ctx).connect(ep).unwrap())
         .collect();
     let handles: Vec<_> = consumers
         .into_iter()
         .map(|mut c| {
             std::thread::spawn(move || {
                 let mut checksums = Vec::new();
-                for batch in c.by_ref() {
+                for batch in c.by_ref().flatten() {
                     assert_eq!(batch.fields[0].shape(), &[8, 3, 32, 32]);
                     checksums.push(ops::checksum(&batch.fields[0]));
                 }
@@ -100,10 +101,15 @@ fn gpu_staged_pipeline_accounts_pcie_and_releases_vram() {
     let mut cfg = producer_cfg(ep);
     cfg.epochs = 1;
     cfg.device = DeviceId::Gpu(0);
-    let producer = TensorProducer::spawn(image_loader(64, 8, 2), &ctx, cfg).unwrap();
-    let mut consumer = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
+    let producer = spawn(image_loader(64, 8, 2), &ctx, cfg);
+    // Pinned to pointer-passing: the assertions are about where the shared
+    // storage lives, which a streamed (host-rebuilt) batch cannot show.
+    let mut consumer = consumer(&ctx)
+        .payload_mode(PayloadMode::Shm)
+        .connect(ep)
+        .unwrap();
     let mut batches = 0u64;
-    for batch in consumer.by_ref() {
+    for batch in consumer.by_ref().flatten() {
         assert_eq!(batch.fields[0].device(), DeviceId::Gpu(0));
         assert!(batch.fields[0].is_contiguous());
         batches += 1;
@@ -120,23 +126,25 @@ fn gpu_staged_pipeline_accounts_pcie_and_releases_vram() {
 #[test]
 fn two_independent_sockets_coexist_in_one_context() {
     let ctx = TsContext::host_only();
-    let p1 =
-        TensorProducer::spawn(image_loader(32, 8, 2), &ctx, producer_cfg("inproc://a")).unwrap();
-    let p2 =
-        TensorProducer::spawn(image_loader(48, 8, 2), &ctx, producer_cfg("inproc://b")).unwrap();
+    let p1 = spawn(image_loader(32, 8, 2), &ctx, producer_cfg("inproc://a"));
+    let p2 = spawn(image_loader(48, 8, 2), &ctx, producer_cfg("inproc://b"));
     let c1 = {
         let ctx = ctx.clone();
         std::thread::spawn(move || {
-            TensorConsumer::connect(&ctx, consumer_cfg("inproc://a"))
+            consumer(&ctx)
+                .connect("inproc://a")
                 .unwrap()
+                .flatten()
                 .count()
         })
     };
     let c2 = {
         let ctx = ctx.clone();
         std::thread::spawn(move || {
-            TensorConsumer::connect(&ctx, consumer_cfg("inproc://b"))
+            consumer(&ctx)
+                .connect("inproc://b")
                 .unwrap()
+                .flatten()
                 .count()
         })
     };
@@ -150,19 +158,19 @@ fn two_independent_sockets_coexist_in_one_context() {
 fn consumers_with_different_speeds_see_every_batch() {
     let ctx = TsContext::host_only();
     let ep = "inproc://e2e-3";
-    let producer = TensorProducer::spawn(image_loader(64, 8, 2), &ctx, producer_cfg(ep)).unwrap();
-    let mut fast_c = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
-    let mut slow_c = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
+    let producer = spawn(image_loader(64, 8, 2), &ctx, producer_cfg(ep));
+    let mut fast_c = consumer(&ctx).connect(ep).unwrap();
+    let mut slow_c = consumer(&ctx).connect(ep).unwrap();
     let fast = std::thread::spawn(move || {
         let mut seqs = BTreeSet::new();
-        for b in fast_c.by_ref() {
+        for b in fast_c.by_ref().flatten() {
             seqs.insert(b.seq);
         }
         seqs
     });
     let slow = std::thread::spawn(move || {
         let mut seqs = BTreeSet::new();
-        for b in slow_c.by_ref() {
+        for b in slow_c.by_ref().flatten() {
             seqs.insert(b.seq);
             std::thread::sleep(Duration::from_millis(3));
         }
@@ -182,14 +190,13 @@ fn dropped_consumer_does_not_leak_memory() {
     let mut cfg = producer_cfg(ep);
     cfg.epochs = 1;
     cfg.heartbeat_timeout = Duration::from_millis(300);
-    let producer = TensorProducer::spawn(image_loader(64, 8, 2), &ctx, cfg).unwrap();
+    let producer = spawn(image_loader(64, 8, 2), &ctx, cfg);
     let survivor = {
         let ctx = ctx.clone();
-        let cfg = consumer_cfg(ep);
         std::thread::spawn(move || {
-            let mut c = TensorConsumer::connect(&ctx, cfg).unwrap();
+            let mut c = consumer(&ctx).connect(ep).unwrap();
             let mut n = 0;
-            for _ in c.by_ref() {
+            for _ in c.by_ref().flatten() {
                 n += 1;
             }
             n
@@ -197,7 +204,7 @@ fn dropped_consumer_does_not_leak_memory() {
     };
     // this consumer takes two batches and leaves mid-epoch
     {
-        let mut quitter = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
+        let mut quitter = consumer(&ctx).connect(ep).unwrap();
         let _ = quitter.next().unwrap();
         let _ = quitter.next().unwrap();
     }

@@ -3,8 +3,11 @@
 //! [`HandshakeError`] — never as a hang, and never as a consumer silently
 //! training on the wrong topology.
 //!
-//! * **version skew** — a consumer speaking a future handshake version
-//!   gets [`HandshakeError::Version`] carrying both versions;
+//! * **version skew** — a consumer attaching to a producer that speaks
+//!   another wire version gets [`HandshakeError::Version`] carrying both
+//!   versions, decided from the version field at the head of the WELCOME
+//!   alone; a producer hello'd at a foreign version still answers, in its
+//!   own version, and registers nobody;
 //! * **`shards` override mismatch** — a consumer that insists on a shard
 //!   count the producer does not advertise gets
 //!   [`HandshakeError::Topology`];
@@ -23,10 +26,13 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use tensorsocket::protocol::messages::topics;
 use tensorsocket::{
-    Consumer, HandshakeError, PayloadMode, Producer, ProducerConfig, TsError, HANDSHAKE_VERSION,
+    Consumer, CtrlMsg, DataMsg, HandshakeError, PayloadMode, Producer, ProducerConfig, TsError,
+    WIRE_VERSION,
 };
 use ts_data::{DataLoader, DataLoaderConfig, SyntheticImageDataset};
+use ts_socket::{EndpointMap, Multipart, PubSocket, PullSocket, PushSocket, SubSocket};
 
 const GUARD: Duration = Duration::from_secs(20);
 
@@ -90,27 +96,99 @@ fn expect_error(connect: impl FnOnce() -> tensorsocket::Result<Consumer>) -> (Ts
 
 #[test]
 fn version_skew_yields_typed_error_promptly() {
+    // A fake producer on raw sockets answers every HELLO with a WELCOME
+    // one version ahead whose body is nothing this build can parse: only
+    // the `tag, token, version` head is shared across versions, and that
+    // head alone must produce the typed error.
     for (scheme, ep) in endpoints("ver", 0) {
-        let producer = Producer::builder()
-            .config(producer_cfg(&ep))
-            .spawn(loader(1).remove(0))
-            .expect("spawn producer");
-        let (err, _) = expect_error(|| {
-            Consumer::builder()
-                .hello_version(HANDSHAKE_VERSION + 41)
-                .handshake_timeout(GUARD)
-                .connect(&ep)
+        let sockets = ts_socket::Context::new();
+        let map = EndpointMap::new(&ep, 1);
+        let publisher = PubSocket::bind(&sockets, &map.data(0)).expect("bind data");
+        let ctrl = PullSocket::bind(&sockets, &map.ctrl(0)).expect("bind ctrl");
+        let fake = std::thread::spawn(move || {
+            while let Ok(msg) = ctrl.recv_timeout(Duration::from_secs(2)) {
+                if let Ok(CtrlMsg::Hello { token, .. }) = CtrlMsg::decode(&msg.frames()[0]) {
+                    let mut welcome = vec![5u8];
+                    welcome.extend_from_slice(&token.to_le_bytes());
+                    welcome.extend_from_slice(&(WIRE_VERSION + 1).to_le_bytes());
+                    welcome.extend_from_slice(b"a body laid out like nothing this build knows");
+                    let _ = publisher.send(
+                        &topics::hello(token),
+                        Multipart::single(bytes::Bytes::from(welcome)),
+                    );
+                }
+            }
         });
+        let (err, elapsed) =
+            expect_error(|| Consumer::builder().handshake_timeout(GUARD).connect(&ep));
         assert_eq!(
             err,
             TsError::Handshake(HandshakeError::Version {
-                ours: HANDSHAKE_VERSION + 41,
-                theirs: HANDSHAKE_VERSION,
+                ours: WIRE_VERSION,
+                theirs: WIRE_VERSION + 1,
             }),
             "{scheme}: wrong error"
         );
-        producer.abort();
-        producer.join().expect("producer join");
+        assert!(
+            elapsed < GUARD / 4,
+            "{scheme}: the version verdict took {elapsed:?}"
+        );
+        fake.join().expect("fake producer");
+    }
+}
+
+#[test]
+fn producer_answers_a_foreign_version_hello_in_its_own_version() {
+    for (scheme, ep) in endpoints("foreign", 6) {
+        let arena_path = std::env::temp_dir().join(format!(
+            "ts-hs-foreign-{scheme}-{}.arena",
+            std::process::id()
+        ));
+        let producer = Producer::builder()
+            .config(producer_cfg(&ep))
+            .arena(&arena_path)
+            .spawn(loader(1).remove(0))
+            .expect("spawn producer");
+        // A raw HELLO from "version 45", re-sent until answered (the
+        // subscription may still be propagating).
+        let sockets = ts_socket::Context::new();
+        let map = EndpointMap::new(&ep, 1);
+        let token = 0xF0E1_u64;
+        let sub = SubSocket::connect(&sockets, &map.data(0));
+        sub.subscribe(&topics::hello(token));
+        let push = PushSocket::connect(&sockets, &map.ctrl(0));
+        let hello = CtrlMsg::Hello {
+            token,
+            version: WIRE_VERSION + 41,
+            caps: u32::MAX,
+        }
+        .encode();
+        let started = Instant::now();
+        let info = loop {
+            let _ = push.send(Multipart::single(hello.clone()));
+            if let Ok((_, msg)) = sub.recv_timeout(Duration::from_millis(50)) {
+                match DataMsg::decode(&msg.frames()[0]) {
+                    Ok(DataMsg::Welcome { token: t, info }) if t == token => break info,
+                    other => panic!("{scheme}: expected our WELCOME, got {other:?}"),
+                }
+            }
+            assert!(started.elapsed() < GUARD, "{scheme}: HELLO never answered");
+        };
+        assert_eq!(info.version, WIRE_VERSION, "{scheme}: its own version");
+        assert_eq!(info.shards, 1, "{scheme}");
+        // The HELLO registered nobody: the producer is still waiting for
+        // its first consumer, and the one that now attaches is the only
+        // one it ever counts.
+        let consumer = Consumer::builder()
+            .handshake_timeout(GUARD)
+            .recv_timeout(Duration::from_secs(10))
+            .heartbeat_interval(Duration::from_millis(50))
+            .connect(&ep)
+            .expect("real consumer attaches");
+        assert_eq!(consumer.flatten().count(), 16, "{scheme}: full epoch");
+        let stats = producer.join().expect("producer join");
+        assert_eq!(stats.peak_consumers, 1, "{scheme}: phantom consumer");
+        assert_eq!(stats.consumers_detached, 0, "{scheme}");
     }
 }
 
@@ -177,7 +255,7 @@ fn unopenable_arena_yields_typed_error_promptly() {
 #[test]
 fn unopenable_arena_falls_back_to_streamed_payloads() {
     // The same stale-path shape as above, but the consumer leaves the
-    // payload mode unpinned: the v2 handshake grants streaming, so the
+    // payload mode unpinned: the handshake grants streaming, so the
     // attach succeeds in streamed mode and the epoch still delivers.
     for (scheme, ep) in endpoints("fallback", 4) {
         let arena_path = std::env::temp_dir().join(format!(
@@ -238,44 +316,6 @@ fn forced_streaming_from_flex_producer_yields_mode_error() {
             other => panic!("{scheme}: expected Mode error, got {other:?}"),
         }
         producer.abort();
-        producer.join().expect("producer join");
-    }
-}
-
-#[test]
-fn v1_consumer_attaches_to_a_v2_producer_and_streams() {
-    // Mixed-version fleet, the compat direction that matters in a
-    // rolling upgrade: a consumer still speaking handshake v1 hellos a
-    // v2 producer. The producer answers in the v1 dialect (no trailing
-    // v2 extensions), the consumer lands on the v1 default payload mode
-    // (shm) and streams the full epoch.
-    for (scheme, ep) in endpoints("v1", 6) {
-        let arena_path =
-            std::env::temp_dir().join(format!("ts-hs-v1-{scheme}-{}.arena", std::process::id()));
-        let producer = Producer::builder()
-            .config(producer_cfg(&ep))
-            .arena(&arena_path)
-            .spawn(loader(1).remove(0))
-            .expect("spawn v2 producer");
-        let mut consumer = Consumer::builder()
-            .hello_version(HANDSHAKE_VERSION - 1)
-            .handshake_timeout(GUARD)
-            .recv_timeout(Duration::from_secs(10))
-            .heartbeat_interval(Duration::from_millis(50))
-            .connect(&ep)
-            .expect("v1 consumer attaches");
-        assert_eq!(
-            consumer.payload_mode(),
-            PayloadMode::Shm,
-            "{scheme}: v1 welcomes carry no grant mask — the consumer \
-             must land on the v1 default"
-        );
-        let mut batches = 0;
-        for b in consumer.by_ref() {
-            b.expect("clean v1 stream");
-            batches += 1;
-        }
-        assert_eq!(batches, 16, "{scheme}: full epoch in the v1 dialect");
         producer.join().expect("producer join");
     }
 }

@@ -149,7 +149,7 @@ fn fresh_group_late_join_replays_full_history() {
         .expect("witness connect");
     assert!(
         witness.welcome().log.is_some(),
-        "v3 WELCOME must advertise the log"
+        "the WELCOME must advertise the log"
     );
 
     // Late joiner starts once the witness is into epoch 1, so at least

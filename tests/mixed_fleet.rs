@@ -1,7 +1,7 @@
 //! Mixed-fleet data plane: one producer group serving shm-pointer and
 //! streamed-byte consumers **simultaneously**, over `tcp://`.
 //!
-//! This is the headline correctness claim of the v2 handshake: payload
+//! The headline correctness claim of payload-mode negotiation: payload
 //! mode is a per-consumer transport detail negotiated at attach, never a
 //! property of the stream. A consumer that maps the producer's arena
 //! reads pointers; a consumer that cannot (a remote host, simulated here

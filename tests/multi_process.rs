@@ -14,18 +14,16 @@
 //!   small arena survives `epochs × batches` allocations, and is fully
 //!   free after the run.
 //!
-//! The producer runs through the legacy (`#[deprecated]`) shim while the
+//! The producer binds an arena it sized by hand (deliberately small); the
 //! consumer processes attach with `Consumer::builder().connect(endpoint)`
 //! and **nothing else** — no arena path, no configuration: the attach
-//! handshake carries the arena advertisement, proving the new facade
-//! interoperates with every legacy-spawned topology.
-#![allow(deprecated)]
+//! handshake carries the arena advertisement.
 
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::Arc;
 use std::time::Duration;
-use tensorsocket::{Consumer, ProducerConfig, TensorProducer, TsContext};
+use tensorsocket::{Consumer, Producer, ProducerConfig, TsContext};
 use ts_data::{DataLoader, DataLoaderConfig, Dataset, DecodedSample, RawSample};
 use ts_device::DeviceId;
 use ts_tensor::Tensor;
@@ -214,10 +212,9 @@ fn multi_process_ipc_shared_arena() {
             ..Default::default()
         },
     );
-    let producer = TensorProducer::spawn(
-        loader,
-        &ctx,
-        ProducerConfig {
+    let producer = Producer::builder()
+        .context(&ctx)
+        .config(ProducerConfig {
             endpoint: endpoint.clone(),
             epochs: EPOCHS,
             // Wide join window so the second process usually rubberbands
@@ -227,9 +224,9 @@ fn multi_process_ipc_shared_arena() {
             heartbeat_timeout: Duration::from_secs(5),
             first_consumer_timeout: Some(Duration::from_secs(60)),
             ..Default::default()
-        },
-    )
-    .expect("spawn producer");
+        })
+        .spawn(loader)
+        .expect("spawn producer");
 
     let exe = std::env::current_exe().expect("test binary path");
     let children: Vec<_> = out_paths

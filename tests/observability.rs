@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tensorsocket::{
     scrape_stats, scrape_trace, Consumer, Producer, SpanKind, StatsPayload, TraceRecordSnap,
-    TsContext, STATS_VERSION, TRACE_VERSION,
+    TsContext, WIRE_VERSION,
 };
 use ts_data::{DataLoader, DataLoaderConfig, Dataset, DecodedSample, RawSample};
 use ts_device::DeviceId;
@@ -231,7 +231,7 @@ fn sharded_ipc_scrape_reports_per_shard_stage_histograms() {
         targets.iter().all(|t| hist_warm(s, t))
     });
 
-    assert_eq!(stats.version, STATS_VERSION);
+    assert_eq!(stats.version, WIRE_VERSION);
     for t in targets {
         assert_hist_nonzero(&stats, t);
     }
@@ -402,7 +402,7 @@ fn gpu_staging_histograms_flow_through_the_scrape() {
 
 #[test]
 fn stats_replies_echo_the_request_sequence_stamp() {
-    // The v2 scrape protocol: each StatsRequest carries a sequence stamp
+    // The scrape protocol: each StatsRequest carries a sequence stamp
     // and the producer echoes it verbatim in the Stats reply, so a
     // scraper can tell the answer to its in-flight request from a late
     // duplicate of an earlier round.
@@ -436,7 +436,7 @@ fn stats_replies_echo_the_request_sequence_stamp() {
         push.send(ts_socket::Multipart::single(
             CtrlMsg::StatsRequest {
                 token,
-                version: STATS_VERSION,
+                version: WIRE_VERSION,
                 seq: 7,
             }
             .encode(),
@@ -459,6 +459,68 @@ fn stats_replies_echo_the_request_sequence_stamp() {
     let consumed = consumer.join().expect("consumer thread");
     assert_eq!(consumed, 32);
     producer.join().expect("producer join");
+}
+
+#[test]
+fn scrapes_reject_unstamped_and_foreign_version_replies() {
+    // A fake producer on raw sockets that answers every stats request
+    // with stamp 0 (a reply to no attempt in particular) and every trace
+    // request in another wire version. The stats scrape must treat the
+    // unstamped replies as stale duplicates and time out; the trace
+    // scrape must fail typed, from the version at the reply's head.
+    use tensorsocket::protocol::messages::{topics, CtrlMsg, DataMsg, TracePayload};
+    use tensorsocket::{HandshakeError, TsError};
+
+    let endpoint = ipc_endpoint("scrape-reject");
+    let sockets = ts_socket::Context::new();
+    let map = ts_socket::EndpointMap::new(&endpoint, 1);
+    let publisher = ts_socket::PubSocket::bind(&sockets, &map.data(0)).expect("bind data");
+    let ctrl = ts_socket::PullSocket::bind(&sockets, &map.ctrl(0)).expect("bind ctrl");
+    let fake = std::thread::spawn(move || {
+        while let Ok(msg) = ctrl.recv_timeout(Duration::from_secs(2)) {
+            let (topic, reply) = match CtrlMsg::decode(&msg.frames()[0]) {
+                Ok(CtrlMsg::StatsRequest { token, .. }) => (
+                    topics::stats(token),
+                    DataMsg::Stats {
+                        token,
+                        payload: StatsPayload {
+                            version: WIRE_VERSION,
+                            ..Default::default()
+                        },
+                        seq: 0,
+                    },
+                ),
+                Ok(CtrlMsg::TraceRequest { token, seq, .. }) => (
+                    topics::trace(token),
+                    DataMsg::Trace {
+                        token,
+                        payload: TracePayload {
+                            version: WIRE_VERSION + 1,
+                            ..Default::default()
+                        },
+                        seq,
+                    },
+                ),
+                _ => continue,
+            };
+            let _ = publisher.send(&topic, ts_socket::Multipart::single(reply.encode()));
+        }
+    });
+    let ctx = TsContext::host_only();
+    assert_eq!(
+        scrape_stats(&ctx, &endpoint, Duration::from_millis(400)).unwrap_err(),
+        TsError::Timeout("stats snapshot"),
+        "a reply stamped 0 answers no attempt"
+    );
+    assert!(ctx.metrics.counter("producer.stats_dup").get() >= 1);
+    assert_eq!(
+        scrape_trace(&ctx, &endpoint, 8, Duration::from_secs(10)).unwrap_err(),
+        TsError::Handshake(HandshakeError::Version {
+            ours: WIRE_VERSION,
+            theirs: WIRE_VERSION + 1,
+        })
+    );
+    fake.join().expect("fake producer");
 }
 
 /// The recorded `(start, end)` of `kind`, or a panic naming the record.
@@ -538,7 +600,7 @@ fn flight_recorder_traces_batches_end_to_end_over_the_wire() {
         );
         std::thread::sleep(Duration::from_millis(25));
     };
-    assert_eq!(payload.version, TRACE_VERSION);
+    assert_eq!(payload.version, WIRE_VERSION);
     assert!(payload.now_ns > 0);
 
     let mut shards_seen = std::collections::BTreeSet::new();
@@ -617,7 +679,7 @@ fn watchdog_names_the_straggling_consumer_in_its_verdict() {
     // without acking. The producer's watchdog must classify the stall as
     // consumer-straggler, name the offending consumer id in its verdict,
     // and surface both through the scraped stats snapshot (verdict +
-    // `watchdog.stalls.consumer` counter + the v3 uptime/snapshot
+    // `watchdog.stalls.consumer` counter + the uptime/snapshot
     // stamps).
     const STRAGGLER: u64 = 7777;
     let endpoint = ipc_endpoint("watchdog");
@@ -667,10 +729,10 @@ fn watchdog_names_the_straggling_consumer_in_its_verdict() {
         stats.counter("watchdog.stalls.consumer").unwrap_or(0) >= 1,
         "the stall must be counted"
     );
-    assert!(stats.uptime_ns > 0, "v3 snapshots carry producer uptime");
+    assert!(stats.uptime_ns > 0, "snapshots carry producer uptime");
     assert!(
         stats.snapshot_ns > 0,
-        "v3 snapshots carry a monotonic snapshot stamp"
+        "snapshots carry a monotonic snapshot stamp"
     );
 
     go.send(()).unwrap();

@@ -4,7 +4,8 @@ use proptest::prelude::*;
 use tensorsocket::protocol::buffer::BatchWindow;
 use tensorsocket::protocol::flex::{covers_producer_batch, plan_flex};
 use tensorsocket::protocol::messages::{
-    AnnounceContent, BatchAnnounce, CtrlMsg, DataMsg, FlexBatchPayload, JoinDecision, PayloadMode,
+    AnnounceContent, ArenaAd, BatchAnnounce, CtrlMsg, DataMsg, FlexBatchPayload, JoinDecision,
+    LogAd, PayloadMode, ReplayFrom, StatsPayload, StreamedTensor, TracePayload, WelcomeInfo,
 };
 use ts_baselines::DependentSampler;
 use ts_device::DeviceId;
@@ -86,98 +87,406 @@ proptest! {
 // wire codec
 // ---------------------------------------------------------------------------
 
-fn arb_payload() -> impl Strategy<Value = TensorPayload> {
-    (
-        any::<u64>(),
-        0u8..4,
-        prop::collection::vec(1usize..64, 1..4),
-        any::<u16>(),
-    )
-        .prop_map(|(storage_id, gpu, shape, offset)| {
-            let strides = ts_tensor::contiguous_strides(&shape);
-            TensorPayload {
-                storage_id,
-                device: if gpu == 0 {
-                    DeviceId::Cpu
-                } else {
-                    DeviceId::Gpu(gpu)
+/// Deterministic value source for the message generators below: one
+/// proptest seed expands into every variant of both message enums, nested
+/// types included.
+struct Gen(u64);
+
+impl Gen {
+    fn u64(&mut self) -> u64 {
+        // splitmix64
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn u32(&mut self) -> u32 {
+        self.u64() as u32
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.u64() % n as u64) as usize
+    }
+
+    fn flag(&mut self) -> bool {
+        self.u64() & 1 == 1
+    }
+
+    fn vec<T>(&mut self, max: usize, mut item: impl FnMut(&mut Gen) -> T) -> Vec<T> {
+        (0..self.below(max + 1)).map(|_| item(self)).collect()
+    }
+
+    fn string(&mut self) -> String {
+        let chars = ['a', 'Z', '7', '/', ' ', 'é', 'ю', '樹'];
+        self.vec(12, |g| chars[g.below(chars.len())])
+            .into_iter()
+            .collect()
+    }
+
+    fn payload(&mut self) -> TensorPayload {
+        let shape = (0..1 + self.below(3))
+            .map(|_| 1 + self.below(63))
+            .collect::<Vec<_>>();
+        TensorPayload {
+            storage_id: self.u64(),
+            device: match self.below(4) {
+                0 => DeviceId::Cpu,
+                gpu => DeviceId::Gpu(gpu as u8),
+            },
+            dtype: DType::U8,
+            strides: ts_tensor::contiguous_strides(&shape),
+            shape,
+            offset: self.below(1 << 16),
+            // both in-process and cross-process payloads
+            shm: self.flag().then(|| ts_shm::ShmHandle {
+                slot: self.u32(),
+                generation: self.u32() | 1,
+                len: self.u64(),
+            }),
+        }
+    }
+
+    fn streamed(&mut self) -> StreamedTensor {
+        StreamedTensor {
+            dtype: [DType::U8, DType::F32, DType::I64][self.below(3)],
+            shape: self.vec(3, |g| g.u64()),
+            bytes: bytes::Bytes::from(self.vec(24, |g| g.u64() as u8)),
+        }
+    }
+
+    fn content(&mut self, kind: usize) -> AnnounceContent {
+        match kind {
+            0 => AnnounceContent::Shared {
+                fields: self.vec(3, Gen::payload),
+                labels: self.payload(),
+            },
+            1 => AnnounceContent::Flex {
+                batches: self.vec(2, |g| FlexBatchPayload {
+                    fields: g.vec(2, |g| g.vec(2, Gen::payload)),
+                    labels: g.vec(2, Gen::payload),
+                }),
+            },
+            _ => AnnounceContent::Streamed {
+                fields: self.vec(3, Gen::streamed),
+                labels: self.streamed(),
+            },
+        }
+    }
+
+    fn named<T>(&mut self, mut value: impl FnMut(&mut Gen) -> T) -> Vec<(String, T)> {
+        self.vec(3, |g| (g.string(), value(g)))
+    }
+}
+
+const CTRL_KINDS: usize = 12;
+
+fn ctrl_msg(kind: usize, g: &mut Gen) -> CtrlMsg {
+    match kind {
+        0 => CtrlMsg::Join {
+            consumer_id: g.u64(),
+            batch_size: g.u32(),
+            mode: if g.flag() {
+                PayloadMode::Stream
+            } else {
+                PayloadMode::Shm
+            },
+        },
+        1 => CtrlMsg::Ready {
+            consumer_id: g.u64(),
+        },
+        2 => CtrlMsg::Ack {
+            consumer_id: g.u64(),
+            seq: g.u64(),
+        },
+        3 => CtrlMsg::Heartbeat {
+            consumer_id: g.u64(),
+        },
+        4 => CtrlMsg::Leave {
+            consumer_id: g.u64(),
+        },
+        5 => CtrlMsg::Hello {
+            token: g.u64(),
+            version: g.u32(),
+            caps: g.u32(),
+        },
+        6 => CtrlMsg::StatsRequest {
+            token: g.u64(),
+            version: g.u32(),
+            seq: g.u32(),
+        },
+        7 => CtrlMsg::TraceRequest {
+            token: g.u64(),
+            version: g.u32(),
+            seq: g.u32(),
+            max: g.u32(),
+        },
+        8..=10 => CtrlMsg::Replay {
+            consumer_id: g.u64(),
+            group: g.string(),
+            from: match kind {
+                8 => ReplayFrom::Cursor,
+                9 => ReplayFrom::Oldest,
+                _ => ReplayFrom::Seq(g.u64()),
+            },
+        },
+        _ => CtrlMsg::Unknown {
+            tag: 9 + g.below(247) as u8,
+        },
+    }
+}
+
+const DATA_KINDS: usize = 16;
+
+fn data_msg(kind: usize, g: &mut Gen) -> DataMsg {
+    match kind {
+        0 => DataMsg::EpochStart {
+            epoch: g.u64(),
+            num_batches: g.u64(),
+        },
+        1..=3 => DataMsg::Batch(BatchAnnounce {
+            seq: g.u64(),
+            epoch: g.u64(),
+            index_in_epoch: g.u64(),
+            last_in_epoch: g.flag(),
+            content: g.content(kind - 1),
+        }),
+        4..=6 => DataMsg::JoinReply {
+            consumer_id: g.u64(),
+            decision: match kind {
+                4 => JoinDecision::AdmitReplay {
+                    epoch: g.u64(),
+                    replay_from: g.u64(),
+                    num_batches: g.u64(),
+                    start_seq: g.u64(),
                 },
-                dtype: DType::U8,
-                shape,
-                strides,
-                offset: offset as usize,
-                // exercise both in-process and cross-process payloads
-                shm: if storage_id % 2 == 0 {
-                    Some(ts_shm::ShmHandle {
-                        slot: gpu as u32,
-                        generation: storage_id as u32 | 1,
-                        len: offset as u64,
-                    })
+                5 => JoinDecision::WaitEpoch { epoch: g.u64() },
+                _ => JoinDecision::Reject { reason: g.string() },
+            },
+        },
+        7 => DataMsg::Detached {
+            consumer_id: g.u64(),
+        },
+        8 => DataMsg::End,
+        // Welcome: bare, and with arena + overrides + log.
+        9 | 10 => DataMsg::Welcome {
+            token: g.u64(),
+            info: WelcomeInfo {
+                version: g.u32(),
+                shards: g.u32(),
+                batch_size: g.u32(),
+                flex_producer_batch: g.u32(),
+                staging: g.u64() as u8,
+                arena: (kind == 10).then(|| ArenaAd {
+                    path: g.string(),
+                    nslots: g.u64(),
+                    slot_size: g.u64(),
+                }),
+                endpoint_overrides: if kind == 10 {
+                    g.named(Gen::u32)
                 } else {
-                    None
-                },
-            }
-        })
+                    Vec::new()
+                }
+                .into_iter()
+                .map(|(uri, shard)| (shard, uri))
+                .collect(),
+                payload_modes: g.u32(),
+                log: (kind == 10).then(|| LogAd {
+                    retained_min: g.u64(),
+                    retained_max: g.u64(),
+                }),
+            },
+        },
+        11 => DataMsg::Stats {
+            token: g.u64(),
+            payload: StatsPayload {
+                version: g.u32(),
+                counters: g.named(Gen::u64),
+                gauge_bits: g.named(Gen::u64),
+                histograms: g.named(|g| ts_metrics::HistogramSnapshot {
+                    count: g.u64(),
+                    sum: g.u64(),
+                    max: g.u64(),
+                    buckets: g.vec(4, |g| (g.u32(), g.u64())),
+                }),
+                uptime_ns: g.u64(),
+                snapshot_ns: g.u64(),
+                verdict: g.string(),
+            },
+            seq: g.u32(),
+        },
+        12 => DataMsg::Cursor {
+            shard: g.u32(),
+            epoch: g.u64(),
+            seq: g.u64(),
+            index_in_epoch: g.u64(),
+        },
+        13 => DataMsg::Trace {
+            token: g.u64(),
+            payload: TracePayload {
+                version: g.u32(),
+                now_ns: g.u64(),
+                records: g.vec(3, |g| ts_metrics::TraceRecordSnap {
+                    epoch: g.u64(),
+                    shard: g.u32(),
+                    seq: g.u64(),
+                    complete: g.flag(),
+                    spans: g.vec(4, |g| (g.u64() as u8, g.u64(), g.u64())),
+                }),
+            },
+            seq: g.u32(),
+        },
+        14 => DataMsg::LogInfo {
+            consumer_id: g.u64(),
+            start_seq: g.u64(),
+            start_epoch: g.u64(),
+            start_index: g.u64(),
+            live_seq: g.u64(),
+            retained_min: g.u64(),
+            retained_max: g.u64(),
+        },
+        _ => DataMsg::Unknown {
+            tag: 10 + g.below(246) as u8,
+        },
+    }
+}
+
+/// The three frame-level properties every message must have.
+fn assert_frame_properties<M: PartialEq + std::fmt::Debug>(
+    msg: &M,
+    wire: &[u8],
+    decode: fn(&[u8]) -> tensorsocket::Result<M>,
+    garbage: &[u8],
+) {
+    assert_eq!(&decode(wire).unwrap(), msg, "round trip");
+    for cut in 0..wire.len() {
+        assert!(
+            decode(&wire[..cut]).is_err(),
+            "{msg:?} cut to {cut} of {} bytes decoded",
+            wire.len()
+        );
+    }
+    let padded = [wire, garbage].concat();
+    assert_eq!(&decode(&padded).unwrap(), msg, "trailing bytes are ignored");
 }
 
 proptest! {
+    /// Every variant of both enums, nested types included: round-trips,
+    /// is rejected at every strict prefix, and ignores appended bytes.
     #[test]
-    fn ctrl_messages_roundtrip(id in any::<u64>(), bs in any::<u32>(), seq in any::<u64>(), tag in 0u8..5, stream in any::<bool>()) {
-        let msg = match tag {
-            0 => CtrlMsg::Join {
-                consumer_id: id,
-                batch_size: bs,
-                mode: if stream { PayloadMode::Stream } else { PayloadMode::Shm },
-            },
-            1 => CtrlMsg::Ready { consumer_id: id },
-            2 => CtrlMsg::Ack { consumer_id: id, seq },
-            3 => CtrlMsg::Heartbeat { consumer_id: id },
-            _ => CtrlMsg::Leave { consumer_id: id },
-        };
-        prop_assert_eq!(CtrlMsg::decode(&msg.encode()).unwrap(), msg);
-    }
-
-    #[test]
-    fn batch_announces_roundtrip(
-        seq in any::<u64>(),
-        epoch in any::<u64>(),
-        idx in any::<u64>(),
-        last in any::<bool>(),
-        fields in prop::collection::vec(arb_payload(), 1..4),
-        labels in arb_payload(),
-        flex in any::<bool>(),
+    fn every_message_round_trips_rejects_truncation_and_ignores_trailing_bytes(
+        seed in any::<u64>(),
+        garbage in prop::collection::vec(any::<u8>(), 1..24),
     ) {
-        let content = if flex {
-            AnnounceContent::Flex {
-                batches: vec![FlexBatchPayload {
-                    fields: fields.iter().map(|f| vec![f.clone()]).collect(),
-                    labels: vec![labels.clone()],
-                }],
-            }
-        } else {
-            AnnounceContent::Shared { fields, labels }
-        };
-        let msg = DataMsg::Batch(BatchAnnounce { seq, epoch, index_in_epoch: idx, last_in_epoch: last, content });
-        prop_assert_eq!(DataMsg::decode(&msg.encode()).unwrap(), msg);
+        let mut g = Gen(seed);
+        for kind in 0..CTRL_KINDS {
+            let m = ctrl_msg(kind, &mut g);
+            assert_frame_properties(&m, &m.encode(), CtrlMsg::decode, &garbage);
+        }
+        for kind in 0..DATA_KINDS {
+            let m = data_msg(kind, &mut g);
+            assert_frame_properties(&m, &m.encode(), DataMsg::decode, &garbage);
+        }
     }
 
+    /// Neither arbitrary byte soup nor a valid frame with one byte
+    /// overwritten ever panics a decoder (a wrong answer is fine: `Err`,
+    /// or some other well-formed message).
     #[test]
-    fn join_replies_roundtrip(id in any::<u64>(), a in any::<u64>(), b in any::<u64>(), c in any::<u64>(), d in any::<u64>(), tag in 0u8..3, reason in ".{0,40}") {
-        let decision = match tag {
-            0 => JoinDecision::AdmitReplay { epoch: a, replay_from: b, num_batches: c, start_seq: d },
-            1 => JoinDecision::WaitEpoch { epoch: a },
-            _ => JoinDecision::Reject { reason },
-        };
-        let msg = DataMsg::JoinReply { consumer_id: id, decision };
-        prop_assert_eq!(DataMsg::decode(&msg.encode()).unwrap(), msg);
-    }
-
-    /// Arbitrary byte soup never panics the decoders.
-    #[test]
-    fn decoders_tolerate_garbage(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+    fn decoders_tolerate_garbage(
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+        seed in any::<u64>(),
+        at in any::<u32>(),
+        byte in any::<u8>(),
+    ) {
         let _ = CtrlMsg::decode(&bytes);
         let _ = DataMsg::decode(&bytes);
         let _ = TensorPayload::decode(&bytes);
+        let mut g = Gen(seed);
+        for kind in 0..DATA_KINDS {
+            let mut wire = data_msg(kind, &mut g).encode().to_vec();
+            let at = at as usize % wire.len();
+            wire[at] = byte;
+            let _ = DataMsg::decode(&wire);
+        }
+        for kind in 0..CTRL_KINDS {
+            let mut wire = ctrl_msg(kind, &mut g).encode().to_vec();
+            let at = at as usize % wire.len();
+            wire[at] = byte;
+            let _ = CtrlMsg::decode(&wire);
+        }
+    }
+}
+
+// A hostile element count must fail on the count, before the decoder
+// reserves anything for it. Measured, not inferred: the largest single
+// allocation the decoding thread makes is recorded by the allocator.
+
+struct PeakAlloc;
+
+thread_local! {
+    /// Largest allocation on this thread since it was armed (`None` =
+    /// not recording).
+    static PEAK: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// only addition is a read and write of a const-initialised, destructor-
+// free thread-local `Cell`, which neither allocates nor unwinds.
+unsafe impl std::alloc::GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+        let _ = PEAK.try_with(|peak| {
+            if let Some(max) = peak.get() {
+                peak.set(Some(max.max(layout.size())));
+            }
+        });
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for
+        // `layout`, which is passed through as is.
+        unsafe { std::alloc::System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        // SAFETY: `ptr` came from `System.alloc` above with this `layout`.
+        unsafe { std::alloc::System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: PeakAlloc = PeakAlloc;
+
+/// Runs `f` and returns the largest single allocation it made.
+fn peak_allocation(f: impl FnOnce()) -> usize {
+    PEAK.with(|p| p.set(Some(0)));
+    f();
+    PEAK.with(|p| p.take()).expect("armed above")
+}
+
+#[test]
+fn hostile_counts_fail_before_anything_is_reserved() {
+    let million = (1u32 << 20).to_le_bytes();
+    // A 31-byte pointer announce claiming 2^20 fields (a reservation of
+    // 2^20 × size_of::<TensorPayload>() = 96 MiB if the count were
+    // trusted)...
+    let mut batch = vec![1u8];
+    batch.extend_from_slice(&[0; 24]); // seq, epoch, index_in_epoch
+    batch.extend_from_slice(&[0, 0]); // last_in_epoch, content kind: Shared
+    batch.extend_from_slice(&million);
+    assert_eq!(batch.len(), 31);
+    // ...and a 21-byte stats reply claiming 2^20 counters (32 MiB).
+    let mut stats = vec![6u8];
+    stats.extend_from_slice(&7u64.to_le_bytes());
+    stats.extend_from_slice(&tensorsocket::WIRE_VERSION.to_le_bytes());
+    stats.extend_from_slice(&million);
+    stats.extend_from_slice(&[0; 4]);
+    assert_eq!(stats.len(), 21);
+    for frame in [batch, stats] {
+        let peak = peak_allocation(|| assert!(DataMsg::decode(&frame).is_err()));
+        assert!(
+            peak <= 1024,
+            "a {}-byte frame made the decoder allocate {peak} bytes at once",
+            frame.len()
+        );
     }
 }
 
