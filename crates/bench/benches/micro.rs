@@ -91,8 +91,9 @@ fn bench_wire_codec(c: &mut Criterion) {
     });
     g.bench_function("announce_encode", |b| b.iter(|| announce.encode()));
     let wire = announce.encode();
+    // The consumer's entry: the frame is decoded where the socket left it.
     g.bench_function("announce_decode", |b| {
-        b.iter(|| DataMsg::decode(&wire).unwrap())
+        b.iter(|| DataMsg::decode_shared(&wire).unwrap())
     });
     g.finish();
 }
@@ -361,12 +362,13 @@ fn bench_transport(c: &mut Criterion) {
         });
     }
     {
-        // The v2 negotiated streamed mode: the full Streamed announce —
-        // dtype, shape and length-prefixed bytes, encoded once
-        // producer-side exactly as `encode_streamed` ships it — decoded
-        // and rebuilt into a host tensor consumer-side. Sits between the
-        // pointer and raw-bytecopy rows: it pays the byte copy plus the
-        // announce codec, but needs no arena on the consumer host.
+        // The negotiated streamed mode: the full Streamed announce —
+        // dtype, shape and length-prefixed bytes — shipped exactly as the
+        // producer's `encode_streamed` ships it (segments that borrow the
+        // tensor, one gather write) and ingested exactly as the consumer
+        // does (decode in place, tensor over the frame's slice). Sits
+        // next to the raw-bytecopy row: the same two kernel copies plus
+        // the announce codec, and no arena needed on the consumer host.
         let ctx = Context::new();
         let endpoint = format!(
             "ipc://{}",
@@ -378,24 +380,24 @@ fn bench_transport(c: &mut Criterion) {
         let sub = SubSocket::connect(&ctx, &endpoint);
         sub.subscribe(b"");
         let labels = Tensor::zeros(&[128], DType::I64, DeviceId::Cpu);
-        let wire = DataMsg::Batch(BatchAnnounce {
-            seq: 42,
-            epoch: 1,
-            index_in_epoch: 42,
-            last_in_epoch: false,
-            content: AnnounceContent::Streamed {
-                fields: vec![StreamedTensor::from_tensor(&batch)],
-                labels: StreamedTensor::from_tensor(&labels),
-            },
-        })
-        .encode();
         g.bench_function("payload_streamed_ipc", |b| {
             b.iter(|| {
+                let announce = DataMsg::Batch(BatchAnnounce {
+                    seq: 42,
+                    epoch: 1,
+                    index_in_epoch: 42,
+                    last_in_epoch: false,
+                    content: AnnounceContent::Streamed {
+                        fields: vec![StreamedTensor::from_tensor(&batch)],
+                        labels: StreamedTensor::from_tensor(&labels),
+                    },
+                });
                 publisher
-                    .send(b"batch", Multipart::single(wire.clone()))
+                    .send(b"batch", Multipart::chunked(announce.encode_segments()))
                     .unwrap();
                 let (_, msg) = sub.recv_timeout(Duration::from_secs(5)).unwrap();
-                let DataMsg::Batch(announce) = DataMsg::decode(&msg.frames()[0]).unwrap() else {
+                let DataMsg::Batch(announce) = DataMsg::decode_shared(&msg.frames()[0]).unwrap()
+                else {
                     unreachable!()
                 };
                 let AnnounceContent::Streamed { fields, .. } = announce.content else {
@@ -405,7 +407,8 @@ fn bench_transport(c: &mut Criterion) {
                 // the consumer's "training step" reads every byte
                 std::hint::black_box(
                     rebuilt
-                        .gather_bytes()
+                        .bytes()
+                        .unwrap()
                         .iter()
                         .map(|&b| b as u64)
                         .sum::<u64>(),

@@ -92,6 +92,47 @@
 //! `(epoch, shard, seq)` batch streams, and either side can detach
 //! without disturbing the other.
 //!
+//! ### The streamed path: bytes move through the kernel only
+//!
+//! How many times user code passes over a batch's payload bytes on its
+//! way from the producer's collated tensor to a tensor in the consumer:
+//!
+//! | path | user-space copies | what moves the bytes |
+//! |---|---|---|
+//! | pointer (`Shm`) | 0 | nothing — consumers map the slot the batch was collated into |
+//! | streamed (`Stream`), contiguous tensors | 0 | one kernel copy into the socket, one out of it |
+//! | streamed, a non-contiguous view | 1 | the gather into a dense buffer, counted in `stage.[s<N>.]stream_copy_bytes` |
+//! | durable log append | 1 | [`DataMsg::encode`] joins the frame into the one record the log writes |
+//!
+//! A [`StreamedTensor`]'s `bytes` field is a [`bytes::Bytes`], and on
+//! this path a `Bytes` is always borrowed, never filled:
+//!
+//! * **encode** — [`StreamedTensor::from_tensor`] takes a reference on
+//!   the tensor's storage instead of its contents. For a batch collated
+//!   into an arena slot that is a read reference on the slot, the same
+//!   one a consumer's mapped view holds, so a frame still queued behind a
+//!   slow subscriber keeps its slot from being rewritten and lets go of
+//!   it when it is written or dropped. [`DataMsg::encode_segments`]
+//!   emits the frame as `[head | tensor | head | tensor …]`, the tensors
+//!   by reference;
+//! * **send** — the runtime publishes the segments as one
+//!   `ts_socket::Multipart::chunked` frame, which a stream transport
+//!   writes with a gather write under a single length prefix. The bytes
+//!   on the wire, and in the log, are exactly [`DataMsg::encode`]'s. On
+//!   `ipc://` the publisher asks for a send buffer of a few MiB per
+//!   subscriber, so a batch that fits is one uninterrupted kernel copy
+//!   and one wake-up of the subscriber's reader;
+//! * **receive** — the socket reads the frame into one buffer of exactly
+//!   its length; [`DataMsg::decode_shared`] hands each `bytes` field out
+//!   as a slice of that buffer, and [`StreamedTensor::to_tensor`] wraps
+//!   the slice as tensor storage. The buffer is freed when the consumer
+//!   releases the last tensor of the batch.
+//!
+//! A frame larger than `ts_socket::wire::MAX_FRAME_BYTES` (256 MiB)
+//! cannot cross a stream transport; the data socket refuses it, the
+//! producer counts the refusal in `stage.[s<N>.]stream_tx_errors` and
+//! reports the first one.
+//!
 //! ## Endpoint URIs and cross-process sharing
 //!
 //! The endpoint selects the transport: `inproc://name` (threads in one
@@ -246,6 +287,8 @@
 //! | `producer.hello_unknown_caps` | counter | hellos | HELLOs carrying capability bits this producer does not know |
 //! | `producer.stats_dup` | counter | replies | stats replies dropped for carrying a stale request stamp |
 //! | `stage.[s<N>.]stream_tx_bytes` | counter | bytes | payload bytes sent over the streamed (non-shm) path |
+//! | `stage.[s<N>.]stream_copy_bytes` | counter | bytes | payload bytes gathered into a new buffer to build a streamed frame because a tensor view was not contiguous — **0** on every collated batch (the streamed path's zero-copy invariant CI asserts) |
+//! | `stage.[s<N>.]stream_tx_errors` | counter | frames | streamed frames the data socket refused for exceeding the stream transports' frame limit |
 //! | `stage.[s<N>.]publish_copy_bytes` | counter | bytes | payload bytes the *copying* publish fallback moved — **0** after warm-up with an arena bound (the zero-copy invariant CI asserts) |
 //! | `stage.[s<N>.]cursor_coalesced` | counter | positions | stale cursor positions displaced (latest-wins) before a flush window |
 //! | `consumer.batches` / `consumer.samples` | counter | batches / samples | consumed by this context's consumers |

@@ -21,9 +21,9 @@
 //! free tag, and add one line to the enum's field list (new fields of an
 //! existing message go at the end of its list).
 
-use super::wire::{get_len, put_len, take, wire_enum, wire_struct, Wire};
+use super::wire::{get_len, put_len, wire_enum, wire_struct, Reader, Sink, Wire};
 use crate::{Result, TsError};
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use ts_tensor::TensorPayload;
 
 /// Topic names used on the data socket.
@@ -337,6 +337,10 @@ pub struct FlexBatchPayload {
 /// One tensor shipped as raw bytes (streamed payload mode): dtype,
 /// shape, and the dense row-major bytes — everything a remote consumer
 /// needs to rebuild the tensor without mapping the arena.
+///
+/// `bytes` is borrowed at both ends. On the producer it shares the
+/// tensor's own storage; on the consumer it is a slice of the received
+/// frame, and the rebuilt tensor is a view of that slice.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamedTensor {
     /// Element type.
@@ -348,20 +352,32 @@ pub struct StreamedTensor {
 }
 
 impl StreamedTensor {
-    /// Captures `tensor` as dense row-major bytes for streaming.
+    /// Captures `tensor` as dense row-major bytes for streaming. A
+    /// contiguous view is borrowed: `bytes` holds a reference to the
+    /// tensor's storage (for a tensor collated into an arena slot, a read
+    /// reference on the slot, like a consumer's view) and nothing is
+    /// copied. Only a non-contiguous view is gathered into a new buffer.
     pub fn from_tensor(tensor: &ts_tensor::Tensor) -> Self {
         Self {
             dtype: tensor.dtype(),
             shape: tensor.shape().iter().map(|&d| d as u64).collect(),
-            bytes: Bytes::from(tensor.gather_bytes()),
+            bytes: tensor
+                .shared_bytes()
+                .unwrap_or_else(|_| Bytes::from(tensor.gather_bytes())),
         }
     }
 
     /// Rebuilds the tensor on `device` (host memory; the consumer stages
-    /// it onward exactly like an arena-unpacked tensor).
+    /// it onward exactly like an arena-unpacked tensor) as a view of
+    /// `bytes`: no copy, and `bytes`' buffer lives as long as the tensor.
     pub fn to_tensor(&self, device: ts_device::DeviceId) -> Result<ts_tensor::Tensor> {
-        let shape: Vec<usize> = self.shape.iter().map(|&d| d as usize).collect();
-        ts_tensor::Tensor::from_bytes(self.bytes.to_vec(), self.dtype, &shape, device)
+        let shape = self
+            .shape
+            .iter()
+            .map(|&d| usize::try_from(d))
+            .collect::<std::result::Result<Vec<usize>, _>>()
+            .map_err(|e| TsError::Wire(format!("streamed tensor shape: {e}")))?;
+        ts_tensor::Tensor::from_shared_bytes(self.bytes.clone(), self.dtype, &shape, device)
             .map_err(|e| TsError::Wire(format!("streamed tensor: {e}")))
     }
 }
@@ -625,11 +641,11 @@ pub struct TracePayload {
 impl Wire for ts_tensor::DType {
     const MIN_LEN: usize = 1;
 
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Sink) {
         buf.put_u8(self.tag());
     }
 
-    fn get(buf: &mut &[u8]) -> Result<Self> {
+    fn get(buf: &mut Reader<'_>) -> Result<Self> {
         let tag = u8::get(buf)?;
         Self::from_tag(tag).ok_or_else(|| TsError::Wire(format!("bad dtype tag {tag}")))
     }
@@ -641,15 +657,15 @@ impl Wire for ts_tensor::DType {
 impl Wire for TensorPayload {
     const MIN_LEN: usize = 4;
 
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Sink) {
         let raw = self.encode();
         put_len(buf, raw.len());
         buf.put_slice(&raw);
     }
 
-    fn get(buf: &mut &[u8]) -> Result<Self> {
+    fn get(buf: &mut Reader<'_>) -> Result<Self> {
         let n = get_len(buf, 1)?;
-        TensorPayload::decode(take(buf, n)?).map_err(|e| TsError::Wire(format!("payload: {e}")))
+        TensorPayload::decode(buf.take(n)?).map_err(|e| TsError::Wire(format!("payload: {e}")))
     }
 }
 
@@ -767,15 +783,16 @@ wire_enum!(DataMsg {
 /// [`DataMsg::Stats`] / [`DataMsg::Trace`] reply. All six start
 /// `tag, token, version`, in every version, so a peer reads the other
 /// side's version without trusting the rest of the frame's layout.
-pub(crate) fn exchange_head(mut frame: &[u8]) -> Result<(u64, u32)> {
-    let (_tag, token, version) = <(u8, u64, u32)>::get(&mut frame)?;
+pub(crate) fn exchange_head(frame: &Bytes) -> Result<(u64, u32)> {
+    let (_tag, token, version) = <(u8, u64, u32)>::get(&mut Reader::new(frame))?;
     Ok((token, version))
 }
 
-fn encode<T: Wire>(msg: &T, capacity: usize) -> Bytes {
-    let mut buf = BytesMut::with_capacity(capacity);
-    msg.put(&mut buf);
-    buf.freeze()
+/// Runs `msg`'s field list into a sink whose head starts at `capacity`.
+fn written<T: Wire>(msg: &T, capacity: usize) -> Sink {
+    let mut sink = Sink::with_capacity(capacity);
+    msg.put(&mut sink);
+    sink
 }
 
 impl CtrlMsg {
@@ -798,24 +815,52 @@ impl CtrlMsg {
 
     /// Encodes to a single frame.
     pub fn encode(&self) -> Bytes {
-        encode(self, 24)
+        written(self, 24).into_bytes()
     }
 
-    /// Decodes a frame; bytes after the last known field are ignored.
-    pub fn decode(mut buf: &[u8]) -> Result<Self> {
-        Self::get(&mut buf)
+    /// Decodes a received frame; bytes after the last known field are
+    /// ignored.
+    pub fn decode_shared(frame: &Bytes) -> Result<Self> {
+        Self::get(&mut Reader::new(frame))
+    }
+
+    /// [`CtrlMsg::decode_shared`] of a copy of `buf`.
+    pub fn decode(buf: &[u8]) -> Result<Self> {
+        Self::decode_shared(&Bytes::copy_from_slice(buf))
     }
 }
 
 impl DataMsg {
-    /// Encodes to a single frame.
-    pub fn encode(&self) -> Bytes {
-        encode(self, 64)
+    /// Encodes to one frame, handed over as the segments it consists of:
+    /// the frame is their concatenation. Every [`Bytes`] field of a page
+    /// or more (a streamed tensor's bytes) is a segment of its own that
+    /// shares the field's buffer, so a transport that can gather
+    /// (`ts_socket::Multipart::chunked`) sends the frame without the
+    /// payload ever being copied. A message without such a field is one
+    /// segment.
+    pub fn encode_segments(&self) -> Vec<Bytes> {
+        written(self, 64).into_segments()
     }
 
-    /// Decodes a frame; bytes after the last known field are ignored.
-    pub fn decode(mut buf: &[u8]) -> Result<Self> {
-        Self::get(&mut buf)
+    /// Encodes to a single contiguous frame: the concatenation of
+    /// [`DataMsg::encode_segments`] (one copy of a streamed payload; none
+    /// for a message that is one segment anyway).
+    pub fn encode(&self) -> Bytes {
+        written(self, 64).into_bytes()
+    }
+
+    /// Decodes a received frame; bytes after the last known field are
+    /// ignored. [`Bytes`] fields of the result are slices of `frame` —
+    /// they share its buffer and keep it alive — so decoding a streamed
+    /// batch copies no payload.
+    pub fn decode_shared(frame: &Bytes) -> Result<Self> {
+        Self::get(&mut Reader::new(frame))
+    }
+
+    /// [`DataMsg::decode_shared`] of a copy of `buf`, for callers that do
+    /// not hold the frame as [`Bytes`].
+    pub fn decode(buf: &[u8]) -> Result<Self> {
+        Self::decode_shared(&Bytes::copy_from_slice(buf))
     }
 }
 
@@ -958,22 +1003,29 @@ mod tests {
         for frame in frames {
             assert_eq!(exchange_head(&frame).unwrap(), (token, version));
             // ...from the head alone: the rest of the layout may differ.
-            assert_eq!(exchange_head(&frame[..13]).unwrap(), (token, version));
-            assert!(exchange_head(&frame[..12]).is_err());
+            assert_eq!(exchange_head(&frame.slice(..13)).unwrap(), (token, version));
+            assert!(exchange_head(&frame.slice(..12)).is_err());
         }
     }
 
     #[test]
     fn streamed_announce_rebuilds_the_tensor() {
-        let batch = Tensor::rand_u8(&[4, 3, 8, 8], DeviceId::Cpu, 11);
+        let batch = Tensor::rand_u8(&[4, 3, 32, 32], DeviceId::Cpu, 11);
         let labels = Tensor::zeros(&[4], DType::I64, DeviceId::Cpu);
         let m = announce(AnnounceContent::Streamed {
             fields: vec![StreamedTensor::from_tensor(&batch)],
             labels: StreamedTensor::from_tensor(&labels),
         });
+        // The frame borrows the batch: its large segment IS the tensor.
+        let segments = m.encode_segments();
+        assert!(segments
+            .iter()
+            .any(|s| s.as_ptr() == batch.bytes().unwrap().as_ptr()));
         let wire = m.encode();
-        let decoded = DataMsg::decode(&wire).unwrap();
+        assert_eq!(&wire[..], &segments.concat()[..]);
+        let decoded = DataMsg::decode_shared(&wire).unwrap();
         assert_eq!(decoded, m);
+        assert_eq!(DataMsg::decode(&wire).unwrap(), m);
         let DataMsg::Batch(BatchAnnounce {
             content: AnnounceContent::Streamed { fields, .. },
             ..
@@ -984,9 +1036,59 @@ mod tests {
         let rebuilt = fields[0].to_tensor(DeviceId::Cpu).unwrap();
         assert_eq!(rebuilt.shape(), batch.shape());
         assert!(rebuilt.data_eq(&batch));
+        // The rebuilt tensor is a view of the frame it arrived in.
+        assert!(wire
+            .as_ptr_range()
+            .contains(&rebuilt.bytes().unwrap().as_ptr()));
+        // A hostile shape is an error, not an overflow.
+        let hostile = StreamedTensor {
+            dtype: DType::F32,
+            shape: vec![u64::MAX, 8],
+            bytes: Bytes::new(),
+        };
+        assert!(hostile.to_tensor(DeviceId::Cpu).is_err());
         // Unlike the shm announce, the streamed frame scales with the
         // batch — that is the negotiated trade for crossing hosts.
         assert!(wire.len() > batch.view_bytes());
+    }
+
+    #[test]
+    fn streamed_frame_layout_is_pinned() {
+        // The frame a log stores and a peer of any build reads, written
+        // out by hand: whichever way it is encoded, these are the bytes.
+        let blob: Vec<u8> = (0..5000u32).map(|i| i as u8).collect();
+        let m = announce(AnnounceContent::Streamed {
+            fields: vec![StreamedTensor {
+                dtype: DType::U8,
+                shape: vec![50, 100],
+                bytes: Bytes::from(blob.clone()),
+            }],
+            labels: StreamedTensor {
+                dtype: DType::I64,
+                shape: vec![1],
+                bytes: Bytes::from(vec![9u8; 8]),
+            },
+        });
+        let mut expect = vec![1u8]; // DataMsg::Batch
+        for v in [7u64, 1, 7] {
+            expect.extend_from_slice(&v.to_le_bytes()); // seq, epoch, index
+        }
+        expect.extend_from_slice(&[0, 2]); // last_in_epoch, content: Streamed
+        expect.extend_from_slice(&1u32.to_le_bytes()); // one field
+        expect.push(DType::U8.tag());
+        expect.extend_from_slice(&2u32.to_le_bytes());
+        expect.extend_from_slice(&50u64.to_le_bytes());
+        expect.extend_from_slice(&100u64.to_le_bytes());
+        expect.extend_from_slice(&5000u32.to_le_bytes());
+        expect.extend_from_slice(&blob);
+        expect.push(DType::I64.tag());
+        expect.extend_from_slice(&1u32.to_le_bytes());
+        expect.extend_from_slice(&1u64.to_le_bytes());
+        expect.extend_from_slice(&8u32.to_le_bytes());
+        expect.extend_from_slice(&[9u8; 8]);
+        assert_eq!(&m.encode()[..], &expect[..]);
+        assert_eq!(m.encode_segments().concat(), expect);
+        assert_eq!(DataMsg::decode(&expect).unwrap(), m);
     }
 
     #[test]

@@ -336,7 +336,7 @@ impl TensorConsumer {
             let Some(frame) = msg.frames().first() else {
                 continue;
             };
-            let Ok(data) = DataMsg::decode(frame) else {
+            let Ok(data) = DataMsg::decode_shared(frame) else {
                 continue;
             };
             match data {
@@ -423,7 +423,7 @@ impl TensorConsumer {
                 let Some(frame) = msg.frames().first() else {
                     continue;
                 };
-                let Ok(data) = DataMsg::decode(frame) else {
+                let Ok(data) = DataMsg::decode_shared(frame) else {
                     continue;
                 };
                 match data {
@@ -616,7 +616,9 @@ impl TensorConsumer {
             }
             AnnounceContent::Streamed { fields, labels } => {
                 // The negotiated non-shm path: the announce carries the
-                // bytes themselves; rebuild host tensors from them.
+                // bytes themselves. Each tensor is a view of its slice of
+                // the received frame, which lives until the last of them
+                // is released.
                 let rx_start = Instant::now();
                 let fields: Result<Vec<Tensor>> = fields
                     .iter()
@@ -685,7 +687,7 @@ impl TensorConsumer {
             let Some(frame) = msg.frames().first() else {
                 continue;
             };
-            let Ok(data) = DataMsg::decode(frame) else {
+            let Ok(data) = DataMsg::decode_shared(frame) else {
                 continue;
             };
             match data {

@@ -74,8 +74,16 @@ struct StageMetrics {
     /// Current rubberband pin depth (batches held for late joiners).
     pin_depth: Arc<Gauge>,
     /// Bytes sent over the streamed payload path (one increment per
-    /// stream-mode subscriber per batch: the copies are real).
+    /// stream-mode subscriber per batch: each crosses the socket).
     stream_tx_bytes: Arc<Counter>,
+    /// Payload bytes gathered into a new buffer to build a streamed frame
+    /// because a tensor view was not contiguous. Contiguous tensors are
+    /// borrowed into the frame, so this stays 0 on every collated batch —
+    /// the streamed path's twin of `publish_copy_bytes`.
+    stream_copy_bytes: Arc<Counter>,
+    /// Streamed frames the data socket refused (a frame above the stream
+    /// transports' limit); the consumer never receives that batch.
+    stream_tx_errors: Arc<Counter>,
     /// Payload bytes the *publish loop* copied into the arena because an
     /// item arrived without a feeder placement. The zero-copy path — the
     /// feeder collates straight into leased slots — keeps this at 0 in
@@ -105,10 +113,28 @@ impl StageMetrics {
             publish_ack: metrics.histogram(&format!("{prefix}publish_ack_ns")),
             pin_depth: metrics.gauge(&format!("{prefix}pin_depth")),
             stream_tx_bytes: metrics.counter(&format!("{prefix}stream_tx_bytes")),
+            stream_copy_bytes: metrics.counter(&format!("{prefix}stream_copy_bytes")),
+            stream_tx_errors: metrics.counter(&format!("{prefix}stream_tx_errors")),
             publish_copy_bytes: metrics.counter(&format!("{prefix}publish_copy_bytes")),
             cursor_coalesced: metrics.counter(&format!("{prefix}cursor_coalesced")),
             log_append_bytes: metrics.counter(&format!("{prefix}log_append_bytes")),
         }
+    }
+}
+
+/// A batch's tensors as streamed content. Contiguous tensors are borrowed
+/// (the frame shares their storage); `copied` counts the bytes of any view
+/// that had to be gathered instead.
+fn streamed_content(fields: &[Tensor], labels: &Tensor, copied: &Counter) -> AnnounceContent {
+    let streamed = |t: &Tensor| {
+        if !t.is_contiguous() {
+            copied.add(t.view_bytes() as u64);
+        }
+        StreamedTensor::from_tensor(t)
+    };
+    AnnounceContent::Streamed {
+        fields: fields.iter().map(streamed).collect(),
+        labels: streamed(labels),
     }
 }
 
@@ -161,6 +187,7 @@ fn run_spiller(
     failed: Arc<AtomicBool>,
     append_bytes: Arc<Counter>,
     append_errors: Arc<Counter>,
+    copied: Arc<Counter>,
 ) {
     while let Ok(m) = rx.recv() {
         if !failed.load(Ordering::Relaxed) {
@@ -169,11 +196,10 @@ fn run_spiller(
                 epoch: m.epoch,
                 index_in_epoch: m.index_in_epoch,
                 last_in_epoch: m.last_in_epoch,
-                content: AnnounceContent::Streamed {
-                    fields: m.fields.iter().map(StreamedTensor::from_tensor).collect(),
-                    labels: StreamedTensor::from_tensor(&m.labels),
-                },
+                content: streamed_content(&m.fields, &m.labels, &copied),
             };
+            // The log appends one contiguous record: the one copy of the
+            // payload on this path.
             let frame = DataMsg::Batch(announce).encode();
             match log.lock().append(m.seq, m.epoch, m.index_in_epoch, &frame) {
                 Ok(()) => append_bytes.add(frame.len() as u64),
@@ -763,6 +789,7 @@ impl TensorProducer {
             let failed = failed.clone();
             let append_bytes = stage.log_append_bytes.clone();
             let append_errors = ctx.metrics.counter("log.append_errors");
+            let copied = stage.stream_copy_bytes.clone();
             std::thread::Builder::new()
                 .name(format!("ts-log-spiller-s{shard}"))
                 .spawn(move || {
@@ -773,6 +800,7 @@ impl TensorProducer {
                         failed,
                         append_bytes,
                         append_errors,
+                        copied,
                     )
                 })
                 .map_err(|e| TsError::Socket(format!("spawn spiller: {e}")))?
@@ -1707,26 +1735,37 @@ impl ProducerLoop {
         Ok(())
     }
 
-    /// Encodes the streamed (length-prefixed bytes) announce for live
-    /// batch `seq` — once; the same frame is reused for every stream-mode
-    /// subscriber.
-    fn encode_streamed(&self, seq: u64) -> Option<bytes::Bytes> {
+    /// The streamed (length-prefixed bytes) announce for live batch `seq`
+    /// as a chunked frame: small head segments plus the tensors' own
+    /// memory, borrowed. Built once; every stream-mode subscriber gets a
+    /// clone (reference counts, no bytes).
+    fn encode_streamed(&self, seq: u64) -> Option<Multipart> {
         let live = self.live.get(&seq)?;
         let announce = BatchAnnounce {
             seq,
             epoch: live.epoch,
             index_in_epoch: live.index_in_epoch,
             last_in_epoch: live.last_in_epoch,
-            content: AnnounceContent::Streamed {
-                fields: live
-                    .fields
-                    .iter()
-                    .map(StreamedTensor::from_tensor)
-                    .collect(),
-                labels: StreamedTensor::from_tensor(&live.labels),
-            },
+            content: streamed_content(&live.fields, &live.labels, &self.stage.stream_copy_bytes),
         };
-        Some(DataMsg::Batch(announce).encode())
+        Some(Multipart::chunked(
+            DataMsg::Batch(announce).encode_segments(),
+        ))
+    }
+
+    /// Publishes a frame of payload bytes on consumer `id`'s topic. The
+    /// socket refuses a frame no stream peer would accept; that consumer
+    /// then never sees the batch, so the refusal is counted and the first
+    /// one reported.
+    fn send_bytes_to(&self, id: u64, frame: Multipart) {
+        if let Err(e) = self.publisher.send(&topics::consumer(id), frame) {
+            if self.stage.stream_tx_errors.fetch_inc() == 0 {
+                eprintln!(
+                    "tensorsocket: a streamed batch for consumer {id} was not sent ({e}); \
+                     further refusals are counted in stream_tx_errors"
+                );
+            }
+        }
     }
 
     /// Sends live batch `seq` as bytes to every stream-mode consumer (the
@@ -1743,14 +1782,12 @@ impl ProducerLoop {
         if stream_ids.is_empty() {
             return;
         }
-        let Some(encoded) = self.encode_streamed(seq) else {
+        let Some(frame) = self.encode_streamed(seq) else {
             return;
         };
         for id in stream_ids {
-            self.stage.stream_tx_bytes.add(encoded.len() as u64);
-            let _ = self
-                .publisher
-                .send(&topics::consumer(id), Multipart::single(encoded.clone()));
+            self.stage.stream_tx_bytes.add(frame.byte_len() as u64);
+            self.send_bytes_to(id, frame.clone());
         }
     }
 
@@ -1778,22 +1815,18 @@ impl ProducerLoop {
             } else if mode == PayloadMode::Stream {
                 // A shed pin's live entry is gone; its stored log frame IS
                 // the streamed frame, bit-identical.
-                let (encoded, from_log) = match self.encode_streamed(seq) {
-                    Some(e) => (Some(e), false),
+                let (frame, from_log) = match self.encode_streamed(seq) {
+                    Some(f) => (Some(f), false),
                     None => (self.log_frame(seq), true),
                 };
-                if let Some(encoded) = encoded {
+                if let Some(frame) = frame {
+                    let len = frame.byte_len() as u64;
                     if from_log {
                         self.ctx.metrics.counter("replay.log_batches").inc();
-                        self.ctx
-                            .metrics
-                            .counter("replay.log_bytes")
-                            .add(encoded.len() as u64);
+                        self.ctx.metrics.counter("replay.log_bytes").add(len);
                     }
-                    self.stage.stream_tx_bytes.add(encoded.len() as u64);
-                    let _ = self
-                        .publisher
-                        .send(&topics::consumer(id), Multipart::single(encoded));
+                    self.stage.stream_tx_bytes.add(len);
+                    self.send_bytes_to(id, frame);
                 }
             } else if let Some(live) = self.live.get(&seq) {
                 let announce = BatchAnnounce {
@@ -1822,20 +1855,20 @@ impl ProducerLoop {
                 self.ctx
                     .metrics
                     .counter("replay.log_bytes")
-                    .add(frame.len() as u64);
-                let _ = self
-                    .publisher
-                    .send(&topics::consumer(id), Multipart::single(frame));
+                    .add(frame.byte_len() as u64);
+                self.send_bytes_to(id, frame);
             }
             self.stats.batches_replayed += 1;
             self.ctx.metrics.counter("producer.replays").inc();
         }
     }
 
-    /// The stored wire frame for logged batch `seq`, if the log holds it.
-    fn log_frame(&self, seq: u64) -> Option<bytes::Bytes> {
+    /// The stored wire frame for logged batch `seq`, if the log holds it:
+    /// the buffer the log read it into, as it is.
+    fn log_frame(&self, seq: u64) -> Option<Multipart> {
         let rt = self.logrt.as_ref()?;
-        rt.log.lock().read(seq).map(bytes::Bytes::from)
+        let record = rt.log.lock().read(seq)?;
+        Some(Multipart::single(bytes::Bytes::from(record)))
     }
 
     /// The durable-log section of a WELCOME: `None` with no (healthy)
@@ -1978,7 +2011,7 @@ impl ProducerLoop {
         let Some(frame) = msg.frames().first() else {
             return;
         };
-        let Ok(ctrl) = CtrlMsg::decode(frame) else {
+        let Ok(ctrl) = CtrlMsg::decode_shared(frame) else {
             return;
         };
         // HELLO carries a one-shot reply token, not a consumer id: answer
@@ -2560,10 +2593,8 @@ impl ProducerLoop {
                 continue;
             };
             replayed.inc();
-            replayed_bytes.add(frame.len() as u64);
-            let _ = self
-                .publisher
-                .send(&topics::consumer(id), Multipart::single(frame));
+            replayed_bytes.add(frame.byte_len() as u64);
+            self.send_bytes_to(id, frame);
             self.stats.batches_replayed += 1;
         }
     }

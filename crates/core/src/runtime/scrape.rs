@@ -74,7 +74,7 @@ pub(crate) fn token_exchange<T>(
                             .into())
                         }
                         Ok((t, _)) if t == token => {
-                            let reply = DataMsg::decode(frame).ok();
+                            let reply = DataMsg::decode_shared(frame).ok();
                             if let Some(answer) = reply.and_then(|m| accept(m, seq)) {
                                 return Ok(answer);
                             }

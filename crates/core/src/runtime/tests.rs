@@ -1520,6 +1520,82 @@ fn builder_auto_arena_endpoint_only_attach_over_ipc() {
 }
 
 #[test]
+fn stream_consumer_dropped_mid_stream_leaves_no_slot_pinned() {
+    // Streamed frames borrow the arena slots their tensors were collated
+    // into. A stream-mode consumer that stops reading and then leaves,
+    // with frames for it still queued in the producer's socket, must not
+    // strand any of them: the slots free as the queue lets go, the other
+    // consumer sees the whole stream, and nothing was copied on the way.
+    let tag = std::process::id();
+    let tmp = std::env::temp_dir();
+    let ep = format!("ipc://{}", tmp.join(format!("ts-pin-{tag}.sock")).display());
+    let ctx = TsContext::host_only();
+    // 48 KiB batches: far above the size a frame borrows a tensor at.
+    let loader = || {
+        DataLoader::new(
+            Arc::new(ts_data::SyntheticImageDataset::new(96, 64, 64, 3).with_encoded_len(256)),
+            DataLoaderConfig {
+                batch_size: 4,
+                num_workers: 1,
+                drop_last: true,
+                ..Default::default()
+            },
+        )
+    };
+    let mut cfg = producer_cfg(&ep, 2);
+    cfg.rubberband_cutoff = 1.0;
+    cfg.buffer_size = 12;
+    cfg.heartbeat_timeout = Duration::from_secs(5);
+    let producer = Producer::builder()
+        .context(&ctx)
+        .config(cfg)
+        .arena(tmp.join(format!("ts-pin-{tag}.arena")))
+        .spawn(loader())
+        .unwrap();
+    let arena = producer.arena().expect("builder provisioned arena").clone();
+    let survivor = consumer(&ctx).connect(&ep).unwrap();
+    // The quitter keeps one message locally, so what it does not read
+    // backs up through the socket into the producer's peer queue.
+    let mut slow_ctx = TsContext::host_only();
+    slow_ctx.sockets = ts_socket::Context::with_hwm(1);
+    let mut quitter = consumer(&slow_ctx)
+        .payload_mode(crate::PayloadMode::Stream)
+        .connect(&ep)
+        .unwrap();
+    let survivor = std::thread::spawn(move || consume_trace(survivor));
+    let first = quitter.next().unwrap().expect("first streamed batch");
+    assert!(
+        !first.fields[0].storage().is_shared_memory(),
+        "the quitter really is on the byte path"
+    );
+    // Everyone now waits on the quitter: the window is full of batches
+    // whose frames it has not read.
+    let published = ctx.metrics.counter("producer.batches");
+    let mut seen = published.get();
+    loop {
+        std::thread::sleep(Duration::from_millis(100));
+        let now = published.get();
+        if now == seen {
+            break;
+        }
+        seen = now;
+    }
+    assert!(seen < 48, "the stalled quitter must gate the stream");
+    drop(first);
+    drop(quitter);
+    let (trace, reason) = survivor.join().unwrap();
+    assert_eq!(reason, Some(StopReason::End));
+    assert_eq!(trace.len(), 48, "2 epochs × 24 batches");
+    producer.join().unwrap();
+    assert_eq!(arena.slots_in_use(), 0, "a queued frame kept a slot pinned");
+    for counter in ["stage.stream_copy_bytes", "stage.publish_copy_bytes"] {
+        assert_eq!(ctx.metrics.counter(counter).get(), 0, "{counter}");
+    }
+    assert_eq!(ctx.metrics.counter("stage.stream_tx_errors").get(), 0);
+    assert!(ctx.metrics.counter("stage.stream_tx_bytes").get() > 0);
+}
+
+#[test]
 fn builder_staging_modes_stay_byte_identical() {
     // Off / Serial / Overlapped all deliver the reference bytes.
     let mut traces = Vec::new();

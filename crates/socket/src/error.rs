@@ -13,6 +13,15 @@ pub enum SendError {
     InvalidEndpoint(String),
     /// An OS-level socket error on an `ipc://`/`tcp://` endpoint.
     Io(String),
+    /// A frame is longer than an `ipc://`/`tcp://` peer accepts
+    /// ([`crate::wire::MAX_FRAME_BYTES`]). Nothing was queued or sent; the
+    /// connection is unaffected.
+    FrameTooLarge {
+        /// Length of the offending frame in bytes.
+        len: usize,
+        /// The largest frame a stream transport carries.
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for SendError {
@@ -23,6 +32,9 @@ impl std::fmt::Display for SendError {
             SendError::Full => write!(f, "peer queue full"),
             SendError::InvalidEndpoint(ep) => write!(f, "invalid endpoint: {ep}"),
             SendError::Io(e) => write!(f, "socket io: {e}"),
+            SendError::FrameTooLarge { len, max } => {
+                write!(f, "frame of {len} bytes exceeds the {max}-byte limit")
+            }
         }
     }
 }

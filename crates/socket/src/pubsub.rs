@@ -44,6 +44,9 @@ impl BrokerPub {
             }
         };
         let topic_bytes = Bytes::copy_from_slice(topic);
+        // Receivers read frames, not chunks: join a chunked frame once,
+        // for all subscribers.
+        let msg = msg.into_contiguous();
         let mut delivered = 0usize;
         let mut dead: Vec<u64> = Vec::new();
         for sub in &subs {

@@ -190,7 +190,9 @@ impl PushSocket {
     /// Sends a message, blocking while the queue is full.
     pub fn send(&self, msg: Multipart) -> Result<(), SendError> {
         match &self.inner {
-            PushInner::Broker(tx) => tx.send(msg).map_err(|_| SendError::Disconnected),
+            PushInner::Broker(tx) => tx
+                .send(msg.into_contiguous())
+                .map_err(|_| SendError::Disconnected),
             PushInner::Stream(s) => s.send(msg),
         }
     }
@@ -198,7 +200,7 @@ impl PushSocket {
     /// Non-blocking send.
     pub fn try_send(&self, msg: Multipart) -> Result<(), SendError> {
         match &self.inner {
-            PushInner::Broker(tx) => match tx.try_send(msg) {
+            PushInner::Broker(tx) => match tx.try_send(msg.into_contiguous()) {
                 Ok(()) => Ok(()),
                 Err(TrySendError::Full(_)) => Err(SendError::Full),
                 Err(TrySendError::Disconnected(_)) => Err(SendError::Disconnected),

@@ -10,7 +10,9 @@
 use crate::error::{RecvError, SendError};
 use crate::frame::Multipart;
 use crate::pubsub::SendPolicy;
-use crate::transport::{AnyListener, AnyStream, EndpointAddr, CONNECT_RETRY_FOR, POLL_EVERY};
+use crate::transport::{
+    check_frames, AnyListener, AnyStream, EndpointAddr, CONNECT_RETRY_FOR, POLL_EVERY,
+};
 use crate::wire;
 use bytes::Bytes;
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
@@ -25,6 +27,8 @@ const SUBSCRIBE_ACK_TIMEOUT: Duration = Duration::from_secs(10);
 enum PeerItem {
     Data(Bytes, Multipart),
     SubAck(u64),
+    /// Wakes an idle writer so it sees its peer was retired.
+    Stop,
 }
 
 struct Peer {
@@ -51,6 +55,8 @@ impl Peer {
     fn retire(&self) {
         self.alive.store(false, Ordering::SeqCst);
         self.stream.shutdown();
+        // A writer that is not idle needs no waking: its next write fails.
+        let _ = self.tx.try_send(PeerItem::Stop);
     }
 }
 
@@ -59,6 +65,10 @@ struct PubShared {
     hwm: usize,
     peers: Mutex<Vec<Arc<Peer>>>,
     next_id: AtomicU64,
+    /// Writer threads that may still be running. Dropping the socket joins
+    /// them, so no queued message — and nothing a message borrows, such as
+    /// an arena slot — outlives the socket.
+    writers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 /// The stream-transport publishing side.
@@ -85,6 +95,7 @@ impl StreamPub {
             hwm,
             peers: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(0),
+            writers: Mutex::new(Vec::new()),
         });
         let accept_shared = shared.clone();
         let accept_thread = std::thread::Builder::new()
@@ -114,6 +125,7 @@ impl StreamPub {
     }
 
     pub(crate) fn send(&self, topic: &[u8], msg: Multipart) -> Result<usize, SendError> {
+        check_frames(topic, &msg)?;
         let peers: Vec<Arc<Peer>> = self.shared.peers.lock().expect("peers").clone();
         let topic_bytes = Bytes::copy_from_slice(topic);
         let mut delivered = 0usize;
@@ -181,11 +193,16 @@ impl Drop for StreamPub {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
+        // The accept loop first, so no peer (and writer) is added below us.
+        if let Some(t) = self.accept_thread.take() {
+            let _ = t.join();
+        }
         for peer in self.shared.peers.lock().expect("peers").drain(..) {
             peer.retire();
         }
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+        let writers = std::mem::take(&mut *self.shared.writers.lock().expect("writers"));
+        for writer in writers {
+            let _ = writer.join();
         }
     }
 }
@@ -207,6 +224,7 @@ fn accept_loop(listener: AnyListener, shared: Arc<PubShared>) {
 }
 
 fn add_peer(shared: &Arc<PubShared>, stream: AnyStream) -> std::io::Result<()> {
+    stream.grow_send_buffer();
     let write_half = stream.try_clone()?;
     let read_half = stream.try_clone()?;
     let (tx, rx) = channel::bounded::<PeerItem>(shared.hwm);
@@ -222,9 +240,14 @@ fn add_peer(shared: &Arc<PubShared>, stream: AnyStream) -> std::io::Result<()> {
     shared.peers.lock().expect("peers").push(peer.clone());
 
     let writer_peer = peer.clone();
-    std::thread::Builder::new()
+    let writer = std::thread::Builder::new()
         .name("ts-pub-writer".into())
         .spawn(move || peer_writer(write_half, rx, writer_peer))?;
+    {
+        let mut writers = shared.writers.lock().expect("writers");
+        writers.retain(|w| !w.is_finished());
+        writers.push(writer);
+    }
 
     let reader_shared = shared.clone();
     std::thread::Builder::new()
@@ -250,6 +273,7 @@ fn peer_writer(mut stream: AnyStream, rx: Receiver<PeerItem>, peer: Arc<Peer>) {
             PeerItem::SubAck(req) => {
                 wire::write_message(&mut stream, wire::KIND_SUBACK, &[&req.to_le_bytes()])
             }
+            PeerItem::Stop => break,
         };
         if result.is_err() {
             break;
@@ -257,10 +281,13 @@ fn peer_writer(mut stream: AnyStream, rx: Receiver<PeerItem>, peer: Arc<Peer>) {
         peer.written.fetch_add(1, Ordering::SeqCst);
     }
     peer.retire();
+    // Nobody will write what is still queued; let go of it now rather than
+    // when the last handle on the queue happens to drop.
+    while rx.try_recv().is_ok() {}
 }
 
 fn peer_reader(read_half: AnyStream, peer: Arc<Peer>, shared: Arc<PubShared>) {
-    let mut reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(read_half.into_reader());
     while peer.alive.load(Ordering::SeqCst) && !shared.stop.load(Ordering::SeqCst) {
         let msg = match wire::read_message(&mut reader) {
             Ok(m) => m,
@@ -490,7 +517,7 @@ fn sub_connection(addr: EndpointAddr, shared: Arc<SubShared>, tx: Sender<(Bytes,
         state.writer = Some(writer);
         shared.cond.notify_all();
     }
-    let mut reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(read_half.into_reader());
     while !shared.stop.load(Ordering::SeqCst) {
         let msg = match wire::read_message(&mut reader) {
             Ok(m) => m,

@@ -9,7 +9,9 @@
 
 use crate::error::{RecvError, SendError};
 use crate::frame::Multipart;
-use crate::transport::{AnyListener, AnyStream, EndpointAddr, CONNECT_RETRY_FOR, POLL_EVERY};
+use crate::transport::{
+    check_frames, AnyListener, AnyStream, EndpointAddr, CONNECT_RETRY_FOR, POLL_EVERY,
+};
 use crate::wire;
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
 use std::io::BufReader;
@@ -126,7 +128,7 @@ fn pull_accept_loop(listener: AnyListener, shared: Arc<PullShared>, tx: Sender<M
 }
 
 fn pull_reader(id: u64, read_half: AnyStream, shared: Arc<PullShared>, tx: Sender<Multipart>) {
-    let mut reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(read_half.into_reader());
     while !shared.stop.load(Ordering::SeqCst) {
         let msg = match wire::read_message(&mut reader) {
             Ok(m) => m,
@@ -176,10 +178,12 @@ impl StreamPush {
     }
 
     pub(crate) fn send(&self, msg: Multipart) -> Result<(), SendError> {
+        check_frames(&[], &msg)?;
         self.tx.send(msg).map_err(|_| SendError::Disconnected)
     }
 
     pub(crate) fn try_send(&self, msg: Multipart) -> Result<(), SendError> {
+        check_frames(&[], &msg)?;
         match self.tx.try_send(msg) {
             Ok(()) => Ok(()),
             Err(TrySendError::Full(_)) => Err(SendError::Full),

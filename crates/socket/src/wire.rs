@@ -21,10 +21,21 @@
 //!   once the prefix is registered. `SubSocket::subscribe` blocks on this
 //!   so a subsequent control-plane message (e.g. TensorSocket's `Ready`)
 //!   can never overtake the subscription it depends on.
+//!
+//! Large frame bytes are moved by the kernel only. A message is written
+//! as one gather write: `kind`, the frame count, the length prefixes and
+//! any frame bytes shorter than a page come out of one small staging
+//! buffer, everything larger from wherever it already is (so a message of
+//! small frames is one plain `write`). The chunks of a
+//! [`Multipart::chunked`] frame share **one** length prefix — their total
+//! — so the stream carries, and the receiver sees, one contiguous frame
+//! exactly as if the sender had concatenated them. Each frame is read
+//! into a buffer of exactly its length, which [`Bytes::from`] keeps as
+//! the frame (a page or more) or folds into one small allocation.
 
 use crate::frame::Multipart;
 use bytes::Bytes;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Payload message.
 pub const KIND_DATA: u8 = 0;
@@ -35,10 +46,18 @@ pub const KIND_UNSUB: u8 = 2;
 /// Subscribe acknowledgement (request id).
 pub const KIND_SUBACK: u8 = 3;
 
-/// Upper bound on a single frame; protects a reader from a corrupt or
-/// hostile length prefix. Payloads ride in shared memory, so real frames
-/// are tiny metadata — 256 MiB is beyond generous.
+/// Upper bound on a single frame. It protects a reader from a corrupt or
+/// hostile length prefix, and it is the largest frame a sender may hand to
+/// a stream transport: announces are tiny, but a streamed batch travels
+/// as one frame, so this also bounds the batch a stream-mode consumer can
+/// be sent.
 pub const MAX_FRAME_BYTES: u32 = 256 << 20;
+
+/// Frame bytes shorter than this are copied next to their length prefix
+/// instead of getting a gather entry of their own: below a page the copy
+/// costs less than one more segment for the kernel to walk, and a message
+/// of small frames stays one `write` of one buffer.
+const GATHER_MIN: usize = 4096;
 
 /// Upper bound on frames per message.
 pub const MAX_FRAMES: u32 = 4096;
@@ -72,38 +91,111 @@ impl WireMessage {
     }
 }
 
-/// Serializes one message into a single buffer (one `write_all`, so
-/// concurrent writers on a shared stream can't interleave frames).
-pub fn encode_message(kind: u8, frames: &[&[u8]]) -> Vec<u8> {
-    let payload: usize = frames.iter().map(|f| f.len() + 4).sum();
-    let mut out = Vec::with_capacity(5 + payload);
-    out.push(kind);
-    out.extend_from_slice(&(frames.len() as u32).to_le_bytes());
-    for f in frames {
-        out.extend_from_slice(&(f.len() as u32).to_le_bytes());
-        out.extend_from_slice(f);
-    }
-    out
+fn too_large(what: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, what)
 }
 
-/// Writes one message to `w` (flushes).
-pub fn write_message(w: &mut impl Write, kind: u8, frames: &[&[u8]]) -> io::Result<()> {
-    w.write_all(&encode_message(kind, frames))?;
+/// Writes one message — `topic` as a frame of its own when given, then
+/// `parts` as one frame each, or as the chunks of a single frame when
+/// `joined` — and flushes. Everything small (kind, frame count, length
+/// prefixes, and frame bytes below [`GATHER_MIN`]) is staged in one
+/// buffer in stream order; larger frame bytes are written from where they
+/// are, in one gather write with the staged runs between them. A message
+/// of small frames is therefore a single plain `write`. Nothing is
+/// written when a limit is exceeded.
+fn write_gathered<B: AsRef<[u8]>>(
+    w: &mut impl Write,
+    kind: u8,
+    topic: Option<&[u8]>,
+    parts: &[B],
+    joined: bool,
+) -> io::Result<()> {
+    let nframes = usize::from(topic.is_some()) + if joined { 1 } else { parts.len() };
+    if nframes > MAX_FRAMES as usize {
+        return Err(too_large(format!("frame count {nframes} exceeds limit")));
+    }
+    let mut staged = Vec::with_capacity(64);
+    // Bytes written by reference, each with the length of `staged` at the
+    // point in the stream where it belongs.
+    let mut lent: Vec<(usize, &[u8])> = Vec::new();
+    staged.push(kind);
+    staged.extend_from_slice(&(nframes as u32).to_le_bytes());
+    let prefix = |staged: &mut Vec<u8>, len: usize| {
+        if len > MAX_FRAME_BYTES as usize {
+            return Err(too_large(format!("frame of {len} bytes exceeds limit")));
+        }
+        staged.extend_from_slice(&(len as u32).to_le_bytes());
+        Ok(())
+    };
+    fn body<'a>(staged: &mut Vec<u8>, lent: &mut Vec<(usize, &'a [u8])>, bytes: &'a [u8]) {
+        if bytes.len() < GATHER_MIN {
+            staged.extend_from_slice(bytes);
+        } else {
+            lent.push((staged.len(), bytes));
+        }
+    }
+    if let Some(topic) = topic {
+        prefix(&mut staged, topic.len())?;
+        body(&mut staged, &mut lent, topic);
+    }
+    if joined {
+        prefix(&mut staged, parts.iter().map(|p| p.as_ref().len()).sum())?;
+    }
+    for part in parts {
+        if !joined {
+            prefix(&mut staged, part.as_ref().len())?;
+        }
+        body(&mut staged, &mut lent, part.as_ref());
+    }
+    if lent.is_empty() {
+        w.write_all(&staged)?;
+    } else {
+        let mut gather = Vec::with_capacity(2 * lent.len() + 1);
+        let mut from = 0;
+        for &(at, bytes) in &lent {
+            gather.push(IoSlice::new(&staged[from..at]));
+            gather.push(IoSlice::new(bytes));
+            from = at;
+        }
+        gather.push(IoSlice::new(&staged[from..]));
+        write_all_vectored(w, &mut gather)?;
+    }
     w.flush()
+}
+
+/// `Write::write_all` for a gather list: short writes resume where they
+/// stopped, so the message reaches the stream whole and in order.
+fn write_all_vectored(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> io::Result<()> {
+    IoSlice::advance_slices(&mut bufs, 0); // drops leading empty slices
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "failed to write whole message",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Writes one message of whole frames to `w` (flushes).
+pub fn write_message(w: &mut impl Write, kind: u8, frames: &[&[u8]]) -> io::Result<()> {
+    write_gathered(w, kind, None, frames, false)
 }
 
 /// Writes a PUB/SUB data message: topic frame + payload frames.
 pub fn write_topic_data(w: &mut impl Write, topic: &[u8], msg: &Multipart) -> io::Result<()> {
-    let mut frames: Vec<&[u8]> = Vec::with_capacity(1 + msg.len());
-    frames.push(topic);
-    frames.extend(msg.frames().iter().map(|b| &b[..]));
-    write_message(w, KIND_DATA, &frames)
+    write_gathered(w, KIND_DATA, Some(topic), msg.frames(), msg.is_chunked())
 }
 
 /// Writes a PUSH/PULL data message: payload frames only.
 pub fn write_data(w: &mut impl Write, msg: &Multipart) -> io::Result<()> {
-    let frames: Vec<&[u8]> = msg.frames().iter().map(|b| &b[..]).collect();
-    write_message(w, KIND_DATA, &frames)
+    write_gathered(w, KIND_DATA, None, msg.frames(), msg.is_chunked())
 }
 
 fn read_exact_u32(r: &mut impl Read) -> io::Result<u32> {
@@ -133,9 +225,14 @@ pub fn read_message(r: &mut impl Read) -> io::Result<WireMessage> {
                 format!("frame of {len} bytes exceeds limit"),
             ));
         }
-        let mut buf = vec![0u8; len as usize];
-        r.read_exact(&mut buf)?;
-        frames.push(Bytes::from(buf));
+        // Read straight into the buffer the frame keeps: reserved once at
+        // its exact length, never initialised, never reallocated.
+        let mut frame = Vec::with_capacity(len as usize);
+        r.by_ref().take(u64::from(len)).read_to_end(&mut frame)?;
+        if frame.len() != len as usize {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+        frames.push(Bytes::from(frame));
     }
     Ok(WireMessage {
         kind: kind[0],
@@ -191,6 +288,115 @@ mod tests {
             read_message(&mut cursor).unwrap_err().kind(),
             io::ErrorKind::UnexpectedEof
         );
+    }
+
+    /// A writer that accepts a few bytes per call and no gather list, the
+    /// way a congested socket does.
+    struct Trickle(Vec<u8>);
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(3);
+            self.0.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn chunked_frame_is_the_same_bytes_as_its_concatenation() {
+        let chunks = vec![
+            Bytes::from_static(b"head"),
+            Bytes::from(vec![7u8; 9000]),
+            Bytes::new(),
+            Bytes::from_static(b"tail"),
+        ];
+        let whole = Multipart::single(Bytes::from(chunks.concat()));
+        let mut expect = Vec::new();
+        write_topic_data(&mut expect, b"cons/1", &whole).unwrap();
+        let chunked = Multipart::chunked(chunks);
+        let mut got = Vec::new();
+        write_topic_data(&mut got, b"cons/1", &chunked).unwrap();
+        assert_eq!(got, expect, "one length prefix, same stream");
+        // Short writes resume mid-slice without losing or repeating bytes.
+        let mut trickled = Trickle(Vec::new());
+        write_topic_data(&mut trickled, b"cons/1", &chunked).unwrap();
+        assert_eq!(trickled.0, expect);
+        // The receiver sees topic + ONE frame.
+        let (_, payload) = read_message(&mut &got[..])
+            .unwrap()
+            .into_topic_and_payload()
+            .unwrap();
+        assert_eq!(payload, whole);
+        // PUSH/PULL framing chunks the same way.
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        write_data(&mut a, &whole).unwrap();
+        write_data(&mut b, &chunked).unwrap();
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_message_of_no_frames_is_five_bytes() {
+        let mut buf = Vec::new();
+        write_data(&mut buf, &Multipart::new()).unwrap();
+        assert_eq!(buf, [KIND_DATA, 0, 0, 0, 0]);
+        assert!(read_message(&mut &buf[..]).unwrap().frames.is_empty());
+    }
+
+    #[test]
+    fn oversize_frames_are_refused_before_anything_is_written() {
+        // A stand-in for 256 MiB + 1 without touching that much memory:
+        // `from_owner` lends a length, the bytes are never read.
+        struct Huge;
+        impl AsRef<[u8]> for Huge {
+            fn as_ref(&self) -> &[u8] {
+                static ZEROS: [u8; 1 << 20] = [0; 1 << 20];
+                &ZEROS
+            }
+        }
+        let mib = Bytes::from_owner(Huge);
+        let chunked = Multipart::chunked(vec![mib; 257]);
+        let mut buf = Vec::new();
+        let err = write_topic_data(&mut buf, b"t", &chunked).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(buf.is_empty());
+        // The same chunks as separate frames are each within the limit.
+        let frames = Multipart::from_frames(chunked.frames().to_vec());
+        write_topic_data(&mut io::sink(), b"t", &frames).unwrap();
+        // Too many frames for the peer's reader is refused the same way.
+        let many = Multipart::from_frames(vec![Bytes::new(); MAX_FRAMES as usize + 1]);
+        assert_eq!(
+            write_data(&mut buf, &many).unwrap_err().kind(),
+            io::ErrorKind::InvalidInput
+        );
+        assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn frames_arrive_whole_through_any_reader() {
+        let frame = Bytes::from(vec![3u8; 100_000]);
+        let mut buf = Vec::new();
+        write_data(&mut buf, &Multipart::single(frame.clone())).unwrap();
+        // Through a `BufReader` and byte-at-a-time underneath: the frame
+        // still arrives whole.
+        struct OneByte<'a>(&'a [u8]);
+        impl Read for OneByte<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                let n = buf.len().min(self.0.len()).min(1);
+                buf[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        for got in [
+            read_message(&mut &buf[..]).unwrap(),
+            read_message(&mut io::BufReader::new(OneByte(&buf))).unwrap(),
+        ] {
+            assert_eq!(got.frames, vec![frame.clone()]);
+        }
     }
 
     #[test]

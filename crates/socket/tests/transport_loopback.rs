@@ -254,3 +254,124 @@ fn tcp_double_bind_rejected() {
         ts_socket::SendError::AddrInUse(_) | ts_socket::SendError::Io(_)
     ));
 }
+
+/// A chunk that counts its own release, lent to the socket without a copy.
+struct Lent(Vec<u8>, std::sync::Arc<std::sync::atomic::AtomicUsize>);
+
+impl AsRef<[u8]> for Lent {
+    fn as_ref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl Drop for Lent {
+    fn drop(&mut self) {
+        self.1.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn ipc_chunked_frame_arrives_as_one_contiguous_frame() {
+    let ctx = Context::new();
+    let endpoint = ipc_endpoint("chunked");
+    let publisher = PubSocket::bind(&ctx, &endpoint).unwrap();
+    let sub = SubSocket::connect(&ctx, &endpoint);
+    sub.subscribe(b"");
+    let chunks = vec![
+        Bytes::from_static(b"head"),
+        Bytes::from((0..1_500_000u32).map(|i| i as u8).collect::<Vec<u8>>()),
+        Bytes::from_static(b"mid"),
+        Bytes::from(vec![9u8; 70_000]),
+    ];
+    publisher
+        .send(b"t", Multipart::chunked(chunks.clone()))
+        .unwrap();
+    let (_, got) = sub.recv_timeout(RECV).unwrap();
+    assert_eq!(got, Multipart::single(Bytes::from(chunks.concat())));
+}
+
+#[test]
+fn ipc_oversize_frame_is_refused_and_the_connection_survives() {
+    use ts_socket::SendError;
+    let ctx = Context::new();
+    let endpoint = ipc_endpoint("oversize");
+    let publisher = PubSocket::bind(&ctx, &endpoint).unwrap();
+    let sub = SubSocket::connect(&ctx, &endpoint);
+    sub.subscribe(b"");
+    publisher.send(b"t", msg(&[b"before"])).unwrap();
+    assert_eq!(sub.recv_timeout(RECV).unwrap().1, msg(&[b"before"]));
+    // 257 MiB as one frame — what a streamed 512 x 3x224x224 f32 batch
+    // amounts to — lent as 257 views of one MiB so the test stays small.
+    let released = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let mib = Bytes::from_owner(Lent(vec![0u8; 1 << 20], released.clone()));
+    let too_large = Multipart::chunked(vec![mib; 257]);
+    assert_eq!(
+        publisher.send(b"t", too_large),
+        Err(SendError::FrameTooLarge {
+            len: 257 << 20,
+            max: 256 << 20,
+        })
+    );
+    assert_eq!(
+        released.load(std::sync::atomic::Ordering::SeqCst),
+        1,
+        "a refused message is not queued anywhere"
+    );
+    // Same connection, still in order, still alive.
+    assert_eq!(publisher.subscriber_count(), 1);
+    publisher.send(b"t", msg(&[b"after"])).unwrap();
+    assert_eq!(sub.recv_timeout(RECV).unwrap().1, msg(&[b"after"]));
+    // PUSH/PULL refuses the same way.
+    let pull_ep = ipc_endpoint("oversize-pull");
+    let pull = PullSocket::bind(&ctx, &pull_ep).unwrap();
+    let push = PushSocket::connect(&ctx, &pull_ep);
+    let mib = Bytes::from(vec![0u8; 1 << 20]);
+    assert!(matches!(
+        push.send(Multipart::chunked(vec![mib; 257])),
+        Err(SendError::FrameTooLarge { .. })
+    ));
+    push.send(msg(&[b"ack"])).unwrap();
+    assert_eq!(pull.recv_timeout(RECV).unwrap(), msg(&[b"ack"]));
+}
+
+#[test]
+fn ipc_frames_queued_behind_a_departed_subscriber_are_released() {
+    use std::sync::atomic::Ordering;
+    // The subscriber never reads and keeps one message locally, so frames
+    // back up through the socket buffers into the publisher's peer queue.
+    let near = Context::new();
+    let far = Context::with_hwm(1);
+    let endpoint = ipc_endpoint("release");
+    let publisher =
+        PubSocket::bind_with(&near, &endpoint, SendPolicy::DropNewest, Some(8)).unwrap();
+    let sub = SubSocket::connect(&far, &endpoint);
+    sub.subscribe(b"");
+    let released = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let mut lent = 0;
+    while lent < 64 {
+        let chunk = Bytes::from_owner(Lent(vec![lent as u8; 256 << 10], released.clone()));
+        let head = Bytes::from_static(b"head");
+        publisher
+            .send(b"t", Multipart::chunked(vec![head, chunk]))
+            .unwrap();
+        lent += 1;
+    }
+    assert!(
+        released.load(Ordering::SeqCst) < lent,
+        "some frames are still queued or being written"
+    );
+    // The subscriber goes away mid-stream; the publisher stays.
+    drop(sub);
+    let deadline = Instant::now() + RECV;
+    while released.load(Ordering::SeqCst) < lent && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(
+        released.load(Ordering::SeqCst),
+        lent,
+        "every lent chunk returned to its owner"
+    );
+    // Dropping the publisher joins its writers: nothing is released late.
+    drop(publisher);
+    assert_eq!(released.load(Ordering::SeqCst), lent);
+}

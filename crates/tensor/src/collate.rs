@@ -279,6 +279,48 @@ mod tests {
     }
 
     #[test]
+    fn bytes_borrowed_from_a_leased_tensor_pin_its_slot() {
+        let path =
+            std::env::temp_dir().join(format!("ts-collate-borrow-{}.arena", std::process::id()));
+        let arena = ts_shm::ShmArena::create(path, 2, 64).unwrap();
+        let pool = SlotPool::new(arena.clone(), 2);
+        let parts = [t(&[1, 2, 3, 4], &[2, 2]), t(&[5, 6, 7, 8], &[2, 2])];
+        let (batch, lease) = cat0_leased(&parts, &pool, DeviceId::Cpu).unwrap();
+        let handle = lease.into_handle();
+        // What a streamed frame holds: the slot's own memory, not a copy.
+        let borrowed = batch.shared_bytes().unwrap();
+        assert_eq!(borrowed.as_ptr(), batch.bytes().unwrap().as_ptr());
+        let row = batch.narrow(0, 1, 2).unwrap().shared_bytes().unwrap();
+        assert_eq!(&row[..], &[3, 4, 5, 6]);
+        drop((batch, row));
+        // The batch is released, the frame is still queued somewhere: the
+        // slot may not be rewritten...
+        assert!(matches!(
+            arena.try_recycle_in_place(handle, 8),
+            Err(ts_shm::ShmError::Busy { .. })
+        ));
+        pool.reclaim(handle);
+        let other = [t(&[9; 8], &[4, 2])];
+        let (next, next_lease) = cat0_leased(&other, &pool, DeviceId::Cpu).unwrap();
+        assert_eq!(
+            pool.stats().busy_discards,
+            1,
+            "the pinned slot was passed over"
+        );
+        assert_ne!(next_lease.handle().slot, handle.slot);
+        assert_eq!(&borrowed[..], &[1, 2, 3, 4, 5, 6, 7, 8], "and is intact");
+        // ...and once the frame is gone the slot is anyone's again.
+        drop(borrowed);
+        let (again, again_lease) = cat0_leased(&other, &pool, DeviceId::Cpu).unwrap();
+        assert_eq!(again_lease.handle().slot, handle.slot);
+        drop((next, again));
+        pool.reclaim(next_lease.into_handle());
+        pool.reclaim(again_lease.into_handle());
+        pool.drain();
+        assert_eq!(arena.slots_in_use(), 0);
+    }
+
+    #[test]
     fn dropped_lease_from_leased_cat_frees_its_slot() {
         let path = std::env::temp_dir().join(format!(
             "ts-collate-lease-drop-{}.arena",

@@ -26,6 +26,10 @@ enum Backing {
     /// ([`ts_shm::ShmView`]): zero-copy, and the view's drop releases the
     /// consumer's slot reference.
     Shm(ts_shm::ShmView),
+    /// A window of a buffer someone else allocated — a received wire
+    /// frame: zero-copy, and the buffer lives until the last storage (or
+    /// other `Bytes` clone) over it drops.
+    Bytes(bytes::Bytes),
 }
 
 impl std::fmt::Debug for Backing {
@@ -33,6 +37,7 @@ impl std::fmt::Debug for Backing {
         match self {
             Backing::Owned(_) => f.write_str("Owned"),
             Backing::Shm(_) => f.write_str("Shm"),
+            Backing::Bytes(_) => f.write_str("Bytes"),
         }
     }
 }
@@ -64,8 +69,9 @@ impl std::fmt::Debug for Reclaim {
 /// buffer to the pool when the last reference drops, and storages built
 /// over a recycled buffer ([`Storage::new_with_reclaim`]) hand it back to
 /// their owner the same way. Storages rebuilt by a consumer in another OS
-/// process wrap a shared-memory view instead ([`Storage::from_shm_view`])
-/// — same API, no copy.
+/// process wrap a shared-memory view ([`Storage::from_shm_view`]) or a
+/// slice of a received frame ([`Storage::from_shared_bytes`]) instead —
+/// same API, no copy.
 #[derive(Debug)]
 pub struct Storage {
     id: u64,
@@ -129,6 +135,17 @@ impl Storage {
         }
     }
 
+    /// Wraps a reference-counted byte slice as a storage under a fresh id,
+    /// without copying it.
+    pub fn from_shared_bytes(data: bytes::Bytes, device: DeviceId) -> Self {
+        Self {
+            id: fresh_storage_id(),
+            device,
+            data: Backing::Bytes(data),
+            reclaim: None,
+        }
+    }
+
     /// Process-unique identifier (the "pointer" shared in payloads).
     pub fn id(&self) -> u64 {
         self.id
@@ -158,6 +175,7 @@ impl Storage {
         match &self.data {
             Backing::Owned(d) => d.as_deref().expect("storage data present until drop"),
             Backing::Shm(view) => view,
+            Backing::Bytes(data) => data,
         }
     }
 

@@ -23,6 +23,29 @@ pub struct Tensor {
     offset: usize,
 }
 
+/// `len` bytes must be exactly what a dense `shape` of `dtype` occupies.
+fn check_byte_len(len: usize, dtype: DType, shape: &[usize]) -> Result<()> {
+    let need = shape
+        .iter()
+        .try_fold(dtype.size_bytes(), |n, &d| n.checked_mul(d));
+    if need != Some(len) {
+        return Err(TensorError::Shape(format!(
+            "{len} bytes provided for shape {shape:?} of {dtype:?} (need {need:?})"
+        )));
+    }
+    Ok(())
+}
+
+/// Lends a storage's bytes to a [`bytes::Bytes`], which keeps the storage
+/// (and through it an arena slot's read reference) alive.
+struct StorageBytes(Arc<Storage>);
+
+impl AsRef<[u8]> for StorageBytes {
+    fn as_ref(&self) -> &[u8] {
+        self.0.bytes()
+    }
+}
+
 impl Tensor {
     /// Builds a tensor from raw parts, validating that the view fits inside
     /// the storage.
@@ -74,17 +97,22 @@ impl Tensor {
         shape: &[usize],
         device: DeviceId,
     ) -> Result<Self> {
-        let numel: usize = shape.iter().product();
-        if data.len() != numel * dtype.size_bytes() {
-            return Err(TensorError::Shape(format!(
-                "{} bytes provided for shape {:?} of {:?} (need {})",
-                data.len(),
-                shape,
-                dtype,
-                numel * dtype.size_bytes()
-            )));
-        }
+        check_byte_len(data.len(), dtype, shape)?;
         let storage = Arc::new(Storage::new(data, device));
+        Self::from_parts(storage, dtype, shape.to_vec(), contiguous_strides(shape), 0)
+    }
+
+    /// A contiguous tensor over `data` as it is — no copy; `data`'s buffer
+    /// lives as long as the tensor (and every view of it) does. Tensor
+    /// storage is only ever read as bytes, so `data` needs no alignment.
+    pub fn from_shared_bytes(
+        data: bytes::Bytes,
+        dtype: DType,
+        shape: &[usize],
+        device: DeviceId,
+    ) -> Result<Self> {
+        check_byte_len(data.len(), dtype, shape)?;
+        let storage = Arc::new(Storage::from_shared_bytes(data, device));
         Self::from_parts(storage, dtype, shape.to_vec(), contiguous_strides(shape), 0)
     }
 
@@ -273,6 +301,16 @@ impl Tensor {
         Ok(&self.storage.bytes()[start..end])
     }
 
+    /// The raw bytes of a contiguous view as a [`bytes::Bytes`] that
+    /// shares this tensor's storage — no copy. While it (or any clone or
+    /// slice of it) is alive the storage is, so a tensor collated into an
+    /// arena slot keeps that slot pinned exactly as a consumer's view does.
+    pub fn shared_bytes(&self) -> Result<bytes::Bytes> {
+        let len = self.bytes()?.len();
+        let start = self.offset * self.dtype.size_bytes();
+        Ok(bytes::Bytes::from_owner(StorageBytes(self.storage.clone())).slice(start..start + len))
+    }
+
     /// Gathers the view into a dense row-major byte vector (copies).
     pub fn gather_bytes(&self) -> Vec<u8> {
         let esize = self.dtype.size_bytes();
@@ -392,6 +430,29 @@ mod tests {
     fn from_bytes_validates_length() {
         assert!(Tensor::from_bytes(vec![0u8; 5], DType::U8, &[2, 3], DeviceId::Cpu).is_err());
         assert!(Tensor::from_bytes(vec![0u8; 8], DType::F32, &[3], DeviceId::Cpu).is_err());
+    }
+
+    #[test]
+    fn shared_bytes_lend_and_wrap_without_copying() {
+        let t = seq_u8(12, &[4, 3]);
+        let lent = t.shared_bytes().unwrap();
+        assert_eq!(lent.as_ptr(), t.bytes().unwrap().as_ptr());
+        let rows = t.narrow(0, 1, 2).unwrap();
+        assert_eq!(&rows.shared_bytes().unwrap()[..], &[3, 4, 5, 6, 7, 8]);
+        assert!(t.narrow(1, 1, 2).unwrap().shared_bytes().is_err());
+        // ...and back: the tensor is a view of the bytes it was given.
+        let back =
+            Tensor::from_shared_bytes(lent.clone(), DType::U8, &[4, 3], DeviceId::Cpu).unwrap();
+        assert_eq!(back.bytes().unwrap().as_ptr(), lent.as_ptr());
+        assert!(back.data_eq(&t));
+        assert_ne!(back.storage_id(), t.storage_id());
+        // Same length check as `from_bytes`, overflowing shapes included.
+        let wrap = |shape: &[usize], dtype| {
+            Tensor::from_shared_bytes(lent.clone(), dtype, shape, DeviceId::Cpu)
+        };
+        assert!(wrap(&[5, 3], DType::U8).is_err());
+        assert!(wrap(&[3], DType::F32).is_ok());
+        assert!(wrap(&[usize::MAX, 4], DType::F32).is_err());
     }
 
     #[test]

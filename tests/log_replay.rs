@@ -162,6 +162,11 @@ fn fresh_group_late_join_replays_full_history() {
     for batch in witness.by_ref() {
         let batch = batch.expect("clean witness stream");
         full.push(seen(&batch));
+        if late.is_some() {
+            // The witness paces the producer: leave the late joiner time
+            // to attach before the last epoch is over.
+            std::thread::sleep(Duration::from_millis(5));
+        }
         if full.len() as u64 == PER_EPOCH + 2 {
             let ctx_c = ctx.clone();
             late = Some(std::thread::spawn(move || {

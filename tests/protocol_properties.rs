@@ -1,5 +1,6 @@
 //! Property-based tests of the protocol invariants and substrate algebra.
 
+use bytes::Bytes;
 use proptest::prelude::*;
 use tensorsocket::protocol::buffer::BatchWindow;
 use tensorsocket::protocol::flex::{covers_producer_batch, plan_flex};
@@ -149,10 +150,16 @@ impl Gen {
     }
 
     fn streamed(&mut self) -> StreamedTensor {
+        // Mostly small blobs; one in eight is past the size at which the
+        // codec emits a blob as a segment of its own.
+        let len = match self.below(8) {
+            0 => 4096 + self.below(64),
+            _ => self.below(25),
+        };
         StreamedTensor {
             dtype: [DType::U8, DType::F32, DType::I64][self.below(3)],
             shape: self.vec(3, |g| g.u64()),
-            bytes: bytes::Bytes::from(self.vec(24, |g| g.u64() as u8)),
+            bytes: Bytes::from((0..len).map(|_| self.u64() as u8).collect::<Vec<u8>>()),
         }
     }
 
@@ -352,23 +359,39 @@ fn data_msg(kind: usize, g: &mut Gen) -> DataMsg {
     }
 }
 
-/// The three frame-level properties every message must have.
+/// The frame-level properties every message must have, through both
+/// decode entries: the borrowing one the runtime uses on received frames
+/// and the `&[u8]` one.
 fn assert_frame_properties<M: PartialEq + std::fmt::Debug>(
     msg: &M,
-    wire: &[u8],
+    wire: &Bytes,
     decode: fn(&[u8]) -> tensorsocket::Result<M>,
+    decode_shared: fn(&Bytes) -> tensorsocket::Result<M>,
     garbage: &[u8],
 ) {
     assert_eq!(&decode(wire).unwrap(), msg, "round trip");
+    assert_eq!(&decode_shared(wire).unwrap(), msg, "shared round trip");
     for cut in 0..wire.len() {
         assert!(
-            decode(&wire[..cut]).is_err(),
+            decode(&wire[..cut]).is_err() && decode_shared(&wire.slice(..cut)).is_err(),
             "{msg:?} cut to {cut} of {} bytes decoded",
             wire.len()
         );
     }
-    let padded = [wire, garbage].concat();
+    let padded = Bytes::from([wire, garbage].concat());
     assert_eq!(&decode(&padded).unwrap(), msg, "trailing bytes are ignored");
+    assert_eq!(&decode_shared(&padded).unwrap(), msg, "...by both entries");
+}
+
+/// Every blob of a decoded streamed batch, in wire order.
+fn blobs(msg: &DataMsg) -> Vec<&Bytes> {
+    match msg {
+        DataMsg::Batch(BatchAnnounce {
+            content: AnnounceContent::Streamed { fields, labels },
+            ..
+        }) => fields.iter().chain([labels]).map(|t| &t.bytes).collect(),
+        _ => Vec::new(),
+    }
 }
 
 proptest! {
@@ -382,11 +405,55 @@ proptest! {
         let mut g = Gen(seed);
         for kind in 0..CTRL_KINDS {
             let m = ctrl_msg(kind, &mut g);
-            assert_frame_properties(&m, &m.encode(), CtrlMsg::decode, &garbage);
+            assert_frame_properties(
+                &m,
+                &m.encode(),
+                CtrlMsg::decode,
+                CtrlMsg::decode_shared,
+                &garbage,
+            );
         }
         for kind in 0..DATA_KINDS {
             let m = data_msg(kind, &mut g);
-            assert_frame_properties(&m, &m.encode(), DataMsg::decode, &garbage);
+            assert_frame_properties(
+                &m,
+                &m.encode(),
+                DataMsg::decode,
+                DataMsg::decode_shared,
+                &garbage,
+            );
+        }
+    }
+
+    /// The frame is one thing however it is produced or consumed: the
+    /// segments concatenate to `encode()` (so what a gather write puts on
+    /// the socket, and what the log stores, are the same bytes), a blob
+    /// large enough to be borrowed is a segment that IS the field's
+    /// buffer, and every blob `decode_shared` returns lies inside the
+    /// frame it was decoded from.
+    #[test]
+    fn segments_concatenate_to_the_frame_and_decoded_blobs_alias_it(seed in any::<u64>()) {
+        let mut g = Gen(seed);
+        for kind in 0..DATA_KINDS {
+            let m = data_msg(kind, &mut g);
+            let segments = m.encode_segments();
+            let wire = m.encode();
+            prop_assert_eq!(&segments.concat()[..], &wire[..]);
+            for blob in blobs(&m).into_iter().filter(|b| b.len() >= 4096) {
+                prop_assert!(
+                    segments.iter().any(|s| s.as_ptr_range() == blob.as_ptr_range()),
+                    "a {}-byte blob was copied into the frame", blob.len()
+                );
+            }
+            let decoded = DataMsg::decode_shared(&wire).unwrap();
+            let frame = wire.as_ptr_range();
+            for blob in blobs(&decoded) {
+                let at = blob.as_ptr_range();
+                prop_assert!(
+                    blob.is_empty() || (frame.start <= at.start && at.end <= frame.end),
+                    "a decoded {}-byte blob is a copy", blob.len()
+                );
+            }
         }
     }
 
@@ -420,27 +487,57 @@ proptest! {
 }
 
 // A hostile element count must fail on the count, before the decoder
-// reserves anything for it. Measured, not inferred: the largest single
-// allocation the decoding thread makes is recorded by the allocator.
+// reserves anything for it; a streamed batch must cross the codec and the
+// socket without being copied. Measured, not inferred: the allocator
+// records what the measured thread allocates, and counts batch-sized
+// allocations on every thread.
 
-struct PeakAlloc;
+struct CountingAlloc;
 
-thread_local! {
-    /// Largest allocation on this thread since it was armed (`None` =
-    /// not recording).
-    static PEAK: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+/// What one thread allocated while it was being measured.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    /// Largest single allocation.
+    peak: usize,
+    /// Sum of all allocations.
+    total: usize,
 }
 
+thread_local! {
+    /// This thread's tally since it was armed (`None` = not recording).
+    static TALLY: std::cell::Cell<Option<Tally>> = const { std::cell::Cell::new(None) };
+}
+
+/// An allocation this large can only be a copy of (or a buffer for) the
+/// 1.5 MiB batch of the copy-budget tests.
+const BATCH_SIZED: usize = 1 << 20;
+/// Batch-sized allocations on any thread while `WATCHING_ALL_THREADS`.
+static BATCH_SIZED_ALLOCATIONS: std::sync::atomic::AtomicUsize =
+    std::sync::atomic::AtomicUsize::new(0);
+static WATCHING_ALL_THREADS: std::sync::atomic::AtomicBool =
+    std::sync::atomic::AtomicBool::new(false);
+/// Held by every test that allocates batch-sized buffers, so that one
+/// test's batch is not counted against another's budget.
+static BATCH_SIZED_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 // SAFETY: every call is forwarded unchanged to the system allocator; the
-// only addition is a read and write of a const-initialised, destructor-
-// free thread-local `Cell`, which neither allocates nor unwinds.
-unsafe impl std::alloc::GlobalAlloc for PeakAlloc {
+// only additions are a read and write of a const-initialised, destructor-
+// free thread-local `Cell` and of two atomics, none of which allocates or
+// unwinds.
+unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        let _ = PEAK.try_with(|peak| {
-            if let Some(max) = peak.get() {
-                peak.set(Some(max.max(layout.size())));
+        use std::sync::atomic::Ordering::Relaxed;
+        let _ = TALLY.try_with(|tally| {
+            if let Some(t) = tally.get() {
+                tally.set(Some(Tally {
+                    peak: t.peak.max(layout.size()),
+                    total: t.total + layout.size(),
+                }));
             }
         });
+        if layout.size() >= BATCH_SIZED && WATCHING_ALL_THREADS.load(Relaxed) {
+            BATCH_SIZED_ALLOCATIONS.fetch_add(1, Relaxed);
+        }
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for
         // `layout`, which is passed through as is.
         unsafe { std::alloc::System.alloc(layout) }
@@ -453,13 +550,19 @@ unsafe impl std::alloc::GlobalAlloc for PeakAlloc {
 }
 
 #[global_allocator]
-static ALLOCATOR: PeakAlloc = PeakAlloc;
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Runs `f` and returns its result with what this thread allocated
+/// meanwhile.
+fn tally<T>(f: impl FnOnce() -> T) -> (T, Tally) {
+    TALLY.with(|t| t.set(Some(Tally::default())));
+    let out = f();
+    (out, TALLY.with(|t| t.take()).expect("armed above"))
+}
 
 /// Runs `f` and returns the largest single allocation it made.
 fn peak_allocation(f: impl FnOnce()) -> usize {
-    PEAK.with(|p| p.set(Some(0)));
-    f();
-    PEAK.with(|p| p.take()).expect("armed above")
+    tally(f).1.peak
 }
 
 #[test]
@@ -488,6 +591,109 @@ fn hostile_counts_fail_before_anything_is_reserved() {
             frame.len()
         );
     }
+}
+
+/// The `streamed_bytes` shape: a contiguous 32 x 3x128x128 u8 batch
+/// (1.5 MiB) and its labels.
+fn batch_1_5_mib() -> (Tensor, Tensor) {
+    let field = Tensor::rand_u8(&[32, 3, 128, 128], DeviceId::Cpu, 7);
+    let labels = Tensor::from_i64(&(0..32).collect::<Vec<i64>>(), &[32], DeviceId::Cpu).unwrap();
+    (field, labels)
+}
+
+fn streamed_batch(field: &Tensor, labels: &Tensor) -> DataMsg {
+    DataMsg::Batch(BatchAnnounce {
+        seq: 9,
+        epoch: 1,
+        index_in_epoch: 9,
+        last_in_epoch: false,
+        content: AnnounceContent::Streamed {
+            fields: vec![StreamedTensor::from_tensor(field)],
+            labels: StreamedTensor::from_tensor(labels),
+        },
+    })
+}
+
+#[test]
+fn a_contiguous_batch_crosses_the_codec_without_being_copied() {
+    let _exclusive = BATCH_SIZED_TESTS.lock().unwrap();
+    let (field, labels) = batch_1_5_mib();
+    // Producer side: capture the tensors and encode for a gather write.
+    let (segments, sending) = tally(|| streamed_batch(&field, &labels).encode_segments());
+    assert!(
+        sending.total < 4096,
+        "building and encoding a {} B batch allocated {} B",
+        field.view_bytes(),
+        sending.total
+    );
+    // Consumer side: the frame as the socket hands it over, decoded and
+    // rebuilt into tensors.
+    let frame = Bytes::from(segments.concat());
+    assert!(frame.len() > field.view_bytes());
+    let (rebuilt, receiving) = tally(|| {
+        let Ok(DataMsg::Batch(BatchAnnounce {
+            content: AnnounceContent::Streamed { fields, labels },
+            ..
+        })) = DataMsg::decode_shared(&frame)
+        else {
+            panic!("not a streamed batch");
+        };
+        (
+            fields[0].to_tensor(DeviceId::Cpu).unwrap(),
+            labels.to_tensor(DeviceId::Cpu).unwrap(),
+        )
+    });
+    assert!(
+        receiving.total < 4096,
+        "decoding and rebuilding allocated {} B",
+        receiving.total
+    );
+    assert!(rebuilt.0.data_eq(&field) && rebuilt.1.data_eq(&labels));
+    // A view that is not contiguous is the one thing still gathered.
+    let strided = field.narrow(3, 0, 64).unwrap();
+    let (_, gathered) = tally(|| StreamedTensor::from_tensor(&strided));
+    assert!(gathered.total >= strided.view_bytes());
+}
+
+#[test]
+fn a_frame_crosses_ipc_with_one_receive_buffer_and_no_send_buffer() {
+    use std::sync::atomic::Ordering::SeqCst;
+    use ts_socket::{Context, Multipart, PubSocket, SubSocket};
+    let _exclusive = BATCH_SIZED_TESTS.lock().unwrap();
+    let ctx = Context::new();
+    let endpoint = format!(
+        "ipc://{}",
+        std::env::temp_dir()
+            .join(format!("ts-copy-budget-{}.sock", std::process::id()))
+            .display()
+    );
+    let publisher = PubSocket::bind(&ctx, &endpoint).unwrap();
+    let sub = SubSocket::connect(&ctx, &endpoint);
+    sub.subscribe(b"");
+    let (field, labels) = batch_1_5_mib();
+    let frames: Vec<Multipart> = (0..4)
+        .map(|_| Multipart::chunked(streamed_batch(&field, &labels).encode_segments()))
+        .collect();
+    let expect = frames[0].clone().into_contiguous();
+    // From here on every thread is watched: the writer thread of the
+    // publisher, the reader thread of the subscriber, and this one.
+    BATCH_SIZED_ALLOCATIONS.store(0, SeqCst);
+    WATCHING_ALL_THREADS.store(true, SeqCst);
+    for frame in frames {
+        publisher.send(b"cons/1", frame).unwrap();
+        let (_, got) = sub
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .unwrap();
+        assert_eq!(got.frames()[0].len(), expect.byte_len());
+        assert!(got == expect, "frame bytes differ");
+    }
+    WATCHING_ALL_THREADS.store(false, SeqCst);
+    assert_eq!(
+        BATCH_SIZED_ALLOCATIONS.load(SeqCst),
+        4,
+        "4 frames of {} B: one receive buffer each and nothing else",
+        expect.byte_len()
+    );
 }
 
 // ---------------------------------------------------------------------------
