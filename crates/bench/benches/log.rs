@@ -61,7 +61,6 @@ fn run_epoch(logged: bool, endpoint: &str, log_dir: &std::path::Path) -> u64 {
         .context(&ctx)
         .endpoint(endpoint)
         .epochs(1)
-        .poll_interval(Duration::from_micros(200))
         .first_consumer_timeout(Some(Duration::from_secs(30)));
     if logged {
         builder = builder.log(log_dir);

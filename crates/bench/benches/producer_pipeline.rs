@@ -63,7 +63,6 @@ fn run_epoch(workers: usize, endpoint: &str) -> u64 {
         .context(&ctx)
         .endpoint(endpoint)
         .epochs(1)
-        .poll_interval(Duration::from_micros(200))
         .first_consumer_timeout(Some(Duration::from_secs(30)))
         .spawn(make_loader(workers))
         .expect("spawn producer");
@@ -103,7 +102,6 @@ fn run_leased_epoch(workers: usize, endpoint: &str, round: u32) -> u64 {
         .context(&ctx)
         .endpoint(endpoint)
         .epochs(1)
-        .poll_interval(Duration::from_micros(200))
         .first_consumer_timeout(Some(Duration::from_secs(30)))
         .arena(&arena_path)
         .spawn(make_loader(workers))
@@ -154,7 +152,6 @@ fn run_sharded_epoch(shards: usize, endpoint: &str) -> u64 {
         .context(&ctx)
         .endpoint(endpoint)
         .epochs(1)
-        .poll_interval(Duration::from_micros(200))
         .first_consumer_timeout(Some(Duration::from_secs(30)))
         .spawn_sharded(loaders)
         .expect("spawn sharded group");

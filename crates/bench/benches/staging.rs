@@ -81,7 +81,6 @@ fn run_epoch(mode: StagingMode, endpoint: &str) -> u64 {
             h2d_bandwidth: Some(H2D_BANDWIDTH),
             ..Default::default()
         })
-        .poll_interval(Duration::from_micros(200))
         .first_consumer_timeout(Some(Duration::from_secs(30)))
         .spawn(make_loader())
         .expect("spawn producer");

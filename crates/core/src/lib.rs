@@ -149,16 +149,26 @@
 //! With an arena bound, publish is **zero-copy end to end**: the feeder
 //! leases each batch's slot *before* collating ([`ts_tensor::SlotPool`])
 //! and decodes straight into it ([`ts_tensor::cat0_leased`]), so the
-//! publish loop merely adopts the placement into the
+//! publish step merely adopts the placement into the
 //! [`ts_tensor::SharedRegistry`] — no payload byte moves at publish
-//! time, and epoch replays refcount the same placement. The invariant is
-//! metered, not assumed: `stage.publish_copy_bytes` counts every byte
-//! the copying fallback touches and must read 0 after warm-up (CI
-//! asserts this on a live scrape). Publishes are additionally announced
-//! on a **coalescing cursor channel** — a latest-wins cell flushed at a
-//! bounded ~25 ms cadence, read via `Consumer::latest_cursor` — which
-//! tells a waking consumer where the producer *is* without any backlog
-//! to drain; it is lag observability, never flow control.
+//! time, and epoch replays refcount the same placement. There is no heap
+//! fallback: when the pool has no slot to lease the feeder **parks**
+//! until an ack (or, with a durable log, the spiller's progress) frees
+//! one, and the producer reports the wait state `arena`
+//! (`stage.wait_state`, `stage.arena_parked_ns`); a batch that no slot
+//! can ever hold stops the pipeline with a counted, logged reason
+//! (`producer.feeder_failed`). If nothing but fully-acked rubberband pins
+//! holds the dry arena, the join window closes early
+//! (`stage.pins_shed_for_arena`) — joiners then wait for the next epoch —
+//! so parking cannot deadlock on memory the producer itself owns.
+//! `stage.publish_copy_bytes` counts the one copying path left — a source
+//! that hands out device or pre-shared storages the feeder cannot lease
+//! for — and reads 0 on every loader-collated stream (CI asserts this on
+//! a live scrape). Publishes are additionally announced on a **coalescing
+//! cursor channel** — a latest-wins cell flushed once per ~25 ms tick,
+//! read via `Consumer::latest_cursor` — which tells a waking consumer
+//! where the producer *is* without any backlog to drain; it is lag
+//! observability, never flow control.
 //!
 //! ## Multi-producer sharding and the `(epoch, shard, seq)` contract
 //!
@@ -207,22 +217,42 @@
 //!
 //! ## The producer pipeline and its tuning knobs
 //!
-//! The producer is a two-stage pipeline. A **feeder** stage prepares
+//! The producer is a two-stage pipeline. A **feeder** thread prepares
 //! batches ahead of the publish cursor — the loader's worker threads
 //! decode and collate samples, the feeder applies the producer map and
 //! (under flexible sizing) fuses loader batches into producer batches —
-//! while the **publish** stage stages batches on the device, registers
-//! them and announces pointers. The publish loop never sleeps on a fixed
-//! poll: it parks on the control channel and wakes the moment an
-//! ack/join/leave arrives. Knobs, in the order they usually matter:
+//! and hands them over a bounded queue to the **producer thread**, which
+//! stages batches on the device, registers them, announces pointers and
+//! serves joins, acks and heartbeats. There is one pipeline shape.
 //!
-//! * `DataLoaderConfig::num_workers` — loader worker threads; `0` runs
-//!   the whole pipeline serially on the publish thread, `>= 1` enables
-//!   the feeder stage. Batch order is bit-identical either way.
+//! The producer thread is a *pump* over a plain state machine
+//! (`runtime::state`): it blocks in exactly one call, and every source
+//! of work — the control socket, the feeder's queue, the log spiller's
+//! progress — keeps its own queue and rings one latest-wins doorbell
+//! after enqueueing. Whatever woke the pump becomes one event
+//! (`Ctrl(frame)`, `Prepared(item)`, `Logged`, `Tick`, `Stop`) fed to
+//! `State::step(now, event, &mut effects)`, and the effects (`Send`,
+//! `Spill`, `Finish`) are executed in order. The state machine owns no
+//! socket, thread or clock, so every decision is unit-tested by feeding
+//! it events (`runtime/step_tests.rs`). At any moment it is waiting for
+//! exactly one thing — the [`Wait`] enum, exported as
+//! `stage.[s<N>.]wait_state`: the group `barrier`, a ready consumer
+//! (`consumers`), the feeder's next `item`, the publish `window`, an
+//! `arena` slot, or the final acks (`drain`) — and control frames,
+//! scrapes and ticks are handled identically in all six. A late joiner's
+//! catch-up is a queued job advanced one frame per pump turn (publishing
+//! halts until the queue is empty, the paper's rubberband), so a `Leave`
+//! or a heartbeat expiry between two frames simply removes the job.
+//! Housekeeping (join-reply nudges, the cursor broadcast, log retention,
+//! heartbeat expiry; the watchdog every fourth time) runs on one ~25 ms
+//! tick. Knobs, in the order they usually matter:
+//!
+//! * `DataLoaderConfig::num_workers` — loader worker threads; `0`
+//!   decodes on the feeder thread itself. Batch order is bit-identical
+//!   either way.
 //! * `DataLoaderConfig::prefetch_factor` — in-flight batches per worker;
-//!   with `num_workers` it also sizes the feeder's hand-off queue.
-//! * [`ProducerConfig::pipeline_depth`] — explicit hand-off queue
-//!   capacity, when `num_workers × prefetch_factor` is not what you want.
+//!   the feeder's hand-off queue holds `num_workers × prefetch_factor`
+//!   prepared batches (at least one).
 //! * [`ProducerBuilder::arena`] — cross-process deployments: creates the
 //!   shared-memory arena *and* its recycling slot pool, both auto-sized
 //!   from the loader's decoded sample geometry, so steady-state
@@ -237,7 +267,7 @@
 //!   of *n + 1* and publishing of *n − 1* and warmed-up staging performs
 //!   zero device allocations (assert via
 //!   `ts_device::MemoryBook::alloc_count`). `Serial` keeps the pool but
-//!   copies on the publish thread; `Off` is the legacy per-batch
+//!   copies on the producer thread; `Off` is the legacy per-batch
 //!   allocate+copy. Consumers see byte-identical batches in all three.
 //!
 //! ## Observability: stage histograms and the `ts-top` scrape
@@ -246,9 +276,9 @@
 //! histograms ([`ts_metrics::Histogram`]) in the context's shared
 //! [`ts_metrics::Registry`] — a `record` is a handful of relaxed atomic
 //! adds, so instrumentation never touches a lock on the hot path. A
-//! running producer answers a stateless [`CtrlMsg::StatsRequest`] from
-//! *any* of its wait loops (mid-epoch, at
-//! an epoch barrier, draining final acks) with a [`DataMsg::Stats`]
+//! running producer answers a stateless [`CtrlMsg::StatsRequest`] in
+//! *any* wait state (mid-epoch, at an epoch barrier, parked on a dry
+//! arena, draining final acks) with a [`DataMsg::Stats`]
 //! snapshot of the whole registry — counters, gauges and full histogram
 //! buckets, deterministically name-sorted. [`scrape_stats`] is the
 //! client side, and the `ts-top` binary renders it live:
@@ -274,7 +304,8 @@
 //! | `consumer.wait_ns` | histogram | ns | consumer-side wait for the next batch to arrive |
 //! | `consumer.interarrival_ns` | histogram | ns | time between consecutive batches yielded to training |
 //! | `consumer.stream_rx_ns` | histogram | ns | rebuild of one batch from streamed bytes (non-shm consumers) |
-//! | `stage.[s<N>.]pin_depth` | gauge | batches | rubberband replay pin set currently held |
+//! | `stage.[s<N>.]pin_depth` | gauge | batches | rubberband pins currently holding memory (a pin shed to the durable log stays replayable but is not counted) |
+//! | `stage.[s<N>.]wait_state` | gauge | code | what the producer is waiting for: 0 `barrier`, 1 `consumers`, 2 `item`, 3 `window`, 4 `arena`, 5 `drain` ([`Wait::ALL`]) |
 //! | `consumer.cursor_lag` | gauge | batches | producer cursor position minus this consumer's, per the last cursor flush |
 //! | `staging.[s<N>.]slab_occupancy` | gauge | slabs | VRAM rotation slabs currently leased |
 //! | `staging.[s<N>.]copy_queue_depth` | gauge | items | items queued ahead of the copy stage |
@@ -284,12 +315,16 @@
 //! | `producer.replays` | counter | batches | rubberband replays sent to late joiners |
 //! | `producer.detached` | counter | consumers | consumers detached on heartbeat expiry |
 //! | `producer.ctrl_unknown` | counter | frames | control frames with an unknown tag, ignored |
+//! | `producer.ctrl_unknown_consumer` | counter | frames | acks, readies, heartbeats, leaves and replay requests carrying an id that never joined (or already left), ignored — they never enter the heartbeat monitor |
+//! | `producer.feeder_failed` | counter | failures | pipeline stops with a logged reason: a batch no arena slot can hold, a collation error, device staging out of memory |
 //! | `producer.hello_unknown_caps` | counter | hellos | HELLOs carrying capability bits this producer does not know |
 //! | `producer.stats_dup` | counter | replies | stats replies dropped for carrying a stale request stamp |
 //! | `stage.[s<N>.]stream_tx_bytes` | counter | bytes | payload bytes sent over the streamed (non-shm) path |
 //! | `stage.[s<N>.]stream_copy_bytes` | counter | bytes | payload bytes gathered into a new buffer to build a streamed frame because a tensor view was not contiguous — **0** on every collated batch (the streamed path's zero-copy invariant CI asserts) |
 //! | `stage.[s<N>.]stream_tx_errors` | counter | frames | streamed frames the data socket refused for exceeding the stream transports' frame limit |
-//! | `stage.[s<N>.]publish_copy_bytes` | counter | bytes | payload bytes the *copying* publish fallback moved — **0** after warm-up with an arena bound (the zero-copy invariant CI asserts) |
+//! | `stage.[s<N>.]publish_copy_bytes` | counter | bytes | payload bytes the publish step copied into the arena because a tensor arrived without a feeder placement (device or pre-shared storages) — **0** on every loader-collated stream (the zero-copy invariant CI asserts); a dry arena never adds to it |
+//! | `stage.[s<N>.]arena_parked_ns` | counter | ns | total time spent in wait state `arena`: the feeder parked on a dry slot pool |
+//! | `stage.[s<N>.]pins_shed_for_arena` | counter | batches | fully-acked rubberband pins released early because they alone held a dry arena (the join window closes for the rest of the epoch) |
 //! | `stage.[s<N>.]cursor_coalesced` | counter | positions | stale cursor positions displaced (latest-wins) before a flush window |
 //! | `consumer.batches` / `consumer.samples` | counter | batches / samples | consumed by this context's consumers |
 //! | `consumer.acks` | counter | acks | batch acknowledgements sent back |
@@ -301,8 +336,9 @@
 //! | `producer.trace_dup` | counter | replies | trace replies dropped for carrying a stale request stamp |
 //! | `watchdog.stalls.consumer` | counter | stalls | watchdog verdicts: one straggling consumer holds the oldest batch |
 //! | `watchdog.stalls.ack` | counter | stalls | watchdog verdicts: every consumer is late acking the oldest batch |
-//! | `watchdog.stalls.loader` | counter | stalls | watchdog verdicts: publish loop idle, loader fetch is the bottleneck |
-//! | `watchdog.stalls.h2d` | counter | stalls | watchdog verdicts: publish loop idle, H2D staging is the bottleneck |
+//! | `watchdog.stalls.loader` | counter | stalls | watchdog verdicts: parked on `item`, loader fetch is the bottleneck |
+//! | `watchdog.stalls.h2d` | counter | stalls | watchdog verdicts: parked on `item`, H2D staging is the bottleneck |
+//! | `watchdog.stalls.arena` | counter | stalls | watchdog verdicts: parked on `arena`; the verdict says how many live, pinned and un-logged batches hold the slots |
 //! | `stage.[s<N>.]log_append_bytes` | counter | bytes | encoded batch frames the log spiller appended durably |
 //! | `log.append_errors` | counter | appends | spiller append failures (first one latches the log failed and drops it from WELCOMEs) |
 //! | `log.[s<N>.]lag` | gauge | batches | published batches not yet durably appended (spiller backlog) |
@@ -330,13 +366,17 @@
 //! ts-top --trace trace.json ipc:///tmp/ts.sock
 //! ```
 //!
-//! Alongside the recorder runs a low-frequency stall watchdog in the
-//! producer's housekeeping loop: any batch stuck past a configurable
-//! multiple ([`ProducerConfig::watchdog_stall_multiple`]) of the stage's
-//! rolling p99 is classified — `loader-bound`, `h2d-bound`, `ack-bound`
-//! or `consumer-straggler` with the offending consumer id — counted
-//! under `watchdog.stalls.*`, and its verdict surfaces in the stats
-//! snapshot (and the `ts-top` header).
+//! Alongside the recorder runs a low-frequency stall watchdog on the
+//! producer's tick: a batch un-acked past a configurable multiple
+//! ([`ProducerConfig::watchdog_stall_multiple`]) of the ack round trip's
+//! rolling p99 is `ack-bound`, or `consumer-straggler` with the
+//! offending consumer id; with nothing outstanding the watchdog *reads
+//! the wait state* rather than inferring it — parked on `item` is
+//! `loader-bound` (or `h2d-bound`), parked on `arena` is `arena-bound`,
+//! naming how many live, pinned and un-logged batches hold the slots.
+//! Each stall is counted under `watchdog.stalls.*`, and its verdict
+//! surfaces in the stats snapshot and the `ts-top` header, next to the
+//! current wait state of every pipeline.
 //!
 //! See `examples/observability.rs` for the full loop — including
 //! `--serve`, which keeps a sharded GPU-staged producer alive to point
@@ -353,7 +393,9 @@
 //! entirely off the publish hot path (`stage.[s<N>.]log_append_bytes`
 //! counts the appends, `log.[s<N>.]lag` gauges the backlog). Once a
 //! batch is both fully acked and durably on disk, its rubberband pin is
-//! **shed**: the arena slot releases while the seq stays replayable —
+//! **shed** — the moment the ack or the spiller's `Logged` notice
+//! arrives, not on a sweep: the arena slot releases while the seq stays
+//! replayable —
 //! pin depth stays bounded and `stage.publish_copy_bytes` stays 0, yet
 //! replay reach extends to everything the log retains.
 //!
@@ -455,7 +497,9 @@ pub use runtime::context::TsContext;
 pub use runtime::coordinator::{EpochCoordinator, GroupJoin};
 pub use runtime::producer::{EpochSource, ProducerStats, SampleGeometry};
 pub use runtime::scrape::{scrape_stats, scrape_trace};
-pub use runtime::{ConsumerConfig, FlexibleConfig, ProducerConfig, StagingConfig, StagingMode};
+pub use runtime::{
+    ConsumerConfig, FlexibleConfig, ProducerConfig, StagingConfig, StagingMode, Wait,
+};
 pub use ts_metrics::{SpanKind, TraceRecordSnap, TraceRing};
 pub use ts_socket::{Endpoint, EndpointError, Scheme};
 

@@ -207,13 +207,6 @@ impl ProducerBuilder {
         self
     }
 
-    /// Bound on one control-poll round (stop-flag/liveness checks; the
-    /// publish loop parks on the control channel regardless).
-    pub fn poll_interval(mut self, interval: Duration) -> Self {
-        self.cfg.poll_interval = interval;
-        self
-    }
-
     /// How tolerant the stall watchdog is: a batch (or an idle publish
     /// loop) is only called stalled once it exceeds this multiple of the
     /// relevant stage's rolling p99 (with a small absolute floor).
@@ -225,13 +218,6 @@ impl ProducerBuilder {
         self
     }
 
-    /// Explicit feeder→publish hand-off queue capacity (default: the
-    /// source's `num_workers × prefetch_factor` hint).
-    pub fn pipeline_depth(mut self, depth: usize) -> Self {
-        self.cfg.pipeline_depth = Some(depth);
-        self
-    }
-
     /// Runtime context to spawn in. Defaults to a fresh
     /// [`TsContext::host_only`] — share one explicitly for `inproc://`
     /// deployments or simulated-GPU devices.
@@ -240,8 +226,8 @@ impl ProducerBuilder {
         self
     }
 
-    /// Starts from an explicit [`ProducerConfig`] (escape hatch for knobs
-    /// without a dedicated builder method, e.g. `poll_interval`).
+    /// Starts from an explicit [`ProducerConfig`] (for callers that build
+    /// or store the whole configuration as a value).
     pub fn config(mut self, cfg: ProducerConfig) -> Self {
         self.cfg = cfg;
         self
@@ -391,10 +377,9 @@ impl ProducerBuilder {
             // cursor: every prepared item parked in the feeder queue (and
             // in the overlapped staging hand-off) already owns its slot.
             // Size that ahead-of-publish set in, or a fast feeder would
-            // exhaust the pool and knock the hot path back to the copying
-            // fallback.
+            // run the pool dry and park instead of prefetching.
             let (workers, prefetch) = source.pipeline_hint();
-            let feeder_ahead = cfg.pipeline_depth.unwrap_or(workers * prefetch).max(1)
+            let feeder_ahead = (workers * prefetch).max(1)
                 + cfg.staging.queue_depth.unwrap_or(cfg.buffer_size)
                 + 1;
             cfg.buffer_size + policy.pinned_batches(expected) as usize + feeder_ahead + 2

@@ -53,7 +53,7 @@ pub struct ProducerConfig {
     pub device: DeviceId,
     /// How batches are staged on a GPU device: through the pre-allocated
     /// VRAM slab rotation with the copy overlapped against collation (the
-    /// default), serially on the publish thread, or via the legacy
+    /// default), serially on the producer thread, or via the legacy
     /// per-batch allocate+copy path. See [`crate::StagingMode`]. Ignored
     /// when `device` is the CPU.
     pub staging: StagingConfig,
@@ -63,20 +63,8 @@ pub struct ProducerConfig {
     /// inference for DALL-E training, Figure 7). Runs once per batch no
     /// matter how many consumers attach.
     pub producer_map: Option<ProducerMap>,
-    /// How long the producer waits in one control-poll round.
-    ///
-    /// Since the publish loop parks on the control channel (waking
-    /// immediately on acks/joins), this only bounds how long stop-flag and
-    /// heartbeat-expiry checks can be deferred — not publish latency.
-    pub poll_interval: Duration,
     /// Stop waiting for the first consumer after this long (None = forever).
     pub first_consumer_timeout: Option<Duration>,
-    /// Capacity of the feeder→publish hand-off queue (prepared batches
-    /// loaded ahead of the publish cursor). `None` sizes it from the
-    /// source's pipeline hint: `num_workers × prefetch_factor`. Only used
-    /// when the source reports `num_workers >= 1`; a serial source loads
-    /// inline.
-    pub pipeline_depth: Option<usize>,
     /// Sparse per-shard endpoint overrides: shard `i` binds (and is
     /// advertised at) the given base URI instead of the one derived from
     /// [`ProducerConfig::endpoint`] by scheme rules — the multi-host
@@ -113,7 +101,6 @@ impl std::fmt::Debug for ProducerConfig {
             .field("staging", &self.staging)
             .field("flexible", &self.flexible)
             .field("producer_map", &self.producer_map.as_ref().map(|_| "<fn>"))
-            .field("pipeline_depth", &self.pipeline_depth)
             .field(
                 "log",
                 &self.log.as_ref().map(|l| l.dir.display().to_string()),
@@ -134,9 +121,7 @@ impl Default for ProducerConfig {
             staging: StagingConfig::default(),
             flexible: None,
             producer_map: None,
-            poll_interval: Duration::from_millis(1),
             first_consumer_timeout: Some(Duration::from_secs(30)),
-            pipeline_depth: None,
             shard_endpoints: Vec::new(),
             watchdog_stall_multiple: 4.0,
             log: None,

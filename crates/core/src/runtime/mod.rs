@@ -6,14 +6,17 @@ pub mod consumer;
 pub mod context;
 pub mod coordinator;
 pub mod producer;
+mod pump;
 pub mod scrape;
 pub mod staging;
+pub mod state;
 
 pub use builder::{Consumer, ConsumerBuilder, Producer, ProducerBuilder};
 pub use config::{ConsumerConfig, FlexibleConfig, ProducerConfig};
 pub use coordinator::{EpochCoordinator, GroupJoin};
 pub use scrape::{scrape_stats, scrape_trace};
 pub use staging::{StagingConfig, StagingMode};
+pub use state::Wait;
 
 #[cfg(test)]
 mod tests;

@@ -6,7 +6,7 @@
 //! [`crate::protocol::messages::CtrlMsg::StatsRequest`] is pushed to the
 //! base control endpoint and the producer answers with a
 //! [`crate::protocol::messages::DataMsg::Stats`] on the one-shot reply
-//! topic, from whatever wait loop it happens to be in (mid-epoch, at an
+//! topic, in whatever wait state it happens to be (mid-epoch, at an
 //! epoch barrier, or draining final acks). Both scrapes and the attach
 //! handshake run on one retry loop (`token_exchange`).
 //!

@@ -64,9 +64,7 @@ pub enum StagingMode {
     Serial,
     /// Slab-pooled staging with the copy on a dedicated stage between
     /// the feeder and the publish loop, overlapping the copy of batch
-    /// *n* with collation of *n + 1* and publishing of *n − 1*. Falls
-    /// back to [`StagingMode::Serial`] in the inline (`num_workers == 0`)
-    /// producer shape, which has no feeder stage to overlap with.
+    /// *n* with collation of *n + 1* and publishing of *n − 1*.
     #[default]
     Overlapped,
 }
@@ -166,13 +164,35 @@ pub(crate) struct PreparedItem {
     pub h2d_span: (u64, u64),
 }
 
-/// Feeder/staging → publish-stage messages.
+/// Feeder/staging → pump messages.
 pub(crate) enum FeederMsg {
     Item(PreparedItem),
     /// All of this epoch's items were sent.
     EpochDone(u64),
-    /// Preparation or staging failed; the producer stops.
-    Failed,
+    /// Preparation or staging failed for the given reason; the producer
+    /// drains and stops.
+    Failed(String),
+    /// The feeder is parked: its slot pool has nothing to lease. Sent once
+    /// per dry spell; the next `Item` ends it.
+    ArenaDry,
+}
+
+/// The pump's wake-up: whoever enqueues something for the producer thread
+/// rings it afterwards. Latest-wins — any number of rings before the pump
+/// looks collapse into one wake-up, and a ring while it is awake makes
+/// its next park return at once.
+#[derive(Clone)]
+pub(crate) struct Doorbell(std::thread::Thread);
+
+impl Doorbell {
+    /// A bell that wakes the calling thread.
+    pub(crate) fn here() -> Self {
+        Self(std::thread::current())
+    }
+
+    pub(crate) fn ring(&self) {
+        self.0.unpark();
+    }
 }
 
 /// One producer pipeline's staging engine: the backend, the slab pool
@@ -443,17 +463,19 @@ impl StagingEngine {
     /// Spawns the H2D copy stage: consumes prepared items from `input`,
     /// stages them, and hands staged items downstream over a queue of
     /// `queue_depth` — the bounded look-ahead that lets the copy of batch
-    /// *n* overlap collation of *n + 1* and publishing of *n − 1*.
+    /// *n* overlap collation of *n + 1* and publishing of *n − 1*. `bell`
+    /// is rung after every hand-over.
     pub(crate) fn spawn_copy_stage(
         self: &Arc<Self>,
         input: Receiver<FeederMsg>,
         stop: Arc<AtomicBool>,
+        bell: Doorbell,
     ) -> Receiver<FeederMsg> {
         let (tx, rx) = channel::bounded::<FeederMsg>(self.queue_depth);
         let engine = Arc::clone(self);
         let handle = std::thread::Builder::new()
             .name("tensorsocket-staging".to_string())
-            .spawn(move || engine.copy_stage_main(input, tx, stop))
+            .spawn(move || engine.copy_stage_main(input, tx, stop, bell))
             .expect("spawn staging thread");
         *self.copy_thread.lock() = Some(handle);
         rx
@@ -464,6 +486,7 @@ impl StagingEngine {
         input: Receiver<FeederMsg>,
         tx: Sender<FeederMsg>,
         stop: Arc<AtomicBool>,
+        bell: Doorbell,
     ) {
         let queue_gauge = self.queue_gauge.clone();
         while let Ok(msg) = input.recv() {
@@ -480,10 +503,11 @@ impl StagingEngine {
                             staged.copy_wait_span.0 = self.trace.now_ns().max(1);
                             FeederMsg::Item(staged)
                         }
-                        Err(_) => {
+                        Err(e) => {
                             // Device OOM mid-run: stop producing, exactly
                             // like the legacy path.
-                            let _ = tx.send(FeederMsg::Failed);
+                            let _ = tx.send(FeederMsg::Failed(format!("H2D staging: {e}")));
+                            bell.ring();
                             return;
                         }
                     }
@@ -496,8 +520,9 @@ impl StagingEngine {
             let is_item = matches!(forward, FeederMsg::Item(_));
             let wait_start = Instant::now();
             if tx.send(forward).is_err() {
-                return; // publish stage went away
+                return; // the pump went away
             }
+            bell.ring();
             if is_item {
                 self.copy_wait_hist.record_duration(wait_start.elapsed());
             }

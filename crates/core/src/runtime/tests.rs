@@ -79,7 +79,6 @@ fn producer_cfg(endpoint: &str, epochs: u64) -> ProducerConfig {
         endpoint: endpoint.to_string(),
         epochs,
         heartbeat_timeout: Duration::from_millis(500),
-        poll_interval: Duration::from_micros(200),
         first_consumer_timeout: Some(Duration::from_secs(5)),
         ..Default::default()
     }
@@ -209,8 +208,17 @@ fn steady_state_publish_recycles_arena_slots_without_allocating() {
         "ts-producer-pool-steady-{}.arena",
         std::process::id()
     ));
-    ctx.create_arena(&arena_path, 16, 4096).unwrap();
-    let pool = ctx.enable_slot_recycling(12).unwrap();
+    // Sized the way `ProducerBuilder::arena` sizes it — window (2) + pin
+    // (1) + everything the feeder holds ahead of the publish cursor (a
+    // queue of 2 workers × 2 prefetch, one item in its hand, one in the
+    // pump's) + margin = 12 batches of 2 tensors — and warmed by
+    // pre-reserving the pool, so "warm" does not depend on how far ahead
+    // the feeder happened to get in the first 8 batches: with a cold pool
+    // every new high-water mark of the in-flight set is a fresh
+    // allocation, whenever it is reached.
+    ctx.create_arena(&arena_path, 32, 4096).unwrap();
+    let pool = ctx.enable_slot_recycling(24).unwrap();
+    assert_eq!(pool.preallocate(24), 24);
     let ep = "inproc://pool-steady";
     let mut cfg = producer_cfg(ep, 2);
     // Small join window: pins (and their slots) return to the pool early.

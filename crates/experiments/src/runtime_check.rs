@@ -91,7 +91,6 @@ pub fn measure_shared() -> f64 {
         .endpoint(ep)
         .epochs(1)
         .rubberband_cutoff(1.0)
-        .poll_interval(Duration::from_micros(200))
         .spawn(loader(WORKER_BUDGET, 42))
         .expect("spawn producer");
     let handles: Vec<_> = (0..CONSUMERS)

@@ -4,7 +4,7 @@
 //! in-process broker; `ipc://` and `tcp://` run over real sockets (see
 //! [`crate::transport`]).
 
-use crate::endpoint::{BrokerEntry, Context, PushPullEndpoint};
+use crate::endpoint::{ring, BrokerEntry, Context, Notify, PushPullEndpoint};
 use crate::error::{RecvError, SendError};
 use crate::frame::Multipart;
 use crate::transport::pushpull::{StreamPull, StreamPush};
@@ -12,22 +12,24 @@ use crate::transport::EndpointAddr;
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
 use std::time::Duration;
 
-fn ensure_endpoint(ctx: &Context, name: &str) -> Result<Sender<Multipart>, SendError> {
+fn ensure_endpoint(ctx: &Context, name: &str) -> Result<(Sender<Multipart>, Notify), SendError> {
     let mut eps = ctx.broker.endpoints.lock();
     match eps.get(name) {
-        Some(BrokerEntry::PushPull(pp)) => Ok(pp.tx.clone()),
+        Some(BrokerEntry::PushPull(pp)) => Ok((pp.tx.clone(), pp.notify.clone())),
         Some(BrokerEntry::PubSub(_)) => Err(SendError::AddrInUse(name.to_string())),
         None => {
             let (tx, rx) = channel::bounded(ctx.broker.default_hwm);
+            let notify = Notify::default();
             eps.insert(
                 name.to_string(),
                 BrokerEntry::PushPull(PushPullEndpoint {
                     bound: false,
                     tx: tx.clone(),
+                    notify: notify.clone(),
                     rx: Some(rx),
                 }),
             );
-            Ok(tx)
+            Ok((tx, notify))
         }
     }
 }
@@ -38,6 +40,7 @@ struct BrokerPull {
     ctx: Context,
     name: String,
     rx: Receiver<Multipart>,
+    notify: Notify,
 }
 
 impl Drop for BrokerPull {
@@ -90,11 +93,29 @@ impl PullSocket {
                         ctx: ctx.clone(),
                         name: name.to_string(),
                         rx,
+                        notify: pp.notify.clone(),
                     }),
                 })
             }
             _ => Err(SendError::AddrInUse(name.to_string())),
         }
+    }
+
+    /// Registers `hook` to be called after every message is enqueued for
+    /// this socket — by whichever thread enqueued it (an in-process pusher,
+    /// or a connection's reader) — so an owner that waits on several
+    /// sources can park on one wake-up of its own instead of blocking in
+    /// [`PullSocket::recv_timeout`], then drain with
+    /// [`PullSocket::try_recv`]. Keep it cheap and non-blocking (an
+    /// `unpark`, a flag). One hook per socket: returns false, leaving the
+    /// first in place, when one was already registered. Messages queued
+    /// before registration ring nothing; drain once after registering.
+    pub fn set_notify(&self, hook: impl Fn() + Send + Sync + 'static) -> bool {
+        let notify = match &self.inner {
+            PullInner::Broker(b) => &b.notify,
+            PullInner::Stream(s) => s.notify(),
+        };
+        notify.set(Box::new(hook)).is_ok()
     }
 
     /// Receives the next message, waiting up to `timeout`.
@@ -149,7 +170,7 @@ impl PullSocket {
 }
 
 enum PushInner {
-    Broker(Sender<Multipart>),
+    Broker(Sender<Multipart>, Notify),
     Stream(StreamPush),
 }
 
@@ -180,19 +201,22 @@ impl PushSocket {
                 inner: PushInner::Stream(StreamPush::connect(addr, ctx.broker.default_hwm)),
             };
         }
-        let tx = ensure_endpoint(ctx, name)
+        let (tx, notify) = ensure_endpoint(ctx, name)
             .unwrap_or_else(|_| panic!("endpoint {name} is a PUB/SUB endpoint"));
         Self {
-            inner: PushInner::Broker(tx),
+            inner: PushInner::Broker(tx, notify),
         }
     }
 
     /// Sends a message, blocking while the queue is full.
     pub fn send(&self, msg: Multipart) -> Result<(), SendError> {
         match &self.inner {
-            PushInner::Broker(tx) => tx
-                .send(msg.into_contiguous())
-                .map_err(|_| SendError::Disconnected),
+            PushInner::Broker(tx, notify) => {
+                tx.send(msg.into_contiguous())
+                    .map_err(|_| SendError::Disconnected)?;
+                ring(notify);
+                Ok(())
+            }
             PushInner::Stream(s) => s.send(msg),
         }
     }
@@ -200,8 +224,11 @@ impl PushSocket {
     /// Non-blocking send.
     pub fn try_send(&self, msg: Multipart) -> Result<(), SendError> {
         match &self.inner {
-            PushInner::Broker(tx) => match tx.try_send(msg.into_contiguous()) {
-                Ok(()) => Ok(()),
+            PushInner::Broker(tx, notify) => match tx.try_send(msg.into_contiguous()) {
+                Ok(()) => {
+                    ring(notify);
+                    Ok(())
+                }
                 Err(TrySendError::Full(_)) => Err(SendError::Full),
                 Err(TrySendError::Disconnected(_)) => Err(SendError::Disconnected),
             },
@@ -271,6 +298,40 @@ mod tests {
         let ctx = Context::new();
         let _p = crate::PubSocket::bind(&ctx, "inproc://x").unwrap();
         assert!(PullSocket::bind(&ctx, "inproc://x").is_err());
+    }
+
+    #[test]
+    fn notify_hook_rings_once_per_enqueue_on_both_transports() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        let ctx = Context::new();
+        let path = std::env::temp_dir().join(format!("ts-notify-{}.sock", std::process::id()));
+        for name in [
+            "inproc://rung".to_string(),
+            format!("ipc://{}", path.display()),
+        ] {
+            // A pusher that connected before the hook existed rings it too.
+            let early = PushSocket::connect(&ctx, &name);
+            let pull = PullSocket::bind(&ctx, &name).unwrap();
+            let rings = Arc::new(AtomicUsize::new(0));
+            let counter = rings.clone();
+            assert!(pull.set_notify(move || {
+                counter.fetch_add(1, Ordering::SeqCst);
+            }));
+            assert!(!pull.set_notify(|| {}), "one hook per socket");
+            early.send(msg(b"a")).unwrap();
+            PushSocket::connect(&ctx, &name).send(msg(b"b")).unwrap();
+            for _ in 0..2 {
+                pull.recv_timeout(Duration::from_secs(2)).unwrap();
+            }
+            // The hook runs after the enqueue, so a received message may
+            // be a moment ahead of its ring on the stream transport.
+            let deadline = std::time::Instant::now() + Duration::from_secs(2);
+            while rings.load(Ordering::SeqCst) < 2 && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            assert_eq!(rings.load(Ordering::SeqCst), 2, "{name}");
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! path. A pusher that connects before the puller binds simply buffers —
 //! its connector retries in the background.
 
+use crate::endpoint::{ring, Notify};
 use crate::error::{RecvError, SendError};
 use crate::frame::Multipart;
 use crate::transport::{
@@ -24,6 +25,8 @@ struct PullShared {
     /// Live connections by id; readers remove their entry on exit so
     /// long-lived pullers do not leak one fd per departed pusher.
     conns: Mutex<Vec<(u64, AnyStream)>>,
+    /// Rung by each connection reader after it enqueues a message.
+    notify: Notify,
 }
 
 /// The stream-transport receiving side.
@@ -48,6 +51,7 @@ impl StreamPull {
         let shared = Arc::new(PullShared {
             stop: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
+            notify: Notify::default(),
         });
         let accept_shared = shared.clone();
         let accept_thread = std::thread::Builder::new()
@@ -64,6 +68,10 @@ impl StreamPull {
 
     pub(crate) fn endpoint(&self) -> &str {
         &self.endpoint
+    }
+
+    pub(crate) fn notify(&self) -> &Notify {
+        &self.shared.notify
     }
 
     pub(crate) fn recv_timeout(&self, timeout: Duration) -> Result<Multipart, RecvError> {
@@ -138,6 +146,7 @@ fn pull_reader(id: u64, read_half: AnyStream, shared: Arc<PullShared>, tx: Sende
             if tx.send(payload).is_err() {
                 break;
             }
+            ring(&shared.notify);
         }
     }
     // Close and forget this pusher's connection so a long-lived puller

@@ -132,9 +132,11 @@ pub fn cat0_pooled(tensors: &[Tensor], pool: &MemoryPool, device: DeviceId) -> R
 /// [`crate::SharedRegistry::register_placed`] so the slot recycles through
 /// `pool` when the registration releases. An item that never reaches the
 /// publish stage (shutdown, epoch abort) simply drops the lease, freeing
-/// the slot. Fails with [`TensorError::Arena`] when no slot can be leased
-/// (arena full, or every recyclable slot still pinned by readers) —
-/// callers fall back to the copying collate path.
+/// the slot. Fails with [`TensorError::Arena`] carrying the arena's error
+/// when no slot can be leased: [`ts_shm::ShmError::Full`] (every slot
+/// held by a live batch or still pinned by a reader) clears as batches
+/// are acknowledged, so the caller may wait and retry;
+/// [`ts_shm::ShmError::TooLarge`] never will.
 pub fn cat0_leased(
     tensors: &[Tensor],
     pool: &SlotPool,
@@ -151,9 +153,7 @@ pub fn cat0_leased(
     let mut shape = first.shape().to_vec();
     shape[0] = rows;
     let total_bytes: usize = tensors.iter().map(|t| t.view_bytes()).sum();
-    let mut lease = pool
-        .lease(total_bytes)
-        .map_err(|e| TensorError::Arena(e.to_string()))?;
+    let mut lease = pool.lease(total_bytes).map_err(TensorError::Arena)?;
     let dst = lease.bytes_mut();
     let mut cursor = 0;
     for t in tensors {
@@ -166,7 +166,7 @@ pub fn cat0_leased(
     let view = pool
         .arena()
         .attach(lease.handle())
-        .map_err(|e| TensorError::Arena(e.to_string()))?;
+        .map_err(TensorError::Arena)?;
     let storage = Arc::new(Storage::from_shm_view(fresh_storage_id(), view, device));
     let tensor = Tensor::from_parts(
         storage,

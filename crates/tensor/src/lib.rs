@@ -63,10 +63,11 @@ pub enum TensorError {
     },
     /// Device mismatch or unknown device.
     Device(String),
-    /// A shared-memory arena operation failed (full, stale handle, slot
-    /// pinned by readers) — callers on the zero-copy publish path fall
-    /// back to the copying path on this.
-    Arena(String),
+    /// A shared-memory arena operation failed; the kind says what a caller
+    /// on the zero-copy publish path can do about it: wait out
+    /// [`ts_shm::ShmError::Full`] (slots return as batches are
+    /// acknowledged), give up on anything else (`TooLarge` never fits).
+    Arena(ts_shm::ShmError),
     /// Device memory exhausted.
     OutOfMemory(ts_device::OutOfMemory),
 }

@@ -168,9 +168,16 @@ impl SharedRegistry {
     /// consumers in other processes can map them. If the arena is full the
     /// storage is still registered locally — in-process consumers are
     /// unaffected and cross-process consumers surface a dangling-payload
-    /// error rather than stalling. (Waiting would be futile: producer-held
-    /// slot references are only released by this same thread processing
-    /// acks, so fullness cannot clear while `register` blocks.)
+    /// error rather than stalling. `register` itself never waits: it runs
+    /// on the thread that processes acks, the only one that returns
+    /// producer-held slots, so fullness cannot clear while it blocks. That
+    /// is a property of *this call site*, not a policy: a thread upstream
+    /// of it can wait, and the runtime's feeder does — it leases the slot
+    /// before collating ([`SlotPool::lease`]) and parks on
+    /// [`ts_shm::ShmError::Full`] until an ack frees one, so batches it
+    /// prepares arrive here already placed
+    /// ([`SharedRegistry::register_placed`]) and this copying path only
+    /// serves storages nobody could lease for.
     pub fn register(&self, storage: &Arc<Storage>) {
         self.register_for_shard(storage, None);
     }
@@ -343,11 +350,19 @@ impl SharedRegistry {
             }
             Some(_) => {}
         }
-        if let Some(handle) = inner.handles.remove(&storage_id) {
+        let placement = inner.handles.remove(&storage_id);
+        let placed_by = inner.placed_by.remove(&storage_id);
+        // Drop the table's own reference BEFORE the slot can be leased
+        // again: a storage that views its arena slot holds a read
+        // reference on it, and a feeder waiting for exactly this slot
+        // would otherwise find it busy and abandon it.
+        let present = inner.storages.remove(&storage_id).is_some();
+        drop(inner);
+        if let Some(handle) = placement {
             // Reclaim into the pool that placed the slot (a shard's own
             // pool, or the default one); raw allocations go back to the
             // arena.
-            let pool = match inner.placed_by.remove(&storage_id) {
+            let pool = match placed_by {
                 Some(Some(shard)) => self.shard_pools.lock().get(&shard).cloned(),
                 Some(None) => self.slot_pool.lock().clone(),
                 None => None,
@@ -361,7 +376,7 @@ impl SharedRegistry {
                 (None, None) => {}
             }
         }
-        inner.storages.remove(&storage_id).is_some()
+        present
     }
 
     /// Number of registered storages.

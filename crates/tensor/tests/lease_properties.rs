@@ -78,8 +78,8 @@ proptest! {
                         }
                         // Arena full: every slot is held by a live
                         // publication or a consumer pin. Legal — the
-                        // runtime falls back to the copying path here.
-                        Err(TensorError::Arena(_)) => {}
+                        // runtime's feeder waits for a slot here.
+                        Err(TensorError::Arena(ts_shm::ShmError::Full)) => {}
                         Err(e) => prop_assert!(false, "unexpected collate error {e:?}"),
                     }
                 }

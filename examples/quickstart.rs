@@ -87,11 +87,11 @@
 //! every depth from the loader's hints; override only when needed:
 //!
 //! * `DataLoaderConfig::num_workers` — loader worker threads (this
-//!   example uses 4). `0` collapses the pipeline into a serial producer;
-//!   either way consumers see the identical batch stream.
+//!   example uses 4). `0` decodes on the feeder thread itself, one batch
+//!   ahead; either way consumers see the identical batch stream.
 //! * `DataLoaderConfig::prefetch_factor` — batches each worker keeps in
 //!   flight; with `num_workers` it sizes the feeder's hand-off queue
-//!   (override with `.pipeline_depth(n)`).
+//!   (`num_workers × prefetch_factor`, at least 1).
 //! * `.arena(path)` — cross-process only: creates the shared-memory
 //!   arena *and* the recycling slot pool, both sized from the loader's
 //!   decoded sample geometry and the publish window, so steady-state

@@ -340,6 +340,37 @@ fn log_header(stats: &StatsPayload) -> Option<String> {
     Some(format!("log: {}", parts.join(" | ")))
 }
 
+/// The pump header line: what each producer pipeline is waiting for right
+/// now (`stage.[s<N>.]wait_state`, a [`tensorsocket::Wait`] code) and how
+/// long its feeder has spent parked on a dry arena in total
+/// (`stage.[s<N>.]arena_parked_ns`).
+fn wait_header(stats: &StatsPayload) -> Option<String> {
+    let parked = |prefix: &str| {
+        let name = format!("{prefix}arena_parked_ns");
+        let found = stats.counters.iter().find(|(n, _)| *n == name);
+        found.map(|(_, v)| *v).unwrap_or(0)
+    };
+    let mut parts = Vec::new();
+    for (name, code) in stats.gauges() {
+        let Some(prefix) = name.strip_suffix("wait_state") else {
+            continue;
+        };
+        let state = tensorsocket::Wait::ALL.get(code as usize);
+        let state = state.map(|w| w.name()).unwrap_or("?");
+        let label = prefix.trim_start_matches("stage.").trim_end_matches('.');
+        let mut part = match label {
+            "" => format!("waiting on {state}"),
+            shard => format!("{shard} waiting on {state}"),
+        };
+        match parked(prefix) {
+            0 => {}
+            ns => part.push_str(&format!(" (arena-parked {} ms total)", ns / 1_000_000)),
+        }
+        parts.push(part);
+    }
+    (!parts.is_empty()).then(|| format!("pump: {}", parts.join(" | ")))
+}
+
 fn render_tables(endpoint: &str, stats: &StatsPayload, prev: Option<&StatsPayload>) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -351,7 +382,10 @@ fn render_tables(endpoint: &str, stats: &StatsPayload, prev: Option<&StatsPayloa
     if !stats.verdict.is_empty() {
         let _ = writeln!(out, "watchdog: {}", stats.verdict);
     }
-    if let Some(line) = log_header(stats) {
+    for line in [wait_header(stats), log_header(stats)]
+        .into_iter()
+        .flatten()
+    {
         let _ = writeln!(out, "{line}");
     }
     out.push('\n');

@@ -36,7 +36,6 @@ fn producer_cfg(endpoint: &str) -> ProducerConfig {
         endpoint: endpoint.to_string(),
         epochs: 2,
         rubberband_cutoff: 1.0,
-        poll_interval: Duration::from_micros(200),
         ..Default::default()
     }
 }

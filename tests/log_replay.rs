@@ -135,7 +135,6 @@ fn fresh_group_late_join_replays_full_history() {
             // Admission itself is epoch-gated (tiny rubberband window):
             // catch-up coverage must come from the LOG, not from pins.
             rubberband_cutoff: 0.02,
-            poll_interval: Duration::from_micros(200),
             ..Default::default()
         })
         .log(&log_dir)
@@ -239,7 +238,6 @@ fn group_cursor_resumes_after_clean_drop() {
             endpoint: ep.to_string(),
             epochs: EPOCHS,
             rubberband_cutoff: 1.0,
-            poll_interval: Duration::from_micros(200),
             ..Default::default()
         })
         .log(&log_dir)
@@ -380,7 +378,6 @@ fn grouped_mid_epoch_join_survives_budget_trimmed_retention() {
             // still open when retention would otherwise have trimmed
             // far past the epoch start.
             rubberband_cutoff: 1.0,
-            poll_interval: Duration::from_micros(200),
             ..Default::default()
         })
         .log_config(log_cfg)
@@ -474,7 +471,6 @@ fn pins_survive_log_failure_for_rubberband_replay() {
             endpoint: ep.to_string(),
             epochs: 1,
             rubberband_cutoff: 1.0,
-            poll_interval: Duration::from_micros(200),
             ..Default::default()
         })
         .log_config(log_cfg)
@@ -565,7 +561,6 @@ fn drop_mid_log_replay_releases_stream() {
             endpoint: ep.to_string(),
             epochs: EPOCHS,
             rubberband_cutoff: 1.0,
-            poll_interval: Duration::from_micros(200),
             ..Default::default()
         })
         .log(&log_dir)
@@ -627,7 +622,6 @@ fn producer_refuses_dirty_log_dir() {
             endpoint: ep.to_string(),
             epochs: 1,
             first_consumer_timeout: Some(Duration::from_secs(10)),
-            poll_interval: Duration::from_micros(200),
             ..Default::default()
         })
         .log(&log_dir)

@@ -45,7 +45,6 @@ fn producer_cfg(endpoint: &str, epochs: u64) -> ProducerConfig {
         buffer_size: 2,
         heartbeat_timeout: Duration::from_secs(5),
         first_consumer_timeout: Some(Duration::from_secs(30)),
-        poll_interval: Duration::from_micros(200),
         ..Default::default()
     }
 }
