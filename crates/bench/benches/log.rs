@@ -5,8 +5,11 @@
 //!
 //! * `log/append` / `log/read` — `ts-log` in isolation: CRC-framed,
 //!   mmap-indexed appends of batch-sized records into rotating segments,
-//!   and offset-addressed reads back out of them. This is the bandwidth
-//!   budget the producer's background spiller has to live inside.
+//!   and offset-addressed reads back out of them — each read a
+//!   [`ts_log::Record`], the mapped bytes checked against their CRC and
+//!   handed out in place. Append is the bandwidth budget the producer's
+//!   background spiller has to live inside, read the cost of one replayed
+//!   frame on the producer's pump thread.
 //! * `log/epoch/off` vs `log/epoch/on` — the claim that matters: a full
 //!   producer→consumer epoch over `inproc://` with and without `.log(dir)`.
 //!   The tee hands the already-collated batch to a background spiller
@@ -121,7 +124,8 @@ fn bench_log(c: &mut Criterion) {
         b.iter(|| {
             let mut total = 0usize;
             for seq in 0..RECORDS {
-                total += log.read(seq).expect("retained record").len();
+                let record: ts_log::Record = log.read(seq).expect("retained record");
+                total += std::hint::black_box(&record[..]).len();
             }
             total
         })

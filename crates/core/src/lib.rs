@@ -102,7 +102,8 @@
 //! | pointer (`Shm`) | 0 | nothing — consumers map the slot the batch was collated into |
 //! | streamed (`Stream`), contiguous tensors | 0 | one kernel copy into the socket, one out of it |
 //! | streamed, a non-contiguous view | 1 | the gather into a dense buffer, counted in `stage.[s<N>.]stream_copy_bytes` |
-//! | durable log append | 1 | [`DataMsg::encode`] joins the frame into the one record the log writes |
+//! | durable log append | 1 | [`ts_log::BatchLog::append_chunks`] copies the frame's segments into the mapped record, checksumming as it goes (no joined intermediate) |
+//! | durable log replay | 0 | the stored frame is sent as a view of the log's mapping ([`ts_log::Record`]), CRC-checked in place first |
 //!
 //! A [`StreamedTensor`]'s `bytes` field is a [`bytes::Bytes`], and on
 //! this path a `Bytes` is always borrowed, never filled:
@@ -306,6 +307,7 @@
 //! | `consumer.stream_rx_ns` | histogram | ns | rebuild of one batch from streamed bytes (non-shm consumers) |
 //! | `stage.[s<N>.]pin_depth` | gauge | batches | rubberband pins currently holding memory (a pin shed to the durable log stays replayable but is not counted) |
 //! | `stage.[s<N>.]wait_state` | gauge | code | what the producer is waiting for: 0 `barrier`, 1 `consumers`, 2 `item`, 3 `window`, 4 `arena`, 5 `drain` ([`Wait::ALL`]) |
+//! | `replay.[s<N>.]inflight_bytes` | gauge | bytes | frames of the catch-up being served that are sent and not yet acked by its consumer (the catch-up window; 0 when none runs) |
 //! | `consumer.cursor_lag` | gauge | batches | producer cursor position minus this consumer's, per the last cursor flush |
 //! | `staging.[s<N>.]slab_occupancy` | gauge | slabs | VRAM rotation slabs currently leased |
 //! | `staging.[s<N>.]copy_queue_depth` | gauge | items | items queued ahead of the copy stage |
@@ -313,6 +315,7 @@
 //! | `producer.batches` | counter | batches | batches published (all shards) |
 //! | `producer.bytes_staged` | counter | bytes | payload bytes placed on the staging device |
 //! | `producer.replays` | counter | batches | rubberband replays sent to late joiners |
+//! | `producer.joins_parked` | counter | joins | `Join`s answered `WaitEpoch`: past the join window, admitted at the next epoch boundary |
 //! | `producer.detached` | counter | consumers | consumers detached on heartbeat expiry |
 //! | `producer.ctrl_unknown` | counter | frames | control frames with an unknown tag, ignored |
 //! | `producer.ctrl_unknown_consumer` | counter | frames | acks, readies, heartbeats, leaves and replay requests carrying an id that never joined (or already left), ignored — they never enter the heartbeat monitor |
@@ -346,6 +349,8 @@
 //! | `producer.replay_requests` | counter | requests | `CtrlMsg::Replay` requests answered (resends included) |
 //! | `replay.log_batches` | counter | batches | batches streamed out of the durable log to resuming consumers |
 //! | `replay.log_bytes` | counter | bytes | stored frame bytes streamed out of the durable log |
+//! | `replay.[s<N>.]gate_timeouts` | counter | frames | catch-up frames sent through a full window because a whole tick passed without an ack (the window paces, it never decides liveness) |
+//! | `log.[s<N>.]read_corrupt` | counter | reads | replay reads that found their record retained but damaged (index geometry or CRC mismatch): that frame is not served — the live batch stands in if it is still held, else the consumer sees a gap — and the first one is logged with the segment's path |
 //!
 //! ### The batch flight recorder
 //!
@@ -412,6 +417,18 @@
 //!   range — the stored frames ARE streamed-payload wire frames, so
 //!   both shm and streamed consumers ingest them — which splices
 //!   gaplessly onto the live stream admitted at `start_seq`;
+//! * a stored frame is read in place: the log checks its CRC over the
+//!   mapped bytes and hands out a [`ts_log::Record`] that owns the
+//!   mapping, which the socket gather-writes from — no copy and no
+//!   batch-sized allocation in user space on the way out;
+//! * a catch-up has a window, like live publishing: the producer keeps
+//!   at most a few MiB of it (never fewer than two frames) sent and not
+//!   yet acked — `replay.[s<N>.]inflight_bytes` — so a late group's
+//!   history queues in the log, not in the joiner's memory; ~100-byte
+//!   pointer announces of a rubberband replay never feel it. While the
+//!   window is shut the producer parks until an ack; after a whole tick
+//!   without one it sends a frame anyway
+//!   (`replay.[s<N>.]gate_timeouts`);
 //! * every ack advances the group's cursor in `ts-log`'s
 //!   [`ts_log::CursorStore`], persisted at a bounded ~25 ms cadence
 //!   (each write tmp+rename atomic), so a consumer killed mid-epoch

@@ -117,12 +117,18 @@ pub(crate) fn spill_one(
         last_in_epoch: m.last_in_epoch,
         content: streamed_content(&m.fields, &m.labels, &stage.stream_copy_bytes),
     };
-    // The log appends one contiguous record: the one copy of the payload
-    // on this path.
-    let frame = DataMsg::Batch(announce).encode();
-    match log.lock().append(m.seq, m.epoch, m.index_in_epoch, &frame) {
+    // The frame stays in pieces (head bytes, then each tensor's own
+    // memory, borrowed); the log copies every piece into its mapping once,
+    // checksumming as it goes — the one copy of the payload on this path.
+    let segments = DataMsg::Batch(announce).encode_segments();
+    let chunks: Vec<&[u8]> = segments.iter().map(|s| &s[..]).collect();
+    let appended = log
+        .lock()
+        .append_chunks(m.seq, m.epoch, m.index_in_epoch, &chunks);
+    match appended {
         Ok(()) => {
-            stage.log_append_bytes.add(frame.len() as u64);
+            let len: usize = chunks.iter().map(|c| c.len()).sum();
+            stage.log_append_bytes.add(len as u64);
             true
         }
         Err(e) => {

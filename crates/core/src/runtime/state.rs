@@ -29,6 +29,26 @@
 //! one frame per `step`; publishing waits until the queue is empty (the
 //! rubberband "halt everyone while the joiner catches up"). A `Leave` or
 //! an expiry between two frames simply removes the job.
+//!
+//! **A catch-up has a window, like live publishing.** The job remembers
+//! what it sent and its consumer has not acked yet (acks are cumulative:
+//! delivery is in order), and sends only while those bytes are under
+//! `CATCH_UP_BUDGET` — never fewer than `CATCH_UP_MIN_FRAMES` frames.
+//! Reading the log outruns any receiver, so without the window a late
+//! group's whole history would queue up in its process. While the gate is
+//! shut `busy` is false and the pump parks until the next ack rings it.
+//! Every frame is looked up when it is sent, never before: the range of a
+//! logged job ends at its consumer's first live seq, not at what the
+//! spiller has appended, and a batch the log does not have yet is still
+//! live. The gate paces, it never decides liveness: after a whole tick
+//! without an ack from the consumer one frame goes anyway
+//! (`replay.gate_timeouts`).
+//!
+//! Jobs run in arrival order, with one exception: a consumer's logged
+//! range goes ahead of its own pin replay (a rejoining group member gets
+//! the pins on `Ready` and the range on `Replay`). It delivers, and so
+//! acks, the older range first; behind a window of pin frames it cannot
+//! ack yet the range would wait out a tick per frame.
 
 use crate::protocol::acks::AckTracker;
 use crate::protocol::buffer::BatchWindow;
@@ -49,6 +69,7 @@ use crate::{Result, TsError};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::ops::Range;
 use std::sync::Arc;
@@ -65,6 +86,14 @@ const TICK_NS: u64 = 25_000_000;
 /// one wait nobody can ring the pump out of (the coordinator may live in
 /// another process's shared memory).
 const BARRIER_TICK_NS: u64 = 200_000;
+/// Bytes of one catch-up that may be sent and not yet acked. A log frame
+/// is a whole batch, hundreds of KiB and up, so this holds a replay to a
+/// handful of frames in the receiver's memory; a pointer announce is ~100
+/// bytes, so pin replays never feel it.
+const CATCH_UP_BUDGET: u64 = 4 << 20;
+/// Frames a catch-up may always have un-acked, whatever they weigh: one
+/// on the wire while the consumer works on the other.
+const CATCH_UP_MIN_FRAMES: usize = 2;
 
 /// What the producer is waiting for. Exported as gauge
 /// `stage.[s<N>.]wait_state` (the variant's position in [`Wait::ALL`]).
@@ -248,6 +277,48 @@ struct ReplayJob {
     from_log: bool,
     next: u64,
     end: u64,
+    /// `(seq, bytes)` of every frame sent and not yet acked, oldest first:
+    /// the catch-up window.
+    unacked: VecDeque<(u64, u64)>,
+    unacked_bytes: u64,
+    /// When a frame last went out or the consumer last acked anything.
+    moved_at: u64,
+}
+
+impl ReplayJob {
+    fn new(consumer: u64, from_log: bool, frames: Range<u64>) -> Self {
+        Self {
+            consumer,
+            from_log,
+            next: frames.start,
+            end: frames.end,
+            unacked: VecDeque::new(),
+            unacked_bytes: 0,
+            moved_at: 0,
+        }
+    }
+
+    /// True while the window has room for another frame.
+    fn gate_open(&self) -> bool {
+        self.unacked.len() < CATCH_UP_MIN_FRAMES || self.unacked_bytes < CATCH_UP_BUDGET
+    }
+
+    fn sent(&mut self, now: u64, seq: u64, bytes: u64) {
+        self.unacked.push_back((seq, bytes));
+        self.unacked_bytes += bytes;
+        self.moved_at = now;
+    }
+
+    /// The consumer acked `seq`, and with it everything sent before. Any
+    /// ack of its is a sign of life, also one for a frame of another job
+    /// of the same consumer that went out ahead of this one.
+    fn acked(&mut self, now: u64, seq: u64) {
+        while let Some(&(_, bytes)) = self.unacked.front().filter(|sent| sent.0 <= seq) {
+            self.unacked.pop_front();
+            self.unacked_bytes -= bytes;
+        }
+        self.moved_at = now;
+    }
 }
 
 /// Who is attached: membership, admission, heartbeats, catch-ups.
@@ -267,6 +338,10 @@ struct Membership {
     /// Told to wait for the next epoch.
     pending_join: Vec<(u64, u32, PayloadMode)>,
     replays: VecDeque<ReplayJob>,
+    /// Un-acked bytes of the front catch-up (`replay.[s<N>.]inflight_bytes`).
+    inflight_bytes: Arc<Gauge>,
+    /// Frames sent through a shut gate (`replay.[s<N>.]gate_timeouts`).
+    gate_timeouts: Arc<Counter>,
     /// The WELCOME template answered to HELLOs (the log ad is stamped per
     /// answer).
     welcome: WelcomeInfo,
@@ -275,6 +350,12 @@ struct Membership {
 impl Membership {
     fn knows(&self, id: u64) -> bool {
         self.consumers.contains_key(&id) || self.pending_join.iter().any(|(j, ..)| *j == id)
+    }
+
+    fn note_inflight(&self) {
+        let front = self.replays.front();
+        self.inflight_bytes
+            .set(front.map_or(0, |job| job.unacked_bytes) as f64);
     }
 }
 
@@ -336,6 +417,10 @@ pub(crate) struct LogTee {
     lag: Arc<Gauge>,
     retained_min: Arc<Gauge>,
     retained_max: Arc<Gauge>,
+    /// Replay reads that found their record damaged: the registry's copy
+    /// of [`BatchLog::read_corrupt`], and how much of it is already there.
+    read_corrupt: Arc<Counter>,
+    read_corrupt_seen: Cell<u64>,
 }
 
 impl LogTee {
@@ -364,12 +449,24 @@ impl LogTee {
             lag: metrics.gauge(&format!("{prefix}lag")),
             retained_min,
             retained_max,
+            read_corrupt: metrics.counter(&format!("{prefix}read_corrupt")),
+            read_corrupt_seen: Cell::new(0),
         }
     }
 
+    /// The stored frame for `seq`, owning the segment's mapping: the bytes
+    /// go from the page cache to the socket without passing through a
+    /// buffer of ours.
     fn frame(&self, seq: u64) -> Option<Multipart> {
-        let record = self.log.lock().read(seq)?;
-        Some(Multipart::single(Bytes::from(record)))
+        let log = self.log.lock();
+        let record = log.read(seq);
+        if record.is_none() {
+            // Dropped by retention, or damaged: the log counts the second.
+            let seen = log.read_corrupt();
+            self.read_corrupt
+                .add(seen - self.read_corrupt_seen.replace(seen));
+        }
+        record.map(|r| Multipart::single(Bytes::from_owner(r)))
     }
 }
 
@@ -458,6 +555,10 @@ impl State {
         let policy = RubberbandPolicy {
             cutoff: cfg.rubberband_cutoff,
         };
+        let replay_metric = |name: &str| match shard_ns {
+            Some(s) => format!("replay.s{s}.{name}"),
+            None => format!("replay.{name}"),
+        };
         let staging = StagingEngine::build(ctx, &cfg, shard_ns);
         if let Some(engine) = &staging {
             // Pinned batches keep their slabs past full acknowledgement, so
@@ -472,6 +573,8 @@ impl State {
                 join_replies: HashMap::new(),
                 pending_join: Vec::new(),
                 replays: VecDeque::new(),
+                inflight_bytes: ctx.metrics.gauge(&replay_metric("inflight_bytes")),
+                gate_timeouts: ctx.metrics.counter(&replay_metric("gate_timeouts")),
                 welcome,
             },
             win: Window {
@@ -532,9 +635,14 @@ impl State {
         matches!(self.wait, Wait::Item | Wait::Arena)
     }
 
-    /// True while a catch-up is in flight: the pump must keep stepping.
+    /// True while the front catch-up has room in its window for its next
+    /// frame: the pump must keep stepping. Otherwise the next ack (or
+    /// tick) is what moves it, and the pump may park.
     pub(crate) fn busy(&self) -> bool {
-        !self.members.replays.is_empty()
+        self.members
+            .replays
+            .front()
+            .is_some_and(ReplayJob::gate_open)
     }
 
     /// When the state next needs an [`Event::Tick`] if nothing else
@@ -613,7 +721,9 @@ impl State {
     /// current wait state was waiting for (they cascade: an opened barrier
     /// can start the epoch in the same step).
     fn advance(&mut self, now: u64, fx: &mut Vec<Effect>) {
-        self.replay_one(fx);
+        if self.busy() {
+            self.replay_one(now, fx);
+        }
         if self.wait == Wait::Barrier {
             let coord = self.coord.clone().expect("barrier implies a coordinator");
             if coord.is_stopped() {
@@ -1122,16 +1232,32 @@ impl State {
 
     // -- catch-ups --------------------------------------------------------
 
-    /// Advances the front catch-up by one frame.
-    fn replay_one(&mut self, fx: &mut Vec<Effect>) {
+    /// Advances the front catch-up by one frame, window or not: callers
+    /// check [`State::busy`] first, or are the tick forcing a frame out.
+    fn replay_one(&mut self, now: u64, fx: &mut Vec<Effect>) {
         let Some(job) = self.members.replays.front_mut() else {
             return;
         };
         let (id, seq, from_log) = (job.consumer, job.next, job.from_log);
         job.next += 1;
-        if job.next >= job.end {
-            self.members.replays.pop_front();
+        let first_effect = fx.len();
+        self.replay_frame(id, seq, from_log, fx);
+        let bytes = fx[first_effect..].iter().map(|effect| match effect {
+            Effect::Send { frame, .. } => frame.byte_len() as u64,
+            _ => 0,
+        });
+        let bytes = bytes.sum();
+        let m = &mut self.members;
+        match m.replays.front_mut() {
+            Some(job) if job.next >= job.end => drop(m.replays.pop_front()),
+            Some(job) if bytes > 0 => job.sent(now, seq, bytes),
+            _ => {}
         }
+        m.note_inflight();
+    }
+
+    /// Sends catch-up frame `seq` to consumer `id`.
+    fn replay_frame(&mut self, id: u64, seq: u64, from_log: bool, fx: &mut Vec<Effect>) {
         let Some(mode) = self.members.consumers.get(&id).map(|c| c.mode) else {
             return;
         };
@@ -1188,12 +1314,8 @@ impl State {
         };
         let (next, end) = (info.start_seq.max(self.win.pins.start), self.win.pins.end);
         if next < end {
-            self.members.replays.push_back(ReplayJob {
-                consumer: id,
-                from_log: false,
-                next,
-                end,
-            });
+            let job = ReplayJob::new(id, false, next..end);
+            self.members.replays.push_back(job);
         }
     }
 
@@ -1292,6 +1414,15 @@ impl State {
                 if self.win.acks.on_ack(consumer_id, seq) {
                     self.on_fully_acked(now, seq);
                 }
+                // A catch-up's window opens on its consumer's acks.
+                let m = &mut self.members;
+                if !m.replays.is_empty() {
+                    let jobs = m.replays.iter_mut();
+                    for job in jobs.filter(|job| job.consumer == consumer_id) {
+                        job.acked(now, seq);
+                    }
+                    m.note_inflight();
+                }
                 // The group cursor advances in memory per ack (a replayed
                 // old seq is ignored as a regression) and is persisted per
                 // tick: a crash re-delivers at most one tick of acked
@@ -1378,6 +1509,7 @@ impl State {
         match start_seq {
             Some(start_seq) => self.admit(now, id, batch_size, mode, start_seq, fx),
             None => {
+                self.ctx.metrics.counter("producer.joins_parked").inc();
                 self.members.pending_join.push((id, batch_size, mode));
                 self.members.hb.beat(id, now);
                 let epoch = self.win.epoch + 1;
@@ -1449,6 +1581,7 @@ impl State {
         m.join_replies.remove(&id);
         m.pending_join.retain(|(j, ..)| *j != id);
         m.replays.retain(|job| job.consumer != id);
+        m.note_inflight();
         m.hb.remove(id);
         if let Some(log) = &mut self.log {
             log.groups.remove(&id);
@@ -1541,12 +1674,14 @@ impl State {
         log.log_infos.insert(id, frame.clone());
         fx.push(send(topics::consumer(id), frame));
         if start < live_seq {
-            self.members.replays.push_back(ReplayJob {
-                consumer: id,
-                from_log: true,
-                next: start,
-                end: live_seq,
-            });
+            // Ahead of this consumer's own pin replay, if that is queued:
+            // it delivers — and acks — the logged range first, and a window
+            // full of pin frames it cannot ack yet would wait out a tick
+            // per frame.
+            let replays = &mut self.members.replays;
+            let own = replays.iter().position(|job| job.consumer == id);
+            let job = ReplayJob::new(id, true, start..live_seq);
+            replays.insert(own.unwrap_or(replays.len()), job);
         }
     }
 
@@ -1572,6 +1707,15 @@ impl State {
         }
         if self.inst.ticks.is_multiple_of(4) {
             self.watchdog_sweep(now);
+        }
+        // The catch-up window paces, it never decides liveness: a consumer
+        // that owes acks it will not send (it skipped the frames, or waits
+        // for one that was lost) still gets the rest, a frame per tick.
+        let front = self.members.replays.front();
+        let silent = |job: &ReplayJob| now.saturating_sub(job.moved_at) >= TICK_NS;
+        if front.is_some_and(|job| !job.gate_open() && silent(job)) {
+            self.members.gate_timeouts.inc();
+            self.replay_one(now, fx);
         }
         self.log_maintenance();
         for dead in self.members.hb.expire(now) {

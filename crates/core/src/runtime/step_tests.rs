@@ -767,3 +767,356 @@ fn a_batch_no_slot_can_hold_fails_the_pipeline_with_a_counted_reason() {
     assert_eq!(ctx.metrics.counter("producer.feeder_failed").get(), 1);
     assert_eq!(ctx.metrics.counter("stage.publish_copy_bytes").get(), 0);
 }
+
+/// Bytes of the one field of a [`big_batch`]: a log frame of this size
+/// makes the catch-up budget a handful of frames.
+const BIG_FIELD: usize = 512 << 10;
+
+/// Loader batch `index` of `total` with a [`BIG_FIELD`]-byte field.
+fn big_batch(index: usize, total: usize) -> Batch {
+    let field = vec![index as u8; BIG_FIELD];
+    Batch {
+        fields: vec![Tensor::from_u8(field, &[4, BIG_FIELD / 4], DeviceId::Cpu).unwrap()],
+        ..batch(index, total)
+    }
+}
+
+/// A logging producer whose first epoch — `frames` big batches — is
+/// published, acked by consumer 1 and spilled but for the last `lag`
+/// batches (those wait in `Rig::spills`), and a late group member
+/// (consumer 2) that was parked, admitted at the boundary and has just
+/// asked for the log from its oldest record. Returns the rig, what that
+/// last step emitted, and the log directory.
+fn late_group_behind_a_logged_epoch(
+    tag: &str,
+    frames: usize,
+    lag: usize,
+) -> (Rig, Vec<Out>, std::path::PathBuf) {
+    let ctx = TsContext::host_only();
+    let dir = std::env::temp_dir().join(format!("ts-step-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut config = cfg(2, 0.02);
+    config.log = Some(ts_log::LogConfig::new(&dir));
+    let log = TensorProducer::open_log(&ctx, config.log.as_ref().unwrap(), None, 0).unwrap();
+    let mut prep = Preparer::new(&config, None);
+    let mut rig = Rig::coordinated(&ctx, config, frames as u64, None, Some(log));
+    rig.attach(1);
+    for index in 0..frames {
+        let last = index + 1 == frames;
+        let mut never = || panic!("no arena, nothing to run dry");
+        let item = prep.push(big_batch(index, frames), last, &mut never);
+        rig.item(item.unwrap().unwrap());
+        rig.ack(1, index as u64);
+        if index + lag < frames {
+            rig.spill_next();
+        }
+        if index == frames / 2 {
+            // Past the join window: parked until the boundary.
+            let out = rig.join(2, PayloadMode::Shm);
+            assert!(admit_of(&out).is_none(), "{out:?}");
+        }
+    }
+    assert_eq!(ctx.metrics.counter("producer.joins_parked").get(), 1);
+    let out = rig.step(Event::Prepared(FeederMsg::EpochDone(0)));
+    assert_eq!(admit_of(&out), Some((1, 0, frames as u64)));
+    assert!(
+        batches(&rig.ready(2)).is_empty(),
+        "nothing pinned behind it"
+    );
+    let out = rig.ctrl(CtrlMsg::Replay {
+        consumer_id: 2,
+        group: "late".into(),
+        from: ReplayFrom::Oldest,
+    });
+    (rig, out, dir)
+}
+
+/// Frames the catch-up budget lets out un-acked when each weighs `len`.
+fn budgets_worth(len: u64) -> usize {
+    (CATCH_UP_BUDGET.div_ceil(len) as usize).max(CATCH_UP_MIN_FRAMES)
+}
+
+#[test]
+fn a_logged_catch_up_sends_a_windows_worth_then_one_frame_per_ack() {
+    let (mut rig, out, dir) = late_group_behind_a_logged_epoch("window", 64, 0);
+    let inflight = rig.ctx.metrics.gauge("replay.inflight_bytes");
+    // The answer and the first frame leave in the same step.
+    assert!(matches!(
+        &out[0],
+        Out::Msg(
+            _,
+            DataMsg::LogInfo {
+                start_seq: 0,
+                live_seq: 64,
+                ..
+            }
+        )
+    ));
+    let mut sent = batches(&out);
+    assert_eq!(sent, [(topics::consumer(2), 0)]);
+    let frame_len = inflight.get() as u64;
+    assert!(
+        frame_len > BIG_FIELD as u64,
+        "one frame un-acked: {frame_len}"
+    );
+    // No ack ever comes: the window fills, a frame a step, then there is
+    // nothing left to do but wait.
+    while rig.state.busy() {
+        let out = rig.tick_after(0);
+        assert_eq!(batches(&out).len(), 1, "a busy step sends a frame");
+        sent.extend(batches(&out));
+    }
+    let window = budgets_worth(frame_len);
+    assert!((CATCH_UP_MIN_FRAMES..16).contains(&window), "{window}");
+    assert_eq!(sent.len(), window, "exactly the budget's worth");
+    assert_eq!(inflight.get() as u64, window as u64 * frame_len);
+    assert!(
+        rig.state.deadline() > rig.now,
+        "parked until the tick, no spin"
+    );
+    assert_eq!(rig.state.deadline(), rig.state.inst.next_tick);
+    // Every ack lets exactly the next frame out, to the end.
+    for acked in 0..64u64 {
+        let out = rig.ack(2, acked);
+        let next = acked + window as u64;
+        let expect: Vec<_> = (next < 64)
+            .then(|| (topics::consumer(2), next))
+            .into_iter()
+            .collect();
+        assert_eq!(batches(&out), expect, "after ack {acked}");
+        sent.extend(expect);
+    }
+    let all: Vec<_> = (0..64u64).map(|seq| (topics::consumer(2), seq)).collect();
+    assert_eq!(sent, all, "each seq exactly once, in order");
+    assert!(!rig.state.busy());
+    assert_eq!(inflight.get(), 0.0, "no catch-up, nothing in flight");
+    assert_eq!(rig.ctx.metrics.counter("replay.gate_timeouts").get(), 0);
+    assert_eq!(rig.ctx.metrics.counter("replay.log_batches").get(), 64);
+    assert_eq!(rig.ctx.metrics.counter("log.read_corrupt").get(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_shut_gate_never_decides_liveness_and_a_leave_removes_the_job() {
+    let (mut rig, out, dir) = late_group_behind_a_logged_epoch("timeout", 24, 0);
+    let timeouts = rig.ctx.metrics.counter("replay.gate_timeouts");
+    let mut sent = batches(&out);
+    while rig.state.busy() {
+        sent.extend(batches(&rig.tick_after(0)));
+    }
+    let window = sent.len() as u64;
+    // Less than a tick of silence: nothing moves.
+    assert!(batches(&rig.tick_after(TICK_NS / 2)).is_empty());
+    assert_eq!(timeouts.get(), 0);
+    // A whole tick without an ack: one frame goes anyway, and is counted.
+    let out = rig.tick_after(TICK_NS);
+    assert_eq!(batches(&out), [(topics::consumer(2), window)]);
+    assert_eq!(timeouts.get(), 1);
+    assert!(!rig.state.busy(), "the gate is still shut");
+    assert!(
+        batches(&rig.tick_after(MS)).is_empty(),
+        "one per silent tick"
+    );
+    // The consumer leaves while gated: the job goes with it.
+    let out = rig.ctrl(CtrlMsg::Leave { consumer_id: 2 });
+    assert!(batches(&out).is_empty(), "{out:?}");
+    assert!(rig.state.members.replays.is_empty());
+    assert_eq!(rig.ctx.metrics.gauge("replay.inflight_bytes").get(), 0.0);
+    for _ in 0..4 {
+        assert!(batches(&rig.tick_after(TICK_NS)).is_empty());
+    }
+    assert_eq!(timeouts.get(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_catch_up_that_overtakes_the_spiller_leaves_no_hole() {
+    // The job's range ends at the consumer's first live seq, not at what
+    // the spiller has appended: the last six frames are not in the log
+    // when the job starts. Whatever the window lets out before the
+    // spiller gets there is the live batch, streamed; after that the live
+    // batches — long acked by consumer 1 — are freed and the log serves
+    // the rest. A frame is looked up when it is sent, so there is always
+    // one of the two.
+    let (mut rig, out, dir) = late_group_behind_a_logged_epoch("lag", 24, 6);
+    assert_eq!(rig.spills.len(), 6);
+    let mut sent = batches(&out);
+    while rig.state.busy() {
+        sent.extend(batches(&rig.tick_after(0)));
+    }
+    let window = sent.len() as u64;
+    assert!(window < 18, "the tail is beyond the window: {sent:?}");
+    assert_eq!(rig.state.win.live.len(), 6, "held for the spiller");
+    // Acks let the job run two frames into what only `live` has ...
+    for acked in 0..20 - window {
+        sent.extend(batches(&rig.ack(2, acked)));
+    }
+    assert_eq!(sent.last(), Some(&(topics::consumer(2), 19)));
+    // ... then the spiller catches up, and the log is the only owner.
+    while !rig.spills.is_empty() {
+        sent.extend(batches(&rig.spill_next()));
+    }
+    assert!(rig.state.win.live.is_empty(), "the log has them now");
+    for acked in 20 - window..24 {
+        sent.extend(batches(&rig.ack(2, acked)));
+    }
+    let all: Vec<_> = (0..24u64).map(|seq| (topics::consumer(2), seq)).collect();
+    assert_eq!(sent, all, "each seq exactly once, in order, no hole");
+    assert!(rig.state.members.replays.is_empty());
+    assert_eq!(rig.ctx.metrics.counter("replay.log_batches").get(), 24);
+    assert_eq!(rig.ctx.metrics.counter("replay.gate_timeouts").get(), 0);
+    assert_eq!(rig.ctx.metrics.counter("log.read_corrupt").get(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_pin_replay_of_pointer_announces_is_not_held_to_the_frame_floor() {
+    // Twenty ~100-byte announces are nowhere near the byte budget: they
+    // all go without a single ack from the joiner.
+    let ctx = TsContext::host_only();
+    let config = cfg(1, 1.0);
+    let mut prep = Preparer::new(&config, None);
+    let mut rig = Rig::new(&ctx, config, 24);
+    rig.attach(1);
+    for seq in 0..20 {
+        let item = prepared(&mut prep, seq, 24);
+        rig.item(item);
+        rig.ack(1, seq as u64);
+    }
+    assert_eq!(admit_of(&rig.join(2, PayloadMode::Shm)), Some((0, 0, 0)));
+    let mut sent = batches(&rig.ready(2));
+    while rig.state.busy() {
+        sent.extend(batches(&rig.tick_after(0)));
+    }
+    let all: Vec<_> = (0..20u64).map(|seq| (topics::consumer(2), seq)).collect();
+    assert!(all.len() > CATCH_UP_MIN_FRAMES);
+    assert_eq!(sent, all);
+    assert!(rig.state.members.replays.is_empty());
+    assert_eq!(ctx.metrics.counter("replay.gate_timeouts").get(), 0);
+}
+
+#[test]
+fn a_rejoining_members_logged_range_goes_out_ahead_of_its_own_pin_replay() {
+    // A group member that left in epoch 0 comes back inside epoch 1's
+    // join window, beside an active consumer: it is admitted at the epoch
+    // start (pins replayed on `Ready`) and asks for the log from its
+    // cursor. It delivers — and acks — the logged range first, so that is
+    // the order the frames must leave in.
+    let ctx = TsContext::host_only();
+    let dir = std::env::temp_dir().join(format!("ts-step-order-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut config = cfg(2, 1.0);
+    config.log = Some(ts_log::LogConfig::new(&dir));
+    let log = TensorProducer::open_log(&ctx, config.log.as_ref().unwrap(), None, 0).unwrap();
+    let mut prep = Preparer::new(&config, None);
+    let mut rig = Rig::coordinated(&ctx, config, 4, None, Some(log));
+    rig.attach(1);
+    let publish = |rig: &mut Rig, prep: &mut Preparer, index: usize, seq: u64| {
+        let item = prepared(prep, index, 4);
+        rig.item(item);
+        rig.ack(1, seq);
+        rig.spill_next();
+    };
+    for seq in 0..4 {
+        publish(&mut rig, &mut prep, seq, seq as u64);
+    }
+    rig.step(Event::Prepared(FeederMsg::EpochDone(0)));
+    for seq in 4..6 {
+        publish(&mut rig, &mut prep, seq - 4, seq as u64);
+    }
+    // Admitted at epoch 1's first seq; `Ready` starts the pin replay.
+    assert_eq!(admit_of(&rig.join(2, PayloadMode::Shm)), Some((1, 0, 4)));
+    assert_eq!(batches(&rig.ready(2)), [(topics::consumer(2), 4)]);
+    let mut sent = batches(&rig.ctrl(CtrlMsg::Replay {
+        consumer_id: 2,
+        group: "g".into(),
+        from: ReplayFrom::Seq(1),
+    }));
+    while rig.state.busy() {
+        sent.extend(batches(&rig.tick_after(0)));
+    }
+    let order: Vec<u64> = sent.iter().map(|(_, seq)| *seq).collect();
+    assert_eq!(
+        order,
+        [1, 2, 3, 5],
+        "the logged range, then the rest of the pins"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn acks_for_the_logged_range_are_the_demoted_pin_replays_sign_of_life() {
+    // The same rejoin with frames that weigh something: the pin replay (a
+    // stream-mode consumer gets whole batches) shuts its gate before the
+    // `Replay` request moves the logged range ahead of it. While the
+    // consumer works through that range it cannot ack a pin frame, but it
+    // is anything but silent: when the pin job is the front again, a tick
+    // must not find it timed out.
+    let ctx = TsContext::host_only();
+    let dir = std::env::temp_dir().join(format!("ts-step-demoted-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut config = cfg(2, 1.0);
+    config.log = Some(ts_log::LogConfig::new(&dir));
+    let log = TensorProducer::open_log(&ctx, config.log.as_ref().unwrap(), None, 0).unwrap();
+    let mut prep = Preparer::new(&config, None);
+    let mut rig = Rig::coordinated(&ctx, config, 12, None, Some(log));
+    let timeouts = ctx.metrics.counter("replay.gate_timeouts");
+    rig.attach(1);
+    let publish = |rig: &mut Rig, prep: &mut Preparer, seq: usize| {
+        let mut never = || panic!("no arena, nothing to run dry");
+        let item = prep.push(big_batch(seq % 12, 12), seq % 12 == 11, &mut never);
+        rig.item(item.unwrap().unwrap());
+        rig.ack(1, seq as u64);
+        rig.spill_next();
+    };
+    for seq in 0..12 {
+        publish(&mut rig, &mut prep, seq);
+    }
+    rig.step(Event::Prepared(FeederMsg::EpochDone(0)));
+    for seq in 12..23 {
+        publish(&mut rig, &mut prep, seq);
+    }
+    assert_eq!(
+        admit_of(&rig.join(2, PayloadMode::Stream)),
+        Some((1, 0, 12))
+    );
+    let mut sent = batches(&rig.ready(2));
+    while rig.state.busy() {
+        sent.extend(batches(&rig.tick_after(0)));
+    }
+    let window = sent.len() as u64;
+    assert!(
+        (2..11).contains(&window),
+        "the pin replay is gated: {window}"
+    );
+    // The logged range 9..12 goes out ahead of the rest of the pins.
+    sent.extend(batches(&rig.ctrl(CtrlMsg::Replay {
+        consumer_id: 2,
+        group: "g".into(),
+        from: ReplayFrom::Seq(9),
+    })));
+    while rig.state.busy() {
+        sent.extend(batches(&rig.tick_after(0)));
+    }
+    assert_eq!(sent.len() as u64, window + 3);
+    assert_eq!(rig.state.members.replays.len(), 1, "the pin job is front");
+    // More than a tick after the pin job last sent, the consumer acks its
+    // way through the range; housekeeping runs inside these steps.
+    rig.now += TICK_NS;
+    for acked in 9..12 {
+        assert!(batches(&rig.ack(2, acked)).is_empty(), "pins un-acked");
+        rig.now += TICK_NS / 2;
+    }
+    assert_eq!(timeouts.get(), 0, "an acking consumer is not silent");
+    // Then the pins, an ack a frame, to the live end.
+    for acked in 12..23 {
+        sent.extend(batches(&rig.ack(2, acked)));
+    }
+    let order: Vec<u64> = sent.iter().map(|(_, seq)| *seq).collect();
+    let pins_then_range = (12..12 + window).chain(9..12);
+    let expect: Vec<u64> = pins_then_range.chain(12 + window..23).collect();
+    assert_eq!(order, expect);
+    assert!(rig.state.members.replays.is_empty());
+    assert_eq!(timeouts.get(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}

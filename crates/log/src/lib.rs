@@ -53,17 +53,45 @@
 //! streamed-batch frames, written and read verbatim — replay sends the
 //! very bytes a live streamed subscriber would have seen, which is what
 //! makes log-replay-then-live-splice bit-identical.
+//!
+//! ## What a byte costs
+//!
+//! Every stored byte is covered by a CRC-32 (IEEE) that is checked on
+//! every path that trusts it: written by `append`, re-checked by every
+//! `read` and, for each committed record, by `open`'s recovery. Nothing
+//! is verified lazily; the loop is slicing-by-8 ([`crc32`], [`Crc32`])
+//! so that the check runs at memory speed, because it sits on the
+//! producer's replay path once per frame.
+//!
+//! * **Append** passes over the payload once: [`BatchLog::append_chunks`]
+//!   takes the record as the pieces the caller holds (an encoded frame's
+//!   head bytes and tensor memory), copies each into the mapping and
+//!   folds the CRC over it on the way. [`BatchLog::append`] is the
+//!   one-piece case.
+//! * **Read** copies nothing: [`BatchLog::read`] checks the CRC over the
+//!   mapped bytes and returns a [`Record`], a view that shares ownership
+//!   of the segment's mapping. It derefs to the bytes for as long as it
+//!   lives — across threads, past rotation, past the `BatchLog` itself —
+//!   and an unlinked segment's pages go back to the kernel when the last
+//!   handle on it drops. That is sound because committed bytes are never
+//!   rewritten: appends only ever store past the last committed record.
+//! * A record that is retained but no longer matches its index entry
+//!   reads as `None`, like one retention dropped, but is counted apart
+//!   ([`BatchLog::read_corrupt`]) and reported once with its segment.
 
+mod crc;
 mod cursor;
 mod mmap;
 mod segment;
 
+pub use crc::{crc32, Crc32};
 pub use cursor::CursorStore;
-pub use segment::{RecordMeta, Segment};
+pub use segment::{Record, RecordMeta, Segment};
 
 use std::fmt;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Errors surfaced by the log.
 #[derive(Debug)]
@@ -134,6 +162,8 @@ pub struct BatchLog {
     /// Oldest → newest; the last is the active (unsealed) segment.
     segments: Vec<Segment>,
     appended_bytes: u64,
+    /// Reads that found their record damaged (a statistic: `Relaxed`).
+    read_corrupt: AtomicU64,
 }
 
 impl BatchLog {
@@ -180,6 +210,7 @@ impl BatchLog {
             shard,
             segments,
             appended_bytes: 0,
+            read_corrupt: AtomicU64::new(0),
         })
     }
 
@@ -198,6 +229,21 @@ impl BatchLog {
         index_in_epoch: u64,
         payload: &[u8],
     ) -> Result<()> {
+        self.append_chunks(seq, epoch, index_in_epoch, &[payload])
+    }
+
+    /// [`BatchLog::append`] of a payload held in pieces: the record is the
+    /// concatenation of `chunks`, each copied into the segment's mapping
+    /// once while the CRC is folded over it — no joined intermediate, no
+    /// allocation. The stored bytes and CRC are exactly what `append` of
+    /// the joined payload would store.
+    pub fn append_chunks(
+        &mut self,
+        seq: u64,
+        epoch: u64,
+        index_in_epoch: u64,
+        chunks: &[&[u8]],
+    ) -> Result<()> {
         if let Some(next) = self.next_seq() {
             if seq != next {
                 return Err(LogError::Config(format!(
@@ -205,16 +251,13 @@ impl BatchLog {
                 )));
             }
         }
-        if self
-            .segments
-            .last()
-            .is_none_or(|s| !s.has_room(payload.len()))
-        {
-            self.rotate(seq, payload.len())?;
+        let len: usize = chunks.iter().map(|c| c.len()).sum();
+        if self.segments.last().is_none_or(|s| !s.has_room(len)) {
+            self.rotate(seq, len)?;
         }
         let seg = self.segments.last_mut().unwrap();
-        seg.append(epoch, index_in_epoch, payload)?;
-        self.appended_bytes += payload.len() as u64;
+        seg.append_chunks(epoch, index_in_epoch, chunks)?;
+        self.appended_bytes += len as u64;
         Ok(())
     }
 
@@ -236,9 +279,33 @@ impl BatchLog {
         Ok(())
     }
 
-    /// Reads the payload stored for `seq`, if retained.
-    pub fn read(&self, seq: u64) -> Option<Vec<u8>> {
-        self.find(seq)?.read(seq)
+    /// Reads the payload stored for `seq` in place — a [`Record`] viewing
+    /// the mapped bytes, CRC-checked on every call, nothing copied — or
+    /// `None` when there is nothing to hand out: retention dropped the
+    /// record (or it was never logged), or it is there but damaged. The
+    /// second case is counted ([`BatchLog::read_corrupt`]) and the first
+    /// occurrence logged with the segment's path, so a hole in a replay
+    /// has a name.
+    pub fn read(&self, seq: u64) -> Option<Record> {
+        match self.find(seq)?.read(seq) {
+            Ok(record) => record,
+            Err(e) => {
+                if self.read_corrupt.fetch_add(1, Ordering::Relaxed) == 0 {
+                    eprintln!(
+                        "ts-log: shard {} cannot serve seq {seq} ({e}); further damaged \
+                         reads are counted in read_corrupt",
+                        self.shard
+                    );
+                }
+                None
+            }
+        }
+    }
+
+    /// Reads that found their record retained but damaged (index geometry
+    /// or CRC mismatch) since this handle was opened.
+    pub fn read_corrupt(&self) -> u64 {
+        self.read_corrupt.load(Ordering::Relaxed)
     }
 
     /// Reads the index metadata stored for `seq`, if retained.
@@ -316,37 +383,6 @@ impl BatchLog {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected) over `bytes` — the frame check used by
-/// segment records.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    // Nibble-wise table keeps the const table tiny; throughput is fine
-    // for the spiller (one pass per append, off the publish hot path).
-    const TABLE: [u32; 16] = [
-        0x0000_0000,
-        0x1db7_1064,
-        0x3b6e_20c8,
-        0x26d9_30ac,
-        0x76dc_4190,
-        0x6b6b_51f4,
-        0x4db2_6158,
-        0x5005_713c,
-        0xedb8_8320,
-        0xf00f_9344,
-        0xd6d6_a3e8,
-        0xcb61_b38c,
-        0x9b64_c2b0,
-        0x86d3_d2d4,
-        0xa00a_e278,
-        0xbdbd_f21c,
-    ];
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = TABLE[((crc ^ b as u32) & 0x0f) as usize] ^ (crc >> 4);
-        crc = TABLE[((crc ^ (b as u32 >> 4)) & 0x0f) as usize] ^ (crc >> 4);
-    }
-    !crc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,17 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_known_vectors() {
-        // Reference values from the IEEE 802.3 polynomial.
-        assert_eq!(crc32(b""), 0x0000_0000);
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414f_a339
-        );
-    }
-
-    #[test]
     fn append_read_round_trip_across_rotation() {
         let dir = tmp_dir("roundtrip");
         let mut cfg = LogConfig::new(&dir);
@@ -393,12 +418,12 @@ mod tests {
         assert!(log.segment_count() > 1, "expected rotation");
         assert_eq!(log.retained_range(), Some((10, 29)));
         for seq in 10..30u64 {
-            assert_eq!(log.read(seq).unwrap(), payload(seq, 48));
+            assert_eq!(&log.read(seq).unwrap()[..], payload(seq, 48));
             let meta = log.meta(seq).unwrap();
             assert_eq!((meta.epoch, meta.index_in_epoch), (seq / 8, seq % 8));
         }
-        assert_eq!(log.read(9), None);
-        assert_eq!(log.read(30), None);
+        assert!(log.read(9).is_none());
+        assert!(log.read(30).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -418,7 +443,7 @@ mod tests {
         assert_eq!(log.retained_range(), Some((0, 5)));
         assert_eq!(log.next_seq(), Some(6));
         for seq in 0..6u64 {
-            assert_eq!(log.read(seq).unwrap(), payload(seq, 32));
+            assert_eq!(&log.read(seq).unwrap()[..], payload(seq, 32));
         }
         assert!(log.append(9, 1, 0, b"gap").is_err(), "gap must be rejected");
         log.append(6, 1, 0, &payload(6, 32)).unwrap();
@@ -444,8 +469,83 @@ mod tests {
         fs::write(&seg_path, &bytes).unwrap();
         let log = BatchLog::open(&cfg, 0).unwrap();
         assert_eq!(log.retained_range(), Some((0, 2)));
-        assert_eq!(log.read(2).unwrap(), payload(2, 64));
-        assert_eq!(log.read(3), None);
+        assert_eq!(&log.read(2).unwrap()[..], payload(2, 64));
+        assert!(log.read(3).is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_damaged_record_reads_none_and_is_counted_apart_from_a_dropped_one() {
+        let dir = tmp_dir("read-corrupt");
+        let mut cfg = LogConfig::new(&dir);
+        cfg.segment_records = 4;
+        let mut log = BatchLog::open(&cfg, 0).unwrap();
+        for seq in 0..6u64 {
+            log.append(seq, 0, seq, &payload(seq, 64)).unwrap();
+        }
+        assert_eq!(
+            log.segment_count(),
+            2,
+            "records 0..=3 sit in a sealed segment"
+        );
+        // One byte of record 2 changes on disk, under the live mapping.
+        use std::os::unix::fs::FileExt;
+        let seg_path = dir.join("shard-0").join(Segment::file_name(0));
+        let at = (segment::HEADER_BYTES + 4 * segment::ENTRY_BYTES + 2 * 64 + 10) as u64;
+        let file = fs::OpenOptions::new().write(true).open(&seg_path).unwrap();
+        file.write_all_at(&[payload(2, 64)[10] ^ 0xff], at).unwrap();
+        assert!(log.read(2).is_none());
+        assert_eq!(log.read_corrupt(), 1);
+        // Retention dropping a record (or it never existing) is not damage.
+        assert!(log.read(6).is_none());
+        assert_eq!(log.read_corrupt(), 1);
+        for seq in [0u64, 1, 3, 4, 5] {
+            assert_eq!(
+                &log.read(seq).unwrap()[..],
+                payload(seq, 64),
+                "neighbour {seq}"
+            );
+        }
+        assert!(log.read(2).is_none(), "every read checks again");
+        assert_eq!(log.read_corrupt(), 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_record_handle_outlives_its_segment_and_releases_the_mapping_when_dropped() {
+        let dir = tmp_dir("handle");
+        let mut cfg = LogConfig::new(&dir);
+        cfg.segment_records = 2;
+        cfg.retain_segments = 0;
+        let mut log = BatchLog::open(&cfg, 0).unwrap();
+        for seq in 0..6u64 {
+            log.append(seq, 0, seq, &payload(seq, 48)).unwrap();
+        }
+        let held = log.read(1).unwrap();
+        let seg_path = dir.join("shard-0").join(Segment::file_name(0));
+        let mapped = || {
+            let maps = fs::read_to_string("/proc/self/maps").unwrap();
+            maps.contains(seg_path.to_str().unwrap())
+        };
+        assert!(mapped());
+        // Retention unlinks the segment; the handle still owns its pages.
+        assert_eq!(log.apply_retention(None), 2);
+        assert_eq!(log.retained_range(), Some((4, 5)));
+        assert!(!seg_path.exists());
+        assert!(log.read(1).is_none(), "the log no longer serves it");
+        assert_eq!(&held[..], payload(1, 48));
+        assert!(mapped(), "unlinked, still mapped");
+        // It crosses threads and outlives the log itself.
+        drop(log);
+        let held = std::thread::spawn(move || {
+            assert_eq!(&held[..], payload(1, 48));
+            held
+        })
+        .join()
+        .unwrap();
+        assert_eq!(&held[..4], &payload(1, 48)[..4]);
+        drop(held);
+        assert!(!mapped(), "the last handle unmaps");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -483,7 +583,7 @@ mod tests {
         let mut log = BatchLog::open(&cfg, 0).unwrap();
         let big = payload(0, 1000);
         log.append(0, 0, 0, &big).unwrap();
-        assert_eq!(log.read(0).unwrap(), big);
+        assert_eq!(&log.read(0).unwrap()[..], big);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -522,7 +622,7 @@ mod tests {
         }
         log.sync().unwrap();
         for seq in 0..10u64 {
-            assert_eq!(log.read(seq).unwrap(), payload(seq, 32));
+            assert_eq!(&log.read(seq).unwrap()[..], payload(seq, 32));
         }
         let _ = fs::remove_dir_all(&dir);
     }

@@ -6,7 +6,9 @@
 //! the same approach `ts-shm` takes for its arena. The mapping is
 //! deliberately minimal: segments are single-writer, and all read-side
 //! consistency comes from the segment's committed-count protocol, not
-//! from the mapping.
+//! from the mapping. A segment shares its mapping (`Arc`) with the record
+//! handles it gives out, so the pages stay mapped — even after the file
+//! is unlinked by retention — until the last handle is gone.
 
 use std::fs::OpenOptions;
 use std::io;
@@ -45,9 +47,13 @@ pub struct SharedMapping {
     len: usize,
 }
 
-// Safety: the mapping is plain shared memory; segments are written by a
-// single spiller thread and readers validate every record against its
-// CRC before trusting the bytes.
+// SAFETY: the mapping is plain shared memory with no thread affinity (the
+// two fields are an address and a length). It is shared through an `Arc`
+// between the owning `Segment` — the one writer, which only ever stores
+// past the committed records — and the `Record` handles `Segment::read`
+// gives out, which may sit on any thread and outlive the segment but look
+// only at committed bytes, and those are never rewritten. The last of
+// them to drop unmaps.
 unsafe impl Send for SharedMapping {}
 unsafe impl Sync for SharedMapping {}
 

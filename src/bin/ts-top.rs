@@ -341,17 +341,25 @@ fn log_header(stats: &StatsPayload) -> Option<String> {
 }
 
 /// The pump header line: what each producer pipeline is waiting for right
-/// now (`stage.[s<N>.]wait_state`, a [`tensorsocket::Wait`] code) and how
+/// now (`stage.[s<N>.]wait_state`, a [`tensorsocket::Wait`] code), how
 /// long its feeder has spent parked on a dry arena in total
-/// (`stage.[s<N>.]arena_parked_ns`).
+/// (`stage.[s<N>.]arena_parked_ns`) and, while a catch-up runs, how much
+/// of it is sent and not yet acked (`replay.[s<N>.]inflight_bytes`).
 fn wait_header(stats: &StatsPayload) -> Option<String> {
+    let gauges = stats.gauges();
     let parked = |prefix: &str| {
         let name = format!("{prefix}arena_parked_ns");
         let found = stats.counters.iter().find(|(n, _)| *n == name);
         found.map(|(_, v)| *v).unwrap_or(0)
     };
+    let inflight = |prefix: &str| {
+        let name = format!("{}inflight_bytes", prefix.replacen("stage.", "replay.", 1));
+        let found = gauges.iter().find(|(n, _)| *n == name);
+        found.map(|(_, v)| *v).unwrap_or(0.0)
+    };
     let mut parts = Vec::new();
-    for (name, code) in stats.gauges() {
+    for (name, code) in &gauges {
+        let (name, code) = (name.as_str(), *code);
         let Some(prefix) = name.strip_suffix("wait_state") else {
             continue;
         };
@@ -365,6 +373,13 @@ fn wait_header(stats: &StatsPayload) -> Option<String> {
         match parked(prefix) {
             0 => {}
             ns => part.push_str(&format!(" (arena-parked {} ms total)", ns / 1_000_000)),
+        }
+        let unacked = inflight(prefix);
+        if unacked > 0.0 {
+            part.push_str(&format!(
+                " (catch-up: {:.0} KiB un-acked)",
+                unacked / 1024.0
+            ));
         }
         parts.push(part);
     }
@@ -505,5 +520,32 @@ fn main() {
             }
         }
         std::thread::sleep(args.interval);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_pump_header_shows_a_running_catch_up_per_pipeline() {
+        let registry = ts_metrics::Registry::new();
+        registry.gauge("stage.s0.wait_state").set(3.0);
+        registry.gauge("stage.s1.wait_state").set(2.0);
+        registry
+            .gauge("replay.s0.inflight_bytes")
+            .set(3.0 * 1024.0 * 1024.0);
+        registry.gauge("replay.s1.inflight_bytes").set(0.0);
+        let header = wait_header(&StatsPayload::from_registry(&registry)).unwrap();
+        assert_eq!(
+            header,
+            "pump: s0 waiting on window (catch-up: 3072 KiB un-acked) | s1 waiting on item"
+        );
+        // A standalone producer's gauges carry no shard.
+        let registry = ts_metrics::Registry::new();
+        registry.gauge("stage.wait_state").set(3.0);
+        registry.gauge("replay.inflight_bytes").set(2048.0);
+        let header = wait_header(&StatsPayload::from_registry(&registry)).unwrap();
+        assert_eq!(header, "pump: waiting on window (catch-up: 2 KiB un-acked)");
     }
 }

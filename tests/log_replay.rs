@@ -161,11 +161,6 @@ fn fresh_group_late_join_replays_full_history() {
     for batch in witness.by_ref() {
         let batch = batch.expect("clean witness stream");
         full.push(seen(&batch));
-        if late.is_some() {
-            // The witness paces the producer: leave the late joiner time
-            // to attach before the last epoch is over.
-            std::thread::sleep(Duration::from_millis(5));
-        }
         if full.len() as u64 == PER_EPOCH + 2 {
             let ctx_c = ctx.clone();
             late = Some(std::thread::spawn(move || {
@@ -182,6 +177,19 @@ fn fresh_group_late_join_replays_full_history() {
                 assert_eq!(consumer.stop_reason(), Some(StopReason::End));
                 got
             }));
+            // The witness holds this batch — and with it the publish
+            // window — until the producer has the joiner's `Join` (parked:
+            // the join window shut after the epoch's first batch), so the
+            // epochs cannot run out before the joiner is known.
+            let parked = ctx.metrics.counter("producer.joins_parked");
+            let patience = std::time::Instant::now() + Duration::from_secs(20);
+            while parked.get() == 0 {
+                assert!(
+                    std::time::Instant::now() < patience,
+                    "the join never arrived"
+                );
+                std::thread::yield_now();
+            }
         }
     }
     assert_eq!(witness.stop_reason(), Some(StopReason::End));
