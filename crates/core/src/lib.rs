@@ -37,8 +37,13 @@
 //!
 //! ## The attach handshake: a consumer needs only the endpoint
 //!
-//! [`Consumer::builder`]`.connect(endpoint)` opens with a versioned
-//! HELLO/WELCOME exchange on the control channel. The producer's WELCOME
+//! [`Consumer::builder`]`.connect(endpoint)` opens one *link* to the base
+//! endpoint — a SUB connection for everything the producer says, a PUSH
+//! connection for everything said to it — and starts with a versioned
+//! HELLO/WELCOME exchange on it. That link stays: it is shard 0's, and the
+//! JOIN, every ack, the heartbeats and the LEAVE travel on it, so a
+//! consumer holds two connections per shard and an attach sets up nothing
+//! it throws away. The producer's WELCOME
 //! ([`WelcomeInfo`]) advertises the shard count (from which every shard's
 //! data/ctrl endpoint derives via one scheme-aware
 //! [`ts_socket::EndpointMap`], plus sparse per-shard overrides for
@@ -246,7 +251,28 @@
 //! or a heartbeat expiry between two frames simply removes the job.
 //! Housekeeping (join-reply nudges, the cursor broadcast, log retention,
 //! heartbeat expiry; the watchdog every fourth time) runs on one ~25 ms
-//! tick. Knobs, in the order they usually matter:
+//! tick.
+//!
+//! The consumer has the same shape (`runtime::consumer_state` under
+//! `runtime::consumer`): [`Consumer`] is a shell with one receive call,
+//! and what came off the awaited link — a frame, nothing before the
+//! deadline, a closed socket — or what the trainer did (`Next`: it came
+//! back for a batch, `Leave`: it dropped the consumer) is one event for
+//! `ConsumerState::step(now, event, &mut effects)`; the effects (`Ctrl`,
+//! `Subscribe`, `Unsubscribe`, `Negotiate`) are executed in order. Each
+//! shard's link is in one phase — `Hello`, `Joining`/`Parked`, `Splicing`
+//! (a group member waiting for its `LogInfo`; all shards are asked at once
+//! and share one limit), `Live`, `Ended` — and admission, the log splice,
+//! in-order delivery across shards, duplicate and pointer-frame filtering
+//! and what is owed an ack are decided there, scripted without a socket
+//! in `runtime/consumer_step_tests.rs` — where the two state machines
+//! also run back to back, the producer's `Send` effects routed by topic
+//! into consumers and their `Ctrl` effects back. The one thread a
+//! consumer adds is its heartbeat, because between two `next()` calls the
+//! consumer's thread is the trainer's; it beats on the links' own control
+//! sockets, between the JOIN and the LEAVE, and stops at once on drop.
+//!
+//! Producer knobs, in the order they usually matter:
 //!
 //! * `DataLoaderConfig::num_workers` — loader worker threads; `0`
 //!   decodes on the feeder thread itself. Batch order is bit-identical
@@ -508,15 +534,13 @@ pub use protocol::messages::{
 };
 pub use protocol::order::ShardInterleave;
 pub use protocol::rubberband::RubberbandPolicy;
-pub use runtime::builder::{Consumer, ConsumerBuilder, Producer, ProducerBuilder};
-pub use runtime::consumer::ConsumerBatch;
+pub use runtime::builder::{ConsumerBuilder, Producer, ProducerBuilder};
+pub use runtime::consumer::{Consumer, ConsumerBatch};
 pub use runtime::context::TsContext;
 pub use runtime::coordinator::{EpochCoordinator, GroupJoin};
 pub use runtime::producer::{EpochSource, ProducerStats, SampleGeometry};
 pub use runtime::scrape::{scrape_stats, scrape_trace};
-pub use runtime::{
-    ConsumerConfig, FlexibleConfig, ProducerConfig, StagingConfig, StagingMode, Wait,
-};
+pub use runtime::{FlexibleConfig, ProducerConfig, StagingConfig, StagingMode, Wait};
 pub use ts_metrics::{SpanKind, TraceRecordSnap, TraceRing};
 pub use ts_socket::{Endpoint, EndpointError, Scheme};
 

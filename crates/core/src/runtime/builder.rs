@@ -19,21 +19,18 @@
 //!   count (and with it every shard's data/ctrl endpoint, via
 //!   [`ts_socket::EndpointMap`]), the arena path and slot geometry, the
 //!   batch schema and the staging mode. Mismatches surface as typed
-//!   [`HandshakeError`]s — never as hangs or silently wrong training
+//!   [`crate::HandshakeError`]s — never as hangs or silently wrong training
 //!   streams.
 
-use crate::protocol::messages::{
-    caps, topics, CtrlMsg, DataMsg, PayloadMode, WelcomeInfo, WIRE_VERSION,
-};
+use crate::protocol::messages::PayloadMode;
 use crate::protocol::rubberband::RubberbandPolicy;
-use crate::runtime::config::{ConsumerConfig, FlexibleConfig, ProducerConfig, ProducerMap};
-use crate::runtime::consumer::{ConsumerBatch, StopReason, TensorConsumer};
+use crate::runtime::config::{FlexibleConfig, ProducerConfig, ProducerMap};
+use crate::runtime::consumer::Consumer;
 use crate::runtime::context::TsContext;
 use crate::runtime::coordinator::EpochCoordinator;
 use crate::runtime::producer::{EpochSource, ProducerStats, TensorProducer};
-use crate::runtime::scrape::token_exchange;
 use crate::runtime::staging::{StagingConfig, StagingMode};
-use crate::{HandshakeError, Result, TsError};
+use crate::{Result, TsError};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -579,22 +576,35 @@ impl Producer {
 // Consumer
 // ---------------------------------------------------------------------------
 
-/// Builder for a [`Consumer`]; start from [`Consumer::builder`].
+/// Builder for a [`Consumer`]; start from [`Consumer::builder`]. It holds
+/// what the user sets and nothing else: topology, payload mode, arena and
+/// log are the producer's to say, in its WELCOME.
 pub struct ConsumerBuilder {
-    cfg: ConsumerConfig,
-    ctx: Option<TsContext>,
-    shards_override: Option<usize>,
-    handshake_timeout: Duration,
-    payload_mode: Option<PayloadMode>,
+    pub(crate) ctx: Option<TsContext>,
+    pub(crate) batch_size: Option<usize>,
+    pub(crate) heartbeat_interval: Duration,
+    /// [`ConsumerBuilder::recv_timeout`].
+    pub(crate) patience: Duration,
+    pub(crate) handshake_timeout: Duration,
+    pub(crate) consumer_id: Option<u64>,
+    pub(crate) local_pipeline: Option<Arc<ts_data::Pipeline>>,
+    pub(crate) group: Option<String>,
+    pub(crate) shards_override: Option<usize>,
+    pub(crate) payload_mode: Option<PayloadMode>,
 }
 
 impl ConsumerBuilder {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
-            cfg: ConsumerConfig::default(),
             ctx: None,
-            shards_override: None,
+            batch_size: None,
+            heartbeat_interval: Duration::from_millis(200),
+            patience: Duration::from_secs(30),
             handshake_timeout: Duration::from_secs(10),
+            consumer_id: None,
+            local_pipeline: None,
+            group: None,
+            shards_override: None,
             payload_mode: None,
         }
     }
@@ -610,20 +620,20 @@ impl ConsumerBuilder {
 
     /// Desired batch size under flexible sizing (ignored otherwise).
     pub fn batch_size(mut self, n: usize) -> Self {
-        self.cfg.batch_size = Some(n);
+        self.batch_size = Some(n);
         self
     }
 
     /// Interval between heartbeats (must be well below the producer's
     /// timeout).
     pub fn heartbeat_interval(mut self, interval: Duration) -> Self {
-        self.cfg.heartbeat_interval = interval;
+        self.heartbeat_interval = interval;
         self
     }
 
     /// How long `next` waits for data before giving up.
     pub fn recv_timeout(mut self, timeout: Duration) -> Self {
-        self.cfg.recv_timeout = timeout;
+        self.patience = timeout;
         self
     }
 
@@ -636,14 +646,14 @@ impl ConsumerBuilder {
 
     /// Fixed consumer id (`None` picks a random one).
     pub fn consumer_id(mut self, id: u64) -> Self {
-        self.cfg.consumer_id = Some(id);
+        self.consumer_id = Some(id);
         self
     }
 
     /// Consumer-local augmentation applied to every received batch's
     /// primary field (finer-grained sharing, §5).
     pub fn local_pipeline(mut self, pipeline: Arc<ts_data::Pipeline>) -> Self {
-        self.cfg.local_pipeline = Some(pipeline);
+        self.local_pipeline = Some(pipeline);
         self
     }
 
@@ -659,14 +669,14 @@ impl ConsumerBuilder {
     /// re-delivered identically and leave the cursor untouched). Without
     /// a log the name is inert and the consumer joins live-only.
     pub fn group(mut self, name: impl Into<String>) -> Self {
-        self.cfg.group = Some(name.into());
+        self.group = Some(name.into());
         self
     }
 
     /// Insists on a shard count instead of trusting the advertisement.
     /// Normally unnecessary — the handshake learns the topology — but a
     /// deployment that *knows* its shape can assert it; a mismatch fails
-    /// with [`HandshakeError::Topology`] instead of training on the wrong
+    /// with [`crate::HandshakeError::Topology`] instead of training on the wrong
     /// topology.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards_override = Some(shards);
@@ -675,9 +685,9 @@ impl ConsumerBuilder {
 
     /// Forces the payload mode instead of negotiating it at attach:
     /// [`PayloadMode::Shm`] insists on pointer-passing (the arena must
-    /// open, or connect fails with [`HandshakeError::ArenaMissing`]);
+    /// open, or connect fails with [`crate::HandshakeError::ArenaMissing`]);
     /// [`PayloadMode::Stream`] insists on byte streaming (the producer
-    /// must grant it, or connect fails with [`HandshakeError::Mode`]).
+    /// must grant it, or connect fails with [`crate::HandshakeError::Mode`]).
     /// Unset, the consumer prefers shm and falls back to streaming when
     /// the advertised arena cannot be opened — the remote-host case.
     /// The `TS_FORCE_PAYLOAD_MODE` environment variable (`shm` /
@@ -688,231 +698,17 @@ impl ConsumerBuilder {
     }
 
     /// Attaches to the producer at `endpoint` — the **only** required
-    /// parameter. The HELLO/WELCOME handshake on the control channel
-    /// reports the shard count, arena geometry and batch schema; this
-    /// call validates them (typed [`HandshakeError`]s on mismatch), maps
-    /// the advertised arena if one backs the payload path, joins every
-    /// shard and returns the iterating consumer.
+    /// parameter. The HELLO/WELCOME handshake reports the shard count,
+    /// arena geometry and batch schema; this call validates them (typed
+    /// [`crate::HandshakeError`]s on mismatch), maps the advertised arena if one
+    /// backs the payload path, joins every shard and returns the
+    /// iterating consumer.
     pub fn connect<E>(self, endpoint: E) -> Result<Consumer>
     where
         E: TryInto<Endpoint>,
         E::Error: Into<TsError>,
     {
         let endpoint = endpoint.try_into().map_err(Into::into)?.to_string();
-        let ctx = self.ctx.unwrap_or_else(TsContext::host_only);
-        // Forced payload mode: the builder knob wins over the
-        // TS_FORCE_PAYLOAD_MODE environment variable; neither set means
-        // negotiate (prefer shm, fall back to streaming).
-        let forced = self.payload_mode.or_else(|| {
-            match std::env::var("TS_FORCE_PAYLOAD_MODE").ok().as_deref() {
-                Some("stream") => Some(PayloadMode::Stream),
-                Some("shm") => Some(PayloadMode::Shm),
-                _ => None,
-            }
-        });
-        let our_caps = match forced {
-            Some(mode) => mode.cap_bit(),
-            None => caps::KNOWN,
-        };
-        // Stateless and idempotent: the HELLO is re-sent every poll round
-        // and any WELCOME on our one-shot topic answers it.
-        let welcome = token_exchange(
-            &ctx,
-            &endpoint,
-            self.handshake_timeout,
-            "handshake WELCOME",
-            topics::hello,
-            |token, _| CtrlMsg::Hello {
-                token,
-                version: WIRE_VERSION,
-                caps: our_caps,
-            },
-            |reply, _| match reply {
-                DataMsg::Welcome { info, .. } => Some(info),
-                _ => None,
-            },
-        )?;
-        let advertised = welcome.shards.max(1) as usize;
-        if let Some(requested) = self.shards_override {
-            if requested != advertised {
-                return Err(HandshakeError::Topology {
-                    requested,
-                    advertised,
-                }
-                .into());
-            }
-        }
-        let granted = welcome.payload_modes;
-        let mut mode = forced.unwrap_or(PayloadMode::Shm);
-        if granted & mode.cap_bit() == 0 {
-            return Err(HandshakeError::Mode {
-                requested: mode,
-                granted,
-            }
-            .into());
-        }
-        if mode == PayloadMode::Shm {
-            if let Some(ad) = &welcome.arena {
-                // An arena already bound (same process as the producer, or
-                // a caller that pre-opened it) wins; otherwise map the
-                // advertised one. A consumer that cannot map it — another
-                // host — falls back to the streamed path when the producer
-                // grants it and the caller did not insist on shm.
-                if ctx.registry.arena().is_none() {
-                    if let Err(e) = ctx.open_arena(&ad.path) {
-                        if forced.is_none() && granted & caps::STREAM != 0 {
-                            mode = PayloadMode::Stream;
-                        } else {
-                            return Err(HandshakeError::ArenaMissing {
-                                path: ad.path.clone(),
-                                reason: e.to_string(),
-                            }
-                            .into());
-                        }
-                    }
-                }
-            }
-        }
-        let cfg = ConsumerConfig {
-            endpoint,
-            shards: advertised,
-            mode,
-            endpoint_overrides: welcome.endpoint_overrides.clone(),
-            log_available: welcome.log.is_some(),
-            ..self.cfg
-        };
-        let inner = TensorConsumer::connect(&ctx, cfg)?;
-        Ok(Consumer {
-            inner,
-            welcome,
-            error_reported: false,
-        })
-    }
-}
-
-/// The consuming end of a TensorSocket, attached with nothing but an
-/// endpoint URI (see [`Consumer::builder`]).
-///
-/// Iterate it like a data loader. Items are `Result`s: a clean end of
-/// stream (the producer published `End` on every shard) terminates
-/// iteration with `None`, while detachment, timeouts and protocol
-/// violations surface **once** as an `Err` item before the stream ends —
-/// no sentinel-checking after the loop. Dropping the consumer detaches it
-/// cleanly (acks the batch in flight, notifies every shard, stops the
-/// heartbeat).
-pub struct Consumer {
-    inner: TensorConsumer,
-    welcome: WelcomeInfo,
-    error_reported: bool,
-}
-
-impl std::fmt::Debug for Consumer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Consumer")
-            .field("id", &self.inner.id())
-            .field("shards", &self.inner.num_shards())
-            .field("stop_reason", &self.inner.stop_reason())
-            .finish()
-    }
-}
-
-impl Consumer {
-    /// Starts building a consumer.
-    pub fn builder() -> ConsumerBuilder {
-        ConsumerBuilder::new()
-    }
-
-    /// The consumer's id.
-    pub fn id(&self) -> u64 {
-        self.inner.id()
-    }
-
-    /// Epoch this consumer was admitted into.
-    pub fn joined_epoch(&self) -> u64 {
-        self.inner.joined_epoch()
-    }
-
-    /// Number of producer shards this consumer is subscribed to (learned
-    /// from the handshake).
-    pub fn num_shards(&self) -> usize {
-        self.inner.num_shards()
-    }
-
-    /// The producer's WELCOME self-description this consumer attached
-    /// against.
-    pub fn welcome(&self) -> &WelcomeInfo {
-        &self.welcome
-    }
-
-    /// The payload mode negotiated at attach: shm pointer-passing, or
-    /// length-prefixed byte streaming for consumers that could not map
-    /// the producer's arena (or forced the mode).
-    pub fn payload_mode(&self) -> PayloadMode {
-        self.inner.payload_mode()
-    }
-
-    /// The producer's advertised staging mode, when it is one this
-    /// consumer knows.
-    pub fn staging_mode(&self) -> Option<StagingMode> {
-        StagingMode::from_wire_code(self.welcome.staging)
-    }
-
-    /// Why iteration stopped, once it has.
-    pub fn stop_reason(&self) -> Option<StopReason> {
-        self.inner.stop_reason()
-    }
-
-    /// Batches consumed so far.
-    pub fn batches_consumed(&self) -> u64 {
-        self.inner.batches_consumed()
-    }
-
-    /// Samples consumed so far.
-    pub fn samples_consumed(&self) -> u64 {
-        self.inner.samples_consumed()
-    }
-
-    /// Batch pointers currently buffered locally (§3.2.5).
-    pub fn buffered(&self) -> usize {
-        self.inner.buffered()
-    }
-
-    /// The latest `(epoch, seq, index_in_epoch)` the producer announced
-    /// on the coalescing cursor channel for `shard`, if any flush has
-    /// arrived. Latest-wins: this is where the producer *is*, not a log
-    /// of where it has been — stale positions are displaced, never
-    /// queued.
-    pub fn latest_cursor(&self, shard: usize) -> Option<(u64, u64, u64)> {
-        self.inner.latest_cursor(shard)
-    }
-}
-
-impl Iterator for Consumer {
-    type Item = Result<ConsumerBatch>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if let Some(batch) = self.inner.next() {
-            return Some(Ok(batch));
-        }
-        if self.error_reported {
-            return None;
-        }
-        match self.inner.stop_reason() {
-            None | Some(StopReason::End) => None,
-            Some(reason) => {
-                self.error_reported = true;
-                Some(Err(match reason {
-                    StopReason::Detached => TsError::Detached,
-                    StopReason::Timeout => TsError::Timeout("batch from producer"),
-                    StopReason::ProducerGone => TsError::Socket("producer disconnected".into()),
-                    StopReason::Protocol => self
-                        .inner
-                        .last_error()
-                        .cloned()
-                        .unwrap_or_else(|| TsError::Wire("protocol violation".into())),
-                    StopReason::End => unreachable!("handled above"),
-                }))
-            }
-        }
+        Consumer::attach(self, endpoint)
     }
 }

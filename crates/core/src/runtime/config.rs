@@ -1,6 +1,5 @@
 //! Runtime configuration.
 
-use crate::protocol::messages::PayloadMode;
 use crate::protocol::order::OrderConfig;
 use crate::runtime::staging::StagingConfig;
 use std::sync::Arc;
@@ -156,109 +155,6 @@ impl ProducerConfig {
     }
 }
 
-/// Consumer configuration.
-#[derive(Debug, Clone)]
-pub struct ConsumerConfig {
-    /// Endpoint base name; must match the producer's (the *group* base
-    /// endpoint when consuming from a sharded producer group).
-    pub endpoint: String,
-    /// Number of producer shards to subscribe to (learned from the
-    /// WELCOME). The consumer joins
-    /// every shard and interleaves their streams deterministically by
-    /// `(epoch, shard, seq)`. The default `1` consumes a plain single
-    /// producer, byte-identically to the unsharded code path.
-    pub shards: usize,
-    /// Desired batch size (flexible mode only; ignored in default mode).
-    pub batch_size: Option<usize>,
-    /// Interval between heartbeats. Must be well below the producer's
-    /// timeout.
-    pub heartbeat_interval: Duration,
-    /// How long `connect` waits for the join reply, and how long `next`
-    /// waits for data before giving up.
-    pub recv_timeout: Duration,
-    /// Fixed consumer id; `None` picks a random one.
-    pub consumer_id: Option<u64>,
-    /// Consumer-local augmentation applied to the primary tensor field of
-    /// every received batch (finer-grained sharing, §5: decode once in the
-    /// producer, augment per training process). The transform output is a
-    /// private copy; the shared storage is untouched, so other consumers
-    /// still see the original bytes.
-    pub local_pipeline: Option<std::sync::Arc<ts_data::Pipeline>>,
-    /// How batch payload bytes reach this consumer: shm pointer-passing
-    /// (the default) or length-prefixed byte streaming. Resolved by
-    /// [`crate::Consumer`]'s attach negotiation.
-    pub mode: PayloadMode,
-    /// Sparse `(shard, base URI)` endpoint overrides, learned from the
-    /// producer's WELCOME: shards listed here are attached at the given
-    /// URI instead of the one derived from the base endpoint.
-    pub endpoint_overrides: Vec<(u32, String)>,
-    /// Consumer-group name for durable-log replay. When set (and the
-    /// producer's WELCOME advertises a log), connect sends
-    /// `CtrlMsg::Replay { group, from: Cursor }` per shard after
-    /// admission: the producer registers the group's persisted cursor,
-    /// streams retained records from its log and the consumer splices
-    /// them bit-identically in front of the live stream. `None` keeps the
-    /// log-less join behavior.
-    pub group: Option<String>,
-    /// Whether the producer advertised a durable log in its WELCOME
-    /// (filled by [`crate::Consumer`]'s attach negotiation; replay is
-    /// only requested when it did).
-    pub log_available: bool,
-}
-
-impl Default for ConsumerConfig {
-    fn default() -> Self {
-        Self {
-            endpoint: "inproc://tensorsocket".to_string(),
-            shards: 1,
-            batch_size: None,
-            heartbeat_interval: Duration::from_millis(200),
-            recv_timeout: Duration::from_secs(30),
-            consumer_id: None,
-            local_pipeline: None,
-            mode: PayloadMode::Shm,
-            endpoint_overrides: Vec::new(),
-            group: None,
-            log_available: false,
-        }
-    }
-}
-
-impl ConsumerConfig {
-    /// The scheme-aware endpoint layout this consumer subscribes to: one
-    /// [`ts_socket::EndpointMap`] over `shards` shard pipelines rooted at
-    /// the base endpoint, honoring any per-shard overrides advertised by
-    /// the producer's WELCOME.
-    pub fn endpoints(&self) -> ts_socket::EndpointMap {
-        ts_socket::EndpointMap::with_overrides(
-            &self.endpoint,
-            self.shards,
-            self.endpoint_overrides.clone(),
-        )
-    }
-
-    /// The data (PUB/SUB) endpoint name.
-    pub fn data_endpoint(&self) -> String {
-        self.endpoints().data(0)
-    }
-
-    /// The control (PUSH/PULL) endpoint name.
-    pub fn ctrl_endpoint(&self) -> String {
-        self.endpoints().ctrl(0)
-    }
-
-    /// Shard `shard`'s data endpoint (shard 0 is the base endpoint, so a
-    /// one-shard config degenerates to [`ConsumerConfig::data_endpoint`]).
-    pub fn shard_data_endpoint(&self, shard: usize) -> String {
-        self.endpoints().data(shard)
-    }
-
-    /// Shard `shard`'s control endpoint.
-    pub fn shard_ctrl_endpoint(&self, shard: usize) -> String {
-        self.endpoints().ctrl(shard)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,8 +166,7 @@ mod tests {
         assert!((p.rubberband_cutoff - 0.02).abs() < 1e-9);
         assert_eq!(p.data_endpoint(), "inproc://tensorsocket/data");
         assert_eq!(p.ctrl_endpoint(), "inproc://tensorsocket/ctrl");
-        let c = ConsumerConfig::default();
-        assert_eq!(c.data_endpoint(), p.data_endpoint());
+        let c = crate::Consumer::builder();
         assert!(c.heartbeat_interval < p.heartbeat_timeout);
     }
 
@@ -302,18 +197,17 @@ mod tests {
 
     #[test]
     fn shard_zero_endpoints_match_unsharded() {
-        let c = ConsumerConfig::default();
-        assert_eq!(c.shards, 1);
-        assert_eq!(c.shard_data_endpoint(0), c.data_endpoint());
-        assert_eq!(c.shard_ctrl_endpoint(0), c.ctrl_endpoint());
-        assert_eq!(c.shard_data_endpoint(1), "inproc://tensorsocket/s1/data");
-        let tcp = ConsumerConfig {
-            endpoint: "tcp://127.0.0.1:7000".into(),
-            ..Default::default()
-        };
+        // A consumer says HELLO on the one-shard map of the base endpoint
+        // and keeps that link as shard 0's, whatever the WELCOME says.
+        let p = ProducerConfig::default();
+        let group = ts_socket::EndpointMap::new(&p.endpoint, 2);
+        assert_eq!(group.data(0), p.data_endpoint());
+        assert_eq!(group.ctrl(0), p.ctrl_endpoint());
+        assert_eq!(group.data(1), "inproc://tensorsocket/s1/data");
+        let tcp = ts_socket::EndpointMap::new("tcp://127.0.0.1:7000", 2);
         // shard 1 claims ports 7002 (data) / 7003 (ctrl): disjoint from
         // shard 0's 7000/7001.
-        assert_eq!(tcp.shard_data_endpoint(1), "tcp://127.0.0.1:7002");
-        assert_eq!(tcp.shard_ctrl_endpoint(1), "tcp://127.0.0.1:7003");
+        assert_eq!(tcp.data(1), "tcp://127.0.0.1:7002");
+        assert_eq!(tcp.ctrl(1), "tcp://127.0.0.1:7003");
     }
 }

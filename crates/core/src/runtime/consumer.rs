@@ -1,45 +1,45 @@
-//! The delivery engine behind [`crate::Consumer`]: the lightweight
-//! iterator a training script swaps in for its data loader (§3.2.2,
-//! Figure 3c).
+//! [`Consumer`]: the lightweight iterator a training script swaps in for
+//! its data loader (§3.2.2, Figure 3c) — the I/O shell around the
+//! consumer's state machine, and the one place a consumer receives.
 //!
-//! `connect` performs the join handshake (rubberband admission or
-//! wait-for-epoch), spawns a heartbeat thread, and subscribes to the data
-//! stream. Iteration yields [`ConsumerBatch`]es rebuilt zero-copy from
-//! payloads; finishing a batch (calling `next` again, or dropping the
-//! consumer) acknowledges it to the producer, which releases the memory
-//! once every consumer has done so.
+//! Every decision — admission, the log splice, in-order delivery across
+//! shards, what to ack, when the stream is over — is
+//! `runtime::consumer_state`'s, which owns no socket, thread or clock.
+//! This file owns exactly those: one *link* per producer shard (a SUB
+//! socket for everything the shard says, a PUSH socket for everything said
+//! to it — HELLO and WELCOME included, on shard 0's link, so an attach
+//! opens two connections per shard and nothing else), the flight-recorder
+//! clock, and one loop (`Consumer::pump`): wait on the link the state asks
+//! for, no longer than its deadline; turn what came — a frame, nothing, a
+//! closed socket — into one event; `step`; execute the effects in order.
+//! `connect()` runs that loop until every shard is admitted and knows
+//! where its stream starts, each `next()` until a batch is rebuilt.
+//! Finishing a batch (calling `next` again, or dropping the consumer)
+//! acknowledges it to the producer, which releases the memory once every
+//! consumer has done so.
 //!
-//! ## Sharded producer groups and the `(epoch, shard, seq)` contract
-//!
-//! With [`ConsumerConfig::shards`] `> 1` the consumer joins every shard of
-//! a sharded [`crate::Producer`] and merges their streams through a
-//! [`ShardInterleave`]: announcements are delivered sorted by
-//! `(epoch, index_in_epoch, shard)` — round-robin across shards aligned
-//! at an epoch boundary, with exhausted shards dropping out of the
-//! rotation on uneven tails. Because each shard's stream is itself
-//! totally ordered by its sequence numbers, the merged stream is
-//! **bit-stable**: the same dataset, seed and shard count produce the
-//! same batch sequence on every run and for every consumer, regardless
-//! of socket timing. With `shards == 1` the code path is byte-identical
-//! to consuming a plain producer. Acks, heartbeats and leaves flow to
-//! each shard's own control endpoint; the epoch ends for the consumer
-//! when every shard published its last batch, and the stream ends when
-//! every shard published `End`.
+//! **Why the heartbeat keeps a thread.** Between two `next()` calls the
+//! consumer's thread belongs to the trainer — a training step may well
+//! outlast the producer's heartbeat timeout — so liveness cannot ride on
+//! the loop above. The beat is the only other thread: it pushes on the
+//! links' own control sockets (shared, not a second connection), starts
+//! after the JOINs and stops before the LEAVE so no producer sees a beat
+//! outside a membership, and waits in `park_timeout` so dropping a
+//! consumer does not wait out an interval.
 
-use crate::protocol::messages::{
-    topics, AnnounceContent, BatchAnnounce, CtrlMsg, DataMsg, JoinDecision, PayloadMode, ReplayFrom,
-};
-use crate::protocol::order::ShardInterleave;
-use crate::runtime::config::ConsumerConfig;
+use crate::protocol::messages::{caps, CtrlMsg, PayloadMode, WelcomeInfo};
+use crate::runtime::builder::ConsumerBuilder;
+use crate::runtime::consumer_state::{ConsumerState, Effect, Event};
 use crate::runtime::context::TsContext;
-use crate::{Result, TsError};
-use std::collections::{BTreeMap, VecDeque};
+use crate::runtime::staging::StagingMode;
+use crate::{HandshakeError, Result};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
-use ts_metrics::SpanKind;
-use ts_socket::{Multipart, PushSocket, RecvError, SubSocket};
-use ts_tensor::{collate, Tensor, TensorError, TensorPayload};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+use ts_metrics::{Histogram, SpanKind};
+use ts_socket::{EndpointMap, Multipart, PushSocket, RecvError, SubSocket};
+use ts_tensor::Tensor;
 
 /// A batch as seen by one consumer.
 #[derive(Debug, Clone)]
@@ -80,7 +80,7 @@ pub enum StopReason {
     End,
     /// The producer detached this consumer (missed heartbeats).
     Detached,
-    /// No message arrived within `recv_timeout`.
+    /// No message arrived within the receive timeout.
     Timeout,
     /// The producer's socket vanished.
     ProducerGone,
@@ -88,797 +88,343 @@ pub enum StopReason {
     Protocol,
 }
 
-/// One shard's connection state: its sockets plus the in-order delivery
-/// bookkeeping (expected sequence number and reorder buffer).
-struct ShardLink {
+/// The whole conversation with one producer shard.
+struct Link {
     sub: SubSocket,
-    ctrl: PushSocket,
-    /// Next global seq expected from this shard.
-    next_expected: u64,
-    /// Announcements that arrived ahead of order (replay interleaving).
-    reorder: BTreeMap<u64, BatchAnnounce>,
+    /// Shared with the heartbeat thread.
+    ctrl: Arc<PushSocket>,
 }
 
-/// The consuming end of a TensorSocket, already told the topology (the
-/// [`crate::Consumer`] facade learns it over the attach handshake).
+impl Link {
+    fn open(ctx: &TsContext, map: &EndpointMap, shard: usize) -> Self {
+        Self {
+            sub: SubSocket::connect(&ctx.sockets, &map.data(shard)),
+            ctrl: Arc::new(PushSocket::connect(&ctx.sockets, &map.ctrl(shard))),
+        }
+    }
+}
+
+/// The consuming end of a TensorSocket, attached with nothing but an
+/// endpoint URI (see [`Consumer::builder`]).
 ///
-/// Iterate it like a data loader; it ends when the producer publishes
-/// `End` (every shard of a sharded group). Check
-/// [`TensorConsumer::stop_reason`] to distinguish clean completion from
-/// detachment or timeouts.
-pub(crate) struct TensorConsumer {
+/// Iterate it like a data loader. Items are `Result`s: a clean end of
+/// stream (the producer published `End` on every shard) terminates
+/// iteration with `None`, while detachment, timeouts and protocol
+/// violations surface **once** as an `Err` item before the stream ends —
+/// no sentinel-checking after the loop. Dropping the consumer detaches it
+/// cleanly (stops the heartbeat, acks the batch in flight, notifies every
+/// shard).
+pub struct Consumer {
     ctx: TsContext,
-    cfg: ConsumerConfig,
-    id: u64,
-    links: Vec<ShardLink>,
-    /// The deterministic merge cursor over the shard streams.
-    interleave: ShardInterleave,
-    hb_stop: Arc<AtomicBool>,
-    hb_thread: Option<std::thread::JoinHandle<()>>,
-    /// Epoch joined at admission.
-    joined_epoch: u64,
-    /// Decoded batches awaiting delivery (flexible mode yields several per
-    /// announcement).
-    queue: VecDeque<ConsumerBatch>,
-    /// `(shard, seq, epoch, yielded_ns)` to acknowledge when the current
-    /// batch is finished. `yielded_ns` (flight-recorder clock) opens the
-    /// `release` span: it closes when the ack actually leaves, so the
-    /// recorded span is the time the trainer held the batch.
-    pending_ack: Option<(usize, u64, u64, u64)>,
-    /// Set when iteration stopped.
-    stopped: Option<StopReason>,
-    last_error: Option<TsError>,
-    batches_consumed: u64,
-    samples_consumed: u64,
-    /// Pre-resolved `consumer.wait_ns` histogram: time spent inside
-    /// [`TensorConsumer::pump`] until a batch was available (how starved
-    /// the training loop is by the pipeline).
-    wait_hist: std::sync::Arc<ts_metrics::Histogram>,
-    /// Pre-resolved `consumer.interarrival_ns` histogram: time between
-    /// successive `next()` yields (the paced batch cadence the trainer
-    /// actually observes, including its own compute time).
-    interarrival_hist: std::sync::Arc<ts_metrics::Histogram>,
-    /// Pre-resolved `consumer.stream_rx_ns` histogram: time to rebuild a
-    /// batch from streamed bytes (the per-batch cost of the non-shm path).
-    stream_rx_hist: std::sync::Arc<ts_metrics::Histogram>,
-    /// Latest coalesced publish cursor seen per shard: `(epoch, seq,
-    /// index_in_epoch)`. State, not history — the producer's coalescing
-    /// cell collapsed every intermediate position, so this is only ever
-    /// "where the shard is now".
-    latest_cursors: Vec<Option<(u64, u64, u64)>>,
-    /// Pre-resolved `consumer.cursor_lag` gauge: announcements the most
-    /// recently heard-from shard has published beyond what this consumer
-    /// has ingested.
-    cursor_lag: std::sync::Arc<ts_metrics::Gauge>,
-    /// Pre-resolved `consumer.data_unknown` counter: data-path frames with
-    /// a tag this build does not know (a newer producer's message kinds).
-    /// They are logged once and skipped — forward compatibility, not an
-    /// error.
-    data_unknown: std::sync::Arc<ts_metrics::Counter>,
-    /// Pre-resolved `consumer.dangling_skipped` counter: announces whose
-    /// payload memory the producer had already released by rebuild time
-    /// (an abort or detach with announces still in flight). Skipped, not
-    /// fatal — the stream still ends on the producer's `End`.
-    dangling_skipped: std::sync::Arc<ts_metrics::Counter>,
-    /// When the previous batch was yielded, for inter-arrival timing.
+    /// What the user set.
+    opts: ConsumerBuilder,
+    endpoint: String,
+    state: ConsumerState,
+    /// One per shard (index = shard); shard 0's carried the handshake.
+    links: Vec<Link>,
+    /// The effect buffer, reused across steps.
+    fx: Vec<Effect>,
+    /// The heartbeat thread and its stop flag, once joined.
+    beat: Option<(Arc<AtomicBool>, JoinHandle<()>)>,
+    welcome: Option<WelcomeInfo>,
+    /// `consumer.wait_ns`: time inside `next()` until a batch was there.
+    wait_hist: Arc<Histogram>,
+    /// `consumer.interarrival_ns`: time between successive yields.
+    interarrival_hist: Arc<Histogram>,
+    /// `consumer.stream_rx_ns`: time to rebuild a batch from streamed bytes.
+    stream_rx_hist: Arc<Histogram>,
     last_yield: Option<Instant>,
 }
 
-impl std::fmt::Debug for TensorConsumer {
+impl std::fmt::Debug for Consumer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TensorConsumer")
-            .field("id", &self.id)
-            .field("shards", &self.links.len())
-            .field("stopped", &self.stopped)
+        f.debug_struct("Consumer")
+            .field("id", &self.id())
+            .field("shards", &self.num_shards())
+            .field("stop_reason", &self.stop_reason())
             .finish()
     }
 }
 
-impl TensorConsumer {
-    /// Connects to a producer (or every shard of a sharded producer
-    /// group, per [`ConsumerConfig::shards`]) and completes the join
-    /// handshake with each.
-    ///
-    /// Blocks until admitted everywhere — which may span an epoch boundary
-    /// when the join arrives too late for rubberbanding — or until
-    /// `recv_timeout` passes without any producer activity.
-    pub(crate) fn connect(ctx: &TsContext, cfg: ConsumerConfig) -> Result<TensorConsumer> {
-        let shards = cfg.shards.max(1);
-        let id = cfg.consumer_id.unwrap_or_else(rand_id);
-        let mut links = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let sub = SubSocket::connect(&ctx.sockets, &cfg.shard_data_endpoint(shard));
-            sub.subscribe(&topics::consumer(id));
-            sub.subscribe(topics::CTRL);
-            // Coalesced publish-cursor state (latest-wins; see
-            // `topics::CURSOR`) — cheap to carry, never gates delivery.
-            sub.subscribe(topics::CURSOR);
-            let ctrl = PushSocket::connect(&ctx.sockets, &cfg.shard_ctrl_endpoint(shard));
-            links.push(ShardLink {
-                sub,
-                ctrl,
-                next_expected: 0,
-                reorder: BTreeMap::new(),
-            });
-        }
-        let hb_stop = Arc::new(AtomicBool::new(false));
-        let hb_thread = spawn_heartbeat(ctx, &cfg, shards, id, hb_stop.clone());
+impl Consumer {
+    /// Starts building a consumer.
+    pub fn builder() -> ConsumerBuilder {
+        ConsumerBuilder::new()
+    }
 
-        let data_unknown = ctx.metrics.counter("consumer.data_unknown");
-        let handshake = Self::handshake_all(&links, &cfg, id, &data_unknown);
-        let (joined_epoch, starts) = match handshake {
-            Ok(v) => v,
-            Err(e) => {
-                hb_stop.store(true, Ordering::Relaxed);
-                let _ = hb_thread.join();
-                return Err(e);
+    /// Attaches to the producer at `endpoint`: HELLO/WELCOME on shard 0's
+    /// link, negotiation, JOIN on every shard, and — for a group member of
+    /// a logging producer — the splice onto its logged range. Blocks until
+    /// admitted everywhere, which may span an epoch boundary when the join
+    /// arrives too late for rubberbanding.
+    pub(crate) fn attach(mut opts: ConsumerBuilder, endpoint: String) -> Result<Consumer> {
+        let ctx = opts.ctx.take().unwrap_or_else(TsContext::host_only);
+        // Forced payload mode: the builder knob wins over the
+        // TS_FORCE_PAYLOAD_MODE environment variable; neither set means
+        // negotiate (prefer shm, fall back to streaming).
+        opts.payload_mode = opts.payload_mode.or_else(|| {
+            match std::env::var("TS_FORCE_PAYLOAD_MODE").ok().as_deref() {
+                Some("stream") => Some(PayloadMode::Stream),
+                Some("shm") => Some(PayloadMode::Shm),
+                _ => None,
             }
-        };
-        let mut cursors = Vec::with_capacity(shards);
-        for (link, (epoch, start_seq, replay_from)) in links.iter_mut().zip(&starts) {
-            link.next_expected = *start_seq;
-            cursors.push((*epoch, *replay_from));
-        }
-        // Durable-log resume: a named group member attaching to a logging
-        // producer asks each shard to replay from the group's persisted
-        // cursor. The answered `LogInfo` moves the shard's delivery
-        // cursor BACK to the replay start — the logged range streams
-        // first and splices gaplessly onto the live stream admitted
-        // above (`start_seq` is exactly where the replay ends).
-        if let (Some(group), true) = (&cfg.group, cfg.log_available) {
-            for (shard, link) in links.iter_mut().enumerate() {
-                match Self::log_replay_handshake(link, &cfg, id, group, &data_unknown) {
-                    Ok(Some((start_seq, start_epoch, start_index)))
-                        if start_seq < link.next_expected =>
-                    {
-                        link.next_expected = start_seq;
-                        cursors[shard] = (start_epoch, start_index);
-                    }
-                    Ok(_) => {} // nothing retained behind our splice point
-                    Err(e) => {
-                        hb_stop.store(true, Ordering::Relaxed);
-                        let _ = hb_thread.join();
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        Ok(TensorConsumer {
-            ctx: ctx.clone(),
-            cfg,
-            id,
-            links,
-            interleave: ShardInterleave::new(cursors),
-            hb_stop,
-            hb_thread: Some(hb_thread),
-            joined_epoch,
-            queue: VecDeque::new(),
-            pending_ack: None,
-            stopped: None,
-            last_error: None,
-            batches_consumed: 0,
-            samples_consumed: 0,
-            wait_hist: ctx.metrics.histogram("consumer.wait_ns"),
-            interarrival_hist: ctx.metrics.histogram("consumer.interarrival_ns"),
-            stream_rx_hist: ctx.metrics.histogram("consumer.stream_rx_ns"),
-            latest_cursors: vec![None; shards],
-            cursor_lag: ctx.metrics.gauge("consumer.cursor_lag"),
-            data_unknown,
-            dangling_skipped: ctx.metrics.counter("consumer.dangling_skipped"),
+        });
+        let id = opts.consumer_id.unwrap_or_else(rand_id);
+        let mut fx = Vec::new();
+        let histogram = |name| ctx.metrics.histogram(name);
+        let mut consumer = Consumer {
+            state: ConsumerState::new(&ctx, &opts, id, &mut fx),
+            links: vec![Link::open(&ctx, &EndpointMap::new(&endpoint, 1), 0)],
+            fx,
+            beat: None,
+            welcome: None,
+            wait_hist: histogram("consumer.wait_ns"),
+            interarrival_hist: histogram("consumer.interarrival_ns"),
+            stream_rx_hist: histogram("consumer.stream_rx_ns"),
             last_yield: None,
-        })
-    }
-
-    /// Sends `Join` to every shard up front (so the group coordinator
-    /// decides one admission for all of them), then completes each
-    /// shard's handshake in shard order. Returns the joined epoch and the
-    /// per-shard `(epoch, start_seq, replay_from)` admission positions.
-    #[allow(clippy::type_complexity)]
-    fn handshake_all(
-        links: &[ShardLink],
-        cfg: &ConsumerConfig,
-        id: u64,
-        data_unknown: &ts_metrics::Counter,
-    ) -> Result<(u64, Vec<(u64, u64, u64)>)> {
-        for link in links {
-            link.ctrl
-                .send(Multipart::single(
-                    CtrlMsg::Join {
-                        consumer_id: id,
-                        batch_size: cfg.batch_size.unwrap_or(0) as u32,
-                        mode: cfg.mode,
-                    }
-                    .encode(),
-                ))
-                .map_err(|e| TsError::Socket(format!("join send: {e}")))?;
-        }
-        let mut starts = Vec::with_capacity(links.len());
-        for link in links {
-            starts.push(Self::await_admit(
-                &link.sub,
-                &link.ctrl,
-                cfg,
-                id,
-                data_unknown,
-            )?);
-        }
-        let joined_epoch = starts.first().map(|s| s.0).unwrap_or(0);
-        Ok((joined_epoch, starts))
-    }
-
-    /// Waits for one shard's `AdmitReplay`, subscribes its batch topic and
-    /// confirms readiness. Returns `(epoch, start_seq, replay_from)`.
-    fn await_admit(
-        sub: &SubSocket,
-        ctrl: &PushSocket,
-        cfg: &ConsumerConfig,
-        id: u64,
-        data_unknown: &ts_metrics::Counter,
-    ) -> Result<(u64, u64, u64)> {
-        // The deadline is refreshed on every producer message so waiting out
-        // a long epoch after a WaitEpoch reply does not trip the timeout as
-        // long as the producer shows signs of life.
-        let mut deadline = Instant::now() + cfg.recv_timeout;
-        loop {
-            if Instant::now() > deadline {
-                return Err(TsError::Timeout("join reply"));
-            }
-            let msg = match sub
-                .recv_timeout(cfg.recv_timeout.min(std::time::Duration::from_millis(50)))
-            {
-                Ok((_, m)) => m,
-                Err(RecvError::Timeout) => continue,
-                Err(RecvError::Closed) => {
-                    return Err(TsError::Socket("producer disconnected".into()))
-                }
-            };
-            deadline = Instant::now() + cfg.recv_timeout;
-            let Some(frame) = msg.frames().first() else {
-                continue;
-            };
-            let Ok(data) = DataMsg::decode_shared(frame) else {
-                continue;
-            };
-            match data {
-                DataMsg::JoinReply {
-                    consumer_id,
-                    decision,
-                } if consumer_id == id => match decision {
-                    JoinDecision::AdmitReplay {
-                        epoch,
-                        replay_from,
-                        start_seq,
-                        ..
-                    } => {
-                        // Only now subscribe to the shared stream, then tell
-                        // the producer we will not miss anything.
-                        sub.subscribe(topics::BATCH);
-                        ctrl.send(Multipart::single(
-                            CtrlMsg::Ready { consumer_id: id }.encode(),
-                        ))
-                        .map_err(|e| TsError::Socket(format!("ready send: {e}")))?;
-                        return Ok((epoch, start_seq, replay_from));
-                    }
-                    JoinDecision::WaitEpoch { .. } => {
-                        // keep waiting; the producer will send AdmitReplay
-                        // at the epoch boundary
-                    }
-                    JoinDecision::Reject { reason } => return Err(TsError::Join(reason)),
-                },
-                DataMsg::End => return Err(TsError::Join("producer already ended".into())),
-                DataMsg::Unknown { tag } => {
-                    // A newer producer speaking message kinds this build
-                    // does not know: count, log once, keep waiting.
-                    let seen_before = data_unknown.fetch_inc();
-                    if seen_before == 0 {
-                        eprintln!(
-                            "tensorsocket: consumer ignoring unknown data tag {tag} \
-                             (newer producer?)"
-                        );
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Sends `CtrlMsg::Replay { group, Cursor }` on one shard's control
-    /// channel and waits for the producer's `LogInfo` answer, resending
-    /// on the usual subscription-propagation races. Replayed batch frames
-    /// can overtake the answer (the producer streams them right after
-    /// it): they are stashed in the shard's reorder buffer, where normal
-    /// pumping picks them up once `next_expected` rewinds to the replay
-    /// start. A producer that never answers within `recv_timeout` (a log
-    /// that failed after WELCOME) degrades to live-only attach, not an
-    /// error.
-    fn log_replay_handshake(
-        link: &mut ShardLink,
-        cfg: &ConsumerConfig,
-        id: u64,
-        group: &str,
-        data_unknown: &ts_metrics::Counter,
-    ) -> Result<Option<(u64, u64, u64)>> {
-        let request = CtrlMsg::Replay {
-            consumer_id: id,
-            group: group.to_string(),
-            from: ReplayFrom::Cursor,
-        }
-        .encode();
-        let deadline = Instant::now() + cfg.recv_timeout;
-        loop {
-            link.ctrl
-                .send(Multipart::single(request.clone()))
-                .map_err(|e| TsError::Socket(format!("replay send: {e}")))?;
-            loop {
-                if Instant::now() > deadline {
-                    return Ok(None); // no answer: attach live-only
-                }
-                let msg = match link.sub.recv_timeout(std::time::Duration::from_millis(50)) {
-                    Ok((_, m)) => m,
-                    Err(RecvError::Timeout) => break, // resend the request
-                    Err(RecvError::Closed) => {
-                        return Err(TsError::Socket("producer disconnected".into()))
-                    }
-                };
-                let Some(frame) = msg.frames().first() else {
-                    continue;
-                };
-                let Ok(data) = DataMsg::decode_shared(frame) else {
-                    continue;
-                };
-                match data {
-                    DataMsg::LogInfo {
-                        consumer_id,
-                        start_seq,
-                        start_epoch,
-                        start_index,
-                        ..
-                    } if consumer_id == id => {
-                        return Ok(Some((start_seq, start_epoch, start_index)));
-                    }
-                    DataMsg::Batch(a) => {
-                        // Same filter as `pump`: a stream-mode consumer
-                        // only buffers frames that carry bytes.
-                        if cfg.mode == PayloadMode::Stream
-                            && !matches!(a.content, AnnounceContent::Streamed { .. })
-                        {
-                            continue;
-                        }
-                        link.reorder.insert(a.seq, a);
-                    }
-                    DataMsg::Unknown { tag } => {
-                        let seen_before = data_unknown.fetch_inc();
-                        if seen_before == 0 {
-                            eprintln!(
-                                "tensorsocket: consumer ignoring unknown data tag {tag} \
-                                 (newer producer?)"
-                            );
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
+            ctx,
+            opts,
+            endpoint,
+        };
+        // The subscription first (remote transports wait for the
+        // publisher to acknowledge it), then the HELLO and its timeout.
+        consumer.execute();
+        let (now, timeout) = (consumer.ctx.trace.now_ns(), consumer.opts.handshake_timeout);
+        consumer.state.start(now, timeout, &mut consumer.fx);
+        consumer.pump(|state| state.attached);
+        consumer.state.take_error().map_or(Ok(consumer), Err)
     }
 
     /// The consumer's id.
     pub fn id(&self) -> u64 {
-        self.id
+        self.state.id
     }
 
     /// Epoch this consumer was admitted into.
     pub fn joined_epoch(&self) -> u64 {
-        self.joined_epoch
+        self.state.joined_epoch
     }
 
-    /// Number of producer shards this consumer is subscribed to.
+    /// Number of producer shards this consumer is subscribed to (learned
+    /// from the handshake).
     pub fn num_shards(&self) -> usize {
         self.links.len()
     }
 
-    /// The payload mode this consumer attached with.
+    /// The producer's WELCOME self-description this consumer attached
+    /// against.
+    pub fn welcome(&self) -> &WelcomeInfo {
+        let welcome = self.welcome.as_ref();
+        welcome.expect("a consumer only exists once it was welcomed")
+    }
+
+    /// The payload mode negotiated at attach: shm pointer-passing, or
+    /// length-prefixed byte streaming for consumers that could not map
+    /// the producer's arena (or forced the mode).
     pub fn payload_mode(&self) -> PayloadMode {
-        self.cfg.mode
+        self.state.mode
+    }
+
+    /// The producer's advertised staging mode, when it is one this
+    /// consumer knows.
+    pub fn staging_mode(&self) -> Option<StagingMode> {
+        StagingMode::from_wire_code(self.welcome().staging)
     }
 
     /// Why iteration stopped, once it has.
     pub fn stop_reason(&self) -> Option<StopReason> {
-        self.stopped
-    }
-
-    /// The error behind a [`StopReason::Protocol`] stop, if any.
-    pub fn last_error(&self) -> Option<&TsError> {
-        self.last_error.as_ref()
+        self.state.stopped
     }
 
     /// Batches consumed so far.
     pub fn batches_consumed(&self) -> u64 {
-        self.batches_consumed
+        self.state.batches_consumed
     }
 
     /// Samples consumed so far.
     pub fn samples_consumed(&self) -> u64 {
-        self.samples_consumed
+        self.state.samples_consumed
     }
 
     /// Batch pointers currently buffered locally (the consumer-side batch
-    /// buffer of §3.2.5), summed over shard subscriptions.
+    /// buffer of §3.2.5): rebuilt and waiting, announced ahead of their
+    /// turn, or still queued in a shard's socket.
     pub fn buffered(&self) -> usize {
-        self.queue.len() + self.links.iter().map(|l| l.sub.queued()).sum::<usize>()
+        let queued = self.links.iter().map(|l| l.sub.queued());
+        self.state.buffered() + queued.sum::<usize>()
     }
 
-    /// The latest coalesced publish cursor heard from `shard`:
-    /// `(epoch, seq, index_in_epoch)`, or `None` before the first cursor
-    /// frame. This is *state*, not an event stream — the producer
-    /// broadcasts it latest-wins at a bounded cadence, so a consumer
-    /// waking from a stall observes one current position, never a
-    /// backlog. Do not infer batch delivery from it.
+    /// The latest `(epoch, seq, index_in_epoch)` the producer announced
+    /// on the coalescing cursor channel for `shard`, if any flush has
+    /// arrived. Latest-wins: this is where the producer *is*, not a log
+    /// of where it has been — stale positions are displaced, never
+    /// queued. Do not infer batch delivery from it.
     pub fn latest_cursor(&self, shard: usize) -> Option<(u64, u64, u64)> {
-        self.latest_cursors.get(shard).copied().flatten()
+        self.state.latest_cursor(shard)
     }
 
-    fn unpack(&self, p: &TensorPayload) -> Result<Tensor> {
-        Ok(p.unpack(&self.ctx.registry)?)
-    }
-
-    fn unpack_segments(&self, segs: &[TensorPayload]) -> Result<Tensor> {
-        let tensors: Result<Vec<Tensor>> = segs.iter().map(|p| self.unpack(p)).collect();
-        let tensors = tensors?;
-        match tensors.len() {
-            0 => Err(TsError::Wire("empty segment list".into())),
-            1 => Ok(tensors.into_iter().next().expect("len 1")),
-            // A wrapped (repeating) batch: materialize the concatenation.
-            _ => Ok(collate::cat0(&tensors)?),
-        }
-    }
-
-    /// Applies the consumer-local augmentation pipeline (if configured) to
-    /// the primary field, sample by sample. The result is a private copy;
-    /// the shared storage stays untouched for other consumers (§5,
-    /// finer-grained sharing).
-    fn apply_local(&self, batch: &mut ConsumerBatch) -> Result<()> {
-        let Some(pipeline) = &self.cfg.local_pipeline else {
-            return Ok(());
-        };
-        let Some(field) = batch.fields.first() else {
-            return Ok(());
-        };
-        if field.ndim() < 2 {
-            return Ok(());
-        }
-        let b = field.shape()[0];
-        let mut transformed = Vec::with_capacity(b);
-        for i in 0..b {
-            let sample = field.select(0, i)?;
-            // unique per (announce, position) so augmentations vary per
-            // sample but stay reproducible
-            let virtual_index = (batch.seq as usize)
-                .wrapping_mul(1_000_003)
-                .wrapping_add(batch.sub_index * 4_099 + i);
-            let out = pipeline
-                .apply(&sample, batch.epoch, virtual_index)
-                .map_err(|e| TsError::Transform(e.to_string()))?;
-            transformed.push(out);
-        }
-        batch.fields[0] = collate::stack0(&transformed)?;
-        Ok(())
-    }
-
-    fn enqueue(&mut self, mut batch: ConsumerBatch) -> Result<()> {
-        self.apply_local(&mut batch)?;
-        self.queue.push_back(batch);
-        Ok(())
-    }
-
-    fn ingest(&mut self, shard: usize, a: BatchAnnounce) -> Result<()> {
-        self.links[shard].next_expected = a.seq + 1;
-        self.interleave.advance(shard, a.last_in_epoch);
-        // The rebuild span: announce decoded -> host tensors materialized
-        // (zero-copy unpacks, flex carving, or stream rx). Stitches onto
-        // the producer's record for the same (epoch, shard, seq) when both
-        // sides share a flight recorder (in-process consumers).
-        let (rb_epoch, rb_seq) = (a.epoch, a.seq);
-        let rebuild_open = self.ctx.trace.now_ns().max(1);
-        match a.content {
-            AnnounceContent::Shared { fields, labels } => {
-                let fields: Result<Vec<Tensor>> = fields.iter().map(|p| self.unpack(p)).collect();
-                let labels = self.unpack(&labels)?;
-                self.enqueue(ConsumerBatch {
-                    epoch: a.epoch,
-                    shard,
-                    seq: a.seq,
-                    index_in_epoch: a.index_in_epoch,
-                    sub_index: 0,
-                    fields: fields?,
-                    labels,
-                    last_in_epoch: a.last_in_epoch,
-                })?;
-            }
-            AnnounceContent::Flex { batches } => {
-                for (k, fb) in batches.iter().enumerate() {
-                    let fields: Result<Vec<Tensor>> = fb
-                        .fields
-                        .iter()
-                        .map(|segs| self.unpack_segments(segs))
-                        .collect();
-                    let labels = self.unpack_segments(&fb.labels)?;
-                    self.enqueue(ConsumerBatch {
-                        epoch: a.epoch,
-                        shard,
-                        seq: a.seq,
-                        index_in_epoch: a.index_in_epoch,
-                        sub_index: k,
-                        fields: fields?,
-                        labels,
-                        last_in_epoch: a.last_in_epoch,
-                    })?;
-                }
-            }
-            AnnounceContent::Streamed { fields, labels } => {
-                // The negotiated non-shm path: the announce carries the
-                // bytes themselves. Each tensor is a view of its slice of
-                // the received frame, which lives until the last of them
-                // is released.
-                let rx_start = Instant::now();
-                let fields: Result<Vec<Tensor>> = fields
-                    .iter()
-                    .map(|t| t.to_tensor(ts_device::DeviceId::Cpu))
-                    .collect();
-                let labels = labels.to_tensor(ts_device::DeviceId::Cpu)?;
-                let fields = fields?;
-                self.stream_rx_hist.record_duration(rx_start.elapsed());
-                self.enqueue(ConsumerBatch {
-                    epoch: a.epoch,
-                    shard,
-                    seq: a.seq,
-                    index_in_epoch: a.index_in_epoch,
-                    sub_index: 0,
-                    fields,
-                    labels,
-                    last_in_epoch: a.last_in_epoch,
-                })?;
-            }
-        }
-        self.ctx.trace.record(
-            rb_epoch,
-            shard as u32,
-            rb_seq,
-            SpanKind::Rebuild,
-            rebuild_open,
-            self.ctx.trace.now_ns(),
-        );
-        Ok(())
-    }
-
-    /// Pulls messages until the queue has something to yield or iteration
-    /// stops. With several shards, always drains the shard whose
-    /// announcement is globally next per the `(epoch, shard, seq)`
-    /// contract — blocking on *that* shard's socket, since nothing else
-    /// may be delivered first.
-    fn pump(&mut self) {
-        let wait_start = Instant::now();
-        // Opens the recv span: how long this consumer sat on the socket
-        // before each announce landed. Reset after every recorded batch so
-        // consecutive announces in one pump each get their own wait.
-        let mut recv_open = self.ctx.trace.now_ns().max(1);
-        while self.queue.is_empty() && self.stopped.is_none() {
-            let Some(target) = self.interleave.next_shard() else {
-                // Every shard published End: clean end of stream.
-                self.stopped = Some(StopReason::End);
+    /// Runs the state until `done` (or it stopped): wait on the link it
+    /// asks for, step, execute.
+    fn pump(&mut self, done: fn(&ConsumerState) -> bool) {
+        loop {
+            self.execute();
+            if done(&self.state) {
                 return;
-            };
-            // Serve the reorder buffer first.
-            let next_expected = self.links[target].next_expected;
-            if let Some(a) = self.links[target].reorder.remove(&next_expected) {
-                self.ingest_or_skip(target, a);
-                continue;
             }
-            let msg = match self.links[target].sub.recv_timeout(self.cfg.recv_timeout) {
-                Ok((_, m)) => m,
-                Err(RecvError::Timeout) => {
-                    self.stopped = Some(StopReason::Timeout);
-                    return;
-                }
-                Err(RecvError::Closed) => {
-                    self.stopped = Some(StopReason::ProducerGone);
-                    return;
-                }
+            let Some(shard) = self.state.wants() else {
+                return; // stopped
             };
-            let Some(frame) = msg.frames().first() else {
-                continue;
+            let left = (self.state.deadline()).saturating_sub(self.ctx.trace.now_ns());
+            // The consumer's only receive call.
+            let event = match self.links[shard]
+                .sub
+                .recv_timeout(Duration::from_nanos(left))
+            {
+                Ok((_, msg)) => match msg.frames().first() {
+                    Some(frame) => Event::Frame {
+                        shard,
+                        frame: frame.clone(),
+                    },
+                    None => continue,
+                },
+                Err(RecvError::Timeout) => Event::Tick,
+                Err(RecvError::Closed) => Event::Closed,
             };
-            let Ok(data) = DataMsg::decode_shared(frame) else {
-                continue;
-            };
-            match data {
-                DataMsg::Batch(a) => {
-                    // A stream-mode consumer shares the batch topic with
-                    // the shm subscribers and therefore sees their pointer
-                    // announces too; its own copy of the bytes arrives on
-                    // its private topic at the same seq. Skip the pointer
-                    // frames without touching the in-order cursor.
-                    if self.cfg.mode == PayloadMode::Stream
-                        && !matches!(a.content, AnnounceContent::Streamed { .. })
-                    {
-                        continue;
-                    }
-                    let next_expected = self.links[target].next_expected;
-                    if a.seq < next_expected {
-                        continue; // duplicate of a replayed batch
-                    }
-                    self.ctx.trace.record(
-                        a.epoch,
-                        target as u32,
-                        a.seq,
-                        SpanKind::Recv,
-                        recv_open,
-                        self.ctx.trace.now_ns(),
-                    );
-                    recv_open = self.ctx.trace.now_ns().max(1);
-                    if a.seq == next_expected {
-                        self.ingest_or_skip(target, a);
-                    } else {
-                        self.links[target].reorder.insert(a.seq, a);
-                    }
-                }
-                DataMsg::Detached { consumer_id } if consumer_id == self.id => {
-                    self.stopped = Some(StopReason::Detached);
-                }
-                DataMsg::End => {
-                    self.interleave.end_shard(target);
-                }
-                DataMsg::Cursor {
-                    shard,
-                    epoch,
-                    seq,
-                    index_in_epoch,
-                } => {
-                    // Pure state: record where the shard's publish stream
-                    // is and how far behind this consumer runs. Never
-                    // touches the in-order delivery cursor — delivery is
-                    // inferred only from Batch announces.
-                    let shard = shard as usize;
-                    if shard < self.links.len() {
-                        self.latest_cursors[shard] = Some((epoch, seq, index_in_epoch));
-                        let lag = (seq + 1).saturating_sub(self.links[shard].next_expected);
-                        self.cursor_lag.set(lag as f64);
-                    }
-                }
-                DataMsg::Unknown { tag } => {
-                    // Forward compatibility on the data path: a newer
-                    // producer may broadcast message kinds this build does
-                    // not know. Count them, log the first, and keep
-                    // pumping — never stop iteration over an unknown tag.
-                    let seen_before = self.data_unknown.fetch_inc();
-                    if seen_before == 0 {
-                        eprintln!(
-                            "tensorsocket: consumer ignoring unknown data tag {tag} \
-                             (newer producer?)"
-                        );
-                    }
-                }
-                _ => {}
-            }
-        }
-        if !self.queue.is_empty() {
-            // Only batch waits count: a pump that ended the stream is not
-            // a latency sample.
-            self.wait_hist.record_duration(wait_start.elapsed());
+            self.step(event);
         }
     }
 
-    /// Ingests an in-order announce, downgrading a dangling payload to a
-    /// counted skip. A payload dangles when the producer released the
-    /// batch's memory after announcing it — which only a producer that is
-    /// aborting (or has detached this consumer) does, leaving stale
-    /// announces in flight. The batch is unrecoverable either way, so
-    /// wedging iteration on it would hide the producer's `End`; skip it
-    /// and keep pumping. Any other ingest failure still stops the stream.
-    fn ingest_or_skip(&mut self, shard: usize, a: BatchAnnounce) {
-        let (epoch, seq) = (a.epoch, a.seq);
-        match self.ingest(shard, a) {
-            Ok(()) => {}
-            Err(TsError::Tensor(e @ TensorError::DanglingPayload { .. })) => {
-                let seen_before = self.dangling_skipped.fetch_inc();
-                if seen_before == 0 {
-                    eprintln!(
-                        "tensorsocket: consumer skipping stale batch \
-                         (epoch {epoch}, seq {seq}): {e} — the producer \
-                         released it before we rebuilt (abort?)"
-                    );
-                }
-            }
-            Err(e) => {
-                self.last_error = Some(e);
-                self.stopped = Some(StopReason::Protocol);
+    /// One step of the state at the current time. A batch that is ready
+    /// after it and was not before was rebuilt in it: the rebuild span —
+    /// frame in hand to host tensors (zero-copy unpacks, flex carving, or
+    /// views of streamed bytes) — is closed here, where the clock is, and
+    /// stitches onto the producer's record for the same `(epoch, shard,
+    /// seq)` when both share a flight recorder.
+    fn step(&mut self, event: Event) {
+        let trace = &self.ctx.trace;
+        let opened = trace.now_ns().max(1);
+        let idle = self.state.ready().is_none();
+        self.state.step(opened, event, &mut self.fx);
+        if let Some(b) = self.state.ready().filter(|_| idle) {
+            let closed = trace.now_ns();
+            let (shard, rebuild) = (b.shard as u32, SpanKind::Rebuild);
+            trace.record(b.epoch, shard, b.seq, rebuild, opened, closed);
+            if self.state.mode == PayloadMode::Stream {
+                self.stream_rx_hist.record(closed - opened);
             }
         }
     }
 
-    fn send_pending_ack(&mut self) {
-        if let Some((shard, seq, epoch, yielded_ns)) = self.pending_ack.take() {
-            // The release span: batch yielded to the trainer -> ack dispatch.
-            // This is the trainer's hold time — the window the producer
-            // cannot reclaim the memory for. Stamped before the send so the
-            // producer's ack span (which closes on receipt) always ends at or
-            // after this one.
-            self.ctx.trace.record(
-                epoch,
-                shard as u32,
-                seq,
-                SpanKind::Release,
-                yielded_ns,
-                self.ctx.trace.now_ns(),
-            );
-            let _ = self.links[shard].ctrl.send(Multipart::single(
-                CtrlMsg::Ack {
-                    consumer_id: self.id,
-                    seq,
+    /// Executes the pending effects in order.
+    fn execute(&mut self) {
+        let mut fx = std::mem::take(&mut self.fx);
+        for effect in fx.drain(..) {
+            match effect {
+                // A frame that cannot be sent means the producer's control
+                // socket is gone; its data socket closes with it, and that
+                // `Closed` is what ends the attach or the stream.
+                Effect::Ctrl { shard, msg } => {
+                    let _ = self.links[shard].ctrl.send(Multipart::single(msg.encode()));
                 }
-                .encode(),
-            ));
-            self.ctx.metrics.counter("consumer.acks").inc();
+                Effect::Subscribe { shard, topic } => self.links[shard].sub.subscribe(&topic),
+                Effect::Unsubscribe { shard, topic } => self.links[shard].sub.unsubscribe(&topic),
+                Effect::Negotiate(welcome) => {
+                    if let Err(e) = self.negotiate(welcome) {
+                        self.state.fail(e);
+                    }
+                }
+            }
         }
+        self.fx = fx; // emptied, with its allocation
+    }
+
+    /// Checks the WELCOME against what the user asked for (typed
+    /// [`HandshakeError`]s on mismatch), maps the advertised arena if one
+    /// backs the payload path, opens the remaining shards' links, joins
+    /// them all and starts the heartbeat.
+    fn negotiate(&mut self, welcome: WelcomeInfo) -> Result<()> {
+        let advertised = welcome.shards.max(1) as usize;
+        if let Some(requested) = self.opts.shards_override.filter(|r| *r != advertised) {
+            return Err(HandshakeError::Topology {
+                requested,
+                advertised,
+            }
+            .into());
+        }
+        let (forced, granted) = (self.opts.payload_mode, welcome.payload_modes);
+        let mut mode = forced.unwrap_or(PayloadMode::Shm);
+        if granted & mode.cap_bit() == 0 {
+            return Err(HandshakeError::Mode {
+                requested: mode,
+                granted,
+            }
+            .into());
+        }
+        // An arena already bound (same process as the producer, or a
+        // caller that pre-opened it) wins; otherwise map the advertised
+        // one. A consumer that cannot map it — another host — falls back
+        // to the streamed path when the producer grants it and the caller
+        // did not insist on shm.
+        let arena = welcome.arena.as_ref().filter(|_| mode == PayloadMode::Shm);
+        if let Some(ad) = arena.filter(|_| self.ctx.registry.arena().is_none()) {
+            if let Err(e) = self.ctx.open_arena(&ad.path) {
+                if forced.is_some() || granted & caps::STREAM == 0 {
+                    let (path, reason) = (ad.path.clone(), e.to_string());
+                    return Err(HandshakeError::ArenaMissing { path, reason }.into());
+                }
+                mode = PayloadMode::Stream;
+            }
+        }
+        let overrides = welcome.endpoint_overrides.clone();
+        let map = EndpointMap::with_overrides(&self.endpoint, advertised, overrides);
+        for shard in 1..advertised {
+            self.links.push(Link::open(&self.ctx, &map, shard));
+        }
+        let now = self.ctx.trace.now_ns();
+        self.state.negotiated(now, &welcome, mode, &mut self.fx);
+        self.welcome = Some(welcome);
+        // The JOINs go out before the first beat, on the same sockets: no
+        // producer hears from an id it does not know yet.
+        self.execute();
+        let pushes = self.links.iter().map(|l| l.ctrl.clone()).collect();
+        let interval = self.opts.heartbeat_interval;
+        self.beat = Some(spawn_heartbeat(self.state.id, interval, pushes));
+        Ok(())
     }
 }
 
-impl Iterator for TensorConsumer {
-    type Item = ConsumerBatch;
+impl Iterator for Consumer {
+    type Item = Result<ConsumerBatch>;
 
-    fn next(&mut self) -> Option<ConsumerBatch> {
-        // Finishing the previous batch: acknowledge it (§3.2.3 — "once a
-        // consumer has finished a batch and moves on to the next, it will
-        // notify the producer").
-        self.send_pending_ack();
-        if self.stopped.is_some() && self.queue.is_empty() {
-            return None;
-        }
-        if self.queue.is_empty() {
-            self.pump();
-        }
-        let batch = self.queue.pop_front()?;
-        if self
-            .queue
-            .iter()
-            .all(|b| b.seq != batch.seq || b.shard != batch.shard)
-        {
-            // Last carved batch of this announcement: ack when finished.
-            self.pending_ack = Some((
-                batch.shard,
-                batch.seq,
-                batch.epoch,
-                self.ctx.trace.now_ns().max(1),
-            ));
+    fn next(&mut self) -> Option<Self::Item> {
+        let started = Instant::now();
+        let waits = self.state.ready().is_none();
+        self.step(Event::Next);
+        self.pump(|state| state.ready().is_some());
+        let Some(batch) = self.state.take(self.ctx.trace.now_ns()) else {
+            return self.state.take_error().map(Err);
+        };
+        if waits {
+            self.wait_hist.record_duration(started.elapsed());
         }
         if let Some(prev) = self.last_yield.replace(Instant::now()) {
             self.interarrival_hist.record_duration(prev.elapsed());
         }
-        self.batches_consumed += 1;
-        self.samples_consumed += batch.batch_size() as u64;
-        self.ctx.metrics.counter("consumer.batches").inc();
-        self.ctx
-            .metrics
-            .counter("consumer.samples")
-            .add(batch.batch_size() as u64);
-        Some(batch)
+        Some(Ok(batch))
     }
 }
 
-impl Drop for TensorConsumer {
+impl Drop for Consumer {
     fn drop(&mut self) {
-        self.send_pending_ack();
-        for link in &self.links {
-            let _ = link.ctrl.send(Multipart::single(
-                CtrlMsg::Leave {
-                    consumer_id: self.id,
-                }
-                .encode(),
-            ));
+        // The beat stops first: it shares the sockets, and one behind the
+        // LEAVE would reach a producer that no longer knows this consumer.
+        if let Some((stop, thread)) = self.beat.take() {
+            stop.store(true, Ordering::Release);
+            thread.thread().unpark();
+            let _ = thread.join();
         }
-        self.hb_stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.hb_thread.take() {
-            let _ = h.join();
-        }
+        self.step(Event::Leave);
+        self.execute();
     }
 }
 
@@ -887,45 +433,28 @@ pub(crate) fn rand_id() -> u64 {
     rand::thread_rng().next_u64() | 1
 }
 
+/// The liveness thread (see the module docs for why it is one) and the
+/// flag that stops it: set it, then `unpark`.
 fn spawn_heartbeat(
-    ctx: &TsContext,
-    cfg: &ConsumerConfig,
-    shards: usize,
     id: u64,
-    stop: Arc<AtomicBool>,
-) -> std::thread::JoinHandle<()> {
-    let mut pushes: Vec<Option<PushSocket>> = (0..shards)
-        .map(|s| {
-            Some(PushSocket::connect(
-                &ctx.sockets,
-                &cfg.shard_ctrl_endpoint(s),
-            ))
-        })
-        .collect();
-    let interval = cfg.heartbeat_interval;
-    std::thread::Builder::new()
+    interval: Duration,
+    mut pushes: Vec<Arc<PushSocket>>,
+) -> (Arc<AtomicBool>, JoinHandle<()>) {
+    let stop = Arc::new(AtomicBool::new(false));
+    let stopped = stop.clone();
+    let beat = CtrlMsg::Heartbeat { consumer_id: id }.encode();
+    let thread = std::thread::Builder::new()
         .name(format!("ts-heartbeat-{id}"))
         .spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                // A dead shard stops receiving heartbeats; the SURVIVING
-                // shards must keep getting them, or they would expire a
+            while !stopped.load(Ordering::Acquire) && !pushes.is_empty() {
+                // A shard whose producer is gone drops out; the SURVIVING
+                // shards must keep getting beats, or they would expire a
                 // perfectly healthy consumer mid-stream.
-                for push in pushes.iter_mut() {
-                    let Some(socket) = push else { continue };
-                    if socket
-                        .send(Multipart::single(
-                            CtrlMsg::Heartbeat { consumer_id: id }.encode(),
-                        ))
-                        .is_err()
-                    {
-                        *push = None; // this shard's producer is gone
-                    }
-                }
-                if pushes.iter().all(|p| p.is_none()) {
-                    return; // every producer gone
-                }
-                std::thread::sleep(interval);
+                pushes.retain(|push| push.send(Multipart::single(beat.clone())).is_ok());
+                // Woken early by `drop`; a spurious wake-up is one early beat.
+                std::thread::park_timeout(interval);
             }
         })
-        .expect("spawn heartbeat thread")
+        .expect("spawn heartbeat thread");
+    (stop, thread)
 }

@@ -3,6 +3,7 @@
 pub mod builder;
 pub mod config;
 pub mod consumer;
+mod consumer_state;
 pub mod context;
 pub mod coordinator;
 pub mod producer;
@@ -11,8 +12,9 @@ pub mod scrape;
 pub mod staging;
 pub mod state;
 
-pub use builder::{Consumer, ConsumerBuilder, Producer, ProducerBuilder};
-pub use config::{ConsumerConfig, FlexibleConfig, ProducerConfig};
+pub use builder::{ConsumerBuilder, Producer, ProducerBuilder};
+pub use config::{FlexibleConfig, ProducerConfig};
+pub use consumer::Consumer;
 pub use coordinator::{EpochCoordinator, GroupJoin};
 pub use scrape::{scrape_stats, scrape_trace};
 pub use staging::{StagingConfig, StagingMode};

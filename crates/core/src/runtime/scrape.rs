@@ -7,8 +7,10 @@
 //! base control endpoint and the producer answers with a
 //! [`crate::protocol::messages::DataMsg::Stats`] on the one-shot reply
 //! topic, in whatever wait state it happens to be (mid-epoch, at an
-//! epoch barrier, or draining final acks). Both scrapes and the attach
-//! handshake run on one retry loop (`token_exchange`).
+//! epoch barrier, or draining final acks). Both scrapes run on one retry
+//! loop (`token_exchange`) over a connection pair of their own; a
+//! consumer's HELLO has the same shape but travels on the link it keeps
+//! (`runtime::consumer_state`).
 //!
 //! The scraped [`StatsPayload`] carries the producer context's *entire*
 //! metrics registry — counters, gauges and the per-stage latency
@@ -29,10 +31,10 @@ use std::time::{Duration, Instant};
 use ts_socket::{Endpoint, EndpointMap, Multipart, PushSocket, RecvError, SubSocket};
 
 /// One stateless token exchange on the base endpoint's channels — the
-/// shape the attach handshake and both scrapes share. `request(token,
-/// seq)` is pushed to the control endpoint every poll round with a fresh
-/// per-attempt stamp `seq`, so a reply lost while the subscription was
-/// still propagating (remote transports) is simply answered again;
+/// shape both scrapes share. `request(token, seq)` is pushed to the
+/// control endpoint every poll round with a fresh per-attempt stamp
+/// `seq`, so a reply lost while the subscription was still propagating
+/// (remote transports) is simply answered again;
 /// `accept(reply, seq)` returns the answer once a frame on `topic(token)`
 /// is the reply to the attempt in flight.
 ///
@@ -40,7 +42,7 @@ use ts_socket::{Endpoint, EndpointMap, Multipart, PushSocket, RecvError, SubSock
 /// rest is decoded: a producer speaking another [`WIRE_VERSION`] surfaces
 /// as the typed [`HandshakeError::Version`] right away, never as a
 /// misparse or a wait for `timeout`.
-pub(crate) fn token_exchange<T>(
+fn token_exchange<T>(
     ctx: &TsContext,
     endpoint: &str,
     timeout: Duration,

@@ -218,6 +218,10 @@ pub(crate) struct StageMetrics {
     arena_parked_ns: Arc<Counter>,
     /// Acked pins let go early because they alone held a dry arena.
     pins_shed_for_arena: Arc<Counter>,
+    /// `producer.batches`: batches published, all pipelines of the context.
+    batches: Arc<Counter>,
+    /// `producer.bytes_staged`: payload bytes placed on the staging device.
+    bytes_staged: Arc<Counter>,
 }
 
 impl StageMetrics {
@@ -243,6 +247,8 @@ impl StageMetrics {
             wait_state: metrics.gauge(&format!("{prefix}wait_state")),
             arena_parked_ns: counter("arena_parked_ns"),
             pins_shed_for_arena: counter("pins_shed_for_arena"),
+            batches: metrics.counter("producer.batches"),
+            bytes_staged: metrics.counter("producer.bytes_staged"),
         }
     }
 }
@@ -961,7 +967,7 @@ impl State {
         }
         self.note_pin_depth();
         self.stats.batches_published += 1;
-        self.ctx.metrics.counter("producer.batches").inc();
+        self.inst.stage.batches.inc();
         self.set_wait(now, Wait::Item);
     }
 
@@ -1009,8 +1015,7 @@ impl State {
             }
         };
         self.stats.bytes_staged += item.staged_bytes;
-        let staged = self.ctx.metrics.counter("producer.bytes_staged");
-        staged.add(item.staged_bytes);
+        self.inst.stage.bytes_staged.add(item.staged_bytes);
         Some(item)
     }
 

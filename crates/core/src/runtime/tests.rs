@@ -1,12 +1,12 @@
 //! End-to-end tests of the threaded runtime: producer + consumers over real
 //! threads, real sockets, real payload sharing — through the
-//! `Producer`/`Consumer` builders, except where a test plays the producer
-//! itself on raw sockets and drives the consumer engine directly.
+//! `Producer`/`Consumer` builders; where a test plays the producer itself
+//! on raw sockets it answers the HELLO too (`fake_welcome`).
 
 use crate::protocol::order::OrderConfig;
-use crate::runtime::builder::{Consumer, ConsumerBuilder, Producer};
-use crate::runtime::config::{ConsumerConfig, FlexibleConfig, ProducerConfig};
-use crate::runtime::consumer::{StopReason, TensorConsumer};
+use crate::runtime::builder::{ConsumerBuilder, Producer};
+use crate::runtime::config::{FlexibleConfig, ProducerConfig};
+use crate::runtime::consumer::{Consumer, StopReason};
 use crate::runtime::context::TsContext;
 use crate::runtime::producer::EpochSource;
 use crate::runtime::staging::StagingMode;
@@ -112,15 +112,43 @@ fn consumer(ctx: &TsContext) -> ConsumerBuilder {
         .recv_timeout(Duration::from_secs(5))
 }
 
-/// Engine configuration for tests that play the producer themselves (no
-/// HELLO is ever answered, so the builder cannot attach).
-fn consumer_cfg(endpoint: &str) -> ConsumerConfig {
-    ConsumerConfig {
-        endpoint: endpoint.to_string(),
-        heartbeat_interval: Duration::from_millis(50),
-        recv_timeout: Duration::from_secs(5),
-        ..Default::default()
-    }
+/// The WELCOME of a test that plays the producer itself on raw sockets:
+/// `shards` shards, no arena, no log.
+fn fake_welcome(publisher: &ts_socket::PubSocket, token: u64, shards: u32) {
+    use crate::protocol::messages::{caps, topics, DataMsg, WelcomeInfo, WIRE_VERSION};
+    let info = WelcomeInfo {
+        version: WIRE_VERSION,
+        shards,
+        batch_size: 4,
+        flex_producer_batch: 0,
+        staging: 0,
+        arena: None,
+        endpoint_overrides: Vec::new(),
+        payload_modes: caps::SHM,
+        log: None,
+    };
+    let welcome = DataMsg::Welcome { token, info };
+    let frame = ts_socket::Multipart::single(welcome.encode());
+    publisher.send(&topics::hello(token), frame).unwrap();
+}
+
+/// ... and its answer to a JOIN: admitted at seq 0 of epoch 0.
+fn fake_admit(publisher: &ts_socket::PubSocket, consumer_id: u64) {
+    use crate::protocol::messages::{topics, DataMsg, JoinDecision};
+    let decision = JoinDecision::AdmitReplay {
+        epoch: 0,
+        replay_from: 0,
+        num_batches: 100,
+        start_seq: 0,
+    };
+    let reply = DataMsg::JoinReply {
+        consumer_id,
+        decision,
+    };
+    let frame = ts_socket::Multipart::single(reply.encode());
+    publisher
+        .send(&topics::consumer(consumer_id), frame)
+        .unwrap();
 }
 
 /// A loader over `IndexDataset` with an explicit pipeline shape.
@@ -736,6 +764,115 @@ fn dead_consumer_is_detached_and_others_continue() {
 }
 
 #[test]
+fn dropping_a_consumer_is_prompt_and_no_beat_reaches_a_producer_outside_its_membership() {
+    // The beat used to sleep out its interval while `drop` joined it (197
+    // to 200 ms of every drop), and ran on a socket of its own: its first
+    // frame could overtake the Join and its last trail the Leave, each
+    // counted as a frame from an unknown consumer.
+    let interval = Duration::from_millis(200);
+    let ipc = std::env::temp_dir().join(format!("ts-drop-{}.sock", std::process::id()));
+    for ep in [
+        "inproc://prompt-drop".to_string(),
+        format!("ipc://{}", ipc.display()),
+    ] {
+        let ctx = TsContext::host_only();
+        let mut cfg = producer_cfg(&ep, 1);
+        cfg.heartbeat_timeout = Duration::from_secs(5);
+        let producer = spawn(loader(256, 4), &ctx, cfg).unwrap();
+        for round in 0..20 {
+            let mut c = consumer(&ctx)
+                .heartbeat_interval(interval)
+                .connect(&ep)
+                .unwrap();
+            c.next().expect("a batch").unwrap(); // dropped with it in hand
+            let started = std::time::Instant::now();
+            drop(c);
+            let took = started.elapsed();
+            assert!(
+                took < interval / 2,
+                "{ep} round {round}: drop took {took:?}"
+            );
+        }
+        producer.abort();
+        let stats = producer.join().unwrap();
+        assert_eq!(stats.consumers_detached, 0, "{ep}: every one of them left");
+        let strays = ctx.metrics.counter("producer.ctrl_unknown_consumer").get();
+        assert_eq!(strays, 0, "{ep}: a frame outside a membership");
+    }
+}
+
+#[test]
+fn a_trainer_holding_a_batch_past_the_heartbeat_timeout_is_not_detached() {
+    // Between two `next()` calls the consumer's thread is the trainer's:
+    // liveness must not depend on it.
+    let ctx = TsContext::host_only();
+    let ep = "inproc://long-step";
+    let mut cfg = producer_cfg(ep, 1);
+    cfg.heartbeat_timeout = Duration::from_millis(150);
+    let producer = spawn(loader(32, 4), &ctx, cfg).unwrap();
+    let mut c = consumer(&ctx)
+        .heartbeat_interval(Duration::from_millis(30))
+        .connect(ep)
+        .unwrap();
+    let held = c.next().expect("a batch").unwrap();
+    std::thread::sleep(Duration::from_millis(450)); // 3 x the timeout
+    drop(held);
+    assert_eq!(c.by_ref().flatten().count(), 7, "the rest of the epoch");
+    assert_eq!(c.stop_reason(), Some(StopReason::End));
+    assert_eq!(producer.join().unwrap().consumers_detached, 0);
+}
+
+#[test]
+fn a_surviving_shard_keeps_getting_beats_after_the_other_shards_producer_is_gone() {
+    use crate::protocol::messages::CtrlMsg;
+    use ts_socket::{EndpointMap, PubSocket, PullSocket};
+
+    let ctx = TsContext::host_only();
+    let ep = "inproc://half-dead-group";
+    let map = EndpointMap::new(ep, 2);
+    let bind = |shard| {
+        let publisher = PubSocket::bind(&ctx.sockets, &map.data(shard)).unwrap();
+        let ctrl = PullSocket::bind(&ctx.sockets, &map.ctrl(shard)).unwrap();
+        (publisher, ctrl)
+    };
+    let shards = [bind(0), bind(1)];
+    // Two fake shards: shard 0 answers the HELLO, each admits its joiner;
+    // once both heard Ready, shard 1 crashes (its sockets drop) and shard 0
+    // reports the beats it keeps hearing.
+    let fake = std::thread::spawn(move || {
+        let [(pub0, ctrl0), (pub1, ctrl1)] = shards;
+        let mut ready = [false; 2];
+        while ready != [true; 2] {
+            for (shard, (publisher, ctrl)) in [(&pub0, &ctrl0), (&pub1, &ctrl1)].iter().enumerate()
+            {
+                let Ok(msg) = ctrl.recv_timeout(Duration::from_millis(5)) else {
+                    continue;
+                };
+                match CtrlMsg::decode(&msg.frames()[0]).unwrap() {
+                    CtrlMsg::Hello { token, .. } => fake_welcome(publisher, token, 2),
+                    CtrlMsg::Join { consumer_id, .. } => fake_admit(publisher, consumer_id),
+                    CtrlMsg::Ready { .. } => ready[shard] = true,
+                    _ => {}
+                }
+            }
+        }
+        drop((pub1, ctrl1));
+        let mut beats = 0;
+        while beats < 5 {
+            let msg = ctrl0.recv_timeout(Duration::from_secs(2)).expect("a beat");
+            let msg = CtrlMsg::decode(&msg.frames()[0]).unwrap();
+            beats += usize::from(matches!(msg, CtrlMsg::Heartbeat { .. }));
+        }
+    });
+    let c = consumer(&ctx)
+        .heartbeat_interval(Duration::from_millis(10))
+        .connect(ep)
+        .unwrap();
+    assert_eq!(c.num_shards(), 2);
+    fake.join().expect("shard 0 kept hearing from the consumer");
+}
+
+#[test]
 fn producer_without_consumers_times_out() {
     let ctx = TsContext::host_only();
     let ep = "inproc://t12";
@@ -944,53 +1081,6 @@ fn flexible_mode_covers_multiple_epochs() {
 }
 
 #[test]
-fn consumer_times_out_when_admitted_but_starved() {
-    use crate::protocol::messages::{topics, CtrlMsg, DataMsg, JoinDecision};
-    use ts_socket::{Multipart, PubSocket, PullSocket};
-
-    let ctx = TsContext::host_only();
-    let ep = "inproc://t19";
-    // A fake producer that admits and then goes silent.
-    let publisher = PubSocket::bind(&ctx.sockets, &format!("{ep}/data")).unwrap();
-    let ctrl = PullSocket::bind(&ctx.sockets, &format!("{ep}/ctrl")).unwrap();
-    let fake = std::thread::spawn(move || {
-        loop {
-            let Ok(msg) = ctrl.recv_timeout(Duration::from_secs(2)) else {
-                return;
-            };
-            let Ok(m) = CtrlMsg::decode(&msg.frames()[0]) else {
-                continue;
-            };
-            if let CtrlMsg::Join { consumer_id, .. } = m {
-                let reply = DataMsg::JoinReply {
-                    consumer_id,
-                    decision: JoinDecision::AdmitReplay {
-                        epoch: 0,
-                        replay_from: 0,
-                        num_batches: 100,
-                        start_seq: 0,
-                    },
-                };
-                publisher
-                    .send(
-                        &topics::consumer(consumer_id),
-                        Multipart::single(reply.encode()),
-                    )
-                    .unwrap();
-                // ...and never publish any batch
-            }
-        }
-    });
-    let mut cc = consumer_cfg(ep);
-    cc.recv_timeout = Duration::from_millis(200);
-    let mut consumer = TensorConsumer::connect(&ctx, cc).unwrap();
-    assert!(consumer.next().is_none());
-    assert_eq!(consumer.stop_reason(), Some(StopReason::Timeout));
-    drop(consumer);
-    fake.join().unwrap();
-}
-
-#[test]
 fn metrics_registry_tracks_producer_and_consumers() {
     let ctx = TsContext::host_only();
     let ep = "inproc://t20";
@@ -1038,8 +1128,8 @@ fn producer_crash_surfaces_as_producer_gone() {
 
 #[test]
 fn socket_teardown_mid_stream_is_producer_gone() {
-    use crate::protocol::messages::{topics, CtrlMsg, DataMsg, JoinDecision};
-    use ts_socket::{Multipart, PubSocket, PullSocket};
+    use crate::protocol::messages::CtrlMsg;
+    use ts_socket::{PubSocket, PullSocket};
 
     let ctx = TsContext::host_only();
     let ep = "inproc://t22";
@@ -1051,22 +1141,12 @@ fn socket_teardown_mid_stream_is_producer_gone() {
             let Ok(msg) = ctrl.recv_timeout(Duration::from_secs(2)) else {
                 return;
             };
-            if let Ok(CtrlMsg::Join { consumer_id, .. }) = CtrlMsg::decode(&msg.frames()[0]) {
-                let reply = DataMsg::JoinReply {
-                    consumer_id,
-                    decision: JoinDecision::AdmitReplay {
-                        epoch: 0,
-                        replay_from: 0,
-                        num_batches: 10,
-                        start_seq: 0,
-                    },
-                };
-                publisher
-                    .send(
-                        &topics::consumer(consumer_id),
-                        Multipart::single(reply.encode()),
-                    )
-                    .unwrap();
+            let msg = CtrlMsg::decode(&msg.frames()[0]);
+            if let Ok(CtrlMsg::Hello { token, .. }) = msg {
+                fake_welcome(&publisher, token, 1);
+            }
+            if let Ok(CtrlMsg::Join { consumer_id, .. }) = msg {
+                fake_admit(&publisher, consumer_id);
                 // wait for the Ready confirmation, then "crash"
                 loop {
                     let Ok(m) = ctrl.recv_timeout(Duration::from_secs(2)) else {
@@ -1079,10 +1159,15 @@ fn socket_teardown_mid_stream_is_producer_gone() {
             }
         }
     });
-    let mut cc = consumer_cfg(ep);
-    cc.recv_timeout = Duration::from_secs(2);
-    let mut consumer = TensorConsumer::connect(&ctx, cc).unwrap();
+    let mut consumer = consumer(&ctx)
+        .recv_timeout(Duration::from_secs(2))
+        .connect(ep)
+        .unwrap();
     fake.join().unwrap();
+    match consumer.next() {
+        Some(Err(e)) => assert_eq!(e, TsError::Socket("producer disconnected".into())),
+        other => panic!("expected the one Err item, got {other:?}"),
+    }
     assert!(consumer.next().is_none());
     assert_eq!(consumer.stop_reason(), Some(StopReason::ProducerGone));
 }
@@ -1665,10 +1750,8 @@ fn builder_consumer_surfaces_timeout_as_err_item() {
     // The Result-iterator contract: an abnormal stop yields exactly one
     // Err item, then the stream ends. A fake producer answers the attach
     // handshake, admits the join, and then starves the consumer.
-    use crate::protocol::messages::{
-        caps, topics, CtrlMsg, DataMsg, JoinDecision, WelcomeInfo, WIRE_VERSION,
-    };
-    use ts_socket::{Multipart, PubSocket, PullSocket};
+    use crate::protocol::messages::CtrlMsg;
+    use ts_socket::{PubSocket, PullSocket};
 
     let ctx = TsContext::host_only();
     let ep = "inproc://builder-timeout";
@@ -1682,43 +1765,9 @@ fn builder_consumer_surfaces_timeout_as_err_item() {
             continue;
         };
         match m {
-            CtrlMsg::Hello { token, .. } => {
-                let welcome = DataMsg::Welcome {
-                    token,
-                    info: WelcomeInfo {
-                        version: WIRE_VERSION,
-                        shards: 1,
-                        batch_size: 4,
-                        flex_producer_batch: 0,
-                        staging: 0,
-                        arena: None,
-                        endpoint_overrides: Vec::new(),
-                        payload_modes: caps::SHM,
-                        log: None,
-                    },
-                };
-                publisher
-                    .send(&topics::hello(token), Multipart::single(welcome.encode()))
-                    .unwrap();
-            }
-            CtrlMsg::Join { consumer_id, .. } => {
-                let reply = DataMsg::JoinReply {
-                    consumer_id,
-                    decision: JoinDecision::AdmitReplay {
-                        epoch: 0,
-                        replay_from: 0,
-                        num_batches: 100,
-                        start_seq: 0,
-                    },
-                };
-                publisher
-                    .send(
-                        &topics::consumer(consumer_id),
-                        Multipart::single(reply.encode()),
-                    )
-                    .unwrap();
-                // ...and never publish any batch
-            }
+            CtrlMsg::Hello { token, .. } => fake_welcome(&publisher, token, 1),
+            // ...and never publish any batch
+            CtrlMsg::Join { consumer_id, .. } => fake_admit(&publisher, consumer_id),
             _ => {}
         }
     });
@@ -2162,7 +2211,7 @@ fn unknown_data_tag_is_counted_and_skipped_by_the_consumer() {
     // producer broadcasting a message kind this build does not know must
     // be counted under `consumer.data_unknown` and skipped — the stream
     // still ends cleanly on the real End frame behind it.
-    use crate::protocol::messages::{topics, CtrlMsg, DataMsg, JoinDecision};
+    use crate::protocol::messages::{topics, CtrlMsg, DataMsg};
     use ts_socket::{Multipart, PubSocket, PullSocket};
 
     let ctx = TsContext::host_only();
@@ -2179,23 +2228,8 @@ fn unknown_data_tag_is_counted_and_skipped_by_the_consumer() {
                 continue;
             };
             match m {
-                CtrlMsg::Join { consumer_id, .. } => {
-                    let reply = DataMsg::JoinReply {
-                        consumer_id,
-                        decision: JoinDecision::AdmitReplay {
-                            epoch: 0,
-                            replay_from: 0,
-                            num_batches: 1,
-                            start_seq: 0,
-                        },
-                    };
-                    publisher
-                        .send(
-                            &topics::consumer(consumer_id),
-                            Multipart::single(reply.encode()),
-                        )
-                        .unwrap();
-                }
+                CtrlMsg::Hello { token, .. } => fake_welcome(&publisher, token, 1),
+                CtrlMsg::Join { consumer_id, .. } => fake_admit(&publisher, consumer_id),
                 CtrlMsg::Ready { .. } if !sent => {
                     sent = true;
                     // Tag 99 does not exist in this build: a valid-length
@@ -2216,7 +2250,7 @@ fn unknown_data_tag_is_counted_and_skipped_by_the_consumer() {
             }
         }
     });
-    let mut consumer = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
+    let mut consumer = consumer(&ctx).connect(ep).unwrap();
     assert!(consumer.next().is_none(), "only an End was ever published");
     assert_eq!(consumer.stop_reason(), Some(StopReason::End));
     assert_eq!(

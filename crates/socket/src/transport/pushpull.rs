@@ -16,9 +16,9 @@ use crate::transport::{
 use crate::wire;
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
 use std::io::BufReader;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 struct PullShared {
     stop: AtomicBool,
@@ -162,8 +162,17 @@ fn pull_reader(id: u64, read_half: AnyStream, shared: Arc<PullShared>, tx: Sende
 // push side
 // ---------------------------------------------------------------------------
 
+/// How long dropping a pusher waits for its writer to flush.
+const LINGER: Duration = Duration::from_secs(2);
+
 struct PushShared {
     stop: AtomicBool,
+    /// The writer holds a connection and is still writing.
+    connected: AtomicBool,
+    /// Messages accepted into the queue / flushed to the socket. Drop uses
+    /// the pair to linger until queued messages reach the wire.
+    queued: AtomicU64,
+    written: AtomicU64,
 }
 
 /// The stream-transport sending side.
@@ -177,6 +186,9 @@ impl StreamPush {
         let (tx, rx) = channel::bounded(hwm);
         let shared = Arc::new(PushShared {
             stop: AtomicBool::new(false),
+            connected: AtomicBool::new(false),
+            queued: AtomicU64::new(0),
+            written: AtomicU64::new(0),
         });
         let writer_shared = shared.clone();
         std::thread::Builder::new()
@@ -188,13 +200,18 @@ impl StreamPush {
 
     pub(crate) fn send(&self, msg: Multipart) -> Result<(), SendError> {
         check_frames(&[], &msg)?;
-        self.tx.send(msg).map_err(|_| SendError::Disconnected)
+        self.tx.send(msg).map_err(|_| SendError::Disconnected)?;
+        self.shared.queued.fetch_add(1, Ordering::SeqCst);
+        Ok(())
     }
 
     pub(crate) fn try_send(&self, msg: Multipart) -> Result<(), SendError> {
         check_frames(&[], &msg)?;
         match self.tx.try_send(msg) {
-            Ok(()) => Ok(()),
+            Ok(()) => {
+                self.shared.queued.fetch_add(1, Ordering::SeqCst);
+                Ok(())
+            }
             Err(TrySendError::Full(_)) => Err(SendError::Full),
             Err(TrySendError::Disconnected(_)) => Err(SendError::Disconnected),
         }
@@ -203,9 +220,23 @@ impl StreamPush {
 
 impl Drop for StreamPush {
     fn drop(&mut self) {
-        // Abort a pending connect; a live writer drains the queue (the
-        // sender side closing wakes it) and then exits.
-        self.shared.stop.store(true, Ordering::SeqCst);
+        // Linger, like the publisher: let a connected writer put what is
+        // already queued on the wire — a consumer's last ack and its LEAVE,
+        // say — before the socket goes, or a process that exits right after
+        // dropping it takes them along. Bounded, for a peer that stopped
+        // reading; a writer that never connected, or lost its peer, has
+        // nothing to wait for.
+        let s = &self.shared;
+        let deadline = Instant::now() + LINGER;
+        while s.connected.load(Ordering::SeqCst)
+            && s.written.load(Ordering::SeqCst) < s.queued.load(Ordering::SeqCst)
+            && Instant::now() < deadline
+        {
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        // Abort a pending connect; a live writer sees the sender side
+        // close, finds the queue empty and exits.
+        s.stop.store(true, Ordering::SeqCst);
     }
 }
 
@@ -218,6 +249,7 @@ fn push_writer(addr: EndpointAddr, shared: Arc<PushShared>, rx: Receiver<Multipa
         Ok(s) => s,
         Err(_) => return, // rx drops: senders observe Disconnected
     };
+    shared.connected.store(true, Ordering::SeqCst);
     loop {
         let msg = match rx.recv_timeout(Duration::from_millis(50)) {
             Ok(m) => m,
@@ -227,6 +259,52 @@ fn push_writer(addr: EndpointAddr, shared: Arc<PushShared>, rx: Receiver<Multipa
         if wire::write_data(&mut stream, &msg).is_err() {
             break; // peer gone: rx drops, senders observe Disconnected
         }
+        shared.written.fetch_add(1, Ordering::SeqCst);
     }
+    shared.connected.store(false, Ordering::SeqCst);
     stream.shutdown();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bytes::Bytes;
+
+    #[test]
+    fn dropping_a_pusher_lingers_until_its_queue_is_on_the_wire() {
+        // A process may exit right after dropping its last socket: whatever
+        // is still queued then is lost, so `drop` must not return before a
+        // connected writer flushed — and must not wait for one that never
+        // connected.
+        let path = std::env::temp_dir().join(format!("ts-linger-{}.sock", std::process::id()));
+        let name = format!("ipc://{}", path.display());
+        let addr = EndpointAddr::parse(&name).unwrap();
+        let pull = StreamPull::bind(&addr, &name, 4096).unwrap();
+        let push = StreamPush::connect(addr.clone(), 4096);
+        let first = Multipart::single(Bytes::from_static(b"connect"));
+        push.send(first).unwrap();
+        pull.recv_timeout(Duration::from_secs(5))
+            .expect("connected");
+        for _ in 0..2000 {
+            push.send(Multipart::single(Bytes::from(vec![7u8; 512])))
+                .unwrap();
+        }
+        let shared = push.shared.clone();
+        drop(push);
+        let (queued, written) = (&shared.queued, &shared.written);
+        assert_eq!(queued.load(Ordering::SeqCst), 2001);
+        assert_eq!(
+            written.load(Ordering::SeqCst),
+            2001,
+            "dropped with a backlog"
+        );
+        drop(pull);
+        let nobody = StreamPush::connect(addr, 16);
+        nobody
+            .send(Multipart::single(Bytes::from_static(b"x")))
+            .unwrap();
+        let started = Instant::now();
+        drop(nobody);
+        assert!(started.elapsed() < LINGER / 4, "waited for a connection");
+    }
 }

@@ -27,11 +27,14 @@
 //!
 //! The consumer is *not* configured with the shard count, the arena path,
 //! slot depths or the batch schema: a versioned HELLO/WELCOME handshake
-//! on the control channel reports all of it, and mismatches surface as
-//! typed `HandshakeError`s instead of hangs. The producer side likewise
-//! auto-creates and auto-sizes its shared-memory arena and recycling slot
-//! pool from the loader's own geometry (`.arena(path)`), instead of
-//! asking you to compute slot counts.
+//! reports all of it, and mismatches surface as typed `HandshakeError`s
+//! instead of hangs. The handshake runs on the connection pair the
+//! consumer keeps (a SUB and a PUSH socket to the endpoint — shard 0's
+//! link; one more pair per further shard), so attaching sets up nothing
+//! it throws away, and heartbeats share those sockets. The producer side
+//! likewise auto-creates and auto-sizes its shared-memory arena and
+//! recycling slot pool from the loader's own geometry (`.arena(path)`),
+//! instead of asking you to compute slot counts.
 //!
 //! Every knob has a builder method; `.config(cfg)` seeds a builder from a
 //! whole `ProducerConfig`. A `Producer` spawned from one source is a

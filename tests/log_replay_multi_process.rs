@@ -19,6 +19,8 @@
 //! and rubberband pins for logged batches are shed (arena occupancy stays
 //! well under the whole-epoch pin footprint).
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -311,6 +313,12 @@ fn log_replay_multi_process_kill9_group_resume() {
             .expect("spawn consumer process")
     };
     let mut witness = spawn_role("witness", &out_witness);
+    // The witness asserts every payload it sees is arena-backed, which
+    // only holds from batch zero: a consumer admitted behind somebody
+    // else's acked, logged (and therefore shed) pins is replayed those as
+    // bytes. So it attaches first — its `joined` line is written once
+    // `connect()` returned — and the victim rubberbands in behind it.
+    common::wait_attached(std::slice::from_ref(&out_witness));
     let mut victim = spawn_role("victim", &out_victim);
 
     // Let the victim get one epoch plus half of the next, then SIGKILL:

@@ -19,6 +19,8 @@
 //! and **nothing else** — no arena path, no configuration: the attach
 //! handshake carries the arena advertisement.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::Arc;
@@ -109,6 +111,7 @@ fn run_consumer() {
 
     let mut out = std::fs::File::create(&out_path).expect("result file");
     writeln!(out, "joined {joined_epoch}").unwrap();
+    wait_for_go();
     let mut consumed = 0u64;
     for batch in consumer.by_ref() {
         let batch = batch.expect("clean stream");
@@ -139,6 +142,18 @@ fn run_consumer() {
     );
     assert!(consumed > 0, "consumed nothing");
     writeln!(out, "done {consumed}").unwrap();
+}
+
+/// Holds a consumer process back from its first `next()` until the parent
+/// has seen every consumer attached (the `TS_MP_GO` file appears). The
+/// producer gets at most its publish window ahead of a consumer that is
+/// not consuming, so however unevenly the processes start, none of them
+/// finds the (tiny) stream already over.
+fn wait_for_go() {
+    let go = std::path::PathBuf::from(std::env::var("TS_MP_GO").expect("TS_MP_GO"));
+    while !go.exists() {
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 #[derive(Debug, PartialEq, Eq, Clone)]
@@ -191,6 +206,7 @@ fn multi_process_ipc_shared_arena() {
     let out_paths: Vec<_> = (0..2)
         .map(|i| tmp.join(format!("ts-mp-{tag}-consumer{i}.txt")))
         .collect();
+    let go_path = tmp.join(format!("ts-mp-{tag}.go"));
 
     // Deliberately small arena: 3 epochs x 8 announces x 2 storages = 48
     // allocations must recycle through 12 slots, proving acked releases
@@ -229,23 +245,30 @@ fn multi_process_ipc_shared_arena() {
         .expect("spawn producer");
 
     let exe = std::env::current_exe().expect("test binary path");
-    let children: Vec<_> = out_paths
-        .iter()
-        .map(|out| {
-            std::process::Command::new(&exe)
-                .args([
-                    "--exact",
-                    "multi_process_ipc_shared_arena",
-                    "--test-threads=1",
-                ])
-                .env("TS_MP_ROLE", "consumer")
-                .env("TS_MP_ENDPOINT", &endpoint)
-                .env("TS_MP_ARENA", &arena_path)
-                .env("TS_MP_OUT", out)
-                .spawn()
-                .expect("spawn consumer process")
-        })
-        .collect();
+    // One process after the other, each held at its first `next()` until
+    // both are attached: the first trains from batch zero, the second
+    // always joins a stream somebody is on (the producer is at most its
+    // publish window in) and rubberbands into epoch 0. Starting them
+    // together left that to how the two start-ups happened to interleave.
+    let mut children = Vec::new();
+    for out in &out_paths {
+        let child = std::process::Command::new(&exe)
+            .args([
+                "--exact",
+                "multi_process_ipc_shared_arena",
+                "--test-threads=1",
+            ])
+            .env("TS_MP_ROLE", "consumer")
+            .env("TS_MP_ENDPOINT", &endpoint)
+            .env("TS_MP_ARENA", &arena_path)
+            .env("TS_MP_OUT", out)
+            .env("TS_MP_GO", &go_path)
+            .spawn()
+            .expect("spawn consumer process");
+        children.push(child);
+        common::wait_attached(std::slice::from_ref(out));
+    }
+    std::fs::write(&go_path, b"go").expect("go file");
 
     for mut child in children {
         let status = child.wait().expect("wait consumer");
@@ -279,7 +302,70 @@ fn multi_process_ipc_shared_arena() {
         );
         assert_eq!(a, b, "sequences diverge in epoch {epoch}");
     }
-    for path in &out_paths {
+    for path in out_paths.iter().chain([&go_path]) {
         let _ = std::fs::remove_file(path);
     }
+}
+
+/// A trainer that stops early — drops its consumer and exits at once —
+/// must have LEFT: its last ack and its LEAVE are on the wire when `drop`
+/// returns, not in a queue the exiting process takes along. Otherwise the
+/// producer keeps the publish window open for a dead member until its
+/// heartbeat runs out, stalling everybody else.
+#[test]
+fn a_process_exiting_right_after_drop_has_said_leave() {
+    if std::env::var("TS_MP_ROLE").as_deref() == Ok("leaver") {
+        let endpoint = std::env::var("TS_MP_ENDPOINT").expect("TS_MP_ENDPOINT");
+        let mut consumer = Consumer::builder().connect(&endpoint).expect("connect");
+        consumer.next().expect("a batch").expect("clean batch");
+        drop(consumer);
+        std::process::exit(0); // not even the test harness's epilogue
+    }
+    let tag = std::process::id();
+    let tmp = std::env::temp_dir();
+    let endpoint = format!(
+        "ipc://{}",
+        tmp.join(format!("ts-mp-leave-{tag}.sock")).display()
+    );
+    let ctx = TsContext::host_only();
+    let loader = DataLoader::new(
+        Arc::new(IndexDataset { len: 4096 }),
+        DataLoaderConfig {
+            batch_size: BATCH_SIZE,
+            num_workers: 0,
+            shuffle: false,
+            drop_last: true,
+            ..Default::default()
+        },
+    );
+    let timeout = Duration::from_millis(500);
+    let producer = Producer::builder()
+        .context(&ctx)
+        .endpoint(endpoint.as_str())
+        .heartbeat_timeout(timeout)
+        .first_consumer_timeout(Some(Duration::from_secs(60)))
+        .arena(tmp.join(format!("ts-mp-leave-{tag}.arena")))
+        .spawn(loader)
+        .expect("spawn producer");
+    let exe = std::env::current_exe().expect("test binary path");
+    for round in 0..20 {
+        let status = std::process::Command::new(&exe)
+            .args([
+                "--exact",
+                "a_process_exiting_right_after_drop_has_said_leave",
+            ])
+            .env("TS_MP_ROLE", "leaver")
+            .env("TS_MP_ENDPOINT", &endpoint)
+            .status()
+            .expect("run leaver process");
+        assert!(status.success(), "leaver {round} failed: {status}");
+    }
+    // A member that did not leave is detached once its heartbeat runs out.
+    std::thread::sleep(timeout + timeout / 2);
+    producer.abort();
+    let stats = producer.join().expect("producer join");
+    assert_eq!(stats.peak_consumers, 1, "one leaver at a time");
+    assert_eq!(stats.consumers_detached, 0, "a LEAVE was lost at exit");
+    let strays = ctx.metrics.counter("producer.ctrl_unknown_consumer").get();
+    assert_eq!(strays, 0, "a frame from outside a membership");
 }
