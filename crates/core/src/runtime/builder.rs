@@ -583,8 +583,7 @@ pub struct ConsumerBuilder {
     pub(crate) ctx: Option<TsContext>,
     pub(crate) batch_size: Option<usize>,
     pub(crate) heartbeat_interval: Duration,
-    /// [`ConsumerBuilder::recv_timeout`].
-    pub(crate) patience: Duration,
+    pub(crate) recv_timeout: Duration,
     pub(crate) handshake_timeout: Duration,
     pub(crate) consumer_id: Option<u64>,
     pub(crate) local_pipeline: Option<Arc<ts_data::Pipeline>>,
@@ -599,7 +598,7 @@ impl ConsumerBuilder {
             ctx: None,
             batch_size: None,
             heartbeat_interval: Duration::from_millis(200),
-            patience: Duration::from_secs(30),
+            recv_timeout: Duration::from_secs(30),
             handshake_timeout: Duration::from_secs(10),
             consumer_id: None,
             local_pipeline: None,
@@ -633,7 +632,7 @@ impl ConsumerBuilder {
 
     /// How long `next` waits for data before giving up.
     pub fn recv_timeout(mut self, timeout: Duration) -> Self {
-        self.patience = timeout;
+        self.recv_timeout = timeout;
         self
     }
 

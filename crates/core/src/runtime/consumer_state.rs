@@ -132,7 +132,7 @@ pub(crate) struct ConsumerState {
     group: Option<String>,
     local_pipeline: Option<Arc<ts_data::Pipeline>>,
     /// How long the producer may stay silent before a wait gives up, ns.
-    patience: u64,
+    recv_timeout: u64,
     /// Negotiated: how payload bytes reach this consumer.
     pub(crate) mode: PayloadMode,
     /// Negotiated: a group member of a logging producer asks for `Replay`.
@@ -188,7 +188,7 @@ impl ConsumerState {
             batch_size: opts.batch_size.unwrap_or(0) as u32,
             group: opts.group.clone(),
             local_pipeline: opts.local_pipeline.clone(),
-            patience: opts.patience.as_nanos() as u64,
+            recv_timeout: opts.recv_timeout.as_nanos() as u64,
             mode: PayloadMode::Shm,
             splices: false,
             shards: vec![Shard::default()],
@@ -236,7 +236,7 @@ impl ConsumerState {
         for s in &mut self.shards {
             s.phase = Phase::Joining;
         }
-        self.until = now + self.patience;
+        self.until = now + self.recv_timeout;
         let topic = topics::hello(self.id);
         fx.push(Effect::Unsubscribe { shard: 0, topic });
         for shard in 0..shards {
@@ -343,7 +343,7 @@ impl ConsumerState {
                 self.ack_in_hand(now, fx);
                 // The wait for the next batch starts now, however long the
                 // trainer held the last one.
-                self.until = now + self.patience;
+                self.until = now + self.recv_timeout;
                 self.recv_open = now.max(1);
             }
             Event::Leave => {
@@ -447,7 +447,7 @@ impl ConsumerState {
         // Silence is measured from the producer's last sign of life; the
         // waits for WELCOME and `LogInfo` run from their first request.
         if !matches!(self.awaited(), Some(Phase::Hello | Phase::Splicing)) {
-            self.until = now + self.patience;
+            self.until = now + self.recv_timeout;
         }
         // The one decode site. `Bytes` fields of the message are slices of
         // `frame`; a frame that does not decode is skipped, never fatal.
@@ -552,7 +552,7 @@ impl ConsumerState {
         if self.shards.iter().all(|s| s.phase >= Phase::Splicing) {
             // The last shard is in: every splice runs from this one request
             // and one limit.
-            self.until = now + self.patience;
+            self.until = now + self.recv_timeout;
             self.ask_replay(now, fx);
             self.attach_if_settled(now);
         }
@@ -572,7 +572,7 @@ impl ConsumerState {
             let starts = self.shards.iter().map(|s| s.start);
             self.interleave = ShardInterleave::new(starts.collect());
             self.attached = true;
-            self.until = now + self.patience;
+            self.until = now + self.recv_timeout;
         }
     }
 

@@ -55,8 +55,8 @@ fn welcome(shards: u32, log: bool) -> WelcomeInfo {
     }
 }
 
-/// The builder the scripts start from: consumer [`ID`], 30 s of patience
-/// for data, 10 s for the WELCOME.
+/// The builder the scripts start from: consumer [`ID`], a 30 s receive
+/// timeout for data, 10 s for the WELCOME.
 fn opts() -> ConsumerBuilder {
     Consumer::builder().consumer_id(ID)
 }

@@ -16,11 +16,14 @@
 //! * **One admission decision per consumer** — each shard receives its
 //!   own copy of a consumer's `Join`, at slightly different times. The
 //!   first shard to ask decides — against the *group* state (every
-//!   shard's publish progress vs. its rubberband pin window) — and the
-//!   decision is memoized, so every shard answers the same consumer the
-//!   same way. A joiner admitted mid-epoch therefore replays a consistent
-//!   epoch prefix from **every** shard, not just the one that processed
-//!   its join first.
+//!   shard's publish progress vs. its rubberband pin window, every
+//!   shard's member count) — and the decision is memoized, so every shard
+//!   answers the same consumer the same way. A joiner admitted mid-epoch
+//!   therefore replays a consistent epoch prefix from **every** shard,
+//!   not just the one that processed its join first; and "nobody is
+//!   training, start at the current position" is only said when it is
+//!   true of every shard, never because the shard that happened to ask
+//!   first has not seen the other consumer's `Join` yet.
 //! * **A shared rubberband pin set** — a shard may only release its
 //!   pinned epoch prefix once no shard can admit a joiner anymore *and*
 //!   no decided admission is still waiting to be applied on it. This
@@ -102,6 +105,8 @@ struct CoordInner {
     published: Vec<u64>,
     /// Per-shard rubberband pin boundary for the current epoch.
     pin_limit: Vec<u64>,
+    /// Per shard: consumers admitted there right now.
+    members: Vec<u64>,
     /// Memoized join decisions for the current epoch, by consumer id.
     decisions: HashMap<u64, GroupJoin>,
     /// Per shard: admissions decided but not yet applied locally
@@ -140,6 +145,7 @@ impl EpochCoordinator {
                 active: vec![true; shards],
                 published: vec![0; shards],
                 pin_limit: vec![0; shards],
+                members: vec![0; shards],
                 decisions: HashMap::new(),
                 unapplied: vec![HashMap::new(); shards],
                 stopped: false,
@@ -270,6 +276,21 @@ impl EpochCoordinator {
         }
     }
 
+    /// A shard reports how many consumers it has admitted right now.
+    pub fn note_members(&self, shard: u32, members: usize) {
+        match &self.backing {
+            CoordBacking::Local(mutex) => mutex.lock().members[shard as usize] = members as u64,
+            CoordBacking::Shared(cell) => cell.note_members(shard, members as u64),
+        }
+    }
+
+    /// No active shard has a consumer, and no admission decided for one is
+    /// still on its way to a shard.
+    fn nobody_training(inner: &CoordInner) -> bool {
+        let idle = |shard: usize| inner.members[shard] == 0 && inner.unapplied[shard].is_empty();
+        (0..inner.active.len()).all(|shard| !inner.active[shard] || idle(shard))
+    }
+
     fn group_window_open(inner: &CoordInner) -> bool {
         inner.arrived == 0
             && inner
@@ -302,15 +323,18 @@ impl EpochCoordinator {
     /// its stale pre-boundary state; it defers to its next
     /// `begin_epoch`, which admits with the decision epoch's state.
     ///
-    /// `no_consumers_locally` is the calling shard's "nobody is training"
-    /// hint, which selects the admit-at-current-position path the paper
-    /// allows mid-epoch. The first shard to ask decides against global
-    /// state; everyone else gets the memo.
-    pub fn decide_join(&self, id: u64, no_consumers_locally: bool) -> (GroupJoin, u64) {
+    /// The first shard to ask decides against global state; everyone else
+    /// gets the memo. Mid-epoch with nobody training on ANY shard
+    /// ([`EpochCoordinator::note_members`]) selects the
+    /// admit-at-current-position path the paper allows; one shard's empty
+    /// member list is not enough — another shard may already be serving a
+    /// consumer whose `Join` is still on its way here, and a joiner admitted
+    /// at that shard's current position would never see its prefix.
+    pub fn decide_join(&self, id: u64) -> (GroupJoin, u64) {
         let mutex = match &self.backing {
             CoordBacking::Local(mutex) => mutex,
             CoordBacking::Shared(cell) => {
-                let (decision, epoch) = cell.decide_join(id, no_consumers_locally);
+                let (decision, epoch) = cell.decide_join(id);
                 return (decision.into(), epoch);
             }
         };
@@ -330,7 +354,7 @@ impl EpochCoordinator {
             .all(|(p, active)| !active || *p == 0)
         {
             GroupJoin::AdmitReplay
-        } else if no_consumers_locally {
+        } else if Self::nobody_training(&inner) {
             GroupJoin::AdmitAtCurrent
         } else if Self::group_window_open(&inner) {
             GroupJoin::AdmitReplay
@@ -449,19 +473,21 @@ mod tests {
         assert!(c.reached(g));
         c.note_published(0, 1);
         c.note_published(1, 1);
+        // Somebody is training: the rubberband path.
+        c.note_members(0, 1);
         // Within every shard's pin window: admit, and the memo repeats it.
-        assert_eq!(c.decide_join(7, false).0, GroupJoin::AdmitReplay);
+        assert_eq!(c.decide_join(7).0, GroupJoin::AdmitReplay);
         // Shard 1 races past its pin boundary before applying…
         c.note_published(1, 5);
         // …but must still answer consumer 7 the same way,
-        assert_eq!(c.decide_join(7, false).0, GroupJoin::AdmitReplay);
+        assert_eq!(c.decide_join(7).0, GroupJoin::AdmitReplay);
         // …and keep pinning until it applies the admission.
         assert!(c.pin_window_open(1));
         c.applied(0, 7);
         c.applied(1, 7);
         assert!(!c.pin_window_open(1), "window closed once applied");
         // A fresh consumer now waits: shard 1 is past its pin window.
-        assert_eq!(c.decide_join(8, false).0, GroupJoin::WaitNextEpoch);
+        assert_eq!(c.decide_join(8).0, GroupJoin::WaitNextEpoch);
     }
 
     #[test]
@@ -476,7 +502,7 @@ mod tests {
         let _ = c.arrive(0, 1, 10);
         // Even though shard 1 is still inside its pin window, the group
         // defers: admitting now would straddle the epoch boundary.
-        assert_eq!(c.decide_join(9, false).0, GroupJoin::WaitNextEpoch);
+        assert_eq!(c.decide_join(9).0, GroupJoin::WaitNextEpoch);
     }
 
     #[test]
@@ -486,7 +512,8 @@ mod tests {
         let _ = c.arrive(1, 0, 5);
         assert!(c.reached(g));
         c.note_published(0, 1);
-        assert_eq!(c.decide_join(3, false).0, GroupJoin::AdmitReplay);
+        c.note_members(0, 1);
+        assert_eq!(c.decide_join(3).0, GroupJoin::AdmitReplay);
         c.applied(0, 3); // shard 1 never applies (consumer vanished)
         let g2 = c.arrive(0, 1, 5);
         let _ = c.arrive(1, 1, 5);
@@ -506,9 +533,38 @@ mod tests {
         assert!(c.reached(g));
         c.note_published(0, 3);
         c.note_published(1, 3);
-        assert_eq!(c.decide_join(4, true).0, GroupJoin::AdmitAtCurrent);
-        // The memo answers the other shard identically.
-        assert_eq!(c.decide_join(4, false).0, GroupJoin::AdmitAtCurrent);
+        assert_eq!(c.decide_join(4).0, GroupJoin::AdmitAtCurrent);
+        // The memo answers the other shard identically, whatever happened
+        // there in between.
+        c.applied(0, 4);
+        c.note_members(0, 1);
+        assert_eq!(c.decide_join(4).0, GroupJoin::AdmitAtCurrent);
+    }
+
+    #[test]
+    fn nobody_training_is_a_fact_about_the_group() {
+        // ROADMAP item 2, schedule (vi): shard 0 has a consumer and has
+        // published; a second consumer's join reaches shard 1 — which has
+        // not even seen the first one's yet — first. Deciding from shard
+        // 1's empty member list would admit it at shard 0's current
+        // position, past a prefix it never gets.
+        let c = EpochCoordinator::new(2, T);
+        let g = c.arrive(0, 0, 4);
+        let _ = c.arrive(1, 0, 4);
+        assert!(c.reached(g));
+        assert_eq!(c.decide_join(1).0, GroupJoin::AdmitReplay); // all at zero
+        c.applied(0, 1);
+        c.note_members(0, 1);
+        c.note_published(0, 2);
+        assert_eq!(c.decide_join(2).0, GroupJoin::AdmitReplay);
+        // Everybody gone mid-epoch: now the current position is right, but
+        // only once no earlier admission is still on its way to a shard.
+        c.note_members(0, 0);
+        assert_eq!(c.decide_join(3).0, GroupJoin::AdmitReplay);
+        for id in [1, 2, 3] {
+            c.abandon(id);
+        }
+        assert_eq!(c.decide_join(4).0, GroupJoin::AdmitAtCurrent);
     }
 
     fn coord_temp_path(tag: &str) -> std::path::PathBuf {
@@ -536,15 +592,16 @@ mod tests {
         assert!(a.reached(g) && b.reached(g));
         a.note_published(0, 1);
         b.note_published(1, 1);
+        a.note_members(0, 1);
         // Memoized admission, visible from both mappings.
-        assert_eq!(a.decide_join(7, false).0, GroupJoin::AdmitReplay);
-        assert_eq!(b.decide_join(7, false).0, GroupJoin::AdmitReplay);
+        assert_eq!(a.decide_join(7).0, GroupJoin::AdmitReplay);
+        assert_eq!(b.decide_join(7).0, GroupJoin::AdmitReplay);
         assert!(b.pin_window_open(1));
         a.applied(0, 7);
         b.applied(1, 7);
         b.note_published(1, 5);
         assert!(!b.pin_window_open(1));
-        assert_eq!(b.decide_join(8, false).0, GroupJoin::WaitNextEpoch);
+        assert_eq!(b.decide_join(8).0, GroupJoin::WaitNextEpoch);
         // Stop propagates across mappings.
         a.stop();
         assert!(b.is_stopped());
@@ -568,7 +625,8 @@ mod tests {
         let _ = c.arrive(1, 0, 5);
         assert!(c.reached(g));
         c.note_published(0, 1);
-        assert_eq!(c.decide_join(11, false).0, GroupJoin::AdmitReplay);
+        c.note_members(0, 1);
+        assert_eq!(c.decide_join(11).0, GroupJoin::AdmitReplay);
         assert!(c.pin_window_open(1));
         c.abandon(11);
         c.note_published(1, 6); // past the pin limit, nothing unapplied

@@ -261,6 +261,10 @@ struct ConsumerInfo {
     /// First live-stream sequence this consumer was admitted at: where its
     /// catch-up (pins or log) ends.
     start_seq: u64,
+    /// The pinned prefix it was admitted behind, replayed on `Ready`. Fixed
+    /// at admission: the join window can close (an epoch boundary, a dry
+    /// arena) before `Ready` lands, and the admission still stands.
+    pins: Range<u64>,
 }
 
 /// A published batch whose tensors are still registered.
@@ -1317,9 +1321,8 @@ impl State {
         let Some(info) = self.members.consumers.get(&id) else {
             return;
         };
-        let (next, end) = (info.start_seq.max(self.win.pins.start), self.win.pins.end);
-        if next < end {
-            let job = ReplayJob::new(id, false, next..end);
+        if !info.pins.is_empty() {
+            let job = ReplayJob::new(id, false, info.pins.clone());
             self.members.replays.push_back(job);
         }
     }
@@ -1496,7 +1499,7 @@ impl State {
             // stamped with an epoch this shard has not begun means the
             // barrier opened while it was still parked: its pins and
             // `epoch_start_seq` are the previous epoch's, so defer.
-            Some(coord) => match coord.decide_join(id, nobody) {
+            Some(coord) => match coord.decide_join(id) {
                 (GroupJoin::WaitNextEpoch, _) => None,
                 (_, decided_for) if decided_for != w.pin_epoch => None,
                 (GroupJoin::AdmitReplay, _) => Some(at_epoch_start),
@@ -1537,11 +1540,14 @@ impl State {
         fx: &mut Vec<Effect>,
     ) {
         let m = &mut self.members;
+        let pins = &self.win.pins;
+        let replayed = start_seq.max(pins.start)..pins.end.max(start_seq);
         let info = ConsumerInfo {
             batch_size,
             index: m.consumers.len(),
             mode,
             start_seq,
+            pins: replayed.clone(),
         };
         m.consumers.insert(id, info);
         m.awaiting_ready.insert(id);
@@ -1553,7 +1559,6 @@ impl State {
         // including pins the others already fully acked.
         w.acks
             .add_consumer_to_range(id, start_seq, w.window.next_seq());
-        let replayed = start_seq.max(w.pins.start)..w.pins.end.max(start_seq);
         for (&seq, b) in w.live.range_mut(replayed) {
             if std::mem::take(&mut b.releasable) {
                 w.acks.published(seq, [id]);
@@ -1570,18 +1575,20 @@ impl State {
         let reply = self.reply_join(id, decision, fx);
         self.members.join_replies.insert(id, reply);
         if let Some(coord) = &self.coord {
+            coord.note_members(self.shard, self.members.consumers.len());
             coord.applied(self.shard, id);
         }
     }
 
     fn remove_consumer(&mut self, now: u64, id: u64, notify: bool, fx: &mut Vec<Effect>) {
+        let m = &mut self.members;
+        m.consumers.remove(&id);
         if let Some(coord) = &self.coord {
             // A decided admission for a gone consumer must not keep the
             // group's pins alive or wedge the barrier.
             coord.abandon(id);
+            coord.note_members(self.shard, m.consumers.len());
         }
-        let m = &mut self.members;
-        m.consumers.remove(&id);
         m.awaiting_ready.remove(&id);
         m.join_replies.remove(&id);
         m.pending_join.retain(|(j, ..)| *j != id);

@@ -1120,3 +1120,66 @@ fn acks_for_the_logged_range_are_the_demoted_pin_replays_sign_of_life() {
     assert_eq!(timeouts.get(), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_join_that_reached_an_empty_shard_first_still_gets_this_shards_prefix() {
+    // ROADMAP item 2, schedule (vi). This shard (0 of 2) has consumer 1 and
+    // is two batches into the epoch when consumer 2's JOIN reaches shard 1
+    // — which has not even seen consumer 1's yet — first. Deciding "nobody
+    // is training" from shard 1's empty member list would admit consumer 2
+    // at THIS shard's current position, past two batches it then never
+    // gets.
+    let coord = Arc::new(EpochCoordinator::new(2, Duration::from_secs(5)));
+    let ctx = TsContext::host_only();
+    let config = cfg(1, 1.0);
+    let mut prep = Preparer::new(&config, None);
+    let mut rig = Rig::coordinated(&ctx, config, 4, Some(coord.clone()), None);
+    coord.arrive(1, 0, 4);
+    rig.tick_after(0);
+    rig.attach(1);
+    for index in 0..2 {
+        let item = prepared(&mut prep, index, 4);
+        assert_eq!(batches(&rig.item(item)).len(), 1);
+    }
+    // Shard 1 asks first: the decision every shard will repeat.
+    assert_eq!(coord.decide_join(2).0, GroupJoin::AdmitReplay);
+    let out = rig.join(2, PayloadMode::Shm);
+    assert_eq!(admit_of(&out), Some((0, 0, 0)), "from the epoch's start");
+    let mut replayed = batches(&rig.ready(2));
+    while rig.state.busy() {
+        replayed.extend(batches(&rig.tick_after(0)));
+    }
+    let seqs: Vec<u64> = replayed.iter().map(|(_, seq)| *seq).collect();
+    assert_eq!(seqs, [0, 1], "the prefix, replayed");
+}
+
+#[test]
+fn a_ready_that_lands_after_the_epoch_boundary_is_still_replayed_the_prefix() {
+    // A joiner admitted behind the whole (tiny) epoch; the feeder's
+    // `EpochDone` is handled before the joiner's `Ready`, so the join
+    // window — and with it the pin range — is gone when the catch-up is
+    // queued. The admission said "from seq 0": it gets seq 0 and 1.
+    let ctx = TsContext::host_only();
+    let config = cfg(2, 1.0);
+    let mut prep = Preparer::new(&config, None);
+    let mut rig = Rig::new(&ctx, config, 2);
+    rig.attach(1);
+    for index in 0..2 {
+        rig.item(prepared(&mut prep, index, 2));
+        rig.ack(1, index as u64);
+    }
+    assert_eq!(admit_of(&rig.join(2, PayloadMode::Shm)), Some((0, 0, 0)));
+    rig.step(Event::Prepared(FeederMsg::EpochDone(0)));
+    let mut replayed = batches(&rig.ready(2));
+    while rig.state.busy() {
+        replayed.extend(batches(&rig.tick_after(0)));
+    }
+    let seqs: Vec<u64> = replayed.iter().map(|(_, seq)| *seq).collect();
+    assert_eq!(seqs, [0, 1], "admitted from seq 0, replayed from seq 0");
+    // Epoch 1 goes out once the joiner has caught up.
+    rig.ack(2, 0);
+    rig.ack(2, 1);
+    let out = rig.item(prepared(&mut prep, 0, 2));
+    assert_eq!(batches(&out).len(), 1);
+    assert_eq!(rig.state.stats.batches_published, 3);
+}

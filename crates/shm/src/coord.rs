@@ -37,8 +37,10 @@ use std::time::{Duration, Instant};
 /// Coord file magic: `b"TSCOORD1"` little-endian.
 const MAGIC: u64 = u64::from_le_bytes(*b"TSCOORD1");
 /// On-disk format version. v2 added the shared monotonic-clock word
-/// (`W_MONO`) that admission expiry is measured against.
-const VERSION: u64 = 2;
+/// (`W_MONO`) that admission expiry is measured against; v3 the per-shard
+/// member counts (`W_MEMBERS`) that make "nobody is training" a fact
+/// about the group.
+const VERSION: u64 = 3;
 
 /// Most shards a shared cell can coordinate (one bit per shard in each
 /// decision entry's unapplied mask).
@@ -67,7 +69,9 @@ const W_MONO: usize = 9;
 const W_ACTIVE: usize = 10;
 const W_PUBLISHED: usize = W_ACTIVE + MAX_COORD_SHARDS;
 const W_PIN_LIMIT: usize = W_PUBLISHED + MAX_COORD_SHARDS;
-const W_ENTRIES: usize = W_PIN_LIMIT + MAX_COORD_SHARDS;
+/// Per shard: consumers admitted there right now.
+const W_MEMBERS: usize = W_PIN_LIMIT + MAX_COORD_SHARDS;
+const W_ENTRIES: usize = W_MEMBERS + MAX_COORD_SHARDS;
 
 // Decision entry fields (per-entry word offsets).
 const E_ID: usize = 0; // consumer id; 0 = free slot
@@ -384,6 +388,27 @@ impl ShmCoordCell {
         })
     }
 
+    /// A shard reports how many consumers it has admitted right now.
+    pub fn note_members(&self, shard: u32, members: u64) {
+        self.locked(|| {
+            self.word(W_MEMBERS + shard as usize)
+                .store(members, Ordering::SeqCst);
+        })
+    }
+
+    /// Lock held: no active shard has a consumer, and no admission decided
+    /// for one is still on its way to a shard.
+    fn nobody_training_locked(&self, active_mask: u64) -> bool {
+        let no_members = (0..self.shards)
+            .filter(|&s| active_mask & (1 << s) != 0)
+            .all(|s| self.word(W_MEMBERS + s).load(Ordering::SeqCst) == 0);
+        no_members
+            && (0..MAX_DECISIONS).all(|slot| {
+                self.entry(slot, E_ID).load(Ordering::SeqCst) == 0
+                    || self.entry(slot, E_UNAPPLIED).load(Ordering::SeqCst) & active_mask == 0
+            })
+    }
+
     /// Lock held: no shard crossed into the next boundary and every
     /// active shard is still within its rubberband pin window.
     fn group_window_open_locked(&self) -> bool {
@@ -421,7 +446,7 @@ impl ShmCoordCell {
     /// returning the decision and the epoch it was made for. Mirrors the
     /// local coordinator's policy exactly; the memo lives in the decision
     /// table and is keyed by (consumer id, barrier generation).
-    pub fn decide_join(&self, id: u64, no_consumers_locally: bool) -> (CoordDecision, u64) {
+    pub fn decide_join(&self, id: u64) -> (CoordDecision, u64) {
         self.locked(|| {
             let generation = self.word(W_GENERATION).load(Ordering::SeqCst);
             let epoch = self.word(W_EPOCH).load(Ordering::SeqCst);
@@ -454,7 +479,7 @@ impl ShmCoordCell {
                 CoordDecision::WaitNextEpoch
             } else if all_at_zero {
                 CoordDecision::AdmitReplay
-            } else if no_consumers_locally {
+            } else if self.nobody_training_locked(active_mask) {
                 CoordDecision::AdmitAtCurrent
             } else if self.group_window_open_locked() {
                 CoordDecision::AdmitReplay
@@ -594,17 +619,19 @@ mod tests {
         assert!(a.reached(g));
         a.note_published(0, 1);
         b.note_published(1, 1);
-        assert_eq!(a.decide_join(7, false).0, CoordDecision::AdmitReplay);
+        // Somebody is training: the rubberband path.
+        a.note_members(0, 1);
+        assert_eq!(a.decide_join(7).0, CoordDecision::AdmitReplay);
         // The other process races past its pin boundary…
         b.note_published(1, 5);
         // …but recalls the same memo and keeps pinning until applied.
-        assert_eq!(b.decide_join(7, false).0, CoordDecision::AdmitReplay);
+        assert_eq!(b.decide_join(7).0, CoordDecision::AdmitReplay);
         assert!(b.pin_window_open(1));
         a.applied(0, 7);
         b.applied(1, 7);
         assert!(!b.pin_window_open(1));
         // A fresh joiner now waits: shard 1 is past its window.
-        assert_eq!(b.decide_join(8, false).0, CoordDecision::WaitNextEpoch);
+        assert_eq!(b.decide_join(8).0, CoordDecision::WaitNextEpoch);
     }
 
     #[test]
@@ -616,7 +643,8 @@ mod tests {
         let _ = b.arrive(1, 0, 5);
         assert!(a.reached(g));
         a.note_published(0, 1);
-        assert_eq!(a.decide_join(3, false).0, CoordDecision::AdmitReplay);
+        a.note_members(0, 1);
+        assert_eq!(a.decide_join(3).0, CoordDecision::AdmitReplay);
         a.applied(0, 3); // shard 1's process never applies
         let g2 = a.arrive(0, 1, 5);
         let _ = b.arrive(1, 1, 5);
@@ -640,7 +668,8 @@ mod tests {
         let _ = b.arrive(1, 0, 5);
         assert!(a.reached(g));
         a.note_published(0, 1);
-        assert_eq!(a.decide_join(3, false).0, CoordDecision::AdmitReplay);
+        a.note_members(0, 1);
+        assert_eq!(a.decide_join(3).0, CoordDecision::AdmitReplay);
         a.applied(0, 3); // shard 1's process never applies
                          // Shard 1's host "steps back" by a day.
         b.inject_clock_skew_ms(-86_400_000);
@@ -676,7 +705,8 @@ mod tests {
         let _ = b.arrive(1, 0, 5);
         assert!(b.reached(g));
         a.note_published(0, 1);
-        assert_eq!(a.decide_join(3, false).0, CoordDecision::AdmitReplay);
+        a.note_members(0, 1);
+        assert_eq!(a.decide_join(3).0, CoordDecision::AdmitReplay);
         a.applied(0, 3); // b has not applied yet
         let g2 = a.arrive(0, 1, 5);
         let _ = b.arrive(1, 1, 5);
@@ -698,14 +728,43 @@ mod tests {
         b.retire(1);
         assert!(a.reached(g), "lone survivor proceeds");
         a.note_published(0, 1);
-        assert_eq!(a.decide_join(11, false).0, CoordDecision::AdmitReplay);
+        a.note_members(0, 1);
+        assert_eq!(a.decide_join(11).0, CoordDecision::AdmitReplay);
         assert!(a.pin_window_open(0));
         b.abandon(11);
         a.note_published(0, 6); // past the pin limit, nothing unapplied
         assert!(!a.pin_window_open(0));
         b.stop();
         assert!(a.is_stopped());
-        assert_eq!(a.decide_join(12, false).0, CoordDecision::WaitNextEpoch);
+        assert_eq!(a.decide_join(12).0, CoordDecision::WaitNextEpoch);
+    }
+
+    #[test]
+    fn nobody_training_is_a_fact_about_the_group() {
+        // Shard 0 has a consumer and has published; a second consumer's
+        // join reaches shard 1 (no members of its own) first. Admitting it
+        // at the current position would skip shard 0's prefix.
+        let path = temp_path("nobody");
+        let a = ShmCoordCell::create(&path, 2, T).unwrap();
+        let b = ShmCoordCell::open(&path, T).unwrap();
+        let g = a.arrive(0, 0, 4);
+        let _ = b.arrive(1, 0, 4);
+        assert!(a.reached(g));
+        assert_eq!(a.decide_join(1).0, CoordDecision::AdmitReplay); // all at zero
+        a.applied(0, 1);
+        a.note_members(0, 1);
+        a.note_published(0, 2);
+        assert_eq!(b.decide_join(2).0, CoordDecision::AdmitReplay);
+        assert_eq!(a.decide_join(2).0, CoordDecision::AdmitReplay);
+        // Everybody gone mid-epoch: now the current position is right, but
+        // only once no earlier admission is still on its way to a shard.
+        a.note_members(0, 0);
+        assert_eq!(b.decide_join(3).0, CoordDecision::AdmitReplay);
+        for id in [1, 2, 3] {
+            a.abandon(id);
+        }
+        assert_eq!(b.decide_join(4).0, CoordDecision::AdmitAtCurrent);
+        assert_eq!(a.decide_join(4).0, CoordDecision::AdmitAtCurrent);
     }
 
     #[test]

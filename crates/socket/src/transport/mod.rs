@@ -30,12 +30,51 @@ use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// How long background connectors keep retrying before giving up.
 pub(crate) const CONNECT_RETRY_FOR: Duration = Duration::from_secs(30);
 /// Poll interval of accept loops and connect retries.
 pub(crate) const POLL_EVERY: Duration = Duration::from_millis(2);
+/// How long dropping a sending socket waits for its writers to flush.
+pub(crate) const LINGER: Duration = Duration::from_secs(2);
+
+/// What one writer thread still owes the wire: messages accepted into its
+/// queue against messages written to its socket. Dropping the sending
+/// socket lingers on it.
+#[derive(Default)]
+pub(crate) struct Backlog {
+    queued: AtomicU64,
+    written: AtomicU64,
+}
+
+impl Backlog {
+    pub(crate) fn queued(&self) {
+        self.queued.fetch_add(1, Ordering::SeqCst);
+    }
+
+    pub(crate) fn written(&self) {
+        self.written.fetch_add(1, Ordering::SeqCst);
+    }
+
+    pub(crate) fn pending(&self) -> bool {
+        self.written.load(Ordering::SeqCst) < self.queued.load(Ordering::SeqCst)
+    }
+}
+
+/// The linger of a dropped sending socket: returns once nothing is
+/// `unflushed` any more, or after [`LINGER`] for a peer that stopped
+/// reading. A process may exit right after dropping its last socket, and
+/// what is still queued then — a publisher's `End`, a consumer's last ack
+/// and its LEAVE — is lost with it; the broker transport equally delivers
+/// queued messages after the sender drops.
+pub(crate) fn linger(mut unflushed: impl FnMut() -> bool) {
+    let deadline = Instant::now() + LINGER;
+    while unflushed() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_micros(100));
+    }
+}
 
 /// The send buffer a publisher asks for on an `ipc://` connection: room
 /// for a streamed batch of a few MiB, so its writer hands the kernel the

@@ -11,7 +11,8 @@ use crate::error::{RecvError, SendError};
 use crate::frame::Multipart;
 use crate::pubsub::SendPolicy;
 use crate::transport::{
-    check_frames, AnyListener, AnyStream, EndpointAddr, CONNECT_RETRY_FOR, POLL_EVERY,
+    check_frames, linger, AnyListener, AnyStream, Backlog, EndpointAddr, CONNECT_RETRY_FOR,
+    POLL_EVERY,
 };
 use crate::wire;
 use bytes::Bytes;
@@ -37,10 +38,7 @@ struct Peer {
     prefixes: Mutex<Vec<Vec<u8>>>,
     tx: Sender<PeerItem>,
     stream: AnyStream,
-    /// Messages accepted into the queue / flushed to the socket. Drop
-    /// uses the pair to linger until queued messages reach the wire.
-    queued: AtomicU64,
-    written: AtomicU64,
+    backlog: Backlog,
 }
 
 impl Peer {
@@ -142,14 +140,14 @@ impl StreamPub {
             match self.policy {
                 SendPolicy::Block => match peer.tx.send(item) {
                     Ok(()) => {
-                        peer.queued.fetch_add(1, Ordering::SeqCst);
+                        peer.backlog.queued();
                         delivered += 1;
                     }
                     Err(_) => dead.push(peer.id),
                 },
                 SendPolicy::DropNewest => match peer.tx.try_send(item) {
                     Ok(()) => {
-                        peer.queued.fetch_add(1, Ordering::SeqCst);
+                        peer.backlog.queued();
                         delivered += 1;
                     }
                     Err(TrySendError::Full(_)) => {}
@@ -175,24 +173,13 @@ impl StreamPub {
 impl Drop for StreamPub {
     fn drop(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-        // Linger: let each peer's writer flush what is already queued (a
-        // just-published `End`, say) before tearing the connection down —
-        // the broker transport equally delivers queued messages to
-        // subscribers after the publisher drops.
-        let deadline = Instant::now() + Duration::from_secs(2);
-        loop {
-            let unflushed = {
-                let peers = self.shared.peers.lock().expect("peers");
-                peers.iter().any(|p| {
-                    p.alive.load(Ordering::SeqCst)
-                        && p.written.load(Ordering::SeqCst) < p.queued.load(Ordering::SeqCst)
-                })
-            };
-            if !unflushed || Instant::now() >= deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        // Let each live peer's writer flush what is already queued (a
+        // just-published `End`, say) before tearing the connection down.
+        linger(|| {
+            let peers = self.shared.peers.lock().expect("peers");
+            let mut live = peers.iter().filter(|p| p.alive.load(Ordering::SeqCst));
+            live.any(|p| p.backlog.pending())
+        });
         // The accept loop first, so no peer (and writer) is added below us.
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
@@ -234,8 +221,7 @@ fn add_peer(shared: &Arc<PubShared>, stream: AnyStream) -> std::io::Result<()> {
         prefixes: Mutex::new(Vec::new()),
         tx,
         stream,
-        queued: AtomicU64::new(0),
-        written: AtomicU64::new(0),
+        backlog: Backlog::default(),
     });
     shared.peers.lock().expect("peers").push(peer.clone());
 
@@ -278,7 +264,7 @@ fn peer_writer(mut stream: AnyStream, rx: Receiver<PeerItem>, peer: Arc<Peer>) {
         if result.is_err() {
             break;
         }
-        peer.written.fetch_add(1, Ordering::SeqCst);
+        peer.backlog.written();
     }
     peer.retire();
     // Nobody will write what is still queued; let go of it now rather than
@@ -304,7 +290,7 @@ fn peer_reader(read_half: AnyStream, peer: Arc<Peer>, shared: Arc<PubShared>) {
                 if peer.tx.send(PeerItem::SubAck(req)).is_err() {
                     break;
                 }
-                peer.queued.fetch_add(1, Ordering::SeqCst);
+                peer.backlog.queued();
             }
             wire::KIND_UNSUB if msg.frames.len() == 1 => {
                 let mut prefixes = peer.prefixes.lock().expect("peer prefixes");

@@ -11,14 +11,15 @@ use crate::endpoint::{ring, Notify};
 use crate::error::{RecvError, SendError};
 use crate::frame::Multipart;
 use crate::transport::{
-    check_frames, AnyListener, AnyStream, EndpointAddr, CONNECT_RETRY_FOR, POLL_EVERY,
+    check_frames, linger, AnyListener, AnyStream, Backlog, EndpointAddr, CONNECT_RETRY_FOR,
+    POLL_EVERY,
 };
 use crate::wire;
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
 use std::io::BufReader;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 struct PullShared {
     stop: AtomicBool,
@@ -162,17 +163,11 @@ fn pull_reader(id: u64, read_half: AnyStream, shared: Arc<PullShared>, tx: Sende
 // push side
 // ---------------------------------------------------------------------------
 
-/// How long dropping a pusher waits for its writer to flush.
-const LINGER: Duration = Duration::from_secs(2);
-
 struct PushShared {
     stop: AtomicBool,
     /// The writer holds a connection and is still writing.
     connected: AtomicBool,
-    /// Messages accepted into the queue / flushed to the socket. Drop uses
-    /// the pair to linger until queued messages reach the wire.
-    queued: AtomicU64,
-    written: AtomicU64,
+    backlog: Backlog,
 }
 
 /// The stream-transport sending side.
@@ -187,8 +182,7 @@ impl StreamPush {
         let shared = Arc::new(PushShared {
             stop: AtomicBool::new(false),
             connected: AtomicBool::new(false),
-            queued: AtomicU64::new(0),
-            written: AtomicU64::new(0),
+            backlog: Backlog::default(),
         });
         let writer_shared = shared.clone();
         std::thread::Builder::new()
@@ -201,7 +195,7 @@ impl StreamPush {
     pub(crate) fn send(&self, msg: Multipart) -> Result<(), SendError> {
         check_frames(&[], &msg)?;
         self.tx.send(msg).map_err(|_| SendError::Disconnected)?;
-        self.shared.queued.fetch_add(1, Ordering::SeqCst);
+        self.shared.backlog.queued();
         Ok(())
     }
 
@@ -209,7 +203,7 @@ impl StreamPush {
         check_frames(&[], &msg)?;
         match self.tx.try_send(msg) {
             Ok(()) => {
-                self.shared.queued.fetch_add(1, Ordering::SeqCst);
+                self.shared.backlog.queued();
                 Ok(())
             }
             Err(TrySendError::Full(_)) => Err(SendError::Full),
@@ -220,20 +214,11 @@ impl StreamPush {
 
 impl Drop for StreamPush {
     fn drop(&mut self) {
-        // Linger, like the publisher: let a connected writer put what is
-        // already queued on the wire — a consumer's last ack and its LEAVE,
-        // say — before the socket goes, or a process that exits right after
-        // dropping it takes them along. Bounded, for a peer that stopped
-        // reading; a writer that never connected, or lost its peer, has
-        // nothing to wait for.
+        // Let a connected writer put what is already queued on the wire (a
+        // consumer's last ack and its LEAVE, say); one that never connected,
+        // or lost its peer, has nothing to wait for.
         let s = &self.shared;
-        let deadline = Instant::now() + LINGER;
-        while s.connected.load(Ordering::SeqCst)
-            && s.written.load(Ordering::SeqCst) < s.queued.load(Ordering::SeqCst)
-            && Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_micros(100));
-        }
+        linger(|| s.connected.load(Ordering::SeqCst) && s.backlog.pending());
         // Abort a pending connect; a live writer sees the sender side
         // close, finds the queue empty and exits.
         s.stop.store(true, Ordering::SeqCst);
@@ -259,7 +244,7 @@ fn push_writer(addr: EndpointAddr, shared: Arc<PushShared>, rx: Receiver<Multipa
         if wire::write_data(&mut stream, &msg).is_err() {
             break; // peer gone: rx drops, senders observe Disconnected
         }
-        shared.written.fetch_add(1, Ordering::SeqCst);
+        shared.backlog.written();
     }
     shared.connected.store(false, Ordering::SeqCst);
     stream.shutdown();
@@ -291,20 +276,20 @@ mod tests {
         }
         let shared = push.shared.clone();
         drop(push);
-        let (queued, written) = (&shared.queued, &shared.written);
-        assert_eq!(queued.load(Ordering::SeqCst), 2001);
-        assert_eq!(
-            written.load(Ordering::SeqCst),
-            2001,
-            "dropped with a backlog"
-        );
+        assert!(!shared.backlog.pending(), "dropped with a backlog");
+        for _ in 0..2000 {
+            pull.recv_timeout(Duration::from_secs(5)).expect("flushed");
+        }
         drop(pull);
         let nobody = StreamPush::connect(addr, 16);
         nobody
             .send(Multipart::single(Bytes::from_static(b"x")))
             .unwrap();
-        let started = Instant::now();
+        let started = std::time::Instant::now();
         drop(nobody);
-        assert!(started.elapsed() < LINGER / 4, "waited for a connection");
+        assert!(
+            started.elapsed() < crate::transport::LINGER / 4,
+            "waited for a connection"
+        );
     }
 }

@@ -95,10 +95,11 @@ fn checksum(bytes: &[u8]) -> u64 {
 /// Consumer-process body. Role knobs: `group` attaches as that consumer
 /// group; `require_shm` asserts every payload is arena-backed (only valid
 /// for consumers attached from batch zero — replayed history arrives as
-/// streamed frames by design). Every line is flushed so the parent can
-/// observe progress (and kill mid-write) and nothing is lost to stdio
+/// streamed frames by design); `hold_for_witness` keeps the first `next()`
+/// back until the witness is attached. Every line is flushed so the parent
+/// can observe progress (and kill mid-write) and nothing is lost to stdio
 /// buffers on SIGKILL.
-fn run_consumer(group: Option<&str>, require_shm: bool) {
+fn run_consumer(group: Option<&str>, require_shm: bool, hold_for_witness: bool) {
     let endpoint = std::env::var("TS_LRMP_ENDPOINT").expect("TS_LRMP_ENDPOINT");
     let out_path = std::env::var("TS_LRMP_OUT").expect("TS_LRMP_OUT");
 
@@ -119,6 +120,11 @@ fn run_consumer(group: Option<&str>, require_shm: bool) {
     let mut out = std::fs::File::create(&out_path).expect("result file");
     writeln!(out, "joined {joined_epoch}").unwrap();
     out.flush().unwrap();
+    if hold_for_witness {
+        // Nothing is acked, so no pin is shed, before the witness is in:
+        // it is replayed pointers, whichever of the two attached first.
+        common::wait_for_go("TS_LRMP_GO");
+    }
     let mut consumed = 0u64;
     let mut consumer = consumer;
     for batch in consumer.by_ref() {
@@ -230,9 +236,9 @@ fn count_batch_lines(path: &std::path::Path) -> u64 {
 #[test]
 fn log_replay_multi_process_kill9_group_resume() {
     match std::env::var("TS_LRMP_ROLE").as_deref() {
-        Ok("witness") => return run_consumer(None, true),
-        Ok("victim") => return run_consumer(Some("trainers"), false),
-        Ok("resume") => return run_consumer(Some("trainers"), false),
+        Ok("witness") => return run_consumer(None, true, false),
+        Ok("victim") => return run_consumer(Some("trainers"), false, true),
+        Ok("resume") => return run_consumer(Some("trainers"), false, false),
         _ => {}
     }
     let tag = std::process::id();
@@ -247,6 +253,7 @@ fn log_replay_multi_process_kill9_group_resume() {
     let out_witness = tmp.join(format!("ts-lrmp-{tag}-witness.txt"));
     let out_victim = tmp.join(format!("ts-lrmp-{tag}-victim.txt"));
     let out_resume = tmp.join(format!("ts-lrmp-{tag}-resume.txt"));
+    let go_path = tmp.join(format!("ts-lrmp-{tag}.go"));
 
     let ctx = TsContext::host_only();
     let loaders = DataLoader::sharded(
@@ -309,17 +316,13 @@ fn log_replay_multi_process_kill9_group_resume() {
             .env("TS_LRMP_ROLE", role)
             .env("TS_LRMP_ENDPOINT", &endpoint)
             .env("TS_LRMP_OUT", out)
+            .env("TS_LRMP_GO", &go_path)
             .spawn()
             .expect("spawn consumer process")
     };
     let mut witness = spawn_role("witness", &out_witness);
-    // The witness asserts every payload it sees is arena-backed, which
-    // only holds from batch zero: a consumer admitted behind somebody
-    // else's acked, logged (and therefore shed) pins is replayed those as
-    // bytes. So it attaches first — its `joined` line is written once
-    // `connect()` returned — and the victim rubberbands in behind it.
-    common::wait_attached(std::slice::from_ref(&out_witness));
     let mut victim = spawn_role("victim", &out_victim);
+    common::go_once_attached(std::slice::from_ref(&out_witness), &go_path);
 
     // Let the victim get one epoch plus half of the next, then SIGKILL:
     // no Leave, no Drop, un-acked tail, torn final write all allowed.
@@ -436,7 +439,7 @@ fn log_replay_multi_process_kill9_group_resume() {
          in-flight batches can account for"
     );
 
-    for path in [&out_witness, &out_victim, &out_resume] {
+    for path in [&out_witness, &out_victim, &out_resume, &go_path] {
         let _ = std::fs::remove_file(path);
     }
     let _ = std::fs::remove_dir_all(&log_dir);

@@ -111,10 +111,14 @@ fn run_consumer() {
 
     let mut out = std::fs::File::create(&out_path).expect("result file");
     writeln!(out, "joined {joined_epoch}").unwrap();
-    wait_for_go();
     let mut consumed = 0u64;
     for batch in consumer.by_ref() {
         let batch = batch.expect("clean stream");
+        if batch.epoch == EPOCHS - 1 {
+            // The last join window there is: the other process must be
+            // attached before this one lets the producer past it.
+            common::wait_for_go("TS_MP_GO");
+        }
         // The whole point: payload bytes came from the mapped arena, not
         // the socket.
         assert!(
@@ -142,18 +146,6 @@ fn run_consumer() {
     );
     assert!(consumed > 0, "consumed nothing");
     writeln!(out, "done {consumed}").unwrap();
-}
-
-/// Holds a consumer process back from its first `next()` until the parent
-/// has seen every consumer attached (the `TS_MP_GO` file appears). The
-/// producer gets at most its publish window ahead of a consumer that is
-/// not consuming, so however unevenly the processes start, none of them
-/// finds the (tiny) stream already over.
-fn wait_for_go() {
-    let go = std::path::PathBuf::from(std::env::var("TS_MP_GO").expect("TS_MP_GO"));
-    while !go.exists() {
-        std::thread::sleep(Duration::from_millis(1));
-    }
 }
 
 #[derive(Debug, PartialEq, Eq, Clone)]
@@ -245,30 +237,25 @@ fn multi_process_ipc_shared_arena() {
         .expect("spawn producer");
 
     let exe = std::env::current_exe().expect("test binary path");
-    // One process after the other, each held at its first `next()` until
-    // both are attached: the first trains from batch zero, the second
-    // always joins a stream somebody is on (the producer is at most its
-    // publish window in) and rubberbands into epoch 0. Starting them
-    // together left that to how the two start-ups happened to interleave.
-    let mut children = Vec::new();
-    for out in &out_paths {
-        let child = std::process::Command::new(&exe)
-            .args([
-                "--exact",
-                "multi_process_ipc_shared_arena",
-                "--test-threads=1",
-            ])
-            .env("TS_MP_ROLE", "consumer")
-            .env("TS_MP_ENDPOINT", &endpoint)
-            .env("TS_MP_ARENA", &arena_path)
-            .env("TS_MP_OUT", out)
-            .env("TS_MP_GO", &go_path)
-            .spawn()
-            .expect("spawn consumer process");
-        children.push(child);
-        common::wait_attached(std::slice::from_ref(out));
-    }
-    std::fs::write(&go_path, b"go").expect("go file");
+    let children: Vec<_> = out_paths
+        .iter()
+        .map(|out| {
+            std::process::Command::new(&exe)
+                .args([
+                    "--exact",
+                    "multi_process_ipc_shared_arena",
+                    "--test-threads=1",
+                ])
+                .env("TS_MP_ROLE", "consumer")
+                .env("TS_MP_ENDPOINT", &endpoint)
+                .env("TS_MP_ARENA", &arena_path)
+                .env("TS_MP_OUT", out)
+                .env("TS_MP_GO", &go_path)
+                .spawn()
+                .expect("spawn consumer process")
+        })
+        .collect();
+    common::go_once_attached(&out_paths, &go_path);
 
     for mut child in children {
         let status = child.wait().expect("wait consumer");

@@ -1056,10 +1056,12 @@ proptest! {
             c.note_published(s as u32, p);
         }
         let all_within = progress.iter().take(shards).all(|&p| p <= pin_limit);
-        let first = c.decide_join(42, false).0;
+        // Somebody is training, on the last shard only: the group's fact.
+        c.note_members(shards as u32 - 1, 1);
+        let first = c.decide_join(42).0;
         // Consistency: every further query (any shard) returns the memo.
         for _ in 0..shards {
-            prop_assert_eq!(c.decide_join(42, false).0, first);
+            prop_assert_eq!(c.decide_join(42).0, first);
         }
         match first {
             GroupJoin::AdmitReplay => {
@@ -1081,7 +1083,7 @@ proptest! {
             GroupJoin::WaitNextEpoch => {
                 prop_assert!(!all_within, "deferred although every shard was within its window");
             }
-            GroupJoin::AdmitAtCurrent => prop_assert!(false, "no no-consumer hint was given"),
+            GroupJoin::AdmitAtCurrent => prop_assert!(false, "a shard has a consumer"),
         }
     }
 
@@ -1106,9 +1108,9 @@ proptest! {
         }
         // Shard 0 finishes the epoch and arrives for the next one.
         let _ = c.arrive(0, 1, pin_limit);
-        prop_assert_eq!(c.decide_join(7, false).0, GroupJoin::WaitNextEpoch);
+        prop_assert_eq!(c.decide_join(7).0, GroupJoin::WaitNextEpoch);
         // Memo holds for everyone else too.
-        prop_assert_eq!(c.decide_join(7, true).0, GroupJoin::WaitNextEpoch);
+        prop_assert_eq!(c.decide_join(7).0, GroupJoin::WaitNextEpoch);
     }
 }
 

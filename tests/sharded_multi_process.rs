@@ -112,18 +112,15 @@ fn run_consumer() {
 
     let mut out = std::fs::File::create(&out_path).expect("result file");
     writeln!(out, "joined {joined_epoch}").unwrap();
-    // Hold the first `next()` until the parent has seen every consumer
-    // attached: the producers get at most their publish window ahead of a
-    // consumer that is not consuming, so however unevenly the processes
-    // start, none of them finds the (tiny) stream already over.
-    let go = std::path::PathBuf::from(std::env::var("TS_SMP_GO").expect("TS_SMP_GO"));
-    while !go.exists() {
-        std::thread::sleep(Duration::from_millis(1));
-    }
     let mut consumed = 0u64;
     let mut consumer = consumer;
     for batch in consumer.by_ref() {
         let batch = batch.expect("clean stream");
+        if batch.epoch == EPOCHS - 1 {
+            // The last join window there is: the other process must be
+            // attached before this one lets the producers past it.
+            common::wait_for_go("TS_SMP_GO");
+        }
         // The whole point: payload bytes came from the mapped arena, not
         // the socket.
         assert!(
@@ -254,30 +251,25 @@ fn run_topology(tag: &str) -> Vec<(u64, Transcript)> {
     let arena = group.arena().expect("builder provisioned arena").clone();
 
     let exe = std::env::current_exe().expect("test binary path");
-    // One process after the other, each held at its first `next()` until
-    // both are attached: the first trains from batch zero, the second
-    // always joins a stream somebody is on (the producer is at most its
-    // publish window in) and rubberbands into epoch 0. Starting them
-    // together left that to how the two start-ups happened to interleave.
-    let mut children = Vec::new();
-    for out in &out_paths {
-        let child = std::process::Command::new(&exe)
-            .args([
-                "--exact",
-                "sharded_multi_process_ipc_exactly_once",
-                "--test-threads=1",
-            ])
-            .env("TS_SMP_ROLE", "consumer")
-            .env("TS_SMP_ENDPOINT", &endpoint)
-            .env("TS_SMP_ARENA", &arena_path)
-            .env("TS_SMP_OUT", out)
-            .env("TS_SMP_GO", &go_path)
-            .spawn()
-            .expect("spawn consumer process");
-        children.push(child);
-        common::wait_attached(std::slice::from_ref(out));
-    }
-    std::fs::write(&go_path, b"go").expect("go file");
+    let children: Vec<_> = out_paths
+        .iter()
+        .map(|out| {
+            std::process::Command::new(&exe)
+                .args([
+                    "--exact",
+                    "sharded_multi_process_ipc_exactly_once",
+                    "--test-threads=1",
+                ])
+                .env("TS_SMP_ROLE", "consumer")
+                .env("TS_SMP_ENDPOINT", &endpoint)
+                .env("TS_SMP_ARENA", &arena_path)
+                .env("TS_SMP_OUT", out)
+                .env("TS_SMP_GO", &go_path)
+                .spawn()
+                .expect("spawn consumer process")
+        })
+        .collect();
+    common::go_once_attached(&out_paths, &go_path);
 
     for mut child in children {
         let status = child.wait().expect("wait consumer");
