@@ -87,8 +87,8 @@ fn run_epoch(workers: usize, endpoint: &str) -> u64 {
 }
 
 /// Like [`run_epoch`], but with a builder-provisioned shared-memory
-/// arena: the feeder collates straight into leased slots and the publish
-/// loop adopts the placements — the zero-copy shm publish shape. The
+/// arena: the loader's workers decode straight into leased slots and the
+/// publish loop adopts the placements — the zero-copy shm publish shape. The
 /// committed numbers document that full cross-process shm semantics ride
 /// within a few percent of the heap path on this loader-bound epoch,
 /// with zero payload bytes moved at publish time (asserted below).
@@ -196,8 +196,8 @@ fn bench_producer_pipeline(c: &mut Criterion) {
         );
     }
     // Zero-copy shm publish: the pipelined epoch again, now with an
-    // arena + recycling slot pools bound (leased collate, metadata-only
-    // announce). Compare against `epoch/4`.
+    // arena + recycling slot pools bound (batches built in leased slots,
+    // metadata-only announce). Compare against `epoch/4`.
     let mut leased_round = 0u32;
     g.bench_with_input(
         BenchmarkId::new("leased", 4usize),

@@ -152,13 +152,20 @@
 //! from the handshake. See `examples/multi_process.rs` for the full
 //! topology.
 //!
-//! With an arena bound, publish is **zero-copy end to end**: the feeder
-//! leases each batch's slot *before* collating ([`ts_tensor::SlotPool`])
-//! and decodes straight into it ([`ts_tensor::cat0_leased`]), so the
-//! publish step merely adopts the placement into the
-//! [`ts_tensor::SharedRegistry`] — no payload byte moves at publish
-//! time, and epoch replays refcount the same placement. There is no heap
-//! fallback: when the pool has no slot to lease the feeder **parks**
+//! With an arena bound, publish is **zero-copy end to end**, and the slot
+//! a consumer maps is the place the batch is *born*: the producer's feeder
+//! thread offers its [`ts_tensor::SlotPool`] to the loader it drives, a
+//! [`ts_data::DataLoader`] worker leases the batch's slot *before*
+//! decoding ([`ts_tensor::BatchBuf`]) and the dataset decodes every sample
+//! straight into its row ([`ts_data::Dataset::decode_into`]) — PyTorch's
+//! `default_collate` allocating the batch in shared memory inside a
+//! worker. Each tensor arrives at the feeder carrying its lease; the
+//! feeder adopts it and the publish step merely registers the placement
+//! in the [`ts_tensor::SharedRegistry`] — no payload byte moves at publish
+//! time, and epoch replays refcount the same placement. What does not
+//! arrive placed the feeder collates into a leased slot itself
+//! ([`ts_tensor::cat0_leased`], one copy). The *feeder* has no heap
+//! fallback: when the pool has no slot to lease it **parks**
 //! until an ack (or, with a durable log, the spiller's progress) frees
 //! one, and the producer reports the wait state `arena`
 //! (`stage.wait_state`, `stage.arena_parked_ns`); a batch that no slot
@@ -170,7 +177,38 @@
 //! `stage.publish_copy_bytes` counts the one copying path left — a source
 //! that hands out device or pre-shared storages the feeder cannot lease
 //! for — and reads 0 on every loader-collated stream (CI asserts this on
-//! a live scrape). Publishes are additionally announced on a **coalescing
+//! a live scrape).
+//!
+//! **Who writes the payload**, between the decoder and the slot a
+//! consumer maps (`stage.collate_copy_bytes` is the third column as a
+//! number; `loader.in_place_batches` / `loader.heap_batches` on the
+//! loader's own registry say which row its batches took):
+//!
+//! | the batch comes from | writes | the feeder copies |
+//! |---|---|---|
+//! | a `DataLoader`, no transform pipeline | **1** — the decoder, into the slot | 0 |
+//! | a `DataLoader` with a transform pipeline | 2 — the decoder, then one copy of the transformed tensor into its row | 0 |
+//! | a [`runtime::producer::VecSource`] or custom [`EpochSource`], a `producer_map` output, the flexible fuse, a batch whose worker found the pool dry | whatever built it, + 1 | the payload, once, at memcpy speed ([`ts_tensor::cat0_leased`]) |
+//!
+//! The pool reaches the loader as a **binding scoped to the feeder
+//! thread** (`ts_data::bind_slot_pool`, set once when the feeder starts,
+//! read once per `DataLoader::epoch`), not as an [`EpochSource`] method:
+//! the trait is public and its implementations wrap one another — a
+//! wrapper forwards `epoch()` and nothing it does not know about, so a
+//! defaulted `bind_…()` would silently never reach a wrapped loader,
+//! while the `epoch()` call it does forward runs on the feeder thread
+//! whatever wraps it. Nobody sets the binding: it is decided at spawn,
+//! and withheld in two cases. Under **flexible sizing** loader batches
+//! are only parts of a producer batch, and a slot-backed part is not
+//! something the fuse could lease for. And when the **arena lacks room**
+//! for what the loader keeps in flight (`workers × (prefetch + 1)`
+//! batches) on top of the publish window and the stages in between —
+//! batches behind the head of the stream would hold every slot while the
+//! head waits for one — which an auto-sized arena never does and an
+//! explicit `.arena_sized(..)` can: the pipeline then logs one line,
+//! counts `stage.loader_unbound` and keeps the feeder-collated row of the
+//! table. A worker that cannot lease never waits: it builds on the heap
+//! and the feeder's dry-arena wait above takes over. Publishes are additionally announced on a **coalescing
 //! cursor channel** — a latest-wins cell flushed once per ~25 ms tick,
 //! read via `Consumer::latest_cursor` — which tells a waking consumer
 //! where the producer *is* without any backlog to drain; it is lag
@@ -352,6 +390,9 @@
 //! | `stage.[s<N>.]stream_copy_bytes` | counter | bytes | payload bytes gathered into a new buffer to build a streamed frame because a tensor view was not contiguous — **0** on every collated batch (the streamed path's zero-copy invariant CI asserts) |
 //! | `stage.[s<N>.]stream_tx_errors` | counter | frames | streamed frames the data socket refused for exceeding the stream transports' frame limit |
 //! | `stage.[s<N>.]publish_copy_bytes` | counter | bytes | payload bytes the publish step copied into the arena because a tensor arrived without a feeder placement (device or pre-shared storages) — **0** on every loader-collated stream (the zero-copy invariant CI asserts); a dry arena never adds to it |
+//! | `stage.[s<N>.]collate_copy_bytes` | counter | bytes | payload bytes the feeder copied into a leased slot because a batch did not arrive placed: **0** over a `DataLoader` whose workers lease (the batch is decoded straight into its slot; CI asserts this on a live scrape), the whole payload once over a `VecSource`, a custom source, a `producer_map` output or the flexible fuse; a batch whose loader worker found the pool dry adds its bytes |
+//! | `stage.[s<N>.]loader_unbound` | counter | pipelines | 1 when this pipeline's explicit arena is too small for its loader to lease from (window + stages + the loader's in-flight set): the loader builds on the heap, the feeder collates, one log line says so |
+//! | `loader.in_place_batches` / `loader.heap_batches` | counter | batches | on the **loader's** registry (`DataLoader::metrics`), not the context's: batches built entirely in leased arena slots / with at least one tensor on the heap (every batch of a loader nobody offered a pool; under a binding, a batch whose worker found the pool dry) |
 //! | `stage.[s<N>.]arena_parked_ns` | counter | ns | total time spent in wait state `arena`: the feeder parked on a dry slot pool |
 //! | `stage.[s<N>.]pins_shed_for_arena` | counter | batches | fully-acked rubberband pins released early because they alone held a dry arena (the join window closes for the rest of the epoch) |
 //! | `stage.[s<N>.]cursor_coalesced` | counter | positions | stale cursor positions displaced (latest-wins) before a flush window |

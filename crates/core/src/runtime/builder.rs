@@ -28,7 +28,9 @@ use crate::runtime::config::{FlexibleConfig, ProducerConfig, ProducerMap};
 use crate::runtime::consumer::Consumer;
 use crate::runtime::context::TsContext;
 use crate::runtime::coordinator::EpochCoordinator;
-use crate::runtime::producer::{EpochSource, ProducerStats, TensorProducer};
+use crate::runtime::producer::{
+    batches_ahead_of_publish, EpochSource, ProducerStats, TensorProducer,
+};
 use crate::runtime::staging::{StagingConfig, StagingMode};
 use crate::{Result, TsError};
 use std::path::PathBuf;
@@ -371,15 +373,12 @@ impl ProducerBuilder {
                     .div_ceil(flex.producer_batch as u64),
             };
             // Zero-copy publish leases slots *ahead* of the publish
-            // cursor: every prepared item parked in the feeder queue (and
-            // in the overlapped staging hand-off) already owns its slot.
-            // Size that ahead-of-publish set in, or a fast feeder would
-            // run the pool dry and park instead of prefetching.
-            let (workers, prefetch) = source.pipeline_hint();
-            let feeder_ahead = (workers * prefetch).max(1)
-                + cfg.staging.queue_depth.unwrap_or(cfg.buffer_size)
-                + 1;
-            cfg.buffer_size + policy.pinned_batches(expected) as usize + feeder_ahead + 2
+            // cursor: every batch inside the loader, parked in the feeder
+            // queue or in the overlapped staging hand-off already owns its
+            // slots. Size that ahead-of-publish set in, or a fast loader
+            // would run the pool dry and build on the heap instead.
+            let ahead = batches_ahead_of_publish(cfg, source.pipeline_hint());
+            cfg.buffer_size + policy.pinned_batches(expected) as usize + ahead + 1
         };
         let (path, nslots, slot_size, tensors_per_batch) = match spec {
             ArenaSpec::Sized {

@@ -19,12 +19,19 @@
 //!
 //! Upstream of the pump a **feeder** thread owns the wrapped loader and
 //! prepares batches *ahead of the publish cursor*: it iterates the loader
-//! (whose own `num_workers` threads decode and collate samples), applies
-//! the producer map, fuses loader batches into producer batches under
-//! flexible sizing, collates straight into leased arena slots when a slot
-//! pool is bound, and hands prepared batches over a bounded queue of
-//! `num_workers × prefetch_factor` items (at least one —
-//! [`EpochSource::pipeline_hint`]). Under [`crate::StagingMode::Overlapped`]
+//! (whose own `num_workers` threads decode samples straight into the
+//! batch), applies the producer map, fuses loader batches into producer
+//! batches under flexible sizing, and hands prepared batches over a
+//! bounded queue of `num_workers × prefetch_factor` items (at least one —
+//! [`EpochSource::pipeline_hint`]). With a slot pool bound the feeder
+//! offers it to the loader it drives (`bind_slot_pool`): a
+//! [`ts_data::DataLoader`]'s workers then lease the slot first and decode
+//! into it, so a batch arrives **already placed** — its tensors carry
+//! their leases, the feeder adopts them and moves nothing. Whatever does
+//! not arrive placed (another kind of source, a producer-map output, the
+//! flexible fuse, a batch whose worker found the pool dry) the feeder
+//! collates into a leased slot itself, one copy, counted in
+//! `stage.collate_copy_bytes`. Under [`crate::StagingMode::Overlapped`]
 //! an H2D copy stage sits between the two. A loader with `num_workers ==
 //! 0` runs the same feeder at depth 1: there is one pipeline shape.
 //!
@@ -61,7 +68,7 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use ts_data::{Batch, DataLoader};
+use ts_data::{bind_slot_pool, Batch, DataLoader};
 use ts_log::{BatchLog, CursorStore};
 use ts_metrics::{Counter, Histogram, TraceRing};
 use ts_shm::ShmError;
@@ -369,6 +376,61 @@ impl EpochSource for VecSource {
     }
 }
 
+/// Batches that own an arena slot (per tensor) *ahead of* the publish
+/// window when every stage upstream of it is full: what the loader keeps
+/// in flight — per worker, its prefetch channel plus the batch it is
+/// building — the feeder queue, the staging hand-off, and the batch in
+/// the feeder's hand and the one in the pump's. Arena auto-sizing
+/// provisions for it and [`loader_pool`] asks for it, so the two cannot
+/// disagree.
+pub(crate) fn batches_ahead_of_publish(cfg: &ProducerConfig, hint: (usize, usize)) -> usize {
+    let (workers, prefetch) = hint;
+    let in_loader = workers.max(1) * (prefetch.max(1) + 1);
+    let feeder_queue = (workers * prefetch).max(1);
+    let staging_queue = cfg.staging.queue_depth.unwrap_or(cfg.buffer_size);
+    in_loader + feeder_queue + staging_queue + 2
+}
+
+/// The pool `source`'s loader may build its batches in: `pool`, unless
+///
+/// * sizing is flexible — loader batches are then only *parts* of what is
+///   published, a slot-backed part is not something the fuse can lease
+///   for, and the fused batch would fall to the heap and be copied at
+///   publish; or
+/// * the arena lacks room for the loader's own in-flight set on top of
+///   the publish window and the stages in between
+///   ([`batches_ahead_of_publish`]). Batches *behind* the head of the
+///   stream would otherwise hold every slot while the head, built on the
+///   heap by a worker that found the pool dry, waits in the feeder for a
+///   slot only a publish could free. An auto-sized arena always has the
+///   room; an explicit one that does not keeps the feeder-collated path,
+///   says so once and counts it (`stage.loader_unbound`).
+///
+/// Decided once at spawn from what the code can see; nobody sets it.
+pub(crate) fn loader_pool(
+    cfg: &ProducerConfig,
+    source: &impl EpochSource,
+    pool: &SlotPool,
+    unbound: &Counter,
+) -> Option<SlotPool> {
+    if cfg.flexible.is_some() {
+        return None;
+    }
+    let tensors = source.sample_geometry()?.tensors_per_batch();
+    let batches = cfg.buffer_size + batches_ahead_of_publish(cfg, source.pipeline_hint());
+    let slots = pool.depth().min(pool.arena().nslots());
+    if slots < batches * tensors {
+        unbound.inc();
+        eprintln!(
+            "tensorsocket: the arena gives this pipeline {slots} slots, fewer than the \
+             {batches} batches x {tensors} tensors its window and loader keep in flight: \
+             loader workers build on the heap and the feeder collates into the arena",
+        );
+        return None;
+    }
+    Some(pool.clone())
+}
+
 /// How long a feeder parked on a dry arena sleeps between attempts when
 /// nothing wakes it sooner (the pump does, after every step that may have
 /// freed a slot; a consumer process dropping its last view cannot).
@@ -403,11 +465,14 @@ impl Preparer {
         }
     }
 
-    /// Produces one output tensor from `parts`, collating directly into a
-    /// leased arena slot when a pool is bound and every part is a host
-    /// tensor the arena does not already back. The [`Placement`] carries
-    /// the armed lease to the publish step, which adopts it with zero
-    /// bytes moved.
+    /// Produces one output tensor from `parts`. A single part that arrives
+    /// *placed* — built by the loader in a slot of this pipeline's arena,
+    /// its storage still carrying the lease — is adopted as it is, zero
+    /// bytes moved. Anything else is collated into a leased arena slot
+    /// (one copy) when a pool is bound and every part is a host tensor the
+    /// arena does not already back. The
+    /// [`Placement`] carries the armed lease to the publish step, which
+    /// adopts it with zero bytes moved.
     ///
     /// A dry pool ([`ShmError::Full`]) is waited out: `dry` is called
     /// before each retry and returns false to give up (the producer is
@@ -419,13 +484,28 @@ impl Preparer {
         dry: &mut dyn FnMut() -> bool,
     ) -> std::result::Result<(Tensor, Option<Placement>), String> {
         let fail = |e: TensorError| format!("collating a batch: {e}");
+        if let (Some((pool, pool_key)), [part]) = (&self.lease, &parts[..]) {
+            if let Some(lease) = part.storage().take_lease(pool.arena()) {
+                let (pool_key, copied) = (*pool_key, 0);
+                let placement = Placement {
+                    lease,
+                    pool_key,
+                    copied,
+                };
+                return Ok((part.clone(), Some(placement)));
+            }
+        }
         let eligible = |t: &Tensor| !t.device().is_gpu() && !t.storage().is_shared_memory();
         if let Some((pool, pool_key)) = self.lease.as_ref().filter(|_| parts.iter().all(eligible)) {
             loop {
                 match collate::cat0_leased(&parts, pool, parts[0].device()) {
                     Ok((tensor, lease)) => {
-                        let pool_key = *pool_key;
-                        return Ok((tensor, Some(Placement { lease, pool_key })));
+                        let placement = Placement {
+                            lease,
+                            pool_key: *pool_key,
+                            copied: tensor.view_bytes() as u64,
+                        };
+                        return Ok((tensor, Some(placement)));
                     }
                     Err(TensorError::Arena(ShmError::Full)) if dry() => {}
                     Err(TensorError::Arena(ShmError::Full)) => return Err("stopped".into()),
@@ -519,6 +599,8 @@ impl Preparer {
 pub(crate) struct Feeder {
     pub cfg: ProducerConfig,
     pub lease: Option<(SlotPool, Option<u32>)>,
+    /// The pool the source's loader builds its batches in ([`loader_pool`]).
+    pub loader_pool: Option<SlotPool>,
     pub item_tx: Sender<FeederMsg>,
     pub stop: Arc<AtomicBool>,
     pub fetch_hist: Arc<Histogram>,
@@ -535,6 +617,11 @@ impl Feeder {
     }
 
     pub(crate) fn run(self, source: impl EpochSource) {
+        // Every `source.epoch()` below runs on this thread, whatever wraps
+        // the loader: a binding scoped to it reaches the loader where a
+        // method on the (public, wrapper-forwarded) `EpochSource` trait
+        // would stop at the first wrapper that does not know it.
+        let _bound = self.loader_pool.clone().map(bind_slot_pool);
         let stopping = || self.stop.load(Ordering::Relaxed);
         for epoch in 0..self.cfg.epochs {
             let mut preparer = Preparer::new(&self.cfg, self.lease.clone());

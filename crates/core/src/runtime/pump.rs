@@ -2,7 +2,7 @@
 //! one place the producer thread blocks. See [`crate::runtime::producer`]
 //! for how the pieces fit.
 
-use crate::runtime::producer::{EpochSource, Feeder, ProducerStats, Spiller};
+use crate::runtime::producer::{loader_pool, EpochSource, Feeder, ProducerStats, Spiller};
 use crate::runtime::staging::{Doorbell, FeederMsg};
 use crate::runtime::state::{Effect, Event, State, Wait};
 use crossbeam::channel::{self, Receiver, TryRecvError};
@@ -41,9 +41,14 @@ impl Pump {
         let shard_ns = self.state.coord.as_ref().map(|_| shard);
         let (workers, prefetch) = source.pipeline_hint();
         let (item_tx, item_rx) = channel::bounded::<FeederMsg>((workers * prefetch).max(1));
+        let lease = ctx.registry.lease_pool(shard_ns);
+        let unbound = &self.state.stage().loader_unbound;
         let feeder = Feeder {
             cfg: self.state.cfg.clone(),
-            lease: ctx.registry.lease_pool(shard_ns),
+            loader_pool: lease
+                .as_ref()
+                .and_then(|(pool, _)| loader_pool(&self.state.cfg, &source, pool, unbound)),
+            lease,
             item_tx,
             stop: self.stop.clone(),
             fetch_hist: self.state.stage().feeder_fetch.clone(),

@@ -124,6 +124,9 @@ pub(crate) struct Placement {
     /// pipeline of a sharded group, `None` for the default pool), so the
     /// registration reclaims into the right pool on release.
     pub pool_key: Option<u32>,
+    /// Payload bytes the feeder copied to fill the slot: 0 for a slot the
+    /// loader built the tensor in.
+    pub copied: u64,
 }
 
 /// A batch the feeder stage finished preparing: producer map applied and

@@ -208,6 +208,11 @@ pub(crate) struct StageMetrics {
     /// tensor arrived without a feeder placement (a source handing out
     /// device or pre-shared storages the feeder cannot lease for).
     publish_copy_bytes: Arc<Counter>,
+    /// Payload bytes the feeder copied into a leased slot because the
+    /// batch did not arrive placed (anything but a loader-built batch).
+    collate_copy_bytes: Arc<Counter>,
+    /// Set when the arena was too small for the loader to lease from.
+    pub loader_unbound: Arc<Counter>,
     /// Cursor positions displaced before a broadcast (latest-wins).
     cursor_coalesced: Arc<Counter>,
     /// Bytes the durable-log spiller appended.
@@ -242,6 +247,8 @@ impl StageMetrics {
             stream_copy_bytes: counter("stream_copy_bytes"),
             stream_tx_errors: counter("stream_tx_errors"),
             publish_copy_bytes: counter("publish_copy_bytes"),
+            collate_copy_bytes: counter("collate_copy_bytes"),
+            loader_unbound: counter("loader_unbound"),
             cursor_coalesced: counter("cursor_coalesced"),
             log_append_bytes: counter("log_append_bytes"),
             wait_state: metrics.gauge(&format!("{prefix}wait_state")),
@@ -1041,6 +1048,7 @@ impl State {
                 // a staged tensor, the slot holds the host bytes the device
                 // copy was made from): adopt the lease, move nothing.
                 Some(p) => {
+                    self.inst.stage.collate_copy_bytes.add(p.copied);
                     let handle = p.lease.into_handle();
                     let registry = &self.ctx.registry;
                     registry.register_placed(t.storage(), handle, p.pool_key);

@@ -1183,3 +1183,60 @@ fn a_ready_that_lands_after_the_epoch_boundary_is_still_replayed_the_prefix() {
     assert_eq!(batches(&out).len(), 1);
     assert_eq!(rig.state.stats.batches_published, 3);
 }
+
+#[test]
+fn a_batch_that_arrives_placed_is_adopted_and_any_other_is_copied_once() {
+    // What a loader with the pool bound hands the feeder: every tensor a
+    // view of the slot it was built in, carrying the lease. The preparer
+    // takes the leases — no second slot, no byte moved — and the publish
+    // step registers the very slots the loader wrote.
+    let (ctx, pool) = arena_ctx("placed", 8, 8);
+    let arena = ctx.arena().unwrap();
+    let config = cfg(1, 0.0);
+    let mut prep = Preparer::new(&config, ctx.registry.lease_pool(None));
+    let mut rig = Rig::new(&ctx, config, 2);
+    rig.attach(1);
+    let heap = batch(0, 2);
+    let in_slot = |t: &Tensor| {
+        let mut buf = ts_tensor::BatchBuf::like(1, t, Some(&pool)).unwrap();
+        buf.push(t).unwrap();
+        let shape = t.shape().to_vec();
+        buf.freeze().unwrap().reshape(&shape).unwrap()
+    };
+    let placed = Batch {
+        fields: heap.fields.iter().map(in_slot).collect(),
+        labels: in_slot(&heap.labels),
+        ..batch(0, 2)
+    };
+    assert_eq!(arena.slots_in_use(), 2);
+    let mut never = || panic!("the arena ran dry");
+    let item = prep.push(placed, false, &mut never).unwrap().unwrap();
+    let copied = |item: &PreparedItem| -> u64 {
+        let placements = item.placements.iter();
+        placements.map(|p| p.as_ref().expect("placed").copied).sum()
+    };
+    assert_eq!(copied(&item), 0);
+    assert_eq!(arena.slots_in_use(), 2, "adopted, not placed again");
+    let slots: Vec<u32> = item
+        .placements
+        .iter()
+        .map(|p| p.as_ref().unwrap().lease.handle().slot)
+        .collect();
+    let ids: Vec<u64> = item.fields.iter().map(Tensor::storage_id).collect();
+    rig.item(item);
+    let registered = ctx.registry.shm_handle(ids[0]).unwrap();
+    assert_eq!(registered.slot, slots[0], "the slot the loader wrote");
+    // The same batch from the heap: one copy of its 64 bytes.
+    let item = prep.push(batch(1, 2), true, &mut never).unwrap().unwrap();
+    assert_eq!(copied(&item), 64);
+    rig.item(item);
+    assert_eq!(ctx.metrics.counter("stage.collate_copy_bytes").get(), 64);
+    assert_eq!(ctx.metrics.counter("stage.publish_copy_bytes").get(), 0);
+    rig.ack(1, 0);
+    rig.ack(1, 1);
+    rig.step(Event::Prepared(FeederMsg::EpochDone(0)));
+    rig.close();
+    assert!(ctx.registry.is_empty());
+    pool.drain();
+    assert_eq!(arena.slots_in_use(), 0);
+}

@@ -237,16 +237,18 @@ fn steady_state_publish_recycles_arena_slots_without_allocating() {
         std::process::id()
     ));
     // Sized the way `ProducerBuilder::arena` sizes it — window (2) + pin
-    // (1) + everything the feeder holds ahead of the publish cursor (a
-    // queue of 2 workers × 2 prefetch, one item in its hand, one in the
-    // pump's) + margin = 12 batches of 2 tensors — and warmed by
+    // (1) + everything that owns its slots ahead of the publish cursor
+    // (inside the loader 2 workers × (2 prefetched + 1 being built), a
+    // feeder queue of 2 workers × 2 prefetch, the staging hand-off's 2, one
+    // item in the feeder's hand, one in the pump's) + margin = 18 batches
+    // of 2 tensors — so the loader's workers lease from it, and warmed by
     // pre-reserving the pool, so "warm" does not depend on how far ahead
-    // the feeder happened to get in the first 8 batches: with a cold pool
+    // the loader happened to get in the first 8 batches: with a cold pool
     // every new high-water mark of the in-flight set is a fresh
     // allocation, whenever it is reached.
-    ctx.create_arena(&arena_path, 32, 4096).unwrap();
-    let pool = ctx.enable_slot_recycling(24).unwrap();
-    assert_eq!(pool.preallocate(24), 24);
+    ctx.create_arena(&arena_path, 48, 4096).unwrap();
+    let pool = ctx.enable_slot_recycling(36).unwrap();
+    assert_eq!(pool.preallocate(36), 36);
     let ep = "inproc://pool-steady";
     let mut cfg = producer_cfg(ep, 2);
     // Small join window: pins (and their slots) return to the pool early.
@@ -276,6 +278,7 @@ fn steady_state_publish_recycles_arena_slots_without_allocating() {
     // Each announce places 2 storages (field + labels); everything beyond
     // the warmup set was a recycled slot.
     assert!(end.hits >= 2 * 32 - warmed, "hits {} too low", end.hits);
+    assert_eq!(ctx.metrics.counter("stage.loader_unbound").get(), 0);
     // After the run every slot is back in the pool; draining it empties
     // the arena completely.
     assert!(ctx.registry.is_empty());
@@ -1875,8 +1878,8 @@ fn two_standalone_gpu_producers_get_disjoint_gauge_namespaces() {
 
 #[test]
 fn steady_state_publish_moves_zero_payload_bytes() {
-    // Tentpole acceptance: with an arena + slot pool bound, the feeder
-    // collates straight into leased slots and the publish loop only adopts
+    // Tentpole acceptance: with an arena + slot pool bound, batches are
+    // written straight into leased slots and the publish loop only adopts
     // the placements — `stage.publish_copy_bytes` counts any payload byte
     // the publish path still moves, the same way PR 2's test counted
     // steady-state allocations, and it must stay at zero.
@@ -1918,6 +1921,267 @@ fn steady_state_publish_moves_zero_payload_bytes() {
     assert!(ctx.registry.is_empty());
     pool.drain();
     assert_eq!(ctx.arena().unwrap().slots_in_use(), 0);
+}
+
+/// A fresh arena path for one test.
+fn arena_path(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("ts-rt-{tag}-{}.arena", std::process::id()))
+}
+
+#[test]
+fn loader_built_batches_reach_the_arena_without_a_feeder_copy() {
+    // The headline shape (ts-e2e's `shared_decode`): a `DataLoader` with 2
+    // workers over an auto-sized arena, the whole epoch inside the join
+    // window. Its workers lease the slot first and decode into it, so the
+    // feeder adopts every batch as it arrives — `stage.collate_copy_bytes`
+    // counts the payload bytes it copies into a slot when a batch does NOT
+    // arrive placed, and stays 0 — and nothing is left to copy at publish.
+    let ctx = TsContext::host_only();
+    let ep = "inproc://built-in-place";
+    let mut cfg = producer_cfg(ep, 2);
+    cfg.rubberband_cutoff = 1.0;
+    let loader = loader_with_workers(64, 4, 2);
+    let built = loader.metrics().clone();
+    let producer = Producer::builder()
+        .context(&ctx)
+        .config(cfg)
+        .arena(arena_path("built-in-place"))
+        .spawn(loader)
+        .unwrap();
+    let (trace, reason) = consume_trace(consumer(&ctx).connect(ep).unwrap());
+    assert_eq!(reason, Some(StopReason::End));
+    assert_eq!(trace, reference_trace(&[loader_with_workers(64, 4, 2)], 2));
+    let arena = producer.arena().unwrap().clone();
+    producer.join().unwrap();
+    assert_eq!(built.counter("loader.in_place_batches").get(), 32);
+    assert_eq!(built.counter("loader.heap_batches").get(), 0);
+    assert_eq!(ctx.metrics.counter("stage.collate_copy_bytes").get(), 0);
+    assert_eq!(ctx.metrics.counter("stage.publish_copy_bytes").get(), 0);
+    assert_eq!(ctx.metrics.counter("stage.loader_unbound").get(), 0);
+    assert!(ctx.registry.is_empty());
+    assert_eq!(arena.slots_in_use(), 0);
+}
+
+#[test]
+fn batches_that_do_not_arrive_placed_cost_one_feeder_copy() {
+    // A `VecSource` hands out heap batches: the feeder collates each into
+    // a leased slot — once, so the counter reads exactly the payload.
+    use crate::runtime::producer::VecSource;
+    let ctx = TsContext::host_only();
+    let ep = "inproc://feeder-copy";
+    let batches: Vec<ts_data::Batch> = loader(20, 4).epoch(0).collect();
+    let payload: usize = batches
+        .iter()
+        .flat_map(|b| b.fields.iter().chain([&b.labels]))
+        .map(|t| t.view_bytes())
+        .sum();
+    let producer = Producer::builder()
+        .context(&ctx)
+        .config(producer_cfg(ep, 2))
+        .arena(arena_path("feeder-copy"))
+        .spawn(VecSource::new(batches).unwrap())
+        .unwrap();
+    let (trace, reason) = consume_trace(consumer(&ctx).connect(ep).unwrap());
+    assert_eq!(reason, Some(StopReason::End));
+    assert_eq!(trace.len(), 10, "2 epochs × 5 batches");
+    let arena = producer.arena().unwrap().clone();
+    producer.join().unwrap();
+    let copied = ctx.metrics.counter("stage.collate_copy_bytes").get();
+    assert_eq!(copied, 2 * payload as u64, "one copy of every byte");
+    assert_eq!(ctx.metrics.counter("stage.publish_copy_bytes").get(), 0);
+    assert_eq!(arena.slots_in_use(), 0);
+}
+
+#[test]
+fn flexible_sizing_over_an_arena_still_publishes_zero_copy() {
+    // Trap: loader batches built in slots are not parts the flexible fuse
+    // can lease for — it would fall to the heap and the publish step would
+    // copy. Under flexible sizing the loader is therefore not offered the
+    // pool: its batches arrive on the heap and the fuse IS the placement.
+    let ctx = TsContext::host_only();
+    let ep = "inproc://flex-zero-copy";
+    let mut cfg = producer_cfg(ep, 1);
+    cfg.flexible = Some(FlexibleConfig {
+        producer_batch: 8,
+        order: OrderConfig::default(),
+    });
+    let loader = loader_with_workers(64, 4, 2);
+    let built = loader.metrics().clone();
+    let producer = Producer::builder()
+        .context(&ctx)
+        .config(cfg)
+        .arena(arena_path("flex-zero-copy"))
+        .spawn(loader)
+        .unwrap();
+    let mut consumer = consumer(&ctx).batch_size(4).connect(ep).unwrap();
+    let mut labels: Vec<i64> = Vec::new();
+    for b in consumer.by_ref() {
+        labels.extend(b.expect("clean stream").labels.to_vec_i64().unwrap());
+    }
+    labels.sort_unstable();
+    assert_eq!(labels, (0..64).collect::<Vec<i64>>(), "exactly once");
+    let stats = producer.join().unwrap();
+    assert_eq!(stats.batches_published, 8, "eight producer batches");
+    assert_eq!(ctx.metrics.counter("stage.publish_copy_bytes").get(), 0);
+    assert_eq!(built.counter("loader.in_place_batches").get(), 0);
+    // The fuse copied every sample into its producer batch's slot, once.
+    let copied = ctx.metrics.counter("stage.collate_copy_bytes").get();
+    assert_eq!(copied, 64 * (2 * 4 + 8));
+}
+
+#[test]
+fn an_arena_smaller_than_the_loaders_appetite_still_completes() {
+    // Trap: 6 slots hold the publish window (2 batches of 2 tensors) and
+    // the batch in the feeder's hand. Were the 4 loader workers allowed to
+    // lease from it, batches BEHIND the head of the stream would take every
+    // slot while the head — built on the heap by a worker that found the
+    // pool dry — waits in the feeder for a slot only a publish can free.
+    // An arena without room for the loader's in-flight set keeps the
+    // feeder-collated path instead, and says so.
+    let ctx = TsContext::host_only();
+    let ep = "inproc://small-arena";
+    let producer = Producer::builder()
+        .context(&ctx)
+        .config(producer_cfg(ep, 1))
+        .arena_sized(arena_path("small-arena"), 6, 4096)
+        .spawn(loader_with_workers(512, 4, 4))
+        .unwrap();
+    let consumer = consumer(&ctx).connect(ep).unwrap();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        let _ = done_tx.send(consume_trace(consumer));
+    });
+    let Ok((trace, reason)) = done_rx.recv_timeout(Duration::from_secs(20)) else {
+        producer.abort();
+        panic!("the stream wedged: every slot held behind a batch that needs one");
+    };
+    reader.join().unwrap();
+    assert_eq!(reason, Some(StopReason::End));
+    assert_eq!(trace, reference_trace(&[loader_with_workers(512, 4, 4)], 1));
+    let arena = producer.arena().unwrap().clone();
+    producer.join().unwrap();
+    assert_eq!(ctx.metrics.counter("stage.loader_unbound").get(), 1);
+    assert_eq!(ctx.metrics.counter("stage.publish_copy_bytes").get(), 0);
+    assert_eq!(arena.slots_in_use(), 0);
+}
+
+#[test]
+fn a_dry_arena_under_a_leasing_loader_still_waits_sheds_pins_and_delivers_once() {
+    // Room for the window and everything the loader keeps in flight (so
+    // its workers lease), but not for an epoch, and the whole epoch is
+    // inside the join window: acked pins end up holding every slot. A
+    // worker that finds the pool dry builds on the heap, the feeder's
+    // dry-arena wait takes over exactly as before — wait state `arena`,
+    // pins shed — and every batch is delivered once.
+    let ctx = TsContext::host_only();
+    let ep = "inproc://dry-leasing";
+    let mut cfg = producer_cfg(ep, 1);
+    cfg.rubberband_cutoff = 1.0;
+    let loader = loader_with_workers(256, 4, 2);
+    let built = loader.metrics().clone();
+    let producer = Producer::builder()
+        .context(&ctx)
+        .config(cfg)
+        .arena_sized(arena_path("dry-leasing"), 36, 4096)
+        .spawn(loader)
+        .unwrap();
+    let (trace, reason) = consume_trace(consumer(&ctx).connect(ep).unwrap());
+    assert_eq!(reason, Some(StopReason::End));
+    assert_eq!(trace, reference_trace(&[loader_with_workers(256, 4, 2)], 1));
+    let arena = producer.arena().unwrap().clone();
+    producer.join().unwrap();
+    let count = |name: &str| ctx.metrics.counter(name).get();
+    assert_eq!(count("stage.loader_unbound"), 0, "the loader leased");
+    assert!(built.counter("loader.in_place_batches").get() > 0);
+    assert!(
+        count("stage.arena_parked_ns") > 0,
+        "never waited on the arena"
+    );
+    assert!(count("stage.pins_shed_for_arena") > 0, "no pin was shed");
+    assert_eq!(count("stage.publish_copy_bytes"), 0);
+    // Every batch was either built in place or collated by the feeder.
+    let heap = built.counter("loader.heap_batches").get();
+    assert_eq!(count("stage.collate_copy_bytes"), heap * 64);
+    assert_eq!(arena.slots_in_use(), 0);
+}
+
+#[test]
+fn aborting_mid_epoch_and_replacing_a_field_both_give_every_slot_back() {
+    let ctx = TsContext::host_only();
+    let ep = "inproc://slot-conservation";
+    let mut cfg = producer_cfg(ep, 4);
+    // The Figure-7 pattern: the field the loader built in a slot is
+    // replaced by an embedding; the slot must not outlive the tensor.
+    cfg.producer_map = Some(Arc::new(|mut batch: ts_data::Batch| {
+        let rows = batch.batch_size();
+        batch.fields = vec![Tensor::zeros(
+            &[rows, 3],
+            ts_tensor::DType::F32,
+            DeviceId::Cpu,
+        )];
+        batch
+    }));
+    let loader = loader_with_workers(4096, 4, 3);
+    let built = loader.metrics().clone();
+    let producer = Producer::builder()
+        .context(&ctx)
+        .config(cfg)
+        .arena(arena_path("slot-conservation"))
+        .spawn(loader)
+        .unwrap();
+    let mut consumer = consumer(&ctx).connect(ep).unwrap();
+    for b in consumer.by_ref().flatten().take(40) {
+        assert_eq!(b.fields[0].shape(), &[4, 3]);
+    }
+    // Mid-epoch: placed batches sit in the worker channels, the feeder
+    // queue and the window.
+    producer.abort();
+    for _ in consumer.by_ref().flatten() {}
+    assert_eq!(consumer.stop_reason(), Some(StopReason::End));
+    drop(consumer);
+    let arena = producer.arena().unwrap().clone();
+    let stats = producer.join().unwrap();
+    assert!(
+        stats.batches_published < 1024,
+        "the abort cut the run short"
+    );
+    assert!(built.counter("loader.in_place_batches").get() >= 40);
+    // The replaced field is a heap tensor: the feeder copied it (and only
+    // it — the labels arrived placed).
+    let copied = ctx.metrics.counter("stage.collate_copy_bytes").get();
+    assert_eq!(copied, stats.batches_published * 4 * 3 * 4);
+    assert!(ctx.registry.is_empty());
+    assert_eq!(arena.slots_in_use(), 0, "a slot outlived its batch");
+}
+
+#[test]
+fn each_shards_loader_leases_from_its_own_pool() {
+    let ctx = TsContext::host_only();
+    let ep = "inproc://sharded-in-place";
+    let loaders = sharded_loaders(128, 4, 2, true);
+    let built: Vec<_> = loaders.iter().map(|l| l.metrics().clone()).collect();
+    let group = Producer::builder()
+        .context(&ctx)
+        .config(producer_cfg(ep, 2))
+        .arena(arena_path("sharded-in-place"))
+        .spawn_sharded(loaders)
+        .unwrap();
+    let (trace, reason) = consume_trace(consumer(&ctx).connect(ep).unwrap());
+    assert_eq!(reason, Some(StopReason::End));
+    assert_eq!(trace, reference_trace(&sharded_loaders(128, 4, 2, true), 2));
+    for (s, built) in built.iter().enumerate() {
+        assert_eq!(built.counter("loader.in_place_batches").get(), 32);
+        let pool = ctx.registry.shard_slot_pool(s as u32).unwrap().stats();
+        assert!(pool.hits + pool.misses >= 64, "shard {s} leased: {pool:?}");
+        assert!(pool.returned >= 64, "shard {s} reclaimed: {pool:?}");
+        for counter in ["publish_copy_bytes", "collate_copy_bytes"] {
+            let name = format!("stage.s{s}.{counter}");
+            assert_eq!(ctx.metrics.counter(&name).get(), 0, "{name}");
+        }
+    }
+    let arena = group.arena().unwrap().clone();
+    group.join().unwrap();
+    assert_eq!(arena.slots_in_use(), 0);
 }
 
 #[test]

@@ -28,38 +28,47 @@ pub fn encode_stub(seed: u64, index: u64, len: usize) -> Bytes {
     Bytes::from(out)
 }
 
-/// Expands encoded bytes into `out_len` decoded bytes.
-///
-/// Work is Θ(`out_len`) with a small constant (one xorshift round and one
-/// multiply per output byte, plus one absorption round per input byte),
-/// deterministic, and dependent on every input byte.
-pub fn decode_bytes(encoded: &[u8], out_len: usize) -> Vec<u8> {
-    // Absorb the input.
+/// Absorbs the encoded input into the squeeze state.
+fn absorb(encoded: &[u8]) -> u64 {
     let mut state: u64 = 0x6C62272E07BB0142;
     for &b in encoded {
         state ^= b as u64;
         state = state.wrapping_mul(0x100000001B3);
     }
-    if state == 0 {
-        state = 1;
-    }
-    // Squeeze the output.
-    let mut out = vec![0u8; out_len];
+    state.max(1)
+}
+
+/// Expands encoded bytes into `out`, writing every byte of it — the
+/// decoder for a caller that already owns the memory the sample will live
+/// in (a row of a batch under construction).
+///
+/// Work is Θ(`out.len()`) with a small constant (one xorshift round and
+/// one multiply per output byte, plus one absorption round per input
+/// byte), deterministic, and dependent on every input byte.
+pub fn decode_bytes_into(encoded: &[u8], out: &mut [u8]) {
+    let mut state = absorb(encoded);
     for slot in out.iter_mut() {
         state = xorshift64(state);
         *slot = (state >> 24) as u8;
     }
+}
+
+/// [`decode_bytes_into`] a fresh vector of `out_len` bytes.
+pub fn decode_bytes(encoded: &[u8], out_len: usize) -> Vec<u8> {
+    let mut out = vec![0u8; out_len];
+    decode_bytes_into(encoded, &mut out);
     out
 }
 
-/// Like [`decode_bytes`] but producing `f32` values in `[-1, 1]`, used for
-/// audio waveforms.
-pub fn decode_f32(encoded: &[u8], out_len: usize) -> Vec<f32> {
-    let bytes = decode_bytes(encoded, out_len);
-    bytes
-        .into_iter()
-        .map(|b| (b as f32 / 127.5) - 1.0)
-        .collect()
+/// Like [`decode_bytes_into`] but producing little-endian `f32` values in
+/// `[-1, 1]` (audio waveforms), four bytes of `out` each.
+pub fn decode_f32_into(encoded: &[u8], out: &mut [u8]) {
+    let mut state = absorb(encoded);
+    for value in out.chunks_exact_mut(4) {
+        state = xorshift64(state);
+        let byte = (state >> 24) as u8;
+        value.copy_from_slice(&((byte as f32 / 127.5) - 1.0).to_le_bytes());
+    }
 }
 
 #[inline]
@@ -109,6 +118,15 @@ mod tests {
         assert_eq!(decode_bytes(&enc, 0).len(), 0);
     }
 
+    fn decode_f32(encoded: &[u8], out_len: usize) -> Vec<f32> {
+        let mut bytes = vec![0xAAu8; out_len * 4];
+        decode_f32_into(encoded, &mut bytes);
+        bytes
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect()
+    }
+
     #[test]
     fn decode_f32_range() {
         let enc = encode_stub(5, 5, 32);
@@ -117,6 +135,20 @@ mod tests {
         assert!(v.iter().all(|x| (-1.0..=1.0).contains(x)));
         // not all identical
         assert!(v.iter().any(|x| (*x - v[0]).abs() > 1e-6));
+    }
+
+    #[test]
+    fn decoding_into_a_row_matches_decoding_a_vector() {
+        let enc = encode_stub(9, 4, 48);
+        let mut row = [0xAAu8; 300];
+        decode_bytes_into(&enc, &mut row);
+        assert_eq!(&row[..], &decode_bytes(&enc, 300)[..]);
+        // The f32 decoder: the same bytes mapped to [-1, 1].
+        let expect: Vec<f32> = decode_bytes(&enc, 75)
+            .iter()
+            .map(|&b| (b as f32 / 127.5) - 1.0)
+            .collect();
+        assert_eq!(decode_f32(&enc, 75), expect);
     }
 
     #[test]

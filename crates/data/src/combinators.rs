@@ -10,6 +10,7 @@
 use crate::sample::{Dataset, DecodedSample, RawSample};
 use crate::{DataError, Result};
 use std::sync::Arc;
+use ts_tensor::RowMut;
 
 /// Chains several datasets end to end.
 pub struct ConcatDataset {
@@ -52,6 +53,17 @@ impl ConcatDataset {
             .saturating_sub(1);
         Ok((part, index - self.offsets[part]))
     }
+
+    /// The part that decodes `raw`, and `raw` as that part indexes it.
+    fn local(&self, raw: &RawSample) -> Result<(&dyn Dataset, RawSample)> {
+        let (part, local) = self.locate(raw.index)?;
+        let local_raw = RawSample {
+            index: local,
+            bytes: raw.bytes.clone(),
+            label: raw.label,
+        };
+        Ok((&*self.parts[part], local_raw))
+    }
 }
 
 impl Dataset for ConcatDataset {
@@ -76,15 +88,20 @@ impl Dataset for ConcatDataset {
     }
 
     fn decode(&self, raw: &RawSample) -> Result<DecodedSample> {
-        let (part, local) = self.locate(raw.index)?;
-        let local_raw = RawSample {
-            index: local,
-            bytes: raw.bytes.clone(),
-            label: raw.label,
-        };
-        let mut dec = self.parts[part].decode(&local_raw)?;
+        let (part, local_raw) = self.local(raw)?;
+        let mut dec = part.decode(&local_raw)?;
         dec.index = raw.index;
         Ok(dec)
+    }
+
+    fn decode_into(
+        &self,
+        raw: &RawSample,
+        like: &DecodedSample,
+        rows: &mut [RowMut<'_>],
+    ) -> Result<i64> {
+        let (part, local_raw) = self.local(raw)?;
+        part.decode_into(&local_raw, like, rows)
     }
 
     fn name(&self) -> &str {
@@ -118,6 +135,22 @@ impl SubsetDataset {
         let n = n.min(base.len());
         Self::new(base, (0..n).collect())
     }
+
+    /// `raw` as the base dataset indexes it.
+    fn base_raw(&self, raw: &RawSample) -> Result<RawSample> {
+        let &base_index = self
+            .indices
+            .get(raw.index)
+            .ok_or(DataError::IndexOutOfRange {
+                index: raw.index,
+                len: self.indices.len(),
+            })?;
+        Ok(RawSample {
+            index: base_index,
+            bytes: raw.bytes.clone(),
+            label: raw.label,
+        })
+    }
 }
 
 impl Dataset for SubsetDataset {
@@ -140,21 +173,18 @@ impl Dataset for SubsetDataset {
     }
 
     fn decode(&self, raw: &RawSample) -> Result<DecodedSample> {
-        let &base_index = self
-            .indices
-            .get(raw.index)
-            .ok_or(DataError::IndexOutOfRange {
-                index: raw.index,
-                len: self.indices.len(),
-            })?;
-        let base_raw = RawSample {
-            index: base_index,
-            bytes: raw.bytes.clone(),
-            label: raw.label,
-        };
-        let mut dec = self.base.decode(&base_raw)?;
+        let mut dec = self.base.decode(&self.base_raw(raw)?)?;
         dec.index = raw.index;
         Ok(dec)
+    }
+
+    fn decode_into(
+        &self,
+        raw: &RawSample,
+        like: &DecodedSample,
+        rows: &mut [RowMut<'_>],
+    ) -> Result<i64> {
+        self.base.decode_into(&self.base_raw(raw)?, like, rows)
     }
 
     fn name(&self) -> &str {

@@ -27,7 +27,7 @@ pub mod synthetic;
 pub mod transforms;
 
 pub use combinators::{ConcatDataset, SubsetDataset};
-pub use loader::{Batch, DataLoader, DataLoaderConfig, EpochIter};
+pub use loader::{bind_slot_pool, Batch, DataLoader, DataLoaderConfig, EpochIter, SlotPoolBinding};
 pub use sample::{Dataset, DecodedSample, RawSample};
 pub use sampler::{shard_bounds, Sampler, SequentialSampler, ShardedSampler, ShuffleSampler};
 pub use synthetic::{

@@ -5,16 +5,68 @@
 //! preparing *whole batches*, bounded prefetch per worker, deterministic
 //! per-epoch shuffling, and in-order batch delivery (batch *i* comes from
 //! worker `i % num_workers`, each worker's output is FIFO).
+//!
+//! A worker builds a batch where it will stay: it gets the batch's memory
+//! first ([`ts_tensor::BatchBuf`]) and the dataset decodes every sample
+//! straight into its row ([`Dataset::decode_into`]), so a payload byte is
+//! written once between the decoder and whoever trains on it. With a
+//! shared-memory slot pool bound to the thread that starts the epoch
+//! ([`bind_slot_pool`]) that memory is an arena slot consumers map, and the
+//! batch reaches a TensorSocket producer with nothing left to place.
 
-use crate::sample::Dataset;
+use crate::sample::{field_count_mismatch, write_fields, Dataset, DecodedSample};
 use crate::sampler::{shard_bounds, Sampler, SequentialSampler, ShardedSampler, ShuffleSampler};
 use crate::transforms::Pipeline;
 use crate::{DataError, Result};
 use crossbeam::channel::{bounded, Receiver, Sender};
+use std::cell::RefCell;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use ts_metrics::Registry;
-use ts_tensor::{collate, Tensor};
+use ts_device::DeviceId;
+use ts_metrics::{Counter, Registry};
+use ts_tensor::{BatchBuf, DType, RowMut, SlotPool, Tensor};
+
+thread_local! {
+    /// The slot pool epochs started on this thread build their batches in.
+    static BOUND_POOL: RefCell<Option<SlotPool>> = const { RefCell::new(None) };
+}
+
+/// Binds `pool` to the calling thread until the returned guard drops:
+/// every [`DataLoader::epoch`] started on this thread meanwhile builds its
+/// batches — on whichever worker threads — in arena slots leased from
+/// `pool` (the heap when the pool has none to lease), and each tensor of
+/// such a batch carries its lease ([`ts_tensor::Storage::take_lease`])
+/// until a publish step takes it or the batch is dropped.
+///
+/// This is how a TensorSocket producer's feeder thread offers its pool to
+/// the loader it drives, and it is a thread-scoped binding rather than a
+/// method of the producer's `EpochSource` trait on purpose: that trait is
+/// public and its implementations wrap one another — a wrapper forwards
+/// `epoch()` and nothing it does not know about, so a defaulted `bind_…()`
+/// would silently never reach a wrapped loader, while the `epoch()` call
+/// it does forward runs on the feeder thread whatever wraps it. Whether to
+/// bind is the binder's decision (the producer binds only when the arena
+/// has room for everything the loader keeps in flight); the loader reads
+/// the binding in exactly one place.
+pub fn bind_slot_pool(pool: SlotPool) -> SlotPoolBinding {
+    SlotPoolBinding {
+        previous: BOUND_POOL.with(|bound| bound.replace(Some(pool))),
+        _this_thread: std::marker::PhantomData,
+    }
+}
+
+/// Guard of [`bind_slot_pool`]; dropping it restores what was bound before.
+pub struct SlotPoolBinding {
+    previous: Option<SlotPool>,
+    /// Undoes a thread-local: must drop on the thread that made it.
+    _this_thread: std::marker::PhantomData<*const ()>,
+}
+
+impl Drop for SlotPoolBinding {
+    fn drop(&mut self) {
+        BOUND_POOL.with(|bound| *bound.borrow_mut() = self.previous.take());
+    }
+}
 
 /// Configuration mirroring `torch.utils.data.DataLoader` arguments.
 #[derive(Debug, Clone)]
@@ -79,6 +131,18 @@ pub struct DataLoader {
     /// `(shard, count)` when this loader serves one shard of the epoch.
     shard: Option<(usize, usize)>,
     metrics: Registry,
+    counters: LoaderCounters,
+}
+
+/// The loader's counters, resolved once: workers count with atomics only.
+#[derive(Clone)]
+struct LoaderCounters {
+    batches: Arc<Counter>,
+    samples: Arc<Counter>,
+    /// Batches built entirely in leased arena slots.
+    in_place_batches: Arc<Counter>,
+    /// Batches with at least one tensor built on the heap.
+    heap_batches: Arc<Counter>,
 }
 
 impl std::fmt::Debug for DataLoader {
@@ -110,13 +174,21 @@ impl DataLoader {
         } else {
             Arc::new(SequentialSampler)
         };
+        let metrics = Registry::new();
+        let counters = LoaderCounters {
+            batches: metrics.counter("loader.batches"),
+            samples: metrics.counter("loader.samples"),
+            in_place_batches: metrics.counter("loader.in_place_batches"),
+            heap_batches: metrics.counter("loader.heap_batches"),
+        };
         Self {
             dataset,
             pipeline,
             sampler,
             cfg,
             shard: None,
-            metrics: Registry::new(),
+            metrics,
+            counters,
         }
     }
 
@@ -161,7 +233,12 @@ impl DataLoader {
         self.shard
     }
 
-    /// The loader's metric registry (`loader.batches`, `loader.samples`).
+    /// The loader's metric registry: `loader.batches`, `loader.samples`,
+    /// and how the batches were built — `loader.in_place_batches` entirely
+    /// in arena slots leased from a bound pool ([`bind_slot_pool`]),
+    /// `loader.heap_batches` with at least one tensor on the heap (every
+    /// batch of an unbound loader; under a binding, a batch whose worker
+    /// found the pool dry).
     pub fn metrics(&self) -> &Registry {
         &self.metrics
     }
@@ -201,8 +278,18 @@ impl DataLoader {
         }
     }
 
-    /// Starts iteration over one epoch.
+    /// Starts iteration over one epoch. With a slot pool bound to the
+    /// calling thread ([`bind_slot_pool`]) the epoch's batches are built in
+    /// slots leased from it.
     pub fn epoch(&self, epoch: u64) -> EpochIter {
+        let builder = |num_batches| BatchBuilder {
+            dataset: self.dataset.clone(),
+            pipeline: self.pipeline.clone(),
+            counters: self.counters.clone(),
+            pool: BOUND_POOL.with(|bound| bound.borrow().clone()),
+            epoch,
+            num_batches,
+        };
         let indices = self.sampler.epoch_indices(epoch, self.dataset.len());
         let mut batches: Vec<Vec<usize>> = indices
             .chunks(self.cfg.batch_size)
@@ -215,13 +302,7 @@ impl DataLoader {
         if self.cfg.num_workers == 0 || num_batches == 0 {
             return EpochIter {
                 mode: IterMode::Sync {
-                    worker: BatchBuilder {
-                        dataset: self.dataset.clone(),
-                        pipeline: self.pipeline.clone(),
-                        metrics: self.metrics.clone(),
-                        epoch,
-                        num_batches,
-                    },
+                    worker: builder(num_batches),
                     batches,
                 },
                 next_index: 0,
@@ -237,6 +318,7 @@ impl DataLoader {
             rxs.push(rx);
         }
         let mut handles = Vec::with_capacity(workers);
+        let builder = builder(num_batches);
         for (w, tx) in txs.into_iter().enumerate() {
             let my_batches: Vec<(usize, Vec<usize>)> = batches
                 .iter()
@@ -245,13 +327,7 @@ impl DataLoader {
                 .step_by(workers)
                 .map(|(i, b)| (i, b.clone()))
                 .collect();
-            let builder = BatchBuilder {
-                dataset: self.dataset.clone(),
-                pipeline: self.pipeline.clone(),
-                metrics: self.metrics.clone(),
-                epoch,
-                num_batches,
-            };
+            let builder = builder.clone();
             handles.push(std::thread::spawn(move || {
                 for (index, sample_indices) in my_batches {
                     let out = builder.build(index, &sample_indices);
@@ -270,37 +346,85 @@ impl DataLoader {
 }
 
 /// Builds one collated batch; shared by sync and worker paths.
+#[derive(Clone)]
 struct BatchBuilder {
     dataset: Arc<dyn Dataset>,
     pipeline: Arc<Pipeline>,
-    metrics: Registry,
+    counters: LoaderCounters,
+    /// Where batch memory is leased from; `None` builds on the heap.
+    pool: Option<SlotPool>,
     epoch: u64,
     num_batches: usize,
 }
 
 impl BatchBuilder {
+    /// Fetches, decodes and transforms one sample into tensors of its own.
+    fn decode(&self, sample_index: usize) -> Result<DecodedSample> {
+        let raw = self.dataset.get(sample_index)?;
+        let mut dec = self.dataset.decode(&raw)?;
+        if !self.pipeline.is_empty() && !dec.fields.is_empty() {
+            dec.fields[0] = self
+                .pipeline
+                .apply(&dec.fields[0], self.epoch, sample_index)?;
+        }
+        Ok(dec)
+    }
+
     fn build(&self, index: usize, sample_indices: &[usize]) -> Result<Batch> {
-        let mut decoded = Vec::with_capacity(sample_indices.len());
-        for &si in sample_indices {
-            let raw = self.dataset.get(si)?;
-            let mut dec = self.dataset.decode(&raw)?;
-            if !self.pipeline.is_empty() && !dec.fields.is_empty() {
-                dec.fields[0] = self.pipeline.apply(&dec.fields[0], self.epoch, si)?;
+        let Some((&first_index, rest)) = sample_indices.split_first() else {
+            return Err(DataError::Decode("a batch of zero samples".into()));
+        };
+        // The first sample is decoded on its own: it fixes the batch's
+        // field count and every field's dtype, shape and device. Then the
+        // batch's memory, and every sample written once into its row.
+        let first = self.decode(first_index)?;
+        let (rows, pool) = (sample_indices.len(), self.pool.as_ref());
+        let mut fields = first
+            .fields
+            .iter()
+            .map(|sample| BatchBuf::like(rows, sample, pool))
+            .collect::<ts_tensor::Result<Vec<_>>>()?;
+        let mut labels = BatchBuf::new(rows, DType::I64, &[], DeviceId::Cpu, pool)?;
+        let in_place = labels.is_leased() && fields.iter().all(BatchBuf::is_leased);
+        let mut push_label = |label: i64| -> Result<()> {
+            let row = &mut labels.row();
+            row.bytes_mut(DType::I64, &[])?
+                .copy_from_slice(&label.to_le_bytes());
+            Ok(())
+        };
+        for (buf, sample) in fields.iter_mut().zip(&first.fields) {
+            buf.push(sample)?;
+        }
+        push_label(first.label)?;
+        for &sample_index in rest {
+            let mut row: Vec<RowMut<'_>> = fields.iter_mut().map(BatchBuf::row).collect();
+            if self.pipeline.is_empty() {
+                let raw = self.dataset.get(sample_index)?;
+                push_label(self.dataset.decode_into(&raw, &first, &mut row)?)?;
+                let written = row.iter().filter(|field| field.is_written()).count();
+                if written != row.len() {
+                    return Err(field_count_mismatch(written, row.len()));
+                }
+            } else {
+                // A transform returns a tensor of its own: copied into its
+                // row, the only copy it gets.
+                let dec = self.decode(sample_index)?;
+                write_fields(&dec.fields, &mut row)?;
+                push_label(dec.label)?;
             }
-            decoded.push(dec);
         }
-        let num_fields = decoded.first().map(|d| d.fields.len()).unwrap_or(0);
-        let mut fields = Vec::with_capacity(num_fields);
-        for f in 0..num_fields {
-            let per_sample: Vec<Tensor> = decoded.iter().map(|d| d.fields[f].clone()).collect();
-            fields.push(collate::stack0(&per_sample)?);
+        let fields = fields
+            .into_iter()
+            .map(BatchBuf::freeze)
+            .collect::<ts_tensor::Result<Vec<_>>>()?;
+        let labels = labels.freeze()?;
+        self.counters.batches.inc();
+        self.counters.samples.add(rows as u64);
+        if in_place {
+            self.counters.in_place_batches.inc();
+        } else {
+            self.counters.heap_batches.inc();
         }
-        let labels_vec: Vec<i64> = decoded.iter().map(|d| d.label).collect();
-        let labels = Tensor::from_i64(&labels_vec, &[labels_vec.len()], ts_device::DeviceId::Cpu)?;
-        self.metrics.counter("loader.batches").inc();
-        self.metrics
-            .counter("loader.samples")
-            .add(sample_indices.len() as u64);
         Ok(Batch {
             epoch: self.epoch,
             index,
@@ -565,6 +689,127 @@ mod tests {
         let a: Vec<Vec<usize>> = plain.epoch(0).map(|b| b.sample_indices).collect();
         let b: Vec<Vec<usize>> = sharded.epoch(0).map(|b| b.sample_indices).collect();
         assert_eq!(a, b);
+    }
+
+    /// Decodes an `F32 [2]` field, with a `decode_into` that does something
+    /// else.
+    struct Liar {
+        lie: Lie,
+    }
+
+    #[derive(Clone, Copy)]
+    enum Lie {
+        /// `decode_into` as the trait provides it: the honest baseline.
+        None,
+        OtherDtype,
+        OtherShape,
+        /// Leaves the row unwritten.
+        NoField,
+        /// Writes the row twice.
+        TwoFields,
+        /// Not `decode_into` but `decode` itself returns another shape for
+        /// every sample but the first — what a mismatched sample is today.
+        OtherSample,
+    }
+
+    impl Dataset for Liar {
+        fn len(&self) -> usize {
+            8
+        }
+        fn get(&self, index: usize) -> Result<crate::RawSample> {
+            Ok(crate::RawSample {
+                index,
+                bytes: bytes::Bytes::new(),
+                label: index as i64,
+            })
+        }
+        fn encoded_sample_bytes(&self) -> usize {
+            0
+        }
+        fn decode(&self, raw: &crate::RawSample) -> Result<DecodedSample> {
+            let len = match self.lie {
+                Lie::OtherSample if raw.index > 0 => 3,
+                _ => 2,
+            };
+            Ok(DecodedSample {
+                index: raw.index,
+                fields: vec![Tensor::from_f32(&vec![1.0; len], &[len], DeviceId::Cpu)?],
+                label: raw.label,
+            })
+        }
+        fn decode_into(
+            &self,
+            raw: &crate::RawSample,
+            like: &DecodedSample,
+            rows: &mut [RowMut<'_>],
+        ) -> Result<i64> {
+            let row = &mut rows[0];
+            match self.lie {
+                Lie::None | Lie::OtherSample => {
+                    let decoded = self.decode(raw)?;
+                    write_fields(&decoded.fields, rows)?;
+                }
+                Lie::OtherDtype => row.bytes_mut(DType::I64, &[2])?.fill(0),
+                Lie::OtherShape => row.bytes_mut(DType::F32, &[3])?.fill(0),
+                Lie::NoField => {}
+                Lie::TwoFields => {
+                    row.write(&like.fields[0])?;
+                    row.write(&like.fields[0])?;
+                }
+            }
+            Ok(raw.label)
+        }
+    }
+
+    #[test]
+    fn a_row_of_another_dtype_shape_or_field_count_is_the_error_collating_it_raised() {
+        use ts_tensor::TensorError;
+        let build = |lie| {
+            let loader = DataLoader::new(
+                Arc::new(Liar { lie }),
+                DataLoaderConfig {
+                    batch_size: 4,
+                    shuffle: false,
+                    ..Default::default()
+                },
+            );
+            match &loader.epoch(0).mode {
+                IterMode::Sync { worker, batches } => worker.build(0, &batches[0]),
+                IterMode::Workers { .. } => unreachable!("no workers configured"),
+            }
+        };
+        assert!(build(Lie::None).is_ok());
+        // What `stack0` says of the same samples, decoded.
+        let like = Tensor::from_f32(&[1.0; 2], &[2], DeviceId::Cpu).unwrap();
+        let stacked = |other: Tensor| {
+            DataError::Tensor(ts_tensor::stack0(&[like.clone(), other]).unwrap_err())
+        };
+        let other_dtype = Tensor::from_i64(&[0; 2], &[2], DeviceId::Cpu).unwrap();
+        assert_eq!(build(Lie::OtherDtype).unwrap_err(), stacked(other_dtype));
+        let other_shape = Tensor::from_f32(&[1.0; 3], &[3], DeviceId::Cpu).unwrap();
+        assert_eq!(
+            build(Lie::OtherShape).unwrap_err(),
+            stacked(other_shape.clone())
+        );
+        assert_eq!(build(Lie::OtherSample).unwrap_err(), stacked(other_shape));
+        for lie in [Lie::NoField, Lie::TwoFields] {
+            assert!(matches!(
+                build(lie).unwrap_err(),
+                DataError::Tensor(TensorError::Shape(_))
+            ));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dtype error")]
+    fn a_worker_that_hits_a_mismatched_row_aborts_the_epoch() {
+        let cfg = DataLoaderConfig {
+            batch_size: 4,
+            num_workers: 2,
+            ..Default::default()
+        };
+        let lie = Lie::OtherDtype;
+        DataLoader::new(Arc::new(Liar { lie }), cfg).epoch(0).next();
     }
 
     #[test]

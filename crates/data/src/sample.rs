@@ -2,7 +2,7 @@
 
 use crate::Result;
 use bytes::Bytes;
-use ts_tensor::Tensor;
+use ts_tensor::{RowMut, Tensor, TensorError};
 
 /// An undecoded sample as it comes off storage: encoded bytes plus label.
 #[derive(Debug, Clone)]
@@ -57,10 +57,62 @@ pub trait Dataset: Send + Sync {
     /// work happens.
     fn decode(&self, raw: &RawSample) -> Result<DecodedSample>;
 
+    /// Decodes a raw sample **straight into a batch**: `rows[f]` is the row
+    /// field `f` of this sample occupies in the batch tensor under
+    /// construction — heap memory, or a shared-memory slot consumers will
+    /// map — so the decoder's write is the only one the payload ever gets.
+    /// Returns the sample's label.
+    ///
+    /// `like` is the batch's first sample, decoded with
+    /// [`Dataset::decode`]: it fixed the batch's field count and every
+    /// field's dtype, shape and device, and there is one row per field of
+    /// it. A row is filled by copying a tensor in ([`RowMut::write`]) or by
+    /// declaring the dtype and shape about to be written and writing the
+    /// bytes ([`RowMut::bytes_mut`]); either way the row checks what it is
+    /// given against `like`'s field and refuses a mismatch with the error
+    /// collating that sample would have raised. **Contract:** every row is
+    /// written, exactly once and completely — a slice from `bytes_mut` is
+    /// exactly one sample long and may hold a previous batch's bytes. The
+    /// loader checks that no row was left out.
+    ///
+    /// The default decodes as usual and copies each field into its row
+    /// (one copy); override it when the decoder can write where it is told
+    /// to, as the synthetic datasets do.
+    fn decode_into(
+        &self,
+        raw: &RawSample,
+        like: &DecodedSample,
+        rows: &mut [RowMut<'_>],
+    ) -> Result<i64> {
+        let _ = like;
+        let decoded = self.decode(raw)?;
+        write_fields(&decoded.fields, rows)?;
+        Ok(decoded.label)
+    }
+
     /// Short human-readable name.
     fn name(&self) -> &str {
         "dataset"
     }
+}
+
+/// Copies a decoded sample's fields into a batch's rows, one each.
+pub(crate) fn write_fields(fields: &[Tensor], rows: &mut [RowMut<'_>]) -> Result<()> {
+    if fields.len() != rows.len() {
+        return Err(field_count_mismatch(fields.len(), rows.len()));
+    }
+    for (field, row) in fields.iter().zip(rows) {
+        row.write(field)?;
+    }
+    Ok(())
+}
+
+/// A sample of `got` fields in a batch whose first sample has `expected`.
+pub(crate) fn field_count_mismatch(got: usize, expected: usize) -> crate::DataError {
+    TensorError::Shape(format!(
+        "collate field count mismatch: a sample of {got} fields in a batch of {expected}"
+    ))
+    .into()
 }
 
 #[cfg(test)]

@@ -1,17 +1,30 @@
 //! Synthetic datasets matching the shapes and cost profiles of the paper's
 //! datasets (Table 1): ImageNet-1K, LibriSpeech, CC3M, Alpaca.
 
-use crate::codec::{decode_bytes, decode_f32, encode_stub};
-use crate::sample::{Dataset, DecodedSample, RawSample};
+use crate::codec::{decode_bytes, decode_bytes_into, decode_f32_into, encode_stub};
+use crate::sample::{field_count_mismatch, Dataset, DecodedSample, RawSample};
 use crate::{DataError, Result};
 use ts_device::DeviceId;
-use ts_tensor::Tensor;
+use ts_tensor::{DType, RowMut, Tensor};
 
 fn check_index(index: usize, len: usize) -> Result<()> {
     if index >= len {
         return Err(DataError::IndexOutOfRange { index, len });
     }
     Ok(())
+}
+
+/// The batch rows of a sample of `N` fields (`decode_into`'s `rows`).
+fn rows_of<'a, 'b, const N: usize>(rows: &'a mut [RowMut<'b>]) -> Result<&'a mut [RowMut<'b>; N]> {
+    let given = rows.len();
+    rows.try_into().map_err(|_| field_count_mismatch(N, given))
+}
+
+/// Writes `values` as little-endian `i64`s over the whole of `out`.
+fn write_i64s(values: impl Iterator<Item = i64>, out: &mut [u8]) {
+    for (slot, v) in out.chunks_exact_mut(8).zip(values) {
+        slot.copy_from_slice(&v.to_le_bytes());
+    }
 }
 
 /// ImageNet-like image classification dataset.
@@ -108,6 +121,18 @@ impl Dataset for SyntheticImageDataset {
         })
     }
 
+    fn decode_into(
+        &self,
+        raw: &RawSample,
+        _like: &DecodedSample,
+        rows: &mut [RowMut<'_>],
+    ) -> Result<i64> {
+        let [image] = rows_of(rows)?;
+        let pixels = image.bytes_mut(DType::U8, &[3, self.height, self.width])?;
+        decode_bytes_into(&raw.bytes, pixels);
+        Ok(raw.label)
+    }
+
     fn name(&self) -> &str {
         "synthetic-imagenet"
     }
@@ -167,13 +192,26 @@ impl Dataset for SyntheticAudioDataset {
     }
 
     fn decode(&self, raw: &RawSample) -> Result<DecodedSample> {
-        let wave = decode_f32(&raw.bytes, self.samples_per_clip);
-        let t = Tensor::from_f32(&wave, &[self.samples_per_clip], DeviceId::Cpu)?;
+        let mut wave = vec![0u8; 4 * self.samples_per_clip];
+        decode_f32_into(&raw.bytes, &mut wave);
+        let t = Tensor::from_bytes(wave, DType::F32, &[self.samples_per_clip], DeviceId::Cpu)?;
         Ok(DecodedSample {
             index: raw.index,
             fields: vec![t],
             label: raw.label,
         })
+    }
+
+    fn decode_into(
+        &self,
+        raw: &RawSample,
+        _like: &DecodedSample,
+        rows: &mut [RowMut<'_>],
+    ) -> Result<i64> {
+        let [wave] = rows_of(rows)?;
+        let wave = wave.bytes_mut(DType::F32, &[self.samples_per_clip])?;
+        decode_f32_into(&raw.bytes, wave);
+        Ok(raw.label)
     }
 
     fn name(&self) -> &str {
@@ -212,6 +250,12 @@ impl SyntheticCaptionDataset {
     pub fn tokens(&self) -> usize {
         self.tokens
     }
+
+    /// Token ids derived from the head of the encoded sample.
+    fn caption(&self, raw: &RawSample) -> impl Iterator<Item = i64> {
+        let tok_bytes = decode_bytes(&raw.bytes[..8.min(raw.bytes.len())], self.tokens);
+        tok_bytes.into_iter().map(|b| (b as i64) % 49408)
+    }
 }
 
 impl Dataset for SyntheticCaptionDataset {
@@ -236,15 +280,27 @@ impl Dataset for SyntheticCaptionDataset {
         let n = 3 * self.height * self.width;
         let pixels = decode_bytes(&raw.bytes, n);
         let img = Tensor::from_u8(pixels, &[3, self.height, self.width], DeviceId::Cpu)?;
-        // Token ids derived from the tail of the decode stream.
-        let tok_bytes = decode_bytes(&raw.bytes[..8.min(raw.bytes.len())], self.tokens);
-        let toks: Vec<i64> = tok_bytes.iter().map(|&b| (b as i64) % 49408).collect();
+        let toks: Vec<i64> = self.caption(raw).collect();
         let caption = Tensor::from_i64(&toks, &[self.tokens], DeviceId::Cpu)?;
         Ok(DecodedSample {
             index: raw.index,
             fields: vec![img, caption],
             label: raw.label,
         })
+    }
+
+    fn decode_into(
+        &self,
+        raw: &RawSample,
+        _like: &DecodedSample,
+        rows: &mut [RowMut<'_>],
+    ) -> Result<i64> {
+        let [image, caption] = rows_of(rows)?;
+        let pixels = image.bytes_mut(DType::U8, &[3, self.height, self.width])?;
+        decode_bytes_into(&raw.bytes, pixels);
+        let toks = caption.bytes_mut(DType::I64, &[self.tokens])?;
+        write_i64s(self.caption(raw), toks);
+        Ok(raw.label)
     }
 
     fn name(&self) -> &str {
@@ -284,6 +340,19 @@ impl SyntheticTextDataset {
     pub fn max_tokens(&self) -> usize {
         self.max_tokens
     }
+
+    /// The sample's `max_tokens` token ids: the sequence length varies
+    /// between 25% and 100% of max, the rest is pad(0).
+    fn tokens(&self, raw: &RawSample) -> impl Iterator<Item = i64> {
+        let span = splitlabel(self.seed, raw.index) as usize;
+        let real = self.max_tokens / 4 + span % (3 * self.max_tokens / 4).max(1);
+        let vocab = self.vocab;
+        let bytes = decode_bytes(&raw.bytes, real * 2);
+        (0..self.max_tokens).map(move |i| match bytes.get(2 * i..2 * i + 2) {
+            Some(pair) => ((u16::from_le_bytes([pair[0], pair[1]]) as i64) % (vocab - 1)) + 1,
+            None => 0,
+        })
+    }
 }
 
 impl Dataset for SyntheticTextDataset {
@@ -306,20 +375,25 @@ impl Dataset for SyntheticTextDataset {
     }
 
     fn decode(&self, raw: &RawSample) -> Result<DecodedSample> {
-        // Sequence length varies between 25% and 100% of max; rest is pad(0).
-        let span = splitlabel(self.seed, raw.index) as usize;
-        let real = self.max_tokens / 4 + span % (3 * self.max_tokens / 4).max(1);
-        let bytes = decode_bytes(&raw.bytes, real * 2);
-        let mut toks = vec![0i64; self.max_tokens];
-        for (i, pair) in bytes.chunks_exact(2).enumerate() {
-            toks[i] = ((u16::from_le_bytes([pair[0], pair[1]]) as i64) % (self.vocab - 1)) + 1;
-        }
+        let toks: Vec<i64> = self.tokens(raw).collect();
         let t = Tensor::from_i64(&toks, &[self.max_tokens], DeviceId::Cpu)?;
         Ok(DecodedSample {
             index: raw.index,
             fields: vec![t],
             label: raw.label,
         })
+    }
+
+    fn decode_into(
+        &self,
+        raw: &RawSample,
+        _like: &DecodedSample,
+        rows: &mut [RowMut<'_>],
+    ) -> Result<i64> {
+        let [toks] = rows_of(rows)?;
+        let toks = toks.bytes_mut(DType::I64, &[self.max_tokens])?;
+        write_i64s(self.tokens(raw), toks);
+        Ok(raw.label)
     }
 
     fn name(&self) -> &str {

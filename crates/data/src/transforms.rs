@@ -89,7 +89,7 @@ impl Transform for RandomHFlip {
             return Err(DataError::Decode("RandomHFlip expects U8 images".into()));
         }
         let (c, h, w) = (shape[0], shape[1], shape[2]);
-        let src = input.gather_bytes();
+        let src = input.dense_bytes();
         let mut dst = vec![0u8; src.len()];
         for ci in 0..c {
             for hi in 0..h {
@@ -134,7 +134,7 @@ impl Transform for Resize {
             return Err(DataError::Decode("Resize to zero size".into()));
         }
         let (c, h, w) = (shape[0], shape[1], shape[2]);
-        let src = input.gather_bytes();
+        let src = input.dense_bytes();
         let mut dst = vec![0u8; c * self.out_h * self.out_w];
         for ci in 0..c {
             for oy in 0..self.out_h {

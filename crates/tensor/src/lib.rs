@@ -17,7 +17,9 @@
 //! 3. **Slicing views** — flexible batch sizing (§3.2.6) carves per-consumer
 //!    batches from one contiguous producer batch. [`Tensor::narrow`]
 //!    provides the zero-copy slice; [`collate`] builds the contiguous
-//!    producer batch, optionally from a reusable [`MemoryPool`] slab.
+//!    producer batch, optionally from a reusable [`MemoryPool`] slab, and
+//!    [`BatchBuf`] lets a loader decode a batch straight into the memory
+//!    it will be shared from.
 //!
 //! Device placement is a label plus accounting (see [`ts_device`]); bytes
 //! always live in host RAM, but allocation and transfer volumes are booked
@@ -34,7 +36,7 @@ pub mod shape;
 pub mod storage;
 pub mod tensor;
 
-pub use collate::{cat0, cat0_leased, stack0};
+pub use collate::{cat0, cat0_leased, stack0, BatchBuf, RowMut};
 pub use context::DeviceCtx;
 pub use dtype::DType;
 pub use payload::TensorPayload;

@@ -9,7 +9,7 @@ use crate::{DType, Result, Tensor, TensorError};
 
 /// FNV-1a checksum of the view's bytes (order-sensitive).
 pub fn checksum(t: &Tensor) -> u64 {
-    fnv1a(&t.gather_bytes())
+    fnv1a(&t.dense_bytes())
 }
 
 /// FNV-1a over raw bytes.

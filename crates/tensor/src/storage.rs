@@ -7,7 +7,9 @@
 //! lifetime of the process, never reused.
 
 use crate::pool::PoolReturn;
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use ts_device::DeviceId;
 
 static NEXT_STORAGE_ID: AtomicU64 = AtomicU64::new(1);
@@ -24,8 +26,10 @@ enum Backing {
     Owned(Option<Vec<u8>>),
     /// A pinned view into a cross-process shared-memory arena
     /// ([`ts_shm::ShmView`]): zero-copy, and the view's drop releases the
-    /// consumer's slot reference.
-    Shm(ts_shm::ShmView),
+    /// consumer's slot reference. A storage built over a slot its maker
+    /// leased and filled ([`Storage::from_leased_slot`]) also carries that
+    /// lease — the slot's producer reference — until someone takes it.
+    Shm(ts_shm::ShmView, Mutex<Option<ts_shm::ShmLease>>),
     /// A window of a buffer someone else allocated — a received wire
     /// frame: zero-copy, and the buffer lives until the last storage (or
     /// other `Bytes` clone) over it drops.
@@ -36,7 +40,7 @@ impl std::fmt::Debug for Backing {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Backing::Owned(_) => f.write_str("Owned"),
-            Backing::Shm(_) => f.write_str("Shm"),
+            Backing::Shm(..) => f.write_str("Shm"),
             Backing::Bytes(_) => f.write_str("Bytes"),
         }
     }
@@ -71,7 +75,9 @@ impl std::fmt::Debug for Reclaim {
 /// their owner the same way. Storages rebuilt by a consumer in another OS
 /// process wrap a shared-memory view ([`Storage::from_shm_view`]) or a
 /// slice of a received frame ([`Storage::from_shared_bytes`]) instead —
-/// same API, no copy.
+/// same API, no copy — and a batch a loader decoded straight into a leased
+/// arena slot is a view of that slot which also carries the lease
+/// ([`Storage::from_leased_slot`]).
 #[derive(Debug)]
 pub struct Storage {
     id: u64,
@@ -130,8 +136,44 @@ impl Storage {
         Self {
             id,
             device,
-            data: Backing::Shm(view),
+            data: Backing::Shm(view, Mutex::new(None)),
             reclaim: None,
+        }
+    }
+
+    /// Wraps `view` — a view of the slot behind `lease`, attached after the
+    /// slot was written completely — as a storage under a fresh id that
+    /// **carries the lease**: the slot's producer reference travels with
+    /// the tensor (through clones, channels and a `Batch`) until a publish
+    /// step [`Storage::take_lease`]s it and registers the slot
+    /// ([`crate::SharedRegistry::register_placed`]). A storage dropped with
+    /// the lease still aboard frees the slot, exactly as dropping the pair
+    /// [`crate::cat0_leased`] returns does.
+    pub fn from_leased_slot(
+        view: ts_shm::ShmView,
+        lease: ts_shm::ShmLease,
+        device: DeviceId,
+    ) -> Self {
+        Self {
+            id: fresh_storage_id(),
+            device,
+            data: Backing::Shm(view, Mutex::new(Some(lease))),
+            reclaim: None,
+        }
+    }
+
+    /// Takes the lease this storage carries, if it still carries one and
+    /// the leased slot lives in `arena` (a lease of some other arena means
+    /// nothing to the caller's pool and stays aboard). At most one caller
+    /// ever gets it.
+    pub fn take_lease(&self, arena: &Arc<ts_shm::ShmArena>) -> Option<ts_shm::ShmLease> {
+        let Backing::Shm(_, lease) = &self.data else {
+            return None;
+        };
+        let mut lease = lease.lock();
+        match &*lease {
+            Some(l) if Arc::ptr_eq(l.arena(), arena) => lease.take(),
+            _ => None,
         }
     }
 
@@ -159,7 +201,7 @@ impl Storage {
     /// True when the bytes live in a shared-memory arena rather than this
     /// process's heap.
     pub fn is_shared_memory(&self) -> bool {
-        matches!(self.data, Backing::Shm(_))
+        matches!(self.data, Backing::Shm(..))
     }
 
     /// True when this storage's buffer returns to an external owner via a
@@ -174,7 +216,7 @@ impl Storage {
     pub fn bytes(&self) -> &[u8] {
         match &self.data {
             Backing::Owned(d) => d.as_deref().expect("storage data present until drop"),
-            Backing::Shm(view) => view,
+            Backing::Shm(view, _) => view,
             Backing::Bytes(data) => data,
         }
     }
@@ -225,7 +267,6 @@ mod tests {
 
     #[test]
     fn reclaim_hook_receives_the_buffer_on_last_drop() {
-        use std::sync::Arc;
         let returned: Arc<parking_lot::Mutex<Option<Vec<u8>>>> =
             Arc::new(parking_lot::Mutex::new(None));
         let sink = returned.clone();

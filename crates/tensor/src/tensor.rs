@@ -311,17 +311,17 @@ impl Tensor {
         Ok(bytes::Bytes::from_owner(StorageBytes(self.storage.clone())).slice(start..start + len))
     }
 
-    /// Gathers the view into a dense row-major byte vector (copies).
-    pub fn gather_bytes(&self) -> Vec<u8> {
-        let esize = self.dtype.size_bytes();
-        if self.is_contiguous() {
-            return self.bytes().expect("contiguous").to_vec();
+    /// Calls `sink` with the view's elements in dense row-major order: once
+    /// with the whole range for a contiguous view, once per element (the
+    /// strided walk) otherwise.
+    fn walk(&self, mut sink: impl FnMut(&[u8])) {
+        if let Ok(bytes) = self.bytes() {
+            return sink(bytes);
         }
-        let numel = self.numel();
-        let mut out = Vec::with_capacity(numel * esize);
+        let esize = self.dtype.size_bytes();
         let src = self.storage.bytes();
         let mut idx = vec![0usize; self.ndim()];
-        for _ in 0..numel {
+        for _ in 0..self.numel() {
             let elem: usize = self.offset
                 + idx
                     .iter()
@@ -329,7 +329,7 @@ impl Tensor {
                     .map(|(&i, &s)| i * s)
                     .sum::<usize>();
             let b = elem * esize;
-            out.extend_from_slice(&src[b..b + esize]);
+            sink(&src[b..b + esize]);
             // advance the multi-index, last dim fastest
             for d in (0..self.ndim()).rev() {
                 idx[d] += 1;
@@ -339,7 +339,49 @@ impl Tensor {
                 idx[d] = 0;
             }
         }
+    }
+
+    /// Appends the view's elements, dense and row-major, to `out`.
+    pub(crate) fn append_to(&self, out: &mut Vec<u8>) {
+        self.walk(|bytes| out.extend_from_slice(bytes));
+    }
+
+    /// Writes the view's elements, dense and row-major, into `dst` — one
+    /// `copy_from_slice` for a contiguous view, the strided walk
+    /// otherwise. `dst` must be exactly [`Tensor::view_bytes`] long.
+    pub fn copy_into(&self, dst: &mut [u8]) -> Result<()> {
+        if dst.len() != self.view_bytes() {
+            return Err(TensorError::Shape(format!(
+                "copy of a {} B view into {} B",
+                self.view_bytes(),
+                dst.len()
+            )));
+        }
+        let mut at = 0;
+        self.walk(|bytes| {
+            dst[at..at + bytes.len()].copy_from_slice(bytes);
+            at += bytes.len();
+        });
+        Ok(())
+    }
+
+    /// Gathers the view into a dense row-major byte vector (copies). To
+    /// only *read* the elements use [`Tensor::dense_bytes`], which borrows
+    /// a contiguous view instead.
+    pub fn gather_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.view_bytes());
+        self.append_to(&mut out);
         out
+    }
+
+    /// The view's elements, dense and row-major: borrowed from the storage
+    /// when the view is contiguous, gathered into a fresh vector only when
+    /// it is not.
+    pub fn dense_bytes(&self) -> std::borrow::Cow<'_, [u8]> {
+        match self.bytes() {
+            Ok(bytes) => bytes.into(),
+            Err(_) => self.gather_bytes().into(),
+        }
     }
 
     /// Materializes the view into a fresh contiguous tensor (copies).
@@ -367,8 +409,8 @@ impl Tensor {
     /// Elements as `f32` (copies; requires `F32` dtype).
     pub fn to_vec_f32(&self) -> Result<Vec<f32>> {
         self.check_dtype(DType::F32)?;
-        let bytes = self.gather_bytes();
-        Ok(bytes
+        Ok(self
+            .dense_bytes()
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
             .collect())
@@ -377,8 +419,8 @@ impl Tensor {
     /// Elements as `i64` (copies; requires `I64` dtype).
     pub fn to_vec_i64(&self) -> Result<Vec<i64>> {
         self.check_dtype(DType::I64)?;
-        let bytes = self.gather_bytes();
-        Ok(bytes
+        Ok(self
+            .dense_bytes()
             .chunks_exact(8)
             .map(|c| i64::from_le_bytes(c.try_into().expect("chunk of 8")))
             .collect())
@@ -398,7 +440,7 @@ impl Tensor {
     pub fn data_eq(&self, other: &Tensor) -> bool {
         self.dtype == other.dtype
             && self.shape == other.shape
-            && self.gather_bytes() == other.gather_bytes()
+            && self.dense_bytes() == other.dense_bytes()
     }
 }
 
@@ -505,6 +547,34 @@ mod tests {
         assert!(c.is_contiguous());
         assert_ne!(c.storage_id(), t.storage_id());
         assert!(c.data_eq(&v));
+    }
+
+    #[test]
+    fn copy_into_writes_dense_bytes_once() {
+        let t = seq_u8(12, &[4, 3]);
+        let mut dst = [0u8; 12];
+        t.copy_into(&mut dst).unwrap();
+        assert_eq!(&dst[..], t.bytes().unwrap());
+        // A strided view lands dense; the destination must fit exactly.
+        let cols = t.narrow(1, 1, 2).unwrap();
+        let mut dst = [0u8; 8];
+        cols.copy_into(&mut dst).unwrap();
+        assert_eq!(dst, [1, 2, 4, 5, 7, 8, 10, 11]);
+        assert_eq!(cols.gather_bytes(), dst);
+        assert!(cols.copy_into(&mut [0u8; 9]).is_err());
+        assert!(t.copy_into(&mut dst).is_err());
+    }
+
+    #[test]
+    fn dense_bytes_borrow_a_contiguous_view() {
+        let t = seq_u8(12, &[4, 3]);
+        let rows = t.narrow(0, 1, 2).unwrap();
+        assert!(matches!(rows.dense_bytes(), std::borrow::Cow::Borrowed(_)));
+        assert_eq!(rows.dense_bytes().as_ptr(), rows.bytes().unwrap().as_ptr());
+        let cols = t.narrow(1, 1, 2).unwrap();
+        assert!(matches!(cols.dense_bytes(), std::borrow::Cow::Owned(_)));
+        assert_eq!(&cols.dense_bytes()[..], &cols.gather_bytes()[..]);
+        assert!(cols.data_eq(&cols.contiguous()));
     }
 
     #[test]

@@ -5,14 +5,16 @@
 //!
 //! Companion to `ts-shm`'s `arena_properties` suite: that one checks the
 //! raw slot protocol (generations, refcounts), this one checks the layer
-//! above — [`SlotPool`] leases, [`cat0_leased`] placement and the
-//! [`SharedRegistry`]'s refcounted adoption of placed handles.
+//! above — [`SlotPool`] leases, [`cat0_leased`] placement, the lease a
+//! [`BatchBuf`]-built tensor's storage carries (taken at most once, freed
+//! by `Drop` when nobody takes it) and the [`SharedRegistry`]'s refcounted
+//! adoption of placed handles.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use ts_device::DeviceId;
 use ts_shm::{ShmArena, ShmError, ShmView};
-use ts_tensor::{cat0_leased, SharedRegistry, SlotPool, Tensor, TensorError};
+use ts_tensor::{cat0_leased, BatchBuf, SharedRegistry, SlotPool, Tensor, TensorError};
 
 fn temp_arena(nslots: usize, slot_size: usize) -> std::sync::Arc<ShmArena> {
     static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -41,8 +43,19 @@ struct Live {
     refs: u64,
 }
 
+/// Builds `src` as a one-row batch straight into a slot of `pool`; `None`
+/// when the pool was dry and the batch went to the heap.
+fn built_in_place(src: &Tensor, pool: &SlotPool) -> Option<Tensor> {
+    let mut buf = BatchBuf::like(1, src, Some(pool)).unwrap();
+    buf.push(src).unwrap();
+    buf.is_leased()
+        .then(|| buf.freeze().unwrap().select(0, 0).unwrap())
+}
+
 proptest! {
-    /// Model-checked lease lifetime. Ops: 0 = lease+collate+publish,
+    /// Model-checked lease lifetime. Ops: 0 = lease+collate+publish (odd
+    /// lengths: built in place, the lease carried by the storage and taken
+    /// at publish), 5 = build in place and drop unpublished,
     /// 1 = republish the same storage across an epoch boundary (duplicate
     /// registration must refcount, not double-place), 2 = consumer pin
     /// (attach the published handle and hold the view), 3 = release one
@@ -50,7 +63,7 @@ proptest! {
     #[test]
     fn lease_released_exactly_once_and_never_while_pinned(
         nslots in 2usize..8,
-        ops in prop::collection::vec((0u8..5, 0usize..32, 1usize..12), 1..100)
+        ops in prop::collection::vec((0u8..6, 0usize..32, 1usize..12), 1..100)
     ) {
         let arena = temp_arena(nslots, 64);
         let pool = SlotPool::new(arena.clone(), nslots);
@@ -66,7 +79,20 @@ proptest! {
                     let values = content_f32(counter, len);
                     let src = Tensor::from_f32(&values, &[len], DeviceId::Cpu).unwrap();
                     let expected = src.gather_bytes();
-                    match cat0_leased(&[src], &pool, DeviceId::Cpu) {
+                    let placed = if len % 2 == 1 {
+                        // The loader's path: the storage carries the lease
+                        // until the publish step takes it — once.
+                        built_in_place(&src, &pool)
+                            .map(|tensor| {
+                                let lease = tensor.storage().take_lease(&arena);
+                                prop_assert!(tensor.storage().take_lease(&arena).is_none());
+                                Ok((tensor, lease.expect("carried until taken")))
+                            })
+                            .unwrap_or(Err(TensorError::Arena(ShmError::Full)))
+                    } else {
+                        cat0_leased(&[src], &pool, DeviceId::Cpu)
+                    };
+                    match placed {
                         Ok((tensor, lease)) => {
                             // The collate wrote into the leased slot: the
                             // published tensor reads the source bytes.
@@ -126,6 +152,22 @@ proptest! {
                         prop_assert!(registry.shm_handle(e.id).is_none());
                         // Exactly once: a second release is a no-op.
                         prop_assert!(!registry.release(e.id));
+                    }
+                }
+                5 => {
+                    // A batch abandoned before publish (epoch abort, a
+                    // producer map that replaced it): dropping the last
+                    // clone frees the slot, with nothing else to call.
+                    let src = Tensor::from_f32(&content_f32(pick as u64, len), &[len], DeviceId::Cpu).unwrap();
+                    let in_use = arena.slots_in_use();
+                    if let Some(tensor) = built_in_place(&src, &pool) {
+                        let clone = tensor.clone();
+                        drop(tensor);
+                        prop_assert_eq!(clone.gather_bytes(), src.gather_bytes());
+                        drop(clone);
+                        // (One fewer when the lease rewrote a slot the pool
+                        // had idle: a dropped lease goes to the arena.)
+                        prop_assert!(arena.slots_in_use() <= in_use);
                     }
                 }
                 4 if !live.is_empty() => {

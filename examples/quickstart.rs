@@ -143,13 +143,14 @@
 //! # Zero-copy publish
 //!
 //! With an arena bound (`.arena(path)`), publishing a batch moves **no
-//! payload bytes**: the feeder leases an arena slot *before* collating
-//! and decodes straight into it, so by the time the publish loop runs,
-//! the bytes are already where consumers will map them — the announce is
-//! pure metadata (an arena handle in a protocol frame). The contract
-//! behind it is the **slot lease**: a leased slot is exclusively the
-//! feeder's until the publish loop adopts it into the shared registry
-//! (`lease → collate → adopt`), and an adopted slot frees only when the
+//! payload bytes**: a loader worker leases an arena slot *before*
+//! decoding and the dataset decodes every sample straight into its row of
+//! it, so by the time the publish loop runs, the bytes are already where
+//! consumers will map them — the announce is pure metadata (an arena
+//! handle in a protocol frame). The contract behind it is the **slot
+//! lease**: a leased slot is exclusively its writer's, the batch tensor
+//! carries the lease until the publish loop adopts it into the shared
+//! registry (`lease → write → adopt`), and an adopted slot frees only when the
 //! last registration *and* the last consumer pin release it — epoch
 //! replays refcount the same placement instead of re-placing bytes. A
 //! lease dropped before adoption (an error path) returns its slot to the
@@ -504,9 +505,9 @@ fn main() {
 
     // ---- act five: zero-copy publish through a leased arena ----
     // `.arena(path)` flips publishing to the metadata-only shape: the
-    // feeder leases each batch's slot up front and collates straight
-    // into it, the publish loop adopts the placement, and the announce
-    // carries a handle — no payload bytes move. The proof is a meter,
+    // loader's workers lease each batch's slot up front and decode
+    // straight into it, the publish loop adopts the placement, and the
+    // announce carries a handle — no payload bytes move. The proof is a meter,
     // not a promise: `stage.publish_copy_bytes` counts every byte the
     // fallback copying path touches, and it must stay at 0.
     let ctx = TsContext::host_only();

@@ -343,12 +343,15 @@ fn log_header(stats: &StatsPayload) -> Option<String> {
 /// The pump header line: what each producer pipeline is waiting for right
 /// now (`stage.[s<N>.]wait_state`, a [`tensorsocket::Wait`] code), how
 /// long its feeder has spent parked on a dry arena in total
-/// (`stage.[s<N>.]arena_parked_ns`) and, while a catch-up runs, how much
-/// of it is sent and not yet acked (`replay.[s<N>.]inflight_bytes`).
+/// (`stage.[s<N>.]arena_parked_ns`), how many payload bytes that feeder
+/// had to copy into the arena because batches did not arrive built in
+/// place (`stage.[s<N>.]collate_copy_bytes`: 0 over a `DataLoader`) and,
+/// while a catch-up runs, how much of it is sent and not yet acked
+/// (`replay.[s<N>.]inflight_bytes`).
 fn wait_header(stats: &StatsPayload) -> Option<String> {
     let gauges = stats.gauges();
-    let parked = |prefix: &str| {
-        let name = format!("{prefix}arena_parked_ns");
+    let counter = |prefix: &str, name: &str| {
+        let name = format!("{prefix}{name}");
         let found = stats.counters.iter().find(|(n, _)| *n == name);
         found.map(|(_, v)| *v).unwrap_or(0)
     };
@@ -370,9 +373,13 @@ fn wait_header(stats: &StatsPayload) -> Option<String> {
             "" => format!("waiting on {state}"),
             shard => format!("{shard} waiting on {state}"),
         };
-        match parked(prefix) {
+        match counter(prefix, "arena_parked_ns") {
             0 => {}
             ns => part.push_str(&format!(" (arena-parked {} ms total)", ns / 1_000_000)),
+        }
+        match counter(prefix, "collate_copy_bytes") {
+            0 => {}
+            bytes => part.push_str(&format!(" (feeder copied {} KiB)", bytes / 1024)),
         }
         let unacked = inflight(prefix);
         if unacked > 0.0 {
@@ -536,10 +543,13 @@ mod tests {
             .gauge("replay.s0.inflight_bytes")
             .set(3.0 * 1024.0 * 1024.0);
         registry.gauge("replay.s1.inflight_bytes").set(0.0);
+        registry.counter("stage.s0.collate_copy_bytes").add(0);
+        registry.counter("stage.s1.collate_copy_bytes").add(5 << 20);
         let header = wait_header(&StatsPayload::from_registry(&registry)).unwrap();
         assert_eq!(
             header,
-            "pump: s0 waiting on window (catch-up: 3072 KiB un-acked) | s1 waiting on item"
+            "pump: s0 waiting on window (catch-up: 3072 KiB un-acked) | \
+             s1 waiting on item (feeder copied 5120 KiB)"
         );
         // A standalone producer's gauges carry no shard.
         let registry = ts_metrics::Registry::new();
