@@ -9,7 +9,7 @@ use ts_data::{codec, DataLoader, DataLoaderConfig, SyntheticImageDataset};
 use ts_device::DeviceId;
 use ts_sim::ps::{PsResource, Sharing};
 use ts_socket::{coalescing_cell, Context, Multipart, PubSocket, SubSocket};
-use ts_tensor::{collate, DType, MemoryPool, SharedRegistry, Tensor, TensorPayload};
+use ts_tensor::{collate, DType, SharedRegistry, Tensor, TensorPayload};
 
 /// Payload pack + wire encode + decode + registry unpack — the entire
 /// per-batch sharing overhead (everything TensorSocket does *instead of*
@@ -138,10 +138,6 @@ fn bench_collate(c: &mut Criterion) {
         .collect();
     g.bench_function("cat0_4x32x3x64x64", |b| {
         b.iter(|| collate::cat0(&batches).unwrap())
-    });
-    let pool = MemoryPool::new(128 * 3 * 64 * 64, 4);
-    g.bench_function("cat0_pooled_4x32x3x64x64", |b| {
-        b.iter(|| collate::cat0_pooled(&batches, &pool, DeviceId::Gpu(0)).unwrap())
     });
     g.finish();
 }

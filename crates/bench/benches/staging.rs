@@ -1,38 +1,32 @@
-//! Device-staging throughput: overlapped H2D copies vs the serial
-//! copy-then-publish baseline.
+//! Device staging: what putting every batch on the GPU costs an epoch.
 //!
-//! One GPU-device producer + one consumer over `inproc://`, a synthetic
-//! image epoch consumed to completion with a fixed per-batch "training
-//! step" on the consumer side. The H2D link is modeled at a constrained
-//! bandwidth (`H2D_BANDWIDTH`) so a batch copy costs real wall time
-//! comparable to the training step — the regime where copy placement
-//! matters. Three rows, varying only `ProducerConfig::staging.mode`:
+//! One producer + one consumer over `inproc://`, a synthetic image epoch
+//! consumed to completion with a fixed per-batch "training step" on the
+//! consumer side. The H2D link is modeled at a constrained bandwidth
+//! (`H2D_BANDWIDTH`) so a batch copy costs real wall time comparable to
+//! the training step — the regime where the copy's place in the pipeline
+//! matters. Two rows, same loader, same trainer, varying only the
+//! producer's device:
 //!
-//! * `publish/off` — the legacy path: per-batch device allocation + copy
-//!   on the publish thread through `DeviceCtx::transfer`, which models
-//!   the same constrained link time (the producer forwards
-//!   `h2d_bandwidth` to `DeviceCtx::set_copy_bandwidth`), so all three
-//!   rows pay identical per-batch copy cost and differ only in copy
-//!   *placement* and allocation behavior.
-//! * `publish/serial` — slab-pooled staging with the modeled copy on the
-//!   publish thread: zero steady-state device allocations, but every
-//!   batch pays `copy + publish + train` serially (the paper's problem
-//!   case: the device copy on the critical path).
-//! * `publish/overlapped` — the same copy cost on the dedicated staging
-//!   stage: the copy of batch *n* runs while the consumer trains on
-//!   *n − 1*, so the cycle collapses to `max(copy, train)` and the
-//!   epoch finishes ~copy/train-ratio faster than serial.
+//! * `publish/cpu_only` — `DeviceId::Cpu`: nothing is staged. The epoch
+//!   is `batches × (train + window round trip)`.
+//! * `publish/overlapped` — `DeviceId::Gpu(0)`: every batch goes through
+//!   the slab rotation on the copy stage between feeder and publish loop.
+//!   The copy of batch *n* runs while the consumer trains on *n − 1*, so
+//!   it is off the critical path and the epoch should cost what the
+//!   CPU-only one does.
 //!
-//! The committed `BENCH_staging.json` documents the overlap win
-//! (overlapped beats both serial *and* the now-comparable off row); the
-//! CI gate holds all three rows. The off row was re-baselined when it
-//! gained the link-time model — before that it was an unmodeled
-//! reference whose time was not comparable to the staged rows.
+//! The claim the suite prints (and asserts) is that one: the staged epoch
+//! is within `OVERLAP_SLACK` of the CPU-only epoch although the copy stage
+//! spent `staging.h2d_ns` — printed beside it, about a training step per
+//! batch — copying. Were the copies on the critical path the staged epoch
+//! would be longer by that sum. The CI gate holds both rows against the
+//! committed `BENCH_staging.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::sync::Arc;
 use std::time::Duration;
-use tensorsocket::{Consumer, Producer, StagingConfig, StagingMode, TsContext};
+use tensorsocket::{Consumer, Producer, StagingConfig, TsContext};
 use ts_data::{DataLoader, DataLoaderConfig, SyntheticImageDataset};
 use ts_device::DeviceId;
 
@@ -44,9 +38,11 @@ const BATCH: usize = 32;
 const SIDE: usize = 16; // 3×16×16 images → 24 KiB staged per batch
 const ENCODED_LEN: usize = 1_024;
 /// Modeled H2D bandwidth: constrained so one batch copy costs ~1 ms —
-/// the same order as the training step, the regime where the copy's
-/// placement (publish thread vs copy stage) decides the cycle time.
+/// the same order as the training step, the regime where a copy on the
+/// critical path would show.
 const H2D_BANDWIDTH: f64 = 24e6;
+/// How much longer than the CPU-only epoch the staged one may be.
+const OVERLAP_SLACK: f64 = 0.15;
 /// Per-batch consumer "training step".
 const TRAIN_STEP: Duration = Duration::from_micros(1_000);
 
@@ -64,22 +60,21 @@ fn make_loader() -> DataLoader {
     )
 }
 
-/// Runs one full epoch through a GPU-staging producer + consumer with a
-/// fixed training step per batch; returns batches seen.
-fn run_epoch(mode: StagingMode, endpoint: &str) -> u64 {
+/// Runs one full epoch through a producer on `device` + a consumer with
+/// a fixed training step per batch; returns the time the copy stage spent
+/// on H2D copies (the sum of `staging.h2d_ns`; 0 on the CPU).
+fn run_epoch(device: DeviceId, endpoint: &str) -> u64 {
     let ctx = TsContext::with_gpus(1, 8 << 30, false);
     let producer = Producer::builder()
         .context(&ctx)
         .endpoint(endpoint)
         .epochs(1)
-        .device(DeviceId::Gpu(0))
-        // buffer_size 1: the strictest window, where the copy's
-        // placement (publish thread vs copy stage) is fully exposed.
+        .device(device)
+        // buffer_size 1: the strictest window, where a copy that is not
+        // overlapped is fully exposed.
         .buffer_size(1)
         .staging_config(StagingConfig {
-            mode,
             h2d_bandwidth: Some(H2D_BANDWIDTH),
-            ..Default::default()
         })
         .first_consumer_timeout(Some(Duration::from_secs(30)))
         .spawn(make_loader())
@@ -100,7 +95,8 @@ fn run_epoch(mode: StagingMode, endpoint: &str) -> u64 {
         batches += 1;
     }
     producer.join().expect("producer join");
-    batches
+    assert_eq!(batches as usize, SAMPLES / BATCH);
+    ctx.metrics.histogram("staging.h2d_ns").snapshot().sum
 }
 
 fn bench_staging(c: &mut Criterion) {
@@ -110,18 +106,16 @@ fn bench_staging(c: &mut Criterion) {
     let epoch_bytes = (SAMPLES / BATCH * BATCH) as u64 * (3 * SIDE * SIDE) as u64;
     g.throughput(Throughput::Bytes(epoch_bytes));
     let mut round = 0u32;
-    for (tag, mode) in [
-        ("off", StagingMode::Off),
-        ("serial", StagingMode::Serial),
-        ("overlapped", StagingMode::Overlapped),
+    let mut h2d_ns = 0u64;
+    for (tag, device) in [
+        ("cpu_only", DeviceId::Cpu),
+        ("overlapped", DeviceId::Gpu(0)),
     ] {
-        g.bench_with_input(BenchmarkId::new("publish", tag), &mode, |b, &mode| {
+        g.bench_with_input(BenchmarkId::new("publish", tag), &device, |b, &device| {
             b.iter(|| {
                 round += 1;
-                let endpoint = format!("inproc://bench-staging-{tag}-{round}");
-                let batches = run_epoch(mode, &endpoint);
-                assert_eq!(batches as usize, SAMPLES / BATCH);
-                batches
+                h2d_ns = run_epoch(device, &format!("inproc://bench-staging-{tag}-{round}"));
+                h2d_ns
             })
         });
     }
@@ -141,13 +135,19 @@ fn bench_staging(c: &mut Criterion) {
             .find(|r| r.bench.ends_with(suffix))
             .map(|r| r.mean_ns)
     };
-    if let (Some(serial), Some(overlapped)) = (pick("/publish/serial"), pick("/publish/overlapped"))
-    {
+    if let (Some(cpu), Some(staged)) = (pick("/publish/cpu_only"), pick("/publish/overlapped")) {
         println!(
-            "overlapped H2D staging vs serial copy-then-publish: {:.2}x (serial {:.1} ms -> overlapped {:.1} ms)",
-            serial / overlapped,
-            serial / 1e6,
-            overlapped / 1e6
+            "staged epoch {:.1} ms vs cpu_only {:.1} ms ({:+.1} %, bound +{:.0} %) with {:.1} ms \
+             of staging.h2d_ns per epoch off the critical path",
+            staged / 1e6,
+            cpu / 1e6,
+            (staged / cpu - 1.0) * 100.0,
+            OVERLAP_SLACK * 100.0,
+            h2d_ns as f64 / 1e6,
+        );
+        assert!(
+            staged <= cpu * (1.0 + OVERLAP_SLACK),
+            "the H2D copy is back on the critical path"
         );
     }
     report.write(

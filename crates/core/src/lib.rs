@@ -48,8 +48,7 @@
 //! data/ctrl endpoint derives via one scheme-aware
 //! [`ts_socket::EndpointMap`], plus sparse per-shard overrides for
 //! multi-host topologies), the shared-memory arena path and slot
-//! geometry, the batch schema, the staging mode, and the payload-mode
-//! grant mask — so nothing about the topology is mirrored out of band,
+//! geometry, the batch schema, and the payload-mode grant mask — so nothing about the topology is mirrored out of band,
 //! and nothing can be silently misconfigured. Mismatches fail fast as
 //! typed [`HandshakeError`]s (`Version`, `Topology`, `ArenaMissing`,
 //! `Mode`), never as hangs.
@@ -324,16 +323,19 @@
 //!   publishing performs zero arena allocations (observable via the
 //!   pool's stats; [`TsContext::enable_slot_recycling`] remains the
 //!   manual-depth path).
-//! * [`ProducerConfig::staging`] — device staging shape for GPU
-//!   producers. The default [`StagingMode::Overlapped`] stages batches
-//!   through a pre-allocated VRAM slab rotation (`ts-staging`'s
-//!   `DeviceSlabPool` behind a pluggable `DeviceBackend`) with the H2D
-//!   copy on its own stage, so the copy of batch *n* overlaps collation
-//!   of *n + 1* and publishing of *n − 1* and warmed-up staging performs
-//!   zero device allocations (assert via
-//!   `ts_device::MemoryBook::alloc_count`). `Serial` keeps the pool but
-//!   copies on the producer thread; `Off` is the legacy per-batch
-//!   allocate+copy. Consumers see byte-identical batches in all three.
+//! * [`ProducerBuilder::device`] — a GPU device stages every batch on it
+//!   before the announce, and there is one way that happens: through a
+//!   pre-allocated VRAM slab rotation (`ts-staging`'s `DeviceSlabPool`
+//!   behind a pluggable `DeviceBackend`) with the H2D copy on a stage of
+//!   its own between feeder and publish loop, so the copy of batch *n*
+//!   overlaps collation of *n + 1* and publishing of *n − 1* and
+//!   warmed-up staging performs zero device allocations (assert via
+//!   `ts_device::MemoryBook::alloc_count`). Queue and slab depths follow
+//!   from `buffer_size` and the rubberband pin set;
+//!   [`ProducerConfig::staging`] holds the one thing left to set, the
+//!   simulated backend's modeled bandwidth. A device the context cannot
+//!   stage on fails the spawn with [`TsError::Config`]. Consumers see the
+//!   bytes a CPU producer would have sent.
 //!
 //! ## Observability: stage histograms and the `ts-top` scrape
 //!
@@ -581,7 +583,7 @@ pub use runtime::context::TsContext;
 pub use runtime::coordinator::{EpochCoordinator, GroupJoin};
 pub use runtime::producer::{EpochSource, ProducerStats, SampleGeometry};
 pub use runtime::scrape::{scrape_stats, scrape_trace};
-pub use runtime::{FlexibleConfig, ProducerConfig, StagingConfig, StagingMode, Wait};
+pub use runtime::{FlexibleConfig, ProducerConfig, StagingConfig, Wait};
 pub use ts_metrics::{SpanKind, TraceRecordSnap, TraceRing};
 pub use ts_socket::{Endpoint, EndpointError, Scheme};
 

@@ -167,8 +167,8 @@ pub struct WelcomeInfo {
     pub batch_size: u32,
     /// Producer batch size under flexible sizing; 0 in default mode.
     pub flex_producer_batch: u32,
-    /// Device staging mode (0 off / 1 serial / 2 overlapped);
-    /// informational.
+    /// Wire code of the producer's device-staging shape: always `2`, the
+    /// copy stage. Informational: nothing reads it.
     pub staging: u8,
     /// The shared-memory arena, when one backs the payload path.
     pub arena: Option<ArenaAd>,

@@ -17,13 +17,11 @@
 //!   **literally only the endpoint URI**. Everything else arrives over a
 //!   versioned HELLO/WELCOME handshake on the control channel: shard
 //!   count (and with it every shard's data/ctrl endpoint, via
-//!   [`ts_socket::EndpointMap`]), the arena path and slot geometry, the
-//!   batch schema and the staging mode. Mismatches surface as typed
-//!   [`crate::HandshakeError`]s — never as hangs or silently wrong training
-//!   streams.
+//!   [`ts_socket::EndpointMap`]), the arena path and slot geometry and the
+//!   batch schema. Mismatches surface as typed [`crate::HandshakeError`]s
+//!   — never as hangs or silently wrong training streams.
 
 use crate::protocol::messages::PayloadMode;
-use crate::protocol::rubberband::RubberbandPolicy;
 use crate::runtime::config::{FlexibleConfig, ProducerConfig, ProducerMap};
 use crate::runtime::consumer::Consumer;
 use crate::runtime::context::TsContext;
@@ -31,7 +29,7 @@ use crate::runtime::coordinator::EpochCoordinator;
 use crate::runtime::producer::{
     batches_ahead_of_publish, EpochSource, ProducerStats, TensorProducer,
 };
-use crate::runtime::staging::{StagingConfig, StagingMode};
+use crate::runtime::staging::StagingConfig;
 use crate::{Result, TsError};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -151,15 +149,8 @@ impl ProducerBuilder {
         self
     }
 
-    /// Device staging shape (GPU producers); defaults to
-    /// [`StagingMode::Overlapped`] with pool and queue depths derived
-    /// from the publish window.
-    pub fn staging(mut self, mode: StagingMode) -> Self {
-        self.cfg.staging.mode = mode;
-        self
-    }
-
-    /// Full staging configuration, for explicit slab/queue depths.
+    /// Device staging configuration (GPU producers): the simulated
+    /// backend's modeled H2D bandwidth.
     pub fn staging_config(mut self, staging: StagingConfig) -> Self {
         self.cfg.staging = staging;
         self
@@ -363,22 +354,18 @@ impl ProducerBuilder {
         // rubberband pin set (pinned batches stay registered past full
         // acknowledgement until the join window closes) plus a margin for
         // releases still in flight.
-        let policy = RubberbandPolicy {
-            cutoff: cfg.rubberband_cutoff,
-        };
         let per_shard_live = |source: &S| -> usize {
-            let expected = match &cfg.flexible {
-                None => source.batches_per_epoch() as u64,
-                Some(flex) => ((source.batches_per_epoch() * source.batch_size()) as u64)
-                    .div_ceil(flex.producer_batch as u64),
-            };
+            let loader = (
+                source.batches_per_epoch() as u64,
+                source.batch_size() as u64,
+            );
             // Zero-copy publish leases slots *ahead* of the publish
             // cursor: every batch inside the loader, parked in the feeder
-            // queue or in the overlapped staging hand-off already owns its
-            // slots. Size that ahead-of-publish set in, or a fast loader
-            // would run the pool dry and build on the heap instead.
+            // queue or in the staging hand-off already owns its slots.
+            // Size that ahead-of-publish set in, or a fast loader would
+            // run the pool dry and build on the heap instead.
             let ahead = batches_ahead_of_publish(cfg, source.pipeline_hint());
-            cfg.buffer_size + policy.pinned_batches(expected) as usize + ahead + 1
+            cfg.buffer_size + cfg.pinned_per_epoch(loader) + ahead + 1
         };
         let (path, nslots, slot_size, tensors_per_batch) = match spec {
             ArenaSpec::Sized {

@@ -1,6 +1,7 @@
 //! Runtime configuration.
 
 use crate::protocol::order::OrderConfig;
+use crate::protocol::rubberband::RubberbandPolicy;
 use crate::runtime::staging::StagingConfig;
 use std::sync::Arc;
 use std::time::Duration;
@@ -50,11 +51,11 @@ pub struct ProducerConfig {
     /// Device batches are staged on before being shared (the paper puts the
     /// producer on GPU 0). `DeviceId::Cpu` skips the device hop.
     pub device: DeviceId,
-    /// How batches are staged on a GPU device: through the pre-allocated
-    /// VRAM slab rotation with the copy overlapped against collation (the
-    /// default), serially on the producer thread, or via the legacy
-    /// per-batch allocate+copy path. See [`crate::StagingMode`]. Ignored
-    /// when `device` is the CPU.
+    /// Device staging on a GPU `device`: batches go through a pre-allocated
+    /// VRAM slab rotation, copied by a stage of its own between the feeder
+    /// and the publish loop so the copy overlaps collation and publishing.
+    /// The one thing to set is the simulated backend's modeled bandwidth
+    /// ([`StagingConfig::h2d_bandwidth`]). Ignored when `device` is the CPU.
     pub staging: StagingConfig,
     /// Flexible batch sizing; `None` means default (identical batches).
     pub flexible: Option<FlexibleConfig>,
@@ -66,10 +67,12 @@ pub struct ProducerConfig {
     pub first_consumer_timeout: Option<Duration>,
     /// Sparse per-shard endpoint overrides: shard `i` binds (and is
     /// advertised at) the given base URI instead of the one derived from
-    /// [`ProducerConfig::endpoint`] by scheme rules — the multi-host
-    /// escape hatch, where each shard pipeline runs as its own process or
-    /// on its own host. Sorted by shard; advertised verbatim in the
-    /// WELCOME so consumers follow without out-of-band configuration.
+    /// [`ProducerConfig::endpoint`] by scheme rules — for shards that must
+    /// listen on another interface, port range or socket directory than the
+    /// base endpoint implies. Every shard pipeline still runs in the
+    /// spawning process, under its one epoch coordinator. Sorted by shard;
+    /// advertised verbatim in the WELCOME so consumers follow without
+    /// out-of-band configuration.
     pub shard_endpoints: Vec<(u32, String)>,
     /// Stall-watchdog sensitivity: a batch stuck in one stage longer than
     /// this multiple of that stage's rolling p99 (with a small absolute
@@ -142,6 +145,26 @@ impl ProducerConfig {
     /// overrides).
     pub fn endpoints(&self) -> ts_socket::EndpointMap {
         ts_socket::EndpointMap::with_overrides(&self.endpoint, 1, self.shard_endpoints.clone())
+    }
+
+    /// Announcements one epoch takes over a loader of `(batches_per_epoch,
+    /// batch_size)`: its batches, or under flexible sizing the producer
+    /// batches they fuse into.
+    pub(crate) fn announces_per_epoch(&self, loader: (u64, u64)) -> u64 {
+        match &self.flexible {
+            None => loader.0,
+            Some(flex) => (loader.0 * loader.1).div_ceil(flex.producer_batch as u64),
+        }
+    }
+
+    /// Batches of one epoch the rubberband policy keeps pinned past full
+    /// acknowledgement: what the arena and the VRAM slab rotation must hold
+    /// on top of the publish window.
+    pub(crate) fn pinned_per_epoch(&self, loader: (u64, u64)) -> usize {
+        let policy = RubberbandPolicy {
+            cutoff: self.rubberband_cutoff,
+        };
+        policy.pinned_batches(self.announces_per_epoch(loader)) as usize
     }
 
     /// The data (PUB/SUB) endpoint name.

@@ -31,7 +31,6 @@ use crate::protocol::messages::{caps, CtrlMsg, PayloadMode, WelcomeInfo};
 use crate::runtime::builder::ConsumerBuilder;
 use crate::runtime::consumer_state::{ConsumerState, Effect, Event};
 use crate::runtime::context::TsContext;
-use crate::runtime::staging::StagingMode;
 use crate::{HandshakeError, Result};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -223,12 +222,6 @@ impl Consumer {
     /// the producer's arena (or forced the mode).
     pub fn payload_mode(&self) -> PayloadMode {
         self.state.mode
-    }
-
-    /// The producer's advertised staging mode, when it is one this
-    /// consumer knows.
-    pub fn staging_mode(&self) -> Option<StagingMode> {
-        StagingMode::from_wire_code(self.welcome().staging)
     }
 
     /// Why iteration stopped, once it has.

@@ -35,6 +35,8 @@
 //! `connect()` returns when every shard is `Live` or `Ended` (*attached*);
 //! `Detached`, `End`, `Timeout`, `ProducerGone` and `Protocol` are
 //! terminal ([`StopReason`]), each with the error the iterator reports.
+//! However it ends — attached or not — `Event::Leave` says LEAVE to every
+//! shard that was sent a JOIN.
 //!
 //! **Effects.** `Ctrl` is one control frame for one shard (HELLO, JOIN,
 //! READY, REPLAY, ACK, LEAVE — heartbeats are the shell's, see there);
@@ -348,9 +350,14 @@ impl ConsumerState {
             }
             Event::Leave => {
                 self.ack_in_hand(now, fx);
-                // Only an attached consumer is known to every shard.
+                // Every shard that was sent a JOIN may know this consumer —
+                // parked, or admitted with everyone's publishing halted
+                // until its READY — whether or not the attach ever
+                // completed. One that never admitted it owes nothing for
+                // the LEAVE.
                 let consumer_id = self.id;
-                for shard in 0..self.shards.len() * usize::from(self.attached) {
+                let shards = self.shards.iter().enumerate();
+                for (shard, _) in shards.filter(|(_, s)| s.phase != Phase::Hello) {
                     let msg = CtrlMsg::Leave { consumer_id };
                     fx.push(Effect::Ctrl { shard, msg });
                 }

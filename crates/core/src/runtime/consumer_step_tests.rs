@@ -1,16 +1,18 @@
 //! The consumer's decisions, scripted: every test here builds a
 //! [`ConsumerState`] from `TsContext::host_only()` with no link open, feeds
 //! it events with a time it advances by hand, and reads the effects. No
-//! socket, no thread, no clock, no sleep. The last test puts a producer
-//! `State` on the other end of the effects: both halves of exactly-once,
-//! back to back in memory.
+//! socket, no thread, no clock, no sleep. The last tests put producer
+//! `State`s — one, or two shards under a real `EpochCoordinator` — on the
+//! other end of the effects (`World`): both halves of exactly-once, back
+//! to back in memory, on one hand-advanced clock.
 
 use super::*;
 use crate::protocol::messages::{caps, FlexBatchPayload, LogAd, StreamedTensor};
 use crate::runtime::config::ProducerConfig;
+use crate::runtime::coordinator::EpochCoordinator;
 use crate::runtime::producer::Preparer;
 use crate::runtime::staging::FeederMsg;
-use crate::runtime::state::{self, State};
+use crate::runtime::state::{self, State, Wait};
 use crate::Consumer;
 use ts_data::Batch;
 use ts_device::DeviceId;
@@ -277,7 +279,9 @@ fn a_parked_joiner_waits_as_long_as_the_producer_shows_life_and_no_longer() {
     assert_eq!(rig.state.stopped, Some(StopReason::Timeout));
     assert_eq!(rig.state.take_error(), Some(TsError::Timeout("join reply")));
     assert_eq!(rig.state.wants(), None);
-    assert!(rig.step(Event::Leave).is_empty(), "nobody admitted it");
+    // It is still in the producer's `pending_join`: the shard is told.
+    let leave = CtrlMsg::Leave { consumer_id: ID };
+    assert_eq!(rig.step(Event::Leave), [Out::Ctrl(0, leave)]);
 }
 
 #[test]
@@ -671,6 +675,49 @@ fn leave_acks_the_batch_in_hand_and_tells_every_shard() {
 }
 
 #[test]
+fn a_joiner_that_gives_up_tells_every_shard_it_sent_a_join() {
+    // ROADMAP 9c. A shard may have parked this consumer, or admitted it —
+    // and then halts everyone's publishing until its READY — while another
+    // shard's reply never came: whatever ends the attach, each of them
+    // must hear LEAVE, not find out a heartbeat timeout later.
+    let leave = |shards: usize| -> Vec<Out> {
+        let msg = CtrlMsg::Leave { consumer_id: ID };
+        (0..shards).map(|s| Out::Ctrl(s, msg.clone())).collect()
+    };
+    // Before the WELCOME no JOIN is out: nobody to tell.
+    let mut rig = Rig::new(opts());
+    assert!(rig.step(Event::Leave).is_empty());
+    // Joining everywhere (dropped right after `negotiated`).
+    let mut rig = Rig::new(opts());
+    rig.negotiate(welcome(2, false), PayloadMode::Shm);
+    assert_eq!(rig.step(Event::Leave), leave(2));
+    // Admitted and READY on shard 0, parked on 1, no word from 2; the
+    // join reply times out.
+    let mut rig = Rig::new(opts());
+    rig.negotiate(welcome(3, false), PayloadMode::Shm);
+    rig.admit(0, 0, 0);
+    rig.frame(1, join_reply(JoinDecision::WaitEpoch { epoch: 1 }));
+    rig.tick_after(30 * SEC);
+    assert_eq!(rig.state.stopped, Some(StopReason::Timeout));
+    assert!(!rig.state.attached);
+    assert_eq!(rig.step(Event::Leave), leave(3));
+    // One shard rejects what the other admitted.
+    let mut rig = Rig::new(opts());
+    rig.negotiate(welcome(2, false), PayloadMode::Shm);
+    rig.admit(0, 0, 0);
+    let reason = "flexible producers serve shm payloads only".to_string();
+    rig.frame(1, join_reply(JoinDecision::Reject { reason }));
+    assert!(rig.state.take_error().is_some());
+    assert_eq!(rig.step(Event::Leave), leave(2));
+    // Splicing (admitted, the logged range not settled) when dropped.
+    let mut rig = Rig::new(opts().group("g"));
+    rig.negotiate(welcome(1, true), PayloadMode::Shm);
+    rig.admit(0, 0, 6);
+    assert!(!rig.state.attached);
+    assert_eq!(rig.step(Event::Leave), leave(1));
+}
+
+#[test]
 fn the_cursor_channel_is_state_and_never_moves_delivery() {
     let mut rig = Rig::attached(opts(), 2, PayloadMode::Shm);
     let cursor = |shard, seq| DataMsg::Cursor {
@@ -697,33 +744,82 @@ fn the_cursor_channel_is_state_and_never_moves_delivery() {
 
 // -- both ends, back to back ----------------------------------------------
 
-/// One consumer on the other end of the producer's effects: its state,
-/// what its SUB socket would let through, and what its trainer received.
+/// One consumer on the other end of the producers' effects: its state,
+/// what each shard's SUB socket would let through, and what its trainer
+/// received.
 struct Peer {
     state: ConsumerState,
     mode: PayloadMode,
-    topics: Vec<Vec<u8>>,
-    /// `(epoch, index_in_epoch, field bytes, labels)` per batch, in order.
-    got: Vec<(u64, u64, Vec<u8>, Vec<i64>)>,
+    topics: Vec<(usize, Vec<u8>)>,
+    /// `(epoch, shard, index_in_epoch, field bytes, labels)` per batch, in
+    /// order.
+    got: Vec<Row>,
 }
 
-/// A producer `State` and its consumers with the wires replaced by a
-/// queue: `Effect::Send` goes to every peer subscribed to a prefix of the
-/// topic as `Event::Frame`, `Effect::Ctrl` goes back as `Event::Ctrl`.
+type Row = (u64, usize, u64, Vec<u8>, Vec<i64>);
+
+/// Producer `State`s — one, or the shards of a group under a real
+/// [`EpochCoordinator`] — and their consumers with the wires replaced by a
+/// queue: a shard's `Effect::Send` goes to every peer subscribed there to a
+/// prefix of the topic as `Event::Frame`, `Effect::Ctrl` goes back to its
+/// shard as `Event::Ctrl`. Delivery is first in, first out, except for what
+/// the script holds back (`hold`, `release`); time is `now`, which only the
+/// script and the deliveries (10 µs each) move.
 struct World {
     ctx: TsContext,
-    producer: State,
+    shards: Vec<State>,
     peers: Vec<Peer>,
     now: u64,
-    finished: bool,
+    /// Per shard: it said `Effect::Finish`.
+    finished: Vec<bool>,
+    /// Frames this matches are kept off the wire, in `held`.
+    hold: fn(&Wire) -> bool,
+    held: VecDeque<Wire>,
 }
 
 enum Wire {
-    Down(usize, Bytes),
-    Up(Bytes),
+    Down {
+        peer: usize,
+        shard: usize,
+        frame: Bytes,
+    },
+    Up {
+        shard: usize,
+        msg: CtrlMsg,
+    },
 }
 
 impl World {
+    /// `shards` producer pipelines over loaders of `per_epoch` batches of
+    /// four samples, started and through the first barrier.
+    fn new(config: ProducerConfig, shards: usize, per_epoch: u64) -> Self {
+        let ctx = TsContext::host_only();
+        let timeout = config.heartbeat_timeout;
+        let coord = (shards > 1).then(|| Arc::new(EpochCoordinator::new(shards, timeout)));
+        let state = |shard| {
+            let (config, coord) = (config.clone(), coord.clone());
+            State::new(&ctx, config, coord, shard, None, (per_epoch, 4), 0)
+        };
+        let mut world = World {
+            shards: (0..shards as u32).map(state).collect(),
+            ctx,
+            peers: Vec::new(),
+            now: 0,
+            finished: vec![false; shards],
+            hold: |_| false,
+            held: VecDeque::new(),
+        };
+        let mut fx = Vec::new();
+        for shard in &mut world.shards {
+            shard.start(0, &mut fx);
+        }
+        assert!(fx.is_empty(), "nothing to say before anyone joined");
+        // The last shard to arrive opened the barrier; the others look.
+        world.tick();
+        assert!(world.shards.iter().all(|s| s.wait() == Wait::Consumers));
+        world
+    }
+
     fn join(&mut self, id: u64, mode: PayloadMode) {
         let opts = Consumer::builder().payload_mode(mode);
         let mut fx = Vec::new();
@@ -741,6 +837,15 @@ impl World {
         self.run(wire);
     }
 
+    /// Consumer `peer` goes away, as a dropped `Consumer` does.
+    fn leave(&mut self, peer: usize) {
+        let mut fx = Vec::new();
+        self.peers[peer].state.step(self.now, Event::Leave, &mut fx);
+        let mut wire = VecDeque::new();
+        self.consumer_did(peer, fx, &mut wire);
+        self.run(wire);
+    }
+
     /// Executes consumer `peer`'s effects the way the shell would, then
     /// plays its trainer: take what is ready, finish it at once.
     fn consumer_did(&mut self, peer: usize, mut fx: Vec<Effect>, wire: &mut VecDeque<Wire>) {
@@ -749,10 +854,11 @@ impl World {
         loop {
             for effect in std::mem::take(&mut fx) {
                 match effect {
-                    Effect::Ctrl { shard: 0, msg } => wire.push_back(Wire::Up(msg.encode())),
-                    Effect::Ctrl { shard, .. } => panic!("no shard {shard} here"),
-                    Effect::Subscribe { topic, .. } => p.topics.push(topic),
-                    Effect::Unsubscribe { topic, .. } => p.topics.retain(|t| *t != topic),
+                    Effect::Ctrl { shard, msg } => wire.push_back(Wire::Up { shard, msg }),
+                    Effect::Subscribe { shard, topic } => p.topics.push((shard, topic)),
+                    Effect::Unsubscribe { shard, topic } => {
+                        p.topics.retain(|t| *t != (shard, topic.clone()))
+                    }
                     Effect::Negotiate(welcome) => {
                         assert_ne!(welcome.payload_modes & p.mode.cap_bit(), 0);
                         p.state.negotiated(now, &welcome, p.mode, &mut fx);
@@ -765,25 +871,28 @@ impl World {
                 };
                 let bytes = b.fields[0].gather_bytes();
                 let labels = b.labels.to_vec_i64().unwrap();
-                p.got.push((b.epoch, b.index_in_epoch, bytes, labels));
+                p.got
+                    .push((b.epoch, b.shard, b.index_in_epoch, bytes, labels));
                 p.state.step(now, Event::Next, &mut fx);
             }
         }
     }
 
-    fn producer_did(&mut self, fx: Vec<state::Effect>, wire: &mut VecDeque<Wire>) {
+    fn producer_did(&mut self, shard: usize, fx: Vec<state::Effect>, wire: &mut VecDeque<Wire>) {
         for effect in fx {
             match effect {
                 state::Effect::Send { topic, frame } => {
                     let frame = frame.into_contiguous().frames()[0].clone();
-                    for (i, p) in self.peers.iter().enumerate() {
-                        if p.topics.iter().any(|prefix| topic.starts_with(prefix)) {
-                            wire.push_back(Wire::Down(i, frame.clone()));
+                    for (peer, p) in self.peers.iter().enumerate() {
+                        let mut topics = p.topics.iter().filter(|(at, _)| *at == shard);
+                        if topics.any(|(_, prefix)| topic.starts_with(prefix)) {
+                            let frame = frame.clone();
+                            wire.push_back(Wire::Down { peer, shard, frame });
                         }
                     }
                 }
                 state::Effect::Spill(_) => panic!("no log here"),
-                state::Effect::Finish => self.finished = true,
+                state::Effect::Finish => self.finished[shard] = true,
             }
         }
     }
@@ -791,45 +900,140 @@ impl World {
     /// Delivers until every wire is quiet.
     fn run(&mut self, mut wire: VecDeque<Wire>) {
         while let Some(w) = wire.pop_front() {
+            if (self.hold)(&w) {
+                self.held.push_back(w);
+                continue;
+            }
             self.now += 10_000;
             match w {
-                Wire::Down(peer, frame) => {
+                Wire::Down { peer, shard, frame } => {
                     let mut fx = Vec::new();
-                    let ev = Event::Frame { shard: 0, frame };
+                    let ev = Event::Frame { shard, frame };
                     self.peers[peer].state.step(self.now, ev, &mut fx);
                     self.consumer_did(peer, fx, &mut wire);
                 }
-                Wire::Up(frame) => self.produce(state::Event::Ctrl(frame), &mut wire),
+                Wire::Up { shard, msg } => {
+                    self.produce(shard, state::Event::Ctrl(msg.encode()), &mut wire)
+                }
             }
         }
     }
 
-    fn produce(&mut self, ev: state::Event, wire: &mut VecDeque<Wire>) {
-        let mut fx = Vec::new();
-        self.producer.step(self.now, ev, &mut fx);
-        self.producer_did(fx, wire);
+    /// What was held back goes on the wire, in the order it was sent.
+    fn release(&mut self) {
+        self.hold = |_| false;
+        let held = std::mem::take(&mut self.held);
+        self.run(held);
     }
 
-    /// One producer event, and everything that follows from it.
-    fn step(&mut self, ev: state::Event) {
+    fn produce(&mut self, shard: usize, ev: state::Event, wire: &mut VecDeque<Wire>) {
+        let mut fx = Vec::new();
+        self.shards[shard].step(self.now, ev, &mut fx);
+        self.producer_did(shard, fx, wire);
+    }
+
+    /// One event for producer shard `shard`, and everything that follows
+    /// from it.
+    fn step(&mut self, shard: usize, ev: state::Event) {
         let mut wire = VecDeque::new();
         self.now += 10_000;
-        self.produce(ev, &mut wire);
+        self.produce(shard, ev, &mut wire);
         self.run(wire);
         // A catch-up moves a frame per step while its window has room.
-        while self.producer.busy() {
+        while let Some(busy) = self.shards.iter().position(State::busy) {
+            self.step(busy, state::Event::Tick);
+        }
+    }
+
+    /// Every shard looks at the time (and, parked there, at the barrier).
+    fn tick(&mut self) {
+        for shard in 0..self.shards.len() {
+            self.step(shard, state::Event::Tick);
+        }
+    }
+
+    /// What the consumers' heartbeat threads do: every peer, every shard.
+    fn beat(&mut self) {
+        let beat = |p: &Peer| CtrlMsg::Heartbeat {
+            consumer_id: p.state.id,
+        };
+        let shards = 0..self.shards.len();
+        let beats = shards.flat_map(|shard| {
+            let beats = self.peers.iter().map(beat);
+            beats.map(move |msg| Wire::Up { shard, msg })
+        });
+        let wire = beats.collect();
+        self.run(wire);
+    }
+
+    /// Publishes loader batch `index` of `total` on each shard of `on`;
+    /// returns what went in, for the reference.
+    fn publish(
+        &mut self,
+        prep: &mut [Preparer],
+        on: &[usize],
+        epoch: u64,
+        index: usize,
+        total: usize,
+    ) -> Vec<Row> {
+        let mut rows = Vec::new();
+        for &shard in on {
+            let b = loader_batch(epoch, shard, index, total);
+            let bytes = b.fields[0].gather_bytes();
+            let labels = b.labels.to_vec_i64().unwrap();
+            rows.push((epoch, shard, index as u64, bytes, labels));
+            let last = b.last_in_epoch;
+            let mut never = || panic!("no arena, nothing to run dry");
+            let item = prep[shard].push(b, last, &mut never).unwrap().unwrap();
+            assert!(
+                self.shards[shard].wants_item(),
+                "shard {shard} epoch {epoch} batch {index}"
+            );
+            self.step(shard, state::Event::Prepared(FeederMsg::Item(item)));
+        }
+        rows
+    }
+
+    /// The feeders are through `epoch`; the barrier opens once every shard
+    /// has said so and looked again.
+    fn end_epoch(&mut self, epoch: u64) {
+        for shard in 0..self.shards.len() {
+            self.step(shard, state::Event::Prepared(FeederMsg::EpochDone(epoch)));
+        }
+        self.tick();
+    }
+
+    /// Closes every shard and checks each peer saw exactly `reference`.
+    fn finish(mut self, reference: &[Row], names: &[&str]) {
+        assert!(
+            self.finished.iter().all(|done| *done),
+            "nothing left to drain"
+        );
+        for shard in 0..self.shards.len() {
+            let mut fx = Vec::new();
+            self.shards[shard].close(self.now, &mut fx);
             let mut wire = VecDeque::new();
-            self.now += 10_000;
-            self.produce(state::Event::Tick, &mut wire);
+            self.producer_did(shard, fx, &mut wire);
             self.run(wire);
         }
+        for (p, name) in self.peers.iter().zip(names) {
+            // Exactly once, in order, bit-identical: one comparison says
+            // all three, against what the loaders produced.
+            assert_eq!(p.got.len(), reference.len(), "{name}");
+            assert!(p.got == reference, "{name} saw another stream");
+            assert_eq!(p.state.stopped, Some(StopReason::End), "{name}");
+            assert_eq!(p.state.buffered(), 0, "{name}");
+        }
+        let metrics = &self.ctx.metrics;
+        assert_eq!(metrics.counter("consumer.dangling_skipped").get(), 0);
+        assert!(self.ctx.registry.is_empty(), "every batch was released");
     }
 }
 
-/// Loader batch `index` of `total` in `epoch`: four samples, one f32 field
-/// whose bytes name the epoch and the sample.
-fn loader_batch(epoch: u64, index: usize, total: usize) -> Batch {
-    let base = (epoch as i64) * 1_000 + (index * 4) as i64;
+/// Loader batch `index` of `total` in `epoch` on `shard`: four samples, one
+/// f32 field whose bytes name the epoch, the shard and the sample.
+fn loader_batch(epoch: u64, shard: usize, index: usize, total: usize) -> Batch {
+    let base = (epoch as i64) * 1_000 + (shard as i64) * 100 + (index * 4) as i64;
     let labels: Vec<i64> = (base..base + 4).collect();
     let field: Vec<f32> = labels
         .iter()
@@ -845,27 +1049,25 @@ fn loader_batch(epoch: u64, index: usize, total: usize) -> Batch {
     }
 }
 
+fn world_cfg(epochs: u64) -> ProducerConfig {
+    ProducerConfig {
+        epochs,
+        rubberband_cutoff: 1.0,
+        heartbeat_timeout: Duration::from_millis(500),
+        ..Default::default()
+    }
+}
+
 #[test]
 fn both_ends_back_to_back_deliver_two_epochs_exactly_once_in_order_bit_identical() {
     const PER_EPOCH: usize = 8;
-    let ctx = TsContext::host_only();
     let config = ProducerConfig {
         epochs: 2,
         rubberband_cutoff: 0.5,
         ..Default::default()
     };
-    let mut prep = Preparer::new(&config, None);
-    let producer = State::new(&ctx, config, None, 0, None, (PER_EPOCH as u64, 4), 0);
-    let mut world = World {
-        ctx: ctx.clone(),
-        producer,
-        peers: Vec::new(),
-        now: 0,
-        finished: false,
-    };
-    let mut fx = Vec::new();
-    world.producer.start(0, &mut fx);
-    assert!(fx.is_empty());
+    let mut prep = [Preparer::new(&config, None)];
+    let mut world = World::new(config, 1, PER_EPOCH as u64);
     // A pointer consumer and a byte consumer from the start…
     world.join(1, PayloadMode::Shm);
     world.join(2, PayloadMode::Stream);
@@ -881,37 +1083,161 @@ fn both_ends_back_to_back_deliver_two_epochs_exactly_once_in_order_bit_identical
                 assert!(world.peers[2].state.attached);
                 assert_eq!(world.peers[2].got.len(), 3, "caught up from the pins");
             }
-            let b = loader_batch(epoch, index, PER_EPOCH);
-            let bytes = b.fields[0].gather_bytes();
-            reference.push((epoch, index as u64, bytes, b.labels.to_vec_i64().unwrap()));
-            let last = b.last_in_epoch;
-            let mut never = || panic!("no arena, nothing to run dry");
-            let item = prep.push(b, last, &mut never).unwrap().unwrap();
-            assert!(world.producer.wants_item(), "epoch {epoch} batch {index}");
-            world.step(state::Event::Prepared(FeederMsg::Item(item)));
+            reference.extend(world.publish(&mut prep, &[0], epoch, index, PER_EPOCH));
         }
-        world.step(state::Event::Prepared(FeederMsg::EpochDone(epoch)));
+        world.end_epoch(epoch);
     }
-    assert!(world.finished, "everything is acked: nothing to drain");
-    let mut fx = Vec::new();
-    world.producer.close(world.now, &mut fx);
-    let mut wire = VecDeque::new();
-    world.producer_did(fx, &mut wire);
-    world.run(wire);
-    for (p, name) in world.peers.iter().zip(["shm", "stream", "joiner"]) {
-        // Exactly once, in order, bit-identical: one comparison says all
-        // three, against what the loader produced.
-        assert_eq!(p.got.len(), reference.len(), "{name}");
-        assert!(p.got == reference, "{name} saw another stream");
-        assert_eq!(p.state.stopped, Some(StopReason::End), "{name}");
-        assert_eq!(p.state.buffered(), 0, "{name}");
+    assert_eq!(world.shards[0].stats.batches_published, 16);
+    assert_eq!(world.shards[0].stats.batches_replayed, 3);
+    let strays = world.ctx.metrics.counter("producer.ctrl_unknown_consumer");
+    assert_eq!(strays.get(), 0);
+    world.finish(&reference, &["shm", "stream", "joiner"]);
+}
+
+#[test]
+fn a_joiner_admitted_and_gone_before_ready_frees_the_others_in_the_step_its_leave_lands() {
+    // ROADMAP 9c. B's JOIN is admitted — which halts A's stream until B
+    // says READY — and B gives up before the reply reaches it (a timeout
+    // on another shard, a dropped builder result). It was never attached,
+    // so it used to say nothing, and A stood still for a heartbeat timeout.
+    let config = world_cfg(1);
+    let mut prep = [Preparer::new(&config, None)];
+    let mut world = World::new(config, 1, 4);
+    world.join(1, PayloadMode::Shm);
+    let mut reference = world.publish(&mut prep, &[0], 0, 0, 4);
+    world.hold = |w| {
+        let Wire::Down { frame, .. } = w else {
+            return false;
+        };
+        let reply = DataMsg::decode_shared(frame);
+        matches!(reply, Ok(DataMsg::JoinReply { consumer_id: 2, .. }))
+    };
+    world.join(2, PayloadMode::Shm);
+    assert_eq!(world.held.len(), 1, "the admission is on its way to B");
+    reference.extend(world.publish(&mut prep, &[0], 0, 1, 4));
+    assert_eq!(world.shards[0].wait(), Wait::Window, "halted for B's READY");
+    assert_eq!(world.peers[0].got.len(), 1);
+    let before = world.now;
+    world.leave(1);
+    assert_eq!(world.peers[0].got.len(), 2, "it went out with the LEAVE");
+    assert!(world.now - before < MS, "not a heartbeat timeout later");
+    world.held.clear(); // nobody is there to read the reply
+    world.peers.pop();
+    for index in 2..4 {
+        reference.extend(world.publish(&mut prep, &[0], 0, index, 4));
     }
-    assert_eq!(world.producer.stats.batches_published, 16);
-    assert_eq!(world.producer.stats.batches_replayed, 3);
-    assert_eq!(ctx.metrics.counter("consumer.dangling_skipped").get(), 0);
+    world.end_epoch(0);
+    world.finish(&reference, &["A"]);
+}
+
+/// Rows in the order a consumer of every shard sees them: by epoch, then
+/// index, then shard.
+fn interleaved(mut rows: Vec<Row>) -> Vec<Row> {
+    rows.sort_by_key(|r| (r.0, r.2, r.1));
+    rows
+}
+
+#[test]
+fn two_shards_a_join_reaching_the_empty_shard_first_still_gets_the_other_shards_prefix() {
+    // ROADMAP item 1, schedule (vi), end to end. A is admitted on shard 0
+    // and shard 0 is two batches into the epoch while A's JOIN is still on
+    // its way to shard 1. B's JOIN reaches shard 1 — no member, nothing
+    // published — before it reaches shard 0. "Nobody is training" is true
+    // of shard 1 and false of the group: B must be admitted from the
+    // epoch's start everywhere, or it never sees shard 0's first two.
+    const PER_EPOCH: usize = 4;
+    let config = world_cfg(2);
+    let mut prep = [Preparer::new(&config, None), Preparer::new(&config, None)];
+    let mut world = World::new(config, 2, PER_EPOCH as u64);
+    world.hold = |w| {
+        let slow = [(1, 1), (2, 0)];
+        matches!(w, Wire::Up { shard, msg: CtrlMsg::Join { consumer_id, .. } }
+            if slow.contains(&(*consumer_id, *shard)))
+    };
+    world.join(1, PayloadMode::Shm);
+    assert_eq!(world.held.len(), 1, "A's JOIN to shard 1 is in flight");
+    assert_eq!(world.shards[0].wait(), Wait::Item);
+    assert_eq!(world.shards[1].wait(), Wait::Consumers);
+    let mut rows = Vec::new();
+    for index in 0..2 {
+        rows.extend(world.publish(&mut prep, &[0], 0, index, PER_EPOCH));
+    }
+    assert!(world.peers[0].got.is_empty(), "A is not attached yet");
+    world.join(2, PayloadMode::Shm);
+    assert_eq!(world.held.len(), 2, "B has asked shard 1, and only shard 1");
+    world.release();
+    assert!(world.peers.iter().all(|p| p.state.attached));
+    assert_eq!(world.shards[0].stats.batches_replayed, 2, "B's prefix");
+    // Shard 1 catches up with shard 0, then both run on, through a
+    // coordinated boundary and a second epoch.
+    for index in 0..2 {
+        rows.extend(world.publish(&mut prep, &[1], 0, index, PER_EPOCH));
+    }
+    for epoch in 0..2 {
+        for index in 2 * usize::from(epoch == 0)..PER_EPOCH {
+            rows.extend(world.publish(&mut prep, &[0, 1], epoch, index, PER_EPOCH));
+        }
+        let open = world.shards.iter().map(State::wait);
+        assert!(open.eq([Wait::Item; 2]), "epoch {epoch} is running");
+        world.end_epoch(epoch);
+    }
+    world.finish(&interleaved(rows), &["A", "B"]);
+}
+
+#[test]
+fn two_shards_an_admission_decided_and_never_applied_holds_the_barrier_until_it_expires() {
+    // B's JOIN reaches shard 0 — decided for the group, applied there —
+    // and is lost on the way to shard 1. B stays alive (it beats), so
+    // nobody abandons the admission: only its age can let go of the
+    // barrier and of shard 1's pins, and that age is measured on the
+    // clock this script advances.
+    let config = world_cfg(2);
+    let timeout = config.heartbeat_timeout.as_nanos() as u64;
+    let mut prep = [Preparer::new(&config, None), Preparer::new(&config, None)];
+    let mut world = World::new(config, 2, 2);
+    world.join(1, PayloadMode::Shm);
+    world.hold = |w| {
+        matches!(
+            w,
+            Wire::Up {
+                shard: 1,
+                msg: CtrlMsg::Join { consumer_id: 2, .. }
+            }
+        )
+    };
+    let before = world.now;
+    world.join(2, PayloadMode::Shm);
+    let after = world.now;
+    assert_eq!(world.held.len(), 1);
+    assert!(!world.peers[1].state.attached);
+    // The epoch goes out to A (and, on shard 0, to B, which buffers it).
+    for index in 0..2 {
+        world.publish(&mut prep, &[0, 1], 0, index, 2);
+    }
+    assert_eq!(world.peers[0].got.len(), 4);
+    world.end_epoch(0);
+    let parked = |world: &World| world.shards.iter().map(State::wait).collect::<Vec<_>>();
+    assert_eq!(parked(&world), [Wait::Barrier; 2], "everyone has arrived");
+    // Halfway, everybody shows life; just short of the admission's age
+    // limit (to the nanosecond: the coordinator's own test) the barrier is
+    // still shut...
+    world.now = before + timeout / 2;
+    world.beat();
+    world.now = before + timeout - MS;
+    world.tick();
+    assert!(world.now < before + timeout);
     assert_eq!(
-        ctx.metrics.counter("producer.ctrl_unknown_consumer").get(),
-        0
+        parked(&world),
+        [Wait::Barrier; 2],
+        "decided, unapplied, not expired"
     );
-    assert!(ctx.registry.is_empty(), "every batch was released");
+    assert!(world.peers.iter().all(|p| p.state.stopped.is_none()));
+    // ... and once it is that old, the next look opens it. B is still a
+    // member of shard 0: it was not abandoned, it expired.
+    world.beat();
+    world.now = after + timeout;
+    world.tick();
+    assert_eq!(parked(&world), [Wait::Item; 2], "epoch 1 is open");
+    let detached = world.ctx.metrics.counter("producer.detached");
+    assert_eq!(detached.get(), 0, "nobody's heartbeat ran out");
 }

@@ -36,24 +36,21 @@
 //! loops already park on their control channels with a bounded wait, and
 //! the barrier piggybacks on that rhythm.
 //!
-//! # Cross-process backing
+//! # Time
 //!
-//! The coordinator state machine has two homes. [`EpochCoordinator::new`]
-//! keeps it behind an in-process mutex — the right shape when every shard
-//! pipeline lives in one process (what `spawn_sharded` builds).
-//! [`EpochCoordinator::create_shared`] /
-//! [`EpochCoordinator::attach_shared`] put the *same* state machine in a
-//! `MAP_SHARED` file (a [`ts_shm::ShmCoordCell`], sibling of the payload
-//! arena), so shard pipelines running as separate producer processes on
-//! one node still share lockstep barriers, memoized join decisions and
-//! the group pin set. Every method below is backing-agnostic.
+//! The coordinator reads no clock. Every method that stamps a decided
+//! admission, or may find one expired, takes `now`: nanoseconds on the
+//! caller's clock, the `u64` a shard's `State::step` was handed. In
+//! production that is the flight recorder's clock of the group's one
+//! [`crate::TsContext`], so every shard stamps and expires on one
+//! timeline; in a test it is a number the script advances. Shards step on
+//! their own threads, so a call may carry a `now` slightly behind the
+//! previous one: an age is a saturating difference, and such a call
+//! simply expires nothing.
 
-use crate::{Result, TsError};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::path::Path;
-use std::time::{Duration, Instant};
-use ts_shm::{CoordDecision, ShmCoordCell};
+use std::time::Duration;
 
 /// The group-level outcome of a consumer's join, shared by every shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,24 +62,6 @@ pub enum GroupJoin {
     AdmitAtCurrent,
     /// Defer to the next coordinated epoch boundary.
     WaitNextEpoch,
-}
-
-impl From<CoordDecision> for GroupJoin {
-    fn from(d: CoordDecision) -> Self {
-        match d {
-            CoordDecision::AdmitReplay => GroupJoin::AdmitReplay,
-            CoordDecision::AdmitAtCurrent => GroupJoin::AdmitAtCurrent,
-            CoordDecision::WaitNextEpoch => GroupJoin::WaitNextEpoch,
-        }
-    }
-}
-
-/// Where the coordinator state machine lives: an in-process mutex, or a
-/// shared-memory cell mapped by every shard process.
-#[derive(Debug)]
-enum CoordBacking {
-    Local(Mutex<CoordInner>),
-    Shared(ShmCoordCell),
 }
 
 #[derive(Debug)]
@@ -110,34 +89,40 @@ struct CoordInner {
     /// Memoized join decisions for the current epoch, by consumer id.
     decisions: HashMap<u64, GroupJoin>,
     /// Per shard: admissions decided but not yet applied locally
-    /// (consumer id → decision time, for expiry).
-    unapplied: Vec<HashMap<u64, Instant>>,
+    /// (consumer id → the `now` it was decided at, for expiry).
+    unapplied: Vec<HashMap<u64, u64>>,
     stopped: bool,
 }
 
 /// Coordinates `N` shard producers: lockstep epoch boundaries, memoized
 /// group join decisions, and the shared rubberband pin set. See the
-/// module docs for the invariants.
+/// module docs for the invariants, and for what `now` is.
+///
+/// A `shard` argument indexes the per-shard state and must be below
+/// [`EpochCoordinator::num_shards`]. It never comes off the wire: the one
+/// caller outside tests is a pipeline's `State`, passing the shard index
+/// the builder spawned it with under this very coordinator. Anything else
+/// is a bug in the caller and panics on the index.
 #[derive(Debug)]
 pub struct EpochCoordinator {
     shards: usize,
-    /// An unapplied admission older than this is abandoned (the consumer
-    /// died, or its join never reached the shard) so it cannot wedge the
-    /// barrier or pin memory forever.
-    apply_timeout: Duration,
-    backing: CoordBacking,
+    /// An admission left unapplied for this long (ns) is abandoned (the
+    /// consumer died, or its join never reached the shard) so it cannot
+    /// wedge the barrier or pin memory forever.
+    apply_timeout: u64,
+    inner: Mutex<CoordInner>,
 }
 
 impl EpochCoordinator {
-    /// A coordinator for `shards` producer pipelines in one process.
-    /// `apply_timeout` bounds how long a decided admission may stay
-    /// unapplied (use the producer's heartbeat timeout).
+    /// A coordinator for `shards` producer pipelines. `apply_timeout`
+    /// bounds how long a decided admission may stay unapplied (use the
+    /// producer's heartbeat timeout).
     pub fn new(shards: usize, apply_timeout: Duration) -> Self {
         assert!(shards >= 1, "coordinator needs at least one shard");
         Self {
             shards,
-            apply_timeout,
-            backing: CoordBacking::Local(Mutex::new(CoordInner {
+            apply_timeout: apply_timeout.as_nanos() as u64,
+            inner: Mutex::new(CoordInner {
                 generation: 0,
                 arrived: 0,
                 pending_epoch: 0,
@@ -149,42 +134,8 @@ impl EpochCoordinator {
                 decisions: HashMap::new(),
                 unapplied: vec![HashMap::new(); shards],
                 stopped: false,
-            })),
+            }),
         }
-    }
-
-    /// A coordinator whose state lives in the shared-memory file at
-    /// `path`, for shard pipelines that run as separate processes on one
-    /// node. The creating process owns the file (and unlinks it on drop);
-    /// every other shard process joins via
-    /// [`EpochCoordinator::attach_shared`]. Fails with
-    /// [`TsError::Arena`] on mapping errors or when `shards` exceeds
-    /// [`ts_shm::MAX_COORD_SHARDS`].
-    pub fn create_shared(
-        path: impl AsRef<Path>,
-        shards: usize,
-        apply_timeout: Duration,
-    ) -> Result<Self> {
-        let cell = ShmCoordCell::create(path, shards, apply_timeout)
-            .map_err(|e| TsError::Arena(e.to_string()))?;
-        Ok(Self {
-            shards,
-            apply_timeout,
-            backing: CoordBacking::Shared(cell),
-        })
-    }
-
-    /// Attaches to a coordination file created by another process with
-    /// [`EpochCoordinator::create_shared`]; the shard count comes from
-    /// the file header.
-    pub fn attach_shared(path: impl AsRef<Path>, apply_timeout: Duration) -> Result<Self> {
-        let cell =
-            ShmCoordCell::open(path, apply_timeout).map_err(|e| TsError::Arena(e.to_string()))?;
-        Ok(Self {
-            shards: cell.shards(),
-            apply_timeout,
-            backing: CoordBacking::Shared(cell),
-        })
     }
 
     /// Number of shards the coordinator was built for.
@@ -192,29 +143,9 @@ impl EpochCoordinator {
         self.shards
     }
 
-    /// The shared coordination file backing this coordinator, when it was
-    /// built with [`EpochCoordinator::create_shared`] /
-    /// [`EpochCoordinator::attach_shared`]; `None` for the in-process
-    /// backing.
-    pub fn coordination_file(&self) -> Option<&Path> {
-        match &self.backing {
-            CoordBacking::Local(_) => None,
-            CoordBacking::Shared(cell) => Some(cell.path()),
-        }
-    }
-
-    /// The epoch most recently announced to the barrier (diagnostics).
-    pub fn pending_epoch(&self) -> u64 {
-        match &self.backing {
-            CoordBacking::Local(inner) => inner.lock().pending_epoch,
-            CoordBacking::Shared(cell) => cell.pending_epoch(),
-        }
-    }
-
-    fn try_open(&self, inner: &mut CoordInner) {
-        let now = Instant::now();
+    fn try_open(&self, now: u64, inner: &mut CoordInner) {
         for shard_unapplied in &mut inner.unapplied {
-            shard_unapplied.retain(|_, decided| now.duration_since(*decided) < self.apply_timeout);
+            shard_unapplied.retain(|_, decided| now.saturating_sub(*decided) < self.apply_timeout);
         }
         let active = inner.active.iter().filter(|a| **a).count() as u32;
         let applied_everywhere = inner
@@ -235,53 +166,35 @@ impl EpochCoordinator {
     /// publish `epoch` (expecting `pin_limit` pinned batches under the
     /// rubberband policy). Returns the barrier generation to wait for via
     /// [`EpochCoordinator::reached`].
-    pub fn arrive(&self, shard: u32, epoch: u64, pin_limit: u64) -> u64 {
-        match &self.backing {
-            CoordBacking::Local(mutex) => {
-                let mut inner = mutex.lock();
-                inner.pin_limit[shard as usize] = pin_limit;
-                inner.published[shard as usize] = 0;
-                inner.pending_epoch = epoch;
-                inner.arrived += 1;
-                let target = inner.generation + 1;
-                self.try_open(&mut inner);
-                target
-            }
-            CoordBacking::Shared(cell) => cell.arrive(shard, epoch, pin_limit),
-        }
+    pub fn arrive(&self, now: u64, shard: u32, epoch: u64, pin_limit: u64) -> u64 {
+        let mut inner = self.inner.lock();
+        inner.pin_limit[shard as usize] = pin_limit;
+        inner.published[shard as usize] = 0;
+        inner.pending_epoch = epoch;
+        inner.arrived += 1;
+        let target = inner.generation + 1;
+        self.try_open(now, &mut inner);
+        target
     }
 
     /// True once barrier generation `target` has opened. Re-evaluates the
     /// barrier so expired unapplied admissions cannot wedge it.
-    pub fn reached(&self, target: u64) -> bool {
-        match &self.backing {
-            CoordBacking::Local(mutex) => {
-                let mut inner = mutex.lock();
-                if inner.generation < target {
-                    self.try_open(&mut inner);
-                }
-                inner.generation >= target
-            }
-            CoordBacking::Shared(cell) => cell.reached(target),
+    pub fn reached(&self, now: u64, target: u64) -> bool {
+        let mut inner = self.inner.lock();
+        if inner.generation < target {
+            self.try_open(now, &mut inner);
         }
+        inner.generation >= target
     }
 
     /// A shard reports its publish progress within the current epoch.
     pub fn note_published(&self, shard: u32, published_in_epoch: u64) {
-        match &self.backing {
-            CoordBacking::Local(mutex) => {
-                mutex.lock().published[shard as usize] = published_in_epoch
-            }
-            CoordBacking::Shared(cell) => cell.note_published(shard, published_in_epoch),
-        }
+        self.inner.lock().published[shard as usize] = published_in_epoch;
     }
 
     /// A shard reports how many consumers it has admitted right now.
     pub fn note_members(&self, shard: u32, members: usize) {
-        match &self.backing {
-            CoordBacking::Local(mutex) => mutex.lock().members[shard as usize] = members as u64,
-            CoordBacking::Shared(cell) => cell.note_members(shard, members as u64),
-        }
+        self.inner.lock().members[shard as usize] = members as u64;
     }
 
     /// No active shard has a consumer, and no admission decided for one is
@@ -306,13 +219,8 @@ impl EpochCoordinator {
     /// shard would replay from all of them), or an already-decided
     /// admission has not been applied on this shard yet.
     pub fn pin_window_open(&self, shard: u32) -> bool {
-        match &self.backing {
-            CoordBacking::Local(mutex) => {
-                let inner = mutex.lock();
-                Self::group_window_open(&inner) || !inner.unapplied[shard as usize].is_empty()
-            }
-            CoordBacking::Shared(cell) => cell.pin_window_open(shard),
-        }
+        let inner = self.inner.lock();
+        Self::group_window_open(&inner) || !inner.unapplied[shard as usize].is_empty()
     }
 
     /// Decides (or recalls) the group outcome for consumer `id`'s join,
@@ -330,15 +238,12 @@ impl EpochCoordinator {
     /// member list is not enough — another shard may already be serving a
     /// consumer whose `Join` is still on its way here, and a joiner admitted
     /// at that shard's current position would never see its prefix.
-    pub fn decide_join(&self, id: u64) -> (GroupJoin, u64) {
-        let mutex = match &self.backing {
-            CoordBacking::Local(mutex) => mutex,
-            CoordBacking::Shared(cell) => {
-                let (decision, epoch) = cell.decide_join(id);
-                return (decision.into(), epoch);
-            }
-        };
-        let mut inner = mutex.lock();
+    ///
+    /// An admission is stamped `now` on every active shard and holds the
+    /// barrier and the group's pins until each has
+    /// [`EpochCoordinator::applied`] it, or `apply_timeout` has passed.
+    pub fn decide_join(&self, now: u64, id: u64) -> (GroupJoin, u64) {
+        let mut inner = self.inner.lock();
         if let Some(d) = inner.decisions.get(&id) {
             return (*d, inner.epoch);
         }
@@ -363,10 +268,9 @@ impl EpochCoordinator {
         };
         inner.decisions.insert(id, decision);
         if matches!(decision, GroupJoin::AdmitReplay | GroupJoin::AdmitAtCurrent) {
-            let now = Instant::now();
-            let active = inner.active.clone();
-            for (unapplied, active) in inner.unapplied.iter_mut().zip(active) {
-                if active {
+            let inner = &mut *inner;
+            for (unapplied, active) in inner.unapplied.iter_mut().zip(&inner.active) {
+                if *active {
                     unapplied.insert(id, now);
                 }
             }
@@ -376,62 +280,40 @@ impl EpochCoordinator {
 
     /// Shard `shard` applied consumer `id`'s admission (replayed its pins
     /// and armed its window).
-    pub fn applied(&self, shard: u32, id: u64) {
-        match &self.backing {
-            CoordBacking::Local(mutex) => {
-                let mut inner = mutex.lock();
-                inner.unapplied[shard as usize].remove(&id);
-                self.try_open(&mut inner);
-            }
-            CoordBacking::Shared(cell) => cell.applied(shard, id),
-        }
+    pub fn applied(&self, now: u64, shard: u32, id: u64) {
+        let mut inner = self.inner.lock();
+        inner.unapplied[shard as usize].remove(&id);
+        self.try_open(now, &mut inner);
     }
 
     /// Consumer `id` left or was detached: forget any admission still
     /// waiting to be applied for it.
-    pub fn abandon(&self, id: u64) {
-        match &self.backing {
-            CoordBacking::Local(mutex) => {
-                let mut inner = mutex.lock();
-                for unapplied in &mut inner.unapplied {
-                    unapplied.remove(&id);
-                }
-                self.try_open(&mut inner);
-            }
-            CoordBacking::Shared(cell) => cell.abandon(id),
+    pub fn abandon(&self, now: u64, id: u64) {
+        let mut inner = self.inner.lock();
+        for unapplied in &mut inner.unapplied {
+            unapplied.remove(&id);
         }
+        self.try_open(now, &mut inner);
     }
 
     /// Shard `shard`'s producer loop exited; it no longer counts toward
     /// barriers or admission decisions.
-    pub fn retire(&self, shard: u32) {
-        match &self.backing {
-            CoordBacking::Local(mutex) => {
-                let mut inner = mutex.lock();
-                if std::mem::replace(&mut inner.active[shard as usize], false) {
-                    inner.unapplied[shard as usize].clear();
-                    self.try_open(&mut inner);
-                }
-            }
-            CoordBacking::Shared(cell) => cell.retire(shard),
+    pub fn retire(&self, now: u64, shard: u32) {
+        let mut inner = self.inner.lock();
+        if std::mem::replace(&mut inner.active[shard as usize], false) {
+            inner.unapplied[shard as usize].clear();
+            self.try_open(now, &mut inner);
         }
     }
 
     /// Asks every shard to wind down (set on group abort / spawn failure).
     pub fn stop(&self) {
-        match &self.backing {
-            CoordBacking::Local(mutex) => mutex.lock().stopped = true,
-            CoordBacking::Shared(cell) => cell.stop(),
-        }
+        self.inner.lock().stopped = true;
     }
 
-    /// True once [`EpochCoordinator::stop`] was called (by any process,
-    /// for the shared backing).
+    /// True once [`EpochCoordinator::stop`] was called.
     pub fn is_stopped(&self) -> bool {
-        match &self.backing {
-            CoordBacking::Local(mutex) => mutex.lock().stopped,
-            CoordBacking::Shared(cell) => cell.is_stopped(),
-        }
+        self.inner.lock().stopped
     }
 }
 
@@ -440,195 +322,156 @@ mod tests {
     use super::*;
 
     const T: Duration = Duration::from_secs(5);
+    const MS: u64 = 1_000_000;
+
+    /// A coordinator whose two shards have opened epoch 0 with `pin_limit`.
+    fn in_epoch_zero(apply_timeout: Duration, pin_limit: u64) -> EpochCoordinator {
+        let c = EpochCoordinator::new(2, apply_timeout);
+        let g = c.arrive(0, 0, 0, pin_limit);
+        let _ = c.arrive(0, 1, 0, pin_limit);
+        assert!(c.reached(0, g));
+        c
+    }
 
     #[test]
     fn barrier_opens_only_when_all_shards_arrive() {
         let c = EpochCoordinator::new(3, T);
-        let g0 = c.arrive(0, 0, 1);
-        assert!(!c.reached(g0));
-        let g1 = c.arrive(1, 0, 1);
+        let g0 = c.arrive(0, 0, 0, 1);
+        assert!(!c.reached(0, g0));
+        let g1 = c.arrive(0, 1, 0, 1);
         assert_eq!(g0, g1);
-        assert!(!c.reached(g0));
-        let _ = c.arrive(2, 0, 1);
-        assert!(c.reached(g0), "all shards arrived");
+        assert!(!c.reached(0, g0));
+        let _ = c.arrive(0, 2, 0, 1);
+        assert!(c.reached(0, g0), "all shards arrived");
         // Next epoch needs a fresh round of arrivals.
-        let g_next = c.arrive(0, 1, 1);
-        assert!(!c.reached(g_next));
+        let g_next = c.arrive(MS, 0, 1, 1);
+        assert!(!c.reached(MS, g_next));
     }
 
     #[test]
     fn retired_shards_stop_counting_toward_the_barrier() {
         let c = EpochCoordinator::new(2, T);
-        let g = c.arrive(0, 0, 1);
-        assert!(!c.reached(g));
-        c.retire(1);
-        assert!(c.reached(g), "lone survivor proceeds");
+        let g = c.arrive(0, 0, 0, 1);
+        assert!(!c.reached(0, g));
+        c.retire(0, 1);
+        assert!(c.reached(0, g), "lone survivor proceeds");
+    }
+
+    #[test]
+    fn a_stopped_group_admits_nobody() {
+        // Every join waits for a boundary the winding-down shards will not
+        // open, whatever the window says.
+        let c = in_epoch_zero(T, 5);
+        c.note_published(0, 1);
+        assert!(!c.is_stopped());
+        c.stop();
+        assert!(c.is_stopped());
+        assert_eq!(c.decide_join(MS, 12).0, GroupJoin::WaitNextEpoch);
     }
 
     #[test]
     fn join_decisions_are_memoized_per_consumer() {
-        let c = EpochCoordinator::new(2, T);
-        let g = c.arrive(0, 0, 2);
-        let _ = c.arrive(1, 0, 2);
-        assert!(c.reached(g));
+        let c = in_epoch_zero(T, 2);
         c.note_published(0, 1);
         c.note_published(1, 1);
         // Somebody is training: the rubberband path.
         c.note_members(0, 1);
         // Within every shard's pin window: admit, and the memo repeats it.
-        assert_eq!(c.decide_join(7).0, GroupJoin::AdmitReplay);
+        assert_eq!(c.decide_join(MS, 7).0, GroupJoin::AdmitReplay);
         // Shard 1 races past its pin boundary before applying…
         c.note_published(1, 5);
         // …but must still answer consumer 7 the same way,
-        assert_eq!(c.decide_join(7).0, GroupJoin::AdmitReplay);
+        assert_eq!(c.decide_join(2 * MS, 7).0, GroupJoin::AdmitReplay);
         // …and keep pinning until it applies the admission.
         assert!(c.pin_window_open(1));
-        c.applied(0, 7);
-        c.applied(1, 7);
+        c.applied(2 * MS, 0, 7);
+        c.applied(2 * MS, 1, 7);
         assert!(!c.pin_window_open(1), "window closed once applied");
         // A fresh consumer now waits: shard 1 is past its pin window.
-        assert_eq!(c.decide_join(8).0, GroupJoin::WaitNextEpoch);
+        assert_eq!(c.decide_join(3 * MS, 8).0, GroupJoin::WaitNextEpoch);
     }
 
     #[test]
     fn joins_defer_once_any_shard_reaches_the_boundary() {
-        let c = EpochCoordinator::new(2, T);
-        let g = c.arrive(0, 0, 10);
-        let _ = c.arrive(1, 0, 10);
-        assert!(c.reached(g));
+        let c = in_epoch_zero(T, 10);
         c.note_published(0, 1);
         c.note_published(1, 1);
         // Shard 0 finishes the epoch and arrives for the next one.
-        let _ = c.arrive(0, 1, 10);
+        let _ = c.arrive(MS, 0, 1, 10);
         // Even though shard 1 is still inside its pin window, the group
         // defers: admitting now would straddle the epoch boundary.
-        assert_eq!(c.decide_join(9).0, GroupJoin::WaitNextEpoch);
+        assert_eq!(c.decide_join(MS, 9).0, GroupJoin::WaitNextEpoch);
     }
 
     #[test]
     fn unapplied_admissions_block_and_then_release_the_barrier() {
-        let c = EpochCoordinator::new(2, Duration::from_millis(40));
-        let g = c.arrive(0, 0, 5);
-        let _ = c.arrive(1, 0, 5);
-        assert!(c.reached(g));
+        let c = in_epoch_zero(Duration::from_millis(40), 5);
         c.note_published(0, 1);
         c.note_members(0, 1);
-        assert_eq!(c.decide_join(3).0, GroupJoin::AdmitReplay);
-        c.applied(0, 3); // shard 1 never applies (consumer vanished)
-        let g2 = c.arrive(0, 1, 5);
-        let _ = c.arrive(1, 1, 5);
+        let decided = 7 * MS;
+        assert_eq!(c.decide_join(decided, 3).0, GroupJoin::AdmitReplay);
+        c.applied(decided, 0, 3); // shard 1 never applies (consumer vanished)
+        let g2 = c.arrive(decided + MS, 0, 1, 5);
+        let _ = c.arrive(decided + MS, 1, 1, 5);
+        // One nanosecond short of the timeout the admission still stands:
+        // the barrier stays shut, and shard 1 keeps its pins for it.
+        let expires = decided + 40 * MS;
         assert!(
-            !c.reached(g2),
+            !c.reached(expires - 1, g2),
             "barrier waits for shard 1's unapplied admission"
         );
-        std::thread::sleep(Duration::from_millis(60));
-        assert!(c.reached(g2), "expired admission is abandoned");
+        assert!(c.pin_window_open(1));
+        // A caller whose clock read is older than the stamp expires nothing.
+        assert!(!c.reached(decided - MS, g2));
+        assert!(c.reached(expires, g2), "expired admission is abandoned");
+        assert!(c.pin_window_open(1), "a fresh epoch, a fresh join window");
+        assert_eq!(c.decide_join(expires, 4).0, GroupJoin::AdmitReplay);
     }
 
     #[test]
     fn no_consumer_hint_admits_at_current_position() {
-        let c = EpochCoordinator::new(2, T);
-        let g = c.arrive(0, 0, 1);
-        let _ = c.arrive(1, 0, 1);
-        assert!(c.reached(g));
+        let c = in_epoch_zero(T, 1);
         c.note_published(0, 3);
         c.note_published(1, 3);
-        assert_eq!(c.decide_join(4).0, GroupJoin::AdmitAtCurrent);
+        assert_eq!(c.decide_join(MS, 4).0, GroupJoin::AdmitAtCurrent);
         // The memo answers the other shard identically, whatever happened
         // there in between.
-        c.applied(0, 4);
+        c.applied(MS, 0, 4);
         c.note_members(0, 1);
-        assert_eq!(c.decide_join(4).0, GroupJoin::AdmitAtCurrent);
+        assert_eq!(c.decide_join(2 * MS, 4).0, GroupJoin::AdmitAtCurrent);
     }
 
     #[test]
     fn nobody_training_is_a_fact_about_the_group() {
-        // ROADMAP item 2, schedule (vi): shard 0 has a consumer and has
+        // ROADMAP item 1, schedule (vi): shard 0 has a consumer and has
         // published; a second consumer's join reaches shard 1 — which has
         // not even seen the first one's yet — first. Deciding from shard
         // 1's empty member list would admit it at shard 0's current
         // position, past a prefix it never gets.
-        let c = EpochCoordinator::new(2, T);
-        let g = c.arrive(0, 0, 4);
-        let _ = c.arrive(1, 0, 4);
-        assert!(c.reached(g));
-        assert_eq!(c.decide_join(1).0, GroupJoin::AdmitReplay); // all at zero
-        c.applied(0, 1);
+        let c = in_epoch_zero(T, 4);
+        assert_eq!(c.decide_join(MS, 1).0, GroupJoin::AdmitReplay); // all at zero
+        c.applied(MS, 0, 1);
         c.note_members(0, 1);
         c.note_published(0, 2);
-        assert_eq!(c.decide_join(2).0, GroupJoin::AdmitReplay);
+        assert_eq!(c.decide_join(2 * MS, 2).0, GroupJoin::AdmitReplay);
         // Everybody gone mid-epoch: now the current position is right, but
         // only once no earlier admission is still on its way to a shard.
         c.note_members(0, 0);
-        assert_eq!(c.decide_join(3).0, GroupJoin::AdmitReplay);
+        assert_eq!(c.decide_join(3 * MS, 3).0, GroupJoin::AdmitReplay);
         for id in [1, 2, 3] {
-            c.abandon(id);
+            c.abandon(3 * MS, id);
         }
-        assert_eq!(c.decide_join(4).0, GroupJoin::AdmitAtCurrent);
-    }
-
-    fn coord_temp_path(tag: &str) -> std::path::PathBuf {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        std::env::temp_dir().join(format!(
-            "ts-core-coord-{}-{}-{tag}.coord",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ))
-    }
-
-    #[test]
-    fn shared_backing_runs_the_same_barrier_protocol() {
-        // Two coordinator instances over one file stand in for two shard
-        // producer processes; the semantics must match the local backing.
-        let path = coord_temp_path("barrier");
-        let a = EpochCoordinator::create_shared(&path, 2, T).unwrap();
-        let b = EpochCoordinator::attach_shared(&path, T).unwrap();
-        assert_eq!(b.num_shards(), 2);
-        assert_eq!(a.coordination_file(), Some(path.as_path()));
-        let g = a.arrive(0, 0, 2);
-        assert!(!a.reached(g));
-        assert_eq!(b.arrive(1, 0, 2), g);
-        assert!(a.reached(g) && b.reached(g));
-        a.note_published(0, 1);
-        b.note_published(1, 1);
-        a.note_members(0, 1);
-        // Memoized admission, visible from both mappings.
-        assert_eq!(a.decide_join(7).0, GroupJoin::AdmitReplay);
-        assert_eq!(b.decide_join(7).0, GroupJoin::AdmitReplay);
-        assert!(b.pin_window_open(1));
-        a.applied(0, 7);
-        b.applied(1, 7);
-        b.note_published(1, 5);
-        assert!(!b.pin_window_open(1));
-        assert_eq!(b.decide_join(8).0, GroupJoin::WaitNextEpoch);
-        // Stop propagates across mappings.
-        a.stop();
-        assert!(b.is_stopped());
-    }
-
-    #[test]
-    fn attach_shared_rejects_a_non_coordinator_file() {
-        let path = coord_temp_path("bogus");
-        std::fs::write(&path, vec![0u8; 16]).unwrap();
-        assert!(matches!(
-            EpochCoordinator::attach_shared(&path, T),
-            Err(TsError::Arena(_))
-        ));
-        let _ = std::fs::remove_file(&path);
+        assert_eq!(c.decide_join(4 * MS, 4).0, GroupJoin::AdmitAtCurrent);
     }
 
     #[test]
     fn abandon_clears_unapplied_everywhere() {
-        let c = EpochCoordinator::new(2, T);
-        let g = c.arrive(0, 0, 5);
-        let _ = c.arrive(1, 0, 5);
-        assert!(c.reached(g));
+        let c = in_epoch_zero(T, 5);
         c.note_published(0, 1);
         c.note_members(0, 1);
-        assert_eq!(c.decide_join(11).0, GroupJoin::AdmitReplay);
+        assert_eq!(c.decide_join(MS, 11).0, GroupJoin::AdmitReplay);
         assert!(c.pin_window_open(1));
-        c.abandon(11);
+        c.abandon(MS, 11);
         c.note_published(1, 6); // past the pin limit, nothing unapplied
         assert!(!c.pin_window_open(1));
     }

@@ -17,7 +17,7 @@ pub use config::{FlexibleConfig, ProducerConfig};
 pub use consumer::Consumer;
 pub use coordinator::{EpochCoordinator, GroupJoin};
 pub use scrape::{scrape_stats, scrape_trace};
-pub use staging::{StagingConfig, StagingMode};
+pub use staging::StagingConfig;
 pub use state::Wait;
 
 #[cfg(test)]

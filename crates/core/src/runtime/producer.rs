@@ -31,18 +31,20 @@
 //! not arrive placed (another kind of source, a producer-map output, the
 //! flexible fuse, a batch whose worker found the pool dry) the feeder
 //! collates into a leased slot itself, one copy, counted in
-//! `stage.collate_copy_bytes`. Under [`crate::StagingMode::Overlapped`]
-//! an H2D copy stage sits between the two. A loader with `num_workers ==
-//! 0` runs the same feeder at depth 1: there is one pipeline shape.
+//! `stage.collate_copy_bytes`. Under a GPU producer an H2D copy stage
+//! (`runtime::staging`) sits between the two, so the pump only ever sees
+//! items already on the device they are published from. A loader with
+//! `num_workers == 0` runs the same feeder at depth 1: there is one
+//! pipeline shape.
 //!
 //! **Wake-ups.** Every source keeps its own typed queue — the control
 //! PULL socket, the feeder's bounded channel (whose back-pressure is the
 //! feeder's pacing), the spiller's progress counter — and rings one
 //! latest-wins `Doorbell` after enqueueing; the pump drains whatever is
 //! there and parks when nothing is. No thread and no hand-off is added
-//! per control frame. Only the group barrier cannot ring (its coordinator
-//! may live in another process's shared memory), so that wait alone polls
-//! on a short constant tick.
+//! per control frame. Only the group barrier does not ring (the
+//! coordinator is plain state behind a mutex, stepped by whichever shard
+//! calls it), so that wait alone polls on a short constant tick.
 //!
 //! **A dry arena is a wait state, not a mode.** When a pool-backed arena
 //! has no slot to lease, the feeder parks (observing `stop`) and says so
@@ -60,7 +62,7 @@ use crate::runtime::config::{ProducerConfig, ProducerMap};
 use crate::runtime::context::TsContext;
 use crate::runtime::coordinator::EpochCoordinator;
 use crate::runtime::pump::Pump;
-use crate::runtime::staging::{Doorbell, FeederMsg, Placement, PreparedItem};
+use crate::runtime::staging::{Doorbell, FeederMsg, Placement, PreparedItem, StagingEngine};
 use crate::runtime::state::{Event, LogTee, SpillMsg, StageMetrics, State};
 use crate::{Result, TsError};
 use crossbeam::channel::{self, Sender};
@@ -174,6 +176,8 @@ impl Spiller {
                     bell.ring();
                 }
             })
+            // Only an OS out of threads fails this, never a peer's input;
+            // the producer thread's panic is then `join()`'s error.
             .expect("spawn spiller thread");
         Self {
             tx,
@@ -387,7 +391,7 @@ pub(crate) fn batches_ahead_of_publish(cfg: &ProducerConfig, hint: (usize, usize
     let (workers, prefetch) = hint;
     let in_loader = workers.max(1) * (prefetch.max(1) + 1);
     let feeder_queue = (workers * prefetch).max(1);
-    let staging_queue = cfg.staging.queue_depth.unwrap_or(cfg.buffer_size);
+    let staging_queue = cfg.buffer_size;
     in_loader + feeder_queue + staging_queue + 2
 }
 
@@ -513,9 +517,9 @@ impl Preparer {
                 }
             }
         }
-        match parts.len() {
-            1 => Ok((parts.into_iter().next().expect("one part"), None)),
-            _ => Ok((collate::cat0(&parts).map_err(fail)?, None)),
+        match <[Tensor; 1]>::try_from(parts) {
+            Ok([part]) => Ok((part, None)),
+            Err(parts) => Ok((collate::cat0(&parts).map_err(fail)?, None)),
         }
     }
 
@@ -580,7 +584,6 @@ impl Preparer {
             fields: tensors,
             labels,
             placements,
-            staged: false,
             staged_bytes: 0,
             fetch_span: (0, 0),
             copy_wait_span: (0, 0),
@@ -749,11 +752,19 @@ impl TensorProducer {
                     .into(),
             ));
         }
+        let shard_ns = coord.as_ref().map(|_| shard);
+        let loader = (
+            source.batches_per_epoch() as u64,
+            source.batch_size() as u64,
+        );
+        // Pinned batches keep their slabs past full acknowledgement, so the
+        // rotation must cover the pin set.
+        let pins = cfg.pinned_per_epoch(loader);
+        let staging = StagingEngine::build(ctx, &cfg, shard_ns, pins)?;
         let publisher = PubSocket::bind(&ctx.sockets, &cfg.data_endpoint())
             .map_err(|e| TsError::Socket(e.to_string()))?;
         let ctrl = PullSocket::bind(&ctx.sockets, &cfg.ctrl_endpoint())
             .map_err(|e| TsError::Socket(e.to_string()))?;
-        let shard_ns = coord.as_ref().map(|_| shard);
         let log = match &cfg.log {
             None => None,
             Some(logcfg) => Some(Self::open_log(ctx, logcfg, shard_ns, shard)?),
@@ -762,11 +773,10 @@ impl TensorProducer {
             Some(s) => format!("tensorsocket-producer-s{s}"),
             None => "tensorsocket-producer".to_string(),
         };
-        let loader = (
-            source.batches_per_epoch() as u64,
-            source.batch_size() as u64,
-        );
-        let state = State::new(ctx, cfg, coord, shard, log, loader, ctx.trace.now_ns());
+        let mut state = State::new(ctx, cfg, coord, shard, log, loader, ctx.trace.now_ns());
+        if let Some(engine) = &staging {
+            state.watch_h2d(engine.h2d_hist());
+        }
         let stop = Arc::new(AtomicBool::new(false));
         let pump = Pump {
             state,
@@ -774,6 +784,7 @@ impl TensorProducer {
             ctrl,
             stop: stop.clone(),
             spiller: None,
+            staging,
         };
         let handle = std::thread::Builder::new()
             .name(name)

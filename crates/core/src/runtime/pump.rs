@@ -3,7 +3,7 @@
 //! for how the pieces fit.
 
 use crate::runtime::producer::{loader_pool, EpochSource, Feeder, ProducerStats, Spiller};
-use crate::runtime::staging::{Doorbell, FeederMsg};
+use crate::runtime::staging::{Doorbell, FeederMsg, StagingEngine};
 use crate::runtime::state::{Effect, Event, State, Wait};
 use crossbeam::channel::{self, Receiver, TryRecvError};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -21,6 +21,9 @@ pub(crate) struct Pump {
     pub ctrl: PullSocket,
     pub stop: Arc<AtomicBool>,
     pub spiller: Option<Spiller>,
+    /// The device-staging engine of a GPU producer; its copy stage runs
+    /// between the feeder and this loop.
+    pub staging: Option<Arc<StagingEngine>>,
 }
 
 impl Pump {
@@ -58,15 +61,15 @@ impl Pump {
         let feeder = std::thread::Builder::new()
             .name("tensorsocket-feeder".to_string())
             .spawn(move || feeder.run(source))
+            // Only an OS out of threads fails this, never a peer's input;
+            // this thread's panic is then `join()`'s error.
             .expect("spawn feeder thread");
-        // Overlapped staging interposes the H2D copy stage between the
-        // feeder and the pump: items arrive already staged, so the copy of
-        // batch n runs while n+1 collates and n-1 publishes.
-        let item_rx = match self.state.staging() {
-            Some(engine) if engine.overlapped() => {
-                engine.spawn_copy_stage(item_rx, self.stop.clone(), bell)
-            }
-            _ => item_rx,
+        // A GPU producer interposes the H2D copy stage between the feeder
+        // and the pump: items arrive already staged, so the copy of batch n
+        // runs while n+1 collates and n-1 publishes.
+        let item_rx = match &self.staging {
+            Some(engine) => engine.spawn_copy_stage(item_rx, self.stop.clone(), bell),
+            None => item_rx,
         };
         let mut fx = Vec::new();
         self.state.start(trace.now_ns(), &mut fx);
@@ -101,12 +104,12 @@ impl Pump {
         feeder.thread().unpark();
         let _ = feeder.join();
         // Join the copy stage and drain the VRAM slab rotation.
-        if let Some(engine) = self.state.staging() {
+        if let Some(engine) = &self.staging {
             engine.shutdown();
         }
         // Leave the group: barriers must not wait for a finished shard.
         if let Some(coord) = &self.state.coord {
-            coord.retire(shard);
+            coord.retire(trace.now_ns(), shard);
         }
         self.state.stats
     }

@@ -1,12 +1,9 @@
 //! The device-staging stage of the producer pipeline.
 //!
 //! The paper's producer stages every collated batch on GPU 0 before
-//! announcing it (§3.2.4). Earlier revisions of this runtime modeled that
-//! as a per-batch `DeviceCtx::transfer` on the publish thread: a fresh
-//! device allocation, a copy, and a free per batch — correct accounting,
-//! but an allocation per batch and a copy serialized with publishing.
-//! This module replaces that hot path with the staging subsystem from
-//! `ts-staging`:
+//! announcing it (§3.2.4). Done naively that is a device allocation, a
+//! copy and a free per batch, the copy serialized with publishing. This
+//! module does it through the staging subsystem from `ts-staging`:
 //!
 //! * a [`DeviceSlabPool`] of pre-allocated VRAM slabs, sized from the
 //!   publish window and rotated in lockstep with the host
@@ -18,6 +15,12 @@
 //!   batch *n* overlaps the host collation of batch *n + 1* and the
 //!   publish/ack round of batch *n − 1*, so the modeled PCIe time leaves
 //!   the critical path.
+//!
+//! That is the one staging shape: a producer whose device is a GPU gets
+//! the engine and its copy stage, a CPU producer gets neither, and nobody
+//! chooses. The state machine never sees the engine — items reach it
+//! already on the device — and a device the context cannot stage on fails
+//! the spawn, not the first batch.
 //!
 //! The backend is pluggable ([`ts_staging::DeviceBackend`]); the default
 //! [`SimBackend`] routes allocation and traffic through the context's
@@ -33,13 +36,14 @@
 //! `staging.h2d_bytes_per_sec` (average copy throughput), plus two
 //! latency histograms: `staging.h2d_ns` (slab lease + H2D copy + fence
 //! per batch) and `staging.copy_wait_ns` (how long a staged batch waited
-//! in the overlapped hand-off queue for the publish loop). Gauges and
+//! in the copy stage's hand-off queue for the publish loop). Gauges and
 //! histograms are per-engine: a shard of a
 //! sharded [`crate::Producer`] reports them as `staging.s<shard>.
 //! <name>` so concurrent shards never clobber each other.
 
 use crate::runtime::config::ProducerConfig;
 use crate::runtime::context::TsContext;
+use crate::TsError;
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -50,60 +54,17 @@ use ts_device::DeviceId;
 use ts_staging::{DeviceBackend, DeviceSlabPool, SimBackend, StagingError};
 use ts_tensor::{contiguous_strides, Storage, Tensor};
 
-/// How the producer stages batches on its device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StagingMode {
-    /// Legacy path: a per-batch device allocation + copy on the publish
-    /// thread (`DeviceCtx::transfer`), freed on release. Kept as the
-    /// baseline the staged paths are benchmarked against.
-    Off,
-    /// Slab-pooled staging, with the copy performed on the publish thread
-    /// right before the announce — the "serial copy-then-publish"
-    /// shape: zero steady-state allocations, but the copy still occupies
-    /// the critical path.
-    Serial,
-    /// Slab-pooled staging with the copy on a dedicated stage between
-    /// the feeder and the publish loop, overlapping the copy of batch
-    /// *n* with collation of *n + 1* and publishing of *n − 1*.
-    #[default]
-    Overlapped,
-}
-
-impl StagingMode {
-    /// The one-byte encoding used in the attach handshake's WELCOME.
-    pub fn wire_code(self) -> u8 {
-        match self {
-            StagingMode::Off => 0,
-            StagingMode::Serial => 1,
-            StagingMode::Overlapped => 2,
-        }
-    }
-
-    /// Decodes a WELCOME staging byte (unknown codes map to `None`).
-    pub fn from_wire_code(code: u8) -> Option<Self> {
-        match code {
-            0 => Some(StagingMode::Off),
-            1 => Some(StagingMode::Serial),
-            2 => Some(StagingMode::Overlapped),
-            _ => None,
-        }
-    }
-}
+/// The WELCOME's `staging` byte: the wire code of the copy-stage shape,
+/// which every producer has always sent and peers of any age expect.
+/// Informational: no peer acts on it.
+pub(crate) const WELCOME_STAGING: u8 = 2;
 
 /// Configuration of the device-staging stage (ignored when the producer
-/// device is the CPU, where there is nothing to stage).
+/// device is the CPU, where there is nothing to stage). Queue and slab
+/// depths are not here: both follow from the publish window
+/// (`buffer_size`) and the rubberband pin set.
 #[derive(Debug, Clone, Default)]
 pub struct StagingConfig {
-    /// Staging shape; defaults to [`StagingMode::Overlapped`].
-    pub mode: StagingMode,
-    /// Capacity of the copy-stage hand-off queue (staged batches waiting
-    /// for the publish loop). `None` sizes it like the publish window
-    /// (`buffer_size`).
-    pub queue_depth: Option<usize>,
-    /// Slabs in the VRAM rotation. `None` derives it from the publish
-    /// window: `(buffer_size + queue depth + rubberband headroom) ×
-    /// tensors per batch`.
-    pub slab_depth: Option<usize>,
     /// Modeled H2D copy bandwidth in bytes/second for the simulated
     /// backend. `None` uses the topology's link bandwidth (PCIe gen4 by
     /// default); benchmarks lower it to make overlap effects visible at
@@ -131,8 +92,8 @@ pub(crate) struct Placement {
 
 /// A batch the feeder stage finished preparing: producer map applied and
 /// (under flexible sizing) loader batches fused into one producer batch.
-/// The staging stage may additionally have placed its tensors on the
-/// producer device (`staged`), in which case the publish stage only
+/// Under a GPU producer the copy stage has additionally placed its tensors
+/// on the device before the pump sees it; either way the publish step only
 /// registers and announces.
 pub(crate) struct PreparedItem {
     /// Loader-batch index (default mode) or producer-batch index (flex).
@@ -148,10 +109,6 @@ pub(crate) struct PreparedItem {
     /// the exact bytes the device copy was made from, so consumers attach
     /// it byte-identically while the publish loop still moves nothing.
     pub placements: Vec<Option<Placement>>,
-    /// True once the staging stage placed the tensors on the device
-    /// through the slab pool (release must NOT account a device free —
-    /// the slab returns to the rotation instead).
-    pub staged: bool,
     /// Bytes the staging stage copied to the device for this item.
     pub staged_bytes: u64,
     /// Flight-recorder span offsets stamped before the batch has a
@@ -160,7 +117,7 @@ pub(crate) struct PreparedItem {
     /// loop writes them into the [`ts_metrics::TraceRing`] under the
     /// final `(epoch, shard, seq)` key. Feeder fetch + collate:
     pub fetch_span: (u64, u64),
-    /// Wait in the overlapped hand-off queue; the start is stamped by the
+    /// Wait in the copy stage's hand-off queue; the start is stamped by the
     /// copy stage, the end by the publish loop at dequeue.
     pub copy_wait_span: (u64, u64),
     /// Slab lease + H2D copy + fence.
@@ -200,20 +157,18 @@ impl Doorbell {
 
 /// One producer pipeline's staging engine: the backend, the slab pool
 /// (created lazily at the first item, when tensor geometry is known) and
-/// the optional copy-stage thread.
+/// the copy-stage thread. Owned by the pump.
 pub(crate) struct StagingEngine {
     backend: Arc<SimBackend>,
     device: DeviceId,
-    mode: StagingMode,
+    /// Capacity of the copy stage's hand-off queue: the publish window's
+    /// `buffer_size`.
     queue_depth: usize,
-    slab_depth: Option<usize>,
-    buffer_size: usize,
     /// Batches the rubberband policy can pin past full acknowledgement
-    /// (their slabs stay leased until the join window closes). Set by the
-    /// producer loop once the epoch geometry is known, *before* the first
-    /// item is staged, so the default pool depth covers the pin set and
-    /// the zero-allocation steady state holds at any epoch length.
-    pin_headroom: std::sync::atomic::AtomicUsize,
+    /// (their slabs stay leased until the join window closes): the
+    /// rotation covers the pin set, so the zero-allocation steady state
+    /// holds at any epoch length.
+    pin_headroom: usize,
     pool: Mutex<Option<Arc<DeviceSlabPool>>>,
     copy_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
     /// Per-engine gauges, resolved once at build (the staging hot path
@@ -233,8 +188,8 @@ pub(crate) struct StagingEngine {
     h2d_counter: std::sync::Arc<ts_metrics::Counter>,
     /// Per-engine H2D copy time per batch (lease + copy + fence), ns.
     h2d_hist: std::sync::Arc<ts_metrics::Histogram>,
-    /// Per-engine time a staged batch waited in the overlapped hand-off
-    /// queue for the publish loop to take it, ns.
+    /// Per-engine time a staged batch waited in the hand-off queue for
+    /// the publish loop to take it, ns.
     copy_wait_hist: std::sync::Arc<ts_metrics::Histogram>,
     /// The context's flight recorder, for per-batch H2D / copy-wait span
     /// stamps (the histograms keep the aggregates).
@@ -247,38 +202,36 @@ pub(crate) struct StagingEngine {
     first_copy: std::sync::OnceLock<Instant>,
 }
 
-impl std::fmt::Debug for StagingEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StagingEngine")
-            .field("device", &self.device)
-            .field("mode", &self.mode)
-            .field("queue_depth", &self.queue_depth)
-            .finish_non_exhaustive()
-    }
-}
-
 impl StagingEngine {
-    /// Builds the engine for a producer, or `None` when there is nothing
-    /// to stage (CPU device, staging off, or no route to the device — the
-    /// last falls back to the legacy path, which surfaces the same error
-    /// on first use). `shard` is `Some` for one pipeline of a sharded
-    /// group, which namespaces the engine's gauges per shard.
+    /// Builds the engine for a producer: `None` for a CPU device, where
+    /// there is nothing to stage; a typed error when the context has no
+    /// memory book for the device or no route to it, so the producer fails
+    /// at spawn rather than at its first batch. `pin_headroom` is the
+    /// rubberband pin limit of one epoch. `shard` is `Some` for one
+    /// pipeline of a sharded group, which namespaces the engine's gauges
+    /// per shard.
     pub(crate) fn build(
         ctx: &TsContext,
         cfg: &ProducerConfig,
         shard: Option<u32>,
-    ) -> Option<Arc<StagingEngine>> {
-        if !cfg.device.is_gpu() || cfg.staging.mode == StagingMode::Off {
-            return None;
+        pin_headroom: usize,
+    ) -> crate::Result<Option<Arc<StagingEngine>>> {
+        if !cfg.device.is_gpu() {
+            return Ok(None);
         }
-        let memory = ctx.devices.memory(cfg.device).ok()?.clone();
+        let unusable = |why: String| {
+            let device = cfg.device;
+            TsError::Config(format!("cannot stage batches on device {device}: {why}"))
+        };
+        let memory = ctx.devices.memory(cfg.device);
+        let memory = memory.map_err(|e| unusable(e.to_string()))?.clone();
         let backend = SimBackend::new(
             ctx.devices.topology(),
             memory,
             ctx.devices.traffic().clone(),
             cfg.device,
         )
-        .ok()?;
+        .map_err(|e| unusable(e.to_string()))?;
         let backend = match cfg.staging.h2d_bandwidth {
             Some(bps) => backend.with_bandwidth(bps),
             None => backend,
@@ -301,14 +254,11 @@ impl StagingEngine {
                 }
             }
         };
-        Some(Arc::new(StagingEngine {
+        Ok(Some(Arc::new(StagingEngine {
             backend: Arc::new(backend),
             device: cfg.device,
-            mode: cfg.staging.mode,
-            queue_depth: cfg.staging.queue_depth.unwrap_or(cfg.buffer_size).max(1),
-            slab_depth: cfg.staging.slab_depth,
-            buffer_size: cfg.buffer_size,
-            pin_headroom: std::sync::atomic::AtomicUsize::new(0),
+            queue_depth: cfg.buffer_size.max(1),
+            pin_headroom,
             pool: Mutex::new(None),
             copy_thread: Mutex::new(None),
             occupancy_gauge: ctx.metrics.gauge(&format!("{prefix}slab_occupancy")),
@@ -320,28 +270,13 @@ impl StagingEngine {
             trace: ctx.trace.clone(),
             h2d_bytes: AtomicU64::new(0),
             first_copy: std::sync::OnceLock::new(),
-        }))
+        })))
     }
 
-    /// Records how many batches the rubberband policy can pin past full
-    /// acknowledgement this run. Called by the producer loop once the
-    /// epoch geometry is known — before any item is staged — so
-    /// [`StagingEngine::pool_for`] sizes the rotation to cover the pin
-    /// set.
-    pub(crate) fn set_pin_headroom(&self, batches: usize) {
-        self.pin_headroom.store(batches, Ordering::Relaxed);
-    }
-
-    /// True when this engine wants the copy stage between feeder and
-    /// publish loop.
-    pub(crate) fn overlapped(&self) -> bool {
-        self.mode == StagingMode::Overlapped
-    }
-
-    /// Rolling p99 of the per-batch H2D copy time, for the producer's
-    /// stall watchdog (loader-bound vs H2D-bound classification).
-    pub(crate) fn h2d_p99(&self) -> u64 {
-        self.h2d_hist.snapshot().p99()
+    /// The per-batch H2D copy time (`staging.[s<N>.]h2d_ns`), for the
+    /// state machine's stall watchdog (loader-bound vs H2D-bound).
+    pub(crate) fn h2d_hist(&self) -> Arc<ts_metrics::Histogram> {
+        self.h2d_hist.clone()
     }
 
     /// The slab pool, created at the first staged item so slabs are sized
@@ -362,14 +297,12 @@ impl StagingEngine {
             .unwrap_or(1)
             .max(1);
         // The rotation must cover every lease simultaneously out in
-        // steady state: the publish window, the copy-stage look-ahead,
-        // the rubberband pin set (pinned batches hold their slabs past
-        // full acknowledgement until the join window closes), and a
-        // margin for releases still in flight.
-        let pin = self.pin_headroom.load(Ordering::Relaxed);
-        let depth = self
-            .slab_depth
-            .unwrap_or((self.buffer_size + self.queue_depth + pin + 2) * tensors_per_item);
+        // steady state: the publish window and the copy-stage look-ahead
+        // (`buffer_size` batches each), the rubberband pin set (pinned
+        // batches hold their slabs past full acknowledgement until the
+        // join window closes), and a margin for releases still in flight.
+        let (window, ahead) = (self.queue_depth, self.queue_depth);
+        let depth = (window + ahead + self.pin_headroom + 2) * tensors_per_item;
         let pool = Arc::new(DeviceSlabPool::new(
             self.backend.clone() as Arc<dyn DeviceBackend>,
             slab_bytes,
@@ -424,9 +357,9 @@ impl StagingEngine {
     }
 
     /// Stages every tensor of a prepared item onto the device. On return
-    /// the item carries device tensors, `staged = true` and the bytes
-    /// copied; gauges and counters are updated.
-    pub(crate) fn stage_item(&self, item: PreparedItem) -> Result<PreparedItem, StagingError> {
+    /// the item carries device tensors and the bytes copied; gauges and
+    /// counters are updated.
+    fn stage_item(&self, item: PreparedItem) -> Result<PreparedItem, StagingError> {
         let copy_start = Instant::now();
         let span_start = self.trace.now_ns().max(1);
         let pool = self.pool_for(&item);
@@ -454,7 +387,6 @@ impl StagingEngine {
         }
         self.h2d_hist.record_duration(copy_start.elapsed());
         Ok(PreparedItem {
-            staged: true,
             staged_bytes,
             fields,
             labels,
@@ -479,6 +411,8 @@ impl StagingEngine {
         let handle = std::thread::Builder::new()
             .name("tensorsocket-staging".to_string())
             .spawn(move || engine.copy_stage_main(input, tx, stop, bell))
+            // Only an OS out of threads fails this, never a peer's input;
+            // the producer thread's panic is then `join()`'s error.
             .expect("spawn staging thread");
         *self.copy_thread.lock() = Some(handle);
         rx
@@ -507,8 +441,7 @@ impl StagingEngine {
                             FeederMsg::Item(staged)
                         }
                         Err(e) => {
-                            // Device OOM mid-run: stop producing, exactly
-                            // like the legacy path.
+                            // Device OOM mid-run: stop producing.
                             let _ = tx.send(FeederMsg::Failed(format!("H2D staging: {e}")));
                             bell.ring();
                             return;

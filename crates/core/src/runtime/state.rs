@@ -9,10 +9,13 @@
 //! decision in here — admission, replay order, release, expiry, the wait
 //! state — checkable without a sleep.
 //!
-//! What the state owns is in-memory only: the shared registry and device
-//! books (placing and releasing payloads), the metrics registry and flight
-//! recorder (recording, never reading a clock), the durable log's read
-//! side, and the group coordinator when sharded. The fields split along
+//! What the state owns is in-memory only: the shared registry (placing and
+//! releasing payloads), the metrics registry and flight recorder
+//! (recording, never reading a clock), the durable log's read side, and
+//! the group coordinator when sharded — which reads no clock either: it is
+//! handed the same `now`. Device staging happens upstream, in the pump's
+//! copy stage; an item reaches `step` on the device it is published from.
+//! The fields split along
 //! four seams: `Membership` (who is attached, admission, heartbeats, the
 //! replay queue), `Window` (the publish window, live batches, pins,
 //! acks, the epoch position), `LogTee` (the durable log as seen from the
@@ -64,7 +67,7 @@ use crate::runtime::config::ProducerConfig;
 use crate::runtime::context::TsContext;
 use crate::runtime::coordinator::{EpochCoordinator, GroupJoin};
 use crate::runtime::producer::{replay_start, streamed_content, ProducerStats};
-use crate::runtime::staging::{FeederMsg, Placement, PreparedItem, StagingEngine};
+use crate::runtime::staging::{FeederMsg, Placement, PreparedItem, WELCOME_STAGING};
 use crate::{Result, TsError};
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -83,8 +86,8 @@ use ts_tensor::{Tensor, TensorPayload};
 /// fourth.
 const TICK_NS: u64 = 25_000_000;
 /// How often a shard parked at the group barrier looks at it again — the
-/// one wait nobody can ring the pump out of (the coordinator may live in
-/// another process's shared memory).
+/// one wait nobody rings the pump out of (the coordinator is plain shared
+/// state with no doorbell of its own).
 const BARRIER_TICK_NS: u64 = 200_000;
 /// Bytes of one catch-up that may be sent and not yet acked. A log frame
 /// is a whole batch, hundreds of KiB and up, so this holds a replay to a
@@ -213,6 +216,9 @@ pub(crate) struct StageMetrics {
     collate_copy_bytes: Arc<Counter>,
     /// Set when the arena was too small for the loader to lease from.
     pub loader_unbound: Arc<Counter>,
+    /// The copy stage's per-batch H2D time, under a GPU producer: what the
+    /// watchdog weighs against the loader's fetch time.
+    h2d: Option<Arc<Histogram>>,
     /// Cursor positions displaced before a broadcast (latest-wins).
     cursor_coalesced: Arc<Counter>,
     /// Bytes the durable-log spiller appended.
@@ -249,6 +255,7 @@ impl StageMetrics {
             publish_copy_bytes: counter("publish_copy_bytes"),
             collate_copy_bytes: counter("collate_copy_bytes"),
             loader_unbound: counter("loader_unbound"),
+            h2d: None,
             cursor_coalesced: counter("cursor_coalesced"),
             log_append_bytes: counter("log_append_bytes"),
             wait_state: metrics.gauge(&format!("{prefix}wait_state")),
@@ -510,7 +517,6 @@ pub(crate) struct State {
     pub(crate) ctx: TsContext,
     pub(crate) coord: Option<Arc<EpochCoordinator>>,
     pub(crate) shard: u32,
-    staging: Option<Arc<StagingEngine>>,
     policy: RubberbandPolicy,
     wait: Wait,
     /// Barrier generation awaited in [`Wait::Barrier`].
@@ -538,10 +544,7 @@ impl State {
         now: u64,
     ) -> Self {
         let shard_ns = coord.as_ref().map(|_| shard);
-        let expected_announces = match &cfg.flexible {
-            None => loader.0,
-            Some(flex) => (loader.0 * loader.1).div_ceil(flex.producer_batch as u64),
-        };
+        let expected_announces = cfg.announces_per_epoch(loader);
         let welcome = WelcomeInfo {
             version: WIRE_VERSION,
             shards: coord.as_ref().map(|c| c.num_shards() as u32).unwrap_or(1),
@@ -551,7 +554,7 @@ impl State {
                 .as_ref()
                 .map(|f| f.producer_batch as u32)
                 .unwrap_or(0),
-            staging: cfg.staging.mode.wire_code(),
+            staging: WELCOME_STAGING,
             arena: ctx.registry.arena().map(|a| {
                 let g = a.geometry();
                 ArenaAd {
@@ -576,12 +579,6 @@ impl State {
             Some(s) => format!("replay.s{s}.{name}"),
             None => format!("replay.{name}"),
         };
-        let staging = StagingEngine::build(ctx, &cfg, shard_ns);
-        if let Some(engine) = &staging {
-            // Pinned batches keep their slabs past full acknowledgement, so
-            // the rotation must cover the pin set.
-            engine.set_pin_headroom(policy.pinned_batches(expected_announces) as usize);
-        }
         Self {
             members: Membership {
                 hb: HeartbeatMonitor::new(cfg.heartbeat_timeout.as_nanos() as u64),
@@ -620,7 +617,6 @@ impl State {
             ctx: ctx.clone(),
             coord,
             shard,
-            staging,
             policy,
             wait: Wait::Consumers,
             barrier: 0,
@@ -639,8 +635,9 @@ impl State {
         self.log.as_ref().map(|l| l.log.clone())
     }
 
-    pub(crate) fn staging(&self) -> Option<&Arc<StagingEngine>> {
-        self.staging.as_ref()
+    /// Tells the watchdog where the copy stage records its H2D time.
+    pub(crate) fn watch_h2d(&mut self, hist: Arc<Histogram>) {
+        self.inst.stage.h2d = Some(hist);
     }
 
     pub(crate) fn wait(&self) -> Wait {
@@ -741,11 +738,10 @@ impl State {
         if self.busy() {
             self.replay_one(now, fx);
         }
-        if self.wait == Wait::Barrier {
-            let coord = self.coord.clone().expect("barrier implies a coordinator");
+        if let (Wait::Barrier, Some(coord)) = (self.wait, self.coord.clone()) {
             if coord.is_stopped() {
                 self.enter_drain(now);
-            } else if coord.reached(self.barrier) {
+            } else if coord.reached(now, self.barrier) {
                 self.open_epoch(now, fx);
             } else {
                 self.until = Some(now + BARRIER_TICK_NS); // look again then
@@ -795,7 +791,7 @@ impl State {
             // every shard.
             Some(coord) => {
                 let pin_limit = self.policy.pinned_batches(self.win.expected_announces);
-                self.barrier = coord.arrive(self.shard, epoch, pin_limit);
+                self.barrier = coord.arrive(now, self.shard, epoch, pin_limit);
                 self.set_wait(now, Wait::Barrier);
             }
             None => self.open_epoch(now, fx),
@@ -885,9 +881,8 @@ impl State {
 
     // -- publishing -------------------------------------------------------
 
-    /// Publishes the item in hand: stage on the device (unless the copy
-    /// stage already did), register (adopting the feeder's placements),
-    /// announce, tee into the log, maintain the pin set.
+    /// Publishes the item in hand: register (adopting the feeder's
+    /// placements), announce, tee into the log, maintain the pin set.
     fn publish(&mut self, now: u64, fx: &mut Vec<Effect>) {
         let Some((mut item, dequeued_at)) = self.win.pending.take() else {
             return;
@@ -895,9 +890,8 @@ impl State {
         if item.copy_wait_span.0 != 0 && item.copy_wait_span.1 == 0 {
             item.copy_wait_span.1 = dequeued_at;
         }
-        let Some(item) = self.ensure_staged(item) else {
-            return self.fail(now, "staging a batch on the producer device failed");
-        };
+        self.stats.bytes_staged += item.staged_bytes;
+        self.inst.stage.bytes_staged.add(item.staged_bytes);
         let seq = self.win.window.published();
         let (epoch, shard) = (self.win.epoch, self.shard);
         // The batch only now gets its key: spans measured upstream rode on
@@ -982,54 +976,6 @@ impl State {
         self.set_wait(now, Wait::Item);
     }
 
-    /// Ensures a prepared item's tensors sit on the producer device:
-    /// already staged (the overlapped copy stage ran), through the slab
-    /// pool now (serial mode), or the legacy per-tensor transfer. `None`
-    /// on device OOM.
-    fn ensure_staged(&mut self, item: PreparedItem) -> Option<PreparedItem> {
-        let item = if item.staged {
-            item
-        } else if let Some(engine) = self.staging.clone() {
-            engine.stage_item(item).ok()?
-        } else {
-            // Legacy path: transfer tensor by tensor, rolling back the
-            // accounted transfers if one fails mid-batch (a dropped legacy
-            // tensor has no reclaim hook to free its accounting).
-            let device = self.cfg.device;
-            let mut staged: Vec<Tensor> = Vec::new();
-            let mut transferred: Vec<u64> = Vec::new();
-            for t in item.fields.iter().chain(std::iter::once(&item.labels)) {
-                if t.device() == device {
-                    staged.push(t.clone());
-                    continue;
-                }
-                let bw = self.cfg.staging.h2d_bandwidth;
-                match self.ctx.devices.transfer_with_bandwidth(t, device, bw) {
-                    Ok(s) => {
-                        transferred.push(s.view_bytes() as u64);
-                        staged.push(s);
-                    }
-                    Err(_) => {
-                        for bytes in transferred {
-                            let _ = self.ctx.devices.account_free(device, bytes);
-                        }
-                        return None;
-                    }
-                }
-            }
-            let labels = staged.pop().expect("labels staged last");
-            PreparedItem {
-                fields: staged,
-                labels,
-                staged_bytes: transferred.iter().sum(),
-                ..item
-            }
-        };
-        self.stats.bytes_staged += item.staged_bytes;
-        self.inst.stage.bytes_staged.add(item.staged_bytes);
-        Some(item)
-    }
-
     fn register_live(
         &mut self,
         seq: u64,
@@ -1071,25 +1017,15 @@ impl State {
         let Some(batch) = self.win.live.remove(&seq) else {
             return;
         };
-        // A slab-backed storage returns its slab through its reclaim hook;
-        // a tensor that reached the device some other way was accounted as
-        // a one-off allocation and is freed here.
         let tensors = batch.fields.iter().chain(std::iter::once(&batch.labels));
-        let held: Vec<_> = tensors
-            .map(|t| {
-                let one_off = t.device().is_gpu() && !t.storage().is_recycled();
-                let free = one_off.then(|| (t.device(), t.view_bytes() as u64));
-                (t.storage_id(), free)
-            })
-            .collect();
+        let held: Vec<u64> = tensors.map(Tensor::storage_id).collect();
         // Let go of the tensors first: each views its arena slot, and the
-        // slot must not look busy to the feeder that leases it next.
+        // slot must not look busy to the feeder that leases it next. A
+        // staged tensor's slab goes back to the rotation through its
+        // storage's reclaim hook when the last view drops.
         drop(batch);
-        for (storage_id, free) in held {
+        for storage_id in held {
             self.ctx.registry.release(storage_id);
-            if let Some((device, bytes)) = free {
-                let _ = self.ctx.devices.account_free(device, bytes);
-            }
         }
     }
 
@@ -1215,7 +1151,9 @@ impl State {
 
     /// Builds consumer `id`'s flexible announce for producer batch `seq`.
     fn send_flex_to(&mut self, id: u64, seq: u64, fx: &mut Vec<Effect>) -> Result<()> {
-        let flex = self.cfg.flexible.as_ref().expect("flex mode");
+        let Some(flex) = &self.cfg.flexible else {
+            return Err(TsError::Config("not a flexible producer".into()));
+        };
         let consumers = &self.members.consumers;
         let info = consumers
             .get(&id)
@@ -1507,7 +1445,7 @@ impl State {
             // stamped with an epoch this shard has not begun means the
             // barrier opened while it was still parked: its pins and
             // `epoch_start_seq` are the previous epoch's, so defer.
-            Some(coord) => match coord.decide_join(id) {
+            Some(coord) => match coord.decide_join(now, id) {
                 (GroupJoin::WaitNextEpoch, _) => None,
                 (_, decided_for) if decided_for != w.pin_epoch => None,
                 (GroupJoin::AdmitReplay, _) => Some(at_epoch_start),
@@ -1584,7 +1522,7 @@ impl State {
         self.members.join_replies.insert(id, reply);
         if let Some(coord) = &self.coord {
             coord.note_members(self.shard, self.members.consumers.len());
-            coord.applied(self.shard, id);
+            coord.applied(now, self.shard, id);
         }
     }
 
@@ -1594,7 +1532,7 @@ impl State {
         if let Some(coord) = &self.coord {
             // A decided admission for a gone consumer must not keep the
             // group's pins alive or wedge the barrier.
-            coord.abandon(id);
+            coord.abandon(now, id);
             coord.note_members(self.shard, m.consumers.len());
         }
         m.awaiting_ready.remove(&id);
@@ -1817,7 +1755,7 @@ impl State {
             }
         } else {
             let fetch_p99 = stage.feeder_fetch.snapshot().p99();
-            let h2d_p99 = self.staging.as_ref().map(|e| e.h2d_p99()).unwrap_or(0);
+            let h2d_p99 = stage.h2d.as_ref().map_or(0, |h| h.snapshot().p99());
             let next = w.window.next_seq();
             let (class, verdict) = match self.wait {
                 Wait::Arena if idle > FLOOR_NS => {

@@ -464,6 +464,48 @@ fn a_late_joiner_waits_for_the_next_epoch_and_a_parked_leave_does_not_wedge_it()
 }
 
 #[test]
+fn an_admitted_joiner_that_leaves_before_ready_stops_halting_everyone_at_once() {
+    // Between admission and `Ready` a joiner halts every consumer's stream
+    // (`all_ready`) and has its reply re-sent each tick. A consumer whose
+    // attach fails elsewhere now says `Leave` (ROADMAP 9c): the held batch
+    // goes out in the step that frame lands in, the nudging stops, and the
+    // heartbeat monitor forgets the id — not a heartbeat timeout later.
+    let ctx = TsContext::host_only();
+    let config = cfg(1, 1.0);
+    let mut prep = Preparer::new(&config, None);
+    let mut rig = Rig::new(&ctx, config, 4);
+    rig.attach(1);
+    let item = prepared(&mut prep, 0, 4);
+    assert_eq!(batches(&rig.item(item)).len(), 1);
+    rig.ack(1, 0);
+    assert_eq!(admit_of(&rig.join(2, PayloadMode::Shm)), Some((0, 0, 0)));
+    let item = prepared(&mut prep, 1, 4);
+    assert!(batches(&rig.item(item)).is_empty(), "halted for the joiner");
+    assert_eq!(rig.state.wait(), Wait::Window);
+    let nudged = rig.tick_after(TICK_NS);
+    assert!(
+        matches!(&nudged[..], [Out::Msg(t, DataMsg::JoinReply { .. }), ..] if *t == topics::consumer(2)),
+        "{nudged:?}"
+    );
+    let out = rig.ctrl(CtrlMsg::Leave { consumer_id: 2 });
+    assert_eq!(batches(&out), [(topics::BATCH.to_vec(), 1)]);
+    assert_eq!(rig.state.wait(), Wait::Item);
+    assert_eq!(rig.state.members.hb.tracked(), 1);
+    let quiet = rig.tick_after(TICK_NS);
+    assert!(
+        !quiet
+            .iter()
+            .any(|o| matches!(o, Out::Msg(_, DataMsg::JoinReply { .. }))),
+        "{quiet:?}"
+    );
+    // A second `Leave` (the shard it never reached answers the same way)
+    // is a stray frame from an id that owes nothing.
+    assert!(rig.ctrl(CtrlMsg::Leave { consumer_id: 2 }).is_empty());
+    let strays = ctx.metrics.counter("producer.ctrl_unknown_consumer");
+    assert_eq!(strays.get(), 1);
+}
+
+#[test]
 fn a_deadline_only_sits_in_the_past_when_a_tick_would_change_something() {
     // The pump ticks whenever `deadline()` has passed; a stale deadline in
     // a wait that only a peer can end would spin the producer thread.
@@ -620,7 +662,7 @@ fn hello_stats_and_trace_are_answered_in_every_wait_state() {
         rig.state.deadline() <= rig.now + MS,
         "the barrier is polled"
     );
-    coord.arrive(1, 0, 1);
+    coord.arrive(rig.now, 1, 0, 1);
     rig.tick_after(0);
     assert_eq!(rig.state.wait(), Wait::Consumers);
 }
@@ -1134,7 +1176,7 @@ fn a_join_that_reached_an_empty_shard_first_still_gets_this_shards_prefix() {
     let config = cfg(1, 1.0);
     let mut prep = Preparer::new(&config, None);
     let mut rig = Rig::coordinated(&ctx, config, 4, Some(coord.clone()), None);
-    coord.arrive(1, 0, 4);
+    coord.arrive(0, 1, 0, 4);
     rig.tick_after(0);
     rig.attach(1);
     for index in 0..2 {
@@ -1142,7 +1184,7 @@ fn a_join_that_reached_an_empty_shard_first_still_gets_this_shards_prefix() {
         assert_eq!(batches(&rig.item(item)).len(), 1);
     }
     // Shard 1 asks first: the decision every shard will repeat.
-    assert_eq!(coord.decide_join(2).0, GroupJoin::AdmitReplay);
+    assert_eq!(coord.decide_join(rig.now, 2).0, GroupJoin::AdmitReplay);
     let out = rig.join(2, PayloadMode::Shm);
     assert_eq!(admit_of(&out), Some((0, 0, 0)), "from the epoch's start");
     let mut replayed = batches(&rig.ready(2));

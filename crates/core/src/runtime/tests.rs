@@ -9,7 +9,6 @@ use crate::runtime::config::{FlexibleConfig, ProducerConfig};
 use crate::runtime::consumer::{Consumer, StopReason};
 use crate::runtime::context::TsContext;
 use crate::runtime::producer::EpochSource;
-use crate::runtime::staging::StagingMode;
 use crate::{HandshakeError, TsError};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -287,34 +286,33 @@ fn steady_state_publish_recycles_arena_slots_without_allocating() {
 }
 
 #[test]
-fn staging_modes_deliver_byte_identical_streams() {
-    // Acceptance criterion: consumer-visible batches are byte-identical
-    // with staging enabled (serial or overlapped slab-pooled) vs disabled
-    // (legacy per-batch transfer) — and identical to the CPU-only stream
-    // apart from device placement. Run both pipeline shapes.
-    use crate::runtime::staging::{StagingConfig, StagingMode};
+fn gpu_staged_stream_is_byte_identical_to_the_cpu_only_stream() {
+    // What a consumer sees under device staging is the CPU-only stream —
+    // itself what the loader yields, the reference — apart from device
+    // placement, in both pipeline shapes; and after the run every slab and
+    // every arena slot is back.
     for workers in [0usize, 2] {
-        let mut streams: Vec<BatchTrace2> = Vec::new();
-        for (tag, mode) in [
-            ("off", StagingMode::Off),
-            ("serial", StagingMode::Serial),
-            ("overlap", StagingMode::Overlapped),
-        ] {
+        let reference = reference_trace(&[loader_with_workers(48, 4, workers)], 2);
+        for (on, device) in [("cpu", DeviceId::Cpu), ("gpu", DeviceId::Gpu(0))] {
+            let tag = format!("{on} workers={workers}");
             let ctx = TsContext::with_gpus(1, 1 << 30, false);
-            let ep = format!("inproc://stage-id-{tag}-w{workers}");
+            let ep = format!("inproc://stage-id-{on}-w{workers}");
             let mut cfg = producer_cfg(&ep, 2);
-            cfg.device = DeviceId::Gpu(0);
-            cfg.staging = StagingConfig {
-                mode,
-                ..Default::default()
-            };
-            let producer = spawn(loader_with_workers(48, 4, workers), &ctx, cfg).unwrap();
+            cfg.device = device;
+            let producer = Producer::builder()
+                .context(&ctx)
+                .config(cfg)
+                .arena(arena_path(&format!("stage-id-{on}-w{workers}")))
+                .spawn(loader_with_workers(48, 4, workers))
+                .unwrap();
+            let arena = producer.arena().unwrap().clone();
             let mut consumer = consumer(&ctx).connect(&ep).unwrap();
-            let mut stream = Vec::new();
+            let mut trace: ByteTrace = Vec::new();
             for b in consumer.by_ref().flatten() {
-                assert_eq!(b.fields[0].device(), DeviceId::Gpu(0), "{tag}");
-                stream.push((
+                assert_eq!(b.fields[0].device(), device, "{tag}");
+                trace.push((
                     b.epoch,
+                    b.shard,
                     b.index_in_epoch,
                     b.labels.to_vec_i64().unwrap(),
                     b.fields[0].gather_bytes(),
@@ -322,27 +320,36 @@ fn staging_modes_deliver_byte_identical_streams() {
                 ));
             }
             assert_eq!(consumer.stop_reason(), Some(StopReason::End), "{tag}");
+            drop(consumer);
             let stats = producer.join().unwrap();
-            assert_eq!(stats.batches_published, 24, "{tag} workers={workers}");
-            assert_eq!(stats.bytes_staged, 24 * (4 * 8 + 4 * 8), "{tag}");
-            // All VRAM is released once the slabs drain / frees land.
-            assert_eq!(
-                ctx.devices.memory(DeviceId::Gpu(0)).unwrap().in_use(),
-                0,
-                "{tag} workers={workers}"
-            );
-            streams.push(stream);
+            assert_eq!(stats.batches_published, 24, "{tag}");
+            // fields: 4 samples × 2 f32; labels: 4 × i64; nothing on the CPU.
+            let staged = u64::from(device.is_gpu()) * 24 * (4 * 8 + 4 * 8);
+            assert_eq!(stats.bytes_staged, staged, "{tag}");
+            let vram = ctx.devices.memory(DeviceId::Gpu(0)).unwrap();
+            assert_eq!(vram.in_use(), 0, "{tag}: a slab is still out");
+            assert_eq!(arena.slots_in_use(), 0, "{tag}: a slot is still out");
+            assert!(trace == reference, "{tag} saw another stream");
         }
-        assert_eq!(streams[0], streams[1], "serial == off (workers={workers})");
-        assert_eq!(
-            streams[0], streams[2],
-            "overlapped == off (workers={workers})"
-        );
     }
 }
 
-/// (epoch, index_in_epoch, labels, field bytes, last) per received batch.
-type BatchTrace2 = Vec<(u64, u64, Vec<i64>, Vec<u8>, bool)>;
+#[test]
+fn a_gpu_the_context_does_not_have_fails_the_spawn_not_the_first_batch() {
+    let ctx = TsContext::with_gpus(1, 1 << 30, false);
+    let mut cfg = producer_cfg("inproc://no-such-gpu", 1);
+    cfg.device = DeviceId::Gpu(9);
+    match spawn(loader(16, 4), &ctx, cfg.clone()) {
+        Err(TsError::Config(why)) => assert!(why.contains("cuda:9"), "{why}"),
+        other => panic!("spawned on a device that is not there: {other:?}"),
+    }
+    // Nothing was bound on the way out: the endpoint is free for a
+    // producer the context can serve.
+    cfg.device = DeviceId::Gpu(0);
+    let producer = spawn(loader(16, 4), &ctx, cfg).unwrap();
+    producer.abort();
+    producer.join().unwrap();
+}
 
 #[test]
 fn steady_state_staging_performs_zero_device_allocations() {
@@ -1692,40 +1699,6 @@ fn stream_consumer_dropped_mid_stream_leaves_no_slot_pinned() {
 }
 
 #[test]
-fn builder_staging_modes_stay_byte_identical() {
-    // Off / Serial / Overlapped all deliver the reference bytes.
-    let mut traces = Vec::new();
-    for mode in [
-        StagingMode::Off,
-        StagingMode::Serial,
-        StagingMode::Overlapped,
-    ] {
-        let ctx = TsContext::with_gpus(1, 64 << 20, false);
-        let ep = format!("inproc://builder-staging-{mode:?}");
-        let mut cfg = producer_cfg(&ep, 1);
-        cfg.device = DeviceId::Gpu(0);
-        let producer = Producer::builder()
-            .context(&ctx)
-            .config(cfg)
-            .staging(mode)
-            .spawn(loader_with_workers(32, 4, 2))
-            .unwrap();
-        let consumer = consumer(&ctx).connect(&ep).unwrap();
-        assert_eq!(consumer.staging_mode(), Some(mode));
-        let (trace, reason) = consume_trace(consumer);
-        assert_eq!(reason, Some(StopReason::End));
-        producer.join().unwrap();
-        traces.push(trace);
-    }
-    assert_eq!(traces[0], traces[1], "off == serial");
-    assert_eq!(traces[1], traces[2], "serial == overlapped");
-    assert_eq!(
-        traces[0],
-        reference_trace(&[loader_with_workers(32, 4, 2)], 1)
-    );
-}
-
-#[test]
 fn builder_flexible_mode_carves_consumer_batches() {
     let ctx = TsContext::host_only();
     let ep = "inproc://builder-flex";
@@ -2190,7 +2163,6 @@ fn sharded_gpu_staged_publish_stays_zero_copy() {
     // pools. The feeder leases and collates on the host, staging H2D-reads
     // from the leased slot, and publish adopts the placement — no shard's
     // copy counter may move.
-    use crate::runtime::staging::{StagingConfig, StagingMode};
     let ctx = TsContext::with_gpus(1, 1 << 30, false);
     let arena_path =
         std::env::temp_dir().join(format!("ts-gpu-zero-copy-{}.arena", std::process::id()));
@@ -2201,10 +2173,6 @@ fn sharded_gpu_staged_publish_stays_zero_copy() {
     let ep = "inproc://gpu-zero-copy";
     let mut cfg = producer_cfg(ep, 2);
     cfg.device = DeviceId::Gpu(0);
-    cfg.staging = StagingConfig {
-        mode: StagingMode::Overlapped,
-        ..Default::default()
-    };
     cfg.rubberband_cutoff = 0.02;
     let group = spawn_sharded(sharded_loaders(64, 4, 2, false), &ctx, cfg).unwrap();
     let consumer = consumer(&ctx).connect(ep).unwrap();
@@ -2233,15 +2201,11 @@ fn sharded_gpu_staged_publish_stays_zero_copy() {
 #[test]
 fn zero_copy_publish_is_byte_identical_across_shards_staging_and_payload() {
     // Acceptance criterion: the lease-placed stream is byte-identical to
-    // the heap-published stream across shards {1,2} × staging
-    // {Off,Overlapped} × payload modes {shm,streamed}.
+    // the heap-published stream across shards {1,2} × device {CPU, GPU
+    // staged} × payload modes {shm,streamed}.
     use crate::protocol::messages::PayloadMode;
-    use crate::runtime::staging::{StagingConfig, StagingMode};
     for shards in [1usize, 2] {
-        for (stag_tag, staging_mode) in [
-            ("off", StagingMode::Off),
-            ("overlap", StagingMode::Overlapped),
-        ] {
+        for (stag_tag, device) in [("cpu", DeviceId::Cpu), ("gpu", DeviceId::Gpu(0))] {
             for (mode_tag, payload_mode) in
                 [("shm", PayloadMode::Shm), ("stream", PayloadMode::Stream)]
             {
@@ -2261,13 +2225,7 @@ fn zero_copy_publish_is_byte_identical_across_shards_staging_and_payload() {
                     }
                     let ep = format!("inproc://ident-{shards}-{stag_tag}-{mode_tag}-{leased}");
                     let mut cfg = producer_cfg(&ep, 2);
-                    if staging_mode != StagingMode::Off {
-                        cfg.device = DeviceId::Gpu(0);
-                        cfg.staging = StagingConfig {
-                            mode: staging_mode,
-                            ..Default::default()
-                        };
-                    }
+                    cfg.device = device;
                     let group =
                         spawn_sharded(sharded_loaders(48, 4, shards, false), &ctx, cfg).unwrap();
                     let consumer = consumer(&ctx)

@@ -20,8 +20,22 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// XOR'd into the stored value as a cheap integrity check.
-const CURSOR_SALT: u64 = u64::from_le_bytes(*b"TSCURS01");
+/// Folded into the check word. Not the `TSCURS01` of files whose check
+/// word was `value ^ salt`: those must fail validation ("no cursor").
+const CURSOR_SALT: u64 = u64::from_le_bytes(*b"TSCURS02");
+
+/// The check word stored beside a cursor value. It must not commute with
+/// damage: were it `value ^ salt`, one flip laid over both words of the
+/// file would validate as a cursor nobody wrote — possibly ahead of the
+/// real one, which skips batches and lets retention delete them. This is
+/// splitmix64's finalizer, a bijection in which every input bit reaches
+/// every output bit.
+fn check_word(value: u64) -> u64 {
+    let mut z = value ^ CURSOR_SALT;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// Durable store of per-`(group, shard)` resume cursors.
 pub struct CursorStore {
@@ -57,7 +71,7 @@ impl CursorStore {
             }
             let value = u64::from_le_bytes(bytes[..8].try_into().unwrap());
             let check = u64::from_le_bytes(bytes[8..].try_into().unwrap());
-            if value ^ CURSOR_SALT != check {
+            if check_word(value) != check {
                 continue;
             }
             cursors.insert((group, shard), value);
@@ -139,7 +153,7 @@ impl CursorStore {
             .join(format!(".{}.tmp", Self::file_name(group, shard)));
         let mut bytes = [0u8; 16];
         bytes[..8].copy_from_slice(&next_seq.to_le_bytes());
-        bytes[8..].copy_from_slice(&(next_seq ^ CURSOR_SALT).to_le_bytes());
+        bytes[8..].copy_from_slice(&check_word(next_seq).to_le_bytes());
         fs::write(&tmp, bytes)
             .map_err(|e| LogError::Io(format!("write {}: {e}", tmp.display())))?;
         fs::rename(&tmp, &path)

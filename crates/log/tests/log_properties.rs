@@ -1,9 +1,9 @@
 //! Property tests of the durable batch log: round-trip fidelity across
 //! arbitrary append sequences and segment geometries, torn-tail recovery
 //! to a complete-record prefix, recovery from arbitrary damage anywhere
-//! in a segment file, chunked appends storing what a joined append would,
-//! and retention never deleting a record a registered group cursor still
-//! needs.
+//! in a segment file or a cursor file, chunked appends storing what a
+//! joined append would, and retention never deleting a record a registered
+//! group cursor still needs.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -209,6 +209,56 @@ proptest! {
             Err(other) => panic!("damage must read as corruption, got: {other}"),
         }
         let _ = std::fs::remove_dir_all(&cfg.dir);
+    }
+
+    /// Whatever happens to the bytes of a cursor file — ranges flipped,
+    /// zeroed, the file cut short — the store opens without a panic, and
+    /// the group resumes from exactly what was last persisted or from no
+    /// cursor at all (which replays from the oldest retained record):
+    /// never from a position nobody wrote, least of all one *ahead*, which
+    /// would skip batches and let retention delete them. The cursor beside
+    /// it is untouched.
+    #[test]
+    fn a_damaged_cursor_file_loads_as_what_was_written_or_as_no_cursor(
+        written in any::<u64>(),
+        advanced in any::<u64>(),
+        damage in prop::collection::vec((0u32..3, 0usize..17, 1usize..17, 1u8..255), 1..4)
+    ) {
+        let dir = temp_cfg("cursor-damage", 4, 4096).dir;
+        {
+            let mut store = CursorStore::open(&dir).unwrap();
+            store.register("victim", 0, written / 2).unwrap();
+            store.advance("victim", 0, written).unwrap();
+            store.advance("bystander", 1, advanced).unwrap();
+            // An advance still in memory at the crash is not on disk.
+            store.advance_mem("victim", 0, written.saturating_add(1));
+        }
+        let path = dir.join("cursors").join("victim.s0.cursor");
+        let mut bytes = std::fs::read(&path).unwrap();
+        let intact = bytes.clone();
+        for &(kind, at, len, flip) in &damage {
+            let at = at.min(bytes.len());
+            let end = (at + len).min(bytes.len());
+            match kind {
+                0 => bytes[at..end].iter_mut().for_each(|b| *b ^= flip),
+                1 => bytes[at..end].fill(0),
+                _ => bytes.truncate(at),
+            }
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        let mut store = CursorStore::open(&dir).unwrap();
+        match store.load("victim", 0) {
+            Some(cursor) => prop_assert_eq!(cursor, written, "a cursor nobody wrote"),
+            None => prop_assert!(bytes != intact, "an intact cursor was refused"),
+        }
+        prop_assert_eq!(store.load("bystander", 1), Some(advanced));
+        // Whatever was there, the next ack persists over it.
+        if written < u64::MAX {
+            prop_assert!(store.advance("victim", 0, written + 1).unwrap());
+            let reopened = CursorStore::open(&dir).unwrap();
+            prop_assert_eq!(reopened.load("victim", 0), Some(written + 1));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// `append_chunks` of any split stores exactly what `append` of the

@@ -192,7 +192,10 @@ impl HistogramSnapshot {
 
     /// Value at quantile `q` in `[0, 1]`, within the bucketing error of
     /// ~1.6%. `q >= 1.0` returns the exact maximum; an empty snapshot
-    /// returns 0.
+    /// returns 0. Total on any field values: a snapshot may have come off
+    /// the wire, where a bucket index can name no bucket and counts can sum
+    /// past `u64` — such an index reads as the top bucket, such a sum
+    /// saturates.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -204,9 +207,9 @@ impl HistogramSnapshot {
         let target = ((q * self.count as f64).ceil() as u64).max(1);
         let mut cum = 0u64;
         for &(idx, c) in &self.buckets {
-            cum += c;
+            cum = cum.saturating_add(c);
             if cum >= target {
-                let idx = idx as usize;
+                let idx = (idx as usize).min(NUM_BUCKETS - 1);
                 let mid = bucket_lower(idx) + bucket_width(idx) / 2;
                 return mid.min(self.max);
             }
@@ -233,10 +236,11 @@ impl HistogramSnapshot {
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         let mut merged = std::collections::BTreeMap::new();
         for &(idx, c) in self.buckets.iter().chain(other.buckets.iter()) {
-            *merged.entry(idx).or_insert(0u64) += c;
+            let count = merged.entry(idx).or_insert(0u64);
+            *count = count.saturating_add(c);
         }
         self.buckets = merged.into_iter().collect();
-        self.count += other.count;
+        self.count = self.count.saturating_add(other.count);
         self.sum = self.sum.wrapping_add(other.sum);
         self.max = self.max.max(other.max);
     }
@@ -326,6 +330,26 @@ mod tests {
         assert_eq!(s.quantile(1.0), 0);
         assert_eq!(s.mean(), 0.0);
         assert!(s.buckets.is_empty());
+    }
+
+    #[test]
+    fn a_snapshot_off_the_wire_cannot_panic_a_quantile_or_a_merge() {
+        // What a damaged stats frame can decode into: an index that names
+        // no bucket, counts that sum past u64.
+        let mut hostile = HistogramSnapshot {
+            count: u64::MAX,
+            sum: u64::MAX,
+            max: 900,
+            buckets: vec![(3, u64::MAX), (u32::MAX, u64::MAX)],
+        };
+        assert_eq!(hostile.p50(), 3);
+        assert_eq!(hostile.quantile(0.999), 3);
+        hostile.buckets.remove(0);
+        assert_eq!(hostile.p99(), 900, "the top bucket, capped at max");
+        let other = hostile.clone();
+        hostile.merge(&other);
+        assert_eq!(hostile.count, u64::MAX);
+        assert_eq!(hostile.buckets, [(u32::MAX, u64::MAX)]);
     }
 
     #[test]

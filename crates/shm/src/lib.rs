@@ -48,10 +48,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-mod coord;
 mod mmap;
 
-pub use coord::{CoordDecision, ShmCoordCell, MAX_COORD_SHARDS};
 use mmap::SharedMapping;
 
 /// Arena file magic: `b"TSARENA1"` little-endian.
@@ -914,6 +912,30 @@ mod tests {
         assert!(!producer.release(h));
         drop(view);
         assert_eq!(producer.slots_in_use(), 0);
+    }
+
+    #[test]
+    fn open_refuses_a_file_that_is_not_this_versions_arena() {
+        // The one shared-memory file format: whatever is wrong with the
+        // header, an attacher gets a typed error, never a mapping.
+        let path = temp_path("header");
+        let refused = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            matches!(ShmArena::open(&path), Err(ShmError::Io(_)))
+        };
+        let good = {
+            let _arena = ShmArena::create(&path, 2, 64).unwrap();
+            std::fs::read(&path).unwrap()
+        };
+        assert!(!path.exists(), "the owner unlinked it");
+        assert!(refused(&good[..HEADER_BYTES - 1]), "no room for a header");
+        assert!(refused(&vec![0u8; good.len()]), "no magic");
+        let mut newer = good.clone();
+        newer[8..16].copy_from_slice(&(VERSION as u64 + 1).to_le_bytes());
+        assert!(refused(&newer), "another version's layout");
+        assert!(refused(&good[..good.len() - 1]), "shorter than it says");
+        assert!(!refused(&good), "and the intact file opens");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! equally shaped samples into a batch with a new leading dimension;
 //! [`cat0`] concatenates batches along the existing leading dimension —
 //! that is how several loader batches fuse into one contiguous producer
-//! batch slab (optionally in a pooled buffer via [`cat0_pooled`], or in a
-//! leased arena slot via [`cat0_leased`]). Every one of them writes each
-//! part exactly once, straight into the destination.
+//! batch slab (on the heap, or in a leased arena slot via
+//! [`cat0_leased`]). Every one of them writes each part exactly once,
+//! straight into the destination.
 //!
 //! [`BatchBuf`] turns the order around for a loader that has not decoded
 //! its samples yet: it hands out the batch's memory — a heap buffer or a
@@ -16,7 +16,7 @@
 //! PyTorch's `default_collate` allocating the batch in shared memory
 //! inside a worker, without the per-sample tensors in between.
 
-use crate::pool::{MemoryPool, SlotPool};
+use crate::pool::SlotPool;
 use crate::shape::contiguous_strides;
 use crate::storage::{fresh_storage_id, Storage};
 use crate::{DType, Result, Tensor, TensorError};
@@ -148,25 +148,6 @@ pub fn cat0(tensors: &[Tensor]) -> Result<Tensor> {
         t.append_to(&mut data);
     }
     Tensor::from_bytes(data, tensors[0].dtype(), &shape, tensors[0].device())
-}
-
-/// [`cat0`] into a buffer checked out from `pool`; the slab returns to the
-/// pool when the last view over it drops. The pool's buffer length must be
-/// at least the concatenated byte size (excess bytes stay unused).
-pub fn cat0_pooled(tensors: &[Tensor], pool: &MemoryPool, device: DeviceId) -> Result<Tensor> {
-    let (shape, total_bytes) = cat0_plan(tensors, "cat0_pooled")?;
-    if pool.buf_len() < total_bytes {
-        return Err(TensorError::Shape(format!(
-            "pool slab of {} B too small for producer batch of {} B",
-            pool.buf_len(),
-            total_bytes
-        )));
-    }
-    let mut buf = pool.checkout();
-    write_parts(tensors, &mut buf[..total_bytes])?;
-    let storage = Arc::new(Storage::new_pooled(buf, device, pool.return_handle()));
-    let strides = contiguous_strides(&shape);
-    Tensor::from_parts(storage, tensors[0].dtype(), shape, strides, 0)
 }
 
 /// [`cat0`] directly into a leased shared-memory slot from `pool`: the
@@ -446,29 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_cat_reuses_slab() {
-        let pool = MemoryPool::new(16, 2);
-        let parts = [t(&[1, 2, 3, 4], &[2, 2]), t(&[5, 6, 7, 8], &[2, 2])];
-        {
-            let producer_batch = cat0_pooled(&parts, &pool, DeviceId::Gpu(0)).unwrap();
-            assert_eq!(producer_batch.shape(), &[4, 2]);
-            assert_eq!(producer_batch.device(), DeviceId::Gpu(0));
-            assert_eq!(
-                producer_batch.to_vec_u8().unwrap(),
-                vec![1, 2, 3, 4, 5, 6, 7, 8]
-            );
-            // slices keep the slab alive
-            let slice = producer_batch.narrow(0, 1, 2).unwrap();
-            drop(producer_batch);
-            assert_eq!(slice.to_vec_u8().unwrap(), vec![3, 4, 5, 6]);
-        }
-        // slab returned once all views dropped
-        assert_eq!(pool.free_count(), 1);
-        let (_, misses, returned) = pool.stats();
-        assert_eq!((misses, returned), (1, 1));
-    }
-
-    #[test]
     fn leased_cat_collates_into_the_arena_slot() {
         let path =
             std::env::temp_dir().join(format!("ts-collate-lease-{}.arena", std::process::id()));
@@ -578,9 +536,6 @@ mod tests {
         let parts = [part.clone(), part];
         assert_eq!(cat0(&parts).unwrap().to_vec_u8().unwrap(), want);
         assert_eq!(stack0(&parts).unwrap().to_vec_u8().unwrap(), want);
-        let pool = MemoryPool::new(8, 1);
-        let pooled = cat0_pooled(&parts, &pool, DeviceId::Cpu).unwrap();
-        assert_eq!(pooled.to_vec_u8().unwrap(), want);
         let (arena, slots) = lease_arena("strided", 2);
         let (leased, lease) = cat0_leased(&parts, &slots, DeviceId::Cpu).unwrap();
         assert_eq!(leased.to_vec_u8().unwrap(), want);
@@ -699,12 +654,5 @@ mod tests {
         pool.reclaim(handle);
         pool.drain();
         assert_eq!(arena.slots_in_use(), 0);
-    }
-
-    #[test]
-    fn pooled_cat_checks_slab_size() {
-        let pool = MemoryPool::new(4, 2);
-        let parts = [t(&[1, 2, 3, 4], &[2, 2]), t(&[5, 6, 7, 8], &[2, 2])];
-        assert!(cat0_pooled(&parts, &pool, DeviceId::Cpu).is_err());
     }
 }

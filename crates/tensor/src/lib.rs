@@ -17,9 +17,8 @@
 //! 3. **Slicing views** — flexible batch sizing (§3.2.6) carves per-consumer
 //!    batches from one contiguous producer batch. [`Tensor::narrow`]
 //!    provides the zero-copy slice; [`collate`] builds the contiguous
-//!    producer batch, optionally from a reusable [`MemoryPool`] slab, and
-//!    [`BatchBuf`] lets a loader decode a batch straight into the memory
-//!    it will be shared from.
+//!    producer batch, and [`BatchBuf`] lets a loader decode a batch
+//!    straight into the memory it will be shared from.
 //!
 //! Device placement is a label plus accounting (see [`ts_device`]); bytes
 //! always live in host RAM, but allocation and transfer volumes are booked
@@ -40,7 +39,7 @@ pub use collate::{cat0, cat0_leased, stack0, BatchBuf, RowMut};
 pub use context::DeviceCtx;
 pub use dtype::DType;
 pub use payload::TensorPayload;
-pub use pool::{MemoryPool, SlotPool, SlotPoolStats};
+pub use pool::{SlotPool, SlotPoolStats};
 pub use registry::SharedRegistry;
 pub use shape::{contiguous_strides, Shape};
 pub use storage::Storage;

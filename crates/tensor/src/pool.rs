@@ -1,113 +1,18 @@
-//! Reuse pools for producer-batch memory.
+//! The reuse pool for producer-batch memory: [`SlotPool`], shared-memory
+//! arena slots.
 //!
-//! Two pools live here, one per kind of producer-batch memory:
-//!
-//! * [`MemoryPool`] — heap slabs. Under flexible batch sizing the producer
-//!   allocates "a continuous block of memory on the GPU" for every producer
-//!   batch (§3.2.6). Allocating and freeing that block per batch would churn
-//!   the allocator; the pool keeps returned slabs for reuse, mirroring
-//!   PyTorch's caching allocator behaviour that the real TensorSocket
-//!   inherits.
-//! * [`SlotPool`] — shared-memory arena slots. With a
-//!   [`ts_shm::ShmArena`] bound, every published batch places its bytes in
-//!   an arena slot; without recycling that is an allocation (free-slot
-//!   probe + claim) per tensor per batch. The slot pool keeps slots whose
-//!   consumers have all acked and rewrites them in place
-//!   ([`ts_shm::ShmArena::try_recycle`]) for the next batch, so the
-//!   steady-state publish path performs **zero arena allocations**: each
-//!   placement is a generation bump plus one memcpy into an already-owned
-//!   slot. Its [`SlotPool::stats`] make that property assertable.
+//! With a [`ts_shm::ShmArena`] bound, every published batch places its
+//! bytes in an arena slot; without recycling that is an allocation
+//! (free-slot probe + claim) per tensor per batch. The slot pool keeps
+//! slots whose consumers have all acked and rewrites them in place
+//! ([`ts_shm::ShmArena::try_recycle`]) for the next batch, so the
+//! steady-state publish path performs **zero arena allocations**: each
+//! placement is a generation bump plus one memcpy into an already-owned
+//! slot. Its [`SlotPool::stats`] make that property assertable.
 
 use parking_lot::Mutex;
 use std::sync::Arc;
 use ts_shm::{ShmArena, ShmError, ShmHandle};
-
-#[derive(Debug, Default)]
-struct PoolInner {
-    free: Vec<Vec<u8>>,
-    hits: u64,
-    misses: u64,
-    returned: u64,
-}
-
-/// A pool of equally sized byte buffers.
-#[derive(Debug, Clone)]
-pub struct MemoryPool {
-    buf_len: usize,
-    max_buffers: usize,
-    inner: Arc<Mutex<PoolInner>>,
-}
-
-/// Handle held by a pooled [`crate::Storage`]; returns the buffer on drop.
-#[derive(Debug, Clone)]
-pub struct PoolReturn {
-    buf_len: usize,
-    max_buffers: usize,
-    inner: Arc<Mutex<PoolInner>>,
-}
-
-impl PoolReturn {
-    pub(crate) fn give_back(&self, buf: Vec<u8>) {
-        debug_assert!(buf.capacity() >= self.buf_len);
-        let mut inner = self.inner.lock();
-        inner.returned += 1;
-        if inner.free.len() < self.max_buffers {
-            inner.free.push(buf);
-        }
-    }
-}
-
-impl MemoryPool {
-    /// Creates a pool of buffers of `buf_len` bytes, retaining at most
-    /// `max_buffers` free buffers.
-    pub fn new(buf_len: usize, max_buffers: usize) -> Self {
-        Self {
-            buf_len,
-            max_buffers,
-            inner: Arc::new(Mutex::new(PoolInner::default())),
-        }
-    }
-
-    /// Buffer size served by this pool.
-    pub fn buf_len(&self) -> usize {
-        self.buf_len
-    }
-
-    /// Checks out a zeroed buffer of `buf_len` bytes, reusing a returned one
-    /// when available.
-    pub fn checkout(&self) -> Vec<u8> {
-        let mut inner = self.inner.lock();
-        if let Some(mut buf) = inner.free.pop() {
-            inner.hits += 1;
-            buf.clear();
-            buf.resize(self.buf_len, 0);
-            buf
-        } else {
-            inner.misses += 1;
-            vec![0u8; self.buf_len]
-        }
-    }
-
-    /// The drop-handle to attach to storages built from this pool.
-    pub(crate) fn return_handle(&self) -> PoolReturn {
-        PoolReturn {
-            buf_len: self.buf_len,
-            max_buffers: self.max_buffers,
-            inner: self.inner.clone(),
-        }
-    }
-
-    /// `(hits, misses, returned)` counters.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        let inner = self.inner.lock();
-        (inner.hits, inner.misses, inner.returned)
-    }
-
-    /// Number of free buffers currently held.
-    pub fn free_count(&self) -> usize {
-        self.inner.lock().free.len()
-    }
-}
 
 #[derive(Debug, Default)]
 struct SlotPoolInner {
@@ -318,42 +223,6 @@ impl SlotPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Storage;
-    use ts_device::DeviceId;
-
-    #[test]
-    fn checkout_miss_then_hit_via_storage_drop() {
-        let pool = MemoryPool::new(16, 4);
-        let buf = pool.checkout();
-        assert_eq!(buf.len(), 16);
-        let storage = Storage::new_pooled(buf, DeviceId::Gpu(0), pool.return_handle());
-        drop(storage);
-        assert_eq!(pool.free_count(), 1);
-        let _buf2 = pool.checkout();
-        let (hits, misses, returned) = pool.stats();
-        assert_eq!((hits, misses, returned), (1, 1, 1));
-    }
-
-    #[test]
-    fn pool_caps_retained_buffers() {
-        let pool = MemoryPool::new(8, 2);
-        for _ in 0..5 {
-            let s = Storage::new_pooled(pool.checkout(), DeviceId::Cpu, pool.return_handle());
-            drop(s);
-        }
-        assert!(pool.free_count() <= 2);
-    }
-
-    #[test]
-    fn reused_buffers_are_zeroed() {
-        let pool = MemoryPool::new(4, 4);
-        let mut buf = pool.checkout();
-        buf.copy_from_slice(&[9, 9, 9, 9]);
-        let s = Storage::new_pooled(buf, DeviceId::Cpu, pool.return_handle());
-        drop(s);
-        let buf2 = pool.checkout();
-        assert_eq!(buf2, vec![0u8; 4]);
-    }
 
     fn test_arena(tag: &str, nslots: usize, slot: usize) -> Arc<ShmArena> {
         let path =

@@ -6,7 +6,6 @@
 //! real TensorSocket extracts from PyTorch tensors (§3.2.4): unique for the
 //! lifetime of the process, never reused.
 
-use crate::pool::PoolReturn;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -22,7 +21,7 @@ pub fn fresh_storage_id() -> u64 {
 /// Where a storage's bytes live.
 enum Backing {
     /// Process-private heap buffer; `Some` until drop (`Option` only so
-    /// `Drop` can move it back to a pool).
+    /// `Drop` can move it into the reclaim hook).
     Owned(Option<Vec<u8>>),
     /// A pinned view into a cross-process shared-memory arena
     /// ([`ts_shm::ShmView`]): zero-copy, and the view's drop releases the
@@ -46,33 +45,24 @@ impl std::fmt::Debug for Backing {
     }
 }
 
-/// What happens to an owned buffer when the last reference drops.
-enum Reclaim {
-    /// Return the buffer to a [`crate::MemoryPool`].
-    Pool(PoolReturn),
-    /// Hand the buffer to an arbitrary owner — the hook behind device
-    /// slab recycling: a staged tensor's buffer returns to its VRAM slab
-    /// pool (`ts-staging`) the moment producer *and* consumers let go,
-    /// so the slab can be rewritten in place for the next batch.
-    Hook(Box<dyn FnOnce(Vec<u8>) + Send + Sync>),
-}
+/// Where an owned buffer goes when the last reference drops — the hook
+/// behind device slab recycling: a staged tensor's buffer returns to its
+/// VRAM slab pool (`ts-staging`) the moment producer *and* consumers let
+/// go, so the slab can be rewritten in place for the next batch.
+struct Reclaim(Box<dyn FnOnce(Vec<u8>) + Send + Sync>);
 
 impl std::fmt::Debug for Reclaim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Reclaim::Pool(_) => f.write_str("Pool"),
-            Reclaim::Hook(_) => f.write_str("Hook"),
-        }
+        f.write_str("Reclaim")
     }
 }
 
 /// An immutable, refcounted byte buffer placed on a device.
 ///
 /// Buffers are *write-once*: they are built as `Vec<u8>` and frozen on
-/// construction. Storages created from a [`crate::MemoryPool`] return their
-/// buffer to the pool when the last reference drops, and storages built
-/// over a recycled buffer ([`Storage::new_with_reclaim`]) hand it back to
-/// their owner the same way. Storages rebuilt by a consumer in another OS
+/// construction. A storage built over a recycled buffer
+/// ([`Storage::new_with_reclaim`]) hands it back to its owner when the
+/// last reference drops. Storages rebuilt by a consumer in another OS
 /// process wrap a shared-memory view ([`Storage::from_shm_view`]) or a
 /// slice of a received frame ([`Storage::from_shared_bytes`]) instead —
 /// same API, no copy — and a batch a loader decoded straight into a leased
@@ -97,16 +87,6 @@ impl Storage {
         }
     }
 
-    /// Freezes a pooled buffer; on drop the buffer returns to `pool`.
-    pub(crate) fn new_pooled(data: Vec<u8>, device: DeviceId, pool: PoolReturn) -> Self {
-        Self {
-            id: fresh_storage_id(),
-            device,
-            data: Backing::Owned(Some(data)),
-            reclaim: Some(Reclaim::Pool(pool)),
-        }
-    }
-
     /// Freezes a recycled buffer; when the last reference drops, the
     /// buffer is handed to `reclaim` instead of being deallocated.
     ///
@@ -124,7 +104,7 @@ impl Storage {
             id: fresh_storage_id(),
             device,
             data: Backing::Owned(Some(data)),
-            reclaim: Some(Reclaim::Hook(reclaim)),
+            reclaim: Some(Reclaim(reclaim)),
         }
     }
 
@@ -204,14 +184,6 @@ impl Storage {
         matches!(self.data, Backing::Shm(..))
     }
 
-    /// True when this storage's buffer returns to an external owner via a
-    /// reclaim hook ([`Storage::new_with_reclaim`]) — e.g. a device slab
-    /// pool. That owner also owns the buffer's *device accounting*, so
-    /// runtime release paths must not account a free for such storages.
-    pub fn is_recycled(&self) -> bool {
-        matches!(self.reclaim, Some(Reclaim::Hook(_)))
-    }
-
     /// The raw bytes.
     pub fn bytes(&self) -> &[u8] {
         match &self.data {
@@ -234,12 +206,9 @@ impl Storage {
 
 impl Drop for Storage {
     fn drop(&mut self) {
-        if let (Some(reclaim), Backing::Owned(data)) = (self.reclaim.take(), &mut self.data) {
+        if let (Some(Reclaim(hook)), Backing::Owned(data)) = (self.reclaim.take(), &mut self.data) {
             if let Some(data) = data.take() {
-                match reclaim {
-                    Reclaim::Pool(pool) => pool.give_back(data),
-                    Reclaim::Hook(hook) => hook(data),
-                }
+                hook(data);
             }
         }
     }

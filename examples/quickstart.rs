@@ -124,16 +124,13 @@
 //! allocations* (check `ctx.devices.memory(gpu).alloc_count()`) — with
 //! the H2D copy running on its own pipeline stage, overlapping the copy
 //! of batch *n* with collation of *n + 1* and publishing of *n − 1*.
-//! Tune it via `.staging(mode)` / `.staging_config(..)`:
-//!
-//! * mode — `Overlapped` (default), `Serial` (copy on the publish
-//!   thread, still slab-pooled) or `Off` (legacy per-batch
-//!   allocate+copy through `DeviceCtx::transfer`, which now models the
-//!   same link copy time, so benchmark comparisons are apples-to-apples).
-//!   Consumers receive byte-identical batches in all three; the
-//!   `BENCH_staging.json` suite documents the overlap win.
-//! * `slab_depth` / `queue_depth` — rotation size and copy-stage
-//!   look-ahead, both derived from `buffer_size` when unset.
+//! That is the one staging shape and there is nothing to choose: rotation
+//! size and copy-stage look-ahead follow from `buffer_size` and the
+//! rubberband pin set, consumers receive the bytes a CPU producer would
+//! have sent, and a device the context does not have fails the `spawn`.
+//! The one field of `.staging_config(..)`, `h2d_bandwidth`, sets the
+//! *simulated* backend's modeled link speed; the `BENCH_staging.json`
+//! suite lowers it to show a staged epoch costs what a CPU-only one does.
 //!
 //! Staging health is exported through `ctx.metrics`: counter
 //! `staging.h2d_bytes`, gauges `staging.slab_occupancy`,
@@ -372,18 +369,13 @@ fn main() {
         .context(&ctx)
         .endpoint("inproc://tensorsocket-staged")
         .epochs(1)
-        .device(ts_device::DeviceId::Gpu(0)) // staging: Overlapped by default
+        .device(ts_device::DeviceId::Gpu(0)) // that is all staging takes
         .spawn(loader)
         .expect("spawn staged producer");
     let mut consumer = Consumer::builder()
         .context(&ctx)
         .connect("inproc://tensorsocket-staged")
         .expect("connect staged consumer");
-    assert_eq!(
-        consumer.staging_mode(),
-        Some(tensorsocket::StagingMode::Overlapped),
-        "the handshake advertises the staging shape"
-    );
     let started = Instant::now();
     for batch in consumer.by_ref() {
         let batch = batch.expect("clean stream");

@@ -486,6 +486,88 @@ proptest! {
     }
 }
 
+proptest! {
+    /// The metrics snapshot a scrape carries, under the damage the log's
+    /// segments are tested with — ranges flipped, zeroed, the frame cut
+    /// short. The frame has no checksum, so a damaged one may well decode;
+    /// what it may never do is panic or fail untyped, and what does decode
+    /// is the registry up to the damage: every counter, gauge and
+    /// histogram whose bytes end ahead of the first damaged one comes out
+    /// bit for bit, in order, and what a scraper computes from the rest
+    /// (quantiles, means) does not panic either.
+    #[test]
+    fn a_damaged_stats_snapshot_is_a_typed_error_or_the_registry_up_to_the_damage(
+        counters in prop::collection::vec(any::<u64>(), 0..6),
+        gauges in prop::collection::vec(any::<u64>(), 0..6),
+        samples in prop::collection::vec(prop::collection::vec(any::<u64>(), 0..8), 0..4),
+        damage in prop::collection::vec((0u32..3, 0u32..10_000, 1usize..48, 1u8..255), 1..4),
+    ) {
+        let registry = ts_metrics::Registry::new();
+        for (i, v) in counters.iter().enumerate() {
+            registry.counter(&format!("stage.s{i}.count")).add(*v);
+        }
+        for (i, bits) in gauges.iter().enumerate() {
+            registry.gauge(&format!("stage.s{i}.level")).set(f64::from_bits(*bits));
+        }
+        for (i, values) in samples.iter().enumerate() {
+            let h = registry.histogram(&format!("stage.s{i}.wait_ns"));
+            values.iter().for_each(|v| h.record(*v));
+        }
+        let payload = StatsPayload::from_registry(&registry);
+        let intact = DataMsg::Stats { token: 7, payload: payload.clone(), seq: 3 };
+        let wire = intact.encode();
+        prop_assert_eq!(&DataMsg::decode(&wire).unwrap(), &intact);
+        // Where each entry ends in the frame: tag, token, version, then
+        // three counted lists of length-prefixed names and fixed-width
+        // values. The last line checks this arithmetic against the codec.
+        let named = |name: &String, value: usize| 4 + name.len() + value;
+        let mut at = 1 + 8 + 4;
+        let mut ends = [Vec::new(), Vec::new(), Vec::new()];
+        let sizes = [
+            payload.counters.iter().map(|(n, _)| named(n, 8)).collect::<Vec<_>>(),
+            payload.gauge_bits.iter().map(|(n, _)| named(n, 8)).collect(),
+            payload.histograms.iter().map(|(n, h)| named(n, 3 * 8 + 4 + 12 * h.buckets.len())).collect(),
+        ];
+        for (list, sizes) in sizes.iter().enumerate() {
+            at += 4;
+            for size in sizes {
+                at += size;
+                ends[list].push(at);
+            }
+        }
+        prop_assert_eq!(at + 8 + 8 + 4 + 4, wire.len(), "the test's picture of the layout");
+        let mut bytes = wire.to_vec();
+        let mut first = bytes.len();
+        for &(kind, at, len, flip) in &damage {
+            let at = (at as usize * wire.len() / 10_000).min(bytes.len());
+            let end = (at + len).min(bytes.len());
+            first = first.min(at);
+            match kind {
+                0 => bytes[at..end].iter_mut().for_each(|b| *b ^= flip),
+                1 => bytes[at..end].fill(0),
+                _ => bytes.truncate(at),
+            }
+        }
+        match DataMsg::decode(&bytes) {
+            Err(tensorsocket::TsError::Wire(_)) => {}
+            Err(other) => panic!("damage must read as a wire error, got: {other}"),
+            Ok(DataMsg::Stats { payload: got, .. }) => {
+                let ahead = |list: usize| ends[list].iter().take_while(|end| **end <= first).count();
+                let (c, g, h) = (ahead(0), ahead(1), ahead(2));
+                prop_assert!(got.counters.len() >= c && got.counters[..c] == payload.counters[..c]);
+                prop_assert!(got.gauge_bits.len() >= g && got.gauge_bits[..g] == payload.gauge_bits[..g]);
+                prop_assert!(got.histograms.len() >= h && got.histograms[..h] == payload.histograms[..h]);
+                for (_, h) in &got.histograms {
+                    let _ = (h.mean(), h.p50(), h.p99(), h.quantile(1.0));
+                }
+                let _ = got.gauges();
+            }
+            // The tag itself was hit: some other well-formed message.
+            Ok(_) => prop_assert_eq!(first, 0),
+        }
+    }
+}
+
 // A hostile element count must fail on the count, before the decoder
 // reserves anything for it; a streamed batch must cross the codec and the
 // socket without being copied. Measured, not inferred: the allocator
@@ -1043,25 +1125,34 @@ proptest! {
         shards in 2usize..5,
         pin_limit in 1u64..6,
         progress in prop::collection::vec(0u64..8, 2..5),
+        tick in 0u64..100_000_000,
     ) {
         use std::time::Duration;
         use tensorsocket::{EpochCoordinator, GroupJoin};
         let shards = shards.min(progress.len());
         let c = EpochCoordinator::new(shards, Duration::from_secs(5));
+        // The coordinator's time is the script's: every call below happens
+        // `tick` ns after the one before, the whole script well inside
+        // the 5 s an admission may stay unapplied.
+        let mut now = 0u64;
+        let mut at = || {
+            now += tick;
+            now
+        };
         let gen = (0..shards)
-            .map(|s| c.arrive(s as u32, 0, pin_limit))
+            .map(|s| c.arrive(at(), s as u32, 0, pin_limit))
             .collect::<Vec<_>>()[0];
-        prop_assert!(c.reached(gen));
+        prop_assert!(c.reached(at(), gen));
         for (s, &p) in progress.iter().take(shards).enumerate() {
             c.note_published(s as u32, p);
         }
         let all_within = progress.iter().take(shards).all(|&p| p <= pin_limit);
         // Somebody is training, on the last shard only: the group's fact.
         c.note_members(shards as u32 - 1, 1);
-        let first = c.decide_join(42).0;
+        let first = c.decide_join(at(), 42).0;
         // Consistency: every further query (any shard) returns the memo.
         for _ in 0..shards {
-            prop_assert_eq!(c.decide_join(42).0, first);
+            prop_assert_eq!(c.decide_join(at(), 42).0, first);
         }
         match first {
             GroupJoin::AdmitReplay => {
@@ -1072,13 +1163,13 @@ proptest! {
                 prop_assert!(c.pin_window_open(0), "unapplied admission must keep pins");
                 // The next barrier stays shut until everyone applied.
                 let gen2 = (0..shards)
-                    .map(|s| c.arrive(s as u32, 1, pin_limit))
+                    .map(|s| c.arrive(at(), s as u32, 1, pin_limit))
                     .collect::<Vec<_>>()[0];
-                prop_assert!(!c.reached(gen2), "barrier must wait for unapplied admissions");
+                prop_assert!(!c.reached(at(), gen2), "barrier must wait for unapplied admissions");
                 for s in 0..shards {
-                    c.applied(s as u32, 42);
+                    c.applied(at(), s as u32, 42);
                 }
-                prop_assert!(c.reached(gen2), "barrier opens once applied everywhere");
+                prop_assert!(c.reached(at(), gen2), "barrier opens once applied everywhere");
             }
             GroupJoin::WaitNextEpoch => {
                 prop_assert!(!all_within, "deferred although every shard was within its window");
@@ -1100,17 +1191,17 @@ proptest! {
         use tensorsocket::{EpochCoordinator, GroupJoin};
         let c = EpochCoordinator::new(shards, Duration::from_secs(5));
         let gen = (0..shards)
-            .map(|s| c.arrive(s as u32, 0, pin_limit))
+            .map(|s| c.arrive(0, s as u32, 0, pin_limit))
             .collect::<Vec<_>>()[0];
-        prop_assert!(c.reached(gen));
+        prop_assert!(c.reached(0, gen));
         for s in 0..shards {
             c.note_published(s as u32, 1);
         }
         // Shard 0 finishes the epoch and arrives for the next one.
-        let _ = c.arrive(0, 1, pin_limit);
-        prop_assert_eq!(c.decide_join(7).0, GroupJoin::WaitNextEpoch);
+        let _ = c.arrive(1_000, 0, 1, pin_limit);
+        prop_assert_eq!(c.decide_join(2_000, 7).0, GroupJoin::WaitNextEpoch);
         // Memo holds for everyone else too.
-        prop_assert_eq!(c.decide_join(7).0, GroupJoin::WaitNextEpoch);
+        prop_assert_eq!(c.decide_join(3_000, 7).0, GroupJoin::WaitNextEpoch);
     }
 }
 
