@@ -128,6 +128,13 @@ fn bench_staging(c: &mut Criterion) {
         c.measurements(),
         "staging/",
     );
+    report.write(
+        &std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join("BENCH_staging.json"),
+    );
+    // The overlap claim, checked after the report is on disk: a noisy run
+    // still leaves its rows for the baseline gate to read.
     let pick = |suffix: &str| {
         report
             .results
@@ -150,11 +157,6 @@ fn bench_staging(c: &mut Criterion) {
             "the H2D copy is back on the critical path"
         );
     }
-    report.write(
-        &std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join("BENCH_staging.json"),
-    );
 }
 
 criterion_group!(staging, bench_staging);

@@ -738,13 +738,13 @@ impl State {
         if self.busy() {
             self.replay_one(now, fx);
         }
-        if let (Wait::Barrier, Some(coord)) = (self.wait, self.coord.clone()) {
-            if coord.is_stopped() {
-                self.enter_drain(now);
-            } else if coord.reached(now, self.barrier) {
-                self.open_epoch(now, fx);
-            } else {
-                self.until = Some(now + BARRIER_TICK_NS); // look again then
+        if self.wait == Wait::Barrier {
+            match self.coord.clone() {
+                Some(coord) if coord.is_stopped() => self.enter_drain(now),
+                Some(coord) if coord.reached(now, self.barrier) => self.open_epoch(now, fx),
+                Some(_) => self.until = Some(now + BARRIER_TICK_NS), // look again then
+                // `enter_epoch` waits here only in its `Some(coord)` arm
+                None => self.fail(now, "barrier wait without a coordinator"),
             }
         }
         let m = &self.members;

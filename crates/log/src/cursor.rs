@@ -6,6 +6,14 @@
 //! and is rewritten via tmp-file + rename, so a `kill -9` at any instant
 //! leaves either the old or the new value on disk, never a torn one.
 //!
+//! A file is 16 bytes, little-endian: the cursor value, then
+//! `check_word(value)`. **The check word's meaning changed once**: it was
+//! `value ^ "TSCURS01"`, which a flip laid over both words defeats, and is
+//! now a mixing function salted `"TSCURS02"`. Layout, names and the
+//! tmp + rename protocol did not change, and nothing migrates: a file of
+//! the old kind fails validation like any damaged one and loads as "no
+//! cursor", so its group replays from the oldest retained record.
+//!
 //! Writes come in two flavours: [`CursorStore::advance`] persists
 //! immediately (used for registration, which is rare), while
 //! [`CursorStore::advance_mem`] only updates memory and marks the entry

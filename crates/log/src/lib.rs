@@ -48,6 +48,11 @@
 //! then [`CursorStore::flush`]); a caller flushing at a bounded cadence
 //! accepts that a crash re-delivers at most one flush interval of acked
 //! batches — cursor regressions are ignored, so re-delivery is safe.
+//! A cursor file is 16 bytes: the value, then a check word that mixes
+//! every bit of it (see `cursor.rs`). A file that fails the check —
+//! damaged, or written by a build whose check word was `value ^ salt` —
+//! loads as "no cursor": the group replays from the oldest retained
+//! record, it never skips one.
 //!
 //! The payload bytes stored here are the producer's encoded
 //! streamed-batch frames, written and read verbatim — replay sends the
@@ -644,6 +649,27 @@ mod tests {
         assert_eq!(store.min_cursor(1), Some(0));
         assert_eq!(store.min_cursor(9), None);
         assert_eq!(store.groups(), vec!["trial-a", "trial-b", "trial-c"]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_cursor_file_with_the_old_check_word_loads_as_no_cursor() {
+        let dir = tmp_dir("cursors-old-check");
+        CursorStore::open(&dir)
+            .unwrap()
+            .advance("trial-a", 0, 7)
+            .unwrap();
+        // What a build before the check word changed wrote for the same
+        // cursor: `value`, then `value ^ "TSCURS01"`.
+        let mut old = [0u8; 16];
+        old[..8].copy_from_slice(&7u64.to_le_bytes());
+        old[8..].copy_from_slice(&(7 ^ u64::from_le_bytes(*b"TSCURS01")).to_le_bytes());
+        fs::write(dir.join("cursors/trial-a.s0.cursor"), old).unwrap();
+        let mut store = CursorStore::open(&dir).unwrap();
+        assert_eq!(store.load("trial-a", 0), None, "replays from the oldest");
+        // ... and the group's next advance replaces the file.
+        assert!(store.advance("trial-a", 0, 2).unwrap());
+        assert_eq!(CursorStore::open(&dir).unwrap().load("trial-a", 0), Some(2));
         let _ = fs::remove_dir_all(&dir);
     }
 }
