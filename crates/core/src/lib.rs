@@ -269,10 +269,12 @@
 //! serves joins, acks and heartbeats. There is one pipeline shape.
 //!
 //! The producer thread is a *pump* over a plain state machine
-//! (`runtime::state`): it blocks in exactly one call, and every source
-//! of work — the control socket, the feeder's queue, the log spiller's
-//! progress — keeps its own queue and rings one latest-wins doorbell
-//! after enqueueing. Whatever woke the pump becomes one event
+//! (`runtime::state`): it blocks in exactly one call — one `poll` over
+//! the control socket's connections, which it reads itself, and that
+//! socket's doorbell — and every other source of work (the feeder's
+//! queue, the log spiller's progress) keeps its own queue and rings the
+//! latest-wins doorbell after enqueueing, at the cost of a system call
+//! only when the pump sleeps. Whatever woke the pump becomes one event
 //! (`Ctrl(frame)`, `Prepared(item)`, `Logged`, `Tick`, `Stop`) fed to
 //! `State::step(now, event, &mut effects)`, and the effects (`Send`,
 //! `Spill`, `Finish`) are executed in order. The state machine owns no
@@ -403,6 +405,9 @@
 //! | `consumer.data_unknown` | counter | frames | data frames with an unknown tag, ignored on the consumer path |
 //! | `consumer.dangling_skipped` | counter | batches | stale announces skipped because the producer (aborting) released the payload first |
 //! | `staging.h2d_bytes` | counter | bytes | bytes through the H2D copy stage |
+//! | `transport.inline_frames` | counter | frames | small frames (announces, cursors, acks, heartbeats, JOINs) an `ipc://`/`tcp://` socket of this context put on the wire on the sending thread — the pump's for a producer's data socket (counted per subscriber), the consumer's or its heartbeat's for a consumer's control sockets. Mirrored from `ts-socket` at every housekeeping tick (producer) and every `next()` (consumer) |
+//! | `transport.queued_frames` | counter | frames | frames that went through a connection's queue and writer thread instead: every bulk (streamed) frame, and small ones sent while that connection still owed the wire something or the kernel's buffer was full |
+//! | `transport.inline_wouldblock` | counter | frames | inline writes the kernel refused with `EAGAIN` (each then counted in `transport.queued_frames`): a peer that is not reading |
 //! | `trace.dropped` | gauge | records | flight-recorder records evicted before completing (refreshed at scrape time) |
 //! | `trace.capacity` | gauge | records | flight-recorder ring capacity (refreshed at scrape time) |
 //! | `producer.trace_dup` | counter | replies | trace replies dropped for carrying a stale request stamp |

@@ -30,7 +30,7 @@
 use crate::protocol::messages::{caps, CtrlMsg, PayloadMode, WelcomeInfo};
 use crate::runtime::builder::ConsumerBuilder;
 use crate::runtime::consumer_state::{ConsumerState, Effect, Event};
-use crate::runtime::context::TsContext;
+use crate::runtime::context::{TransportMirror, TsContext};
 use crate::{HandshakeError, Result};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -92,6 +92,8 @@ struct Link {
     sub: SubSocket,
     /// Shared with the heartbeat thread.
     ctrl: Arc<PushSocket>,
+    /// `ctrl`'s `transport.*` counters, as of the last batch taken.
+    sent: TransportMirror,
 }
 
 impl Link {
@@ -99,6 +101,7 @@ impl Link {
         Self {
             sub: SubSocket::connect(&ctx.sockets, &map.data(shard)),
             ctrl: Arc::new(PushSocket::connect(&ctx.sockets, &map.ctrl(shard))),
+            sent: TransportMirror::new(&ctx.metrics),
         }
     }
 }
@@ -394,6 +397,9 @@ impl Iterator for Consumer {
         let waits = self.state.ready().is_none();
         self.step(Event::Next);
         self.pump(|state| state.ready().is_some());
+        for link in &mut self.links {
+            link.sent.sync(link.ctrl.transport_stats());
+        }
         let Some(batch) = self.state.take(self.ctx.trace.now_ns()) else {
             return self.state.take_error().map(Err);
         };
@@ -418,6 +424,9 @@ impl Drop for Consumer {
         }
         self.step(Event::Leave);
         self.execute();
+        for link in &mut self.links {
+            link.sent.sync(link.ctrl.transport_stats());
+        }
     }
 }
 

@@ -4,9 +4,9 @@ use crate::{Result, TsError};
 use std::path::Path;
 use std::sync::Arc;
 use ts_device::Topology;
-use ts_metrics::{Registry, TraceRing};
+use ts_metrics::{Counter, Registry, TraceRing};
 use ts_shm::ShmArena;
-use ts_socket::Context as SocketContext;
+use ts_socket::{Context as SocketContext, TransportStats};
 use ts_tensor::{DeviceCtx, SharedRegistry};
 
 /// Everything producer and consumers share within one node:
@@ -53,6 +53,39 @@ pub struct TsContext {
     /// last-N completed records, and the stall watchdog parks its last
     /// verdict here.
     pub trace: Arc<TraceRing>,
+}
+
+/// Carries one sending socket's transport counters (`ts-socket` keeps its
+/// own; it does not know the registry) into `transport.inline_frames`,
+/// `transport.queued_frames` and `transport.inline_wouldblock`. The
+/// registry's counters are sums over every socket mirrored into them.
+pub(crate) struct TransportMirror {
+    counters: [Arc<Counter>; 3],
+    seen: TransportStats,
+}
+
+impl TransportMirror {
+    pub(crate) fn new(metrics: &Registry) -> Self {
+        let counter = |name: &str| metrics.counter(&format!("transport.{name}"));
+        Self {
+            counters: ["inline_frames", "queued_frames", "inline_wouldblock"].map(counter),
+            seen: TransportStats::default(),
+        }
+    }
+
+    /// Adds what the socket counted since the last call.
+    pub(crate) fn sync(&mut self, now: TransportStats) {
+        let fields = |s: &TransportStats| [s.inline_frames, s.queued_frames, s.inline_wouldblock];
+        for ((counter, now), seen) in self
+            .counters
+            .iter()
+            .zip(fields(&now))
+            .zip(fields(&self.seen))
+        {
+            counter.add(now - seen);
+        }
+        self.seen = now;
+    }
 }
 
 impl TsContext {

@@ -11,11 +11,11 @@
 //!   clock, so every decision (admission, replay order, release, expiry,
 //!   which of the six things the producer is waiting for) is testable by
 //!   feeding it events.
-//! * the **pump** in this file does. It owns the sockets and the helper
-//!   threads, blocks in exactly one call (`park_timeout`), turns whatever
-//!   woke it into one `Event`, calls `step`, and executes the returned
-//!   `Effect`s in order: send a frame, tee a batch to the log spiller,
-//!   finish.
+//! * the **pump** (`runtime::pump`) does. It owns the sockets and the
+//!   helper threads, blocks in exactly one call (`PullSocket::wait` on the
+//!   control socket), turns whatever woke it into one `Event`, calls
+//!   `step`, and executes the returned `Effect`s in order: send a frame,
+//!   tee a batch to the log spiller, finish.
 //!
 //! Upstream of the pump a **feeder** thread owns the wrapped loader and
 //! prepares batches *ahead of the publish cursor*: it iterates the loader
@@ -37,14 +37,19 @@
 //! `num_workers == 0` runs the same feeder at depth 1: there is one
 //! pipeline shape.
 //!
-//! **Wake-ups.** Every source keeps its own typed queue — the control
-//! PULL socket, the feeder's bounded channel (whose back-pressure is the
-//! feeder's pacing), the spiller's progress counter — and rings one
-//! latest-wins `Doorbell` after enqueueing; the pump drains whatever is
-//! there and parks when nothing is. No thread and no hand-off is added
-//! per control frame. Only the group barrier does not ring (the
-//! coordinator is plain state behind a mutex, stepped by whichever shard
-//! calls it), so that wait alone polls on a short constant tick.
+//! **Wake-ups.** The pump's one blocking call is a `poll` over the control
+//! socket's connections and its [`ts_socket::Bell`]. Control frames need
+//! nobody in between: a consumer's ack is written by the consumer's thread
+//! and read by the pump's, and an announce is written by the pump's thread
+//! and read by the consumer's subscriber thread — three threads woken per
+//! publish→ack round trip. Every other source keeps its own typed queue —
+//! the feeder's bounded channel (whose back-pressure is the feeder's
+//! pacing), the copy stage's, the spiller's progress counter — and rings
+//! the bell after enqueueing: two stores while the pump is awake, one
+//! `write` only when it sleeps. `abort` rings it too. Only the group
+//! barrier does not ring (the coordinator is plain state behind a mutex,
+//! stepped by whichever shard calls it), so that wait alone polls on a
+//! short constant tick.
 //!
 //! **A dry arena is a wait state, not a mode.** When a pool-backed arena
 //! has no slot to lease, the feeder parks (observing `stop`) and says so
@@ -62,7 +67,7 @@ use crate::runtime::config::{ProducerConfig, ProducerMap};
 use crate::runtime::context::TsContext;
 use crate::runtime::coordinator::EpochCoordinator;
 use crate::runtime::pump::Pump;
-use crate::runtime::staging::{Doorbell, FeederMsg, Placement, PreparedItem, StagingEngine};
+use crate::runtime::staging::{FeederMsg, Placement, PreparedItem, StagingEngine};
 use crate::runtime::state::{Event, LogTee, SpillMsg, StageMetrics, State};
 use crate::{Result, TsError};
 use crossbeam::channel::{self, Sender};
@@ -74,7 +79,7 @@ use ts_data::{bind_slot_pool, Batch, DataLoader};
 use ts_log::{BatchLog, CursorStore};
 use ts_metrics::{Counter, Histogram, TraceRing};
 use ts_shm::ShmError;
-use ts_socket::{PubSocket, PullSocket};
+use ts_socket::{Bell, PubSocket, PullSocket};
 use ts_tensor::{collate, SlotPool, Tensor, TensorError};
 
 /// A batch's tensors as streamed content. Contiguous tensors are borrowed
@@ -159,7 +164,7 @@ impl Spiller {
         stage: StageMetrics,
         errors: Arc<Counter>,
         shard: u32,
-        bell: Doorbell,
+        bell: Bell,
     ) -> Self {
         let (tx, rx) = channel::unbounded::<SpillMsg>();
         let progress = Arc::new((AtomicU64::new(0), AtomicBool::new(false)));
@@ -608,7 +613,7 @@ pub(crate) struct Feeder {
     pub stop: Arc<AtomicBool>,
     pub fetch_hist: Arc<Histogram>,
     pub trace: Arc<TraceRing>,
-    pub bell: Doorbell,
+    pub bell: Bell,
 }
 
 impl Feeder {
@@ -716,6 +721,8 @@ pub struct ProducerStats {
 pub(crate) struct TensorProducer {
     handle: Option<std::thread::JoinHandle<ProducerStats>>,
     stop: Arc<AtomicBool>,
+    /// Wakes the pump to see `stop`.
+    bell: Bell,
 }
 
 impl std::fmt::Debug for TensorProducer {
@@ -778,6 +785,7 @@ impl TensorProducer {
             state.watch_h2d(engine.h2d_hist());
         }
         let stop = Arc::new(AtomicBool::new(false));
+        let bell = ctrl.bell();
         let pump = Pump {
             state,
             publisher,
@@ -793,6 +801,7 @@ impl TensorProducer {
         Ok(TensorProducer {
             handle: Some(handle),
             stop,
+            bell,
         })
     }
 
@@ -827,9 +836,7 @@ impl TensorProducer {
     /// Requests the producer to stop after the batch in flight.
     pub(crate) fn abort(&self) {
         self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = &self.handle {
-            handle.thread().unpark();
-        }
+        self.bell.ring();
     }
 
     /// Waits for the producer to finish all epochs and shut down cleanly.

@@ -50,6 +50,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use ts_device::DeviceId;
+use ts_socket::Bell;
 
 use ts_staging::{DeviceBackend, DeviceSlabPool, SimBackend, StagingError};
 use ts_tensor::{contiguous_strides, Storage, Tensor};
@@ -135,24 +136,6 @@ pub(crate) enum FeederMsg {
     /// The feeder is parked: its slot pool has nothing to lease. Sent once
     /// per dry spell; the next `Item` ends it.
     ArenaDry,
-}
-
-/// The pump's wake-up: whoever enqueues something for the producer thread
-/// rings it afterwards. Latest-wins — any number of rings before the pump
-/// looks collapse into one wake-up, and a ring while it is awake makes
-/// its next park return at once.
-#[derive(Clone)]
-pub(crate) struct Doorbell(std::thread::Thread);
-
-impl Doorbell {
-    /// A bell that wakes the calling thread.
-    pub(crate) fn here() -> Self {
-        Self(std::thread::current())
-    }
-
-    pub(crate) fn ring(&self) {
-        self.0.unpark();
-    }
 }
 
 /// One producer pipeline's staging engine: the backend, the slab pool
@@ -404,7 +387,7 @@ impl StagingEngine {
         self: &Arc<Self>,
         input: Receiver<FeederMsg>,
         stop: Arc<AtomicBool>,
-        bell: Doorbell,
+        bell: Bell,
     ) -> Receiver<FeederMsg> {
         let (tx, rx) = channel::bounded::<FeederMsg>(self.queue_depth);
         let engine = Arc::clone(self);
@@ -423,7 +406,7 @@ impl StagingEngine {
         input: Receiver<FeederMsg>,
         tx: Sender<FeederMsg>,
         stop: Arc<AtomicBool>,
-        bell: Doorbell,
+        bell: Bell,
     ) {
         let queue_gauge = self.queue_gauge.clone();
         while let Ok(msg) = input.recv() {

@@ -36,22 +36,11 @@ pub(crate) struct PubSubEndpoint {
     pub(crate) subs: Vec<Arc<SubEntry>>,
 }
 
-/// The puller's "a message was just enqueued" hook
-/// ([`crate::PullSocket::set_notify`]), shared with every pusher and
-/// connection reader of the endpoint; empty until the puller registers one.
-pub(crate) type Notify = Arc<std::sync::OnceLock<Box<dyn Fn() + Send + Sync>>>;
-
-/// Calls the endpoint's enqueue hook, if the puller registered one.
-pub(crate) fn ring(notify: &Notify) {
-    if let Some(hook) = notify.get() {
-        hook();
-    }
-}
-
 pub(crate) struct PushPullEndpoint {
     pub(crate) bound: bool,
     pub(crate) tx: Sender<Multipart>,
-    pub(crate) notify: Notify,
+    /// Rung by every pusher after it enqueues; the puller parks on it.
+    pub(crate) bell: crate::Bell,
     /// Present until a `PullSocket` binds and takes it.
     pub(crate) rx: Option<Receiver<Multipart>>,
 }

@@ -30,14 +30,38 @@
 //!   binds an ephemeral port; read it back from
 //!   [`PubSocket::endpoint`]/[`PullSocket::endpoint`].
 //!
-//! Remote messages use the length-prefixed multipart framing of [`wire`];
-//! background reader/writer threads bridge each connection onto the same
-//! bounded queues the broker uses ([`transport`]), so HWM backpressure,
-//! prefix filtering and disconnect-as-[`RecvError::Closed`] behave the
-//! same everywhere. Bind/connect order does not matter on any transport.
-//! Sockets unregister on drop, and peers observe disconnection as pruned
-//! deliveries rather than errors, like ZeroMQ.
+//! Remote messages use the length-prefixed multipart framing of [`wire`],
+//! and HWM backpressure, prefix filtering and
+//! disconnect-as-[`RecvError::Closed`] behave the same everywhere.
+//! Bind/connect order does not matter on any transport. Sockets unregister
+//! on drop, and peers observe disconnection as pruned deliveries rather
+//! than errors, like ZeroMQ.
+//!
+//! ## Which thread touches a frame
+//!
+//! Over `ipc://`/`tcp://` a message is a write plus, if the other side
+//! sleeps, a wake-up ([`transport`] has the details):
+//!
+//! * [`PubSocket::send`], [`PushSocket::send`]: a *small* message — every
+//!   frame under a page, so every announce, ack, heartbeat, JOIN and cursor
+//!   — is put on the wire **by the calling thread**, one non-blocking
+//!   `send`, whenever nothing is queued on that connection. Bulk frames,
+//!   and whatever the kernel would not take at once, go through the
+//!   connection's bounded queue to its writer thread; high-water mark,
+//!   [`SendPolicy`] and `try_send → Full` are that queue's, and no sender
+//!   ever blocks in a write. [`PubSocket::transport_stats`] and
+//!   [`PushSocket::transport_stats`] count both paths.
+//! * [`PullSocket`]: **its owner** reads the connections. There is no
+//!   accept thread, reader thread or fan-in queue: [`PullSocket::wait`] is
+//!   one `poll` over the listener, every pusher and the socket's [`Bell`]
+//!   — the handle other threads ring to wake the owner for something that
+//!   is not a message. A puller's high-water mark is therefore the
+//!   kernel's socket buffer plus the pushers' own queues.
+//! * [`SubSocket`]: a reader thread per subscriber decodes into its bounded
+//!   queue, overlapping a streamed batch's kernel-to-user copy with
+//!   whatever the subscriber's thread is doing.
 
+pub mod bell;
 pub mod coalesce;
 pub mod endpoint;
 pub mod error;
@@ -48,13 +72,14 @@ pub mod transport;
 pub mod uri;
 pub mod wire;
 
+pub use bell::Bell;
 pub use coalesce::{coalescing_cell, CoalescingReceiver, CoalescingSender};
 pub use endpoint::{channel_endpoint, shard_endpoint, Context, EndpointMap};
 pub use error::{RecvError, SendError};
 pub use frame::Multipart;
 pub use pubsub::{PubSocket, SendPolicy, SubSocket};
 pub use pushpull::{PullSocket, PushSocket};
-pub use transport::EndpointAddr;
+pub use transport::{EndpointAddr, TransportStats};
 pub use uri::{Endpoint, EndpointError, Scheme};
 
 #[cfg(test)]

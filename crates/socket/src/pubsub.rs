@@ -8,7 +8,7 @@ use crate::endpoint::{BrokerEntry, Context, PubSubEndpoint, SubEntry};
 use crate::error::{RecvError, SendError};
 use crate::frame::Multipart;
 use crate::transport::pubsub::{StreamPub, StreamSub};
-use crate::transport::EndpointAddr;
+use crate::transport::{EndpointAddr, TransportStats};
 use bytes::Bytes;
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, TryRecvError, TrySendError};
 use std::sync::Arc;
@@ -195,6 +195,15 @@ impl PubSocket {
     /// address with the real port.
     pub fn endpoint(&self) -> &str {
         &self.name
+    }
+
+    /// How this socket's messages reached the wire so far, counted per
+    /// subscriber (all zero over `inproc://`).
+    pub fn transport_stats(&self) -> TransportStats {
+        match &self.inner {
+            PubInner::Broker(_) => TransportStats::default(),
+            PubInner::Stream(s) => s.transport_stats(),
+        }
     }
 }
 

@@ -4,32 +4,33 @@
 //! in-process broker; `ipc://` and `tcp://` run over real sockets (see
 //! [`crate::transport`]).
 
-use crate::endpoint::{ring, BrokerEntry, Context, Notify, PushPullEndpoint};
+use crate::bell::Bell;
+use crate::endpoint::{BrokerEntry, Context, PushPullEndpoint};
 use crate::error::{RecvError, SendError};
 use crate::frame::Multipart;
 use crate::transport::pushpull::{StreamPull, StreamPush};
-use crate::transport::EndpointAddr;
+use crate::transport::{EndpointAddr, TransportStats};
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
 use std::time::Duration;
 
-fn ensure_endpoint(ctx: &Context, name: &str) -> Result<(Sender<Multipart>, Notify), SendError> {
+fn ensure_endpoint(ctx: &Context, name: &str) -> Result<(Sender<Multipart>, Bell), SendError> {
     let mut eps = ctx.broker.endpoints.lock();
     match eps.get(name) {
-        Some(BrokerEntry::PushPull(pp)) => Ok((pp.tx.clone(), pp.notify.clone())),
+        Some(BrokerEntry::PushPull(pp)) => Ok((pp.tx.clone(), pp.bell.clone())),
         Some(BrokerEntry::PubSub(_)) => Err(SendError::AddrInUse(name.to_string())),
         None => {
             let (tx, rx) = channel::bounded(ctx.broker.default_hwm);
-            let notify = Notify::default();
+            let bell = Bell::for_thread();
             eps.insert(
                 name.to_string(),
                 BrokerEntry::PushPull(PushPullEndpoint {
                     bound: false,
                     tx: tx.clone(),
-                    notify: notify.clone(),
+                    bell: bell.clone(),
                     rx: Some(rx),
                 }),
             );
-            Ok((tx, notify))
+            Ok((tx, bell))
         }
     }
 }
@@ -40,7 +41,7 @@ struct BrokerPull {
     ctx: Context,
     name: String,
     rx: Receiver<Multipart>,
-    notify: Notify,
+    bell: Bell,
 }
 
 impl Drop for BrokerPull {
@@ -55,7 +56,9 @@ enum PullInner {
     Stream(StreamPull),
 }
 
-/// The receiving side of a PUSH/PULL endpoint. One binder per endpoint.
+/// The receiving side of a PUSH/PULL endpoint. One binder per endpoint,
+/// and one thread at a time receiving on it: over `ipc://`/`tcp://` that
+/// thread reads the connections itself.
 pub struct PullSocket {
     inner: PullInner,
 }
@@ -93,7 +96,7 @@ impl PullSocket {
                         ctx: ctx.clone(),
                         name: name.to_string(),
                         rx,
-                        notify: pp.notify.clone(),
+                        bell: pp.bell.clone(),
                     }),
                 })
             }
@@ -101,21 +104,41 @@ impl PullSocket {
         }
     }
 
-    /// Registers `hook` to be called after every message is enqueued for
-    /// this socket — by whichever thread enqueued it (an in-process pusher,
-    /// or a connection's reader) — so an owner that waits on several
-    /// sources can park on one wake-up of its own instead of blocking in
-    /// [`PullSocket::recv_timeout`], then drain with
-    /// [`PullSocket::try_recv`]. Keep it cheap and non-blocking (an
-    /// `unpark`, a flag). One hook per socket: returns false, leaving the
-    /// first in place, when one was already registered. Messages queued
-    /// before registration ring nothing; drain once after registering.
-    pub fn set_notify(&self, hook: impl Fn() + Send + Sync + 'static) -> bool {
-        let notify = match &self.inner {
-            PullInner::Broker(b) => &b.notify,
-            PullInner::Stream(s) => s.notify(),
-        };
-        notify.set(Box::new(hook)).is_ok()
+    /// Sleeps until a message can be received, the socket's [`Bell`] is
+    /// rung, or `timeout` has passed — whichever comes first — and returns
+    /// at once when a message is already there. It says nothing about
+    /// which, and may return for less (a pusher connected or left, half a
+    /// message came): look with [`PullSocket::try_recv`] and at whatever
+    /// the bell stands for, then wait again.
+    ///
+    /// This is the one blocking call of an owner that serves several
+    /// sources: over `ipc://`/`tcp://` it is a single `poll` across the
+    /// listener, every connection and the bell (with the timeout at
+    /// nanosecond resolution), over `inproc://` a `park_timeout`.
+    pub fn wait(&self, timeout: Duration) {
+        match &self.inner {
+            PullInner::Broker(b) => b.bell.sleep(|| {
+                // Level-triggered, like `poll`: a message left in the
+                // queue by an earlier wake-up rings nothing again.
+                if b.rx.is_empty() {
+                    std::thread::park_timeout(timeout);
+                }
+            }),
+            PullInner::Stream(s) => s.wait(timeout),
+        }
+    }
+
+    /// The socket's doorbell: a handle any thread can ring to make the
+    /// owner's current or next [`PullSocket::wait`] return. Ring it
+    /// *after* putting whatever the owner should find where it will look.
+    /// Ringing an owner that is awake is two atomic stores; only a
+    /// sleeping one costs a system call (a one-byte `write`, or an
+    /// `unpark` over `inproc://`).
+    pub fn bell(&self) -> Bell {
+        match &self.inner {
+            PullInner::Broker(b) => b.bell.clone(),
+            PullInner::Stream(s) => s.bell().clone(),
+        }
     }
 
     /// Receives the next message, waiting up to `timeout`.
@@ -130,7 +153,7 @@ impl PullSocket {
         }
     }
 
-    /// Non-blocking receive; `Ok(None)` when nothing is queued.
+    /// Non-blocking receive; `Ok(None)` when nothing has arrived.
     pub fn try_recv(&self) -> Result<Option<Multipart>, RecvError> {
         match &self.inner {
             PullInner::Broker(b) => match b.rx.try_recv() {
@@ -142,7 +165,7 @@ impl PullSocket {
         }
     }
 
-    /// Drains everything currently queued.
+    /// Drains everything that has arrived.
     pub fn drain(&self) -> Vec<Multipart> {
         let mut out = Vec::new();
         while let Ok(Some(m)) = self.try_recv() {
@@ -151,7 +174,9 @@ impl PullSocket {
         out
     }
 
-    /// Messages currently queued.
+    /// Messages received and not yet taken. Over `ipc://`/`tcp://` that is
+    /// what the owner has read off its connections; more may sit in the
+    /// kernel's socket buffers.
     pub fn queued(&self) -> usize {
         match &self.inner {
             PullInner::Broker(b) => b.rx.len(),
@@ -170,11 +195,13 @@ impl PullSocket {
 }
 
 enum PushInner {
-    Broker(Sender<Multipart>, Notify),
+    Broker(Sender<Multipart>, Bell),
     Stream(StreamPush),
 }
 
-/// The sending side of a PUSH/PULL endpoint. Many pushers may connect.
+/// The sending side of a PUSH/PULL endpoint. Many pushers may connect, and
+/// many threads may share one pusher: each message arrives whole, and one
+/// thread's messages in the order it sent them.
 pub struct PushSocket {
     inner: PushInner,
 }
@@ -201,20 +228,20 @@ impl PushSocket {
                 inner: PushInner::Stream(StreamPush::connect(addr, ctx.broker.default_hwm)),
             };
         }
-        let (tx, notify) = ensure_endpoint(ctx, name)
+        let (tx, bell) = ensure_endpoint(ctx, name)
             .unwrap_or_else(|_| panic!("endpoint {name} is a PUB/SUB endpoint"));
         Self {
-            inner: PushInner::Broker(tx, notify),
+            inner: PushInner::Broker(tx, bell),
         }
     }
 
     /// Sends a message, blocking while the queue is full.
     pub fn send(&self, msg: Multipart) -> Result<(), SendError> {
         match &self.inner {
-            PushInner::Broker(tx, notify) => {
+            PushInner::Broker(tx, bell) => {
                 tx.send(msg.into_contiguous())
                     .map_err(|_| SendError::Disconnected)?;
-                ring(notify);
+                bell.ring();
                 Ok(())
             }
             PushInner::Stream(s) => s.send(msg),
@@ -224,15 +251,24 @@ impl PushSocket {
     /// Non-blocking send.
     pub fn try_send(&self, msg: Multipart) -> Result<(), SendError> {
         match &self.inner {
-            PushInner::Broker(tx, notify) => match tx.try_send(msg.into_contiguous()) {
+            PushInner::Broker(tx, bell) => match tx.try_send(msg.into_contiguous()) {
                 Ok(()) => {
-                    ring(notify);
+                    bell.ring();
                     Ok(())
                 }
                 Err(TrySendError::Full(_)) => Err(SendError::Full),
                 Err(TrySendError::Disconnected(_)) => Err(SendError::Disconnected),
             },
             PushInner::Stream(s) => s.try_send(msg),
+        }
+    }
+
+    /// How this socket's messages reached the wire so far (all zero over
+    /// `inproc://`).
+    pub fn transport_stats(&self) -> TransportStats {
+        match &self.inner {
+            PushInner::Broker(..) => TransportStats::default(),
+            PushInner::Stream(s) => s.transport_stats(),
         }
     }
 }
@@ -301,36 +337,40 @@ mod tests {
     }
 
     #[test]
-    fn notify_hook_rings_once_per_enqueue_on_both_transports() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
+    fn wait_returns_for_a_message_a_ring_or_the_timeout_on_both_transports() {
+        use std::time::Instant;
         let ctx = Context::new();
-        let path = std::env::temp_dir().join(format!("ts-notify-{}.sock", std::process::id()));
+        let path = std::env::temp_dir().join(format!("ts-wait-{}.sock", std::process::id()));
+        let long = Duration::from_secs(20);
         for name in [
             "inproc://rung".to_string(),
             format!("ipc://{}", path.display()),
         ] {
-            // A pusher that connected before the hook existed rings it too.
+            // A pusher that connected before the puller existed wakes it too.
             let early = PushSocket::connect(&ctx, &name);
             let pull = PullSocket::bind(&ctx, &name).unwrap();
-            let rings = Arc::new(AtomicUsize::new(0));
-            let counter = rings.clone();
-            assert!(pull.set_notify(move || {
-                counter.fetch_add(1, Ordering::SeqCst);
-            }));
-            assert!(!pull.set_notify(|| {}), "one hook per socket");
-            early.send(msg(b"a")).unwrap();
-            PushSocket::connect(&ctx, &name).send(msg(b"b")).unwrap();
-            for _ in 0..2 {
-                pull.recv_timeout(Duration::from_secs(2)).unwrap();
-            }
-            // The hook runs after the enqueue, so a received message may
-            // be a moment ahead of its ring on the stream transport.
-            let deadline = std::time::Instant::now() + Duration::from_secs(2);
-            while rings.load(Ordering::SeqCst) < 2 && std::time::Instant::now() < deadline {
-                std::thread::yield_now();
-            }
-            assert_eq!(rings.load(Ordering::SeqCst), 2, "{name}");
+            let started = Instant::now();
+            pull.wait(Duration::from_millis(20));
+            assert!(pull.try_recv().unwrap().is_none());
+            std::thread::scope(|s| {
+                s.spawn(|| early.send(msg(b"a")).unwrap());
+                while pull.try_recv().unwrap().is_none() {
+                    pull.wait(long);
+                }
+            });
+            // Rung while awake: the next wait does not sleep.
+            pull.bell().ring();
+            pull.wait(long);
+            // Rung while asleep.
+            let bell = pull.bell();
+            std::thread::scope(|s| {
+                s.spawn(move || {
+                    std::thread::sleep(Duration::from_millis(20));
+                    bell.ring();
+                });
+                pull.wait(long);
+            });
+            assert!(started.elapsed() < long, "{name}: a wake-up was lost");
         }
     }
 

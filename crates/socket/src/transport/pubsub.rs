@@ -1,23 +1,29 @@
 //! PUB/SUB over `ipc://`/`tcp://` streams.
 //!
-//! The publisher accepts connections; each connected subscriber gets a
-//! bounded queue (the socket HWM) drained by a dedicated writer thread,
-//! and a reader thread that processes `SUB`/`UNSUB` control messages.
-//! Prefix filtering happens publisher-side, so only matching topics cross
-//! the wire. Subscribes are acknowledged (`SUBACK`) so a subscriber can
-//! order a subscription strictly before its next control-plane message.
+//! The publisher accepts connections; a message that stages whole (an
+//! announce, a cursor, a `SUBACK`) is written to each matching subscriber
+//! by the thread that sends it ([`Outbox::send_staged`]), and each subscriber
+//! has a bounded queue (the socket HWM) drained by a dedicated writer
+//! thread for bulk frames and for whatever the kernel would not take at
+//! once, plus a reader thread that processes `SUB`/`UNSUB` control
+//! messages. Prefix filtering happens publisher-side, so only matching
+//! topics cross the wire. Subscribes are acknowledged (`SUBACK`) so a
+//! subscriber can order a subscription strictly before its next
+//! control-plane message.
 
 use crate::error::{RecvError, SendError};
 use crate::frame::Multipart;
 use crate::pubsub::SendPolicy;
 use crate::transport::{
-    check_frames, linger, AnyListener, AnyStream, Backlog, EndpointAddr, CONNECT_RETRY_FOR,
-    POLL_EVERY,
+    check_frames, linger, poll_readable, AnyListener, AnyStream, EndpointAddr, Outbox, PollFd,
+    Queued, TransportCounters, TransportStats, CONNECT_RETRY_FOR, WRITER_IDLE_TICK,
 };
 use crate::wire;
 use bytes::Bytes;
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
 use std::io::BufReader;
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -25,20 +31,14 @@ use std::time::{Duration, Instant};
 /// How long a blocking subscribe waits for its `SUBACK`.
 const SUBSCRIBE_ACK_TIMEOUT: Duration = Duration::from_secs(10);
 
-enum PeerItem {
-    Data(Bytes, Multipart),
-    SubAck(u64),
-    /// Wakes an idle writer so it sees its peer was retired.
-    Stop,
-}
-
 struct Peer {
     id: u64,
     alive: AtomicBool,
     prefixes: Mutex<Vec<Vec<u8>>>,
-    tx: Sender<PeerItem>,
+    tx: Sender<Queued>,
+    /// For `shutdown`; writes go through `out`.
     stream: AnyStream,
-    backlog: Backlog,
+    out: Outbox,
 }
 
 impl Peer {
@@ -54,7 +54,17 @@ impl Peer {
         self.alive.store(false, Ordering::SeqCst);
         self.stream.shutdown();
         // A writer that is not idle needs no waking: its next write fails.
-        let _ = self.tx.try_send(PeerItem::Stop);
+        let _ = self.tx.try_send(Queued::Nudge);
+    }
+
+    /// See [`Outbox::send_staged`]; `Err(Full)` is a message dropped for
+    /// this subscriber, `Err(Disconnected)` a dead peer.
+    fn send_staged(&self, staged: &Bytes, block: bool) -> Result<(), TrySendError<Queued>> {
+        self.out.send_staged(&self.tx, staged, block)
+    }
+
+    fn enqueue(&self, item: Queued, block: bool) -> Result<(), TrySendError<Queued>> {
+        self.out.enqueue(&self.tx, item, block)
     }
 }
 
@@ -67,6 +77,7 @@ struct PubShared {
     /// them, so no queued message — and nothing a message borrows, such as
     /// an arena slot — outlives the socket.
     writers: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    counters: Arc<TransportCounters>,
 }
 
 /// The stream-transport publishing side.
@@ -75,6 +86,8 @@ pub(crate) struct StreamPub {
     policy: SendPolicy,
     endpoint: String,
     accept_thread: Option<std::thread::JoinHandle<()>>,
+    /// Dropping it wakes the accept thread out of its `poll`.
+    accept_stop: Option<UnixStream>,
 }
 
 impl StreamPub {
@@ -94,22 +107,30 @@ impl StreamPub {
             peers: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(0),
             writers: Mutex::new(Vec::new()),
+            counters: Arc::default(),
         });
+        let (accept_stop, stopped) =
+            UnixStream::pair().map_err(|e| SendError::Io(format!("stop pipe: {e}")))?;
         let accept_shared = shared.clone();
         let accept_thread = std::thread::Builder::new()
             .name("ts-pub-accept".into())
-            .spawn(move || accept_loop(listener, accept_shared))
+            .spawn(move || accept_loop(listener, stopped, accept_shared))
             .map_err(|e| SendError::Io(format!("spawn accept: {e}")))?;
         Ok(StreamPub {
             shared,
             policy,
             endpoint,
             accept_thread: Some(accept_thread),
+            accept_stop: Some(accept_stop),
         })
     }
 
     pub(crate) fn endpoint(&self) -> &str {
         &self.endpoint
+    }
+
+    pub(crate) fn transport_stats(&self) -> TransportStats {
+        self.shared.counters.snapshot()
     }
 
     pub(crate) fn subscriber_count(&self) -> usize {
@@ -125,7 +146,12 @@ impl StreamPub {
     pub(crate) fn send(&self, topic: &[u8], msg: Multipart) -> Result<usize, SendError> {
         check_frames(topic, &msg)?;
         let peers: Vec<Arc<Peer>> = self.shared.peers.lock().expect("peers").clone();
-        let topic_bytes = Bytes::copy_from_slice(topic);
+        // Staged once for every subscriber, whoever ends up writing it.
+        let staged =
+            wire::staged_whole(wire::KIND_DATA, Some(topic), msg.frames(), msg.is_chunked())
+                .map(Bytes::from);
+        let bulk_topic = staged.is_none().then(|| Bytes::copy_from_slice(topic));
+        let block = self.policy == SendPolicy::Block;
         let mut delivered = 0usize;
         let mut dead = Vec::new();
         for peer in &peers {
@@ -136,23 +162,14 @@ impl StreamPub {
             if !peer.matches(topic) {
                 continue;
             }
-            let item = PeerItem::Data(topic_bytes.clone(), msg.clone());
-            match self.policy {
-                SendPolicy::Block => match peer.tx.send(item) {
-                    Ok(()) => {
-                        peer.backlog.queued();
-                        delivered += 1;
-                    }
-                    Err(_) => dead.push(peer.id),
-                },
-                SendPolicy::DropNewest => match peer.tx.try_send(item) {
-                    Ok(()) => {
-                        peer.backlog.queued();
-                        delivered += 1;
-                    }
-                    Err(TrySendError::Full(_)) => {}
-                    Err(TrySendError::Disconnected(_)) => dead.push(peer.id),
-                },
+            let sent = match &staged {
+                Some(staged) => peer.send_staged(staged, block),
+                None => peer.enqueue(Queued::Bulk(bulk_topic.clone(), msg.clone()), block),
+            };
+            match sent {
+                Ok(()) => delivered += 1,
+                Err(TrySendError::Full(_)) => {}
+                Err(TrySendError::Disconnected(_)) => dead.push(peer.id),
             }
         }
         if !dead.is_empty() {
@@ -178,9 +195,10 @@ impl Drop for StreamPub {
         linger(|| {
             let peers = self.shared.peers.lock().expect("peers");
             let mut live = peers.iter().filter(|p| p.alive.load(Ordering::SeqCst));
-            live.any(|p| p.backlog.pending())
+            live.any(|p| p.out.backlog.pending())
         });
         // The accept loop first, so no peer (and writer) is added below us.
+        drop(self.accept_stop.take());
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
@@ -194,7 +212,9 @@ impl Drop for StreamPub {
     }
 }
 
-fn accept_loop(listener: AnyListener, shared: Arc<PubShared>) {
+/// Sleeps in `poll` until a subscriber connects or the publisher drops
+/// its end of `stopped`.
+fn accept_loop(listener: AnyListener, stopped: UnixStream, shared: Arc<PubShared>) {
     while !shared.stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok(Some(stream)) => {
@@ -204,7 +224,12 @@ fn accept_loop(listener: AnyListener, shared: Arc<PubShared>) {
                     let _ = e;
                 }
             }
-            Ok(None) => std::thread::sleep(POLL_EVERY),
+            Ok(None) => {
+                let mut fds = [listener.poll_fd(), PollFd::readable(stopped.as_raw_fd())];
+                if poll_readable(&mut fds, None).is_err() {
+                    break;
+                }
+            }
             Err(_) => break,
         }
     }
@@ -214,21 +239,21 @@ fn add_peer(shared: &Arc<PubShared>, stream: AnyStream) -> std::io::Result<()> {
     stream.grow_send_buffer();
     let write_half = stream.try_clone()?;
     let read_half = stream.try_clone()?;
-    let (tx, rx) = channel::bounded::<PeerItem>(shared.hwm);
+    let (tx, rx) = channel::bounded::<Queued>(shared.hwm);
     let peer = Arc::new(Peer {
         id: shared.next_id.fetch_add(1, Ordering::SeqCst),
         alive: AtomicBool::new(true),
         prefixes: Mutex::new(Vec::new()),
         tx,
         stream,
-        backlog: Backlog::default(),
+        out: Outbox::new(Some(write_half), shared.counters.clone()),
     });
     shared.peers.lock().expect("peers").push(peer.clone());
 
     let writer_peer = peer.clone();
     let writer = std::thread::Builder::new()
         .name("ts-pub-writer".into())
-        .spawn(move || peer_writer(write_half, rx, writer_peer))?;
+        .spawn(move || peer_writer(rx, writer_peer))?;
     {
         let mut writers = shared.writers.lock().expect("writers");
         writers.retain(|w| !w.is_finished());
@@ -242,29 +267,16 @@ fn add_peer(shared: &Arc<PubShared>, stream: AnyStream) -> std::io::Result<()> {
     Ok(())
 }
 
-fn peer_writer(mut stream: AnyStream, rx: Receiver<PeerItem>, peer: Arc<Peer>) {
-    loop {
-        let item = match rx.recv_timeout(Duration::from_millis(50)) {
+fn peer_writer(rx: Receiver<Queued>, peer: Arc<Peer>) {
+    while peer.alive.load(Ordering::SeqCst) {
+        let item = match rx.recv_timeout(WRITER_IDLE_TICK) {
             Ok(item) => item,
-            Err(RecvTimeoutError::Timeout) => {
-                if peer.alive.load(Ordering::SeqCst) {
-                    continue;
-                }
-                break;
-            }
+            Err(RecvTimeoutError::Timeout) => Queued::Nudge,
             Err(RecvTimeoutError::Disconnected) => break,
         };
-        let result = match item {
-            PeerItem::Data(topic, msg) => wire::write_topic_data(&mut stream, &topic, &msg),
-            PeerItem::SubAck(req) => {
-                wire::write_message(&mut stream, wire::KIND_SUBACK, &[&req.to_le_bytes()])
-            }
-            PeerItem::Stop => break,
-        };
-        if result.is_err() {
+        if peer.out.write(&item).is_err() {
             break;
         }
-        peer.backlog.written();
     }
     peer.retire();
     // Nobody will write what is still queued; let go of it now rather than
@@ -281,16 +293,16 @@ fn peer_reader(read_half: AnyStream, peer: Arc<Peer>, shared: Arc<PubShared>) {
         };
         match msg.kind {
             wire::KIND_SUB if msg.frames.len() == 2 && msg.frames[1].len() == 8 => {
-                let req = u64::from_le_bytes(msg.frames[1][..].try_into().expect("8 bytes"));
                 peer.prefixes
                     .lock()
                     .expect("peer prefixes")
                     .push(msg.frames[0].to_vec());
                 // Ack once the prefix is visible to `send`.
-                if peer.tx.send(PeerItem::SubAck(req)).is_err() {
+                let ack = wire::staged_whole(wire::KIND_SUBACK, None, &msg.frames[1..], false)
+                    .expect("eight bytes stage whole");
+                if peer.send_staged(&Bytes::from(ack), true).is_err() {
                     break;
                 }
-                peer.backlog.queued();
             }
             wire::KIND_UNSUB if msg.frames.len() == 1 => {
                 let mut prefixes = peer.prefixes.lock().expect("peer prefixes");

@@ -95,28 +95,29 @@ fn too_large(what: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidInput, what)
 }
 
-/// Writes one message — `topic` as a frame of its own when given, then
+/// One message laid out for the wire: `bytes` holds everything small
+/// (kind, frame count, length prefixes, and frame bytes below
+/// [`GATHER_MIN`]) in stream order; `lent` the larger frame bytes, each
+/// with the length of `bytes` at the point in the stream where it belongs.
+struct Staged<'a> {
+    bytes: Vec<u8>,
+    lent: Vec<(usize, &'a [u8])>,
+}
+
+/// Lays out one message — `topic` as a frame of its own when given, then
 /// `parts` as one frame each, or as the chunks of a single frame when
-/// `joined` — and flushes. Everything small (kind, frame count, length
-/// prefixes, and frame bytes below [`GATHER_MIN`]) is staged in one
-/// buffer in stream order; larger frame bytes are written from where they
-/// are, in one gather write with the staged runs between them. A message
-/// of small frames is therefore a single plain `write`. Nothing is
-/// written when a limit is exceeded.
-fn write_gathered<B: AsRef<[u8]>>(
-    w: &mut impl Write,
+/// `joined`. Refuses a message over a limit before anything is written.
+fn stage<'a, B: AsRef<[u8]>>(
     kind: u8,
-    topic: Option<&[u8]>,
-    parts: &[B],
+    topic: Option<&'a [u8]>,
+    parts: &'a [B],
     joined: bool,
-) -> io::Result<()> {
+) -> io::Result<Staged<'a>> {
     let nframes = usize::from(topic.is_some()) + if joined { 1 } else { parts.len() };
     if nframes > MAX_FRAMES as usize {
         return Err(too_large(format!("frame count {nframes} exceeds limit")));
     }
     let mut staged = Vec::with_capacity(64);
-    // Bytes written by reference, each with the length of `staged` at the
-    // point in the stream where it belongs.
     let mut lent: Vec<(usize, &[u8])> = Vec::new();
     staged.push(kind);
     staged.extend_from_slice(&(nframes as u32).to_le_bytes());
@@ -147,17 +148,53 @@ fn write_gathered<B: AsRef<[u8]>>(
         }
         body(&mut staged, &mut lent, part.as_ref());
     }
+    Ok(Staged {
+        bytes: staged,
+        lent,
+    })
+}
+
+/// The message as the bytes that go on the wire, when it stages whole —
+/// every frame below [`GATHER_MIN`], which is every announce, ack,
+/// heartbeat, JOIN and cursor. `None` for a message that lends frame bytes
+/// to a gather write (or that [`write_gathered`] would refuse): those take
+/// the writer thread's path.
+///
+/// This is the line between the two send paths of the stream transports:
+/// what comes back here may be put on the wire by the thread that sends it.
+pub(crate) fn staged_whole<B: AsRef<[u8]>>(
+    kind: u8,
+    topic: Option<&[u8]>,
+    parts: &[B],
+    joined: bool,
+) -> Option<Vec<u8>> {
+    let staged = stage(kind, topic, parts, joined).ok()?;
+    staged.lent.is_empty().then_some(staged.bytes)
+}
+
+/// Writes one message (see [`stage`]) and flushes: the staged bytes in
+/// one plain `write` when nothing was lent, otherwise one gather write
+/// with the staged runs between the lent frame bytes. Nothing is written
+/// when a limit is exceeded.
+fn write_gathered<B: AsRef<[u8]>>(
+    w: &mut impl Write,
+    kind: u8,
+    topic: Option<&[u8]>,
+    parts: &[B],
+    joined: bool,
+) -> io::Result<()> {
+    let Staged { bytes, lent } = stage(kind, topic, parts, joined)?;
     if lent.is_empty() {
-        w.write_all(&staged)?;
+        w.write_all(&bytes)?;
     } else {
         let mut gather = Vec::with_capacity(2 * lent.len() + 1);
         let mut from = 0;
-        for &(at, bytes) in &lent {
-            gather.push(IoSlice::new(&staged[from..at]));
-            gather.push(IoSlice::new(bytes));
+        for &(at, lent) in &lent {
+            gather.push(IoSlice::new(&bytes[from..at]));
+            gather.push(IoSlice::new(lent));
             from = at;
         }
-        gather.push(IoSlice::new(&staged[from..]));
+        gather.push(IoSlice::new(&bytes[from..]));
         write_all_vectored(w, &mut gather)?;
     }
     w.flush()
@@ -238,6 +275,106 @@ pub fn read_message(r: &mut impl Read) -> io::Result<WireMessage> {
         kind: kind[0],
         frames,
     })
+}
+
+/// What a [`Decoder`] reads at a time when nothing tells it to ask for
+/// more: several hundred acks, or a fraction of a frame that says how much
+/// is still to come.
+const DECODER_CHUNK: usize = 16 << 10;
+
+/// [`read_message`] for a stream that must not be waited on: bytes are
+/// taken as they come ([`Decoder::fill`], one `read` whatever it returns)
+/// and messages handed out once they are whole ([`Decoder::next`]). A
+/// peer that stops halfway through a message costs its owner nothing but
+/// the bytes buffered so far.
+pub(crate) struct Decoder {
+    /// Initialised over its whole length; `buf[head..filled]` is unread.
+    buf: Vec<u8>,
+    head: usize,
+    filled: usize,
+    /// Bytes the message at `head` is known to need so far.
+    want: usize,
+}
+
+impl Decoder {
+    pub(crate) fn new() -> Self {
+        Self {
+            buf: vec![0; DECODER_CHUNK],
+            head: 0,
+            filled: 0,
+            want: 0,
+        }
+    }
+
+    /// One `read` from `r` into the free end of the buffer: `Ok(0)` is end
+    /// of stream, `Err(WouldBlock)` nothing to read right now.
+    pub(crate) fn fill(&mut self, r: &mut impl Read) -> io::Result<usize> {
+        if self.head == self.filled {
+            (self.head, self.filled) = (0, 0);
+            // A frame of many MiB came through: do not keep its room.
+            if self.buf.len() > 64 * DECODER_CHUNK {
+                self.buf = vec![0; DECODER_CHUNK];
+            }
+        }
+        let pending = self.filled - self.head;
+        let room = self.want.saturating_sub(pending).max(DECODER_CHUNK);
+        if self.buf.len() - self.filled < room {
+            self.buf.copy_within(self.head..self.filled, 0);
+            (self.head, self.filled) = (0, pending);
+            if self.buf.len() < pending + room {
+                self.buf.resize(pending + room, 0);
+            }
+        }
+        let n = r.read(&mut self.buf[self.filled..])?;
+        self.filled += n;
+        Ok(n)
+    }
+
+    /// The next whole message buffered, `Ok(None)` when the rest of it is
+    /// still to come, `Err(InvalidData)` on malformed framing (the limits
+    /// [`read_message`] enforces).
+    pub(crate) fn next(&mut self) -> io::Result<Option<WireMessage>> {
+        let unread = &self.buf[self.head..self.filled];
+        let invalid = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
+        let u32_at = |at: usize| {
+            let word = unread.get(at..at + 4)?;
+            Some(u32::from_le_bytes(word.try_into().expect("4 bytes")))
+        };
+        let Some(nframes) = u32_at(1) else {
+            self.want = 5;
+            return Ok(None);
+        };
+        if nframes > MAX_FRAMES {
+            return Err(invalid(format!("frame count {nframes} exceeds limit")));
+        }
+        // First pass: is all of it here? Nothing is copied until it is.
+        let mut at = 5;
+        for _ in 0..nframes {
+            let Some(len) = u32_at(at) else {
+                self.want = at + 4;
+                return Ok(None);
+            };
+            if len > MAX_FRAME_BYTES {
+                return Err(invalid(format!("frame of {len} bytes exceeds limit")));
+            }
+            at += 4 + len as usize;
+            if at > unread.len() {
+                self.want = at;
+                return Ok(None);
+            }
+        }
+        let mut frames = Vec::with_capacity(nframes as usize);
+        let mut from = 5;
+        for _ in 0..nframes {
+            let len = u32_at(from).expect("checked above") as usize;
+            frames.push(Bytes::copy_from_slice(&unread[from + 4..from + 4 + len]));
+            from += 4 + len;
+        }
+        let kind = unread[0];
+        self.head += at;
+        self.want = 0;
+        Ok(Some(WireMessage { kind, frames }))
+    }
 }
 
 #[cfg(test)]
@@ -409,5 +546,87 @@ mod tests {
             read_message(&mut cursor).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
+    }
+    #[test]
+    fn the_decoder_hands_out_whole_messages_however_the_bytes_arrive() {
+        let big = Bytes::from((0..300_000u32).map(|i| i as u8).collect::<Vec<u8>>());
+        let sent = [
+            Multipart::single(Bytes::from_static(b"ack")),
+            Multipart::new(),
+            Multipart::from_frames(vec![Bytes::new(), big.clone(), Bytes::from_static(b"z")]),
+            Multipart::single(Bytes::from_static(b"last")),
+        ];
+        let mut stream = Vec::new();
+        for msg in &sent {
+            write_data(&mut stream, msg).unwrap();
+        }
+        /// Hands out at most `step` bytes a read, then `WouldBlock` once,
+        /// the way a non-blocking socket does between two segments.
+        struct Bursts<'a>(&'a [u8], usize, bool);
+        impl Read for Bursts<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.2 = !self.2;
+                if self.2 && !self.0.is_empty() {
+                    return Err(io::ErrorKind::WouldBlock.into());
+                }
+                let n = buf.len().min(self.0.len()).min(self.1);
+                buf[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        for step in [1, 7, 4096, usize::MAX] {
+            // Byte-at-a-time over the 300 kB frame is slow and proves
+            // nothing the small messages do not.
+            let stream = if step == 1 {
+                &stream[..64]
+            } else {
+                &stream[..]
+            };
+            let mut reader = Bursts(stream, step, false);
+            let mut decoder = Decoder::new();
+            let mut got = Vec::new();
+            loop {
+                match decoder.fill(&mut reader) {
+                    Ok(0) => break,
+                    Ok(_) => {}
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => continue,
+                    Err(e) => panic!("{e}"),
+                }
+                while let Some(msg) = decoder.next().unwrap() {
+                    got.push(msg.into_payload().unwrap());
+                }
+            }
+            let whole = if step == 1 { 2 } else { sent.len() };
+            assert_eq!(got[..], sent[..whole], "step {step}");
+        }
+        // The limits are `read_message`'s.
+        let mut decoder = Decoder::new();
+        let mut hostile = vec![KIND_DATA];
+        hostile.extend_from_slice(&1u32.to_le_bytes());
+        hostile.extend_from_slice(&(MAX_FRAME_BYTES + 1).to_le_bytes());
+        decoder.fill(&mut &hostile[..]).unwrap();
+        assert_eq!(
+            decoder.next().unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+    }
+
+    #[test]
+    fn what_stages_whole_is_what_write_data_writes() {
+        let small = Multipart::from_frames(vec![
+            Bytes::from_static(b"a"),
+            Bytes::from(vec![1u8; GATHER_MIN - 1]),
+        ]);
+        let mut written = Vec::new();
+        write_topic_data(&mut written, b"t", &small).unwrap();
+        let staged = staged_whole(KIND_DATA, Some(b"t"), small.frames(), false);
+        assert_eq!(staged.as_deref(), Some(&written[..]));
+        // One frame at the gather threshold, or a refused message, is the
+        // writer thread's.
+        let bulk = Multipart::single(Bytes::from(vec![1u8; GATHER_MIN]));
+        assert!(staged_whole(KIND_DATA, None, bulk.frames(), false).is_none());
+        let many = vec![Bytes::new(); MAX_FRAMES as usize + 1];
+        assert!(staged_whole(KIND_DATA, None, &many, false).is_none());
     }
 }

@@ -68,9 +68,21 @@ pub fn contiguous_strides(dims: &[usize]) -> Vec<usize> {
     strides
 }
 
-/// True when `strides` describe a dense row-major layout for `dims`.
+/// True when `strides` describe a dense row-major layout for `dims`:
+/// exactly [`contiguous_strides`], walked from the last dimension without
+/// building them (this runs on every `Tensor::bytes()`).
 pub fn is_contiguous(dims: &[usize], strides: &[usize]) -> bool {
-    strides == contiguous_strides(dims).as_slice()
+    if dims.len() != strides.len() {
+        return false;
+    }
+    let mut acc = 1usize;
+    for (&d, &stride) in dims.iter().zip(strides).rev() {
+        if stride != acc {
+            return false;
+        }
+        acc = acc.saturating_mul(d.max(1));
+    }
+    true
 }
 
 #[cfg(test)]
@@ -101,6 +113,54 @@ mod tests {
     fn contiguity_check() {
         assert!(is_contiguous(&[2, 3], &[3, 1]));
         assert!(!is_contiguous(&[2, 3], &[4, 1]));
+    }
+
+    #[test]
+    fn the_contiguity_walk_agrees_with_comparing_built_strides() {
+        let built = |dims: &[usize], strides: &[usize]| strides == contiguous_strides(dims);
+        let shapes: [&[usize]; 8] = [
+            &[],
+            &[1],
+            &[7],
+            &[2, 3, 4],
+            &[2, 0, 3], // a zero extent keeps the outer strides
+            &[0],
+            &[1, 1, 5],
+            &[usize::MAX, 2, 3], // saturates, in both
+        ];
+        for dims in shapes {
+            let dense = contiguous_strides(dims);
+            assert!(is_contiguous(dims, &dense), "{dims:?}");
+            // Every one-off stride vector, the shapes a sliced or
+            // transposed view has.
+            for i in 0..dense.len() {
+                for bump in [1usize, 2] {
+                    let mut sliced = dense.clone();
+                    sliced[i] = sliced[i].saturating_add(bump);
+                    assert_eq!(
+                        is_contiguous(dims, &sliced),
+                        built(dims, &sliced),
+                        "{dims:?} {sliced:?}"
+                    );
+                }
+                let mut swapped = dense.clone();
+                swapped.swap(i, dense.len() - 1);
+                assert_eq!(
+                    is_contiguous(dims, &swapped),
+                    built(dims, &swapped),
+                    "{dims:?} {swapped:?}"
+                );
+            }
+            // A rank mismatch is never contiguous.
+            let mut longer = dense.clone();
+            longer.push(1);
+            assert!(!is_contiguous(dims, &longer));
+            assert_eq!(built(dims, &longer), is_contiguous(dims, &longer));
+        }
+        // A real sliced view: rows 0..2 of a [4, 6] tensor narrowed to
+        // columns 1..4 has dims [2, 3] over strides [6, 1].
+        assert!(!is_contiguous(&[2, 3], &[6, 1]));
+        assert!(!built(&[2, 3], &[6, 1]));
     }
 
     #[test]

@@ -356,3 +356,169 @@ fn a_process_exiting_right_after_drop_has_said_leave() {
     let strays = ctx.metrics.counter("producer.ctrl_unknown_consumer").get();
     assert_eq!(strays, 0, "a frame from outside a membership");
 }
+
+/// `label == index`, one 2 MiB field per sample: a batch of four is an
+/// 8 MiB streamed frame, twice what a Unix socket buffer is allowed to
+/// hold here (`net.core.wmem_max`, 4 MiB).
+struct WideDataset;
+
+impl Dataset for WideDataset {
+    fn len(&self) -> usize {
+        2 * BATCH_SIZE
+    }
+
+    fn get(&self, index: usize) -> ts_data::Result<RawSample> {
+        Ok(RawSample {
+            index,
+            bytes: bytes::Bytes::from(vec![index as u8; 4]),
+            label: index as i64,
+        })
+    }
+
+    fn encoded_sample_bytes(&self) -> usize {
+        4
+    }
+
+    fn decode(&self, raw: &RawSample) -> ts_data::Result<DecodedSample> {
+        let field = Tensor::from_f32(
+            &vec![raw.index as f32; 512 << 10],
+            &[512 << 10],
+            DeviceId::Cpu,
+        )?;
+        Ok(DecodedSample {
+            index: raw.index,
+            fields: vec![field],
+            label: raw.label,
+        })
+    }
+
+    fn name(&self) -> &str {
+        "mp-wide"
+    }
+}
+
+extern "C" {
+    fn kill(pid: i32, sig: i32) -> i32;
+}
+
+/// "The pump never blocks in a send", from outside: a stream-mode consumer
+/// process is stopped cold (SIGSTOP: its reader thread and its heartbeat
+/// stop with it) while frames larger than its socket buffer are in flight
+/// to it. Its writer thread then sits in `write` for good. The producer
+/// must go on answering its control plane meanwhile, evict the silent
+/// member when its heartbeat runs out, and keep feeding the other one.
+#[test]
+fn a_stopped_stream_consumer_with_a_full_socket_does_not_stall_the_pump() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use tensorsocket::PayloadMode;
+    let streamed = || {
+        Consumer::builder()
+            .payload_mode(PayloadMode::Stream)
+            .heartbeat_interval(Duration::from_millis(50))
+            .recv_timeout(Duration::from_secs(30))
+    };
+    if std::env::var("TS_MP_ROLE").as_deref() == Ok("stalled") {
+        let endpoint = std::env::var("TS_MP_ENDPOINT").expect("TS_MP_ENDPOINT");
+        let consumer = streamed().connect(&endpoint).expect("connect");
+        std::fs::write(std::env::var("TS_MP_OUT").expect("TS_MP_OUT"), "joined\n").unwrap();
+        // Until the parent stops, and later kills, this process.
+        for batch in consumer {
+            batch.expect("clean batch");
+        }
+        return;
+    }
+    let tag = std::process::id();
+    let tmp = std::env::temp_dir();
+    let endpoint = format!(
+        "ipc://{}",
+        tmp.join(format!("ts-mp-stop-{tag}.sock")).display()
+    );
+    let out = tmp.join(format!("ts-mp-stop-{tag}.txt"));
+    let go = tmp.join(format!("ts-mp-stop-{tag}.go"));
+    let loader = DataLoader::new(
+        Arc::new(WideDataset),
+        DataLoaderConfig {
+            batch_size: BATCH_SIZE,
+            num_workers: 0,
+            shuffle: false,
+            drop_last: true,
+            ..Default::default()
+        },
+    );
+    let heartbeat_timeout = Duration::from_secs(1);
+    let producer = Producer::builder()
+        .endpoint(endpoint.as_str())
+        .epochs(u64::MAX)
+        .heartbeat_timeout(heartbeat_timeout)
+        .first_consumer_timeout(Some(Duration::from_secs(60)))
+        .spawn(loader)
+        .expect("spawn producer");
+    let exe = std::env::current_exe().expect("test binary path");
+    let mut stalled = std::process::Command::new(&exe)
+        .args([
+            "--exact",
+            "a_stopped_stream_consumer_with_a_full_socket_does_not_stall_the_pump",
+        ])
+        .env("TS_MP_ROLE", "stalled")
+        .env("TS_MP_ENDPOINT", &endpoint)
+        .env("TS_MP_OUT", &out)
+        .spawn()
+        .expect("spawn consumer process");
+    let (received, done) = (AtomicU64::new(0), AtomicBool::new(false));
+    let wait_for = |what: &str, n: u64| {
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        while received.load(Ordering::SeqCst) < n {
+            assert!(std::time::Instant::now() < deadline, "{what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut witness = streamed().connect(&endpoint).expect("witness attaches");
+            while !done.load(Ordering::SeqCst) {
+                witness
+                    .next()
+                    .expect("the stream goes on")
+                    .expect("clean batch");
+                received.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        common::go_once_attached(std::slice::from_ref(&out), &go);
+        // Both are members and the window moves for both.
+        wait_for("the stream never started", 8);
+        // Safety: a signal to a child this test spawned and still owns.
+        assert_eq!(
+            unsafe {
+                kill(stalled.id() as i32, 19 /* SIGSTOP */)
+            },
+            0
+        );
+        // The window closes on the stopped member within two batches; its
+        // writer is stuck mid-frame from then on. The pump is not: it
+        // answers a scrape, and the member is still on its books.
+        std::thread::sleep(heartbeat_timeout / 4);
+        let ctx = TsContext::host_only();
+        let stats = tensorsocket::scrape_stats(&ctx, endpoint.as_str(), Duration::from_secs(10))
+            .expect("the pump answers while a writer is blocked");
+        assert_eq!(stats.counter("producer.detached").unwrap_or(0), 0);
+        // Evicted by heartbeat, and the other consumer keeps receiving.
+        let stopped_at = received.load(Ordering::SeqCst);
+        wait_for(
+            "the witness starved behind a stopped member",
+            stopped_at + 16,
+        );
+        done.store(true, Ordering::SeqCst);
+    });
+    producer.abort();
+    let stats = producer.join().expect("producer join");
+    assert_eq!(
+        stats.consumers_detached, 1,
+        "the stopped member was evicted"
+    );
+    assert_eq!(stats.peak_consumers, 2);
+    let _ = stalled.kill();
+    let _ = stalled.wait();
+    for path in [&out, &go] {
+        let _ = std::fs::remove_file(path);
+    }
+}
