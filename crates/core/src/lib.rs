@@ -107,7 +107,8 @@
 //! | streamed (`Stream`), contiguous tensors | 0 | one kernel copy into the socket, one out of it |
 //! | streamed, a non-contiguous view | 1 | the gather into a dense buffer, counted in `stage.[s<N>.]stream_copy_bytes` |
 //! | durable log append | 1 | [`ts_log::BatchLog::append_chunks`] copies the frame's segments into the mapped record, checksumming as it goes (no joined intermediate) |
-//! | durable log replay | 0 | the stored frame is sent as a view of the log's mapping ([`ts_log::Record`]), CRC-checked in place first |
+//! | durable log replay to a stream consumer | 0 | the stored frame is sent as a view of the log's mapping ([`ts_log::Record`]), CRC-checked in place first; one kernel copy into the socket, one out of it |
+//! | durable log replay to a pointer (`Shm`) consumer | 1 | the CRC-checked frame is decoded in place and each tensor copied once into an arena slot; a pointer announce goes out and **0** kernel copies move payload (the stored bytes, as above, only when no slot can be leased: `replay.[s<N>.]slot_fallbacks`) |
 //!
 //! A [`StreamedTensor`]'s `bytes` field is a [`bytes::Bytes`], and on
 //! this path a `Bytes` is always borrowed, never filled:
@@ -421,9 +422,11 @@
 //! | `log.[s<N>.]lag` | gauge | batches | published batches not yet durably appended (spiller backlog) |
 //! | `log.[s<N>.]retained_min` / `log.[s<N>.]retained_max` | gauge | seq | retained offset range replayable from the log (`min > max` = enabled, nothing retained yet) |
 //! | `producer.replay_requests` | counter | requests | `CtrlMsg::Replay` requests answered (resends included) |
-//! | `replay.log_batches` | counter | batches | batches streamed out of the durable log to resuming consumers |
-//! | `replay.log_bytes` | counter | bytes | stored frame bytes streamed out of the durable log |
+//! | `replay.log_batches` | counter | batches | batches served out of the durable log to resuming consumers, as bytes or through arena slots |
+//! | `replay.log_bytes` | counter | bytes | stored frame bytes served out of the durable log |
 //! | `replay.[s<N>.]gate_timeouts` | counter | frames | catch-up frames sent through a full window because a whole tick passed without an ack (the window paces, it never decides liveness) |
+//! | `replay.[s<N>.]slot_frames` | counter | frames | frames out of the durable log sent to a pointer (`Shm`) consumer through arena slots: copied once into a slot per tensor, announced as pointers, the slots held until that consumer acks the frame or leaves |
+//! | `replay.[s<N>.]slot_fallbacks` | counter | frames | frames out of the durable log sent to a pointer consumer as the stored bytes because no slot could be leased at that moment (an explicit arena too small for the catch-up window, or no arena); a catch-up never waits on the arena |
 //! | `log.[s<N>.]read_corrupt` | counter | reads | replay reads that found their record retained but damaged (index geometry or CRC mismatch): that frame is not served — the live batch stands in if it is still held, else the consumer sees a gap — and the first one is logged with the segment's path |
 //!
 //! ### The batch flight recorder
@@ -488,21 +491,31 @@
 //! * the producer answers `LogInfo` naming the resolved replay start
 //!   (the group's persisted cursor, floored at the retained range and
 //!   capped at the consumer's live splice point) and streams the logged
-//!   range — the stored frames ARE streamed-payload wire frames, so
-//!   both shm and streamed consumers ingest them — which splices
-//!   gaplessly onto the live stream admitted at `start_seq`;
+//!   range, which splices gaplessly onto the live stream admitted at
+//!   `start_seq`;
 //! * a stored frame is read in place: the log checks its CRC over the
 //!   mapped bytes and hands out a [`ts_log::Record`] that owns the
-//!   mapping, which the socket gather-writes from — no copy and no
-//!   batch-sized allocation in user space on the way out;
+//!   mapping. The stored frames ARE streamed-payload wire frames: a
+//!   stream consumer gets the record itself, which the socket
+//!   gather-writes from — no copy and no batch-sized allocation in user
+//!   space on the way out. A pointer (`Shm`) consumer gets it the way it
+//!   gets a live batch: the frame is decoded in place, each tensor is
+//!   copied once into an arena slot leased from the shard's pool, and a
+//!   pointer announce goes out (`replay.[s<N>.]slot_frames`). When no
+//!   slot can be leased the stored bytes go instead
+//!   (`replay.[s<N>.]slot_fallbacks`) — a catch-up never waits on the
+//!   arena, because publishing waits on the catch-up — and an auto-sized
+//!   arena provisions one catch-up window per shard so that does not
+//!   happen;
 //! * a catch-up has a window, like live publishing: the producer keeps
 //!   at most a few MiB of it (never fewer than two frames) sent and not
 //!   yet acked — `replay.[s<N>.]inflight_bytes` — so a late group's
-//!   history queues in the log, not in the joiner's memory; ~100-byte
-//!   pointer announces of a rubberband replay never feel it. While the
-//!   window is shut the producer parks until an ack; after a whole tick
-//!   without one it sends a frame anyway
-//!   (`replay.[s<N>.]gate_timeouts`);
+//!   history queues in the log, not in the joiner's memory or the arena.
+//!   A frame weighs its bytes on the socket, or, through slots, the slot
+//!   bytes it pins until acked; ~100-byte pointer announces of a
+//!   rubberband replay never feel it. While the window is shut the
+//!   producer parks until an ack; after a whole tick without one it sends
+//!   a frame anyway (`replay.[s<N>.]gate_timeouts`);
 //! * every ack advances the group's cursor in `ts-log`'s
 //!   [`ts_log::CursorStore`], persisted at a bounded ~25 ms cadence
 //!   (each write tmp+rename atomic), so a consumer killed mid-epoch

@@ -30,6 +30,7 @@ use crate::runtime::producer::{
     batches_ahead_of_publish, EpochSource, ProducerStats, TensorProducer,
 };
 use crate::runtime::staging::StagingConfig;
+use crate::runtime::state::catch_up_frames;
 use crate::{Result, TsError};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -226,8 +227,9 @@ impl ProducerBuilder {
     /// Backs payloads with a shared-memory arena at `path`, **auto-sized**
     /// from the sources: slot size from the per-sample geometry hint
     /// ([`EpochSource::sample_geometry`]) × the (producer-)batch size, and
-    /// slot count from the publish window + rubberband pin headroom ×
-    /// tensors per batch × shards. A matching recycling slot pool is bound
+    /// slot count from the publish window + rubberband pin headroom (+ one
+    /// log catch-up window under [`ProducerBuilder::log`]) × tensors per
+    /// batch × shards. A matching recycling slot pool is bound
     /// per shard, so steady-state publishing performs zero arena
     /// allocations. The geometry is advertised over the attach handshake —
     /// consumers map the arena without being told its path.
@@ -367,7 +369,8 @@ impl ProducerBuilder {
             let ahead = batches_ahead_of_publish(cfg, source.pipeline_hint());
             cfg.buffer_size + cfg.pinned_per_epoch(loader) + ahead + 1
         };
-        let (path, nslots, slot_size, tensors_per_batch) = match spec {
+        // `(tensors per batch, catch-up frames)` of an auto-sized arena.
+        let (path, nslots, slot_size, auto) = match spec {
             ArenaSpec::Sized {
                 path,
                 nslots,
@@ -390,12 +393,20 @@ impl ProducerBuilder {
                 };
                 let slot_size = geometry.max_tensor_bytes(max_batch).next_multiple_of(4096);
                 let tensors = geometry.tensors_per_batch();
+                // With a log, a pointer joiner's catch-up is copied into
+                // slots of the shard's pool and held until acked: one
+                // catch-up window of frames, each pinning a slot per
+                // tensor, on top of the live set.
+                let catch_up = match &cfg.log {
+                    Some(_) => catch_up_frames((tensors * slot_size) as u64),
+                    None => 0,
+                };
                 let nslots: usize = sources
                     .iter()
-                    .map(|s| per_shard_live(s) * tensors)
+                    .map(|s| (per_shard_live(s) + catch_up) * tensors)
                     .sum::<usize>()
                     .max(2);
-                (path, nslots, slot_size, Some(tensors))
+                (path, nslots, slot_size, Some((tensors, catch_up)))
             }
         };
         let arena = ctx.create_arena(&path, nslots, slot_size)?;
@@ -404,8 +415,8 @@ impl ProducerBuilder {
         // math above; explicit-geometry callers get it derived from the
         // arena itself.
         for (shard, source) in sources.iter().enumerate() {
-            let depth = match tensors_per_batch {
-                Some(tensors) => per_shard_live(source) * tensors,
+            let depth = match auto {
+                Some((tensors, catch_up)) => (per_shard_live(source) + catch_up) * tensors,
                 None => (nslots / shards).max(1),
             };
             if shards == 1 {

@@ -10,7 +10,7 @@ use super::*;
 use crate::protocol::messages::{caps, FlexBatchPayload, LogAd, StreamedTensor};
 use crate::runtime::config::ProducerConfig;
 use crate::runtime::coordinator::EpochCoordinator;
-use crate::runtime::producer::Preparer;
+use crate::runtime::producer::{spill_one, Preparer, TensorProducer};
 use crate::runtime::staging::FeederMsg;
 use crate::runtime::state::{self, State, Wait};
 use crate::Consumer;
@@ -762,9 +762,10 @@ type Row = (u64, usize, u64, Vec<u8>, Vec<i64>);
 /// [`EpochCoordinator`] — and their consumers with the wires replaced by a
 /// queue: a shard's `Effect::Send` goes to every peer subscribed there to a
 /// prefix of the topic as `Event::Frame`, `Effect::Ctrl` goes back to its
-/// shard as `Event::Ctrl`. Delivery is first in, first out, except for what
-/// the script holds back (`hold`, `release`); time is `now`, which only the
-/// script and the deliveries (10 µs each) move.
+/// shard as `Event::Ctrl`, and with a log bound `Effect::Spill` is appended
+/// on the spot and its `Event::Logged` queued. Delivery is first in, first
+/// out, except for what the script holds back (`hold`, `release`); time is
+/// `now`, which only the script and the deliveries (10 µs each) move.
 struct World {
     ctx: TsContext,
     shards: Vec<State>,
@@ -787,18 +788,31 @@ enum Wire {
         shard: usize,
         msg: CtrlMsg,
     },
+    /// The spiller's progress, back to its shard.
+    Logged {
+        shard: usize,
+        up_to: u64,
+    },
 }
 
 impl World {
     /// `shards` producer pipelines over loaders of `per_epoch` batches of
     /// four samples, started and through the first barrier.
     fn new(config: ProducerConfig, shards: usize, per_epoch: u64) -> Self {
-        let ctx = TsContext::host_only();
+        Self::in_ctx(TsContext::host_only(), config, shards, per_epoch)
+    }
+
+    /// [`World::new`] in `ctx` (an arena may be bound to it), each shard
+    /// opening its log when `config` names one.
+    fn in_ctx(ctx: TsContext, config: ProducerConfig, shards: usize, per_epoch: u64) -> Self {
         let timeout = config.heartbeat_timeout;
         let coord = (shards > 1).then(|| Arc::new(EpochCoordinator::new(shards, timeout)));
         let state = |shard| {
             let (config, coord) = (config.clone(), coord.clone());
-            State::new(&ctx, config, coord, shard, None, (per_epoch, 4), 0)
+            let shard_ns = coord.as_ref().map(|_| shard);
+            let log = (config.log.as_ref())
+                .map(|l| TensorProducer::open_log(&ctx, l, shard_ns, shard).unwrap());
+            State::new(&ctx, config, coord, shard, log, (per_epoch, 4), 0)
         };
         let mut world = World {
             shards: (0..shards as u32).map(state).collect(),
@@ -821,7 +835,10 @@ impl World {
     }
 
     fn join(&mut self, id: u64, mode: PayloadMode) {
-        let opts = Consumer::builder().payload_mode(mode);
+        self.join_with(id, mode, Consumer::builder().payload_mode(mode));
+    }
+
+    fn join_with(&mut self, id: u64, mode: PayloadMode, opts: ConsumerBuilder) {
         let mut fx = Vec::new();
         let mut state = ConsumerState::new(&self.ctx, &opts, id, &mut fx);
         state.start(self.now, opts.handshake_timeout, &mut fx);
@@ -891,7 +908,13 @@ impl World {
                         }
                     }
                 }
-                state::Effect::Spill(_) => panic!("no log here"),
+                state::Effect::Spill(m) => {
+                    let log = self.shards[shard].log().expect("a log is bound");
+                    let errors = self.ctx.metrics.counter("log.append_errors");
+                    assert!(spill_one(&log, &m, self.shards[shard].stage(), &errors));
+                    let up_to = m.seq + 1;
+                    wire.push_back(Wire::Logged { shard, up_to });
+                }
                 state::Effect::Finish => self.finished[shard] = true,
             }
         }
@@ -914,6 +937,10 @@ impl World {
                 }
                 Wire::Up { shard, msg } => {
                     self.produce(shard, state::Event::Ctrl(msg.encode()), &mut wire)
+                }
+                Wire::Logged { shard, up_to } => {
+                    let failed = false;
+                    self.produce(shard, state::Event::Logged { up_to, failed }, &mut wire)
                 }
             }
         }
@@ -983,7 +1010,7 @@ impl World {
             let labels = b.labels.to_vec_i64().unwrap();
             rows.push((epoch, shard, index as u64, bytes, labels));
             let last = b.last_in_epoch;
-            let mut never = || panic!("no arena, nothing to run dry");
+            let mut never = || panic!("the arena ran dry");
             let item = prep[shard].push(b, last, &mut never).unwrap().unwrap();
             assert!(
                 self.shards[shard].wants_item(),
@@ -1128,6 +1155,56 @@ fn a_joiner_admitted_and_gone_before_ready_frees_the_others_in_the_step_its_leav
     }
     world.end_epoch(0);
     world.finish(&reference, &["A"]);
+}
+
+#[test]
+fn a_late_group_replays_the_log_through_arena_slots_exactly_once_bit_identical() {
+    // The late member is parked past the join window and admitted at the
+    // epoch 1 boundary; epoch 0 exists nowhere but the log by then. Its
+    // frames out of the log are copied into arena slots and announced as
+    // pointers, which this in-process consumer resolves through the
+    // registry: none dangles, every slot comes back.
+    const PER_EPOCH: usize = 8;
+    let tag = format!("{}-late-slots", std::process::id());
+    let dir = std::env::temp_dir().join(format!("ts-world-{tag}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    let ctx = TsContext::host_only();
+    let arena_path = std::env::temp_dir().join(format!("ts-world-{tag}.arena"));
+    ctx.create_arena(&arena_path, 32, 4096).unwrap();
+    let pool = ctx.enable_slot_recycling(32).unwrap();
+    let config = ProducerConfig {
+        rubberband_cutoff: 0.02,
+        log: Some(ts_log::LogConfig::new(&dir)),
+        ..world_cfg(2)
+    };
+    let mut prep = [Preparer::new(&config, ctx.registry.lease_pool(None))];
+    let mut world = World::in_ctx(ctx.clone(), config, 1, PER_EPOCH as u64);
+    world.join(1, PayloadMode::Shm);
+    let mut reference = Vec::new();
+    for epoch in 0..2u64 {
+        for index in 0..PER_EPOCH {
+            if (epoch, index) == (0, 4) {
+                let opts = Consumer::builder().group("late");
+                world.join_with(2, PayloadMode::Shm, opts);
+                assert!(!world.peers[1].state.attached, "parked");
+            }
+            reference.extend(world.publish(&mut prep, &[0], epoch, index, PER_EPOCH));
+        }
+        world.end_epoch(epoch);
+        if epoch == 0 {
+            assert_eq!(world.peers[1].got, reference, "epoch 0, out of the log");
+        }
+    }
+    let counter = |name: &str| ctx.metrics.counter(name).get();
+    assert_eq!(counter("replay.slot_frames"), PER_EPOCH as u64);
+    assert_eq!(counter("replay.slot_fallbacks"), 0);
+    assert_eq!(counter("replay.log_batches"), PER_EPOCH as u64);
+    assert_eq!(counter("stage.publish_copy_bytes"), 0);
+    world.finish(&reference, &["witness", "late"]);
+    assert_eq!(counter("consumer.dangling_skipped"), 0);
+    pool.drain();
+    assert_eq!(pool.arena().slots_in_use(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Rows in the order a consumer of every shard sees them: by epoch, then

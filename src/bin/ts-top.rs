@@ -345,9 +345,12 @@ fn log_header(stats: &StatsPayload) -> Option<String> {
 /// long its feeder has spent parked on a dry arena in total
 /// (`stage.[s<N>.]arena_parked_ns`), how many payload bytes that feeder
 /// had to copy into the arena because batches did not arrive built in
-/// place (`stage.[s<N>.]collate_copy_bytes`: 0 over a `DataLoader`) and,
+/// place (`stage.[s<N>.]collate_copy_bytes`: 0 over a `DataLoader`),
 /// while a catch-up runs, how much of it is sent and not yet acked
-/// (`replay.[s<N>.]inflight_bytes`).
+/// (`replay.[s<N>.]inflight_bytes`) and, once a pointer joiner was
+/// replayed out of the log, how many of those frames went through arena
+/// slots and how many as bytes (`replay.[s<N>.]slot_frames`,
+/// `replay.[s<N>.]slot_fallbacks`).
 fn wait_header(stats: &StatsPayload) -> Option<String> {
     let gauges = stats.gauges();
     let counter = |prefix: &str, name: &str| {
@@ -387,6 +390,16 @@ fn wait_header(stats: &StatsPayload) -> Option<String> {
                 " (catch-up: {:.0} KiB un-acked)",
                 unacked / 1024.0
             ));
+        }
+        let replay = prefix.replacen("stage.", "replay.", 1);
+        match (
+            counter(&replay, "slot_frames"),
+            counter(&replay, "slot_fallbacks"),
+        ) {
+            (0, 0) => {}
+            (slots, bytes) => part.push_str(&format!(
+                " (log frames to pointer joiners: {slots} via slots, {bytes} as bytes)"
+            )),
         }
         parts.push(part);
     }
@@ -545,10 +558,14 @@ mod tests {
         registry.gauge("replay.s1.inflight_bytes").set(0.0);
         registry.counter("stage.s0.collate_copy_bytes").add(0);
         registry.counter("stage.s1.collate_copy_bytes").add(5 << 20);
+        registry.counter("replay.s0.slot_frames").add(40);
+        registry.counter("replay.s0.slot_fallbacks").add(2);
+        registry.counter("replay.s1.slot_frames").add(0);
         let header = wait_header(&StatsPayload::from_registry(&registry)).unwrap();
         assert_eq!(
             header,
-            "pump: s0 waiting on window (catch-up: 3072 KiB un-acked) | \
+            "pump: s0 waiting on window (catch-up: 3072 KiB un-acked) \
+             (log frames to pointer joiners: 40 via slots, 2 as bytes) | \
              s1 waiting on item (feeder copied 5120 KiB)"
         );
         // A standalone producer's gauges carry no shard.

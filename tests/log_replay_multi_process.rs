@@ -9,8 +9,9 @@
 //!   `SIGKILL`ed mid-epoch-1 — no Leave, no Drop, no flush: the worst
 //!   case the durable log exists for;
 //! * a **resume** process joining the *same group* after the kill: the
-//!   producer replays from the group's persisted cursor (shed pins come
-//!   off the log as streamed frames) and splices it onto the live stream.
+//!   producer replays from the group's persisted cursor (what it serves
+//!   out of the log — the logged gap and shed pins — it copies into arena
+//!   slots and announces as pointers) and splices it onto the live stream.
 //!
 //! Acceptance (ISSUE): victim + resume transcripts, deduplicated on
 //! `(epoch, shard, seq)`, must equal the witness transcript **exactly**
@@ -40,6 +41,18 @@ const PER_EPOCH: u64 = (SAMPLES / BATCH_SIZE) as u64; // 40
 /// Kill the victim once it has written this many batch lines: one full
 /// epoch plus half of epoch 1.
 const KILL_AFTER: u64 = PER_EPOCH + PER_EPOCH / 2; // 60
+/// Arena slots in use at most while no catch-up out of the log runs: with
+/// logged pins shed it stays here; epoch-deep pinning (20 batches × 2
+/// tensors × 2 shards) would reach ~80.
+const LIVE_PEAK: usize = 60;
+/// Slots the resume's catch-up may hold at once. Its frames out of the log
+/// are copied into slots (2 tensors of one 4 KiB slot each, so 8 KiB) and
+/// held until acked; the 4 MiB catch-up window is 512 such frames, more
+/// than the catch-up has. That is at most one epoch of shed pins plus the
+/// logged gap before them, which starts at the victim's cursor inside the
+/// previous epoch: under 2 epochs × 20 batches per shard, × 2 tensors ×
+/// 2 shards.
+const CATCH_UP: usize = 2 * PER_EPOCH as usize * 2;
 
 /// `label == index`, field encodes the index: batches are deterministic
 /// and checksummable across processes.
@@ -93,12 +106,12 @@ fn checksum(bytes: &[u8]) -> u64 {
 }
 
 /// Consumer-process body. Role knobs: `group` attaches as that consumer
-/// group; `require_shm` asserts every payload is arena-backed (only valid
-/// for consumers attached from batch zero — replayed history arrives as
-/// streamed frames by design); `hold_for_witness` keeps the first `next()`
-/// back until the witness is attached. Every line is flushed so the parent
-/// can observe progress (and kill mid-write) and nothing is lost to stdio
-/// buffers on SIGKILL.
+/// group; `require_shm` asserts every payload is arena-backed (live
+/// batches, pins and — for a pointer consumer — frames out of the log,
+/// which the producer copies into slots); `hold_for_witness` keeps the
+/// first `next()` back until the witness is attached. Every line is
+/// flushed so the parent can observe progress (and kill mid-write) and
+/// nothing is lost to stdio buffers on SIGKILL.
 fn run_consumer(group: Option<&str>, require_shm: bool, hold_for_witness: bool) {
     let endpoint = std::env::var("TS_LRMP_ENDPOINT").expect("TS_LRMP_ENDPOINT");
     let out_path = std::env::var("TS_LRMP_OUT").expect("TS_LRMP_OUT");
@@ -238,7 +251,7 @@ fn log_replay_multi_process_kill9_group_resume() {
     match std::env::var("TS_LRMP_ROLE").as_deref() {
         Ok("witness") => return run_consumer(None, true, false),
         Ok("victim") => return run_consumer(Some("trainers"), false, true),
-        Ok("resume") => return run_consumer(Some("trainers"), false, false),
+        Ok("resume") => return run_consumer(Some("trainers"), true, false),
         _ => {}
     }
     let tag = std::process::id();
@@ -268,9 +281,9 @@ fn log_replay_multi_process_kill9_group_resume() {
         },
         SHARDS,
     );
-    // The arena is sized well below a whole run but above one epoch's
-    // worth of pins: if logged pins were NOT shed, epoch-deep pinning
-    // (20 batches × 2 tensors × 2 shards = 80 slots) would saturate it.
+    // The arena holds the run's live set (pins shed, so at most
+    // `LIVE_PEAK`) plus the resume's whole catch-up in slots (`CATCH_UP`),
+    // with the victim's residue to spare — well below a whole run.
     let group = Producer::builder()
         .context(&ctx)
         .config(ProducerConfig {
@@ -283,7 +296,7 @@ fn log_replay_multi_process_kill9_group_resume() {
             first_consumer_timeout: Some(Duration::from_secs(60)),
             ..Default::default()
         })
-        .arena_sized(&arena_path, 96, 4096)
+        .arena_sized(&arena_path, LIVE_PEAK + CATCH_UP + 16, 4096)
         .log(&log_dir)
         .spawn_sharded(loaders)
         .expect("spawn logged sharded group");
@@ -344,7 +357,9 @@ fn log_replay_multi_process_kill9_group_resume() {
         "victim was SIGKILLed; its exit must not be clean"
     );
 
-    // Same group, new process: resumes from the persisted cursor.
+    // Same group, new process: resumes from the persisted cursor. Until
+    // now no catch-up out of the log has run.
+    let live_peak = max_in_use.load(Ordering::Relaxed);
     let mut resume = spawn_role("resume", &out_resume);
 
     let witness_status = witness.wait().expect("wait witness");
@@ -419,13 +434,29 @@ fn log_replay_multi_process_kill9_group_resume() {
             "shard {shard}: spiller appended nothing"
         );
     }
+    // The resume's frames out of the log went through arena slots, every
+    // one of them (the resume asserted each batch it got is arena-backed).
+    let replay_counter = |name: &str| -> u64 {
+        let counter = |shard| format!("replay.s{shard}.{name}");
+        (0..SHARDS)
+            .map(|s| ctx.metrics.counter(&counter(s)).get())
+            .sum()
+    };
+    assert!(replay_counter("slot_frames") > 0, "no slot-backed frame");
+    assert_eq!(replay_counter("slot_fallbacks"), 0);
     // Pin shedding: whole-epoch pinning would hold ~80 slots; logged
-    // batches must have been shed well below that.
+    // batches must have been shed well below that. Measured before the
+    // resume's catch-up, and over the whole run with it in.
+    assert!(
+        live_peak <= LIVE_PEAK,
+        "arena peak {live_peak} slots before the catch-up — logged rubberband \
+         pins were not shed (whole-epoch pinning is ~80)"
+    );
     let peak = max_in_use.load(Ordering::Relaxed);
     assert!(
-        peak <= 60,
-        "arena peak {peak} slots — logged rubberband pins were not shed \
-         (whole-epoch pinning is ~80)"
+        peak <= LIVE_PEAK + CATCH_UP,
+        "arena peak {peak} slots — more than the live set and the catch-up's \
+         slots can account for"
     );
     // The arena refcounts are cross-process: a SIGKILLed consumer takes
     // its in-flight mapped batch's references to the grave (2 slots per
