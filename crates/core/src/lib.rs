@@ -127,10 +127,12 @@
 //!   on the wire, and in the log, are exactly [`DataMsg::encode`]'s. On
 //!   `ipc://` the publisher asks for a send buffer of a few MiB per
 //!   subscriber, so a batch that fits is one uninterrupted kernel copy
-//!   and one wake-up of the subscriber's reader;
-//! * **receive** — the socket reads the frame into one buffer of exactly
-//!   its length; [`DataMsg::decode_shared`] hands each `bytes` field out
-//!   as a slice of that buffer, and [`StreamedTensor::to_tensor`] wraps
+//!   and one wake-up of the consumer's thread, which reads it;
+//! * **receive** — the kernel copies the frame straight into one buffer
+//!   of exactly its length, on the consumer's thread (a frame of 64 KiB or
+//!   more skips the socket's own buffer); [`DataMsg::decode_shared`] hands
+//!   each `bytes` field out as a slice of that buffer, and
+//!   [`StreamedTensor::to_tensor`] wraps
 //!   the slice as tensor storage. The buffer is freed when the consumer
 //!   releases the last tensor of the batch.
 //!
@@ -294,10 +296,12 @@
 //! tick.
 //!
 //! The consumer has the same shape (`runtime::consumer_state` under
-//! `runtime::consumer`): [`Consumer`] is a shell with one receive call,
-//! and what came off the awaited link — a frame, nothing before the
-//! deadline, a closed socket — or what the trainer did (`Next`: it came
-//! back for a batch, `Leave`: it dropped the consumer) is one event for
+//! `runtime::consumer`): [`Consumer`] is a shell with one blocking call —
+//! one wait over every shard's link, `ts_socket::SubSocket::wait`, which
+//! reads the data connections on the consumer's own thread — and what
+//! came off any link — a frame, nothing before the deadline, a closed
+//! socket — or what the trainer did (`Next`: it came back for a batch,
+//! `Leave`: it dropped the consumer) is one event for
 //! `ConsumerState::step(now, event, &mut effects)`; the effects (`Ctrl`,
 //! `Subscribe`, `Unsubscribe`, `Negotiate`) are executed in order. Each
 //! shard's link is in one phase — `Hello`, `Joining`/`Parked`, `Splicing`
@@ -311,6 +315,25 @@
 //! consumer adds is its heartbeat, because between two `next()` calls the
 //! consumer's thread is the trainer's; it beats on the links' own control
 //! sockets, between the JOIN and the LEAVE, and stops at once on drop.
+//!
+//! The threads, over `ipc://`/`tcp://` (`/proc/<pid>/task/*/comm`):
+//!
+//! * **a consumer process** runs the trainer's thread (which reads every
+//!   shard's data connection itself), `ts-heartbeat-<id>`, and one
+//!   `ts-push-writer` per shard for its control socket, which wakes on its
+//!   50 ms idle tick while the consumer's own thread writes the acks
+//!   (small frames go out inline). Each link's `ts-sub-conn`
+//!   connects, registers the topics and exits. An announce wakes one
+//!   thread here: the trainer's.
+//! * **an idle producer** (no consumer yet) runs, per shard,
+//!   `tensorsocket-producer[-s<N>]` (the pump, asleep in `poll` over its
+//!   control connections and doorbell), `tensorsocket-feeder` with the
+//!   loader's `num_workers` threads (blocked once the hand-off queue is
+//!   full), and `ts-pub-accept` (asleep in `poll` for a subscriber); plus
+//!   `ts-log-spiller-s<N>` under `.log()` and `tensorsocket-staging` on a
+//!   GPU. Each subscriber adds a `ts-pub-writer` and a `ts-pub-reader`;
+//!   the control socket adds none. An announce and its ack wake no
+//!   producer thread but the pump.
 //!
 //! Producer knobs, in the order they usually matter:
 //!

@@ -125,13 +125,15 @@ impl ShardInterleave {
 
     /// Records that `shard`'s current announcement was delivered: its
     /// cursor moves to the next index, or to `(epoch + 1, 0)` when the
-    /// delivered announcement closed the shard's epoch.
+    /// delivered announcement closed the shard's epoch. (Saturating: the
+    /// starts come off the wire, and a position at `u64::MAX` must not
+    /// panic a debug build.)
     pub fn advance(&mut self, shard: usize, last_in_epoch: bool) {
         if let Some((epoch, index)) = self.cursors[shard] {
             self.cursors[shard] = Some(if last_in_epoch {
-                (epoch + 1, 0)
+                (epoch.saturating_add(1), 0)
             } else {
-                (epoch, index + 1)
+                (epoch, index.saturating_add(1))
             });
         }
     }

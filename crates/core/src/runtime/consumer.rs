@@ -9,11 +9,16 @@
 //! socket for everything the shard says, a PUSH socket for everything said
 //! to it — HELLO and WELCOME included, on shard 0's link, so an attach
 //! opens two connections per shard and nothing else), the flight-recorder
-//! clock, and one loop (`Consumer::pump`): wait on the link the state asks
-//! for, no longer than its deadline; turn what came — a frame, nothing, a
-//! closed socket — into one event; `step`; execute the effects in order.
-//! `connect()` runs that loop until every shard is admitted and knows
-//! where its stream starts, each `next()` until a batch is rebuilt.
+//! clock, and one loop (`Consumer::pump`): one wait over every open link
+//! at once (`SubSocket`'s multi-socket wait: one `poll` across the shards'
+//! data connections, read on this thread), no longer than the state's
+//! deadline; turn what came — a frame from any shard, nothing, a closed
+//! socket — into one event; `step`; execute the effects in order. A
+//! frame, a `Detached` or a close on any shard reaches the state at once;
+//! ordering across shards is the state's (its reorder buffer holds what
+//! arrives ahead of its turn). `connect()` runs that loop until every
+//! shard is admitted and knows where its stream starts, each `next()`
+//! until a batch is rebuilt.
 //! Finishing a batch (calling `next` again, or dropping the consumer)
 //! acknowledges it to the producer, which releases the memory once every
 //! consumer has done so.
@@ -31,14 +36,18 @@ use crate::protocol::messages::{caps, CtrlMsg, PayloadMode, WelcomeInfo};
 use crate::runtime::builder::ConsumerBuilder;
 use crate::runtime::consumer_state::{ConsumerState, Effect, Event};
 use crate::runtime::context::{TransportMirror, TsContext};
-use crate::{HandshakeError, Result};
+use crate::{HandshakeError, Result, TsError};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use ts_metrics::{Histogram, SpanKind};
-use ts_socket::{EndpointMap, Multipart, PushSocket, RecvError, SubSocket};
+use ts_socket::{Endpoint, EndpointMap, Multipart, PushSocket, SubSocket};
 use ts_tensor::Tensor;
+
+/// The most shards a WELCOME may advertise: every one is a link opened
+/// up front.
+const MAX_SHARDS: usize = 1024;
 
 /// A batch as seen by one consumer.
 #[derive(Debug, Clone)]
@@ -90,6 +99,8 @@ pub enum StopReason {
 /// The whole conversation with one producer shard.
 struct Link {
     sub: SubSocket,
+    /// `sub` reported `Closed`: it leaves the wait.
+    closed: bool,
     /// Shared with the heartbeat thread.
     ctrl: Arc<PushSocket>,
     /// `ctrl`'s `transport.*` counters, as of the last batch taken.
@@ -100,6 +111,7 @@ impl Link {
     fn open(ctx: &TsContext, map: &EndpointMap, shard: usize) -> Self {
         Self {
             sub: SubSocket::connect(&ctx.sockets, &map.data(shard)),
+            closed: false,
             ctrl: Arc::new(PushSocket::connect(&ctx.sockets, &map.ctrl(shard))),
             sent: TransportMirror::new(&ctx.metrics),
         }
@@ -216,6 +228,9 @@ impl Consumer {
     /// The producer's WELCOME self-description this consumer attached
     /// against.
     pub fn welcome(&self) -> &WelcomeInfo {
+        // Not reachable from the wire: `attach` hands out a consumer only
+        // once attached, and no shard leaves `Hello` before `negotiate`
+        // stored the WELCOME.
         let welcome = self.welcome.as_ref();
         welcome.expect("a consumer only exists once it was welcomed")
     }
@@ -244,7 +259,9 @@ impl Consumer {
 
     /// Batch pointers currently buffered locally (the consumer-side batch
     /// buffer of §3.2.5): rebuilt and waiting, announced ahead of their
-    /// turn, or still queued in a shard's socket.
+    /// turn, or read off a shard's connection and not taken yet. More may
+    /// be on their way in the kernel's socket buffers; those are not
+    /// counted.
     pub fn buffered(&self) -> usize {
         let queued = self.links.iter().map(|l| l.sub.queued());
         self.state.buffered() + queued.sum::<usize>()
@@ -259,32 +276,39 @@ impl Consumer {
         self.state.latest_cursor(shard)
     }
 
-    /// Runs the state until `done` (or it stopped): wait on the link it
-    /// asks for, step, execute.
+    /// Runs the state until `done` (or it stopped): wait on every open
+    /// link, step, execute.
     fn pump(&mut self, done: fn(&ConsumerState) -> bool) {
         loop {
             self.execute();
-            if done(&self.state) {
-                return;
+            if done(&self.state) || self.state.wants().is_none() {
+                return; // done, or stopped
             }
-            let Some(shard) = self.state.wants() else {
-                return; // stopped
-            };
             let left = (self.state.deadline()).saturating_sub(self.ctx.trace.now_ns());
-            // The consumer's only receive call.
-            let event = match self.links[shard]
-                .sub
-                .recv_timeout(Duration::from_nanos(left))
-            {
-                Ok((_, msg)) => match msg.frames().first() {
+            let open = self.links.iter().enumerate().filter(|(_, l)| !l.closed);
+            let (shards, subs): (Vec<usize>, Vec<&SubSocket>) =
+                open.map(|(shard, l)| (shard, &l.sub)).unzip();
+            // The consumer's only blocking call.
+            let Some(ready) = SubSocket::wait(&subs, Duration::from_nanos(left)) else {
+                self.step(Event::Tick);
+                continue;
+            };
+            let shard = shards[ready];
+            let link = &mut self.links[shard];
+            // What the wait found: a message, or the socket's end.
+            let event = match link.sub.try_recv() {
+                Ok(Some((_, msg))) => match msg.frames().first() {
                     Some(frame) => Event::Frame {
                         shard,
                         frame: frame.clone(),
                     },
                     None => continue,
                 },
-                Err(RecvError::Timeout) => Event::Tick,
-                Err(RecvError::Closed) => Event::Closed,
+                Ok(None) => continue,
+                Err(_) => {
+                    link.closed = true;
+                    Event::Closed { shard }
+                }
             };
             self.step(event);
         }
@@ -371,8 +395,21 @@ impl Consumer {
                 mode = PayloadMode::Stream;
             }
         }
+        // The shard count and the override table come off the wire: each
+        // link is two connections and a connector thread, and a socket
+        // refuses a malformed endpoint by panicking, so both are checked
+        // before anything is opened.
+        if advertised > MAX_SHARDS {
+            let what = format!("WELCOME advertises {advertised} shards (at most {MAX_SHARDS})");
+            return Err(TsError::Wire(what));
+        }
         let overrides = welcome.endpoint_overrides.clone();
         let map = EndpointMap::with_overrides(&self.endpoint, advertised, overrides);
+        for shard in 1..advertised {
+            for uri in [map.data(shard), map.ctrl(shard)] {
+                uri.parse::<Endpoint>()?;
+            }
+        }
         for shard in 1..advertised {
             self.links.push(Link::open(&self.ctx, &map, shard));
         }
@@ -384,7 +421,8 @@ impl Consumer {
         self.execute();
         let pushes = self.links.iter().map(|l| l.ctrl.clone()).collect();
         let interval = self.opts.heartbeat_interval;
-        self.beat = Some(spawn_heartbeat(self.state.id, interval, pushes));
+        let beat = spawn_heartbeat(self.state.id, interval, pushes);
+        self.beat = Some(beat.map_err(|e| TsError::Socket(format!("heartbeat thread: {e}")))?);
         Ok(())
     }
 }
@@ -441,7 +479,7 @@ fn spawn_heartbeat(
     id: u64,
     interval: Duration,
     mut pushes: Vec<Arc<PushSocket>>,
-) -> (Arc<AtomicBool>, JoinHandle<()>) {
+) -> std::io::Result<(Arc<AtomicBool>, JoinHandle<()>)> {
     let stop = Arc::new(AtomicBool::new(false));
     let stopped = stop.clone();
     let beat = CtrlMsg::Heartbeat { consumer_id: id }.encode();
@@ -456,7 +494,6 @@ fn spawn_heartbeat(
                 // Woken early by `drop`; a spurious wake-up is one early beat.
                 std::thread::park_timeout(interval);
             }
-        })
-        .expect("spawn heartbeat thread");
-    (stop, thread)
+        })?;
+    Ok((stop, thread))
 }

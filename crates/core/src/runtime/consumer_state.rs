@@ -3,8 +3,9 @@
 //! socket, no thread and no clock.
 //!
 //! The shell in `crate::runtime::consumer` is the only caller in
-//! production: it blocks in one place, turns whatever came off the awaited
-//! socket into an event, calls `step`, and executes the effects in order.
+//! production: it blocks in one place — one wait over every shard's link —
+//! turns whatever came off whichever link into an event, calls `step`, and
+//! executes the effects in order.
 //! Tests call `step` directly with a `u64` they advance by hand
 //! (`runtime/consumer_step_tests.rs`) and route a producer `State`'s
 //! effects straight into it — both ends of exactly-once without a socket.
@@ -12,8 +13,11 @@
 //! tensors from announced payloads), the metrics registry and the flight
 //! recorder (recording, never reading a clock).
 //!
-//! **Phases.** Each shard's link is in one [`Phase`], and the consumer
-//! waits on one link at a time, [`ConsumerState::wants`]:
+//! **Phases.** Each shard's link is in one [`Phase`]. Frames come from
+//! every link as they arrive; [`ConsumerState::wants`] names the one link
+//! whose silence counts — the shard furthest behind while attaching, the
+//! next in delivery order afterwards — and [`ConsumerState::deadline`]
+//! says how long it may last:
 //!
 //! * `Hello` (shard 0 only) — HELLO is out, re-sent until the WELCOME. Its
 //!   version is read from the frame's fixed head before the body is
@@ -82,8 +86,8 @@ pub(crate) enum Event {
     Next,
     /// The consumer is going away.
     Leave,
-    /// The awaited socket closed under the consumer.
-    Closed,
+    /// Shard `shard`'s SUB socket closed under the consumer.
+    Closed { shard: usize },
 }
 
 /// Something to do; executed by the shell in order.
@@ -363,7 +367,10 @@ impl ConsumerState {
                 }
                 return;
             }
-            Event::Closed => {
+            // A shard that published `End` may go away: everything it sent
+            // was read before its socket closed.
+            Event::Closed { shard } if self.shards[shard].phase == Phase::Ended => {}
+            Event::Closed { .. } => {
                 let gone = TsError::Socket("producer disconnected".into());
                 self.stop(StopReason::ProducerGone, Some(gone));
             }
@@ -379,8 +386,8 @@ impl ConsumerState {
     }
 
     fn on_tick(&mut self, now: u64, fx: &mut Vec<Effect>) {
-        // Only the awaited shard can run out of time: what the others were
-        // sent may sit unread in their sockets.
+        // Only the awaited shard can run out of time: the others may well
+        // be silent because it is not their turn.
         let Some(shard) = self.wants() else {
             return;
         };
@@ -451,9 +458,11 @@ impl ConsumerState {
                 _ => return,
             }
         }
-        // Silence is measured from the producer's last sign of life; the
-        // waits for WELCOME and `LogInfo` run from their first request.
-        if !matches!(self.awaited(), Some(Phase::Hello | Phase::Splicing)) {
+        // Silence is measured from the awaited shard's last sign of life
+        // (the others may be read ahead of their turn); the waits for
+        // WELCOME and `LogInfo` run from their first request.
+        let awaited = self.wants() == Some(shard);
+        if awaited && !matches!(self.awaited(), Some(Phase::Hello | Phase::Splicing)) {
             self.until = now + self.recv_timeout;
         }
         // The one decode site. `Bytes` fields of the message are slices of
@@ -516,7 +525,7 @@ impl ConsumerState {
             } => {
                 if let Some(s) = self.shards.get_mut(shard as usize) {
                     s.cursor = Some((epoch, seq, index_in_epoch));
-                    let lag = (seq + 1).saturating_sub(s.next_expected);
+                    let lag = seq.saturating_add(1).saturating_sub(s.next_expected);
                     self.cursor_lag.set(lag as f64);
                 }
             }
@@ -676,7 +685,10 @@ impl ConsumerState {
     }
 
     fn ingest(&mut self, shard: usize, a: BatchAnnounce) -> Result<()> {
-        self.shards[shard].next_expected = a.seq + 1;
+        let Some(next) = a.seq.checked_add(1) else {
+            return Err(TsError::Wire("a batch announced at seq u64::MAX".into()));
+        };
+        self.shards[shard].next_expected = next;
         self.interleave.advance(shard, a.last_in_epoch);
         let batch = |sub_index, fields, labels| ConsumerBatch {
             epoch: a.epoch,
@@ -721,10 +733,10 @@ impl ConsumerState {
 
     fn unpack_segments(&self, segs: &[TensorPayload]) -> Result<Tensor> {
         let tensors: Result<Vec<Tensor>> = segs.iter().map(|p| self.unpack(p)).collect();
-        let tensors = tensors?;
+        let mut tensors = tensors?;
         match tensors.len() {
             0 => Err(TsError::Wire("empty segment list".into())),
-            1 => Ok(tensors.into_iter().next().expect("len 1")),
+            1 => Ok(tensors.swap_remove(0)),
             // A wrapped (repeating) batch: materialize the concatenation.
             _ => Ok(collate::cat0(&tensors)?),
         }

@@ -347,11 +347,11 @@ fn hello_is_said_again_until_the_welcome_and_gives_up_at_the_handshake_timeout()
     assert_eq!(rig.state.take_error(), Some(late));
     // A socket that closes instead is the producer going away.
     let mut rig = Rig::new(opts());
-    rig.step(Event::Closed);
+    rig.step(Event::Closed { shard: 0 });
     let gone = TsError::Socket("producer disconnected".into());
     assert_eq!(rig.state.take_error(), Some(gone));
     let mut rig = Rig::attached(opts(), 1, PayloadMode::Shm);
-    rig.step(Event::Closed);
+    rig.step(Event::Closed { shard: 0 });
     assert_eq!(rig.state.stopped, Some(StopReason::ProducerGone));
 }
 
@@ -533,6 +533,50 @@ fn detached_ends_the_stream_with_its_error() {
 }
 
 #[test]
+fn positions_at_the_end_of_u64_are_a_protocol_error_not_a_panic() {
+    // A cursor at u64::MAX is state: it must not overflow the lag gauge.
+    let mut rig = Rig::attached(opts(), 1, PayloadMode::Stream);
+    let cursor = DataMsg::Cursor {
+        shard: 0,
+        epoch: u64::MAX,
+        seq: u64::MAX,
+        index_in_epoch: u64::MAX,
+    };
+    rig.frame(0, cursor);
+    assert_eq!(rig.state.stopped, None);
+    // A producer that admits at the last seq and announces it: there is
+    // no next seq to expect, and nothing may overflow on the way there.
+    let mut rig = Rig::new(opts());
+    rig.negotiate(welcome(1, false), PayloadMode::Stream);
+    rig.admit(0, 0, u64::MAX);
+    let mut last = streamed(0);
+    if let DataMsg::Batch(a) = &mut last {
+        (a.seq, a.index_in_epoch) = (u64::MAX, u64::MAX);
+    }
+    rig.frame(0, last);
+    assert_eq!(rig.state.stopped, Some(StopReason::Protocol));
+    let overflow = TsError::Wire("a batch announced at seq u64::MAX".into());
+    assert_eq!(rig.state.take_error(), Some(overflow));
+    // ... and one that closes epoch u64::MAX: delivered, with no next
+    // epoch to move the merge cursor to.
+    let mut rig = Rig::new(opts());
+    rig.negotiate(welcome(1, false), PayloadMode::Stream);
+    let decision = JoinDecision::AdmitReplay {
+        epoch: u64::MAX,
+        replay_from: 0,
+        num_batches: 1,
+        start_seq: 0,
+    };
+    rig.frame(0, join_reply(decision));
+    let mut last = streamed(0);
+    if let DataMsg::Batch(a) = &mut last {
+        (a.epoch, a.index_in_epoch, a.last_in_epoch) = (u64::MAX, 0, true);
+    }
+    rig.frame(0, last);
+    assert_eq!(rig.take_all(), [(0, 0, 0)]);
+}
+
+#[test]
 fn a_starved_consumer_times_out_from_when_the_trainer_came_back() {
     let mut rig = Rig::attached(opts(), 1, PayloadMode::Shm);
     rig.frame(0, streamed(0));
@@ -587,6 +631,39 @@ fn shards_arriving_out_of_shard_order_deliver_in_epoch_index_shard_order() {
     assert_eq!((rig.state.wants(), rig.state.stopped), (Some(0), None));
     rig.frame(0, DataMsg::End);
     assert_eq!(rig.state.stopped, Some(StopReason::End));
+}
+
+#[test]
+fn any_shard_can_end_the_stream_while_another_is_awaited() {
+    // The shell waits on every link at once: shard 0 is awaited and silent,
+    // and what shard 1 says reaches the state all the same. A `Detached`
+    // ends the stream at once...
+    let mut rig = Rig::attached(opts(), 2, PayloadMode::Shm);
+    assert_eq!(rig.state.wants(), Some(0));
+    rig.frame(1, DataMsg::Detached { consumer_id: ID });
+    assert_eq!(rig.state.stopped, Some(StopReason::Detached));
+    assert_eq!(rig.state.take_error(), Some(TsError::Detached));
+    // ... and so does shard 1's socket closing under it,
+    let mut rig = Rig::attached(opts(), 2, PayloadMode::Shm);
+    rig.step(Event::Closed { shard: 1 });
+    assert_eq!(rig.state.stopped, Some(StopReason::ProducerGone));
+    // unless shard 1 ended first: all it sent was read before the close.
+    let mut rig = Rig::attached(opts(), 2, PayloadMode::Shm);
+    rig.frame(1, DataMsg::End);
+    rig.step(Event::Closed { shard: 1 });
+    assert_eq!((rig.state.wants(), rig.state.stopped), (Some(0), None));
+    // What shard 1 says does not stand in for shard 0's silence.
+    rig.now += 20 * SEC;
+    let cursor = DataMsg::Cursor {
+        shard: 1,
+        epoch: 0,
+        seq: 0,
+        index_in_epoch: 0,
+    };
+    rig.frame(1, cursor);
+    rig.tick_after(10 * SEC);
+    let starved = TsError::Timeout("batch from producer");
+    assert_eq!(rig.state.take_error(), Some(starved));
 }
 
 #[test]

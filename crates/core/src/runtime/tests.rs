@@ -883,6 +883,144 @@ fn a_surviving_shard_keeps_getting_beats_after_the_other_shards_producer_is_gone
 }
 
 #[test]
+fn a_detach_or_a_close_on_shard_1_ends_a_wait_on_idle_shard_0_at_once() {
+    use crate::protocol::messages::{topics, CtrlMsg, DataMsg};
+    use ts_socket::{EndpointMap, Multipart, PubSocket, PullSocket};
+
+    let ctx = TsContext::host_only();
+    let ipc = |tag| {
+        let name = format!("ts-wait-any-{}-{tag}.sock", std::process::id());
+        format!("ipc://{}", std::env::temp_dir().join(name).display())
+    };
+    let cases = [
+        ("inproc://wait-any-detach".to_string(), true),
+        ("inproc://wait-any-close".to_string(), false),
+        (ipc("detach"), true),
+        (ipc("close"), false),
+    ];
+    for (ep, detach) in cases {
+        let map = EndpointMap::new(&ep, 2);
+        let bind = |shard| {
+            let publisher = PubSocket::bind(&ctx.sockets, &map.data(shard)).unwrap();
+            let ctrl = PullSocket::bind(&ctx.sockets, &map.ctrl(shard)).unwrap();
+            (publisher, ctrl)
+        };
+        let shards = [bind(0), bind(1)];
+        let (done, finished) = std::sync::mpsc::channel::<()>();
+        // Two fake shards admit the consumer. Then shard 0 — whose batch is
+        // next — stays up and silent, and shard 1 detaches the consumer or
+        // crashes.
+        let fake = std::thread::spawn(move || {
+            let [(pub0, ctrl0), (pub1, ctrl1)] = shards;
+            let mut ready = [None; 2];
+            while ready.contains(&None) {
+                for (shard, (publisher, ctrl)) in
+                    [(&pub0, &ctrl0), (&pub1, &ctrl1)].iter().enumerate()
+                {
+                    let Ok(msg) = ctrl.recv_timeout(Duration::from_millis(5)) else {
+                        continue;
+                    };
+                    match CtrlMsg::decode(&msg.frames()[0]).unwrap() {
+                        CtrlMsg::Hello { token, .. } => fake_welcome(publisher, token, 2),
+                        CtrlMsg::Join { consumer_id, .. } => fake_admit(publisher, consumer_id),
+                        CtrlMsg::Ready { consumer_id } => ready[shard] = Some(consumer_id),
+                        _ => {}
+                    }
+                }
+            }
+            // Let the consumer fall asleep waiting for shard 0.
+            std::thread::sleep(Duration::from_millis(100));
+            match (detach, ready[1]) {
+                (true, Some(consumer_id)) => {
+                    let detached = DataMsg::Detached { consumer_id }.encode();
+                    let topic = topics::consumer(consumer_id);
+                    pub1.send(&topic, Multipart::single(detached)).unwrap();
+                    let _ = finished.recv();
+                }
+                _ => {
+                    drop((pub1, ctrl1));
+                    let _ = finished.recv();
+                }
+            }
+            drop((pub0, ctrl0));
+        });
+        let mut c = consumer(&ctx)
+            .recv_timeout(Duration::from_secs(30))
+            .connect(&ep)
+            .unwrap();
+        let started = std::time::Instant::now();
+        let err = c.next().expect("an error, not the end").unwrap_err();
+        let took = started.elapsed();
+        done.send(()).unwrap();
+        fake.join().unwrap();
+        // The receive timeout is 30 s: a close found at a tick would take it.
+        assert!(took < Duration::from_secs(5), "{ep}: {took:?}");
+        let (reason, error) = match detach {
+            true => (StopReason::Detached, TsError::Detached),
+            false => (
+                StopReason::ProducerGone,
+                TsError::Socket("producer disconnected".into()),
+            ),
+        };
+        assert_eq!((c.stop_reason(), err), (Some(reason), error), "{ep}");
+    }
+}
+
+#[test]
+fn a_welcome_with_an_absurd_shard_count_or_a_malformed_override_is_refused() {
+    use crate::protocol::messages::{caps, topics, CtrlMsg, DataMsg, WelcomeInfo, WIRE_VERSION};
+    use ts_socket::{EndpointMap, Multipart, PubSocket, PullSocket};
+
+    let ctx = TsContext::host_only();
+    let cases = [
+        (u32::MAX, Vec::new()),
+        (2, vec![(1, "tcp://no-port".to_string())]),
+    ];
+    for (i, (shards, endpoint_overrides)) in cases.into_iter().enumerate() {
+        let ep = format!("inproc://hostile-welcome-{i}");
+        let map = EndpointMap::new(&ep, 1);
+        let publisher = PubSocket::bind(&ctx.sockets, &map.data(0)).unwrap();
+        let ctrl = PullSocket::bind(&ctx.sockets, &map.ctrl(0)).unwrap();
+        let info = WelcomeInfo {
+            version: WIRE_VERSION,
+            shards,
+            batch_size: 4,
+            flex_producer_batch: 0,
+            staging: 0,
+            arena: None,
+            endpoint_overrides,
+            payload_modes: caps::SHM,
+            log: None,
+        };
+        // Shard 0 answers every HELLO with the WELCOME until the consumer
+        // gave up.
+        let (done, finished) = std::sync::mpsc::channel::<()>();
+        let fake = std::thread::spawn(move || {
+            while finished.try_recv().is_err() {
+                let Ok(msg) = ctrl.recv_timeout(Duration::from_millis(5)) else {
+                    continue;
+                };
+                if let Ok(CtrlMsg::Hello { token, .. }) = CtrlMsg::decode(&msg.frames()[0]) {
+                    let welcome = DataMsg::Welcome {
+                        token,
+                        info: info.clone(),
+                    };
+                    let frame = Multipart::single(welcome.encode());
+                    publisher.send(&topics::hello(token), frame).unwrap();
+                }
+            }
+        });
+        let refused = consumer(&ctx).connect(&ep).map(|_| ()).unwrap_err();
+        done.send(()).unwrap();
+        match i {
+            0 => assert!(matches!(refused, TsError::Wire(_)), "{refused:?}"),
+            _ => assert!(matches!(refused, TsError::Endpoint(_)), "{refused:?}"),
+        }
+        fake.join().unwrap();
+    }
+}
+
+#[test]
 fn producer_without_consumers_times_out() {
     let ctx = TsContext::host_only();
     let ep = "inproc://t12";

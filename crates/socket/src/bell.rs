@@ -1,5 +1,8 @@
 //! The doorbell of a [`crate::PullSocket`]: how anything that is not one of
-//! its connections wakes the thread that waits on it.
+//! its connections wakes the thread that waits on it. (An in-process
+//! [`crate::SubSocket`] has one too, rung by its publisher, for
+//! [`crate::SubSocket::wait`]; over a stream the connection is what wakes
+//! the waiter.)
 //!
 //! The owner of a pull socket blocks in one place,
 //! [`crate::PullSocket::wait`]. Its pushers wake it by sending; whoever
@@ -124,6 +127,16 @@ impl Bell {
             let mut sink = [0u8; 64];
             while matches!((&*rx).read(&mut sink), Ok(n) if n == sink.len()) {}
         }
+    }
+}
+
+/// [`Bell::sleep`] on every one of `bells` at once: `block` runs unless one
+/// of them was rung since its last sleep, and must return when the thread
+/// is unparked (bells for owners that park).
+pub(crate) fn sleep_all(bells: &[&Bell], block: &mut dyn FnMut()) {
+    match bells.split_first() {
+        None => block(),
+        Some((first, rest)) => first.sleep(|| sleep_all(rest, block)),
     }
 }
 

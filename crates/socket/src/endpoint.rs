@@ -18,6 +18,9 @@ pub(crate) struct SubEntry {
     pub(crate) id: u64,
     pub(crate) prefixes: SharedPrefixes,
     pub(crate) tx: Sender<(Bytes, Multipart)>,
+    /// Rung after each delivery; the subscriber parks on it in
+    /// `SubSocket::wait`.
+    pub(crate) bell: crate::Bell,
 }
 
 impl SubEntry {
@@ -342,6 +345,7 @@ mod tests {
             id: 0,
             prefixes: Arc::new(Mutex::new(vec![b"batch".to_vec()])),
             tx,
+            bell: crate::Bell::for_thread(),
         };
         assert!(e.matches(b"batch/17"));
         assert!(!e.matches(b"ctrl/17"));

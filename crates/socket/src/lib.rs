@@ -57,9 +57,12 @@
 //!   — the handle other threads ring to wake the owner for something that
 //!   is not a message. A puller's high-water mark is therefore the
 //!   kernel's socket buffer plus the pushers' own queues.
-//! * [`SubSocket`]: a reader thread per subscriber decodes into its bounded
-//!   queue, overlapping a streamed batch's kernel-to-user copy with
-//!   whatever the subscriber's thread is doing.
+//! * [`SubSocket`]: **its owner** reads the connection too. A connector
+//!   thread connects and exits; `subscribe` reads its own acknowledgement,
+//!   and [`SubSocket::wait`] is one `poll` over the connections of several
+//!   subscribers (a consumer's shard links), so a message on any of them
+//!   wakes the one thread that will use it. A frame of 64 KiB or more is
+//!   read by the kernel straight into the buffer it keeps.
 
 pub mod bell;
 pub mod coalesce;

@@ -4,15 +4,16 @@
 //! in-process broker; `ipc://` and `tcp://` run over real sockets with the
 //! same semantics (see [`crate::transport`]).
 
+use crate::bell::{self, Bell};
 use crate::endpoint::{BrokerEntry, Context, PubSubEndpoint, SubEntry};
 use crate::error::{RecvError, SendError};
 use crate::frame::Multipart;
 use crate::transport::pubsub::{StreamPub, StreamSub};
-use crate::transport::{EndpointAddr, TransportStats};
+use crate::transport::{EndpointAddr, TransportStats, POLL_EVERY};
 use bytes::Bytes;
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, TryRecvError, TrySendError};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Weak};
+use std::time::{Duration, Instant};
 
 /// What a publisher does when a subscriber queue hits its high-water mark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,16 +55,20 @@ impl BrokerPub {
                 continue;
             }
             let item = (topic_bytes.clone(), msg.clone());
-            match self.policy {
-                SendPolicy::Block => match sub.tx.send(item) {
-                    Ok(()) => delivered += 1,
-                    Err(_) => dead.push(sub.id),
-                },
-                SendPolicy::DropNewest => match sub.tx.try_send(item) {
-                    Ok(()) => delivered += 1,
-                    Err(TrySendError::Full(_)) => {}
-                    Err(TrySendError::Disconnected(_)) => dead.push(sub.id),
-                },
+            let sent = match self.policy {
+                SendPolicy::Block => sub
+                    .tx
+                    .send(item)
+                    .map_err(|e| TrySendError::Disconnected(e.0)),
+                SendPolicy::DropNewest => sub.tx.try_send(item),
+            };
+            match sent {
+                Ok(()) => {
+                    delivered += 1;
+                    sub.bell.ring();
+                }
+                Err(TrySendError::Full(_)) => {}
+                Err(TrySendError::Disconnected(_)) => dead.push(sub.id),
             }
         }
         if !dead.is_empty() {
@@ -87,8 +92,14 @@ impl BrokerPub {
 impl Drop for BrokerPub {
     fn drop(&mut self) {
         // Removing the endpoint drops all subscriber senders: subscribers
-        // drain whatever is queued and then observe `Closed`.
-        self.ctx.broker.endpoints.lock().remove(&self.name);
+        // drain whatever is queued and then observe `Closed`. Their bells
+        // ring once that is so, for a `SubSocket::wait` asleep on them.
+        let removed = self.ctx.broker.endpoints.lock().remove(&self.name);
+        if let Some(BrokerEntry::PubSub(ps)) = removed {
+            let bells: Vec<Bell> = ps.subs.iter().map(|s| s.bell.clone()).collect();
+            drop(ps);
+            bells.iter().for_each(Bell::ring);
+        }
     }
 }
 
@@ -214,6 +225,31 @@ struct BrokerSub {
     id: u64,
     prefixes: crate::endpoint::SharedPrefixes,
     rx: Receiver<(Bytes, Multipart)>,
+    /// The broker's entry, which holds the queue's only sender: once it is
+    /// gone the queue is closed.
+    entry: Weak<SubEntry>,
+    /// Rung by the publisher after each delivery and when it goes away.
+    bell: Bell,
+}
+
+impl BrokerSub {
+    /// A message is queued, or the queue is closed.
+    fn has_next(&self) -> bool {
+        !self.rx.is_empty() || self.entry.strong_count() == 0
+    }
+
+    /// One park for at most `timeout` that any of `subs`' publishers
+    /// interrupts; none if one of them has something already.
+    fn park_all(subs: &[&BrokerSub], timeout: Duration) {
+        let bells: Vec<&Bell> = subs.iter().map(|s| &s.bell).collect();
+        bell::sleep_all(&bells, &mut || {
+            // Level-triggered, like `poll`: a message left in a queue by an
+            // earlier wake-up rings nothing again.
+            if !subs.iter().any(|s| s.has_next()) {
+                std::thread::park_timeout(timeout);
+            }
+        });
+    }
 }
 
 impl Drop for BrokerSub {
@@ -259,7 +295,7 @@ impl SubSocket {
             EndpointAddr::parse(name).unwrap_or_else(|e| panic!("invalid endpoint {name}: {e}"));
         if !addr.is_inproc() {
             return Self {
-                inner: SubInner::Stream(StreamSub::connect(addr, name, ctx.broker.default_hwm)),
+                inner: SubInner::Stream(StreamSub::connect(addr, name)),
             };
         }
         let mut eps = ctx.broker.endpoints.lock();
@@ -279,11 +315,15 @@ impl SubSocket {
         ps.next_sub_id += 1;
         let prefixes: crate::endpoint::SharedPrefixes =
             Arc::new(parking_lot::Mutex::new(Vec::new()));
-        ps.subs.push(Arc::new(SubEntry {
+        let bell = Bell::for_thread();
+        let entry = Arc::new(SubEntry {
             id,
             prefixes: prefixes.clone(),
             tx,
-        }));
+            bell: bell.clone(),
+        });
+        let weak = Arc::downgrade(&entry);
+        ps.subs.push(entry);
         drop(eps);
         Self {
             inner: SubInner::Broker(BrokerSub {
@@ -292,6 +332,8 @@ impl SubSocket {
                 id,
                 prefixes,
                 rx,
+                entry: weak,
+                bell,
             }),
         }
     }
@@ -322,6 +364,63 @@ impl SubSocket {
         }
     }
 
+    /// Sleeps until one of `subs` has a message to hand out or has closed,
+    /// or until `timeout` has passed, and returns the index of the first
+    /// such socket — at once if one already is; `None` once the timeout
+    /// passed with none. [`SubSocket::try_recv`] on the socket it names
+    /// answers without waiting: the message, or `Closed`.
+    ///
+    /// This is the one blocking call of an owner that listens to several
+    /// publishers (a consumer of a sharded producer: one subscriber per
+    /// shard). Over `ipc://`/`tcp://` it is one `poll` across the
+    /// connections of every subscriber given, each connection that turned
+    /// readable read once; over `inproc://` one park, which a publisher's
+    /// `send` to any of them — or its going away — interrupts. A set that
+    /// mixes the two looks at its in-process subscribers at least every few
+    /// milliseconds.
+    pub fn wait(subs: &[&SubSocket], timeout: Duration) -> Option<usize> {
+        let deadline = Instant::now() + timeout;
+        let streams: Vec<&StreamSub> = (subs.iter())
+            .filter_map(|s| match &s.inner {
+                SubInner::Stream(s) => Some(s),
+                SubInner::Broker(_) => None,
+            })
+            .collect();
+        let brokers: Vec<&BrokerSub> = (subs.iter())
+            .filter_map(|s| match &s.inner {
+                SubInner::Broker(b) => Some(b),
+                SubInner::Stream(_) => None,
+            })
+            .collect();
+        let mut looked = false;
+        loop {
+            if let Some(i) = subs.iter().position(|s| s.has_next()) {
+                return Some(i);
+            }
+            // Looks at every connection at least once, whatever the
+            // timeout; half a message ends a look early, not the wait.
+            let left = deadline.saturating_duration_since(Instant::now());
+            if looked && left.is_zero() {
+                return None;
+            }
+            looked = true;
+            match (streams.is_empty(), brokers.is_empty()) {
+                (true, false) => BrokerSub::park_all(&brokers, left),
+                (_, true) => StreamSub::sweep_all(&streams, left),
+                // A ring does not interrupt a `poll`.
+                (false, false) => StreamSub::sweep_all(&streams, left.min(POLL_EVERY)),
+            }
+        }
+    }
+
+    /// A message can be taken, or the socket is closed.
+    fn has_next(&self) -> bool {
+        match &self.inner {
+            SubInner::Broker(b) => b.has_next(),
+            SubInner::Stream(s) => s.has_next(),
+        }
+    }
+
     /// Receives the next matching message, waiting up to `timeout`.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<(Bytes, Multipart), RecvError> {
         match &self.inner {
@@ -346,7 +445,9 @@ impl SubSocket {
         }
     }
 
-    /// Messages currently queued for this subscriber.
+    /// Messages received and not yet taken. Over `ipc://`/`tcp://` that is
+    /// what the owner has read off its connection; more may sit in the
+    /// kernel's socket buffer.
     pub fn queued(&self) -> usize {
         match &self.inner {
             SubInner::Broker(b) => b.rx.len(),

@@ -34,12 +34,17 @@
 //!   thread, no reader thread and no fan-in queue. What a puller has not
 //!   read stays in the kernel's socket buffer, and behind that in the
 //!   pushers' own queues: that is its high-water mark.
-//! * *SUB*: a **reader thread** per subscriber (`ts-sub-conn`) decodes
-//!   into the subscriber's bounded queue. Kept on purpose: it is what
-//!   overlaps a streamed frame's kernel-to-user copy with the consumer's
-//!   training step.
+//! * *SUB*: the **owner** reads its connection too —
+//!   [`crate::SubSocket::wait`] is one `poll` over the connections of
+//!   every subscriber it is given. `ts-sub-conn` only connects, registers
+//!   the prefixes recorded so far and exits; `subscribe` reads its own
+//!   `SUBACK`. A frame body of 64 KiB or more is read by the kernel
+//!   straight into the buffer the frame keeps.
 //! * *PUB, subscriptions*: a reader thread per peer (`ts-pub-reader`)
-//!   applies `SUB`/`UNSUB` and acknowledges; `ts-pub-accept` sleeps in
+//!   applies `SUB`/`UNSUB` and acknowledges. It sleeps in `poll` for
+//!   input, never in `read`: a blocking `read` is also woken each time
+//!   the subscriber drains bytes (the kernel signals write space on the
+//!   same wait queue), which `poll` filters out. `ts-pub-accept` sleeps in
 //!   `poll` until a subscriber connects.
 //!
 //! A publisher's `ipc://` connections ask the kernel for a send buffer
@@ -163,6 +168,7 @@ mod sys {
             len: u32,
         ) -> c_int;
         pub fn send(fd: c_int, buf: *const c_void, len: usize, flags: c_int) -> isize;
+        pub fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
         pub fn ppoll(
             fds: *mut PollFd,
             nfds: c_ulong,
@@ -176,9 +182,12 @@ mod sys {
 /// everywhere, so nothing is sent inline there ([`AnyStream::send_nowait`]).
 #[cfg(not(target_os = "linux"))]
 mod sys {
-    use std::os::raw::{c_int, c_short, c_uint};
+    use std::os::raw::{c_int, c_short, c_uint, c_void};
 
     pub const POLLIN: c_short = 0x001;
+    /// No flag: a read here follows a `poll` that reported the connection
+    /// readable, or is on a descriptor that is non-blocking itself.
+    pub const MSG_DONTWAIT: c_int = 0;
 
     #[repr(C)]
     pub struct PollFd {
@@ -189,6 +198,7 @@ mod sys {
 
     extern "C" {
         pub fn poll(fds: *mut PollFd, nfds: c_uint, timeout_ms: c_int) -> c_int;
+        pub fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
     }
 }
 
@@ -674,15 +684,48 @@ impl AnyStream {
     }
 }
 
-/// Plain `read`s, for a [`wire::Decoder`] over a non-blocking connection
-/// (it reads into memory that is already initialised, so the concern of
-/// [`AnyStream::into_reader`] does not arise).
+impl AnyStream {
+    /// One `recv` of at most `len` bytes into `buf` that never waits
+    /// (`MSG_DONTWAIT` per call, like [`AnyStream::send_nowait`]; see the
+    /// non-Linux `sys` for the rest): `Err(WouldBlock)` when nothing is
+    /// there, `Ok(0)` at end of stream.
+    ///
+    /// # Safety
+    /// `buf` must be valid for writes of `len` bytes; they need not be
+    /// initialised.
+    unsafe fn recv_raw(&self, buf: *mut u8, len: usize) -> io::Result<usize> {
+        // Safety: the descriptor stays open for the call (`self` holds it)
+        // and the caller vouches for `buf`.
+        match unsafe { sys::recv(self.fd(), buf.cast(), len, sys::MSG_DONTWAIT) } {
+            -1 => Err(io::Error::last_os_error()),
+            n => Ok(n as usize),
+        }
+    }
+}
+
+/// Reads that never wait, for a [`wire::Decoder`]: over a puller's
+/// non-blocking connection, or a subscriber's after `poll` said it is
+/// readable.
 impl io::Read for AnyStream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            AnyStream::Tcp(s) => s.read(buf),
-            AnyStream::Unix(s) => s.read(buf),
-        }
+        // Safety: `buf` is `buf.len()` writable bytes.
+        unsafe { self.recv_raw(buf.as_mut_ptr(), buf.len()) }
+    }
+}
+
+impl wire::Source for AnyStream {
+    /// The kernel writes straight into `into`'s spare capacity: a large
+    /// frame body is copied once, and its buffer is never zero-filled.
+    fn read_append(&mut self, into: &mut Vec<u8>, max: usize) -> io::Result<usize> {
+        let spare = into.spare_capacity_mut();
+        let len = max.min(spare.len());
+        // Safety: `spare` is `spare.len() >= len` writable bytes of `into`'s
+        // allocation, which `recv` may leave uninitialised past what it
+        // reports.
+        let n = unsafe { self.recv_raw(spare.as_mut_ptr().cast(), len)? };
+        // Safety: `recv` initialised the first `n <= len` spare bytes.
+        unsafe { into.set_len(into.len() + n) };
+        Ok(n)
     }
 }
 

@@ -6,22 +6,37 @@
 //! has a bounded queue (the socket HWM) drained by a dedicated writer
 //! thread for bulk frames and for whatever the kernel would not take at
 //! once, plus a reader thread that processes `SUB`/`UNSUB` control
-//! messages. Prefix filtering happens publisher-side, so only matching
-//! topics cross the wire. Subscribes are acknowledged (`SUBACK`) so a
-//! subscriber can order a subscription strictly before its next
+//! messages — asleep in `poll` for input, so the frames the subscriber
+//! drains do not wake it. Prefix filtering happens publisher-side, so only
+//! matching topics cross the wire. Subscribes are acknowledged (`SUBACK`)
+//! so a subscriber can order a subscription strictly before its next
 //! control-plane message.
+//!
+//! The subscriber reads its connection **on the thread that receives**,
+//! as a puller does: a connector thread (`ts-sub-conn`) connects,
+//! registers the prefixes recorded so far and exits; from then on every
+//! read happens inside `subscribe` (which reads its own `SUBACK`, queueing
+//! the data that comes first), `recv_timeout`, `try_recv` or a
+//! [`crate::SubSocket::wait`] over several subscribers. Messages are
+//! assembled by a [`wire::Decoder`], so a publisher that stalls halfway
+//! through one costs a receiver its timeout and nothing more, and a large
+//! frame is read by the kernel straight into the buffer it keeps. What the
+//! owner has not read waits in the kernel's socket buffer and, behind
+//! that, in the publisher's queue for this subscriber.
 
 use crate::error::{RecvError, SendError};
 use crate::frame::Multipart;
 use crate::pubsub::SendPolicy;
 use crate::transport::{
     check_frames, linger, poll_readable, AnyListener, AnyStream, EndpointAddr, Outbox, PollFd,
-    Queued, TransportCounters, TransportStats, CONNECT_RETRY_FOR, WRITER_IDLE_TICK,
+    Queued, TransportCounters, TransportStats, CONNECT_RETRY_FOR, POLL_EVERY, WRITER_IDLE_TICK,
 };
 use crate::wire;
 use bytes::Bytes;
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
-use std::io::BufReader;
+use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TrySendError};
+use std::collections::VecDeque;
+use std::io::{self, BufReader};
+use std::ops::DerefMut;
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -284,8 +299,34 @@ fn peer_writer(rx: Receiver<Queued>, peer: Arc<Peer>) {
     while rx.try_recv().is_ok() {}
 }
 
+/// Reads that sleep in `poll` for input rather than in `read`. A thread
+/// blocked in `read` on a stream socket sleeps on the socket's wait queue,
+/// which the kernel also wakes each time the peer drains bytes this side
+/// sent (write space) — once per frame a subscriber takes. `poll` asks for
+/// `POLLIN` alone and is not woken for that.
+struct PollFirst {
+    poll: PollFd,
+    stream: Box<dyn std::io::Read + Send>,
+}
+
+impl std::io::Read for PollFirst {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.poll.revents = 0;
+        // An interrupted poll reports nothing ready: poll again. A shut
+        // down or failed connection reports ready, and `read` says which.
+        while !self.poll.is_ready() {
+            poll_readable(std::slice::from_mut(&mut self.poll), None)?;
+        }
+        self.stream.read(buf)
+    }
+}
+
 fn peer_reader(read_half: AnyStream, peer: Arc<Peer>, shared: Arc<PubShared>) {
-    let mut reader = BufReader::new(read_half.into_reader());
+    // `BufReader` reads its inner reader only when its buffer cannot serve
+    // the call: every such read waits in `poll` first.
+    let poll = read_half.poll_fd();
+    let stream = read_half.into_reader();
+    let mut reader = BufReader::new(PollFirst { poll, stream });
     while peer.alive.load(Ordering::SeqCst) && !shared.stop.load(Ordering::SeqCst) {
         let msg = match wire::read_message(&mut reader) {
             Ok(m) => m,
@@ -325,18 +366,21 @@ fn peer_reader(read_half: AnyStream, peer: Arc<Peer>, shared: Arc<PubShared>) {
 // subscriber side
 // ---------------------------------------------------------------------------
 
+/// What the connector hands over, and what `SUB`/`UNSUB` are written with.
 struct SubState {
     /// Write half once connected.
     writer: Option<AnyStream>,
+    /// Read half once connected, until the owner takes it into its
+    /// [`Inbox`].
+    reader: Option<AnyStream>,
     /// Locally recorded prefixes (flushed on connect).
     prefixes: Vec<Vec<u8>>,
-    /// Highest `SUBACK` request id seen.
-    acked: u64,
     /// Highest request id of the connector's connect-time prefix flush;
     /// a subscribe that recorded its prefix pre-connection waits for this
     /// instead of re-sending (re-sending would register a duplicate).
     flushed_req: u64,
-    /// True after the connector gave up (never connected).
+    /// True once there is no connection to wait for: the connector gave
+    /// up, or the connection ended.
     failed: bool,
 }
 
@@ -347,22 +391,37 @@ struct SubShared {
     next_req: AtomicU64,
 }
 
+/// The subscriber's end of its connection, read by whichever thread
+/// receives.
+struct Inbox {
+    /// `None` until taken over from the connector.
+    conn: Option<AnyStream>,
+    decoder: wire::Decoder,
+    /// Data messages decoded and not yet taken.
+    ready: VecDeque<(Bytes, Multipart)>,
+    /// Highest `SUBACK` request id read.
+    acked: u64,
+    /// Nothing more will come: end of stream, an error, malformed framing,
+    /// or a connector that never got through.
+    closed: bool,
+}
+
 /// The stream-transport subscribing side.
 pub(crate) struct StreamSub {
     shared: Arc<SubShared>,
-    rx: Receiver<(Bytes, Multipart)>,
+    /// One receiving thread at a time; held across the `poll`.
+    inbox: parking_lot::Mutex<Inbox>,
     endpoint: String,
 }
 
 impl StreamSub {
-    pub(crate) fn connect(addr: EndpointAddr, endpoint: &str, hwm: usize) -> StreamSub {
-        let (tx, rx) = channel::bounded(hwm);
+    pub(crate) fn connect(addr: EndpointAddr, endpoint: &str) -> StreamSub {
         let shared = Arc::new(SubShared {
             stop: AtomicBool::new(false),
             state: Mutex::new(SubState {
                 writer: None,
+                reader: None,
                 prefixes: Vec::new(),
-                acked: 0,
                 flushed_req: 0,
                 failed: false,
             }),
@@ -372,11 +431,17 @@ impl StreamSub {
         let conn_shared = shared.clone();
         std::thread::Builder::new()
             .name("ts-sub-conn".into())
-            .spawn(move || sub_connection(addr, conn_shared, tx))
+            .spawn(move || sub_connector(addr, conn_shared))
             .expect("spawn subscriber connector");
         StreamSub {
             shared,
-            rx,
+            inbox: parking_lot::Mutex::new(Inbox {
+                conn: None,
+                decoder: wire::Decoder::new(),
+                ready: VecDeque::new(),
+                acked: 0,
+                closed: false,
+            }),
             endpoint: endpoint.to_string(),
         }
     }
@@ -387,56 +452,49 @@ impl StreamSub {
 
     /// Registers a prefix. Blocks (bounded) until the publisher has
     /// acknowledged it, so anything sent on another connection *after*
-    /// this returns cannot race ahead of the subscription.
+    /// this returns cannot race ahead of the subscription. The `SUBACK` is
+    /// read here; data messages that arrive before it are queued, in order.
     pub(crate) fn subscribe(&self, prefix: &[u8]) {
         let deadline = Instant::now() + SUBSCRIBE_ACK_TIMEOUT;
+        let Some(req) = self.request(prefix, deadline) else {
+            return;
+        };
+        let mut inbox = self.inbox.lock();
+        while inbox.acked < req && !inbox.closed && !self.shared.stop.load(Ordering::SeqCst) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return;
+            }
+            look(&mut [(&mut *inbox, &*self.shared)], left);
+        }
+    }
+
+    /// Records `prefix` and has it registered — by the connector's
+    /// connect-time flush while there is no connection, by a `SUB` written
+    /// here once there is — and returns the request id its `SUBACK` will
+    /// carry; `None` when there is nothing to wait for.
+    fn request(&self, prefix: &[u8], deadline: Instant) -> Option<u64> {
         let mut state = self.shared.state.lock().expect("sub state");
         state.prefixes.push(prefix.to_vec());
-        // Whether the connector will register this prefix for us in its
-        // connect-time flush (it flushes everything recorded while the
-        // connection did not exist yet).
         let flushed_by_connector = state.writer.is_none();
-        // Wait for the connection (the connector flushes recorded
-        // prefixes itself on connect, which covers us if we time out
-        // here).
+        // The connector flushes recorded prefixes itself on connect, which
+        // covers us if we time out here.
         while state.writer.is_none() && !state.failed {
             let now = Instant::now();
             if now >= deadline || self.shared.stop.load(Ordering::SeqCst) {
-                return;
+                return None;
             }
-            let (guard, _) = self
-                .shared
-                .cond
-                .wait_timeout(state, deadline - now)
-                .expect("sub state");
-            state = guard;
+            let waited = self.shared.cond.wait_timeout(state, deadline - now);
+            state = waited.expect("sub state").0;
         }
-        if state.failed {
-            return;
+        if flushed_by_connector {
+            return (!state.failed).then_some(state.flushed_req);
         }
-        let req = if flushed_by_connector {
-            // The connector already sent our prefix; just await its ack.
-            state.flushed_req
-        } else {
-            let req = self.shared.next_req.fetch_add(1, Ordering::SeqCst);
-            let writer = state.writer.as_mut().expect("connected");
-            if wire::write_message(writer, wire::KIND_SUB, &[prefix, &req.to_le_bytes()]).is_err() {
-                return;
-            }
-            req
-        };
-        while state.acked < req {
-            let now = Instant::now();
-            if now >= deadline || self.shared.stop.load(Ordering::SeqCst) {
-                return;
-            }
-            let (guard, _) = self
-                .shared
-                .cond
-                .wait_timeout(state, deadline - now)
-                .expect("sub state");
-            state = guard;
-        }
+        let req = self.shared.next_req.fetch_add(1, Ordering::SeqCst);
+        let writer = state.writer.as_mut()?;
+        let sub: [&[u8]; 2] = [prefix, &req.to_le_bytes()];
+        wire::write_message(writer, wire::KIND_SUB, &sub).ok()?;
+        Some(req)
     }
 
     pub(crate) fn unsubscribe(&self, prefix: &[u8]) {
@@ -450,99 +508,196 @@ impl StreamSub {
     }
 
     pub(crate) fn recv_timeout(&self, timeout: Duration) -> Result<(Bytes, Multipart), RecvError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(m) => Ok(m),
-            Err(RecvTimeoutError::Timeout) => Err(RecvError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(RecvError::Closed),
+        let deadline = Instant::now() + timeout;
+        let mut inbox = self.inbox.lock();
+        loop {
+            // Looks at the connection at least once, whatever the timeout;
+            // half a message ends a look early, not the wait.
+            let left = deadline.saturating_duration_since(Instant::now());
+            if !inbox.has_next() {
+                look(&mut [(&mut *inbox, &*self.shared)], left);
+            }
+            match inbox.ready.pop_front() {
+                Some(msg) => return Ok(msg),
+                None if inbox.closed => return Err(RecvError::Closed),
+                None if left.is_zero() => return Err(RecvError::Timeout),
+                None => {}
+            }
         }
     }
 
     pub(crate) fn try_recv(&self) -> Result<Option<(Bytes, Multipart)>, RecvError> {
-        match self.rx.try_recv() {
-            Ok(m) => Ok(Some(m)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(RecvError::Closed),
+        let mut inbox = self.inbox.lock();
+        if !inbox.has_next() {
+            look(&mut [(&mut *inbox, &*self.shared)], Duration::ZERO);
+        }
+        match inbox.ready.pop_front() {
+            Some(msg) => Ok(Some(msg)),
+            None if inbox.closed => Err(RecvError::Closed),
+            None => Ok(None),
         }
     }
 
+    /// Messages decoded and not yet taken; what is still in the kernel's
+    /// socket buffer is not counted.
     pub(crate) fn queued(&self) -> usize {
-        self.rx.len()
+        self.inbox.lock().ready.len()
+    }
+
+    /// A message is ready, or the connection is over.
+    pub(crate) fn has_next(&self) -> bool {
+        self.inbox.lock().has_next()
+    }
+
+    /// Unless one of `subs` has something already: one `poll` over all
+    /// their connections for at most `timeout`, and one read of each that
+    /// turned readable.
+    pub(crate) fn sweep_all(subs: &[&StreamSub], timeout: Duration) {
+        let mut inboxes: Vec<_> = subs.iter().map(|s| (s.inbox.lock(), &*s.shared)).collect();
+        if !inboxes.iter().any(|(inbox, _)| inbox.has_next()) {
+            look(&mut inboxes, timeout);
+        }
+    }
+}
+
+/// One `poll` of at most `timeout` over the connections of `inboxes`, then
+/// one read of each that turned readable. An inbox whose connector has not
+/// got through yet is looked at again within [`POLL_EVERY`].
+fn look<I: DerefMut<Target = Inbox>>(inboxes: &mut [(I, &SubShared)], timeout: Duration) {
+    let mut timeout = timeout;
+    let mut fds = Vec::with_capacity(inboxes.len());
+    for (inbox, shared) in inboxes.iter_mut() {
+        match inbox.connected(shared) {
+            Some(conn) => fds.push(conn.poll_fd()),
+            None => {
+                // A negative descriptor is an entry `poll` skips.
+                fds.push(PollFd::readable(-1));
+                timeout = timeout.min(POLL_EVERY);
+            }
+        }
+    }
+    if poll_readable(&mut fds, Some(timeout)).is_err() {
+        // `ENOMEM`, say: nothing is ready that we know of, and the
+        // caller's loop must not spin on it.
+        std::thread::sleep(timeout.min(Duration::from_millis(1)));
+        return;
+    }
+    for ((inbox, shared), fd) in inboxes.iter_mut().zip(&fds) {
+        if fd.is_ready() {
+            inbox.read(shared);
+        }
+    }
+}
+
+impl Inbox {
+    fn has_next(&self) -> bool {
+        !self.ready.is_empty() || self.closed
+    }
+
+    /// The connection, taken over from the connector once it got through.
+    fn connected(&mut self, shared: &SubShared) -> Option<&AnyStream> {
+        if self.conn.is_none() && !self.closed {
+            let mut state = shared.state.lock().expect("sub state");
+            self.conn = state.reader.take();
+            self.closed = self.conn.is_none() && state.failed;
+        }
+        self.conn.as_ref()
+    }
+
+    /// One read and the whole messages it completed; a connection that
+    /// ended, failed or broke the framing closes the inbox.
+    fn read(&mut self, shared: &SubShared) {
+        let Some(conn) = self.conn.as_mut() else {
+            return;
+        };
+        let mut open = match self.decoder.fill(conn) {
+            Ok(n) => n > 0,
+            Err(e) => matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+            ),
+        };
+        while open {
+            match self.decoder.next() {
+                Ok(Some(msg)) => self.take_in(msg),
+                Ok(None) => break,
+                Err(_) => open = false,
+            }
+        }
+        if !open {
+            self.close(shared);
+        }
+    }
+
+    fn take_in(&mut self, msg: wire::WireMessage) {
+        match (msg.kind, &msg.frames[..]) {
+            (wire::KIND_DATA, _) => self.ready.extend(msg.into_topic_and_payload()),
+            (wire::KIND_SUBACK, [req]) => {
+                if let Ok(req) = <[u8; 8]>::try_from(&req[..]) {
+                    self.acked = self.acked.max(u64::from_le_bytes(req));
+                }
+            }
+            _ => {} // unknown control: ignore, stay compatible forward
+        }
+    }
+
+    /// Nothing more is read, and a later `subscribe` does not wait for a
+    /// connection.
+    fn close(&mut self, shared: &SubShared) {
+        self.closed = true;
+        if let Some(conn) = self.conn.take() {
+            conn.shutdown();
+        }
+        let mut state = shared.state.lock().expect("sub state");
+        state.failed = true;
+        if let Some(writer) = state.writer.take() {
+            writer.shutdown();
+        }
+        shared.cond.notify_all();
     }
 }
 
 impl Drop for StreamSub {
     fn drop(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
+        if let Some(conn) = self.inbox.get_mut().conn.take() {
+            conn.shutdown();
+        }
         let mut state = self.shared.state.lock().expect("sub state");
-        if let Some(writer) = state.writer.take() {
-            writer.shutdown();
+        let halves = [state.writer.take(), state.reader.take()];
+        for half in halves.into_iter().flatten() {
+            half.shutdown();
         }
         self.shared.cond.notify_all();
     }
 }
 
-fn sub_connection(addr: EndpointAddr, shared: Arc<SubShared>, tx: Sender<(Bytes, Multipart)>) {
+/// Connects, registers the prefixes recorded so far, hands the connection
+/// over and exits: the subscriber reads it itself.
+fn sub_connector(addr: EndpointAddr, shared: Arc<SubShared>) {
     let give_up = {
         let shared = shared.clone();
         move || shared.stop.load(Ordering::SeqCst)
     };
-    let stream = match AnyStream::connect_retry(&addr, CONNECT_RETRY_FOR, give_up) {
-        Ok(s) => s,
-        Err(_) => {
-            let mut state = shared.state.lock().expect("sub state");
-            state.failed = true;
-            shared.cond.notify_all();
-            return; // tx drops: receiver observes Closed
-        }
-    };
-    let read_half = match stream.try_clone() {
-        Ok(r) => r,
-        Err(_) => return,
-    };
-    // Flush prefixes recorded before the connection existed, then expose
-    // the writer.
-    {
-        let mut state = shared.state.lock().expect("sub state");
-        let mut writer = stream;
-        let mut last_req = 0;
-        for prefix in state.prefixes.clone() {
-            let req = shared.next_req.fetch_add(1, Ordering::SeqCst);
-            let _ =
-                wire::write_message(&mut writer, wire::KIND_SUB, &[&prefix, &req.to_le_bytes()]);
-            last_req = req;
-        }
-        state.flushed_req = last_req;
-        state.writer = Some(writer);
-        shared.cond.notify_all();
-    }
-    let mut reader = BufReader::new(read_half.into_reader());
-    while !shared.stop.load(Ordering::SeqCst) {
-        let msg = match wire::read_message(&mut reader) {
-            Ok(m) => m,
-            Err(_) => break,
-        };
-        match msg.kind {
-            wire::KIND_DATA => {
-                if let Some((topic, payload)) = msg.into_topic_and_payload() {
-                    if tx.send((topic, payload)).is_err() {
-                        break; // subscriber dropped
-                    }
-                }
-            }
-            wire::KIND_SUBACK if msg.frames.len() == 1 && msg.frames[0].len() == 8 => {
-                let req = u64::from_le_bytes(msg.frames[0][..].try_into().expect("8 bytes"));
-                let mut state = shared.state.lock().expect("sub state");
-                state.acked = state.acked.max(req);
-                shared.cond.notify_all();
-            }
-            _ => {}
-        }
-    }
-    // Reader gone: future subscribe calls must not wait forever.
+    let connected = AnyStream::connect_retry(&addr, CONNECT_RETRY_FOR, give_up)
+        .and_then(|stream| Ok((stream.try_clone()?, stream)));
     let mut state = shared.state.lock().expect("sub state");
-    state.failed = true;
-    if let Some(writer) = state.writer.take() {
-        writer.shutdown();
+    match connected {
+        Ok((reader, mut writer)) if !shared.stop.load(Ordering::SeqCst) => {
+            let mut last_req = 0;
+            for prefix in &state.prefixes {
+                let req = shared.next_req.fetch_add(1, Ordering::SeqCst);
+                let sub: [&[u8]; 2] = [prefix, &req.to_le_bytes()];
+                let _ = wire::write_message(&mut writer, wire::KIND_SUB, &sub);
+                last_req = req;
+            }
+            state.flushed_req = last_req;
+            state.writer = Some(writer);
+            state.reader = Some(reader);
+        }
+        // Dropped while connecting.
+        Ok((_, writer)) => writer.shutdown(),
+        Err(_) => state.failed = true,
     }
     shared.cond.notify_all();
 }

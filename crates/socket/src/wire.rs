@@ -282,18 +282,54 @@ pub fn read_message(r: &mut impl Read) -> io::Result<WireMessage> {
 /// is still to come.
 const DECODER_CHUNK: usize = 16 << 10;
 
+/// Frame bodies this long or longer skip the [`Decoder`]'s buffer: they
+/// are read into a buffer of their own, reserved once at exactly their
+/// length, which the frame then keeps — a streamed batch is copied once,
+/// by the kernel. Anything shorter is one copy out of the buffer, cheaper
+/// than a read of its own.
+pub(crate) const OWN_BUFFER_MIN: usize = 64 << 10;
+
+/// Where a [`Decoder`] gets its bytes: reads that never wait.
+pub(crate) trait Source: Read {
+    /// One read of at most `max` bytes appended to `into`, whose capacity
+    /// the caller reserved: `Ok(0)` is end of stream, `Err(WouldBlock)`
+    /// nothing to read right now. This default reads through a small
+    /// buffer of its own; a socket has the kernel write into the spare
+    /// capacity instead.
+    fn read_append(&mut self, into: &mut Vec<u8>, max: usize) -> io::Result<usize> {
+        let mut chunk = [0u8; 1024];
+        let n = self.read(&mut chunk[..max.min(1024)])?;
+        into.extend_from_slice(&chunk[..n]);
+        Ok(n)
+    }
+}
+
 /// [`read_message`] for a stream that must not be waited on: bytes are
 /// taken as they come ([`Decoder::fill`], one `read` whatever it returns)
 /// and messages handed out once they are whole ([`Decoder::next`]). A
 /// peer that stops halfway through a message costs its owner nothing but
-/// the bytes buffered so far.
+/// the bytes buffered so far; the buffer never holds more than a chunk
+/// beyond one frame under [`OWN_BUFFER_MIN`].
 pub(crate) struct Decoder {
     /// Initialised over its whole length; `buf[head..filled]` is unread.
     buf: Vec<u8>,
     head: usize,
     filled: usize,
-    /// Bytes the message at `head` is known to need so far.
+    /// Bytes the next step of the message under way needs buffered.
     want: usize,
+    /// The message under way, once its head is read.
+    open: Option<Open>,
+}
+
+/// A message whose frames are arriving.
+struct Open {
+    kind: u8,
+    /// Frames still to come, a `body` being read included.
+    left: u32,
+    frames: Vec<Bytes>,
+    /// A frame of [`OWN_BUFFER_MIN`] or more, read into its own buffer:
+    /// the bytes so far and the frame's length.
+    body: Option<(Vec<u8>, usize)>,
 }
 
 impl Decoder {
@@ -303,18 +339,20 @@ impl Decoder {
             head: 0,
             filled: 0,
             want: 0,
+            open: None,
         }
     }
 
-    /// One `read` from `r` into the free end of the buffer: `Ok(0)` is end
-    /// of stream, `Err(WouldBlock)` nothing to read right now.
-    pub(crate) fn fill(&mut self, r: &mut impl Read) -> io::Result<usize> {
+    /// One read from `r`: into the large frame being assembled, up to its
+    /// end, or else into the free end of the buffer. `Ok(0)` is end of
+    /// stream, `Err(WouldBlock)` nothing to read right now.
+    pub(crate) fn fill(&mut self, r: &mut impl Source) -> io::Result<usize> {
+        if let Some((body, len)) = self.open.as_mut().and_then(|o| o.body.as_mut()) {
+            let max = *len - body.len();
+            return r.read_append(body, max);
+        }
         if self.head == self.filled {
             (self.head, self.filled) = (0, 0);
-            // A frame of many MiB came through: do not keep its room.
-            if self.buf.len() > 64 * DECODER_CHUNK {
-                self.buf = vec![0; DECODER_CHUNK];
-            }
         }
         let pending = self.filled - self.head;
         let room = self.want.saturating_sub(pending).max(DECODER_CHUNK);
@@ -330,56 +368,110 @@ impl Decoder {
         Ok(n)
     }
 
-    /// The next whole message buffered, `Ok(None)` when the rest of it is
-    /// still to come, `Err(InvalidData)` on malformed framing (the limits
-    /// [`read_message`] enforces).
+    /// The next whole message, `Ok(None)` when the rest of it is still to
+    /// come, `Err(InvalidData)` on malformed framing (the limits
+    /// [`read_message`] enforces). Frames are taken out of the buffer as
+    /// each one completes.
     pub(crate) fn next(&mut self) -> io::Result<Option<WireMessage>> {
-        let unread = &self.buf[self.head..self.filled];
-        let invalid = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
-        let u32_at = |at: usize| {
-            let word = unread.get(at..at + 4)?;
-            Some(u32::from_le_bytes(word.try_into().expect("4 bytes")))
+        let mut msg = match self.open.take() {
+            Some(msg) => msg,
+            None => match self.open_next()? {
+                Some(msg) => msg,
+                None => return Ok(None),
+            },
         };
-        let Some(nframes) = u32_at(1) else {
+        if !self.take_frames(&mut msg)? {
+            self.open = Some(msg);
+            return Ok(None);
+        }
+        self.want = 0;
+        let Open { kind, frames, .. } = msg;
+        Ok(Some(WireMessage { kind, frames }))
+    }
+
+    fn unread(&self) -> &[u8] {
+        &self.buf[self.head..self.filled]
+    }
+
+    /// Takes the head of the next message — kind and frame count — once it
+    /// is buffered.
+    fn open_next(&mut self) -> io::Result<Option<Open>> {
+        let Some(nframes) = le_u32(self.unread(), 1) else {
             self.want = 5;
             return Ok(None);
         };
         if nframes > MAX_FRAMES {
             return Err(invalid(format!("frame count {nframes} exceeds limit")));
         }
-        // First pass: is all of it here? Nothing is copied until it is.
-        let mut at = 5;
-        for _ in 0..nframes {
-            let Some(len) = u32_at(at) else {
-                self.want = at + 4;
-                return Ok(None);
+        let kind = self.unread()[0];
+        self.head += 5;
+        Ok(Some(Open {
+            kind,
+            left: nframes,
+            frames: Vec::with_capacity(nframes as usize),
+            body: None,
+        }))
+    }
+
+    /// Takes every frame of `msg` that is complete; true once all are.
+    fn take_frames(&mut self, msg: &mut Open) -> io::Result<bool> {
+        loop {
+            if let Some((body, len)) = msg.body.take() {
+                if body.len() < len {
+                    msg.body = Some((body, len));
+                    return Ok(false);
+                }
+                msg.frames.push(Bytes::from(body));
+                msg.left -= 1;
+            }
+            if msg.left == 0 {
+                return Ok(true);
+            }
+            let bytes = self.unread();
+            let Some(len) = le_u32(bytes, 0) else {
+                self.want = 4;
+                return Ok(false);
             };
             if len > MAX_FRAME_BYTES {
                 return Err(invalid(format!("frame of {len} bytes exceeds limit")));
             }
-            at += 4 + len as usize;
-            if at > unread.len() {
-                self.want = at;
-                return Ok(None);
+            let len = len as usize;
+            if len >= OWN_BUFFER_MIN {
+                // Whatever of it came with the last read moves over; the
+                // rest is read into place.
+                let here = len.min(bytes.len() - 4);
+                let mut body = Vec::with_capacity(len);
+                body.extend_from_slice(&bytes[4..4 + here]);
+                self.head += 4 + here;
+                msg.body = Some((body, len));
+                continue;
             }
+            if bytes.len() < 4 + len {
+                self.want = 4 + len;
+                return Ok(false);
+            }
+            msg.frames.push(Bytes::copy_from_slice(&bytes[4..4 + len]));
+            self.head += 4 + len;
+            msg.left -= 1;
         }
-        let mut frames = Vec::with_capacity(nframes as usize);
-        let mut from = 5;
-        for _ in 0..nframes {
-            let len = u32_at(from).expect("checked above") as usize;
-            frames.push(Bytes::copy_from_slice(&unread[from + 4..from + 4 + len]));
-            from += 4 + len;
-        }
-        let kind = unread[0];
-        self.head += at;
-        self.want = 0;
-        Ok(Some(WireMessage { kind, frames }))
     }
+}
+
+fn invalid(what: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what)
+}
+
+/// The little-endian `u32` at `at`, if `bytes` reach that far.
+fn le_u32(bytes: &[u8], at: usize) -> Option<u32> {
+    let word: [u8; 4] = bytes.get(at..at + 4)?.try_into().ok()?;
+    Some(u32::from_le_bytes(word))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Source for &[u8] {}
 
     #[test]
     fn round_trip_preserves_frame_boundaries() {
@@ -563,6 +655,7 @@ mod tests {
         /// Hands out at most `step` bytes a read, then `WouldBlock` once,
         /// the way a non-blocking socket does between two segments.
         struct Bursts<'a>(&'a [u8], usize, bool);
+        impl Source for Bursts<'_> {}
         impl Read for Bursts<'_> {
             fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
                 self.2 = !self.2;
@@ -610,6 +703,55 @@ mod tests {
             decoder.next().unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
+    }
+
+    #[test]
+    fn a_large_frame_is_read_into_the_one_buffer_it_keeps() {
+        // A streamed 1.5 MiB batch behind a topic, then a small message.
+        let frame = Bytes::from(
+            (0..3 << 19)
+                .map(|i: u32| (i * 7) as u8)
+                .collect::<Vec<u8>>(),
+        );
+        let mut stream = Vec::new();
+        write_topic_data(&mut stream, b"cons/7", &Multipart::single(frame.clone())).unwrap();
+        write_data(&mut stream, &Multipart::single(Bytes::from_static(b"next"))).unwrap();
+        /// 4 KiB a read, as from a peer whose bytes trickle in by the page.
+        struct Pages<'a>(&'a [u8]);
+        impl Read for Pages<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                let n = buf.len().min(self.0.len()).min(4096);
+                buf[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        impl Source for Pages<'_> {}
+        let (mut reader, mut decoder) = (Pages(&stream), Decoder::new());
+        let (mut body_at, mut got) = (None, Vec::new());
+        while got.len() < 2 {
+            assert!(decoder.fill(&mut reader).unwrap() > 0, "ran dry");
+            let open = decoder.open.as_ref().and_then(|o| o.body.as_ref());
+            if let Some((body, len)) = open {
+                assert_eq!((body.capacity(), *len), (frame.len(), frame.len()));
+                let at = *body_at.get_or_insert(body.as_ptr());
+                assert_eq!(at, body.as_ptr(), "the body's buffer moved");
+            }
+            assert_eq!(
+                decoder.buf.len(),
+                DECODER_CHUNK,
+                "the decoder's buffer grew"
+            );
+            while let Some(msg) = decoder.next().unwrap() {
+                got.push(msg);
+            }
+        }
+        let (topic, payload) = got.remove(0).into_topic_and_payload().unwrap();
+        assert_eq!((&topic[..], payload.len()), (&b"cons/7"[..], 1));
+        assert_eq!(payload.frames()[0], frame);
+        let kept = payload.frames()[0].as_ptr();
+        assert_eq!(Some(kept), body_at, "one allocation, kept as the frame");
+        assert_eq!(got[0].frames, [Bytes::from_static(b"next")]);
     }
 
     #[test]
