@@ -233,8 +233,8 @@ fn bench_ps_engine(c: &mut Criterion) {
 
 /// Transport comparison (the new cross-process subsystem):
 ///
-/// * announce (metadata) round-trip throughput, `inproc://` broker vs a
-///   real `ipc://` Unix socket;
+/// * announce (metadata) round-trip throughput over `inproc://` (a Unix
+///   socket in the abstract namespace) and over an `ipc://` socket file;
 /// * payload delivery, pointer-passing (tiny announce + shared-memory
 ///   arena read) vs copying the batch bytes through the socket.
 ///

@@ -143,9 +143,11 @@
 //!
 //! ## Endpoint URIs and cross-process sharing
 //!
-//! The endpoint selects the transport: `inproc://name` (threads in one
-//! process, the default), `ipc:///path.sock` (collocated OS processes
-//! over Unix sockets) and `tcp://host:port`. For separate processes, add
+//! The endpoint names the socket; there is one transport, stream sockets
+//! (`ts_socket`): `inproc://name` (threads in one process sharing a
+//! [`TsContext`], the default — a Unix socket only that context can name),
+//! `ipc:///path.sock` (collocated OS processes over a Unix socket file)
+//! and `tcp://host:port`. For separate processes, add
 //! `.arena(path)` to the producer builder: it creates a shared-memory
 //! arena auto-sized from the loader's decoded sample geometry, batch
 //! tensors are placed in it, and consumers map them zero-copy — the
@@ -316,7 +318,7 @@
 //! consumer's thread is the trainer's; it beats on the links' own control
 //! sockets, between the JOIN and the LEAVE, and stops at once on drop.
 //!
-//! The threads, over `ipc://`/`tcp://` (`/proc/<pid>/task/*/comm`):
+//! The threads, the same over every scheme (`/proc/<pid>/task/*/comm`):
 //!
 //! * **a consumer process** runs the trainer's thread (which reads every
 //!   shard's data connection itself), `ts-heartbeat-<id>`, and one

@@ -215,7 +215,7 @@ mod tests {
         // Top-of-range base must not overflow; the derived out-of-range
         // ctrl port is rejected later by endpoint parsing, not here.
         assert_eq!(channel_endpoint("tcp://h:65535", "ctrl"), "tcp://h:65536");
-        assert!(ts_socket::EndpointAddr::parse("tcp://h:65536").is_err());
+        assert!("tcp://h:65536".parse::<ts_socket::Endpoint>().is_err());
     }
 
     #[test]

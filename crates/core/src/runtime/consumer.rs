@@ -200,8 +200,9 @@ impl Consumer {
             opts,
             endpoint,
         };
-        // The subscription first (remote transports wait for the
-        // publisher to acknowledge it), then the HELLO and its timeout.
+        // The subscription first (it waits, at most the handshake timeout,
+        // for the publisher to acknowledge it), then the HELLO and its
+        // timeout.
         consumer.execute();
         let (now, timeout) = (consumer.ctx.trace.now_ns(), consumer.opts.handshake_timeout);
         consumer.state.start(now, timeout, &mut consumer.fx);
@@ -346,7 +347,12 @@ impl Consumer {
                 Effect::Ctrl { shard, msg } => {
                     let _ = self.links[shard].ctrl.send(Multipart::single(msg.encode()));
                 }
-                Effect::Subscribe { shard, topic } => self.links[shard].sub.subscribe(&topic),
+                // A producer that is not there yet is waited for as long
+                // as an attach waits for its WELCOME.
+                Effect::Subscribe { shard, topic } => {
+                    let sub = &self.links[shard].sub;
+                    sub.subscribe_timeout(&topic, self.opts.handshake_timeout);
+                }
                 Effect::Unsubscribe { shard, topic } => self.links[shard].sub.unsubscribe(&topic),
                 Effect::Negotiate(welcome) => {
                     if let Err(e) = self.negotiate(welcome) {

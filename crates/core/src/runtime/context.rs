@@ -10,7 +10,7 @@ use ts_socket::{Context as SocketContext, TransportStats};
 use ts_tensor::{DeviceCtx, SharedRegistry};
 
 /// Everything producer and consumers share within one node:
-/// the message broker, the storage handle table, and the device books.
+/// the socket context, the storage handle table, and the device books.
 ///
 /// Cloning is cheap and shares state — one `TsContext` models one machine
 /// **within one process**. For the paper's real deployment model —
@@ -29,7 +29,8 @@ use ts_tensor::{DeviceCtx, SharedRegistry};
 /// written once into the arena and mapped zero-copy by every consumer.
 #[derive(Debug, Clone)]
 pub struct TsContext {
-    /// Message broker (ZeroMQ context equivalent).
+    /// Socket context (ZeroMQ context equivalent): the namespace of
+    /// `inproc://` endpoints.
     pub sockets: SocketContext,
     /// Storage handle table (CUDA IPC handle equivalent).
     pub registry: SharedRegistry,

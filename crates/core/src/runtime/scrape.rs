@@ -34,7 +34,7 @@ use ts_socket::{Endpoint, EndpointMap, Multipart, PushSocket, RecvError, SubSock
 /// shape both scrapes share. `request(token, seq)` is pushed to the
 /// control endpoint every poll round with a fresh per-attempt stamp
 /// `seq`, so a reply lost while the subscription was still propagating
-/// (remote transports) is simply answered again;
+/// is simply answered again;
 /// `accept(reply, seq)` returns the answer once a frame on `topic(token)`
 /// is the reply to the attempt in flight.
 ///
@@ -107,8 +107,8 @@ fn token_exchange<T>(
 /// answers. The producer keeps serving batches while answering; a scrape
 /// is a read-only snapshot, never an attach. Only the reply echoing the
 /// stamp of the attempt *in flight* is accepted: a late duplicate from an
-/// earlier round (remote transports can hold a reply past the next
-/// resend) is dropped and counted in `producer.stats_dup`, never served
+/// earlier round (a socket buffer can hold a reply past the next resend)
+/// is dropped and counted in `producer.stats_dup`, never served
 /// as a fresh snapshot.
 pub fn scrape_stats<E>(ctx: &TsContext, endpoint: E, timeout: Duration) -> Result<StatsPayload>
 where

@@ -395,8 +395,8 @@ struct Membership {
     /// Admitted, `Ready` not seen yet (a subset of `consumers`).
     awaiting_ready: HashSet<u64>,
     /// Encoded `JoinReply` per consumer awaiting `Ready`, re-sent every
-    /// tick: on remote transports the reply can go out while the joiner's
-    /// subscription is still propagating.
+    /// tick: the reply can go out while the joiner's subscription is still
+    /// propagating.
     join_replies: HashMap<u64, Bytes>,
     /// Told to wait for the next epoch.
     pending_join: Vec<(u64, u32, PayloadMode)>,

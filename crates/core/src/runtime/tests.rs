@@ -1089,11 +1089,12 @@ fn local_pipeline_transforms_privately() {
     cfg.rubberband_cutoff = 1.0;
     let producer = spawn(image_loader, &ctx, cfg).unwrap();
 
-    let cropped = {
-        let ctx = ctx.clone();
-        let pipeline = Arc::new(Pipeline::new(7).with(RandomCrop { out_h: 8, out_w: 8 }));
+    // Both attach before either consumes: the epoch is four batches.
+    let pipeline = Arc::new(Pipeline::new(7).with(RandomCrop { out_h: 8, out_w: 8 }));
+    let cropped = consumer(&ctx).local_pipeline(pipeline).connect(ep).unwrap();
+    let raw = consumer(&ctx).connect(ep).unwrap();
+    let collect = |mut c: Consumer| {
         std::thread::spawn(move || {
-            let mut c = consumer(&ctx).local_pipeline(pipeline).connect(ep).unwrap();
             let mut shapes = Vec::new();
             let mut storages = Vec::new();
             let mut labels = Vec::new();
@@ -1105,21 +1106,7 @@ fn local_pipeline_transforms_privately() {
             (shapes, storages, labels)
         })
     };
-    let raw = {
-        let ctx = ctx.clone();
-        std::thread::spawn(move || {
-            let mut c = consumer(&ctx).connect(ep).unwrap();
-            let mut shapes = Vec::new();
-            let mut storages = Vec::new();
-            let mut labels = Vec::new();
-            for b in c.by_ref().flatten() {
-                shapes.push(b.fields[0].shape().to_vec());
-                storages.push(b.fields[0].storage_id());
-                labels.extend(b.labels.to_vec_i64().unwrap());
-            }
-            (shapes, storages, labels)
-        })
-    };
+    let (cropped, raw) = (collect(cropped), collect(raw));
     let (crop_shapes, crop_storages, crop_labels) = cropped.join().unwrap();
     let (raw_shapes, raw_storages, raw_labels) = raw.join().unwrap();
     producer.join().unwrap();

@@ -1,8 +1,5 @@
 //! The doorbell of a [`crate::PullSocket`]: how anything that is not one of
-//! its connections wakes the thread that waits on it. (An in-process
-//! [`crate::SubSocket`] has one too, rung by its publisher, for
-//! [`crate::SubSocket::wait`]; over a stream the connection is what wakes
-//! the waiter.)
+//! its connections wakes the thread that waits on it.
 //!
 //! The owner of a pull socket blocks in one place,
 //! [`crate::PullSocket::wait`]. Its pushers wake it by sending; whoever
@@ -35,17 +32,11 @@ struct Inner {
     sleeping: AtomicBool,
     /// Somebody rang since the owner last woke.
     rung: AtomicBool,
-    waker: Waker,
-}
-
-enum Waker {
-    /// `inproc://`: the owner parks; it leaves its handle here before it
-    /// first sleeps.
-    Thread(parking_lot::Mutex<Option<std::thread::Thread>>),
-    /// `ipc://`, `tcp://`: the owner polls `rx` next to its connections; a
-    /// ring that finds it asleep writes one byte to `tx`. Both ends are
-    /// non-blocking and nobody else holds them.
-    Fd { tx: UnixStream, rx: UnixStream },
+    /// The owner polls `rx` next to its connections; a ring that finds it
+    /// asleep writes one byte to `tx`. Both ends are non-blocking and
+    /// nobody else holds them.
+    tx: UnixStream,
+    rx: UnixStream,
 }
 
 impl std::fmt::Debug for Bell {
@@ -55,25 +46,16 @@ impl std::fmt::Debug for Bell {
 }
 
 impl Bell {
-    /// A bell for an owner that parks.
-    pub(crate) fn for_thread() -> Self {
-        Self::new(Waker::Thread(parking_lot::Mutex::new(None)))
-    }
-
-    /// A bell for an owner that polls.
-    pub(crate) fn for_poll() -> std::io::Result<Self> {
+    pub(crate) fn new() -> std::io::Result<Self> {
         let (tx, rx) = UnixStream::pair()?;
         tx.set_nonblocking(true)?;
         rx.set_nonblocking(true)?;
-        Ok(Self::new(Waker::Fd { tx, rx }))
-    }
-
-    fn new(waker: Waker) -> Self {
-        Self(Arc::new(Inner {
+        Ok(Self(Arc::new(Inner {
             sleeping: AtomicBool::new(false),
             rung: AtomicBool::new(false),
-            waker,
-        }))
+            tx,
+            rx,
+        })))
     }
 
     /// Wakes the owner if it sleeps; otherwise makes its next
@@ -83,26 +65,16 @@ impl Bell {
         // `swap`: of the ringers that find one sleep, one pays for the
         // wake-up.
         if self.0.sleeping.swap(false, Ordering::SeqCst) {
-            match &self.0.waker {
-                Waker::Thread(owner) => {
-                    if let Some(owner) = &*owner.lock() {
-                        owner.unpark();
-                    }
-                }
-                // A full pipe already holds more wake-ups than anyone
-                // will read.
-                Waker::Fd { tx, .. } => drop((&*tx).write(&[1])),
-            }
+            // A full pipe already holds more wake-ups than anyone will
+            // read.
+            drop((&self.0.tx).write(&[1]));
         }
     }
 
     /// The owner's side: runs `block` — its blocking call, which must
-    /// return when the bell's descriptor turns readable or the thread is
-    /// unparked — unless somebody rang since the last call returned.
+    /// return when the bell's descriptor turns readable — unless somebody
+    /// rang since the last call returned.
     pub(crate) fn sleep(&self, block: impl FnOnce()) {
-        if let Waker::Thread(owner) = &self.0.waker {
-            *owner.lock() = Some(std::thread::current());
-        }
         self.0.sleeping.store(true, Ordering::SeqCst);
         if !self.0.rung.swap(false, Ordering::SeqCst) {
             block();
@@ -113,30 +85,15 @@ impl Bell {
         self.0.rung.store(false, Ordering::SeqCst);
     }
 
-    /// The descriptor to poll with the connections, for a polling owner.
-    pub(crate) fn fd(&self) -> Option<RawFd> {
-        match &self.0.waker {
-            Waker::Thread(_) => None,
-            Waker::Fd { rx, .. } => Some(rx.as_raw_fd()),
-        }
+    /// The descriptor to poll with the connections.
+    pub(crate) fn fd(&self) -> RawFd {
+        self.0.rx.as_raw_fd()
     }
 
     /// Empties the descriptor once poll reported it readable.
     pub(crate) fn drain(&self) {
-        if let Waker::Fd { rx, .. } = &self.0.waker {
-            let mut sink = [0u8; 64];
-            while matches!((&*rx).read(&mut sink), Ok(n) if n == sink.len()) {}
-        }
-    }
-}
-
-/// [`Bell::sleep`] on every one of `bells` at once: `block` runs unless one
-/// of them was rung since its last sleep, and must return when the thread
-/// is unparked (bells for owners that park).
-pub(crate) fn sleep_all(bells: &[&Bell], block: &mut dyn FnMut()) {
-    match bells.split_first() {
-        None => block(),
-        Some((first, rest)) => first.sleep(|| sleep_all(rest, block)),
+        let mut sink = [0u8; 64];
+        while matches!((&self.0.rx).read(&mut sink), Ok(n) if n == sink.len()) {}
     }
 }
 
@@ -147,14 +104,14 @@ mod tests {
     use std::time::Duration;
 
     fn in_the_kernel(bell: &Bell) -> bool {
-        let mut fds = [PollFd::readable(bell.fd().unwrap())];
+        let mut fds = [PollFd::readable(bell.fd())];
         poll_readable(&mut fds, Some(Duration::ZERO)).unwrap();
         fds[0].is_ready()
     }
 
     #[test]
     fn a_ring_costs_a_write_only_when_the_owner_sleeps() {
-        let bell = Bell::for_poll().unwrap();
+        let bell = Bell::new().unwrap();
         // Awake: any number of rings are stores, and the next sleep is
         // skipped — once.
         bell.ring();

@@ -1,79 +1,37 @@
-//! The in-process broker: named endpoints shared by all sockets of a
-//! [`Context`].
+//! The socket [`Context`] — the namespace `inproc://` names live in — and
+//! the endpoint layout of a deployment ([`EndpointMap`]).
 
-use crate::frame::Multipart;
-use bytes::Bytes;
-use crossbeam::channel::{Receiver, Sender};
-use parking_lot::Mutex;
-use std::collections::HashMap;
+use crate::error::SendError;
+use crate::transport::Addr;
+use crate::uri::{Endpoint, Scheme};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Default per-queue high-water mark (messages).
+/// Default per-connection high-water mark (messages).
 pub const DEFAULT_HWM: usize = 1024;
 
-/// Prefix list shared between the broker entry and the `SubSocket` handle.
-pub(crate) type SharedPrefixes = Arc<Mutex<Vec<Vec<u8>>>>;
-
-pub(crate) struct SubEntry {
-    pub(crate) id: u64,
-    pub(crate) prefixes: SharedPrefixes,
-    pub(crate) tx: Sender<(Bytes, Multipart)>,
-    /// Rung after each delivery; the subscriber parks on it in
-    /// `SubSocket::wait`.
-    pub(crate) bell: crate::Bell,
-}
-
-impl SubEntry {
-    pub(crate) fn matches(&self, topic: &[u8]) -> bool {
-        self.prefixes
-            .lock()
-            .iter()
-            .any(|p| topic.starts_with(p.as_slice()))
-    }
-}
-
-pub(crate) struct PubSubEndpoint {
-    pub(crate) bound: bool,
-    pub(crate) hwm: usize,
-    pub(crate) next_sub_id: u64,
-    pub(crate) subs: Vec<Arc<SubEntry>>,
-}
-
-pub(crate) struct PushPullEndpoint {
-    pub(crate) bound: bool,
-    pub(crate) tx: Sender<Multipart>,
-    /// Rung by every pusher after it enqueues; the puller parks on it.
-    pub(crate) bell: crate::Bell,
-    /// Present until a `PullSocket` binds and takes it.
-    pub(crate) rx: Option<Receiver<Multipart>>,
-}
-
-pub(crate) enum BrokerEntry {
-    PubSub(PubSubEndpoint),
-    PushPull(PushPullEndpoint),
-}
-
-pub(crate) struct Broker {
-    pub(crate) endpoints: Mutex<HashMap<String, BrokerEntry>>,
-    pub(crate) default_hwm: usize,
-}
-
-/// A socket context: the namespace in which endpoints live.
+/// A socket context: the namespace in which `inproc://` endpoints live,
+/// and the high-water mark its sockets queue up to.
 ///
-/// Mirrors a ZeroMQ context. All sockets created from clones of the same
-/// context can talk to each other; separate contexts are fully isolated.
-#[derive(Clone)]
+/// Mirrors a ZeroMQ context. Sockets created from clones of one context
+/// reach each other's `inproc://` endpoints; another context's are
+/// invisible to them, even under the same name. There is one transport:
+/// an `inproc://name` endpoint is a Unix-domain stream socket like an
+/// `ipc://` one, named after this context and `name` — in Linux's
+/// abstract socket namespace (no file; the kernel frees the name with the
+/// listener), elsewhere a socket file in a directory of this context's
+/// own, under the system temp dir.
+#[derive(Debug, Clone)]
 pub struct Context {
-    pub(crate) broker: Arc<Broker>,
+    inner: Arc<Namespace>,
 }
 
-impl std::fmt::Debug for Context {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let eps = self.broker.endpoints.lock();
-        f.debug_struct("Context")
-            .field("endpoints", &eps.keys().collect::<Vec<_>>())
-            .finish()
-    }
+#[derive(Debug)]
+struct Namespace {
+    /// `<pid>.<n>`: unique among the live contexts of the machine.
+    id: String,
+    hwm: usize,
 }
 
 impl Context {
@@ -82,20 +40,78 @@ impl Context {
         Self::with_hwm(DEFAULT_HWM)
     }
 
-    /// A context whose queues hold at most `hwm` messages.
+    /// A context whose sockets queue at most `hwm` messages per connection
+    /// on top of what the kernel's socket buffers hold.
     pub fn with_hwm(hwm: usize) -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
         Self {
-            broker: Arc::new(Broker {
-                endpoints: Mutex::new(HashMap::new()),
-                default_hwm: hwm.max(1),
+            inner: Arc::new(Namespace {
+                id: format!("{}.{n}", std::process::id()),
+                hwm: hwm.max(1),
             }),
         }
     }
 
-    /// Names of currently registered endpoints (diagnostics).
-    pub fn endpoint_names(&self) -> Vec<String> {
-        self.broker.endpoints.lock().keys().cloned().collect()
+    pub(crate) fn hwm(&self) -> usize {
+        self.inner.hwm
     }
+
+    /// Where the sockets of this context find `endpoint`.
+    pub(crate) fn resolve(&self, endpoint: &str) -> Result<Addr, SendError> {
+        let invalid = || SendError::InvalidEndpoint(endpoint.to_string());
+        let parsed: Endpoint = endpoint.parse().map_err(|_| invalid())?;
+        Ok(match (parsed.scheme(), parsed.port()) {
+            (Scheme::Tcp, Some(port)) => Addr::Tcp(format!("{}:{port}", parsed.host())),
+            (Scheme::Tcp, None) => return Err(invalid()),
+            (Scheme::Ipc, _) => Addr::Path(PathBuf::from(parsed.host())),
+            (Scheme::Inproc, _) => self.inproc(parsed.host()),
+        })
+    }
+
+    /// The socket behind `inproc://name` in this context.
+    #[cfg(target_os = "linux")]
+    fn inproc(&self, name: &str) -> Addr {
+        // An abstract name holds at most 107 bytes; a longer one is
+        // shortened to a hash of itself.
+        let full = format!("ts-inproc/{}/{name}", self.inner.id);
+        if full.len() <= 100 {
+            Addr::Abstract(full)
+        } else {
+            Addr::Abstract(format!("ts-inproc/{}/#{:016x}", self.inner.id, fnv(name)))
+        }
+    }
+
+    /// The socket behind `inproc://name` in this context.
+    #[cfg(not(target_os = "linux"))]
+    fn inproc(&self, name: &str) -> Addr {
+        let dir = socket_dir(&self.inner.id);
+        // A failure here surfaces as the bind's or connect's own error.
+        let _ = std::fs::create_dir_all(&dir);
+        Addr::Path(dir.join(format!("{:016x}.sock", fnv(name))))
+    }
+}
+
+/// Where a context keeps its socket files, where there is no abstract
+/// namespace.
+#[cfg(not(target_os = "linux"))]
+fn socket_dir(id: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("ts-inproc-{id}"))
+}
+
+#[cfg(not(target_os = "linux"))]
+impl Drop for Namespace {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(socket_dir(&self.id));
+    }
+}
+
+/// FNV-1a over `name`: a short, stable stand-in for a name too long to
+/// spell out in a socket address.
+fn fnv(name: &str) -> u64 {
+    (name.bytes()).fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 impl Default for Context {
@@ -135,8 +151,7 @@ pub fn shard_endpoint(base: &str, shard: usize) -> String {
 /// Derives the per-channel endpoint from a base endpoint URI, respecting
 /// the transport scheme:
 ///
-/// * `inproc://base` (and bare names) → `inproc://base/data|ctrl` — broker
-///   keys, unchanged from the in-process-only design;
+/// * `inproc://base` (and bare names) → `inproc://base/data|ctrl`;
 /// * `ipc:///path/to.sock` → `ipc:///path/to.sock.data|ctrl` — two Unix
 ///   socket files next to each other;
 /// * `tcp://host:port` → data on `port`, control on `port + 1`. Both
@@ -260,13 +275,53 @@ mod tests {
 
     #[test]
     fn contexts_are_isolated() {
+        use crate::{Multipart, PubSocket, RecvError, SubSocket};
+        use std::time::Duration;
         let a = Context::new();
         let b = Context::new();
-        let _p = crate::PubSocket::bind(&a, "inproc://x").unwrap();
-        assert!(a.endpoint_names().contains(&"inproc://x".to_string()));
-        assert!(b.endpoint_names().is_empty());
-        // binding the same name in the other context succeeds
-        let _p2 = crate::PubSocket::bind(&b, "inproc://x").unwrap();
+        let pa = PubSocket::bind(&a, "inproc://x").unwrap();
+        // The same name in the other context is another socket: binding
+        // it succeeds, and its subscriber hears only its own publisher.
+        let pb = PubSocket::bind(&b, "inproc://x").unwrap();
+        let sub = SubSocket::connect(&b, "inproc://x");
+        sub.subscribe(b"");
+        assert_eq!((pa.subscriber_count(), pb.subscriber_count()), (0, 1));
+        let msg = |s: &'static [u8]| Multipart::single(bytes::Bytes::from_static(s));
+        assert_eq!(pa.send(b"t", msg(b"a")).unwrap(), 0);
+        assert_eq!(pb.send(b"t", msg(b"b")).unwrap(), 1);
+        let (_, got) = sub.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(&got.frames()[0][..], b"b");
+        assert_eq!(sub.try_recv(), Ok(None));
+        // A clone is the same namespace.
+        assert!(PubSocket::bind(&a.clone(), "inproc://x").is_err());
+        drop(pb);
+        assert_eq!(
+            sub.recv_timeout(Duration::from_secs(10)),
+            Err(RecvError::Closed)
+        );
+    }
+
+    #[test]
+    fn endpoints_resolve_per_scheme() {
+        let ctx = Context::new();
+        assert_eq!(
+            ctx.resolve("ipc:///tmp/a.sock").unwrap(),
+            Addr::Path("/tmp/a.sock".into())
+        );
+        assert_eq!(
+            ctx.resolve("tcp://127.0.0.1:5555").unwrap(),
+            Addr::Tcp("127.0.0.1:5555".into())
+        );
+        // A bare name is an in-process name: the same one as with the
+        // scheme spelled out, and another one in another context.
+        let x = ctx.resolve("inproc://x").unwrap();
+        assert_eq!(ctx.resolve("x").unwrap(), x);
+        assert_ne!(Context::new().resolve("inproc://x").unwrap(), x);
+        let long = format!("inproc://{}", "n".repeat(300));
+        assert_ne!(ctx.resolve(&long).unwrap(), x, "a long name is hashed");
+        for bad in ["tcp://nohostport", "tcp://host:notaport", "ipc://", ""] {
+            assert!(ctx.resolve(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]
@@ -336,20 +391,5 @@ mod tests {
         m.set_override(1, "ipc:///tmp/s1.sock");
         assert_eq!(m.data(1), "ipc:///tmp/s1.sock.data");
         assert_eq!(m.overrides().len(), 1);
-    }
-
-    #[test]
-    fn sub_entry_prefix_matching() {
-        let (tx, _rx) = crossbeam::channel::bounded(1);
-        let e = SubEntry {
-            id: 0,
-            prefixes: Arc::new(Mutex::new(vec![b"batch".to_vec()])),
-            tx,
-            bell: crate::Bell::for_thread(),
-        };
-        assert!(e.matches(b"batch/17"));
-        assert!(!e.matches(b"ctrl/17"));
-        e.prefixes.lock().push(Vec::new()); // empty prefix = everything
-        assert!(e.matches(b"ctrl/17"));
     }
 }

@@ -11,9 +11,9 @@ pub enum SendError {
     Full,
     /// The endpoint URI is malformed (bad scheme syntax, missing port...).
     InvalidEndpoint(String),
-    /// An OS-level socket error on an `ipc://`/`tcp://` endpoint.
+    /// An OS-level socket error.
     Io(String),
-    /// A frame is longer than an `ipc://`/`tcp://` peer accepts
+    /// A frame is longer than a peer accepts
     /// ([`crate::wire::MAX_FRAME_BYTES`]). Nothing was queued or sent; the
     /// connection is unaffected.
     FrameTooLarge {

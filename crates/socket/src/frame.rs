@@ -34,11 +34,10 @@ impl Multipart {
     }
 
     /// A message with one frame, handed over as the chunks it is the
-    /// concatenation of. `ipc://` and `tcp://` transports write the chunks
-    /// from where they are under one length prefix; `inproc://` joins them
-    /// on send. Either way the receiver gets a single contiguous frame,
-    /// exactly as if [`Multipart::single`] had been given the
-    /// concatenation.
+    /// concatenation of. The transport writes the chunks from where they
+    /// are under one length prefix, and the receiver gets a single
+    /// contiguous frame, exactly as if [`Multipart::single`] had been given
+    /// the concatenation.
     pub fn chunked(chunks: Vec<Bytes>) -> Self {
         Self {
             chunked: chunks.len() != 1,

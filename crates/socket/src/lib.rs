@@ -17,30 +17,30 @@
 //!
 //! ## Endpoint URIs
 //!
-//! The endpoint scheme picks the transport; the socket API is identical
-//! across all three:
+//! There is one transport, stream sockets ([`transport`]); the endpoint
+//! scheme only says which socket:
 //!
-//! * `inproc://name` — the in-process broker ([`endpoint`]): crossbeam
-//!   queues inside one [`Context`], zero syscalls. What the paper's
-//!   single-node evaluation effectively measures.
-//! * `ipc:///path/to.sock` — Unix domain sockets, for *collocated
+//! * `inproc://name` — a Unix domain socket that only sockets of the same
+//!   [`Context`] can name (threads of one process; Linux's abstract
+//!   namespace, no file). Another context's `inproc://name` is another
+//!   socket.
+//! * `ipc:///path/to.sock` — a Unix domain socket file, for *collocated
 //!   processes* (the paper's deployment model: independent training
 //!   processes on one machine share one loader).
 //! * `tcp://host:port` — TCP, for crossing machines. `tcp://127.0.0.1:0`
 //!   binds an ephemeral port; read it back from
 //!   [`PubSocket::endpoint`]/[`PullSocket::endpoint`].
 //!
-//! Remote messages use the length-prefixed multipart framing of [`wire`],
-//! and HWM backpressure, prefix filtering and
-//! disconnect-as-[`RecvError::Closed`] behave the same everywhere.
-//! Bind/connect order does not matter on any transport. Sockets unregister
-//! on drop, and peers observe disconnection as pruned deliveries rather
-//! than errors, like ZeroMQ.
+//! Messages use the length-prefixed multipart framing of [`wire`], and HWM
+//! backpressure, prefix filtering and disconnect-as-[`RecvError::Closed`]
+//! are the same code everywhere. Bind/connect order does not matter.
+//! Sockets unregister on drop, and peers observe disconnection as pruned
+//! deliveries rather than errors, like ZeroMQ.
 //!
 //! ## Which thread touches a frame
 //!
-//! Over `ipc://`/`tcp://` a message is a write plus, if the other side
-//! sleeps, a wake-up ([`transport`] has the details):
+//! A message is a write plus, if the other side sleeps, a wake-up
+//! ([`transport`] has the details):
 //!
 //! * [`PubSocket::send`], [`PushSocket::send`]: a *small* message — every
 //!   frame under a page, so every announce, ack, heartbeat, JOIN and cursor
@@ -82,7 +82,7 @@ pub use error::{RecvError, SendError};
 pub use frame::Multipart;
 pub use pubsub::{PubSocket, SendPolicy, SubSocket};
 pub use pushpull::{PullSocket, PushSocket};
-pub use transport::{EndpointAddr, TransportStats};
+pub use transport::TransportStats;
 pub use uri::{Endpoint, EndpointError, Scheme};
 
 #[cfg(test)]

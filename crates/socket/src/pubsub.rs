@@ -1,18 +1,47 @@
-//! PUB/SUB: one-to-many multicast with per-subscriber bounded queues.
+//! PUB/SUB: one-to-many multicast with per-subscriber bounded queues,
+//! over the stream transport ([`crate::transport`]) whatever the scheme.
 //!
-//! The endpoint URI picks the transport: `inproc://` stays on the
-//! in-process broker; `ipc://` and `tcp://` run over real sockets with the
-//! same semantics (see [`crate::transport`]).
+//! The publisher accepts connections; a message that stages whole (an
+//! announce, a cursor, a `SUBACK`) is written to each matching subscriber
+//! by the thread that sends it (`Outbox::send_staged`), and each subscriber
+//! has a bounded queue (the socket HWM) drained by a dedicated writer
+//! thread for bulk frames and for whatever the kernel would not take at
+//! once, plus a reader thread that processes `SUB`/`UNSUB` control
+//! messages — asleep in `poll` for input, so the frames the subscriber
+//! drains do not wake it. Prefix filtering happens publisher-side, so only
+//! matching topics cross the wire. Subscribes are acknowledged (`SUBACK`)
+//! so a subscriber can order a subscription strictly before its next
+//! control-plane message.
+//!
+//! The subscriber reads its connection **on the thread that receives**,
+//! as a puller does: a connector thread (`ts-sub-conn`) connects,
+//! registers the prefixes recorded so far and exits; from then on every
+//! read happens inside `subscribe` (which reads its own `SUBACK`, queueing
+//! the data that comes first), `recv_timeout`, `try_recv` or a
+//! [`SubSocket::wait`] over several subscribers. Messages are assembled by
+//! a `wire::Decoder`, so a publisher that stalls halfway through one
+//! costs a receiver its timeout and nothing more, and a large frame is
+//! read by the kernel straight into the buffer it keeps. What the owner
+//! has not read waits in the kernel's socket buffer and, behind that, in
+//! the publisher's queue for this subscriber.
 
-use crate::bell::{self, Bell};
-use crate::endpoint::{BrokerEntry, Context, PubSubEndpoint, SubEntry};
+use crate::endpoint::Context;
 use crate::error::{RecvError, SendError};
 use crate::frame::Multipart;
-use crate::transport::pubsub::{StreamPub, StreamSub};
-use crate::transport::{EndpointAddr, TransportStats, POLL_EVERY};
+use crate::transport::{
+    check_frames, linger, poll_readable, Addr, AnyListener, AnyStream, Outbox, PollFd, Queued,
+    TransportCounters, TransportStats, CONNECT_RETRY_FOR, POLL_EVERY, WRITER_IDLE_TICK,
+};
+use crate::wire;
 use bytes::Bytes;
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, TryRecvError, TrySendError};
-use std::sync::{Arc, Weak};
+use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TrySendError};
+use std::collections::VecDeque;
+use std::io::{self, BufReader};
+use std::ops::DerefMut;
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// What a publisher does when a subscriber queue hits its high-water mark.
@@ -25,93 +54,63 @@ pub enum SendPolicy {
     DropNewest,
 }
 
-/// Broker-backed publisher state; removing the endpoint on drop closes all
-/// subscriber queues.
-struct BrokerPub {
-    ctx: Context,
-    name: String,
-    policy: SendPolicy,
+struct Peer {
+    id: u64,
+    alive: AtomicBool,
+    prefixes: Mutex<Vec<Vec<u8>>>,
+    tx: Sender<Queued>,
+    /// For `shutdown`; writes go through `out`.
+    stream: AnyStream,
+    out: Outbox,
 }
 
-impl BrokerPub {
-    fn send(&self, topic: &[u8], msg: Multipart) -> Result<usize, SendError> {
-        // Snapshot the subscriber list so the broker lock is not held while
-        // (potentially) blocking on a full queue.
-        let subs: Vec<Arc<SubEntry>> = {
-            let eps = self.ctx.broker.endpoints.lock();
-            match eps.get(&self.name) {
-                Some(BrokerEntry::PubSub(ps)) => ps.subs.clone(),
-                _ => Vec::new(),
-            }
-        };
-        let topic_bytes = Bytes::copy_from_slice(topic);
-        // Receivers read frames, not chunks: join a chunked frame once,
-        // for all subscribers.
-        let msg = msg.into_contiguous();
-        let mut delivered = 0usize;
-        let mut dead: Vec<u64> = Vec::new();
-        for sub in &subs {
-            if !sub.matches(topic) {
-                continue;
-            }
-            let item = (topic_bytes.clone(), msg.clone());
-            let sent = match self.policy {
-                SendPolicy::Block => sub
-                    .tx
-                    .send(item)
-                    .map_err(|e| TrySendError::Disconnected(e.0)),
-                SendPolicy::DropNewest => sub.tx.try_send(item),
-            };
-            match sent {
-                Ok(()) => {
-                    delivered += 1;
-                    sub.bell.ring();
-                }
-                Err(TrySendError::Full(_)) => {}
-                Err(TrySendError::Disconnected(_)) => dead.push(sub.id),
-            }
-        }
-        if !dead.is_empty() {
-            let mut eps = self.ctx.broker.endpoints.lock();
-            if let Some(BrokerEntry::PubSub(ps)) = eps.get_mut(&self.name) {
-                ps.subs.retain(|s| !dead.contains(&s.id));
-            }
-        }
-        Ok(delivered)
+impl Peer {
+    fn matches(&self, topic: &[u8]) -> bool {
+        self.prefixes
+            .lock()
+            .expect("peer prefixes")
+            .iter()
+            .any(|p| topic.starts_with(p.as_slice()))
     }
 
-    fn subscriber_count(&self) -> usize {
-        let eps = self.ctx.broker.endpoints.lock();
-        match eps.get(&self.name) {
-            Some(BrokerEntry::PubSub(ps)) => ps.subs.len(),
-            _ => 0,
-        }
+    fn retire(&self) {
+        self.alive.store(false, Ordering::SeqCst);
+        self.stream.shutdown();
+        // A writer that is not idle needs no waking: its next write fails.
+        let _ = self.tx.try_send(Queued::Nudge);
+    }
+
+    /// See `Outbox::send_staged`; `Err(Full)` is a message dropped for
+    /// this subscriber, `Err(Disconnected)` a dead peer.
+    fn send_staged(&self, staged: &Bytes, block: bool) -> Result<(), TrySendError<Queued>> {
+        self.out.send_staged(&self.tx, staged, block)
+    }
+
+    fn enqueue(&self, item: Queued, block: bool) -> Result<(), TrySendError<Queued>> {
+        self.out.enqueue(&self.tx, item, block)
     }
 }
 
-impl Drop for BrokerPub {
-    fn drop(&mut self) {
-        // Removing the endpoint drops all subscriber senders: subscribers
-        // drain whatever is queued and then observe `Closed`. Their bells
-        // ring once that is so, for a `SubSocket::wait` asleep on them.
-        let removed = self.ctx.broker.endpoints.lock().remove(&self.name);
-        if let Some(BrokerEntry::PubSub(ps)) = removed {
-            let bells: Vec<Bell> = ps.subs.iter().map(|s| s.bell.clone()).collect();
-            drop(ps);
-            bells.iter().for_each(Bell::ring);
-        }
-    }
-}
-
-enum PubInner {
-    Broker(BrokerPub),
-    Stream(StreamPub),
+struct PubShared {
+    stop: AtomicBool,
+    hwm: usize,
+    peers: Mutex<Vec<Arc<Peer>>>,
+    next_id: AtomicU64,
+    /// Writer threads that may still be running. Dropping the socket joins
+    /// them, so no queued message — and nothing a message borrows, such as
+    /// an arena slot — outlives the socket.
+    writers: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    counters: Arc<TransportCounters>,
 }
 
 /// The publishing side of a PUB/SUB endpoint. One binder per endpoint.
 pub struct PubSocket {
-    inner: PubInner,
-    name: String,
+    shared: Arc<PubShared>,
+    policy: SendPolicy,
+    endpoint: String,
+    accept_thread: Option<std::thread::JoinHandle<()>>,
+    /// Dropping it wakes the accept thread out of its `poll`.
+    accept_stop: Option<UnixStream>,
 }
 
 impl std::fmt::Debug for PubSocket {
@@ -137,139 +136,317 @@ impl PubSocket {
         policy: SendPolicy,
         hwm: Option<usize>,
     ) -> Result<Self, SendError> {
-        let hwm = hwm.unwrap_or(ctx.broker.default_hwm).max(1);
-        let addr = EndpointAddr::parse(name)?;
-        if !addr.is_inproc() {
-            let stream = StreamPub::bind(&addr, name, policy, hwm)?;
-            let name = stream.endpoint().to_string();
-            return Ok(Self {
-                inner: PubInner::Stream(stream),
-                name,
-            });
-        }
-        let mut eps = ctx.broker.endpoints.lock();
-        match eps.get_mut(name) {
-            None => {
-                eps.insert(
-                    name.to_string(),
-                    BrokerEntry::PubSub(PubSubEndpoint {
-                        bound: true,
-                        hwm,
-                        next_sub_id: 0,
-                        subs: Vec::new(),
-                    }),
-                );
-            }
-            Some(BrokerEntry::PubSub(ps)) => {
-                if ps.bound {
-                    return Err(SendError::AddrInUse(name.to_string()));
-                }
-                ps.bound = true;
-                ps.hwm = hwm;
-            }
-            Some(BrokerEntry::PushPull(_)) => {
-                return Err(SendError::AddrInUse(name.to_string()));
-            }
-        }
-        Ok(Self {
-            inner: PubInner::Broker(BrokerPub {
-                ctx: ctx.clone(),
-                name: name.to_string(),
-                policy,
-            }),
-            name: name.to_string(),
+        let listener = AnyListener::bind(&ctx.resolve(name)?, name)?;
+        let endpoint = listener.local_endpoint(name);
+        let shared = Arc::new(PubShared {
+            stop: AtomicBool::new(false),
+            hwm: hwm.unwrap_or(ctx.hwm()).max(1),
+            peers: Mutex::new(Vec::new()),
+            next_id: AtomicU64::new(0),
+            writers: Mutex::new(Vec::new()),
+            counters: Arc::default(),
+        });
+        let (accept_stop, stopped) =
+            UnixStream::pair().map_err(|e| SendError::Io(format!("stop pipe: {e}")))?;
+        let accept_shared = shared.clone();
+        let accept_thread = std::thread::Builder::new()
+            .name("ts-pub-accept".into())
+            .spawn(move || accept_loop(listener, stopped, accept_shared))
+            .map_err(|e| SendError::Io(format!("spawn accept: {e}")))?;
+        Ok(PubSocket {
+            shared,
+            policy,
+            endpoint,
+            accept_thread: Some(accept_thread),
+            accept_stop: Some(accept_stop),
         })
     }
 
     /// Publishes a message under `topic`, returning the number of
     /// subscribers it was delivered to.
     ///
-    /// Subscribers whose receiving half is gone are pruned. With
+    /// Subscribers whose connection is gone are pruned. With
     /// [`SendPolicy::DropNewest`], subscribers with full queues miss the
     /// message (not an error).
     pub fn send(&self, topic: &[u8], msg: Multipart) -> Result<usize, SendError> {
-        match &self.inner {
-            PubInner::Broker(b) => b.send(topic, msg),
-            PubInner::Stream(s) => s.send(topic, msg),
+        check_frames(topic, &msg)?;
+        let peers: Vec<Arc<Peer>> = self.shared.peers.lock().expect("peers").clone();
+        // Staged once for every subscriber, whoever ends up writing it.
+        let staged =
+            wire::staged_whole(wire::KIND_DATA, Some(topic), msg.frames(), msg.is_chunked())
+                .map(Bytes::from);
+        let bulk_topic = staged.is_none().then(|| Bytes::copy_from_slice(topic));
+        let block = self.policy == SendPolicy::Block;
+        let mut delivered = 0usize;
+        let mut dead = Vec::new();
+        for peer in &peers {
+            if !peer.alive.load(Ordering::SeqCst) {
+                dead.push(peer.id);
+                continue;
+            }
+            if !peer.matches(topic) {
+                continue;
+            }
+            let sent = match &staged {
+                Some(staged) => peer.send_staged(staged, block),
+                None => peer.enqueue(Queued::Bulk(bulk_topic.clone(), msg.clone()), block),
+            };
+            match sent {
+                Ok(()) => delivered += 1,
+                Err(TrySendError::Full(_)) => {}
+                Err(TrySendError::Disconnected(_)) => dead.push(peer.id),
+            }
         }
+        if !dead.is_empty() {
+            let mut peers = self.shared.peers.lock().expect("peers");
+            peers.retain(|p| {
+                if dead.contains(&p.id) {
+                    p.retire();
+                    false
+                } else {
+                    true
+                }
+            });
+        }
+        Ok(delivered)
     }
 
     /// Number of currently connected subscribers.
     pub fn subscriber_count(&self) -> usize {
-        match &self.inner {
-            PubInner::Broker(b) => b.subscriber_count(),
-            PubInner::Stream(s) => s.subscriber_count(),
-        }
+        self.shared
+            .peers
+            .lock()
+            .expect("peers")
+            .iter()
+            .filter(|p| p.alive.load(Ordering::SeqCst))
+            .count()
     }
 
     /// The endpoint name. For `tcp://host:0` binds this is the resolved
     /// address with the real port.
     pub fn endpoint(&self) -> &str {
-        &self.name
+        &self.endpoint
     }
 
     /// How this socket's messages reached the wire so far, counted per
-    /// subscriber (all zero over `inproc://`).
+    /// subscriber.
     pub fn transport_stats(&self) -> TransportStats {
-        match &self.inner {
-            PubInner::Broker(_) => TransportStats::default(),
-            PubInner::Stream(s) => s.transport_stats(),
-        }
+        self.shared.counters.snapshot()
     }
 }
 
-/// Broker-backed subscriber state.
-struct BrokerSub {
-    ctx: Context,
-    name: String,
-    id: u64,
-    prefixes: crate::endpoint::SharedPrefixes,
-    rx: Receiver<(Bytes, Multipart)>,
-    /// The broker's entry, which holds the queue's only sender: once it is
-    /// gone the queue is closed.
-    entry: Weak<SubEntry>,
-    /// Rung by the publisher after each delivery and when it goes away.
-    bell: Bell,
-}
-
-impl BrokerSub {
-    /// A message is queued, or the queue is closed.
-    fn has_next(&self) -> bool {
-        !self.rx.is_empty() || self.entry.strong_count() == 0
-    }
-
-    /// One park for at most `timeout` that any of `subs`' publishers
-    /// interrupts; none if one of them has something already.
-    fn park_all(subs: &[&BrokerSub], timeout: Duration) {
-        let bells: Vec<&Bell> = subs.iter().map(|s| &s.bell).collect();
-        bell::sleep_all(&bells, &mut || {
-            // Level-triggered, like `poll`: a message left in a queue by an
-            // earlier wake-up rings nothing again.
-            if !subs.iter().any(|s| s.has_next()) {
-                std::thread::park_timeout(timeout);
-            }
-        });
-    }
-}
-
-impl Drop for BrokerSub {
+impl Drop for PubSocket {
     fn drop(&mut self) {
-        let mut eps = self.ctx.broker.endpoints.lock();
-        if let Some(BrokerEntry::PubSub(ps)) = eps.get_mut(&self.name) {
-            let id = self.id;
-            ps.subs.retain(|s| s.id != id);
+        self.shared.stop.store(true, Ordering::SeqCst);
+        // Let each live peer's writer flush what is already queued (a
+        // just-published `End`, say) before tearing the connection down.
+        linger(|| {
+            let peers = self.shared.peers.lock().expect("peers");
+            let mut live = peers.iter().filter(|p| p.alive.load(Ordering::SeqCst));
+            live.any(|p| p.out.backlog.pending())
+        });
+        // The accept loop first, so no peer (and writer) is added below us.
+        drop(self.accept_stop.take());
+        if let Some(t) = self.accept_thread.take() {
+            let _ = t.join();
+        }
+        for peer in self.shared.peers.lock().expect("peers").drain(..) {
+            peer.retire();
+        }
+        let writers = std::mem::take(&mut *self.shared.writers.lock().expect("writers"));
+        for writer in writers {
+            let _ = writer.join();
         }
     }
 }
 
-enum SubInner {
-    Broker(BrokerSub),
-    Stream(StreamSub),
+/// Sleeps in `poll` until a subscriber connects or the publisher drops
+/// its end of `stopped`.
+fn accept_loop(listener: AnyListener, stopped: UnixStream, shared: Arc<PubShared>) {
+    while !shared.stop.load(Ordering::SeqCst) {
+        match listener.accept() {
+            Ok(Some(stream)) => {
+                if let Err(e) = add_peer(&shared, stream) {
+                    // Peer setup failed (fd exhaustion, ...): drop the
+                    // connection, keep accepting.
+                    let _ = e;
+                }
+            }
+            Ok(None) => {
+                let mut fds = [listener.poll_fd(), PollFd::readable(stopped.as_raw_fd())];
+                if poll_readable(&mut fds, None).is_err() {
+                    break;
+                }
+            }
+            Err(_) => break,
+        }
+    }
+}
+
+fn add_peer(shared: &Arc<PubShared>, stream: AnyStream) -> std::io::Result<()> {
+    stream.grow_send_buffer();
+    let write_half = stream.try_clone()?;
+    let read_half = stream.try_clone()?;
+    let (tx, rx) = channel::bounded::<Queued>(shared.hwm);
+    let peer = Arc::new(Peer {
+        id: shared.next_id.fetch_add(1, Ordering::SeqCst),
+        alive: AtomicBool::new(true),
+        prefixes: Mutex::new(Vec::new()),
+        tx,
+        stream,
+        out: Outbox::new(Some(write_half), shared.counters.clone()),
+    });
+    shared.peers.lock().expect("peers").push(peer.clone());
+
+    let writer_peer = peer.clone();
+    let writer = std::thread::Builder::new()
+        .name("ts-pub-writer".into())
+        .spawn(move || peer_writer(rx, writer_peer))?;
+    {
+        let mut writers = shared.writers.lock().expect("writers");
+        writers.retain(|w| !w.is_finished());
+        writers.push(writer);
+    }
+
+    let reader_shared = shared.clone();
+    std::thread::Builder::new()
+        .name("ts-pub-reader".into())
+        .spawn(move || peer_reader(read_half, peer, reader_shared))?;
+    Ok(())
+}
+
+fn peer_writer(rx: Receiver<Queued>, peer: Arc<Peer>) {
+    while peer.alive.load(Ordering::SeqCst) {
+        let item = match rx.recv_timeout(WRITER_IDLE_TICK) {
+            Ok(item) => item,
+            Err(RecvTimeoutError::Timeout) => Queued::Nudge,
+            Err(RecvTimeoutError::Disconnected) => break,
+        };
+        if peer.out.write(&item).is_err() {
+            break;
+        }
+    }
+    peer.retire();
+    // Nobody will write what is still queued; let go of it now rather than
+    // when the last handle on the queue happens to drop.
+    while rx.try_recv().is_ok() {}
+}
+
+/// Reads that sleep in `poll` for input rather than in `read`. A thread
+/// blocked in `read` on a stream socket sleeps on the socket's wait queue,
+/// which the kernel also wakes each time the peer drains bytes this side
+/// sent (write space) — once per frame a subscriber takes. `poll` asks for
+/// `POLLIN` alone and is not woken for that.
+struct PollFirst {
+    poll: PollFd,
+    stream: Box<dyn std::io::Read + Send>,
+}
+
+impl std::io::Read for PollFirst {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.poll.revents = 0;
+        // An interrupted poll reports nothing ready: poll again. A shut
+        // down or failed connection reports ready, and `read` says which.
+        while !self.poll.is_ready() {
+            poll_readable(std::slice::from_mut(&mut self.poll), None)?;
+        }
+        self.stream.read(buf)
+    }
+}
+
+fn peer_reader(read_half: AnyStream, peer: Arc<Peer>, shared: Arc<PubShared>) {
+    // `BufReader` reads its inner reader only when its buffer cannot serve
+    // the call: every such read waits in `poll` first.
+    let poll = read_half.poll_fd();
+    let stream = read_half.into_reader();
+    let mut reader = BufReader::new(PollFirst { poll, stream });
+    // Not on the publisher's `stop`: its drop lingers for the writers
+    // first, and then shuts every connection down itself.
+    while peer.alive.load(Ordering::SeqCst) {
+        let msg = match wire::read_message(&mut reader) {
+            Ok(m) => m,
+            Err(_) => break,
+        };
+        match msg.kind {
+            wire::KIND_SUB if msg.frames.len() == 2 && msg.frames[1].len() == 8 => {
+                peer.prefixes
+                    .lock()
+                    .expect("peer prefixes")
+                    .push(msg.frames[0].to_vec());
+                // Ack once the prefix is visible to `send`.
+                let ack = wire::staged_whole(wire::KIND_SUBACK, None, &msg.frames[1..], false)
+                    .expect("eight bytes stage whole");
+                if peer.send_staged(&Bytes::from(ack), true).is_err() {
+                    break;
+                }
+            }
+            wire::KIND_UNSUB if msg.frames.len() == 1 => {
+                let mut prefixes = peer.prefixes.lock().expect("peer prefixes");
+                if let Some(pos) = prefixes.iter().position(|p| p[..] == msg.frames[0][..]) {
+                    prefixes.remove(pos);
+                }
+            }
+            _ => {} // unknown control: ignore, stay compatible forward
+        }
+    }
+    peer.retire();
+    shared
+        .peers
+        .lock()
+        .expect("peers")
+        .retain(|p| p.id != peer.id);
+}
+
+// ---------------------------------------------------------------------------
+// subscriber side
+// ---------------------------------------------------------------------------
+
+/// What the connector hands over, and what `SUB`/`UNSUB` are written with.
+struct SubState {
+    /// Write half once connected.
+    writer: Option<AnyStream>,
+    /// Read half once connected, until the owner takes it into its
+    /// [`Inbox`].
+    reader: Option<AnyStream>,
+    /// Locally recorded prefixes (flushed on connect).
+    prefixes: Vec<Vec<u8>>,
+    /// Highest request id of the connector's connect-time prefix flush;
+    /// a subscribe that recorded its prefix pre-connection waits for this
+    /// instead of re-sending (re-sending would register a duplicate).
+    flushed_req: u64,
+    /// True once there is no connection to wait for: the connector gave
+    /// up, or the connection ended.
+    failed: bool,
+}
+
+struct SubShared {
+    stop: AtomicBool,
+    state: Mutex<SubState>,
+    cond: Condvar,
+    next_req: AtomicU64,
+}
+
+/// The subscriber's end of its connection, read by whichever thread
+/// receives.
+struct Inbox {
+    /// `None` until taken over from the connector.
+    conn: Option<AnyStream>,
+    decoder: wire::Decoder,
+    /// Data messages decoded and not yet taken.
+    ready: VecDeque<(Bytes, Multipart)>,
+    /// Highest `SUBACK` request id read.
+    acked: u64,
+    /// Nothing more will come: end of stream, an error, malformed framing,
+    /// or a connector that never got through.
+    closed: bool,
 }
 
 /// The subscribing side of a PUB/SUB endpoint.
 pub struct SubSocket {
-    inner: SubInner,
+    shared: Arc<SubShared>,
+    /// One receiving thread at a time; held across the `poll`.
+    inbox: parking_lot::Mutex<Inbox>,
+    endpoint: String,
 }
 
 impl std::fmt::Debug for SubSocket {
@@ -281,86 +458,117 @@ impl std::fmt::Debug for SubSocket {
 }
 
 impl SubSocket {
-    /// Connects a subscriber. Connecting before the publisher binds is fine;
-    /// messages published before connecting are not seen (slow-joiner
-    /// semantics, which is why TensorSocket needs rubberbanding). Remote
-    /// (`ipc://`/`tcp://`) connects retry in the background until the
-    /// publisher appears.
+    /// Connects a subscriber. Connecting before the publisher binds is fine:
+    /// the connect retries in the background until the publisher appears.
+    /// Messages published before the subscription is acknowledged are not
+    /// seen (slow-joiner semantics, which is why TensorSocket needs
+    /// rubberbanding).
     ///
     /// # Panics
-    /// Panics if the endpoint name is malformed, or already used by a
-    /// PUSH/PULL pair — those are wiring bugs, not runtime conditions.
+    /// Panics if the endpoint name is malformed — a wiring bug, not a
+    /// runtime condition.
     pub fn connect(ctx: &Context, name: &str) -> Self {
-        let addr =
-            EndpointAddr::parse(name).unwrap_or_else(|e| panic!("invalid endpoint {name}: {e}"));
-        if !addr.is_inproc() {
-            return Self {
-                inner: SubInner::Stream(StreamSub::connect(addr, name)),
-            };
-        }
-        let mut eps = ctx.broker.endpoints.lock();
-        let ps = match eps.entry(name.to_string()).or_insert_with(|| {
-            BrokerEntry::PubSub(PubSubEndpoint {
-                bound: false,
-                hwm: ctx.broker.default_hwm,
-                next_sub_id: 0,
-                subs: Vec::new(),
-            })
-        }) {
-            BrokerEntry::PubSub(ps) => ps,
-            BrokerEntry::PushPull(_) => panic!("endpoint {name} is a PUSH/PULL endpoint"),
-        };
-        let (tx, rx) = channel::bounded(ps.hwm);
-        let id = ps.next_sub_id;
-        ps.next_sub_id += 1;
-        let prefixes: crate::endpoint::SharedPrefixes =
-            Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let bell = Bell::for_thread();
-        let entry = Arc::new(SubEntry {
-            id,
-            prefixes: prefixes.clone(),
-            tx,
-            bell: bell.clone(),
-        });
-        let weak = Arc::downgrade(&entry);
-        ps.subs.push(entry);
-        drop(eps);
-        Self {
-            inner: SubInner::Broker(BrokerSub {
-                ctx: ctx.clone(),
-                name: name.to_string(),
-                id,
-                prefixes,
-                rx,
-                entry: weak,
-                bell,
+        let addr = ctx
+            .resolve(name)
+            .unwrap_or_else(|e| panic!("invalid endpoint {name}: {e}"));
+        let shared = Arc::new(SubShared {
+            stop: AtomicBool::new(false),
+            state: Mutex::new(SubState {
+                writer: None,
+                reader: None,
+                prefixes: Vec::new(),
+                flushed_req: 0,
+                failed: false,
             }),
+            cond: Condvar::new(),
+            next_req: AtomicU64::new(1),
+        });
+        let conn_shared = shared.clone();
+        std::thread::Builder::new()
+            .name("ts-sub-conn".into())
+            .spawn(move || sub_connector(addr, conn_shared))
+            .expect("spawn subscriber connector");
+        SubSocket {
+            shared,
+            inbox: parking_lot::Mutex::new(Inbox {
+                conn: None,
+                decoder: wire::Decoder::new(),
+                ready: VecDeque::new(),
+                acked: 0,
+                closed: false,
+            }),
+            endpoint: name.to_string(),
         }
     }
 
     /// Subscribes to every topic starting with `prefix`. An empty prefix
     /// subscribes to everything.
     ///
-    /// On remote transports this blocks (bounded) until the publisher has
-    /// acknowledged the subscription, so a message sent on another
-    /// connection after `subscribe` returns cannot overtake it.
+    /// Blocks until the publisher has acknowledged the subscription, so a
+    /// message sent on another connection after `subscribe` returns cannot
+    /// overtake it — for at most 10 s ([`SubSocket::subscribe_timeout`]
+    /// sets the bound). The acknowledgement is read here; data messages
+    /// that arrive before it are queued, in order.
     pub fn subscribe(&self, prefix: &[u8]) {
-        match &self.inner {
-            SubInner::Broker(b) => b.prefixes.lock().push(prefix.to_vec()),
-            SubInner::Stream(s) => s.subscribe(prefix),
+        self.subscribe_timeout(prefix, Duration::from_secs(10));
+    }
+
+    /// [`SubSocket::subscribe`], waiting at most `timeout` for the
+    /// publisher (which may not be bound yet) to acknowledge; false when it
+    /// did not. The prefix is registered either way, once the connection
+    /// is there.
+    pub fn subscribe_timeout(&self, prefix: &[u8], timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        let Some(req) = self.request(prefix, deadline) else {
+            return false;
+        };
+        let mut inbox = self.inbox.lock();
+        while inbox.acked < req {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || inbox.closed || self.shared.stop.load(Ordering::SeqCst) {
+                return false;
+            }
+            look(&mut [(&mut *inbox, &*self.shared)], left);
         }
+        true
+    }
+
+    /// Records `prefix` and has it registered — by the connector's
+    /// connect-time flush while there is no connection, by a `SUB` written
+    /// here once there is — and returns the request id its `SUBACK` will
+    /// carry; `None` when there is nothing to wait for.
+    fn request(&self, prefix: &[u8], deadline: Instant) -> Option<u64> {
+        let mut state = self.shared.state.lock().expect("sub state");
+        state.prefixes.push(prefix.to_vec());
+        let flushed_by_connector = state.writer.is_none();
+        // The connector flushes recorded prefixes itself on connect, which
+        // covers us if we time out here.
+        while state.writer.is_none() && !state.failed {
+            let now = Instant::now();
+            if now >= deadline || self.shared.stop.load(Ordering::SeqCst) {
+                return None;
+            }
+            let waited = self.shared.cond.wait_timeout(state, deadline - now);
+            state = waited.expect("sub state").0;
+        }
+        if flushed_by_connector {
+            return (!state.failed).then_some(state.flushed_req);
+        }
+        let req = self.shared.next_req.fetch_add(1, Ordering::SeqCst);
+        let writer = state.writer.as_mut()?;
+        let sub: [&[u8]; 2] = [prefix, &req.to_le_bytes()];
+        wire::write_message(writer, wire::KIND_SUB, &sub).ok()?;
+        Some(req)
     }
 
     /// Removes a previously added prefix.
     pub fn unsubscribe(&self, prefix: &[u8]) {
-        match &self.inner {
-            SubInner::Broker(b) => {
-                let mut p = b.prefixes.lock();
-                if let Some(pos) = p.iter().position(|x| x == prefix) {
-                    p.remove(pos);
-                }
-            }
-            SubInner::Stream(s) => s.unsubscribe(prefix),
+        let mut state = self.shared.state.lock().expect("sub state");
+        if let Some(pos) = state.prefixes.iter().position(|p| p == prefix) {
+            state.prefixes.remove(pos);
+        }
+        if let Some(writer) = state.writer.as_mut() {
+            let _ = wire::write_message(writer, wire::KIND_UNSUB, &[prefix]);
         }
     }
 
@@ -372,29 +580,14 @@ impl SubSocket {
     ///
     /// This is the one blocking call of an owner that listens to several
     /// publishers (a consumer of a sharded producer: one subscriber per
-    /// shard). Over `ipc://`/`tcp://` it is one `poll` across the
-    /// connections of every subscriber given, each connection that turned
-    /// readable read once; over `inproc://` one park, which a publisher's
-    /// `send` to any of them — or its going away — interrupts. A set that
-    /// mixes the two looks at its in-process subscribers at least every few
-    /// milliseconds.
+    /// shard): one `poll` across the connections of every subscriber
+    /// given, each connection that turned readable read once.
     pub fn wait(subs: &[&SubSocket], timeout: Duration) -> Option<usize> {
         let deadline = Instant::now() + timeout;
-        let streams: Vec<&StreamSub> = (subs.iter())
-            .filter_map(|s| match &s.inner {
-                SubInner::Stream(s) => Some(s),
-                SubInner::Broker(_) => None,
-            })
-            .collect();
-        let brokers: Vec<&BrokerSub> = (subs.iter())
-            .filter_map(|s| match &s.inner {
-                SubInner::Broker(b) => Some(b),
-                SubInner::Stream(_) => None,
-            })
-            .collect();
         let mut looked = false;
         loop {
-            if let Some(i) = subs.iter().position(|s| s.has_next()) {
+            let mut inboxes: Vec<_> = subs.iter().map(|s| (s.inbox.lock(), &*s.shared)).collect();
+            if let Some(i) = inboxes.iter().position(|(inbox, _)| inbox.has_next()) {
                 return Some(i);
             }
             // Looks at every connection at least once, whatever the
@@ -404,69 +597,202 @@ impl SubSocket {
                 return None;
             }
             looked = true;
-            match (streams.is_empty(), brokers.is_empty()) {
-                (true, false) => BrokerSub::park_all(&brokers, left),
-                (_, true) => StreamSub::sweep_all(&streams, left),
-                // A ring does not interrupt a `poll`.
-                (false, false) => StreamSub::sweep_all(&streams, left.min(POLL_EVERY)),
-            }
-        }
-    }
-
-    /// A message can be taken, or the socket is closed.
-    fn has_next(&self) -> bool {
-        match &self.inner {
-            SubInner::Broker(b) => b.has_next(),
-            SubInner::Stream(s) => s.has_next(),
+            look(&mut inboxes, left);
         }
     }
 
     /// Receives the next matching message, waiting up to `timeout`.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<(Bytes, Multipart), RecvError> {
-        match &self.inner {
-            SubInner::Broker(b) => match b.rx.recv_timeout(timeout) {
-                Ok(m) => Ok(m),
-                Err(RecvTimeoutError::Timeout) => Err(RecvError::Timeout),
-                Err(RecvTimeoutError::Disconnected) => Err(RecvError::Closed),
-            },
-            SubInner::Stream(s) => s.recv_timeout(timeout),
+        let deadline = Instant::now() + timeout;
+        let mut inbox = self.inbox.lock();
+        loop {
+            // Looks at the connection at least once, whatever the timeout;
+            // half a message ends a look early, not the wait.
+            let left = deadline.saturating_duration_since(Instant::now());
+            if !inbox.has_next() {
+                look(&mut [(&mut *inbox, &*self.shared)], left);
+            }
+            match inbox.ready.pop_front() {
+                Some(msg) => return Ok(msg),
+                None if inbox.closed => return Err(RecvError::Closed),
+                None if left.is_zero() => return Err(RecvError::Timeout),
+                None => {}
+            }
         }
     }
 
     /// Non-blocking receive; `Ok(None)` when no message is queued.
     pub fn try_recv(&self) -> Result<Option<(Bytes, Multipart)>, RecvError> {
-        match &self.inner {
-            SubInner::Broker(b) => match b.rx.try_recv() {
-                Ok(m) => Ok(Some(m)),
-                Err(TryRecvError::Empty) => Ok(None),
-                Err(TryRecvError::Disconnected) => Err(RecvError::Closed),
-            },
-            SubInner::Stream(s) => s.try_recv(),
+        let mut inbox = self.inbox.lock();
+        if !inbox.has_next() {
+            look(&mut [(&mut *inbox, &*self.shared)], Duration::ZERO);
+        }
+        match inbox.ready.pop_front() {
+            Some(msg) => Ok(Some(msg)),
+            None if inbox.closed => Err(RecvError::Closed),
+            None => Ok(None),
         }
     }
 
-    /// Messages received and not yet taken. Over `ipc://`/`tcp://` that is
-    /// what the owner has read off its connection; more may sit in the
-    /// kernel's socket buffer.
+    /// Messages received and not yet taken: what the owner has read off
+    /// its connection; more may sit in the kernel's socket buffer.
     pub fn queued(&self) -> usize {
-        match &self.inner {
-            SubInner::Broker(b) => b.rx.len(),
-            SubInner::Stream(s) => s.queued(),
-        }
+        self.inbox.lock().ready.len()
     }
 
     /// The endpoint this subscriber connected to.
     pub fn endpoint(&self) -> &str {
-        match &self.inner {
-            SubInner::Broker(b) => &b.name,
-            SubInner::Stream(s) => s.endpoint(),
+        &self.endpoint
+    }
+}
+
+/// One `poll` of at most `timeout` over the connections of `inboxes`, then
+/// one read of each that turned readable. An inbox whose connector has not
+/// got through yet is looked at again within [`POLL_EVERY`].
+fn look<I: DerefMut<Target = Inbox>>(inboxes: &mut [(I, &SubShared)], timeout: Duration) {
+    let mut timeout = timeout;
+    let mut fds = Vec::with_capacity(inboxes.len());
+    for (inbox, shared) in inboxes.iter_mut() {
+        match inbox.connected(shared) {
+            Some(conn) => fds.push(conn.poll_fd()),
+            None => {
+                // A negative descriptor is an entry `poll` skips.
+                fds.push(PollFd::readable(-1));
+                timeout = timeout.min(POLL_EVERY);
+            }
         }
     }
+    if poll_readable(&mut fds, Some(timeout)).is_err() {
+        // `ENOMEM`, say: nothing is ready that we know of, and the
+        // caller's loop must not spin on it.
+        std::thread::sleep(timeout.min(Duration::from_millis(1)));
+        return;
+    }
+    for ((inbox, shared), fd) in inboxes.iter_mut().zip(&fds) {
+        if fd.is_ready() {
+            inbox.read(shared);
+        }
+    }
+}
+
+impl Inbox {
+    fn has_next(&self) -> bool {
+        !self.ready.is_empty() || self.closed
+    }
+
+    /// The connection, taken over from the connector once it got through.
+    fn connected(&mut self, shared: &SubShared) -> Option<&AnyStream> {
+        if self.conn.is_none() && !self.closed {
+            let mut state = shared.state.lock().expect("sub state");
+            self.conn = state.reader.take();
+            self.closed = self.conn.is_none() && state.failed;
+        }
+        self.conn.as_ref()
+    }
+
+    /// One read and the whole messages it completed; a connection that
+    /// ended, failed or broke the framing closes the inbox.
+    fn read(&mut self, shared: &SubShared) {
+        let Some(conn) = self.conn.as_mut() else {
+            return;
+        };
+        let mut open = match self.decoder.fill(conn) {
+            Ok(n) => n > 0,
+            Err(e) => matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+            ),
+        };
+        while open {
+            match self.decoder.next() {
+                Ok(Some(msg)) => self.take_in(msg),
+                Ok(None) => break,
+                Err(_) => open = false,
+            }
+        }
+        if !open {
+            self.close(shared);
+        }
+    }
+
+    fn take_in(&mut self, msg: wire::WireMessage) {
+        match (msg.kind, &msg.frames[..]) {
+            (wire::KIND_DATA, _) => self.ready.extend(msg.into_topic_and_payload()),
+            (wire::KIND_SUBACK, [req]) => {
+                if let Ok(req) = <[u8; 8]>::try_from(&req[..]) {
+                    self.acked = self.acked.max(u64::from_le_bytes(req));
+                }
+            }
+            _ => {} // unknown control: ignore, stay compatible forward
+        }
+    }
+
+    /// Nothing more is read, and a later `subscribe` does not wait for a
+    /// connection.
+    fn close(&mut self, shared: &SubShared) {
+        self.closed = true;
+        if let Some(conn) = self.conn.take() {
+            conn.shutdown();
+        }
+        let mut state = shared.state.lock().expect("sub state");
+        state.failed = true;
+        if let Some(writer) = state.writer.take() {
+            writer.shutdown();
+        }
+        shared.cond.notify_all();
+    }
+}
+
+impl Drop for SubSocket {
+    fn drop(&mut self) {
+        self.shared.stop.store(true, Ordering::SeqCst);
+        if let Some(conn) = self.inbox.get_mut().conn.take() {
+            conn.shutdown();
+        }
+        let mut state = self.shared.state.lock().expect("sub state");
+        let halves = [state.writer.take(), state.reader.take()];
+        for half in halves.into_iter().flatten() {
+            half.shutdown();
+        }
+        self.shared.cond.notify_all();
+    }
+}
+
+/// Connects, registers the prefixes recorded so far, hands the connection
+/// over and exits: the subscriber reads it itself.
+fn sub_connector(addr: Addr, shared: Arc<SubShared>) {
+    let give_up = {
+        let shared = shared.clone();
+        move || shared.stop.load(Ordering::SeqCst)
+    };
+    let connected = AnyStream::connect_retry(&addr, CONNECT_RETRY_FOR, give_up)
+        .and_then(|stream| Ok((stream.try_clone()?, stream)));
+    let mut state = shared.state.lock().expect("sub state");
+    match connected {
+        Ok((reader, mut writer)) if !shared.stop.load(Ordering::SeqCst) => {
+            let mut last_req = 0;
+            for prefix in &state.prefixes {
+                let req = shared.next_req.fetch_add(1, Ordering::SeqCst);
+                let sub: [&[u8]; 2] = [prefix, &req.to_le_bytes()];
+                let _ = wire::write_message(&mut writer, wire::KIND_SUB, &sub);
+                last_req = req;
+            }
+            state.flushed_req = last_req;
+            state.writer = Some(writer);
+            state.reader = Some(reader);
+        }
+        // Dropped while connecting.
+        Ok((_, writer)) => writer.shutdown(),
+        Err(_) => state.failed = true,
+    }
+    shared.cond.notify_all();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const RECV: Duration = Duration::from_secs(10);
 
     fn msg(s: &'static [u8]) -> Multipart {
         Multipart::single(Bytes::from_static(s))
@@ -484,8 +810,9 @@ mod tests {
         s3.subscribe(b"ctrl");
         let n = publisher.send(b"batch/1", msg(b"x")).unwrap();
         assert_eq!(n, 2);
-        assert!(s1.try_recv().unwrap().is_some());
-        assert!(s2.try_recv().unwrap().is_some());
+        assert!(s1.recv_timeout(RECV).is_ok());
+        assert!(s2.recv_timeout(RECV).is_ok());
+        // Filtered at the publisher: nothing is on its way to s3.
         assert!(s3.try_recv().unwrap().is_none());
     }
 
@@ -497,7 +824,7 @@ mod tests {
         let sub = SubSocket::connect(&ctx, "inproc://d");
         sub.subscribe(b"");
         publisher.send(b"t", msg(b"late")).unwrap();
-        let (_, m) = sub.recv_timeout(Duration::from_millis(100)).unwrap();
+        let (_, m) = sub.recv_timeout(RECV).unwrap();
         assert_eq!(&m.frames()[0][..], b"late");
         assert!(sub.try_recv().unwrap().is_none());
     }
@@ -506,10 +833,18 @@ mod tests {
     fn connect_before_bind_works() {
         let ctx = Context::new();
         let sub = SubSocket::connect(&ctx, "inproc://d");
-        sub.subscribe(b"");
-        let publisher = PubSocket::bind(&ctx, "inproc://d").unwrap();
+        // Subscribed before the publisher exists: `subscribe` waits for the
+        // connection its connector retries until the bind.
+        let publisher = std::thread::scope(|s| {
+            let publisher = s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(20));
+                PubSocket::bind(&ctx, "inproc://d").unwrap()
+            });
+            sub.subscribe(b"");
+            publisher.join().unwrap()
+        });
         publisher.send(b"t", msg(b"hello")).unwrap();
-        assert!(sub.try_recv().unwrap().is_some());
+        assert!(sub.recv_timeout(RECV).is_ok());
     }
 
     #[test]
@@ -537,7 +872,12 @@ mod tests {
         sub.subscribe(b"");
         assert_eq!(publisher.subscriber_count(), 1);
         drop(sub);
-        assert_eq!(publisher.subscriber_count(), 0);
+        // The publisher learns it from the connection's end.
+        let deadline = Instant::now() + RECV;
+        while publisher.subscriber_count() > 0 {
+            assert!(Instant::now() < deadline, "never pruned");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         assert_eq!(publisher.send(b"t", msg(b"x")).unwrap(), 0);
     }
 
@@ -550,9 +890,9 @@ mod tests {
         publisher.send(b"t", msg(b"x")).unwrap();
         drop(publisher);
         // queued message still delivered
-        assert!(sub.try_recv().unwrap().is_some());
-        // then the channel reports closed
-        assert!(matches!(sub.try_recv().unwrap_err(), RecvError::Closed));
+        assert!(sub.recv_timeout(RECV).is_ok());
+        // then the socket reports closed
+        assert!(matches!(sub.recv_timeout(RECV), Err(RecvError::Closed)));
     }
 
     #[test]
@@ -562,32 +902,42 @@ mod tests {
             PubSocket::bind_with(&ctx, "inproc://d", SendPolicy::DropNewest, Some(1)).unwrap();
         let sub = SubSocket::connect(&ctx, "inproc://d");
         sub.subscribe(b"");
-        assert_eq!(publisher.send(b"t", msg(b"1")).unwrap(), 1);
-        // queue full now; second send is dropped for this subscriber
-        assert_eq!(publisher.send(b"t", msg(b"2")).unwrap(), 0);
-        assert_eq!(sub.queued(), 1);
+        // Nobody reads: once the socket buffers and the one-deep queue are
+        // full, sends are dropped for this subscriber.
+        let big = Multipart::single(Bytes::from(vec![1u8; 1 << 20]));
+        let delivered: usize = (0..64)
+            .map(|_| publisher.send(b"t", big.clone()).unwrap())
+            .sum();
+        assert!(delivered > 0 && delivered < 64, "{delivered}");
+        // What was delivered arrives; nothing else does.
+        for _ in 0..delivered {
+            assert_eq!(sub.recv_timeout(RECV).unwrap().1.byte_len(), 1 << 20);
+        }
+        assert!(sub.try_recv().unwrap().is_none());
     }
 
     #[test]
     fn blocking_policy_applies_backpressure() {
-        let ctx = Context::new();
+        let ctx = Context::with_hwm(1);
         let publisher =
             PubSocket::bind_with(&ctx, "inproc://d", SendPolicy::Block, Some(1)).unwrap();
         let sub = SubSocket::connect(&ctx, "inproc://d");
         sub.subscribe(b"");
-        publisher.send(b"t", msg(b"1")).unwrap();
+        // 64 MiB is far more than the socket buffers and the one-deep queue
+        // hold: the publisher stalls until the subscriber drains.
+        let big = Multipart::single(Bytes::from(vec![2u8; 1 << 20]));
         let t = std::thread::spawn(move || {
-            publisher.send(b"t", msg(b"2")).unwrap();
+            for _ in 0..64 {
+                publisher.send(b"t", big.clone()).unwrap();
+            }
             publisher
         });
-        std::thread::sleep(Duration::from_millis(30));
+        std::thread::sleep(Duration::from_millis(100));
         assert!(!t.is_finished(), "send should block on the full queue");
-        sub.recv_timeout(Duration::from_secs(1)).unwrap();
+        for _ in 0..64 {
+            assert_eq!(sub.recv_timeout(RECV).unwrap().1.byte_len(), 1 << 20);
+        }
         let _publisher = t.join().unwrap();
-        assert_eq!(
-            &sub.recv_timeout(Duration::from_secs(1)).unwrap().1.frames()[0][..],
-            b"2"
-        );
     }
 
     #[test]
@@ -598,9 +948,12 @@ mod tests {
         sub.subscribe(b"a");
         sub.subscribe(b"b");
         sub.unsubscribe(b"a");
+        // An unsubscribe is not acknowledged; the subscribe after it is, and
+        // the publisher handles both in order.
+        sub.subscribe(b"c");
         publisher.send(b"a/1", msg(b"x")).unwrap();
         publisher.send(b"b/1", msg(b"y")).unwrap();
-        let (topic, _) = sub.recv_timeout(Duration::from_millis(100)).unwrap();
+        let (topic, _) = sub.recv_timeout(RECV).unwrap();
         assert_eq!(&topic[..], b"b/1");
         assert!(sub.try_recv().unwrap().is_none());
     }

@@ -1,66 +1,73 @@
-//! PUSH/PULL: many-to-one fan-in, used for ACKs, heartbeats and joins.
+//! PUSH/PULL: many-to-one fan-in, used for ACKs, heartbeats and joins,
+//! over the stream transport ([`crate::transport`]) whatever the scheme.
 //!
-//! The endpoint URI picks the transport: `inproc://` stays on the
-//! in-process broker; `ipc://` and `tcp://` run over real sockets (see
-//! [`crate::transport`]).
+//! The puller binds, accepts many pushers and reads them all **on the
+//! thread that owns it**: listener, connections and the socket's
+//! [`Bell`] are one poll set, a connection that turns readable is read
+//! once into its own `wire::Decoder`, and whole messages land in a local
+//! queue in the order the connections were visited — round-robin, so one
+//! chatty pusher cannot starve another. No thread is woken to hand a
+//! message to another thread. What the owner has not read waits in the
+//! kernel's socket buffer and, behind that, in the pushers' own queues:
+//! once `hwm` messages are decoded and untaken, nothing more is read.
+//!
+//! A pusher writes a small message itself (`Outbox::send_staged`); a
+//! bounded queue drained by a writer thread takes bulk frames and whatever
+//! the kernel would not, so `send` applies HWM backpressure and `try_send`
+//! reports `Full` once that queue is full. A pusher that connects before
+//! the puller binds simply buffers — the same thread is its connector and
+//! retries in the background.
 
 use crate::bell::Bell;
-use crate::endpoint::{BrokerEntry, Context, PushPullEndpoint};
+use crate::endpoint::Context;
 use crate::error::{RecvError, SendError};
 use crate::frame::Multipart;
-use crate::transport::pushpull::{StreamPull, StreamPush};
-use crate::transport::{EndpointAddr, TransportStats};
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
-use std::time::Duration;
+use crate::transport::{
+    check_frames, linger, poll_readable, Addr, AnyListener, AnyStream, Outbox, PollFd, Queued,
+    TransportStats, CONNECT_RETRY_FOR, WRITER_IDLE_TICK,
+};
+use crate::wire;
+use bytes::Bytes;
+use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TrySendError};
+use std::collections::VecDeque;
+use std::io;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-fn ensure_endpoint(ctx: &Context, name: &str) -> Result<(Sender<Multipart>, Bell), SendError> {
-    let mut eps = ctx.broker.endpoints.lock();
-    match eps.get(name) {
-        Some(BrokerEntry::PushPull(pp)) => Ok((pp.tx.clone(), pp.bell.clone())),
-        Some(BrokerEntry::PubSub(_)) => Err(SendError::AddrInUse(name.to_string())),
-        None => {
-            let (tx, rx) = channel::bounded(ctx.broker.default_hwm);
-            let bell = Bell::for_thread();
-            eps.insert(
-                name.to_string(),
-                BrokerEntry::PushPull(PushPullEndpoint {
-                    bound: false,
-                    tx: tx.clone(),
-                    bell: bell.clone(),
-                    rx: Some(rx),
-                }),
-            );
-            Ok((tx, bell))
-        }
-    }
+/// One accepted pusher. The stream is non-blocking and nobody else holds
+/// it.
+struct PullConn {
+    stream: AnyStream,
+    decoder: wire::Decoder,
 }
 
-/// Broker-backed puller; removing the endpoint on drop disconnects
-/// pushers.
-struct BrokerPull {
-    ctx: Context,
-    name: String,
-    rx: Receiver<Multipart>,
+struct PullState {
+    listener: AnyListener,
+    /// False once `accept` failed for good; with no connection left either,
+    /// the socket reads as closed.
+    accepting: bool,
+    conns: Vec<PullConn>,
+    /// Decoded and not yet taken.
+    ready: VecDeque<Multipart>,
+    /// Nothing more is read while this many are ready.
+    hwm: usize,
     bell: Bell,
-}
-
-impl Drop for BrokerPull {
-    fn drop(&mut self) {
-        // Remove the endpoint: connected pushers observe `Disconnected`.
-        self.ctx.broker.endpoints.lock().remove(&self.name);
-    }
-}
-
-enum PullInner {
-    Broker(BrokerPull),
-    Stream(StreamPull),
+    /// The poll set, rebuilt per sweep: the bell, the listener, then
+    /// `conns` in order.
+    fds: Vec<PollFd>,
+    /// Which connection the next sweep visits first.
+    turn: usize,
 }
 
 /// The receiving side of a PUSH/PULL endpoint. One binder per endpoint,
-/// and one thread at a time receiving on it: over `ipc://`/`tcp://` that
-/// thread reads the connections itself.
+/// and one thread at a time receiving on it: that thread reads the
+/// connections itself.
 pub struct PullSocket {
-    inner: PullInner,
+    endpoint: String,
+    bell: Bell,
+    /// One owner at a time; the lock is held across the blocking `poll`.
+    state: parking_lot::Mutex<PullState>,
 }
 
 impl std::fmt::Debug for PullSocket {
@@ -76,32 +83,23 @@ impl PullSocket {
     /// Binds the receiver. Pushers may have connected first; anything they
     /// already queued is delivered.
     pub fn bind(ctx: &Context, name: &str) -> Result<Self, SendError> {
-        let addr = EndpointAddr::parse(name)?;
-        if !addr.is_inproc() {
-            return Ok(Self {
-                inner: PullInner::Stream(StreamPull::bind(&addr, name, ctx.broker.default_hwm)?),
-            });
-        }
-        ensure_endpoint(ctx, name)?;
-        let mut eps = ctx.broker.endpoints.lock();
-        match eps.get_mut(name) {
-            Some(BrokerEntry::PushPull(pp)) => {
-                if pp.bound || pp.rx.is_none() {
-                    return Err(SendError::AddrInUse(name.to_string()));
-                }
-                pp.bound = true;
-                let rx = pp.rx.take().expect("checked above");
-                Ok(Self {
-                    inner: PullInner::Broker(BrokerPull {
-                        ctx: ctx.clone(),
-                        name: name.to_string(),
-                        rx,
-                        bell: pp.bell.clone(),
-                    }),
-                })
-            }
-            _ => Err(SendError::AddrInUse(name.to_string())),
-        }
+        let listener = AnyListener::bind(&ctx.resolve(name)?, name)?;
+        let endpoint = listener.local_endpoint(name);
+        let bell = Bell::new().map_err(|e| SendError::Io(format!("doorbell: {e}")))?;
+        Ok(PullSocket {
+            endpoint,
+            bell: bell.clone(),
+            state: parking_lot::Mutex::new(PullState {
+                listener,
+                accepting: true,
+                conns: Vec::new(),
+                ready: VecDeque::new(),
+                hwm: ctx.hwm(),
+                bell,
+                fds: Vec::new(),
+                turn: 0,
+            }),
+        })
     }
 
     /// Sleeps until a message can be received, the socket's [`Bell`] is
@@ -112,56 +110,47 @@ impl PullSocket {
     /// the bell stands for, then wait again.
     ///
     /// This is the one blocking call of an owner that serves several
-    /// sources: over `ipc://`/`tcp://` it is a single `poll` across the
-    /// listener, every connection and the bell (with the timeout at
-    /// nanosecond resolution), over `inproc://` a `park_timeout`.
+    /// sources: a single `poll` across the listener, every connection and
+    /// the bell, with the timeout at nanosecond resolution.
     pub fn wait(&self, timeout: Duration) {
-        match &self.inner {
-            PullInner::Broker(b) => b.bell.sleep(|| {
-                // Level-triggered, like `poll`: a message left in the
-                // queue by an earlier wake-up rings nothing again.
-                if b.rx.is_empty() {
-                    std::thread::park_timeout(timeout);
-                }
-            }),
-            PullInner::Stream(s) => s.wait(timeout),
-        }
+        self.state.lock().sweep(timeout);
     }
 
     /// The socket's doorbell: a handle any thread can ring to make the
     /// owner's current or next [`PullSocket::wait`] return. Ring it
     /// *after* putting whatever the owner should find where it will look.
     /// Ringing an owner that is awake is two atomic stores; only a
-    /// sleeping one costs a system call (a one-byte `write`, or an
-    /// `unpark` over `inproc://`).
+    /// sleeping one costs a system call (a one-byte `write`).
     pub fn bell(&self) -> Bell {
-        match &self.inner {
-            PullInner::Broker(b) => b.bell.clone(),
-            PullInner::Stream(s) => s.bell().clone(),
-        }
+        self.bell.clone()
     }
 
     /// Receives the next message, waiting up to `timeout`.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Multipart, RecvError> {
-        match &self.inner {
-            PullInner::Broker(b) => match b.rx.recv_timeout(timeout) {
-                Ok(m) => Ok(m),
-                Err(RecvTimeoutError::Timeout) => Err(RecvError::Timeout),
-                Err(RecvTimeoutError::Disconnected) => Err(RecvError::Closed),
-            },
-            PullInner::Stream(s) => s.recv_timeout(timeout),
+        let deadline = Instant::now() + timeout;
+        let mut state = self.state.lock();
+        loop {
+            // Looks at the sockets at least once, whatever the timeout; a
+            // ring or half a message ends a sweep early, not the wait.
+            let left = deadline.saturating_duration_since(Instant::now());
+            state.sweep(left);
+            match state.ready.pop_front() {
+                Some(msg) => return Ok(msg),
+                None if state.closed() => return Err(RecvError::Closed),
+                None if left.is_zero() => return Err(RecvError::Timeout),
+                None => {}
+            }
         }
     }
 
     /// Non-blocking receive; `Ok(None)` when nothing has arrived.
     pub fn try_recv(&self) -> Result<Option<Multipart>, RecvError> {
-        match &self.inner {
-            PullInner::Broker(b) => match b.rx.try_recv() {
-                Ok(m) => Ok(Some(m)),
-                Err(TryRecvError::Empty) => Ok(None),
-                Err(TryRecvError::Disconnected) => Err(RecvError::Closed),
-            },
-            PullInner::Stream(s) => s.try_recv(),
+        let mut state = self.state.lock();
+        state.sweep(Duration::ZERO);
+        match state.ready.pop_front() {
+            Some(msg) => Ok(Some(msg)),
+            None if state.closed() => Err(RecvError::Closed),
+            None => Ok(None),
         }
     }
 
@@ -174,36 +163,154 @@ impl PullSocket {
         out
     }
 
-    /// Messages received and not yet taken. Over `ipc://`/`tcp://` that is
-    /// what the owner has read off its connections; more may sit in the
-    /// kernel's socket buffers.
+    /// Messages received and not yet taken: what the owner has read off
+    /// its connections; more may sit in the kernel's socket buffers.
     pub fn queued(&self) -> usize {
-        match &self.inner {
-            PullInner::Broker(b) => b.rx.len(),
-            PullInner::Stream(s) => s.queued(),
-        }
+        self.state.lock().ready.len()
     }
 
     /// The endpoint this socket is bound to. For `tcp://host:0` binds this
     /// is the resolved address with the real port.
     pub fn endpoint(&self) -> &str {
-        match &self.inner {
-            PullInner::Broker(b) => &b.name,
-            PullInner::Stream(s) => s.endpoint(),
+        &self.endpoint
+    }
+}
+
+impl PullState {
+    fn closed(&self) -> bool {
+        !self.accepting && self.conns.is_empty() && self.ready.is_empty()
+    }
+
+    /// Unless a message is ready already: one `poll` over everything for at
+    /// most `timeout`, then one `accept` round and one `read` per
+    /// connection that has something.
+    fn sweep(&mut self, timeout: Duration) {
+        if !self.ready.is_empty() {
+            return;
+        }
+        self.fds.clear();
+        self.fds.push(PollFd::readable(self.bell.fd()));
+        // A listener that cannot accept any more would read as ready for
+        // ever; a negative descriptor is an entry `poll` skips.
+        self.fds.push(match self.accepting {
+            true => self.listener.poll_fd(),
+            false => PollFd::readable(-1),
+        });
+        self.fds
+            .extend(self.conns.iter().map(|c| c.stream.poll_fd()));
+        let fds = &mut self.fds;
+        let mut polled = Ok(());
+        if timeout.is_zero() {
+            // Just looking: the owner is not going to sleep, so a ringer
+            // has nobody to wake.
+            polled = poll_readable(fds, Some(timeout));
+        } else {
+            self.bell
+                .sleep(|| polled = poll_readable(fds, Some(timeout)));
+        }
+        if polled.is_err() {
+            // `ENOMEM`, say: nothing is ready that we know of, and the
+            // caller's loop must not spin on it.
+            std::thread::sleep(timeout.min(Duration::from_millis(1)));
+            return;
+        }
+        if self.fds[0].is_ready() {
+            self.bell.drain();
+        }
+        // Connections accepted now are not in this poll set; they are read
+        // from the next sweep on.
+        let polled = self.conns.len();
+        if self.fds[1].is_ready() {
+            self.accept_pending();
+        }
+        let mut dead = Vec::new();
+        for k in 0..polled {
+            let i = (self.turn + k) % polled;
+            if !self.fds[2 + i].is_ready() {
+                continue;
+            }
+            if self.ready.len() >= self.hwm {
+                break;
+            }
+            if !self.conns[i].read_into(&mut self.ready) {
+                dead.push(i);
+            }
+        }
+        self.turn = self.turn.wrapping_add(1);
+        // Close and forget departed pushers so a long-lived puller does
+        // not accumulate dead fds.
+        dead.sort_unstable();
+        for i in dead.into_iter().rev() {
+            self.conns.remove(i).stream.shutdown();
+        }
+    }
+
+    fn accept_pending(&mut self) {
+        loop {
+            match self.listener.accept() {
+                Ok(Some(stream)) => {
+                    if stream.set_nonblocking().is_ok() {
+                        let decoder = wire::Decoder::new();
+                        self.conns.push(PullConn { stream, decoder });
+                    }
+                }
+                Ok(None) => return,
+                Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => {}
+                Err(_) => {
+                    self.accepting = false;
+                    return;
+                }
+            }
         }
     }
 }
 
-enum PushInner {
-    Broker(Sender<Multipart>, Bell),
-    Stream(StreamPush),
+impl PullConn {
+    /// One read and whatever whole messages it completed; false once the
+    /// connection is finished (end of stream, an error, malformed framing).
+    fn read_into(&mut self, ready: &mut VecDeque<Multipart>) -> bool {
+        match self.decoder.fill(&mut self.stream) {
+            Ok(0) => return false,
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => return true,
+            Err(_) => return false,
+        }
+        loop {
+            match self.decoder.next() {
+                Ok(Some(msg)) => ready.extend(msg.into_payload()),
+                Ok(None) => return true,
+                Err(_) => return false,
+            }
+        }
+    }
+}
+
+impl Drop for PullSocket {
+    fn drop(&mut self) {
+        for conn in self.state.get_mut().conns.drain(..) {
+            conn.stream.shutdown();
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// push side
+// ---------------------------------------------------------------------------
+
+struct PushShared {
+    stop: AtomicBool,
+    /// The writer holds a connection and is still writing.
+    connected: AtomicBool,
+    out: Outbox,
 }
 
 /// The sending side of a PUSH/PULL endpoint. Many pushers may connect, and
 /// many threads may share one pusher: each message arrives whole, and one
 /// thread's messages in the order it sent them.
 pub struct PushSocket {
-    inner: PushInner,
+    tx: Sender<Queued>,
+    shared: Arc<PushShared>,
 }
 
 impl std::fmt::Debug for PushSocket {
@@ -213,70 +320,110 @@ impl std::fmt::Debug for PushSocket {
 }
 
 impl PushSocket {
-    /// Connects a pusher; creates the endpoint if it does not exist yet.
-    /// Remote (`ipc://`/`tcp://`) connects retry in the background until
-    /// the puller binds; messages queue locally meanwhile.
+    /// Connects a pusher. The connect retries in the background until the
+    /// puller binds; messages queue locally meanwhile.
     ///
     /// # Panics
-    /// Panics if the endpoint name is malformed or used by a PUB/SUB pair
-    /// (wiring bug).
+    /// Panics if the endpoint name is malformed (wiring bug).
     pub fn connect(ctx: &Context, name: &str) -> Self {
-        let addr =
-            EndpointAddr::parse(name).unwrap_or_else(|e| panic!("invalid endpoint {name}: {e}"));
-        if !addr.is_inproc() {
-            return Self {
-                inner: PushInner::Stream(StreamPush::connect(addr, ctx.broker.default_hwm)),
-            };
-        }
-        let (tx, bell) = ensure_endpoint(ctx, name)
-            .unwrap_or_else(|_| panic!("endpoint {name} is a PUB/SUB endpoint"));
-        Self {
-            inner: PushInner::Broker(tx, bell),
-        }
+        let addr = ctx
+            .resolve(name)
+            .unwrap_or_else(|e| panic!("invalid endpoint {name}: {e}"));
+        let (tx, rx) = channel::bounded(ctx.hwm());
+        let shared = Arc::new(PushShared {
+            stop: AtomicBool::new(false),
+            connected: AtomicBool::new(false),
+            out: Outbox::new(None, Arc::default()),
+        });
+        let writer_shared = shared.clone();
+        std::thread::Builder::new()
+            .name("ts-push-writer".into())
+            .spawn(move || push_writer(addr, writer_shared, rx))
+            .expect("spawn push writer");
+        PushSocket { tx, shared }
     }
 
-    /// Sends a message, blocking while the queue is full.
+    /// How this socket's messages reached the wire so far.
+    pub fn transport_stats(&self) -> TransportStats {
+        self.shared.out.stats()
+    }
+
+    fn send_by(&self, msg: Multipart, block: bool) -> Result<(), SendError> {
+        check_frames(&[], &msg)?;
+        let out = &self.shared.out;
+        let staged = wire::staged_whole(wire::KIND_DATA, None, msg.frames(), msg.is_chunked());
+        let sent = match staged {
+            Some(staged) => out.send_staged(&self.tx, &Bytes::from(staged), block),
+            None => out.enqueue(&self.tx, Queued::Bulk(None, msg), block),
+        };
+        sent.map_err(|e| match e {
+            TrySendError::Full(_) => SendError::Full,
+            TrySendError::Disconnected(_) => SendError::Disconnected,
+        })
+    }
+
+    /// Sends a message, blocking while the queue is full — with no lock
+    /// held: only this sender waits.
     pub fn send(&self, msg: Multipart) -> Result<(), SendError> {
-        match &self.inner {
-            PushInner::Broker(tx, bell) => {
-                tx.send(msg.into_contiguous())
-                    .map_err(|_| SendError::Disconnected)?;
-                bell.ring();
-                Ok(())
-            }
-            PushInner::Stream(s) => s.send(msg),
-        }
+        self.send_by(msg, true)
     }
 
     /// Non-blocking send.
     pub fn try_send(&self, msg: Multipart) -> Result<(), SendError> {
-        match &self.inner {
-            PushInner::Broker(tx, bell) => match tx.try_send(msg.into_contiguous()) {
-                Ok(()) => {
-                    bell.ring();
-                    Ok(())
-                }
-                Err(TrySendError::Full(_)) => Err(SendError::Full),
-                Err(TrySendError::Disconnected(_)) => Err(SendError::Disconnected),
-            },
-            PushInner::Stream(s) => s.try_send(msg),
-        }
+        self.send_by(msg, false)
     }
+}
 
-    /// How this socket's messages reached the wire so far (all zero over
-    /// `inproc://`).
-    pub fn transport_stats(&self) -> TransportStats {
-        match &self.inner {
-            PushInner::Broker(..) => TransportStats::default(),
-            PushInner::Stream(s) => s.transport_stats(),
+impl Drop for PushSocket {
+    fn drop(&mut self) {
+        // Let a connected writer put what is already queued on the wire (a
+        // consumer's last ack and its LEAVE, say); one that never connected,
+        // or lost its peer, has nothing to wait for.
+        let s = &self.shared;
+        linger(|| s.connected.load(Ordering::SeqCst) && s.out.backlog.pending());
+        // Abort a pending connect; a live writer sees the sender side
+        // close, finds the queue empty and exits.
+        s.stop.store(true, Ordering::SeqCst);
+    }
+}
+
+fn push_writer(addr: Addr, shared: Arc<PushShared>, rx: Receiver<Queued>) {
+    let give_up = {
+        let shared = shared.clone();
+        move || shared.stop.load(Ordering::SeqCst)
+    };
+    let stream = match AnyStream::connect_retry(&addr, CONNECT_RETRY_FOR, give_up) {
+        Ok(s) => s,
+        Err(_) => return, // rx drops: senders observe Disconnected
+    };
+    let Ok(closer) = stream.try_clone() else {
+        return;
+    };
+    // What queued up while there was no connection goes first: senders
+    // find the backlog pending and stay behind it.
+    shared.out.connected(stream);
+    shared.connected.store(true, Ordering::SeqCst);
+    loop {
+        let item = match rx.recv_timeout(WRITER_IDLE_TICK) {
+            Ok(item) => item,
+            Err(RecvTimeoutError::Timeout) => Queued::Nudge,
+            Err(RecvTimeoutError::Disconnected) => break,
+        };
+        if shared.out.write(&item).is_err() {
+            break; // peer gone: rx drops, senders observe Disconnected
         }
     }
+    shared.connected.store(false, Ordering::SeqCst);
+    closer.shutdown();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use std::time::Instant;
+
+    const RECV: Duration = Duration::from_secs(10);
 
     fn msg(s: &'static [u8]) -> Multipart {
         Multipart::single(Bytes::from_static(s))
@@ -290,8 +437,12 @@ mod tests {
         let p2 = PushSocket::connect(&ctx, "inproc://acks");
         p1.send(msg(b"a")).unwrap();
         p2.send(msg(b"b")).unwrap();
-        let got = pull.drain();
-        assert_eq!(got.len(), 2);
+        let mut got: Vec<Vec<u8>> = (0..2)
+            .map(|_| pull.recv_timeout(RECV).unwrap().frames()[0].to_vec())
+            .collect();
+        got.sort();
+        assert_eq!(got, [b"a", b"b"]);
+        assert!(pull.drain().is_empty());
     }
 
     #[test]
@@ -300,7 +451,7 @@ mod tests {
         let push = PushSocket::connect(&ctx, "inproc://acks");
         push.send(msg(b"early")).unwrap();
         let pull = PullSocket::bind(&ctx, "inproc://acks").unwrap();
-        let m = pull.recv_timeout(Duration::from_millis(100)).unwrap();
+        let m = pull.recv_timeout(RECV).unwrap();
         assert_eq!(&m.frames()[0][..], b"early");
     }
 
@@ -316,17 +467,33 @@ mod tests {
         let ctx = Context::new();
         let pull = PullSocket::bind(&ctx, "inproc://acks").unwrap();
         let push = PushSocket::connect(&ctx, "inproc://acks");
+        push.send(msg(b"connected")).unwrap();
+        pull.recv_timeout(RECV).unwrap();
         drop(pull);
-        assert_eq!(push.send(msg(b"x")).unwrap_err(), SendError::Disconnected);
+        // The pusher finds out from its connection: at the latest when the
+        // writer it queued behind fails.
+        let deadline = Instant::now() + RECV;
+        loop {
+            match push.send(msg(b"x")) {
+                Err(e) => break assert_eq!(e, SendError::Disconnected),
+                Ok(()) => assert!(Instant::now() < deadline, "never disconnected"),
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]
     fn try_send_reports_full() {
         let ctx = Context::with_hwm(1);
-        let _pull = PullSocket::bind(&ctx, "inproc://acks").unwrap();
+        let pull = PullSocket::bind(&ctx, "inproc://acks").unwrap();
         let push = PushSocket::connect(&ctx, "inproc://acks");
-        push.try_send(msg(b"1")).unwrap();
-        assert_eq!(push.try_send(msg(b"2")).unwrap_err(), SendError::Full);
+        // Nobody reads: once the socket buffers and the one-deep queue are
+        // full, a non-blocking send says so.
+        let big = Multipart::single(Bytes::from(vec![3u8; 1 << 20]));
+        let full = (0..64).find_map(|_| push.try_send(big.clone()).err());
+        assert_eq!(full, Some(SendError::Full));
+        // The puller goes first, so the pusher has nobody to linger for.
+        drop(pull);
     }
 
     #[test]
@@ -335,7 +502,6 @@ mod tests {
         let _p = crate::PubSocket::bind(&ctx, "inproc://x").unwrap();
         assert!(PullSocket::bind(&ctx, "inproc://x").is_err());
     }
-
     #[test]
     fn wait_returns_for_a_message_a_ring_or_the_timeout_on_both_transports() {
         use std::time::Instant;
@@ -382,6 +548,52 @@ mod tests {
         assert_eq!(
             pull.recv_timeout(Duration::from_millis(10)).unwrap_err(),
             RecvError::Timeout
+        );
+    }
+
+    #[test]
+    fn dropping_a_pusher_lingers_until_its_queue_is_on_the_wire() {
+        // A process may exit right after dropping its last socket: whatever
+        // is still queued then is lost, so `drop` must not return before a
+        // connected writer flushed — and must not wait for one that never
+        // connected.
+        let path = std::env::temp_dir().join(format!("ts-linger-{}.sock", std::process::id()));
+        let name = format!("ipc://{}", path.display());
+        let ctx = Context::with_hwm(4096);
+        let pull = PullSocket::bind(&ctx, &name).unwrap();
+        let push = PushSocket::connect(&ctx, &name);
+        let first = Multipart::single(Bytes::from_static(b"connect"));
+        push.send(first).unwrap();
+        pull.recv_timeout(Duration::from_secs(5))
+            .expect("connected");
+        // 2000 x 64 KiB is far more than the socket buffers hold, and
+        // nobody reads a puller's connections in the background any more:
+        // without this thread draining it, the pusher's writer would sit in
+        // `write` and the drop below would give up after LINGER.
+        const N: usize = 2000;
+        let drained = std::thread::spawn(move || {
+            for _ in 0..N {
+                pull.recv_timeout(Duration::from_secs(5)).expect("flushed");
+            }
+            pull
+        });
+        for _ in 0..N {
+            push.send(Multipart::single(Bytes::from(vec![7u8; 64 << 10])))
+                .unwrap();
+        }
+        let shared = push.shared.clone();
+        drop(push);
+        assert!(!shared.out.backlog.pending(), "dropped with a backlog");
+        drop(drained.join().expect("every message arrived"));
+        let nobody = PushSocket::connect(&Context::with_hwm(16), &name);
+        nobody
+            .send(Multipart::single(Bytes::from_static(b"x")))
+            .unwrap();
+        let started = std::time::Instant::now();
+        drop(nobody);
+        assert!(
+            started.elapsed() < crate::transport::LINGER / 4,
+            "waited for a connection"
         );
     }
 }

@@ -1,17 +1,16 @@
-//! Cross-process transports: `ipc://` (Unix domain sockets) and `tcp://`.
-//!
-//! The in-process broker ([`crate::endpoint`]) keeps its crossbeam-queue
-//! fast path for `inproc://` endpoints; this module provides the same
-//! socket semantics across OS processes, so `PubSocket`/`SubSocket`/
-//! `PushSocket`/`PullSocket` behave identically no matter which scheme
-//! the endpoint URI names:
+//! The one transport: stream sockets — Unix-domain for `ipc://` and
+//! `inproc://` (a socket only the sockets of one [`crate::Context`] can
+//! name, see there), TCP for `tcp://`. This module holds what the socket
+//! types of [`crate::pubsub`] and [`crate::pushpull`] share — connections,
+//! listeners, the poll, the send path — and whichever scheme the endpoint
+//! URI names, they have:
 //!
 //! * per-subscriber bounded queues with the socket's high-water mark, and
 //!   the publisher's [`crate::SendPolicy`] applied per peer;
 //! * prefix subscriptions evaluated publisher-side (no payload bytes move
 //!   for non-matching topics);
-//! * peer disconnects surface as [`crate::RecvError::Closed`] after the
-//!   queue drains, exactly like the broker.
+//! * peer disconnects surface as [`crate::RecvError::Closed`] once what
+//!   was sent before them has been received.
 //!
 //! **Which thread touches a frame.** A message is a write plus, if the
 //! other side sleeps, a wake-up — not a hand-off to a messaging thread:
@@ -47,15 +46,12 @@
 //!   same wait queue), which `poll` filters out. `ts-pub-accept` sleeps in
 //!   `poll` until a subscriber connects.
 //!
-//! A publisher's `ipc://` connections ask the kernel for a send buffer
+//! A publisher's Unix-domain connections ask the kernel for a send buffer
 //! that holds a bulk frame of a few MiB whole; everything else runs on
 //! the platform's socket defaults.
 //!
 //! Bind/connect order does not matter: connectors retry in the background
 //! until the listener appears (ZeroMQ semantics).
-
-pub(crate) mod pubsub;
-pub(crate) mod pushpull;
 
 use crate::error::SendError;
 use crate::frame::Multipart;
@@ -111,8 +107,7 @@ impl Backlog {
 /// `unflushed` any more, or after [`LINGER`] for a peer that stopped
 /// reading. A process may exit right after dropping its last socket, and
 /// what is still queued then — a publisher's `End`, a consumer's last ack
-/// and its LEAVE — is lost with it; the broker transport equally delivers
-/// queued messages after the sender drops.
+/// and its LEAVE — is lost with it.
 pub(crate) fn linger(mut unflushed: impl FnMut() -> bool) {
     let deadline = Instant::now() + LINGER;
     while unflushed() && Instant::now() < deadline {
@@ -120,7 +115,7 @@ pub(crate) fn linger(mut unflushed: impl FnMut() -> bool) {
     }
 }
 
-/// The send buffer a publisher asks for on an `ipc://` connection: room
+/// The send buffer a publisher asks for on a Unix-domain connection: room
 /// for a streamed batch of a few MiB, so its writer hands the kernel the
 /// whole frame in one uninterrupted copy and the subscriber's reader is
 /// woken for it once. (The kernel grants at most `net.core.wmem_max` and
@@ -272,7 +267,7 @@ pub(crate) struct TransportCounters {
 /// A snapshot of a sending socket's transport counters
 /// ([`crate::PubSocket::transport_stats`],
 /// [`crate::PushSocket::transport_stats`]). A publisher counts per
-/// subscriber a message went to. All zero on `inproc://`.
+/// subscriber a message went to.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
     /// Messages the sending thread wrote to the connection itself.
@@ -470,44 +465,24 @@ impl Outbox {
     }
 }
 
-/// A parsed endpoint URI.
+/// Where a socket binds or connects: an endpoint URI resolved in its
+/// [`crate::Context`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EndpointAddr {
-    /// `inproc://name` — the in-process broker (the full URI is the key).
-    Inproc(String),
-    /// `ipc:///path/to.sock` — a Unix domain socket.
-    Ipc(PathBuf),
-    /// `tcp://host:port`.
+pub(crate) enum Addr {
+    /// `tcp://host:port`, as `host:port`.
     Tcp(String),
+    /// A Unix socket file: `ipc://path`, and `inproc://` where there is no
+    /// abstract namespace.
+    Path(PathBuf),
+    /// `inproc://` on Linux: a name in the abstract socket namespace.
+    #[cfg(target_os = "linux")]
+    Abstract(String),
 }
 
-impl EndpointAddr {
-    /// Parses an endpoint URI. Names with an unknown or missing scheme
-    /// resolve to the in-process broker, preserving the pre-transport
-    /// behaviour where any string named a broker endpoint.
-    pub fn parse(name: &str) -> Result<EndpointAddr, SendError> {
-        if let Some(path) = name.strip_prefix("ipc://") {
-            if path.is_empty() {
-                return Err(SendError::InvalidEndpoint(name.to_string()));
-            }
-            return Ok(EndpointAddr::Ipc(PathBuf::from(path)));
-        }
-        if let Some(hostport) = name.strip_prefix("tcp://") {
-            let Some((host, port)) = hostport.rsplit_once(':') else {
-                return Err(SendError::InvalidEndpoint(name.to_string()));
-            };
-            if host.is_empty() || port.parse::<u16>().is_err() {
-                return Err(SendError::InvalidEndpoint(name.to_string()));
-            }
-            return Ok(EndpointAddr::Tcp(hostport.to_string()));
-        }
-        Ok(EndpointAddr::Inproc(name.to_string()))
-    }
-
-    /// True for the in-process broker.
-    pub fn is_inproc(&self) -> bool {
-        matches!(self, EndpointAddr::Inproc(_))
-    }
+#[cfg(target_os = "linux")]
+fn abstract_addr(name: &str) -> io::Result<std::os::unix::net::SocketAddr> {
+    use std::os::linux::net::SocketAddrExt;
+    std::os::unix::net::SocketAddr::from_abstract_name(name)
 }
 
 /// Refuses, before anything is queued, a message with a frame the peer's
@@ -644,25 +619,25 @@ impl AnyStream {
         }
     }
 
-    fn connect_once(addr: &EndpointAddr) -> io::Result<AnyStream> {
+    fn connect_once(addr: &Addr) -> io::Result<AnyStream> {
         match addr {
-            EndpointAddr::Tcp(hostport) => {
+            Addr::Tcp(hostport) => {
                 let s = TcpStream::connect(hostport)?;
                 s.set_nodelay(true).ok();
                 Ok(AnyStream::Tcp(s))
             }
-            EndpointAddr::Ipc(path) => Ok(AnyStream::Unix(UnixStream::connect(path)?)),
-            EndpointAddr::Inproc(_) => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "inproc endpoints use the broker",
-            )),
+            Addr::Path(path) => Ok(AnyStream::Unix(UnixStream::connect(path)?)),
+            #[cfg(target_os = "linux")]
+            Addr::Abstract(name) => Ok(AnyStream::Unix(UnixStream::connect_addr(&abstract_addr(
+                name,
+            )?)?)),
         }
     }
 
     /// Connects with ZeroMQ-style patience: retries until the listener
     /// appears, the deadline passes, or `give_up` returns true.
     pub(crate) fn connect_retry(
-        addr: &EndpointAddr,
+        addr: &Addr,
         timeout: Duration,
         give_up: impl Fn() -> bool,
     ) -> io::Result<AnyStream> {
@@ -756,33 +731,39 @@ impl io::Write for AnyStream {
 /// it with something else (a puller's connections, a stop descriptor).
 pub(crate) enum AnyListener {
     Tcp(TcpListener),
-    /// Keeps the socket path so drop can unlink it.
-    Unix(UnixListener, PathBuf),
+    /// Keeps a socket file's path so drop can unlink it.
+    Unix(UnixListener, Option<PathBuf>),
 }
 
 impl AnyListener {
-    pub(crate) fn bind(addr: &EndpointAddr) -> Result<AnyListener, SendError> {
-        match addr {
-            EndpointAddr::Tcp(hostport) => {
-                let l = TcpListener::bind(hostport)
-                    .map_err(|e| bind_error(&format!("tcp://{hostport}"), e))?;
-                l.set_nonblocking(true)
-                    .map_err(|e| SendError::Io(e.to_string()))?;
-                Ok(AnyListener::Tcp(l))
-            }
-            EndpointAddr::Ipc(path) => {
+    /// Binds `addr`; `endpoint` is the URI it came from, for errors.
+    pub(crate) fn bind(addr: &Addr, endpoint: &str) -> Result<AnyListener, SendError> {
+        let bound = match addr {
+            Addr::Tcp(hostport) => TcpListener::bind(hostport).map(AnyListener::Tcp),
+            Addr::Path(path) => {
                 // A leftover socket file from a dead process would make
                 // bind fail forever; only an active listener should.
                 if UnixStream::connect(path).is_err() {
                     let _ = std::fs::remove_file(path);
                 }
-                let l = UnixListener::bind(path)
-                    .map_err(|e| bind_error(&format!("ipc://{}", path.display()), e))?;
-                l.set_nonblocking(true)
-                    .map_err(|e| SendError::Io(e.to_string()))?;
-                Ok(AnyListener::Unix(l, path.clone()))
+                UnixListener::bind(path).map(|l| AnyListener::Unix(l, Some(path.clone())))
             }
-            EndpointAddr::Inproc(name) => Err(SendError::InvalidEndpoint(name.clone())),
+            #[cfg(target_os = "linux")]
+            Addr::Abstract(name) => abstract_addr(name)
+                .and_then(|a| UnixListener::bind_addr(&a))
+                .map(|l| AnyListener::Unix(l, None)),
+        };
+        let listener = bound.map_err(|e| bind_error(endpoint, e))?;
+        listener
+            .set_nonblocking()
+            .map_err(|e| SendError::Io(e.to_string()))?;
+        Ok(listener)
+    }
+
+    fn set_nonblocking(&self) -> io::Result<()> {
+        match self {
+            AnyListener::Tcp(l) => l.set_nonblocking(true),
+            AnyListener::Unix(l, _) => l.set_nonblocking(true),
         }
     }
 
@@ -817,19 +798,22 @@ impl AnyListener {
         }
     }
 
-    /// The concrete local address (resolves `tcp://host:0` to the real
-    /// port).
-    pub(crate) fn local_endpoint(&self) -> Option<String> {
+    /// The endpoint a peer connects to: `endpoint`, the URI bound, with
+    /// the real port of a `tcp://host:0` bind.
+    pub(crate) fn local_endpoint(&self, endpoint: &str) -> String {
         match self {
-            AnyListener::Tcp(l) => l.local_addr().ok().map(|a| format!("tcp://{a}")),
-            AnyListener::Unix(_, path) => Some(format!("ipc://{}", path.display())),
+            AnyListener::Tcp(l) => match l.local_addr() {
+                Ok(a) => format!("tcp://{a}"),
+                Err(_) => endpoint.to_string(),
+            },
+            AnyListener::Unix(..) => endpoint.to_string(),
         }
     }
 }
 
 impl Drop for AnyListener {
     fn drop(&mut self) {
-        if let AnyListener::Unix(_, path) = self {
+        if let AnyListener::Unix(_, Some(path)) = self {
             let _ = std::fs::remove_file(path);
         }
     }
@@ -877,33 +861,10 @@ mod tests {
     }
 
     #[test]
-    fn parse_schemes() {
-        assert_eq!(
-            EndpointAddr::parse("inproc://x").unwrap(),
-            EndpointAddr::Inproc("inproc://x".into())
-        );
-        assert_eq!(
-            EndpointAddr::parse("ipc:///tmp/a.sock").unwrap(),
-            EndpointAddr::Ipc(PathBuf::from("/tmp/a.sock"))
-        );
-        assert_eq!(
-            EndpointAddr::parse("tcp://127.0.0.1:5555").unwrap(),
-            EndpointAddr::Tcp("127.0.0.1:5555".into())
-        );
-        // bare names stay broker keys (back-compat)
-        assert!(EndpointAddr::parse("just-a-name").unwrap().is_inproc());
-        // malformed remote URIs are rejected
-        assert!(EndpointAddr::parse("tcp://nohostport").is_err());
-        assert!(EndpointAddr::parse("tcp://host:notaport").is_err());
-        assert!(EndpointAddr::parse("ipc://").is_err());
-    }
-
-    #[test]
     fn stale_ipc_socket_file_is_reclaimed() {
         let path = std::env::temp_dir().join(format!("ts-sock-stale-{}.sock", std::process::id()));
         std::fs::write(&path, b"").unwrap();
-        let addr = EndpointAddr::Ipc(path.clone());
-        let l = AnyListener::bind(&addr).unwrap();
+        let l = AnyListener::bind(&Addr::Path(path.clone()), "stale").unwrap();
         drop(l);
         assert!(!path.exists(), "listener drop unlinks the socket file");
     }

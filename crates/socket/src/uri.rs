@@ -19,7 +19,7 @@ use std::str::FromStr;
 /// The transport scheme of an [`Endpoint`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scheme {
-    /// `inproc://name` — the in-process broker.
+    /// `inproc://name` — a Unix socket private to one socket context.
     Inproc,
     /// `ipc:///path/to.sock` — a Unix domain socket.
     Ipc,
@@ -55,11 +55,11 @@ impl fmt::Display for EndpointError {
 
 impl std::error::Error for EndpointError {}
 
-/// A parsed endpoint URI: scheme + host (or path, or broker name) +
+/// A parsed endpoint URI: scheme + host (or path, or in-process name) +
 /// port (tcp only).
 ///
 /// Construct with [`FromStr`]/`TryFrom<&str>` (`"tcp://host:port"`,
-/// `"ipc:///path.sock"`, `"inproc://name"` — bare names are broker
+/// `"ipc:///path.sock"`, `"inproc://name"` — bare names are in-process
 /// names, preserving the historical behaviour) or the typed
 /// constructors. [`Display`] renders the canonical URI string, which is
 /// what the transport layer binds/connects.
@@ -68,7 +68,7 @@ impl std::error::Error for EndpointError {}
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Endpoint {
     scheme: Scheme,
-    /// tcp host, ipc path, or inproc broker name (without the scheme).
+    /// tcp host, ipc path, or inproc name (without the scheme).
     host: String,
     /// Port, `Some` only for tcp.
     port: Option<u16>,
@@ -107,7 +107,7 @@ impl Endpoint {
         self.scheme
     }
 
-    /// The host (tcp), filesystem path (ipc) or broker name (inproc).
+    /// The host (tcp), filesystem path (ipc) or in-process name (inproc).
     pub fn host(&self) -> &str {
         &self.host
     }
@@ -144,7 +144,7 @@ impl FromStr for Endpoint {
                 .map_err(|_| err("tcp port must be an integer in 0..=65535"))?;
             return Ok(Endpoint::tcp(host, port));
         }
-        // Unknown or missing scheme: an in-process broker name, like the
+        // Unknown or missing scheme: an in-process name, like the
         // transport layer has always treated it. Strip an explicit
         // inproc:// prefix so Display round-trips canonically.
         let name = uri.strip_prefix("inproc://").unwrap_or(uri);
@@ -214,7 +214,7 @@ mod tests {
         assert_eq!(ep.scheme(), Scheme::Tcp);
         assert_eq!(ep.host(), "example.org");
         assert_eq!(ep.port(), Some(80));
-        // Bare names are broker names; they canonicalise to inproc://.
+        // Bare names are in-process names; they canonicalise to inproc://.
         let ep: Endpoint = "just-a-name".parse().unwrap();
         assert_eq!(ep.scheme(), Scheme::Inproc);
         assert_eq!(ep.to_string(), "inproc://just-a-name");

@@ -227,7 +227,7 @@ use ts_data::{DataLoader, DataLoaderConfig, SyntheticImageDataset};
 use ts_tensor::ops;
 
 fn main() {
-    // One machine: shared broker + storage registry + device books.
+    // One machine: shared socket context + storage registry + device books.
     let ctx = TsContext::host_only();
 
     // ---- producer.py -------------------------------------------------------
@@ -244,9 +244,17 @@ fn main() {
         },
     );
     // producer = TensorProducer(data_loader)
+    //
+    // The two trainers below start together, but each attaches over its
+    // own sockets and the first one's JOIN starts the stream: the later
+    // one may arrive a batch or two in. A join window of a quarter epoch
+    // lets it be rubberbanded — replayed what it missed — rather than
+    // parked until the next epoch (the paper's 2 % is a window for
+    // ImageNet-sized epochs, not for this 64-batch one).
     let producer = Producer::builder()
         .context(&ctx)
         .epochs(2)
+        .rubberband_cutoff(0.25)
         .spawn(loader)
         .expect("spawn producer");
 
@@ -679,8 +687,10 @@ fn main() {
 
     // A second trainer stands in for the rest of the fleet: it keeps the
     // run alive across the crash, pausing just past the victim's exit so
-    // the producer cannot finish before the group resumes.
+    // the producer cannot finish before the group resumes. It is attached
+    // before the doomed trainer starts, so it sees the whole run.
     let successor_up = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let (attached, fleet_up) = std::sync::mpsc::channel();
     let fleet = {
         let ctx = ctx.clone();
         let successor_up = successor_up.clone();
@@ -689,6 +699,7 @@ fn main() {
                 .context(&ctx)
                 .connect("inproc://tensorsocket-logged")
                 .expect("connect fleet consumer");
+            let _ = attached.send(());
             let mut stream = Vec::new();
             for batch in consumer.by_ref() {
                 let batch = batch.expect("clean stream");
@@ -702,6 +713,8 @@ fn main() {
             stream
         })
     };
+
+    fleet_up.recv().expect("fleet consumer attached");
 
     // The doomed trainer: consumes one and a half epochs, then "crashes"
     // (drops mid-stream — see tests/log_replay_multi_process.rs for the

@@ -1,8 +1,8 @@
 //! `ts-top` — live observability for a running TensorSocket producer.
 //!
 //! Attaches to a producer's base endpoint (the same URI consumers
-//! connect to, over `inproc://` is meaningless here but `ipc://` and
-//! `tcp://` both work), scrapes the control-plane stats snapshot
+//! connect to; an `inproc://` name is private to the socket context that
+//! bound it, so `ipc://` or `tcp://`), scrapes the control-plane stats snapshot
 //! periodically, and renders the per-stage latency histograms, counters
 //! and gauges as a live terminal table. With `--json` it performs a
 //! single scrape and prints the snapshot as JSON, for scripting and CI.

@@ -6,8 +6,8 @@
 //!
 //! * [`tensorsocket`] — the shared data loader (the paper's contribution)
 //! * [`ts_tensor`] — tensor substrate (storage, views, payloads)
-//! * [`ts_socket`] — PUB/SUB + PUSH/PULL messaging over `inproc://`,
-//!   `ipc://` and `tcp://` endpoints
+//! * [`ts_socket`] — PUB/SUB + PUSH/PULL messaging over Unix and TCP
+//!   stream sockets (`inproc://`, `ipc://` and `tcp://` endpoints)
 //! * [`ts_shm`] — file-backed shared-memory payload arena for
 //!   cross-process zero-copy batches
 //! * [`ts_data`] — datasets, transforms, multi-worker `DataLoader`

@@ -30,10 +30,11 @@ use ts_data::{DataLoader, DataLoaderConfig, Dataset, DecodedSample, RawSample};
 use ts_device::DeviceId;
 use ts_tensor::{ops, Tensor};
 
-/// `label == index`, field encodes the index: deterministic,
-/// checksummable batches.
+/// `label == index`, field encodes the index (`width` floats, the k-th
+/// `index * (k + 1)`): deterministic, checksummable batches.
 struct IndexDataset {
     len: usize,
+    width: usize,
 }
 
 impl Dataset for IndexDataset {
@@ -54,11 +55,10 @@ impl Dataset for IndexDataset {
     }
 
     fn decode(&self, raw: &RawSample) -> ts_data::Result<DecodedSample> {
-        let field = Tensor::from_f32(
-            &[raw.index as f32, raw.index as f32 * 2.0],
-            &[2],
-            DeviceId::Cpu,
-        )?;
+        let values: Vec<f32> = (1..=self.width)
+            .map(|k| raw.index as f32 * k as f32)
+            .collect();
+        let field = Tensor::from_f32(&values, &[self.width], DeviceId::Cpu)?;
         Ok(DecodedSample {
             index: raw.index,
             fields: vec![field],
@@ -72,8 +72,15 @@ impl Dataset for IndexDataset {
 }
 
 fn loader(samples: usize, batch: usize, seed: u64) -> DataLoader {
+    wide_loader(samples, batch, seed, 2)
+}
+
+fn wide_loader(samples: usize, batch: usize, seed: u64, width: usize) -> DataLoader {
     DataLoader::new(
-        Arc::new(IndexDataset { len: samples }),
+        Arc::new(IndexDataset {
+            len: samples,
+            width,
+        }),
         DataLoaderConfig {
             batch_size: batch,
             num_workers: 0,
@@ -100,6 +107,39 @@ struct Seen {
     index: u64,
     field_sum: u64,
     label_sum: u64,
+}
+
+/// A group member attaching from a thread of its own, which collects its
+/// whole stream. Returns once the member is admitted: until then the
+/// caller's witness holds its current batch — and with it the end of the
+/// stream, which a joiner arriving after the last batch would find over.
+fn attached_joiner(
+    ctx: &TsContext,
+    ep: &'static str,
+    group: &'static str,
+) -> std::thread::JoinHandle<Vec<Seen>> {
+    let ctx = ctx.clone();
+    let (attached, admitted) = std::sync::mpsc::channel();
+    let joiner = std::thread::spawn(move || {
+        let mut joiner = Consumer::builder()
+            .context(&ctx)
+            .group(group)
+            .recv_timeout(Duration::from_secs(20))
+            .connect(ep)
+            .expect("joiner connect");
+        let _ = attached.send(());
+        let mut got = Vec::new();
+        for batch in joiner.by_ref() {
+            got.push(seen(&batch.expect("clean joiner stream")));
+        }
+        assert_eq!(joiner.stop_reason(), Some(StopReason::End));
+        got
+    });
+    let patience = Duration::from_secs(20);
+    admitted
+        .recv_timeout(patience)
+        .expect("the joiner attached");
+    joiner
 }
 
 fn seen(batch: &tensorsocket::ConsumerBatch) -> Seen {
@@ -410,21 +450,7 @@ fn grouped_mid_epoch_join_survives_budget_trimmed_retention() {
             std::thread::sleep(Duration::from_millis(1));
         }
         if full.len() as u64 == JOIN_AT {
-            let ctx_c = ctx.clone();
-            late = Some(std::thread::spawn(move || {
-                let mut joiner = Consumer::builder()
-                    .context(&ctx_c)
-                    .group("mid-epoch-group")
-                    .recv_timeout(Duration::from_secs(20))
-                    .connect(ep)
-                    .expect("grouped mid-epoch connect");
-                let mut got = Vec::new();
-                for batch in joiner.by_ref() {
-                    got.push(seen(&batch.expect("clean joiner stream")));
-                }
-                assert_eq!(joiner.stop_reason(), Some(StopReason::End));
-                got
-            }));
+            late = Some(attached_joiner(&ctx, ep, "mid-epoch-group"));
         }
     }
     assert_eq!(witness.stop_reason(), Some(StopReason::End));
@@ -512,21 +538,7 @@ fn pins_survive_log_failure_for_rubberband_replay() {
         full.push(seen(&batch));
         std::thread::sleep(Duration::from_millis(1));
         if full.len() as u64 == JOIN_AT {
-            let ctx_c = ctx.clone();
-            late = Some(std::thread::spawn(move || {
-                let mut joiner = Consumer::builder()
-                    .context(&ctx_c)
-                    .group("post-failure-group")
-                    .recv_timeout(Duration::from_secs(20))
-                    .connect(ep)
-                    .expect("post-failure connect");
-                let mut got = Vec::new();
-                for batch in joiner.by_ref() {
-                    got.push(seen(&batch.expect("clean joiner stream")));
-                }
-                assert_eq!(joiner.stop_reason(), Some(StopReason::End));
-                got
-            }));
+            late = Some(attached_joiner(&ctx, ep, "post-failure-group"));
         }
     }
     assert_eq!(witness.stop_reason(), Some(StopReason::End));
@@ -551,14 +563,20 @@ fn pins_survive_log_failure_for_rubberband_replay() {
 
 /// Regression: a consumer that drops mid-log-replay must release the
 /// replay stream promptly — the producer stops streaming the logged
-/// range at the dead topic (it drains control between frames) instead of
-/// running it to completion, and finishes its epochs without wedging.
+/// range at the dead topic (its Leave is handled between frames) instead
+/// of running it to completion, and finishes its epochs without wedging.
+///
+/// The doomed consumer never acks, so its catch-up stops at one window
+/// (4 MiB of frames: ~256 of these 16 KiB batches) however much the
+/// socket buffers would take; only its Leave — not a heartbeat expiry —
+/// may then end the job.
 #[test]
 fn drop_mid_log_replay_releases_stream() {
-    const SAMPLES: usize = 4096;
+    const SAMPLES: usize = 1024;
     const BATCH: usize = 2;
     const EPOCHS: u64 = 2;
-    const PER_EPOCH: u64 = (SAMPLES / BATCH) as u64; // 2048: a long replay range
+    const PER_EPOCH: u64 = (SAMPLES / BATCH) as u64; // 512: two windows
+    const WIDTH: usize = 2048; // 8 KiB of field per sample
 
     let ctx = TsContext::host_only();
     let ep = "inproc://log-drop-mid-replay";
@@ -572,7 +590,7 @@ fn drop_mid_log_replay_releases_stream() {
             ..Default::default()
         })
         .log(&log_dir)
-        .spawn(loader(SAMPLES, BATCH, 7))
+        .spawn(wide_loader(SAMPLES, BATCH, 7, WIDTH))
         .expect("spawn logging producer");
 
     let mut witness = Consumer::builder()
@@ -607,8 +625,13 @@ fn drop_mid_log_replay_releases_stream() {
     assert!(
         replayed < PER_EPOCH,
         "producer streamed {replayed} of a ≥{PER_EPOCH}-batch logged range \
-         to a consumer that had already left — the mid-replay Leave was \
-         not observed"
+         to a consumer that had already left"
+    );
+    assert_eq!(
+        ctx.metrics.counter("producer.detached").get(),
+        0,
+        "the doomed consumer's heartbeat expired before its Leave was \
+         handled — the mid-replay Leave was not observed"
     );
     let _ = std::fs::remove_dir_all(&log_dir);
 }
