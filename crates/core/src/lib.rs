@@ -324,17 +324,17 @@
 //!   shard's data connection itself), `ts-heartbeat-<id>`, and one
 //!   `ts-push-writer` per shard for its control socket, which wakes on its
 //!   50 ms idle tick while the consumer's own thread writes the acks
-//!   (small frames go out inline). Each link's `ts-sub-conn`
-//!   connects, registers the topics and exits. An announce wakes one
-//!   thread here: the trainer's.
+//!   (small frames go out inline). Links connect on the trainer's thread
+//!   (a `ts-sub-conn` per link only while its producer is not bound yet).
+//!   An announce wakes one thread here: the trainer's.
 //! * **an idle producer** (no consumer yet) runs, per shard,
 //!   `tensorsocket-producer[-s<N>]` (the pump, asleep in `poll` over its
 //!   control connections and doorbell), `tensorsocket-feeder` with the
 //!   loader's `num_workers` threads (blocked once the hand-off queue is
-//!   full), and `ts-pub-accept` (asleep in `poll` for a subscriber); plus
-//!   `ts-log-spiller-s<N>` under `.log()` and `tensorsocket-staging` on a
-//!   GPU. Each subscriber adds a `ts-pub-writer` and a `ts-pub-reader`;
-//!   the control socket adds none. An announce and its ack wake no
+//!   full), and `ts-pub-listen` (asleep in `poll` over the subscribers and
+//!   their subscriptions); plus `ts-log-spiller-s<N>` under `.log()` and
+//!   `tensorsocket-staging` on a GPU. Each subscriber adds a
+//!   `ts-pub-writer`; the control socket adds none. An announce and its ack wake no
 //!   producer thread but the pump.
 //!
 //! Producer knobs, in the order they usually matter:

@@ -200,10 +200,9 @@ impl Consumer {
             opts,
             endpoint,
         };
-        // The subscription first (it waits, at most the handshake timeout,
-        // for the publisher to acknowledge it), then the HELLO and its
-        // timeout.
-        consumer.execute();
+        // One deadline for the subscription (the publisher may not be
+        // bound yet) and the HELLO after it: the pump executes them in
+        // that order.
         let (now, timeout) = (consumer.ctx.trace.now_ns(), consumer.opts.handshake_timeout);
         consumer.state.start(now, timeout, &mut consumer.fx);
         consumer.pump(|state| state.attached);
@@ -336,10 +335,15 @@ impl Consumer {
         }
     }
 
-    /// Executes the pending effects in order.
+    /// Executes the pending effects in order. Subscriptions in a row are
+    /// written together and waited for once (see [`Consumer::subscribe`]).
     fn execute(&mut self) {
         let mut fx = std::mem::take(&mut self.fx);
+        let mut topics = Vec::new();
         for effect in fx.drain(..) {
+            if !matches!(effect, Effect::Subscribe { .. }) {
+                self.subscribe(&mut topics);
+            }
             match effect {
                 // A frame that cannot be sent means the producer's control
                 // socket is gone; its data socket closes with it, and that
@@ -347,12 +351,7 @@ impl Consumer {
                 Effect::Ctrl { shard, msg } => {
                     let _ = self.links[shard].ctrl.send(Multipart::single(msg.encode()));
                 }
-                // A producer that is not there yet is waited for as long
-                // as an attach waits for its WELCOME.
-                Effect::Subscribe { shard, topic } => {
-                    let sub = &self.links[shard].sub;
-                    sub.subscribe_timeout(&topic, self.opts.handshake_timeout);
-                }
+                Effect::Subscribe { shard, topic } => topics.push((shard, topic)),
                 Effect::Unsubscribe { shard, topic } => self.links[shard].sub.unsubscribe(&topic),
                 Effect::Negotiate(welcome) => {
                     if let Err(e) = self.negotiate(welcome) {
@@ -361,7 +360,23 @@ impl Consumer {
                 }
             }
         }
+        self.subscribe(&mut topics);
         self.fx = fx; // emptied, with its allocation
+    }
+
+    /// Subscribes to `topics` (drained), shard by shard: each link's `SUB`s
+    /// are written at once and acknowledged in one round trip, so an attach
+    /// sleeps once per link for them, not once per topic. A producer that
+    /// is not there yet is waited for as long as an attach waits for its
+    /// WELCOME.
+    fn subscribe(&self, topics: &mut Vec<(usize, Vec<u8>)>) {
+        while let Some(&(shard, _)) = topics.first() {
+            let (mine, rest) = topics.drain(..).partition(|(s, _)| *s == shard);
+            *topics = rest;
+            let prefixes: Vec<Vec<u8>> = mine.into_iter().map(|(_, topic)| topic).collect();
+            let sub = &self.links[shard].sub;
+            sub.subscribe_all(&prefixes, self.opts.handshake_timeout);
+        }
     }
 
     /// Checks the WELCOME against what the user asked for (typed
@@ -402,7 +417,7 @@ impl Consumer {
             }
         }
         // The shard count and the override table come off the wire: each
-        // link is two connections and a connector thread, and a socket
+        // link is two connections and a writer thread, and a socket
         // refuses a malformed endpoint by panicking, so both are checked
         // before anything is opened.
         if advertised > MAX_SHARDS {

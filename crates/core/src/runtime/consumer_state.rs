@@ -173,11 +173,26 @@ pub(crate) struct ConsumerState {
     cursor_lag: Arc<Gauge>,
 }
 
+/// The topics a consumer listens to on every shard's link from its JOIN
+/// on: the producer's broadcasts, its cursor — coalesced state (latest
+/// wins): cheap to carry, never gates delivery — and its own.
+fn subscribe_link(shard: usize, id: u64, fx: &mut Vec<Effect>) {
+    for topic in [topics::CTRL, topics::CURSOR, &topics::consumer(id)] {
+        let topic = topic.to_vec();
+        fx.push(Effect::Subscribe { shard, topic });
+    }
+}
+
 impl ConsumerState {
     /// `opts` is what the user set; everything else arrives in the
     /// WELCOME, for which the state starts listening on shard 0's link.
     /// The token is the consumer id: a topic nobody else listens to. Call
     /// [`ConsumerState::start`] once the subscription is in place.
+    ///
+    /// Shard 0's own topics are subscribed to here as well, so the shell
+    /// asks for all of them in one round trip and the JOIN after the
+    /// WELCOME waits for none. What they bring before the WELCOME is
+    /// dropped unread: in `Hello` only frames carrying the token count.
     pub(crate) fn new(
         ctx: &TsContext,
         opts: &ConsumerBuilder,
@@ -186,6 +201,7 @@ impl ConsumerState {
     ) -> Self {
         let topic = topics::hello(id);
         fx.push(Effect::Subscribe { shard: 0, topic });
+        subscribe_link(0, id, fx);
         let counter = |name| ctx.metrics.counter(name);
         Self {
             ctx: ctx.clone(),
@@ -245,13 +261,9 @@ impl ConsumerState {
         self.until = now + self.recv_timeout;
         let topic = topics::hello(self.id);
         fx.push(Effect::Unsubscribe { shard: 0, topic });
-        for shard in 0..shards {
-            // The cursor topic is coalesced state (latest wins): cheap to
-            // carry, never gates delivery.
-            for topic in [topics::CTRL, topics::CURSOR, &topics::consumer(self.id)] {
-                let topic = topic.to_vec();
-                fx.push(Effect::Subscribe { shard, topic });
-            }
+        // Shard 0's were subscribed to with the WELCOME's.
+        for shard in 1..shards {
+            subscribe_link(shard, self.id, fx);
         }
         for shard in 0..shards {
             let msg = CtrlMsg::Join {

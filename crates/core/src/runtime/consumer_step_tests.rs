@@ -82,7 +82,13 @@ impl Rig {
             version: WIRE_VERSION,
             caps: caps::KNOWN,
         };
-        let expect = [Out::Sub(0, topics::hello(ID)), Out::Ctrl(0, hello)];
+        let expect = [
+            Out::Sub(0, topics::hello(ID)),
+            Out::Sub(0, topics::CTRL.to_vec()),
+            Out::Sub(0, topics::CURSOR.to_vec()),
+            Out::Sub(0, topics::consumer(ID)),
+            Out::Ctrl(0, hello),
+        ];
         assert_eq!(outs(fx), expect);
         rig
     }
@@ -117,8 +123,14 @@ impl Rig {
         let out = outs(fx);
         let shards = info.shards as usize;
         assert_eq!(out[0], Out::Unsub(0, topics::hello(ID)));
-        assert_eq!(out.len(), 1 + 4 * shards, "3 topics and a JOIN per shard");
-        for (shard, out) in out[1 + 3 * shards..].iter().enumerate() {
+        // Shard 0's topics came with the WELCOME's.
+        let subs = 3 * (shards - 1);
+        assert_eq!(
+            out.len(),
+            1 + subs + shards,
+            "3 topics a further shard, a JOIN each"
+        );
+        for (shard, out) in out[1 + subs..].iter().enumerate() {
             assert!(
                 matches!(out, Out::Ctrl(s, CtrlMsg::Join { consumer_id: ID, mode: m, .. })
                     if *s == shard && *m == mode),
@@ -325,6 +337,27 @@ fn reject_end_before_admission_and_version_skew_are_typed_errors() {
     };
     assert!(rig.frame(0, theirs).is_empty());
     assert_eq!(rig.state.stopped, None);
+}
+
+#[test]
+fn broadcasts_before_the_welcome_are_dropped_unread() {
+    // Shard 0's topics are subscribed to with the WELCOME's, so what the
+    // producer broadcasts reaches a consumer still saying HELLO: an `End`
+    // or a cursor moves nothing until the WELCOME came.
+    let mut rig = Rig::new(opts());
+    let cursor = DataMsg::Cursor {
+        shard: 0,
+        epoch: 0,
+        seq: 5,
+        index_in_epoch: 5,
+    };
+    for msg in [DataMsg::End, cursor] {
+        assert!(rig.frame(0, msg).is_empty());
+    }
+    assert_eq!(rig.state.stopped, None);
+    assert_eq!(rig.state.latest_cursor(0), None);
+    rig.negotiate(welcome(1, false), PayloadMode::Shm);
+    assert!(rig.admit(0, 0, 0).len() >= 2);
 }
 
 #[test]

@@ -43,10 +43,11 @@
 //! and read by the pump's, and an announce is written by the pump's thread
 //! and read by the consumer's (in its one wait over every shard's link) —
 //! two threads woken per publish→ack round trip, one on each side. The
-//! publisher's `ts-pub-reader` for that subscriber sleeps in `poll` for
-//! input, so the room each drained announce makes in the socket does not
-//! wake it, and its `ts-pub-writer` wakes only for bulk frames and for
-//! what a full socket would not take. Every other source keeps its own typed queue —
+//! publisher's `ts-pub-listen`, which reads every subscriber's
+//! subscriptions, sleeps in `poll` for input, so the room each drained
+//! announce makes in the socket does not wake it, and the subscriber's
+//! `ts-pub-writer` wakes only for bulk frames and for what a full socket
+//! would not take. Every other source keeps its own typed queue —
 //! the feeder's bounded channel (whose back-pressure is the feeder's
 //! pacing), the copy stage's, the spiller's progress counter — and rings
 //! the bell after enqueueing: two stores while the pump is awake, one

@@ -1035,11 +1035,16 @@ fn producer_without_consumers_times_out() {
 #[test]
 fn consumer_connect_times_out_without_producer() {
     let ctx = TsContext::host_only();
+    let timeout = Duration::from_millis(200);
+    let started = std::time::Instant::now();
     let err = consumer(&ctx)
-        .handshake_timeout(Duration::from_millis(100))
+        .handshake_timeout(timeout)
         .connect("inproc://t13")
         .unwrap_err();
     assert!(matches!(err, crate::TsError::Timeout(_)));
+    // One deadline covers the subscription and the HELLO: not one each.
+    let took = started.elapsed();
+    assert!(took < timeout * 3 / 2, "connect gave up after {took:?}");
 }
 
 #[test]

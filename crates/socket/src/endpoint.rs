@@ -18,10 +18,17 @@ pub const DEFAULT_HWM: usize = 1024;
 /// reach each other's `inproc://` endpoints; another context's are
 /// invisible to them, even under the same name. There is one transport:
 /// an `inproc://name` endpoint is a Unix-domain stream socket like an
-/// `ipc://` one, named after this context and `name` — in Linux's
-/// abstract socket namespace (no file; the kernel frees the name with the
-/// listener), elsewhere a socket file in a directory of this context's
-/// own, under the system temp dir.
+/// `ipc://` one, named after this context and a keyed hash of `name` — in
+/// Linux's abstract socket namespace (no file; the kernel frees the name
+/// with the listener), elsewhere a socket file in a directory of this
+/// context's own, under the system temp dir, that only its user may open.
+///
+/// The names are private to the process: the hash key is drawn at random
+/// per process, so another process can neither predict a name nor meet
+/// one by accident (two processes in separate PID namespaces may share a
+/// pid and a network namespace), and on Linux both ends check the peer's
+/// credentials — a listener hangs up on a connection from another
+/// process, a connector refuses a name another process bound.
 #[derive(Debug, Clone)]
 pub struct Context {
     inner: Arc<Namespace>,
@@ -29,7 +36,7 @@ pub struct Context {
 
 #[derive(Debug)]
 struct Namespace {
-    /// `<pid>.<n>`: unique among the live contexts of the machine.
+    /// `<pid>.<n>`: unique among the contexts of this process.
     id: String,
     hwm: usize,
 }
@@ -72,31 +79,39 @@ impl Context {
     /// The socket behind `inproc://name` in this context.
     #[cfg(target_os = "linux")]
     fn inproc(&self, name: &str) -> Addr {
-        // An abstract name holds at most 107 bytes; a longer one is
-        // shortened to a hash of itself.
-        let full = format!("ts-inproc/{}/{name}", self.inner.id);
-        if full.len() <= 100 {
-            Addr::Abstract(full)
-        } else {
-            Addr::Abstract(format!("ts-inproc/{}/#{:016x}", self.inner.id, fnv(name)))
-        }
+        Addr::Abstract(format!(
+            "ts-inproc/{}/{:016x}",
+            self.inner.id,
+            secret_hash(name)
+        ))
     }
 
     /// The socket behind `inproc://name` in this context.
     #[cfg(not(target_os = "linux"))]
     fn inproc(&self, name: &str) -> Addr {
+        use std::os::unix::fs::DirBuilderExt;
         let dir = socket_dir(&self.inner.id);
         // A failure here surfaces as the bind's or connect's own error.
-        let _ = std::fs::create_dir_all(&dir);
-        Addr::Path(dir.join(format!("{:016x}.sock", fnv(name))))
+        let _ = std::fs::DirBuilder::new().mode(0o700).create(&dir);
+        Addr::Path(dir.join(format!("{:016x}.sock", secret_hash(name))))
     }
+}
+
+/// `value` hashed with a key drawn at random once per process: stable for
+/// the process's lifetime, unpredictable to any other process.
+fn secret_hash(value: &str) -> u64 {
+    use std::hash::BuildHasher;
+    static KEY: std::sync::OnceLock<std::collections::hash_map::RandomState> =
+        std::sync::OnceLock::new();
+    KEY.get_or_init(Default::default).hash_one(value)
 }
 
 /// Where a context keeps its socket files, where there is no abstract
 /// namespace.
 #[cfg(not(target_os = "linux"))]
 fn socket_dir(id: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("ts-inproc-{id}"))
+    let dir = format!("ts-inproc-{id}-{:016x}", secret_hash(id));
+    std::env::temp_dir().join(dir)
 }
 
 #[cfg(not(target_os = "linux"))]
@@ -104,14 +119,6 @@ impl Drop for Namespace {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(socket_dir(&self.id));
     }
-}
-
-/// FNV-1a over `name`: a short, stable stand-in for a name too long to
-/// spell out in a socket address.
-fn fnv(name: &str) -> u64 {
-    (name.bytes()).fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
 }
 
 impl Default for Context {
@@ -318,7 +325,7 @@ mod tests {
         assert_eq!(ctx.resolve("x").unwrap(), x);
         assert_ne!(Context::new().resolve("inproc://x").unwrap(), x);
         let long = format!("inproc://{}", "n".repeat(300));
-        assert_ne!(ctx.resolve(&long).unwrap(), x, "a long name is hashed");
+        assert_ne!(ctx.resolve(&long).unwrap(), x);
         for bad in ["tcp://nohostport", "tcp://host:notaport", "ipc://", ""] {
             assert!(ctx.resolve(bad).is_err(), "{bad}");
         }

@@ -57,8 +57,9 @@
 //!   — the handle other threads ring to wake the owner for something that
 //!   is not a message. A puller's high-water mark is therefore the
 //!   kernel's socket buffer plus the pushers' own queues.
-//! * [`SubSocket`]: **its owner** reads the connection too. A connector
-//!   thread connects and exits; `subscribe` reads its own acknowledgement,
+//! * [`SubSocket`]: **its owner** reads the connection too, from
+//!   `connect` on (or from when a connector thread got through to a
+//!   publisher not yet bound); `subscribe` reads its own acknowledgement,
 //!   and [`SubSocket::wait`] is one `poll` over the connections of several
 //!   subscribers (a consumer's shard links), so a message on any of them
 //!   wakes the one thread that will use it. A frame of 64 KiB or more is

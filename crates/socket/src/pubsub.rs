@@ -1,23 +1,26 @@
 //! PUB/SUB: one-to-many multicast with per-subscriber bounded queues,
 //! over the stream transport ([`crate::transport`]) whatever the scheme.
 //!
-//! The publisher accepts connections; a message that stages whole (an
-//! announce, a cursor, a `SUBACK`) is written to each matching subscriber
-//! by the thread that sends it (`Outbox::send_staged`), and each subscriber
-//! has a bounded queue (the socket HWM) drained by a dedicated writer
-//! thread for bulk frames and for whatever the kernel would not take at
-//! once, plus a reader thread that processes `SUB`/`UNSUB` control
-//! messages — asleep in `poll` for input, so the frames the subscriber
-//! drains do not wake it. Prefix filtering happens publisher-side, so only
-//! matching topics cross the wire. Subscribes are acknowledged (`SUBACK`)
-//! so a subscriber can order a subscription strictly before its next
-//! control-plane message.
+//! A message that stages whole (an announce, a cursor, a `SUBACK`) is
+//! written to each matching subscriber by the thread that sends it
+//! (`Outbox::send_staged`), and each subscriber has a bounded queue (the
+//! socket HWM) drained by a dedicated writer thread for bulk frames and
+//! for whatever the kernel would not take at once. One thread per
+//! publisher (`ts-pub-listen`) accepts subscribers and processes their
+//! `SUB`/`UNSUB` control messages — asleep in `poll` for input, so the
+//! frames the subscribers drain do not wake it. Prefix filtering happens
+//! publisher-side, so only matching topics cross the wire. Subscribes are
+//! acknowledged (`SUBACK`) so a subscriber can order a subscription
+//! strictly before its next control-plane message, and several written
+//! together are acknowledged in one round trip
+//! ([`SubSocket::subscribe_all`]).
 //!
 //! The subscriber reads its connection **on the thread that receives**,
-//! as a puller does: a connector thread (`ts-sub-conn`) connects,
-//! registers the prefixes recorded so far and exits; from then on every
-//! read happens inside `subscribe` (which reads its own `SUBACK`, queueing
-//! the data that comes first), `recv_timeout`, `try_recv` or a
+//! as a puller does. `connect` connects to a Unix-domain publisher that
+//! is bound already; otherwise a connector thread (`ts-sub-conn`)
+//! connects once it is, registers the prefixes recorded so far and exits.
+//! Every read happens inside `subscribe` (which reads its own `SUBACK`,
+//! queueing the data that comes first), `recv_timeout`, `try_recv` or a
 //! [`SubSocket::wait`] over several subscribers. Messages are assembled by
 //! a `wire::Decoder`, so a publisher that stalls halfway through one
 //! costs a receiver its timeout and nothing more, and a large frame is
@@ -36,7 +39,7 @@ use crate::wire;
 use bytes::Bytes;
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TrySendError};
 use std::collections::VecDeque;
-use std::io::{self, BufReader};
+use std::io;
 use std::ops::DerefMut;
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
@@ -108,9 +111,9 @@ pub struct PubSocket {
     shared: Arc<PubShared>,
     policy: SendPolicy,
     endpoint: String,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    /// Dropping it wakes the accept thread out of its `poll`.
-    accept_stop: Option<UnixStream>,
+    listen_thread: Option<std::thread::JoinHandle<()>>,
+    /// Dropping it wakes the listening thread out of its `poll`.
+    listen_stop: Option<UnixStream>,
 }
 
 impl std::fmt::Debug for PubSocket {
@@ -146,19 +149,19 @@ impl PubSocket {
             writers: Mutex::new(Vec::new()),
             counters: Arc::default(),
         });
-        let (accept_stop, stopped) =
+        let (listen_stop, stopped) =
             UnixStream::pair().map_err(|e| SendError::Io(format!("stop pipe: {e}")))?;
-        let accept_shared = shared.clone();
-        let accept_thread = std::thread::Builder::new()
-            .name("ts-pub-accept".into())
-            .spawn(move || accept_loop(listener, stopped, accept_shared))
-            .map_err(|e| SendError::Io(format!("spawn accept: {e}")))?;
+        let listen_shared = shared.clone();
+        let listen_thread = std::thread::Builder::new()
+            .name("ts-pub-listen".into())
+            .spawn(move || listen_loop(listener, stopped, listen_shared))
+            .map_err(|e| SendError::Io(format!("spawn listener: {e}")))?;
         Ok(PubSocket {
             shared,
             policy,
             endpoint,
-            accept_thread: Some(accept_thread),
-            accept_stop: Some(accept_stop),
+            listen_thread: Some(listen_thread),
+            listen_stop: Some(listen_stop),
         })
     }
 
@@ -245,9 +248,10 @@ impl Drop for PubSocket {
             let mut live = peers.iter().filter(|p| p.alive.load(Ordering::SeqCst));
             live.any(|p| p.out.backlog.pending())
         });
-        // The accept loop first, so no peer (and writer) is added below us.
-        drop(self.accept_stop.take());
-        if let Some(t) = self.accept_thread.take() {
+        // The listening thread first, so no peer (and writer) is added
+        // below us.
+        drop(self.listen_stop.take());
+        if let Some(t) = self.listen_thread.take() {
             let _ = t.join();
         }
         for peer in self.shared.peers.lock().expect("peers").drain(..) {
@@ -260,30 +264,138 @@ impl Drop for PubSocket {
     }
 }
 
-/// Sleeps in `poll` until a subscriber connects or the publisher drops
-/// its end of `stopped`.
-fn accept_loop(listener: AnyListener, stopped: UnixStream, shared: Arc<PubShared>) {
+/// The publisher's one control thread (`ts-pub-listen`): accepts
+/// subscribers and applies their `SUB`/`UNSUB`, asleep in one `poll` over
+/// the listener, every subscriber's connection and `stopped` — which the
+/// publisher drops to end it. It waits for input only: a thread asleep in
+/// `read` on a stream socket is also woken each time the peer drains bytes
+/// this side sent (the kernel signals write space on the same wait queue),
+/// once per frame a subscriber takes. No thread is started on the way to a
+/// subscriber's first `SUBACK`: one that has never run may wait a whole
+/// scheduling round for its first turn while loader workers hold the CPUs.
+fn listen_loop(listener: AnyListener, stopped: UnixStream, shared: Arc<PubShared>) {
+    let mut inflows: Vec<Inflow> = Vec::new();
+    let mut fds = Vec::new();
+    // Not on anything but the publisher's `stop`: its drop lingers for the
+    // writers first, and then shuts every connection down itself.
     while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok(Some(stream)) => {
-                if let Err(e) = add_peer(&shared, stream) {
-                    // Peer setup failed (fd exhaustion, ...): drop the
-                    // connection, keep accepting.
-                    let _ = e;
+        fds.clear();
+        fds.push(listener.poll_fd());
+        fds.push(PollFd::readable(stopped.as_raw_fd()));
+        fds.extend(inflows.iter().map(|i| i.conn.poll_fd()));
+        // An acknowledgement the queue had no room for is retried.
+        let owed = inflows.iter().any(|i| i.owed.is_some());
+        if poll_readable(&mut fds, owed.then_some(WRITER_IDLE_TICK)).is_err() {
+            break;
+        }
+        let mut ready = fds[2..].iter().map(PollFd::is_ready);
+        inflows.retain_mut(|inflow| match ready.next() == Some(true) {
+            true => inflow.read(&shared),
+            false => inflow.pay(),
+        });
+        if fds[0].is_ready() {
+            loop {
+                match listener.accept() {
+                    Ok(Some(stream)) => {
+                        // Peer setup failed (fd exhaustion, ...): the
+                        // connection is dropped, and accepting goes on.
+                        if let Ok(inflow) = add_peer(&shared, stream) {
+                            inflows.push(inflow);
+                        }
+                    }
+                    Ok(None) => break,
+                    Err(_) => {
+                        // The listener stays readable: do not spin on it.
+                        std::thread::sleep(POLL_EVERY);
+                        break;
+                    }
                 }
             }
-            Ok(None) => {
-                let mut fds = [listener.poll_fd(), PollFd::readable(stopped.as_raw_fd())];
-                if poll_readable(&mut fds, None).is_err() {
-                    break;
-                }
-            }
-            Err(_) => break,
         }
     }
 }
 
-fn add_peer(shared: &Arc<PubShared>, stream: AnyStream) -> std::io::Result<()> {
+/// A subscriber as the listening thread sees it: the connection its
+/// `SUB`/`UNSUB` come in on, and what of them has been read.
+struct Inflow {
+    peer: Arc<Peer>,
+    conn: AnyStream,
+    decoder: wire::Decoder,
+    /// The latest `SUBACK` the subscriber's queue had no room for (one
+    /// acknowledges every request up to its own).
+    owed: Option<Bytes>,
+}
+
+impl Inflow {
+    /// One read of the readable connection and the messages it completed;
+    /// false once the subscriber is gone (the peer is then retired).
+    fn read(&mut self, shared: &PubShared) -> bool {
+        let mut open = match self.decoder.fill(&mut self.conn) {
+            Ok(n) => n > 0,
+            Err(e) => matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+            ),
+        };
+        while open {
+            match self.decoder.next() {
+                Ok(Some(msg)) => self.apply(msg),
+                Ok(None) => break,
+                Err(_) => open = false,
+            }
+        }
+        if open && self.pay() {
+            return true;
+        }
+        self.peer.retire();
+        let mut peers = shared.peers.lock().expect("peers");
+        peers.retain(|p| p.id != self.peer.id);
+        false
+    }
+
+    fn apply(&mut self, msg: wire::WireMessage) {
+        match msg.kind {
+            wire::KIND_SUB if msg.frames.len() == 2 && msg.frames[1].len() == 8 => {
+                let prefixes = &self.peer.prefixes;
+                prefixes
+                    .lock()
+                    .expect("peer prefixes")
+                    .push(msg.frames[0].to_vec());
+                // Ack once the prefix is visible to `send`.
+                let ack = wire::staged_whole(wire::KIND_SUBACK, None, &msg.frames[1..], false)
+                    .expect("eight bytes stage whole");
+                self.owed = Some(Bytes::from(ack));
+            }
+            wire::KIND_UNSUB if msg.frames.len() == 1 => {
+                let mut prefixes = self.peer.prefixes.lock().expect("peer prefixes");
+                if let Some(pos) = prefixes.iter().position(|p| p[..] == msg.frames[0][..]) {
+                    prefixes.remove(pos);
+                }
+            }
+            _ => {} // unknown control: ignore, stay compatible forward
+        }
+    }
+
+    /// Sends the acknowledgement owed, if there is room for it now; false
+    /// once the connection is gone. Never waits: this thread serves every
+    /// subscriber.
+    fn pay(&mut self) -> bool {
+        let Some(ack) = self.owed.take() else {
+            return self.peer.alive.load(Ordering::SeqCst);
+        };
+        match self.peer.send_staged(&ack, false) {
+            Ok(()) => true,
+            Err(TrySendError::Full(_)) => {
+                self.owed = Some(ack);
+                true
+            }
+            Err(TrySendError::Disconnected(_)) => false,
+        }
+    }
+}
+
+/// Registers a subscriber and starts its writer thread.
+fn add_peer(shared: &Arc<PubShared>, stream: AnyStream) -> std::io::Result<Inflow> {
     stream.grow_send_buffer();
     let write_half = stream.try_clone()?;
     let read_half = stream.try_clone()?;
@@ -296,8 +408,6 @@ fn add_peer(shared: &Arc<PubShared>, stream: AnyStream) -> std::io::Result<()> {
         stream,
         out: Outbox::new(Some(write_half), shared.counters.clone()),
     });
-    shared.peers.lock().expect("peers").push(peer.clone());
-
     let writer_peer = peer.clone();
     let writer = std::thread::Builder::new()
         .name("ts-pub-writer".into())
@@ -307,12 +417,13 @@ fn add_peer(shared: &Arc<PubShared>, stream: AnyStream) -> std::io::Result<()> {
         writers.retain(|w| !w.is_finished());
         writers.push(writer);
     }
-
-    let reader_shared = shared.clone();
-    std::thread::Builder::new()
-        .name("ts-pub-reader".into())
-        .spawn(move || peer_reader(read_half, peer, reader_shared))?;
-    Ok(())
+    shared.peers.lock().expect("peers").push(peer.clone());
+    Ok(Inflow {
+        peer,
+        conn: read_half,
+        decoder: wire::Decoder::new(),
+        owed: None,
+    })
 }
 
 fn peer_writer(rx: Receiver<Queued>, peer: Arc<Peer>) {
@@ -330,71 +441,6 @@ fn peer_writer(rx: Receiver<Queued>, peer: Arc<Peer>) {
     // Nobody will write what is still queued; let go of it now rather than
     // when the last handle on the queue happens to drop.
     while rx.try_recv().is_ok() {}
-}
-
-/// Reads that sleep in `poll` for input rather than in `read`. A thread
-/// blocked in `read` on a stream socket sleeps on the socket's wait queue,
-/// which the kernel also wakes each time the peer drains bytes this side
-/// sent (write space) — once per frame a subscriber takes. `poll` asks for
-/// `POLLIN` alone and is not woken for that.
-struct PollFirst {
-    poll: PollFd,
-    stream: Box<dyn std::io::Read + Send>,
-}
-
-impl std::io::Read for PollFirst {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        self.poll.revents = 0;
-        // An interrupted poll reports nothing ready: poll again. A shut
-        // down or failed connection reports ready, and `read` says which.
-        while !self.poll.is_ready() {
-            poll_readable(std::slice::from_mut(&mut self.poll), None)?;
-        }
-        self.stream.read(buf)
-    }
-}
-
-fn peer_reader(read_half: AnyStream, peer: Arc<Peer>, shared: Arc<PubShared>) {
-    // `BufReader` reads its inner reader only when its buffer cannot serve
-    // the call: every such read waits in `poll` first.
-    let poll = read_half.poll_fd();
-    let stream = read_half.into_reader();
-    let mut reader = BufReader::new(PollFirst { poll, stream });
-    // Not on the publisher's `stop`: its drop lingers for the writers
-    // first, and then shuts every connection down itself.
-    while peer.alive.load(Ordering::SeqCst) {
-        let msg = match wire::read_message(&mut reader) {
-            Ok(m) => m,
-            Err(_) => break,
-        };
-        match msg.kind {
-            wire::KIND_SUB if msg.frames.len() == 2 && msg.frames[1].len() == 8 => {
-                peer.prefixes
-                    .lock()
-                    .expect("peer prefixes")
-                    .push(msg.frames[0].to_vec());
-                // Ack once the prefix is visible to `send`.
-                let ack = wire::staged_whole(wire::KIND_SUBACK, None, &msg.frames[1..], false)
-                    .expect("eight bytes stage whole");
-                if peer.send_staged(&Bytes::from(ack), true).is_err() {
-                    break;
-                }
-            }
-            wire::KIND_UNSUB if msg.frames.len() == 1 => {
-                let mut prefixes = peer.prefixes.lock().expect("peer prefixes");
-                if let Some(pos) = prefixes.iter().position(|p| p[..] == msg.frames[0][..]) {
-                    prefixes.remove(pos);
-                }
-            }
-            _ => {} // unknown control: ignore, stay compatible forward
-        }
-    }
-    peer.retire();
-    shared
-        .peers
-        .lock()
-        .expect("peers")
-        .retain(|p| p.id != peer.id);
 }
 
 // ---------------------------------------------------------------------------
@@ -458,8 +504,10 @@ impl std::fmt::Debug for SubSocket {
 }
 
 impl SubSocket {
-    /// Connects a subscriber. Connecting before the publisher binds is fine:
-    /// the connect retries in the background until the publisher appears.
+    /// Connects a subscriber. A Unix-domain publisher that is already
+    /// bound is connected to before this returns. Connecting before the
+    /// publisher binds is fine: the connect retries in the background until
+    /// the publisher appears.
     /// Messages published before the subscription is acknowledged are not
     /// seen (slow-joiner semantics, which is why TensorSocket needs
     /// rubberbanding).
@@ -471,11 +519,14 @@ impl SubSocket {
         let addr = ctx
             .resolve(name)
             .unwrap_or_else(|e| panic!("invalid endpoint {name}: {e}"));
+        let connected = AnyStream::connect_now(&addr)
+            .and_then(|stream| Some((stream.try_clone().ok()?, stream)));
+        let (reader, writer) = connected.unzip();
         let shared = Arc::new(SubShared {
             stop: AtomicBool::new(false),
             state: Mutex::new(SubState {
-                writer: None,
-                reader: None,
+                writer,
+                reader,
                 prefixes: Vec::new(),
                 flushed_req: 0,
                 failed: false,
@@ -483,11 +534,13 @@ impl SubSocket {
             cond: Condvar::new(),
             next_req: AtomicU64::new(1),
         });
-        let conn_shared = shared.clone();
-        std::thread::Builder::new()
-            .name("ts-sub-conn".into())
-            .spawn(move || sub_connector(addr, conn_shared))
-            .expect("spawn subscriber connector");
+        if shared.state.lock().expect("sub state").writer.is_none() {
+            let conn_shared = shared.clone();
+            std::thread::Builder::new()
+                .name("ts-sub-conn".into())
+                .spawn(move || sub_connector(addr, conn_shared))
+                .expect("spawn subscriber connector");
+        }
         SubSocket {
             shared,
             inbox: parking_lot::Mutex::new(Inbox {
@@ -506,22 +559,28 @@ impl SubSocket {
     ///
     /// Blocks until the publisher has acknowledged the subscription, so a
     /// message sent on another connection after `subscribe` returns cannot
-    /// overtake it — for at most 10 s ([`SubSocket::subscribe_timeout`]
-    /// sets the bound). The acknowledgement is read here; data messages
-    /// that arrive before it are queued, in order.
+    /// overtake it — for at most 10 s ([`SubSocket::subscribe_all`] sets
+    /// the bound). The acknowledgement is read here; data messages that
+    /// arrive before it are queued, in order.
     pub fn subscribe(&self, prefix: &[u8]) {
-        self.subscribe_timeout(prefix, Duration::from_secs(10));
+        self.subscribe_all(&[prefix], Duration::from_secs(10));
     }
 
-    /// [`SubSocket::subscribe`], waiting at most `timeout` for the
-    /// publisher (which may not be bound yet) to acknowledge; false when it
-    /// did not. The prefix is registered either way, once the connection
-    /// is there.
-    pub fn subscribe_timeout(&self, prefix: &[u8], timeout: Duration) -> bool {
+    /// [`SubSocket::subscribe`] to each of `prefixes`, waiting at most
+    /// `timeout` for the publisher (which may not be bound yet) to
+    /// acknowledge; false when it did not. Every `SUB` is written before
+    /// any acknowledgement is waited for, and the publisher acknowledges
+    /// them in order, so the whole set costs one round trip. The prefixes
+    /// are registered either way, once the connection is there.
+    pub fn subscribe_all<P: AsRef<[u8]>>(&self, prefixes: &[P], timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let Some(req) = self.request(prefix, deadline) else {
-            return false;
-        };
+        let mut req = 0;
+        for prefix in prefixes {
+            match self.request(prefix.as_ref(), deadline) {
+                Some(r) => req = req.max(r),
+                None => return false,
+            }
+        }
         let mut inbox = self.inbox.lock();
         while inbox.acked < req {
             let left = deadline.saturating_duration_since(Instant::now());
@@ -938,6 +997,46 @@ mod tests {
             assert_eq!(sub.recv_timeout(RECV).unwrap().1.byte_len(), 1 << 20);
         }
         let _publisher = t.join().unwrap();
+    }
+
+    #[test]
+    fn subscriptions_written_together_are_acknowledged_together() {
+        let ctx = Context::new();
+        let publisher = PubSocket::bind(&ctx, "inproc://d").unwrap();
+        let sub = SubSocket::connect(&ctx, "inproc://d");
+        assert!(sub.subscribe_all(&[&b"a"[..], b"b"], RECV));
+        assert_eq!(publisher.send(b"a/1", msg(b"x")).unwrap(), 1);
+        assert_eq!(publisher.send(b"b/1", msg(b"y")).unwrap(), 1);
+        assert_eq!(publisher.send(b"c/1", msg(b"z")).unwrap(), 0);
+        // Nobody there: false at the deadline, not later.
+        let nobody = SubSocket::connect(&ctx, "inproc://nobody");
+        let started = Instant::now();
+        let short = Duration::from_millis(100);
+        assert!(!nobody.subscribe_all(&[&b"a"[..], b"b"], short));
+        assert!(started.elapsed() < short * 3 / 2, "{:?}", started.elapsed());
+    }
+
+    #[test]
+    fn a_subscribe_behind_a_full_queue_is_acknowledged_once_there_is_room() {
+        let ctx = Context::with_hwm(1);
+        let publisher =
+            PubSocket::bind_with(&ctx, "inproc://d", SendPolicy::DropNewest, Some(1)).unwrap();
+        let sub = SubSocket::connect(&ctx, "inproc://d");
+        sub.subscribe(b"t");
+        // Nobody reads until the queue is full: the `SUBACK` below finds no
+        // room, and the listening thread, which serves every subscriber,
+        // does not wait for it but pays it once the subscriber has read.
+        let big = Multipart::single(Bytes::from(vec![1u8; 1 << 20]));
+        let delivered: usize = (0..64)
+            .map(|_| publisher.send(b"t", big.clone()).unwrap())
+            .sum();
+        assert!(delivered < 64, "the queue filled up");
+        assert!(sub.subscribe_all(&[b"u"], RECV));
+        assert_eq!(publisher.send(b"u", msg(b"x")).unwrap(), 1);
+        for _ in 0..delivered {
+            assert_eq!(sub.recv_timeout(RECV).unwrap().1.byte_len(), 1 << 20);
+        }
+        assert_eq!(&sub.recv_timeout(RECV).unwrap().0[..], b"u");
     }
 
     #[test]

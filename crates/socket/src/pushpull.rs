@@ -320,8 +320,10 @@ impl std::fmt::Debug for PushSocket {
 }
 
 impl PushSocket {
-    /// Connects a pusher. The connect retries in the background until the
-    /// puller binds; messages queue locally meanwhile.
+    /// Connects a pusher. A Unix-domain puller that is already bound is
+    /// connected to before this returns; otherwise the connect retries in
+    /// the background until the puller binds, and messages queue locally
+    /// meanwhile.
     ///
     /// # Panics
     /// Panics if the endpoint name is malformed (wiring bug).
@@ -330,15 +332,18 @@ impl PushSocket {
             .resolve(name)
             .unwrap_or_else(|e| panic!("invalid endpoint {name}: {e}"));
         let (tx, rx) = channel::bounded(ctx.hwm());
+        let connected = AnyStream::connect_now(&addr)
+            .and_then(|stream| Some((stream.try_clone().ok()?, stream)));
+        let (closer, stream) = connected.unzip();
         let shared = Arc::new(PushShared {
             stop: AtomicBool::new(false),
-            connected: AtomicBool::new(false),
-            out: Outbox::new(None, Arc::default()),
+            connected: AtomicBool::new(stream.is_some()),
+            out: Outbox::new(stream, Arc::default()),
         });
         let writer_shared = shared.clone();
         std::thread::Builder::new()
             .name("ts-push-writer".into())
-            .spawn(move || push_writer(addr, writer_shared, rx))
+            .spawn(move || push_writer(addr, closer, writer_shared, rx))
             .expect("spawn push writer");
         PushSocket { tx, shared }
     }
@@ -387,22 +392,35 @@ impl Drop for PushSocket {
     }
 }
 
-fn push_writer(addr: Addr, shared: Arc<PushShared>, rx: Receiver<Queued>) {
+/// Connects unless `connect` already did (`closer`: a handle on that
+/// connection), then writes what the senders queue.
+fn push_writer(
+    addr: Addr,
+    closer: Option<AnyStream>,
+    shared: Arc<PushShared>,
+    rx: Receiver<Queued>,
+) {
     let give_up = {
         let shared = shared.clone();
         move || shared.stop.load(Ordering::SeqCst)
     };
-    let stream = match AnyStream::connect_retry(&addr, CONNECT_RETRY_FOR, give_up) {
-        Ok(s) => s,
-        Err(_) => return, // rx drops: senders observe Disconnected
+    let closer = match closer {
+        Some(closer) => closer,
+        None => {
+            let stream = match AnyStream::connect_retry(&addr, CONNECT_RETRY_FOR, give_up) {
+                Ok(s) => s,
+                Err(_) => return, // rx drops: senders observe Disconnected
+            };
+            let Ok(closer) = stream.try_clone() else {
+                return;
+            };
+            // What queued up while there was no connection goes first:
+            // senders find the backlog pending and stay behind it.
+            shared.out.connected(stream);
+            shared.connected.store(true, Ordering::SeqCst);
+            closer
+        }
     };
-    let Ok(closer) = stream.try_clone() else {
-        return;
-    };
-    // What queued up while there was no connection goes first: senders
-    // find the backlog pending and stay behind it.
-    shared.out.connected(stream);
-    shared.connected.store(true, Ordering::SeqCst);
     loop {
         let item = match rx.recv_timeout(WRITER_IDLE_TICK) {
             Ok(item) => item,

@@ -35,23 +35,29 @@
 //!   pushers' own queues: that is its high-water mark.
 //! * *SUB*: the **owner** reads its connection too —
 //!   [`crate::SubSocket::wait`] is one `poll` over the connections of
-//!   every subscriber it is given. `ts-sub-conn` only connects, registers
-//!   the prefixes recorded so far and exits; `subscribe` reads its own
-//!   `SUBACK`. A frame body of 64 KiB or more is read by the kernel
-//!   straight into the buffer the frame keeps.
-//! * *PUB, subscriptions*: a reader thread per peer (`ts-pub-reader`)
-//!   applies `SUB`/`UNSUB` and acknowledges. It sleeps in `poll` for
-//!   input, never in `read`: a blocking `read` is also woken each time
-//!   the subscriber drains bytes (the kernel signals write space on the
-//!   same wait queue), which `poll` filters out. `ts-pub-accept` sleeps in
-//!   `poll` until a subscriber connects.
+//!   every subscriber it is given. `subscribe` reads its own `SUBACK`. A
+//!   frame body of 64 KiB or more is read by the kernel straight into the
+//!   buffer the frame keeps.
+//! * *PUB, subscribers and subscriptions*: one thread per publisher
+//!   (`ts-pub-listen`) accepts subscribers and applies their `SUB`/`UNSUB`
+//!   and acknowledges them, in one `poll` over the listener and every
+//!   subscriber's connection. It waits for input, never in `read`: a
+//!   blocking `read` is also woken each time the subscriber drains bytes
+//!   (the kernel signals write space on the same wait queue), which `poll`
+//!   filters out.
 //!
 //! A publisher's Unix-domain connections ask the kernel for a send buffer
 //! that holds a bulk frame of a few MiB whole; everything else runs on
 //! the platform's socket defaults.
 //!
-//! Bind/connect order does not matter: connectors retry in the background
-//! until the listener appears (ZeroMQ semantics).
+//! Bind/connect order does not matter. A subscriber or pusher connects to
+//! a Unix-domain listener that is already bound before `connect` returns;
+//! otherwise it is connected in the background, by a connector thread
+//! that exits once through (`ts-sub-conn`) or by the pusher's writer
+//! thread, retrying until the listener appears (ZeroMQ semantics).
+//!
+//! An `inproc://` socket takes connections from its own process only (see
+//! [`crate::Context`]).
 
 use crate::error::SendError;
 use crate::frame::Multipart;
@@ -135,6 +141,16 @@ mod sys {
 
     pub const SOL_SOCKET: c_int = 1;
     pub const SO_SNDBUF: c_int = 7;
+    #[cfg(not(any(
+        target_arch = "powerpc",
+        target_arch = "powerpc64",
+        target_arch = "mips"
+    )))]
+    pub const SO_PEERCRED: c_int = 17;
+    #[cfg(any(target_arch = "powerpc", target_arch = "powerpc64"))]
+    pub const SO_PEERCRED: c_int = 21;
+    #[cfg(target_arch = "mips")]
+    pub const SO_PEERCRED: c_int = 18;
     pub const MSG_DONTWAIT: c_int = 0x40;
     pub const MSG_NOSIGNAL: c_int = 0x4000;
     pub const POLLIN: c_short = 0x001;
@@ -145,6 +161,14 @@ mod sys {
         pub fd: c_int,
         pub events: c_short,
         pub revents: c_short,
+    }
+
+    /// `struct ucred`: who is at the other end of a Unix-domain socket.
+    #[repr(C)]
+    pub struct Ucred {
+        pub pid: i32,
+        pub uid: u32,
+        pub gid: u32,
     }
 
     /// `struct timespec` (64-bit Linux: both fields are `long`).
@@ -161,6 +185,13 @@ mod sys {
             name: c_int,
             value: *const c_void,
             len: u32,
+        ) -> c_int;
+        pub fn getsockopt(
+            fd: c_int,
+            level: c_int,
+            name: c_int,
+            value: *mut c_void,
+            len: *mut u32,
         ) -> c_int;
         pub fn send(fd: c_int, buf: *const c_void, len: usize, flags: c_int) -> isize;
         pub fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
@@ -485,6 +516,35 @@ fn abstract_addr(name: &str) -> io::Result<std::os::unix::net::SocketAddr> {
     std::os::unix::net::SocketAddr::from_abstract_name(name)
 }
 
+/// Whether the other end of `stream` is this process, by the credentials
+/// the kernel recorded when it connected or listened (`SO_PEERCRED`). An
+/// abstract socket name is visible to — and may be connected to or bound
+/// first by — every process of the network namespace, but an `inproc://`
+/// socket is for the threads of one process. The pid is the peer's as
+/// seen from this process's PID namespace, and 0 for a process outside
+/// it, so only this very process compares equal.
+#[cfg(target_os = "linux")]
+fn peer_is_this_process(stream: &UnixStream) -> bool {
+    let mut cred = sys::Ucred {
+        pid: 0,
+        uid: 0,
+        gid: 0,
+    };
+    let mut len = std::mem::size_of::<sys::Ucred>() as u32;
+    // Safety: `stream` keeps the descriptor open for the call, and `cred`
+    // is `len` writable bytes the kernel fills in.
+    let got = unsafe {
+        sys::getsockopt(
+            stream.as_raw_fd(),
+            sys::SOL_SOCKET,
+            sys::SO_PEERCRED,
+            (&mut cred as *mut sys::Ucred).cast(),
+            &mut len,
+        )
+    };
+    got == 0 && u32::try_from(cred.pid) == Ok(std::process::id())
+}
+
 /// Refuses, before anything is queued, a message with a frame the peer's
 /// reader would reject (and drop the connection over).
 pub(crate) fn check_frames(topic: &[u8], msg: &crate::Multipart) -> Result<(), SendError> {
@@ -545,8 +605,8 @@ impl AnyStream {
     /// waits: `Err(WouldBlock)` when that is nothing. `MSG_DONTWAIT` per
     /// call rather than `O_NONBLOCK` on the descriptor, because the
     /// connection's other users (the writer thread's blocking `write`,
-    /// a publisher's `ts-pub-reader` on a `try_clone`d half) share the
-    /// open file description and must keep blocking; `MSG_NOSIGNAL` so a
+    /// a subscriber's `SUB` written by the thread that subscribes) share
+    /// the open file description and must keep blocking; `MSG_NOSIGNAL` so a
     /// peer that died surfaces as `EPIPE` here, never as a `SIGPIPE` in
     /// whatever process embeds us.
     pub(crate) fn send_nowait(&self, buf: &[u8]) -> io::Result<usize> {
@@ -608,17 +668,6 @@ impl AnyStream {
         }
     }
 
-    /// The read side, as the OS stream itself. Reading through the enum
-    /// would lose the streams' own `read_buf` (a stable `Read` impl can
-    /// only forward `read`), and the fallback std then uses zero-fills
-    /// every destination buffer before reading into it.
-    pub(crate) fn into_reader(self) -> Box<dyn io::Read + Send> {
-        match self {
-            AnyStream::Tcp(s) => Box::new(s),
-            AnyStream::Unix(s) => Box::new(s),
-        }
-    }
-
     fn connect_once(addr: &Addr) -> io::Result<AnyStream> {
         match addr {
             Addr::Tcp(hostport) => {
@@ -628,9 +677,28 @@ impl AnyStream {
             }
             Addr::Path(path) => Ok(AnyStream::Unix(UnixStream::connect(path)?)),
             #[cfg(target_os = "linux")]
-            Addr::Abstract(name) => Ok(AnyStream::Unix(UnixStream::connect_addr(&abstract_addr(
-                name,
-            )?)?)),
+            Addr::Abstract(name) => {
+                let s = UnixStream::connect_addr(&abstract_addr(name)?)?;
+                match peer_is_this_process(&s) {
+                    true => Ok(AnyStream::Unix(s)),
+                    false => Err(io::Error::new(
+                        io::ErrorKind::PermissionDenied,
+                        "in-process socket bound by another process",
+                    )),
+                }
+            }
+        }
+    }
+
+    /// One connect attempt where it does not wait on anyone: to a
+    /// Unix-domain socket, which the kernel answers at once (a listener
+    /// queues the connection until it accepts; only a full backlog would
+    /// hold it). `None` for TCP, whose connect waits on the network, and
+    /// when the attempt failed: the caller's connector thread retries.
+    pub(crate) fn connect_now(addr: &Addr) -> Option<AnyStream> {
+        match addr {
+            Addr::Tcp(_) => None,
+            _ => Self::connect_once(addr).ok(),
         }
     }
 
@@ -733,6 +801,9 @@ pub(crate) enum AnyListener {
     Tcp(TcpListener),
     /// Keeps a socket file's path so drop can unlink it.
     Unix(UnixListener, Option<PathBuf>),
+    /// An `inproc://` name: accepts connections from this process only.
+    #[cfg(target_os = "linux")]
+    Abstract(UnixListener),
 }
 
 impl AnyListener {
@@ -751,7 +822,7 @@ impl AnyListener {
             #[cfg(target_os = "linux")]
             Addr::Abstract(name) => abstract_addr(name)
                 .and_then(|a| UnixListener::bind_addr(&a))
-                .map(|l| AnyListener::Unix(l, None)),
+                .map(AnyListener::Abstract),
         };
         let listener = bound.map_err(|e| bind_error(endpoint, e))?;
         listener
@@ -764,6 +835,8 @@ impl AnyListener {
         match self {
             AnyListener::Tcp(l) => l.set_nonblocking(true),
             AnyListener::Unix(l, _) => l.set_nonblocking(true),
+            #[cfg(target_os = "linux")]
+            AnyListener::Abstract(l) => l.set_nonblocking(true),
         }
     }
 
@@ -772,10 +845,14 @@ impl AnyListener {
         PollFd::readable(match self {
             AnyListener::Tcp(l) => l.as_raw_fd(),
             AnyListener::Unix(l, _) => l.as_raw_fd(),
+            #[cfg(target_os = "linux")]
+            AnyListener::Abstract(l) => l.as_raw_fd(),
         })
     }
 
-    /// One accept attempt; `Ok(None)` when no connection is pending.
+    /// One accept attempt; `Ok(None)` when no connection is pending. An
+    /// `inproc://` listener hangs up on a connection from another process
+    /// without reading from it, and looks for the next.
     pub(crate) fn accept(&self) -> io::Result<Option<AnyStream>> {
         match self {
             AnyListener::Tcp(l) => match l.accept() {
@@ -795,6 +872,18 @@ impl AnyListener {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
                 Err(e) => Err(e),
             },
+            #[cfg(target_os = "linux")]
+            AnyListener::Abstract(l) => loop {
+                match l.accept() {
+                    Ok((s, _)) if peer_is_this_process(&s) => {
+                        s.set_nonblocking(false)?;
+                        return Ok(Some(AnyStream::Unix(s)));
+                    }
+                    Ok((s, _)) => drop(s.shutdown(std::net::Shutdown::Both)),
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
+                    Err(e) => return Err(e),
+                }
+            },
         }
     }
 
@@ -806,7 +895,7 @@ impl AnyListener {
                 Ok(a) => format!("tcp://{a}"),
                 Err(_) => endpoint.to_string(),
             },
-            AnyListener::Unix(..) => endpoint.to_string(),
+            _ => endpoint.to_string(),
         }
     }
 }
@@ -830,6 +919,57 @@ fn bind_error(endpoint: &str, e: io::Error) -> SendError {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An `inproc://` socket is the process's own: another process that
+    /// finds the name (it is listed in `/proc/net/unix`) is hung up on by
+    /// the listener before anything is read, and its own connects refuse
+    /// a name some other process bound. This test re-runs itself as that
+    /// other process.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn another_process_cannot_use_an_inproc_socket() {
+        use crate::{Context, PubSocket, SubSocket};
+        use std::io::Read;
+        const NAME: &str = "TS_SOCKET_FOREIGN_INPROC_NAME";
+        if let Ok(name) = std::env::var(NAME) {
+            let mut raw = UnixStream::connect_addr(&abstract_addr(&name).unwrap()).unwrap();
+            raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            // Subscribe to everything; the listener may have hung up already.
+            let sub: [&[u8]; 2] = [b"", &1u64.to_le_bytes()];
+            let _ = wire::write_message(&mut raw, wire::KIND_SUB, &sub);
+            match raw.read(&mut [0u8; 64]) {
+                Ok(0) => {}
+                Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
+                other => panic!("the publisher answered another process: {other:?}"),
+            }
+            let refused = AnyStream::connect_once(&Addr::Abstract(name)).unwrap_err();
+            assert_eq!(refused.kind(), io::ErrorKind::PermissionDenied);
+            return;
+        }
+        let ctx = Context::new();
+        let publisher = PubSocket::bind(&ctx, "inproc://guarded").unwrap();
+        let Ok(Addr::Abstract(name)) = ctx.resolve("inproc://guarded") else {
+            panic!("inproc:// is an abstract socket on Linux");
+        };
+        assert!(!name.contains("guarded"), "the name is not spelled out");
+        let test = "transport::tests::another_process_cannot_use_an_inproc_socket";
+        let child = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([test, "--exact", "--nocapture"])
+            .env(NAME, &name)
+            .output()
+            .unwrap();
+        let said = String::from_utf8_lossy(&child.stdout);
+        assert!(child.status.success(), "{said}");
+        assert!(
+            said.contains("1 passed"),
+            "the test ran in the child: {said}"
+        );
+        assert_eq!(publisher.subscriber_count(), 0);
+        // The process itself still gets through.
+        let sub = SubSocket::connect(&ctx, "inproc://guarded");
+        assert!(sub.subscribe_all(&[b""], Duration::from_secs(10)));
+        assert_eq!(publisher.subscriber_count(), 1);
+    }
 
     #[cfg(target_os = "linux")]
     #[test]

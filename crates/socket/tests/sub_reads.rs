@@ -201,24 +201,31 @@ fn voluntary_switches(tid: u32) -> u64 {
 #[test]
 fn a_publishers_reader_sleeps_through_the_frames_its_subscriber_drains() {
     let _turn = turn();
+    // The publisher's one control thread reads every subscriber's `SUB`s.
     let readers = || -> Vec<u32> {
         let threads = threads().into_iter();
-        let readers = threads.filter(|(_, name)| name == "ts-pub-reader");
+        let readers = threads.filter(|(_, name)| name == "ts-pub-listen");
         readers.map(|(tid, _)| tid).collect()
     };
-    // An earlier test's readers may still be on their way out.
+    // An earlier test's publishers may still be on their way out.
     let earlier = readers();
     let ctx = Context::new();
     let endpoint = ipc_endpoint("drain");
     let publisher = PubSocket::bind(&ctx, &endpoint).unwrap();
     let sub = SubSocket::connect(&ctx, &endpoint);
     sub.subscribe(b"t");
-    // Its reader sent the SUBACK, so it is there.
-    let ours: Vec<u32> = (readers().into_iter())
-        .filter(|tid| !earlier.contains(tid))
-        .collect();
-    let [reader] = ours[..] else {
-        panic!("one subscriber, one reader: {ours:?}");
+    // Its reader sent the SUBACK, so it is there. The subscriber's writer
+    // thread it started carries its name until that thread first runs.
+    let deadline = Instant::now() + RECV;
+    let reader = loop {
+        let ours: Vec<u32> = (readers().into_iter())
+            .filter(|tid| !earlier.contains(tid))
+            .collect();
+        match ours[..] {
+            [reader] => break reader,
+            _ if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(1)),
+            _ => panic!("one publisher, one reader: {ours:?}"),
+        }
     };
     // One frame at a time, each drained before the next is sent: a reader
     // asleep in `read` would be woken for the room every drain makes.
@@ -230,7 +237,7 @@ fn a_publishers_reader_sleeps_through_the_frames_its_subscriber_drains() {
     let woke = voluntary_switches(reader) - before;
     assert!(
         woke < 100,
-        "ts-pub-reader woke {woke} times for 10 000 frames"
+        "ts-pub-listen woke {woke} times for 10 000 frames"
     );
 }
 
@@ -240,8 +247,10 @@ fn once_subscribed_no_thread_of_the_subscriber_reads_its_connection() {
     let _turn = turn();
     let ctx = Context::new();
     let endpoint = ipc_endpoint("owner");
-    let publisher = PubSocket::bind(&ctx, &endpoint).unwrap();
+    // Connected before the publisher binds: a connector thread gets
+    // through once it is there.
     let sub = SubSocket::connect(&ctx, &endpoint);
+    let publisher = PubSocket::bind(&ctx, &endpoint).unwrap();
     sub.subscribe(b"t");
     // The connector handed the connection over before the ack could be
     // read; it is on its way out.

@@ -244,17 +244,9 @@ fn main() {
         },
     );
     // producer = TensorProducer(data_loader)
-    //
-    // The two trainers below start together, but each attaches over its
-    // own sockets and the first one's JOIN starts the stream: the later
-    // one may arrive a batch or two in. A join window of a quarter epoch
-    // lets it be rubberbanded — replayed what it missed — rather than
-    // parked until the next epoch (the paper's 2 % is a window for
-    // ImageNet-sized epochs, not for this 64-batch one).
     let producer = Producer::builder()
         .context(&ctx)
         .epochs(2)
-        .rubberband_cutoff(0.25)
         .spawn(loader)
         .expect("spawn producer");
 
