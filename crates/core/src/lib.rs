@@ -178,10 +178,11 @@
 //! holds the dry arena, the join window closes early
 //! (`stage.pins_shed_for_arena`) — joiners then wait for the next epoch —
 //! so parking cannot deadlock on memory the producer itself owns.
-//! `stage.publish_copy_bytes` counts the one copying path left — a source
-//! that hands out device or pre-shared storages the feeder cannot lease
-//! for — and reads 0 on every loader-collated stream (CI asserts this on
-//! a live scrape).
+//! A lease from the shard's pool is the **only way a payload byte enters
+//! the arena**: the publish step never copies, so
+//! `stage.collate_copy_bytes` counts every byte the producer copies, and
+//! every batch it announces under an arena carries a slot handle a
+//! consumer in another process can map.
 //!
 //! **Who writes the payload**, between the decoder and the slot a
 //! consumer maps (`stage.collate_copy_bytes` is the third column as a
@@ -192,7 +193,12 @@
 //! |---|---|---|
 //! | a `DataLoader`, no transform pipeline | **1** — the decoder, into the slot | 0 |
 //! | a `DataLoader` with a transform pipeline | 2 — the decoder, then one copy of the transformed tensor into its row | 0 |
-//! | a [`runtime::producer::VecSource`] or custom [`EpochSource`], a `producer_map` output, the flexible fuse, a batch whose worker found the pool dry | whatever built it, + 1 | the payload, once, at memcpy speed ([`ts_tensor::cat0_leased`]) |
+//! | a [`runtime::producer::VecSource`] or custom [`EpochSource`] (heap tensors, device-tagged tensors, or views of another process's arena re-shared), a `producer_map` output, the flexible fuse, a batch whose worker found the pool dry | whatever built it, + 1 | the payload, once, at memcpy speed ([`ts_tensor::cat0_leased`]) |
+//!
+//! Nothing is written at publish: the publish step adopts the feeder's
+//! lease ([`ts_tensor::SharedRegistry::register_placed`]). A producer
+//! without an arena leaves its batches on the heap, registered by id
+//! ([`ts_tensor::SharedRegistry::register`]) for in-process consumers.
 //!
 //! The pool reaches the loader as a **binding scoped to the feeder
 //! thread** (`ts_data::bind_slot_pool`, set once when the feeder starts,
@@ -349,8 +355,10 @@
 //!   shared-memory arena *and* its recycling slot pool, both auto-sized
 //!   from the loader's decoded sample geometry, so steady-state
 //!   publishing performs zero arena allocations (observable via the
-//!   pool's stats; [`TsContext::enable_slot_recycling`] remains the
-//!   manual-depth path).
+//!   pool's stats); [`ProducerBuilder::arena_sized`] takes the slot count
+//!   and size explicitly. Either way each shard gets one pool (a single
+//!   pipeline is shard 0), and the builder is the only place an arena is
+//!   made.
 //! * [`ProducerBuilder::device`] — a GPU device stages every batch on it
 //!   before the announce, and there is one way that happens: through a
 //!   pre-allocated VRAM slab rotation (`ts-staging`'s `DeviceSlabPool`
@@ -419,8 +427,7 @@
 //! | `stage.[s<N>.]stream_tx_bytes` | counter | bytes | payload bytes sent over the streamed (non-shm) path |
 //! | `stage.[s<N>.]stream_copy_bytes` | counter | bytes | payload bytes gathered into a new buffer to build a streamed frame because a tensor view was not contiguous — **0** on every collated batch (the streamed path's zero-copy invariant CI asserts) |
 //! | `stage.[s<N>.]stream_tx_errors` | counter | frames | streamed frames the data socket refused for exceeding the stream transports' frame limit |
-//! | `stage.[s<N>.]publish_copy_bytes` | counter | bytes | payload bytes the publish step copied into the arena because a tensor arrived without a feeder placement (device or pre-shared storages) — **0** on every loader-collated stream (the zero-copy invariant CI asserts); a dry arena never adds to it |
-//! | `stage.[s<N>.]collate_copy_bytes` | counter | bytes | payload bytes the feeder copied into a leased slot because a batch did not arrive placed: **0** over a `DataLoader` whose workers lease (the batch is decoded straight into its slot; CI asserts this on a live scrape), the whole payload once over a `VecSource`, a custom source, a `producer_map` output or the flexible fuse; a batch whose loader worker found the pool dry adds its bytes |
+//! | `stage.[s<N>.]collate_copy_bytes` | counter | bytes | payload bytes the feeder copied into a leased slot because a batch did not arrive placed — every byte the producer copies into its arena, since nothing is copied at publish: **0** over a `DataLoader` whose workers lease (the batch is decoded straight into its slot; CI asserts this on a live scrape), the whole payload once over a `VecSource`, a custom source (device-tagged tensors and views of another arena included), a `producer_map` output or the flexible fuse; a batch whose loader worker found the pool dry adds its bytes |
 //! | `stage.[s<N>.]loader_unbound` | counter | pipelines | 1 when this pipeline's explicit arena is too small for its loader to lease from (window + stages + the loader's in-flight set): the loader builds on the heap, the feeder collates, one log line says so |
 //! | `loader.in_place_batches` / `loader.heap_batches` | counter | batches | on the **loader's** registry (`DataLoader::metrics`), not the context's: batches built entirely in leased arena slots / with at least one tensor on the heap (every batch of a loader nobody offered a pool; under a binding, a batch whose worker found the pool dry) |
 //! | `stage.[s<N>.]arena_parked_ns` | counter | ns | total time spent in wait state `arena`: the feeder parked on a dry slot pool |
@@ -503,8 +510,8 @@
 //! **shed** — the moment the ack or the spiller's `Logged` notice
 //! arrives, not on a sweep: the arena slot releases while the seq stays
 //! replayable —
-//! pin depth stays bounded and `stage.publish_copy_bytes` stays 0, yet
-//! replay reach extends to everything the log retains.
+//! pin depth stays bounded and publishing still moves no payload byte,
+//! yet replay reach extends to everything the log retains.
 //!
 //! The replay contract, over the same handshake:
 //!

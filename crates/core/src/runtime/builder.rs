@@ -344,7 +344,8 @@ impl ProducerBuilder {
     }
 
     /// Creates (and binds) the arena plus its per-shard recycling pools,
-    /// sizing both from the sources when the spec is `Auto`.
+    /// sizing both from the sources when the spec is `Auto`: the one place
+    /// a producer's arena and pools are made.
     fn provision_arena<S: EpochSource>(
         ctx: &TsContext,
         cfg: &ProducerConfig,
@@ -409,23 +410,18 @@ impl ProducerBuilder {
                 (path, nslots, slot_size, Some((tensors, catch_up)))
             }
         };
-        let arena = ctx.create_arena(&path, nslots, slot_size)?;
-        // Bind a recycling pool per shard so steady-state publishing
-        // rewrites fully-acked slots in place. Depth mirrors the live-set
-        // math above; explicit-geometry callers get it derived from the
-        // arena itself.
-        for (shard, source) in sources.iter().enumerate() {
-            let depth = match auto {
+        // One recycling pool per shard (a single pipeline is shard 0), so
+        // steady-state publishing rewrites fully-acked slots in place.
+        // Depth mirrors the live-set math above; explicit-geometry callers
+        // get it derived from the arena itself.
+        let depths: Vec<usize> = sources
+            .iter()
+            .map(|source| match auto {
                 Some((tensors, catch_up)) => (per_shard_live(source) + catch_up) * tensors,
                 None => (nslots / shards).max(1),
-            };
-            if shards == 1 {
-                ctx.enable_slot_recycling(depth)?;
-            } else {
-                ctx.enable_shard_slot_recycling(shard as u32, depth)?;
-            }
-        }
-        Ok(arena)
+            })
+            .collect();
+        ctx.create_arena(&path, nslots, slot_size, &depths)
     }
 }
 
@@ -556,9 +552,6 @@ impl Producer {
         // them: idle recycled slots hold a producer reference each, and
         // without this the arena would report them in use forever.
         if self.arena.is_some() {
-            if let Some(pool) = self.ctx.registry.slot_pool() {
-                pool.drain();
-            }
             for shard in 0..shards as u32 {
                 if let Some(pool) = self.ctx.registry.shard_slot_pool(shard) {
                     pool.drain();

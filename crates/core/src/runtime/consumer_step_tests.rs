@@ -1280,14 +1280,14 @@ fn a_late_group_replays_the_log_through_arena_slots_exactly_once_bit_identical()
     let _ = std::fs::remove_dir_all(&dir);
     let ctx = TsContext::host_only();
     let arena_path = std::env::temp_dir().join(format!("ts-world-{tag}.arena"));
-    ctx.create_arena(&arena_path, 32, 4096).unwrap();
-    let pool = ctx.enable_slot_recycling(32).unwrap();
+    ctx.create_arena(&arena_path, 32, 4096, &[32]).unwrap();
+    let pool = ctx.registry.shard_slot_pool(0).unwrap();
     let config = ProducerConfig {
         rubberband_cutoff: 0.02,
         log: Some(ts_log::LogConfig::new(&dir)),
         ..world_cfg(2)
     };
-    let mut prep = [Preparer::new(&config, ctx.registry.lease_pool(None))];
+    let mut prep = [Preparer::new(&config, ctx.registry.shard_slot_pool(0))];
     let mut world = World::in_ctx(ctx.clone(), config, 1, PER_EPOCH as u64);
     world.join(1, PayloadMode::Shm);
     let mut reference = Vec::new();
@@ -1309,7 +1309,6 @@ fn a_late_group_replays_the_log_through_arena_slots_exactly_once_bit_identical()
     assert_eq!(counter("replay.slot_frames"), PER_EPOCH as u64);
     assert_eq!(counter("replay.slot_fallbacks"), 0);
     assert_eq!(counter("replay.log_batches"), PER_EPOCH as u64);
-    assert_eq!(counter("stage.publish_copy_bytes"), 0);
     world.finish(&reference, &["witness", "late"]);
     assert_eq!(counter("consumer.dangling_skipped"), 0);
     pool.drain();

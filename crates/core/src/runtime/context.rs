@@ -7,7 +7,7 @@ use ts_device::Topology;
 use ts_metrics::{Counter, Registry, TraceRing};
 use ts_shm::ShmArena;
 use ts_socket::{Context as SocketContext, TransportStats};
-use ts_tensor::{DeviceCtx, SharedRegistry};
+use ts_tensor::{DeviceCtx, SharedRegistry, SlotPool};
 
 /// Everything producer and consumers share within one node:
 /// the socket context, the storage handle table, and the device books.
@@ -18,9 +18,9 @@ use ts_tensor::{DeviceCtx, SharedRegistry};
 /// builds its own context, the endpoints use `ipc://` (or `tcp://`)
 /// URIs, and batch bytes travel through a shared-memory arena:
 ///
-/// * the producer process passes `.arena(path)` to its
-///   [`crate::Producer`] builder (or calls [`TsContext::create_arena`]
-///   itself before spawning);
+/// * the producer process passes `.arena(path)` (or `.arena_sized(..)`)
+///   to its [`crate::Producer`] builder, the one place an arena and its
+///   per-shard slot pools are made;
 /// * each consumer process learns the arena from the attach handshake
 ///   and maps it ([`TsContext::open_arena`]) inside
 ///   [`crate::ConsumerBuilder::connect`].
@@ -113,22 +113,27 @@ impl TsContext {
         Self::new(DeviceCtx::new(Topology::new(gpus, nvlink), &vram))
     }
 
-    /// Creates a shared-memory payload arena backing this context's
-    /// registry (producer-process side). `nslots` bounds how many storages
-    /// can be live at once — size it to
-    /// `buffer_size × (fields + labels) × consumers` plus rubberband
-    /// headroom; `slot_size` must hold the largest staged tensor.
-    ///
+    /// Creates a shared-memory payload arena and binds it to this
+    /// context's registry with one recycling slot pool per shard — shard
+    /// `s`'s pool keeps at most `depths[s]` idle slots (producer-process
+    /// side). The producer builder is its one caller: the arena is how a
+    /// producer's feeders lease the slots they collate into, and a lease
+    /// from its shard's pool is the only way a payload byte enters it.
     /// The file is unlinked when the arena (last `Arc`) drops.
-    pub fn create_arena(
+    pub(crate) fn create_arena(
         &self,
         path: impl AsRef<Path>,
         nslots: usize,
         slot_size: usize,
+        depths: &[usize],
     ) -> Result<Arc<ShmArena>> {
         let arena =
             ShmArena::create(path, nslots, slot_size).map_err(|e| TsError::Arena(e.to_string()))?;
         self.registry.bind_arena(arena.clone());
+        for (shard, &depth) in depths.iter().enumerate() {
+            let pool = SlotPool::new(arena.clone(), depth);
+            self.registry.bind_shard_slot_pool(shard as u32, pool);
+        }
         Ok(arena)
     }
 
@@ -144,48 +149,6 @@ impl TsContext {
     /// The shared-memory arena bound to this context's registry, if any.
     pub fn arena(&self) -> Option<Arc<ShmArena>> {
         self.registry.arena()
-    }
-
-    /// Wraps the bound arena in a recycling [`ts_tensor::SlotPool`] of at
-    /// most `depth` idle slots (producer-process side, after
-    /// [`TsContext::create_arena`]): slots whose batch was fully acked are
-    /// rewritten in place for the next batch, so steady-state publishing
-    /// performs zero arena allocations. Returns the pool; its
-    /// [`ts_tensor::SlotPool::stats`] expose the hit/miss counters and
-    /// [`ts_tensor::SlotPool::drain`] releases idle slots back to the
-    /// arena (e.g. after the producer joins, so `slots_in_use` reaches 0).
-    ///
-    /// Size `depth` like the in-flight set: `buffer_size × (fields per
-    /// batch + 1 label tensor)` plus rubberband headroom.
-    pub fn enable_slot_recycling(&self, depth: usize) -> Result<ts_tensor::SlotPool> {
-        let arena = self.registry.arena().ok_or_else(|| {
-            TsError::Arena("no arena bound: call create_arena before enabling recycling".into())
-        })?;
-        let pool = ts_tensor::SlotPool::new(arena, depth);
-        self.registry.bind_slot_pool(pool.clone());
-        Ok(pool)
-    }
-
-    /// Per-shard slot recycling for a sharded [`crate::Producer`]:
-    /// binds one recycling pool of `depth` idle slots for shard `shard`,
-    /// over the same arena. Each shard's publish pipeline then recycles
-    /// its own slots — no cross-shard contention on one free list, and
-    /// per-shard [`ts_tensor::SlotPool::stats`] stay attributable. Call
-    /// once per shard after [`TsContext::create_arena`]; shards without
-    /// their own pool fall back to the default pool (if
-    /// [`TsContext::enable_slot_recycling`] was called) or raw arena
-    /// allocation.
-    pub fn enable_shard_slot_recycling(
-        &self,
-        shard: u32,
-        depth: usize,
-    ) -> Result<ts_tensor::SlotPool> {
-        let arena = self.registry.arena().ok_or_else(|| {
-            TsError::Arena("no arena bound: call create_arena before enabling recycling".into())
-        })?;
-        let pool = ts_tensor::SlotPool::new(arena, depth);
-        self.registry.bind_shard_slot_pool(shard, pool.clone());
-        Ok(pool)
     }
 }
 

@@ -28,10 +28,13 @@
 //! [`ts_data::DataLoader`]'s workers then lease the slot first and decode
 //! into it, so a batch arrives **already placed** — its tensors carry
 //! their leases, the feeder adopts them and moves nothing. Whatever does
-//! not arrive placed (another kind of source, a producer-map output, the
-//! flexible fuse, a batch whose worker found the pool dry) the feeder
-//! collates into a leased slot itself, one copy, counted in
-//! `stage.collate_copy_bytes`. Under a GPU producer an H2D copy stage
+//! not arrive placed (another kind of source — its tensors on the heap,
+//! tagged with a device, or views of some other arena — a producer-map
+//! output, the flexible fuse, a batch whose worker found the pool dry)
+//! the feeder collates into a leased slot itself, one copy, counted in
+//! `stage.collate_copy_bytes`. That lease is the only way a payload byte
+//! enters the arena: the publish step adopts leases and copies nothing.
+//! Under a GPU producer an H2D copy stage
 //! (`runtime::staging`) sits between the two, so the pump only ever sees
 //! items already on the device they are published from. A loader with
 //! `num_workers == 0` runs the same feeder at depth 1: there is one
@@ -457,36 +460,35 @@ pub(crate) struct Preparer {
     /// Flexible producer batch size; `None` passes loader batches through.
     producer_batch: Option<usize>,
     map: Option<ProducerMap>,
-    /// Zero-copy publish: the recycling slot pool this pipeline leases
-    /// arena slots from, plus the placement key the publish step hands to
-    /// [`ts_tensor::SharedRegistry::register_placed`]. `None` (no arena,
-    /// or no pool bound) leaves tensors on the heap.
-    lease: Option<(SlotPool, Option<u32>)>,
+    /// The recycling slot pool of this pipeline's shard, which it leases
+    /// arena slots from. `None` (no arena) leaves tensors on the heap.
+    pool: Option<SlotPool>,
     acc: Vec<Batch>,
     acc_samples: usize,
     pb_index: u64,
 }
 
 impl Preparer {
-    pub(crate) fn new(cfg: &ProducerConfig, lease: Option<(SlotPool, Option<u32>)>) -> Self {
+    pub(crate) fn new(cfg: &ProducerConfig, pool: Option<SlotPool>) -> Self {
         Self {
             producer_batch: cfg.flexible.as_ref().map(|f| f.producer_batch),
             map: cfg.producer_map.clone(),
-            lease,
+            pool,
             acc: Vec::new(),
             acc_samples: 0,
             pb_index: 0,
         }
     }
 
-    /// Produces one output tensor from `parts`. A single part that arrives
-    /// *placed* — built by the loader in a slot of this pipeline's arena,
-    /// its storage still carrying the lease — is adopted as it is, zero
-    /// bytes moved. Anything else is collated into a leased arena slot
-    /// (one copy) when a pool is bound and every part is a host tensor the
-    /// arena does not already back. The
-    /// [`Placement`] carries the armed lease to the publish step, which
-    /// adopts it with zero bytes moved.
+    /// Produces one output tensor from `parts`. With a pool bound, every
+    /// tensor is published from a slot leased from it: a single part that
+    /// arrives *placed* — built by the loader in a slot of this pipeline's
+    /// arena, its storage still carrying the lease — is adopted as it is,
+    /// zero bytes moved, and anything else (heap parts, device-tagged
+    /// parts, views of some other arena) is collated into a leased slot,
+    /// one copy. The [`Placement`] carries the armed lease to the publish
+    /// step, which adopts it with zero bytes moved. Without a pool the
+    /// parts stay on the heap.
     ///
     /// A dry pool ([`ShmError::Full`]) is waited out: `dry` is called
     /// before each retry and returns false to give up (the producer is
@@ -498,38 +500,29 @@ impl Preparer {
         dry: &mut dyn FnMut() -> bool,
     ) -> std::result::Result<(Tensor, Option<Placement>), String> {
         let fail = |e: TensorError| format!("collating a batch: {e}");
-        if let (Some((pool, pool_key)), [part]) = (&self.lease, &parts[..]) {
+        let Some(pool) = &self.pool else {
+            return match <[Tensor; 1]>::try_from(parts) {
+                Ok([part]) => Ok((part, None)),
+                Err(parts) => Ok((collate::cat0(&parts).map_err(fail)?, None)),
+            };
+        };
+        if let [part] = &parts[..] {
             if let Some(lease) = part.storage().take_lease(pool.arena()) {
-                let (pool_key, copied) = (*pool_key, 0);
-                let placement = Placement {
-                    lease,
-                    pool_key,
-                    copied,
-                };
+                let placement = Placement { lease, copied: 0 };
                 return Ok((part.clone(), Some(placement)));
             }
         }
-        let eligible = |t: &Tensor| !t.device().is_gpu() && !t.storage().is_shared_memory();
-        if let Some((pool, pool_key)) = self.lease.as_ref().filter(|_| parts.iter().all(eligible)) {
-            loop {
-                match collate::cat0_leased(&parts, pool, parts[0].device()) {
-                    Ok((tensor, lease)) => {
-                        let placement = Placement {
-                            lease,
-                            pool_key: *pool_key,
-                            copied: tensor.view_bytes() as u64,
-                        };
-                        return Ok((tensor, Some(placement)));
-                    }
-                    Err(TensorError::Arena(ShmError::Full)) if dry() => {}
-                    Err(TensorError::Arena(ShmError::Full)) => return Err("stopped".into()),
-                    Err(e) => return Err(fail(e)),
+        loop {
+            match collate::cat0_leased(&parts, pool, parts[0].device()) {
+                Ok((tensor, lease)) => {
+                    let copied = tensor.view_bytes() as u64;
+                    let placement = Placement { lease, copied };
+                    return Ok((tensor, Some(placement)));
                 }
+                Err(TensorError::Arena(ShmError::Full)) if dry() => {}
+                Err(TensorError::Arena(ShmError::Full)) => return Err("stopped".into()),
+                Err(e) => return Err(fail(e)),
             }
-        }
-        match <[Tensor; 1]>::try_from(parts) {
-            Ok([part]) => Ok((part, None)),
-            Err(parts) => Ok((collate::cat0(&parts).map_err(fail)?, None)),
         }
     }
 
@@ -611,7 +604,8 @@ impl Preparer {
 /// before `EpochDone(e)`).
 pub(crate) struct Feeder {
     pub cfg: ProducerConfig,
-    pub lease: Option<(SlotPool, Option<u32>)>,
+    /// This shard's pool, which the feeder collates unplaced batches into.
+    pub pool: Option<SlotPool>,
     /// The pool the source's loader builds its batches in ([`loader_pool`]).
     pub loader_pool: Option<SlotPool>,
     pub item_tx: Sender<FeederMsg>,
@@ -637,7 +631,7 @@ impl Feeder {
         let _bound = self.loader_pool.clone().map(bind_slot_pool);
         let stopping = || self.stop.load(Ordering::Relaxed);
         for epoch in 0..self.cfg.epochs {
-            let mut preparer = Preparer::new(&self.cfg, self.lease.clone());
+            let mut preparer = Preparer::new(&self.cfg, self.pool.clone());
             let total = source.batches_per_epoch();
             let mut iter = source.epoch(epoch);
             let mut i = 0usize;

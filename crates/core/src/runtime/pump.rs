@@ -43,20 +43,19 @@ impl Pump {
             let errors = ctx.metrics.counter("log.append_errors");
             self.spiller = Some(Spiller::spawn(log, stage, errors, shard, bell.clone()));
         }
-        // Pools are bound by the builder before spawn. With one bound,
-        // collation writes straight into recycled arena slots and publish
-        // is pure metadata.
-        let shard_ns = self.state.coord.as_ref().map(|_| shard);
+        // The builder binds this shard's pool before spawn. With one
+        // bound, collation writes straight into recycled arena slots and
+        // publish is pure metadata.
         let (workers, prefetch) = source.pipeline_hint();
         let (item_tx, item_rx) = channel::bounded::<FeederMsg>((workers * prefetch).max(1));
-        let lease = ctx.registry.lease_pool(shard_ns);
+        let pool = ctx.registry.shard_slot_pool(shard);
         let unbound = &self.state.stage().loader_unbound;
         let feeder = Feeder {
             cfg: self.state.cfg.clone(),
-            loader_pool: lease
+            loader_pool: pool
                 .as_ref()
-                .and_then(|(pool, _)| loader_pool(&self.state.cfg, &source, pool, unbound)),
-            lease,
+                .and_then(|pool| loader_pool(&self.state.cfg, &source, pool, unbound)),
+            pool,
             item_tx,
             stop: self.stop.clone(),
             fetch_hist: self.state.stage().feeder_fetch.clone(),

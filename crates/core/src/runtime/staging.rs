@@ -80,12 +80,9 @@ pub struct StagingConfig {
 /// the registry ([`ts_tensor::SharedRegistry::register_placed`]) instead
 /// of copying bytes into a fresh placement.
 pub(crate) struct Placement {
-    /// The leased slot holding the tensor's bytes.
+    /// The leased slot holding the tensor's bytes, from the pipeline's
+    /// own shard pool: the registration reclaims into that pool.
     pub lease: ts_shm::ShmLease,
-    /// Which recycling pool the slot came from (`Some(shard)` for one
-    /// pipeline of a sharded group, `None` for the default pool), so the
-    /// registration reclaims into the right pool on release.
-    pub pool_key: Option<u32>,
     /// Payload bytes the feeder copied to fill the slot: 0 for a slot the
     /// loader built the tensor in.
     pub copied: u64,

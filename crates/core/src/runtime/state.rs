@@ -228,12 +228,9 @@ pub(crate) struct StageMetrics {
     pub stream_copy_bytes: Arc<Counter>,
     /// Frames the data socket refused.
     pub stream_tx_errors: Arc<Counter>,
-    /// Payload bytes the publish step copied into the arena because a
-    /// tensor arrived without a feeder placement (a source handing out
-    /// device or pre-shared storages the feeder cannot lease for).
-    publish_copy_bytes: Arc<Counter>,
     /// Payload bytes the feeder copied into a leased slot because the
-    /// batch did not arrive placed (anything but a loader-built batch).
+    /// batch did not arrive placed (anything but a loader-built batch):
+    /// every byte the producer copies into its arena.
     collate_copy_bytes: Arc<Counter>,
     /// Set when the arena was too small for the loader to lease from.
     pub loader_unbound: Arc<Counter>,
@@ -273,7 +270,6 @@ impl StageMetrics {
             stream_tx_bytes: counter("stream_tx_bytes"),
             stream_copy_bytes: counter("stream_copy_bytes"),
             stream_tx_errors: counter("stream_tx_errors"),
-            publish_copy_bytes: counter("publish_copy_bytes"),
             collate_copy_bytes: counter("collate_copy_bytes"),
             loader_unbound: counter("loader_unbound"),
             h2d: None,
@@ -1041,18 +1037,15 @@ impl State {
         self.set_wait(now, Wait::Item);
     }
 
-    fn register_live(
-        &mut self,
-        seq: u64,
-        batch: LiveBatch,
-        mut placements: Vec<Option<Placement>>,
-    ) {
-        let pool_key = self.coord.as_ref().map(|_| self.shard);
-        let arena_bound = self.ctx.registry.arena().is_some();
-        // `placements` aligns with fields-then-labels; a short (or empty)
-        // vec means no tensor was leased for.
-        placements.resize_with(batch.fields.len() + 1, || None);
+    fn register_live(&mut self, seq: u64, batch: LiveBatch, placements: Vec<Option<Placement>>) {
+        // `placements` aligns with fields-then-labels. The feeder places
+        // every tensor when the shard has a pool, so a tensor without one
+        // (a short or empty vec) is a heap tensor of an arena-less shard.
         let tensors = batch.fields.iter().chain(std::iter::once(&batch.labels));
+        let placements = placements
+            .into_iter()
+            .chain(std::iter::repeat_with(|| None));
+        let registry = &self.ctx.registry;
         for (t, placement) in tensors.zip(placements) {
             match placement {
                 // The feeder collated the bytes into this leased slot (for
@@ -1060,19 +1053,9 @@ impl State {
                 // copy was made from): adopt the lease, move nothing.
                 Some(p) => {
                     self.inst.stage.collate_copy_bytes.add(p.copied);
-                    let handle = p.lease.into_handle();
-                    let registry = &self.ctx.registry;
-                    registry.register_placed(t.storage(), handle, p.pool_key);
+                    registry.register_placed(t.storage(), p.lease.into_handle(), self.shard);
                 }
-                None => {
-                    // No lease: with an arena bound, registering a storage
-                    // it does not already back memcpys it into a slot here.
-                    if arena_bound && !t.storage().is_shared_memory() {
-                        let copied = &self.inst.stage.publish_copy_bytes;
-                        copied.add(t.view_bytes() as u64);
-                    }
-                    self.ctx.registry.register_for_shard(t.storage(), pool_key);
-                }
+                None => registry.register(t.storage()),
             }
         }
         self.win.live.insert(seq, batch);
@@ -1379,8 +1362,7 @@ impl State {
     /// bytes they pin; `None` when the record is not a streamed batch or a
     /// slot cannot be leased right now (nothing stays leased then).
     fn slot_frame(&self, record: &Bytes) -> Option<(Bytes, Vec<u64>, u64)> {
-        let shard = self.coord.as_ref().map(|_| self.shard);
-        let (pool, pool_key) = self.ctx.registry.lease_pool(shard)?;
+        let pool = self.ctx.registry.shard_slot_pool(self.shard)?;
         let Ok(DataMsg::Batch(mut announce)) = DataMsg::decode_shared(record) else {
             return None;
         };
@@ -1404,7 +1386,7 @@ impl State {
         let mut tensors: Vec<Tensor> = leased
             .into_iter()
             .map(|(tensor, lease)| {
-                registry.register_placed(tensor.storage(), lease.into_handle(), pool_key);
+                registry.register_placed(tensor.storage(), lease.into_handle(), self.shard);
                 tensor
             })
             .collect();

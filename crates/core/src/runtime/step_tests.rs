@@ -219,8 +219,8 @@ fn prepared(prep: &mut Preparer, index: usize, total: usize) -> PreparedItem {
 fn arena_ctx(tag: &str, nslots: usize, depth: usize) -> (TsContext, ts_tensor::SlotPool) {
     let ctx = TsContext::host_only();
     let path = std::env::temp_dir().join(format!("ts-step-{tag}-{}.arena", std::process::id()));
-    ctx.create_arena(&path, nslots, 4096).unwrap();
-    let pool = ctx.enable_slot_recycling(depth).unwrap();
+    ctx.create_arena(&path, nslots, 4096, &[depth]).unwrap();
+    let pool = ctx.registry.shard_slot_pool(0).unwrap();
     (ctx, pool)
 }
 
@@ -229,7 +229,7 @@ fn acks_release_in_seq_order_and_slots_are_conserved() {
     let (ctx, pool) = arena_ctx("conserve", 16, 12);
     let arena = ctx.arena().unwrap();
     let config = cfg(1, 0.0);
-    let mut prep = Preparer::new(&config, ctx.registry.lease_pool(None));
+    let mut prep = Preparer::new(&config, ctx.registry.shard_slot_pool(0));
     let mut rig = Rig::new(&ctx, config, 6);
     // Every slot is leased by an item in hand, registered by a live batch
     // (two tensors each), or idle in the pool.
@@ -298,7 +298,6 @@ fn acks_release_in_seq_order_and_slots_are_conserved() {
     assert_eq!(rig.state.stats.epochs_completed, 1);
     assert!(ctx.registry.is_empty());
     assert_eq!(arena.slots_in_use(), pool.free_count());
-    assert_eq!(ctx.metrics.counter("stage.publish_copy_bytes").get(), 0);
     pool.drain();
     assert_eq!(arena.slots_in_use(), 0);
 }
@@ -687,7 +686,7 @@ fn a_dry_arena_parks_the_feeder_instead_of_copying() {
     });
     let log = TensorProducer::open_log(&ctx, config.log.as_ref().unwrap(), None, 0).unwrap();
     let source = VecSource::new((0..12).map(|i| batch(i, 12)).collect()).unwrap();
-    let mut prep = Preparer::new(&config, ctx.registry.lease_pool(None));
+    let mut prep = Preparer::new(&config, ctx.registry.shard_slot_pool(0));
     let mut rig = Rig::coordinated(&ctx, config, 12, None, Some(log));
     rig.attach(1);
     let mut dry_spells = 0;
@@ -715,7 +714,6 @@ fn a_dry_arena_parks_the_feeder_instead_of_copying() {
         dry_spells >= 9,
         "3 batches fit; the rest waited ({dry_spells})"
     );
-    assert_eq!(ctx.metrics.counter("stage.publish_copy_bytes").get(), 0);
     let parked = ctx.metrics.counter("stage.arena_parked_ns").get();
     assert!(parked >= dry_spells * MS, "parked {parked} ns");
     assert_eq!(ctx.metrics.counter("stage.pins_shed_for_arena").get(), 0);
@@ -744,7 +742,7 @@ fn acked_pins_alone_holding_a_dry_arena_close_the_join_window_early() {
     // free one — and a publish needs a slot.
     let (ctx, pool) = arena_ctx("shed", 6, 6);
     let config = cfg(1, 1.0);
-    let mut prep = Preparer::new(&config, ctx.registry.lease_pool(None));
+    let mut prep = Preparer::new(&config, ctx.registry.shard_slot_pool(0));
     let mut rig = Rig::new(&ctx, config, 8);
     rig.attach(1);
     for seq in 0..3 {
@@ -795,7 +793,7 @@ fn acked_pins_alone_holding_a_dry_arena_close_the_join_window_early() {
 fn a_batch_no_slot_can_hold_fails_the_pipeline_with_a_counted_reason() {
     let (ctx, _pool) = arena_ctx("toolarge", 4, 4);
     let config = cfg(1, 0.02);
-    let mut prep = Preparer::new(&config, ctx.registry.lease_pool(None));
+    let mut prep = Preparer::new(&config, ctx.registry.shard_slot_pool(0));
     let big = Tensor::from_u8(vec![7; 8192], &[4, 2048], DeviceId::Cpu).unwrap();
     let mut b = batch(0, 1);
     b.fields = vec![big];
@@ -807,7 +805,6 @@ fn a_batch_no_slot_can_hold_fails_the_pipeline_with_a_counted_reason() {
     let out = rig.step(Event::Prepared(FeederMsg::Failed(reason)));
     assert!(finished(&out), "nothing outstanding: the run ends");
     assert_eq!(ctx.metrics.counter("producer.feeder_failed").get(), 1);
-    assert_eq!(ctx.metrics.counter("stage.publish_copy_bytes").get(), 0);
 }
 
 /// Bytes of the one field of a [`big_batch`]: a log frame of this size
@@ -855,7 +852,7 @@ fn late_group_in(
     let mut config = cfg(2, 0.02);
     config.log = Some(ts_log::LogConfig::new(&dir));
     let log = TensorProducer::open_log(ctx, config.log.as_ref().unwrap(), None, 0).unwrap();
-    let mut prep = Preparer::new(&config, ctx.registry.lease_pool(None));
+    let mut prep = Preparer::new(&config, ctx.registry.shard_slot_pool(0));
     let mut rig = Rig::coordinated(ctx, config, frames as u64, None, Some(log));
     rig.attach(1);
     for index in 0..frames {
@@ -1254,7 +1251,7 @@ fn a_batch_that_arrives_placed_is_adopted_and_any_other_is_copied_once() {
     let (ctx, pool) = arena_ctx("placed", 8, 8);
     let arena = ctx.arena().unwrap();
     let config = cfg(1, 0.0);
-    let mut prep = Preparer::new(&config, ctx.registry.lease_pool(None));
+    let mut prep = Preparer::new(&config, ctx.registry.shard_slot_pool(0));
     let mut rig = Rig::new(&ctx, config, 2);
     rig.attach(1);
     let heap = batch(0, 2);
@@ -1292,7 +1289,6 @@ fn a_batch_that_arrives_placed_is_adopted_and_any_other_is_copied_once() {
     assert_eq!(copied(&item), 64);
     rig.item(item);
     assert_eq!(ctx.metrics.counter("stage.collate_copy_bytes").get(), 64);
-    assert_eq!(ctx.metrics.counter("stage.publish_copy_bytes").get(), 0);
     rig.ack(1, 0);
     rig.ack(1, 1);
     rig.step(Event::Prepared(FeederMsg::EpochDone(0)));
@@ -1302,6 +1298,95 @@ fn a_batch_that_arrives_placed_is_adopted_and_any_other_is_copied_once() {
     assert_eq!(arena.slots_in_use(), 0);
 }
 
+/// Batch `index` of `total` with every tensor passed through `f`.
+fn batch_with(index: usize, total: usize, mut f: impl FnMut(&Tensor) -> Tensor) -> Batch {
+    let b = batch(index, total);
+    Batch {
+        fields: b.fields.iter().map(&mut f).collect(),
+        labels: f(&b.labels),
+        ..b
+    }
+}
+
+/// Pushes `b` through the preparer and publishes it: every tensor must
+/// have been copied into a lease of shard 0's pool once, and be
+/// announced with a handle to its slot holding the source bytes.
+fn publishes_from_a_lease(tag: &str, b: Batch, want: Batch) {
+    let (ctx, pool) = arena_ctx(tag, 8, 8);
+    let arena = ctx.arena().unwrap();
+    let config = cfg(1, 0.0);
+    let mut prep = Preparer::new(&config, ctx.registry.shard_slot_pool(0));
+    let mut rig = Rig::new(&ctx, config, 1);
+    rig.attach(1);
+    let mut never = || panic!("the arena ran dry");
+    let item = prep.push(b, true, &mut never).unwrap().unwrap();
+    let copied: Vec<u64> = item
+        .placements
+        .iter()
+        .map(|p| p.as_ref().unwrap().copied)
+        .collect();
+    assert_eq!(copied, [32, 32], "each tensor collated into a slot once");
+    let tensors: Vec<Tensor> = item.fields.iter().chain([&item.labels]).cloned().collect();
+    rig.item(item);
+    let wanted = want.fields.iter().chain([&want.labels]);
+    for (t, want) in tensors.iter().zip(wanted) {
+        let handle = ctx.registry.shm_handle(t.storage_id()).expect("a handle");
+        assert_eq!(&arena.attach(handle).unwrap()[..], &want.gather_bytes()[..]);
+        assert_eq!(t.device(), want.device());
+    }
+    drop(tensors);
+    rig.ack(1, 0);
+    rig.step(Event::Prepared(FeederMsg::EpochDone(0)));
+    rig.close();
+    assert!(ctx.registry.is_empty());
+    pool.drain();
+    assert_eq!(arena.slots_in_use(), 0);
+}
+
+#[test]
+fn a_batch_viewing_another_arena_is_copied_into_a_lease() {
+    // The chained case: a process re-shares tensors it consumed, views of
+    // another producer's arena. Only a slot of this producer's own arena
+    // is something its consumers can map.
+    let path = std::env::temp_dir().join(format!("ts-step-up-{}.arena", std::process::id()));
+    let upstream = ts_shm::ShmArena::create(path, 4, 4096).unwrap();
+    let mut ids = 1u64 << 40..;
+    let view = |t: &Tensor| {
+        let id = ids.next().unwrap();
+        crate::runtime::tests::in_foreign_arena(t, &upstream, id)
+    };
+    let b = batch_with(0, 1, view);
+    assert!(b.fields[0].storage().is_shared_memory());
+    publishes_from_a_lease("foreign", b, batch(0, 1));
+}
+
+#[test]
+fn a_device_tagged_batch_is_copied_into_a_lease_and_keeps_its_device() {
+    let gpu = |t: &Tensor| t.to_device(DeviceId::Gpu(0));
+    publishes_from_a_lease("gpu-tagged", batch_with(0, 1, gpu), batch_with(0, 1, gpu));
+}
+
+#[test]
+fn an_unplaced_batch_under_a_dry_pool_waits_for_a_slot() {
+    // A pool with nothing to lease parks the feeder (wait state `arena`)
+    // for every kind of unplaced tensor; none is let through unplaced.
+    let (ctx, pool) = arena_ctx("dry-unplaced", 2, 2);
+    let mut held = Some([pool.lease(8).unwrap(), pool.lease(8).unwrap()]);
+    let config = cfg(1, 0.0);
+    let mut prep = Preparer::new(&config, ctx.registry.shard_slot_pool(0));
+    let mut dry_spells = 0;
+    let mut dry = || {
+        dry_spells += 1;
+        drop(held.take()); // an ack frees the slots
+        true
+    };
+    let gpu = |t: &Tensor| t.to_device(DeviceId::Gpu(0));
+    let item = prep.push(batch_with(0, 1, gpu), true, &mut dry);
+    let item = item.unwrap().unwrap();
+    assert_eq!(dry_spells, 1, "waited once, then leased");
+    assert!(item.placements.iter().all(Option::is_some));
+}
+
 // -- the slot lane: log frames to pointer consumers through arena slots ------
 
 /// An arena of `nslots` slots a [`big_batch`]'s field fits in, its pool as
@@ -1309,8 +1394,9 @@ fn a_batch_that_arrives_placed_is_adopted_and_any_other_is_copied_once() {
 fn big_arena_ctx(tag: &str, nslots: usize) -> (TsContext, ts_tensor::SlotPool) {
     let ctx = TsContext::host_only();
     let path = std::env::temp_dir().join(format!("ts-step-{tag}-{}.arena", std::process::id()));
-    ctx.create_arena(&path, nslots, BIG_FIELD).unwrap();
-    let pool = ctx.enable_slot_recycling(nslots).unwrap();
+    ctx.create_arena(&path, nslots, BIG_FIELD, &[nslots])
+        .unwrap();
+    let pool = ctx.registry.shard_slot_pool(0).unwrap();
     (ctx, pool)
 }
 
@@ -1416,7 +1502,6 @@ fn a_pointer_joiners_logged_range_comes_through_arena_slots_held_until_acked() {
     assert_eq!(counter("replay.slot_fallbacks"), 0);
     assert_eq!(counter("replay.log_batches"), FRAMES);
     assert_eq!(counter("replay.gate_timeouts"), 0);
-    assert_eq!(counter("stage.publish_copy_bytes"), 0);
     rig.step(Event::Stop);
     rig.close();
     assert!(ctx.registry.is_empty());

@@ -245,8 +245,8 @@ fn steady_state_publish_recycles_arena_slots_without_allocating() {
     // the loader happened to get in the first 8 batches: with a cold pool
     // every new high-water mark of the in-flight set is a fresh
     // allocation, whenever it is reached.
-    ctx.create_arena(&arena_path, 48, 4096).unwrap();
-    let pool = ctx.enable_slot_recycling(36).unwrap();
+    ctx.create_arena(&arena_path, 48, 4096, &[36]).unwrap();
+    let pool = ctx.registry.shard_slot_pool(0).unwrap();
     assert_eq!(pool.preallocate(36), 36);
     let ep = "inproc://pool-steady";
     let mut cfg = producer_cfg(ep, 2);
@@ -1522,9 +1522,9 @@ fn sharded_group_recycles_per_shard_arena_slots() {
     let ctx = TsContext::host_only();
     let arena_path =
         std::env::temp_dir().join(format!("ts-sharded-pool-{}.arena", std::process::id()));
-    ctx.create_arena(&arena_path, 32, 4096).unwrap();
+    ctx.create_arena(&arena_path, 32, 4096, &[8, 8]).unwrap();
     let pools: Vec<_> = (0..2)
-        .map(|s| ctx.enable_shard_slot_recycling(s, 8).unwrap())
+        .map(|s| ctx.registry.shard_slot_pool(s).unwrap())
         .collect();
     let ep = "inproc://shard-pools";
     let mut cfg = producer_cfg(ep, 2);
@@ -1752,6 +1752,65 @@ fn builder_auto_arena_endpoint_only_attach_over_ipc() {
     );
 }
 
+/// `t` as a consumer process holds it after rebuilding it out of another
+/// producer's arena: its bytes in a slot of `arena`, the tensor a view of
+/// that slot under the remote storage id `id`.
+pub(crate) fn in_foreign_arena(t: &Tensor, arena: &Arc<ts_shm::ShmArena>, id: u64) -> Tensor {
+    let handle = arena.alloc(&t.gather_bytes()).unwrap();
+    let remote = ts_tensor::SharedRegistry::new();
+    remote.bind_arena(arena.clone());
+    let storage = remote.resolve(id, Some(handle), t.device()).unwrap();
+    // The view holds the slot now, as a rebuilt tensor's does.
+    arena.release(handle);
+    let strides = ts_tensor::contiguous_strides(t.shape());
+    Tensor::from_parts(storage, t.dtype(), t.shape().to_vec(), strides, 0).unwrap()
+}
+
+#[test]
+fn batches_viewing_another_arena_are_leased_into_the_producers_own() {
+    // The chained case: a process re-shares what it consumed, so its
+    // source yields tensors that are views of ANOTHER producer's arena.
+    // The producer must still place every byte in its own arena — a
+    // consumer in another context can map nothing else — and the
+    // consumer must get every batch, bit-identical, none skipped.
+    let tag = std::process::id();
+    let tmp = std::env::temp_dir();
+    let foreign = ts_shm::ShmArena::create(tmp.join(format!("ts-up-{tag}.arena")), 16, 4096)
+        .expect("upstream arena");
+    let mut ids = 1u64 << 40..;
+    let mut view = |t: &Tensor| in_foreign_arena(t, &foreign, ids.next().unwrap());
+    let batches: Vec<ts_data::Batch> = loader(32, 4)
+        .epoch(0)
+        .map(|mut b| {
+            b.fields = b.fields.iter().map(&mut view).collect();
+            b.labels = view(&b.labels);
+            b
+        })
+        .collect();
+    assert!(batches[0].fields[0].storage().is_shared_memory());
+    let source = crate::runtime::producer::VecSource::new(batches).unwrap();
+
+    let ep = format!(
+        "ipc://{}",
+        tmp.join(format!("ts-chain-{tag}.sock")).display()
+    );
+    let producer = Producer::builder()
+        .config(producer_cfg(&ep, 2))
+        .arena_sized(tmp.join(format!("ts-chain-{tag}.arena")), 16, 4096)
+        .spawn(source)
+        .unwrap();
+    let arena = producer.arena().expect("arena bound").clone();
+    // A consumer with its own context: it resolves handles, not ids.
+    let consumer_ctx = TsContext::host_only();
+    let (trace, reason) = consume_trace(consumer(&consumer_ctx).connect(&ep).unwrap());
+    assert_eq!(reason, Some(StopReason::End));
+    let dangling = consumer_ctx.metrics.counter("consumer.dangling_skipped");
+    assert_eq!(dangling.get(), 0, "a batch went out without a handle");
+    assert_eq!(trace, reference_trace(&[loader(32, 4)], 2));
+    producer.join().unwrap();
+    assert_eq!(arena.slots_in_use(), 0, "arena fully drained");
+}
+
 #[test]
 fn stream_consumer_dropped_mid_stream_leaves_no_slot_pinned() {
     // Streamed frames borrow the arena slots their tensors were collated
@@ -1821,9 +1880,7 @@ fn stream_consumer_dropped_mid_stream_leaves_no_slot_pinned() {
     assert_eq!(trace.len(), 48, "2 epochs × 24 batches");
     producer.join().unwrap();
     assert_eq!(arena.slots_in_use(), 0, "a queued frame kept a slot pinned");
-    for counter in ["stage.stream_copy_bytes", "stage.publish_copy_bytes"] {
-        assert_eq!(ctx.metrics.counter(counter).get(), 0, "{counter}");
-    }
+    assert_eq!(ctx.metrics.counter("stage.stream_copy_bytes").get(), 0);
     assert_eq!(ctx.metrics.counter("stage.stream_tx_errors").get(), 0);
     assert!(ctx.metrics.counter("stage.stream_tx_bytes").get() > 0);
 }
@@ -1981,43 +2038,23 @@ fn two_standalone_gpu_producers_get_disjoint_gauge_namespaces() {
 
 #[test]
 fn steady_state_publish_moves_zero_payload_bytes() {
-    // Tentpole acceptance: with an arena + slot pool bound, batches are
-    // written straight into leased slots and the publish loop only adopts
-    // the placements — `stage.publish_copy_bytes` counts any payload byte
-    // the publish path still moves, the same way PR 2's test counted
-    // steady-state allocations, and it must stay at zero.
+    // With an arena + slot pool bound, batches are written straight into
+    // leased slots and the publish loop only adopts the placements: it has
+    // no way to copy a payload byte, and the leases recycle.
     let ctx = TsContext::host_only();
     let arena_path =
         std::env::temp_dir().join(format!("ts-zero-copy-steady-{}.arena", std::process::id()));
-    ctx.create_arena(&arena_path, 64, 4096).unwrap();
-    let pool = ctx.enable_slot_recycling(16).unwrap();
+    ctx.create_arena(&arena_path, 64, 4096, &[16]).unwrap();
+    let pool = ctx.registry.shard_slot_pool(0).unwrap();
     let ep = "inproc://zero-copy-steady";
     let mut cfg = producer_cfg(ep, 2);
     cfg.rubberband_cutoff = 0.02;
     let producer = spawn(loader_with_workers(64, 4, 2), &ctx, cfg).unwrap();
-    let mut consumer = consumer(&ctx).connect(ep).unwrap();
-    let copies = ctx.metrics.counter("stage.publish_copy_bytes");
-    let mut consumed = 0u64;
-    let mut warmed_copies = None;
-    for _ in consumer.by_ref().flatten() {
-        consumed += 1;
-        if consumed == 8 {
-            warmed_copies = Some(copies.get());
-        }
-    }
+    let consumer = consumer(&ctx).connect(ep).unwrap();
+    let consumed = consumer.flatten().count();
     assert_eq!(consumed, 32, "2 epochs × 16 batches");
     let stats = producer.join().unwrap();
     assert_eq!(stats.batches_published, 32);
-    assert_eq!(
-        copies.get(),
-        warmed_copies.unwrap(),
-        "publish moved payload bytes after warm-up"
-    );
-    assert_eq!(
-        copies.get(),
-        0,
-        "lease-eligible host tensors must never take the copying path"
-    );
     // The zero-copy path still recycles: leases come out of the pool.
     let ps = pool.stats();
     assert!(ps.hits > 0, "no leased slot was recycled: {ps:?}");
@@ -2059,7 +2096,6 @@ fn loader_built_batches_reach_the_arena_without_a_feeder_copy() {
     assert_eq!(built.counter("loader.in_place_batches").get(), 32);
     assert_eq!(built.counter("loader.heap_batches").get(), 0);
     assert_eq!(ctx.metrics.counter("stage.collate_copy_bytes").get(), 0);
-    assert_eq!(ctx.metrics.counter("stage.publish_copy_bytes").get(), 0);
     assert_eq!(ctx.metrics.counter("stage.loader_unbound").get(), 0);
     assert!(ctx.registry.is_empty());
     assert_eq!(arena.slots_in_use(), 0);
@@ -2091,7 +2127,6 @@ fn batches_that_do_not_arrive_placed_cost_one_feeder_copy() {
     producer.join().unwrap();
     let copied = ctx.metrics.counter("stage.collate_copy_bytes").get();
     assert_eq!(copied, 2 * payload as u64, "one copy of every byte");
-    assert_eq!(ctx.metrics.counter("stage.publish_copy_bytes").get(), 0);
     assert_eq!(arena.slots_in_use(), 0);
 }
 
@@ -2125,7 +2160,6 @@ fn flexible_sizing_over_an_arena_still_publishes_zero_copy() {
     assert_eq!(labels, (0..64).collect::<Vec<i64>>(), "exactly once");
     let stats = producer.join().unwrap();
     assert_eq!(stats.batches_published, 8, "eight producer batches");
-    assert_eq!(ctx.metrics.counter("stage.publish_copy_bytes").get(), 0);
     assert_eq!(built.counter("loader.in_place_batches").get(), 0);
     // The fuse copied every sample into its producer batch's slot, once.
     let copied = ctx.metrics.counter("stage.collate_copy_bytes").get();
@@ -2164,7 +2198,6 @@ fn an_arena_smaller_than_the_loaders_appetite_still_completes() {
     let arena = producer.arena().unwrap().clone();
     producer.join().unwrap();
     assert_eq!(ctx.metrics.counter("stage.loader_unbound").get(), 1);
-    assert_eq!(ctx.metrics.counter("stage.publish_copy_bytes").get(), 0);
     assert_eq!(arena.slots_in_use(), 0);
 }
 
@@ -2201,7 +2234,6 @@ fn a_dry_arena_under_a_leasing_loader_still_waits_sheds_pins_and_delivers_once()
         "never waited on the arena"
     );
     assert!(count("stage.pins_shed_for_arena") > 0, "no pin was shed");
-    assert_eq!(count("stage.publish_copy_bytes"), 0);
     // Every batch was either built in place or collated by the feeder.
     let heap = built.counter("loader.heap_batches").get();
     assert_eq!(count("stage.collate_copy_bytes"), heap * 64);
@@ -2277,10 +2309,8 @@ fn each_shards_loader_leases_from_its_own_pool() {
         let pool = ctx.registry.shard_slot_pool(s as u32).unwrap().stats();
         assert!(pool.hits + pool.misses >= 64, "shard {s} leased: {pool:?}");
         assert!(pool.returned >= 64, "shard {s} reclaimed: {pool:?}");
-        for counter in ["publish_copy_bytes", "collate_copy_bytes"] {
-            let name = format!("stage.s{s}.{counter}");
-            assert_eq!(ctx.metrics.counter(&name).get(), 0, "{name}");
-        }
+        let name = format!("stage.s{s}.collate_copy_bytes");
+        assert_eq!(ctx.metrics.counter(&name).get(), 0, "{name}");
     }
     let arena = group.arena().unwrap().clone();
     group.join().unwrap();
@@ -2291,14 +2321,14 @@ fn each_shards_loader_leases_from_its_own_pool() {
 fn sharded_gpu_staged_publish_stays_zero_copy() {
     // The CI smoke scenario: a sharded GPU-staged run with per-shard slot
     // pools. The feeder leases and collates on the host, staging H2D-reads
-    // from the leased slot, and publish adopts the placement — no shard's
-    // copy counter may move.
+    // from the leased slot, and publish adopts the placement: every slot
+    // and every VRAM byte comes back.
     let ctx = TsContext::with_gpus(1, 1 << 30, false);
     let arena_path =
         std::env::temp_dir().join(format!("ts-gpu-zero-copy-{}.arena", std::process::id()));
-    ctx.create_arena(&arena_path, 64, 4096).unwrap();
+    ctx.create_arena(&arena_path, 64, 4096, &[8, 8]).unwrap();
     let pools: Vec<_> = (0..2)
-        .map(|s| ctx.enable_shard_slot_recycling(s, 8).unwrap())
+        .map(|s| ctx.registry.shard_slot_pool(s).unwrap())
         .collect();
     let ep = "inproc://gpu-zero-copy";
     let mut cfg = producer_cfg(ep, 2);
@@ -2311,15 +2341,6 @@ fn sharded_gpu_staged_publish_stays_zero_copy() {
     assert_eq!(trace.len(), 32, "2 epochs × 2 shards × 8 batches");
     let stats = group.join_shards().unwrap();
     assert!(stats.iter().all(|s| s.bytes_staged > 0), "staging ran");
-    for s in 0..2u32 {
-        assert_eq!(
-            ctx.metrics
-                .counter(&format!("stage.s{s}.publish_copy_bytes"))
-                .get(),
-            0,
-            "shard {s} copied payload bytes on the staged publish path"
-        );
-    }
     assert!(ctx.registry.is_empty());
     for pool in &pools {
         pool.drain();
@@ -2348,10 +2369,8 @@ fn zero_copy_publish_is_byte_identical_across_shards_staging_and_payload() {
                             "ts-ident-{shards}-{stag_tag}-{mode_tag}-{}.arena",
                             std::process::id()
                         ));
-                        ctx.create_arena(&arena_path, 64, 4096).unwrap();
-                        for s in 0..shards {
-                            ctx.enable_shard_slot_recycling(s as u32, 8).unwrap();
-                        }
+                        ctx.create_arena(&arena_path, 64, 4096, &vec![8; shards])
+                            .unwrap();
                     }
                     let ep = format!("inproc://ident-{shards}-{stag_tag}-{mode_tag}-{leased}");
                     let mut cfg = producer_cfg(&ep, 2);

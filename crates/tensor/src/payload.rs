@@ -262,9 +262,13 @@ mod tests {
             std::env::temp_dir().join(format!("ts-payload-test-{}.arena", std::process::id()));
         let arena = ts_shm::ShmArena::create(arena_path, 2, 64).unwrap();
         let reg = SharedRegistry::new();
-        reg.bind_arena(arena);
-        let t = Tensor::rand_u8(&[2, 4], DeviceId::Cpu, 5);
-        reg.register(t.storage());
+        let pool = crate::SlotPool::new(arena, 2);
+        reg.bind_shard_slot_pool(0, pool.clone());
+        // The producer's one way into the arena: collate into a lease of
+        // the shard's pool, then register the slot.
+        let src = Tensor::rand_u8(&[2, 4], DeviceId::Cpu, 5);
+        let (t, lease) = crate::cat0_leased(&[src], &pool, DeviceId::Cpu).unwrap();
+        reg.register_placed(t.storage(), lease.into_handle(), 0);
         let p = TensorPayload::pack_shared(&t, &reg);
         let handle = p.shm.expect("arena placement");
         assert_eq!(handle.len as usize, t.view_bytes());

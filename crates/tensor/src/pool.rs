@@ -1,14 +1,15 @@
 //! The reuse pool for producer-batch memory: [`SlotPool`], shared-memory
 //! arena slots.
 //!
-//! With a [`ts_shm::ShmArena`] bound, every published batch places its
-//! bytes in an arena slot; without recycling that is an allocation
-//! (free-slot probe + claim) per tensor per batch. The slot pool keeps
-//! slots whose consumers have all acked and rewrites them in place
-//! ([`ts_shm::ShmArena::try_recycle`]) for the next batch, so the
-//! steady-state publish path performs **zero arena allocations**: each
-//! placement is a generation bump plus one memcpy into an already-owned
-//! slot. Its [`SlotPool::stats`] make that property assertable.
+//! With a [`ts_shm::ShmArena`] bound, every published batch is built in
+//! an arena slot the producer leased; without recycling that is an
+//! allocation (free-slot probe + claim) per tensor per batch. The slot
+//! pool keeps slots whose consumers have all acked and hands them out
+//! again ([`ts_shm::ShmArena::try_recycle_in_place`]) for the next batch,
+//! so the steady-state publish path performs **zero arena allocations**:
+//! each lease is a generation bump on an already-owned slot, written in
+//! place by whoever collates the batch. Its [`SlotPool::stats`] make that
+//! property assertable.
 
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -27,9 +28,9 @@ struct SlotPoolInner {
 /// Counters describing a [`SlotPool`]'s behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SlotPoolStats {
-    /// Placements served by recycling an owned slot (zero-allocation path).
+    /// Leases served by recycling an owned slot (zero-allocation path).
     pub hits: u64,
-    /// Placements that had to claim a fresh slot from the arena.
+    /// Leases that had to claim a fresh slot from the arena.
     pub misses: u64,
     /// Slots returned to the pool after their batch was fully acked.
     pub returned: u64,
@@ -43,8 +44,8 @@ pub struct SlotPoolStats {
 ///
 /// The pool holds the *producer reference* of every slot on its free list:
 /// a reclaimed slot is not released back to the arena, it is kept owned
-/// and rewritten in place for the next placement. See the module docs for
-/// why, and [`crate::SharedRegistry::bind_slot_pool`] for the wiring.
+/// and rewritten in place for the next lease. See the module docs for
+/// why, and [`crate::SharedRegistry::bind_shard_slot_pool`] for the wiring.
 ///
 /// Cloning shares the pool.
 #[derive(Debug, Clone)]
@@ -110,51 +111,17 @@ impl SlotPool {
         reserved
     }
 
-    /// Places `bytes` into an owned slot (recycled, counted as a hit) or a
-    /// freshly claimed one (counted as a miss). The returned handle's
-    /// producer reference is held by the caller until
-    /// [`SlotPool::reclaim`].
-    pub fn place(&self, bytes: &[u8]) -> Result<ShmHandle, ShmError> {
-        loop {
-            let candidate = self.inner.lock().free.pop();
-            let Some(handle) = candidate else {
-                let handle = self.arena.alloc(bytes)?;
-                self.inner.lock().misses += 1;
-                return Ok(handle);
-            };
-            match self.arena.try_recycle(handle, bytes) {
-                Ok(fresh) => {
-                    self.inner.lock().hits += 1;
-                    return Ok(fresh);
-                }
-                Err(ShmError::Busy { .. }) => {
-                    // A consumer still maps the old contents (acked but the
-                    // rebuilt tensor is alive). Drop our reference — the
-                    // slot frees itself when the view goes — and move on.
-                    self.arena.release(handle);
-                    self.inner.lock().busy_discards += 1;
-                }
-                Err(e) => {
-                    // TooLarge/Stale: give the slot back before surfacing.
-                    self.arena.release(handle);
-                    return Err(e);
-                }
-            }
-        }
-    }
-
-    /// Leases a writable slot for `len` bytes *without moving any bytes* —
-    /// the zero-copy sibling of [`SlotPool::place`]. An owned slot is
+    /// Leases a writable slot for `len` bytes *without moving any bytes*.
+    /// An owned slot is
     /// rewritten in place ([`ts_shm::ShmArena::try_recycle_in_place`],
     /// counted as a hit); with none available a fresh slot is claimed
     /// ([`ts_shm::ShmArena::lease`], counted as a miss). Busy slots —
-    /// a consumer still mapping acked contents — are abandoned exactly as
-    /// in `place`.
+    /// a consumer still mapping acked contents — are released to free
+    /// themselves once the view drops, and counted.
     ///
     /// The caller collates directly into [`ts_shm::ShmLease::bytes_mut`]
     /// and then publishes [`ts_shm::ShmLease::into_handle`]; the handle's
-    /// producer reference comes back via [`SlotPool::reclaim`] like any
-    /// placed slot's.
+    /// producer reference comes back via [`SlotPool::reclaim`].
     pub fn lease(&self, len: usize) -> Result<ts_shm::ShmLease, ShmError> {
         loop {
             let candidate = self.inner.lock().free.pop();
@@ -230,42 +197,23 @@ mod tests {
         ShmArena::create(path, nslots, slot).unwrap()
     }
 
-    #[test]
-    fn slot_pool_recycles_without_arena_allocations() {
-        let arena = test_arena("recycle", 8, 64);
-        let pool = SlotPool::new(arena.clone(), 4);
-        // Warmup: first placement claims a fresh slot.
-        let h = pool.place(b"batch-0").unwrap();
-        assert_eq!(pool.stats().misses, 1);
-        pool.reclaim(h);
-        // Steady state: every placement rewrites the reclaimed slot.
-        let mut handle = pool.place(b"batch-1").unwrap();
-        for i in 2..50 {
-            pool.reclaim(handle);
-            handle = pool.place(format!("batch-{i}").as_bytes()).unwrap();
-        }
-        let stats = pool.stats();
-        assert_eq!(stats.misses, 1, "steady state must not touch the arena");
-        assert_eq!(stats.hits, 49);
-        assert_eq!(&arena.attach(handle).unwrap()[..], b"batch-49");
-        assert_eq!(arena.slots_in_use(), 1, "one slot served every batch");
+    /// Leases a slot and writes `bytes` into it, as a collate does.
+    fn put(pool: &SlotPool, bytes: &[u8]) -> ShmHandle {
+        let mut lease = pool.lease(bytes.len()).unwrap();
+        lease.bytes_mut().copy_from_slice(bytes);
+        lease.into_handle()
     }
 
     #[test]
     fn slot_pool_leases_recycle_without_arena_allocations() {
         let arena = test_arena("lease", 8, 64);
         let pool = SlotPool::new(arena.clone(), 4);
-        let mut lease = pool.lease(7).unwrap();
-        lease.bytes_mut().copy_from_slice(b"batch-0");
-        let mut handle = lease.into_handle();
+        let mut handle = put(&pool, b"batch-0");
         assert_eq!(pool.stats().misses, 1);
         // Steady state: every lease rewrites the reclaimed slot in place.
         for i in 1..50 {
             pool.reclaim(handle);
-            let body = format!("batch-{i}");
-            let mut lease = pool.lease(body.len()).unwrap();
-            lease.bytes_mut().copy_from_slice(body.as_bytes());
-            handle = lease.into_handle();
+            handle = put(&pool, format!("batch-{i}").as_bytes());
         }
         let stats = pool.stats();
         assert_eq!(stats.misses, 1, "steady state must not touch the arena");
@@ -278,16 +226,17 @@ mod tests {
     fn slot_pool_lease_skips_slots_pinned_by_readers() {
         let arena = test_arena("lease-busy", 4, 64);
         let pool = SlotPool::new(arena.clone(), 4);
-        let h = pool.place(b"pinned").unwrap();
+        let h = put(&pool, b"pinned");
         let view = arena.attach(h).unwrap();
         pool.reclaim(h);
-        let mut lease = pool.lease(5).unwrap();
-        assert_ne!(lease.handle().slot, h.slot);
-        lease.bytes_mut().copy_from_slice(b"fresh");
-        let h2 = lease.into_handle();
+        // The reader still maps the old bytes: the pool must abandon that
+        // slot (not corrupt it) and claim a fresh one.
+        let h2 = put(&pool, b"fresh");
+        assert_ne!(h2.slot, h.slot);
         assert_eq!(&view[..], b"pinned", "reader's bytes untouched");
         let stats = pool.stats();
         assert_eq!(stats.busy_discards, 1);
+        assert_eq!(stats.misses, 2);
         drop(view);
         pool.reclaim(h2);
         pool.drain();
@@ -298,7 +247,7 @@ mod tests {
     fn slot_pool_depth_caps_retained_slots() {
         let arena = test_arena("depth", 8, 64);
         let pool = SlotPool::new(arena.clone(), 2);
-        let handles: Vec<_> = (0..5).map(|_| pool.place(b"x").unwrap()).collect();
+        let handles: Vec<_> = (0..5).map(|_| put(&pool, b"x")).collect();
         for h in handles {
             pool.reclaim(h);
         }
@@ -308,27 +257,6 @@ mod tests {
         pool.drain();
         assert_eq!(arena.slots_in_use(), 0);
         assert_eq!(pool.stats().returned, 5);
-    }
-
-    #[test]
-    fn slot_pool_skips_slots_pinned_by_readers() {
-        let arena = test_arena("busy", 4, 64);
-        let pool = SlotPool::new(arena.clone(), 4);
-        let h = pool.place(b"pinned").unwrap();
-        let view = arena.attach(h).unwrap();
-        pool.reclaim(h);
-        // The reader still maps the old bytes: the pool must abandon that
-        // slot (not corrupt it) and claim a fresh one.
-        let h2 = pool.place(b"fresh").unwrap();
-        assert_ne!(h2.slot, h.slot);
-        assert_eq!(&view[..], b"pinned");
-        let stats = pool.stats();
-        assert_eq!(stats.busy_discards, 1);
-        assert_eq!(stats.misses, 2);
-        drop(view);
-        pool.reclaim(h2);
-        pool.drain();
-        assert_eq!(arena.slots_in_use(), 0);
     }
 
     #[test]
@@ -346,12 +274,12 @@ mod tests {
     }
 
     #[test]
-    fn slot_pool_preallocation_makes_first_placement_a_hit() {
+    fn slot_pool_preallocation_makes_first_lease_a_hit() {
         let arena = test_arena("prealloc", 4, 32);
         let pool = SlotPool::new(arena.clone(), 4);
         assert_eq!(pool.preallocate(2), 2);
         assert_eq!(pool.free_count(), 2);
-        let h = pool.place(b"first").unwrap();
+        let h = put(&pool, b"first");
         let stats = pool.stats();
         assert_eq!((stats.hits, stats.misses), (1, 0));
         pool.reclaim(h);

@@ -393,8 +393,9 @@ impl Tensor {
             .expect("gathered bytes always match the shape")
     }
 
-    /// Copies the tensor to another device label. Traffic/memory accounting
-    /// is the caller's job (see [`crate::DeviceCtx`]).
+    /// Copies the tensor to another device label. It accounts nothing: a
+    /// producer's device copies go through its staging stage, which books
+    /// them in the context's [`crate::DeviceCtx`].
     pub fn to_device(&self, device: DeviceId) -> Tensor {
         Tensor::from_bytes(self.gather_bytes(), self.dtype, &self.shape, device)
             .expect("gathered bytes always match the shape")

