@@ -407,7 +407,7 @@
 //! | `consumer.wait_ns` | histogram | ns | consumer-side wait for the next batch to arrive |
 //! | `consumer.interarrival_ns` | histogram | ns | time between consecutive batches yielded to training |
 //! | `consumer.stream_rx_ns` | histogram | ns | rebuild of one batch from streamed bytes (non-shm consumers) |
-//! | `stage.[s<N>.]pin_depth` | gauge | batches | rubberband pins currently holding memory (a pin shed to the durable log stays replayable but is not counted) |
+//! | `stage.[s<N>.]pin_depth` | gauge | batches | rubberband pins currently holding memory (a pin shed to the durable log stays replayable but is not counted); maintained per event as a batch enters or leaves the pin range, read in O(1) |
 //! | `stage.[s<N>.]wait_state` | gauge | code | what the producer is waiting for: 0 `barrier`, 1 `consumers`, 2 `item`, 3 `window`, 4 `arena`, 5 `drain` ([`Wait::ALL`]) |
 //! | `replay.[s<N>.]inflight_bytes` | gauge | bytes | frames of the catch-up being served that are sent and not yet acked by its consumer (the catch-up window; 0 when none runs) |
 //! | `consumer.cursor_lag` | gauge | batches | producer cursor position minus this consumer's, per the last cursor flush |

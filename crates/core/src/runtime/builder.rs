@@ -235,7 +235,9 @@ impl ProducerBuilder {
     /// consumers map the arena without being told its path.
     ///
     /// Fails at spawn when the source cannot report its geometry; use
-    /// [`ProducerBuilder::arena_sized`] then.
+    /// [`ProducerBuilder::arena_sized`] then. Either arena fails at spawn
+    /// with [`TsError::Config`] on a context that already holds another
+    /// producer's arena: one arena producer per [`TsContext`].
     pub fn arena(mut self, path: impl Into<PathBuf>) -> Self {
         self.arena = Some(ArenaSpec::Auto { path: path.into() });
         self
@@ -352,6 +354,16 @@ impl ProducerBuilder {
         sources: &[S],
         spec: ArenaSpec,
     ) -> Result<Arc<ShmArena>> {
+        // Pools are keyed by shard alone, and every producer has a shard 0:
+        // a second arena producer would take over the first one's pool,
+        // and the first one's releases would reclaim into the wrong arena.
+        if ctx.registry.shard_slot_pool(0).is_some() {
+            return Err(TsError::Config(
+                "this TsContext already holds another producer's arena; give each \
+                 arena producer its own context"
+                    .into(),
+            ));
+        }
         let shards = sources.len();
         // In-flight announcements per shard: the publish window plus the
         // rubberband pin set (pinned batches stay registered past full

@@ -87,7 +87,7 @@ use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::ops::Range;
+use std::ops::{Range, RangeBounds};
 use std::sync::Arc;
 use ts_device::DeviceId;
 use ts_log::{BatchLog, CursorStore};
@@ -440,7 +440,10 @@ impl Membership {
 }
 
 /// What is out: the publish window, live batches, pins, acks, and where
-/// in the epoch the stream stands.
+/// in the epoch the stream stands. No per-batch step walks `live` or
+/// `pins`: the pin count moves with each batch entering or leaving the
+/// range, and only `relieve_arena` (in [`Wait::Arena`] alone) and the
+/// per-epoch `close_join_window` scan them.
 struct Window {
     window: BatchWindow,
     acks: AckTracker,
@@ -448,6 +451,9 @@ struct Window {
     /// Seqs pinned for rubberband replay: contiguous, ending at the next
     /// seq while the join window is open, empty otherwise.
     pins: Range<u64>,
+    /// Live batches whose seq lies in `pins` (a shed pin's seq stays in
+    /// the range but holds no memory), kept per event for the gauge.
+    pins_resident: u64,
     /// The join window was closed early to relieve a dry arena; stays shut
     /// until the next epoch.
     pins_shut: bool,
@@ -656,6 +662,7 @@ impl State {
                 acks: AckTracker::new(),
                 live: BTreeMap::new(),
                 pins: 0..0,
+                pins_resident: 0,
                 pins_shut: false,
                 pending: None,
                 epoch: 0,
@@ -773,7 +780,8 @@ impl State {
             self.release(seq);
         }
         self.win.pins = 0..0;
-        self.inst.stage.pin_depth.set(0.0);
+        self.win.pins_resident = 0;
+        self.note_pin_depth();
         self.set_wait(now, Wait::Drain);
         fx.push(send(topics::CTRL, DataMsg::End.encode()));
     }
@@ -1024,10 +1032,12 @@ impl State {
                 .window_open(progress, self.win.expected_announces),
         };
         if open || self.win.published_in_epoch() == 1 {
-            if self.win.pins.is_empty() {
-                self.win.pins.start = seq;
+            let w = &mut self.win;
+            if w.pins.is_empty() {
+                w.pins.start = seq;
             }
-            self.win.pins.end = seq + 1;
+            w.pins.end = seq + 1;
+            w.pins_resident += 1;
         } else {
             self.close_join_window();
         }
@@ -1065,6 +1075,9 @@ impl State {
         let Some(batch) = self.win.live.remove(&seq) else {
             return;
         };
+        if self.win.pins.contains(&seq) {
+            self.win.pins_resident -= 1;
+        }
         let tensors = batch.fields.iter().chain(std::iter::once(&batch.labels));
         let held: Vec<u64> = tensors.map(Tensor::storage_id).collect();
         // Let go of the tensors first: each views its arena slot, and the
@@ -1106,9 +1119,9 @@ impl State {
         }
     }
 
-    /// Releases every acked batch nothing holds any more.
-    fn release_unheld(&mut self) {
-        let live = self.win.live.iter();
+    /// Releases every acked batch in `seqs` nothing holds any more.
+    fn release_unheld(&mut self, seqs: impl RangeBounds<u64>) {
+        let live = self.win.live.range(seqs);
         let free: Vec<u64> = live
             .filter(|(seq, b)| b.releasable && !self.must_hold(**seq))
             .map(|(seq, _)| *seq)
@@ -1119,24 +1132,35 @@ impl State {
         self.note_pin_depth();
     }
 
+    /// Only the seqs the spiller newly passed can be freed: below the
+    /// previous `logged`, whatever still holds a batch (an owed ack, or a
+    /// pin while the log failed — `failed` latches) still holds it.
     fn on_logged(&mut self, up_to: u64, failed: bool) {
         if let Some(log) = &mut self.log {
+            let newly = log.logged.min(up_to)..up_to;
             log.logged = up_to;
             log.failed = failed;
-            self.release_unheld();
+            self.release_unheld(newly);
         }
     }
 
     fn close_join_window(&mut self) {
         self.win.pins = 0..0;
-        self.release_unheld();
+        self.win.pins_resident = 0;
+        self.release_unheld(..);
     }
 
     /// Pin depth counts memory-resident pins: a shed pin's seq stays
     /// replayable from the log but holds no slot.
     fn note_pin_depth(&self) {
-        let resident = self.win.live.range(self.win.pins.clone()).count();
-        self.inst.stage.pin_depth.set(resident as f64);
+        let w = &self.win;
+        debug_assert_eq!(
+            w.pins_resident,
+            w.live.range(w.pins.clone()).count() as u64,
+            "resident pins drifted from the live batches in {:?}",
+            w.pins
+        );
+        self.inst.stage.pin_depth.set(w.pins_resident as f64);
     }
 
     // -- frames -----------------------------------------------------------
@@ -1907,7 +1931,7 @@ impl State {
                 Wait::Arena if idle > FLOOR_NS => {
                     let unlogged = |s: &u64| self.log.as_ref().is_some_and(|l| *s >= l.logged);
                     let held = w.live.keys().filter(|s| unlogged(s)).count();
-                    let pins = w.live.range(w.pins.clone()).count();
+                    let pins = w.pins_resident;
                     let v = format!(
                         "arena-bound parked {}ms before seq={next}: {} live batch(es) hold \
                          slots, {pins} pinned, {held} un-logged",

@@ -789,6 +789,116 @@ fn acked_pins_alone_holding_a_dry_arena_close_the_join_window_early() {
     assert_eq!(ctx.arena().unwrap().slots_in_use(), 0);
 }
 
+/// Runs one step of `rig`, then holds `stage.pin_depth` to its
+/// definition — the live batches whose seq lies in the pin range, counted
+/// the slow way — and returns it.
+fn exact_pin_depth<T>(rig: &mut Rig, step: impl FnOnce(&mut Rig) -> T) -> u64 {
+    step(rig);
+    let w = &rig.state.win;
+    let resident = w.live.range(w.pins.clone()).count() as u64;
+    let gauge = rig.ctx.metrics.gauge("stage.pin_depth").get();
+    assert_eq!(gauge, resident as f64, "pins {:?}", w.pins);
+    resident
+}
+
+#[test]
+fn pin_depth_is_exact_after_every_step() {
+    // No log, half the epoch inside the join window (2 of 4 batches).
+    let ctx = TsContext::host_only();
+    let config = cfg(2, 0.5);
+    let mut prep = Preparer::new(&config, None);
+    let mut rig = Rig::new(&ctx, config, 4);
+    assert_eq!(exact_pin_depth(&mut rig, |r| r.attach(1)), 0);
+    for epoch in 0..2 {
+        let mut item = |r: &mut Rig, i| r.item(prepared(&mut prep, i, 4));
+        assert_eq!(exact_pin_depth(&mut rig, |r| item(r, 0)), 1);
+        assert_eq!(exact_pin_depth(&mut rig, |r| item(r, 1)), 2);
+        // Acked pins stay: nothing but the pins can replay them.
+        assert_eq!(exact_pin_depth(&mut rig, |r| r.ack(1, 4 * epoch)), 2);
+        if epoch == 1 {
+            // Close with one pin acked and one still out.
+            assert_eq!(exact_pin_depth(&mut rig, |r| r.step(Event::Stop)), 2);
+            assert_eq!(exact_pin_depth(&mut rig, |r| r.close()), 0);
+            assert!(rig.state.win.live.is_empty());
+            break;
+        }
+        assert_eq!(exact_pin_depth(&mut rig, |r| r.ack(1, 1)), 2);
+        // Past the window: the range closes and the acked pins go.
+        assert_eq!(exact_pin_depth(&mut rig, |r| item(r, 2)), 0);
+        assert_eq!(rig.state.win.live.len(), 1);
+        assert_eq!(exact_pin_depth(&mut rig, |r| r.ack(1, 2)), 0);
+        assert_eq!(exact_pin_depth(&mut rig, |r| item(r, 3)), 0);
+        assert_eq!(exact_pin_depth(&mut rig, |r| r.ack(1, 3)), 0);
+        let done = |r: &mut Rig| r.step(Event::Prepared(FeederMsg::EpochDone(0)));
+        assert_eq!(exact_pin_depth(&mut rig, done), 0);
+        assert_eq!(rig.state.wait(), Wait::Item, "epoch 1 started");
+    }
+
+    // A log and the whole epoch pinned: `Logged` sheds acked pins while
+    // the range stays, and the pins live until the epoch boundary.
+    let ctx = TsContext::host_only();
+    let dir = std::env::temp_dir().join(format!("ts-step-pindepth-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut config = cfg(2, 1.0);
+    config.log = Some(ts_log::LogConfig::new(&dir));
+    let log = TensorProducer::open_log(&ctx, config.log.as_ref().unwrap(), None, 0).unwrap();
+    let mut prep = Preparer::new(&config, None);
+    let mut rig = Rig::coordinated(&ctx, config, 4, None, Some(log));
+    let mut item = |r: &mut Rig, i| r.item(prepared(&mut prep, i, 4));
+    rig.attach(1);
+    assert_eq!(exact_pin_depth(&mut rig, |r| item(r, 0)), 1);
+    assert_eq!(exact_pin_depth(&mut rig, |r| item(r, 1)), 2);
+    assert_eq!(exact_pin_depth(&mut rig, |r| r.ack(1, 0)), 2, "un-logged");
+    assert_eq!(exact_pin_depth(&mut rig, Rig::spill_next), 1, "seq 0 shed");
+    assert_eq!(rig.state.win.pins, 0..2, "a shed pin stays in the range");
+    assert_eq!(exact_pin_depth(&mut rig, |r| r.ack(1, 1)), 1);
+    assert_eq!(exact_pin_depth(&mut rig, |r| item(r, 2)), 2);
+    assert_eq!(exact_pin_depth(&mut rig, |r| item(r, 3)), 3);
+    assert_eq!(exact_pin_depth(&mut rig, Rig::spill_next), 2, "seq 1 shed");
+    assert_eq!(exact_pin_depth(&mut rig, |r| r.ack(1, 2)), 2);
+    assert_eq!(exact_pin_depth(&mut rig, |r| r.ack(1, 3)), 2);
+    // The boundary empties the range; seqs 2 and 3 stay live, un-logged.
+    let done = |r: &mut Rig| r.step(Event::Prepared(FeederMsg::EpochDone(0)));
+    assert_eq!(exact_pin_depth(&mut rig, done), 0);
+    assert_eq!(rig.state.win.live.len(), 2);
+    // A release outside the range leaves the count alone.
+    assert_eq!(exact_pin_depth(&mut rig, Rig::spill_next), 0);
+    assert_eq!(exact_pin_depth(&mut rig, |r| item(r, 0)), 1);
+    assert_eq!(rig.state.win.pins, 4..5);
+    assert_eq!(exact_pin_depth(&mut rig, |r| r.ack(1, 4)), 1);
+    assert_eq!(exact_pin_depth(&mut rig, Rig::spill_next), 1, "seq 3");
+    assert_eq!(exact_pin_depth(&mut rig, Rig::spill_next), 0, "seq 4 shed");
+    assert_eq!(exact_pin_depth(&mut rig, |r| item(r, 1)), 1);
+    assert_eq!(exact_pin_depth(&mut rig, |r| r.step(Event::Stop)), 1);
+    assert_eq!(exact_pin_depth(&mut rig, |r| r.close()), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // No log, a three-batch arena: acked pins alone hold it dry, and
+    // `relieve_arena` closes the window early.
+    let (ctx, pool) = arena_ctx("pindepth", 6, 6);
+    let config = cfg(1, 1.0);
+    let mut prep = Preparer::new(&config, ctx.registry.shard_slot_pool(0));
+    let mut rig = Rig::new(&ctx, config, 8);
+    rig.attach(1);
+    for seq in 0..3 {
+        let depth = exact_pin_depth(&mut rig, |r| r.item(prepared(&mut prep, seq, 8)));
+        assert_eq!(depth, (seq as u64 + 1).min(2), "seq 2 waits for the window");
+    }
+    assert_eq!(exact_pin_depth(&mut rig, |r| r.ack(1, 0)), 3);
+    assert_eq!(exact_pin_depth(&mut rig, |r| r.ack(1, 1)), 3);
+    assert!(prep.push(batch(3, 8), false, &mut || false).is_err(), "dry");
+    let dry = |r: &mut Rig| r.step(Event::Prepared(FeederMsg::ArenaDry));
+    assert_eq!(exact_pin_depth(&mut rig, dry), 3, "seq 2 is still out");
+    assert_eq!(exact_pin_depth(&mut rig, |r| r.ack(1, 2)), 0, "shed");
+    assert_eq!(ctx.metrics.counter("stage.pins_shed_for_arena").get(), 3);
+    let item = |r: &mut Rig| r.item(prepared(&mut prep, 3, 8));
+    assert_eq!(exact_pin_depth(&mut rig, item), 0, "the window stays shut");
+    assert_eq!(exact_pin_depth(&mut rig, |r| r.step(Event::Stop)), 0);
+    assert_eq!(exact_pin_depth(&mut rig, |r| r.close()), 0);
+    pool.drain();
+    assert_eq!(ctx.arena().unwrap().slots_in_use(), 0);
+}
+
 #[test]
 fn a_batch_no_slot_can_hold_fails_the_pipeline_with_a_counted_reason() {
     let (ctx, _pool) = arena_ctx("toolarge", 4, 4);

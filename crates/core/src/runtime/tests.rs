@@ -352,6 +352,31 @@ fn a_gpu_the_context_does_not_have_fails_the_spawn_not_the_first_batch() {
 }
 
 #[test]
+fn a_second_arena_producer_on_one_context_is_refused() {
+    let ctx = TsContext::host_only();
+    let builder = |name: &str| {
+        let cfg = producer_cfg(&format!("inproc://{name}"), 1);
+        let arena = arena_path(name);
+        Producer::builder()
+            .context(&ctx)
+            .config(cfg)
+            .arena_sized(arena, 8, 4096)
+    };
+    let first = builder("arena-first").spawn(loader(16, 4)).unwrap();
+    let pool = ctx.registry.shard_slot_pool(0).expect("shard 0's pool");
+    match builder("arena-second").spawn(loader(16, 4)) {
+        Err(TsError::Config(why)) => assert!(why.contains("own context"), "{why}"),
+        other => panic!("two arena producers on one context: {other:?}"),
+    }
+    // The first producer's pool is still the one bound, over its arena.
+    let bound = ctx.registry.shard_slot_pool(0).unwrap();
+    assert!(Arc::ptr_eq(bound.arena(), pool.arena()));
+    assert!(Arc::ptr_eq(bound.arena(), first.arena().unwrap()));
+    first.abort();
+    first.join().unwrap();
+}
+
+#[test]
 fn steady_state_staging_performs_zero_device_allocations() {
     // Acceptance criterion: after warm-up, the slab rotation serves every
     // staged batch without touching the device allocator — asserted via

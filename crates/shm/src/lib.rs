@@ -382,9 +382,9 @@ impl ShmArena {
     /// Claims a free slot for `len` bytes without writing anything — the
     /// reservation half of the recycling protocol. The caller holds the
     /// producer reference and exclusive write access; fill the slot later
-    /// with [`ShmArena::try_recycle`] (which also stamps a fresh
-    /// generation, so a reserved-but-never-written slot can never serve a
-    /// forged read).
+    /// through [`ShmArena::try_recycle_in_place`] (which also stamps a
+    /// fresh generation, so a reserved-but-never-written slot can never
+    /// serve a forged read).
     ///
     /// The slot contents are unspecified until written; the handle is
     /// attachable (it reads `len` bytes of whatever the slot held before),
@@ -432,93 +432,22 @@ impl ShmArena {
     }
 
     /// Rewrites a slot the caller already owns (sole producer reference)
-    /// with new `bytes`, bumping the generation so every previously issued
-    /// handle to the slot goes stale. Returns the slot's new handle; the
-    /// caller's reference carries over — no release/alloc pair, no probe
-    /// loop, no free-list race.
+    /// for `len` bytes and bumps the generation, so every previously
+    /// issued handle to the slot goes stale — but moves **no bytes**. The
+    /// caller's reference carries over into the returned [`ShmLease`],
+    /// which grants exclusive write access to the slot body; filling it is
+    /// the caller's job ([`ShmLease::bytes_mut`]).
     ///
-    /// This is the steady-state path of the producer's slot pool: a batch
-    /// slot whose consumers have all acked is recycled in place for the
-    /// next batch.
+    /// This is the steady-state path of the producer's slot pool: the
+    /// feeder collates *directly into* a recycled slot, so the publish
+    /// stage never copies payload bytes.
     ///
-    /// Fails with [`ShmError::Busy`] while consumers still hold views on
-    /// the old contents (the caller should release the slot and take a
-    /// fresh one instead), [`ShmError::Stale`] when `handle` is not the
-    /// slot's live generation, and [`ShmError::TooLarge`] when `bytes`
-    /// exceeds the slot size (the slot is left untouched and still owned).
-    pub fn try_recycle(&self, handle: ShmHandle, bytes: &[u8]) -> Result<ShmHandle, ShmError> {
-        let i = handle.slot as usize;
-        if i >= self.nslots {
-            return Err(ShmError::BadSlot(handle.slot));
-        }
-        if bytes.len() > self.slot_size {
-            return Err(ShmError::TooLarge {
-                requested: bytes.len(),
-                slot_size: self.slot_size,
-            });
-        }
-        let hdr = self.slot(i);
-        let current = hdr.state.load(Ordering::SeqCst);
-        if state_generation(current) != handle.generation || state_refs(current) == 0 {
-            return Err(ShmError::Stale {
-                slot: handle.slot,
-                generation: handle.generation,
-            });
-        }
-        if state_refs(current) != 1 {
-            return Err(ShmError::Busy {
-                slot: handle.slot,
-                refs: state_refs(current),
-            });
-        }
-        let mut generation = handle.generation.wrapping_add(1);
-        if generation == 0 {
-            generation = 1;
-        }
-        // (gen, 1) -> (gen+1, 1) in one CAS: readers racing `attach` with
-        // the old handle either increment before us (we observe refs == 2
-        // and fail Busy above or here) or fail their generation check
-        // after us. Either way nobody reads half-written bytes.
-        if hdr
-            .state
-            .compare_exchange(
-                current,
-                make_state(generation, 1),
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            )
-            .is_err()
-        {
-            let raced = hdr.state.load(Ordering::SeqCst);
-            return Err(ShmError::Busy {
-                slot: handle.slot,
-                refs: state_refs(raced),
-            });
-        }
-        hdr.len.store(bytes.len() as u64, Ordering::SeqCst);
-        // Safety: refs == 1 under the new generation — we are the only
-        // writer and no view can attach the old generation any more.
-        unsafe {
-            std::ptr::copy_nonoverlapping(bytes.as_ptr(), self.slot_data_ptr(i), bytes.len());
-        }
-        Ok(ShmHandle {
-            slot: handle.slot,
-            generation,
-            len: bytes.len() as u64,
-        })
-    }
-
-    /// The reservation half of [`ShmArena::try_recycle`]: rewrites a slot
-    /// the caller already owns (sole producer reference) for `len` bytes
-    /// and bumps the generation — but moves **no bytes**. The caller gets
-    /// back a [`ShmLease`] granting exclusive write access to the slot
-    /// body; filling it is the caller's job ([`ShmLease::bytes_mut`]).
-    ///
-    /// This is the zero-copy producer path: the feeder collates *directly
-    /// into* the leased slot, so the publish stage never copies payload
-    /// bytes. Error conditions mirror [`ShmArena::try_recycle`]
-    /// ([`ShmError::Busy`] / [`ShmError::Stale`] / [`ShmError::TooLarge`];
-    /// on error the slot is untouched and still owned via `handle`).
+    /// Fails with [`ShmError::BadSlot`] for a slot out of range,
+    /// [`ShmError::TooLarge`] when `len` exceeds the slot size,
+    /// [`ShmError::Stale`] when `handle` is not the slot's live
+    /// generation, and [`ShmError::Busy`] while consumers still hold views
+    /// on the old contents. On error the slot is untouched and still owned
+    /// via `handle`.
     pub fn try_recycle_in_place(
         self: &Arc<Self>,
         handle: ShmHandle,
@@ -552,9 +481,10 @@ impl ShmArena {
         if generation == 0 {
             generation = 1;
         }
-        // Same CAS discipline as `try_recycle`: a reader racing `attach`
-        // with the old handle either bumps refs before us (we fail Busy)
-        // or fails its generation check after us.
+        // (gen, 1) -> (gen+1, 1) in one CAS: a reader racing `attach` with
+        // the old handle either bumps refs before us (we fail Busy) or
+        // fails its generation check after us. Either way nobody reads
+        // half-written bytes.
         if hdr
             .state
             .compare_exchange(
@@ -586,9 +516,10 @@ impl ShmArena {
     /// Claims a *fresh* slot for `len` bytes as a writable [`ShmLease`] —
     /// [`ShmArena::reserve`] wrapped in the lease guard, for the arena-miss
     /// path of a recycling pool. The lease's generation is already final
-    /// (unlike a bare `reserve` handle, which [`ShmArena::try_recycle`]
-    /// re-stamps), so [`ShmLease::into_handle`] is directly publishable
-    /// once the bytes are written.
+    /// (unlike a bare `reserve` handle, which
+    /// [`ShmArena::try_recycle_in_place`] re-stamps), so
+    /// [`ShmLease::into_handle`] is directly publishable once the bytes
+    /// are written.
     pub fn lease(self: &Arc<Self>, len: usize) -> Result<ShmLease, ShmError> {
         let handle = self.reserve(len)?;
         Ok(ShmLease {
@@ -961,18 +892,23 @@ mod tests {
         assert_eq!(arena.slots_in_use(), 1);
         // Filling the reserved slot stamps a fresh generation: the bare
         // reservation handle goes stale, the returned one reads the bytes.
-        let filled = arena.try_recycle(h, b"first").unwrap();
+        let mut lease = arena.try_recycle_in_place(h, 5).unwrap();
+        lease.bytes_mut().copy_from_slice(b"first");
+        let filled = lease.into_handle();
         assert_eq!(filled.slot, h.slot);
         assert_ne!(filled.generation, h.generation);
         assert!(matches!(arena.attach(h), Err(ShmError::Stale { .. })));
         assert_eq!(&arena.attach(filled).unwrap()[..], b"first");
+        assert_eq!(arena.slots_in_use(), 1);
     }
 
     #[test]
     fn recycle_in_place_invalidates_old_handle() {
         let arena = ShmArena::create(temp_path("recycle"), 2, 64).unwrap();
         let first = arena.alloc(b"aaaa").unwrap();
-        let second = arena.try_recycle(first, b"bb").unwrap();
+        let mut lease = arena.try_recycle_in_place(first, 2).unwrap();
+        lease.bytes_mut().copy_from_slice(b"bb");
+        let second = lease.into_handle();
         assert_eq!(second.slot, first.slot);
         assert_eq!(second.len, 2);
         assert!(matches!(arena.attach(first), Err(ShmError::Stale { .. })));
@@ -980,41 +916,6 @@ mod tests {
         // Only one slot was ever used; the producer reference carried over.
         assert_eq!(arena.slots_in_use(), 1);
         assert!(arena.release(second));
-    }
-
-    #[test]
-    fn recycle_refuses_while_reader_attached() {
-        let arena = ShmArena::create(temp_path("busy"), 2, 64).unwrap();
-        let h = arena.alloc(b"shared").unwrap();
-        let view = arena.attach(h).unwrap();
-        assert_eq!(arena.ref_count(h), Some(2));
-        assert!(matches!(
-            arena.try_recycle(h, b"next"),
-            Err(ShmError::Busy { refs: 2, .. })
-        ));
-        // The reader's bytes were never touched.
-        assert_eq!(&view[..], b"shared");
-        drop(view);
-        assert!(arena.try_recycle(h, b"next").is_ok());
-    }
-
-    #[test]
-    fn recycle_rejects_stale_and_oversized() {
-        let arena = ShmArena::create(temp_path("recycle-err"), 2, 16).unwrap();
-        let h = arena.alloc(b"x").unwrap();
-        assert!(matches!(
-            arena.try_recycle(h, &[0u8; 17]),
-            Err(ShmError::TooLarge { .. })
-        ));
-        // A failed oversized recycle leaves the slot owned and readable.
-        assert_eq!(&arena.attach(h).unwrap()[..], b"x");
-        let newer = arena.try_recycle(h, b"y").unwrap();
-        assert!(matches!(
-            arena.try_recycle(h, b"z"),
-            Err(ShmError::Stale { .. })
-        ));
-        assert!(arena.release(newer));
-        assert_eq!(arena.ref_count(newer), None);
     }
 
     #[test]
@@ -1063,6 +964,43 @@ mod tests {
         drop(view);
         let lease = arena.try_recycle_in_place(h, 4).unwrap();
         assert_eq!(lease.len(), 4);
+    }
+
+    #[test]
+    fn recycle_rejects_stale_and_oversized() {
+        let arena = ShmArena::create(temp_path("lease-err"), 2, 16).unwrap();
+        let h = arena.alloc(b"x").unwrap();
+        assert!(matches!(
+            arena.try_recycle_in_place(h, 17),
+            Err(ShmError::TooLarge { requested: 17, .. })
+        ));
+        // A refused recycle leaves the slot owned and readable.
+        assert_eq!(&arena.attach(h).unwrap()[..], b"x");
+        let mut lease = arena.try_recycle_in_place(h, 1).unwrap();
+        lease.bytes_mut().copy_from_slice(b"y");
+        let newer = lease.into_handle();
+        assert!(matches!(
+            arena.try_recycle_in_place(h, 1),
+            Err(ShmError::Stale { .. })
+        ));
+        assert!(arena.release(newer));
+        assert_eq!(arena.ref_count(newer), None);
+        // A released slot's last handle is stale too.
+        assert!(matches!(
+            arena.try_recycle_in_place(newer, 1),
+            Err(ShmError::Stale { .. })
+        ));
+    }
+
+    #[test]
+    fn recycle_in_place_rejects_a_slot_out_of_range() {
+        let arena = ShmArena::create(temp_path("lease-range"), 2, 16).unwrap();
+        let h = arena.alloc(b"x").unwrap();
+        assert!(matches!(
+            arena.try_recycle_in_place(ShmHandle { slot: 2, ..h }, 1),
+            Err(ShmError::BadSlot(2))
+        ));
+        assert_eq!(arena.ref_count(h), Some(1));
     }
 
     #[test]

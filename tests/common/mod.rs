@@ -8,6 +8,7 @@
 //! trainer pausing: the producer stops at most its publish window later.
 
 use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
@@ -34,4 +35,28 @@ pub fn go_once_attached(outs: &[PathBuf], go: &Path) {
 pub fn wait_for_go(var: &str) {
     let go = PathBuf::from(std::env::var(var).unwrap_or_else(|_| panic!("{var}")));
     wait_until("the go-file never appeared", || go.exists());
+}
+
+/// Parent side: this test binary, set to run `test` alone as a child
+/// process. Its stdout is piped rather than shared: libtest lines that
+/// sibling processes write to one terminal at once interleave mid-line
+/// and read as a test name that does not exist. [`wait_ok`] shows the
+/// output when the process fails.
+pub fn child_test(test: &str) -> Command {
+    let mut cmd = Command::new(std::env::current_exe().expect("test binary path"));
+    cmd.args(["--exact", test, "--test-threads=1"])
+        .stdout(Stdio::piped());
+    cmd
+}
+
+/// Parent side: waits for a process from [`child_test`] and asserts that
+/// it exited cleanly.
+pub fn wait_ok(child: Child, what: &str) {
+    let out = child.wait_with_output().expect(what);
+    assert!(
+        out.status.success(),
+        "{what} failed: {}\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stdout)
+    );
 }

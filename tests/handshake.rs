@@ -62,7 +62,8 @@ fn producer_cfg(endpoint: &str) -> ProducerConfig {
 
 /// One `(scheme-tag, endpoint)` per transport under test. `port_slot`
 /// spaces tcp tests apart (each sharded topology claims several
-/// consecutive ports).
+/// consecutive ports). The ports sit below Linux's ephemeral range
+/// (32768-60999), where no other test's outgoing connection can hold one.
 fn endpoints(tag: &str, port_slot: u16) -> Vec<(&'static str, String)> {
     let tmp = std::env::temp_dir();
     let pid = std::process::id();
@@ -76,7 +77,7 @@ fn endpoints(tag: &str, port_slot: u16) -> Vec<(&'static str, String)> {
         ),
         (
             "tcp",
-            format!("tcp://127.0.0.1:{}", 43_800 + port_slot * 16),
+            format!("tcp://127.0.0.1:{}", 23_800 + port_slot * 16),
         ),
     ]
 }

@@ -317,14 +317,8 @@ fn log_replay_multi_process_kill9_group_resume() {
         })
     };
 
-    let exe = std::env::current_exe().expect("test binary path");
     let spawn_role = |role: &str, out: &std::path::Path| {
-        std::process::Command::new(&exe)
-            .args([
-                "--exact",
-                "log_replay_multi_process_kill9_group_resume",
-                "--test-threads=1",
-            ])
+        common::child_test("log_replay_multi_process_kill9_group_resume")
             .env("TS_LRMP_ROLE", role)
             .env("TS_LRMP_ENDPOINT", &endpoint)
             .env("TS_LRMP_OUT", out)
@@ -332,7 +326,7 @@ fn log_replay_multi_process_kill9_group_resume() {
             .spawn()
             .expect("spawn consumer process")
     };
-    let mut witness = spawn_role("witness", &out_witness);
+    let witness = spawn_role("witness", &out_witness);
     let mut victim = spawn_role("victim", &out_victim);
     common::go_once_attached(std::slice::from_ref(&out_witness), &go_path);
 
@@ -359,12 +353,10 @@ fn log_replay_multi_process_kill9_group_resume() {
     // Same group, new process: resumes from the persisted cursor. Until
     // now no catch-up out of the log has run.
     let live_peak = max_in_use.load(Ordering::Relaxed);
-    let mut resume = spawn_role("resume", &out_resume);
+    let resume = spawn_role("resume", &out_resume);
 
-    let witness_status = witness.wait().expect("wait witness");
-    assert!(witness_status.success(), "witness failed: {witness_status}");
-    let resume_status = resume.wait().expect("wait resume");
-    assert!(resume_status.success(), "resume failed: {resume_status}");
+    common::wait_ok(witness, "witness");
+    common::wait_ok(resume, "resume");
 
     let stats = group.join_shards().expect("group join");
     stop_sampling.store(true, Ordering::Relaxed);

@@ -9,6 +9,10 @@
 //! data socket — and both must observe **bit-identical**
 //! `(epoch, shard, seq)` batch streams. Either kind may also detach
 //! mid-stream without disturbing the other.
+//!
+//! Each test binds its own fixed tcp base, 16 ports apart, below Linux's
+//! ephemeral range (32768-60999), where no other test's outgoing
+//! connection can hold one.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -75,7 +79,7 @@ fn drain(mut c: Consumer) -> Vec<(u64, usize, u64, Vec<u8>)> {
 
 #[test]
 fn shm_and_streamed_consumers_see_bit_identical_streams() {
-    let ep = "tcp://127.0.0.1:44608";
+    let ep = "tcp://127.0.0.1:24608";
     let arena = arena_path("ident");
     let producer = Producer::builder()
         .config(producer_cfg(ep, 2))
@@ -128,7 +132,7 @@ fn shm_and_streamed_consumers_see_bit_identical_streams() {
 
 #[test]
 fn streamed_consumer_detaches_cleanly_while_shm_consumer_continues() {
-    let ep = "tcp://127.0.0.1:44624";
+    let ep = "tcp://127.0.0.1:24624";
     let arena = arena_path("sdetach");
     let producer = Producer::builder()
         .config(producer_cfg(ep, 1))
@@ -163,7 +167,7 @@ fn streamed_consumer_detaches_cleanly_while_shm_consumer_continues() {
 
 #[test]
 fn shm_consumer_detaches_cleanly_while_streamed_consumer_continues() {
-    let ep = "tcp://127.0.0.1:44640";
+    let ep = "tcp://127.0.0.1:24640";
     let arena = arena_path("hdetach");
     let producer = Producer::builder()
         .config(producer_cfg(ep, 1))

@@ -236,16 +236,10 @@ fn multi_process_ipc_shared_arena() {
     let arena = producer.arena().expect("arena bound").clone();
     let pool = ctx.registry.shard_slot_pool(0).expect("shard 0's pool");
 
-    let exe = std::env::current_exe().expect("test binary path");
     let children: Vec<_> = out_paths
         .iter()
         .map(|out| {
-            std::process::Command::new(&exe)
-                .args([
-                    "--exact",
-                    "multi_process_ipc_shared_arena",
-                    "--test-threads=1",
-                ])
+            common::child_test("multi_process_ipc_shared_arena")
                 .env("TS_MP_ROLE", "consumer")
                 .env("TS_MP_ENDPOINT", &endpoint)
                 .env("TS_MP_ARENA", &arena_path)
@@ -257,9 +251,8 @@ fn multi_process_ipc_shared_arena() {
         .collect();
     common::go_once_attached(&out_paths, &go_path);
 
-    for mut child in children {
-        let status = child.wait().expect("wait consumer");
-        assert!(status.success(), "consumer process failed: {status}");
+    for child in children {
+        common::wait_ok(child, "consumer process");
     }
     let stats = producer.join().expect("producer join");
     assert_eq!(stats.epochs_completed, EPOCHS);
@@ -338,18 +331,13 @@ fn a_process_exiting_right_after_drop_has_said_leave() {
         .arena(tmp.join(format!("ts-mp-leave-{tag}.arena")))
         .spawn(loader)
         .expect("spawn producer");
-    let exe = std::env::current_exe().expect("test binary path");
     for round in 0..20 {
-        let status = std::process::Command::new(&exe)
-            .args([
-                "--exact",
-                "a_process_exiting_right_after_drop_has_said_leave",
-            ])
+        let leaver = common::child_test("a_process_exiting_right_after_drop_has_said_leave")
             .env("TS_MP_ROLE", "leaver")
             .env("TS_MP_ENDPOINT", &endpoint)
-            .status()
+            .spawn()
             .expect("run leaver process");
-        assert!(status.success(), "leaver {round} failed: {status}");
+        common::wait_ok(leaver, &format!("leaver {round}"));
     }
     // A member that did not leave is detached once its heartbeat runs out.
     std::thread::sleep(timeout + timeout / 2);
@@ -457,17 +445,13 @@ fn a_stopped_stream_consumer_with_a_full_socket_does_not_stall_the_pump() {
         .first_consumer_timeout(Some(Duration::from_secs(60)))
         .spawn(loader)
         .expect("spawn producer");
-    let exe = std::env::current_exe().expect("test binary path");
-    let mut stalled = std::process::Command::new(&exe)
-        .args([
-            "--exact",
-            "a_stopped_stream_consumer_with_a_full_socket_does_not_stall_the_pump",
-        ])
-        .env("TS_MP_ROLE", "stalled")
-        .env("TS_MP_ENDPOINT", &endpoint)
-        .env("TS_MP_OUT", &out)
-        .spawn()
-        .expect("spawn consumer process");
+    let mut stalled =
+        common::child_test("a_stopped_stream_consumer_with_a_full_socket_does_not_stall_the_pump")
+            .env("TS_MP_ROLE", "stalled")
+            .env("TS_MP_ENDPOINT", &endpoint)
+            .env("TS_MP_OUT", &out)
+            .spawn()
+            .expect("spawn consumer process");
     let (received, done) = (AtomicU64::new(0), AtomicBool::new(false));
     let wait_for = |what: &str, n: u64| {
         let deadline = std::time::Instant::now() + Duration::from_secs(60);

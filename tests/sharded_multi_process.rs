@@ -250,16 +250,10 @@ fn run_topology(tag: &str) -> Vec<(u64, Transcript)> {
         .expect("spawn sharded group");
     let arena = group.arena().expect("builder provisioned arena").clone();
 
-    let exe = std::env::current_exe().expect("test binary path");
     let children: Vec<_> = out_paths
         .iter()
         .map(|out| {
-            std::process::Command::new(&exe)
-                .args([
-                    "--exact",
-                    "sharded_multi_process_ipc_exactly_once",
-                    "--test-threads=1",
-                ])
+            common::child_test("sharded_multi_process_ipc_exactly_once")
                 .env("TS_SMP_ROLE", "consumer")
                 .env("TS_SMP_ENDPOINT", &endpoint)
                 .env("TS_SMP_ARENA", &arena_path)
@@ -271,9 +265,8 @@ fn run_topology(tag: &str) -> Vec<(u64, Transcript)> {
         .collect();
     common::go_once_attached(&out_paths, &go_path);
 
-    for mut child in children {
-        let status = child.wait().expect("wait consumer");
-        assert!(status.success(), "consumer process failed: {status}");
+    for child in children {
+        common::wait_ok(child, "consumer process");
     }
     let stats = group.join_shards().expect("group join");
     assert_eq!(stats.len(), SHARDS);
