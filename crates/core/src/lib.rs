@@ -420,6 +420,7 @@
 //! | `producer.joins_parked` | counter | joins | `Join`s answered `WaitEpoch`: past the join window, admitted at the next epoch boundary |
 //! | `producer.detached` | counter | consumers | consumers detached on heartbeat expiry |
 //! | `producer.ctrl_unknown` | counter | frames | control frames with an unknown tag, ignored |
+//! | `producer.acks_refused` | counter | acks | acks naming a seq at or past the next one to publish — a batch that does not exist yet — refused before they move the window, a catch-up, a held frame or a group cursor |
 //! | `producer.ctrl_unknown_consumer` | counter | frames | acks, readies, heartbeats, leaves and replay requests carrying an id that never joined (or already left), ignored — they never enter the heartbeat monitor |
 //! | `producer.feeder_failed` | counter | failures | pipeline stops with a logged reason: a batch no arena slot can hold, a collation error, device staging out of memory |
 //! | `producer.hello_unknown_caps` | counter | hellos | HELLOs carrying capability bits this producer does not know |
@@ -600,9 +601,9 @@
 //!
 //! ## Crate layout
 //!
-//! * [`protocol`] — pure, time-injected state machines: publish window
-//!   ([`protocol::buffer::BatchWindow`]), release tracking
-//!   ([`protocol::acks::AckTracker`]), liveness ([`protocol::heartbeat::HeartbeatMonitor`]),
+//! * [`protocol`] — pure, time-injected state machines: the publish
+//!   window and release tracking, both read off one acked-through word per
+//!   consumer ([`protocol::cursors::Cursors`]), liveness ([`protocol::heartbeat::HeartbeatMonitor`]),
 //!   late-join admission ([`protocol::rubberband::RubberbandPolicy`]), flexible batch
 //!   planning ([`protocol::flex`]) and batch-order variation
 //!   ([`protocol::order`]). The virtual-time simulator (`ts-sim`) drives
@@ -617,8 +618,10 @@
 pub mod protocol;
 pub mod runtime;
 
-pub use protocol::acks::AckTracker;
-pub use protocol::buffer::BatchWindow;
+#[cfg(test)]
+mod alloc_count;
+
+pub use protocol::cursors::Cursors;
 pub use protocol::flex::{plan_flex, FlexPlan, Segment};
 pub use protocol::heartbeat::HeartbeatMonitor;
 pub use protocol::messages::{

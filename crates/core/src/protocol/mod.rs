@@ -5,8 +5,7 @@
 //! (`crate::runtime`) and the virtual-time simulator (`ts-sim`) both drive
 //! these exact types.
 
-pub mod acks;
-pub mod buffer;
+pub mod cursors;
 pub mod flex;
 pub mod heartbeat;
 pub mod messages;

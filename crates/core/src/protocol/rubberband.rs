@@ -7,7 +7,7 @@
 //! point is configurable." (§3.2.5)
 //!
 //! The *halt* itself is not implemented here — it emerges from the
-//! [`crate::BatchWindow`]: an admitted late joiner starts with its cursor at
+//! [`crate::Cursors`]: an admitted late joiner starts with its cursor at
 //! the epoch's first batch, which blocks publishing until it catches up.
 
 /// Outcome of a join request.

@@ -864,6 +864,8 @@ struct Peer {
     /// `(epoch, shard, index_in_epoch, field bytes, labels)` per batch, in
     /// order.
     got: Vec<Row>,
+    /// The last seq this consumer acked, per shard.
+    acked: Vec<(usize, u64)>,
 }
 
 type Row = (u64, usize, u64, Vec<u8>, Vec<i64>);
@@ -957,6 +959,7 @@ impl World {
             mode,
             topics: Vec::new(),
             got: Vec::new(),
+            acked: Vec::new(),
         });
         let peer = self.peers.len() - 1;
         let mut wire = VecDeque::new();
@@ -981,7 +984,23 @@ impl World {
         loop {
             for effect in std::mem::take(&mut fx) {
                 match effect {
-                    Effect::Ctrl { shard, msg } => wire.push_back(Wire::Up { shard, msg }),
+                    Effect::Ctrl { shard, msg } => {
+                        if let CtrlMsg::Ack { consumer_id, seq } = msg {
+                            // The producer reads acks as cumulative: a
+                            // consumer's acks on a shard never go back.
+                            match p.acked.iter_mut().find(|(at, _)| *at == shard) {
+                                Some((_, last)) => {
+                                    assert!(
+                                        seq >= *last,
+                                        "consumer {consumer_id} acked {seq} after {last} on shard {shard}"
+                                    );
+                                    *last = seq;
+                                }
+                                None => p.acked.push((shard, seq)),
+                            }
+                        }
+                        wire.push_back(Wire::Up { shard, msg })
+                    }
                     Effect::Subscribe { shard, topic } => p.topics.push((shard, topic)),
                     Effect::Unsubscribe { shard, topic } => {
                         p.topics.retain(|t| *t != (shard, topic.clone()))

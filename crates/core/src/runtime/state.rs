@@ -17,9 +17,18 @@
 //! copy stage; an item reaches `step` on the device it is published from.
 //! The fields split along
 //! four seams: `Membership` (who is attached, admission, heartbeats, the
-//! replay queue), `Window` (the publish window, live batches, pins,
-//! acks, the epoch position), `LogTee` (the durable log as seen from the
-//! publish side) and `Instruments` (metrics, cadence, watchdog).
+//! replay queue), `Window` (the ack cursors, live batches, pins, the epoch
+//! position), `LogTee` (the durable log as seen from the publish side) and
+//! `Instruments` (metrics, cadence, watchdog).
+//!
+//! **Acks are cumulative.** A consumer delivers a shard's batches in seq
+//! order and acks them in that order, so an ack of `seq` covers every seq
+//! before it. One acked-through word per consumer ([`Cursors`]) is the
+//! whole ack book: the publish window, release (a batch is fully acked
+//! below the frontier), the watchdog's owers, a catch-up's window and its
+//! held frames all read it that way. An ack at or past the next seq names
+//! no batch and is refused before any of them sees it
+//! (`producer.acks_refused`).
 //!
 //! **Wait states.** At any moment the producer is waiting for exactly one
 //! thing, [`Wait`]: the group barrier, a ready consumer, the next prepared
@@ -34,9 +43,9 @@
 //! an expiry between two frames simply removes the job.
 //!
 //! **A catch-up has a window, like live publishing.** The job remembers
-//! what it sent and its consumer has not acked yet (acks are cumulative:
-//! delivery is in order), and sends only while those bytes are under
-//! `CATCH_UP_BUDGET` — never fewer than `CATCH_UP_MIN_FRAMES` frames.
+//! what it sent and its consumer has not acked yet, and sends only while
+//! those bytes are under `CATCH_UP_BUDGET` — never fewer than
+//! `CATCH_UP_MIN_FRAMES` frames.
 //! Reading the log outruns any receiver, so without the window a late
 //! group's whole history would queue up in its process. While the gate is
 //! shut `busy` is false and the pump parks until the next ack rings it.
@@ -66,8 +75,7 @@
 //! acks, the older range first; behind a window of pin frames it cannot
 //! ack yet the range would wait out a tick per frame.
 
-use crate::protocol::acks::AckTracker;
-use crate::protocol::buffer::BatchWindow;
+use crate::protocol::cursors::Cursors;
 use crate::protocol::flex::plan_flex;
 use crate::protocol::heartbeat::HeartbeatMonitor;
 use crate::protocol::messages::{
@@ -305,8 +313,6 @@ struct LiveBatch {
     last_in_epoch: bool,
     fields: Vec<Tensor>,
     labels: Tensor,
-    /// Fully acked; held for the join window or the spiller.
-    releasable: bool,
     published_at: u64,
 }
 
@@ -439,14 +445,13 @@ impl Membership {
     }
 }
 
-/// What is out: the publish window, live batches, pins, acks, and where
-/// in the epoch the stream stands. No per-batch step walks `live` or
-/// `pins`: the pin count moves with each batch entering or leaving the
-/// range, and only `relieve_arena` (in [`Wait::Arena`] alone) and the
-/// per-epoch `close_join_window` scan them.
+/// What is out: the ack cursors, live batches, pins, and where in the
+/// epoch the stream stands. A live batch below the frontier is fully acked
+/// and held only by a pin or the spiller. No per-batch step walks `live`
+/// or `pins`: the pin count moves with each batch entering or leaving the
+/// range, and only the per-epoch `close_join_window` scans them.
 struct Window {
-    window: BatchWindow,
-    acks: AckTracker,
+    cursors: Cursors,
     live: BTreeMap<u64, LiveBatch>,
     /// Seqs pinned for rubberband replay: contiguous, ending at the next
     /// seq while the join window is open, empty otherwise.
@@ -472,7 +477,7 @@ struct Window {
 
 impl Window {
     fn published_in_epoch(&self) -> u64 {
-        self.window.next_seq() - self.epoch_start_seq
+        self.cursors.next_seq() - self.epoch_start_seq
     }
 
     /// Progress as the join-window predicates see it: past every limit
@@ -658,8 +663,7 @@ impl State {
                 welcome,
             },
             win: Window {
-                window: BatchWindow::new(cfg.buffer_size),
-                acks: AckTracker::new(),
+                cursors: Cursors::new(cfg.buffer_size),
                 live: BTreeMap::new(),
                 pins: 0..0,
                 pins_resident: 0,
@@ -833,7 +837,7 @@ impl State {
         if self.wait == Wait::Window
             && all_ready
             && self.members.replays.is_empty()
-            && self.win.window.can_publish()
+            && self.win.cursors.can_publish()
         {
             self.publish(now, fx);
         }
@@ -841,7 +845,7 @@ impl State {
             self.relieve_arena();
         }
         if self.wait == Wait::Drain
-            && (self.win.acks.is_empty()
+            && (self.win.cursors.outstanding() == 0
                 || self.members.consumers.is_empty()
                 || self.until.is_some_and(|d| now >= d))
         {
@@ -875,7 +879,7 @@ impl State {
         let w = &mut self.win;
         w.pins_shut = false;
         w.pin_epoch = w.epoch;
-        w.epoch_start_seq = w.window.next_seq();
+        w.epoch_start_seq = w.cursors.next_seq();
         let start_seq = w.epoch_start_seq;
         for (id, batch_size, mode) in std::mem::take(&mut self.members.pending_join) {
             self.admit(now, id, batch_size, mode, start_seq, fx);
@@ -926,11 +930,12 @@ impl State {
     /// the feeder. So when nothing but such pins holds memory, the window
     /// closes early (joiners then wait for the next epoch).
     fn relieve_arena(&mut self) {
-        let w = &self.win;
-        let stuck = |(seq, b): (&u64, &LiveBatch)| {
-            b.releasable && self.log.as_ref().is_none_or(|l| *seq < l.logged)
-        };
-        if !w.acks.is_empty() || !w.live.range(w.pins.clone()).any(stuck) {
+        let (w, logged) = (&self.win, self.log.as_ref().map_or(u64::MAX, |l| l.logged));
+        if w.cursors.outstanding() > 0 {
+            return;
+        }
+        let stuck = w.pins.start..w.pins.end.min(logged).max(w.pins.start);
+        if w.live.range(stuck).next().is_none() {
             return;
         }
         self.win.pins_shut = true;
@@ -961,7 +966,7 @@ impl State {
         }
         self.stats.bytes_staged += item.staged_bytes;
         self.inst.stage.bytes_staged.add(item.staged_bytes);
-        let seq = self.win.window.published();
+        let seq = self.win.cursors.published();
         let (epoch, shard) = (self.win.epoch, self.shard);
         // The batch only now gets its key: spans measured upstream rode on
         // the item. The publish span is the wait for the window.
@@ -983,15 +988,13 @@ impl State {
             last_in_epoch: item.last_in_epoch,
             fields: item.fields,
             labels: item.labels,
-            releasable: false,
             published_at: now,
         };
         self.register_live(seq, batch, item.placements);
-        let ids = self.members.consumers.keys().copied();
-        self.win.acks.published(seq, ids.clone());
         if self.cfg.flexible.is_some() {
             // Each consumer gets its own carved view of the producer batch.
-            for id in ids.collect::<Vec<_>>() {
+            let ids: Vec<u64> = self.members.consumers.keys().copied().collect();
+            for id in ids {
                 if let Err(e) = self.send_flex_to(id, seq, fx) {
                     return self.fail(now, &format!("carving a flexible batch: {e}"));
                 }
@@ -1038,7 +1041,7 @@ impl State {
             }
             w.pins.end = seq + 1;
             w.pins_resident += 1;
-        } else {
+        } else if !self.win.pins.is_empty() {
             self.close_join_window();
         }
         self.note_pin_depth();
@@ -1101,30 +1104,38 @@ impl State {
         }
     }
 
-    fn on_fully_acked(&mut self, now: u64, seq: u64) {
-        let Some(b) = self.win.live.get_mut(&seq) else {
-            return;
+    /// The frontier moved over `released`: each live batch in it is fully
+    /// acked (again, for a pin a rubberband joiner re-held). Its round trip
+    /// is recorded, its trace record closed, and its memory freed unless a
+    /// pin or the spiller still holds it.
+    fn on_released(&mut self, now: u64, released: Range<u64>) {
+        let end = released.end;
+        let first_live = |w: &Window, from| {
+            let (&seq, b) = w.live.range(from..end).next()?;
+            Some((seq, b.epoch, b.published_at))
         };
-        b.releasable = true;
-        let (epoch, published_at) = (b.epoch, b.published_at);
-        let rtt = now.saturating_sub(published_at);
-        self.inst.stage.publish_ack.record(rtt);
-        // The ack span closes the record: it becomes visible to scrapes.
-        let trace = &self.ctx.trace;
-        trace.record(epoch, self.shard, seq, SpanKind::Ack, published_at, now);
-        trace.complete(epoch, self.shard, seq);
-        if !self.must_hold(seq) {
-            self.release(seq);
-            self.note_pin_depth();
+        let mut from = released.start;
+        while let Some((seq, epoch, published_at)) = first_live(&self.win, from) {
+            from = seq + 1;
+            let rtt = now.saturating_sub(published_at);
+            self.inst.stage.publish_ack.record(rtt);
+            // The ack span closes the record: it becomes visible to scrapes.
+            let trace = &self.ctx.trace;
+            trace.record(epoch, self.shard, seq, SpanKind::Ack, published_at, now);
+            trace.complete(epoch, self.shard, seq);
+            if !self.must_hold(seq) {
+                self.release(seq);
+                self.note_pin_depth();
+            }
         }
     }
 
     /// Releases every acked batch in `seqs` nothing holds any more.
     fn release_unheld(&mut self, seqs: impl RangeBounds<u64>) {
-        let live = self.win.live.range(seqs);
+        let frontier = self.win.cursors.frontier();
+        let live = self.win.live.range(seqs).map(|(&seq, _)| seq);
         let free: Vec<u64> = live
-            .filter(|(seq, b)| b.releasable && !self.must_hold(**seq))
-            .map(|(seq, _)| *seq)
+            .filter(|&seq| seq < frontier && !self.must_hold(seq))
             .collect();
         for seq in free {
             self.release(seq);
@@ -1528,10 +1539,10 @@ impl State {
                 self.queue_pin_replay(consumer_id);
             }
             CtrlMsg::Ack { consumer_id, seq } => {
-                self.win.window.on_ack(consumer_id, seq);
-                if self.win.acks.on_ack(consumer_id, seq) {
-                    self.on_fully_acked(now, seq);
-                }
+                let Some(released) = self.win.cursors.ack(consumer_id, seq) else {
+                    return metrics.counter("producer.acks_refused").inc();
+                };
+                self.on_released(now, released);
                 // A catch-up's window opens on its consumer's acks.
                 let m = &mut self.members;
                 if !m.replays.is_empty() {
@@ -1606,7 +1617,7 @@ impl State {
             return;
         }
         let w = &self.win;
-        let (at_epoch_start, at_current) = (w.epoch_start_seq, w.window.next_seq());
+        let (at_epoch_start, at_current) = (w.epoch_start_seq, w.cursors.next_seq());
         let nobody = self.members.consumers.is_empty();
         let start_seq = match &self.coord {
             // One shard of a group: admission is decided ONCE for the group
@@ -1662,23 +1673,16 @@ impl State {
             index: m.consumers.len(),
             mode,
             start_seq,
-            pins: replayed.clone(),
+            pins: replayed,
         };
         m.consumers.insert(id, info);
         m.awaiting_ready.insert(id);
         m.hb.beat(id, now);
         self.stats.peak_consumers = self.stats.peak_consumers.max(m.consumers.len());
         let w = &mut self.win;
-        w.window.add_consumer(id, start_seq);
-        // The joiner owes an ack for everything it will be replayed —
+        // The joiner owes an ack for everything from `start_seq` on —
         // including pins the others already fully acked.
-        w.acks
-            .add_consumer_to_range(id, start_seq, w.window.next_seq());
-        for (&seq, b) in w.live.range_mut(replayed) {
-            if std::mem::take(&mut b.releasable) {
-                w.acks.published(seq, [id]);
-            }
-        }
+        w.cursors.add(id, start_seq);
         let decision = JoinDecision::AdmitReplay {
             // Not `epoch`, which may already name the next one while this
             // shard is parked at the barrier.
@@ -1715,10 +1719,8 @@ impl State {
             log.groups.remove(&id);
             log.log_infos.remove(&id);
         }
-        self.win.window.remove_consumer(id);
-        for seq in self.win.acks.remove_consumer(id) {
-            self.on_fully_acked(now, seq);
-        }
+        let released = self.win.cursors.remove(id);
+        self.on_released(now, released);
         if notify {
             let msg = DataMsg::Detached { consumer_id: id };
             fx.push(send(topics::consumer(id), msg.encode()));
@@ -1862,7 +1864,7 @@ impl State {
     /// `log.*` gauges.
     fn log_maintenance(&mut self) {
         let pin_floor = (!self.win.pins.is_empty()).then_some(self.win.pins.start);
-        let next_seq = self.win.window.next_seq();
+        let next_seq = self.win.cursors.next_seq();
         let Some(log) = &mut self.log else {
             return;
         };
@@ -1902,11 +1904,13 @@ impl State {
         let multiple = self.cfg.watchdog_stall_multiple.max(1.0);
         let threshold = |p99: u64| ((p99 as f64 * multiple) as u64).max(FLOOR_NS);
         let (w, stage) = (&self.win, &self.inst.stage);
-        // Oldest un-acked batch first: it bounds the publish window.
-        let oldest = w.live.iter().find_map(|(&seq, b)| {
-            let owers = w.acks.owers(seq)?;
-            let min_ower = owers.iter().min().copied().unwrap_or(0);
-            Some((seq, b.epoch, now - b.published_at, owers.len(), min_ower))
+        // Oldest un-acked batch first: it bounds the publish window. Its
+        // owers are the consumers whose cursor has not passed it.
+        let oldest = w.live.range(w.cursors.frontier()..).next();
+        let oldest = oldest.map(|(&seq, b)| {
+            let owers = w.cursors.owers(seq);
+            let (nowers, min_ower) = owers.fold((0, u64::MAX), |(n, m), id| (n + 1, m.min(id)));
+            (seq, b.epoch, now - b.published_at, nowers, min_ower)
         });
         let idle = now.saturating_sub(self.inst.wait_since);
         let ms = |ns: u64| ns / 1_000_000;
@@ -1926,7 +1930,7 @@ impl State {
         } else {
             let fetch_p99 = stage.feeder_fetch.snapshot().p99();
             let h2d_p99 = stage.h2d.as_ref().map_or(0, |h| h.snapshot().p99());
-            let next = w.window.next_seq();
+            let next = w.cursors.next_seq();
             let (class, verdict) = match self.wait {
                 Wait::Arena if idle > FLOOR_NS => {
                     let unlogged = |s: &u64| self.log.as_ref().is_some_and(|l| *s >= l.logged);

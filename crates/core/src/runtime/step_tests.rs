@@ -1734,3 +1734,101 @@ fn a_stream_mode_joiner_still_gets_the_stored_bytes() {
     assert_eq!(pool.arena().slots_in_use(), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn acks_past_the_head_are_refused_and_the_shard_keeps_publishing() {
+    // Two acks naming seqs never published — one far ahead, one at the end
+    // of the seq space — land before the first batch. Each is refused
+    // whole: no window cursor, catch-up or group cursor moves past the
+    // head, and the four batches go out as if they never came.
+    let ctx = TsContext::host_only();
+    let dir = std::env::temp_dir().join(format!("ts-step-pasthead-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut config = cfg(1, 0.0);
+    config.log = Some(ts_log::LogConfig::new(&dir));
+    let log = TensorProducer::open_log(&ctx, config.log.as_ref().unwrap(), None, 0).unwrap();
+    let mut prep = Preparer::new(&config, None);
+    let mut rig = Rig::coordinated(&ctx, config, 4, None, Some(log));
+    for id in [1, 2] {
+        rig.attach(id);
+        rig.ctrl(CtrlMsg::Replay {
+            consumer_id: id,
+            group: format!("g{id}"),
+            from: ReplayFrom::Oldest,
+        });
+    }
+    rig.ack(2, 100);
+    rig.ack(1, u64::MAX);
+    let mut published = 0;
+    for seq in 0..4 {
+        published += batches(&rig.item(prepared(&mut prep, seq, 4))).len();
+        rig.ack(1, seq as u64);
+        rig.ack(2, seq as u64);
+    }
+    assert_eq!(published, 4, "the window stayed open");
+    assert_eq!(rig.state.stats.batches_published, 4);
+    assert_eq!(ctx.metrics.counter("producer.acks_refused").get(), 2);
+    let next_seq = rig.state.win.cursors.next_seq();
+    let log = rig.state.log.as_ref().unwrap();
+    for group in ["g1", "g2"] {
+        let cursor = log.cursors.load(group, 0);
+        assert!(cursor.is_some_and(|c| c <= next_seq), "{group}: {cursor:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Allocations in steady state with `consumers` attached: per batch (one
+/// publish and every consumer's ack of it, the state machine alone: frames
+/// are encoded and decoded outside the count), and in all the acks that
+/// released nothing.
+fn steady_state_allocations(consumers: u64) -> (f64, u64) {
+    const WARM: usize = 64;
+    const COUNTED: usize = 256;
+    let total = WARM + COUNTED;
+    let ctx = TsContext::host_only();
+    let config = cfg(1, 0.0);
+    let mut prep = Preparer::new(&config, None);
+    let mut rig = Rig::new(&ctx, config, total as u64);
+    for id in 1..=consumers {
+        rig.attach(id);
+    }
+    let mut fx = Vec::with_capacity(64);
+    let (mut per_batch, mut idle_acks) = (0, 0);
+    for index in 0..total {
+        let item = prepared(&mut prep, index, total);
+        let mut events = vec![Event::Prepared(FeederMsg::Item(item))];
+        for id in 1..=consumers {
+            let ack = CtrlMsg::Ack {
+                consumer_id: id,
+                seq: index as u64,
+            };
+            events.push(Event::Ctrl(ack.encode()));
+        }
+        for (i, ev) in events.into_iter().enumerate() {
+            // A microsecond a step: no housekeeping tick falls in the run.
+            rig.now += 1_000;
+            let now = rig.now;
+            let ((), n) = crate::alloc_count::allocations(|| rig.state.step(now, ev, &mut fx));
+            fx.clear();
+            if index >= WARM {
+                per_batch += n;
+                if i > 0 && i < consumers as usize {
+                    idle_acks += n;
+                }
+            }
+        }
+        assert!(rig.state.win.live.len() <= 1, "every batch released");
+    }
+    assert_eq!(rig.state.stats.batches_published, total as u64);
+    assert_eq!(rig.state.inst.ticks, 0);
+    (per_batch as f64 / COUNTED as f64, idle_acks)
+}
+
+#[test]
+fn acks_allocate_nothing_and_a_batch_costs_the_same_at_any_consumer_count() {
+    let (two, idle_two) = steady_state_allocations(2);
+    let (eight, idle_eight) = steady_state_allocations(8);
+    eprintln!("allocations per batch (publish + every ack): N=2 {two:.2}, N=8 {eight:.2}");
+    assert_eq!((idle_two, idle_eight), (0, 0), "acks releasing nothing");
+    assert!(eight <= two, "N=2 {two} < N=8 {eight}");
+}

@@ -8,8 +8,8 @@
 //!   loader per training process, the worker budget split across them;
 //! * [`Strategy::TensorSocket`] — one producer with the full worker budget;
 //!   consumers receive *pointers*; data crosses PCIe once and fans out over
-//!   NVLink; the publish window is the very [`tensorsocket::BatchWindow`]
-//!   the threaded runtime runs;
+//!   NVLink; the publish window and release are the very
+//!   [`tensorsocket::Cursors`] the threaded runtime runs;
 //! * [`Strategy::CoorDL`] — coordinated loading in rigid lockstep
 //!   (window = 1) with per-consumer CPU distribution work and per-consumer
 //!   PCIe delivery (CoorDL cannot use NVLink fan-out or collocate on one
@@ -23,8 +23,7 @@
 
 use crate::des::{Scheduler, Time, FOREVER};
 use crate::ps::{PsResource, Sharing};
-use tensorsocket::protocol::acks::AckTracker;
-use tensorsocket::protocol::buffer::BatchWindow;
+use tensorsocket::protocol::cursors::Cursors;
 
 /// GPU collocation primitive (§4.1): MPS shares SMs cleanly; multi-streams
 /// pay a context penalty.
@@ -387,8 +386,7 @@ enum ProducerState {
 }
 
 struct Hub {
-    window: BatchWindow,
-    acks: AckTracker,
+    cursors: Cursors,
     /// Delivered-but-unconsumed batches per consumer.
     ports: Vec<u64>,
     producer_state: ProducerState,
@@ -521,13 +519,12 @@ impl World {
                     Strategy::Joader { .. } => 2,
                     Strategy::NonShared => unreachable!(),
                 };
-                let mut window = BatchWindow::new(buffer);
+                let mut cursors = Cursors::new(buffer);
                 for t in 0..n {
-                    window.add_consumer(t as u64, 0);
+                    cursors.add(t as u64, 0);
                 }
                 hub = Some(Hub {
-                    window,
-                    acks: AckTracker::new(),
+                    cursors,
                     ports: vec![0; n],
                     producer_state: ProducerState::Idle,
                     published: 0,
@@ -685,7 +682,7 @@ impl World {
             if hub.published >= hub.to_publish {
                 return;
             }
-            if !hub.window.can_publish() {
+            if !hub.cursors.can_publish() {
                 return;
             }
             if self.loaders[0].queue == 0 {
@@ -762,9 +759,8 @@ impl World {
         let h2d = self.cfg.loader.h2d_bytes_per_sample * batch as u64;
         let strategy = self.cfg.strategy.clone();
         let hub = self.hub.as_mut().expect("publish requires a hub");
-        let seq = hub.window.published();
+        hub.cursors.published();
         hub.published += 1;
-        hub.acks.published(seq, (0..n as u64).collect::<Vec<_>>());
         match &strategy {
             Strategy::TensorSocket {
                 producer_gpu,
@@ -905,17 +901,14 @@ impl World {
         rt.samples += spec.batch_size as u64;
         rt.state = TrainerState::Waiting;
         // Acknowledge to the hub (shared strategies) and release memory once
-        // everyone acked — the AckTracker from the real protocol.
-        let mut fully_acked: Option<u64> = None;
+        // everyone acked — the ack cursors from the real protocol.
+        let mut released = 0..0;
         if let Some(hub) = self.hub.as_mut() {
             let seq = self.trainers[t].next_ack;
             self.trainers[t].next_ack += 1;
-            hub.window.on_ack(t as u64, seq);
-            if hub.acks.on_ack(t as u64, seq) {
-                fully_acked = Some(seq);
-            }
+            released = hub.cursors.ack(t as u64, seq).unwrap_or_default();
         }
-        if let Some(_seq) = fully_acked {
+        for _seq in released {
             let (bytes, producer_gpu) = {
                 let hub = self.hub.as_ref().unwrap();
                 let pg = match &self.cfg.strategy {

@@ -16,8 +16,8 @@
 //!   the paper (non-shared, TensorSocket, CoorDL-like, Joader-like).
 //!
 //! The sharing protocol inside the simulator is not a re-implementation:
-//! the producer/consumer window is the same [`tensorsocket::BatchWindow`]
-//! state machine the threaded runtime executes, so the evaluated protocol
+//! the publish window and release are the same [`tensorsocket::Cursors`]
+//! table the threaded runtime executes, so the evaluated protocol
 //! and the shipped protocol cannot diverge.
 //!
 //! Everything is deterministic: the same [`cluster::SimConfig`] always

@@ -2,7 +2,6 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use tensorsocket::protocol::buffer::BatchWindow;
 use tensorsocket::protocol::flex::{covers_producer_batch, plan_flex};
 use tensorsocket::protocol::messages::{
     AnnounceContent, ArenaAd, BatchAnnounce, CtrlMsg, DataMsg, FlexBatchPayload, JoinDecision,
@@ -45,41 +44,6 @@ proptest! {
             let plan = plan_flex(p, b, 0).unwrap();
             prop_assert_eq!(plan.delivered(), plan.batches.len() * b);
             prop_assert!(plan.delivered() >= p);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// publish window (§3.2.5)
-// ---------------------------------------------------------------------------
-
-proptest! {
-    /// Under arbitrary interleavings of publishes and per-consumer acks,
-    /// no consumer ever holds more than N outstanding batches and drift
-    /// stays within N.
-    #[test]
-    fn window_bounds_drift(
-        n in 1usize..5,
-        consumers in 1usize..5,
-        script in prop::collection::vec((0usize..5usize, prop::bool::ANY), 1..200)
-    ) {
-        let mut w = BatchWindow::new(n);
-        for c in 0..consumers {
-            w.add_consumer(c as u64, 0);
-        }
-        let mut acked = vec![0u64; consumers];
-        for (pick, do_publish) in script {
-            if do_publish && w.can_publish() {
-                w.published();
-            } else {
-                let c = pick % consumers;
-                if acked[c] < w.next_seq() {
-                    w.on_ack(c as u64, acked[c]);
-                    acked[c] += 1;
-                }
-            }
-            prop_assert!(w.outstanding() <= n as u64);
-            prop_assert!(w.drift() <= n as u64);
         }
     }
 }
@@ -953,49 +917,145 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// ack tracker release-exactly-once
+// ack cursors: release (§3.2.3) and the publish window (§3.2.5)
 // ---------------------------------------------------------------------------
 
+/// The reference for [`Cursors`]: the per-batch owner-set rule it
+/// replaced. Every published batch remembers who still owes it an ack; a
+/// joiner owes every batch from its start seq on, and a batch is released
+/// when nobody owes it.
+#[derive(Default)]
+struct OwnerSets {
+    members: Vec<u64>,
+    owers: Vec<std::collections::HashSet<u64>>,
+}
+
+impl OwnerSets {
+    fn publish(&mut self) {
+        self.owers.push(self.members.iter().copied().collect());
+    }
+
+    fn join(&mut self, id: u64, at: u64) {
+        self.members.push(id);
+        for owers in &mut self.owers[at as usize..] {
+            owers.insert(id);
+        }
+    }
+
+    fn ack(&mut self, id: u64, seq: u64) {
+        if let Some(owers) = self.owers.get_mut(seq as usize) {
+            owers.remove(&id);
+        }
+    }
+
+    fn leave(&mut self, id: u64) {
+        self.members.retain(|&m| m != id);
+        for owers in &mut self.owers {
+            owers.remove(&id);
+        }
+    }
+
+    fn released(&self) -> Vec<u64> {
+        let seqs = self.owers.iter().enumerate();
+        seqs.filter(|(_, o)| o.is_empty())
+            .map(|(s, _)| s as u64)
+            .collect()
+    }
+}
+
 proptest! {
-    /// Every batch is released exactly once, regardless of the ack/detach
-    /// interleaving, and only after every surviving consumer acked it.
+    /// Under random schedules of publishes, in-order, duplicate, stale and
+    /// past-the-head acks, joins at the current seq and at an earlier one,
+    /// and leaves, the cursor table releases exactly what the owner sets
+    /// release, at the same step: after every step its released set
+    /// (`seq < frontier`) is the model's, each range it returns is exactly
+    /// what the step newly released, and every batch is released once per
+    /// time it was held. No publish takes the slowest consumer past N.
     #[test]
-    fn ack_tracker_releases_exactly_once(
-        consumers in 1usize..5,
-        batches in 1u64..20,
-        script in prop::collection::vec((0usize..5usize, 0u64..20u64, prop::bool::ANY), 0..300)
+    fn cursors_release_what_owner_sets_release(
+        n in 1usize..5,
+        first in 1u64..4,
+        script in prop::collection::vec((0u8..8, 0usize..8, 0u64..64), 0..300)
     ) {
-        use tensorsocket::AckTracker;
-        let mut t = AckTracker::new();
-        for seq in 0..batches {
-            t.published(seq, (0..consumers as u64).collect::<Vec<_>>());
+        use tensorsocket::Cursors;
+        let mut table = Cursors::new(n);
+        let mut model = OwnerSets::default();
+        // Per member: the next seq it will ack, in delivery order.
+        let mut next_ack: Vec<(u64, u64)> = Vec::new();
+        let mut new_id = 0u64;
+        for _ in 0..first {
+            table.add(new_id, 0);
+            model.join(new_id, 0);
+            next_ack.push((new_id, 0));
+            new_id += 1;
         }
-        let mut released: std::collections::HashSet<u64> = Default::default();
-        let mut detached: std::collections::HashSet<u64> = Default::default();
-        for (c, seq, detach) in script {
-            let c = (c % consumers) as u64;
-            if detach && !detached.contains(&c) {
-                detached.insert(c);
-                for seq in t.remove_consumer(c) {
-                    prop_assert!(released.insert(seq), "double release of {seq}");
+        let mut held: Vec<u64> = Vec::new();
+        let mut freed: Vec<u64> = Vec::new();
+        for (op, pick, arg) in script {
+            let before = model.released();
+            let head = table.next_seq();
+            let member = (!next_ack.is_empty()).then(|| pick % next_ack.len());
+            let mut got = 0..0;
+            match (op, member) {
+                (0 | 1, _) if table.can_publish() => {
+                    prop_assert_eq!(table.published(), head);
+                    model.publish();
+                    held.push(1);
+                    freed.push(0);
+                    prop_assert!(table.outstanding() <= n as u64, "past the window");
                 }
-            } else if !detached.contains(&c) {
-                let seq = seq % batches;
-                if t.on_ack(c, seq) {
-                    prop_assert!(released.insert(seq), "double release of {seq}");
+                (2 | 3, Some(m)) if next_ack[m].1 < head => {
+                    let (id, seq) = next_ack[m];
+                    next_ack[m].1 += 1;
+                    model.ack(id, seq);
+                    got = table.ack(id, seq).expect("published");
                 }
+                (4, Some(m)) if next_ack[m].1 > 0 => {
+                    // a duplicate (`next - 1`) or stale ack
+                    let (id, next) = next_ack[m];
+                    let seq = next - 1 - arg % next;
+                    model.ack(id, seq);
+                    got = table.ack(id, seq).expect("published");
+                }
+                (5, Some(m)) => {
+                    let id = next_ack[m].0;
+                    prop_assert_eq!(table.ack(id, head + arg), None, "past the head");
+                }
+                (6, _) if next_ack.len() < 6 => {
+                    let at = if pick % 2 == 0 { head } else { arg % (head + 1) };
+                    let rehold = at..table.frontier().max(at);
+                    for seq in rehold {
+                        held[seq as usize] += 1;
+                    }
+                    table.add(new_id, at);
+                    model.join(new_id, at);
+                    next_ack.push((new_id, at));
+                    new_id += 1;
+                }
+                (7, Some(m)) => {
+                    let (id, _) = next_ack.swap_remove(m);
+                    model.leave(id);
+                    got = table.remove(id);
+                }
+                _ => {}
+            }
+            let after = model.released();
+            prop_assert_eq!(&after, &(0..table.frontier()).collect::<Vec<_>>());
+            let newly: Vec<u64> = after.iter().filter(|s| !before.contains(s)).copied().collect();
+            prop_assert_eq!(got.clone().collect::<Vec<_>>(), newly);
+            for seq in got {
+                freed[seq as usize] += 1;
+                prop_assert!(freed[seq as usize] <= held[seq as usize], "double release of {}", seq);
             }
         }
-        // finish everything: detach all remaining consumers
-        for c in 0..consumers as u64 {
-            if !detached.contains(&c) {
-                for seq in t.remove_consumer(c) {
-                    prop_assert!(released.insert(seq), "double release of {seq}");
-                }
+        // Everyone leaves: whatever was still held goes, once.
+        for (id, _) in next_ack {
+            for seq in table.remove(id) {
+                freed[seq as usize] += 1;
             }
         }
-        prop_assert_eq!(released.len() as u64, batches, "all batches released");
-        prop_assert!(t.is_empty());
+        prop_assert_eq!(table.outstanding(), 0);
+        prop_assert_eq!(freed, held, "released once per hold");
     }
 }
 
