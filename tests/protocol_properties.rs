@@ -1059,6 +1059,99 @@ proptest! {
     }
 }
 
+proptest! {
+    /// Under arbitrary interleavings of publishes and per-consumer in-order
+    /// acks, no consumer ever holds more than N outstanding batches and
+    /// drift, the gap between the fastest and the slowest consumer, stays
+    /// within N.
+    #[test]
+    fn window_bounds_drift(
+        n in 1usize..5,
+        consumers in 1usize..5,
+        script in prop::collection::vec((0usize..5usize, prop::bool::ANY), 1..200)
+    ) {
+        use tensorsocket::Cursors;
+        let mut w = Cursors::new(n);
+        for c in 0..consumers {
+            w.add(c as u64, 0);
+        }
+        let mut acked = vec![0u64; consumers];
+        for (pick, do_publish) in script {
+            if do_publish && w.can_publish() {
+                w.published();
+            } else {
+                let c = pick % consumers;
+                if acked[c] < w.next_seq() {
+                    prop_assert!(w.ack(c as u64, acked[c]).is_some());
+                    acked[c] += 1;
+                }
+            }
+            prop_assert!(w.outstanding() <= n as u64);
+            for &a in &acked {
+                prop_assert!(w.next_seq() - a <= n as u64, "a consumer holds more than N");
+            }
+            let drift = acked.iter().max().unwrap() - acked.iter().min().unwrap();
+            prop_assert!(drift <= n as u64);
+        }
+    }
+}
+
+proptest! {
+    /// Every batch is released exactly once, regardless of the ack/detach
+    /// interleaving, and only after every surviving consumer acked it.
+    /// Acks are cumulative, so an ack of `seq` covers every seq before it.
+    #[test]
+    fn ack_tracker_releases_exactly_once(
+        consumers in 1usize..5,
+        batches in 1u64..20,
+        script in prop::collection::vec((0usize..5usize, 0u64..20u64, prop::bool::ANY), 0..300)
+    ) {
+        use tensorsocket::Cursors;
+        let mut t = Cursors::new(batches as usize);
+        for c in 0..consumers as u64 {
+            t.add(c, 0);
+        }
+        for seq in 0..batches {
+            prop_assert_eq!(t.published(), seq);
+        }
+        // Per consumer: the first seq it has not acked.
+        let mut acked_through = vec![0u64; consumers];
+        let mut released: std::collections::HashSet<u64> = Default::default();
+        let mut detached: std::collections::HashSet<u64> = Default::default();
+        for (c, seq, detach) in script {
+            let c = (c % consumers) as u64;
+            if detached.contains(&c) {
+                continue;
+            }
+            let freed = if detach {
+                detached.insert(c);
+                t.remove(c)
+            } else {
+                let seq = seq % batches;
+                let through = &mut acked_through[c as usize];
+                *through = (*through).max(seq + 1);
+                t.ack(c, seq).expect("published")
+            };
+            for seq in freed {
+                prop_assert!(released.insert(seq), "double release of {}", seq);
+                for s in (0..consumers as u64).filter(|s| !detached.contains(s)) {
+                    prop_assert!(acked_through[s as usize] > seq, "{} released before {} acked it", seq, s);
+                }
+            }
+        }
+        // finish everything: detach all remaining consumers
+        for c in 0..consumers as u64 {
+            if !detached.contains(&c) {
+                for seq in t.remove(c) {
+                    prop_assert!(released.insert(seq), "double release of {}", seq);
+                }
+            }
+        }
+        prop_assert_eq!(released.len() as u64, batches, "all batches released");
+        prop_assert_eq!(t.outstanding(), 0);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // shard partitioning (multi-producer sharding)
 // ---------------------------------------------------------------------------
