@@ -108,7 +108,7 @@
 //! | streamed, a non-contiguous view | 1 | the gather into a dense buffer, counted in `stage.[s<N>.]stream_copy_bytes` |
 //! | durable log append | 1 | [`ts_log::BatchLog::append_chunks`] copies the frame's segments into the mapped record, checksumming as it goes (no joined intermediate) |
 //! | durable log replay to a stream consumer | 0 | the stored frame is sent as a view of the log's mapping ([`ts_log::Record`]), CRC-checked in place first; one kernel copy into the socket, one out of it |
-//! | durable log replay to a pointer (`Shm`) consumer | 1 | the CRC-checked frame is decoded in place and each tensor copied once into an arena slot; a pointer announce goes out and **0** kernel copies move payload (the stored bytes, as above, only when no slot can be leased: `replay.[s<N>.]slot_fallbacks`) |
+//! | durable log replay to a pointer (`Shm`) consumer | 1 | the CRC-checked frame is decoded in place and the batch copied once into one arena slot, its tensors packed in it as a live batch's are; a pointer announce goes out and **0** kernel copies move payload (the stored bytes, as above, only when no slot can be leased: `replay.[s<N>.]slot_fallbacks`) |
 //!
 //! A [`StreamedTensor`]'s `bytes` field is a [`bytes::Bytes`], and on
 //! this path a `Bytes` is always borrowed, never filled:
@@ -149,8 +149,10 @@
 //! `ipc:///path.sock` (collocated OS processes over a Unix socket file)
 //! and `tcp://host:port`. For separate processes, add
 //! `.arena(path)` to the producer builder: it creates a shared-memory
-//! arena auto-sized from the loader's decoded sample geometry, batch
-//! tensors are placed in it, and consumers map them zero-copy — the
+//! arena auto-sized from the loader's decoded sample geometry, each batch
+//! is placed in one slot of it — its tensors packed at 64-byte-aligned
+//! offsets, so a batch is one lease, one registration, one handle and one
+//! attach — and consumers map them zero-copy — the
 //! sockets carry only announce/ack metadata, the paper's split between a
 //! metadata channel and a bulk payload path. Consumers learn the arena
 //! from the handshake. See `examples/multi_process.rs` for the full
@@ -163,12 +165,13 @@
 //! decoding ([`ts_tensor::BatchBuf`]) and the dataset decodes every sample
 //! straight into its row ([`ts_data::Dataset::decode_into`]) — PyTorch's
 //! `default_collate` allocating the batch in shared memory inside a
-//! worker. Each tensor arrives at the feeder carrying its lease; the
-//! feeder adopts it and the publish step merely registers the placement
-//! in the [`ts_tensor::SharedRegistry`] — no payload byte moves at publish
-//! time, and epoch replays refcount the same placement. What does not
-//! arrive placed the feeder collates into a leased slot itself
-//! ([`ts_tensor::cat0_leased`], one copy). The *feeder* has no heap
+//! worker. The batch arrives at the feeder as views of its slot, whose
+//! storage carries the lease; the feeder adopts it and the publish step
+//! merely registers the placement in the [`ts_tensor::SharedRegistry`] —
+//! no payload byte moves at publish time, and epoch replays refcount the
+//! same placement. What does not arrive placed the feeder collates into
+//! a leased slot itself, every tensor of the batch into one
+//! ([`ts_tensor::cat0_batch_leased`], one copy). The *feeder* has no heap
 //! fallback: when the pool has no slot to lease it **parks**
 //! until an ack (or, with a durable log, the spiller's progress) frees
 //! one, and the producer reports the wait state `arena`
@@ -193,7 +196,7 @@
 //! |---|---|---|
 //! | a `DataLoader`, no transform pipeline | **1** — the decoder, into the slot | 0 |
 //! | a `DataLoader` with a transform pipeline | 2 — the decoder, then one copy of the transformed tensor into its row | 0 |
-//! | a [`runtime::producer::VecSource`] or custom [`EpochSource`] (heap tensors, device-tagged tensors, or views of another process's arena re-shared), a `producer_map` output, the flexible fuse, a batch whose worker found the pool dry | whatever built it, + 1 | the payload, once, at memcpy speed ([`ts_tensor::cat0_leased`]) |
+//! | a [`runtime::producer::VecSource`] or custom [`EpochSource`] (heap tensors, device-tagged tensors, or views of another process's arena re-shared), a `producer_map` output, the flexible fuse, a batch whose worker found the pool dry | whatever built it, + 1 | the payload, once, at memcpy speed, every tensor into the batch's one slot ([`ts_tensor::cat0_batch_leased`]) |
 //!
 //! Nothing is written at publish: the publish step adopts the feeder's
 //! lease ([`ts_tensor::SharedRegistry::register_placed`]). A producer
@@ -430,7 +433,8 @@
 //! | `stage.[s<N>.]stream_tx_errors` | counter | frames | streamed frames the data socket refused for exceeding the stream transports' frame limit |
 //! | `stage.[s<N>.]collate_copy_bytes` | counter | bytes | payload bytes the feeder copied into a leased slot because a batch did not arrive placed — every byte the producer copies into its arena, since nothing is copied at publish: **0** over a `DataLoader` whose workers lease (the batch is decoded straight into its slot; CI asserts this on a live scrape), the whole payload once over a `VecSource`, a custom source (device-tagged tensors and views of another arena included), a `producer_map` output or the flexible fuse; a batch whose loader worker found the pool dry adds its bytes |
 //! | `stage.[s<N>.]loader_unbound` | counter | pipelines | 1 when this pipeline's explicit arena is too small for its loader to lease from (window + stages + the loader's in-flight set): the loader builds on the heap, the feeder collates, one log line says so |
-//! | `loader.in_place_batches` / `loader.heap_batches` | counter | batches | on the **loader's** registry (`DataLoader::metrics`), not the context's: batches built entirely in leased arena slots / with at least one tensor on the heap (every batch of a loader nobody offered a pool; under a binding, a batch whose worker found the pool dry) |
+//! | `loader.in_place_batches` / `loader.heap_batches` | counter | batches | on the **loader's** registry (`DataLoader::metrics`), not the context's: batches built in leased arena slots / on the heap (every batch of a loader nobody offered a pool; under a binding, a batch whose worker found the pool dry or whose samples have a device-tagged field) |
+//! | `stage.[s<N>.]slots_live` | gauge | slots | arena slots the shard holds registered: one per live batch (pins included) whose slot holds it, and one per held slot-backed catch-up frame (as many as first-fit packing took when slots are narrower than a batch); set where a batch or frame is registered and where it is released |
 //! | `stage.[s<N>.]arena_parked_ns` | counter | ns | total time spent in wait state `arena`: the feeder parked on a dry slot pool |
 //! | `stage.[s<N>.]pins_shed_for_arena` | counter | batches | fully-acked rubberband pins released early because they alone held a dry arena (the join window closes for the rest of the epoch) |
 //! | `stage.[s<N>.]cursor_coalesced` | counter | positions | stale cursor positions displaced (latest-wins) before a flush window |
@@ -458,7 +462,7 @@
 //! | `replay.log_batches` | counter | batches | batches served out of the durable log to resuming consumers, as bytes or through arena slots |
 //! | `replay.log_bytes` | counter | bytes | stored frame bytes served out of the durable log |
 //! | `replay.[s<N>.]gate_timeouts` | counter | frames | catch-up frames sent through a full window because a whole tick passed without an ack (the window paces, it never decides liveness) |
-//! | `replay.[s<N>.]slot_frames` | counter | frames | frames out of the durable log sent to a pointer (`Shm`) consumer through arena slots: copied once into a slot per tensor, announced as pointers, the slots held until that consumer acks the frame or leaves |
+//! | `replay.[s<N>.]slot_frames` | counter | frames | frames out of the durable log sent to a pointer (`Shm`) consumer through arena slots: copied once into one slot per batch, announced as pointers, the slot held until that consumer acks the frame or leaves |
 //! | `replay.[s<N>.]slot_fallbacks` | counter | frames | frames out of the durable log sent to a pointer consumer as the stored bytes because no slot could be leased at that moment (an explicit arena too small for the catch-up window, or no arena); a catch-up never waits on the arena |
 //! | `log.[s<N>.]read_corrupt` | counter | reads | replay reads that found their record retained but damaged (index geometry or CRC mismatch): that frame is not served — the live batch stands in if it is still held, else the consumer sees a gap — and the first one is logged with the segment's path |
 //!
@@ -532,7 +536,7 @@
 //!   stream consumer gets the record itself, which the socket
 //!   gather-writes from — no copy and no batch-sized allocation in user
 //!   space on the way out. A pointer (`Shm`) consumer gets it the way it
-//!   gets a live batch: the frame is decoded in place, each tensor is
+//!   gets a live batch: the frame is decoded in place, the batch is
 //!   copied once into an arena slot leased from the shard's pool, and a
 //!   pointer announce goes out (`replay.[s<N>.]slot_frames`). When no
 //!   slot can be leased the stored bytes go instead

@@ -225,11 +225,14 @@ impl ProducerBuilder {
     }
 
     /// Backs payloads with a shared-memory arena at `path`, **auto-sized**
-    /// from the sources: slot size from the per-sample geometry hint
-    /// ([`EpochSource::sample_geometry`]) × the (producer-)batch size, and
-    /// slot count from the publish window + rubberband pin headroom (+ one
-    /// log catch-up window under [`ProducerBuilder::log`]) × tensors per
-    /// batch × shards. A matching recycling slot pool is bound
+    /// from the sources: a slot is one batch — its tensors packed at
+    /// 64-byte-aligned offsets ([`crate::SampleGeometry::batch_bytes`] of the
+    /// per-sample geometry hint, [`EpochSource::sample_geometry`], at the
+    /// (producer-)batch size) — and the slot count is the batches live at
+    /// once: the publish window + rubberband pin headroom + what the
+    /// loader and feeder hold ahead of it (+ one log catch-up window under
+    /// [`ProducerBuilder::log`]), summed over shards. A matching recycling
+    /// slot pool is bound
     /// per shard, so steady-state publishing performs zero arena
     /// allocations. The geometry is advertised over the attach handshake —
     /// consumers map the arena without being told its path.
@@ -245,7 +248,12 @@ impl ProducerBuilder {
 
     /// Backs payloads with a shared-memory arena of explicit geometry
     /// (for size-changing transform pipelines or sources without a
-    /// geometry hint).
+    /// geometry hint). Slots at least one packed batch wide
+    /// ([`crate::SampleGeometry::batch_bytes`]) hold one batch each; narrower
+    /// slots pack a batch's tensors first-fit, a tensor that does not fit
+    /// in the rest of a slot starting the next, so a batch takes as many
+    /// slots as that needs ([`crate::SampleGeometry::slots_per_batch`]) and
+    /// `nslots` counts slots, not batches.
     pub fn arena_sized(
         mut self,
         path: impl Into<PathBuf>,
@@ -382,7 +390,7 @@ impl ProducerBuilder {
             let ahead = batches_ahead_of_publish(cfg, source.pipeline_hint());
             cfg.buffer_size + cfg.pinned_per_epoch(loader) + ahead + 1
         };
-        // `(tensors per batch, catch-up frames)` of an auto-sized arena.
+        // The catch-up frames of an auto-sized arena.
         let (path, nslots, slot_size, auto) = match spec {
             ArenaSpec::Sized {
                 path,
@@ -404,22 +412,22 @@ impl ProducerBuilder {
                     None => sources[0].batch_size(),
                     Some(flex) => flex.producer_batch + sources[0].batch_size(),
                 };
-                let slot_size = geometry.max_tensor_bytes(max_batch).next_multiple_of(4096);
-                let tensors = geometry.tensors_per_batch();
+                // A slot is one packed batch wide: every batch takes one.
+                let slot_size = geometry.batch_bytes(max_batch).next_multiple_of(4096);
                 // With a log, a pointer joiner's catch-up is copied into
                 // slots of the shard's pool and held until acked: one
-                // catch-up window of frames, each pinning a slot per
-                // tensor, on top of the live set.
+                // catch-up window of frames, a slot each, on top of the
+                // live set.
                 let catch_up = match &cfg.log {
-                    Some(_) => catch_up_frames((tensors * slot_size) as u64),
+                    Some(_) => catch_up_frames(slot_size as u64),
                     None => 0,
                 };
                 let nslots: usize = sources
                     .iter()
-                    .map(|s| (per_shard_live(s) + catch_up) * tensors)
+                    .map(|s| per_shard_live(s) + catch_up)
                     .sum::<usize>()
                     .max(2);
-                (path, nslots, slot_size, Some((tensors, catch_up)))
+                (path, nslots, slot_size, Some(catch_up))
             }
         };
         // One recycling pool per shard (a single pipeline is shard 0), so
@@ -429,7 +437,7 @@ impl ProducerBuilder {
         let depths: Vec<usize> = sources
             .iter()
             .map(|source| match auto {
-                Some((tensors, catch_up)) => (per_shard_live(source) + catch_up) * tensors,
+                Some(catch_up) => per_shard_live(source) + catch_up,
                 None => (nslots / shards).max(1),
             })
             .collect();

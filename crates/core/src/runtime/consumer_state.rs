@@ -713,10 +713,13 @@ impl ConsumerState {
             last_in_epoch: a.last_in_epoch,
         };
         match &a.content {
+            // One attach per slot: a batch's tensors packed into one slot
+            // name one storage and are rebuilt over one view of it.
             AnnounceContent::Shared { fields, labels } => {
-                let fields: Result<Vec<Tensor>> = fields.iter().map(|p| self.unpack(p)).collect();
-                let labels = self.unpack(labels)?;
-                self.enqueue(batch(0, fields?, labels))?;
+                let payloads = fields.iter().chain([labels]);
+                let mut fields = TensorPayload::unpack_batch(payloads, &self.ctx.registry)?;
+                let labels = fields.pop().expect("labels come last");
+                self.enqueue(batch(0, fields, labels))?;
             }
             AnnounceContent::Flex { batches } => {
                 for (k, fb) in batches.iter().enumerate() {

@@ -75,7 +75,7 @@ use crate::runtime::config::{ProducerConfig, ProducerMap};
 use crate::runtime::context::TsContext;
 use crate::runtime::coordinator::EpochCoordinator;
 use crate::runtime::pump::Pump;
-use crate::runtime::staging::{FeederMsg, Placement, PreparedItem, StagingEngine};
+use crate::runtime::staging::{FeederMsg, PreparedItem, StagingEngine};
 use crate::runtime::state::{Event, LogTee, SpillMsg, StageMetrics, State};
 use crate::{Result, TsError};
 use crossbeam::channel::{self, Sender};
@@ -86,9 +86,9 @@ use std::time::{Duration, Instant};
 use ts_data::{bind_slot_pool, Batch, DataLoader};
 use ts_log::{BatchLog, CursorStore};
 use ts_metrics::{Counter, Histogram, TraceRing};
-use ts_shm::ShmError;
+use ts_shm::{ShmError, ShmLease};
 use ts_socket::{Bell, PubSocket, PullSocket};
-use ts_tensor::{collate, SlotPool, Tensor, TensorError};
+use ts_tensor::{collate, SlotPacking, SlotPool, Tensor, TensorError};
 
 /// A batch's tensors as streamed content. Contiguous tensors are borrowed
 /// (the frame shares their storage); `copied` counts the bytes of any view
@@ -239,20 +239,28 @@ pub struct SampleGeometry {
 }
 
 impl SampleGeometry {
-    /// Tensors per collated batch (fields + the label tensor).
-    pub fn tensors_per_batch(&self) -> usize {
-        self.field_bytes.len() + 1
-    }
-
-    /// The largest single tensor a batch of `batch_size` samples
-    /// produces.
-    pub fn max_tensor_bytes(&self, batch_size: usize) -> usize {
+    /// The bytes of each tensor — fields, then labels — of a batch of
+    /// `batch_size` samples.
+    fn tensor_bytes(&self, batch_size: usize) -> impl Iterator<Item = usize> + '_ {
+        let label = std::iter::once(&self.label_bytes);
         self.field_bytes
             .iter()
-            .chain(std::iter::once(&self.label_bytes))
-            .map(|b| b * batch_size)
-            .max()
-            .unwrap_or(0)
+            .chain(label)
+            .map(move |b| b * batch_size)
+    }
+
+    /// The bytes a batch of `batch_size` samples takes packed into one
+    /// arena slot ([`SlotPacking::packed_len`]): its tensors in order, each
+    /// at a 64-byte-aligned offset. A slot this wide holds the batch.
+    pub fn batch_bytes(&self, batch_size: usize) -> usize {
+        SlotPacking::packed_len(self.tensor_bytes(batch_size))
+    }
+
+    /// Slots of `slot_size` bytes a batch of `batch_size` samples takes,
+    /// packed first-fit: 1 when a slot is [`SampleGeometry::batch_bytes`]
+    /// wide or wider. `None` when one of its tensors fits no slot.
+    pub fn slots_per_batch(&self, batch_size: usize, slot_size: usize) -> Option<usize> {
+        SlotPacking::first_fit(self.tensor_bytes(batch_size), slot_size).map(|p| p.slots())
     }
 }
 
@@ -393,13 +401,12 @@ impl EpochSource for VecSource {
     }
 }
 
-/// Batches that own an arena slot (per tensor) *ahead of* the publish
-/// window when every stage upstream of it is full: what the loader keeps
-/// in flight — per worker, its prefetch channel plus the batch it is
-/// building — the feeder queue, the staging hand-off, and the batch in
-/// the feeder's hand and the one in the pump's. Arena auto-sizing
-/// provisions for it and [`loader_pool`] asks for it, so the two cannot
-/// disagree.
+/// Batches that own their arena slots *ahead of* the publish window when
+/// every stage upstream of it is full: what the loader keeps in flight —
+/// per worker, its prefetch channel plus the batch it is building — the
+/// feeder queue, the staging hand-off, and the batch in the feeder's hand
+/// and the one in the pump's. Arena auto-sizing provisions for it and
+/// [`loader_pool`] asks for it, so the two cannot disagree.
 pub(crate) fn batches_ahead_of_publish(cfg: &ProducerConfig, hint: (usize, usize)) -> usize {
     let (workers, prefetch) = hint;
     let in_loader = workers.max(1) * (prefetch.max(1) + 1);
@@ -416,10 +423,11 @@ pub(crate) fn batches_ahead_of_publish(cfg: &ProducerConfig, hint: (usize, usize
 ///   publish; or
 /// * the arena lacks room for the loader's own in-flight set on top of
 ///   the publish window and the stages in between
-///   ([`batches_ahead_of_publish`]). Batches *behind* the head of the
-///   stream would otherwise hold every slot while the head, built on the
-///   heap by a worker that found the pool dry, waits in the feeder for a
-///   slot only a publish could free. An auto-sized arena always has the
+///   ([`batches_ahead_of_publish`]), counted in slots per batch
+///   ([`SampleGeometry::slots_per_batch`]). Batches *behind* the head of
+///   the stream would otherwise hold every slot while the head, built on
+///   the heap by a worker that found the pool dry, waits in the feeder for
+///   a slot only a publish could free. An auto-sized arena always has the
 ///   room; an explicit one that does not keeps the feeder-collated path,
 ///   says so once and counts it (`stage.loader_unbound`).
 ///
@@ -433,14 +441,15 @@ pub(crate) fn loader_pool(
     if cfg.flexible.is_some() {
         return None;
     }
-    let tensors = source.sample_geometry()?.tensors_per_batch();
+    let geometry = source.sample_geometry()?;
+    let per_batch = geometry.slots_per_batch(source.batch_size(), pool.arena().slot_size())?;
     let batches = cfg.buffer_size + batches_ahead_of_publish(cfg, source.pipeline_hint());
     let slots = pool.depth().min(pool.arena().nslots());
-    if slots < batches * tensors {
+    if slots < batches * per_batch {
         unbound.inc();
         eprintln!(
             "tensorsocket: the arena gives this pipeline {slots} slots, fewer than the \
-             {batches} batches x {tensors} tensors its window and loader keep in flight: \
+             {batches} batches x {per_batch} slots its window and loader keep in flight: \
              loader workers build on the heap and the feeder collates into the arena",
         );
         return None;
@@ -480,44 +489,51 @@ impl Preparer {
         }
     }
 
-    /// Produces one output tensor from `parts`. With a pool bound, every
-    /// tensor is published from a slot leased from it: a single part that
-    /// arrives *placed* — built by the loader in a slot of this pipeline's
-    /// arena, its storage still carrying the lease — is adopted as it is,
-    /// zero bytes moved, and anything else (heap parts, device-tagged
-    /// parts, views of some other arena) is collated into a leased slot,
-    /// one copy. The [`Placement`] carries the armed lease to the publish
-    /// step, which adopts it with zero bytes moved. Without a pool the
-    /// parts stay on the heap.
+    /// Places one batch, given as its columns (fields, then labels), each
+    /// the parts of one output tensor. With a pool bound, every batch is
+    /// published from slots leased from it: a batch that arrives *placed*
+    /// — every tensor a single part the loader built in a slot of this
+    /// pipeline's arena, its storage still carrying the lease — is adopted
+    /// as it is, zero bytes moved, and any other (heap parts, device-tagged
+    /// parts, views of some other arena, several parts to fuse) has every
+    /// column collated into one lease ([`collate::cat0_batch_leased`]),
+    /// one copy. The leases, one per slot in order, go to the publish
+    /// step, which adopts them with zero bytes moved. Without a pool the
+    /// parts stay on the heap. Returns the tensors, the leases and the
+    /// bytes copied into them.
     ///
     /// A dry pool ([`ShmError::Full`]) is waited out: `dry` is called
     /// before each retry and returns false to give up (the producer is
     /// stopping). Any other failure — a batch larger than a slot can never
     /// fit — is an error naming the cause.
-    fn place_one(
+    fn place(
         &self,
-        parts: Vec<Tensor>,
+        mut columns: Vec<Vec<Tensor>>,
         dry: &mut dyn FnMut() -> bool,
-    ) -> std::result::Result<(Tensor, Option<Placement>), String> {
+    ) -> std::result::Result<(Vec<Tensor>, Vec<ShmLease>, u64), String> {
         let fail = |e: TensorError| format!("collating a batch: {e}");
         let Some(pool) = &self.pool else {
-            return match <[Tensor; 1]>::try_from(parts) {
-                Ok([part]) => Ok((part, None)),
-                Err(parts) => Ok((collate::cat0(&parts).map_err(fail)?, None)),
-            };
+            let tensors = columns.into_iter().map(|mut parts| match parts.len() {
+                1 => Ok(parts.pop().expect("one part")),
+                _ => collate::cat0(&parts).map_err(fail),
+            });
+            return Ok((
+                tensors.collect::<std::result::Result<_, _>>()?,
+                Vec::new(),
+                0,
+            ));
         };
-        if let [part] = &parts[..] {
-            if let Some(lease) = part.storage().take_lease(pool.arena()) {
-                let placement = Placement { lease, copied: 0 };
-                return Ok((part.clone(), Some(placement)));
-            }
+        if let Some(leases) = adopt(&columns, pool) {
+            let tensors = columns
+                .iter_mut()
+                .map(|parts| parts.pop().expect("one part"));
+            return Ok((tensors.collect(), leases, 0));
         }
         loop {
-            match collate::cat0_leased(&parts, pool, parts[0].device()) {
-                Ok((tensor, lease)) => {
-                    let copied = tensor.view_bytes() as u64;
-                    let placement = Placement { lease, copied };
-                    return Ok((tensor, Some(placement)));
+            match collate::cat0_batch_leased(&columns, pool) {
+                Ok((tensors, leases)) => {
+                    let copied = tensors.iter().map(|t| t.view_bytes() as u64).sum();
+                    return Ok((tensors, leases, copied));
                 }
                 Err(TensorError::Arena(ShmError::Full)) if dry() => {}
                 Err(TensorError::Arena(ShmError::Full)) => return Err("stopped".into()),
@@ -528,7 +544,7 @@ impl Preparer {
 
     /// Feeds one loader batch; returns a prepared item when one is ready
     /// (always, in default mode; on producer-batch boundaries under
-    /// flexible sizing). See [`Preparer::place_one`] for `dry` and errors.
+    /// flexible sizing). See [`Preparer::place`] for `dry` and errors.
     pub(crate) fn push(
         &mut self,
         batch: Batch,
@@ -573,13 +589,7 @@ impl Preparer {
                 (self.pb_index - 1, columns)
             }
         };
-        let mut tensors = Vec::with_capacity(columns.len());
-        let mut placements = Vec::with_capacity(columns.len());
-        for parts in columns {
-            let (t, p) = self.place_one(parts, dry)?;
-            tensors.push(t);
-            placements.push(p);
-        }
+        let (mut tensors, placements, collate_copied) = self.place(columns, dry)?;
         let labels = tensors.pop().expect("labels come last");
         Ok(Some(PreparedItem {
             index_in_epoch,
@@ -587,12 +597,32 @@ impl Preparer {
             fields: tensors,
             labels,
             placements,
+            collate_copied,
             staged_bytes: 0,
             fetch_span: (0, 0),
             copy_wait_span: (0, 0),
             h2d_span: (0, 0),
         }))
     }
+}
+
+/// The leases of a batch that arrives placed in `pool`'s arena: every
+/// column a single part, and each run of parts over one storage — the
+/// batch's tensors in one slot — carrying that slot's lease. `None` when
+/// any does not; the leases taken by then drop, and their slots free once
+/// the batch's views are gone.
+fn adopt(columns: &[Vec<Tensor>], pool: &SlotPool) -> Option<Vec<ShmLease>> {
+    let mut leases = Vec::with_capacity(1);
+    let mut last = None;
+    for parts in columns {
+        let [part] = &parts[..] else {
+            return None;
+        };
+        if last.replace(part.storage_id()) != Some(part.storage_id()) {
+            leases.push(part.storage().take_lease(pool.arena())?);
+        }
+    }
+    Some(leases)
 }
 
 /// The feeder stage: owns the epoch source for the whole run and prepares

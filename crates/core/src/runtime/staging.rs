@@ -73,21 +73,6 @@ pub struct StagingConfig {
     pub h2d_bandwidth: Option<f64>,
 }
 
-/// A shared-memory arena slot the feeder already collated a tensor into
-/// (the zero-copy publish path): the lease still holds the slot's
-/// producer reference, so an item dropped before publishing frees its
-/// slots automatically. At publish time the loop adopts the lease into
-/// the registry ([`ts_tensor::SharedRegistry::register_placed`]) instead
-/// of copying bytes into a fresh placement.
-pub(crate) struct Placement {
-    /// The leased slot holding the tensor's bytes, from the pipeline's
-    /// own shard pool: the registration reclaims into that pool.
-    pub lease: ts_shm::ShmLease,
-    /// Payload bytes the feeder copied to fill the slot: 0 for a slot the
-    /// loader built the tensor in.
-    pub copied: u64,
-}
-
 /// A batch the feeder stage finished preparing: producer map applied and
 /// (under flexible sizing) loader batches fused into one producer batch.
 /// Under a GPU producer the copy stage has additionally placed its tensors
@@ -100,13 +85,21 @@ pub(crate) struct PreparedItem {
     pub last_in_epoch: bool,
     pub fields: Vec<Tensor>,
     pub labels: Tensor,
-    /// Per-tensor arena placements the feeder collated in place, aligned
-    /// with `fields` and then `labels` last (`fields.len() + 1` entries
-    /// when the lease path ran, empty otherwise). Device staging replaces
-    /// the *tensors* but keeps the placements: the host slot keeps holding
-    /// the exact bytes the device copy was made from, so consumers attach
-    /// it byte-identically while the publish loop still moves nothing.
-    pub placements: Vec<Option<Placement>>,
+    /// The leased arena slots the batch was collated (or built) in, one
+    /// per distinct storage of `fields` then `labels`, in that order — one
+    /// slot for a batch a slot holds — and empty without an arena. Each
+    /// lease still holds its slot's producer reference, so an item dropped
+    /// before publishing frees its slots; the publish step adopts them
+    /// into the registry ([`ts_tensor::SharedRegistry::register_placed`])
+    /// instead of copying a byte. Device staging replaces the *tensors* —
+    /// one device storage per host slot, each tensor at the same offset —
+    /// but keeps the leases: the host slot keeps holding the exact bytes
+    /// the device copy was made from, so consumers attach it
+    /// byte-identically while the publish loop still moves nothing.
+    pub placements: Vec<ts_shm::ShmLease>,
+    /// Payload bytes the feeder copied to fill `placements`: 0 for a batch
+    /// the loader built in its slot.
+    pub collate_copied: u64,
     /// Bytes the staging stage copied to the device for this item.
     pub staged_bytes: u64,
     /// Flight-recorder span offsets stamped before the batch has a
@@ -260,29 +253,21 @@ impl StagingEngine {
     }
 
     /// The slab pool, created at the first staged item so slabs are sized
-    /// to the real batch geometry (`slab = largest tensor of the item`,
-    /// depth = window + queue + rubberband headroom, in tensors).
-    fn pool_for(&self, item: &PreparedItem) -> Arc<DeviceSlabPool> {
+    /// to the real batch geometry (`slab = the item's largest copy`,
+    /// depth = window + queue + rubberband headroom, in copies per item).
+    fn pool_for(&self, copies: &[usize]) -> Arc<DeviceSlabPool> {
         let mut slot = self.pool.lock();
         if let Some(pool) = slot.as_ref() {
             return pool.clone();
         }
-        let tensors_per_item = item.fields.len() + 1;
-        let slab_bytes = item
-            .fields
-            .iter()
-            .chain(std::iter::once(&item.labels))
-            .map(|t| t.view_bytes())
-            .max()
-            .unwrap_or(1)
-            .max(1);
+        let slab_bytes = copies.iter().copied().max().unwrap_or(1).max(1);
         // The rotation must cover every lease simultaneously out in
         // steady state: the publish window and the copy-stage look-ahead
         // (`buffer_size` batches each), the rubberband pin set (pinned
         // batches hold their slabs past full acknowledgement until the
         // join window closes), and a margin for releases still in flight.
         let (window, ahead) = (self.queue_depth, self.queue_depth);
-        let depth = (window + ahead + self.pin_headroom + 2) * tensors_per_item;
+        let depth = (window + ahead + self.pin_headroom + 2) * copies.len().max(1);
         let pool = Arc::new(DeviceSlabPool::new(
             self.backend.clone() as Arc<dyn DeviceBackend>,
             slab_bytes,
@@ -298,60 +283,92 @@ impl StagingEngine {
         pool
     }
 
-    /// Stages one tensor: leases a slab, copies the bytes through the
-    /// backend (accounting traffic and modeled copy time) and rebuilds
-    /// the tensor over the slab buffer, wired to return the slab when the
-    /// last reference drops.
-    fn stage_tensor(
+    /// Stages `run` — one heap tensor, or the tensors of a placed item
+    /// that view one arena slot — through one slab: leases it, copies the
+    /// bytes through the backend (accounting traffic and modeled copy
+    /// time) and rebuilds the tensors over the slab buffer, wired to
+    /// return the slab when the last reference drops. A slot is copied
+    /// whole and each tensor keeps its offset in it, so the device batch
+    /// has the layout of the host slot consumers in other processes
+    /// attach; a heap tensor is copied dense, at offset 0.
+    fn stage_run(
         &self,
-        t: &Tensor,
+        run: &[&Tensor],
+        placed: bool,
         pool: &Arc<DeviceSlabPool>,
-    ) -> Result<(Tensor, u64), StagingError> {
-        if t.device() == self.device {
-            return Ok((t.clone(), 0));
+    ) -> Result<(Vec<Tensor>, u64), StagingError> {
+        let first = run[0];
+        if first.device() == self.device {
+            return Ok((run.iter().map(|&t| t.clone()).collect(), 0));
         }
-        let needed = t.view_bytes();
-        let mut lease = pool.lease(needed)?;
-        match t.bytes() {
-            Ok(src) => self.backend.copy_h2d(src, lease.buf_mut())?,
-            // Non-contiguous sources (not produced by collation, but the
-            // contract allows them) gather first.
-            Err(_) => self.backend.copy_h2d(&t.gather_bytes(), lease.buf_mut())?,
-        }
+        // Non-contiguous heap sources (not produced by collation, but the
+        // contract allows them) gather first.
+        let src = match placed {
+            true => first.storage().bytes().into(),
+            false => first.dense_bytes(),
+        };
+        let mut lease = pool.lease(src.len())?;
+        self.backend.copy_h2d(&src, lease.buf_mut())?;
         self.backend.fence()?;
         let (buf, ticket) = lease.into_parts();
-        let storage = Storage::new_with_reclaim(
+        let storage = Arc::new(Storage::new_with_reclaim(
             buf,
             self.device,
             Box::new(move |returned| ticket.restore(returned)),
-        );
-        let staged = Tensor::from_parts(
-            Arc::new(storage),
-            t.dtype(),
-            t.shape().to_vec(),
-            contiguous_strides(t.shape()),
-            0,
-        )
-        .expect("staged copy always matches the source geometry");
-        Ok((staged, needed as u64))
+        ));
+        let staged = run.iter().map(|t| {
+            let (strides, offset) = match placed {
+                true => (t.strides().to_vec(), t.offset()),
+                false => (contiguous_strides(t.shape()), 0),
+            };
+            Tensor::from_parts(
+                storage.clone(),
+                t.dtype(),
+                t.shape().to_vec(),
+                strides,
+                offset,
+            )
+            .expect("staged copy always matches the source geometry")
+        });
+        Ok((staged.collect(), src.len() as u64))
     }
 
-    /// Stages every tensor of a prepared item onto the device. On return
-    /// the item carries device tensors and the bytes copied; gauges and
-    /// counters are updated.
+    /// Stages every tensor of a prepared item onto the device: one slab
+    /// per arena slot of a placed item, one per tensor otherwise. On
+    /// return the item carries device tensors and the bytes copied; gauges
+    /// and counters are updated.
     fn stage_item(&self, item: PreparedItem) -> Result<PreparedItem, StagingError> {
         let copy_start = Instant::now();
         let span_start = self.trace.now_ns().max(1);
-        let pool = self.pool_for(&item);
-        let mut staged_bytes = 0u64;
-        let mut fields = Vec::with_capacity(item.fields.len());
-        for t in &item.fields {
-            let (staged, bytes) = self.stage_tensor(t, &pool)?;
-            staged_bytes += bytes;
-            fields.push(staged);
+        let placed = !item.placements.is_empty();
+        let tensors: Vec<&Tensor> = item.fields.iter().chain([&item.labels]).collect();
+        // The runs staged through one slab each: a placed item's tensors
+        // over one storage (its slot), or each tensor alone.
+        let mut runs: Vec<std::ops::Range<usize>> = Vec::with_capacity(tensors.len());
+        for (i, t) in tensors.iter().enumerate() {
+            match runs.last_mut() {
+                Some(run) if placed && tensors[run.start].storage_id() == t.storage_id() => {
+                    run.end = i + 1
+                }
+                _ => runs.push(i..i + 1),
+            }
         }
-        let (labels, label_bytes) = self.stage_tensor(&item.labels, &pool)?;
-        staged_bytes += label_bytes;
+        let copies: Vec<usize> = runs
+            .iter()
+            .map(|run| match placed {
+                true => tensors[run.start].storage().len(),
+                false => tensors[run.start].view_bytes(),
+            })
+            .collect();
+        let pool = self.pool_for(&copies);
+        let mut staged_bytes = 0u64;
+        let mut staged = Vec::with_capacity(tensors.len());
+        for run in runs {
+            let (run, bytes) = self.stage_run(&tensors[run], placed, &pool)?;
+            staged_bytes += bytes;
+            staged.extend(run);
+        }
+        let labels = staged.pop().expect("labels come last");
         let total = self.h2d_bytes.fetch_add(staged_bytes, Ordering::Relaxed) + staged_bytes;
         // The counter aggregates across engines (shards); the gauges are
         // per-engine and namespaced per shard (see the field docs). The
@@ -368,7 +385,7 @@ impl StagingEngine {
         self.h2d_hist.record_duration(copy_start.elapsed());
         Ok(PreparedItem {
             staged_bytes,
-            fields,
+            fields: staged,
             labels,
             h2d_span: (span_start, self.trace.now_ns()),
             ..item

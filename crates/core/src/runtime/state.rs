@@ -58,11 +58,12 @@
 //!
 //! **What a frame weighs.** A frame out of the log for a pointer (`Shm`)
 //! consumer does not cross the socket as bytes: the stored streamed frame
-//! is decoded in place, each tensor is copied into an arena slot leased
-//! from the shard's pool (one user-space copy, no kernel copy), and a
+//! is decoded in place, the batch's tensors are copied into one arena slot
+//! leased from the shard's pool (one user-space copy, no kernel copy;
+//! first-fit into more when slots are narrower than a batch), and a
 //! ~100-byte pointer announce goes out instead. The slots stay registered
 //! until that consumer acks the frame or leaves (`HeldFrame`), so such a
-//! frame weighs the slot bytes it pins — the slot size times its tensors —
+//! frame weighs the slot bytes it pins — the slot size times its slots —
 //! and the budget bounds arena memory the way it bounds socket memory for
 //! a stream consumer, whose frame weighs its own bytes. When no slot can
 //! be leased the stored bytes go instead, counted
@@ -88,7 +89,7 @@ use crate::runtime::config::ProducerConfig;
 use crate::runtime::context::TsContext;
 use crate::runtime::coordinator::{EpochCoordinator, GroupJoin};
 use crate::runtime::producer::{replay_start, streamed_content, ProducerStats};
-use crate::runtime::staging::{FeederMsg, Placement, PreparedItem, WELCOME_STAGING};
+use crate::runtime::staging::{FeederMsg, PreparedItem, WELCOME_STAGING};
 use crate::{Result, TsError};
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -100,8 +101,9 @@ use std::sync::Arc;
 use ts_device::DeviceId;
 use ts_log::{BatchLog, CursorStore};
 use ts_metrics::{Counter, Gauge, Histogram, SpanKind};
+use ts_shm::ShmLease;
 use ts_socket::Multipart;
-use ts_tensor::{collate, SharedRegistry, Tensor, TensorPayload};
+use ts_tensor::{collate, SharedRegistry, Storage, Tensor, TensorPayload};
 
 /// Housekeeping cadence: join-reply nudges, the cursor broadcast, log
 /// retention and heartbeat expiry run once per tick, the watchdog every
@@ -230,6 +232,9 @@ pub(crate) struct StageMetrics {
     publish_ack: Arc<Histogram>,
     /// Rubberband pins currently holding memory.
     pin_depth: Arc<Gauge>,
+    /// Arena slots held by live batches (pins among them) and slot-backed
+    /// catch-up frames.
+    slots_live: Arc<Gauge>,
     /// Bytes sent over the streamed payload path.
     stream_tx_bytes: Arc<Counter>,
     /// Bytes gathered to build a streamed frame from a non-contiguous view.
@@ -275,6 +280,7 @@ impl StageMetrics {
             feeder_fetch: metrics.histogram(&format!("{prefix}feeder_fetch_ns")),
             publish_ack: metrics.histogram(&format!("{prefix}publish_ack_ns")),
             pin_depth: metrics.gauge(&format!("{prefix}pin_depth")),
+            slots_live: metrics.gauge(&format!("{prefix}slots_live")),
             stream_tx_bytes: counter("stream_tx_bytes"),
             stream_copy_bytes: counter("stream_copy_bytes"),
             stream_tx_errors: counter("stream_tx_errors"),
@@ -314,6 +320,21 @@ struct LiveBatch {
     fields: Vec<Tensor>,
     labels: Tensor,
     published_at: u64,
+    /// Arena slots registered for it: one per storage when placed, 0 on
+    /// the heap.
+    slots: u64,
+}
+
+impl LiveBatch {
+    /// The batch's storages, fields then labels, each once: a run of
+    /// tensors over one storage (a batch packed into one slot) is one.
+    fn storages(&self) -> impl Iterator<Item = &Arc<Storage>> {
+        let mut last = None;
+        let tensors = self.fields.iter().chain([&self.labels]);
+        tensors
+            .filter(move |t| last.replace(t.storage_id()) != Some(t.storage_id()))
+            .map(Tensor::storage)
+    }
 }
 
 /// One queued catch-up: frames `next..end` for `consumer`, out of the pin
@@ -369,9 +390,10 @@ impl ReplayJob {
 }
 
 /// The arena slots one slot-backed catch-up frame was copied into: their
-/// storages stay registered until `consumer` acks `seq` (or anything
-/// after it) or leaves. The ledger outlives the job that sent the frame,
-/// which leaves the queue with its last send, before its last acks.
+/// storages (one per slot) stay registered until `consumer` acks `seq` (or
+/// anything after it) or leaves. The ledger outlives the job that sent
+/// the frame, which leaves the queue with its last send, before its last
+/// acks.
 struct HeldFrame {
     consumer: u64,
     seq: u64,
@@ -431,8 +453,14 @@ impl Membership {
             .set(front.map_or(0, |job| job.unacked_bytes) as f64);
     }
 
-    /// Releases the slots of every held frame `done` picks.
-    fn release_held(&mut self, registry: &SharedRegistry, done: impl Fn(&HeldFrame) -> bool) {
+    /// Releases the slots of every held frame `done` picks; returns how
+    /// many.
+    fn release_held(
+        &mut self,
+        registry: &SharedRegistry,
+        done: impl Fn(&HeldFrame) -> bool,
+    ) -> u64 {
+        let mut freed = 0;
         self.held.retain(|frame| {
             if !done(frame) {
                 return true;
@@ -440,8 +468,10 @@ impl Membership {
             for &storage in &frame.storages {
                 registry.release(storage);
             }
+            freed += frame.storages.len() as u64;
             false
         });
+        freed
     }
 }
 
@@ -577,6 +607,9 @@ struct Instruments {
     /// The batch announced by the current step; the pump closes its
     /// announce span once the frames are on the socket.
     announced: Option<(u64, u64)>,
+    /// Arena slots registered by live batches and held catch-up frames,
+    /// kept per event for `stage.[s<N>.]slots_live`.
+    slots_live: u64,
 }
 
 /// One producer pipeline's whole decision state. See the module docs.
@@ -683,6 +716,7 @@ impl State {
                 wait_since: now,
                 watchdog_memo: None,
                 announced: None,
+                slots_live: 0,
             },
             cfg,
             ctx: ctx.clone(),
@@ -778,7 +812,7 @@ impl State {
             let _ = log.cursors.flush();
         }
         self.win.pending = None;
-        self.members.release_held(&self.ctx.registry, |_| true);
+        self.release_held(|_| true);
         let seqs: Vec<u64> = self.win.live.keys().copied().collect();
         for seq in seqs {
             self.release(seq);
@@ -989,7 +1023,9 @@ impl State {
             fields: item.fields,
             labels: item.labels,
             published_at: now,
+            slots: 0,
         };
+        self.inst.stage.collate_copy_bytes.add(item.collate_copied);
         self.register_live(seq, batch, item.placements);
         if self.cfg.flexible.is_some() {
             // Each consumer gets its own carved view of the producer batch.
@@ -1050,28 +1086,25 @@ impl State {
         self.set_wait(now, Wait::Item);
     }
 
-    fn register_live(&mut self, seq: u64, batch: LiveBatch, placements: Vec<Option<Placement>>) {
-        // `placements` aligns with fields-then-labels. The feeder places
-        // every tensor when the shard has a pool, so a tensor without one
-        // (a short or empty vec) is a heap tensor of an arena-less shard.
-        let tensors = batch.fields.iter().chain(std::iter::once(&batch.labels));
-        let placements = placements
-            .into_iter()
-            .chain(std::iter::repeat_with(|| None));
+    /// Registers each storage of `batch` once: adopting a lease per
+    /// storage, in order, for a placed batch (the feeder collated the bytes
+    /// into the leased slot — for a staged batch, the slot holds the host
+    /// bytes the device copy was made from — so nothing moves), as a heap
+    /// storage for a shard without an arena.
+    fn register_live(&mut self, seq: u64, mut batch: LiveBatch, placements: Vec<ShmLease>) {
         let registry = &self.ctx.registry;
-        for (t, placement) in tensors.zip(placements) {
-            match placement {
-                // The feeder collated the bytes into this leased slot (for
-                // a staged tensor, the slot holds the host bytes the device
-                // copy was made from): adopt the lease, move nothing.
-                Some(p) => {
-                    self.inst.stage.collate_copy_bytes.add(p.copied);
-                    registry.register_placed(t.storage(), p.lease.into_handle(), self.shard);
-                }
-                None => registry.register(t.storage()),
+        batch.slots = placements.len() as u64;
+        let mut placements = placements.into_iter();
+        for storage in batch.storages() {
+            match placements.next() {
+                Some(lease) => registry.register_placed(storage, lease.into_handle(), self.shard),
+                None => registry.register(storage),
             }
         }
+        debug_assert!(placements.next().is_none(), "a lease per storage");
+        self.inst.slots_live += batch.slots;
         self.win.live.insert(seq, batch);
+        self.note_slots();
     }
 
     fn release(&mut self, seq: u64) {
@@ -1081,16 +1114,51 @@ impl State {
         if self.win.pins.contains(&seq) {
             self.win.pins_resident -= 1;
         }
-        let tensors = batch.fields.iter().chain(std::iter::once(&batch.labels));
-        let held: Vec<u64> = tensors.map(Tensor::storage_id).collect();
-        // Let go of the tensors first: each views its arena slot, and the
-        // slot must not look busy to the feeder that leases it next. A
-        // staged tensor's slab goes back to the rotation through its
-        // storage's reclaim hook when the last view drops.
-        drop(batch);
-        for storage_id in held {
-            self.ctx.registry.release(storage_id);
+        self.inst.slots_live -= batch.slots;
+        // Let go of each storage's tensors first: they view its arena slot,
+        // and the slot must not look busy to the feeder that leases it
+        // next. A staged tensor's slab goes back to the rotation through
+        // its storage's reclaim hook when the last view drops. A storage's
+        // tensors are one run, so its id is released as the run ends.
+        let mut run = None;
+        for t in batch.fields.into_iter().chain([batch.labels]) {
+            let id = t.storage_id();
+            drop(t);
+            if let Some(done) = run.replace(id).filter(|&done| done != id) {
+                self.ctx.registry.release(done);
+            }
         }
+        if let Some(done) = run {
+            self.ctx.registry.release(done);
+        }
+        self.note_slots();
+    }
+
+    /// Releases the slots of every held catch-up frame `done` picks.
+    fn release_held(&mut self, done: impl Fn(&HeldFrame) -> bool) {
+        if !self.members.held.is_empty() {
+            let freed = self.members.release_held(&self.ctx.registry, done);
+            self.inst.slots_live -= freed;
+            self.note_slots();
+        }
+    }
+
+    /// `stage.[s<N>.]slots_live` is a count kept per event; debug builds
+    /// check it against the live batches and held frames, counted the
+    /// slow way.
+    fn note_slots(&self) {
+        debug_assert_eq!(
+            self.inst.slots_live,
+            self.win.live.values().map(|b| b.slots).sum::<u64>()
+                + self
+                    .members
+                    .held
+                    .iter()
+                    .map(|h| h.storages.len() as u64)
+                    .sum::<u64>(),
+            "slots_live drifted from the live batches and held frames"
+        );
+        self.inst.stage.slots_live.set(self.inst.slots_live as f64);
     }
 
     /// True while batch `seq`, though fully acked, must keep its memory:
@@ -1375,11 +1443,13 @@ impl State {
         match placed {
             Some((announce, storages, pinned)) => {
                 m.slot_frames.inc();
+                self.inst.slots_live += storages.len() as u64;
                 m.held.push(HeldFrame {
                     consumer: id,
                     seq,
                     storages,
                 });
+                self.note_slots();
                 (Multipart::single(announce), pinned)
             }
             None => {
@@ -1391,11 +1461,13 @@ impl State {
     }
 
     /// Copies stored frame `record` — a streamed batch, decoded in place,
-    /// so its tensors are slices of the log's mapping — into arena slots of
-    /// this shard's pool, one per tensor, and registers them. Returns the
-    /// pointer announce for the copies, their storage ids and the slot
-    /// bytes they pin; `None` when the record is not a streamed batch or a
-    /// slot cannot be leased right now (nothing stays leased then).
+    /// so its tensors are slices of the log's mapping — into one arena slot
+    /// of this shard's pool (first-fit into as many as it takes when slots
+    /// are narrower than a batch) and registers each slot's storage.
+    /// Returns the pointer announce for the copy, its storage ids (one per
+    /// slot) and the slot bytes they pin; `None` when the record is not a
+    /// streamed batch or the slots cannot be leased right now (nothing
+    /// stays leased then).
     fn slot_frame(&self, record: &Bytes) -> Option<(Bytes, Vec<u64>, u64)> {
         let pool = self.ctx.registry.shard_slot_pool(self.shard)?;
         let Ok(DataMsg::Batch(mut announce)) = DataMsg::decode_shared(record) else {
@@ -1404,28 +1476,26 @@ impl State {
         let AnnounceContent::Streamed { fields, labels } = &announce.content else {
             return None;
         };
-        // The one copy, record to slot. A lease dropped on the way (the
-        // next one failed) frees its slot.
-        let cpu = DeviceId::Cpu;
-        let copy = |t: &StreamedTensor| {
-            let view = t.to_tensor(cpu).ok()?;
-            collate::cat0_leased(&[view], &pool, cpu).ok()
-        };
-        let leased: Vec<_> = fields
+        // The one copy, record to slot. A lease dropped on the way frees
+        // its slot.
+        let view = |t: &StreamedTensor| t.to_tensor(DeviceId::Cpu).ok().map(|t| [t]);
+        let columns: Vec<[Tensor; 1]> = fields
             .iter()
             .chain([labels])
-            .map(copy)
+            .map(view)
             .collect::<Option<_>>()?;
-        let pinned = (leased.len() * pool.arena().slot_size()) as u64;
+        let (mut tensors, leases) = collate::cat0_batch_leased(&columns, &pool).ok()?;
+        let pinned = (leases.len() * pool.arena().slot_size()) as u64;
         let registry = &self.ctx.registry;
-        let mut tensors: Vec<Tensor> = leased
-            .into_iter()
-            .map(|(tensor, lease)| {
-                registry.register_placed(tensor.storage(), lease.into_handle(), self.shard);
-                tensor
-            })
-            .collect();
-        let storages = tensors.iter().map(Tensor::storage_id).collect();
+        let mut storages = Vec::with_capacity(leases.len());
+        let mut leases = leases.into_iter();
+        for t in &tensors {
+            if storages.last() != Some(&t.storage_id()) {
+                let lease = leases.next().expect("a lease per slot");
+                registry.register_placed(t.storage(), lease.into_handle(), self.shard);
+                storages.push(t.storage_id());
+            }
+        }
         let pack = |t: &Tensor| TensorPayload::pack_shared(t, registry);
         let labels = tensors.pop().expect("labels come last");
         announce.content = AnnounceContent::Shared {
@@ -1553,10 +1623,7 @@ impl State {
                     m.note_inflight();
                 }
                 // ... and its slot-backed frames up to `seq` let go.
-                if !m.held.is_empty() {
-                    let acked = |h: &HeldFrame| h.consumer == consumer_id && h.seq <= seq;
-                    m.release_held(&self.ctx.registry, acked);
-                }
+                self.release_held(|h| h.consumer == consumer_id && h.seq <= seq);
                 // The group cursor advances in memory per ack (a replayed
                 // old seq is ignored as a regression) and is persisted per
                 // tick: a crash re-delivers at most one tick of acked
@@ -1712,9 +1779,9 @@ impl State {
         m.join_replies.remove(&id);
         m.pending_join.retain(|(j, ..)| *j != id);
         m.replays.retain(|job| job.consumer != id);
-        m.release_held(&self.ctx.registry, |h| h.consumer == id);
         m.note_inflight();
         m.hb.remove(id);
+        self.release_held(|h| h.consumer == id);
         if let Some(log) = &mut self.log {
             log.groups.remove(&id);
             log.log_infos.remove(&id);

@@ -232,13 +232,15 @@ fn acks_release_in_seq_order_and_slots_are_conserved() {
     let mut prep = Preparer::new(&config, ctx.registry.shard_slot_pool(0));
     let mut rig = Rig::new(&ctx, config, 6);
     // Every slot is leased by an item in hand, registered by a live batch
-    // (two tensors each), or idle in the pool.
+    // (one slot, one storage each: fields and labels view it), or idle in
+    // the pool.
     let conserved = |rig: &Rig, in_hand: usize| {
         let live = rig.state.win.live.len();
-        assert_eq!(ctx.registry.len(), 2 * live);
+        assert_eq!(ctx.registry.len(), live);
+        assert_eq!(ctx.metrics.gauge("stage.slots_live").get(), live as f64);
         assert_eq!(
             arena.slots_in_use(),
-            2 * in_hand + 2 * live + pool.free_count(),
+            in_hand + live + pool.free_count(),
             "leased + live + free must cover every slot in use"
         );
     };
@@ -675,7 +677,7 @@ fn a_dry_arena_parks_the_feeder_instead_of_copying() {
     // feeder fell back to the heap, the publish step copied (or, arena
     // full, placed nothing and an out-of-process consumer wedged); now
     // the feeder waits, `Logged` frees the slots, and nothing is copied.
-    let (ctx, pool) = arena_ctx("dry", 6, 6);
+    let (ctx, pool) = arena_ctx("dry", 3, 3);
     let arena = ctx.arena().unwrap();
     let dir = std::env::temp_dir().join(format!("ts-step-dry-log-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -696,7 +698,7 @@ fn a_dry_arena_parks_the_feeder_instead_of_copying() {
             dry_spells += 1;
             rig.step(Event::Prepared(FeederMsg::ArenaDry));
             assert_eq!(rig.state.wait(), Wait::Arena);
-            assert_eq!(arena.slots_in_use(), 6, "dry means every slot is held");
+            assert_eq!(arena.slots_in_use(), 3, "dry means every slot is held");
             rig.now += MS;
             rig.spill_next(); // the spiller catches up by one batch
             true
@@ -740,7 +742,7 @@ fn acked_pins_alone_holding_a_dry_arena_close_the_join_window_early() {
     // No log, the whole epoch inside the join window: acked batches stay
     // pinned, and once they hold every slot nothing but a publish could
     // free one — and a publish needs a slot.
-    let (ctx, pool) = arena_ctx("shed", 6, 6);
+    let (ctx, pool) = arena_ctx("shed", 3, 3);
     let config = cfg(1, 1.0);
     let mut prep = Preparer::new(&config, ctx.registry.shard_slot_pool(0));
     let mut rig = Rig::new(&ctx, config, 8);
@@ -875,7 +877,7 @@ fn pin_depth_is_exact_after_every_step() {
 
     // No log, a three-batch arena: acked pins alone hold it dry, and
     // `relieve_arena` closes the window early.
-    let (ctx, pool) = arena_ctx("pindepth", 6, 6);
+    let (ctx, pool) = arena_ctx("pindepth", 3, 3);
     let config = cfg(1, 1.0);
     let mut prep = Preparer::new(&config, ctx.registry.shard_slot_pool(0));
     let mut rig = Rig::new(&ctx, config, 8);
@@ -1355,9 +1357,10 @@ fn a_ready_that_lands_after_the_epoch_boundary_is_still_replayed_the_prefix() {
 #[test]
 fn a_batch_that_arrives_placed_is_adopted_and_any_other_is_copied_once() {
     // What a loader with the pool bound hands the feeder: every tensor a
-    // view of the slot it was built in, carrying the lease. The preparer
-    // takes the leases — no second slot, no byte moved — and the publish
-    // step registers the very slots the loader wrote.
+    // view of the one slot the batch was built in, whose storage carries
+    // the lease. The preparer takes the lease — no second slot, no byte
+    // moved — and the publish step registers the very slot the loader
+    // wrote, once, for fields and labels.
     let (ctx, pool) = arena_ctx("placed", 8, 8);
     let arena = ctx.arena().unwrap();
     let config = cfg(1, 0.0);
@@ -1365,38 +1368,33 @@ fn a_batch_that_arrives_placed_is_adopted_and_any_other_is_copied_once() {
     let mut rig = Rig::new(&ctx, config, 2);
     rig.attach(1);
     let heap = batch(0, 2);
-    let in_slot = |t: &Tensor| {
-        let mut buf = ts_tensor::BatchBuf::like(1, t, Some(&pool)).unwrap();
-        buf.push(t).unwrap();
-        let shape = t.shape().to_vec();
-        buf.freeze().unwrap().reshape(&shape).unwrap()
-    };
+    let whole: Vec<Tensor> = heap.fields.iter().chain([&heap.labels]).cloned().collect();
+    let mut buf = ts_tensor::BatchBuf::like(1, &whole, Some(&pool)).unwrap();
+    buf.push(&whole).unwrap();
+    let built = buf.freeze().unwrap().into_iter().zip(&whole);
+    let mut tensors: Vec<Tensor> = built.map(|(t, w)| t.reshape(w.shape()).unwrap()).collect();
     let placed = Batch {
-        fields: heap.fields.iter().map(in_slot).collect(),
-        labels: in_slot(&heap.labels),
+        labels: tensors.pop().unwrap(),
+        fields: tensors,
         ..batch(0, 2)
     };
-    assert_eq!(arena.slots_in_use(), 2);
+    assert_eq!(arena.slots_in_use(), 1, "one slot for the batch");
     let mut never = || panic!("the arena ran dry");
     let item = prep.push(placed, false, &mut never).unwrap().unwrap();
-    let copied = |item: &PreparedItem| -> u64 {
-        let placements = item.placements.iter();
-        placements.map(|p| p.as_ref().expect("placed").copied).sum()
-    };
-    assert_eq!(copied(&item), 0);
-    assert_eq!(arena.slots_in_use(), 2, "adopted, not placed again");
-    let slots: Vec<u32> = item
-        .placements
-        .iter()
-        .map(|p| p.as_ref().unwrap().lease.handle().slot)
-        .collect();
-    let ids: Vec<u64> = item.fields.iter().map(Tensor::storage_id).collect();
+    assert_eq!(item.collate_copied, 0);
+    assert_eq!(item.placements.len(), 1);
+    assert_eq!(arena.slots_in_use(), 1, "adopted, not placed again");
+    let slot = item.placements[0].handle().slot;
+    let ids = [item.fields[0].storage_id(), item.labels.storage_id()];
+    assert_eq!(ids[0], ids[1], "fields and labels view one storage");
     rig.item(item);
     let registered = ctx.registry.shm_handle(ids[0]).unwrap();
-    assert_eq!(registered.slot, slots[0], "the slot the loader wrote");
-    // The same batch from the heap: one copy of its 64 bytes.
+    assert_eq!(registered.slot, slot, "the slot the loader wrote");
+    assert_eq!(ctx.registry.len(), 1, "registered once");
+    // The same batch from the heap: one copy of its 64 bytes, into one slot.
     let item = prep.push(batch(1, 2), true, &mut never).unwrap().unwrap();
-    assert_eq!(copied(&item), 64);
+    assert_eq!(item.collate_copied, 64);
+    assert_eq!(item.placements.len(), 1);
     rig.item(item);
     assert_eq!(ctx.metrics.counter("stage.collate_copy_bytes").get(), 64);
     rig.ack(1, 0);
@@ -1430,18 +1428,19 @@ fn publishes_from_a_lease(tag: &str, b: Batch, want: Batch) {
     rig.attach(1);
     let mut never = || panic!("the arena ran dry");
     let item = prep.push(b, true, &mut never).unwrap().unwrap();
-    let copied: Vec<u64> = item
-        .placements
-        .iter()
-        .map(|p| p.as_ref().unwrap().copied)
-        .collect();
-    assert_eq!(copied, [32, 32], "each tensor collated into a slot once");
+    assert_eq!(
+        item.collate_copied, 64,
+        "each tensor collated into the slot once"
+    );
+    assert_eq!(item.placements.len(), 1, "the batch in one slot");
     let tensors: Vec<Tensor> = item.fields.iter().chain([&item.labels]).cloned().collect();
     rig.item(item);
     let wanted = want.fields.iter().chain([&want.labels]);
     for (t, want) in tensors.iter().zip(wanted) {
         let handle = ctx.registry.shm_handle(t.storage_id()).expect("a handle");
-        assert_eq!(&arena.attach(handle).unwrap()[..], &want.gather_bytes()[..]);
+        let at = t.offset() * t.dtype().size_bytes();
+        let slot = arena.attach(handle).unwrap();
+        assert_eq!(&slot[at..at + t.view_bytes()], &want.gather_bytes()[..]);
         assert_eq!(t.device(), want.device());
     }
     drop(tensors);
@@ -1494,7 +1493,7 @@ fn an_unplaced_batch_under_a_dry_pool_waits_for_a_slot() {
     let item = prep.push(batch_with(0, 1, gpu), true, &mut dry);
     let item = item.unwrap().unwrap();
     assert_eq!(dry_spells, 1, "waited once, then leased");
-    assert!(item.placements.iter().all(Option::is_some));
+    assert_eq!(item.placements.len(), 1, "placed, in one slot");
 }
 
 // -- the slot lane: log frames to pointer consumers through arena slots ------
@@ -1510,11 +1509,16 @@ fn big_arena_ctx(tag: &str, nslots: usize) -> (TsContext, ts_tensor::SlotPool) {
     (ctx, pool)
 }
 
-/// Slots the rig's producer holds registered: two per live batch and one
-/// per tensor of every slot-backed catch-up frame not acked yet.
+/// Slots the rig's producer holds registered: two per live batch (a
+/// [`big_batch`]'s field fills a slot, so its labels start a second) and
+/// as many per slot-backed catch-up frame not acked yet, read off
+/// `stage.slots_live`.
 fn held_slots(rig: &Rig) -> usize {
     let held = rig.state.members.held.iter();
-    2 * rig.state.win.live.len() + held.map(|h| h.storages.len()).sum::<usize>()
+    let slots = 2 * rig.state.win.live.len() + held.map(|h| h.storages.len()).sum::<usize>();
+    let gauge = rig.ctx.metrics.gauge("stage.slots_live").get();
+    assert_eq!(gauge, slots as f64, "stage.slots_live");
+    slots
 }
 
 /// Every slot in use is held by the producer or idle in the pool: none
@@ -1573,8 +1577,9 @@ fn a_pointer_joiners_logged_range_comes_through_arena_slots_held_until_acked() {
         sent.extend(frames_to_2(&ctx, &rig.tick_after(0)));
         assert_conserved(&rig, &pool);
     }
-    // A frame pins a 512 KiB slot per tensor: the window is 4 frames, and
-    // they are what the producer holds.
+    // A frame pins two 512 KiB slots (the field fills one, the labels start
+    // the next): the window is 4 frames, and they are what the producer
+    // holds.
     let window = budgets_worth(2 * BIG_FIELD as u64);
     assert_eq!(window, 4);
     let seqs = |sent: &[(u64, bool)]| -> Vec<u64> { sent.iter().map(|f| f.0).collect() };
@@ -1777,23 +1782,42 @@ fn acks_past_the_head_are_refused_and_the_shard_keeps_publishing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Allocations in steady state with `consumers` attached: per batch (one
-/// publish and every consumer's ack of it, the state machine alone: frames
-/// are encoded and decoded outside the count), and in all the acks that
-/// released nothing.
-fn steady_state_allocations(consumers: u64) -> (f64, u64) {
+/// Allocations in steady state, the state machine alone (frames are
+/// encoded and decoded outside the count).
+#[derive(Debug, Default)]
+struct Allocations {
+    /// Per batch: its publish and every consumer's ack of it.
+    per_batch: f64,
+    /// Per batch: its publish.
+    publish: f64,
+    /// In all the acks that released nothing.
+    idle_acks: u64,
+    /// In all the acks that released a batch (the last consumer's).
+    releasing_acks: u64,
+}
+
+/// [`Allocations`] with `consumers` attached, batches on the heap or, with
+/// `arena`, collated into one slot each of an arena's pool.
+fn steady_state_allocations(consumers: u64, arena: bool) -> Allocations {
     const WARM: usize = 64;
     const COUNTED: usize = 256;
     let total = WARM + COUNTED;
-    let ctx = TsContext::host_only();
+    let (ctx, pool) = match arena {
+        true => {
+            let (ctx, pool) = arena_ctx(&format!("allocs-{consumers}"), 8, 8);
+            (ctx, Some(pool))
+        }
+        false => (TsContext::host_only(), None),
+    };
     let config = cfg(1, 0.0);
-    let mut prep = Preparer::new(&config, None);
+    let mut prep = Preparer::new(&config, pool);
     let mut rig = Rig::new(&ctx, config, total as u64);
     for id in 1..=consumers {
         rig.attach(id);
     }
     let mut fx = Vec::with_capacity(64);
-    let (mut per_batch, mut idle_acks) = (0, 0);
+    let mut counted = Allocations::default();
+    let (mut per_batch, mut publish) = (0, 0);
     for index in 0..total {
         let item = prepared(&mut prep, index, total);
         let mut events = vec![Event::Prepared(FeederMsg::Item(item))];
@@ -1812,8 +1836,10 @@ fn steady_state_allocations(consumers: u64) -> (f64, u64) {
             fx.clear();
             if index >= WARM {
                 per_batch += n;
-                if i > 0 && i < consumers as usize {
-                    idle_acks += n;
+                match i {
+                    0 => publish += n,
+                    i if i < consumers as usize => counted.idle_acks += n,
+                    _ => counted.releasing_acks += n,
                 }
             }
         }
@@ -1821,14 +1847,30 @@ fn steady_state_allocations(consumers: u64) -> (f64, u64) {
     }
     assert_eq!(rig.state.stats.batches_published, total as u64);
     assert_eq!(rig.state.inst.ticks, 0);
-    (per_batch as f64 / COUNTED as f64, idle_acks)
+    counted.per_batch = per_batch as f64 / COUNTED as f64;
+    counted.publish = publish as f64 / COUNTED as f64;
+    counted
 }
 
 #[test]
 fn acks_allocate_nothing_and_a_batch_costs_the_same_at_any_consumer_count() {
-    let (two, idle_two) = steady_state_allocations(2);
-    let (eight, idle_eight) = steady_state_allocations(8);
-    eprintln!("allocations per batch (publish + every ack): N=2 {two:.2}, N=8 {eight:.2}");
-    assert_eq!((idle_two, idle_eight), (0, 0), "acks releasing nothing");
-    assert!(eight <= two, "N=2 {two} < N=8 {eight}");
+    for arena in [false, true] {
+        let two = steady_state_allocations(2, arena);
+        let eight = steady_state_allocations(8, arena);
+        eprintln!("allocations (arena {arena}): N=2 {two:?}, N=8 {eight:?}");
+        assert_eq!(
+            (two.idle_acks, eight.idle_acks),
+            (0, 0),
+            "acks releasing nothing"
+        );
+        assert_eq!(
+            (two.releasing_acks, eight.releasing_acks),
+            (0, 0),
+            "acks releasing a batch"
+        );
+        assert!(
+            eight.per_batch <= two.per_batch,
+            "N=2 {two:?} < N=8 {eight:?}"
+        );
+    }
 }

@@ -239,15 +239,15 @@ fn steady_state_publish_recycles_arena_slots_without_allocating() {
     // (1) + everything that owns its slots ahead of the publish cursor
     // (inside the loader 2 workers × (2 prefetched + 1 being built), a
     // feeder queue of 2 workers × 2 prefetch, the staging hand-off's 2, one
-    // item in the feeder's hand, one in the pump's) + margin = 18 batches
-    // of 2 tensors — so the loader's workers lease from it, and warmed by
+    // item in the feeder's hand, one in the pump's) + margin = 18 batches,
+    // one slot each — so the loader's workers lease from it, and warmed by
     // pre-reserving the pool, so "warm" does not depend on how far ahead
     // the loader happened to get in the first 8 batches: with a cold pool
     // every new high-water mark of the in-flight set is a fresh
     // allocation, whenever it is reached.
-    ctx.create_arena(&arena_path, 48, 4096, &[36]).unwrap();
+    ctx.create_arena(&arena_path, 24, 4096, &[18]).unwrap();
     let pool = ctx.registry.shard_slot_pool(0).unwrap();
-    assert_eq!(pool.preallocate(36), 36);
+    assert_eq!(pool.preallocate(18), 18);
     let ep = "inproc://pool-steady";
     let mut cfg = producer_cfg(ep, 2);
     // Small join window: pins (and their slots) return to the pool early.
@@ -274,9 +274,9 @@ fn steady_state_publish_recycles_arena_slots_without_allocating() {
          (hits {}, busy discards {})",
         end.misses, end.hits, end.busy_discards
     );
-    // Each announce places 2 storages (field + labels); everything beyond
-    // the warmup set was a recycled slot.
-    assert!(end.hits >= 2 * 32 - warmed, "hits {} too low", end.hits);
+    // Each announce places 1 storage (field and labels in one slot);
+    // everything beyond the warmup set was a recycled slot.
+    assert!(end.hits >= 32 - warmed, "hits {} too low", end.hits);
     assert_eq!(ctx.metrics.counter("stage.loader_unbound").get(), 0);
     // After the run every slot is back in the pool; draining it empties
     // the arena completely.
@@ -323,8 +323,9 @@ fn gpu_staged_stream_is_byte_identical_to_the_cpu_only_stream() {
             drop(consumer);
             let stats = producer.join().unwrap();
             assert_eq!(stats.batches_published, 24, "{tag}");
-            // fields: 4 samples × 2 f32; labels: 4 × i64; nothing on the CPU.
-            let staged = u64::from(device.is_gpu()) * 24 * (4 * 8 + 4 * 8);
+            // One slot per batch, copied whole: fields (4 samples × 2 f32)
+            // at 0, labels (4 × i64) at 64; nothing on the CPU.
+            let staged = u64::from(device.is_gpu()) * 24 * (64 + 4 * 8);
             assert_eq!(stats.bytes_staged, staged, "{tag}");
             let vram = ctx.devices.memory(DeviceId::Gpu(0)).unwrap();
             assert_eq!(vram.in_use(), 0, "{tag}: a slab is still out");
@@ -1988,8 +1989,12 @@ fn sample_geometry_hints_match_the_decoded_batch() {
     let g = l.sample_geometry().expect("loader reports geometry");
     assert_eq!(g.field_bytes, vec![8], "2 x f32 per sample");
     assert_eq!(g.label_bytes, 8);
-    assert_eq!(g.tensors_per_batch(), 2);
-    assert_eq!(g.max_tensor_bytes(4), 32);
+    // 4 x 8 B of fields at 0, 4 x 8 B of labels at the next 64-byte
+    // boundary: one slot of 96 bytes holds the batch, two of 32 B do not.
+    assert_eq!(g.batch_bytes(4), 64 + 32);
+    assert_eq!(g.slots_per_batch(4, 4096), Some(1));
+    assert_eq!(g.slots_per_batch(4, 32), Some(2));
+    assert_eq!(g.slots_per_batch(4, 31), None);
 }
 
 #[test]
@@ -2127,6 +2132,127 @@ fn loader_built_batches_reach_the_arena_without_a_feeder_copy() {
 }
 
 #[test]
+fn an_auto_sized_arena_is_one_slot_per_live_batch() {
+    // Two shards over an auto-sized arena: a slot is one packed batch
+    // (fields at 0, labels at the next 64-byte boundary), page-rounded,
+    // and there are exactly as many slots as batches live at once — the
+    // window, the pins and what the loader and feeder hold ahead of it —
+    // summed over the shards, each shard's pool as deep as its share.
+    use crate::runtime::producer::batches_ahead_of_publish;
+    let ctx = TsContext::host_only();
+    let ep = "inproc://auto-one-slot";
+    let cfg = producer_cfg(ep, 2);
+    let loaders = |workers| {
+        let cfg = DataLoaderConfig {
+            batch_size: 4,
+            num_workers: workers,
+            shuffle: false,
+            drop_last: true,
+            ..Default::default()
+        };
+        DataLoader::sharded(Arc::new(IndexDataset { len: 64 }), cfg, 2)
+    };
+    let live: Vec<usize> = loaders(2)
+        .iter()
+        .map(|l| {
+            let loader = (l.batches_per_epoch() as u64, 4);
+            let ahead = batches_ahead_of_publish(&cfg, l.pipeline_hint());
+            cfg.buffer_size + cfg.pinned_per_epoch(loader) + ahead + 1
+        })
+        .collect();
+    let geometry = loaders(2)[0].sample_geometry().unwrap();
+    assert_eq!(geometry.batch_bytes(4), 64 + 4 * 8);
+    let group = Producer::builder()
+        .context(&ctx)
+        .config(cfg)
+        .arena(arena_path("auto-one-slot"))
+        .spawn_sharded(loaders(2))
+        .unwrap();
+    let arena = group.arena().unwrap().clone();
+    assert_eq!(arena.slot_size(), (64 + 4 * 8usize).next_multiple_of(4096));
+    assert_eq!(arena.nslots(), live.iter().sum::<usize>());
+    for (s, &live) in live.iter().enumerate() {
+        assert_eq!(
+            ctx.registry.shard_slot_pool(s as u32).unwrap().depth(),
+            live
+        );
+    }
+    let (trace, reason) = consume_trace(consumer(&ctx).connect(ep).unwrap());
+    assert_eq!(reason, Some(StopReason::End));
+    assert_eq!(trace, reference_trace(&loaders(0), 2));
+    group.join().unwrap();
+    for s in 0..2 {
+        let name = format!("stage.s{s}.collate_copy_bytes");
+        assert_eq!(
+            ctx.metrics.counter(&name).get(),
+            0,
+            "{name}: built in place"
+        );
+        let pool = ctx.registry.shard_slot_pool(s).unwrap().stats();
+        assert_eq!(pool.returned, 16, "shard {s}: a slot per batch: {pool:?}");
+        assert_eq!(
+            ctx.metrics.gauge(&format!("stage.s{s}.slots_live")).get(),
+            0.0
+        );
+    }
+    assert_eq!(arena.slots_in_use(), 0);
+}
+
+#[test]
+fn slots_narrower_than_a_batch_pack_it_first_fit_into_two() {
+    // An explicit geometry whose 64-byte slots hold a batch's 32-byte field
+    // but not its labels too (they would start at 64): each batch takes
+    // two slots, fields in one, labels in the next. The loader still
+    // builds in place, and a consumer with its own context — resolving
+    // handles, not ids — gets the reference stream.
+    let tag = std::process::id();
+    let tmp = std::env::temp_dir();
+    let ep = format!(
+        "ipc://{}",
+        tmp.join(format!("ts-two-slots-{tag}.sock")).display()
+    );
+    let ctx = TsContext::host_only();
+    let loader = loader_with_workers(64, 4, 2);
+    let built = loader.metrics().clone();
+    let producer = Producer::builder()
+        .context(&ctx)
+        .config(producer_cfg(&ep, 2))
+        .arena_sized(arena_path("two-slots"), 128, 64)
+        .spawn(loader)
+        .unwrap();
+    let arena = producer.arena().unwrap().clone();
+    let consumer_ctx = TsContext::host_only();
+    let mut consumer = consumer(&consumer_ctx).connect(&ep).unwrap();
+    let mut trace: ByteTrace = Vec::new();
+    for b in consumer.by_ref().flatten() {
+        assert!(
+            !Arc::ptr_eq(b.fields[0].storage(), b.labels.storage()),
+            "two slots"
+        );
+        assert_eq!(b.labels.offset(), 0, "the labels start their slot");
+        trace.push((
+            b.epoch,
+            b.shard,
+            b.index_in_epoch,
+            b.labels.to_vec_i64().unwrap(),
+            b.fields[0].gather_bytes(),
+            b.last_in_epoch,
+        ));
+    }
+    assert_eq!(consumer.stop_reason(), Some(StopReason::End));
+    drop(consumer);
+    producer.join().unwrap();
+    assert_eq!(trace, reference_trace(&[loader_with_workers(64, 4, 2)], 2));
+    assert_eq!(built.counter("loader.in_place_batches").get(), 32);
+    assert_eq!(ctx.metrics.counter("stage.loader_unbound").get(), 0);
+    assert_eq!(ctx.metrics.counter("stage.collate_copy_bytes").get(), 0);
+    let pool = ctx.registry.shard_slot_pool(0).unwrap().stats();
+    assert_eq!(pool.returned, 2 * 32, "two slots a batch: {pool:?}");
+    assert_eq!(ctx.metrics.gauge("stage.slots_live").get(), 0.0);
+    assert_eq!(arena.slots_in_use(), 0);
+}
+
+#[test]
 fn batches_that_do_not_arrive_placed_cost_one_feeder_copy() {
     // A `VecSource` hands out heap batches: the feeder collates each into
     // a leased slot — once, so the counter reads exactly the payload.
@@ -2193,8 +2319,8 @@ fn flexible_sizing_over_an_arena_still_publishes_zero_copy() {
 
 #[test]
 fn an_arena_smaller_than_the_loaders_appetite_still_completes() {
-    // Trap: 6 slots hold the publish window (2 batches of 2 tensors) and
-    // the batch in the feeder's hand. Were the 4 loader workers allowed to
+    // Trap: 6 slots hold the publish window, the batch in the feeder's
+    // hand and little more (a slot a batch). Were the 4 loader workers allowed to
     // lease from it, batches BEHIND the head of the stream would take every
     // slot while the head — built on the heap by a worker that found the
     // pool dry — waits in the feeder for a slot only a publish can free.
@@ -2306,10 +2432,11 @@ fn aborting_mid_epoch_and_replacing_a_field_both_give_every_slot_back() {
         "the abort cut the run short"
     );
     assert!(built.counter("loader.in_place_batches").get() >= 40);
-    // The replaced field is a heap tensor: the feeder copied it (and only
-    // it — the labels arrived placed).
+    // The replaced field is a heap tensor, so the batch did not arrive
+    // placed: the feeder copied it whole into one slot, the replaced field
+    // and the labels the loader had placed.
     let copied = ctx.metrics.counter("stage.collate_copy_bytes").get();
-    assert_eq!(copied, stats.batches_published * 4 * 3 * 4);
+    assert_eq!(copied, stats.batches_published * (4 * 3 * 4 + 4 * 8));
     assert!(ctx.registry.is_empty());
     assert_eq!(arena.slots_in_use(), 0, "a slot outlived its batch");
 }
@@ -2332,8 +2459,9 @@ fn each_shards_loader_leases_from_its_own_pool() {
     for (s, built) in built.iter().enumerate() {
         assert_eq!(built.counter("loader.in_place_batches").get(), 32);
         let pool = ctx.registry.shard_slot_pool(s as u32).unwrap().stats();
-        assert!(pool.hits + pool.misses >= 64, "shard {s} leased: {pool:?}");
-        assert!(pool.returned >= 64, "shard {s} reclaimed: {pool:?}");
+        // A lease and a reclaim per batch: fields and labels in one slot.
+        assert!(pool.hits + pool.misses >= 32, "shard {s} leased: {pool:?}");
+        assert!(pool.returned >= 32, "shard {s} reclaimed: {pool:?}");
         let name = format!("stage.s{s}.collate_copy_bytes");
         assert_eq!(ctx.metrics.counter(&name).get(), 0, "{name}");
     }

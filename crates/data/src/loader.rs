@@ -34,8 +34,9 @@ thread_local! {
 /// Binds `pool` to the calling thread until the returned guard drops:
 /// every [`DataLoader::epoch`] started on this thread meanwhile builds its
 /// batches — on whichever worker threads — in arena slots leased from
-/// `pool` (the heap when the pool has none to lease), and each tensor of
-/// such a batch carries its lease ([`ts_tensor::Storage::take_lease`])
+/// `pool` (the heap when the pool has none to lease): each batch in one
+/// slot when a slot holds it, its fields and labels views of the slot's
+/// storage, which carries the lease ([`ts_tensor::Storage::take_lease`])
 /// until a publish step takes it or the batch is dropped.
 ///
 /// This is how a TensorSocket producer's feeder thread offers its pool to
@@ -234,11 +235,11 @@ impl DataLoader {
     }
 
     /// The loader's metric registry: `loader.batches`, `loader.samples`,
-    /// and how the batches were built — `loader.in_place_batches` entirely
-    /// in arena slots leased from a bound pool ([`bind_slot_pool`]),
-    /// `loader.heap_batches` with at least one tensor on the heap (every
-    /// batch of an unbound loader; under a binding, a batch whose worker
-    /// found the pool dry).
+    /// and how the batches were built — `loader.in_place_batches` in arena
+    /// slots leased from a bound pool ([`bind_slot_pool`]),
+    /// `loader.heap_batches` on the heap (every batch of an unbound
+    /// loader; under a binding, a batch whose worker found the pool dry or
+    /// whose samples have a device-tagged field).
     pub fn metrics(&self) -> &Registry {
         &self.metrics
     }
@@ -376,48 +377,52 @@ impl BatchBuilder {
         };
         // The first sample is decoded on its own: it fixes the batch's
         // field count and every field's dtype, shape and device. Then the
-        // batch's memory, and every sample written once into its row.
+        // batch's memory — one leased slot for the fields and the labels
+        // when the pool has one — and every sample written once into its
+        // row.
         let first = self.decode(first_index)?;
-        let (rows, pool) = (sample_indices.len(), self.pool.as_ref());
-        let mut fields = first
+        let rows = sample_indices.len();
+        let columns = first
             .fields
             .iter()
-            .map(|sample| BatchBuf::like(rows, sample, pool))
-            .collect::<ts_tensor::Result<Vec<_>>>()?;
-        let mut labels = BatchBuf::new(rows, DType::I64, &[], DeviceId::Cpu, pool)?;
-        let in_place = labels.is_leased() && fields.iter().all(BatchBuf::is_leased);
-        let mut push_label = |label: i64| -> Result<()> {
-            let row = &mut labels.row();
+            .map(|t| (t.dtype(), t.shape(), t.device()));
+        let labels = (DType::I64, &[][..], DeviceId::Cpu);
+        let mut buf = BatchBuf::new(rows, columns.chain([labels]), self.pool.as_ref())?;
+        let in_place = buf.is_leased();
+        let nfields = first.fields.len();
+        let push_label = |row: &mut RowMut<'_>, label: i64| -> Result<()> {
             row.bytes_mut(DType::I64, &[])?
                 .copy_from_slice(&label.to_le_bytes());
             Ok(())
         };
-        for (buf, sample) in fields.iter_mut().zip(&first.fields) {
-            buf.push(sample)?;
+        {
+            let mut row = buf.row();
+            write_fields(&first.fields, &mut row[..nfields])?;
+            push_label(&mut row[nfields], first.label)?;
         }
-        push_label(first.label)?;
         for &sample_index in rest {
-            let mut row: Vec<RowMut<'_>> = fields.iter_mut().map(BatchBuf::row).collect();
+            let mut row = buf.row();
+            let (fields, label) = row.split_at_mut(nfields);
             if self.pipeline.is_empty() {
                 let raw = self.dataset.get(sample_index)?;
-                push_label(self.dataset.decode_into(&raw, &first, &mut row)?)?;
-                let written = row.iter().filter(|field| field.is_written()).count();
-                if written != row.len() {
-                    return Err(field_count_mismatch(written, row.len()));
+                push_label(
+                    &mut label[0],
+                    self.dataset.decode_into(&raw, &first, fields)?,
+                )?;
+                let written = fields.iter().filter(|field| field.is_written()).count();
+                if written != nfields {
+                    return Err(field_count_mismatch(written, nfields));
                 }
             } else {
                 // A transform returns a tensor of its own: copied into its
                 // row, the only copy it gets.
                 let dec = self.decode(sample_index)?;
-                write_fields(&dec.fields, &mut row)?;
-                push_label(dec.label)?;
+                write_fields(&dec.fields, fields)?;
+                push_label(&mut label[0], dec.label)?;
             }
         }
-        let fields = fields
-            .into_iter()
-            .map(BatchBuf::freeze)
-            .collect::<ts_tensor::Result<Vec<_>>>()?;
-        let labels = labels.freeze()?;
+        let mut fields = buf.freeze()?;
+        let labels = fields.pop().expect("labels come last");
         self.counters.batches.inc();
         self.counters.samples.add(rows as u64);
         if in_place {

@@ -24,6 +24,12 @@
 //!   memory as long as any of the producers or consumers hold a
 //!   reference".
 //!
+//! **A slot holds a batch.** The producer lays all the tensors of one
+//! batch out in one slot, each at its own offset, so a batch is one
+//! handle, one producer reference and one [`ShmArena::attach`] per
+//! consumer; slots narrower than a batch hold it in as many slots as its
+//! tensors need.
+//!
 //! Handles are 16-byte POD ([`ShmHandle::encode`]) and ride inside the
 //! announce metadata on the socket; the payload bytes never do.
 //!

@@ -73,6 +73,35 @@ impl TensorPayload {
         )
     }
 
+    /// Rebuilds the tensors of one batch, in order. Payloads that name
+    /// the storage of the one before them — the tensors of a batch packed
+    /// into one arena slot — share the storage resolved for it, so a batch
+    /// costs one table lookup or one arena attach per slot, not one per
+    /// tensor.
+    pub fn unpack_batch<'a>(
+        payloads: impl IntoIterator<Item = &'a TensorPayload>,
+        registry: &SharedRegistry,
+    ) -> Result<Vec<Tensor>> {
+        let mut resolved: Option<std::sync::Arc<crate::Storage>> = None;
+        payloads
+            .into_iter()
+            .map(|p| {
+                let storage = match resolved.take() {
+                    Some(s) if s.id() == p.storage_id => s,
+                    _ => registry.resolve(p.storage_id, p.shm, p.device)?,
+                };
+                resolved = Some(storage.clone());
+                Tensor::from_parts(
+                    storage,
+                    p.dtype,
+                    p.shape.clone(),
+                    p.strides.clone(),
+                    p.offset,
+                )
+            })
+            .collect()
+    }
+
     /// Number of elements described by the payload.
     pub fn numel(&self) -> usize {
         self.shape.iter().product()
@@ -280,6 +309,36 @@ mod tests {
         let rebuilt = decoded.unpack(&consumer).unwrap();
         assert!(rebuilt.storage().is_shared_memory());
         assert!(rebuilt.data_eq(&t));
+    }
+
+    #[test]
+    fn a_batch_in_one_slot_is_attached_once() {
+        let arena_path =
+            std::env::temp_dir().join(format!("ts-payload-batch-{}.arena", std::process::id()));
+        let arena = ts_shm::ShmArena::create(arena_path, 2, 256).unwrap();
+        let reg = SharedRegistry::new();
+        let pool = crate::SlotPool::new(arena.clone(), 2);
+        reg.bind_shard_slot_pool(0, pool.clone());
+        let fields = [Tensor::rand_u8(&[2, 4], DeviceId::Cpu, 5)];
+        let labels = [Tensor::from_i64(&[3, 4], &[2], DeviceId::Cpu).unwrap()];
+        let (tensors, mut leases) =
+            crate::cat0_batch_leased(&[&fields[..], &labels[..]], &pool).unwrap();
+        reg.register_placed(tensors[0].storage(), leases.remove(0).into_handle(), 0);
+        let payloads: Vec<TensorPayload> = tensors
+            .iter()
+            .map(|t| TensorPayload::pack_shared(t, &reg))
+            .collect();
+        assert_eq!(payloads[0].shm, payloads[1].shm, "one handle");
+        assert_eq!(payloads[1].offset, 64 / 8);
+        let consumer = SharedRegistry::new();
+        consumer.bind_arena(arena.clone());
+        let handle = payloads[0].shm.unwrap();
+        let before = arena.ref_count(handle).unwrap();
+        let rebuilt = TensorPayload::unpack_batch(&payloads, &consumer).unwrap();
+        assert_eq!(arena.ref_count(handle), Some(before + 1), "one attach");
+        assert!(rebuilt[0].data_eq(&fields[0]));
+        assert_eq!(rebuilt[1].to_vec_i64().unwrap(), [3, 4]);
+        assert_eq!(rebuilt[0].storage_id(), rebuilt[1].storage_id());
     }
 
     #[test]

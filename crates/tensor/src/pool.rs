@@ -2,8 +2,9 @@
 //! arena slots.
 //!
 //! With a [`ts_shm::ShmArena`] bound, every published batch is built in
-//! an arena slot the producer leased; without recycling that is an
-//! allocation (free-slot probe + claim) per tensor per batch. The slot
+//! an arena slot the producer leased — one slot per batch, its tensors
+//! packed in it ([`crate::SlotPacking`]); without recycling that is an
+//! allocation (free-slot probe + claim) per batch. The slot
 //! pool keeps slots whose consumers have all acked and hands them out
 //! again ([`ts_shm::ShmArena::try_recycle_in_place`]) for the next batch,
 //! so the steady-state publish path performs **zero arena allocations**:
@@ -59,10 +60,12 @@ pub struct SlotPool {
 
 impl SlotPool {
     /// A pool over `arena` retaining at most `max_free` idle slots (the
-    /// "pool depth"). Size it like the publish window: `buffer_size ×
-    /// (fields + labels)` plus rubberband headroom — deep enough that a
-    /// full window of in-flight batches can recycle without ever probing
-    /// the arena, shallow enough to leave slots for other arena users.
+    /// "pool depth"). Size it like the publish window: `buffer_size` plus
+    /// rubberband headroom, in batches — a batch takes one slot when a
+    /// slot is at least a packed batch wide, and as many as first-fit
+    /// packing needs when slots are narrower — deep enough that a full
+    /// window of in-flight batches can recycle without ever probing the
+    /// arena, shallow enough to leave slots for other arena users.
     pub fn new(arena: Arc<ShmArena>, max_free: usize) -> Self {
         Self {
             arena,

@@ -19,16 +19,20 @@
 //!
 //! * the **producer** side binds one recycling [`SlotPool`] per shard
 //!   ([`SharedRegistry::bind_shard_slot_pool`], which also binds the
-//!   pool's arena). Its feeder leases a slot, collates the batch into it
-//!   and registers the slot with [`SharedRegistry::register_placed`]; the
-//!   handle it exposes via [`SharedRegistry::shm_handle`] is what
-//!   [`crate::TensorPayload::pack_shared`] embeds in the payload metadata.
-//!   [`SharedRegistry::register`] is the table insert alone — the heap
-//!   placement of a producer with no arena;
+//!   pool's arena). Its feeder leases a slot, collates the batch into it —
+//!   every tensor of the batch a view of the slot's one storage — and
+//!   registers that storage once with [`SharedRegistry::register_placed`];
+//!   the handle it exposes via [`SharedRegistry::shm_handle`] is what
+//!   [`crate::TensorPayload::pack_shared`] embeds in the metadata of each
+//!   of the batch's tensors, beside the tensor's own `offset` in the slot.
+//!   (Slots narrower than a batch hold it in several, one registration
+//!   each.) [`SharedRegistry::register`] is the table insert alone — the
+//!   heap placement of a producer with no arena;
 //! * the **consumer** side (a different process that opened the same
 //!   arena file, [`SharedRegistry::bind_arena`]) resolves payloads it has
 //!   no local storage for by attaching the handle's slot — a zero-copy
-//!   mmap view, wrapped as a [`Storage`] ([`SharedRegistry::resolve`]).
+//!   mmap view, wrapped as a [`Storage`] ([`SharedRegistry::resolve`]),
+//!   once per slot of a batch ([`crate::TensorPayload::unpack_batch`]).
 //!
 //! Releases flow through too: [`SharedRegistry::release`] hands the
 //! producer's slot reference back to the shard's pool, and a consumer's

@@ -66,7 +66,8 @@ impl std::fmt::Debug for Reclaim {
 /// process wrap a shared-memory view ([`Storage::from_shm_view`]) or a
 /// slice of a received frame ([`Storage::from_shared_bytes`]) instead —
 /// same API, no copy — and a batch a loader decoded straight into a leased
-/// arena slot is a view of that slot which also carries the lease
+/// arena slot is one storage over that slot, viewed by each of the
+/// batch's tensors, which also carries the lease
 /// ([`Storage::from_leased_slot`]).
 #[derive(Debug)]
 pub struct Storage {

@@ -46,10 +46,11 @@ struct Live {
 /// Builds `src` as a one-row batch straight into a slot of `pool`; `None`
 /// when the pool was dry and the batch went to the heap.
 fn built_in_place(src: &Tensor, pool: &SlotPool) -> Option<Tensor> {
-    let mut buf = BatchBuf::like(1, src, Some(pool)).unwrap();
-    buf.push(src).unwrap();
+    let sample = std::slice::from_ref(src);
+    let mut buf = BatchBuf::like(1, sample, Some(pool)).unwrap();
+    buf.push(sample).unwrap();
     buf.is_leased()
-        .then(|| buf.freeze().unwrap().select(0, 0).unwrap())
+        .then(|| buf.freeze().unwrap()[0].select(0, 0).unwrap())
 }
 
 proptest! {

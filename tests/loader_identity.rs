@@ -17,7 +17,7 @@ use ts_data::{
 };
 use ts_device::DeviceId;
 use ts_shm::ShmArena;
-use ts_tensor::{stack0, SlotPool, Tensor};
+use ts_tensor::{stack0, SlotPacking, SlotPool, Tensor, PACK_ALIGN};
 
 /// `label == index`, one `F32 [2, 3, 4]` field encoding the index, and the
 /// trait's default `decode_into` (decode, then one copy into the row).
@@ -164,6 +164,34 @@ fn assert_same_batch(got: &Batch, want: &Batch, what: &str) {
     assert_same_tensor(&got.labels, &want.labels, &format!("{what}: labels"));
 }
 
+/// A batch built in the arena is laid out like one: every tensor at a
+/// 64-byte-aligned offset of its slot and one lease per slot — and when a
+/// slot holds the packed batch, fields and labels are views of one storage
+/// with one lease. Takes (and drops) the leases.
+fn assert_packed(got: &Batch, arena: &Arc<ShmArena>, what: &str) {
+    let tensors: Vec<&Tensor> = got.fields.iter().chain([&got.labels]).collect();
+    for t in &tensors {
+        let at = t.offset() * t.dtype().size_bytes();
+        assert_eq!(
+            at % PACK_ALIGN,
+            0,
+            "{what}: a tensor at byte {at} of its slot"
+        );
+    }
+    let mut storages: Vec<u64> = tensors.iter().map(|t| t.storage_id()).collect();
+    storages.dedup();
+    let packed = SlotPacking::packed_len(tensors.iter().map(|t| t.view_bytes()));
+    if packed <= arena.slot_size() {
+        assert_eq!(
+            storages.len(),
+            1,
+            "{what}: a batch that fits a slot takes one"
+        );
+    }
+    let leases = tensors.iter().filter_map(|t| t.storage().take_lease(arena));
+    assert_eq!(leases.count(), storages.len(), "{what}: one lease per slot");
+}
+
 /// One dataset through the whole grid — `num_workers` {0, 1, 3} × {heap,
 /// arena-bound} × `augments` × `drop_last` {true, false} — against the
 /// reference. Arena-bound epochs must also be built entirely in slots, and
@@ -208,6 +236,9 @@ fn check_dataset(
                         for t in got.fields.iter().chain([&got.labels]) {
                             assert_eq!(t.storage().is_shared_memory(), in_arena, "{what}");
                         }
+                        if in_arena {
+                            assert_packed(&got, arena, &what);
+                        }
                     }
                     let built = |kind: &str| loader.metrics().counter(kind).get() as usize;
                     let (in_place, heap) = match in_arena {
@@ -234,7 +265,7 @@ proptest! {
         epoch in 0u64..3,
     ) {
         // 3 workers x (2 prefetched + 1 being built) + the one being
-        // compared, of at most 2 tensors: 22 slots are never dry.
+        // compared, one slot each: 32 slots are never dry.
         let arena = temp_arena(32, 4096);
         let params = (batch_size, shuffle, seed, epoch);
         let any = [Augment::Identity, Augment::StridedView];
@@ -290,13 +321,14 @@ fn dropping_an_epoch_with_placed_batches_in_flight_frees_every_slot() {
         std::thread::yield_now();
     }
     assert!(
-        arena.slots_in_use() >= 14,
-        "placed batches hold their slots"
+        arena.slots_in_use() >= 7,
+        "placed batches hold their slots, one each"
     );
     drop(epoch);
-    assert_eq!(arena.slots_in_use(), 2, "only the batch in hand is left");
-    // A lease travels with the tensor through clones and is taken once...
-    let lease = first.fields[0].storage().take_lease(&arena).unwrap();
+    assert_eq!(arena.slots_in_use(), 1, "only the batch in hand is left");
+    // A lease travels with the batch through clones and is taken once,
+    // from whichever of its tensors...
+    let lease = first.labels.storage().take_lease(&arena).unwrap();
     assert!(clone.fields[0].storage().take_lease(&arena).is_none());
     drop((first, clone));
     assert_eq!(arena.slots_in_use(), 1, "...and outlives the tensor");

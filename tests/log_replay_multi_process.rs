@@ -42,16 +42,15 @@ const PER_EPOCH: u64 = (SAMPLES / BATCH_SIZE) as u64; // 40
 const KILL_AFTER: u64 = PER_EPOCH + PER_EPOCH / 2; // 60
 /// Arena slots in use at most while no catch-up out of the log runs: with
 /// logged pins shed it stays here; epoch-deep pinning (20 batches × 2
-/// tensors × 2 shards) would reach ~80.
-const LIVE_PEAK: usize = 60;
+/// shards, a slot each: fields and labels share it) would reach ~40.
+const LIVE_PEAK: usize = 30;
 /// Slots the resume's catch-up may hold at once. Its frames out of the log
-/// are copied into slots (2 tensors of one 4 KiB slot each, so 8 KiB) and
-/// held until acked; the 4 MiB catch-up window is 512 such frames, more
-/// than the catch-up has. That is at most one epoch of shed pins plus the
-/// logged gap before them, which starts at the victim's cursor inside the
-/// previous epoch: under 2 epochs × 20 batches per shard, × 2 tensors ×
-/// 2 shards.
-const CATCH_UP: usize = 2 * PER_EPOCH as usize * 2;
+/// are copied into slots (one 4 KiB slot each, fields and labels packed)
+/// and held until acked; the 4 MiB catch-up window is 1024 such frames,
+/// more than the catch-up has. That is at most one epoch of shed pins plus
+/// the logged gap before them, which starts at the victim's cursor inside
+/// the previous epoch: under 2 epochs × 20 batches per shard × 2 shards.
+const CATCH_UP: usize = 2 * PER_EPOCH as usize;
 
 /// `label == index`, field encodes the index: batches are deterministic
 /// and checksummable across processes.
@@ -428,13 +427,13 @@ fn log_replay_multi_process_kill9_group_resume() {
     };
     assert!(replay_counter("slot_frames") > 0, "no slot-backed frame");
     assert_eq!(replay_counter("slot_fallbacks"), 0);
-    // Pin shedding: whole-epoch pinning would hold ~80 slots; logged
+    // Pin shedding: whole-epoch pinning would hold ~40 slots; logged
     // batches must have been shed well below that. Measured before the
     // resume's catch-up, and over the whole run with it in.
     assert!(
         live_peak <= LIVE_PEAK,
         "arena peak {live_peak} slots before the catch-up — logged rubberband \
-         pins were not shed (whole-epoch pinning is ~80)"
+         pins were not shed (whole-epoch pinning is ~40)"
     );
     let peak = max_in_use.load(Ordering::Relaxed);
     assert!(

@@ -10,6 +10,9 @@
 //! * payload bytes are read from the shared-memory arena, not the socket —
 //!   every rebuilt tensor in the consumers is backed by an arena mapping
 //!   (`is_shared_memory`), and the consumers' local registries are empty;
+//! * a batch is one slot: every payload of a batch names the one handle
+//!   the consumer attaches once, its fields and labels views of one
+//!   mapping;
 //! * releases are acked back so the arena recycles slots: a deliberately
 //!   small arena survives `epochs × batches` allocations, and is fully
 //!   free after the run.
@@ -129,6 +132,15 @@ fn run_consumer() {
             batch.labels.storage().is_shared_memory(),
             "label bytes must be arena-backed"
         );
+        // One slot per batch: every payload named the same handle, which
+        // this process attached once — fields and labels view one mapping.
+        for field in &batch.fields {
+            assert!(
+                Arc::ptr_eq(field.storage(), batch.labels.storage()),
+                "a batch's tensors must view one attached slot"
+            );
+        }
+        assert_eq!(batch.labels.offset() * 8 % 64, 0, "labels 64-byte aligned");
         let field_sum = checksum(&batch.fields[0].gather_bytes());
         let label_sum = checksum(&batch.labels.gather_bytes());
         writeln!(
@@ -227,9 +239,9 @@ fn multi_process_ipc_shared_arena() {
             first_consumer_timeout: Some(Duration::from_secs(60)),
             ..Default::default()
         })
-        // Deliberately small arena: 3 epochs x 8 announces x 2 storages =
-        // 48 allocations must recycle through 12 slots, proving acked
-        // releases keep it bounded.
+        // Deliberately small arena: 3 epochs x 8 announces, one slot each
+        // (fields and labels packed in it) = 24 allocations must recycle
+        // through 12 slots, proving acked releases keep it bounded.
         .arena_sized(&arena_path, 12, 4096)
         .spawn(loader)
         .expect("spawn producer");
@@ -258,11 +270,11 @@ fn multi_process_ipc_shared_arena() {
     assert_eq!(stats.epochs_completed, EPOCHS);
     assert_eq!(stats.peak_consumers, 2, "both processes were admitted");
 
-    // Every one of the 48 tensors was leased from the 12-slot pool, and
-    // releases were acked back from both processes: every slot is free
-    // and nothing is left registered.
+    // Every one of the 24 batches was leased from the 12-slot pool, one
+    // slot each, and releases were acked back from both processes: every
+    // slot is free and nothing is left registered.
     let leases = pool.stats();
-    assert_eq!(leases.hits + leases.misses, 48, "{leases:?}");
+    assert_eq!(leases.hits + leases.misses, 24, "{leases:?}");
     assert!(leases.misses <= 12, "{leases:?}");
     assert_eq!(arena.slots_in_use(), 0, "arena must fully drain");
     assert!(ctx.registry.is_empty(), "registry must fully drain");
