@@ -13,12 +13,12 @@
 //!   publish cursor while the publish loop stages and announces.
 //!
 //! The `sharded/<n>` variants run the same epoch through an n-shard
-//! producer group (each shard a feeder+publish pipeline over
-//! its disjoint dataset partition, in lockstep under the epoch
-//! coordinator) consumed through one interleaving consumer — the
+//! producer group (each shard a feeder and its loader workers over its
+//! disjoint dataset partition, all published by one pump thread in
+//! epoch lockstep) consumed through one interleaving consumer — the
 //! multi-producer scaling axis: on multi-core runners `sharded/2`
-//! should beat `sharded/1` because the shards' loader workers and
-//! publish stages run concurrently.
+//! should beat `sharded/1` because the shards' loader workers run
+//! concurrently.
 //!
 //! The suite asserts nothing itself; `BENCH_producer_pipeline.json` lands
 //! at the repo root in the shared report schema, the CI gate compares it

@@ -230,12 +230,16 @@
 //! ## Multi-producer sharding and the `(epoch, shard, seq)` contract
 //!
 //! On many-GPU nodes one producer pipeline saturates one NUMA domain;
-//! [`ProducerBuilder::spawn_sharded`] runs `N` feeder+publish pipelines,
-//! each owning a **disjoint partition** of the dataset (build the
-//! per-shard loaders with `ts_data::DataLoader::sharded`), in lockstep
-//! under an [`EpochCoordinator`] that keeps epoch boundaries aligned and
-//! join admission consistent — a consumer joining mid-epoch replays the
-//! epoch prefix from *every* shard, not just one.
+//! [`ProducerBuilder::spawn_sharded`] runs `N` pipelines — a feeder and its
+//! loader workers, a publisher endpoint, a pool and a log each — over
+//! **disjoint partitions** of the dataset (build the per-shard loaders
+//! with `ts_data::DataLoader::sharded`). One pump thread steps every
+//! shard's state machine in turn, so the group rules are plain code over
+//! the shards' states: epoch boundaries open in lockstep once every shard
+//! finished, and a join is decided once, by the first shard that sees it,
+//! and applied on every shard in the same step — a consumer joining
+//! mid-epoch replays the epoch prefix from *every* shard, not just one.
+//! A producer of one shard runs the same code as a group of one.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -282,20 +286,21 @@
 //! stages batches on the device, registers them, announces pointers and
 //! serves joins, acks and heartbeats. There is one pipeline shape.
 //!
-//! The producer thread is a *pump* over a plain state machine
-//! (`runtime::state`): it blocks in exactly one call — one `poll` over
-//! the control socket's connections, which it reads itself, and that
-//! socket's doorbell — and every other source of work (the feeder's
-//! queue, the log spiller's progress) keeps its own queue and rings the
-//! latest-wins doorbell after enqueueing, at the cost of a system call
-//! only when the pump sleeps. Whatever woke the pump becomes one event
-//! (`Ctrl(frame)`, `Prepared(item)`, `Logged`, `Tick`, `Stop`) fed to
-//! `State::step(now, event, &mut effects)`, and the effects (`Send`,
-//! `Spill`, `Finish`) are executed in order. The state machine owns no
+//! The producer thread is a *pump* over plain state machines
+//! (`runtime::state`, one per shard): it blocks in exactly one call — one
+//! `poll` over every shard's control connections, which it reads itself,
+//! and their doorbells — and every other source of work (each feeder's
+//! queue, each log spiller's progress) keeps its own queue and rings its
+//! shard's latest-wins doorbell after enqueueing, at the cost of a system
+//! call only when the pump sleeps. Whatever woke the pump becomes one
+//! event for one shard (`Ctrl(frame)`, `Prepared(item)`, `Logged`,
+//! `Tick`, `Stop`) fed to `State::step(now, event, siblings, &mut
+//! effects)`, and that shard's effects (`Send`, `Spill`, `Finish`) are
+//! executed in order on its own publisher. The state machine owns no
 //! socket, thread or clock, so every decision is unit-tested by feeding
 //! it events (`runtime/step_tests.rs`). At any moment it is waiting for
 //! exactly one thing — the [`Wait`] enum, exported as
-//! `stage.[s<N>.]wait_state`: the group `barrier`, a ready consumer
+//! `stage.[s<N>.]wait_state`: the other shards at the epoch `barrier`, a ready consumer
 //! (`consumers`), the feeder's next `item`, the publish `window`, an
 //! `arena` slot, or the final acks (`drain`) — and control frames,
 //! scrapes and ticks are handled identically in all six. A late joiner's
@@ -411,7 +416,7 @@
 //! | `consumer.interarrival_ns` | histogram | ns | time between consecutive batches yielded to training |
 //! | `consumer.stream_rx_ns` | histogram | ns | rebuild of one batch from streamed bytes (non-shm consumers) |
 //! | `stage.[s<N>.]pin_depth` | gauge | batches | rubberband pins currently holding memory (a pin shed to the durable log stays replayable but is not counted); maintained per event as a batch enters or leaves the pin range, read in O(1) |
-//! | `stage.[s<N>.]wait_state` | gauge | code | what the producer is waiting for: 0 `barrier`, 1 `consumers`, 2 `item`, 3 `window`, 4 `arena`, 5 `drain` ([`Wait::ALL`]) |
+//! | `stage.[s<N>.]wait_state` | gauge | code | what the producer is waiting for: 0 `barrier` (this shard finished the epoch; the others have not), 1 `consumers`, 2 `item`, 3 `window`, 4 `arena`, 5 `drain` ([`Wait::ALL`]) |
 //! | `replay.[s<N>.]inflight_bytes` | gauge | bytes | frames of the catch-up being served that are sent and not yet acked by its consumer (the catch-up window; 0 when none runs) |
 //! | `consumer.cursor_lag` | gauge | batches | producer cursor position minus this consumer's, per the last cursor flush |
 //! | `staging.[s<N>.]slab_occupancy` | gauge | slabs | VRAM rotation slabs currently leased |
@@ -608,7 +613,7 @@
 //! * [`protocol`] — pure, time-injected state machines: the publish
 //!   window and release tracking, both read off one acked-through word per
 //!   consumer ([`protocol::cursors::Cursors`]), liveness ([`protocol::heartbeat::HeartbeatMonitor`]),
-//!   late-join admission ([`protocol::rubberband::RubberbandPolicy`]), flexible batch
+//!   late-join admission for a group of any size ([`protocol::rubberband::admission`]), flexible batch
 //!   planning ([`protocol::flex`]) and batch-order variation
 //!   ([`protocol::order`]). The virtual-time simulator (`ts-sim`) drives
 //!   these same state machines, so the evaluated protocol and the shipped
@@ -616,8 +621,8 @@
 //! * [`runtime`] — the threaded runtime behind the [`Producer`] /
 //!   [`Consumer`] facades: the producer pipelines over `ts-socket`
 //!   PUB/SUB + PUSH/PULL with real payload sharing through the
-//!   [`ts_tensor::SharedRegistry`], and the sharded-group layer
-//!   ([`EpochCoordinator`]).
+//!   [`ts_tensor::SharedRegistry`], every shard of a producer stepped by
+//!   one pump.
 
 pub mod protocol;
 pub mod runtime;
@@ -637,7 +642,6 @@ pub use protocol::rubberband::RubberbandPolicy;
 pub use runtime::builder::{ConsumerBuilder, Producer, ProducerBuilder};
 pub use runtime::consumer::{Consumer, ConsumerBatch};
 pub use runtime::context::TsContext;
-pub use runtime::coordinator::{EpochCoordinator, GroupJoin};
 pub use runtime::producer::{EpochSource, ProducerStats, SampleGeometry};
 pub use runtime::scrape::{scrape_stats, scrape_trace};
 pub use runtime::{FlexibleConfig, ProducerConfig, StagingConfig, Wait};

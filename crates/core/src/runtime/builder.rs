@@ -8,7 +8,7 @@
 //! about. Two facades are the whole entry surface:
 //!
 //! * [`Producer::builder()`] — one handle over one pipeline or a
-//!   coordinated sharded group (one source = the one-shard case). It
+//!   sharded group in lockstep (one source = the one-shard case). It
 //!   auto-creates and auto-sizes the shared-memory arena and its
 //!   recycling slot pool from the loader's own geometry and pipeline
 //!   hints ([`crate::runtime::producer::SampleGeometry`]), instead of
@@ -25,7 +25,6 @@ use crate::protocol::messages::PayloadMode;
 use crate::runtime::config::{FlexibleConfig, ProducerConfig, ProducerMap};
 use crate::runtime::consumer::Consumer;
 use crate::runtime::context::TsContext;
-use crate::runtime::coordinator::EpochCoordinator;
 use crate::runtime::producer::{
     batches_ahead_of_publish, EpochSource, ProducerStats, TensorProducer,
 };
@@ -275,9 +274,9 @@ impl ProducerBuilder {
     }
 
     /// Spawns one producer pipeline per source — source `i` must own
-    /// shard `i`'s disjoint partition (`DataLoader::sharded`) — in
-    /// lockstep under an epoch coordinator. One source spawns a plain
-    /// producer with no coordination overhead.
+    /// shard `i`'s disjoint partition (`DataLoader::sharded`) — all served
+    /// by one pump thread that keeps their epochs in lockstep. One source
+    /// is a group of one.
     pub fn spawn_sharded<S: EpochSource>(self, sources: Vec<S>) -> Result<Producer> {
         if let Some(e) = self.endpoint_err {
             return Err(e);
@@ -313,40 +312,23 @@ impl ProducerBuilder {
             ));
         }
         let endpoint = cfg.endpoint.clone();
-        // One source is a plain pipeline with no coordination overhead;
-        // several run in lockstep under one epoch coordinator.
-        let coordinator =
-            (shards > 1).then(|| Arc::new(EpochCoordinator::new(shards, cfg.heartbeat_timeout)));
         // Every shard's base comes from one override-aware map; the full
         // override table stays only on shard 0, whose WELCOME advertises
         // it (a non-zero shard's own single-shard endpoint layout must
         // root at its resolved base, not re-apply group overrides).
         let group_map = EndpointMap::with_overrides(&endpoint, shards, cfg.shard_endpoints.clone());
-        let mut pipelines: Vec<TensorProducer> = Vec::with_capacity(shards);
-        for (shard, source) in sources.into_iter().enumerate() {
+        let pipelines = sources.into_iter().enumerate().map(|(shard, source)| {
             let mut shard_cfg = cfg.clone();
             shard_cfg.endpoint = group_map.shard_base(shard);
             if shard != 0 {
                 shard_cfg.shard_endpoints = Vec::new();
             }
-            match TensorProducer::spawn(source, &ctx, shard_cfg, coordinator.clone(), shard as u32)
-            {
-                Ok(p) => pipelines.push(p),
-                Err(e) => {
-                    // Unwind the shards already running.
-                    if let Some(c) = &coordinator {
-                        c.stop();
-                    }
-                    for p in &pipelines {
-                        p.abort();
-                    }
-                    return Err(e);
-                }
-            }
-        }
+            (shard_cfg, source)
+        });
+        let pump = TensorProducer::spawn(&ctx, pipelines.collect())?;
         Ok(Producer {
-            pipelines,
-            coordinator,
+            pump,
+            shards,
             endpoint,
             ctx,
             arena,
@@ -473,11 +455,9 @@ impl ProducerBuilder {
 /// producer.join().unwrap();
 /// ```
 pub struct Producer {
-    /// One feeder+publish pipeline per shard (index = shard).
-    pipelines: Vec<TensorProducer>,
-    /// The epoch coordinator keeping the shards in lockstep; `None` for a
-    /// single pipeline.
-    coordinator: Option<Arc<EpochCoordinator>>,
+    /// The one pump thread serving every shard's pipeline.
+    pump: TensorProducer,
+    shards: usize,
     endpoint: String,
     ctx: TsContext,
     arena: Option<Arc<ShmArena>>,
@@ -501,7 +481,7 @@ impl Producer {
 
     /// Number of shard pipelines (1 for a plain producer).
     pub fn num_shards(&self) -> usize {
-        self.pipelines.len()
+        self.shards
     }
 
     /// The base endpoint URI consumers attach to.
@@ -520,19 +500,9 @@ impl Producer {
         self.arena.as_ref()
     }
 
-    /// The epoch coordinator, when sharded (inspection and tests).
-    pub fn coordinator(&self) -> Option<&Arc<EpochCoordinator>> {
-        self.coordinator.as_ref()
-    }
-
     /// Requests every pipeline to stop after the batch in flight.
     pub fn abort(&self) {
-        if let Some(c) = &self.coordinator {
-            c.stop();
-        }
-        for p in &self.pipelines {
-            p.abort();
-        }
+        self.pump.abort();
     }
 
     /// Waits for every pipeline to finish; returns the stats aggregated
@@ -562,12 +532,8 @@ impl Producer {
     /// Waits for every pipeline to finish; returns per-shard stats
     /// (index = shard).
     pub fn join_shards(self) -> Result<Vec<ProducerStats>> {
-        let shards = self.num_shards();
-        let stats = self
-            .pipelines
-            .into_iter()
-            .map(TensorProducer::join)
-            .collect::<Result<Vec<_>>>()?;
+        let shards = self.shards;
+        let stats = self.pump.join()?;
         // The builder provisioned the recycling pools, so it also drains
         // them: idle recycled slots hold a producer reference each, and
         // without this the arena would report them in use forever.

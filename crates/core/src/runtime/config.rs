@@ -70,7 +70,7 @@ pub struct ProducerConfig {
     /// [`ProducerConfig::endpoint`] by scheme rules — for shards that must
     /// listen on another interface, port range or socket directory than the
     /// base endpoint implies. Every shard pipeline still runs in the
-    /// spawning process, under its one epoch coordinator. Sorted by shard;
+    /// spawning process, stepped by its one pump. Sorted by shard;
     /// advertised verbatim in the WELCOME so consumers follow without
     /// out-of-band configuration.
     pub shard_endpoints: Vec<(u32, String)>,

@@ -2,14 +2,14 @@
 //! [`ConsumerState`] from `TsContext::host_only()` with no link open, feeds
 //! it events with a time it advances by hand, and reads the effects. No
 //! socket, no thread, no clock, no sleep. The last tests put producer
-//! `State`s — one, or two shards under a real `EpochCoordinator` — on the
-//! other end of the effects (`World`): both halves of exactly-once, back
-//! to back in memory, on one hand-advanced clock.
+//! `State`s — one, or two shards stepped as a group the way the pump
+//! steps them — on the other end of the effects (`World`): both halves of
+//! exactly-once, back to back in memory, on one hand-advanced clock.
 
 use super::*;
 use crate::protocol::messages::{caps, FlexBatchPayload, LogAd, StreamedTensor};
 use crate::runtime::config::ProducerConfig;
-use crate::runtime::coordinator::EpochCoordinator;
+use crate::runtime::group;
 use crate::runtime::producer::{spill_one, Preparer, TensorProducer};
 use crate::runtime::staging::FeederMsg;
 use crate::runtime::state::{self, State, Wait};
@@ -870,9 +870,9 @@ struct Peer {
 
 type Row = (u64, usize, u64, Vec<u8>, Vec<i64>);
 
-/// Producer `State`s — one, or the shards of a group under a real
-/// [`EpochCoordinator`] — and their consumers with the wires replaced by a
-/// queue: a shard's `Effect::Send` goes to every peer subscribed there to a
+/// Producer `State`s — one, or the shards of a group, stepped through the
+/// group step on one thread as the pump steps them — and their consumers
+/// with the wires replaced by a queue: a shard's `Effect::Send` goes to every peer subscribed there to a
 /// prefix of the topic as `Event::Frame`, `Effect::Ctrl` goes back to its
 /// shard as `Event::Ctrl`, and with a log bound `Effect::Spill` is appended
 /// on the spot and its `Event::Logged` queued. Delivery is first in, first
@@ -917,14 +917,13 @@ impl World {
     /// [`World::new`] in `ctx` (an arena may be bound to it), each shard
     /// opening its log when `config` names one.
     fn in_ctx(ctx: TsContext, config: ProducerConfig, shards: usize, per_epoch: u64) -> Self {
-        let timeout = config.heartbeat_timeout;
-        let coord = (shards > 1).then(|| Arc::new(EpochCoordinator::new(shards, timeout)));
+        let group = shards as u32;
         let state = |shard| {
-            let (config, coord) = (config.clone(), coord.clone());
-            let shard_ns = coord.as_ref().map(|_| shard);
+            let config = config.clone();
+            let shard_ns = (group > 1).then_some(shard);
             let log = (config.log.as_ref())
                 .map(|l| TensorProducer::open_log(&ctx, l, shard_ns, shard).unwrap());
-            State::new(&ctx, config, coord, shard, log, (per_epoch, 4), 0)
+            State::new(&ctx, config, (shard, group), log, (per_epoch, 4), 0)
         };
         let mut world = World {
             shards: (0..shards as u32).map(state).collect(),
@@ -935,13 +934,12 @@ impl World {
             hold: |_| false,
             held: VecDeque::new(),
         };
-        let mut fx = Vec::new();
-        for shard in &mut world.shards {
-            shard.start(0, &mut fx);
-        }
-        assert!(fx.is_empty(), "nothing to say before anyone joined");
-        // The last shard to arrive opened the barrier; the others look.
-        world.tick();
+        let mut fx: Vec<Vec<state::Effect>> = (0..shards).map(|_| Vec::new()).collect();
+        group::start(&mut world.shards, 0, &mut fx);
+        assert!(
+            fx.iter().all(Vec::is_empty),
+            "nothing to say before anyone joined"
+        );
         assert!(world.shards.iter().all(|s| s.wait() == Wait::Consumers));
         world
     }
@@ -1082,10 +1080,13 @@ impl World {
         self.run(held);
     }
 
+    /// One group step for `shard`; every shard's effects go on the wire.
     fn produce(&mut self, shard: usize, ev: state::Event, wire: &mut VecDeque<Wire>) {
-        let mut fx = Vec::new();
-        self.shards[shard].step(self.now, ev, &mut fx);
-        self.producer_did(shard, fx, wire);
+        let mut fx: Vec<Vec<state::Effect>> = self.shards.iter().map(|_| Vec::new()).collect();
+        group::step(&mut self.shards, shard, self.now, ev, &mut fx);
+        for (shard, fx) in fx.into_iter().enumerate() {
+            self.producer_did(shard, fx, wire);
+        }
     }
 
     /// One event for producer shard `shard`, and everything that follows
@@ -1099,27 +1100,6 @@ impl World {
         while let Some(busy) = self.shards.iter().position(State::busy) {
             self.step(busy, state::Event::Tick);
         }
-    }
-
-    /// Every shard looks at the time (and, parked there, at the barrier).
-    fn tick(&mut self) {
-        for shard in 0..self.shards.len() {
-            self.step(shard, state::Event::Tick);
-        }
-    }
-
-    /// What the consumers' heartbeat threads do: every peer, every shard.
-    fn beat(&mut self) {
-        let beat = |p: &Peer| CtrlMsg::Heartbeat {
-            consumer_id: p.state.id,
-        };
-        let shards = 0..self.shards.len();
-        let beats = shards.flat_map(|shard| {
-            let beats = self.peers.iter().map(beat);
-            beats.map(move |msg| Wire::Up { shard, msg })
-        });
-        let wire = beats.collect();
-        self.run(wire);
     }
 
     /// Publishes loader batch `index` of `total` on each shard of `on`;
@@ -1150,13 +1130,12 @@ impl World {
         rows
     }
 
-    /// The feeders are through `epoch`; the barrier opens once every shard
-    /// has said so and looked again.
+    /// The feeders are through `epoch`; the barrier opens in the step of
+    /// the last shard to say so.
     fn end_epoch(&mut self, epoch: u64) {
         for shard in 0..self.shards.len() {
             self.step(shard, state::Event::Prepared(FeederMsg::EpochDone(epoch)));
         }
-        self.tick();
     }
 
     /// Closes every shard and checks each peer saw exactly `reference`.
@@ -1344,12 +1323,12 @@ fn interleaved(mut rows: Vec<Row>) -> Vec<Row> {
 
 #[test]
 fn two_shards_a_join_reaching_the_empty_shard_first_still_gets_the_other_shards_prefix() {
-    // ROADMAP item 1, schedule (vi), end to end. A is admitted on shard 0
-    // and shard 0 is two batches into the epoch while A's JOIN is still on
-    // its way to shard 1. B's JOIN reaches shard 1 — no member, nothing
-    // published — before it reaches shard 0. "Nobody is training" is true
-    // of shard 1 and false of the group: B must be admitted from the
-    // epoch's start everywhere, or it never sees shard 0's first two.
+    // ROADMAP item 1, schedule (vi), end to end. A's JOIN to shard 1 is
+    // held on the wire, and shard 0 is two batches into the epoch when B's
+    // JOIN reaches shard 1 — nothing published there — before it reaches
+    // shard 0. "Nobody is training" is false of the group: B must be
+    // admitted from the epoch's start everywhere, or it never sees shard
+    // 0's first two batches.
     const PER_EPOCH: usize = 4;
     let config = world_cfg(2);
     let mut prep = [Preparer::new(&config, None), Preparer::new(&config, None)];
@@ -1361,18 +1340,25 @@ fn two_shards_a_join_reaching_the_empty_shard_first_still_gets_the_other_shards_
     };
     world.join(1, PayloadMode::Shm);
     assert_eq!(world.held.len(), 1, "A's JOIN to shard 1 is in flight");
+    // Shard 0 decided A's JOIN for the group: shard 1 admitted A in the
+    // same step, and A is attached to both.
+    assert!(world.peers[0].state.attached);
     assert_eq!(world.shards[0].wait(), Wait::Item);
-    assert_eq!(world.shards[1].wait(), Wait::Consumers);
+    assert_eq!(world.shards[1].wait(), Wait::Item);
     let mut rows = Vec::new();
     for index in 0..2 {
         rows.extend(world.publish(&mut prep, &[0], 0, index, PER_EPOCH));
     }
-    assert!(world.peers[0].got.is_empty(), "A is not attached yet");
+    // A takes shard 0's first batch, then waits for shard 1's.
+    assert_eq!(world.peers[0].got.len(), 1);
     world.join(2, PayloadMode::Shm);
     assert_eq!(world.held.len(), 2, "B has asked shard 1, and only shard 1");
+    assert!(world.peers[1].state.attached, "admitted on both by shard 1");
+    assert_eq!(world.shards[0].stats.batches_replayed, 2, "B's prefix");
+    // The held copies arrive late and change nothing.
     world.release();
     assert!(world.peers.iter().all(|p| p.state.attached));
-    assert_eq!(world.shards[0].stats.batches_replayed, 2, "B's prefix");
+    assert_eq!(world.shards[0].stats.batches_replayed, 2);
     // Shard 1 catches up with shard 0, then both run on, through a
     // coordinated boundary and a second epoch.
     for index in 0..2 {
@@ -1390,14 +1376,13 @@ fn two_shards_a_join_reaching_the_empty_shard_first_still_gets_the_other_shards_
 }
 
 #[test]
-fn two_shards_an_admission_decided_and_never_applied_holds_the_barrier_until_it_expires() {
-    // B's JOIN reaches shard 0 — decided for the group, applied there —
-    // and is lost on the way to shard 1. B stays alive (it beats), so
-    // nobody abandons the admission: only its age can let go of the
-    // barrier and of shard 1's pins, and that age is measured on the
-    // clock this script advances.
+fn two_shards_an_admission_is_applied_on_every_shard_in_the_step_that_decides_it() {
+    // B's JOIN reaches shard 0 and is lost on the way to shard 1. Shard 0
+    // decides it for the group and admits B on both shards in that one
+    // step: B is attached, shard 1 holds B's prefix by B's own cursor, and
+    // the epoch boundary has nothing to wait for — no admission is ever
+    // decided and not applied.
     let config = world_cfg(2);
-    let timeout = config.heartbeat_timeout.as_nanos() as u64;
     let mut prep = [Preparer::new(&config, None), Preparer::new(&config, None)];
     let mut world = World::new(config, 2, 2);
     world.join(1, PayloadMode::Shm);
@@ -1410,39 +1395,31 @@ fn two_shards_an_admission_decided_and_never_applied_holds_the_barrier_until_it_
             }
         )
     };
-    let before = world.now;
+    let mut rows = world.publish(&mut prep, &[0, 1], 0, 0, 2);
     world.join(2, PayloadMode::Shm);
-    let after = world.now;
-    assert_eq!(world.held.len(), 1);
-    assert!(!world.peers[1].state.attached);
-    // The epoch goes out to A (and, on shard 0, to B, which buffers it).
-    for index in 0..2 {
-        world.publish(&mut prep, &[0, 1], 0, index, 2);
-    }
-    assert_eq!(world.peers[0].got.len(), 4);
-    world.end_epoch(0);
-    let parked = |world: &World| world.shards.iter().map(State::wait).collect::<Vec<_>>();
-    assert_eq!(parked(&world), [Wait::Barrier; 2], "everyone has arrived");
-    // Halfway, everybody shows life; just short of the admission's age
-    // limit (to the nanosecond: the coordinator's own test) the barrier is
-    // still shut...
-    world.now = before + timeout / 2;
-    world.beat();
-    world.now = before + timeout - MS;
-    world.tick();
-    assert!(world.now < before + timeout);
+    assert_eq!(world.held.len(), 1, "B's JOIN to shard 1 is lost");
+    assert!(world.peers[1].state.attached, "admitted on both shards");
+    assert!(world.shards.iter().all(|s| s.stats.peak_consumers == 2));
     assert_eq!(
-        parked(&world),
-        [Wait::Barrier; 2],
-        "decided, unapplied, not expired"
+        world.peers[1].got.len(),
+        2,
+        "from the epoch's start, on both"
     );
-    assert!(world.peers.iter().all(|p| p.state.stopped.is_none()));
-    // ... and once it is that old, the next look opens it. B is still a
-    // member of shard 0: it was not abandoned, it expired.
-    world.beat();
-    world.now = after + timeout;
-    world.tick();
-    assert_eq!(parked(&world), [Wait::Item; 2], "epoch 1 is open");
+    rows.extend(world.publish(&mut prep, &[0, 1], 0, 1, 2));
+    assert!(world.peers.iter().all(|p| p.got.len() == 4));
+    // Both shards finish the epoch and the boundary opens at once, with
+    // nobody's heartbeat having to run out.
+    world.end_epoch(0);
+    let waits = world.shards.iter().map(State::wait);
+    assert!(waits.eq([Wait::Item; 2]), "epoch 1 is open");
+    // The lost copy turns up after all, and is a duplicate.
+    world.release();
+    assert!(world.shards.iter().all(|s| s.stats.peak_consumers == 2));
+    for index in 0..2 {
+        rows.extend(world.publish(&mut prep, &[0, 1], 1, index, 2));
+    }
+    world.end_epoch(1);
     let detached = world.ctx.metrics.counter("producer.detached");
     assert_eq!(detached.get(), 0, "nobody's heartbeat ran out");
+    world.finish(&interleaved(rows), &["A", "B"]);
 }

@@ -5,7 +5,7 @@ pub mod config;
 pub mod consumer;
 mod consumer_state;
 pub mod context;
-pub mod coordinator;
+mod group;
 pub mod producer;
 mod pump;
 pub mod scrape;
@@ -15,7 +15,6 @@ pub mod state;
 pub use builder::{ConsumerBuilder, Producer, ProducerBuilder};
 pub use config::{FlexibleConfig, ProducerConfig};
 pub use consumer::Consumer;
-pub use coordinator::{EpochCoordinator, GroupJoin};
 pub use scrape::{scrape_stats, scrape_trace};
 pub use staging::StagingConfig;
 pub use state::Wait;

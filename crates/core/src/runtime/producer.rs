@@ -11,11 +11,14 @@
 //!   clock, so every decision (admission, replay order, release, expiry,
 //!   which of the six things the producer is waiting for) is testable by
 //!   feeding it events.
-//! * the **pump** (`runtime::pump`) does. It owns the sockets and the
-//!   helper threads, blocks in exactly one call (`PullSocket::wait` on the
-//!   control socket), turns whatever woke it into one `Event`, calls
-//!   `step`, and executes the returned `Effect`s in order: send a frame,
-//!   tee a batch to the log spiller, finish.
+//! * the **pump** (`runtime::pump`) does. One pump thread serves every
+//!   shard: it owns their sockets and helper threads, blocks in exactly
+//!   one call (`PullSocket::wait` over every shard's control socket),
+//!   turns whatever woke it into one `Event` for one shard, steps the
+//!   shards as a group (`runtime::group`: the shard's `step`, then the
+//!   barrier and join rules that span shards), and executes each shard's
+//!   `Effect`s in order on that shard's publisher: send a frame, tee a
+//!   batch to the log spiller, finish. One shard is a group of one.
 //!
 //! Upstream of the pump a **feeder** thread owns the wrapped loader and
 //! prepares batches *ahead of the publish cursor*: it iterates the loader
@@ -40,8 +43,8 @@
 //! `num_workers == 0` runs the same feeder at depth 1: there is one
 //! pipeline shape.
 //!
-//! **Wake-ups.** The pump's one blocking call is a `poll` over the control
-//! socket's connections and its [`ts_socket::Bell`]. Control frames need
+//! **Wake-ups.** The pump's one blocking call is a `poll` over every
+//! shard's control connections and [`ts_socket::Bell`]s. Control frames need
 //! nobody in between: a consumer's ack is written by the consumer's thread
 //! and read by the pump's, and an announce is written by the pump's thread
 //! and read by the consumer's (in its one wait over every shard's link) —
@@ -53,11 +56,11 @@
 //! would not take. Every other source keeps its own typed queue —
 //! the feeder's bounded channel (whose back-pressure is the feeder's
 //! pacing), the copy stage's, the spiller's progress counter — and rings
-//! the bell after enqueueing: two stores while the pump is awake, one
-//! `write` only when it sleeps. `abort` rings it too. Only the group
-//! barrier does not ring (the coordinator is plain state behind a mutex,
-//! stepped by whichever shard calls it), so that wait alone polls on a
-//! short constant tick.
+//! its shard's bell after enqueueing: two stores while the pump is awake,
+//! one `write` only when it sleeps. `abort` rings it too. The epoch
+//! barrier needs no bell and no tick: it is a check the group makes after
+//! every step, so the step in which the last shard finishes its epoch
+//! opens the next one on all of them.
 //!
 //! **A dry arena is a wait state, not a mode.** When a pool-backed arena
 //! has no slot to lease, the feeder parks (observing `stop`) and says so
@@ -73,8 +76,7 @@
 use crate::protocol::messages::{AnnounceContent, BatchAnnounce, DataMsg, StreamedTensor};
 use crate::runtime::config::{ProducerConfig, ProducerMap};
 use crate::runtime::context::TsContext;
-use crate::runtime::coordinator::EpochCoordinator;
-use crate::runtime::pump::Pump;
+use crate::runtime::pump::{Lane, Pump};
 use crate::runtime::staging::{FeederMsg, PreparedItem, StagingEngine};
 use crate::runtime::state::{Event, LogTee, SpillMsg, StageMetrics, State};
 use crate::{Result, TsError};
@@ -741,14 +743,14 @@ pub struct ProducerStats {
     /// Joins rejected.
     pub joins_rejected: u64,
 }
-/// Handle to one running producer pipeline (one shard of a
-/// [`crate::Producer`]).
+/// Handle to a running producer: the one pump thread that serves every
+/// shard of a [`crate::Producer`].
 ///
 /// Mirrors the paper's `producer.join()` clean-up call (Figure 3b): the
 /// producer thread runs every epoch, then waits for outstanding acks and
 /// publishes `End`.
 pub(crate) struct TensorProducer {
-    handle: Option<std::thread::JoinHandle<ProducerStats>>,
+    handle: Option<std::thread::JoinHandle<Vec<ProducerStats>>>,
     stop: Arc<AtomicBool>,
     /// Wakes the pump to see `stop`.
     bell: Bell,
@@ -762,70 +764,79 @@ impl std::fmt::Debug for TensorProducer {
     }
 }
 
+/// Refuses a configuration no pipeline can run.
+fn check(cfg: &ProducerConfig) -> Result<()> {
+    if cfg.buffer_size == 0 {
+        return Err(TsError::Config("buffer_size must be >= 1".into()));
+    }
+    if let Some(flex) = &cfg.flexible {
+        if flex.producer_batch == 0 {
+            return Err(TsError::Config("producer_batch must be >= 1".into()));
+        }
+    }
+    if cfg.log.is_some() && cfg.flexible.is_some() {
+        return Err(TsError::Config(
+            "durable log and flexible sizing are incompatible: per-consumer carved \
+             views have no streamed serialization to store"
+                .into(),
+        ));
+    }
+    Ok(())
+}
+
 impl TensorProducer {
-    /// Spawns the producer thread over `source` — standalone, or as shard
-    /// `shard` of a group when `coord` is given: epoch boundaries, join
-    /// admission and pin release then go through the coordinator.
-    pub(crate) fn spawn(
-        source: impl EpochSource,
+    /// Binds every shard's sockets and opens its log, then spawns the pump
+    /// thread over them: shard `i` publishes source `i` under config `i`.
+    /// Nothing runs until every shard is set up, so a failure leaves
+    /// nothing to unwind.
+    pub(crate) fn spawn<S: EpochSource>(
         ctx: &TsContext,
-        cfg: ProducerConfig,
-        coord: Option<Arc<EpochCoordinator>>,
-        shard: u32,
+        shards: Vec<(ProducerConfig, S)>,
     ) -> Result<TensorProducer> {
-        if cfg.buffer_size == 0 {
-            return Err(TsError::Config("buffer_size must be >= 1".into()));
-        }
-        if let Some(flex) = &cfg.flexible {
-            if flex.producer_batch == 0 {
-                return Err(TsError::Config("producer_batch must be >= 1".into()));
+        let count = shards.len() as u32;
+        let shard_ns = |shard: u32| (count > 1).then_some(shard);
+        let (mut states, mut lanes, mut sources) = (Vec::new(), Vec::new(), Vec::new());
+        for (shard, (cfg, source)) in (0..count).zip(shards) {
+            check(&cfg)?;
+            let loader = (
+                source.batches_per_epoch() as u64,
+                source.batch_size() as u64,
+            );
+            // Pinned batches keep their slabs past full acknowledgement, so
+            // the rotation must cover the pin set.
+            let pins = cfg.pinned_per_epoch(loader);
+            let staging = StagingEngine::build(ctx, &cfg, shard_ns(shard), pins)?;
+            let publisher = PubSocket::bind(&ctx.sockets, &cfg.data_endpoint())
+                .map_err(|e| TsError::Socket(e.to_string()))?;
+            let ctrl = PullSocket::bind(&ctx.sockets, &cfg.ctrl_endpoint())
+                .map_err(|e| TsError::Socket(e.to_string()))?;
+            let log = match &cfg.log {
+                None => None,
+                Some(logcfg) => Some(Self::open_log(ctx, logcfg, shard_ns(shard), shard)?),
+            };
+            let now = ctx.trace.now_ns();
+            let mut state = State::new(ctx, cfg, (shard, count), log, loader, now);
+            if let Some(engine) = &staging {
+                state.watch_h2d(engine.h2d_hist());
             }
-        }
-        if cfg.log.is_some() && cfg.flexible.is_some() {
-            return Err(TsError::Config(
-                "durable log and flexible sizing are incompatible: per-consumer carved \
-                 views have no streamed serialization to store"
-                    .into(),
-            ));
-        }
-        let shard_ns = coord.as_ref().map(|_| shard);
-        let loader = (
-            source.batches_per_epoch() as u64,
-            source.batch_size() as u64,
-        );
-        // Pinned batches keep their slabs past full acknowledgement, so the
-        // rotation must cover the pin set.
-        let pins = cfg.pinned_per_epoch(loader);
-        let staging = StagingEngine::build(ctx, &cfg, shard_ns, pins)?;
-        let publisher = PubSocket::bind(&ctx.sockets, &cfg.data_endpoint())
-            .map_err(|e| TsError::Socket(e.to_string()))?;
-        let ctrl = PullSocket::bind(&ctx.sockets, &cfg.ctrl_endpoint())
-            .map_err(|e| TsError::Socket(e.to_string()))?;
-        let log = match &cfg.log {
-            None => None,
-            Some(logcfg) => Some(Self::open_log(ctx, logcfg, shard_ns, shard)?),
-        };
-        let name = match shard_ns {
-            Some(s) => format!("tensorsocket-producer-s{s}"),
-            None => "tensorsocket-producer".to_string(),
-        };
-        let mut state = State::new(ctx, cfg, coord, shard, log, loader, ctx.trace.now_ns());
-        if let Some(engine) = &staging {
-            state.watch_h2d(engine.h2d_hist());
+            states.push(state);
+            lanes.push(Lane {
+                publisher,
+                ctrl,
+                staging,
+            });
+            sources.push(source);
         }
         let stop = Arc::new(AtomicBool::new(false));
-        let bell = ctrl.bell();
+        let bell = lanes[0].ctrl.bell();
         let pump = Pump {
-            state,
-            publisher,
-            ctrl,
+            shards: states,
+            lanes,
             stop: stop.clone(),
-            spiller: None,
-            staging,
         };
         let handle = std::thread::Builder::new()
-            .name(name)
-            .spawn(move || pump.run(source))
+            .name("tensorsocket-producer".to_string())
+            .spawn(move || pump.run(sources))
             .map_err(|e| TsError::Socket(format!("spawn failed: {e}")))?;
         Ok(TensorProducer {
             handle: Some(handle),
@@ -868,14 +879,15 @@ impl TensorProducer {
         self.bell.ring();
     }
 
-    /// Waits for the producer to finish all epochs and shut down cleanly.
+    /// Waits for the producer to finish all epochs and shut down cleanly;
+    /// returns every shard's stats (index = shard).
     ///
     /// Joining an aborted producer is not an error: the partial
     /// [`ProducerStats`] accumulated up to the abort are returned (with
     /// `epochs_completed` short of the configured count), and the
     /// producer skips the outstanding-ack drain so the join returns
     /// promptly. `Err` is reserved for a panicked producer thread.
-    pub(crate) fn join(mut self) -> Result<ProducerStats> {
+    pub(crate) fn join(mut self) -> Result<Vec<ProducerStats>> {
         let handle = self.handle.take().expect("join called once");
         handle
             .join()

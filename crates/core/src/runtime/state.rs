@@ -2,19 +2,21 @@
 //! takes the time, one `Event` and a buffer for `Effect`s, and touches
 //! no socket, no thread and no clock.
 //!
-//! The pump in `crate::runtime::producer` is the only caller in
-//! production: it blocks in one place, turns whatever woke it into an
-//! event, calls `step`, and executes the effects in order. Tests call
-//! `step` directly with a `u64` they advance by hand, which makes every
-//! decision in here — admission, replay order, release, expiry, the wait
-//! state — checkable without a sleep.
+//! One `State` is one shard. The pump in `crate::runtime::pump` owns every
+//! shard's and is the only caller in production: it blocks in one place,
+//! turns whatever woke it into an event for one shard, steps the group
+//! (`crate::runtime::group`: the shard's `step`, then the rules that span
+//! shards), and executes each shard's effects in order. Tests step a group
+//! directly with a `u64` they advance by hand, which makes every decision
+//! in here — admission, replay order, release, expiry, the wait state —
+//! checkable without a sleep.
 //!
 //! What the state owns is in-memory only: the shared registry (placing and
 //! releasing payloads), the metrics registry and flight recorder
-//! (recording, never reading a clock), the durable log's read side, and
-//! the group coordinator when sharded — which reads no clock either: it is
-//! handed the same `now`. Device staging happens upstream, in the pump's
-//! copy stage; an item reaches `step` on the device it is published from.
+//! (recording, never reading a clock) and the durable log's read side.
+//! What it knows of the other shards it is handed with each step, as
+//! `Siblings`. Device staging happens upstream, in the pump's copy
+//! stage; an item reaches `step` on the device it is published from.
 //! The fields split along
 //! four seams: `Membership` (who is attached, admission, heartbeats, the
 //! replay queue), `Window` (the ack cursors, live batches, pins, the epoch
@@ -84,10 +86,10 @@ use crate::protocol::messages::{
     JoinDecision, LogAd, PayloadMode, ReplayFrom, StatsPayload, StreamedTensor, TracePayload,
     WelcomeInfo, WIRE_VERSION,
 };
-use crate::protocol::rubberband::{JoinOutcome, RubberbandPolicy};
+use crate::protocol::rubberband::{admission, Admission, RubberbandPolicy, ShardStand};
 use crate::runtime::config::ProducerConfig;
 use crate::runtime::context::TsContext;
-use crate::runtime::coordinator::{EpochCoordinator, GroupJoin};
+use crate::runtime::group::Siblings;
 use crate::runtime::producer::{replay_start, streamed_content, ProducerStats};
 use crate::runtime::staging::{FeederMsg, PreparedItem, WELCOME_STAGING};
 use crate::{Result, TsError};
@@ -109,10 +111,6 @@ use ts_tensor::{collate, SharedRegistry, Storage, Tensor, TensorPayload};
 /// retention and heartbeat expiry run once per tick, the watchdog every
 /// fourth.
 const TICK_NS: u64 = 25_000_000;
-/// How often a shard parked at the group barrier looks at it again — the
-/// one wait nobody rings the pump out of (the coordinator is plain shared
-/// state with no doorbell of its own).
-const BARRIER_TICK_NS: u64 = 200_000;
 /// Bytes of one catch-up that may be sent and not yet acked. A log frame
 /// is a whole batch, hundreds of KiB and up, in the receiver's memory or
 /// in the arena slots it pins, so this holds a replay to a handful of
@@ -134,7 +132,8 @@ pub(crate) fn catch_up_frames(frame_bytes: u64) -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Wait {
-    /// Parked at the sharded group's epoch barrier.
+    /// Finished the epoch; waits for every other shard to finish theirs
+    /// (a producer of one shard passes straight through).
     Barrier = 0,
     /// No consumer is attached and ready; nothing is published.
     Consumers,
@@ -496,8 +495,8 @@ struct Window {
     pending: Option<(PreparedItem, u64)>,
     epoch: u64,
     /// The epoch `epoch_start_seq` and the pins belong to. Lags `epoch` by
-    /// one while a shard is parked at the barrier: a join admitted there
-    /// replays the previous epoch's pins and its reply must say so.
+    /// one while a shard waits at the barrier: a `LogInfo` or `WaitEpoch`
+    /// it answers then speaks of the epoch whose pins it still holds.
     pin_epoch: u64,
     epoch_start_seq: u64,
     /// Announcements per epoch (loader batches, or producer batches under
@@ -612,20 +611,27 @@ struct Instruments {
     slots_live: u64,
 }
 
-/// One producer pipeline's whole decision state. See the module docs.
+/// A join this shard decided for the group, to be applied on the others.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Joiner {
+    id: u64,
+    batch_size: u32,
+    mode: PayloadMode,
+    admission: Admission,
+}
+
+/// One shard's whole decision state. See the module docs.
 pub(crate) struct State {
     pub(crate) cfg: ProducerConfig,
     pub(crate) ctx: TsContext,
-    pub(crate) coord: Option<Arc<EpochCoordinator>>,
     pub(crate) shard: u32,
     policy: RubberbandPolicy,
     wait: Wait,
-    /// Barrier generation awaited in [`Wait::Barrier`].
-    barrier: u64,
     /// Give-up time of [`Wait::Consumers`] (first-consumer timeout) and
-    /// [`Wait::Drain`] (heartbeat timeout); next look at the barrier in
-    /// [`Wait::Barrier`].
+    /// [`Wait::Drain`] (heartbeat timeout).
     until: Option<u64>,
+    /// The join the current step decided, until the group takes it.
+    joined: Option<Joiner>,
     members: Membership,
     win: Window,
     log: Option<LogTee>,
@@ -634,21 +640,21 @@ pub(crate) struct State {
 }
 
 impl State {
-    /// `loader` is the source's `(batches_per_epoch, batch_size)`.
+    /// Shard `shard` of `shards`; `loader` is the source's
+    /// `(batches_per_epoch, batch_size)`.
     pub(crate) fn new(
         ctx: &TsContext,
         cfg: ProducerConfig,
-        coord: Option<Arc<EpochCoordinator>>,
-        shard: u32,
+        (shard, shards): (u32, u32),
         log: Option<LogTee>,
         loader: (u64, u64),
         now: u64,
     ) -> Self {
-        let shard_ns = coord.as_ref().map(|_| shard);
+        let shard_ns = (shards > 1).then_some(shard);
         let expected_announces = cfg.announces_per_epoch(loader);
         let welcome = WelcomeInfo {
             version: WIRE_VERSION,
-            shards: coord.as_ref().map(|c| c.num_shards() as u32).unwrap_or(1),
+            shards,
             batch_size: loader.1 as u32,
             flex_producer_batch: cfg
                 .flexible
@@ -720,12 +726,11 @@ impl State {
             },
             cfg,
             ctx: ctx.clone(),
-            coord,
             shard,
             policy,
             wait: Wait::Consumers,
-            barrier: 0,
             until: None,
+            joined: None,
             log,
             stats: ProducerStats::default(),
         }
@@ -769,7 +774,7 @@ impl State {
     /// a limit of its own that only time can trip.
     pub(crate) fn deadline(&self) -> u64 {
         let limited = match self.wait {
-            Wait::Barrier | Wait::Drain => true,
+            Wait::Drain => true,
             Wait::Consumers => self.members.consumers.is_empty(),
             _ => false,
         };
@@ -782,17 +787,25 @@ impl State {
         self.inst.announced.take()
     }
 
-    /// Enters epoch 0. Call once before the first [`State::step`].
+    /// Arrives at epoch 0's barrier (the group opens it). Call once before
+    /// the first [`State::step`].
     pub(crate) fn start(&mut self, now: u64, fx: &mut Vec<Effect>) {
-        self.enter_epoch(now, 0, fx);
+        self.enter_epoch(now, 0);
         self.advance(now, fx);
     }
 
     /// Feeds one event; appends what must be done about it to `fx`.
-    pub(crate) fn step(&mut self, now: u64, ev: Event, fx: &mut Vec<Effect>) {
+    /// `siblings` are the group's other shards, as they stand.
+    pub(crate) fn step(
+        &mut self,
+        now: u64,
+        ev: Event,
+        siblings: Siblings<'_>,
+        fx: &mut Vec<Effect>,
+    ) {
         match ev {
-            Event::Ctrl(frame) => self.on_ctrl(now, &frame, fx),
-            Event::Prepared(msg) => self.on_prepared(now, msg, fx),
+            Event::Ctrl(frame) => self.on_ctrl(now, &frame, siblings, fx),
+            Event::Prepared(msg) => self.on_prepared(now, msg),
             Event::Logged { up_to, failed } => self.on_logged(up_to, failed),
             Event::Tick => {}
             // Aborted: skip the drain, `join` must return promptly.
@@ -839,21 +852,17 @@ impl State {
     }
 
     /// Moves whatever can move: one replay frame, then the transition the
-    /// current wait state was waiting for (they cascade: an opened barrier
-    /// can start the epoch in the same step).
+    /// current wait state was waiting for (they cascade: a consumer's
+    /// `Ready` can start the epoch and publish in the same step). Only the
+    /// group leaves [`Wait::Barrier`].
     fn advance(&mut self, now: u64, fx: &mut Vec<Effect>) {
         if self.busy() {
             self.replay_one(now, fx);
         }
-        if self.wait == Wait::Barrier {
-            match self.coord.clone() {
-                Some(coord) if coord.is_stopped() => self.enter_drain(now),
-                Some(coord) if coord.reached(now, self.barrier) => self.open_epoch(now, fx),
-                Some(_) => self.until = Some(now + BARRIER_TICK_NS), // look again then
-                // `enter_epoch` waits here only in its `Some(coord)` arm
-                None => self.fail(now, "barrier wait without a coordinator"),
-            }
-        }
+        self.transitions(now, fx);
+    }
+
+    fn transitions(&mut self, now: u64, fx: &mut Vec<Effect>) {
         let m = &self.members;
         let all_ready = !m.consumers.is_empty() && m.awaiting_ready.is_empty();
         if self.wait == Wait::Consumers {
@@ -887,28 +896,20 @@ impl State {
         }
     }
 
-    fn enter_epoch(&mut self, now: u64, epoch: u64, fx: &mut Vec<Effect>) {
+    /// Waits at the barrier for the other shards; the pins stay until the
+    /// group opens the epoch.
+    fn enter_epoch(&mut self, now: u64, epoch: u64) {
         if epoch >= self.cfg.epochs {
             return self.enter_drain(now);
         }
         self.win.epoch = epoch;
-        match self.coord.clone() {
-            // Align with the other shards BEFORE flushing the pin set: pins
-            // survive the boundary, so a join racing it still replays from
-            // every shard.
-            Some(coord) => {
-                let pin_limit = self.policy.pinned_batches(self.win.expected_announces);
-                self.barrier = coord.arrive(now, self.shard, epoch, pin_limit);
-                self.set_wait(now, Wait::Barrier);
-            }
-            None => self.open_epoch(now, fx),
-        }
+        self.set_wait(now, Wait::Barrier);
     }
 
-    /// The epoch begins: the previous epoch's pins go (they stayed alive
-    /// across the boundary for late rubberband joins), parked joiners are
-    /// admitted, and the wait for a ready consumer starts.
-    fn open_epoch(&mut self, now: u64, fx: &mut Vec<Effect>) {
+    /// The group opened the barrier: the previous epoch's pins go (they
+    /// stayed alive across the boundary), parked joiners are admitted, the
+    /// wait for a ready consumer starts, and whatever that lets move moves.
+    pub(crate) fn open_epoch(&mut self, now: u64, fx: &mut Vec<Effect>) {
         self.close_join_window();
         let w = &mut self.win;
         w.pins_shut = false;
@@ -923,6 +924,7 @@ impl State {
             .first_consumer_timeout
             .map(|d| now + d.as_nanos() as u64);
         self.set_wait(now, Wait::Consumers);
+        self.transitions(now, fx);
     }
 
     /// After the final epoch, or when the pipeline cannot continue: wait
@@ -940,7 +942,7 @@ impl State {
         self.enter_drain(now);
     }
 
-    fn on_prepared(&mut self, now: u64, msg: FeederMsg, fx: &mut Vec<Effect>) {
+    fn on_prepared(&mut self, now: u64, msg: FeederMsg) {
         match msg {
             FeederMsg::Item(item) => {
                 debug_assert!(self.win.pending.is_none(), "one item in hand at a time");
@@ -949,7 +951,7 @@ impl State {
             }
             FeederMsg::EpochDone(e) if e == self.win.epoch => {
                 self.stats.epochs_completed += 1;
-                self.enter_epoch(now, e + 1, fx);
+                self.enter_epoch(now, e + 1);
             }
             FeederMsg::EpochDone(_) => {}
             FeederMsg::ArenaDry if self.wants_item() => self.set_wait(now, Wait::Arena),
@@ -973,14 +975,6 @@ impl State {
             return;
         }
         self.win.pins_shut = true;
-        if let Some(coord) = &self.coord {
-            // Shuts the group's window; an admission already decided but
-            // not applied here still needs the pins.
-            coord.note_published(self.shard, u64::MAX);
-            if coord.pin_window_open(self.shard) {
-                return;
-            }
-        }
         let before = self.win.live.len();
         self.close_join_window();
         let shed = (before - self.win.live.len()) as u64;
@@ -1011,10 +1005,6 @@ impl State {
             (SpanKind::Publish, (dequeued_at.max(1), now)),
         ] {
             self.ctx.trace.record(epoch, shard, seq, kind, start, end);
-        }
-        let progress = self.win.pin_progress();
-        if let Some(coord) = &self.coord {
-            coord.note_published(shard, progress);
         }
         let batch = LiveBatch {
             epoch,
@@ -1061,16 +1051,11 @@ impl State {
         {
             self.inst.stage.cursor_coalesced.inc();
         }
-        // In a group the pin predicate is global: keep pinning while ANY
-        // shard could still admit a joiner, and while a decided admission
-        // has not been applied here.
-        let open = match &self.coord {
-            Some(coord) => coord.pin_window_open(shard),
-            None => self
-                .policy
-                .window_open(progress, self.win.expected_announces),
-        };
-        if open || self.win.published_in_epoch() == 1 {
+        // Pinned while this shard's join window is open: the group admits
+        // from the epoch's start only while every shard's is (see
+        // `crate::runtime::group`).
+        let (progress, expected) = (self.win.pin_progress(), self.win.expected_announces);
+        if self.policy.window_open(progress, expected) || self.win.published_in_epoch() == 1 {
             let w = &mut self.win;
             if w.pins.is_empty() {
                 w.pins.start = seq;
@@ -1531,7 +1516,7 @@ impl State {
         })
     }
 
-    fn on_ctrl(&mut self, now: u64, frame: &Bytes, fx: &mut Vec<Effect>) {
+    fn on_ctrl(&mut self, now: u64, frame: &Bytes, siblings: Siblings<'_>, fx: &mut Vec<Effect>) {
         let Ok(ctrl) = CtrlMsg::decode_shared(frame) else {
             return;
         };
@@ -1603,7 +1588,7 @@ impl State {
                 consumer_id,
                 batch_size,
                 mode,
-            } => self.on_join(now, consumer_id, batch_size, mode, fx),
+            } => self.on_join(now, consumer_id, batch_size, mode, siblings, fx),
             CtrlMsg::Ready { consumer_id } if self.members.awaiting_ready.remove(&consumer_id) => {
                 self.members.join_replies.remove(&consumer_id);
                 self.queue_pin_replay(consumer_id);
@@ -1660,10 +1645,11 @@ impl State {
         id: u64,
         batch_size: u32,
         mode: PayloadMode,
+        siblings: Siblings<'_>,
         fx: &mut Vec<Effect>,
     ) {
         if self.members.knows(id) {
-            return; // duplicate join
+            return; // duplicate join, or decided already by another shard
         }
         let reject = match &self.cfg.flexible {
             // The WELCOME never grants STREAM from a flexible producer.
@@ -1683,37 +1669,61 @@ impl State {
             self.stats.joins_rejected += 1;
             return;
         }
-        let w = &self.win;
-        let (at_epoch_start, at_current) = (w.epoch_start_seq, w.cursors.next_seq());
-        let nobody = self.members.consumers.is_empty();
-        let start_seq = match &self.coord {
-            // One shard of a group: admission is decided ONCE for the group
-            // (first shard to ask decides, against global state). A decision
-            // stamped with an epoch this shard has not begun means the
-            // barrier opened while it was still parked: its pins and
-            // `epoch_start_seq` are the previous epoch's, so defer.
-            Some(coord) => match coord.decide_join(now, id) {
-                (GroupJoin::WaitNextEpoch, _) => None,
-                (_, decided_for) if decided_for != w.pin_epoch => None,
-                (GroupJoin::AdmitReplay, _) => Some(at_epoch_start),
-                (GroupJoin::AdmitAtCurrent, _) => Some(at_current),
-            },
-            // Mid-epoch with nobody attached ("consumers may join training
-            // at any point in an epoch", §3.3.1): nothing to halt, nothing
-            // to replay.
-            None if nobody && w.published_in_epoch() > 0 => Some(at_current),
-            None => match self.policy.decide(w.pin_progress(), w.expected_announces) {
-                JoinOutcome::AdmitReplay { .. } => Some(at_epoch_start),
-                JoinOutcome::WaitNextEpoch => None,
-            },
+        // The first shard to see a join decides it for the group, from
+        // where every shard stands; the group applies it on the others.
+        let stands = std::iter::once(&*self)
+            .chain(siblings.iter())
+            .map(State::stand);
+        let joiner = Joiner {
+            id,
+            batch_size,
+            mode,
+            admission: admission(stands),
         };
-        match start_seq {
-            Some(start_seq) => self.admit(now, id, batch_size, mode, start_seq, fx),
-            None => {
+        self.join(now, joiner, fx);
+        self.joined = Some(joiner);
+    }
+
+    /// Where this shard stands for a join decision.
+    fn stand(&self) -> ShardStand {
+        ShardStand {
+            at_barrier: self.wait == Wait::Barrier,
+            published: self.win.pin_progress(),
+            pinned: self.policy.pinned_batches(self.win.expected_announces),
+            members: self.members.consumers.len(),
+        }
+    }
+
+    /// The join the last step decided, once.
+    pub(crate) fn take_joined(&mut self) -> Option<Joiner> {
+        self.joined.take()
+    }
+
+    /// Applies a join decided for the group (here or on another shard):
+    /// admits at this shard's epoch start or current position, or parks
+    /// the joiner until the next epoch. Nothing else can move for it: an
+    /// admitted joiner holds publishing until its `Ready`.
+    pub(crate) fn join(&mut self, now: u64, joiner: Joiner, fx: &mut Vec<Effect>) {
+        let Joiner {
+            id,
+            batch_size,
+            mode,
+            admission,
+        } = joiner;
+        if self.members.knows(id) {
+            return; // its own copy of the join came first
+        }
+        let w = &self.win;
+        match admission {
+            Admission::EpochStart => self.admit(now, id, batch_size, mode, w.epoch_start_seq, fx),
+            Admission::Current => self.admit(now, id, batch_size, mode, w.cursors.next_seq(), fx),
+            Admission::NextEpoch => {
                 self.ctx.metrics.counter("producer.joins_parked").inc();
                 self.members.pending_join.push((id, batch_size, mode));
                 self.members.hb.beat(id, now);
-                let epoch = self.win.epoch + 1;
+                // Not `epoch`, which already names the next one while this
+                // shard waits at the barrier.
+                let epoch = self.win.pin_epoch + 1;
                 self.reply_join(id, JoinDecision::WaitEpoch { epoch }, fx);
             }
         }
@@ -1760,21 +1770,11 @@ impl State {
         };
         let reply = self.reply_join(id, decision, fx);
         self.members.join_replies.insert(id, reply);
-        if let Some(coord) = &self.coord {
-            coord.note_members(self.shard, self.members.consumers.len());
-            coord.applied(now, self.shard, id);
-        }
     }
 
     fn remove_consumer(&mut self, now: u64, id: u64, notify: bool, fx: &mut Vec<Effect>) {
         let m = &mut self.members;
         m.consumers.remove(&id);
-        if let Some(coord) = &self.coord {
-            // A decided admission for a gone consumer must not keep the
-            // group's pins alive or wedge the barrier.
-            coord.abandon(now, id);
-            coord.note_members(self.shard, m.consumers.len());
-        }
         m.awaiting_ready.remove(&id);
         m.join_replies.remove(&id);
         m.pending_join.retain(|(j, ..)| *j != id);

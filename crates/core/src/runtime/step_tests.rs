@@ -1,10 +1,13 @@
 //! The producer's decisions, scripted: every test here builds a
 //! [`State`] from `TsContext::host_only()` with no endpoint bound, feeds
-//! it events with a time it advances by hand, and reads the effects. No
-//! socket, no thread, no clock, no sleep.
+//! it events through the group step — a group of one, or of two where the
+//! rules that span shards are the point — with a time it advances by
+//! hand, and reads the effects. No socket, no thread, no clock, no sleep.
 
 use super::*;
+use crate::runtime::group;
 use crate::runtime::producer::{spill_one, EpochSource, Preparer, TensorProducer, VecSource};
+use std::slice;
 use std::time::Duration;
 use ts_data::Batch;
 use ts_device::DeviceId;
@@ -29,17 +32,16 @@ struct Rig {
 
 impl Rig {
     fn new(ctx: &TsContext, cfg: ProducerConfig, batches_per_epoch: u64) -> Self {
-        Self::coordinated(ctx, cfg, batches_per_epoch, None, None)
+        Self::with_log(ctx, cfg, batches_per_epoch, None)
     }
 
-    fn coordinated(
+    fn with_log(
         ctx: &TsContext,
         cfg: ProducerConfig,
         batches_per_epoch: u64,
-        coord: Option<Arc<EpochCoordinator>>,
         log: Option<LogTee>,
     ) -> Self {
-        let state = State::new(ctx, cfg, coord, 0, log, (batches_per_epoch, 4), 0);
+        let state = State::new(ctx, cfg, (0, 1), log, (batches_per_epoch, 4), 0);
         let mut rig = Rig {
             state,
             ctx: ctx.clone(),
@@ -47,36 +49,20 @@ impl Rig {
             spills: VecDeque::new(),
         };
         let mut fx = Vec::new();
-        rig.state.start(0, &mut fx);
+        group::start(slice::from_mut(&mut rig.state), 0, slice::from_mut(&mut fx));
         assert!(fx.is_empty(), "nothing to say before anyone joined");
         rig
     }
 
     fn decode(&mut self, fx: Vec<Effect>) -> Vec<Out> {
-        let mut out = Vec::new();
-        for effect in fx {
-            out.push(match effect {
-                Effect::Send { topic, frame } => {
-                    let frame = frame.into_contiguous();
-                    let msg = DataMsg::decode_shared(&frame.frames()[0]).expect("valid frame");
-                    Out::Msg(topic.into_owned(), msg)
-                }
-                Effect::Spill(m) => {
-                    let seq = m.seq;
-                    self.spills.push_back(m);
-                    Out::Spill(seq)
-                }
-                Effect::Finish => Out::Finish,
-            });
-        }
-        out
+        decode(fx, &mut self.spills)
     }
 
     /// One step, 10 µs after the previous one.
     fn step(&mut self, ev: Event) -> Vec<Out> {
         self.now += 10_000;
         let mut fx = Vec::new();
-        self.state.step(self.now, ev, &mut fx);
+        step_one(&mut self.state, self.now, ev, &mut fx);
         self.decode(fx)
     }
 
@@ -144,6 +130,79 @@ impl Rig {
     fn wait_gauge(&self) -> f64 {
         self.ctx.metrics.gauge("stage.wait_state").get()
     }
+}
+
+/// Decodes `fx`, queueing its spill hand-offs on `spills`.
+fn decode(fx: Vec<Effect>, spills: &mut VecDeque<SpillMsg>) -> Vec<Out> {
+    let decoded = fx.into_iter().map(|effect| match effect {
+        Effect::Send { topic, frame } => {
+            let frame = frame.into_contiguous();
+            let msg = DataMsg::decode_shared(&frame.frames()[0]).expect("valid frame");
+            Out::Msg(topic.into_owned(), msg)
+        }
+        Effect::Spill(m) => {
+            let seq = m.seq;
+            spills.push_back(m);
+            Out::Spill(seq)
+        }
+        Effect::Finish => Out::Finish,
+    });
+    decoded.collect()
+}
+
+/// Two shards of one group, stepped the way the pump steps them.
+struct Pair {
+    shards: Vec<State>,
+    now: u64,
+}
+
+impl Pair {
+    fn new(ctx: &TsContext, cfg: ProducerConfig, batches_per_epoch: u64) -> Self {
+        let state = |s| State::new(ctx, cfg.clone(), (s, 2), None, (batches_per_epoch, 4), 0);
+        let mut shards: Vec<State> = (0..2).map(state).collect();
+        let mut fx = [Vec::new(), Vec::new()];
+        group::start(&mut shards, 0, &mut fx);
+        assert!(
+            fx.iter().all(Vec::is_empty),
+            "nothing to say before anyone joined"
+        );
+        Pair { shards, now: 0 }
+    }
+
+    /// One event for `shard`, 10 µs after the previous one; what each
+    /// shard said.
+    fn step(&mut self, shard: usize, ev: Event) -> [Vec<Out>; 2] {
+        self.now += 10_000;
+        let mut fx = [Vec::new(), Vec::new()];
+        group::step(&mut self.shards, shard, self.now, ev, &mut fx);
+        fx.map(|fx| decode(fx, &mut VecDeque::new()))
+    }
+
+    fn ctrl(&mut self, shard: usize, msg: CtrlMsg) -> [Vec<Out>; 2] {
+        self.step(shard, Event::Ctrl(msg.encode()))
+    }
+
+    fn join(&mut self, shard: usize, id: u64) -> [Vec<Out>; 2] {
+        let mode = PayloadMode::Shm;
+        let (consumer_id, batch_size) = (id, 0);
+        self.ctrl(
+            shard,
+            CtrlMsg::Join {
+                consumer_id,
+                batch_size,
+                mode,
+            },
+        )
+    }
+
+    fn waits(&self) -> [Wait; 2] {
+        [self.shards[0].wait(), self.shards[1].wait()]
+    }
+}
+
+/// One step of a group of one.
+fn step_one(state: &mut State, now: u64, ev: Event, fx: &mut Vec<Effect>) {
+    group::step(slice::from_mut(state), 0, now, ev, slice::from_mut(fx));
 }
 
 /// `(epoch, replay_from, start_seq)` of an `AdmitReplay` reply in `out`.
@@ -643,29 +702,32 @@ fn hello_stats_and_trace_are_answered_in_every_wait_state() {
     rig.ack(1, 0);
     rig.step(Event::Prepared(FeederMsg::EpochDone(0)));
     probe(&mut rig, Wait::Drain);
-    // One shard of two, the other not at the barrier yet.
-    let coord = Arc::new(EpochCoordinator::new(2, Duration::from_secs(5)));
+    // One shard of two at the barrier, the other not there yet.
     let ctx = TsContext::host_only();
-    let mut rig = Rig::coordinated(&ctx, config, 3, Some(coord.clone()), None);
+    let mut pair = Pair::new(&ctx, cfg(2, 0.02), 3);
+    pair.step(0, Event::Prepared(FeederMsg::EpochDone(0)));
+    assert_eq!(pair.waits(), [Wait::Barrier, Wait::Consumers]);
     assert_eq!(
         ctx.metrics.gauge("stage.s0.wait_state").get(),
         0.0,
         "barrier is code 0, in the shard's namespace"
     );
-    assert_eq!(rig.state.wait(), Wait::Barrier);
-    let out = rig.ctrl(CtrlMsg::Hello {
-        token: 5,
-        version: WIRE_VERSION,
-        caps: caps::KNOWN,
-    });
-    assert!(matches!(&out[..], [Out::Msg(_, DataMsg::Welcome { .. })]));
-    assert!(
-        rig.state.deadline() <= rig.now + MS,
-        "the barrier is polled"
+    let [out, _] = pair.ctrl(
+        0,
+        CtrlMsg::Hello {
+            token: 5,
+            version: WIRE_VERSION,
+            caps: caps::KNOWN,
+        },
     );
-    coord.arrive(rig.now, 1, 0, 1);
-    rig.tick_after(0);
-    assert_eq!(rig.state.wait(), Wait::Consumers);
+    assert!(matches!(&out[..], [Out::Msg(_, DataMsg::Welcome { .. })]));
+    // Nobody polls the barrier: the waiting shard's next look at the
+    // time is its housekeeping tick, and the other shard's arrival is
+    // what opens it, in the same step.
+    assert_eq!(pair.shards[0].deadline(), TICK_NS);
+    pair.step(1, Event::Prepared(FeederMsg::EpochDone(0)));
+    assert_eq!(pair.waits(), [Wait::Consumers; 2]);
+    assert!(pair.shards.iter().all(|s| s.win.epoch == 1));
 }
 
 #[test]
@@ -689,7 +751,7 @@ fn a_dry_arena_parks_the_feeder_instead_of_copying() {
     let log = TensorProducer::open_log(&ctx, config.log.as_ref().unwrap(), None, 0).unwrap();
     let source = VecSource::new((0..12).map(|i| batch(i, 12)).collect()).unwrap();
     let mut prep = Preparer::new(&config, ctx.registry.shard_slot_pool(0));
-    let mut rig = Rig::coordinated(&ctx, config, 12, None, Some(log));
+    let mut rig = Rig::with_log(&ctx, config, 12, Some(log));
     rig.attach(1);
     let mut dry_spells = 0;
     for (i, b) in source.epoch(0).enumerate() {
@@ -845,7 +907,7 @@ fn pin_depth_is_exact_after_every_step() {
     config.log = Some(ts_log::LogConfig::new(&dir));
     let log = TensorProducer::open_log(&ctx, config.log.as_ref().unwrap(), None, 0).unwrap();
     let mut prep = Preparer::new(&config, None);
-    let mut rig = Rig::coordinated(&ctx, config, 4, None, Some(log));
+    let mut rig = Rig::with_log(&ctx, config, 4, Some(log));
     let mut item = |r: &mut Rig, i| r.item(prepared(&mut prep, i, 4));
     rig.attach(1);
     assert_eq!(exact_pin_depth(&mut rig, |r| item(r, 0)), 1);
@@ -965,7 +1027,7 @@ fn late_group_in(
     config.log = Some(ts_log::LogConfig::new(&dir));
     let log = TensorProducer::open_log(ctx, config.log.as_ref().unwrap(), None, 0).unwrap();
     let mut prep = Preparer::new(&config, ctx.registry.shard_slot_pool(0));
-    let mut rig = Rig::coordinated(ctx, config, frames as u64, None, Some(log));
+    let mut rig = Rig::with_log(ctx, config, frames as u64, Some(log));
     rig.attach(1);
     for index in 0..frames {
         let last = index + 1 == frames;
@@ -1179,7 +1241,7 @@ fn a_rejoining_members_logged_range_goes_out_ahead_of_its_own_pin_replay() {
     config.log = Some(ts_log::LogConfig::new(&dir));
     let log = TensorProducer::open_log(&ctx, config.log.as_ref().unwrap(), None, 0).unwrap();
     let mut prep = Preparer::new(&config, None);
-    let mut rig = Rig::coordinated(&ctx, config, 4, None, Some(log));
+    let mut rig = Rig::with_log(&ctx, config, 4, Some(log));
     rig.attach(1);
     let publish = |rig: &mut Rig, prep: &mut Preparer, index: usize, seq: u64| {
         let item = prepared(prep, index, 4);
@@ -1229,7 +1291,7 @@ fn acks_for_the_logged_range_are_the_demoted_pin_replays_sign_of_life() {
     config.log = Some(ts_log::LogConfig::new(&dir));
     let log = TensorProducer::open_log(&ctx, config.log.as_ref().unwrap(), None, 0).unwrap();
     let mut prep = Preparer::new(&config, None);
-    let mut rig = Rig::coordinated(&ctx, config, 12, None, Some(log));
+    let mut rig = Rig::with_log(&ctx, config, 12, Some(log));
     let timeouts = ctx.metrics.counter("replay.gate_timeouts");
     rig.attach(1);
     let publish = |rig: &mut Rig, prep: &mut Preparer, seq: usize| {
@@ -1293,31 +1355,41 @@ fn acks_for_the_logged_range_are_the_demoted_pin_replays_sign_of_life() {
 
 #[test]
 fn a_join_that_reached_an_empty_shard_first_still_gets_this_shards_prefix() {
-    // ROADMAP item 2, schedule (vi). This shard (0 of 2) has consumer 1 and
-    // is two batches into the epoch when consumer 2's JOIN reaches shard 1
-    // — which has not even seen consumer 1's yet — first. Deciding "nobody
-    // is training" from shard 1's empty member list would admit consumer 2
-    // at THIS shard's current position, past two batches it then never
-    // gets.
-    let coord = Arc::new(EpochCoordinator::new(2, Duration::from_secs(5)));
+    // ROADMAP item 2, schedule (vi). Shard 0 of 2 has consumer 1 and is two
+    // batches into the epoch when consumer 2's JOIN reaches shard 1 — which
+    // has published nothing — first. Deciding "nobody is training" from
+    // shard 1 alone would admit consumer 2 at shard 0's current position,
+    // past two batches it then never gets.
     let ctx = TsContext::host_only();
     let config = cfg(1, 1.0);
     let mut prep = Preparer::new(&config, None);
-    let mut rig = Rig::coordinated(&ctx, config, 4, Some(coord.clone()), None);
-    coord.arrive(0, 1, 0, 4);
-    rig.tick_after(0);
-    rig.attach(1);
+    let mut pair = Pair::new(&ctx, config, 4);
+    // Consumer 1's JOIN, seen by shard 0 first, is applied on both shards.
+    let [zero, one] = pair.join(0, 1);
+    assert_eq!(admit_of(&zero), Some((0, 0, 0)));
+    assert_eq!(
+        admit_of(&one),
+        Some((0, 0, 0)),
+        "decided once, admitted everywhere"
+    );
+    pair.ctrl(0, CtrlMsg::Ready { consumer_id: 1 });
+    assert_eq!(pair.waits(), [Wait::Item, Wait::Consumers]);
     for index in 0..2 {
         let item = prepared(&mut prep, index, 4);
-        assert_eq!(batches(&rig.item(item)).len(), 1);
+        let [out, _] = pair.step(0, Event::Prepared(FeederMsg::Item(item)));
+        assert_eq!(batches(&out).len(), 1);
     }
-    // Shard 1 asks first: the decision every shard will repeat.
-    assert_eq!(coord.decide_join(rig.now, 2).0, GroupJoin::AdmitReplay);
-    let out = rig.join(2, PayloadMode::Shm);
-    assert_eq!(admit_of(&out), Some((0, 0, 0)), "from the epoch's start");
-    let mut replayed = batches(&rig.ready(2));
-    while rig.state.busy() {
-        replayed.extend(batches(&rig.tick_after(0)));
+    // Shard 1 sees consumer 2 first, and decides for the group.
+    let [zero, one] = pair.join(1, 2);
+    assert_eq!(admit_of(&zero), Some((0, 0, 0)), "from the epoch's start");
+    assert_eq!(admit_of(&one), Some((0, 0, 0)));
+    // Shard 0's own copy of the JOIN arrives late, and changes nothing.
+    let [late, _] = pair.join(0, 2);
+    assert!(late.is_empty(), "{late:?}");
+    let [out, _] = pair.ctrl(0, CtrlMsg::Ready { consumer_id: 2 });
+    let mut replayed = batches(&out);
+    while pair.shards[0].busy() {
+        replayed.extend(batches(&pair.step(0, Event::Tick)[0]));
     }
     let seqs: Vec<u64> = replayed.iter().map(|(_, seq)| *seq).collect();
     assert_eq!(seqs, [0, 1], "the prefix, replayed");
@@ -1753,7 +1825,7 @@ fn acks_past_the_head_are_refused_and_the_shard_keeps_publishing() {
     config.log = Some(ts_log::LogConfig::new(&dir));
     let log = TensorProducer::open_log(&ctx, config.log.as_ref().unwrap(), None, 0).unwrap();
     let mut prep = Preparer::new(&config, None);
-    let mut rig = Rig::coordinated(&ctx, config, 4, None, Some(log));
+    let mut rig = Rig::with_log(&ctx, config, 4, Some(log));
     for id in [1, 2] {
         rig.attach(id);
         rig.ctrl(CtrlMsg::Replay {
@@ -1832,7 +1904,8 @@ fn steady_state_allocations(consumers: u64, arena: bool) -> Allocations {
             // A microsecond a step: no housekeeping tick falls in the run.
             rig.now += 1_000;
             let now = rig.now;
-            let ((), n) = crate::alloc_count::allocations(|| rig.state.step(now, ev, &mut fx));
+            let ((), n) =
+                crate::alloc_count::allocations(|| step_one(&mut rig.state, now, ev, &mut fx));
             fx.clear();
             if index >= WARM {
                 per_batch += n;

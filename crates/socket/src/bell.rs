@@ -71,18 +71,28 @@ impl Bell {
         }
     }
 
-    /// The owner's side: runs `block` — its blocking call, which must
-    /// return when the bell's descriptor turns readable — unless somebody
-    /// rang since the last call returned.
-    pub(crate) fn sleep(&self, block: impl FnOnce()) {
-        self.0.sleeping.store(true, Ordering::SeqCst);
-        if !self.0.rung.swap(false, Ordering::SeqCst) {
+    /// The owner's side, for the bells of every socket it waits on: runs
+    /// `block` — its blocking call, which must return when any bell's
+    /// descriptor turns readable — unless somebody rang since the last
+    /// call returned. True when somebody rang, before or during `block`.
+    pub(crate) fn sleep<'a, B>(bells: B, block: impl FnOnce()) -> bool
+    where
+        B: IntoIterator<Item = &'a Bell> + Clone,
+    {
+        for bell in bells.clone() {
+            bell.0.sleeping.store(true, Ordering::SeqCst);
+        }
+        let rung = |rung: bool, bell: &Bell| bell.0.rung.swap(false, Ordering::SeqCst) | rung;
+        let early = bells.clone().into_iter().fold(false, rung);
+        if !early {
             block();
         }
-        self.0.sleeping.store(false, Ordering::SeqCst);
+        for bell in bells.clone() {
+            bell.0.sleeping.store(false, Ordering::SeqCst);
+        }
         // The caller looks at every queue after this; a ring up to here
-        // asked for nothing more.
-        self.0.rung.store(false, Ordering::SeqCst);
+        // asked for nothing more, and is reported.
+        bells.into_iter().fold(early, rung)
     }
 
     /// The descriptor to poll with the connections.
@@ -117,13 +127,13 @@ mod tests {
         bell.ring();
         bell.ring();
         assert!(!in_the_kernel(&bell));
-        bell.sleep(|| panic!("slept through a ring"));
+        assert!(Bell::sleep([&bell], || panic!("slept through a ring")));
         let mut slept = false;
-        bell.sleep(|| slept = true);
+        assert!(!Bell::sleep([&bell], || slept = true));
         assert!(slept, "one skipped sleep per look, not one per ring");
         // Asleep (the closure stands for the owner's `poll`): the first
         // ring writes, the rest find nobody sleeping.
-        bell.sleep(|| {
+        Bell::sleep([&bell], || {
             assert!(!in_the_kernel(&bell));
             bell.ring();
             assert!(in_the_kernel(&bell));
@@ -133,7 +143,7 @@ mod tests {
         assert!(!in_the_kernel(&bell), "one byte for both rings");
         // Woken and looking: the ring that woke it asks for nothing more.
         let mut slept = false;
-        bell.sleep(|| slept = true);
+        Bell::sleep([&bell], || slept = true);
         assert!(slept);
     }
 }

@@ -31,6 +31,7 @@ use bytes::Bytes;
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TrySendError};
 use std::collections::VecDeque;
 use std::io;
+use std::ops::DerefMut;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -102,18 +103,39 @@ impl PullSocket {
         })
     }
 
-    /// Sleeps until a message can be received, the socket's [`Bell`] is
-    /// rung, or `timeout` has passed — whichever comes first — and returns
-    /// at once when a message is already there. It says nothing about
-    /// which, and may return for less (a pusher connected or left, half a
-    /// message came): look with [`PullSocket::try_recv`] and at whatever
-    /// the bell stands for, then wait again.
+    /// Sleeps until one of `pulls` has a message to receive, one of their
+    /// [`Bell`]s is rung, or `timeout` has passed — whichever comes first —
+    /// and returns at once when a message is already there. Returns the
+    /// index of a socket with a message (or closed: its
+    /// [`PullSocket::try_recv`] says so), `None` when there is none: the
+    /// time ran out or a bell rang. Look at whatever the bells stand for,
+    /// take with `try_recv`, then wait again.
     ///
     /// This is the one blocking call of an owner that serves several
-    /// sources: a single `poll` across the listener, every connection and
-    /// the bell, with the timeout at nanosecond resolution.
-    pub fn wait(&self, timeout: Duration) {
-        self.state.lock().sweep(timeout);
+    /// sources: each `poll` spans every socket's listener, connections and
+    /// bell, with the timeout at nanosecond resolution. A pusher that
+    /// connects or half a message ends a poll, not the wait. The twin of
+    /// [`crate::SubSocket::wait`].
+    pub fn wait(pulls: &[&PullSocket], timeout: Duration) -> Option<usize> {
+        let deadline = Instant::now() + timeout;
+        let mut states: Vec<_> = pulls.iter().map(|p| p.state.lock()).collect();
+        let mut fds = Vec::new();
+        let mut looked = false;
+        loop {
+            let taken = |s: &PullState| !s.ready.is_empty() || s.closed();
+            if let Some(i) = states.iter().position(|s| taken(s)) {
+                return Some(i);
+            }
+            // Looks at every socket at least once, whatever the timeout.
+            let left = deadline.saturating_duration_since(Instant::now());
+            if looked && left.is_zero() {
+                return None;
+            }
+            looked = true;
+            if sweep(&mut states, &mut fds, left) {
+                return None;
+            }
+        }
     }
 
     /// The socket's doorbell: a handle any thread can ring to make the
@@ -181,52 +203,43 @@ impl PullState {
         !self.accepting && self.conns.is_empty() && self.ready.is_empty()
     }
 
-    /// Unless a message is ready already: one `poll` over everything for at
-    /// most `timeout`, then one `accept` round and one `read` per
-    /// connection that has something.
+    /// [`sweep`] over this socket alone, with its own poll-set buffer.
     fn sweep(&mut self, timeout: Duration) {
-        if !self.ready.is_empty() {
-            return;
-        }
-        self.fds.clear();
-        self.fds.push(PollFd::readable(self.bell.fd()));
+        let mut fds = std::mem::take(&mut self.fds);
+        sweep(&mut [&mut *self], &mut fds, timeout);
+        self.fds = fds;
+    }
+
+    /// This socket's part of a poll set: the bell, the listener, then
+    /// `conns` in order.
+    fn poll_set(&self, fds: &mut Vec<PollFd>) {
+        fds.push(PollFd::readable(self.bell.fd()));
         // A listener that cannot accept any more would read as ready for
         // ever; a negative descriptor is an entry `poll` skips.
-        self.fds.push(match self.accepting {
+        fds.push(match self.accepting {
             true => self.listener.poll_fd(),
             false => PollFd::readable(-1),
         });
-        self.fds
-            .extend(self.conns.iter().map(|c| c.stream.poll_fd()));
-        let fds = &mut self.fds;
-        let mut polled = Ok(());
-        if timeout.is_zero() {
-            // Just looking: the owner is not going to sleep, so a ringer
-            // has nobody to wake.
-            polled = poll_readable(fds, Some(timeout));
-        } else {
-            self.bell
-                .sleep(|| polled = poll_readable(fds, Some(timeout)));
-        }
-        if polled.is_err() {
-            // `ENOMEM`, say: nothing is ready that we know of, and the
-            // caller's loop must not spin on it.
-            std::thread::sleep(timeout.min(Duration::from_millis(1)));
-            return;
-        }
-        if self.fds[0].is_ready() {
+        fds.extend(self.conns.iter().map(|c| c.stream.poll_fd()));
+    }
+
+    /// Takes what `fds` — this socket's part of the poll set, as
+    /// [`PullState::poll_set`] laid it out — found: one `accept` round and
+    /// one `read` per connection that has something.
+    fn take(&mut self, fds: &[PollFd]) {
+        if fds[0].is_ready() {
             self.bell.drain();
         }
         // Connections accepted now are not in this poll set; they are read
         // from the next sweep on.
         let polled = self.conns.len();
-        if self.fds[1].is_ready() {
+        if fds[1].is_ready() {
             self.accept_pending();
         }
         let mut dead = Vec::new();
         for k in 0..polled {
             let i = (self.turn + k) % polled;
-            if !self.fds[2 + i].is_ready() {
+            if !fds[2 + i].is_ready() {
                 continue;
             }
             if self.ready.len() >= self.hwm {
@@ -263,6 +276,46 @@ impl PullState {
             }
         }
     }
+}
+
+/// Unless a message is ready already: one `poll` over every socket in
+/// `states` — their listeners, connections and bells, laid out in `fds` —
+/// for at most `timeout`, then what each found is taken. True when one of
+/// the bells rang.
+fn sweep<S>(states: &mut [S], fds: &mut Vec<PollFd>, timeout: Duration) -> bool
+where
+    S: DerefMut<Target = PullState>,
+{
+    if states.iter().any(|s| !s.ready.is_empty()) {
+        return false;
+    }
+    fds.clear();
+    for state in states.iter() {
+        state.poll_set(fds);
+    }
+    let mut polled = Ok(());
+    let rung = if timeout.is_zero() {
+        // Just looking: the owner is not going to sleep, so a ringer has
+        // nobody to wake.
+        polled = poll_readable(fds, Some(timeout));
+        false
+    } else {
+        let bells = states.iter().map(|s| &s.bell);
+        Bell::sleep(bells, || polled = poll_readable(fds, Some(timeout)))
+    };
+    if polled.is_err() {
+        // `ENOMEM`, say: nothing is ready that we know of, and the
+        // caller's loop must not spin on it.
+        std::thread::sleep(timeout.min(Duration::from_millis(1)));
+        return rung;
+    }
+    let mut at = 0;
+    for state in states.iter_mut() {
+        let len = 2 + state.conns.len();
+        state.take(&fds[at..at + len]);
+        at += len;
+    }
+    rung
 }
 
 impl PullConn {
@@ -534,17 +587,16 @@ mod tests {
             let early = PushSocket::connect(&ctx, &name);
             let pull = PullSocket::bind(&ctx, &name).unwrap();
             let started = Instant::now();
-            pull.wait(Duration::from_millis(20));
+            assert_eq!(PullSocket::wait(&[&pull], Duration::from_millis(20)), None);
             assert!(pull.try_recv().unwrap().is_none());
             std::thread::scope(|s| {
                 s.spawn(|| early.send(msg(b"a")).unwrap());
-                while pull.try_recv().unwrap().is_none() {
-                    pull.wait(long);
-                }
+                while PullSocket::wait(&[&pull], long).is_none() {}
             });
+            assert!(pull.try_recv().unwrap().is_some());
             // Rung while awake: the next wait does not sleep.
             pull.bell().ring();
-            pull.wait(long);
+            assert_eq!(PullSocket::wait(&[&pull], long), None);
             // Rung while asleep.
             let bell = pull.bell();
             std::thread::scope(|s| {
@@ -552,10 +604,65 @@ mod tests {
                     std::thread::sleep(Duration::from_millis(20));
                     bell.ring();
                 });
-                pull.wait(long);
+                assert_eq!(PullSocket::wait(&[&pull], long), None);
             });
             assert!(started.elapsed() < long, "{name}: a wake-up was lost");
         }
+    }
+
+    #[test]
+    fn one_wait_over_two_sockets_ends_for_either_ones_message_or_bell() {
+        use std::time::Instant;
+        let ctx = Context::new();
+        let path = std::env::temp_dir().join(format!("ts-wait2-{}.sock", std::process::id()));
+        let names = [
+            "inproc://first".to_string(),
+            format!("ipc://{}", path.display()),
+        ];
+        let pulls = names
+            .each_ref()
+            .map(|name| PullSocket::bind(&ctx, name).unwrap());
+        let both = [&pulls[0], &pulls[1]];
+        let long = Duration::from_secs(20);
+        // Nothing anywhere: the whole timeout, then `None`.
+        let started = Instant::now();
+        assert_eq!(PullSocket::wait(&both, Duration::from_millis(30)), None);
+        assert!(started.elapsed() >= Duration::from_millis(30));
+        // A message on the second socket, sent while the owner sleeps.
+        let push = PushSocket::connect(&ctx, &names[1]);
+        let started = Instant::now();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(20));
+                push.send(msg(b"second")).unwrap();
+            });
+            assert_eq!(PullSocket::wait(&both, long), Some(1));
+        });
+        assert!(started.elapsed() < long, "the message did not end the wait");
+        // Until it is taken, the wait returns at once, naming it.
+        assert_eq!(PullSocket::wait(&both, long), Some(1));
+        assert_eq!(
+            &pulls[1].try_recv().unwrap().unwrap().frames()[0][..],
+            b"second"
+        );
+        // A ring of either bell, awake or asleep, ends the wait with `None`.
+        for pull in &pulls {
+            pull.bell().ring();
+            assert_eq!(PullSocket::wait(&both, long), None);
+            let bell = pull.bell();
+            let started = Instant::now();
+            std::thread::scope(|s| {
+                s.spawn(move || {
+                    std::thread::sleep(Duration::from_millis(20));
+                    bell.ring();
+                });
+                assert_eq!(PullSocket::wait(&both, long), None);
+            });
+            assert!(started.elapsed() < long, "the ring did not end the wait");
+        }
+        // Nothing is left over: the next wait sleeps its timeout again.
+        assert_eq!(PullSocket::wait(&both, Duration::from_millis(10)), None);
+        assert!(pulls.iter().all(|p| p.try_recv().unwrap().is_none()));
     }
 
     #[test]

@@ -240,7 +240,7 @@ fn no_ring_is_lost_and_no_wait_outlives_its_timeout() {
             for i in 1..=ROUNDS {
                 let started = Instant::now();
                 while posted.load(Ordering::SeqCst) < i {
-                    pull.wait(Duration::from_secs(5));
+                    PullSocket::wait(&[&pull], Duration::from_secs(5));
                 }
                 let took = started.elapsed();
                 assert!(
@@ -257,7 +257,7 @@ fn no_ring_is_lost_and_no_wait_outlives_its_timeout() {
         let mut took: Vec<Duration> = (0..200)
             .map(|_| {
                 let started = Instant::now();
-                pull.wait(timeout);
+                PullSocket::wait(&[&pull], timeout);
                 started.elapsed()
             })
             .collect();

@@ -63,19 +63,24 @@ impl Tensor {
                 strides.len()
             )));
         }
-        let numel: usize = shape.iter().product();
-        if numel > 0 {
-            // Largest reachable element offset.
-            let max_elem: usize = offset
-                + shape
-                    .iter()
-                    .zip(&strides)
-                    .map(|(&d, &s)| (d - 1) * s)
-                    .sum::<usize>();
-            let needed = (max_elem + 1) * dtype.size_bytes();
-            if needed > storage.len() {
+        // Shape, strides and offset may come off the wire: every step of
+        // the arithmetic is checked, and a view whose size or extent
+        // overflows is refused like one that does not fit.
+        if !shape.contains(&0) {
+            let size = dtype.size_bytes();
+            let numel = shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+            // Largest reachable element offset, then the bytes up to it.
+            let reach = |(&d, &s): (&usize, &usize)| (d - 1).checked_mul(s);
+            let max_elem = (shape.iter().zip(&strides))
+                .try_fold(offset, |sum, dim| sum.checked_add(reach(dim)?));
+            let needed = (numel.and_then(|n| n.checked_mul(size)))
+                .and(max_elem)
+                .and_then(|m| m.checked_add(1))
+                .and_then(|m| m.checked_mul(size));
+            if needed.is_none_or(|needed| needed > storage.len()) {
                 return Err(TensorError::Shape(format!(
-                    "view needs {needed} B but storage {} has {} B",
+                    "view of shape {shape:?}, strides {strides:?} at offset {offset} needs \
+                     {needed:?} B but storage {} has {} B",
                     storage.id(),
                     storage.len()
                 )));
@@ -619,6 +624,32 @@ mod tests {
         assert!(Tensor::from_parts(storage.clone(), DType::U8, vec![9], vec![1], 0).is_err());
         assert!(Tensor::from_parts(storage.clone(), DType::U8, vec![4], vec![1], 5).is_err());
         assert!(Tensor::from_parts(storage, DType::U8, vec![4], vec![1, 1], 0).is_err());
+    }
+
+    #[test]
+    fn from_parts_refuses_a_view_whose_extent_overflows() {
+        // A peer-sent view: 3 elements 2^63 apart over 16 bytes. Unchecked,
+        // (3-1)*2^63 panics in a debug build and wraps to 0 in a release
+        // build, which accepted the view and panicked on its first read.
+        let storage = Arc::new(Storage::new(vec![0u8; 16], DeviceId::Cpu));
+        let probe = Tensor::from_parts(storage.clone(), DType::U8, vec![3], vec![1 << 63], 0);
+        assert!(matches!(probe, Err(TensorError::Shape(_))), "{probe:?}");
+        // Every other step overflows on its own, too: the element count,
+        // the offset sum, the `+ 1` and the byte size.
+        let huge = usize::MAX / 2 + 1;
+        for (shape, strides, offset, dtype) in [
+            (vec![huge, 2], vec![0, 0], 0, DType::U8),
+            (vec![huge], vec![0], 0, DType::F32),
+            (vec![2], vec![1], usize::MAX, DType::U8),
+            (vec![2], vec![usize::MAX - 1], 1, DType::U8),
+            (vec![1], vec![1], usize::MAX / 2, DType::F32),
+        ] {
+            let view = Tensor::from_parts(storage.clone(), dtype, shape, strides, offset);
+            assert!(matches!(view, Err(TensorError::Shape(_))), "{view:?}");
+        }
+        // A view with no elements fits anywhere, however large the rest.
+        let empty = Tensor::from_parts(storage, DType::U8, vec![huge, 4, 0], vec![1 << 63; 3], 0);
+        assert!(empty.is_ok());
     }
 
     #[test]

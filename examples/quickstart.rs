@@ -38,7 +38,7 @@
 //!
 //! Every knob has a builder method; `.config(cfg)` seeds a builder from a
 //! whole `ProducerConfig`. A `Producer` spawned from one source is a
-//! plain pipeline; from `N` sources it is the coordinated sharded group.
+//! plain pipeline; from `N` sources it is a sharded group in lockstep.
 //!
 //! # Endpoint URIs
 //!
@@ -103,9 +103,10 @@
 //! # Multi-producer sharding
 //!
 //! On a many-GPU node one producer pipeline saturates one NUMA domain.
-//! `.spawn_sharded(loaders)` runs N feeder+publish pipelines — one per
-//! disjoint dataset shard (`DataLoader::sharded`) — in lockstep under an
-//! epoch coordinator. Consumers need no change at all: the handshake
+//! `.spawn_sharded(loaders)` runs N pipelines — one per disjoint dataset
+//! shard (`DataLoader::sharded`), each with its own feeder and publisher —
+//! in epoch lockstep, all stepped by one pump thread. Consumers need no
+//! change at all: the handshake
 //! advertises the shard count and the consumer subscribes to every shard.
 //!
 //! **Ordering contract:** batches are delivered sorted by

@@ -282,7 +282,15 @@ fn fmt_uptime(ns: u64) -> String {
 /// (and exported in `--json`) like every other metric — pass-through,
 /// never dropped.
 const KNOWN_FAMILIES: &[&str] = &[
-    "stage", "staging", "consumer", "producer", "watchdog", "trace", "log", "replay",
+    "stage",
+    "staging",
+    "consumer",
+    "producer",
+    "watchdog",
+    "trace",
+    "log",
+    "replay",
+    "transport",
 ];
 
 fn warn_unknown_families(stats: &StatsPayload, warned: &mut std::collections::HashSet<String>) {

@@ -841,28 +841,45 @@ proptest! {
 // rubberband policy
 // ---------------------------------------------------------------------------
 
+/// How a producer of one shard, with a consumer training, admits a join
+/// after `published` of `batches` batches.
+fn admit_alone(
+    p: tensorsocket::RubberbandPolicy,
+    published: u64,
+    batches: u64,
+) -> tensorsocket::protocol::rubberband::Admission {
+    use tensorsocket::protocol::rubberband::{admission, ShardStand};
+    admission([ShardStand {
+        at_barrier: false,
+        published,
+        pinned: p.pinned_batches(batches),
+        members: 1,
+    }])
+}
+
 proptest! {
     /// Admission is monotone: if a join at progress p is deferred, any
     /// later join is deferred too; the pinned prefix always covers every
     /// admitted join.
     #[test]
     fn rubberband_admission_monotone(cutoff in 0.0f64..1.0, batches in 1u64..10_000) {
-        use tensorsocket::protocol::rubberband::{JoinOutcome, RubberbandPolicy};
+        use tensorsocket::protocol::rubberband::{Admission, RubberbandPolicy};
         let p = RubberbandPolicy { cutoff };
         let pinned = p.pinned_batches(batches);
         prop_assert!(pinned <= batches.max(1));
         let mut seen_wait = false;
         for published in 0..=batches.min(200) {
-            match p.decide(published, batches) {
-                JoinOutcome::AdmitReplay { replay_from } => {
+            match admit_alone(p, published, batches) {
+                Admission::EpochStart => {
                     prop_assert!(!seen_wait, "admit after wait at {published}");
-                    prop_assert_eq!(replay_from, 0);
                     // everything the joiner must replay is pinned
                     prop_assert!(published <= pinned || published == 0);
+                    prop_assert!(p.window_open(published, batches));
                 }
-                JoinOutcome::WaitNextEpoch => {
+                Admission::NextEpoch => {
                     seen_wait = true;
                 }
+                Admission::Current => prop_assert!(false, "somebody is training"),
             }
         }
     }
@@ -872,19 +889,19 @@ proptest! {
     /// deferred to the next epoch.
     #[test]
     fn rubberband_boundary_is_inclusive(cutoff in 0.0001f64..1.0, batches in 1u64..10_000) {
-        use tensorsocket::protocol::rubberband::{JoinOutcome, RubberbandPolicy};
+        use tensorsocket::protocol::rubberband::{Admission, RubberbandPolicy};
         let p = RubberbandPolicy { cutoff };
         let pinned = p.pinned_batches(batches);
         prop_assert!(pinned >= 1, "positive cutoff pins at least one batch");
         prop_assert_eq!(
-            p.decide(pinned, batches),
-            JoinOutcome::AdmitReplay { replay_from: 0 },
+            admit_alone(p, pinned, batches),
+            Admission::EpochStart,
             "join at the boundary (published == pinned == {}) must be admitted", pinned
         );
         if pinned < batches {
             prop_assert_eq!(
-                p.decide(pinned + 1, batches),
-                JoinOutcome::WaitNextEpoch,
+                admit_alone(p, pinned + 1, batches),
+                Admission::NextEpoch,
                 "one past the boundary must wait"
             );
         }
@@ -899,20 +916,17 @@ proptest! {
         batches in 1u64..10_000,
         published_frac in 0.0f64..1.0,
     ) {
-        use tensorsocket::protocol::rubberband::{JoinOutcome, RubberbandPolicy};
+        use tensorsocket::protocol::rubberband::{Admission, RubberbandPolicy};
         let p = RubberbandPolicy { cutoff };
         prop_assert!(p.pinned_batches(batches) >= batches, "whole epoch stays pinned");
         let published = ((batches as f64) * published_frac) as u64;
         prop_assert_eq!(
-            p.decide(published, batches),
-            JoinOutcome::AdmitReplay { replay_from: 0 },
+            admit_alone(p, published, batches),
+            Admission::EpochStart,
             "cutoff {} must admit a join at {}/{} batches", cutoff, published, batches
         );
         // ...including one arriving exactly at the last published batch.
-        prop_assert_eq!(
-            p.decide(batches, batches),
-            JoinOutcome::AdmitReplay { replay_from: 0 }
-        );
+        prop_assert_eq!(admit_alone(p, batches, batches), Admission::EpochStart);
     }
 }
 
@@ -1264,97 +1278,83 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// coordinated rubberband admission (epoch coordinator)
+// group rubberband admission (one decision for every shard)
 // ---------------------------------------------------------------------------
 
 proptest! {
-    /// Group join decisions are consistent: every shard asking about the
-    /// same consumer gets the same answer, an admission keeps every
-    /// shard's pin window open until that shard applies it (even if the
-    /// shard races past its own pin limit), and the epoch barrier does
-    /// not open while an admission is unapplied.
+    /// Group join decisions are consistent: whichever shard decides — the
+    /// stands in any order — the group gets one answer, it admits from the
+    /// epoch's start only while every shard's join window is open (so
+    /// every shard still pins the prefix it replays), and with somebody
+    /// training on any shard it never admits at the current position.
     #[test]
     fn coordinator_admissions_are_consistent_and_pin_preserving(
         shards in 2usize..5,
         pin_limit in 1u64..6,
         progress in prop::collection::vec(0u64..8, 2..5),
-        tick in 0u64..100_000_000,
+        first in 0usize..5,
     ) {
-        use std::time::Duration;
-        use tensorsocket::{EpochCoordinator, GroupJoin};
+        use tensorsocket::protocol::rubberband::{admission, Admission, ShardStand, RubberbandPolicy};
         let shards = shards.min(progress.len());
-        let c = EpochCoordinator::new(shards, Duration::from_secs(5));
-        // The coordinator's time is the script's: every call below happens
-        // `tick` ns after the one before, the whole script well inside
-        // the 5 s an admission may stay unapplied.
-        let mut now = 0u64;
-        let mut at = || {
-            now += tick;
-            now
-        };
-        let gen = (0..shards)
-            .map(|s| c.arrive(at(), s as u32, 0, pin_limit))
-            .collect::<Vec<_>>()[0];
-        prop_assert!(c.reached(at(), gen));
-        for (s, &p) in progress.iter().take(shards).enumerate() {
-            c.note_published(s as u32, p);
-        }
-        let all_within = progress.iter().take(shards).all(|&p| p <= pin_limit);
+        let policy = RubberbandPolicy { cutoff: 1.0 };
         // Somebody is training, on the last shard only: the group's fact.
-        c.note_members(shards as u32 - 1, 1);
-        let first = c.decide_join(at(), 42).0;
-        // Consistency: every further query (any shard) returns the memo.
-        for _ in 0..shards {
-            prop_assert_eq!(c.decide_join(at(), 42).0, first);
-        }
-        match first {
-            GroupJoin::AdmitReplay => {
+        let stands: Vec<ShardStand> = (0..shards)
+            .map(|s| ShardStand {
+                at_barrier: false,
+                published: progress[s],
+                pinned: pin_limit,
+                members: usize::from(s + 1 == shards),
+            })
+            .collect();
+        let decided = admission(stands.iter().copied());
+        // Consistency: the shard that sees the join first goes first.
+        let first = first % shards;
+        let rotated = stands[first..].iter().chain(&stands[..first]).copied();
+        prop_assert_eq!(admission(rotated), decided);
+        prop_assert_eq!(admission(stands.iter().rev().copied()), decided);
+        let all_within = stands.iter().all(|s| s.published <= s.pinned);
+        match decided {
+            Admission::EpochStart => {
                 prop_assert!(all_within, "admitted although a shard passed its pin window");
-                // Every shard must keep pinning until it applies the
-                // admission — even one that races past its own limit now.
-                c.note_published(0, pin_limit + 3);
-                prop_assert!(c.pin_window_open(0), "unapplied admission must keep pins");
-                // The next barrier stays shut until everyone applied.
-                let gen2 = (0..shards)
-                    .map(|s| c.arrive(at(), s as u32, 1, pin_limit))
-                    .collect::<Vec<_>>()[0];
-                prop_assert!(!c.reached(at(), gen2), "barrier must wait for unapplied admissions");
-                for s in 0..shards {
-                    c.applied(at(), s as u32, 42);
+                // Every shard still pins the prefix it replays: a shard
+                // pins while `window_open` holds for it (at cutoff 1.0 an
+                // epoch of `pin_limit` batches pins them all).
+                prop_assert_eq!(policy.pinned_batches(pin_limit), pin_limit);
+                for s in &stands {
+                    prop_assert!(policy.window_open(s.published, pin_limit));
                 }
-                prop_assert!(c.reached(at(), gen2), "barrier opens once applied everywhere");
             }
-            GroupJoin::WaitNextEpoch => {
+            Admission::NextEpoch => {
                 prop_assert!(!all_within, "deferred although every shard was within its window");
             }
-            GroupJoin::AdmitAtCurrent => prop_assert!(false, "a shard has a consumer"),
+            Admission::Current => prop_assert!(false, "a shard has a consumer"),
         }
     }
 
-    /// Once any shard arrives at the next epoch's barrier, new joins are
-    /// deferred — pins survive the boundary for *previously decided*
-    /// admissions only, so no shard ever admits into an epoch another
-    /// shard has already finished.
+    /// Once any shard waits at the next epoch's barrier, new joins are
+    /// deferred to the epoch it opens — whatever the others' windows and
+    /// members say — so no shard admits into an epoch another finished.
     #[test]
     fn coordinator_defers_joins_across_the_boundary(
         shards in 2usize..5,
         pin_limit in 1u64..6,
+        arrived in 0usize..5,
+        progress in prop::collection::vec(0u64..8, 5..6),
+        members in prop::collection::vec(0usize..3, 5..6),
     ) {
-        use std::time::Duration;
-        use tensorsocket::{EpochCoordinator, GroupJoin};
-        let c = EpochCoordinator::new(shards, Duration::from_secs(5));
-        let gen = (0..shards)
-            .map(|s| c.arrive(0, s as u32, 0, pin_limit))
-            .collect::<Vec<_>>()[0];
-        prop_assert!(c.reached(0, gen));
-        for s in 0..shards {
-            c.note_published(s as u32, 1);
-        }
-        // Shard 0 finishes the epoch and arrives for the next one.
-        let _ = c.arrive(1_000, 0, 1, pin_limit);
-        prop_assert_eq!(c.decide_join(2_000, 7).0, GroupJoin::WaitNextEpoch);
-        // Memo holds for everyone else too.
-        prop_assert_eq!(c.decide_join(3_000, 7).0, GroupJoin::WaitNextEpoch);
+        use tensorsocket::protocol::rubberband::{admission, Admission, ShardStand};
+        let arrived = arrived % shards;
+        let stands = (0..shards).map(|s| ShardStand {
+            at_barrier: s == arrived,
+            published: progress[s],
+            pinned: pin_limit,
+            members: members[s],
+        });
+        prop_assert_eq!(admission(stands.clone()), Admission::NextEpoch);
+        // The others' windows open or not, trained on or not: it is the
+        // barrier that decides.
+        let fresh = stands.map(|s| ShardStand { published: 0, members: 0, ..s });
+        prop_assert_eq!(admission(fresh), Admission::NextEpoch);
     }
 }
 
