@@ -417,7 +417,7 @@
 //! | `consumer.stream_rx_ns` | histogram | ns | rebuild of one batch from streamed bytes (non-shm consumers) |
 //! | `stage.[s<N>.]pin_depth` | gauge | batches | rubberband pins currently holding memory (a pin shed to the durable log stays replayable but is not counted); maintained per event as a batch enters or leaves the pin range, read in O(1) |
 //! | `stage.[s<N>.]wait_state` | gauge | code | what the producer is waiting for: 0 `barrier` (this shard finished the epoch; the others have not), 1 `consumers`, 2 `item`, 3 `window`, 4 `arena`, 5 `drain` ([`Wait::ALL`]) |
-//! | `replay.[s<N>.]inflight_bytes` | gauge | bytes | frames of the catch-up being served that are sent and not yet acked by its consumer (the catch-up window; 0 when none runs) |
+//! | `replay.[s<N>.]inflight_bytes` | gauge | bytes | frames of every catch-up being served that are sent and not yet acked by their consumers (the catch-up windows; 0 when none runs) |
 //! | `consumer.cursor_lag` | gauge | batches | producer cursor position minus this consumer's, per the last cursor flush |
 //! | `staging.[s<N>.]slab_occupancy` | gauge | slabs | VRAM rotation slabs currently leased |
 //! | `staging.[s<N>.]copy_queue_depth` | gauge | items | items queued ahead of the copy stage |
@@ -447,6 +447,7 @@
 //! | `consumer.acks` | counter | acks | batch acknowledgements sent back |
 //! | `consumer.data_unknown` | counter | frames | data frames with an unknown tag, ignored on the consumer path |
 //! | `consumer.dangling_skipped` | counter | batches | stale announces skipped because the producer (aborting) released the payload first |
+//! | `consumer.splices_live_only` | counter | shards | a group member's `Replay` went unanswered until its deadline, so that shard attached live-only and its logged history was skipped (0 on a healthy log) |
 //! | `staging.h2d_bytes` | counter | bytes | bytes through the H2D copy stage |
 //! | `transport.inline_frames` | counter | frames | small frames (announces, cursors, acks, heartbeats, JOINs) an `ipc://`/`tcp://` socket of this context put on the wire on the sending thread — the pump's for a producer's data socket (counted per subscriber), the consumer's or its heartbeat's for a consumer's control sockets. Mirrored from `ts-socket` at every housekeeping tick (producer) and every `next()` (consumer) |
 //! | `transport.queued_frames` | counter | frames | frames that went through a connection's queue and writer thread instead: every bulk (streamed) frame, and small ones sent while that connection still owed the wire something or the kernel's buffer was full |
@@ -529,12 +530,25 @@
 //!   [`LogAd`] with the retained `[min, max]` offset range; the
 //!   inverted range `min > max` means "enabled, nothing retained yet");
 //! * a consumer attaching with [`ConsumerBuilder::group`] sends
-//!   [`CtrlMsg::Replay`]`{ group, from }` per shard after admission;
+//!   [`CtrlMsg::Replay`]`{ group, from }` per shard once every shard has
+//!   answered its `Join`;
 //! * the producer answers `LogInfo` naming the resolved replay start
-//!   (the group's persisted cursor, floored at the retained range and
-//!   capped at the consumer's live splice point) and streams the logged
-//!   range, which splices gaplessly onto the live stream admitted at
-//!   `start_seq`;
+//!   (the group's persisted cursor, floored at what the log retains —
+//!   batches its spiller has not reached yet are still live, so they
+//!   count — and capped at the consumer's live splice point) and streams
+//!   the logged range, which splices gaplessly onto the live stream
+//!   admitted at `start_seq`. The range is a lane beside live publishing,
+//!   not a halt: only a rubberband pin catch-up stops the others;
+//! * a **late group member parked until the next epoch** (past the join
+//!   window) splices while it waits: its `LogInfo` promises the live
+//!   stream from that epoch's first seq, `connect()` returns, and the
+//!   trainer consumes the history up to it while the others train on
+//!   (each frame once the spiller has it, so a pointer consumer gets it
+//!   through an arena slot, never as a live batch's bytes); the
+//!   boundary's admission must start exactly there (anything else stops
+//!   the stream with an error, never a gap). A producer that ends before
+//!   that boundary still delivers the whole history, then `End`: a clean
+//!   end of stream;
 //! * a stored frame is read in place: the log checks its CRC over the
 //!   mapped bytes and hands out a [`ts_log::Record`] that owns the
 //!   mapping. The stored frames ARE streamed-payload wire frames: a
@@ -546,7 +560,7 @@
 //!   pointer announce goes out (`replay.[s<N>.]slot_frames`). When no
 //!   slot can be leased the stored bytes go instead
 //!   (`replay.[s<N>.]slot_fallbacks`) — a catch-up never waits on the
-//!   arena, because publishing waits on the catch-up — and an auto-sized
+//!   arena, because publishing may wait on the catch-up — and an auto-sized
 //!   arena provisions one catch-up window per shard so that does not
 //!   happen;
 //! * a catch-up has a window, like live publishing: the producer keeps

@@ -27,10 +27,17 @@
 //!   sign of life and moves the give-up time; an `AdmitReplay` subscribes
 //!   the batch topic and says READY;
 //! * `Splicing` — admitted, the point where the stream starts not settled.
-//!   A group member of a logging producer asks every shard `Replay` when
-//!   the *last* shard is admitted, so all splices run from one request and
-//!   one limit; batch frames that overtake the `LogInfo` answer wait in
-//!   the reorder buffer, and a shard that never answers goes live-only;
+//!   A group member of a logging producer asks every shard `Replay` once
+//!   the *last* shard has answered its JOIN, admitted or parked, so all
+//!   splices run from one request and one limit; batch frames that
+//!   overtake the `LogInfo` answer wait in the reorder buffer, and a shard
+//!   that never answers goes live-only (`consumer.splices_live_only`). A
+//!   parked member splices too: its `LogInfo` promises the live stream
+//!   from the next epoch's first seq, the shard counts as settled, and the
+//!   trainer consumes the logged history while the member waits. The
+//!   boundary's `AdmitReplay` then subscribes the batch topic and says
+//!   READY without moving the cursor; it must start at the promised seq,
+//!   or the stream stops (`Protocol`) rather than skip or repeat a batch;
 //! * `Live` — delivering: in order per shard by sequence number, across
 //!   shards by [`ShardInterleave`]; duplicates of replayed batches dropped;
 //! * `Ended` — the shard published `End`; it leaves the rotation once what
@@ -126,6 +133,9 @@ struct Shard {
     start: (u64, u64),
     /// Latest coalesced publish cursor heard: `(epoch, seq, index_in_epoch)`.
     cursor: Option<(u64, u64, u64)>,
+    /// The seq a parked shard's `LogInfo` promised the live stream from,
+    /// until its `AdmitReplay` comes.
+    promised: Option<u64>,
 }
 
 /// One consumer's whole decision state. See the module docs.
@@ -170,6 +180,7 @@ pub(crate) struct ConsumerState {
     acks: Arc<Counter>,
     data_unknown: Arc<Counter>,
     dangling_skipped: Arc<Counter>,
+    splices_live_only: Arc<Counter>,
     cursor_lag: Arc<Gauge>,
 }
 
@@ -231,6 +242,7 @@ impl ConsumerState {
             acks: counter("consumer.acks"),
             data_unknown: counter("consumer.data_unknown"),
             dangling_skipped: counter("consumer.dangling_skipped"),
+            splices_live_only: counter("consumer.splices_live_only"),
             cursor_lag: ctx.metrics.gauge("consumer.cursor_lag"),
         }
     }
@@ -306,6 +318,7 @@ impl ConsumerState {
     pub(crate) fn deadline(&self) -> u64 {
         match self.awaited() {
             Some(Phase::Hello | Phase::Splicing) => self.until.min(self.resend_at),
+            Some(Phase::Parked) if self.splices => self.until.min(self.resend_at),
             Some(_) => self.until,
             None => u64::MAX,
         }
@@ -409,14 +422,19 @@ impl ConsumerState {
                 Phase::Hello => self.timed_out("handshake WELCOME"),
                 Phase::Joining | Phase::Parked => self.timed_out("join reply"),
                 // No answer (a log that failed after the WELCOME): attach
-                // live-only, not an error.
-                Phase::Splicing => self.settle(now, shard),
+                // live-only, not an error — but the logged history is
+                // skipped, so it is counted.
+                Phase::Splicing => {
+                    self.splices_live_only.inc();
+                    self.settle(now, shard);
+                }
                 Phase::Live | Phase::Ended => self.timed_out("batch from producer"),
             }
         } else if now >= self.resend_at {
             match phase {
                 Phase::Hello => self.say_hello(now, fx),
                 Phase::Splicing => self.ask_replay(now, fx),
+                Phase::Parked if self.splices => self.ask_replay(now, fx),
                 _ => {}
             }
         }
@@ -436,9 +454,9 @@ impl ConsumerState {
         fx.push(Effect::Ctrl { shard: 0, msg });
     }
 
-    /// Asks every shard still splicing for its logged range. The producer
-    /// plans once and re-answers the same `LogInfo`, so resending cannot
-    /// fork the stream.
+    /// Asks every shard still splicing, or parked without an answer yet,
+    /// for its logged range. The producer plans once and re-answers the
+    /// same `LogInfo`, so resending cannot fork the stream.
     fn ask_replay(&mut self, now: u64, fx: &mut Vec<Effect>) {
         self.resend_at = now + RESEND_NS;
         let msg = CtrlMsg::Replay {
@@ -447,7 +465,7 @@ impl ConsumerState {
             from: ReplayFrom::Cursor,
         };
         let shards = self.shards.iter().enumerate();
-        let splicing = shards.filter(|(_, s)| s.phase == Phase::Splicing);
+        let splicing = shards.filter(|(_, s)| matches!(s.phase, Phase::Parked | Phase::Splicing));
         fx.extend(splicing.map(|(shard, _)| Effect::Ctrl {
             shard,
             msg: msg.clone(),
@@ -498,10 +516,13 @@ impl ConsumerState {
             DataMsg::Welcome { info, .. } if phase == Phase::Hello => {
                 fx.push(Effect::Negotiate(info));
             }
+            // A parked shard that spliced still waits for its admission.
             DataMsg::JoinReply {
                 consumer_id,
                 decision,
-            } if joining && consumer_id == self.id => self.on_reply(now, shard, decision, fx),
+            } if (joining || self.shards[shard].promised.is_some()) && consumer_id == self.id => {
+                self.on_reply(now, shard, decision, fx)
+            }
             DataMsg::End if joining => self.fail(TsError::Join("producer already ended".into())),
             DataMsg::End if flowing => {
                 self.shards[shard].phase = Phase::Ended;
@@ -521,6 +542,22 @@ impl ConsumerState {
                     s.next_expected = start_seq;
                     s.start = (start_epoch, start_index);
                 }
+                self.settle(now, shard);
+            }
+            DataMsg::LogInfo {
+                consumer_id,
+                start_seq,
+                start_epoch,
+                start_index,
+                live_seq,
+                ..
+            } if phase == Phase::Parked && self.splices && consumer_id == self.id => {
+                // Parked until the next epoch: the history up to it
+                // streams now, and the admission must start where it ends.
+                let s = &mut self.shards[shard];
+                s.next_expected = start_seq;
+                s.start = (start_epoch, start_index);
+                s.promised = Some(live_seq);
                 self.settle(now, shard);
             }
             DataMsg::Batch(a) if flowing => self.on_batch(now, shard, a, fx),
@@ -554,9 +591,12 @@ impl ConsumerState {
                 ..
             } => (epoch, replay_from, start_seq),
             // The producer answers again at the epoch boundary.
-            JoinDecision::WaitEpoch { .. } => {
+            JoinDecision::WaitEpoch { epoch } => {
                 self.shards[shard].phase = Phase::Parked;
-                return;
+                if shard == 0 {
+                    self.joined_epoch = epoch;
+                }
+                return self.all_answered(now, fx);
             }
             JoinDecision::Reject { reason } => return self.fail(TsError::Join(reason)),
         };
@@ -567,21 +607,35 @@ impl ConsumerState {
         let consumer_id = self.id;
         let msg = CtrlMsg::Ready { consumer_id };
         fx.push(Effect::Ctrl { shard, msg });
+        if shard == 0 {
+            self.joined_epoch = epoch;
+        }
         let s = &mut self.shards[shard];
+        if let Some(promised) = s.promised.take() {
+            // Spliced while parked: the history ends where this starts.
+            if start_seq != promised {
+                let gap = format!("admitted at seq {start_seq}, the log splice ends at {promised}");
+                self.fail(TsError::Join(gap));
+            }
+            return;
+        }
         s.next_expected = start_seq;
         s.start = (epoch, replay_from);
         s.phase = match self.splices {
             true => Phase::Splicing,
             false => Phase::Live,
         };
-        if shard == 0 {
-            self.joined_epoch = epoch;
-        }
-        if self.shards.iter().all(|s| s.phase >= Phase::Splicing) {
-            // The last shard is in: every splice runs from this one request
-            // and one limit.
-            self.until = now + self.recv_timeout;
-            self.ask_replay(now, fx);
+        self.all_answered(now, fx);
+    }
+
+    /// Once the last shard has answered its JOIN, admitted or parked, every
+    /// splice runs from one request and one limit.
+    fn all_answered(&mut self, now: u64, fx: &mut Vec<Effect>) {
+        if self.shards.iter().all(|s| s.phase >= Phase::Parked) {
+            if self.splices {
+                self.until = now + self.recv_timeout;
+                self.ask_replay(now, fx);
+            }
             self.attach_if_settled(now);
         }
     }

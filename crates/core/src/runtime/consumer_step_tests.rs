@@ -418,6 +418,52 @@ fn log_info_rewinds_the_cursor_before_the_first_delivery() {
 }
 
 #[test]
+fn a_parked_member_splices_at_once_and_is_admitted_where_the_splice_ends() {
+    let parked = || {
+        let mut rig = Rig::new(opts().group("g"));
+        rig.negotiate(welcome(1, true), PayloadMode::Shm);
+        // Told to wait: the Replay goes out at once, and again until
+        // answered.
+        let out = rig.frame(0, join_reply(JoinDecision::WaitEpoch { epoch: 1 }));
+        assert_eq!(out, [Out::Ctrl(0, replay())]);
+        assert_eq!(rig.tick_after(50 * MS), [Out::Ctrl(0, replay())]);
+        // The history up to epoch 1: settled, delivering, still parked.
+        assert!(rig.frame(0, log_info(2, 8)).is_empty());
+        assert!(rig.state.attached);
+        assert_eq!(rig.state.joined_epoch, 1);
+        assert!(rig.tick_after(50 * MS).is_empty(), "answered");
+        rig
+    };
+    let mut rig = parked();
+    for seq in 2..8 {
+        rig.frame(0, streamed(seq));
+        assert_eq!(rig.take_all(), [(0, seq, 0)]);
+        assert_eq!(rig.step(Event::Next), [Out::Ctrl(0, ack(seq))]);
+    }
+    // The boundary admits it where the splice ended: READY, and the
+    // cursor stays; a re-sent admission is a duplicate.
+    assert_eq!(rig.admit(0, 1, 8).len(), 2);
+    assert_eq!(rig.state.shards[0].next_expected, 8);
+    let again = JoinDecision::AdmitReplay {
+        epoch: 1,
+        replay_from: 0,
+        num_batches: 8,
+        start_seq: 8,
+    };
+    assert!(rig.frame(0, join_reply(again)).is_empty());
+    assert_eq!(rig.state.stopped, None);
+    // Anywhere else would skip or repeat a batch: a stop, not a gap.
+    let mut rig = parked();
+    rig.admit(0, 1, 9);
+    assert_eq!(rig.state.stopped, Some(StopReason::Protocol));
+    assert!(matches!(rig.state.take_error(), Some(TsError::Join(_))));
+    assert_eq!(
+        rig.ctx.metrics.counter("consumer.splices_live_only").get(),
+        0
+    );
+}
+
+#[test]
 fn frames_overtaking_log_info_are_delivered_once_in_order_and_counted_as_buffered() {
     let mut rig = Rig::new(opts().group("g"));
     rig.negotiate(welcome(1, true), PayloadMode::Shm);
@@ -753,6 +799,8 @@ fn three_shards_that_never_answer_replay_all_go_live_at_one_recv_timeout() {
     assert!(rig.state.attached);
     assert!(rig.now < asked_at + 30 * SEC + MS);
     assert_eq!(rig.state.take_error(), None);
+    let live_only = rig.ctx.metrics.counter("consumer.splices_live_only");
+    assert_eq!(live_only.get(), 3, "each skipped history is counted");
     // Live-only means from the admission point: 4 is next on every shard.
     rig.frame(0, streamed(4));
     assert_eq!(rig.take_all(), [(0, 4, 0)]);
@@ -1268,10 +1316,10 @@ fn a_joiner_admitted_and_gone_before_ready_frees_the_others_in_the_step_its_leav
 #[test]
 fn a_late_group_replays_the_log_through_arena_slots_exactly_once_bit_identical() {
     // The late member is parked past the join window and admitted at the
-    // epoch 1 boundary; epoch 0 exists nowhere but the log by then. Its
-    // frames out of the log are copied into arena slots and announced as
-    // pointers, which this in-process consumer resolves through the
-    // registry: none dangles, every slot comes back.
+    // epoch 1 boundary; it is sent epoch 0 while it waits. Its frames out
+    // of the log are copied into arena slots and announced as pointers,
+    // which this in-process consumer resolves through the registry: none
+    // dangles, every slot comes back.
     const PER_EPOCH: usize = 8;
     let tag = format!("{}-late-slots", std::process::id());
     let dir = std::env::temp_dir().join(format!("ts-world-{tag}"));
@@ -1294,7 +1342,8 @@ fn a_late_group_replays_the_log_through_arena_slots_exactly_once_bit_identical()
             if (epoch, index) == (0, 4) {
                 let opts = Consumer::builder().group("late");
                 world.join_with(2, PayloadMode::Shm, opts);
-                assert!(!world.peers[1].state.attached, "parked");
+                assert!(world.peers[1].state.attached, "spliced while parked");
+                assert_eq!(world.peers[1].got, reference, "what is out already");
             }
             reference.extend(world.publish(&mut prep, &[0], epoch, index, PER_EPOCH));
         }
@@ -1319,6 +1368,310 @@ fn a_late_group_replays_the_log_through_arena_slots_exactly_once_bit_identical()
 fn interleaved(mut rows: Vec<Row>) -> Vec<Row> {
     rows.sort_by_key(|r| (r.0, r.2, r.1));
     rows
+}
+
+// -- a parked member's lane -----------------------------------------------
+
+/// Batches per epoch of the lane scripts.
+const LANE_EPOCH: usize = 8;
+
+/// The shards of a logging producer over an arena with a slot pool each,
+/// epochs of [`LANE_EPOCH`] batches past a one-batch join window, and a
+/// witness (peer 0, consumer 1) attached from the start.
+struct Lane {
+    world: World,
+    prep: Vec<Preparer>,
+    on: Vec<usize>,
+    dir: std::path::PathBuf,
+    arena: std::path::PathBuf,
+}
+
+impl Lane {
+    fn new(tag: &str, shards: usize, epochs: u64) -> Self {
+        let tag = format!("{}-lane-{tag}-{shards}", std::process::id());
+        let dir = std::env::temp_dir().join(format!("ts-world-{tag}"));
+        let arena = std::env::temp_dir().join(format!("ts-world-{tag}.arena"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ctx = TsContext::host_only();
+        ctx.create_arena(&arena, 32 * shards, 4096, &vec![32; shards])
+            .unwrap();
+        let config = ProducerConfig {
+            rubberband_cutoff: 0.02,
+            log: Some(ts_log::LogConfig::new(&dir)),
+            ..world_cfg(epochs)
+        };
+        let pool = |s: usize| ctx.registry.shard_slot_pool(s as u32);
+        let prep = (0..shards)
+            .map(|s| Preparer::new(&config, pool(s)))
+            .collect();
+        let mut world = World::in_ctx(ctx, config, shards, LANE_EPOCH as u64);
+        world.join(1, PayloadMode::Shm);
+        Lane {
+            world,
+            prep,
+            on: (0..shards).collect(),
+            dir,
+            arena,
+        }
+    }
+
+    /// Loader batch `index` of `epoch` on every shard.
+    fn publish(&mut self, epoch: u64, index: usize) -> Vec<Row> {
+        let on = &self.on;
+        self.world
+            .publish(&mut self.prep, on, epoch, index, LANE_EPOCH)
+    }
+
+    /// A member of group "late" (peer 1, consumer 2) joins past the join
+    /// window, and every catch-up frame the windows let out goes.
+    fn join_late(&mut self) {
+        let opts = Consumer::builder().group("late");
+        self.world.join_with(2, PayloadMode::Shm, opts);
+        self.world.step(0, state::Event::Tick);
+    }
+
+    /// `stage.[s<N>.]slots_live` of every shard.
+    fn slots_live(&self) -> Vec<f64> {
+        let metrics = &self.world.ctx.metrics;
+        let name = |s: usize| match self.on.len() {
+            1 => "stage.slots_live".to_string(),
+            _ => format!("stage.s{s}.slots_live"),
+        };
+        self.on
+            .iter()
+            .map(|&s| metrics.gauge(&name(s)).get())
+            .collect()
+    }
+
+    /// Every shard's ack cursors belong to `ids`.
+    fn assert_cursor_holders(&self, ids: &[u64]) {
+        for shard in &self.world.shards {
+            let mut holders = shard.cursor_holders();
+            holders.sort_unstable();
+            assert_eq!(holders, ids);
+        }
+    }
+
+    /// [`World::finish`], then no ack was refused and every slot is free.
+    fn finish(self, reference: &[Row], names: &[&str]) {
+        let ctx = self.world.ctx.clone();
+        self.world.finish(reference, names);
+        assert_eq!(ctx.metrics.counter("producer.acks_refused").get(), 0);
+        assert_eq!(ctx.metrics.counter("consumer.splices_live_only").get(), 0);
+        for &s in &self.on {
+            ctx.registry.shard_slot_pool(s as u32).unwrap().drain();
+        }
+        assert_eq!(ctx.arena().unwrap().slots_in_use(), 0);
+        let _ = std::fs::remove_dir_all(&self.dir);
+        let _ = std::fs::remove_file(&self.arena);
+    }
+}
+
+fn a_parked_member_is_sent_its_history_while_the_others_train(shards: usize) {
+    let mut lane = Lane::new("history", shards, 2);
+    let mut rows = Vec::new();
+    for index in 0..4 {
+        rows.extend(lane.publish(0, index));
+    }
+    // Past the join window: parked until epoch 1, spliced at once.
+    lane.join_late();
+    let late = &lane.world.peers[1].state;
+    assert!(late.attached, "spliced while parked");
+    assert_eq!(late.joined_epoch, 1);
+    for s in &late.shards {
+        assert_eq!(s.promised, Some(LANE_EPOCH as u64), "epoch 1's first seq");
+    }
+    assert_eq!(lane.world.peers[1].got, interleaved(rows.clone()));
+    // Its frames stay on the wire from here: its lane waits for its acks,
+    // and the witness trains on.
+    lane.world.hold = |w| matches!(w, Wire::Down { peer: 1, .. });
+    for index in 4..LANE_EPOCH {
+        rows.extend(lane.publish(0, index));
+        let witness = &lane.world.peers[0];
+        assert_eq!(witness.got.len(), (index + 1) * shards, "not halted");
+    }
+    assert_eq!(lane.world.peers[1].got.len(), 4 * shards);
+    // The boundary admits it where its `LogInfo` said: the rest of its
+    // history, then the admission, which moves no cursor.
+    lane.world.end_epoch(0);
+    lane.world.release();
+    let late = &lane.world.peers[1];
+    assert_eq!(late.got, interleaved(rows.clone()));
+    assert!(late.state.shards.iter().all(|s| s.promised.is_none()));
+    assert_eq!(late.state.stopped, None, "admitted where the splice ended");
+    lane.assert_cursor_holders(&[1, 2]);
+    for index in 0..LANE_EPOCH {
+        rows.extend(lane.publish(1, index));
+    }
+    lane.world.end_epoch(1);
+    lane.finish(&interleaved(rows), &["witness", "late"]);
+}
+
+#[test]
+fn a_parked_member_is_sent_its_history_while_the_witness_trains_on() {
+    a_parked_member_is_sent_its_history_while_the_others_train(1);
+}
+
+#[test]
+fn two_shards_a_parked_member_is_sent_its_history_while_the_witness_trains_on() {
+    a_parked_member_is_sent_its_history_while_the_others_train(2);
+}
+
+#[test]
+fn a_parked_members_lane_waits_for_the_spiller() {
+    // It is in no hurry, and a frame the log has is a slot copy for a
+    // pointer consumer, where a live batch would go as its bytes.
+    let mut lane = Lane::new("spiller", 1, 2);
+    let mut rows = Vec::new();
+    for index in 0..4 {
+        rows.extend(lane.publish(0, index));
+    }
+    lane.world.hold = |w| matches!(w, Wire::Logged { .. });
+    for index in 4..6 {
+        rows.extend(lane.publish(0, index));
+    }
+    lane.join_late();
+    assert_eq!(
+        lane.world.peers[1].got,
+        rows[..4],
+        "what the spiller passed"
+    );
+    lane.world.release();
+    lane.world.step(0, state::Event::Tick);
+    assert_eq!(lane.world.peers[1].got, rows);
+    for epoch in 0..2 {
+        for index in 6 * usize::from(epoch == 0)..LANE_EPOCH {
+            rows.extend(lane.publish(epoch, index));
+        }
+        lane.world.end_epoch(epoch);
+    }
+    let slot_frames = lane.world.ctx.metrics.counter("replay.slot_frames");
+    assert_eq!(slot_frames.get(), LANE_EPOCH as u64);
+    lane.finish(&rows, &["witness", "late"]);
+}
+
+fn a_leave_mid_lane_gives_back_every_held_slot(shards: usize) {
+    let mut lane = Lane::new("leave", shards, 2);
+    let mut rows = Vec::new();
+    for index in 0..4 {
+        rows.extend(lane.publish(0, index));
+    }
+    let before = lane.slots_live();
+    // The late member's acks never arrive: each frame it was sent holds
+    // its slot.
+    lane.world.hold = |w| {
+        matches!(
+            w,
+            Wire::Up {
+                msg: CtrlMsg::Ack { consumer_id: 2, .. },
+                ..
+            }
+        )
+    };
+    lane.join_late();
+    assert_eq!(lane.world.peers[1].got.len(), 4 * shards);
+    let held: Vec<f64> = before.iter().map(|b| b + 4.0).collect();
+    assert_eq!(lane.slots_live(), held, "a slot per frame sent");
+    lane.world.held.clear();
+    lane.world.leave(1);
+    lane.world.peers.pop();
+    assert_eq!(lane.slots_live(), before, "every held slot back");
+    lane.assert_cursor_holders(&[1]);
+    for epoch in 0..2 {
+        for index in 4 * usize::from(epoch == 0)..LANE_EPOCH {
+            rows.extend(lane.publish(epoch, index));
+        }
+        lane.world.end_epoch(epoch);
+    }
+    lane.finish(&interleaved(rows), &["witness"]);
+}
+
+#[test]
+fn a_leave_mid_lane_gives_back_every_held_slot_and_leaves_no_cursor() {
+    a_leave_mid_lane_gives_back_every_held_slot(1);
+}
+
+#[test]
+fn two_shards_a_leave_mid_lane_gives_back_every_held_slot_and_leaves_no_cursor() {
+    a_leave_mid_lane_gives_back_every_held_slot(2);
+}
+
+fn a_parked_members_acks_move_its_group_cursor(shards: usize) {
+    let mut lane = Lane::new("acks", shards, 2);
+    let mut rows = Vec::new();
+    for index in 0..4 {
+        rows.extend(lane.publish(0, index));
+    }
+    lane.join_late();
+    let group_cursors = |lane: &Lane| -> Vec<Option<u64>> {
+        let shards = lane.world.shards.iter();
+        shards.map(|s| s.group_cursor("late")).collect()
+    };
+    // Acked as delivered, and on no ack cursor: it owes no live batch.
+    assert_eq!(group_cursors(&lane), vec![Some(4); shards]);
+    lane.assert_cursor_holders(&[1]);
+    lane.world.hold = |w| {
+        matches!(
+            w,
+            Wire::Up {
+                msg: CtrlMsg::Ack { consumer_id: 2, .. },
+                ..
+            }
+        )
+    };
+    for index in 4..LANE_EPOCH {
+        rows.extend(lane.publish(0, index));
+    }
+    assert_eq!(lane.world.peers[1].got.len(), LANE_EPOCH * shards);
+    assert_eq!(group_cursors(&lane), vec![Some(4); shards], "acks held");
+    lane.world.release();
+    let epoch_end = Some(LANE_EPOCH as u64);
+    assert_eq!(group_cursors(&lane), vec![epoch_end; shards]);
+    lane.assert_cursor_holders(&[1]);
+    lane.world.end_epoch(0);
+    for index in 0..LANE_EPOCH {
+        rows.extend(lane.publish(1, index));
+    }
+    lane.world.end_epoch(1);
+    let metrics = &lane.world.ctx.metrics;
+    assert_eq!(metrics.counter("producer.ctrl_unknown_consumer").get(), 0);
+    lane.finish(&interleaved(rows), &["witness", "late"]);
+}
+
+#[test]
+fn a_parked_members_acks_move_its_group_cursor_and_are_never_refused() {
+    a_parked_members_acks_move_its_group_cursor(1);
+}
+
+#[test]
+fn two_shards_a_parked_members_acks_move_its_group_cursor_and_are_never_refused() {
+    a_parked_members_acks_move_its_group_cursor(2);
+}
+
+fn a_producer_that_ends_before_the_boundary_still_delivers_the_history(shards: usize) {
+    // One epoch: the member is parked for an epoch that never opens.
+    let mut lane = Lane::new("end", shards, 1);
+    let mut rows = Vec::new();
+    for index in 0..4 {
+        rows.extend(lane.publish(0, index));
+    }
+    lane.join_late();
+    for index in 4..LANE_EPOCH {
+        rows.extend(lane.publish(0, index));
+    }
+    lane.world.end_epoch(0);
+    assert!(lane.world.shards.iter().all(|s| s.wait() == Wait::Drain));
+    lane.finish(&interleaved(rows), &["witness", "late"]);
+}
+
+#[test]
+fn a_producer_that_ends_before_the_boundary_still_delivers_a_parked_members_history() {
+    a_producer_that_ends_before_the_boundary_still_delivers_the_history(1);
+}
+
+#[test]
+fn two_shards_a_producer_that_ends_before_the_boundary_still_delivers_a_parked_members_history() {
+    a_producer_that_ends_before_the_boundary_still_delivers_the_history(2);
 }
 
 #[test]

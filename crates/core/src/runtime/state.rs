@@ -40,9 +40,12 @@
 //!
 //! **Replays are jobs, not loops.** A catch-up (rubberband pins or a
 //! logged range) is queued as `{consumer, source, next, end}` and advanced
-//! one frame per `step`; publishing waits until the queue is empty (the
-//! rubberband "halt everyone while the joiner catches up"). A `Leave` or
-//! an expiry between two frames simply removes the job.
+//! one frame per `step`. A pin catch-up halts publishing until it is done
+//! (the rubberband "halt everyone while the joiner catches up"). A logged
+//! range is a lane beside live publishing: it sends only seqs already
+//! published, so a parked group member can be sent its history up to the
+//! next epoch's first seq while the others train on. A `Leave` or an
+//! expiry between two frames simply removes the job.
 //!
 //! **A catch-up has a window, like live publishing.** The job remembers
 //! what it sent and its consumer has not acked yet, and sends only while
@@ -54,7 +57,7 @@
 //! Every frame is looked up when it is sent, never before: the range of a
 //! logged job ends at its consumer's first live seq, not at what the
 //! spiller has appended, and a batch the log does not have yet is still
-//! live. The gate paces, it never decides liveness: after a whole tick
+//! live (a parked member's lane alone waits for the spiller). The gate paces, it never decides liveness: after a whole tick
 //! without an ack from the consumer one frame goes anyway
 //! (`replay.gate_timeouts`).
 //!
@@ -70,13 +73,21 @@
 //! a stream consumer, whose frame weighs its own bytes. When no slot can
 //! be leased the stored bytes go instead, counted
 //! (`replay.[s<N>.]slot_fallbacks`): a catch-up never waits on the arena,
-//! because publishing waits on the catch-up.
+//! because publishing may wait on the catch-up.
 //!
-//! Jobs run in arrival order, with one exception: a consumer's logged
+//! Every consumer's jobs move side by side, each behind its own window;
+//! one consumer's run in arrival order, with one exception: its logged
 //! range goes ahead of its own pin replay (a rejoining group member gets
 //! the pins on `Ready` and the range on `Replay`). It delivers, and so
 //! acks, the older range first; behind a window of pin frames it cannot
 //! ack yet the range would wait out a tick per frame.
+//!
+//! **A parked member's lane.** A group member told to wait for the next
+//! epoch asks `Replay` at once, and is answered with the range from its
+//! group cursor to the first seq of the next epoch — exactly where the
+//! boundary will admit it. Its acks feed that lane's window, its held
+//! frames and its group cursor; it owes no live batch yet and has no
+//! cursor in [`Cursors`], so they release nothing there.
 
 use crate::protocol::cursors::Cursors;
 use crate::protocol::flex::plan_flex;
@@ -370,6 +381,13 @@ impl ReplayJob {
         self.unacked.len() < CATCH_UP_MIN_FRAMES || self.unacked_bytes < CATCH_UP_BUDGET
     }
 
+    /// True when its next frame has been published, with `next_seq` the
+    /// seq the next publish takes: a parked member's lane runs up to the
+    /// next epoch, and waits for publishing to get there.
+    fn has_frame(&self, next_seq: u64) -> bool {
+        self.next < self.end.min(next_seq)
+    }
+
     fn sent(&mut self, now: u64, seq: u64, bytes: u64) {
         self.unacked.push_back((seq, bytes));
         self.unacked_bytes += bytes;
@@ -426,7 +444,7 @@ struct Membership {
     replays: VecDeque<ReplayJob>,
     /// Slot-backed catch-up frames not acked yet, oldest first.
     held: Vec<HeldFrame>,
-    /// Un-acked bytes of the front catch-up (`replay.[s<N>.]inflight_bytes`).
+    /// Un-acked bytes of every catch-up (`replay.[s<N>.]inflight_bytes`).
     inflight_bytes: Arc<Gauge>,
     /// Frames sent through a shut gate (`replay.[s<N>.]gate_timeouts`).
     gate_timeouts: Arc<Counter>,
@@ -443,13 +461,50 @@ struct Membership {
 
 impl Membership {
     fn knows(&self, id: u64) -> bool {
-        self.consumers.contains_key(&id) || self.pending_join.iter().any(|(j, ..)| *j == id)
+        self.consumers.contains_key(&id) || self.parked(id).is_some()
+    }
+
+    /// How consumer `id`, told to wait for the next epoch, is paid.
+    fn parked(&self, id: u64) -> Option<PayloadMode> {
+        let mut pending = self.pending_join.iter();
+        pending.find(|(j, ..)| *j == id).map(|&(.., mode)| mode)
+    }
+
+    /// True while a rubberband catch-up holds publishing. Asked on every
+    /// step, nearly always of an empty queue.
+    fn halting(&self) -> bool {
+        !self.replays.is_empty() && self.replays.iter().any(|job| !job.from_log)
+    }
+
+    /// The job that moves next: the first that has a frame to send —
+    /// below `next_seq`, or for a parked member below `logged` — and that
+    /// `may_send` lets out, with no job of its consumer queued ahead of it.
+    fn movable(
+        &self,
+        (next_seq, logged): (u64, u64),
+        may_send: impl Fn(&ReplayJob) -> bool,
+    ) -> Option<usize> {
+        let first_of_its_consumer = |at: usize| {
+            let consumer = self.replays[at].consumer;
+            !self.replays.range(..at).any(|j| j.consumer == consumer)
+        };
+        let up_to = |job: &ReplayJob| match self.parked(job.consumer) {
+            Some(_) => logged,
+            None => next_seq,
+        };
+        let jobs = self.replays.iter().enumerate();
+        jobs.filter(|(_, job)| job.has_frame(up_to(job)) && may_send(job))
+            .map(|(at, _)| at)
+            .find(|&at| first_of_its_consumer(at))
     }
 
     fn note_inflight(&self) {
-        let front = self.replays.front();
-        self.inflight_bytes
-            .set(front.map_or(0, |job| job.unacked_bytes) as f64);
+        let unacked = self
+            .replays
+            .iter()
+            .map(|job| job.unacked_bytes)
+            .sum::<u64>();
+        self.inflight_bytes.set(unacked as f64);
     }
 
     /// Releases the slots of every held frame `done` picks; returns how
@@ -759,14 +814,27 @@ impl State {
         matches!(self.wait, Wait::Item | Wait::Arena)
     }
 
-    /// True while the front catch-up has room in its window for its next
-    /// frame: the pump must keep stepping. Otherwise the next ack (or
-    /// tick) is what moves it, and the pump may park.
+    /// True while a catch-up has a frame to send and room in its window
+    /// for it: the pump must keep stepping. Otherwise the next ack,
+    /// publish (or tick) is what moves it, and the pump may park.
     pub(crate) fn busy(&self) -> bool {
-        self.members
-            .replays
-            .front()
-            .is_some_and(ReplayJob::gate_open)
+        self.next_job(ReplayJob::gate_open).is_some()
+    }
+
+    fn next_job(&self, may_send: impl Fn(&ReplayJob) -> bool) -> Option<usize> {
+        if self.members.replays.is_empty() {
+            return None;
+        }
+        // A parked member is in no hurry, its live stream starts at the
+        // next epoch: its lane waits for the spiller, so each frame comes
+        // out of the log (through arena slots for a pointer consumer), not
+        // as a live batch's bytes.
+        let next_seq = self.win.cursors.next_seq();
+        let logged = match &self.log {
+            Some(log) if !log.failed => log.logged.min(next_seq),
+            _ => next_seq,
+        };
+        self.members.movable((next_seq, logged), may_send)
     }
 
     /// When the state next needs an [`Event::Tick`] if nothing else
@@ -856,8 +924,8 @@ impl State {
     /// `Ready` can start the epoch and publish in the same step). Only the
     /// group leaves [`Wait::Barrier`].
     fn advance(&mut self, now: u64, fx: &mut Vec<Effect>) {
-        if self.busy() {
-            self.replay_one(now, fx);
+        if let Some(at) = self.next_job(ReplayJob::gate_open) {
+            self.replay_one(now, at, fx);
         }
         self.transitions(now, fx);
     }
@@ -879,7 +947,7 @@ impl State {
         }
         if self.wait == Wait::Window
             && all_ready
-            && self.members.replays.is_empty()
+            && !self.members.halting()
             && self.win.cursors.can_publish()
         {
             self.publish(now, fx);
@@ -887,12 +955,16 @@ impl State {
         if self.wait == Wait::Arena {
             self.relieve_arena();
         }
-        if self.wait == Wait::Drain
-            && (self.win.cursors.outstanding() == 0
-                || self.members.consumers.is_empty()
-                || self.until.is_some_and(|d| now >= d))
-        {
-            fx.push(Effect::Finish);
+        if self.wait == Wait::Drain {
+            // Nothing more is published: a lane is through once it sent
+            // what there is and its slot-backed frames were acked.
+            let m = &self.members;
+            let next_seq = self.win.cursors.next_seq();
+            let acked = self.win.cursors.outstanding() == 0 || m.consumers.is_empty();
+            let lanes_done = m.held.is_empty() && !m.replays.iter().any(|j| j.has_frame(next_seq));
+            if acked && lanes_done || self.until.is_some_and(|d| now >= d) {
+                fx.push(Effect::Finish);
+            }
         }
     }
 
@@ -1323,20 +1395,19 @@ impl State {
 
     // -- catch-ups --------------------------------------------------------
 
-    /// Advances the front catch-up by one frame, window or not: callers
-    /// check [`State::busy`] first, or are the tick forcing a frame out.
-    fn replay_one(&mut self, now: u64, fx: &mut Vec<Effect>) {
-        let Some(job) = self.members.replays.front_mut() else {
-            return;
-        };
+    /// Advances catch-up `at` by one frame, window or not: callers pick it
+    /// with [`Membership::movable`].
+    fn replay_one(&mut self, now: u64, at: usize, fx: &mut Vec<Effect>) {
+        let job = &mut self.members.replays[at];
         let (id, seq, from_log) = (job.consumer, job.next, job.from_log);
         job.next += 1;
         let weight = self.replay_frame(id, seq, from_log, fx);
         let m = &mut self.members;
-        match m.replays.front_mut() {
-            Some(job) if job.next >= job.end => drop(m.replays.pop_front()),
-            Some(job) if weight > 0 => job.sent(now, seq, weight),
-            _ => {}
+        let job = &mut m.replays[at];
+        if job.next >= job.end {
+            m.replays.remove(at);
+        } else if weight > 0 {
+            job.sent(now, seq, weight);
         }
         m.note_inflight();
     }
@@ -1345,7 +1416,13 @@ impl State {
     /// weighs in the catch-up window (0: nothing went out). See the module
     /// docs for what a frame weighs.
     fn replay_frame(&mut self, id: u64, seq: u64, from_log: bool, fx: &mut Vec<Effect>) -> u64 {
-        let Some(mode) = self.members.consumers.get(&id).map(|c| c.mode) else {
+        let m = &self.members;
+        let Some(mode) = m
+            .consumers
+            .get(&id)
+            .map(|c| c.mode)
+            .or_else(|| m.parked(id))
+        else {
             return 0;
         };
         if !from_log {
@@ -1594,6 +1671,9 @@ impl State {
                 self.queue_pin_replay(consumer_id);
             }
             CtrlMsg::Ack { consumer_id, seq } => {
+                // A parked member owes no live batch yet and has no cursor
+                // in the table: its acks, of lane frames, release nothing
+                // there and move only its lane below.
                 let Some(released) = self.win.cursors.ack(consumer_id, seq) else {
                     return metrics.counter("producer.acks_refused").inc();
                 };
@@ -1794,6 +1874,23 @@ impl State {
         }
     }
 
+    /// Where consumer `id`'s live stream starts, as `(seq, epoch)`: its
+    /// admission point; for a member parked until the next epoch, that
+    /// epoch's first seq — exactly where [`State::open_epoch`] will admit
+    /// it. `None` for a consumer this shard does not know.
+    fn splice_point(&self, id: u64) -> Option<(u64, u64)> {
+        let (m, w) = (&self.members, &self.win);
+        if let Some(c) = m.consumers.get(&id) {
+            return Some((c.start_seq, w.pin_epoch));
+        }
+        m.parked(id)?;
+        let next_epoch = match self.wait {
+            Wait::Barrier => w.cursors.next_seq(),
+            _ => w.epoch_start_seq + w.expected_announces,
+        };
+        Some((next_epoch, w.pin_epoch + 1))
+    }
+
     /// Answers a `Replay` from a group member: resolve the start (cursor /
     /// oldest / explicit, floored at what the log retains, capped at the
     /// consumer's live splice point), register the group cursor, answer
@@ -1805,20 +1902,20 @@ impl State {
     /// A member rejoining beside active consumers was admitted at the
     /// epoch start; a cursor past that is capped down to it and the
     /// rubberband replay re-delivers the epoch — epoch-coherent, with the
-    /// acked prefix ignored as cursor regressions.
+    /// acked prefix ignored as cursor regressions. A member parked until
+    /// the next epoch is sent everything up to it while it waits.
     fn on_replay(&mut self, id: u64, group: String, from: ReplayFrom, fx: &mut Vec<Effect>) {
         self.ctx.metrics.counter("producer.replay_requests").inc();
-        let Some(live_seq) = self.members.consumers.get(&id).map(|c| c.start_seq) else {
-            return; // only an admitted consumer is replayed to
+        let Some((live_seq, live_epoch)) = self.splice_point(id) else {
+            return; // only a member is replayed to
         };
         let shard = self.shard;
-        let pin_epoch = self.win.pin_epoch;
         let Some(log) = &mut self.log else {
             // No log: nothing behind the splice point, live-only.
             let info = DataMsg::LogInfo {
                 consumer_id: id,
                 start_seq: live_seq,
-                start_epoch: pin_epoch,
+                start_epoch: live_epoch,
                 start_index: 0,
                 live_seq,
                 retained_min: 0,
@@ -1832,17 +1929,20 @@ impl State {
         if let Some(frame) = log.log_infos.get(&id) {
             return fx.push(send(topics::consumer(id), frame.clone()));
         }
-        let retained = (!log.failed)
-            .then(|| log.log.lock().retained_range())
-            .flatten();
+        // The history is what the log retains and every batch the spiller
+        // has not passed yet, which is still live: a log that has nothing
+        // yet (its spiller behind a fast stream) still has it all to come.
+        let retained = (!log.failed).then(|| log.log.lock().retained_range());
         let (start, rmin, rmax) = match retained {
-            Some((rmin, rmax)) => {
+            Some(range) => {
+                let oldest = range.map_or(log.logged, |(rmin, _)| rmin);
                 let want = match from {
-                    ReplayFrom::Cursor => log.cursors.load(&group, shard).unwrap_or(rmin),
-                    ReplayFrom::Oldest => rmin,
+                    ReplayFrom::Cursor => log.cursors.load(&group, shard).unwrap_or(oldest),
+                    ReplayFrom::Oldest => oldest,
                     ReplayFrom::Seq(n) => n,
                 };
-                (replay_start(want, rmin, live_seq), rmin, rmax)
+                let (rmin, rmax) = range.unwrap_or((0, 0));
+                (replay_start(want, oldest, live_seq), rmin, rmax)
             }
             None => (live_seq, 0, 0),
         };
@@ -1854,7 +1954,7 @@ impl State {
         let (start_epoch, start_index) = match (meta, self.win.live.get(&start)) {
             (Some(m), _) => (m.epoch, m.index_in_epoch),
             (None, Some(b)) if start < live_seq => (b.epoch, b.index_in_epoch),
-            _ => (pin_epoch, 0),
+            _ => (live_epoch, 0),
         };
         let _ = log.cursors.register(&group, shard, start);
         log.groups.insert(id, group);
@@ -1908,11 +2008,10 @@ impl State {
         // The catch-up window paces, it never decides liveness: a consumer
         // that owes acks it will not send (it skipped the frames, or waits
         // for one that was lost) still gets the rest, a frame per tick.
-        let front = self.members.replays.front();
         let silent = |job: &ReplayJob| now.saturating_sub(job.moved_at) >= TICK_NS;
-        if front.is_some_and(|job| !job.gate_open() && silent(job)) {
+        if let Some(at) = self.next_job(|job| !job.gate_open() && silent(job)) {
             self.members.gate_timeouts.inc();
-            self.replay_one(now, fx);
+            self.replay_one(now, at, fx);
         }
         self.log_maintenance();
         for dead in self.members.hb.expire(now) {
@@ -2027,6 +2126,19 @@ impl State {
         let stalls = format!("watchdog.stalls.{class}");
         self.ctx.metrics.counter(&stalls).inc();
         self.ctx.trace.set_verdict(&verdict);
+    }
+}
+
+#[cfg(test)]
+impl State {
+    /// The consumers that hold an ack cursor on this shard.
+    pub(crate) fn cursor_holders(&self) -> Vec<u64> {
+        self.win.cursors.owers(u64::MAX).collect()
+    }
+
+    /// Group `group`'s cursor on this shard, as acks moved it.
+    pub(crate) fn group_cursor(&self, group: &str) -> Option<u64> {
+        self.log.as_ref()?.cursors.load(group, self.shard)
     }
 }
 

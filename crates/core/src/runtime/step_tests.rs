@@ -1202,6 +1202,85 @@ fn a_catch_up_that_overtakes_the_spiller_leaves_no_hole() {
 }
 
 #[test]
+fn a_pin_catch_up_halts_publishing_until_its_last_frame_is_out() {
+    // The rubberband as the paper has it: a joiner admitted at the epoch
+    // start is replayed the prefix before anyone gets the next batch. A
+    // stream-mode joiner's pins weigh whole batches, so its window shuts
+    // with pins still to send; the next batch waits for them all — not
+    // for the publish window, which is wide enough for all of them.
+    let ctx = TsContext::host_only();
+    let config = ProducerConfig {
+        buffer_size: 64,
+        ..cfg(1, 1.0)
+    };
+    let mut prep = Preparer::new(&config, None);
+    let mut rig = Rig::new(&ctx, config, 24);
+    rig.attach(1);
+    let mut item = |index: usize| {
+        let mut never = || panic!("no arena, nothing to run dry");
+        let item = prep.push(big_batch(index, 24), false, &mut never);
+        item.unwrap().unwrap()
+    };
+    for seq in 0..12 {
+        rig.item(item(seq));
+        rig.ack(1, seq as u64);
+    }
+    assert_eq!(admit_of(&rig.join(2, PayloadMode::Stream)), Some((0, 0, 0)));
+    let mut sent = batches(&rig.ready(2));
+    while rig.state.busy() {
+        sent.extend(batches(&rig.tick_after(0)));
+    }
+    assert!(sent.len() < 12, "the window shut mid-prefix: {sent:?}");
+    let out = rig.item(item(12));
+    assert!(batches(&out).is_empty(), "halted: {out:?}");
+    assert_eq!(rig.state.wait(), Wait::Window);
+    // Acks let the rest of the prefix out, and only then seq 12.
+    for acked in 0..12 {
+        sent.extend(batches(&rig.ack(2, acked)));
+    }
+    let twelve = (topics::BATCH.to_vec(), 12);
+    let published = sent.iter().position(|frame| *frame == twelve);
+    let prefix: Vec<_> = (0..12u64).map(|seq| (topics::consumer(2), seq)).collect();
+    assert_eq!(sent[..12], prefix);
+    assert_eq!(published, Some(12), "published once the prefix was out");
+}
+
+#[test]
+fn a_replay_planned_before_the_spiller_appended_anything_still_covers_the_history() {
+    // ROADMAP 1, schedule (viii): a stream so fast that the spiller has
+    // appended nothing when the late member asks. The log holds no range
+    // yet, but every batch it has not reached is still live, so the plan
+    // starts at seq 0 — not at the member's live seq, which skipped the
+    // whole history in about 2 of 100 runs of `tests/log_replay.rs`.
+    let (mut rig, out, dir) = late_group_behind_a_logged_epoch("unlogged", 8, 8);
+    assert!(
+        matches!(
+            &out[0],
+            Out::Msg(
+                _,
+                DataMsg::LogInfo {
+                    start_seq: 0,
+                    live_seq: 8,
+                    ..
+                }
+            )
+        ),
+        "{out:?}"
+    );
+    let mut sent = batches(&out);
+    while rig.state.busy() {
+        sent.extend(batches(&rig.tick_after(0)));
+    }
+    for acked in 0..8 {
+        sent.extend(batches(&rig.ack(2, acked)));
+    }
+    let all: Vec<_> = (0..8u64).map(|seq| (topics::consumer(2), seq)).collect();
+    assert_eq!(sent, all, "each seq exactly once, in order, out of memory");
+    assert!(rig.state.members.replays.is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_pin_replay_of_pointer_announces_is_not_held_to_the_frame_floor() {
     // Twenty ~100-byte announces are nowhere near the byte budget: they
     // all go without a single ack from the joiner.

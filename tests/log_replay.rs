@@ -255,6 +255,7 @@ fn fresh_group_late_join_replays_full_history() {
         "catch-up must have been served from the log"
     );
     assert!(ctx.metrics.counter("producer.replay_requests").get() >= 1);
+    assert_eq!(ctx.metrics.counter("consumer.splices_live_only").get(), 0);
     assert_eq!(ctx.metrics.counter("log.append_errors").get(), 0);
     assert!(
         ctx.metrics.counter("stage.log_append_bytes").get() > 0,
@@ -387,6 +388,7 @@ fn group_cursor_resumes_after_clean_drop() {
         merged, full,
         "victim + successor must reproduce the uninterrupted stream exactly"
     );
+    assert_eq!(ctx.metrics.counter("consumer.splices_live_only").get(), 0);
     let _ = std::fs::remove_dir_all(&log_dir);
 }
 
@@ -475,6 +477,7 @@ fn grouped_mid_epoch_join_survives_budget_trimmed_retention() {
         ctx.metrics.counter("replay.log_batches").get() > 0,
         "some catch-up batches must have come from shed pins' log frames"
     );
+    assert_eq!(ctx.metrics.counter("consumer.splices_live_only").get(), 0);
     let _ = std::fs::remove_dir_all(&log_dir);
 }
 

@@ -114,7 +114,9 @@ fn run_consumer(group: Option<&str>, require_shm: bool, hold_for_witness: bool) 
     let endpoint = std::env::var("TS_LRMP_ENDPOINT").expect("TS_LRMP_ENDPOINT");
     let out_path = std::env::var("TS_LRMP_OUT").expect("TS_LRMP_OUT");
 
+    let ctx = TsContext::host_only();
     let mut builder = Consumer::builder()
+        .context(&ctx)
         .recv_timeout(Duration::from_secs(30))
         .heartbeat_interval(Duration::from_millis(50));
     if let Some(g) = group {
@@ -184,6 +186,9 @@ fn run_consumer(group: Option<&str>, require_shm: bool, hold_for_witness: bool) 
         "consumer must stop on a clean End from every shard"
     );
     assert!(consumed > 0, "consumed nothing");
+    // A group member's splice was answered, never given up on.
+    let live_only = ctx.metrics.counter("consumer.splices_live_only").get();
+    assert_eq!(live_only, 0, "a splice went live-only");
     writeln!(out, "done {consumed}").unwrap();
     out.flush().unwrap();
 }
