@@ -463,6 +463,7 @@
 //! | `stage.[s<N>.]log_append_bytes` | counter | bytes | encoded batch frames the log spiller appended durably |
 //! | `log.append_errors` | counter | appends | spiller append failures (first one latches the log failed and drops it from WELCOMEs) |
 //! | `log.[s<N>.]lag` | gauge | batches | published batches not yet durably appended (spiller backlog) |
+//! | `log.[s<N>.]mapped_bytes` | gauge | bytes | the log's resident bytes by its own books: the active segment's written bytes, sealed-segment records still held by a send or a slot copy, and read pages not given back yet (at most a 4 MiB stride). A sealed segment gives its pages back, so this stays near one segment whatever the retention |
 //! | `log.[s<N>.]retained_min` / `log.[s<N>.]retained_max` | gauge | seq | retained offset range replayable from the log (`min > max` = enabled, nothing retained yet) |
 //! | `producer.replay_requests` | counter | requests | `CtrlMsg::Replay` requests answered (resends included) |
 //! | `replay.log_batches` | counter | batches | batches served out of the durable log to resuming consumers, as bytes or through arena slots |

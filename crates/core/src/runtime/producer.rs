@@ -146,13 +146,16 @@ pub(crate) fn spill_one(
     // checksumming as it goes — the one copy of the payload on this path.
     let segments = DataMsg::Batch(announce).encode_segments();
     let chunks: Vec<&[u8]> = segments.iter().map(|s| &s[..]).collect();
+    // The guard goes at the end of this statement: a segment the append
+    // sealed gives its pages back below, while readers may take the lock.
     let appended = log
         .lock()
         .append_chunks(m.seq, m.epoch, m.index_in_epoch, &chunks);
     match appended {
-        Ok(()) => {
+        Ok(sealed) => {
             let len: usize = chunks.iter().map(|c| c.len()).sum();
             stage.log_append_bytes.add(len as u64);
+            drop(sealed);
             true
         }
         Err(e) => {

@@ -590,6 +590,9 @@ pub(crate) struct LogTee {
     /// the same frame, never a second stream.
     log_infos: HashMap<u64, Bytes>,
     lag: Arc<Gauge>,
+    /// [`BatchLog::mapped_bytes`]: what the log keeps resident by its own
+    /// books, published with `lag`.
+    mapped_bytes: Arc<Gauge>,
     retained_min: Arc<Gauge>,
     retained_max: Arc<Gauge>,
     /// Replay reads that found their record damaged: the registry's copy
@@ -622,6 +625,7 @@ impl LogTee {
             groups: HashMap::new(),
             log_infos: HashMap::new(),
             lag: metrics.gauge(&format!("{prefix}lag")),
+            mapped_bytes: metrics.gauge(&format!("{prefix}mapped_bytes")),
             retained_min,
             retained_max,
             read_corrupt: metrics.counter(&format!("{prefix}read_corrupt")),
@@ -2047,6 +2051,7 @@ impl State {
             segments.apply_retention(floor);
         }
         log.lag.set(next_seq.saturating_sub(log.logged) as f64);
+        log.mapped_bytes.set(segments.mapped_bytes() as f64);
         if let Some((min, max)) = segments.retained_range() {
             log.retained_min.set(min as f64);
             log.retained_max.set(max as f64);

@@ -98,12 +98,47 @@
 //!   mapped bytes and returns a [`Record`], a view that shares ownership
 //!   of the segment's mapping. It derefs to the bytes for as long as it
 //!   lives — across threads, past rotation, past the `BatchLog` itself —
-//!   and an unlinked segment's pages go back to the kernel when the last
-//!   handle on it drops. That is sound because committed bytes are never
-//!   rewritten: appends only ever store past the last committed record.
+//!   and an unlinked segment's file goes back to the kernel when the last
+//!   handle on it drops. A handle does not pin its segment's pages in the
+//!   address space (see *Residency*). That is sound because committed
+//!   bytes are never rewritten: appends only ever store past the last
+//!   committed record.
 //! * A record that is retained but no longer matches its index entry
 //!   reads as `None`, like one retention dropped, but is counted apart
 //!   ([`BatchLog::read_corrupt`]) and reported once with its segment.
+//!
+//! ## Residency
+//!
+//! A page of the log stays mapped in the process only while it is being
+//! written or read. The rule, per segment:
+//!
+//! * **Active** (being appended): every written page stays mapped — the
+//!   writer is on the next one, and a catch-up right behind the spiller
+//!   reads what was just appended.
+//! * **Sealed**: rotation gives the data region back
+//!   ([`Segment::seal`], `madvise(MADV_DONTNEED)`); only the header and
+//!   index stay. A record read from it is mapped again by its read, and
+//!   its pages go back after its last handle drops, whether it went out
+//!   as a send or was copied into a slot: a segment's read pages go back
+//!   together once its dropped records add up to 4 MiB, or as soon as a
+//!   record of another segment drops (the reader moved on). A release per
+//!   record would cost a TLB shootdown per replayed frame.
+//!
+//! So a shard's log costs one segment plus the records in flight and at
+//! most a stride of read pages ([`BatchLog::mapped_bytes`] keeps that
+//! book), whatever [`LogConfig::retain_segments`] retains. On a
+//! `MAP_SHARED` file mapping giving a page back drops this process's
+//! page-table entry and nothing else: the bytes stay in the page cache,
+//! dirty ones included, and a handle that reads a released page maps the
+//! same bytes again. The zap of a just-sealed segment is handed to the
+//! appender as [`SealedPages`] so that it runs after the caller's lock:
+//! readers wait on that lock.
+//!
+//! Giving pages back does not weaken [`BatchLog::sync`]: `msync(MS_SYNC)`
+//! writes back the file's dirty pages over the range whether or not this
+//! process still maps them (a released dirty page was marked dirty in the
+//! page cache when its entry was dropped), so everything committed is
+//! flushed either way.
 
 mod crc;
 mod cursor;
@@ -112,12 +147,14 @@ mod segment;
 
 pub use crc::{crc32, crc_loop, Crc32};
 pub use cursor::CursorStore;
-pub use segment::{Record, RecordMeta, Segment};
+use segment::ReadPages;
+pub use segment::{Record, RecordMeta, SealedPages, Segment};
 
 use std::fmt;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Errors surfaced by the log.
 #[derive(Debug)]
@@ -190,6 +227,8 @@ pub struct BatchLog {
     appended_bytes: u64,
     /// Reads that found their record damaged (a statistic: `Relaxed`).
     read_corrupt: AtomicU64,
+    /// The books of what records read from sealed segments keep mapped.
+    reads: Arc<ReadPages>,
 }
 
 impl BatchLog {
@@ -229,7 +268,7 @@ impl BatchLog {
         let n = segments.len();
         for seg in segments.iter_mut().take(n.saturating_sub(1)) {
             if !seg.sealed() {
-                seg.seal();
+                drop(seg.seal());
             }
         }
         Ok(BatchLog {
@@ -239,6 +278,7 @@ impl BatchLog {
             segments,
             appended_bytes: 0,
             read_corrupt: AtomicU64::new(0),
+            reads: Arc::default(),
         })
     }
 
@@ -249,14 +289,16 @@ impl BatchLog {
 
     /// Appends the record for `seq` (an encoded streamed-batch frame).
     /// `seq` must be exactly [`BatchLog::next_seq`] when the log is
-    /// non-empty; the first append fixes the log's origin.
+    /// non-empty; the first append fixes the log's origin. When the append
+    /// rotated, the segment it sealed comes back as [`SealedPages`]: its
+    /// pages are given back where the caller drops it (after its lock).
     pub fn append(
         &mut self,
         seq: u64,
         epoch: u64,
         index_in_epoch: u64,
         payload: &[u8],
-    ) -> Result<()> {
+    ) -> Result<Option<SealedPages>> {
         self.append_chunks(seq, epoch, index_in_epoch, &[payload])
     }
 
@@ -271,7 +313,7 @@ impl BatchLog {
         epoch: u64,
         index_in_epoch: u64,
         chunks: &[&[u8]],
-    ) -> Result<()> {
+    ) -> Result<Option<SealedPages>> {
         if let Some(next) = self.next_seq() {
             if seq != next {
                 return Err(LogError::Config(format!(
@@ -280,19 +322,22 @@ impl BatchLog {
             }
         }
         let len: usize = chunks.iter().map(|c| c.len()).sum();
+        let mut sealed = None;
         if self.segments.last().is_none_or(|s| !s.has_room(len)) {
-            self.rotate(seq, len)?;
+            sealed = self.rotate(seq, len)?;
         }
         let seg = self.segments.last_mut().unwrap();
         seg.append_chunks(epoch, index_in_epoch, chunks)?;
         self.appended_bytes += len as u64;
-        Ok(())
+        Ok(sealed)
     }
 
-    fn rotate(&mut self, base_seq: u64, min_data: usize) -> Result<()> {
-        if let Some(last) = self.segments.last_mut() {
-            last.seal();
-        }
+    fn rotate(&mut self, base_seq: u64, min_data: usize) -> Result<Option<SealedPages>> {
+        let sealed = self
+            .segments
+            .last_mut()
+            .filter(|s| !s.sealed())
+            .map(Segment::seal);
         // A payload larger than the configured segment size gets a
         // segment grown to fit rather than an error.
         let data_cap = self.cfg.segment_bytes.max(min_data as u64);
@@ -304,7 +349,7 @@ impl BatchLog {
             data_cap,
         )?;
         self.segments.push(seg);
-        Ok(())
+        Ok(sealed)
     }
 
     /// Reads the payload stored for `seq` in place — a [`Record`] viewing
@@ -315,8 +360,9 @@ impl BatchLog {
     /// occurrence logged with the segment's path, so a hole in a replay
     /// has a name.
     pub fn read(&self, seq: u64) -> Option<Record> {
-        match self.find(seq)?.read(seq) {
-            Ok(record) => record,
+        let seg = self.find(seq)?;
+        match seg.read(seq) {
+            Ok(record) => record.map(|r| r.keep_books(&self.reads, seg.sealed())),
             Err(e) => {
                 if self.read_corrupt.fetch_add(1, Ordering::Relaxed) == 0 {
                     eprintln!(
@@ -376,6 +422,21 @@ impl BatchLog {
         self.segments.len()
     }
 
+    /// The log's resident bytes by its own books: what the active segment
+    /// has written, the records of sealed segments whose handles are still
+    /// alive, and the read pages not given back yet (at most a stride).
+    /// Everything else was given back (see the crate docs' *Residency*),
+    /// so this is bounded by one segment plus the records in flight,
+    /// whatever [`LogConfig::retain_segments`] says.
+    pub fn mapped_bytes(&self) -> u64 {
+        let active = self
+            .segments
+            .last()
+            .filter(|s| !s.sealed())
+            .map_or(0, Segment::data_used);
+        active + self.reads.held.load(Ordering::Relaxed) + self.reads.unreleased()
+    }
+
     /// Flushes every segment's dirty pages to disk (`msync(MS_SYNC)`) —
     /// the opt-in power-fail barrier; see the crate-level *Durability*
     /// section. Not called on the append path: it is a full-mapping
@@ -406,6 +467,11 @@ impl BatchLog {
             let seg = self.segments.remove(0);
             let _ = fs::remove_file(seg.path());
             removed += 1;
+        }
+        if removed > 0 {
+            // Read pages not given back yet may be of a removed segment,
+            // whose mapping they would keep alive.
+            self.reads.flush();
         }
         removed
     }

@@ -1,14 +1,18 @@
 //! A tiny `MAP_SHARED` file mapping for log segments.
 //!
 //! The build environment has no `memmap2`/`libc` crates available, so the
-//! two mmap calls this crate needs are declared directly against the
-//! platform C library (which every Rust binary on Linux links anyway) —
-//! the same approach `ts-shm` takes for its arena. The mapping is
-//! deliberately minimal: segments are single-writer, and all read-side
-//! consistency comes from the segment's committed-count protocol, not
-//! from the mapping. A segment shares its mapping (`Arc`) with the record
-//! handles it gives out, so the pages stay mapped — even after the file
+//! few calls this crate needs are declared directly against the platform
+//! C library (which every Rust binary on Linux links anyway) — the same
+//! approach `ts-shm` takes for its arena. The mapping is deliberately
+//! minimal: segments are single-writer, and all read-side consistency
+//! comes from the segment's committed-count protocol, not from the
+//! mapping. A segment shares its mapping (`Arc`) with the record handles
+//! it gives out, so the address range stays valid — even after the file
 //! is unlinked by retention — until the last handle is gone.
+//!
+//! Valid is not resident: [`SharedMapping::release`] drops this process's
+//! page-table entries over a range and keeps the bytes in the page cache
+//! and the file, so the next touch maps the same bytes again.
 
 use std::fs::OpenOptions;
 use std::io;
@@ -22,6 +26,10 @@ mod sys {
     pub const PROT_WRITE: c_int = 2;
     pub const MAP_SHARED: c_int = 1;
     pub const MS_SYNC: c_int = 4;
+    #[cfg(target_os = "linux")]
+    pub const MADV_DONTNEED: c_int = 4;
+    #[cfg(target_os = "linux")]
+    pub const SC_PAGESIZE: c_int = 30;
 
     extern "C" {
         pub fn mmap(
@@ -34,6 +42,21 @@ mod sys {
         ) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
         pub fn msync(addr: *mut c_void, len: usize, flags: c_int) -> c_int;
+        #[cfg(target_os = "linux")]
+        pub fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+        #[cfg(target_os = "linux")]
+        pub fn sysconf(name: c_int) -> std::os::raw::c_long;
+    }
+
+    /// The system page size, asked once.
+    #[cfg(target_os = "linux")]
+    pub fn page_size() -> usize {
+        static PAGE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+        // SAFETY: sysconf reads a constant of the running system.
+        *PAGE.get_or_init(|| match unsafe { sysconf(SC_PAGESIZE) } {
+            n if n > 0 => n as usize,
+            _ => 4096,
+        })
     }
 
     pub fn map_failed() -> *mut c_void {
@@ -154,6 +177,42 @@ impl SharedMapping {
             "ts-log requires a unix platform",
         ))
     }
+
+    /// Gives back the whole pages inside `start..end` (offsets into the
+    /// mapping): `madvise(MADV_DONTNEED)` drops this process's page-table
+    /// entries and nothing else — on a `MAP_SHARED` file mapping the bytes
+    /// stay in the page cache (dirty ones still to be written back) and
+    /// the next touch maps them again. The range is rounded inward, so a
+    /// page shared with bytes outside it stays mapped (the mapping's end
+    /// counts as a page boundary). Best effort: a failure leaves the pages
+    /// mapped, which is what not calling does.
+    #[cfg(target_os = "linux")]
+    pub fn release(&self, start: usize, end: usize) {
+        let page = sys::page_size();
+        let first = start.next_multiple_of(page);
+        // The mapping's last page holds nothing past the file.
+        let last = match end >= self.len {
+            true => self.len.next_multiple_of(page),
+            false => end / page * page,
+        };
+        if first >= last {
+            return;
+        }
+        // SAFETY: `first..last` lies inside the mapping, which mmap made
+        // whole pages long from a page-aligned base and which is alive for
+        // &self's lifetime; the advice changes no byte a later access sees.
+        unsafe {
+            sys::madvise(
+                self.ptr.add(first) as *mut std::os::raw::c_void,
+                last - first,
+                sys::MADV_DONTNEED,
+            );
+        }
+    }
+
+    /// See [`SharedMapping::release`]: elsewhere than Linux, a no-op.
+    #[cfg(not(target_os = "linux"))]
+    pub fn release(&self, _start: usize, _end: usize) {}
 
     /// Base pointer of the mapping.
     pub fn ptr(&self) -> *mut u8 {

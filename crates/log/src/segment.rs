@@ -19,12 +19,16 @@
 //! Committed bytes are never rewritten: an append stores only past the
 //! last committed record. That is what lets [`Segment::read`] hand out a
 //! [`Record`] — a view of the mapped bytes themselves, checked against
-//! the stored CRC first — instead of a copy.
+//! the stored CRC first — instead of a copy, and what lets a sealed
+//! segment give its pages back (see [`Segment::seal`]): a view over
+//! released pages maps the same bytes again when it is next read.
 
 use crate::mmap::SharedMapping;
 use crate::{crc32, Crc32, LogError, Result};
+use parking_lot::Mutex;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// `b"TSLOG001"` little-endian.
@@ -74,21 +78,69 @@ pub struct RecordMeta {
     pub len: u32,
 }
 
+/// A segment's mapping, shared with every record read from it.
+struct Pages {
+    map: SharedMapping,
+    /// Where the data region starts in the mapping.
+    data: usize,
+    /// Set by [`Segment::seal`]: from then on the pages a record read are
+    /// given back after its last handle drops. It publishes nothing else
+    /// (a drop that misses it only keeps its pages mapped a while), so the
+    /// seal's `Release` and a drop's `Acquire` are belt and braces.
+    sealed: AtomicBool,
+}
+
+impl Pages {
+    fn new(map: SharedMapping, data: usize) -> Arc<Pages> {
+        Arc::new(Pages {
+            map,
+            data,
+            sealed: AtomicBool::new(false),
+        })
+    }
+
+    /// Releases the whole data region: every page a write, a read or the
+    /// kernel's fault-around mapped.
+    fn give_back(&self) {
+        self.map.release(self.data, self.map.len());
+    }
+}
+
 /// One record's payload, read in place: a view of the segment's mapped
 /// data region, handed out by [`Segment::read`] only after the bytes
 /// matched the stored CRC.
 ///
-/// The handle shares ownership of the mapping, so it stays valid — and
-/// keeps the pages mapped — for as long as it lives: past rotation, past
-/// the log handle itself, and past retention unlinking the segment file
-/// (the kernel frees an unlinked file's pages when the last mapping of it
-/// goes, which is when the last handle drops). A handle costs no memory
-/// of its own, but it pins its whole segment — address space, page cache
-/// and, once unlinked, disk blocks: hold one for a send, not for good.
+/// The handle shares ownership of the mapping, so it stays valid for as
+/// long as it lives: past rotation, past the log handle itself, and past
+/// retention unlinking the segment file (the kernel frees an unlinked
+/// file's pages when the last mapping of it goes, which is when the last
+/// handle drops). It does not keep its pages in the address space: the
+/// seal gives a segment's data pages back under any live handle, and the
+/// pages a record of a sealed segment read are given back after its last
+/// handle drops (a stride at a time: see the crate docs' *Residency*). A
+/// handle over released pages maps the same bytes again on its next read.
+/// What a handle still pins is its segment's address range and, once
+/// unlinked, its disk blocks: hold one for a send, not for good.
 pub struct Record {
-    map: Arc<SharedMapping>,
+    pages: Arc<Pages>,
     start: usize,
     len: usize,
+    /// The log's books, when the record came through [`crate::BatchLog`];
+    /// and whether its bytes are counted there as held.
+    reads: Option<(Arc<ReadPages>, bool)>,
+}
+
+impl Record {
+    /// Enters this record in the log's books: counted as held while it
+    /// lives when its segment is `sealed`, and its pages given back
+    /// through them when it drops.
+    pub(crate) fn keep_books(mut self, reads: &Arc<ReadPages>, sealed: bool) -> Record {
+        if sealed {
+            reads.held.fetch_add(self.len as u64, Ordering::Relaxed);
+        }
+        self.reads = Some((reads.clone(), sealed));
+        self
+    }
 }
 
 impl Deref for Record {
@@ -98,8 +150,8 @@ impl Deref for Record {
         // SAFETY: `Segment::read` checked `start + len` against the mapped
         // length before building the handle, the `Arc` keeps the mapping
         // alive, and the range covers committed bytes only, which no
-        // append ever stores to again.
-        unsafe { std::slice::from_raw_parts(self.map.ptr().add(self.start), self.len) }
+        // append ever stores to again (a released page maps them again).
+        unsafe { std::slice::from_raw_parts(self.pages.map.ptr().add(self.start), self.len) }
     }
 }
 
@@ -109,9 +161,112 @@ impl AsRef<[u8]> for Record {
     }
 }
 
+impl Drop for Record {
+    fn drop(&mut self) {
+        // The active segment's pages stay mapped for its writer and for
+        // readers right behind it; the seal gives them all back at once.
+        let sealed = self.pages.sealed.load(Ordering::Acquire);
+        match &self.reads {
+            Some((reads, counted)) => {
+                if *counted {
+                    reads.held.fetch_sub(self.len as u64, Ordering::Relaxed);
+                }
+                if sealed {
+                    reads.give_back(&self.pages, self.len);
+                }
+            }
+            None if sealed => self.pages.map.release(self.start, self.start + self.len),
+            None => {}
+        }
+    }
+}
+
+/// What the records read from a log's sealed segments keep mapped: the
+/// bytes of live handles (`held`), and the pages dropped handles gave up,
+/// released a stride at a time. One `madvise` per record would cost a
+/// TLB shootdown per replayed frame; instead the drops are counted per
+/// segment, and the segment's whole data region goes back once they add
+/// up to [`ReadPages::STRIDE`] bytes, or as soon as a record of another
+/// segment drops — the reader left. The whole region, because a read
+/// fault maps the cached pages around it too (the kernel's fault-around),
+/// which no record's own range would cover. At most a stride of read
+/// pages, and that fault-around, stays mapped after the last drop.
+#[derive(Default)]
+pub(crate) struct ReadPages {
+    pub(crate) held: AtomicU64,
+    dropped: Mutex<Option<Dropped>>,
+}
+
+/// Bytes of one sealed segment's records dropped since it last gave its
+/// pages back; dropping this gives them back.
+struct Dropped {
+    pages: Arc<Pages>,
+    bytes: usize,
+}
+
+impl Drop for Dropped {
+    fn drop(&mut self) {
+        self.pages.give_back();
+    }
+}
+
+impl ReadPages {
+    /// Read pages a log gives back at once: ten 384 KiB frames of a replay.
+    pub(crate) const STRIDE: usize = 4 << 20;
+
+    /// Releases what dropped records gave up, now.
+    pub(crate) fn flush(&self) {
+        let released = self.dropped.lock().take();
+        drop(released);
+    }
+
+    /// Bytes given up by dropped records and not released yet.
+    pub(crate) fn unreleased(&self) -> u64 {
+        self.dropped.lock().as_ref().map_or(0, |d| d.bytes as u64)
+    }
+
+    fn give_back(&self, pages: &Arc<Pages>, bytes: usize) {
+        if Arc::strong_count(pages) == 1 {
+            // Retention dropped the segment: this handle's drop unmaps it.
+            return;
+        }
+        let released = {
+            let mut dropped = self.dropped.lock();
+            match &mut *dropped {
+                Some(d) if Arc::ptr_eq(&d.pages, pages) => {
+                    d.bytes += bytes;
+                    let full = d.bytes >= Self::STRIDE;
+                    full.then(|| dropped.take()).flatten()
+                }
+                _ => dropped.replace(Dropped {
+                    pages: pages.clone(),
+                    bytes,
+                }),
+            }
+        };
+        // The zap runs after the lock: another handle's drop need not wait.
+        drop(released);
+    }
+}
+
+/// The data pages of a segment that was just sealed: dropping this gives
+/// them back (`madvise(MADV_DONTNEED)` over the whole data region).
+/// [`Segment::seal`] returns it rather than zapping on the spot, so a
+/// caller that seals under a lock can drop it after the lock: a dirty
+/// 64 MiB zap takes milliseconds, and readers wait on that lock.
+pub struct SealedPages {
+    pages: Arc<Pages>,
+}
+
+impl Drop for SealedPages {
+    fn drop(&mut self) {
+        self.pages.give_back();
+    }
+}
+
 /// One mmap'd segment file.
 pub struct Segment {
-    map: Arc<SharedMapping>,
+    pages: Arc<Pages>,
     path: PathBuf,
     base_seq: u64,
     index_cap: u64,
@@ -161,8 +316,9 @@ impl Segment {
             .ok_or_else(|| LogError::Config("segment capacity overflows".into()))?;
         let map = SharedMapping::create(&path, size)
             .map_err(|e| LogError::Io(format!("create {}: {e}", path.display())))?;
+        let data = HEADER_BYTES + index_cap as usize * ENTRY_BYTES;
         let mut seg = Segment {
-            map: Arc::new(map),
+            pages: Pages::new(map, data),
             path,
             base_seq,
             index_cap,
@@ -202,7 +358,7 @@ impl Segment {
             )));
         }
         let mut seg = Segment {
-            map: Arc::new(map),
+            pages: Pages::new(map, HEADER_BYTES),
             path: path.to_path_buf(),
             base_seq: 0,
             index_cap: 0,
@@ -228,12 +384,14 @@ impl Segment {
         seg.index_cap = seg.get_u64(H_INDEX_CAP);
         seg.data_cap = seg.get_u64(H_DATA_CAP);
         seg.sealed = seg.get_u32(H_SEALED) != 0;
-        if Self::file_size(seg.index_cap, seg.data_cap) != Some(seg.map.len()) {
+        if Self::file_size(seg.index_cap, seg.data_cap) != Some(seg.pages.map.len()) {
             return Err(LogError::Corrupt(format!(
                 "{}: header geometry does not match file size",
                 seg.path.display()
             )));
         }
+        let data = seg.data_base();
+        Arc::get_mut(&mut seg.pages).expect("not shared yet").data = data;
         // Lookups go by the header's base, the chain is ordered by the
         // name's: they must agree or reads would answer for the wrong seq.
         let named = path
@@ -271,6 +429,10 @@ impl Segment {
         seg.committed = good;
         seg.data_used = data_used;
         seg.put_u64(H_COMMITTED, good);
+        if seg.sealed {
+            // Recovery read every record: give the pages back as a seal does.
+            drop(seg.seal());
+        }
         Ok(seg)
     }
 
@@ -311,10 +473,18 @@ impl Segment {
             && self.data_used + len as u64 <= self.data_cap
     }
 
-    /// Marks the segment full; rotation opens a successor.
-    pub fn seal(&mut self) {
+    /// Marks the segment full; rotation opens a successor. A sealed
+    /// segment is only read, so its pages need not stay mapped: the
+    /// returned [`SealedPages`] gives the data region back when dropped,
+    /// and from now on the pages a record read from it maps are given back
+    /// after its last handle drops. The header and index stay mapped.
+    pub fn seal(&mut self) -> SealedPages {
         self.sealed = true;
         self.put_u32(H_SEALED, 1);
+        self.pages.sealed.store(true, Ordering::Release);
+        SealedPages {
+            pages: self.pages.clone(),
+        }
     }
 
     /// Appends one record whose payload is the concatenation of `chunks`:
@@ -391,9 +561,10 @@ impl Segment {
             return Err(corrupt("fails its CRC"));
         }
         Ok(Some(Record {
-            map: self.map.clone(),
+            pages: self.pages.clone(),
             start: self.data_base() + offset as usize,
             len: len as usize,
+            reads: None,
         }))
     }
 
@@ -422,7 +593,8 @@ impl Segment {
     /// process-crash durability of the commit protocol to power-fail
     /// durability for everything committed so far.
     pub fn sync(&self) -> Result<()> {
-        self.map
+        self.pages
+            .map
             .sync()
             .map_err(|e| LogError::Io(format!("msync {}: {e}", self.path.display())))
     }
@@ -475,7 +647,7 @@ impl Segment {
         // SAFETY: every caller (append, recovery, read) bounds-checked
         // offset + len against data_cap first, and `open`/`create` checked
         // that the mapping covers header + index + data_cap.
-        unsafe { std::slice::from_raw_parts(self.map.ptr().add(start), len) }
+        unsafe { std::slice::from_raw_parts(self.pages.map.ptr().add(start), len) }
     }
 
     fn data_slice_mut(&mut self, offset: u64, len: usize) -> &mut [u8] {
@@ -483,31 +655,31 @@ impl Segment {
         // SAFETY: as data_slice, plus single-writer (`&mut self`; the
         // owning BatchLog serializes appends) and the range lies past
         // every committed record, so no `Record` handle views it.
-        unsafe { std::slice::from_raw_parts_mut(self.map.ptr().add(start), len) }
+        unsafe { std::slice::from_raw_parts_mut(self.pages.map.ptr().add(start), len) }
     }
 
     fn get_u64(&self, offset: usize) -> u64 {
-        debug_assert!(offset + 8 <= self.map.len());
+        debug_assert!(offset + 8 <= self.pages.map.len());
         // Safety: in-bounds unaligned read of plain bytes.
-        unsafe { (self.map.ptr().add(offset) as *const u64).read_unaligned() }
+        unsafe { (self.pages.map.ptr().add(offset) as *const u64).read_unaligned() }
     }
 
     fn put_u64(&mut self, offset: usize, v: u64) {
-        debug_assert!(offset + 8 <= self.map.len());
+        debug_assert!(offset + 8 <= self.pages.map.len());
         // Safety: in-bounds unaligned write; single writer.
-        unsafe { (self.map.ptr().add(offset) as *mut u64).write_unaligned(v) }
+        unsafe { (self.pages.map.ptr().add(offset) as *mut u64).write_unaligned(v) }
     }
 
     fn get_u32(&self, offset: usize) -> u32 {
-        debug_assert!(offset + 4 <= self.map.len());
+        debug_assert!(offset + 4 <= self.pages.map.len());
         // Safety: in-bounds unaligned read of plain bytes.
-        unsafe { (self.map.ptr().add(offset) as *const u32).read_unaligned() }
+        unsafe { (self.pages.map.ptr().add(offset) as *const u32).read_unaligned() }
     }
 
     fn put_u32(&mut self, offset: usize, v: u32) {
-        debug_assert!(offset + 4 <= self.map.len());
+        debug_assert!(offset + 4 <= self.pages.map.len());
         // Safety: in-bounds unaligned write; single writer.
-        unsafe { (self.map.ptr().add(offset) as *mut u32).write_unaligned(v) }
+        unsafe { (self.pages.map.ptr().add(offset) as *mut u32).write_unaligned(v) }
     }
 }
 

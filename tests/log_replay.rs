@@ -264,6 +264,121 @@ fn fresh_group_late_join_replays_full_history() {
     let _ = std::fs::remove_dir_all(&log_dir);
 }
 
+/// The producer keeps the log's pages mapped only while they are written
+/// or read: with 1 MiB segments and a late group replaying two epochs
+/// (8 MiB) out of them, `log.mapped_bytes` — and the resident pages of
+/// every segment mapping, read from `/proc/self/smaps` on Linux — stay
+/// within one segment plus the catch-up window, and the group's stream is
+/// still the witness's, exactly once and byte for byte.
+#[test]
+fn a_late_groups_catch_up_keeps_the_log_one_segment_resident() {
+    const SAMPLES: usize = 256;
+    const BATCH: usize = 4;
+    /// 16 KiB a sample, so a batch is a 64 KiB frame.
+    const WIDTH: usize = 4096;
+    const EPOCHS: u64 = 4;
+    const PER_EPOCH: u64 = (SAMPLES / BATCH) as u64;
+    const SEGMENT: u64 = 1 << 20;
+    /// One segment, the catch-up window (4 MiB of frames) and the frame
+    /// that may go out past it.
+    const BOUND: u64 = SEGMENT + (4 << 20) + (BATCH * WIDTH * 4) as u64 + 4096;
+
+    let ctx = TsContext::host_only();
+    let ep = "inproc://log-resident-catch-up";
+    let log_dir = fresh_dir("resident-catch-up");
+    let mut log_cfg = ts_log::LogConfig::new(&log_dir);
+    log_cfg.segment_records = 64;
+    log_cfg.segment_bytes = SEGMENT;
+    let producer = Producer::builder()
+        .context(&ctx)
+        .config(ProducerConfig {
+            endpoint: ep.to_string(),
+            epochs: EPOCHS,
+            rubberband_cutoff: 0.02,
+            ..Default::default()
+        })
+        .log_config(log_cfg)
+        .spawn(wide_loader(SAMPLES, BATCH, 5, WIDTH))
+        .expect("spawn logging producer");
+
+    let mut witness = Consumer::builder()
+        .context(&ctx)
+        .recv_timeout(Duration::from_secs(20))
+        .connect(ep)
+        .expect("witness connect");
+    let mapped = ctx.metrics.gauge("log.mapped_bytes");
+    let (mut peak_books, mut peak_rss) = (0u64, 0u64);
+    let mut full = Vec::new();
+    let mut late = None;
+    for batch in witness.by_ref() {
+        let batch = batch.expect("clean witness stream");
+        full.push(seen(&batch));
+        if full.len() as u64 == PER_EPOCH + 2 {
+            // Parked until the next epoch boundary: what is before it
+            // comes off the log.
+            late = Some(attached_joiner(&ctx, ep, "resident-group"));
+        }
+        if late.is_some() {
+            peak_books = peak_books.max(mapped.get() as u64);
+            peak_rss = peak_rss.max(segment_rss(&log_dir));
+        }
+    }
+    assert_eq!(witness.stop_reason(), Some(StopReason::End));
+    let joined = late.expect("joiner never spawned").join().expect("joiner");
+    let stats = producer.join().expect("producer join");
+    assert_eq!(stats.epochs_completed, EPOCHS);
+
+    assert_eq!(
+        joined, full,
+        "exactly once, byte-identical, from batch zero"
+    );
+    let logged = ctx.metrics.counter("stage.log_append_bytes").get();
+    assert!(logged > 3 * BOUND, "the log outgrew the bound: {logged}");
+    // Where the joiner lands depends on how far ahead of the witness the
+    // producer runs; epoch 0 at least (four segments) is history.
+    let replayed = ctx.metrics.counter("replay.log_batches").get();
+    assert!(replayed >= PER_EPOCH, "{replayed} batches came off the log");
+    assert!(peak_books > 0, "the gauge is published");
+    assert!(peak_rss > 0, "the active segment's pages are found");
+    assert!(
+        peak_books <= BOUND,
+        "log.mapped_bytes peaked at {peak_books}"
+    );
+    assert!(
+        peak_rss <= BOUND,
+        "segment pages resident peaked at {peak_rss}"
+    );
+    let _ = std::fs::remove_dir_all(&log_dir);
+}
+
+/// Resident bytes of this process's mappings of segment files under
+/// `dir`, less each segment's header and index pages (`/proc/self/smaps`;
+/// 0 off Linux).
+fn segment_rss(dir: &std::path::Path) -> u64 {
+    let Ok(smaps) = std::fs::read_to_string("/proc/self/smaps") else {
+        return 0;
+    };
+    let dir = dir.to_str().unwrap();
+    let (mut total, mut ours) = (0u64, false);
+    for line in smaps.lines() {
+        if let Some(rss) = line.strip_prefix("Rss:") {
+            if ours {
+                let kib: u64 = rss.trim().trim_end_matches("kB").trim().parse().unwrap();
+                // Header and index: two pages at 64 records a segment.
+                total += (kib * 1024).saturating_sub(2 * 4096);
+            }
+        } else if line
+            .split_whitespace()
+            .next()
+            .is_some_and(|t| !t.ends_with(':'))
+        {
+            // A mapping's header line (fields are `Key:   value`).
+            ours = line.contains(dir) && line.contains(".tslog");
+        }
+    }
+    total
+}
+
 /// A group member that detaches cleanly mid-epoch is resumed by a new
 /// consumer under the same group name: the successor starts at the
 /// persisted cursor (first un-acked batch), and victim + successor

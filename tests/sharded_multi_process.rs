@@ -1,6 +1,6 @@
 //! The sharded producer group as a real OS-process topology: one producer
-//! process (this test) hosting **two sharded producer pipelines** under
-//! one epoch coordinator, plus two consumer processes (fork/exec of this
+//! process (this test) hosting **two sharded producer pipelines** stepped
+//! by one pump, plus two consumer processes (fork/exec of this
 //! same test binary), all collocated and talking over `ipc://` sockets
 //! with batch bytes in a shared-memory arena.
 //!
