@@ -48,10 +48,11 @@
 //! data/ctrl endpoint derives via one scheme-aware
 //! [`ts_socket::EndpointMap`], plus sparse per-shard overrides for
 //! multi-host topologies), the shared-memory arena path and slot
-//! geometry, the batch schema, and the payload-mode grant mask — so nothing about the topology is mirrored out of band,
+//! geometry, the batch schema and, under flexible sizing, the producer
+//! batch and its order variation — so nothing about the topology is mirrored out of band,
 //! and nothing can be silently misconfigured. Mismatches fail fast as
-//! typed [`HandshakeError`]s (`Version`, `Topology`, `ArenaMissing`,
-//! `Mode`), never as hangs.
+//! typed [`HandshakeError`]s (`Version`, `Topology`, `ArenaMissing`),
+//! never as hangs.
 //!
 //! ## Wire contract
 //!
@@ -87,14 +88,32 @@
 //!   `tcp://` — or forced via [`ConsumerBuilder::payload_mode`] /
 //!   `TS_FORCE_PAYLOAD_MODE=stream|shm`.
 //!
-//! The consumer's HELLO carries its capability bits ([`caps`]), the
-//! WELCOME answers with the producer's grant mask
-//! ([`WelcomeInfo::payload_modes`]; flexible-sizing producers grant shm
-//! only), and the chosen mode travels in the JOIN. Both modes share one
+//! The consumer's HELLO carries its capability bits ([`caps`]), every
+//! producer serves both modes (flexible sizing included), and the chosen
+//! mode travels in the JOIN. Both modes share one
 //! sequence space, window and ack accounting, so a mixed fleet — some
 //! consumers on pointers, some on bytes — sees **bit-identical**
 //! `(epoch, shard, seq)` batch streams, and either side can detach
 //! without disturbing the other.
+//!
+//! ### Flexible batch sizing: the consumer carves
+//!
+//! Under [`FlexibleConfig`] the producer fuses loader batches into one
+//! producer batch of `P` samples and publishes it like any other batch:
+//! one pointer announce on the batch topic, the bytes to stream-mode
+//! consumers, one record in the durable log. Each consumer carves its
+//! own batches of `b ≤ P` out of it ([`protocol::flex::carve`]):
+//! `ceil(P / b)` of them, the last wrapping round to repeat at most
+//! `b − 1` samples, views of the producer batch except a wrapped one,
+//! which is a copy. It acks the producer batch once, after its last
+//! carved batch, so every consumer finishes one producer batch per
+//! round whatever its batch size. The carve's inputs all reach the
+//! consumer: the order variation ([`protocol::order::OrderConfig`]) in
+//! the WELCOME, its index (the member count when it was admitted) in its
+//! join reply, and the member count in [`DataMsg::Members`], broadcast
+//! when membership changes. After a leave two members can share an
+//! offset. A replayed batch, out of the rubberband pins or the log, is
+//! carved like a live one, in either payload mode.
 //!
 //! ### The streamed path: bytes move through the kernel only
 //!
@@ -693,15 +712,6 @@ pub enum HandshakeError {
         /// Why the open failed.
         reason: String,
     },
-    /// The consumer insisted on a payload mode the producer's WELCOME
-    /// does not grant (e.g. forced streaming against a flexible-sizing
-    /// producer, which serves shm only).
-    Mode {
-        /// The mode the consumer demanded.
-        requested: PayloadMode,
-        /// The producer's grant mask ([`caps`] bits).
-        granted: u32,
-    },
 }
 
 impl std::fmt::Display for HandshakeError {
@@ -720,10 +730,6 @@ impl std::fmt::Display for HandshakeError {
             HandshakeError::ArenaMissing { path, reason } => {
                 write!(f, "cannot open advertised arena {path}: {reason}")
             }
-            HandshakeError::Mode { requested, granted } => write!(
-                f,
-                "payload mode {requested:?} not granted by producer (grant mask {granted:#x})"
-            ),
         }
     }
 }

@@ -13,6 +13,7 @@
 //! all consumers traverse the dataset at the same rate regardless of their
 //! batch sizes — the invariant the sharing protocol needs.
 
+use crate::protocol::order::OrderConfig;
 use crate::{Result, TsError};
 
 /// A contiguous run of samples within a producer batch.
@@ -25,7 +26,7 @@ pub struct Segment {
 }
 
 /// One consumer batch: one or more segments totalling the batch size.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PlannedBatch {
     /// Segments in consumption order.
     pub segments: Vec<Segment>,
@@ -114,6 +115,36 @@ pub fn plan_flex(producer_batch: usize, consumer_batch: usize, offset: usize) ->
         offset: offset % producer_batch,
         batches,
     })
+}
+
+/// The batches one consumer carves out of producer batch `seq` of `rows`
+/// samples, in the order it delivers them: the consumer asked for `batch`
+/// (clamped to `1..=rows`) and is the `index`-th of `members`, whose
+/// offset and visit order `order` derives. Every consumer of a flexible
+/// producer runs this on the one batch it received; all of it is a pure
+/// function of what the consumer knows.
+///
+/// `index` is fixed at admission as the member count then, so after a
+/// leave two members can share an offset; the repeats per producer batch
+/// stay below `batch` either way.
+///
+/// # Errors
+/// Fails on an empty producer batch.
+pub fn carve(
+    rows: usize,
+    batch: usize,
+    order: &OrderConfig,
+    (index, members): (usize, usize),
+    consumer_id: u64,
+    seq: u64,
+) -> Result<Vec<PlannedBatch>> {
+    let offset = order.offset_for(index, members.max(1), rows);
+    let mut plan = plan_flex(rows, batch.clamp(1, rows.max(1)), offset)?;
+    let visits = order.visit_order(consumer_id, seq, plan.batches.len());
+    Ok(visits
+        .into_iter()
+        .map(|k| std::mem::take(&mut plan.batches[k]))
+        .collect())
 }
 
 /// True when the plan's segments cover every index of the producer batch.

@@ -21,6 +21,7 @@
 //! free tag, and add one line to the enum's field list (new fields of an
 //! existing message go at the end of its list).
 
+use super::order::OrderConfig;
 use super::wire::{get_len, put_len, wire_enum, wire_struct, Reader, Sink, Wire};
 use crate::{Result, TsError};
 use bytes::{BufMut, Bytes};
@@ -39,7 +40,7 @@ pub mod topics {
     /// a stall will provably *not* see) the intermediate cursors.
     pub const CURSOR: &[u8] = b"cur";
 
-    /// Per-consumer topic (join replies, replays, flexible-mode batches).
+    /// Per-consumer topic (join replies, replays, streamed batches).
     pub fn consumer(id: u64) -> Vec<u8> {
         format!("cons/{id}").into_bytes()
     }
@@ -69,7 +70,7 @@ pub mod topics {
 /// stats and trace scrapes and every message layout (see the module
 /// docs' *Wire contract*). Carried at the head of each token-exchange
 /// request and reply; the client side decides compatibility.
-pub const WIRE_VERSION: u32 = 4;
+pub const WIRE_VERSION: u32 = 5;
 
 /// `Hello` capability bits: what the consumer can do, declared before it
 /// knows anything about the producer. Unknown bits are ignored and
@@ -100,7 +101,7 @@ pub enum PayloadMode {
 }
 
 impl PayloadMode {
-    /// The [`caps`] bit (and WELCOME grant bit) for this mode.
+    /// The [`caps`] bit for this mode.
     pub fn cap_bit(self) -> u32 {
         match self {
             PayloadMode::Shm => caps::SHM,
@@ -167,6 +168,9 @@ pub struct WelcomeInfo {
     pub batch_size: u32,
     /// Producer batch size under flexible sizing; 0 in default mode.
     pub flex_producer_batch: u32,
+    /// How consumers of a flexible producer vary their carve (offsets,
+    /// shuffling); the default in default mode.
+    pub flex_order: OrderConfig,
     /// Wire code of the producer's device-staging shape: always `2`, the
     /// copy stage. Informational: nothing reads it.
     pub staging: u8,
@@ -176,9 +180,6 @@ pub struct WelcomeInfo {
     /// endpoint is *not* derived from the base URI by scheme rules —
     /// e.g. a shard pipeline on another host.
     pub endpoint_overrides: Vec<(u32, String)>,
-    /// Bitmask ([`caps`] bits) of payload modes the producer can serve
-    /// this consumer.
-    pub payload_modes: u32,
     /// The durable batch log, when the producer keeps a healthy one. A
     /// logging producer that has not retained anything
     /// yet advertises the *inverted* range `retained_min > retained_max`
@@ -312,26 +313,21 @@ pub enum JoinDecision {
         /// starts expecting this and deduplicates replays against live
         /// announcements with it.
         start_seq: u64,
+        /// The consumer's place among the members, for its flexible carve.
+        index: u32,
     },
     /// Admission deferred to the start of `epoch`.
     WaitEpoch {
         /// Epoch at which the consumer will be admitted.
         epoch: u64,
+        /// The place it will be admitted at, unless a member leaves first.
+        index: u32,
     },
     /// Join rejected (e.g. batch-size mismatch in default mode).
     Reject {
         /// Human-readable reason.
         reason: String,
     },
-}
-
-/// One consumer batch under flexible sizing: per-field segment payloads.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlexBatchPayload {
-    /// For each tensor field, the segments composing this batch.
-    pub fields: Vec<Vec<TensorPayload>>,
-    /// Label segments.
-    pub labels: Vec<TensorPayload>,
 }
 
 /// One tensor shipped as raw bytes (streamed payload mode): dtype,
@@ -385,17 +381,13 @@ impl StreamedTensor {
 /// What a batch announcement carries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AnnounceContent {
-    /// Default mode: every consumer trains on the same tensors.
+    /// Pointers into shared memory: every consumer rebuilds the same
+    /// tensors (a flexible consumer then carves its own batches).
     Shared {
         /// Collated tensor fields.
         fields: Vec<TensorPayload>,
         /// Labels.
         labels: TensorPayload,
-    },
-    /// Flexible mode: this consumer's carved batches for one producer batch.
-    Flex {
-        /// The consumer batches, in visit order.
-        batches: Vec<FlexBatchPayload>,
     },
     /// Streamed mode: the batch's bytes themselves, length-prefixed, for
     /// consumers that cannot map the arena (remote hosts). Sent on the
@@ -529,6 +521,15 @@ pub enum DataMsg {
         retained_min: u64,
         /// Newest retained sequence number at reply time.
         retained_max: u64,
+    },
+    /// A flexible producer's membership, broadcast on [`topics::CTRL`]
+    /// when it changes (and sent to a joiner it parks): batches from
+    /// `seq` on are carved for `count` members.
+    Members {
+        /// First sequence number the count applies to.
+        seq: u64,
+        /// Consumers attached.
+        count: u32,
     },
     /// A data frame whose tag this build does not know. Produced only by
     /// [`DataMsg::decode`] for forward compatibility: a consumer
@@ -683,15 +684,16 @@ wire_struct!(WelcomeInfo {
     shards: u32,
     batch_size: u32,
     flex_producer_batch: u32,
+    flex_order: OrderConfig,
     staging: u8,
     arena: Option<ArenaAd>,
     endpoint_overrides: Vec<(u32, String)>,
-    payload_modes: u32,
     log: Option<LogAd>,
 });
-wire_struct!(FlexBatchPayload {
-    fields: Vec<Vec<TensorPayload>>,
-    labels: Vec<TensorPayload>,
+wire_struct!(OrderConfig {
+    offsets: bool,
+    shuffle: bool,
+    seed: u64
 });
 wire_struct!(StreamedTensor { dtype: ts_tensor::DType, shape: Vec<u64>, bytes: Bytes });
 wire_struct!(BatchAnnounce {
@@ -736,13 +738,18 @@ wire_enum!(ReplayFrom {
     2 => Seq(seq: u64),
 });
 wire_enum!(JoinDecision {
-    0 => AdmitReplay { epoch: u64, replay_from: u64, num_batches: u64, start_seq: u64 },
-    1 => WaitEpoch { epoch: u64 },
+    0 => AdmitReplay {
+        epoch: u64,
+        replay_from: u64,
+        num_batches: u64,
+        start_seq: u64,
+        index: u32,
+    },
+    1 => WaitEpoch { epoch: u64, index: u32 },
     2 => Reject { reason: String },
 });
 wire_enum!(AnnounceContent {
     0 => Shared { fields: Vec<TensorPayload>, labels: TensorPayload },
-    1 => Flex { batches: Vec<FlexBatchPayload> },
     2 => Streamed { fields: Vec<StreamedTensor>, labels: StreamedTensor },
 });
 wire_enum!(CtrlMsg {
@@ -775,6 +782,7 @@ wire_enum!(DataMsg {
         retained_min: u64,
         retained_max: u64,
     },
+    10 => Members { seq: u64, count: u32 },
 } else Unknown);
 
 /// The `(token, version)` head of a token-exchange frame — a
@@ -906,16 +914,19 @@ mod tests {
         assert!(CtrlMsg::decode(&replay).is_err());
         let mut reply = DataMsg::JoinReply {
             consumer_id: 5,
-            decision: JoinDecision::WaitEpoch { epoch: 1 },
+            decision: JoinDecision::WaitEpoch { epoch: 1, index: 0 },
         }
         .encode()
         .to_vec();
         reply[9] = 9; // decision tag
         assert!(DataMsg::decode(&reply).is_err());
-        let mut batch = announce(AnnounceContent::Flex { batches: vec![] })
-            .encode()
-            .to_vec();
-        batch[26] = 9; // content kind
+        let mut batch = announce(AnnounceContent::Shared {
+            fields: vec![],
+            labels: payload(&[1]),
+        })
+        .encode()
+        .to_vec();
+        batch[26] = 1; // content kind: 1 is unassigned
         assert!(DataMsg::decode(&batch).is_err());
     }
 
@@ -924,7 +935,7 @@ mod tests {
         // Any frame whose tag this build does not know decodes as
         // `Unknown`, whatever follows, so the receiver counts and
         // ignores it instead of failing.
-        for tag in [10u8, 99, 250, 255] {
+        for tag in [11u8, 99, 250, 255] {
             let mut frame = vec![tag];
             frame.extend_from_slice(&1234u64.to_le_bytes());
             frame.extend_from_slice(&[0xAB; 7]);
@@ -970,10 +981,10 @@ mod tests {
                     shards: 1,
                     batch_size: 4,
                     flex_producer_batch: 0,
+                    flex_order: OrderConfig::default(),
                     staging: 0,
                     arena: None,
                     endpoint_overrides: Vec::new(),
-                    payload_modes: caps::SHM,
                     log: None,
                 },
             },

@@ -24,7 +24,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// Order-variation configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OrderConfig {
     /// Give each consumer a distinct carving offset.
     pub offsets: bool,

@@ -157,7 +157,7 @@ impl ProducerBuilder {
     }
 
     /// Flexible batch sizing (§3.2.6): producer batches of `producer_batch`
-    /// samples carved per consumer.
+    /// samples, which each consumer carves into batches of its own size.
     pub fn flexible(mut self, flexible: FlexibleConfig) -> Self {
         self.cfg.flexible = Some(flexible);
         self
@@ -176,7 +176,6 @@ impl ProducerBuilder {
     /// logged tail before splicing onto the live stream. The directory
     /// must be empty (or fresh) — sequence numbers restart per run, so
     /// spawning over an old log fails rather than serving stale bytes.
-    /// Incompatible with [`ProducerBuilder::flexible`].
     pub fn log(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cfg.log = Some(ts_log::LogConfig::new(dir.into()));
         self
@@ -661,8 +660,8 @@ impl ConsumerBuilder {
     /// Forces the payload mode instead of negotiating it at attach:
     /// [`PayloadMode::Shm`] insists on pointer-passing (the arena must
     /// open, or connect fails with [`crate::HandshakeError::ArenaMissing`]);
-    /// [`PayloadMode::Stream`] insists on byte streaming (the producer
-    /// must grant it, or connect fails with [`crate::HandshakeError::Mode`]).
+    /// [`PayloadMode::Stream`] insists on byte streaming, which every
+    /// producer serves.
     /// Unset, the consumer prefers shm and falls back to streaming when
     /// the advertised arena cannot be opened — the remote-host case.
     /// The `TS_FORCE_PAYLOAD_MODE` environment variable (`shm` /

@@ -86,9 +86,9 @@ pub struct ProducerConfig {
     /// publish hot path. Enables replay-based late join ([`crate::Consumer`]
     /// groups resume from their persisted cursor after a crash) and lets
     /// rubberband pins be shed once their batch is durably logged. `None`
-    /// (the default) disables the subsystem entirely. Incompatible with
-    /// flexible sizing — per-consumer carved views have no streamed
-    /// serialization to store — which fails at spawn.
+    /// (the default) disables the subsystem entirely. Under flexible
+    /// sizing the log holds producer batches, which a replaying consumer
+    /// carves as it carves live ones.
     pub log: Option<ts_log::LogConfig>,
 }
 

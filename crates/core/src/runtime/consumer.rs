@@ -32,7 +32,7 @@
 //! outside a membership, and waits in `park_timeout` so dropping a
 //! consumer does not wait out an interval.
 
-use crate::protocol::messages::{caps, CtrlMsg, PayloadMode, WelcomeInfo};
+use crate::protocol::messages::{CtrlMsg, PayloadMode, WelcomeInfo};
 use crate::runtime::builder::ConsumerBuilder;
 use crate::runtime::consumer_state::{ConsumerState, Effect, Event};
 use crate::runtime::context::{TransportMirror, TsContext};
@@ -392,24 +392,17 @@ impl Consumer {
             }
             .into());
         }
-        let (forced, granted) = (self.opts.payload_mode, welcome.payload_modes);
+        // Every producer serves both payload modes.
+        let forced = self.opts.payload_mode;
         let mut mode = forced.unwrap_or(PayloadMode::Shm);
-        if granted & mode.cap_bit() == 0 {
-            return Err(HandshakeError::Mode {
-                requested: mode,
-                granted,
-            }
-            .into());
-        }
         // An arena already bound (same process as the producer, or a
         // caller that pre-opened it) wins; otherwise map the advertised
         // one. A consumer that cannot map it — another host — falls back
-        // to the streamed path when the producer grants it and the caller
-        // did not insist on shm.
+        // to the streamed path unless the caller insisted on shm.
         let arena = welcome.arena.as_ref().filter(|_| mode == PayloadMode::Shm);
         if let Some(ad) = arena.filter(|_| self.ctx.registry.arena().is_none()) {
             if let Err(e) = self.ctx.open_arena(&ad.path) {
-                if forced.is_some() || granted & caps::STREAM == 0 {
+                if forced.is_some() {
                     let (path, reason) = (ad.path.clone(), e.to_string());
                     return Err(HandshakeError::ArenaMissing { path, reason }.into());
                 }

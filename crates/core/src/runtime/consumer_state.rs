@@ -61,12 +61,21 @@
 //! into tensors. A batch whose payload the producer already released (it
 //! aborted) is skipped, counted — and acked like a delivered one, or the
 //! producer would carry it until this consumer leaves.
+//!
+//! **The flexible carve is the consumer's.** A flexible producer sends the
+//! announce any producer sends. The consumer rebuilds the producer batch
+//! and carves its own batches out of it ([`flex::carve`]) with what it
+//! learned: the order variation from the WELCOME, its place among the
+//! members from its join reply, and the member count from the producer's
+//! `Members` notices. It acks the producer batch once, after the last
+//! carved batch.
 
+use crate::protocol::flex;
 use crate::protocol::messages::{
     caps, exchange_head, topics, AnnounceContent, BatchAnnounce, CtrlMsg, DataMsg, JoinDecision,
     PayloadMode, ReplayFrom, WelcomeInfo, WIRE_VERSION,
 };
-use crate::protocol::order::ShardInterleave;
+use crate::protocol::order::{OrderConfig, ShardInterleave};
 use crate::runtime::builder::ConsumerBuilder;
 use crate::runtime::consumer::{ConsumerBatch, StopReason};
 use crate::runtime::context::TsContext;
@@ -136,6 +145,25 @@ struct Shard {
     /// The seq a parked shard's `LogInfo` promised the live stream from,
     /// until its `AdmitReplay` comes.
     promised: Option<u64>,
+    /// This consumer's place among the shard's members (its join reply).
+    index: usize,
+    /// The shard's `Members` notices not spent yet: from seq, count.
+    members: BTreeMap<u64, u32>,
+}
+
+impl Shard {
+    /// The member count the shard carved `seq` for: the latest notice at
+    /// or before it. Older notices are spent, as delivery runs in seq
+    /// order; a seq older than every notice (a replayed one) takes the
+    /// oldest count heard.
+    fn members_at(&mut self, seq: u64) -> usize {
+        while self.members.range(..=seq).nth(1).is_some() {
+            self.members.pop_first();
+        }
+        self.members
+            .first_key_value()
+            .map_or(1, |(_, &n)| n as usize)
+    }
 }
 
 /// One consumer's whole decision state. See the module docs.
@@ -153,6 +181,9 @@ pub(crate) struct ConsumerState {
     pub(crate) mode: PayloadMode,
     /// Negotiated: a group member of a logging producer asks for `Replay`.
     splices: bool,
+    /// Negotiated: a flexible producer's order variation; every batch is
+    /// carved with it.
+    flex: Option<OrderConfig>,
     shards: Vec<Shard>,
     /// The merge order over the shard streams, once attached.
     interleave: ShardInterleave,
@@ -161,7 +192,8 @@ pub(crate) struct ConsumerState {
     /// Give-up time of the current wait.
     until: u64,
     resend_at: u64,
-    /// Rebuilt batches not yielded yet (a flexible announce carves several).
+    /// Rebuilt batches not yielded yet (a flexible consumer carves several
+    /// out of one announce).
     queue: VecDeque<ConsumerBatch>,
     /// `(shard, seq, epoch, yielded_at)` of the batch the trainer holds.
     in_hand: Option<(usize, u64, u64, u64)>,
@@ -224,6 +256,7 @@ impl ConsumerState {
             recv_timeout: opts.recv_timeout.as_nanos() as u64,
             mode: PayloadMode::Shm,
             splices: false,
+            flex: None,
             shards: vec![Shard::default()],
             interleave: ShardInterleave::new(Vec::new()),
             attached: false,
@@ -265,6 +298,7 @@ impl ConsumerState {
     ) {
         self.mode = mode;
         self.splices = self.group.is_some() && welcome.log.is_some();
+        self.flex = (welcome.flex_producer_batch > 0).then_some(welcome.flex_order);
         let shards = welcome.shards.max(1) as usize;
         self.shards.resize_with(shards, Shard::default);
         for s in &mut self.shards {
@@ -561,6 +595,9 @@ impl ConsumerState {
                 self.settle(now, shard);
             }
             DataMsg::Batch(a) if flowing => self.on_batch(now, shard, a, fx),
+            DataMsg::Members { seq, count } => {
+                self.shards[shard].members.insert(seq, count);
+            }
             DataMsg::Detached { consumer_id } if consumer_id == self.id => {
                 self.stop(StopReason::Detached, Some(TsError::Detached));
             }
@@ -583,16 +620,19 @@ impl ConsumerState {
     }
 
     fn on_reply(&mut self, now: u64, shard: usize, decision: JoinDecision, fx: &mut Vec<Effect>) {
-        let (epoch, replay_from, start_seq) = match decision {
+        let (epoch, replay_from, start_seq, index) = match decision {
             JoinDecision::AdmitReplay {
                 epoch,
                 replay_from,
                 start_seq,
+                index,
                 ..
-            } => (epoch, replay_from, start_seq),
+            } => (epoch, replay_from, start_seq, index),
             // The producer answers again at the epoch boundary.
-            JoinDecision::WaitEpoch { epoch } => {
-                self.shards[shard].phase = Phase::Parked;
+            JoinDecision::WaitEpoch { epoch, index } => {
+                let s = &mut self.shards[shard];
+                s.phase = Phase::Parked;
+                s.index = index as usize;
                 if shard == 0 {
                     self.joined_epoch = epoch;
                 }
@@ -611,6 +651,7 @@ impl ConsumerState {
             self.joined_epoch = epoch;
         }
         let s = &mut self.shards[shard];
+        s.index = index as usize;
         if let Some(promised) = s.promised.take() {
             // Spliced while parked: the history ends where this starts.
             if start_seq != promised {
@@ -756,6 +797,24 @@ impl ConsumerState {
         };
         self.shards[shard].next_expected = next;
         self.interleave.advance(shard, a.last_in_epoch);
+        let (fields, labels) = match &a.content {
+            // One attach per slot: a batch's tensors packed into one slot
+            // name one storage and are rebuilt over one view of it.
+            AnnounceContent::Shared { fields, labels } => {
+                let payloads = fields.iter().chain([labels]);
+                let mut fields = TensorPayload::unpack_batch(payloads, &self.ctx.registry)?;
+                let labels = fields.pop().expect("labels come last");
+                (fields, labels)
+            }
+            // The announce carries the bytes themselves. Each tensor is a
+            // view of its slice of the received frame, which lives until
+            // the last of them is released.
+            AnnounceContent::Streamed { fields, labels } => {
+                let cpu = ts_device::DeviceId::Cpu;
+                let fields: Result<Vec<Tensor>> = fields.iter().map(|t| t.to_tensor(cpu)).collect();
+                (fields?, labels.to_tensor(cpu)?)
+            }
+        };
         let batch = |sub_index, fields, labels| ConsumerBatch {
             epoch: a.epoch,
             shard,
@@ -766,49 +825,28 @@ impl ConsumerState {
             labels,
             last_in_epoch: a.last_in_epoch,
         };
-        match &a.content {
-            // One attach per slot: a batch's tensors packed into one slot
-            // name one storage and are rebuilt over one view of it.
-            AnnounceContent::Shared { fields, labels } => {
-                let payloads = fields.iter().chain([labels]);
-                let mut fields = TensorPayload::unpack_batch(payloads, &self.ctx.registry)?;
-                let labels = fields.pop().expect("labels come last");
-                self.enqueue(batch(0, fields, labels))?;
-            }
-            AnnounceContent::Flex { batches } => {
-                for (k, fb) in batches.iter().enumerate() {
-                    let fields = fb.fields.iter().map(|segs| self.unpack_segments(segs));
-                    let fields: Result<Vec<Tensor>> = fields.collect();
-                    let labels = self.unpack_segments(&fb.labels)?;
-                    self.enqueue(batch(k, fields?, labels))?;
+        let Some(order) = self.flex else {
+            return self.enqueue(batch(0, fields, labels));
+        };
+        // Each carved batch is a view of the producer batch, or for a
+        // wrapped (repeating) one the concatenation of two.
+        let s = &mut self.shards[shard];
+        let seat = (s.index, s.members_at(a.seq));
+        let rows = labels.shape().first().copied().unwrap_or(0);
+        let plan = flex::carve(rows, self.batch_size as usize, &order, seat, self.id, a.seq)?;
+        for (k, planned) in plan.iter().enumerate() {
+            let carve = |t: &Tensor| -> Result<Tensor> {
+                let parts = planned.segments.iter().map(|s| t.narrow(0, s.start, s.len));
+                let mut parts = parts.collect::<std::result::Result<Vec<Tensor>, _>>()?;
+                match parts.len() {
+                    1 => Ok(parts.swap_remove(0)),
+                    _ => Ok(collate::cat0(&parts)?),
                 }
-            }
-            // The announce carries the bytes themselves. Each tensor is a
-            // view of its slice of the received frame, which lives until
-            // the last of them is released.
-            AnnounceContent::Streamed { fields, labels } => {
-                let cpu = ts_device::DeviceId::Cpu;
-                let fields: Result<Vec<Tensor>> = fields.iter().map(|t| t.to_tensor(cpu)).collect();
-                let labels = labels.to_tensor(cpu)?;
-                self.enqueue(batch(0, fields?, labels))?;
-            }
+            };
+            let fields = fields.iter().map(&carve).collect::<Result<_>>()?;
+            self.enqueue(batch(k, fields, carve(&labels)?))?;
         }
         Ok(())
-    }
-
-    fn unpack(&self, p: &TensorPayload) -> Result<Tensor> {
-        Ok(p.unpack(&self.ctx.registry)?)
-    }
-
-    fn unpack_segments(&self, segs: &[TensorPayload]) -> Result<Tensor> {
-        let tensors: Result<Vec<Tensor>> = segs.iter().map(|p| self.unpack(p)).collect();
-        let mut tensors = tensors?;
-        match tensors.len() {
-            0 => Err(TsError::Wire("empty segment list".into())),
-            1 => Ok(tensors.swap_remove(0)),
-            // A wrapped (repeating) batch: materialize the concatenation.
-            _ => Ok(collate::cat0(&tensors)?),
-        }
     }
 
     fn enqueue(&mut self, mut batch: ConsumerBatch) -> Result<()> {

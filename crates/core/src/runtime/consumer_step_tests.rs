@@ -7,7 +7,7 @@
 //! exactly-once, back to back in memory, on one hand-advanced clock.
 
 use super::*;
-use crate::protocol::messages::{caps, FlexBatchPayload, LogAd, StreamedTensor};
+use crate::protocol::messages::{caps, LogAd, StreamedTensor};
 use crate::runtime::config::ProducerConfig;
 use crate::runtime::group;
 use crate::runtime::producer::{spill_one, Preparer, TensorProducer};
@@ -46,10 +46,10 @@ fn welcome(shards: u32, log: bool) -> WelcomeInfo {
         shards,
         batch_size: 4,
         flex_producer_batch: 0,
+        flex_order: Default::default(),
         staging: 0,
         arena: None,
         endpoint_overrides: Vec::new(),
-        payload_modes: caps::KNOWN,
         log: log.then_some(LogAd {
             retained_min: 1,
             retained_max: 0,
@@ -147,6 +147,7 @@ impl Rig {
             replay_from: start_seq - 8 * epoch,
             num_batches: 8,
             start_seq,
+            index: 0,
         };
         let out = self.frame(shard, join_reply(decision));
         let ready = CtrlMsg::Ready { consumer_id: ID };
@@ -263,7 +264,7 @@ fn a_parked_joiner_waits_as_long_as_the_producer_shows_life_and_no_longer() {
     let mut rig = Rig::new(opts());
     rig.negotiate(welcome(1, false), PayloadMode::Shm);
     assert_eq!(rig.state.wants(), Some(0));
-    let wait = join_reply(JoinDecision::WaitEpoch { epoch: 1 });
+    let wait = join_reply(JoinDecision::WaitEpoch { epoch: 1, index: 0 });
     assert!(rig.frame(0, wait).is_empty());
     // 100 s of someone else's epoch, a frame every 20 s: each one moves
     // the give-up time, so the 30 s limit never trips.
@@ -284,7 +285,10 @@ fn a_parked_joiner_waits_as_long_as_the_producer_shows_life_and_no_longer() {
     // The same wait without a sign of life is a typed timeout.
     let mut rig = Rig::new(opts());
     rig.negotiate(welcome(1, false), PayloadMode::Shm);
-    rig.frame(0, join_reply(JoinDecision::WaitEpoch { epoch: 1 }));
+    rig.frame(
+        0,
+        join_reply(JoinDecision::WaitEpoch { epoch: 1, index: 0 }),
+    );
     assert!(rig.tick_after(29 * SEC).is_empty());
     assert_eq!(rig.state.stopped, None);
     rig.tick_after(SEC);
@@ -424,7 +428,10 @@ fn a_parked_member_splices_at_once_and_is_admitted_where_the_splice_ends() {
         rig.negotiate(welcome(1, true), PayloadMode::Shm);
         // Told to wait: the Replay goes out at once, and again until
         // answered.
-        let out = rig.frame(0, join_reply(JoinDecision::WaitEpoch { epoch: 1 }));
+        let out = rig.frame(
+            0,
+            join_reply(JoinDecision::WaitEpoch { epoch: 1, index: 0 }),
+        );
         assert_eq!(out, [Out::Ctrl(0, replay())]);
         assert_eq!(rig.tick_after(50 * MS), [Out::Ctrl(0, replay())]);
         // The history up to epoch 1: settled, delivering, still parked.
@@ -449,6 +456,7 @@ fn a_parked_member_splices_at_once_and_is_admitted_where_the_splice_ends() {
         replay_from: 0,
         num_batches: 8,
         start_seq: 8,
+        index: 0,
     };
     assert!(rig.frame(0, join_reply(again)).is_empty());
     assert_eq!(rig.state.stopped, None);
@@ -540,7 +548,10 @@ fn an_unknown_tag_is_counted_and_skipped_in_every_phase() {
     let unknown = rig.ctx.metrics.counter("consumer.data_unknown");
     rig.negotiate(welcome(1, true), PayloadMode::Shm);
     assert!(rig.step(alien()).is_empty(), "joining");
-    rig.frame(0, join_reply(JoinDecision::WaitEpoch { epoch: 1 }));
+    rig.frame(
+        0,
+        join_reply(JoinDecision::WaitEpoch { epoch: 1, index: 0 }),
+    );
     assert!(rig.step(alien()).is_empty(), "parked");
     rig.admit(0, 1, 8);
     assert!(rig.step(alien()).is_empty(), "splicing");
@@ -645,6 +656,7 @@ fn positions_at_the_end_of_u64_are_a_protocol_error_not_a_panic() {
         replay_from: 0,
         num_batches: 1,
         start_seq: 0,
+        index: 0,
     };
     rig.frame(0, join_reply(decision));
     let mut last = streamed(0);
@@ -747,18 +759,30 @@ fn any_shard_can_end_the_stream_while_another_is_awaited() {
 
 #[test]
 fn a_flexible_announce_of_three_carved_batches_is_acked_once() {
-    let mut rig = Rig::attached(opts().batch_size(4), 1, PayloadMode::Shm);
-    let labels = labels(0);
-    rig.ctx.registry.register(labels.storage());
-    let carved = FlexBatchPayload {
-        fields: vec![vec![TensorPayload::pack(&labels)]],
-        labels: vec![TensorPayload::pack(&labels)],
+    // The one announce every consumer of a flexible producer gets: a
+    // producer batch of 10 samples, which a consumer of batch size 4
+    // carves into three, the last wrapping round.
+    let mut rig = Rig::new(opts().batch_size(4));
+    let info = WelcomeInfo {
+        flex_producer_batch: 10,
+        ..welcome(1, false)
     };
-    let batches = vec![carved; 3];
-    rig.frame(0, announce(0, 0, false, AnnounceContent::Flex { batches }));
-    for sub_index in 0..3 {
+    rig.negotiate(info, PayloadMode::Shm);
+    rig.admit(0, 0, 0);
+    let rows: Vec<i64> = (0..10).collect();
+    let labels = Tensor::from_i64(&rows, &[10], DeviceId::Cpu).unwrap();
+    rig.ctx.registry.register(labels.storage());
+    let shared = AnnounceContent::Shared {
+        fields: vec![TensorPayload::pack(&labels)],
+        labels: TensorPayload::pack(&labels),
+    };
+    rig.frame(0, announce(0, 0, false, shared));
+    let carved = [vec![0, 1, 2, 3], vec![4, 5, 6, 7], vec![8, 9, 0, 1]];
+    for (sub_index, rows) in carved.iter().enumerate() {
         let b = rig.state.take(rig.now).expect("three carved batches");
         assert_eq!((b.seq, b.sub_index), (0, sub_index));
+        assert_eq!(&b.labels.to_vec_i64().unwrap(), rows);
+        assert_eq!(&b.fields[0].to_vec_i64().unwrap(), rows);
         let out = rig.step(Event::Next);
         match sub_index {
             2 => assert_eq!(out, [Out::Ctrl(0, ack(0))], "after the last one"),
@@ -854,7 +878,10 @@ fn a_joiner_that_gives_up_tells_every_shard_it_sent_a_join() {
     let mut rig = Rig::new(opts());
     rig.negotiate(welcome(3, false), PayloadMode::Shm);
     rig.admit(0, 0, 0);
-    rig.frame(1, join_reply(JoinDecision::WaitEpoch { epoch: 1 }));
+    rig.frame(
+        1,
+        join_reply(JoinDecision::WaitEpoch { epoch: 1, index: 0 }),
+    );
     rig.tick_after(30 * SEC);
     assert_eq!(rig.state.stopped, Some(StopReason::Timeout));
     assert!(!rig.state.attached);
@@ -863,7 +890,7 @@ fn a_joiner_that_gives_up_tells_every_shard_it_sent_a_join() {
     let mut rig = Rig::new(opts());
     rig.negotiate(welcome(2, false), PayloadMode::Shm);
     rig.admit(0, 0, 0);
-    let reason = "flexible producers serve shm payloads only".to_string();
+    let reason = "batch size 64 exceeds producer batch 8".to_string();
     rig.frame(1, join_reply(JoinDecision::Reject { reason }));
     assert!(rig.state.take_error().is_some());
     assert_eq!(rig.step(Event::Leave), leave(2));
@@ -1052,7 +1079,6 @@ impl World {
                         p.topics.retain(|t| *t != (shard, topic.clone()))
                     }
                     Effect::Negotiate(welcome) => {
-                        assert_ne!(welcome.payload_modes & p.mode.cap_bit(), 0);
                         p.state.negotiated(now, &welcome, p.mode, &mut fx);
                     }
                 }

@@ -777,13 +777,6 @@ fn check(cfg: &ProducerConfig) -> Result<()> {
             return Err(TsError::Config("producer_batch must be >= 1".into()));
         }
     }
-    if cfg.log.is_some() && cfg.flexible.is_some() {
-        return Err(TsError::Config(
-            "durable log and flexible sizing are incompatible: per-consumer carved \
-             views have no streamed serialization to store"
-                .into(),
-        ));
-    }
     Ok(())
 }
 

@@ -90,12 +90,10 @@
 //! cursor in [`Cursors`], so they release nothing there.
 
 use crate::protocol::cursors::Cursors;
-use crate::protocol::flex::plan_flex;
 use crate::protocol::heartbeat::HeartbeatMonitor;
 use crate::protocol::messages::{
-    caps, topics, AnnounceContent, ArenaAd, BatchAnnounce, CtrlMsg, DataMsg, FlexBatchPayload,
-    JoinDecision, LogAd, PayloadMode, ReplayFrom, StatsPayload, StreamedTensor, TracePayload,
-    WelcomeInfo, WIRE_VERSION,
+    caps, topics, AnnounceContent, ArenaAd, BatchAnnounce, CtrlMsg, DataMsg, JoinDecision, LogAd,
+    PayloadMode, ReplayFrom, StatsPayload, StreamedTensor, TracePayload, WelcomeInfo, WIRE_VERSION,
 };
 use crate::protocol::rubberband::{admission, Admission, RubberbandPolicy, ShardStand};
 use crate::runtime::config::ProducerConfig;
@@ -103,7 +101,6 @@ use crate::runtime::context::TsContext;
 use crate::runtime::group::Siblings;
 use crate::runtime::producer::{replay_start, streamed_content, ProducerStats};
 use crate::runtime::staging::{FeederMsg, PreparedItem, WELCOME_STAGING};
-use crate::{Result, TsError};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::borrow::Cow;
@@ -309,9 +306,6 @@ impl StageMetrics {
 }
 
 struct ConsumerInfo {
-    batch_size: u32,
-    /// Stable index used for flexible-mode offsets.
-    index: usize,
     mode: PayloadMode,
     /// First live-stream sequence this consumer was admitted at: where its
     /// catch-up (pins or log) ends.
@@ -432,15 +426,17 @@ enum Found {
 /// expires, and a stray frame never grows the monitor.
 struct Membership {
     hb: HeartbeatMonitor,
-    consumers: HashMap<u64, ConsumerInfo>,
+    /// Ordered by id, like every map `step` walks: two states stepped
+    /// alike emit their effects in one order.
+    consumers: BTreeMap<u64, ConsumerInfo>,
     /// Admitted, `Ready` not seen yet (a subset of `consumers`).
     awaiting_ready: HashSet<u64>,
     /// Encoded `JoinReply` per consumer awaiting `Ready`, re-sent every
     /// tick: the reply can go out while the joiner's subscription is still
     /// propagating.
-    join_replies: HashMap<u64, Bytes>,
-    /// Told to wait for the next epoch.
-    pending_join: Vec<(u64, u32, PayloadMode)>,
+    join_replies: BTreeMap<u64, Bytes>,
+    /// Told to wait for the next epoch: `(id, mode, index)`.
+    pending_join: Vec<(u64, PayloadMode, u32)>,
     replays: VecDeque<ReplayJob>,
     /// Slot-backed catch-up frames not acked yet, oldest first.
     held: Vec<HeldFrame>,
@@ -467,7 +463,7 @@ impl Membership {
     /// How consumer `id`, told to wait for the next epoch, is paid.
     fn parked(&self, id: u64) -> Option<PayloadMode> {
         let mut pending = self.pending_join.iter();
-        pending.find(|(j, ..)| *j == id).map(|&(.., mode)| mode)
+        pending.find(|(j, ..)| *j == id).map(|&(_, mode, _)| mode)
     }
 
     /// True while a rubberband catch-up holds publishing. Asked on every
@@ -674,7 +670,6 @@ struct Instruments {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Joiner {
     id: u64,
-    batch_size: u32,
     mode: PayloadMode,
     admission: Admission,
 }
@@ -720,6 +715,7 @@ impl State {
                 .as_ref()
                 .map(|f| f.producer_batch as u32)
                 .unwrap_or(0),
+            flex_order: cfg.flexible.as_ref().map(|f| f.order).unwrap_or_default(),
             staging: WELCOME_STAGING,
             arena: ctx.registry.arena().map(|a| {
                 let g = a.geometry();
@@ -730,12 +726,6 @@ impl State {
                 }
             }),
             endpoint_overrides: cfg.shard_endpoints.clone(),
-            // Flexible sizing carves per-consumer views of shared storage
-            // with no streamed serialization: shm only.
-            payload_modes: match cfg.flexible {
-                Some(_) => caps::SHM,
-                None => caps::SHM | caps::STREAM,
-            },
             log: None,
         };
         let policy = RubberbandPolicy {
@@ -748,9 +738,9 @@ impl State {
         Self {
             members: Membership {
                 hb: HeartbeatMonitor::new(cfg.heartbeat_timeout.as_nanos() as u64),
-                consumers: HashMap::new(),
+                consumers: BTreeMap::new(),
                 awaiting_ready: HashSet::new(),
-                join_replies: HashMap::new(),
+                join_replies: BTreeMap::new(),
                 pending_join: Vec::new(),
                 replays: VecDeque::new(),
                 held: Vec::new(),
@@ -992,8 +982,8 @@ impl State {
         w.pin_epoch = w.epoch;
         w.epoch_start_seq = w.cursors.next_seq();
         let start_seq = w.epoch_start_seq;
-        for (id, batch_size, mode) in std::mem::take(&mut self.members.pending_join) {
-            self.admit(now, id, batch_size, mode, start_seq, fx);
+        for (id, mode, index) in std::mem::take(&mut self.members.pending_join) {
+            self.admit(now, (id, mode, index), start_seq, fx);
         }
         self.until = self
             .cfg
@@ -1093,19 +1083,11 @@ impl State {
         };
         self.inst.stage.collate_copy_bytes.add(item.collate_copied);
         self.register_live(seq, batch, item.placements);
-        if self.cfg.flexible.is_some() {
-            // Each consumer gets its own carved view of the producer batch.
-            let ids: Vec<u64> = self.members.consumers.keys().copied().collect();
-            for id in ids {
-                if let Err(e) = self.send_flex_to(id, seq, fx) {
-                    return self.fail(now, &format!("carving a flexible batch: {e}"));
-                }
-            }
-        } else {
-            let frame = self.pointer_announce(seq).expect("just registered");
-            fx.push(send(topics::BATCH, frame));
-            self.send_streamed(seq, fx);
-        }
+        // One announce for every consumer, flexible or not: a flexible
+        // consumer carves its own batches out of it.
+        let frame = self.pointer_announce(seq).expect("just registered");
+        fx.push(send(topics::BATCH, frame));
+        self.send_streamed(seq, fx);
         self.inst.announced = Some((epoch, seq));
         let live = &self.win.live[&seq];
         if self.log.is_some() {
@@ -1361,42 +1343,6 @@ impl State {
         }
     }
 
-    /// Builds consumer `id`'s flexible announce for producer batch `seq`.
-    fn send_flex_to(&mut self, id: u64, seq: u64, fx: &mut Vec<Effect>) -> Result<()> {
-        let Some(flex) = &self.cfg.flexible else {
-            return Err(TsError::Config("not a flexible producer".into()));
-        };
-        let consumers = &self.members.consumers;
-        let info = consumers
-            .get(&id)
-            .ok_or_else(|| TsError::Join("unknown consumer".into()))?;
-        let live = (self.win.live.get(&seq))
-            .ok_or_else(|| TsError::Socket("live batch missing".into()))?;
-        let p = live.labels.shape()[0];
-        let bs = (info.batch_size as usize).min(p).max(1);
-        let order = &flex.order;
-        let offset = order.offset_for(info.index, consumers.len().max(1), p);
-        let plan = plan_flex(p, bs, offset)?;
-        let mut batches = Vec::with_capacity(plan.batches.len());
-        for &k in &order.visit_order(id, seq, plan.batches.len()) {
-            let segments = &plan.batches[k].segments;
-            let carve = |t: &Tensor| -> Result<Vec<TensorPayload>> {
-                let narrow = |s: &crate::protocol::flex::Segment| {
-                    let view = t.narrow(0, s.start, s.len)?;
-                    Ok(TensorPayload::pack_shared(&view, &self.ctx.registry))
-                };
-                segments.iter().map(narrow).collect()
-            };
-            batches.push(FlexBatchPayload {
-                fields: live.fields.iter().map(carve).collect::<Result<_>>()?,
-                labels: carve(&live.labels)?,
-            });
-        }
-        let frame = Self::announce_of(seq, live, AnnounceContent::Flex { batches });
-        fx.push(send(topics::consumer(id), frame.encode()));
-        Ok(())
-    }
-
     // -- catch-ups --------------------------------------------------------
 
     /// Advances catch-up `at` by one frame, window or not: callers pick it
@@ -1431,16 +1377,6 @@ impl State {
         };
         if !from_log {
             self.ctx.metrics.counter("producer.replays").inc();
-        }
-        if !from_log && self.cfg.flexible.is_some() {
-            self.stats.batches_replayed += 1;
-            let first = fx.len();
-            let _ = self.send_flex_to(id, seq, fx);
-            let sent = fx[first..].iter().map(|effect| match effect {
-                Effect::Send { frame, .. } => frame.byte_len() as u64,
-                _ => 0,
-            });
-            return sent.sum();
         }
         let streamed = mode == PayloadMode::Stream;
         let stored = || {
@@ -1735,23 +1671,13 @@ impl State {
         if self.members.knows(id) {
             return; // duplicate join, or decided already by another shard
         }
-        let reject = match &self.cfg.flexible {
-            // The WELCOME never grants STREAM from a flexible producer.
-            Some(_) if mode == PayloadMode::Stream => {
-                Some("flexible producers serve shm payloads only".to_string())
+        if let Some(max) = self.cfg.flexible.as_ref().map(|f| f.producer_batch) {
+            if batch_size == 0 || batch_size as usize > max {
+                let reason = format!("batch size {batch_size} exceeds producer batch {max}");
+                self.reply_join(id, JoinDecision::Reject { reason }, fx);
+                self.stats.joins_rejected += 1;
+                return;
             }
-            Some(flex) if batch_size == 0 || batch_size as usize > flex.producer_batch => {
-                let max = flex.producer_batch;
-                Some(format!(
-                    "batch size {batch_size} exceeds producer batch {max}"
-                ))
-            }
-            _ => None,
-        };
-        if let Some(reason) = reject {
-            self.reply_join(id, JoinDecision::Reject { reason }, fx);
-            self.stats.joins_rejected += 1;
-            return;
         }
         // The first shard to see a join decides it for the group, from
         // where every shard stands; the group applies it on the others.
@@ -1760,7 +1686,6 @@ impl State {
             .map(State::stand);
         let joiner = Joiner {
             id,
-            batch_size,
             mode,
             admission: admission(stands),
         };
@@ -1790,26 +1715,45 @@ impl State {
     pub(crate) fn join(&mut self, now: u64, joiner: Joiner, fx: &mut Vec<Effect>) {
         let Joiner {
             id,
-            batch_size,
             mode,
             admission,
         } = joiner;
-        if self.members.knows(id) {
+        let m = &mut self.members;
+        if m.knows(id) {
             return; // its own copy of the join came first
         }
+        // Its index is the member count at admission; a parked joiner's
+        // is fixed now, behind those parked before it.
+        let index = m.consumers.len() as u32;
         let w = &self.win;
         match admission {
-            Admission::EpochStart => self.admit(now, id, batch_size, mode, w.epoch_start_seq, fx),
-            Admission::Current => self.admit(now, id, batch_size, mode, w.cursors.next_seq(), fx),
+            Admission::EpochStart => self.admit(now, (id, mode, index), w.epoch_start_seq, fx),
+            Admission::Current => self.admit(now, (id, mode, index), w.cursors.next_seq(), fx),
             Admission::NextEpoch => {
                 self.ctx.metrics.counter("producer.joins_parked").inc();
-                self.members.pending_join.push((id, batch_size, mode));
-                self.members.hb.beat(id, now);
+                let index = index + m.pending_join.len() as u32;
+                m.pending_join.push((id, mode, index));
+                m.hb.beat(id, now);
                 // Not `epoch`, which already names the next one while this
                 // shard waits at the barrier.
                 let epoch = self.win.pin_epoch + 1;
-                self.reply_join(id, JoinDecision::WaitEpoch { epoch }, fx);
+                self.reply_join(id, JoinDecision::WaitEpoch { epoch, index }, fx);
+                // A parked group member carves its history while it waits.
+                self.tell_members(topics::consumer(id), fx);
             }
+        }
+    }
+
+    /// Under flexible sizing, tells `topic` how many members carve the
+    /// batches from the next seq on — the `consumers.len()` each one's
+    /// carve reads.
+    fn tell_members(&self, topic: impl Into<Cow<'static, [u8]>>, fx: &mut Vec<Effect>) {
+        if self.cfg.flexible.is_some() {
+            let msg = DataMsg::Members {
+                seq: self.win.cursors.next_seq(),
+                count: self.members.consumers.len() as u32,
+            };
+            fx.push(send(topic, msg.encode()));
         }
     }
 
@@ -1820,9 +1764,7 @@ impl State {
     fn admit(
         &mut self,
         now: u64,
-        id: u64,
-        batch_size: u32,
-        mode: PayloadMode,
+        (id, mode, index): (u64, PayloadMode, u32),
         start_seq: u64,
         fx: &mut Vec<Effect>,
     ) {
@@ -1830,8 +1772,6 @@ impl State {
         let pins = &self.win.pins;
         let replayed = start_seq.max(pins.start)..pins.end.max(start_seq);
         let info = ConsumerInfo {
-            batch_size,
-            index: m.consumers.len(),
             mode,
             start_seq,
             pins: replayed,
@@ -1851,14 +1791,16 @@ impl State {
             replay_from: start_seq - w.epoch_start_seq,
             num_batches: w.expected_announces,
             start_seq,
+            index,
         };
         let reply = self.reply_join(id, decision, fx);
         self.members.join_replies.insert(id, reply);
+        self.tell_members(topics::CTRL, fx);
     }
 
     fn remove_consumer(&mut self, now: u64, id: u64, notify: bool, fx: &mut Vec<Effect>) {
         let m = &mut self.members;
-        m.consumers.remove(&id);
+        let member = m.consumers.remove(&id).is_some();
         m.awaiting_ready.remove(&id);
         m.join_replies.remove(&id);
         m.pending_join.retain(|(j, ..)| *j != id);
@@ -1875,6 +1817,9 @@ impl State {
         if notify {
             let msg = DataMsg::Detached { consumer_id: id };
             fx.push(send(topics::consumer(id), msg.encode()));
+        }
+        if member {
+            self.tell_members(topics::CTRL, fx);
         }
     }
 

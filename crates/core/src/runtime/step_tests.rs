@@ -5,6 +5,7 @@
 //! hand, and reads the effects. No socket, no thread, no clock, no sleep.
 
 use super::*;
+use crate::runtime::config::FlexibleConfig;
 use crate::runtime::group;
 use crate::runtime::producer::{spill_one, EpochSource, Preparer, TensorProducer, VecSource};
 use std::slice;
@@ -481,7 +482,7 @@ fn a_late_joiner_waits_for_the_next_epoch_and_a_parked_leave_does_not_wedge_it()
                 [Out::Msg(
                     _,
                     DataMsg::JoinReply {
-                        decision: JoinDecision::WaitEpoch { epoch: 1 },
+                        decision: JoinDecision::WaitEpoch { epoch: 1, .. },
                         ..
                     }
                 )]
@@ -1706,7 +1707,6 @@ fn frames_to_2(ctx: &TsContext, out: &[Out]) -> Vec<(u64, bool)> {
                 let rebuilt = |t: &StreamedTensor| t.to_tensor(cpu).unwrap();
                 (rebuilt(&fields[0]), rebuilt(labels), false)
             }
-            other => panic!("seq {}: {other:?}", a.seq),
         };
         assert!(field.data_eq(&want.fields[0]), "seq {} field", a.seq);
         assert!(labels.data_eq(&want.labels), "seq {} labels", a.seq);
@@ -1948,8 +1948,10 @@ struct Allocations {
 }
 
 /// [`Allocations`] with `consumers` attached, batches on the heap or, with
-/// `arena`, collated into one slot each of an arena's pool.
-fn steady_state_allocations(consumers: u64, arena: bool) -> Allocations {
+/// `arena`, collated into one slot each of an arena's pool; with
+/// `flexible`, producer batches of one loader batch each, which every
+/// consumer carves into two.
+fn steady_state_allocations(consumers: u64, arena: bool, flexible: bool) -> Allocations {
     const WARM: usize = 64;
     const COUNTED: usize = 256;
     let total = WARM + COUNTED;
@@ -1960,11 +1962,19 @@ fn steady_state_allocations(consumers: u64, arena: bool) -> Allocations {
         }
         false => (TsContext::host_only(), None),
     };
-    let config = cfg(1, 0.0);
+    let config = ProducerConfig {
+        flexible: flexible.then(|| FlexibleConfig::new(4)),
+        ..cfg(1, 0.0)
+    };
     let mut prep = Preparer::new(&config, pool);
     let mut rig = Rig::new(&ctx, config, total as u64);
     for id in 1..=consumers {
-        rig.attach(id);
+        rig.ctrl(CtrlMsg::Join {
+            consumer_id: id,
+            batch_size: 2,
+            mode: PayloadMode::Shm,
+        });
+        rig.ready(id);
     }
     let mut fx = Vec::with_capacity(64);
     let mut counted = Allocations::default();
@@ -2006,10 +2016,13 @@ fn steady_state_allocations(consumers: u64, arena: bool) -> Allocations {
 
 #[test]
 fn acks_allocate_nothing_and_a_batch_costs_the_same_at_any_consumer_count() {
-    for arena in [false, true] {
-        let two = steady_state_allocations(2, arena);
-        let eight = steady_state_allocations(8, arena);
-        eprintln!("allocations (arena {arena}): N=2 {two:?}, N=8 {eight:?}");
+    // A flexible producer publishes what any producer publishes: the carve
+    // is each consumer's, so its publish costs the same at any N too.
+    for (arena, flexible) in [(false, false), (true, false), (false, true)] {
+        let two = steady_state_allocations(2, arena, flexible);
+        let eight = steady_state_allocations(8, arena, flexible);
+        eprintln!("allocations (arena {arena}, flexible {flexible}): N=2 {two:?}, N=8 {eight:?}");
+        assert_eq!(two.publish, eight.publish, "a publish at N=2 and N=8");
         assert_eq!(
             (two.idle_acks, eight.idle_acks),
             (0, 0),
@@ -2025,4 +2038,75 @@ fn acks_allocate_nothing_and_a_batch_costs_the_same_at_any_consumer_count() {
             "N=2 {two:?} < N=8 {eight:?}"
         );
     }
+}
+
+/// One script over a flexible producer with eight consumers, four of them
+/// on streamed payloads, batch sizes 2 to 4: join, publish six batches
+/// with every ack, a stream consumer's leave, a tick. Returns every effect, payload handles
+/// left out (storage ids are drawn per process, not per state).
+fn eight_consumer_script() -> Vec<String> {
+    let config = ProducerConfig {
+        flexible: Some(FlexibleConfig::new(4)),
+        ..cfg(1, 1.0)
+    };
+    let mut prep = Preparer::new(&config, None);
+    let mut rig = Rig::new(&TsContext::host_only(), config, 6);
+    let mut effects = Vec::new();
+    let mut note = |out: Vec<Out>| {
+        effects.extend(out.into_iter().map(|o| match o {
+            Out::Msg(topic, DataMsg::Batch(a)) => {
+                let kind = match a.content {
+                    AnnounceContent::Shared { .. } => "pointers",
+                    AnnounceContent::Streamed { .. } => "bytes",
+                };
+                let topic = String::from_utf8_lossy(&topic);
+                format!("{topic} batch {} {kind}", a.seq)
+            }
+            other => format!("{other:?}"),
+        }))
+    };
+    let mode = |id: u64| match id % 2 {
+        0 => PayloadMode::Stream,
+        _ => PayloadMode::Shm,
+    };
+    for id in 1..=8 {
+        note(rig.ctrl(CtrlMsg::Join {
+            consumer_id: id,
+            batch_size: 2 + id as u32 % 3,
+            mode: mode(id),
+        }));
+        note(rig.ready(id));
+    }
+    for index in 0..6 {
+        note(rig.item(prepared(&mut prep, index, 6)));
+        for id in (1..=8).filter(|&id| index < 3 || id != 6) {
+            note(rig.ack(id, index as u64));
+        }
+        if index == 2 {
+            note(rig.ctrl(CtrlMsg::Leave { consumer_id: 6 }));
+        }
+    }
+    note(rig.tick_after(30 * MS));
+    effects
+}
+
+#[test]
+fn two_states_stepped_alike_emit_one_effect_sequence() {
+    // Every map `step` walks is ordered by consumer id, so the stream
+    // sends of a publish, the join-reply nudges and the member notices come
+    // out in one order whatever the maps' hashers would have drawn.
+    let first = eight_consumer_script();
+    let second = eight_consumer_script();
+    // One publish path: a broadcast per batch, bytes per stream member.
+    let pointers = first.iter().filter(|e| e.ends_with("pointers"));
+    assert!(pointers.clone().all(|e| e.starts_with("batch batch")));
+    assert_eq!(pointers.count(), 6, "one broadcast per batch");
+    let streamed = first.iter().filter(|e| e.ends_with("bytes")).count();
+    assert_eq!(
+        streamed,
+        4 * 3 + 3 * 3,
+        "four stream consumers, one gone after three"
+    );
+    assert!(first.iter().any(|e| e.contains("Members")));
+    assert_eq!(first, second);
 }

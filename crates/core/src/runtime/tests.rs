@@ -114,16 +114,16 @@ fn consumer(ctx: &TsContext) -> ConsumerBuilder {
 /// The WELCOME of a test that plays the producer itself on raw sockets:
 /// `shards` shards, no arena, no log.
 fn fake_welcome(publisher: &ts_socket::PubSocket, token: u64, shards: u32) {
-    use crate::protocol::messages::{caps, topics, DataMsg, WelcomeInfo, WIRE_VERSION};
+    use crate::protocol::messages::{topics, DataMsg, WelcomeInfo, WIRE_VERSION};
     let info = WelcomeInfo {
         version: WIRE_VERSION,
         shards,
         batch_size: 4,
         flex_producer_batch: 0,
+        flex_order: Default::default(),
         staging: 0,
         arena: None,
         endpoint_overrides: Vec::new(),
-        payload_modes: caps::SHM,
         log: None,
     };
     let welcome = DataMsg::Welcome { token, info };
@@ -139,6 +139,7 @@ fn fake_admit(publisher: &ts_socket::PubSocket, consumer_id: u64) {
         replay_from: 0,
         num_batches: 100,
         start_seq: 0,
+        index: 0,
     };
     let reply = DataMsg::JoinReply {
         consumer_id,
@@ -994,7 +995,7 @@ fn a_detach_or_a_close_on_shard_1_ends_a_wait_on_idle_shard_0_at_once() {
 
 #[test]
 fn a_welcome_with_an_absurd_shard_count_or_a_malformed_override_is_refused() {
-    use crate::protocol::messages::{caps, topics, CtrlMsg, DataMsg, WelcomeInfo, WIRE_VERSION};
+    use crate::protocol::messages::{topics, CtrlMsg, DataMsg, WelcomeInfo, WIRE_VERSION};
     use ts_socket::{EndpointMap, Multipart, PubSocket, PullSocket};
 
     let ctx = TsContext::host_only();
@@ -1012,10 +1013,10 @@ fn a_welcome_with_an_absurd_shard_count_or_a_malformed_override_is_refused() {
             shards,
             batch_size: 4,
             flex_producer_batch: 0,
+            flex_order: Default::default(),
             staging: 0,
             arena: None,
             endpoint_overrides,
-            payload_modes: caps::SHM,
             log: None,
         };
         // Shard 0 answers every HELLO with the WELCOME until the consumer

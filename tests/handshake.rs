@@ -17,16 +17,19 @@
 //!   [`HandshakeError::ArenaMissing`]; an unpinned consumer negotiates
 //!   down to streamed payloads and still attaches (the remote-host
 //!   shape);
-//! * **ungranted payload mode** — a consumer forcing streamed payloads
-//!   from a flexible-batch producer (which only grants shm) gets
-//!   [`HandshakeError::Mode`] with the producer's grant mask.
 //!
 //! Each case is timeout-guarded: the error must arrive well inside the
 //! guard, proving the failure path is a fast typed reply, not a timeout.
+//! Two positive controls attach: a consumer forcing streamed payloads
+//! from a flexible producer (every producer serves both modes) carves
+//! the batches a pointer consumer carves, and a matching shard override
+//! attaches everywhere.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tensorsocket::protocol::messages::topics;
+use tensorsocket::protocol::order::OrderConfig;
+use tensorsocket::runtime::consumer::StopReason;
 use tensorsocket::{
     Consumer, CtrlMsg, DataMsg, HandshakeError, PayloadMode, Producer, ProducerConfig, TsError,
     WIRE_VERSION,
@@ -256,7 +259,7 @@ fn unopenable_arena_yields_typed_error_promptly() {
 #[test]
 fn unopenable_arena_falls_back_to_streamed_payloads() {
     // The same stale-path shape as above, but the consumer leaves the
-    // payload mode unpinned: the handshake grants streaming, so the
+    // payload mode unpinned: every producer serves streaming, so the
     // attach succeeds in streamed mode and the epoch still delivers.
     for (scheme, ep) in endpoints("fallback", 4) {
         let arena_path = std::env::temp_dir().join(format!(
@@ -290,34 +293,69 @@ fn unopenable_arena_falls_back_to_streamed_payloads() {
     }
 }
 
+/// What a consumer of a flexible producer trained on: `(seq, sub_index,
+/// field bytes, labels)` per carved batch.
+type Carved = Vec<(u64, usize, Vec<u8>, Vec<i64>)>;
+
+/// The whole epoch as one consumer, alone on a flexible producer (so at
+/// index 0 of one member) and forced to `mode`, carves it.
+fn carved_alone(scheme: &str, ep: &str, mode: PayloadMode) -> Carved {
+    let arena_path = std::env::temp_dir().join(format!(
+        "ts-hs-flex-{scheme}-{mode:?}-{}.arena",
+        std::process::id()
+    ));
+    let mut cfg = producer_cfg(ep);
+    cfg.flexible = Some(tensorsocket::FlexibleConfig {
+        producer_batch: 8,
+        order: OrderConfig {
+            offsets: true,
+            shuffle: true,
+            seed: 3,
+        },
+    });
+    let producer = Producer::builder()
+        .config(cfg)
+        .arena(&arena_path)
+        .spawn(loader(1).remove(0))
+        .expect("spawn flexible producer");
+    let mut consumer = Consumer::builder()
+        .payload_mode(mode)
+        .batch_size(3)
+        .consumer_id(0x5eed)
+        .handshake_timeout(GUARD)
+        .recv_timeout(Duration::from_secs(10))
+        .connect(ep)
+        .expect("a forced mode of a flexible producer attaches");
+    assert_eq!(consumer.payload_mode(), mode, "{scheme}");
+    let mut got = Vec::new();
+    for b in consumer.by_ref() {
+        let b = b.expect("clean carved stream");
+        let labels = b.labels.to_vec_i64().unwrap();
+        got.push((b.seq, b.sub_index, b.fields[0].gather_bytes(), labels));
+    }
+    assert_eq!(consumer.stop_reason(), Some(StopReason::End), "{scheme}");
+    drop(consumer);
+    producer.join().expect("producer join");
+    got
+}
+
 #[test]
-fn forced_streaming_from_flex_producer_yields_mode_error() {
-    // Flexible producers re-slice shm tensors per consumer and therefore
-    // grant only shm payloads; a consumer *forcing* streamed payloads
-    // must get the typed grant-mask error instead of a hang.
-    for (scheme, ep) in endpoints("mode", 5) {
-        let mut cfg = producer_cfg(&ep);
-        cfg.flexible = Some(tensorsocket::FlexibleConfig::new(8));
-        let producer = Producer::builder()
-            .config(cfg)
-            .spawn(loader(1).remove(0))
-            .expect("spawn flexible producer");
-        let (err, _) = expect_error(|| {
-            Consumer::builder()
-                .payload_mode(PayloadMode::Stream)
-                .batch_size(4)
-                .handshake_timeout(GUARD)
-                .connect(&ep)
-        });
-        match err {
-            TsError::Handshake(HandshakeError::Mode { requested, granted }) => {
-                assert_eq!(requested, PayloadMode::Stream, "{scheme}");
-                assert_eq!(granted, tensorsocket::caps::SHM, "{scheme}");
-            }
-            other => panic!("{scheme}: expected Mode error, got {other:?}"),
-        }
-        producer.abort();
-        producer.join().expect("producer join");
+fn forced_streaming_from_flex_producer_carves_what_shm_carves() {
+    // A flexible producer publishes one batch to every consumer, and each
+    // carves its own: a consumer forcing streamed payloads is served, and
+    // trains on exactly the batches a pointer consumer of the same batch
+    // size and index trains on.
+    let runs = endpoints("flex-shm", 5)
+        .into_iter()
+        .zip(endpoints("flex-stream", 7));
+    for ((scheme, shm_ep), (_, stream_ep)) in runs {
+        let shm = carved_alone(scheme, &shm_ep, PayloadMode::Shm);
+        let streamed = carved_alone(scheme, &stream_ep, PayloadMode::Stream);
+        // 16 loader batches of 4 fuse into 8 producer batches of 8, each
+        // carved into 3 batches of 3.
+        assert_eq!(shm.len(), 24, "{scheme}");
+        assert!(shm.iter().all(|(.., labels)| labels.len() == 3), "{scheme}");
+        assert!(streamed == shm, "{scheme}: the streamed carve differs");
     }
 }
 

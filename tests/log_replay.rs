@@ -15,8 +15,11 @@
 //! * a consumer dropped mid-log-replay releases the replay stream
 //!   promptly on the producer side (regression: the stream must not run
 //!   the full range at a dead topic, and the producer must not wedge);
-//! * spawn-time guards: a non-empty log directory and the
-//!   flexible-sizing combination both fail with typed `Config` errors.
+//! * under flexible sizing the log holds producer batches: a late group
+//!   replays the history exactly once and carves it as a live member
+//!   would;
+//! * spawn-time guard: a non-empty log directory fails with a typed
+//!   `Config` error.
 //!
 //! The `kill -9` (no clean Leave, no Drop) variant of the resume story
 //! runs as a fork/exec test over `ipc://` in
@@ -24,8 +27,10 @@
 
 use std::sync::Arc;
 use std::time::Duration;
+use tensorsocket::protocol::flex::carve;
+use tensorsocket::protocol::order::OrderConfig;
 use tensorsocket::runtime::consumer::StopReason;
-use tensorsocket::{Consumer, Producer, ProducerConfig, TsContext, TsError};
+use tensorsocket::{Consumer, FlexibleConfig, Producer, ProducerConfig, TsContext, TsError};
 use ts_data::{DataLoader, DataLoaderConfig, Dataset, DecodedSample, RawSample};
 use ts_device::DeviceId;
 use ts_tensor::{ops, Tensor};
@@ -804,26 +809,131 @@ fn producer_refuses_dirty_log_dir() {
     let _ = std::fs::remove_dir_all(&log_dir);
 }
 
-/// Flexible sizing carves per-consumer views with no streamed
-/// serialization to store; combining it with the log is a typed spawn
-/// failure, not a silently incomplete log.
+/// Under flexible sizing the log holds producer batches, and a consumer
+/// carves what it replays as it carves live batches: a late group,
+/// parked past the join window, is sent the whole history while it waits
+/// and gets every producer batch exactly once, carved as a live member at
+/// its index and member count carves it — alone with the witness (count
+/// 1) before its admission, one of two after.
 #[test]
-fn flexible_and_log_are_incompatible() {
+fn a_late_flexible_group_replays_the_log_exactly_once() {
+    const SAMPLES: usize = 64;
+    const PRODUCER_BATCH: usize = 8;
+    const CARVE: usize = 3;
+    const EPOCHS: u64 = 3;
+    const PER_EPOCH: u64 = (SAMPLES / PRODUCER_BATCH) as u64;
+    const LATE: u64 = 0x1a7e;
+    let order = OrderConfig {
+        offsets: true,
+        shuffle: true,
+        seed: 9,
+    };
+
     let ctx = TsContext::host_only();
-    let log_dir = fresh_dir("flex-incompat");
-    let err = Producer::builder()
+    let ep = "inproc://log-late-flex";
+    let log_dir = fresh_dir("late-flex");
+    let producer = Producer::builder()
         .context(&ctx)
-        .endpoint("inproc://log-flex-incompat")
-        .flexible(tensorsocket::FlexibleConfig::new(8))
+        .config(ProducerConfig {
+            endpoint: ep.to_string(),
+            epochs: EPOCHS,
+            rubberband_cutoff: 0.02,
+            ..Default::default()
+        })
+        .flexible(FlexibleConfig {
+            producer_batch: PRODUCER_BATCH,
+            order,
+        })
         .log(&log_dir)
-        .spawn(loader(32, 4, 3))
-        .expect_err("flexible + log must fail at spawn");
-    match err {
-        TsError::Config(msg) => assert!(
-            msg.contains("incompatible"),
-            "unexpected config error: {msg}"
-        ),
-        other => panic!("expected Config error, got {other:?}"),
+        .spawn(loader(SAMPLES, 4, 5))
+        .expect("flexible + log spawns");
+
+    // The witness carves batches of the whole producer batch: it sees each
+    // one as it was published.
+    let mut witness = Consumer::builder()
+        .context(&ctx)
+        .batch_size(PRODUCER_BATCH)
+        .recv_timeout(Duration::from_secs(20))
+        .connect(ep)
+        .expect("witness connect");
+    let mut published: Vec<Vec<i64>> = Vec::new();
+    let mut late = None;
+    for batch in witness.by_ref() {
+        let batch = batch.expect("clean witness stream");
+        assert_eq!(
+            batch.seq,
+            published.len() as u64,
+            "one batch per producer batch"
+        );
+        published.push(batch.labels.to_vec_i64().unwrap());
+        if published.len() as u64 == PER_EPOCH + 2 {
+            let ctx_c = ctx.clone();
+            late = Some(std::thread::spawn(move || {
+                let mut consumer = Consumer::builder()
+                    .context(&ctx_c)
+                    .group("flex-group")
+                    .batch_size(CARVE)
+                    .consumer_id(LATE)
+                    .recv_timeout(Duration::from_secs(20))
+                    .connect(ep)
+                    .expect("late group connect");
+                let mut got = Vec::new();
+                for batch in consumer.by_ref() {
+                    let batch = batch.expect("clean late stream");
+                    let labels = batch.labels.to_vec_i64().unwrap();
+                    let field = batch.fields[0].to_vec_f32().unwrap();
+                    got.push((batch.seq, batch.sub_index, labels, field));
+                }
+                assert_eq!(consumer.stop_reason(), Some(StopReason::End));
+                (consumer.joined_epoch(), got)
+            }));
+            // Held until the producer parked the joiner, so the stream
+            // cannot end before it is known (see the test above).
+            let parked = ctx.metrics.counter("producer.joins_parked");
+            let patience = std::time::Instant::now() + Duration::from_secs(20);
+            while parked.get() == 0 {
+                assert!(
+                    std::time::Instant::now() < patience,
+                    "the join never arrived"
+                );
+                std::thread::yield_now();
+            }
+        }
     }
+    assert_eq!(witness.stop_reason(), Some(StopReason::End));
+    drop(witness);
+    let (joined_epoch, got) = late.expect("late joiner spawned").join().unwrap();
+    producer.join().expect("producer join");
+    assert_eq!(published.len() as u64, EPOCHS * PER_EPOCH);
+    assert!(joined_epoch > 1, "parked past epoch 1's join window");
+
+    // Index 1 (the witness is 0); one member until the boundary admitted
+    // the group member, two from there on.
+    let admitted_at = joined_epoch * PER_EPOCH;
+    let mut expected = Vec::new();
+    for (seq, rows) in published.iter().enumerate() {
+        let seq = seq as u64;
+        let members = if seq < admitted_at { 1 } else { 2 };
+        let plan = carve(PRODUCER_BATCH, CARVE, &order, (1, members), LATE, seq).unwrap();
+        for (sub_index, planned) in plan.iter().enumerate() {
+            let segments = planned.segments.iter();
+            let labels: Vec<i64> = segments
+                .flat_map(|s| rows[s.start..s.start + s.len].iter().copied())
+                .collect();
+            let field = labels
+                .iter()
+                .flat_map(|&l| [l as f32, 2.0 * l as f32])
+                .collect();
+            expected.push((seq, sub_index, labels, field));
+        }
+    }
+    assert_eq!(
+        got.len(),
+        expected.len(),
+        "every producer batch, exactly once"
+    );
+    assert!(got == expected, "carved otherwise than a live member would");
+    assert!(ctx.metrics.counter("replay.log_batches").get() > 0);
+    assert_eq!(ctx.metrics.counter("consumer.splices_live_only").get(), 0);
     let _ = std::fs::remove_dir_all(&log_dir);
 }

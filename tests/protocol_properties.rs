@@ -2,11 +2,12 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use tensorsocket::protocol::flex::{covers_producer_batch, plan_flex};
+use tensorsocket::protocol::flex::{carve, covers_producer_batch, plan_flex};
 use tensorsocket::protocol::messages::{
-    AnnounceContent, ArenaAd, BatchAnnounce, CtrlMsg, DataMsg, FlexBatchPayload, JoinDecision,
-    LogAd, PayloadMode, ReplayFrom, StatsPayload, StreamedTensor, TracePayload, WelcomeInfo,
+    AnnounceContent, ArenaAd, BatchAnnounce, CtrlMsg, DataMsg, JoinDecision, LogAd, PayloadMode,
+    ReplayFrom, StatsPayload, StreamedTensor, TracePayload, WelcomeInfo,
 };
+use tensorsocket::protocol::order::OrderConfig;
 use ts_baselines::DependentSampler;
 use ts_device::DeviceId;
 use ts_tensor::{DType, SharedRegistry, Tensor, TensorPayload};
@@ -14,6 +15,53 @@ use ts_tensor::{DType, SharedRegistry, Tensor, TensorPayload};
 // ---------------------------------------------------------------------------
 // flexible batch planning (§3.2.6)
 // ---------------------------------------------------------------------------
+
+/// The carve as the producer ran it for each consumer and batch before
+/// the consumer took it over, kept as the reference: `(start, len)` row
+/// segments per carved batch, in delivery order.
+fn producer_side_carve(
+    p: usize,
+    requested: usize,
+    order: &OrderConfig,
+    (index, members): (usize, usize),
+    consumer_id: u64,
+    seq: u64,
+) -> Vec<Vec<(usize, usize)>> {
+    let bs = requested.min(p).max(1);
+    let offset = order.offset_for(index, members.max(1), p);
+    let plan = plan_flex(p, bs, offset).unwrap();
+    let visits = order.visit_order(consumer_id, seq, plan.batches.len());
+    let rows = |k: usize| plan.batches[k].segments.iter().map(|s| (s.start, s.len));
+    visits.into_iter().map(|k| rows(k).collect()).collect()
+}
+
+proptest! {
+    /// The consumer's carve — rows and visit order — is the one the
+    /// producer made, for any producer batch, batch size, place among any
+    /// number of members, consumer, seq and order variation.
+    #[test]
+    fn the_consumers_carve_is_the_producers(
+        p in 1usize..256,
+        b_raw in 1usize..256,
+        index in 0usize..16,
+        members in 0usize..16,
+        consumer_id in any::<u64>(),
+        seq in any::<u64>(),
+        offsets in any::<bool>(),
+        shuffle in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let order = OrderConfig { offsets, shuffle, seed };
+        let b = b_raw.min(p);
+        let reference = producer_side_carve(p, b, &order, (index, members), consumer_id, seq);
+        let carved = carve(p, b, &order, (index, members), consumer_id, seq).unwrap();
+        let carved: Vec<Vec<(usize, usize)>> = carved
+            .iter()
+            .map(|batch| batch.segments.iter().map(|s| (s.start, s.len)).collect())
+            .collect();
+        prop_assert_eq!(carved, reference);
+    }
+}
 
 proptest! {
     /// Every plan covers the producer batch exactly, delivers batches of
@@ -133,12 +181,6 @@ impl Gen {
                 fields: self.vec(3, Gen::payload),
                 labels: self.payload(),
             },
-            1 => AnnounceContent::Flex {
-                batches: self.vec(2, |g| FlexBatchPayload {
-                    fields: g.vec(2, |g| g.vec(2, Gen::payload)),
-                    labels: g.vec(2, Gen::payload),
-                }),
-            },
             _ => AnnounceContent::Streamed {
                 fields: self.vec(3, Gen::streamed),
                 labels: self.streamed(),
@@ -216,13 +258,17 @@ fn data_msg(kind: usize, g: &mut Gen) -> DataMsg {
             epoch: g.u64(),
             num_batches: g.u64(),
         },
-        1..=3 => DataMsg::Batch(BatchAnnounce {
+        1 | 2 => DataMsg::Batch(BatchAnnounce {
             seq: g.u64(),
             epoch: g.u64(),
             index_in_epoch: g.u64(),
             last_in_epoch: g.flag(),
             content: g.content(kind - 1),
         }),
+        3 => DataMsg::Members {
+            seq: g.u64(),
+            count: g.u32(),
+        },
         4..=6 => DataMsg::JoinReply {
             consumer_id: g.u64(),
             decision: match kind {
@@ -231,8 +277,12 @@ fn data_msg(kind: usize, g: &mut Gen) -> DataMsg {
                     replay_from: g.u64(),
                     num_batches: g.u64(),
                     start_seq: g.u64(),
+                    index: g.u32(),
                 },
-                5 => JoinDecision::WaitEpoch { epoch: g.u64() },
+                5 => JoinDecision::WaitEpoch {
+                    epoch: g.u64(),
+                    index: g.u32(),
+                },
                 _ => JoinDecision::Reject { reason: g.string() },
             },
         },
@@ -248,6 +298,11 @@ fn data_msg(kind: usize, g: &mut Gen) -> DataMsg {
                 shards: g.u32(),
                 batch_size: g.u32(),
                 flex_producer_batch: g.u32(),
+                flex_order: OrderConfig {
+                    offsets: g.flag(),
+                    shuffle: g.flag(),
+                    seed: g.u64(),
+                },
                 staging: g.u64() as u8,
                 arena: (kind == 10).then(|| ArenaAd {
                     path: g.string(),
@@ -262,7 +317,6 @@ fn data_msg(kind: usize, g: &mut Gen) -> DataMsg {
                 .into_iter()
                 .map(|(uri, shard)| (shard, uri))
                 .collect(),
-                payload_modes: g.u32(),
                 log: (kind == 10).then(|| LogAd {
                     retained_min: g.u64(),
                     retained_max: g.u64(),
@@ -318,7 +372,7 @@ fn data_msg(kind: usize, g: &mut Gen) -> DataMsg {
             retained_max: g.u64(),
         },
         _ => DataMsg::Unknown {
-            tag: 10 + g.below(246) as u8,
+            tag: 11 + g.below(245) as u8,
         },
     }
 }
