@@ -155,7 +155,8 @@ impl Shard {
     /// The member count the shard carved `seq` for: the latest notice at
     /// or before it. Older notices are spent, as delivery runs in seq
     /// order; a seq older than every notice (a replayed one) takes the
-    /// oldest count heard.
+    /// oldest count heard, the one at this consumer's admission (notices
+    /// before its join reply are not kept).
     fn members_at(&mut self, seq: u64) -> usize {
         while self.members.range(..=seq).nth(1).is_some() {
             self.members.pop_first();
@@ -595,7 +596,10 @@ impl ConsumerState {
                 self.settle(now, shard);
             }
             DataMsg::Batch(a) if flowing => self.on_batch(now, shard, a, fx),
-            DataMsg::Members { seq, count } => {
+            // Not before the join reply: what a replayed seq is carved for
+            // is the count at this consumer's admission, and its own
+            // notice follows its reply on this queue.
+            DataMsg::Members { seq, count } if phase != Phase::Joining => {
                 self.shards[shard].members.insert(seq, count);
             }
             DataMsg::Detached { consumer_id } if consumer_id == self.id => {

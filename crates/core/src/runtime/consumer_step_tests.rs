@@ -794,6 +794,48 @@ fn a_flexible_announce_of_three_carved_batches_is_acked_once() {
 }
 
 #[test]
+fn a_members_notice_heard_before_the_join_reply_is_not_carved_for() {
+    // Another consumer's admission is heard while this one waits for its
+    // reply. The replayed batch 0 is carved for the count this consumer's
+    // own notice brings, after its reply: 3 members, so index 1 starts at
+    // row 10 * 1 / 3 = 3 (for 2 members it would start at row 5).
+    let mut rig = Rig::new(opts().batch_size(5));
+    let info = WelcomeInfo {
+        flex_producer_batch: 10,
+        flex_order: OrderConfig {
+            offsets: true,
+            ..OrderConfig::default()
+        },
+        ..welcome(1, false)
+    };
+    rig.negotiate(info, PayloadMode::Shm);
+    rig.frame(0, DataMsg::Members { seq: 0, count: 2 });
+    let decision = JoinDecision::AdmitReplay {
+        epoch: 0,
+        replay_from: 0,
+        num_batches: 8,
+        start_seq: 0,
+        index: 1,
+    };
+    rig.frame(0, join_reply(decision));
+    rig.frame(0, DataMsg::Members { seq: 2, count: 3 });
+    let rows: Vec<i64> = (0..10).collect();
+    let labels = Tensor::from_i64(&rows, &[10], DeviceId::Cpu).unwrap();
+    rig.ctx.registry.register(labels.storage());
+    let shared = AnnounceContent::Shared {
+        fields: vec![TensorPayload::pack(&labels)],
+        labels: TensorPayload::pack(&labels),
+    };
+    rig.frame(0, announce(0, 0, false, shared));
+    for rows in [[3, 4, 5, 6, 7], [8, 9, 0, 1, 2]] {
+        let b = rig.state.take(rig.now).expect("two carved batches");
+        assert_eq!(b.labels.to_vec_i64().unwrap(), rows);
+        rig.step(Event::Next);
+    }
+    assert_eq!(rig.ctx.metrics.counter("consumer.acks").get(), 1);
+}
+
+#[test]
 fn three_shards_that_never_answer_replay_all_go_live_at_one_recv_timeout() {
     let mut rig = Rig::new(opts().group("g"));
     rig.negotiate(welcome(3, true), PayloadMode::Shm);

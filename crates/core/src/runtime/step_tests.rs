@@ -1969,11 +1969,15 @@ fn steady_state_allocations(consumers: u64, arena: bool, flexible: bool) -> Allo
     let mut prep = Preparer::new(&config, pool);
     let mut rig = Rig::new(&ctx, config, total as u64);
     for id in 1..=consumers {
-        rig.ctrl(CtrlMsg::Join {
+        let out = rig.ctrl(CtrlMsg::Join {
             consumer_id: id,
             batch_size: 2,
             mode: PayloadMode::Shm,
         });
+        assert!(
+            admit_of(&out).is_some(),
+            "consumer {id} not admitted: {out:?}"
+        );
         rig.ready(id);
     }
     let mut fx = Vec::with_capacity(64);
